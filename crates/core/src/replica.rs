@@ -112,6 +112,27 @@ pub enum CommitPath {
     Slow,
 }
 
+/// What one callback learned about a view's leader: the two facts a caller
+/// that outlives this instance (the SMR layer's cross-slot suspicion table)
+/// cannot read off the effects. See [`Replica::take_leader_signal`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LeaderSignal {
+    /// This replica's own view timer expired in `view` without a valid
+    /// proposal from its `leader` (never this replica itself).
+    TimedOut {
+        /// The leader of the view that timed out.
+        leader: ProcessId,
+        /// The view that timed out.
+        view: View,
+    },
+    /// `leader` sent a proposal for a view it leads — current, future or
+    /// stale — that passed signature and certificate verification.
+    Proposed {
+        /// The sender of the proposal.
+        leader: ProcessId,
+    },
+}
+
 /// Leader-side state for the view currently led.
 #[derive(Debug)]
 struct LeaderState {
@@ -170,12 +191,9 @@ pub struct Replica {
     my_wish: Option<View>,
     /// Timer generation; stale timers are ignored.
     timer_gen: u64,
-    /// Backoff relief earned by successful commits: each decision shaves
-    /// one doubling off the view-timeout exponent, so a cluster that
-    /// escalated through views during a fault window shrinks back toward
-    /// `base_timeout` once progress resumes instead of keeping
-    /// multi-second timers forever (see [`Replica::timeout_for`]).
-    backoff_relief: u32,
+    /// What the last callback learned about a leader, until the caller
+    /// takes it (see [`Replica::take_leader_signal`]).
+    leader_signal: Option<LeaderSignal>,
 
     /// Canonical instances of values seen in messages. Every statement
     /// embeds the value's memoized digest, but a value decoded from the
@@ -253,7 +271,7 @@ impl Replica {
             wishes: BTreeMap::new(),
             my_wish: None,
             timer_gen: 0,
-            backoff_relief: 0,
+            leader_signal: None,
             interned: BTreeSet::new(),
             interned_bytes: 0,
             cert_cache: CertCache::with_capacity(opts.cert_cache_capacity, opts.metrics.clone()),
@@ -292,6 +310,36 @@ impl Replica {
         self.decided_path
     }
 
+    /// The configuration this instance runs under (its leader map, for a
+    /// caller that rotates first leaders per instance).
+    pub fn config(&self) -> &Config {
+        &self.cfg
+    }
+
+    /// The highest view this replica has broadcast a wish for, if any.
+    pub fn wish(&self) -> Option<View> {
+        self.my_wish
+    }
+
+    /// Raises this replica's wish to `view` (no-op unless that is beyond
+    /// its current view and wish), as if its timer had already expired in
+    /// every view below. A wish is all it is: the replica stays in its
+    /// view, keeps acknowledging that view's proposal, and enters `view`
+    /// only with the synchronizer's usual `2f + 1` wishes — so, like any
+    /// timer setting, this can cost liveness but never safety.
+    pub fn wish_for(&mut self, view: View, fx: &mut Effects<Message>) {
+        if view > self.view && self.my_wish.is_none_or(|mine| view > mine) {
+            self.my_wish = Some(view);
+            self.broadcast_wish(view, fx);
+        }
+    }
+
+    /// Takes what the last callback learned about a leader, if anything
+    /// (each callback produces at most one signal).
+    pub fn take_leader_signal(&mut self) -> Option<LeaderSignal> {
+        self.leader_signal.take()
+    }
+
     // -- internals -----------------------------------------------------------
 
     /// Returns the canonical instance of `value` (see the `interned` field).
@@ -311,19 +359,8 @@ impl Replica {
     fn timeout_for(&self, view: View) -> SimDuration {
         // Doubling timeouts: after GST some view's timeout exceeds the time a
         // correct leader needs, giving it the paper's required ≥ 5Δ of quiet.
-        // Commits earn relief (see `backoff_relief`): escalation is driven by
-        // *failed* views, so resumed progress walks the exponent back down —
-        // liveness is unaffected, because while no commits happen relief
-        // stays put and the timeouts still double without bound (to the cap).
-        let exp = ((view.0.saturating_sub(1)).min(12) as u32).saturating_sub(self.backoff_relief);
+        let exp = (view.0.saturating_sub(1)).min(12) as u32;
         SimDuration(self.base_timeout.0.saturating_mul(1 << exp))
-    }
-
-    /// The view-change timeout this replica would arm right now — the
-    /// doubling schedule at the current view, minus any commit-earned
-    /// backoff relief.
-    pub fn current_timeout(&self) -> SimDuration {
-        self.timeout_for(self.view)
     }
 
     fn arm_timer(&mut self, fx: &mut Effects<Message>) {
@@ -336,7 +373,6 @@ impl Replica {
             None => {
                 self.decided = Some(value.clone());
                 self.decided_path = Some(path);
-                self.backoff_relief = (self.backoff_relief + 1).min(12);
                 if let Some(m) = self.metrics.get() {
                     match path {
                         CommitPath::Fast => m.commit_fast_total.inc(),
@@ -471,6 +507,7 @@ impl Replica {
         {
             return;
         }
+        self.leader_signal = Some(LeaderSignal::Proposed { leader: from });
         if p.view > self.view {
             // We are behind; keep the proposal for when the synchronizer
             // catches us up (the leader sends it exactly once).
@@ -834,6 +871,15 @@ impl Actor<Message> for Replica {
         if self.decided.is_some() {
             return; // nothing left to synchronize for
         }
+        // Leading a view and failing to propose in it (too few votes
+        // arrived) says nothing about anyone else.
+        let leader = self.cfg.leader(self.view);
+        if leader != self.id && self.acked_view != Some(self.view) {
+            self.leader_signal = Some(LeaderSignal::TimedOut {
+                leader,
+                view: self.view,
+            });
+        }
         // Timeout: wish to move past the current view.
         let target = self.view.next();
         let wish = match self.my_wish {
@@ -968,39 +1014,115 @@ mod tests {
     }
 
     #[test]
-    fn view_timeout_shrinks_back_after_a_commit() {
+    fn a_raised_wish_is_broadcast_and_needs_the_usual_quorum() {
         let (cfg, pairs, dir) = fixture(4, 1, 1);
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
-        let base = r.current_timeout();
-        assert_eq!(base, r.timeout_for(View::FIRST));
-        // The doubling schedule, untouched while nothing commits.
-        assert_eq!(r.timeout_for(View(4)).0, base.0 * 8);
-
-        // A fast-quorum decision earns one doubling of relief.
-        let x = Value::from_u64(5);
         let mut buf = fx(1, 4);
-        for sender in [2u32, 3, 4] {
-            r.on_message(
-                ProcessId(sender),
-                Message::Ack(AckMsg {
-                    value: x.clone(),
-                    view: View::FIRST,
-                    share: None,
-                }),
-                &mut buf,
-            );
-        }
-        assert_eq!(r.decided(), Some(&x));
-        assert_eq!(r.timeout_for(View(4)).0, base.0 * 4, "one doubling shaved");
+        r.on_start(&mut buf);
+        assert_eq!(r.wish(), None);
+        // Wishing for the view we are in is no wish at all.
+        r.wish_for(View::FIRST, &mut buf);
+        assert!(buf.sent().is_empty());
+        r.wish_for(View(2), &mut buf);
+        assert_eq!(r.wish(), Some(View(2)));
+        let wished = |buf: &Effects<Message>, view: u64| -> Vec<ProcessId> {
+            buf.sent()
+                .into_iter()
+                .filter(|(_, m)| matches!(m, Message::Wish(w) if w.view == View(view)))
+                .map(|(to, _)| to)
+                .collect()
+        };
+        assert_eq!(
+            wished(&buf, 2),
+            vec![ProcessId(2), ProcessId(3), ProcessId(4)]
+        );
+        // Never lowered, never repeated.
+        r.wish_for(View(2), &mut buf);
+        assert_eq!(wished(&buf, 2).len(), 3);
+        // Still in view 1, with only the view-1 timer armed.
+        assert_eq!(r.view(), View::FIRST);
+        assert_eq!(
+            buf.timers_set(),
+            &[(r.timeout_for(View::FIRST), TimerId(1))]
+        );
+        // Own wish + one more is f + 1: adopted already; the third enters.
+        r.on_message(
+            ProcessId(2),
+            Message::Wish(WishMsg { view: View(2) }),
+            &mut buf,
+        );
+        assert_eq!(r.view(), View::FIRST);
+        r.on_message(
+            ProcessId(3),
+            Message::Wish(WishMsg { view: View(2) }),
+            &mut buf,
+        );
+        assert_eq!(r.view(), View(2));
+    }
 
-        // Relief never pushes the timeout below the base schedule floor,
-        // even when it exceeds the view's own exponent.
-        r.backoff_relief = 50;
-        assert_eq!(r.timeout_for(View(4)), base);
-        assert_eq!(r.timeout_for(View::FIRST), base);
-        // And the escalation cap still binds above it.
-        r.backoff_relief = 0;
-        assert_eq!(r.timeout_for(View(40)).0, base.0 * (1 << 12));
+    #[test]
+    fn leader_signals_report_timeouts_and_verified_proposals() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let leader = cfg.leader(View::FIRST);
+        let x = Value::from_u64(9);
+        let propose = |signer: &KeyPair| {
+            Message::Propose(ProposeMsg {
+                value: x.clone(),
+                view: View::FIRST,
+                cert: ProgressCert::Genesis,
+                sig: signer.sign(&propose_payload(&x, View::FIRST)),
+            })
+        };
+
+        // The timer expires in view 1 with nothing from its leader.
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let mut buf = fx(1, 4);
+        r.on_start(&mut buf);
+        assert_eq!(r.take_leader_signal(), None);
+        r.on_timer(TimerId(1), &mut buf);
+        assert_eq!(
+            r.take_leader_signal(),
+            Some(LeaderSignal::TimedOut {
+                leader,
+                view: View::FIRST
+            })
+        );
+        assert_eq!(r.take_leader_signal(), None, "taken once");
+
+        // A verified proposal is reported; after it the same expiry is
+        // silent (the leader did its part, the view failed elsewhere).
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let mut buf = fx(1, 4);
+        r.on_start(&mut buf);
+        r.on_message(leader, propose(&pairs[leader.index()]), &mut buf);
+        assert_eq!(
+            r.take_leader_signal(),
+            Some(LeaderSignal::Proposed { leader })
+        );
+        r.on_timer(TimerId(1), &mut buf);
+        assert_eq!(r.take_leader_signal(), None);
+
+        // Stale proposals still count: verification precedes the view check.
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let mut buf = fx(1, 4);
+        r.enter_view(View(2), &mut buf);
+        r.on_message(leader, propose(&pairs[leader.index()]), &mut buf);
+        assert_eq!(
+            r.take_leader_signal(),
+            Some(LeaderSignal::Proposed { leader })
+        );
+        assert!(r.vote().is_none(), "stale proposal is not acknowledged");
+
+        // The leader's own timer expiring in the view it leads is silent.
+        let mut r = replica(&cfg, &pairs, &dir, leader.index(), 1);
+        r.on_start(&mut buf);
+        r.on_timer(TimerId(1), &mut buf);
+        assert_eq!(r.take_leader_signal(), None);
+
+        // A proposal signed by someone else is not a proposal.
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        r.on_message(leader, propose(&pairs[0]), &mut buf);
+        assert_eq!(r.take_leader_signal(), None);
     }
 
     #[test]

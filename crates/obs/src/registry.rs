@@ -33,6 +33,11 @@ pub struct Metrics {
     pub commit_fast_total: Counter,
     pub commit_slow_total: Counter,
     pub view_change_total: Counter,
+    // smr: leader suspicion across slots.
+    pub view_skip_total: Counter,
+    pub leader_suspect_total: Counter,
+    pub leader_clear_total: Counter,
+    pub leader_suspected: Gauge,
     // crypto: the PR-5 memo layers.
     pub cert_cache_hit_total: Counter,
     pub cert_cache_miss_total: Counter,
@@ -88,7 +93,7 @@ impl Metrics {
     }
 
     /// `(name, help, counter)` for every counter, in exposition order.
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 28] {
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 31] {
         [
             (
                 "commit_fast_total",
@@ -104,6 +109,21 @@ impl Metrics {
                 "view_change_total",
                 "View changes entered (leader replacements).",
                 &self.view_change_total,
+            ),
+            (
+                "view_skip_total",
+                "Wishes raised past a suspected leader instead of waiting for it (at slot open or mid-slot).",
+                &self.view_skip_total,
+            ),
+            (
+                "leader_suspect_total",
+                "Seats newly suspected: own view timer expired with no valid proposal from them.",
+                &self.leader_suspect_total,
+            ),
+            (
+                "leader_clear_total",
+                "Suspected seats cleared by a verified proposal (or a snapshot install).",
+                &self.leader_clear_total,
             ),
             (
                 "cert_cache_hit_total",
@@ -261,8 +281,13 @@ impl Metrics {
     }
 
     /// `(name, help, gauge)` for every gauge.
-    fn gauges(&self) -> [(&'static str, &'static str, &Gauge); 6] {
+    fn gauges(&self) -> [(&'static str, &'static str, &Gauge); 7] {
         [
+            (
+                "leader_suspected",
+                "Seats this node currently suspects as dead leaders.",
+                &self.leader_suspected,
+            ),
             (
                 "stash_depth",
                 "Future-slot messages currently stashed (bounded).",
@@ -689,6 +714,35 @@ mod tests {
         assert!(json.contains("\"ingress_shed_bytes_total\":448"));
         assert!(json.contains("\"apply_queue_depth\":3"));
         assert!(json.contains("\"batch_flush_size_total\":4"));
+    }
+
+    #[test]
+    fn leader_suspicion_exposition_shape() {
+        // The cross-slot suspicion table's instruments and its
+        // flight-recorder events must surface in both exporters.
+        let reg = MetricsRegistry::new(1);
+        let m = reg.metrics(0);
+        m.leader_suspect_total.add(3);
+        m.leader_clear_total.inc();
+        m.leader_suspected.set(2);
+        m.view_skip_total.add(40);
+        m.recorder
+            .record("leader-suspicion", "suspect p6 (slot 4, view 1)".into());
+        m.recorder.record("leader-suspicion", "clear p6".into());
+        let text = reg.render_text();
+        assert!(text.contains("# TYPE fastbft_leader_suspect_total counter"));
+        assert!(text.contains("fastbft_leader_suspect_total{replica=\"p1\"} 3"));
+        assert!(text.contains("fastbft_leader_clear_total{replica=\"p1\"} 1"));
+        assert!(text.contains("fastbft_view_skip_total{replica=\"p1\"} 40"));
+        assert!(text.contains("# TYPE fastbft_leader_suspected gauge"));
+        assert!(text.contains("fastbft_leader_suspected{replica=\"p1\"} 2"));
+        let json = reg.render_json();
+        assert!(json.contains("\"leader_suspect_total\":3"));
+        assert!(json.contains("\"leader_clear_total\":1"));
+        assert!(json.contains("\"view_skip_total\":40"));
+        assert!(json.contains("\"leader_suspected\":2"));
+        assert!(json.contains("\"detail\":\"suspect p6 (slot 4, view 1)\""));
+        assert!(json.contains("\"detail\":\"clear p6\""));
     }
 
     #[test]

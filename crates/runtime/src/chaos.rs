@@ -10,9 +10,9 @@
 //!
 //! 1. **Safety, always** — all logs agree, faulted or not.
 //! 2. **Liveness after heal** — commits resume within a bounded window
-//!    (see [`Scenario::recovery_window`]) once the plan heals, thanks to
-//!    the view synchronizer's exponential backoff and its commit-driven
-//!    decay.
+//!    (see [`Scenario::recovery_window`]) once the plan heals: every slot
+//!    is a fresh instance that starts from the base timeout, so backoff
+//!    climbed during the fault is confined to the slots that were open.
 //! 3. **Path attribution** — while the fast quorum is unreachable,
 //!    commits show up on the *slow* path in the metrics plane, exactly as
 //!    the paper's generalized protocol (t < f) promises.
@@ -140,9 +140,10 @@ impl Scenario {
     }
 
     /// How long after heal the cluster must be fully live again. Covers
-    /// the view synchronizer's exponential backoff climbing while the
-    /// fault held (bounded by the exponent cap and the commit-driven
-    /// decay) plus residual in-flight shaped deliveries.
+    /// the view synchronizer's exponential backoff climbing, in the slots
+    /// open while the fault held (bounded by the exponent cap; later slots
+    /// start from the base timeout), plus residual in-flight shaped
+    /// deliveries.
     pub fn recovery_window(&self, base_timeout: Duration) -> Duration {
         (base_timeout * 32 + self.max_delay * 4).max(Duration::from_secs(5))
     }

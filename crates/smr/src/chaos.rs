@@ -11,6 +11,12 @@
 //!    after heal, and while the fast quorum is unreachable the commits
 //!    that do land are slow-path.
 //!
+//! Where the survivors can still commit
+//! ([`PathExpectation::SlowWhileFaulted`]) a fourth gate rides inside the
+//! fault window: after one rotation of slots has let every isolated seat
+//! lead (and time out) once, a second rotation's slowest slot must stay
+//! below the view-1 timeout — the cross-slot leader suspicion at work.
+//!
 //! The harness is transport-generic: hand it seats built over the
 //! channel mesh ([`fastbft_runtime::wrap_seats_metered`]) or over TCP
 //! (`fastbft_net::faults::fault_tcp_seats_metered`) — the same scenarios
@@ -133,6 +139,7 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     for i in 0..load.during {
         cluster.submit(Value::from_u64(0x0200_0000 + i));
     }
+    let mut submitted = load.warmup + load.during;
     let (fast1, slow1);
     if scenario.expectation == PathExpectation::SlowWhileFaulted {
         // The survivors must keep committing *while* the fault holds —
@@ -140,14 +147,44 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         // so the during-window counters cannot be polluted by a healed
         // fast path racing ahead.
         let survivors: Vec<ProcessId> = all[..n - (cfg.t() + 1)].to_vec();
-        let window = scenario
-            .heal_at
-            .map(|heal| heal.saturating_sub(fault_started.elapsed()))
-            .map(|left| left.saturating_sub(left / 10))
-            .unwrap_or(Duration::from_secs(5));
+        let window = || {
+            scenario
+                .heal_at
+                .map(|heal| heal.saturating_sub(fault_started.elapsed()))
+                .map(|left| left.saturating_sub(left / 10))
+                .unwrap_or(Duration::from_secs(5))
+        };
         assert!(
-            cluster.await_commands(survivors, load.warmup + load.during, window),
+            cluster.await_commands(survivors.clone(), submitted, window()),
             "[{name}] survivors above the slow quorum must commit during the fault"
+        );
+        // Dead leaders must stop costing timeouts. Each probe waits for the
+        // one before it, so it is one slot, and a rotation of `n` of them
+        // makes every isolated seat lead — and be timed out on — at least
+        // once. A second rotation, each probe timed from submit to applied
+        // by every survivor, must then stay below the view-1 timeout: the
+        // survivors suspect those seats and wish past them (see
+        // `crate::suspicion`).
+        let mut probe = |timed: bool| {
+            let sent = Instant::now();
+            cluster.submit(Value::from_u64(0x0280_0000 + submitted));
+            submitted += 1;
+            assert!(
+                cluster.await_commands(survivors.clone(), submitted, window()),
+                "[{name}] survivors must commit probe {submitted} during the fault"
+            );
+            timed.then(|| sent.elapsed())
+        };
+        for _ in 0..n {
+            probe(false);
+        }
+        let rotation: Vec<Duration> = (0..n).filter_map(|_| probe(true)).collect();
+        // Nearest-rank p99 of n < 100 samples is the slowest one.
+        let p99 = rotation.iter().max().copied().unwrap_or_default();
+        assert!(
+            p99 < base_timeout,
+            "[{name}] after the first rotation a slot led by an isolated seat must not \
+             wait out the {base_timeout:?} view timer (second rotation: {rotation:?})"
         );
         (fast1, slow1) = totals(&registry);
         run.join();
@@ -166,7 +203,7 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     for i in 0..load.after {
         cluster.submit(Value::from_u64(0x0300_0000 + i));
     }
-    let total = load.warmup + load.during + load.after;
+    let total = submitted + load.after;
     let window = scenario.recovery_window(base_timeout);
     assert!(
         cluster.await_commands(all, total, window),

@@ -6,6 +6,7 @@ use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::Value;
 
 use crate::machine::StateMachine;
+use crate::tag::command_body;
 
 /// Commands understood by the [`KvStore`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,11 +152,14 @@ impl StateMachine for KvStore {
     type Output = KvOutput;
 
     fn apply(&mut self, command: &Value) -> KvOutput {
-        match KvCommand::from_value(command) {
-            Some(KvCommand::Put { key, value }) => KvOutput::Value(self.map.insert(key, value)),
-            Some(KvCommand::Get { key }) => KvOutput::Value(self.map.get(&key).cloned()),
-            Some(KvCommand::Delete { key }) => KvOutput::Value(self.map.remove(&key)),
-            Some(KvCommand::Noop) | None => KvOutput::Noop,
+        // A client-tagged command carries its `(client, seq)` identity in
+        // front of the encoded `KvCommand`; the identity is the dedup
+        // layer's business, the store executes the body.
+        match fastbft_types::wire::from_bytes(command_body(command)) {
+            Ok(KvCommand::Put { key, value }) => KvOutput::Value(self.map.insert(key, value)),
+            Ok(KvCommand::Get { key }) => KvOutput::Value(self.map.get(&key).cloned()),
+            Ok(KvCommand::Delete { key }) => KvOutput::Value(self.map.remove(&key)),
+            Ok(KvCommand::Noop) | Err(_) => KvOutput::Noop,
         }
     }
 
@@ -212,6 +216,25 @@ mod tests {
         let mut store = KvStore::new();
         assert_eq!(store.apply(&Value::from_u64(0xDEAD)), KvOutput::Noop);
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn tagged_commands_execute_their_body() {
+        use crate::tag::tag_command;
+        let put = KvCommand::Put {
+            key: "a".into(),
+            value: "1".into(),
+        };
+        let mut tagged = KvStore::new();
+        let mut plain = KvStore::new();
+        let framed = tag_command(7, 1, put.to_value().as_bytes());
+        assert_eq!(tagged.apply(&framed), KvOutput::Value(None));
+        assert_eq!(plain.apply(&put.to_value()), KvOutput::Value(None));
+        assert_eq!(tagged.get("a"), Some(&"1".to_string()));
+        assert_eq!(tagged.state_digest(), plain.state_digest());
+        // A tag in front of garbage is still a no-op.
+        assert_eq!(tagged.apply(&tag_command(7, 2, b"junk")), KvOutput::Noop);
+        assert_eq!(tagged.len(), 1);
     }
 
     #[test]

@@ -45,14 +45,15 @@ pub mod machine;
 pub mod multiplex;
 pub mod runtime;
 pub mod shard;
+mod suspicion;
+pub mod tag;
 
 pub use harness::{logs_consistent, offset_logs_consistent, SmrReport, SmrSimCluster};
 pub use kv::{KvCommand, KvOutput, KvStore};
 pub use machine::{CountingMachine, StateMachine};
 pub use multiplex::{
-    checkpoint_signature, checkpoint_signature_valid, parse_client_tag, snapshot_response_valid,
-    tag_command, AdaptiveBatch, Batching, SlotMessage, SmrNode, DEFAULT_SNAPSHOT_INTERVAL,
-    MAX_STASH_AHEAD, SLOT_WINDOW,
+    checkpoint_signature, checkpoint_signature_valid, snapshot_response_valid, AdaptiveBatch,
+    Batching, SlotMessage, SmrNode, DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
 };
 pub use runtime::{
     as_smr_node, smr_actors, smr_actors_configured, smr_actors_snapshotting, SmrClusterHandle,
@@ -60,3 +61,4 @@ pub use runtime::{
 pub use shard::{
     kv_shard_of, kv_shard_router, slot_preverifier, with_verify_pools, ShardedKvHandle,
 };
+pub use tag::{command_body, parse_client_tag, tag_command};

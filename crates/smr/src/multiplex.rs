@@ -16,7 +16,7 @@
 //!   untagged dedup set rotates generationally at snapshot boundaries, so
 //!   its identity window spans the last *two* snapshot intervals instead of
 //!   the whole log (tagged commands keep exact watermark semantics; see
-//!   [`tag_command`]).
+//!   [`tag_command`](crate::tag::tag_command)).
 //! * **Bounded buffering.** Messages for slots beyond the instantiation
 //!   window are stashed, but the stash is bounded in both dimensions (slot
 //!   horizon and total message count) so a Byzantine peer spraying frames
@@ -69,6 +69,8 @@ use fastbft_types::{Config, ProcessId, Value};
 
 use crate::apply::{ApplyJob, ApplyReply, ApplyStage, ApplyWorker};
 use crate::machine::StateMachine;
+use crate::suspicion::SuspicionTable;
+use crate::tag::parse_client_tag;
 
 /// A frame of the replicated state machine: consensus traffic tagged with
 /// its log slot, plus the checkpoint / state-transfer control plane.
@@ -222,54 +224,6 @@ impl Decode for SlotMessage {
             }
         })
     }
-}
-
-/// Magic prefix marking a client-tagged command (see [`tag_command`]).
-const CLIENT_TAG_MAGIC: &[u8; 4] = b"FBC1";
-
-/// Encodes a client command as `(client id, sequence number, body)` — the
-/// structured form of "clients tag id+seq for repeats" from the at-most-once
-/// semantics. Tagged commands are deduplicated by `(client, seq)` with a
-/// per-client **watermark**, so the dedup state a node keeps for a client is
-/// bounded by that client's out-of-order window instead of growing with the
-/// log (untagged commands fall back to the content-digest generations).
-///
-/// Sequence numbers start at 1; a client reusing a `(client, seq)` pair for
-/// a different body has only itself to hurt (the second body is treated as
-/// a duplicate — deterministically, on every replica).
-///
-/// **Trust model.** The tag is plain bytes inside an opaque command, so a
-/// `(client, seq)` identity is only as trustworthy as the proposals that
-/// carry it: a Byzantine leader that commits a *forged* body under some
-/// `(client, seq)` consumes that identity, and the client's real command
-/// with the same pair will dedup against it (deterministically, on every
-/// replica — safety is unaffected, but that client's command is censored).
-/// Digest dedup did not grant that power, at the cost of unbounded state.
-/// The standard remedy — clients *sign* tagged commands and replicas
-/// propose only verified ones — needs per-client keys, which this
-/// workspace's cluster-only key directory does not model yet; until then,
-/// tag commands only where proposers are trusted or censorship of a
-/// specific `(client, seq)` is acceptable, and use untagged commands
-/// otherwise.
-pub fn tag_command(client: u64, seq: u64, body: &[u8]) -> Value {
-    let mut bytes = Vec::with_capacity(4 + 8 + 8 + body.len());
-    bytes.extend_from_slice(CLIENT_TAG_MAGIC);
-    bytes.extend_from_slice(&client.to_be_bytes());
-    bytes.extend_from_slice(&seq.to_be_bytes());
-    bytes.extend_from_slice(body);
-    Value::new(bytes)
-}
-
-/// Parses a command produced by [`tag_command`], returning its
-/// `(client, seq)` identity. `None` for untagged (plain) commands.
-pub fn parse_client_tag(cmd: &Value) -> Option<(u64, u64)> {
-    let bytes = cmd.as_bytes();
-    if bytes.len() < 20 || &bytes[..4] != CLIENT_TAG_MAGIC {
-        return None;
-    }
-    let client = u64::from_be_bytes(bytes[4..12].try_into().expect("sized slice"));
-    let seq = u64::from_be_bytes(bytes[12..20].try_into().expect("sized slice"));
-    Some((client, seq))
 }
 
 /// Per-client at-most-once state: every sequence number `<= watermark` has
@@ -610,6 +564,9 @@ pub struct SmrNode<S: StateMachine> {
     pipeline_depth: u64,
     /// Open consensus instances.
     slots: BTreeMap<u64, Replica>,
+    /// Seats watched failing as leaders, consulted after every callback
+    /// into a slot's instance (see [`crate::suspicion`]).
+    suspicion: SuspicionTable,
     /// Decided but possibly not yet applied values.
     decided: BTreeMap<u64, Value>,
     /// Next slot to apply.
@@ -626,7 +583,7 @@ pub struct SmrNode<S: StateMachine> {
     /// command size. Rotated into `applied_cmds_old` at each snapshot, so
     /// the state is bounded by two snapshot intervals instead of growing
     /// with the log; clients that need exact at-most-once over unbounded
-    /// horizons tag their commands (see [`tag_command`]) and land in
+    /// horizons tag their commands (see [`crate::tag::tag_command`]) and land in
     /// `clients` instead.
     applied_cmds: HashSet<Digest>,
     /// Previous-generation untagged dedup digests (dropped at the next
@@ -693,6 +650,7 @@ impl<S: StateMachine> SmrNode<S> {
         let pending_bytes = pending.iter().map(|c| c.as_bytes().len()).sum();
         SmrNode {
             cfg,
+            suspicion: SuspicionTable::default(),
             keys,
             dir,
             opts: ReplicaOptions::default(),
@@ -945,6 +903,12 @@ impl<S: StateMachine> SmrNode<S> {
         self.slots.len()
     }
 
+    /// The seats this node currently suspects as dead leaders, in id order
+    /// (for tests and monitoring).
+    pub fn suspected_leaders(&self) -> Vec<ProcessId> {
+        self.suspicion.suspects().collect()
+    }
+
     /// How many commands the next proposal should drain, and why — `None`
     /// to propose nothing (empty queue, or an adaptive batcher holding a
     /// sub-target batch while the pipeline is busy). Pure: the planned
@@ -1112,6 +1076,10 @@ impl<S: StateMachine> SmrNode<S> {
         );
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
         replica.on_start(&mut inner);
+        // A first leader this node has watched time out is not waited for
+        // again: the instance starts out wishing for the first live view.
+        self.suspicion
+            .steer(slot, &mut replica, &mut inner, &self.opts.metrics);
         self.slots.insert(slot, replica);
         // The open timestamp feeds the latency histograms *and* the
         // adaptive batcher's congestion signal, so it is kept whenever
@@ -1136,6 +1104,8 @@ impl<S: StateMachine> SmrNode<S> {
         };
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
         replica.on_message(from, msg, &mut inner);
+        self.suspicion
+            .steer(slot, replica, &mut inner, &self.opts.metrics);
         self.relay_inner(slot, inner, fx);
     }
 
@@ -1707,6 +1677,9 @@ impl<S: StateMachine> SmrNode<S> {
         // Checkpoints captured below the installed boundary are obsolete:
         // the snapshot adopted below supersedes them.
         self.pending_checkpoints.retain(|p| p.upto > upto);
+        // What this node timed out on while it was cut off says nothing
+        // about its peers.
+        self.suspicion.reset(&self.opts.metrics);
         let digest = fastbft_crypto::digest(&payload);
         self.applied = upto;
         self.log.clear();
@@ -1948,6 +1921,8 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
         };
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
         replica.on_timer(inner_timer, &mut inner);
+        self.suspicion
+            .steer(slot, replica, &mut inner, &self.opts.metrics);
         self.relay_inner(slot, inner, fx);
     }
 

@@ -76,6 +76,13 @@ fn scrape_reflects_commits_on_a_running_cluster() {
     let text = cluster.metrics_text().expect("registry attached");
     assert!(text.contains("# TYPE fastbft_commit_fast_total counter"));
     assert!(text.contains("fastbft_commit_latency_fast_us_count"));
+    // The leader-suspicion family is exposed on every replica (what it
+    // counts is pinned in virtual time by `leader_suspicion.rs`).
+    assert!(text.contains("# TYPE fastbft_leader_suspected gauge"));
+    for family in ["view_skip", "leader_suspect", "leader_clear"] {
+        assert!(text.contains(&format!("# TYPE fastbft_{family}_total counter")));
+        assert!(text.contains(&format!("fastbft_{family}_total{{replica=\"p4\"}}")));
+    }
     for line in text.lines() {
         assert!(
             line.starts_with('#') || line.is_empty() || line.starts_with("fastbft_"),
@@ -84,6 +91,8 @@ fn scrape_reflects_commits_on_a_running_cluster() {
     }
     let json = cluster.metrics_json().expect("registry attached");
     assert!(json.contains("\"commit_fast_total\""));
+    assert!(json.contains("\"leader_suspected\""));
+    assert!(json.contains("\"view_skip_total\""));
     assert!(json.contains("\"replica\":\"p1\""));
 
     cluster.shutdown();

@@ -10,8 +10,10 @@
 
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_sim::SimTime;
-use fastbft_smr::{parse_client_tag, tag_command, CountingMachine, SmrSimCluster};
-use fastbft_types::{Config, Value};
+use fastbft_smr::{
+    parse_client_tag, tag_command, CountingMachine, KvCommand, KvStore, SmrSimCluster,
+};
+use fastbft_types::{Config, ProcessId, Value};
 
 #[test]
 fn tag_roundtrip_and_untagged_rejection() {
@@ -167,4 +169,44 @@ fn untagged_commands_still_dedup_by_digest() {
             .collect();
         assert_eq!(count.len(), 50, "{p}: each once despite 4× broadcast");
     }
+}
+
+/// Tagged commands reach the shipped state machine: a `tag_command`-framed
+/// `Put` executes on the replicated `KvStore` — identically on every
+/// replica, and identically to the same `Put` submitted untagged. (Before
+/// the store stripped the tag it decoded the framed bytes as garbage: every
+/// tagged command was a no-op and every digest the empty store's.)
+#[test]
+fn tagged_puts_change_the_replicated_store_on_every_replica() {
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let put = |k: u64| KvCommand::Put {
+        key: format!("k{k}"),
+        value: format!("v{k}"),
+    };
+    let run = |queue: Vec<Value>| {
+        let mut cluster = SmrSimCluster::new(
+            cfg,
+            19,
+            KvStore::new(),
+            vec![queue; 4],
+            KvCommand::Noop.to_value(),
+            ReplicaOptions::default(),
+        );
+        let report = cluster.run_until_commands(5, SimTime(1_000_000));
+        assert!(report.commands_everywhere >= 5, "{report:?}");
+        assert!(report.logs_consistent);
+        let digests: Vec<_> = cfg
+            .processes()
+            .map(|p| cluster.machine(p).state_digest())
+            .collect();
+        assert!(digests.windows(2).all(|w| w[0] == w[1]), "replicas differ");
+        assert_eq!(cluster.machine(ProcessId(3)).get("k4"), Some(&"v4".into()));
+        digests[0]
+    };
+    let tagged = run((0..5)
+        .map(|k| tag_command(9, k + 1, put(k).to_value().as_bytes()))
+        .collect());
+    let plain = run((0..5).map(|k| put(k).to_value()).collect());
+    assert_eq!(tagged, plain);
+    assert_ne!(tagged, KvStore::new().state_digest());
 }
