@@ -24,8 +24,8 @@
 //!
 //! Consequently a preverified message that is *invalid* is simply not
 //! memoized anywhere and the replica rejects it exactly as before; a
-//! preverifier that never runs (inline mode, `verify_workers = 0`) changes
-//! nothing at all.
+//! preverifier that never runs (a seat with no verify pool attached)
+//! changes nothing at all.
 
 use fastbft_crypto::KeyDirectory;
 use fastbft_types::Config;

@@ -56,25 +56,6 @@ pub struct ReplicaOptions {
     /// ([`CertCache`]); on overflow the cache resets and certificates are
     /// simply re-verified. 0 disables memoization.
     pub cert_cache_capacity: usize,
-    /// Worker threads for the runtime's inbound verify/decode pool. This
-    /// is a *runtime* knob — the replica itself never spawns threads; it
-    /// rides here so it threads through every construction path the same
-    /// way `metrics` does. `0` (the value every simulator path uses) means
-    /// fully inline verification: bit-for-bit the single-threaded
-    /// datapath. Defaults to
-    /// [`default_verify_workers`](ReplicaOptions::default_verify_workers)
-    /// — cores − 1, which is 0 on a single-core host.
-    pub verify_workers: usize,
-    /// Whether the SMR layer executes decided commands on a dedicated
-    /// apply worker thread instead of inline on the event loop. Like
-    /// [`verify_workers`](ReplicaOptions::verify_workers) this is a
-    /// *runtime* knob riding here so it threads through every construction
-    /// path: the per-slot replica never touches it. `0` (the default, and
-    /// the value every simulator path uses) keeps apply inline —
-    /// bit-for-bit the single-threaded datapath; any non-zero value runs
-    /// **one** dedicated in-order apply worker (apply is sequential by
-    /// definition, so more threads could not help).
-    pub apply_workers: usize,
 }
 
 impl Default for ReplicaOptions {
@@ -85,20 +66,7 @@ impl Default for ReplicaOptions {
             base_timeout: SimDuration(SimDuration::DELTA.0 * 8),
             metrics: MetricsHandle::none(),
             cert_cache_capacity: crate::certs::DEFAULT_CERT_CACHE_CAPACITY,
-            verify_workers: Self::default_verify_workers(),
-            apply_workers: 0,
         }
-    }
-}
-
-impl ReplicaOptions {
-    /// The default verify-pool width for a multicore deployment: every
-    /// available core except the one the event loop occupies. On a
-    /// single-core host this is 0 — fully inline, no pool.
-    pub fn default_verify_workers() -> usize {
-        std::thread::available_parallelism()
-            .map(|p| p.get().saturating_sub(1))
-            .unwrap_or(0)
     }
 }
 

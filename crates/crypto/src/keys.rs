@@ -274,8 +274,8 @@ impl KeyDirectory {
     ///
     /// Only successes are memoized, and the key binds the full statement
     /// bytes, so the memo can never accept anything the MAC would reject.
-    /// Off by default: the deterministic simulator and the
-    /// `verify_workers = 0` configuration take the exact pre-existing path.
+    /// Off by default: the deterministic simulator and every seat without
+    /// a verify pool take the exact pre-existing path.
     pub fn enable_shared_memo(&self) {
         self.memo.get_or_init(VerifyMemo::default);
     }

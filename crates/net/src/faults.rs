@@ -1,84 +1,18 @@
 //! The fault-injection plane over TCP: re-exports of
-//! [`fastbft_runtime::faults`] plus seat builders that wrap the
-//! authenticated socket transport in a [`FaultTransport`].
+//! [`fastbft_runtime::faults`].
 //!
 //! The shaping layer itself lives in the runtime crate (it is
 //! transport-agnostic — the same wrapper shapes the in-process channel
-//! mesh); this module is the TCP entry point: [`fault_tcp_seats`] builds
-//! a loopback cluster whose sockets are real and authenticated, but whose
-//! *deliveries* obey a shared [`FaultPlan`]. Because shaping happens on
+//! mesh). For a loopback cluster whose sockets are real and authenticated
+//! but whose *deliveries* obey a shared [`FaultPlan`], build the seats with
+//! [`tcp_seats`](crate::tcp_seats) (or
+//! [`tcp_seats_metered`](crate::tcp_seats_metered)) and pass them through
+//! [`wrap_seats`] (or [`wrap_seats_metered`]). Because shaping happens on
 //! the receive side, above frame decode and MAC verification, the wire
 //! protocol is untouched: what gets delayed or dropped is an
 //! authenticated message, exactly as a WAN or a misbehaving switch would
 //! delay or drop it.
 
-use std::io;
-use std::net::SocketAddr;
-
-use fastbft_crypto::{KeyDirectory, KeyPair};
-use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::NodeSeat;
-use fastbft_sim::{Actor, SimMessage};
-use fastbft_types::wire::{Decode, Encode};
-
 pub use fastbft_runtime::faults::{
     wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile,
 };
-
-use crate::{tcp_seats, tcp_seats_metered, TcpOptions, TcpTransport};
-
-/// [`tcp_seats`] with every seat's transport wrapped in
-/// a [`FaultTransport`] on the shared `plan` (seeded with `seed`; see the
-/// runtime module's determinism contract).
-///
-/// # Errors
-///
-/// An [`io::Error`] if binding the loopback listeners fails.
-///
-/// # Panics
-///
-/// Panics if `pairs` does not line up with `actors`.
-#[allow(clippy::type_complexity)]
-pub fn fault_tcp_seats<M: SimMessage + Encode + Decode>(
-    actors: Vec<Box<dyn Actor<M> + Send>>,
-    pairs: Vec<KeyPair>,
-    dir: KeyDirectory,
-    opts: TcpOptions,
-    plan: &FaultPlan,
-    seed: u64,
-) -> io::Result<(
-    Vec<NodeSeat<M, FaultTransport<M, TcpTransport<M>>>>,
-    Vec<SocketAddr>,
-)> {
-    let (seats, addrs) = tcp_seats(actors, pairs, dir, opts)?;
-    Ok((wrap_seats(seats, plan, seed), addrs))
-}
-
-/// [`fault_tcp_seats`] with a metrics plane: seat `i` reports both its
-/// wire-level counters *and* its injected-fault counters into
-/// `registry.replica(i)`.
-///
-/// # Errors
-///
-/// An [`io::Error`] if binding the loopback listeners fails.
-///
-/// # Panics
-///
-/// Panics if `pairs` does not line up with `actors`, or if the registry
-/// has fewer replicas than there are actors.
-#[allow(clippy::type_complexity)]
-pub fn fault_tcp_seats_metered<M: SimMessage + Encode + Decode>(
-    actors: Vec<Box<dyn Actor<M> + Send>>,
-    pairs: Vec<KeyPair>,
-    dir: KeyDirectory,
-    opts: TcpOptions,
-    registry: &MetricsRegistry,
-    plan: &FaultPlan,
-    seed: u64,
-) -> io::Result<(
-    Vec<NodeSeat<M, FaultTransport<M, TcpTransport<M>>>>,
-    Vec<SocketAddr>,
-)> {
-    let (seats, addrs) = tcp_seats_metered(actors, pairs, dir, opts, registry)?;
-    Ok((wrap_seats_metered(seats, plan, seed, registry), addrs))
-}

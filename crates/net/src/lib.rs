@@ -21,8 +21,8 @@
 //! The transport plugs into `fastbft_runtime`'s [`Transport`] abstraction,
 //! so the exact same event loop (timer heap, decision reporting, shutdown)
 //! drives replicas over channels and over TCP. [`spawn_tcp`] builds the
-//! loopback cluster used by the integration tests, the `tcp_cluster`
-//! example and the `tcp_latency` benchmark:
+//! loopback cluster used by the integration tests and the `tcp_cluster`
+//! example:
 //!
 //! ```
 //! use std::time::Duration;
@@ -60,6 +60,7 @@ use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use fastbft_crypto::{KeyDirectory, KeyPair};
+use fastbft_obs::{MetricsHandle, MetricsRegistry};
 use fastbft_runtime::{
     spawn_with, split_groups, ClusterHandle, GroupMessage, GroupTransport, Inbound, NodeSeat,
     ShardPump, Transport,
@@ -95,27 +96,63 @@ pub fn spawn_tcp<M: SimMessage + Encode + Decode>(
     dir: KeyDirectory,
     tick: Duration,
 ) -> io::Result<(ClusterHandle<M>, Vec<SocketAddr>)> {
-    spawn_tcp_with(actors, pairs, dir, tick, TcpOptions::default())
+    let (seats, addrs) = tcp_seats(actors, pairs, dir, TcpOptions::default())?;
+    Ok((spawn_with(seats, tick), addrs))
 }
 
-/// [`spawn_tcp`] with explicit [`TcpOptions`].
-///
-/// # Errors
-///
-/// An [`io::Error`] if binding the loopback listeners fails.
-///
-/// # Panics
-///
-/// Panics if `pairs` does not line up with `actors`.
-pub fn spawn_tcp_with<M: SimMessage + Encode + Decode>(
+/// Checks that `pairs[i]` belongs to process `p_{i+1}` and binds one
+/// ephemeral `127.0.0.1` listener per process, returning the listeners
+/// with their addresses in seat order.
+fn bind_loopback(pairs: &[KeyPair]) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>)> {
+    for (i, pair) in pairs.iter().enumerate() {
+        assert_eq!(
+            pair.id().index(),
+            i,
+            "pairs[{i}] must belong to process p{}",
+            i + 1
+        );
+    }
+    let listeners: Vec<TcpListener> = (0..pairs.len())
+        .map(|_| TcpListener::bind(("127.0.0.1", 0)))
+        .collect::<io::Result<_>>()?;
+    let addrs: Vec<SocketAddr> = listeners
+        .iter()
+        .map(TcpListener::local_addr)
+        .collect::<io::Result<_>>()?;
+    Ok((listeners, addrs))
+}
+
+/// Starts one transport per bound listener and pairs it with its actor;
+/// seat `i` reports wire-level counters into `registry.replica(i)` when a
+/// registry is given.
+fn seats_on<M: SimMessage + Encode + Decode>(
     actors: Vec<Box<dyn Actor<M> + Send>>,
     pairs: Vec<KeyPair>,
-    dir: KeyDirectory,
-    tick: Duration,
-    opts: TcpOptions,
-) -> io::Result<(ClusterHandle<M>, Vec<SocketAddr>)> {
-    let (seats, addrs) = tcp_seats(actors, pairs, dir, opts)?;
-    Ok((spawn_with(seats, tick), addrs))
+    dir: &KeyDirectory,
+    listeners: Vec<TcpListener>,
+    addrs: &[SocketAddr],
+    opts: &TcpOptions,
+    registry: Option<&MetricsRegistry>,
+) -> io::Result<Vec<NodeSeat<M, TcpTransport<M>>>> {
+    assert_eq!(pairs.len(), actors.len(), "one key pair per actor");
+    let mut seats = Vec::with_capacity(actors.len());
+    for (i, ((actor, pair), listener)) in actors.into_iter().zip(pairs).zip(listeners).enumerate() {
+        let (transport, control) = TcpTransport::start_metered(
+            pair,
+            dir.clone(),
+            listener,
+            addrs.to_vec(),
+            opts.clone(),
+            registry.map_or_else(MetricsHandle::none, |r| r.replica(i)),
+        )?;
+        seats.push(NodeSeat {
+            actor,
+            transport,
+            control,
+            verify: None,
+        });
+    }
+    Ok(seats)
 }
 
 /// Builds the loopback-TCP [`NodeSeat`]s for a cluster *without* spawning
@@ -124,7 +161,8 @@ pub fn spawn_tcp_with<M: SimMessage + Encode + Decode>(
 /// send. This is the building block behind [`spawn_tcp`] and the way to
 /// run non-consensus actors — e.g. `fastbft_smr`'s slot-multiplexed SMR
 /// nodes — over authenticated TCP: pass the seats to
-/// [`fastbft_runtime::spawn_with`].
+/// [`fastbft_runtime::spawn_with`], wrapped in
+/// [`faults::wrap_seats`] first to shape their deliveries.
 ///
 /// # Errors
 ///
@@ -141,36 +179,8 @@ pub fn tcp_seats<M: SimMessage + Encode + Decode>(
     dir: KeyDirectory,
     opts: TcpOptions,
 ) -> io::Result<(Vec<NodeSeat<M, TcpTransport<M>>>, Vec<SocketAddr>)> {
-    let n = actors.len();
-    assert_eq!(pairs.len(), n, "one key pair per actor");
-    for (i, pair) in pairs.iter().enumerate() {
-        assert_eq!(
-            pair.id().index(),
-            i,
-            "pairs[{i}] must belong to process p{}",
-            i + 1
-        );
-    }
-
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)))
-        .collect::<io::Result<_>>()?;
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(TcpListener::local_addr)
-        .collect::<io::Result<_>>()?;
-
-    let mut seats: Vec<NodeSeat<M, TcpTransport<M>>> = Vec::with_capacity(n);
-    for ((actor, pair), listener) in actors.into_iter().zip(pairs).zip(listeners) {
-        let (transport, control) =
-            TcpTransport::start(pair, dir.clone(), listener, addrs.clone(), opts.clone())?;
-        seats.push(NodeSeat {
-            actor,
-            transport,
-            control,
-            verify: None,
-        });
-    }
+    let (listeners, addrs) = bind_loopback(&pairs)?;
+    let seats = seats_on(actors, pairs, &dir, listeners, &addrs, &opts, None)?;
     Ok((seats, addrs))
 }
 
@@ -195,48 +205,23 @@ pub fn tcp_seats_metered<M: SimMessage + Encode + Decode>(
     pairs: Vec<KeyPair>,
     dir: KeyDirectory,
     opts: TcpOptions,
-    registry: &fastbft_obs::MetricsRegistry,
+    registry: &MetricsRegistry,
 ) -> io::Result<(Vec<NodeSeat<M, TcpTransport<M>>>, Vec<SocketAddr>)> {
-    let n = actors.len();
-    assert_eq!(pairs.len(), n, "one key pair per actor");
     assert!(
-        registry.len() >= n,
-        "metrics registry must cover all {n} seats"
+        registry.len() >= actors.len(),
+        "metrics registry must cover all {} seats",
+        actors.len()
     );
-    for (i, pair) in pairs.iter().enumerate() {
-        assert_eq!(
-            pair.id().index(),
-            i,
-            "pairs[{i}] must belong to process p{}",
-            i + 1
-        );
-    }
-
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)))
-        .collect::<io::Result<_>>()?;
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(TcpListener::local_addr)
-        .collect::<io::Result<_>>()?;
-
-    let mut seats: Vec<NodeSeat<M, TcpTransport<M>>> = Vec::with_capacity(n);
-    for (i, ((actor, pair), listener)) in actors.into_iter().zip(pairs).zip(listeners).enumerate() {
-        let (transport, control) = TcpTransport::start_metered(
-            pair,
-            dir.clone(),
-            listener,
-            addrs.clone(),
-            opts.clone(),
-            registry.replica(i),
-        )?;
-        seats.push(NodeSeat {
-            actor,
-            transport,
-            control,
-            verify: None,
-        });
-    }
+    let (listeners, addrs) = bind_loopback(&pairs)?;
+    let seats = seats_on(
+        actors,
+        pairs,
+        &dir,
+        listeners,
+        &addrs,
+        &opts,
+        Some(registry),
+    )?;
     Ok((seats, addrs))
 }
 
@@ -264,40 +249,12 @@ pub fn tcp_seats_retaining<M: SimMessage + Encode + Decode>(
     Vec<SocketAddr>,
     Vec<TcpListener>,
 )> {
-    let n = actors.len();
-    assert_eq!(pairs.len(), n, "one key pair per actor");
-    for (i, pair) in pairs.iter().enumerate() {
-        assert_eq!(
-            pair.id().index(),
-            i,
-            "pairs[{i}] must belong to process p{}",
-            i + 1
-        );
-    }
-
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)))
-        .collect::<io::Result<_>>()?;
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(TcpListener::local_addr)
-        .collect::<io::Result<_>>()?;
+    let (listeners, addrs) = bind_loopback(&pairs)?;
     let retained: Vec<TcpListener> = listeners
         .iter()
         .map(TcpListener::try_clone)
         .collect::<io::Result<_>>()?;
-
-    let mut seats: Vec<NodeSeat<M, TcpTransport<M>>> = Vec::with_capacity(n);
-    for ((actor, pair), listener) in actors.into_iter().zip(pairs).zip(listeners) {
-        let (transport, control) =
-            TcpTransport::start(pair, dir.clone(), listener, addrs.clone(), opts.clone())?;
-        seats.push(NodeSeat {
-            actor,
-            transport,
-            control,
-            verify: None,
-        });
-    }
+    let seats = seats_on(actors, pairs, &dir, listeners, &addrs, &opts, None)?;
     Ok((seats, addrs, retained))
 }
 
@@ -369,27 +326,11 @@ where
     M: SimMessage + Encode + Decode,
     R: Fn(&Value) -> usize + Send + Clone + 'static,
 {
-    let n = pairs.len();
     assert!(groups > 0, "at least one group");
-    for (i, pair) in pairs.iter().enumerate() {
-        assert_eq!(
-            pair.id().index(),
-            i,
-            "pairs[{i}] must belong to process p{}",
-            i + 1
-        );
-    }
+    let (listeners, addrs) = bind_loopback(&pairs)?;
 
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)))
-        .collect::<io::Result<_>>()?;
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(TcpListener::local_addr)
-        .collect::<io::Result<_>>()?;
-
-    let mut nodes = Vec::with_capacity(n);
-    let mut pumps = Vec::with_capacity(n);
+    let mut nodes = Vec::with_capacity(pairs.len());
+    let mut pumps = Vec::with_capacity(pairs.len());
     for (pair, listener) in pairs.into_iter().zip(listeners) {
         let (transport, _control) = TcpTransport::<GroupMessage<M>>::start(
             pair,

@@ -1,7 +1,7 @@
 //! The chaos suite over real loopback TCP: the same catalog scenarios as
 //! `crates/runtime/tests/chaos_channel.rs`, with every authenticated
 //! socket transport wrapped in a `FaultTransport` on a shared plan
-//! (`fault_tcp_seats_metered`). The graceful-degradation harness asserts
+//! (`tcp_seats_metered` + `wrap_seats_metered`). The graceful-degradation harness asserts
 //! the same three properties on both transports — that matrix, under the
 //! fixed `FASTBFT_CHAOS_SEED`, is the CI chaos gate.
 
@@ -9,13 +9,13 @@ use std::time::Duration;
 
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
-use fastbft_net::faults::{fault_tcp_seats_metered, FaultPlan};
+use fastbft_net::faults::{wrap_seats_metered, FaultPlan};
+use fastbft_net::tcp_seats_metered;
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::chaos::{chaos_seed_from_env, Scenario};
 use fastbft_sim::SimDuration;
 use fastbft_smr::chaos::{run_chaos, ChaosLoad, ChaosReport};
-use fastbft_smr::runtime::smr_actors_metered;
-use fastbft_smr::CountingMachine;
+use fastbft_smr::{smr_actors_configured, Batching, CountingMachine};
 use fastbft_types::{Config, Value};
 
 const TICK: Duration = Duration::from_micros(50);
@@ -42,7 +42,7 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         base_timeout: SimDuration(base_ticks),
         ..ReplicaOptions::default()
     };
-    let actors = smr_actors_metered(
+    let actors = smr_actors_configured(
         cfg,
         &pairs,
         &dir,
@@ -50,21 +50,14 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         vec![Vec::new(); n],
         idle(),
         opts,
-        1,
+        Batching::Fixed(1),
         None,
-        &registry,
+        Some(&registry),
     );
     let plan = FaultPlan::default();
-    let (seats, _addrs) = fault_tcp_seats_metered(
-        actors,
-        pairs,
-        dir,
-        Default::default(),
-        &registry,
-        &plan,
-        chaos_seed_from_env(42),
-    )
-    .expect("loopback bind");
+    let (seats, _addrs) = tcp_seats_metered(actors, pairs, dir, Default::default(), &registry)
+        .expect("loopback bind");
+    let seats = wrap_seats_metered(seats, &plan, chaos_seed_from_env(42), &registry);
     let base_timeout = Duration::from_nanos(TICK.as_nanos() as u64 * base_ticks);
     run_chaos(
         seats,

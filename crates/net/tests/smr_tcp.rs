@@ -9,10 +9,10 @@ use fastbft_crypto::KeyDirectory;
 use fastbft_net::{tcp_reseat, tcp_seats, tcp_seats_retaining};
 use fastbft_runtime::spawn_with;
 use fastbft_sim::{Actor, ScriptedActor};
-use fastbft_smr::runtime::{
-    as_smr_node, smr_actors, smr_actors_configured, smr_actors_snapshotting, SmrClusterHandle,
+use fastbft_smr::{
+    as_smr_node, smr_actors, smr_actors_configured, AdaptiveBatch, Batching, KvCommand, KvStore,
+    SlotMessage, SmrClusterHandle, SmrNode,
 };
-use fastbft_smr::{AdaptiveBatch, Batching, KvCommand, KvStore, SlotMessage, SmrNode};
 use fastbft_types::{Config, ProcessId, Value};
 
 const TICK: Duration = Duration::from_micros(50);
@@ -132,19 +132,25 @@ fn silent_leader_recovers_mid_log_over_tcp() {
     );
 }
 
-/// The kill-and-rejoin chaos path over real TCP: a replica is stopped
-/// mid-log (thread joined, transport dropped), the survivors keep
-/// committing past it with a short snapshot cadence, and a *fresh* node —
-/// empty log, empty store, fresh transport state on the retained port —
-/// rejoins by installing an attested snapshot plus the committed suffix,
-/// ending with byte-identical state on all four replicas.
+/// The kill-and-rejoin chaos path over real TCP, under fixed batch-1 and
+/// under the shipped adaptive batcher: a replica is stopped mid-log (thread
+/// joined, transport dropped), the survivors keep committing past it with
+/// a short snapshot cadence, and a *fresh* node — empty log, empty store,
+/// fresh transport state on the retained port — rejoins by installing an
+/// attested snapshot plus the committed suffix, ending with byte-identical
+/// state on all four replicas.
 #[test]
 fn killed_replica_rejoins_via_snapshot_over_tcp() {
-    const INTERVAL: u64 = 16;
+    kill_and_rejoin(34, Batching::Fixed(1));
+    kill_and_rejoin(35, Batching::Adaptive(AdaptiveBatch::default()));
+}
+
+fn kill_and_rejoin(seed: u64, batching: Batching) {
+    const INTERVAL: u64 = 8;
     let cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), 34);
+    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
     let idle = KvCommand::Noop.to_value();
-    let actors = smr_actors_snapshotting(
+    let actors = smr_actors_configured(
         cfg,
         &pairs,
         &dir,
@@ -152,8 +158,9 @@ fn killed_replica_rejoins_via_snapshot_over_tcp() {
         vec![Vec::new(); cfg.n()],
         idle.clone(),
         ReplicaOptions::default(),
-        1,
+        batching.clone(),
         Some(INTERVAL),
+        None,
     );
     let (seats, addrs, listeners) =
         tcp_seats_retaining(actors, pairs.clone(), dir.clone(), Default::default())
@@ -174,8 +181,8 @@ fn killed_replica_rejoins_via_snapshot_over_tcp() {
     // listener clone keeps its port bound while the seat is dead.
     drop(cluster.stop_node(1));
 
-    // Phase 2: the survivors commit well past p2's death; at interval 16
-    // they take (and mutually attest) several snapshots along the way.
+    // Phase 2: the survivors commit well past p2's death, taking (and
+    // mutually attesting) several snapshots along the way.
     let survivors = [ProcessId(1), ProcessId(3), ProcessId(4)];
     for i in 10..40 {
         cluster.submit(put(i));
@@ -197,6 +204,7 @@ fn killed_replica_rejoins_via_snapshot_over_tcp() {
         Vec::new(),
         idle.clone(),
     )
+    .with_batching(batching)
     .with_snapshot_interval(INTERVAL);
     let seat = tcp_reseat(
         Box::new(node),
@@ -209,29 +217,46 @@ fn killed_replica_rejoins_via_snapshot_over_tcp() {
     .expect("reseat on retained port");
     cluster.restart_node(1, seat);
 
-    // Fresh traffic both advances the cluster and carries the peer tips
-    // that tell the revived p2 how far behind it is.
-    for i in 40..60 {
-        cluster.submit(put(i));
+    // Catch-up: keep filler traffic flowing until p2 applies a command
+    // submitted in the *previous* round. Two things force this shape:
+    // peer tips only outrun the recovery gap (which triggers state
+    // transfer) while new slots keep opening — and an adaptive batcher
+    // packs a burst into few slots — and commands that commit below p2's
+    // installed snapshot boundary never surface in its event log: only a
+    // freshly submitted command proves it reached the tip. (Peers ignore
+    // consensus for slots below their applied index, so a fresh node
+    // cannot commit anything *without* recovering.)
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut next = 40;
+    let mut last_round: Vec<Value> = Vec::new();
+    while !last_round
+        .iter()
+        .any(|m| cluster.logs()[1].values().any(|v| v == m))
+    {
+        assert!(
+            Instant::now() < deadline,
+            "revived replica never reached the tip: log {:?}",
+            cluster.logs()[1]
+        );
+        last_round = (next..next + 4).map(put).collect();
+        next += 4;
+        for cmd in &last_round {
+            cluster.submit(cmd.clone());
+        }
+        cluster.await_commands([ProcessId(2)], u64::MAX, Duration::from_millis(200));
     }
     assert!(
-        cluster.await_commands(survivors, 60, Duration::from_secs(120)),
+        cluster.await_commands(survivors, next as u64, Duration::from_secs(120)),
         "cluster stalled after the restart: logs {:?}",
         cluster.logs()
     );
-    // p2's first applied event implies it installed the snapshot and is
-    // voting again (peers ignore consensus for slots below their applied
-    // index, so a fresh node cannot commit anything *without* recovering).
-    assert!(
-        cluster.await_commands([ProcessId(2)], 1, Duration::from_secs(120)),
-        "revived replica never applied a command: log {:?}",
-        cluster.logs()[1]
-    );
 
-    // A marker wave submitted after p2 is live again: every marker lands in
-    // a slot p2 applies itself, so waiting for all of them in p2's (sparse,
-    // snapshot-truncated) log proves it fully caught up.
-    let markers: Vec<Value> = (60..70).map(put).collect();
+    // A marker wave submitted once nothing else is outstanding and p2 is at
+    // the tip: every marker lands in a slot p2 applies itself, in order, so
+    // waiting for all of them in p2's (sparse, snapshot-truncated) log
+    // proves it applied everything.
+    let markers: Vec<Value> = (next..next + 10).map(put).collect();
+    next += 10;
     for cmd in &markers {
         cluster.submit(cmd.clone());
     }
@@ -247,12 +272,21 @@ fn killed_replica_rejoins_via_snapshot_over_tcp() {
         );
         cluster.await_commands([ProcessId(2)], u64::MAX, Duration::from_millis(200));
     }
+    assert!(
+        cluster.await_commands(survivors, next as u64, Duration::from_secs(120)),
+        "survivors never applied the marker wave: logs {:?}",
+        cluster.logs()
+    );
     assert!(cluster.logs_agree(), "log divergence: {:?}", cluster.logs());
 
     // Byte-identical stores on all four — including the seat that died.
     let actors = cluster.shutdown();
     let revived = as_smr_node::<KvStore>(actors[1].as_ref()).expect("SMR seat");
-    assert_eq!(revived.machine().len(), 70, "revived replica missing keys");
+    assert_eq!(
+        revived.machine().len(),
+        next,
+        "revived replica missing keys"
+    );
     assert!(
         revived.snapshot_upto().is_some(),
         "revived replica rejoined without installing a snapshot"
@@ -290,191 +324,4 @@ fn shutdown_with_inflight_slots_joins() {
     done_rx
         .recv_timeout(Duration::from_secs(30))
         .expect("SMR-over-TCP shutdown deadlocked");
-}
-
-/// Off-loop apply survives the full chaos cycle: with `apply_workers = 1`
-/// on every seat, a replica is killed mid-log (its apply worker joined and
-/// drained by the seat's shutdown hook), the survivors keep committing
-/// through snapshots, and the revived seat — also running an apply worker
-/// — rejoins via snapshot recovery. Final state must be byte-identical to
-/// what the inline path produces: the worker never leaks into the
-/// protocol.
-#[test]
-fn off_loop_apply_survives_kill_and_restart_over_tcp() {
-    const INTERVAL: u64 = 8;
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), 35);
-    let idle = KvCommand::Noop.to_value();
-    let opts = ReplicaOptions {
-        apply_workers: 1,
-        ..ReplicaOptions::default()
-    };
-    let actors = smr_actors_configured(
-        cfg,
-        &pairs,
-        &dir,
-        KvStore::new(),
-        vec![Vec::new(); cfg.n()],
-        idle.clone(),
-        opts.clone(),
-        Batching::Adaptive(AdaptiveBatch::default()),
-        Some(INTERVAL),
-        None,
-    );
-    let (seats, addrs, listeners) =
-        tcp_seats_retaining(actors, pairs.clone(), dir.clone(), Default::default())
-            .expect("loopback bind");
-    let mut cluster = SmrClusterHandle::new(spawn_with(seats, TICK), cfg.n(), idle.clone());
-
-    // Phase 1: a common prefix, applied off-loop on all four.
-    for i in 0..10 {
-        cluster.submit(put(i));
-    }
-    assert!(
-        cluster.await_commands(cfg.processes(), 10, Duration::from_secs(60)),
-        "initial prefix did not commit: logs {:?}",
-        cluster.logs()
-    );
-
-    // Kill p2: stop_node joins its event loop, whose shutdown hook joins
-    // the apply worker — the dead actor owns its machine again.
-    let dead = cluster.stop_node(1);
-    assert!(
-        !as_smr_node::<KvStore>(dead.as_ref())
-            .expect("SMR seat")
-            .machine()
-            .is_empty(),
-        "killed seat's apply worker was not drained on stop"
-    );
-    drop(dead);
-
-    // Phase 2: survivors commit past several snapshot boundaries.
-    let survivors = [ProcessId(1), ProcessId(3), ProcessId(4)];
-    for i in 10..30 {
-        cluster.submit(put(i));
-    }
-    assert!(
-        cluster.await_commands(survivors, 30, Duration::from_secs(120)),
-        "survivors stalled without p2: logs {:?}",
-        cluster.logs()
-    );
-
-    // Phase 3: revive seat 1 — fresh node, fresh transport, same port,
-    // and its own apply worker. Catch-up (snapshot install + committed
-    // suffix) must route the restore through the off-loop stage.
-    let node = SmrNode::new(
-        cfg,
-        pairs[1].clone(),
-        dir.clone(),
-        KvStore::new(),
-        Vec::new(),
-        idle.clone(),
-    )
-    .with_batching(Batching::Adaptive(AdaptiveBatch::default()))
-    .with_snapshot_interval(INTERVAL)
-    .with_options(opts);
-    let seat = tcp_reseat(
-        Box::new(node),
-        pairs[1].clone(),
-        dir,
-        &listeners[1],
-        addrs,
-        Default::default(),
-    )
-    .expect("reseat on retained port");
-    cluster.restart_node(1, seat);
-
-    for i in 30..40 {
-        cluster.submit(put(i));
-    }
-    assert!(
-        cluster.await_commands(survivors, 40, Duration::from_secs(120)),
-        "cluster stalled after the restart: logs {:?}",
-        cluster.logs()
-    );
-    assert!(
-        cluster.await_commands([ProcessId(2)], 1, Duration::from_secs(120)),
-        "revived replica never applied a command: log {:?}",
-        cluster.logs()[1]
-    );
-
-    // Catch-up: keep filler traffic flowing until p2 applies a command
-    // submitted in the *previous* round. Two things force this shape:
-    // peer tips only outrun the recovery gap (which re-triggers state
-    // transfer) while new slots keep opening, and commands that commit
-    // below p2's installed snapshot boundary never surface in its event
-    // log — only a freshly submitted command proves it reached the tip.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut filler = 40;
-    let mut last_round: Vec<Value> = Vec::new();
-    loop {
-        let caught_up = last_round
-            .iter()
-            .any(|m| cluster.logs()[1].values().any(|v| v == m));
-        if caught_up {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "revived replica never reached the tip: log {:?}",
-            cluster.logs()[1]
-        );
-        last_round = (0..4)
-            .map(|_| {
-                let cmd = put(filler);
-                filler += 1;
-                cmd
-            })
-            .collect();
-        for cmd in &last_round {
-            cluster.submit(cmd.clone());
-        }
-        cluster.await_commands([ProcessId(2)], u64::MAX, Duration::from_millis(200));
-    }
-
-    // Marker wave, submitted while p2 is at the tip: every marker commits
-    // above its installed boundary, so p2 must apply each one itself.
-    let markers: Vec<Value> = (filler..filler + 8).map(put).collect();
-    for cmd in &markers {
-        cluster.submit(cmd.clone());
-    }
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while !markers
-        .iter()
-        .all(|m| cluster.logs()[1].values().any(|v| v == m))
-    {
-        assert!(
-            Instant::now() < deadline,
-            "revived replica never saw the marker wave: log {:?}",
-            cluster.logs()[1]
-        );
-        cluster.await_commands([ProcessId(2)], u64::MAX, Duration::from_millis(200));
-    }
-    assert!(cluster.logs_agree(), "log divergence: {:?}", cluster.logs());
-
-    // Shutdown joins every apply worker; the stores are byte-identical.
-    let actors = cluster.shutdown();
-    let revived = as_smr_node::<KvStore>(actors[1].as_ref()).expect("SMR seat");
-    assert!(
-        revived.machine().len() >= 48,
-        "revived replica missing keys: {}",
-        revived.machine().len()
-    );
-    assert!(
-        revived.snapshot_upto().is_some(),
-        "revived replica rejoined without installing a snapshot"
-    );
-    let digests: Vec<_> = actors
-        .iter()
-        .map(|a| {
-            as_smr_node::<KvStore>(a.as_ref())
-                .expect("SMR seat")
-                .machine()
-                .state_digest()
-        })
-        .collect();
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "replica state diverged after off-loop kill/restart"
-    );
 }

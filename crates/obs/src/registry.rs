@@ -51,7 +51,8 @@ pub struct Metrics {
     pub batch_flush_timeout_total: Counter,
     pub ingress_shed_total: Counter,
     pub ingress_shed_bytes_total: Counter,
-    pub apply_offload_total: Counter,
+    // Never set and not exported: kept only because the frozen
+    // `benchmark/src/loadgen.rs` reads it (`smr.apply_queue_peak`, always 0).
     pub apply_queue_depth: Gauge,
     // runtime: the inbound verify/decode pool.
     pub verify_offload_total: Counter,
@@ -93,7 +94,7 @@ impl Metrics {
     }
 
     /// `(name, help, counter)` for every counter, in exposition order.
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 31] {
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 30] {
         [
             (
                 "commit_fast_total",
@@ -174,11 +175,6 @@ impl Metrics {
                 "ingress_shed_total",
                 "Client commands shed at ingress by the pending-queue budget.",
                 &self.ingress_shed_total,
-            ),
-            (
-                "apply_offload_total",
-                "Decided commands handed to the off-loop apply worker.",
-                &self.apply_offload_total,
             ),
             (
                 "verify_offload_total",
@@ -281,7 +277,7 @@ impl Metrics {
     }
 
     /// `(name, help, gauge)` for every gauge.
-    fn gauges(&self) -> [(&'static str, &'static str, &Gauge); 7] {
+    fn gauges(&self) -> [(&'static str, &'static str, &Gauge); 6] {
         [
             (
                 "leader_suspected",
@@ -292,11 +288,6 @@ impl Metrics {
                 "stash_depth",
                 "Future-slot messages currently stashed (bounded).",
                 &self.stash_depth,
-            ),
-            (
-                "apply_queue_depth",
-                "Command batches queued to the apply worker and not yet executed.",
-                &self.apply_queue_depth,
             ),
             (
                 "verify_queue_depth",
@@ -686,9 +677,9 @@ mod tests {
 
     #[test]
     fn propose_pipeline_exposition_shape() {
-        // The PR-9 propose-pipeline instruments: flush-reason counters,
-        // ingress shed counters (count + bytes) and the apply-queue depth
-        // gauge must all surface in both exporters.
+        // The propose-pipeline instruments: flush-reason counters and
+        // ingress shed counters (count + bytes) must surface in both
+        // exporters.
         let reg = MetricsRegistry::new(1);
         let m = reg.metrics(0);
         m.batch_flush_size_total.add(4);
@@ -696,8 +687,6 @@ mod tests {
         m.batch_flush_timeout_total.inc();
         m.ingress_shed_total.add(7);
         m.ingress_shed_bytes_total.add(7 * 64);
-        m.apply_offload_total.add(12);
-        m.apply_queue_depth.set(3);
         let text = reg.render_text();
         assert!(text.contains("# TYPE fastbft_batch_flush_size_total counter"));
         assert!(text.contains("fastbft_batch_flush_size_total{replica=\"p1\"} 4"));
@@ -706,13 +695,9 @@ mod tests {
         assert!(text.contains("fastbft_batch_flush_timeout_total{replica=\"p1\"} 1"));
         assert!(text.contains("fastbft_ingress_shed_total{replica=\"p1\"} 7"));
         assert!(text.contains("fastbft_ingress_shed_bytes_total{replica=\"p1\"} 448"));
-        assert!(text.contains("fastbft_apply_offload_total{replica=\"p1\"} 12"));
-        assert!(text.contains("# TYPE fastbft_apply_queue_depth gauge"));
-        assert!(text.contains("fastbft_apply_queue_depth{replica=\"p1\"} 3"));
         let json = reg.render_json();
         assert!(json.contains("\"ingress_shed_total\":7"));
         assert!(json.contains("\"ingress_shed_bytes_total\":448"));
-        assert!(json.contains("\"apply_queue_depth\":3"));
         assert!(json.contains("\"batch_flush_size_total\":4"));
     }
 

@@ -100,7 +100,7 @@ pub enum PathExpectation {
 /// A named chaos scenario: a timed script plus its degradation contract.
 #[derive(Debug)]
 pub struct Scenario {
-    /// Scenario name (also the key in `BENCH_faults.json`).
+    /// Scenario name.
     pub name: &'static str,
     /// The script, in any order; [`run_scenario`] sorts by offset.
     pub steps: Vec<ChaosStep>,

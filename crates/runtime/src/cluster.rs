@@ -321,8 +321,8 @@ fn run_node<M: SimMessage>(
             }
         }
     }
-    // Let the actor flush and join any helper threads (e.g. the SMR apply
-    // worker) before the seat's state is handed back for inspection.
+    // A no-op for every workspace actor; the call stays while the frozen
+    // `benchmark/src/trace.rs` implements the hook.
     actor.on_shutdown();
     actor
 }

@@ -16,8 +16,7 @@ use fastbft_runtime::transport::ChannelTransport;
 use fastbft_runtime::{wrap_seats_metered, FaultPlan, NodeSeat};
 use fastbft_sim::SimDuration;
 use fastbft_smr::chaos::{run_chaos, ChaosLoad, ChaosReport};
-use fastbft_smr::runtime::smr_actors_metered;
-use fastbft_smr::CountingMachine;
+use fastbft_smr::{smr_actors_configured, Batching, CountingMachine};
 use fastbft_types::{Config, Value};
 
 const TICK: Duration = Duration::from_micros(50);
@@ -44,7 +43,7 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         base_timeout: SimDuration(base_ticks),
         ..ReplicaOptions::default()
     };
-    let actors = smr_actors_metered(
+    let actors = smr_actors_configured(
         cfg,
         &pairs,
         &dir,
@@ -52,9 +51,9 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         vec![Vec::new(); n],
         idle(),
         opts,
-        1,
+        Batching::Fixed(1),
         None,
-        &registry,
+        Some(&registry),
     );
     let seats: Vec<NodeSeat<_, ChannelTransport<_>>> = actors
         .into_iter()

@@ -50,10 +50,10 @@ pub trait Actor<M: SimMessage> {
     fn on_client(&mut self, _command: Value, _fx: &mut Effects<M>) {}
 
     /// Invoked once when the actor's event loop stops (runtime shutdown or
-    /// a single-seat stop) — the place to flush and join any helper
-    /// threads the actor owns, so post-run state inspection observes the
-    /// final state. The simulator never calls this (simulated actors own
-    /// no threads); the default is a no-op.
+    /// a single-seat stop). The simulator never calls this; the default is
+    /// a no-op.
+    // No actor in the workspace overrides it: kept because the frozen
+    // `benchmark/src/trace.rs` forwards it from its wrapper actor.
     fn on_shutdown(&mut self) {}
 
     /// Optional human-readable label used in traces.

@@ -18,14 +18,14 @@
 //! below the view-1 timeout — the cross-slot leader suspicion at work.
 //!
 //! The harness is transport-generic: hand it seats built over the
-//! channel mesh ([`fastbft_runtime::wrap_seats_metered`]) or over TCP
-//! (`fastbft_net::faults::fault_tcp_seats_metered`) — the same scenarios
-//! and the same assertions run on both, which is exactly the chaos
-//! suite's CI matrix.
+//! channel mesh or over TCP (`fastbft_net::tcp_seats_metered`), wrapped
+//! by [`fastbft_runtime::wrap_seats_metered`] either way — the same
+//! scenarios and the same assertions run on both, which is exactly the
+//! chaos suite's CI matrix.
 
 use std::time::{Duration, Instant};
 
-use fastbft_obs::{Histogram, MetricsRegistry};
+use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::chaos::{run_scenario, PathExpectation, Scenario};
 use fastbft_runtime::faults::FaultPlan;
 use fastbft_runtime::{spawn_with, NodeSeat, Transport};
@@ -56,27 +56,14 @@ impl Default for ChaosLoad {
     }
 }
 
-/// What a chaos run measured, for `BENCH_faults.json` and for test
-/// assertions beyond the built-in gates.
+/// What a chaos run measured, for test assertions beyond the built-in
+/// gates.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Cluster size.
-    pub n: usize,
     /// Fast-path commits (before, during, after) the fault window.
     pub fast: [u64; 3],
     /// Slow-path commits (before, during, after) the fault window.
     pub slow: [u64; 3],
-    /// Share of all commits that took the fast path, across the run.
-    pub fast_share: f64,
-    /// Wall-clock from heal to full liveness (every replica applied the
-    /// whole load).
-    pub recovered_ms: u64,
-    /// Commit-latency p50 across both paths and all replicas, µs.
-    pub p50_us: u64,
-    /// Commit-latency p99 across both paths and all replicas, µs.
-    pub p99_us: u64,
     /// Injected-fault counters: delays, drops, dups, partition drops.
     pub injected: [u64; 4],
 }
@@ -199,7 +186,6 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     // Phase 3: post-heal. Liveness must return within the derived
     // recovery window, on every replica — including the ones that were
     // cut off.
-    let healed = Instant::now();
     for i in 0..load.after {
         cluster.submit(Value::from_u64(0x0300_0000 + i));
     }
@@ -209,7 +195,6 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         cluster.await_commands(all, total, window),
         "[{name}] liveness must return within {window:?} of heal"
     );
-    let recovered_ms = healed.elapsed().as_millis() as u64;
     let (fast2, slow2) = totals(&registry);
 
     // Property 1: safety, always.
@@ -269,28 +254,10 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         );
     }
 
-    let latency = Histogram::new();
-    for i in 0..n {
-        latency.merge_from(&registry.metrics(i).commit_latency_fast_us);
-        latency.merge_from(&registry.metrics(i).commit_latency_slow_us);
-    }
-    let (fast_total, slow_total) = (fast2, slow2);
-    let fast_share = if fast_total + slow_total > 0 {
-        fast_total as f64 / (fast_total + slow_total) as f64
-    } else {
-        0.0
-    };
-
     cluster.shutdown();
     ChaosReport {
-        scenario: name,
-        n,
         fast: [fast0, fast_during, fast_after],
         slow: [slow0, slow_during, slow2 - slow1],
-        fast_share,
-        recovered_ms,
-        p50_us: latency.quantile(0.5),
-        p99_us: latency.quantile(0.99),
         injected: [
             plan.injected_delays(),
             plan.injected_drops(),

@@ -71,7 +71,7 @@ pub struct SmrSimCluster<S: StateMachine + 'static> {
     _marker: std::marker::PhantomData<S>,
 }
 
-impl<S: StateMachine + Clone + Send + 'static> SmrSimCluster<S> {
+impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
     /// Builds a cluster. `commands[i]` is process `i+1`'s client queue
     /// (slot leaders drain their own queues; followers' queues commit when
     /// they lead a view).

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod apply;
 pub mod chaos;
 pub mod harness;
 pub mod kv;
@@ -55,9 +54,7 @@ pub use multiplex::{
     checkpoint_signature, checkpoint_signature_valid, snapshot_response_valid, AdaptiveBatch,
     Batching, SlotMessage, SmrNode, DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
 };
-pub use runtime::{
-    as_smr_node, smr_actors, smr_actors_configured, smr_actors_snapshotting, SmrClusterHandle,
-};
+pub use runtime::{as_smr_node, smr_actors, smr_actors_configured, SmrClusterHandle};
 pub use shard::{
     kv_shard_of, kv_shard_router, slot_preverifier, with_verify_pools, ShardedKvHandle,
 };

@@ -35,14 +35,6 @@
 //!   timer fires — a lone command on an idle cluster never waits.
 //!   [`Batching::Fixed`] (what [`with_batch_size`](SmrNode::with_batch_size)
 //!   configures) preserves the constant-size behavior exactly.
-//! * **Off-loop apply.** With `ReplicaOptions::apply_workers > 0` the
-//!   state machine lives on a dedicated in-order apply worker: decided
-//!   batches are handed off instead of executed on the event loop, and
-//!   snapshot serialization happens off-loop too (the checkpoint is
-//!   assembled and broadcast when the worker's bytes come back). All
-//!   dedup/log bookkeeping stays synchronous, so applied events and logs
-//!   are bit-for-bit those of the inline path; `apply_workers = 0` (the
-//!   default) *is* the inline path.
 //! * **Ingress backpressure.** `on_client` enforces a bounded
 //!   pending-command budget (count and bytes); submissions past it are
 //!   shed and counted instead of growing the queue without limit.
@@ -67,7 +59,6 @@ use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimMessage, TimerId};
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value};
 
-use crate::apply::{ApplyJob, ApplyReply, ApplyStage, ApplyWorker};
 use crate::machine::StateMachine;
 use crate::suspicion::SuspicionTable;
 use crate::tag::parse_client_tag;
@@ -287,16 +278,10 @@ const RECOVERY_GAP: u64 = SLOT_WINDOW / 2;
 /// gen`, so this value is unreachable by any realistic slot.
 const RECOVERY_TIMER: TimerId = TimerId(u64::MAX);
 
-/// Timer id reserved for draining apply-worker replies: armed when a
-/// checkpoint's snapshot bytes are being serialized off-loop, re-armed
-/// until the reply arrives. Like [`RECOVERY_TIMER`], unreachable by any
-/// realistic slot timer.
-const APPLY_TIMER: TimerId = TimerId(u64::MAX - 1);
-
 /// Timer id reserved for the adaptive batcher's flush-age backstop: a
 /// batch held back while the pipeline is busy flushes when it fires even
 /// if the pipeline never quiesces.
-const BATCH_FLUSH_TIMER: TimerId = TimerId(u64::MAX - 2);
+const BATCH_FLUSH_TIMER: TimerId = TimerId(u64::MAX - 1);
 
 /// Timer namespace stride: slot id in the high bits, the replica's own
 /// timer generation in the low bits.
@@ -378,17 +363,6 @@ enum FlushReason {
     Quiescence,
     /// The flush-age backstop fired for a held batch.
     Timeout,
-}
-
-/// Bookkeeping captured synchronously at a checkpoint boundary while the
-/// machine's snapshot bytes are serialized off-loop; married to the
-/// [`ApplyReply::Snapshot`] bytes to assemble the canonical payload.
-struct PendingCheckpoint {
-    upto: u64,
-    log_offset: u64,
-    client_commands: u64,
-    dedup: Vec<Digest>,
-    clients: Vec<ClientEntry>,
 }
 
 /// Domain-separation prefix for checkpoint attestations (keeps snapshot
@@ -483,28 +457,6 @@ fastbft_types::impl_wire_struct!(SnapshotPayload {
     clients
 });
 
-/// Encodes the canonical snapshot payload from its constituents. Free of
-/// `SmrNode` so the off-loop path can assemble it from a captured
-/// [`PendingCheckpoint`] plus the worker's machine bytes — producing the
-/// exact bytes the inline path would.
-fn encode_snapshot_payload(
-    upto: u64,
-    log_offset: u64,
-    client_commands: u64,
-    machine: Vec<u8>,
-    dedup: Vec<Digest>,
-    clients: Vec<ClientEntry>,
-) -> Vec<u8> {
-    fastbft_types::wire::to_bytes(&SnapshotPayload {
-        upto,
-        log_offset,
-        client_commands,
-        machine,
-        dedup,
-        clients,
-    })
-}
-
 /// The latest local snapshot, with the attestations gathered for it.
 struct NodeSnapshot {
     upto: u64,
@@ -520,9 +472,8 @@ pub struct SmrNode<S: StateMachine> {
     keys: KeyPair,
     dir: KeyDirectory,
     opts: ReplicaOptions,
-    /// Where the state machine lives: inline on the event loop (default)
-    /// or on a dedicated apply worker (`opts.apply_workers > 0`).
-    stage: ApplyStage<S>,
+    /// The replicated state machine, executed on the event loop.
+    machine: S,
     /// Commands this node wants committed, in submission order.
     pending: VecDeque<Value>,
     /// Summed command bytes across `pending` (ingress budget accounting).
@@ -548,12 +499,6 @@ pub struct SmrNode<S: StateMachine> {
     /// Lowest observed commit latency in µs (adaptive batching only) —
     /// the congestion reference the EWMA is compared against.
     commit_floor_us: f64,
-    /// Commands executed this `advance` iteration, awaiting hand-off to
-    /// the apply worker (off-loop mode only; always empty inline).
-    exec_buf: Vec<Value>,
-    /// Checkpoints whose machine bytes are still being serialized
-    /// off-loop, oldest first (off-loop mode only).
-    pending_checkpoints: VecDeque<PendingCheckpoint>,
     /// Constant added to every slot's leader rotation (see
     /// [`with_leader_stagger`](SmrNode::with_leader_stagger)). Default 0.
     leader_stagger: u64,
@@ -654,7 +599,7 @@ impl<S: StateMachine> SmrNode<S> {
             keys,
             dir,
             opts: ReplicaOptions::default(),
-            stage: ApplyStage::Inline(machine),
+            machine,
             pending,
             pending_bytes,
             idle_input,
@@ -666,8 +611,6 @@ impl<S: StateMachine> SmrNode<S> {
             ingress_max_bytes: DEFAULT_INGRESS_MAX_BYTES,
             commit_ewma_us: 0.0,
             commit_floor_us: 0.0,
-            exec_buf: Vec::new(),
-            pending_checkpoints: VecDeque::new(),
             leader_stagger: 0,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             slots: BTreeMap::new(),
@@ -804,6 +747,13 @@ impl<S: StateMachine> SmrNode<S> {
         self
     }
 
+    /// Overrides the per-slot replica options.
+    #[must_use]
+    pub fn with_options(mut self, opts: ReplicaOptions) -> Self {
+        self.opts = opts;
+        self
+    }
+
     /// Number of *slots* applied so far.
     pub fn applied(&self) -> u64 {
         self.applied
@@ -835,13 +785,8 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Digest of the machine state (cross-replica equality assertions).
-    ///
-    /// # Panics
-    ///
-    /// Panics while the machine is owned by a live apply worker — inspect
-    /// after shutdown (the runtime joins the worker in `on_shutdown`).
     pub fn state_digest(&self) -> Digest {
-        self.machine_ref().state_digest()
+        self.machine.state_digest()
     }
 
     /// Committed-suffix entries currently retained for serving backfill
@@ -851,24 +796,8 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// The state machine (for assertions).
-    ///
-    /// # Panics
-    ///
-    /// Panics while the machine is owned by a live apply worker — inspect
-    /// after shutdown (the runtime joins the worker in `on_shutdown`).
     pub fn machine(&self) -> &S {
-        self.machine_ref()
-    }
-
-    fn machine_ref(&self) -> &S {
-        match &self.stage {
-            ApplyStage::Inline(machine) => machine,
-            ApplyStage::Offloop(_) => panic!(
-                "state machine is owned by the apply worker; inspect it after \
-                 shutdown (the runtime joins the worker back inline in `on_shutdown`)"
-            ),
-            ApplyStage::Swapping => unreachable!("transient apply-stage placeholder"),
-        }
+        &self.machine
     }
 
     /// The adaptive batcher's current per-proposal command target (always
@@ -1197,149 +1126,9 @@ impl<S: StateMachine> SmrNode<S> {
             }
             self.client_commands += 1;
         }
-        match &mut self.stage {
-            ApplyStage::Inline(machine) => {
-                machine.apply(&cmd);
-            }
-            // Off-loop: buffer for one per-slot hand-off (see
-            // `flush_exec`); the bookkeeping below stays synchronous, so
-            // applied events and the log are identical either way.
-            ApplyStage::Offloop(_) => self.exec_buf.push(cmd.clone()),
-            ApplyStage::Swapping => unreachable!("transient apply-stage placeholder"),
-        }
+        self.machine.apply(&cmd);
         fx.record_applied(self.log_offset + self.log.len() as u64, &cmd);
         self.log.push(cmd);
-    }
-
-    /// Hands the commands executed for the current slot to the apply
-    /// worker as one in-order batch job (no-op inline, where `exec_buf`
-    /// is never filled).
-    fn flush_exec(&mut self) {
-        if self.exec_buf.is_empty() {
-            return;
-        }
-        let batch = mem::take(&mut self.exec_buf);
-        if let ApplyStage::Offloop(worker) = &self.stage {
-            if let Some(m) = self.opts.metrics.get() {
-                m.apply_offload_total.add(batch.len() as u64);
-            }
-            let depth = worker.submit(ApplyJob::Batch(batch));
-            if let Some(m) = self.opts.metrics.get() {
-                m.apply_queue_depth.set(depth);
-            }
-        }
-    }
-
-    /// Pulls any ready apply-worker replies without blocking (checkpoint
-    /// bytes serialized off-loop); no-op inline.
-    fn drain_apply_replies(&mut self, fx: &mut Effects<SlotMessage>) {
-        loop {
-            let reply = match &self.stage {
-                ApplyStage::Offloop(worker) => match worker.try_reply() {
-                    Some(reply) => reply,
-                    None => return,
-                },
-                _ => return,
-            };
-            self.on_apply_reply(reply, fx);
-        }
-    }
-
-    /// Marries an off-loop snapshot reply to its captured bookkeeping and
-    /// finishes the checkpoint (assemble, sign, broadcast).
-    fn on_apply_reply(&mut self, reply: ApplyReply, fx: &mut Effects<SlotMessage>) {
-        match reply {
-            ApplyReply::Snapshot { upto, machine } => {
-                let Some(pos) = self.pending_checkpoints.iter().position(|p| p.upto == upto) else {
-                    return; // superseded (e.g. by an installed snapshot)
-                };
-                // The queue is ordered; everything before an answered
-                // marker is stale.
-                let capture = self
-                    .pending_checkpoints
-                    .drain(..=pos)
-                    .next_back()
-                    .expect("inclusive drain is non-empty");
-                let payload = encode_snapshot_payload(
-                    upto,
-                    capture.log_offset,
-                    capture.client_commands,
-                    machine,
-                    capture.dedup,
-                    capture.clients,
-                );
-                if let Some((digest, sig)) = self.adopt_checkpoint(upto, payload) {
-                    fx.broadcast(SlotMessage::Checkpoint { upto, digest, sig });
-                }
-            }
-            ApplyReply::Restore(_) => {
-                // Restore replies are consumed synchronously at the
-                // install site (`restore_machine`); none can arrive here.
-            }
-        }
-    }
-
-    /// Restores the state machine from snapshot bytes, wherever it lives.
-    /// Off-loop this blocks on the worker (install is rare and must keep
-    /// its atomic reject semantics); snapshot replies that surface while
-    /// waiting are processed, not dropped.
-    fn restore_machine(&mut self, bytes: &[u8], fx: &mut Effects<SlotMessage>) -> bool {
-        if let ApplyStage::Inline(machine) = &mut self.stage {
-            return machine.restore(bytes);
-        }
-        match &self.stage {
-            ApplyStage::Offloop(worker) => {
-                worker.submit(ApplyJob::Restore(bytes.to_vec()));
-            }
-            _ => unreachable!("transient apply-stage placeholder"),
-        }
-        loop {
-            let reply = match &self.stage {
-                ApplyStage::Offloop(worker) => worker.wait_reply(),
-                _ => unreachable!("the stage cannot change while blocked on restore"),
-            };
-            match reply {
-                ApplyReply::Restore(ok) => return ok,
-                snapshot_reply => self.on_apply_reply(snapshot_reply, fx),
-            }
-        }
-    }
-
-    /// Joins the apply worker (if any) back inline so post-run state
-    /// inspection sees the final machine. Checkpoints whose bytes were
-    /// still in flight are finished locally (there is no event loop left
-    /// to broadcast on). Called from `Actor::on_shutdown`.
-    fn finish_apply_stage(&mut self) {
-        if !matches!(self.stage, ApplyStage::Offloop(_)) {
-            return;
-        }
-        let ApplyStage::Offloop(worker) = mem::replace(&mut self.stage, ApplyStage::Swapping)
-        else {
-            unreachable!("just matched");
-        };
-        let (machine, leftover) = worker.join();
-        self.stage = ApplyStage::Inline(machine);
-        for reply in leftover {
-            if let ApplyReply::Snapshot { upto, machine } = reply {
-                let Some(pos) = self.pending_checkpoints.iter().position(|p| p.upto == upto) else {
-                    continue;
-                };
-                let capture = self
-                    .pending_checkpoints
-                    .drain(..=pos)
-                    .next_back()
-                    .expect("inclusive drain is non-empty");
-                let payload = encode_snapshot_payload(
-                    upto,
-                    capture.log_offset,
-                    capture.client_commands,
-                    machine,
-                    capture.dedup,
-                    capture.clients,
-                );
-                self.adopt_checkpoint(upto, payload);
-            }
-        }
     }
 
     fn on_slot_decided(&mut self, slot: u64, value: Value, fx: &mut Effects<SlotMessage>) {
@@ -1381,9 +1170,6 @@ impl<S: StateMachine> SmrNode<S> {
     /// Applies every now-contiguous decided slot in order, snapshots at
     /// interval boundaries, and keeps the pipeline and stash moving.
     fn advance(&mut self, fx: &mut Effects<SlotMessage>) {
-        // Opportunistic: finish any checkpoint whose off-loop snapshot
-        // bytes came back (cheap try_recv; no-op inline).
-        self.drain_apply_replies(fx);
         // Apply contiguous decided slots, one command at a time (a slot
         // carries a batch).
         while let Some(value) = self.decided.remove(&self.applied) {
@@ -1391,10 +1177,6 @@ impl<S: StateMachine> SmrNode<S> {
             for cmd in Self::decode_batch(&value) {
                 self.apply_command(cmd, fx);
             }
-            // Off-loop: this slot's executed commands leave as one ordered
-            // batch job, before any snapshot marker the boundary below may
-            // enqueue.
-            self.flush_exec();
             self.committed_tail.insert(slot, value);
             // Commands this node drained into the slot that the decided
             // value did not commit (another proposal won, or an earlier
@@ -1478,11 +1260,9 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Checkpoints at the current (interval-aligned) apply point: truncates
-    /// log/tail/dedup state below it, stores the snapshot, and broadcasts a
-    /// signed attestation. Off-loop the machine bytes are serialized by the
-    /// apply worker — the truncation and bookkeeping capture stay
-    /// synchronous here, and the checkpoint completes (same payload bytes,
-    /// hence same digest as inline) when the reply arrives.
+    /// log/tail/dedup state below it, stores the snapshot with the
+    /// attestations already parked for it, and broadcasts a signed
+    /// attestation of its own.
     fn take_snapshot(&mut self, fx: &mut Effects<SlotMessage>) {
         let upto = self.applied;
         // Truncate everything the snapshot now covers.
@@ -1495,52 +1275,14 @@ impl<S: StateMachine> SmrNode<S> {
         // cluster-wide (determinism).
         self.applied_cmds_old = mem::take(&mut self.applied_cmds);
         let (dedup, clients) = self.dedup_parts();
-        if matches!(self.stage, ApplyStage::Offloop(_)) {
-            // Capture the bookkeeping now; the worker's snapshot marker is
-            // ordered after every batch the boundary covers (flush_exec
-            // ran for slot `upto - 1` before this call).
-            self.pending_checkpoints.push_back(PendingCheckpoint {
-                upto,
-                log_offset: self.log_offset,
-                client_commands: self.client_commands,
-                dedup,
-                clients,
-            });
-            if let ApplyStage::Offloop(worker) = &self.stage {
-                let depth = worker.submit(ApplyJob::Snapshot(upto));
-                if let Some(m) = self.opts.metrics.get() {
-                    m.apply_queue_depth.set(depth);
-                }
-            }
-            fx.set_timer(SimDuration::DELTA, APPLY_TIMER);
-            return;
-        }
-        let machine = match &self.stage {
-            ApplyStage::Inline(machine) => machine.snapshot(),
-            _ => unreachable!("off-loop handled above"),
-        };
-        let payload = encode_snapshot_payload(
+        let payload = fastbft_types::wire::to_bytes(&SnapshotPayload {
             upto,
-            self.log_offset,
-            self.client_commands,
-            machine,
+            log_offset: self.log_offset,
+            client_commands: self.client_commands,
+            machine: self.machine.snapshot(),
             dedup,
             clients,
-        );
-        if let Some((digest, sig)) = self.adopt_checkpoint(upto, payload) {
-            fx.broadcast(SlotMessage::Checkpoint { upto, digest, sig });
-        }
-    }
-
-    /// The second half of a checkpoint, once the payload bytes exist:
-    /// sign, merge parked attestations, store. Returns the digest and own
-    /// signature to broadcast, or `None` when an installed snapshot
-    /// already moved past `upto` (possible off-loop while bytes were in
-    /// flight; never inline).
-    fn adopt_checkpoint(&mut self, upto: u64, payload: Vec<u8>) -> Option<(Digest, Signature)> {
-        if self.snapshot.as_ref().is_some_and(|s| s.upto >= upto) {
-            return None;
-        }
+        });
         let digest = fastbft_crypto::digest(&payload);
         let sig = checkpoint_signature(&self.keys, upto, &digest);
         let mut sigs = BTreeMap::new();
@@ -1568,7 +1310,7 @@ impl<S: StateMachine> SmrNode<S> {
                 format!("p{} checkpointed upto={upto}", self.keys.id().0),
             );
         }
-        Some((digest, sig))
+        fx.broadcast(SlotMessage::Checkpoint { upto, digest, sig });
     }
 
     /// Handles a peer's checkpoint attestation: merged into the matching
@@ -1669,14 +1411,10 @@ impl<S: StateMachine> SmrNode<S> {
             return;
         }
         // Machine first: restore is atomic, so a machine-level rejection
-        // leaves this node fully unchanged (off-loop, the install blocks
-        // on the worker's verdict to keep exactly that contract).
-        if !self.restore_machine(&parsed.machine, fx) {
+        // leaves this node fully unchanged.
+        if !self.machine.restore(&parsed.machine) {
             return;
         }
-        // Checkpoints captured below the installed boundary are obsolete:
-        // the snapshot adopted below supersedes them.
-        self.pending_checkpoints.retain(|p| p.upto > upto);
         // What this node timed out on while it was cut off says nothing
         // about its peers.
         self.suspicion.reset(&self.opts.metrics);
@@ -1894,15 +1632,6 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
             self.maybe_recover(fx);
             return;
         }
-        if timer == APPLY_TIMER {
-            // Off-loop checkpoint backstop: collect ready snapshot bytes,
-            // re-arm while any are still outstanding.
-            self.drain_apply_replies(fx);
-            if !self.pending_checkpoints.is_empty() {
-                fx.set_timer(SimDuration::DELTA, APPLY_TIMER);
-            }
-            return;
-        }
         if timer == BATCH_FLUSH_TIMER {
             // Flush-age backstop: commands held by the adaptive batcher
             // flush now even though the target was never reached.
@@ -1955,49 +1684,12 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
         }
     }
 
-    fn on_shutdown(&mut self) {
-        self.finish_apply_stage();
-    }
-
     fn label(&self) -> &'static str {
         "smr-node"
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-}
-
-impl<S: StateMachine + Send + 'static> SmrNode<S> {
-    /// Overrides the per-slot replica options. This is also where the
-    /// apply stage is (re)configured: `opts.apply_workers > 0` moves the
-    /// state machine onto a dedicated in-order apply worker, `0` keeps
-    /// (or joins it back) inline.
-    #[must_use]
-    pub fn with_options(mut self, opts: ReplicaOptions) -> Self {
-        self.opts = opts;
-        self.reconfigure_apply_stage();
-        self
-    }
-
-    /// Moves the machine to (or back from) a dedicated apply worker so
-    /// the stage matches `opts.apply_workers`.
-    fn reconfigure_apply_stage(&mut self) {
-        let want_offloop = self.opts.apply_workers > 0;
-        if want_offloop == matches!(self.stage, ApplyStage::Offloop(_)) {
-            return;
-        }
-        match mem::replace(&mut self.stage, ApplyStage::Swapping) {
-            ApplyStage::Inline(machine) => {
-                self.stage =
-                    ApplyStage::Offloop(ApplyWorker::spawn(machine, self.opts.metrics.clone()));
-            }
-            ApplyStage::Offloop(worker) => {
-                let (machine, _) = worker.join();
-                self.stage = ApplyStage::Inline(machine);
-            }
-            ApplyStage::Swapping => unreachable!("transient apply-stage placeholder"),
-        }
     }
 }
 

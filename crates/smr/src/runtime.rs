@@ -66,27 +66,6 @@ pub fn smr_actors<S: StateMachine + Clone + Send + 'static>(
     opts: ReplicaOptions,
     batch_size: usize,
 ) -> Vec<Box<dyn Actor<SlotMessage> + Send>> {
-    smr_actors_snapshotting(
-        cfg, pairs, dir, machine, commands, idle_input, opts, batch_size, None,
-    )
-}
-
-/// [`smr_actors`] with an explicit snapshot interval (see
-/// [`SmrNode::with_snapshot_interval`]); `None` keeps the default cadence.
-/// Restart/chaos tests use a short interval so a rejoining node finds an
-/// attested snapshot to install.
-#[allow(clippy::too_many_arguments)]
-pub fn smr_actors_snapshotting<S: StateMachine + Clone + Send + 'static>(
-    cfg: Config,
-    pairs: &[KeyPair],
-    dir: &KeyDirectory,
-    machine: S,
-    commands: Vec<Vec<Value>>,
-    idle_input: Value,
-    opts: ReplicaOptions,
-    batch_size: usize,
-    snapshot_interval: Option<u64>,
-) -> Vec<Box<dyn Actor<SlotMessage> + Send>> {
     smr_actors_configured(
         cfg,
         pairs,
@@ -96,48 +75,20 @@ pub fn smr_actors_snapshotting<S: StateMachine + Clone + Send + 'static>(
         idle_input,
         opts,
         Batching::Fixed(batch_size),
-        snapshot_interval,
+        None,
         None,
     )
 }
 
-/// [`smr_actors_snapshotting`] with a metrics plane: node `i` (and every
-/// per-slot replica it opens) records into `registry.replica(i)`, the same
-/// sink a metered transport for seat `i` should use
-/// (`fastbft_net::tcp_seats_metered`). Attach the registry to the spawned
-/// cluster's handle ([`SmrClusterHandle::attach_metrics`]) to scrape it.
-#[allow(clippy::too_many_arguments)]
-pub fn smr_actors_metered<S: StateMachine + Clone + Send + 'static>(
-    cfg: Config,
-    pairs: &[KeyPair],
-    dir: &KeyDirectory,
-    machine: S,
-    commands: Vec<Vec<Value>>,
-    idle_input: Value,
-    opts: ReplicaOptions,
-    batch_size: usize,
-    snapshot_interval: Option<u64>,
-    registry: &fastbft_obs::MetricsRegistry,
-) -> Vec<Box<dyn Actor<SlotMessage> + Send>> {
-    smr_actors_configured(
-        cfg,
-        pairs,
-        dir,
-        machine,
-        commands,
-        idle_input,
-        opts,
-        Batching::Fixed(batch_size),
-        snapshot_interval,
-        Some(registry),
-    )
-}
-
-/// The fully-general [`SmrNode`] actor builder: any [`Batching`] mode (the
-/// other constructors fix it), an optional snapshot interval, an optional
-/// metrics plane. `opts.apply_workers > 0` additionally moves each node's
-/// state machine onto a dedicated apply worker (see
-/// [`SmrNode::with_options`]).
+/// The fully-general [`SmrNode`] actor builder: any [`Batching`] mode
+/// ([`smr_actors`] fixes it), an optional snapshot interval (`None` keeps
+/// the default cadence; restart/chaos tests use a short one so a rejoining
+/// node finds an attested snapshot to install), an optional metrics plane.
+/// With a registry, node `i` (and every per-slot replica it opens) records
+/// into `registry.replica(i)`, the same sink a metered transport for seat
+/// `i` should use (`fastbft_net::tcp_seats_metered`); attach the registry
+/// to the spawned cluster's handle ([`SmrClusterHandle::attach_metrics`])
+/// to scrape it.
 #[allow(clippy::too_many_arguments)]
 pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
     cfg: Config,
@@ -251,34 +202,6 @@ impl SmrClusterHandle {
             idle_input.clone(),
             opts,
             batch_size,
-        );
-        SmrClusterHandle::new(spawn(actors, tick), cfg.n(), idle_input)
-    }
-
-    /// [`spawn_channel`](SmrClusterHandle::spawn_channel) with an explicit
-    /// [`Batching`] mode (e.g. [`Batching::Adaptive`]) instead of a fixed
-    /// batch size.
-    pub fn spawn_channel_configured<S: StateMachine + Clone + Send + 'static>(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batching: Batching,
-        tick: Duration,
-    ) -> Self {
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-        let actors = smr_actors_configured(
-            cfg,
-            &pairs,
-            &dir,
-            machine,
-            vec![Vec::new(); cfg.n()],
-            idle_input.clone(),
-            opts,
-            batching,
-            None,
-            None,
         );
         SmrClusterHandle::new(spawn(actors, tick), cfg.n(), idle_input)
     }

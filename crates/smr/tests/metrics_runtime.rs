@@ -9,8 +9,7 @@ use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::spawn;
-use fastbft_smr::runtime::{smr_actors_metered, SmrClusterHandle};
-use fastbft_smr::{KvCommand, KvStore};
+use fastbft_smr::{smr_actors_configured, Batching, KvCommand, KvStore, SmrClusterHandle};
 use fastbft_types::Config;
 
 const TICK: Duration = Duration::from_micros(50);
@@ -18,7 +17,7 @@ const TICK: Duration = Duration::from_micros(50);
 fn metered_cluster(cfg: Config, seed: u64) -> (SmrClusterHandle, MetricsRegistry) {
     let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
     let registry = MetricsRegistry::new(cfg.n());
-    let actors = smr_actors_metered(
+    let actors = smr_actors_configured(
         cfg,
         &pairs,
         &dir,
@@ -26,9 +25,9 @@ fn metered_cluster(cfg: Config, seed: u64) -> (SmrClusterHandle, MetricsRegistry
         vec![Vec::new(); cfg.n()],
         KvCommand::Noop.to_value(),
         ReplicaOptions::default(),
-        1,
+        Batching::Fixed(1),
         None,
-        &registry,
+        Some(&registry),
     );
     let mut cluster =
         SmrClusterHandle::new(spawn(actors, TICK), cfg.n(), KvCommand::Noop.to_value());

@@ -38,12 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (pairs, dir) = KeyDirectory::generate(cfg.n(), 2027);
     let idle = KvCommand::Noop.to_value();
     let registry = metrics.then(|| MetricsRegistry::new(cfg.n()));
-    // Adaptive batching sizes each slot's batch from live feedback, and a
-    // dedicated apply worker executes decided batches off the event loop.
-    let opts = ReplicaOptions {
-        apply_workers: 1,
-        ..ReplicaOptions::default()
-    };
+    // Adaptive batching sizes each slot's batch from live feedback.
     let actors = smr_actors_configured(
         cfg,
         &pairs,
@@ -51,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
         idle.clone(),
-        opts,
+        ReplicaOptions::default(),
         Batching::Adaptive(AdaptiveBatch::default()),
         None,
         registry.as_ref(),
