@@ -35,6 +35,7 @@ pub struct Metrics {
     pub view_change_total: Counter,
     // smr: leader suspicion across slots.
     pub view_skip_total: Counter,
+    pub slot_revoked_total: Counter,
     pub leader_suspect_total: Counter,
     pub leader_clear_total: Counter,
     pub leader_suspected: Gauge,
@@ -94,7 +95,7 @@ impl Metrics {
     }
 
     /// `(name, help, counter)` for every counter, in exposition order.
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 30] {
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 31] {
         [
             (
                 "commit_fast_total",
@@ -115,6 +116,11 @@ impl Metrics {
                 "view_skip_total",
                 "Wishes raised past a suspected leader instead of waiting for it (at slot open or mid-slot).",
                 &self.view_skip_total,
+            ),
+            (
+                "slot_revoked_total",
+                "Slots a suspected seat leads first that this node gave the idle filler, most of them started ahead of the pipeline.",
+                &self.slot_revoked_total,
             ),
             (
                 "leader_suspect_total",
@@ -711,22 +717,29 @@ mod tests {
         m.leader_clear_total.inc();
         m.leader_suspected.set(2);
         m.view_skip_total.add(40);
+        m.slot_revoked_total.add(12);
         m.recorder
             .record("leader-suspicion", "suspect p6 (slot 4, view 1)".into());
+        m.recorder
+            .record("leader-suspicion", "revoke slot 11 (leader p6)".into());
         m.recorder.record("leader-suspicion", "clear p6".into());
         let text = reg.render_text();
         assert!(text.contains("# TYPE fastbft_leader_suspect_total counter"));
         assert!(text.contains("fastbft_leader_suspect_total{replica=\"p1\"} 3"));
         assert!(text.contains("fastbft_leader_clear_total{replica=\"p1\"} 1"));
         assert!(text.contains("fastbft_view_skip_total{replica=\"p1\"} 40"));
+        assert!(text.contains("# TYPE fastbft_slot_revoked_total counter"));
+        assert!(text.contains("fastbft_slot_revoked_total{replica=\"p1\"} 12"));
         assert!(text.contains("# TYPE fastbft_leader_suspected gauge"));
         assert!(text.contains("fastbft_leader_suspected{replica=\"p1\"} 2"));
         let json = reg.render_json();
         assert!(json.contains("\"leader_suspect_total\":3"));
         assert!(json.contains("\"leader_clear_total\":1"));
         assert!(json.contains("\"view_skip_total\":40"));
+        assert!(json.contains("\"slot_revoked_total\":12"));
         assert!(json.contains("\"leader_suspected\":2"));
         assert!(json.contains("\"detail\":\"suspect p6 (slot 4, view 1)\""));
+        assert!(json.contains("\"detail\":\"revoke slot 11 (leader p6)\""));
         assert!(json.contains("\"detail\":\"clear p6\""));
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Deterministic: a simulation is fully described by (actors, network, seed).
 //! Events at equal times are processed in a fixed class order
-//! (crashes, then deliveries, then timers), then in FIFO order of creation,
-//! so reruns are bit-identical — every experiment in this repository is
-//! reproducible from its seed.
+//! (crashes, then deliveries and client submissions, then timers), then in
+//! FIFO order of creation, so reruns are bit-identical — every experiment in
+//! this repository is reproducible from its seed.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -29,6 +29,8 @@ enum EventKind<M> {
     Deliver { from: ProcessId, msg: M },
     /// A timer fires.
     Timer(TimerId),
+    /// A client hands the node a command ([`Actor::on_client`]).
+    Client(Value),
 }
 
 impl<M> EventKind<M> {
@@ -36,7 +38,9 @@ impl<M> EventKind<M> {
     fn class(&self) -> u8 {
         match self {
             EventKind::Crash => 0,
-            EventKind::Deliver { .. } => 1,
+            // A submission is an arrival like any other: FIFO with the
+            // instant's deliveries.
+            EventKind::Deliver { .. } | EventKind::Client(_) => 1,
             EventKind::Timer(_) => 2,
         }
     }
@@ -183,6 +187,14 @@ impl<M: SimMessage> Simulation<M> {
     pub fn inject_message(&mut self, from: ProcessId, to: ProcessId, msg: M, at: SimTime) {
         debug_assert!(at >= self.now, "cannot inject into the past");
         self.route_at(from, to, msg, at);
+    }
+
+    /// Schedules a client submission: `to`'s [`Actor::on_client`] runs with
+    /// `command` at time `at` (open-loop load in virtual time). Not traced —
+    /// the trace is the network's.
+    pub fn submit_client(&mut self, to: ProcessId, command: Value, at: SimTime) {
+        debug_assert!(at >= self.now, "cannot submit into the past");
+        self.push_event(at, to.index(), EventKind::Client(command));
     }
 
     /// Routes one outgoing message sent by `from` at the current instant:
@@ -338,6 +350,11 @@ impl<M: SimMessage> Simulation<M> {
                 );
                 let mut fx = Effects::new(ProcessId::from_index(node), self.nodes.len(), self.now);
                 self.nodes[node].actor.on_timer(timer, &mut fx);
+                self.apply_effects(node, fx);
+            }
+            EventKind::Client(command) => {
+                let mut fx = Effects::new(ProcessId::from_index(node), self.nodes.len(), self.now);
+                self.nodes[node].actor.on_client(command, &mut fx);
                 self.apply_effects(node, fx);
             }
         }

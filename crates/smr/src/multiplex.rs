@@ -25,6 +25,18 @@
 //!   work (pending or in-flight commands, or a peer demonstrably ahead);
 //!   an idle cluster stops proposing filler instead of burning CPU — a
 //!   client command (see [`Actor::on_client`]) restarts it.
+//! * **Revoked slots.** While a node's pipeline overlaps — two or more of
+//!   its proposals running at once in live-led slots, i.e. commands arrive
+//!   faster than they commit — a slot whose first leader it suspects (the
+//!   `suspicion` module) gets the idle filler from it, never its commands,
+//!   whoever asks for the slot, and such slots are started *ahead*, as they
+//!   enter its window: their view change decides a no-op before the log
+//!   position is wanted, and the node's commands ride only in live-led
+//!   slots. A node that runs one proposal at a time gains nothing from
+//!   that and keeps its commands in the slot, as before. Never without
+//!   that much in-flight work, so quiescence stands: an idle node has
+//!   nothing running, at most a few decided no-ops parked above the next
+//!   free slot.
 //! * **Adaptive proposal batching.** Under [`Batching::Adaptive`] the
 //!   number of commands drained into each proposal is a feedback-tuned
 //!   *target* rather than a constant: it doubles while drains leave a
@@ -60,7 +72,7 @@ use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value};
 
 use crate::machine::StateMachine;
-use crate::suspicion::SuspicionTable;
+use crate::suspicion::{self, SuspicionTable};
 use crate::tag::parse_client_tag;
 
 /// A frame of the replicated state machine: consensus traffic tagged with
@@ -523,6 +535,9 @@ pub struct SmrNode<S: StateMachine> {
     /// batches committing in submission order even when slots open out of
     /// order under adversarial scheduling).
     propose_cursor: u64,
+    /// Unapplied slots this node started with the idle filler because it
+    /// suspected their first leader (see [`open_slot`](SmrNode::open_slot)).
+    revoked: BTreeSet<u64>,
     /// Digests of applied **untagged** client commands (at-most-once
     /// guard), current generation: 32 bytes per command regardless of
     /// command size. Rotated into `applied_cmds_old` at each snapshot, so
@@ -618,6 +633,7 @@ impl<S: StateMachine> SmrNode<S> {
             applied: 0,
             in_flight: BTreeMap::new(),
             propose_cursor: 0,
+            revoked: BTreeSet::new(),
             applied_cmds: HashSet::new(),
             applied_cmds_old: HashSet::new(),
             clients: HashMap::new(),
@@ -832,6 +848,16 @@ impl<S: StateMachine> SmrNode<S> {
         self.slots.len()
     }
 
+    /// The [`open_slots`](Self::open_slots) still running, i.e. not parked
+    /// decided behind an earlier slot (test accessor).
+    #[doc(hidden)]
+    pub fn running_slots(&self) -> usize {
+        self.slots
+            .keys()
+            .filter(|slot| !self.decided.contains_key(slot))
+            .count()
+    }
+
     /// The seats this node currently suspects as dead leaders, in id order
     /// (for tests and monitoring).
     pub fn suspected_leaders(&self) -> Vec<ProcessId> {
@@ -850,14 +876,10 @@ impl<S: StateMachine> SmrNode<S> {
         match &self.batching {
             Batching::Fixed(size) => Some(((*size).min(len), FlushReason::Size)),
             Batching::Adaptive(a) => {
-                // Quiescent = nothing in flight anywhere: a held batch (and
-                // a lone command) flushes immediately rather than waiting
-                // out a timer. Evaluated before the new slot is inserted
-                // (`open_slot` computes the input first), so "no open
-                // slots" really means idle.
-                let quiescent =
-                    self.slots.is_empty() && self.decided.is_empty() && self.in_flight.is_empty();
-                let (cap, mut reason) = if quiescent {
+                // Evaluated before the new slot is inserted (`open_slot`
+                // computes the input first), so "no open slots" really
+                // means idle.
+                let (cap, mut reason) = if self.quiescent() {
                     (a.max_batch_cmds, FlushReason::Quiescence)
                 } else if len >= self.batch_target {
                     (self.batch_target, FlushReason::Size)
@@ -881,6 +903,23 @@ impl<S: StateMachine> SmrNode<S> {
                 Some((take, reason))
             }
         }
+    }
+
+    /// Whether nothing is under way that a held batch could be waiting
+    /// for, so it (and a lone command) flushes immediately rather than
+    /// waiting out a timer: nothing of this node's in flight, and no
+    /// instance open or parked other than the slots it revoked. Those it
+    /// gave the filler, and an idle degraded cluster keeps some decided and
+    /// parked above the next free slot, where only a new proposal can reach
+    /// them. On a healthy cluster nothing is revoked and this is "no
+    /// instance at all".
+    fn quiescent(&self) -> bool {
+        self.in_flight.is_empty()
+            && self
+                .slots
+                .keys()
+                .chain(self.decided.keys())
+                .all(|slot| self.revoked.contains(slot))
     }
 
     /// Nudges the adaptive batch target after a drain of `take` commands
@@ -955,9 +994,16 @@ impl<S: StateMachine> SmrNode<S> {
             }
         }
         if cmds.is_empty() {
-            cmds.push(self.idle_input.clone());
+            return self.filler();
         }
         Value::new(fastbft_types::wire::to_bytes(&cmds))
+    }
+
+    /// The proposal of a slot with nothing to commit: the idle filler
+    /// alone, as a one-command batch.
+    fn filler(&self) -> Value {
+        let batch = vec![self.idle_input.clone()];
+        Value::new(fastbft_types::wire::to_bytes(&batch))
     }
 
     /// Decodes a decided slot value into its command batch. Values that are
@@ -970,16 +1016,17 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Opens further slots, up to the pipeline depth, while the batcher
-    /// wants to propose — each drains its own proposal batch. Slots a peer
-    /// already opened reactively (with an idle proposal from us) are
-    /// skipped; the queued commands go into the next free slot.
+    /// wants to propose — each drains its own proposal batch, unless
+    /// [`open_slot`](Self::open_slot) revokes it. Slots already open (a
+    /// peer's frame, or revoked ahead — an idle proposal from us either
+    /// way) are skipped; the queued commands go into the next free slot.
     fn fill_pipeline(&mut self, fx: &mut Effects<SlotMessage>) {
         while self.wants_proposal() {
             let slot = self.propose_cursor.max(self.applied);
             if slot >= self.applied + self.pipeline_depth {
                 break;
             }
-            if self.slots.contains_key(&slot) || self.decided.contains_key(&slot) {
+            if !self.unopened(slot) {
                 self.propose_cursor = slot + 1;
                 continue;
             }
@@ -987,17 +1034,103 @@ impl<S: StateMachine> SmrNode<S> {
         }
     }
 
-    fn open_slot(&mut self, slot: u64, fx: &mut Effects<SlotMessage>) {
-        if slot < self.applied || self.slots.contains_key(&slot) || self.decided.contains_key(&slot)
-        {
+    /// Revoking ahead: while this node's pipeline
+    /// [overlaps](Self::overlapping), every slot of the window whose first
+    /// leader it suspects is started *now*, so its view change runs before
+    /// its log position is wanted. An ordinary instance started early;
+    /// peers open it reactively like any in-window slot.
+    fn revoke_ahead(&mut self, fx: &mut Effects<SlotMessage>) {
+        if self.suspicion.is_empty() || !self.overlapping() {
             return;
         }
-        let input = self.input_for_slot(slot);
-        // Rotate first-leadership across slots so every process's commands
-        // get committed without waiting for a view change (fairness).
+        for slot in self.applied..self.applied + self.pipeline_depth {
+            if self.suspected_first_leader(slot).is_some() {
+                self.open_slot(slot, fx);
+            }
+        }
+    }
+
+    /// Whether `slot` is still to be settled and has no instance yet.
+    fn unopened(&self, slot: u64) -> bool {
+        slot >= self.applied && !self.slots.contains_key(&slot) && !self.decided.contains_key(&slot)
+    }
+
+    /// The configuration of `slot`'s instance. First leadership rotates
+    /// across slots so every process's commands get committed without
+    /// waiting for a view change (fairness).
+    fn slot_config(&self, slot: u64) -> Config {
+        self.cfg
+            .with_leader_offset(slot.wrapping_add(self.leader_stagger))
+    }
+
+    /// `slot`'s first leader, if this node's instance of it would start out
+    /// wishing past that seat (one emptiness check on a healthy cluster).
+    fn suspected_first_leader(&self, slot: u64) -> Option<ProcessId> {
+        if self.suspicion.is_empty() {
+            return None;
+        }
+        self.suspicion.skipped_first_leader(&self.slot_config(slot))
+    }
+
+    /// Whether this node's pipeline overlaps: two or more of its proposals
+    /// are running at once in live-led slots, so commands arrive faster
+    /// than they commit. Only then does keeping commands out of a dead-led
+    /// slot buy anything — they commit elsewhere while its view change
+    /// runs. A node that runs one proposal at a time (depth 1, or a trickle
+    /// slower than its commits) would wait for that view change from the
+    /// next slot just as long as from inside, a log slot poorer, and what
+    /// it started ahead would still be on the wire after its last commit.
+    /// A proposal riding a dead-led slot, or decided and parked behind
+    /// one, is slow for that reason and does not count.
+    fn overlapping(&self) -> bool {
+        self.in_flight
+            .keys()
+            .filter(|slot| !self.decided.contains_key(slot))
+            .filter(|slot| self.suspected_first_leader(**slot).is_none())
+            .nth(1)
+            .is_some()
+    }
+
+    /// Starts `slot`'s instance unless it has one or is settled. The one
+    /// place a slot's proposal is chosen: while the pipeline
+    /// [overlaps](Self::overlapping), a slot whose first leader this node
+    /// suspects is *revoked* — it gets the idle filler, drains nothing,
+    /// takes no `in_flight` entry and leaves `propose_cursor` alone,
+    /// whoever asked for it (the fill loop, [`revoke_ahead`], a peer's
+    /// frame) — so the node's commands ride only in live-led slots. Any
+    /// other slot gets [`input_for_slot`].
+    ///
+    /// [`revoke_ahead`]: Self::revoke_ahead
+    /// [`input_for_slot`]: Self::input_for_slot
+    fn open_slot(&mut self, slot: u64, fx: &mut Effects<SlotMessage>) {
+        if !self.unopened(slot) {
+            return;
+        }
+        let revoked_from = self
+            .suspected_first_leader(slot)
+            .filter(|_| self.overlapping());
+        let input = match revoked_from {
+            Some(leader) => {
+                self.revoked.insert(slot);
+                if let Some(m) = self.opts.metrics.get() {
+                    m.slot_revoked_total.inc();
+                    m.recorder.record(
+                        suspicion::EVENT_KIND,
+                        format!("revoke slot {slot} (leader p{})", leader.0),
+                    );
+                }
+                self.filler()
+            }
+            None => self.input_for_slot(slot),
+        };
+        self.start_instance(slot, input, fx);
+    }
+
+    /// Starts the instance of an [`unopened`](Self::unopened) `slot` with
+    /// `input` as this node's proposal.
+    fn start_instance(&mut self, slot: u64, input: Value, fx: &mut Effects<SlotMessage>) {
         let mut replica = Replica::with_options(
-            self.cfg
-                .with_leader_offset(slot.wrapping_add(self.leader_stagger)),
+            self.slot_config(slot),
             self.keys.clone(),
             self.dir.clone(),
             input,
@@ -1190,6 +1323,7 @@ impl<S: StateMachine> SmrNode<S> {
                 }
             }
             self.slots.remove(&slot);
+            self.revoked.remove(&slot);
             if let Some(at) = self.slot_opened.remove(&slot) {
                 if let Some(m) = self.opts.metrics.get() {
                     let us = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -1210,6 +1344,8 @@ impl<S: StateMachine> SmrNode<S> {
             self.open_slot(self.applied, fx);
         }
         self.fill_pipeline(fx);
+        self.revoke_ahead(fx);
+        self.arm_flush_timer(fx);
         // Purge stash buckets the apply loop has overtaken: their slots are
         // settled, the messages can never be delivered, and dead entries
         // must not pin the stash cap (they are the *nearest* slots, which
@@ -1451,6 +1587,7 @@ impl<S: StateMachine> SmrNode<S> {
             }
         }
         self.slots = self.slots.split_off(&upto);
+        self.revoked = self.revoked.split_off(&upto);
         self.slot_opened.retain(|s, _| *s >= upto);
         self.decided = self.decided.split_off(&upto);
         self.committed_tail = self.committed_tail.split_off(&upto);
@@ -1592,7 +1729,7 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                     }
                     return;
                 }
-                if !self.slots.contains_key(&slot) && !self.decided.contains_key(&slot) {
+                if self.unopened(slot) {
                     if slot < self.applied + SLOT_WINDOW {
                         self.open_slot(slot, fx);
                     } else {
@@ -1674,14 +1811,8 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
             // Wake the pipeline if it had quiesced; a no-op while it runs.
             self.open_slot(self.applied, fx);
             self.fill_pipeline(fx);
-        } else if let Batching::Adaptive(a) = &self.batching {
-            // Held for batching: arm the flush-age backstop so the
-            // command ships even if the pipeline never quiesces.
-            if !self.flush_armed {
-                self.flush_armed = true;
-                fx.set_timer(a.flush_age, BATCH_FLUSH_TIMER);
-            }
         }
+        self.arm_flush_timer(fx);
     }
 
     fn label(&self) -> &'static str {
@@ -1694,6 +1825,21 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
 }
 
 impl<S: StateMachine> SmrNode<S> {
+    /// Arms the flush-age backstop if the adaptive batcher is holding
+    /// commands, so they ship even if the pipeline never quiesces. Called
+    /// wherever commands enter the queue: a client's, and those `advance`
+    /// re-queues (which a hold would otherwise strand until the next
+    /// submission).
+    fn arm_flush_timer(&mut self, fx: &mut Effects<SlotMessage>) {
+        let Batching::Adaptive(a) = &self.batching else {
+            return;
+        };
+        if !self.flush_armed && !self.pending.is_empty() && !self.wants_proposal() {
+            self.flush_armed = true;
+            fx.set_timer(a.flush_age, BATCH_FLUSH_TIMER);
+        }
+    }
+
     /// Buffers a beyond-window message, enforcing both stash bounds.
     fn stash(&mut self, slot: u64, from: ProcessId, msg: Message) {
         if slot >= self.applied + MAX_STASH_AHEAD {

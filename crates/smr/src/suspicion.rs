@@ -22,6 +22,16 @@
 //!   while more than `f` seats are suspected — at most `f` seats are
 //!   faulty, so a longer list means *this node* is the one cut off.
 //!
+//! * **Revoke**: a skipped first leader still costs its slot a wish-driven
+//!   view change — 7 delays against the slow path's 3 — and in-order apply
+//!   parks every later slot behind it. So a node whose pipeline overlaps
+//!   (two or more of its proposals running in live-led slots) proposes the
+//!   idle filler in such a slot, keeping its commands for live-led ones,
+//!   and starts those slots as soon as they enter its window
+//!   ([`skipped_first_leader`] is the test, `SmrNode::open_slot` the
+//!   decision, `SmrNode::revoke_ahead` the loop): by the time the log
+//!   reaches them they have decided a no-op.
+//!
 //! A view change needs `f + 1` timers to fire before the rest adopt the
 //! wish, so one timeout teaches at least `f + 1` correct nodes — not all of
 //! them. Skipping on every wish is what makes that enough: the nodes that
@@ -31,10 +41,13 @@
 //!
 //! Safety never depends on the table: all it produces is a `Wish`, exactly
 //! what an early timer would have sent, and the view synchronizer is
-//! liveness-only. It is local soft state — not in snapshots, empty after a
-//! restart or a snapshot install (one timeout per dead seat to re-learn).
+//! liveness-only; a revoked slot is an ordinary instance started early
+//! with an input any idle node might propose. It is local soft state — not
+//! in snapshots, empty after a restart or a snapshot install (one timeout
+//! per dead seat to re-learn).
 //!
 //! [`steer`]: SuspicionTable::steer
+//! [`skipped_first_leader`]: SuspicionTable::skipped_first_leader
 
 use std::collections::BTreeSet;
 
@@ -44,9 +57,9 @@ use fastbft_obs::MetricsHandle;
 use fastbft_sim::Effects;
 use fastbft_types::{Config, ProcessId, View};
 
-/// Flight-recorder kind of the `suspect pX (slot s, view v)` / `clear pX`
-/// events.
-const EVENT_KIND: &str = "leader-suspicion";
+/// Flight-recorder kind of the `suspect pX (slot s, view v)` / `clear pX` /
+/// `revoke slot s (leader pX)` events.
+pub(crate) const EVENT_KIND: &str = "leader-suspicion";
 
 /// The seats one node currently suspects. See the module docs for the rule.
 #[derive(Debug, Default)]
@@ -58,6 +71,17 @@ impl SuspicionTable {
     /// The seats currently suspected, in id order.
     pub(crate) fn suspects(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.suspected.iter().copied()
+    }
+
+    /// Whether no seat is suspected (the healthy cluster's one check).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.suspected.is_empty()
+    }
+
+    /// The first leader under `cfg` (a slot's rotated leader map), if an
+    /// instance opened now would start out wishing past it.
+    pub(crate) fn skipped_first_leader(&self, cfg: &Config) -> Option<ProcessId> {
+        (self.first_live_view(cfg, View::FIRST) > View::FIRST).then(|| cfg.leader(View::FIRST))
     }
 
     /// Call after every callback into `replica`, the instance of `slot`:

@@ -3,9 +3,11 @@
 //! batches in flight across view changes.
 
 use fastbft_core::replica::ReplicaOptions;
-use fastbft_sim::{Network, SimDuration, SimTime};
-use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SmrSimCluster};
-use fastbft_types::{Config, Value};
+use fastbft_crypto::KeyDirectory;
+use fastbft_obs::{Metrics, MetricsRegistry};
+use fastbft_sim::{Actor, Effects, Network, ScriptedActor, SimDuration, SimTime, Simulation};
+use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
+use fastbft_types::{Config, ProcessId, Value};
 use proptest::prelude::*;
 
 fn adaptive_cluster(
@@ -24,6 +26,78 @@ fn adaptive_cluster(
         Batching::Adaptive(AdaptiveBatch::default()),
         network,
     )
+}
+
+const DELTA: u64 = SimDuration::DELTA.0;
+const BURST: u64 = 200;
+
+/// `n = 7` with seats 6–7 silent and adaptive batching (otherwise as
+/// shipped), a metrics block per seat, and clients that submit in virtual
+/// time to every seat at once. Starts with a burst of [`BURST`] commands
+/// at Δ: the first rotation teaches everyone the two dead seats while the
+/// backlog grows the batch target.
+struct Degraded {
+    sim: Simulation<SlotMessage>,
+    registry: MetricsRegistry,
+    live: Vec<ProcessId>,
+}
+
+impl Degraded {
+    fn under_a_burst(seed: u64) -> Self {
+        let cfg = Config::new(7, 2, 1).unwrap();
+        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
+        let registry = MetricsRegistry::new(cfg.n());
+        let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), seed);
+        let live: Vec<ProcessId> = cfg.processes().take(5).collect();
+        for p in cfg.processes() {
+            if !live.contains(&p) {
+                sim.add_actor(Box::new(ScriptedActor::silent()));
+                continue;
+            }
+            let node = SmrNode::new(
+                cfg,
+                pairs[p.index()].clone(),
+                dir.clone(),
+                CountingMachine::new(),
+                Vec::new(),
+                Value::from_u64(0),
+            )
+            .with_options(ReplicaOptions {
+                metrics: registry.replica(p.index()),
+                ..ReplicaOptions::default()
+            })
+            .with_batching(Batching::Adaptive(AdaptiveBatch::default()));
+            sim.add_actor(Box::new(node));
+        }
+        sim.start();
+        let mut cluster = Degraded {
+            sim,
+            registry,
+            live,
+        };
+        for i in 0..BURST {
+            cluster.submit(Value::from_u64(1000 + i), SimTime(DELTA));
+        }
+        cluster
+    }
+
+    fn node(&self, p: ProcessId) -> &SmrNode<CountingMachine> {
+        self.sim
+            .actor(p)
+            .as_any()
+            .and_then(|any| any.downcast_ref())
+            .expect("a live seat")
+    }
+
+    fn submit(&mut self, cmd: Value, at: SimTime) {
+        for p in ProcessId::all(self.sim.n()) {
+            self.sim.submit_client(p, cmd.clone(), at);
+        }
+    }
+
+    fn metrics(&self, p: ProcessId) -> &Metrics {
+        self.registry.metrics(p.index())
+    }
 }
 
 /// Regression for the flush-on-quiescence rule: a lone command on an idle
@@ -53,6 +127,107 @@ fn lone_command_commits_without_waiting() {
         let hits = cluster.log(p).iter().filter(|v| **v == cmd).count();
         assert_eq!(hits, 1, "{p} applied the lone command {hits} times");
     }
+}
+
+/// Revoked slots do not make an idle node look busy. An idle degraded
+/// cluster keeps some — decided no-ops — parked above the next free slot,
+/// where only a new proposal can reach them. A lone command that arrives
+/// then is flushed for quiescence, at once, and commits on the slow path's
+/// 3Δ; counted as open instances they would hold it (and anything re-queued
+/// at apply time) for a flush-age whenever the target is above 1.
+#[test]
+fn lone_command_does_not_wait_behind_parked_revoked_slots() {
+    let mut cluster = Degraded::under_a_burst(21);
+    cluster.sim.run_to_quiescence();
+    let mut flushed_idle = Vec::new();
+    for p in &cluster.live {
+        let node = cluster.node(*p);
+        assert_eq!(node.commands_applied(), BURST, "at {p}");
+        assert_eq!(node.suspected_leaders().len(), 2, "at {p}");
+        assert_eq!(node.running_slots(), 0, "at {p}");
+        assert!(node.open_slots() > 0, "parked revoked slots, at {p}");
+        flushed_idle.push(cluster.metrics(*p).batch_flush_quiescence_total.get());
+    }
+    let at = SimTime(cluster.sim.now().0 + 50 * DELTA);
+    cluster.submit(Value::from_u64(77), at);
+    let applied = |c: &Degraded, p: &ProcessId| c.node(*p).commands_applied() > BURST;
+    while !cluster.live.iter().all(|p| applied(&cluster, p)) {
+        assert!(cluster.sim.step(), "the lone command was never applied");
+    }
+    assert_eq!(cluster.sim.now(), SimTime(at.0 + 3 * DELTA));
+    for (p, before) in cluster.live.iter().zip(flushed_idle) {
+        let m = cluster.metrics(*p);
+        assert_eq!(m.batch_flush_quiescence_total.get(), before + 1, "at {p}");
+    }
+}
+
+/// Commands that come back to the queue at apply time — their slot decided
+/// another proposal — arrive through no client call, so nothing used to arm
+/// the flush-age backstop for them: held below the target behind an
+/// instance that stays parked above a hole, they sat until the next
+/// submission. Every hold now has its timer. One node, driven by hand;
+/// slots are settled by `f + 1` matching backfill frames.
+#[test]
+fn requeued_commands_the_batcher_holds_get_the_backstop_armed() {
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let (pairs, dir) = KeyDirectory::generate(4, 31);
+    let filler = Value::from_u64(0);
+    let mut node = SmrNode::new(
+        cfg,
+        pairs[0].clone(),
+        dir,
+        CountingMachine::new(),
+        Vec::new(),
+        filler.clone(),
+    )
+    .with_batching(Batching::Adaptive(AdaptiveBatch::default()))
+    .with_pipeline_depth(1);
+    let batch = |cmd: &Value| Value::new(fastbft_types::wire::to_bytes(&vec![cmd.clone()]));
+    // One effect buffer for the whole drive: it collects every timer set.
+    let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
+    let mut settle = |node: &mut SmrNode<CountingMachine>, slot: u64, value: Value| {
+        for from in [2, 3] {
+            let value = value.clone();
+            node.on_message(
+                ProcessId(from),
+                SlotMessage::Backfill { slot, value },
+                &mut fx,
+            );
+        }
+    };
+
+    // Slot 9 is settled far above: parked, it keeps the node from ever
+    // looking quiescent. Slot 0 fills the depth-1 window, so three
+    // submissions queue up behind it.
+    node.on_start(&mut Effects::new(ProcessId(1), 4, SimTime::ZERO));
+    settle(&mut node, 9, batch(&filler));
+    for i in 1..=3 {
+        let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
+        node.on_client(Value::from_u64(i), &mut fx);
+        assert!(
+            fx.timers_set().is_empty(),
+            "queued behind the window, not held"
+        );
+    }
+    // Slot 0 settles: slot 1 takes one command and leaves a backlog
+    // (target 2). Slot 1 decides someone else's proposal: the command
+    // comes back, slot 2 takes two and leaves one (target 4). Slot 2
+    // goes the same way: three commands queued, under target, held.
+    settle(&mut node, 0, batch(&filler));
+    settle(&mut node, 1, batch(&Value::from_u64(901)));
+    settle(&mut node, 2, batch(&Value::from_u64(902)));
+    assert_eq!(node.applied(), 3);
+    assert_eq!(node.batch_target(), 4);
+    assert_eq!((node.pending(), node.open_slots()), (3, 0), "held");
+
+    let flush_age = AdaptiveBatch::default().flush_age;
+    let armed = fx
+        .timers_set()
+        .iter()
+        .find(|(delay, _)| *delay == flush_age);
+    let (_, backstop) = *armed.expect("a hold with no backstop armed");
+    node.on_timer(backstop, &mut Effects::new(ProcessId(1), 4, SimTime::ZERO));
+    assert_eq!((node.pending(), node.open_slots()), (3, 1), "shipped");
 }
 
 /// A deep backlog must be amortized: the adaptive target grows with the

@@ -9,9 +9,13 @@
 //! independent of any wish a replica starts with.
 //!
 //! Everything runs on the deterministic simulator: one message delay is
-//! exactly Δ, the view-1 timeout is the default 8Δ, and every cluster uses
-//! pipeline depth 1 and batch 1, so slot `s` opens the instant slot `s − 1`
-//! applies and a slot's latency is the gap between two applies.
+//! exactly Δ, the view-1 timeout is the default 8Δ and every cluster uses
+//! batch 1. The tests of the table itself pin pipeline depth 1, so slot `s`
+//! opens the instant slot `s − 1` applies and a slot's latency is the gap
+//! between two applies. The tests of *revoking ahead* — a node with two or
+//! more proposals running at once starts the slots of suspected first
+//! leaders early, with the idle filler — run the default depth under paced
+//! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,6 +50,11 @@ fn idle() -> Value {
     Value::from_u64(0)
 }
 
+/// The `i`-th client command.
+fn command(i: u64) -> Value {
+    Value::from_u64(1000 + i)
+}
+
 fn generalized_seven() -> Config {
     Config::new(7, 2, 1).unwrap()
 }
@@ -66,43 +75,76 @@ struct Cluster {
 
 impl Cluster {
     /// Every seat gets an honest node with the same `commands`-long client
-    /// queue (the broadcast client model); `seat` may keep it, wrap it or
-    /// replace it.
+    /// queue (the broadcast client model) and pipeline depth 1; `seat` may
+    /// keep it, wrap it or replace it.
     fn new(
         cfg: Config,
         seed: u64,
         network: Network,
         commands: u64,
         snapshot_interval: Option<u64>,
+        seat: impl FnMut(ProcessId, Node) -> BoxedActor,
+    ) -> Self {
+        let configure = |node: Node| {
+            let node = node.with_pipeline_depth(1);
+            match snapshot_interval {
+                Some(interval) => node.with_snapshot_interval(interval),
+                None => node,
+            }
+        };
+        Cluster::build(cfg, seed, network, commands, configure, seat)
+    }
+
+    /// Honest nodes as shipped — the default pipeline depth, empty queues —
+    /// for tests that [`submit`](Cluster::submit) their load.
+    fn pipelined(
+        cfg: Config,
+        seed: u64,
+        network: Network,
+        seat: impl FnMut(ProcessId, Node) -> BoxedActor,
+    ) -> Self {
+        Cluster::build(cfg, seed, network, 0, |node| node, seat)
+    }
+
+    fn build(
+        cfg: Config,
+        seed: u64,
+        network: Network,
+        commands: u64,
+        configure: impl Fn(Node) -> Node,
         mut seat: impl FnMut(ProcessId, Node) -> BoxedActor,
     ) -> Self {
         let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let registry = MetricsRegistry::new(cfg.n());
         let mut sim = Simulation::new(network, seed);
         for p in cfg.processes() {
-            let mut node = SmrNode::new(
+            let node = SmrNode::new(
                 cfg,
                 pairs[p.index()].clone(),
                 dir.clone(),
                 CountingMachine::new(),
-                (0..commands).map(|i| Value::from_u64(1000 + i)),
+                (0..commands).map(command),
                 idle(),
             )
             .with_options(ReplicaOptions {
                 metrics: registry.replica(p.index()),
                 ..ReplicaOptions::default()
-            })
-            .with_pipeline_depth(1);
-            if let Some(interval) = snapshot_interval {
-                node = node.with_snapshot_interval(interval);
-            }
-            sim.add_actor(seat(p, node));
+            });
+            sim.add_actor(seat(p, configure(node)));
         }
         sim.start();
         Cluster {
             sim,
             registry,
             applied_at: Vec::new(),
+        }
+    }
+
+    /// Hands `cmd` to every seat's client path at `at` (the broadcast
+    /// client model; a silent seat ignores it).
+    fn submit(&mut self, cmd: Value, at: SimTime) {
+        for p in ProcessId::all(self.sim.n()) {
+            self.sim.submit_client(p, cmd.clone(), at);
         }
     }
 
@@ -169,6 +211,65 @@ impl Cluster {
             .count()
     }
 
+    /// The `(slot, leader seat)` of every `revoke slot s (leader pX)` event
+    /// in `p`'s flight recorder, oldest first.
+    fn revoked(&self, p: ProcessId) -> Vec<(u64, u32)> {
+        self.registry
+            .metrics(p.index())
+            .recorder
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == "leader-suspicion")
+            .filter_map(|e| {
+                let (slot, leader) = e
+                    .detail
+                    .strip_prefix("revoke slot ")?
+                    .strip_suffix(')')?
+                    .split_once(" (leader p")?;
+                Some((slot.parse().ok()?, leader.parse().ok()?))
+            })
+            .collect()
+    }
+
+    /// Slots applied at `f + 1` or more of `who`: what a client may take as
+    /// committed.
+    fn applied_at_quorum(&self, who: &[ProcessId], f: usize) -> u64 {
+        let mut applied: Vec<u64> = who.iter().map(|p| self.node(*p).applied()).collect();
+        applied.sort_unstable_by(|a, b| b.cmp(a));
+        applied[f]
+    }
+
+    /// Runs one Δ at a time (every event of these runs falls on a multiple
+    /// of Δ) until nothing has happened for `QUIET` — far longer than any
+    /// timer still pending can be — with the caller's invariant checked
+    /// after every instant, recording when each slot reached
+    /// [`applied_at_quorum`](Cluster::applied_at_quorum) in `committed_at`.
+    fn run_dry(
+        &mut self,
+        who: &[ProcessId],
+        f: usize,
+        committed_at: &mut Vec<SimTime>,
+        check: impl Fn(&Cluster),
+    ) {
+        const QUIET: u64 = 64;
+        let mut at = self.sim.now();
+        let horizon = SimTime(at.0 + 10_000 * DELTA.0);
+        let mut last_event = at;
+        while at.0 < last_event.0 + QUIET * DELTA.0 {
+            assert!(at < horizon, "never went quiet");
+            at += DELTA;
+            let before = (self.sim.trace().records().len(), self.sim.pending_events());
+            self.sim.run_until(at);
+            if (self.sim.trace().records().len(), self.sim.pending_events()) != before {
+                last_event = at;
+            }
+            while (committed_at.len() as u64) < self.applied_at_quorum(who, f) {
+                committed_at.push(at);
+            }
+            check(self);
+        }
+    }
+
     fn view_changes(&self, p: ProcessId) -> u64 {
         self.registry.metrics(p.index()).view_change_total.get()
     }
@@ -182,6 +283,15 @@ impl Cluster {
     }
 }
 
+/// Seats 6–7 of [`generalized_seven`] silent, the rest honest.
+fn two_silent_seats(p: ProcessId, node: Node) -> BoxedActor {
+    if p.0 >= 6 {
+        Box::new(ScriptedActor::silent())
+    } else {
+        Box::new(node)
+    }
+}
+
 /// (a) The payoff. n = 7, f = 2, t = 1 with seats 6–7 silent: the first
 /// rotation pays the view timeouts and learns; from then on every dead-led
 /// slot is entered through wishes alone, decides within 7Δ (below the 8Δ
@@ -191,20 +301,8 @@ fn dead_leaders_stop_costing_timeouts_after_the_first_rotation() {
     let cfg = generalized_seven();
     let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
     const SLOTS: u64 = 28; // four rotations
-    let mut cluster = Cluster::new(
-        cfg,
-        17,
-        Network::synchronous(DELTA),
-        SLOTS,
-        None,
-        |p, node| {
-            if p.0 >= 6 {
-                Box::new(ScriptedActor::silent())
-            } else {
-                Box::new(node)
-            }
-        },
-    );
+    let net = Network::synchronous(DELTA);
+    let mut cluster = Cluster::new(cfg, 17, net, SLOTS, None, two_silent_seats);
 
     // First rotation: slot 4 is led by p6 then p7 and pays both timeouts
     // (8Δ, then the doubled 16Δ) before p1's view decides it.
@@ -496,6 +594,54 @@ impl Actor<Message> for StartsWishing {
     }
 }
 
+/// A [`RandomByzantine`] seated in an SMR cluster: its noise goes into
+/// whichever slot it heard about last.
+struct SlotFuzzer {
+    inner: RandomByzantine,
+    slot: u64,
+}
+
+impl SlotFuzzer {
+    fn lift(&self, inner: Effects<Message>, fx: &mut Effects<SlotMessage>) {
+        let lifted = |m: &Message| SlotMessage::Consensus {
+            slot: self.slot,
+            inner: m.clone(),
+        };
+        for out in inner.outgoing() {
+            match out {
+                Outgoing::To(to, m) => fx.send(*to, lifted(m)),
+                Outgoing::All(m) => fx.broadcast(lifted(m)),
+            }
+        }
+        for (delay, timer) in inner.timers_set() {
+            fx.set_timer(*delay, *timer);
+        }
+    }
+}
+
+impl Actor<SlotMessage> for SlotFuzzer {
+    fn on_start(&mut self, fx: &mut Effects<SlotMessage>) {
+        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
+        self.inner.on_start(&mut inner);
+        self.lift(inner, fx);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: SlotMessage, fx: &mut Effects<SlotMessage>) {
+        if let SlotMessage::Consensus { slot, inner: msg } = msg {
+            self.slot = slot;
+            let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
+            self.inner.on_message(from, msg, &mut inner);
+            self.lift(inner, fx);
+        }
+    }
+
+    fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<SlotMessage>) {
+        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
+        self.inner.on_timer(timer, &mut inner);
+        self.lift(inner, fx);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
@@ -542,6 +688,73 @@ proptest! {
             .with_byzantine_set(byzantine)
             .check_all(sim.trace(), deadline);
         prop_assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    /// (d′) The same weather over the whole stack, so that revocation runs
+    /// in it: paced load on a pipelined cluster with p7 silent (someone to
+    /// suspect), up to one more seat fuzzing into every slot it hears of,
+    /// and pre-GST delays past the view timeout (false suspicions, tables
+    /// that differ between nodes, revoked slots racing their leaders). Every
+    /// command is applied exactly once at every correct node and the logs
+    /// agree.
+    #[test]
+    fn revocation_under_fuzzers_and_chaos_keeps_at_most_once_and_agreement(
+        seed in 0u64..10_000,
+        fuzzer in 1u32..=6,
+        gst in 0u64..20,
+    ) {
+        let cfg = generalized_seven();
+        // p1 stays honest (the harness watches it): 1 means no fuzzer.
+        let fuzzer = if fuzzer == 1 { 0 } else { fuzzer };
+        let network = if gst == 0 {
+            Network::synchronous(DELTA)
+        } else {
+            Network::partially_synchronous(DELTA, SimTime(gst * DELTA.0), SimDuration(10 * DELTA.0))
+        };
+        let (pairs, _) = KeyDirectory::generate(cfg.n(), seed);
+        let mut cluster = Cluster::pipelined(cfg, seed, network, |p, node| {
+            if p.0 == 7 {
+                Box::new(ScriptedActor::silent())
+            } else if p.0 == fuzzer {
+                let keys = pairs[p.index()].clone();
+                Box::new(SlotFuzzer { inner: RandomByzantine::new(cfg, keys, seed ^ 0xf5), slot: 0 })
+            } else {
+                Box::new(node)
+            }
+        });
+        let correct: Vec<ProcessId> =
+            cfg.processes().filter(|p| p.0 != 7 && p.0 != fuzzer).collect();
+        const COMMANDS: u64 = 30;
+        for i in 0..COMMANDS {
+            cluster.submit(command(i), SimTime((i + 1) * DELTA.0));
+        }
+        // (A fuzzer-led slot may commit one of its palette values, which
+        // counts as a command too: look for ours.)
+        let ours = |c: &Cluster, p: ProcessId| {
+            c.node(p).log().iter().filter(|v| v.as_u64() >= Some(1000)).count() as u64
+        };
+        let deadline = SimTime((gst + 3_000) * DELTA.0);
+        while correct.iter().any(|p| ours(&cluster, *p) < COMMANDS) {
+            prop_assert!(
+                cluster.step(|_| {}) && cluster.sim.now() < deadline,
+                "commands lost: {:?} applied",
+                correct.iter().map(|p| ours(&cluster, *p)).collect::<Vec<_>>()
+            );
+        }
+        for p in &correct {
+            let node = cluster.node(*p);
+            prop_assert_eq!(node.log_offset(), 0, "one snapshot interval holds the run");
+            for i in 0..COMMANDS {
+                let hits = node.log().iter().filter(|v| **v == command(i)).count();
+                prop_assert_eq!(hits, 1, "{} applied command {} {} times", p, i, hits);
+            }
+        }
+        prop_assert!(cluster.logs_agree(&correct));
+        let revoked: u64 = correct
+            .iter()
+            .map(|p| cluster.registry.metrics(p.index()).slot_revoked_total.get())
+            .sum();
+        prop_assert!(revoked > 0, "the case never revoked a slot");
     }
 }
 
@@ -785,4 +998,361 @@ fn snapshot_install_starts_with_an_empty_table() {
     let m = cluster.registry.metrics(victim.index());
     assert_eq!(m.snapshot_installed_total.get(), 1);
     assert_eq!(m.leader_clear_total.get(), 1);
+}
+
+/// The default `SmrNode` pipeline depth.
+const PIPELINE_DEPTH: usize = 16;
+
+/// Open instances — running, or decided and parked behind an earlier slot
+/// — never exceed the pipeline window at any node of `who`.
+fn window_bound(who: &[ProcessId]) -> impl Fn(&Cluster) + '_ {
+    move |c: &Cluster| {
+        for p in who {
+            let node = c.node(*p);
+            assert!(
+                node.open_slots() <= PIPELINE_DEPTH,
+                "{p}: {} open slots above {}",
+                node.open_slots(),
+                node.applied()
+            );
+        }
+    }
+}
+
+/// (f) Revoking ahead. Paced open-loop load — one command per Δ, the
+/// pipeline at its default depth — with seats 6–7 silent. Once the first
+/// rotation has taught everyone, every dead-led slot is started ahead of
+/// the pipeline with the idle filler, so client commands land only in
+/// live-led slots and commit at the slow path's 3Δ whoever's turn it is to
+/// lead (7Δ for 2 of every 7 before). Then silence: the cluster goes quiet
+/// with nothing running, and a stray frame does not start it revoking.
+#[test]
+fn paced_load_commits_at_three_delays_whoever_leads() {
+    let cfg = generalized_seven();
+    let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
+    let mut cluster = Cluster::pipelined(cfg, 17, Network::synchronous(DELTA), two_silent_seats);
+    // Batch 1: slot `s` is log index `s`. 80 commands stay inside one
+    // snapshot interval, so the whole log is there to read at the end.
+    const COMMANDS: u64 = 80;
+    let submitted_at = |i: u64| SimTime((i + 1) * DELTA.0);
+    for i in 0..COMMANDS {
+        cluster.submit(command(i), submitted_at(i));
+    }
+    let mut committed_at = Vec::new();
+    cluster.run_dry(&live, cfg.f(), &mut committed_at, window_bound(&live));
+
+    // Quiet: the queue ran dry with every command applied everywhere, no
+    // instance running, and what is parked is revoked slots above the hole
+    // the next command will fill.
+    let slots = cluster.node(ProcessId(1)).applied();
+    for p in &live {
+        let node = cluster.node(*p);
+        assert_eq!(node.commands_applied(), COMMANDS, "at {p}");
+        assert_eq!(node.applied(), slots, "at {p}");
+        assert_eq!(node.running_slots(), 0, "at {p}");
+        assert_eq!(node.log_offset(), 0, "at {p}");
+        assert_eq!(cluster.suspects(*p), vec![6, 7], "at {p}");
+    }
+    assert!(cluster.logs_agree(&live));
+
+    // The first rotation pays slot 4's two timeouts; one view change later
+    // the revoked slots are ahead of the load for good.
+    let settled = SimTime(committed_at[6].0 + VIEW_CHANGE_SLOT);
+    let log = cluster.node(ProcessId(1)).log();
+    let mut seen = 0;
+    let mut steady = None;
+    for (slot, entry) in log.iter().enumerate() {
+        if *entry == idle() {
+            continue;
+        }
+        let i = entry.as_u64().expect("a client command") - 1000;
+        assert_eq!(i, seen, "commands commit once each, in submission order");
+        seen += 1;
+        if submitted_at(i) >= settled {
+            steady.get_or_insert(slot as u64);
+            let took = committed_at[slot].since(submitted_at(i)).0;
+            assert!(
+                took <= 3 * DELTA.0 + DELTA.0,
+                "command {i} (slot {slot}) took {took}"
+            );
+        }
+    }
+    assert_eq!(seen, COMMANDS);
+    let steady = steady.expect("learning took too long");
+    assert!(steady <= 7 * 7, "steady state began at slot {steady}");
+
+    // What was revoked: slots a dead seat leads first, once each, and each
+    // decided the filler. In the steady state that is every such slot —
+    // two per rotation — so no client command sits in a dead-led slot.
+    let revoked = cluster.revoked(ProcessId(1));
+    assert!(revoked.windows(2).all(|w| w[0].0 < w[1].0), "{revoked:?}");
+    for (slot, leader) in &revoked {
+        assert_eq!(slot_leader(&cfg, *slot, 1).0, *leader);
+        assert!(*leader >= 6, "slot {slot} revoked from live p{leader}");
+        if *slot < slots {
+            assert_eq!(log[*slot as usize], idle(), "revoked slot {slot}");
+        }
+    }
+    for rotation in steady.div_ceil(7)..slots / 7 {
+        let in_rotation: Vec<u64> = revoked
+            .iter()
+            .map(|(s, _)| *s)
+            .filter(|s| s / 7 == rotation)
+            .collect();
+        assert_eq!(in_rotation, vec![7 * rotation + 4, 7 * rotation + 5]);
+    }
+    // Revoking stopped with the load, inside the last window.
+    let horizon = slots + PIPELINE_DEPTH as u64;
+    assert!(revoked.last().unwrap().0 < horizon);
+    for p in &live {
+        assert_eq!(cluster.revoked(*p), revoked, "at {p}");
+        let m = cluster.registry.metrics(p.index());
+        assert_eq!(m.slot_revoked_total.get(), revoked.len() as u64, "at {p}");
+    }
+    let text = cluster.registry.render_text();
+    assert!(text.contains(&format!(
+        "fastbft_slot_revoked_total{{replica=\"p3\"}} {}",
+        revoked.len()
+    )));
+    let json = cluster.registry.render_json();
+    assert!(json.contains(&format!(
+        "\"detail\":\"revoke slot {} (leader p{})\"",
+        revoked[0].0, revoked[0].1
+    )));
+
+    // Revoking needs this node's own proposals running. A stray frame for
+    // a far dead-led slot opens that one slot reactively everywhere (it
+    // decides the filler through a view change, as any such slot would); no
+    // node revokes anything on it, and the cluster goes quiet again.
+    let open: Vec<usize> = live.iter().map(|p| cluster.node(*p).open_slots()).collect();
+    let stray = (horizon..)
+        .find(|s| slot_leader(&cfg, *s, 1).0 >= 6)
+        .expect("two of every seven");
+    let now = cluster.sim.now();
+    cluster.sim.inject_message(
+        ProcessId(2),
+        ProcessId(1),
+        SlotMessage::Consensus {
+            slot: stray,
+            inner: Message::Wish(WishMsg { view: View::FIRST }),
+        },
+        now,
+    );
+    cluster.run_dry(&live, cfg.f(), &mut committed_at, |_| {});
+    for (p, open) in live.iter().zip(open) {
+        let node = cluster.node(*p);
+        assert_eq!(node.applied(), slots, "at {p}");
+        assert_eq!(node.running_slots(), 0, "at {p}");
+        assert_eq!(node.open_slots(), open + 1, "the stray slot, at {p}");
+        assert_eq!(cluster.revoked(*p), revoked, "at {p}");
+    }
+}
+
+/// (f′) The same under backlog, where the window is always full: every
+/// command is queued at once, so each advance brings exactly one new tail
+/// slot into the window and the fill loop is there to take it. A dead-led
+/// tail slot gets the filler all the same — the decision sits where a slot's
+/// proposal is chosen, not in who asks for the slot — so once the seats are
+/// known no command is decided in a slot they lead.
+#[test]
+fn a_backlog_puts_no_command_in_a_dead_led_slot() {
+    let cfg = generalized_seven();
+    let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
+    let mut cluster = Cluster::pipelined(cfg, 19, Network::synchronous(DELTA), two_silent_seats);
+    const COMMANDS: u64 = 70;
+    for i in 0..COMMANDS {
+        cluster.submit(command(i), SimTime(DELTA.0));
+    }
+    cluster.run_dry(&live, cfg.f(), &mut Vec::new(), window_bound(&live));
+
+    let log = cluster.node(ProcessId(1)).log();
+    let revoked = cluster.revoked(ProcessId(1));
+    // (The first window, and what follows it until slot 4 has timed out,
+    // opens before anyone knows.)
+    let learned = revoked.first().expect("nothing was ever revoked").0;
+    assert!(learned <= 4 * 7, "learning took until slot {learned}");
+    let dead_led: Vec<u64> = (learned..log.len() as u64)
+        .filter(|s| slot_leader(&cfg, *s, 1).0 >= 6)
+        .collect();
+    assert!(dead_led.len() >= 16, "{dead_led:?}");
+    for slot in &dead_led {
+        assert_eq!(log[*slot as usize], idle(), "dead-led slot {slot}");
+    }
+    for p in &live {
+        let node = cluster.node(*p);
+        assert_eq!(node.commands_applied(), COMMANDS, "at {p}");
+        assert_eq!(node.running_slots(), 0, "at {p}");
+        let at_p: Vec<u64> = cluster.revoked(*p).iter().map(|(s, _)| *s).collect();
+        assert!(dead_led.iter().all(|s| at_p.contains(s)), "at {p}");
+    }
+    assert!(cluster.logs_agree(&live));
+}
+
+/// (g) Revoking a *live* leader's slot loses nothing. p3's outbound traffic
+/// is cut past one timeout, so everyone else suspects it and revokes the
+/// slots it leads first. After the heal the next revoked slot reaches p3 as
+/// wishes for a slot it has not opened: it opens it, proposes as its first
+/// leader, and that proposal clears it everywhere — from then on its slots
+/// carry commands again.
+#[test]
+fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
+    let cfg = generalized_seven();
+    let victim = ProcessId(3);
+    let all: Vec<ProcessId> = cfg.processes().collect();
+    let others: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
+    let cut = Arc::new(AtomicBool::new(true));
+    let flag = Arc::clone(&cut);
+    let network = Network::scripted(DELTA, move |info| {
+        if flag.load(Ordering::Relaxed) && info.from == victim && info.to != victim {
+            SimTime::NEVER
+        } else {
+            info.sent_at + DELTA
+        }
+    });
+    let mut cluster = Cluster::pipelined(cfg, 23, network, |_, node| Box::new(node));
+    const COMMANDS: u64 = 60;
+    for i in 0..COMMANDS {
+        cluster.submit(command(i), SimTime((i + 1) * DELTA.0));
+    }
+
+    // p3 leads slots 1, 8, 15, … Slot 1 times out at everyone else (slot 8
+    // is open by then, its proposal lost too), who then revoke.
+    assert_eq!(slot_leader(&cfg, 1, 1), victim);
+    cluster.run_until_applied(&others, 2, |_| {});
+    for p in &others {
+        assert_eq!(cluster.suspects(*p), vec![3], "at {p}");
+        assert_eq!(cluster.revoked(*p).first(), Some(&(15, 3)), "at {p}");
+    }
+    assert!(cluster.suspects(victim).is_empty(), "p3 heard everyone");
+
+    // Heal. Every slot p3 leads first from here on is revoked until it is
+    // cleared, so the proposal that clears it is one for a revoked slot.
+    cut.store(false, Ordering::Relaxed);
+    cluster.run_dry(&all, cfg.f(), &mut Vec::new(), window_bound(&all));
+
+    let revoked = cluster.revoked(ProcessId(1));
+    let log = cluster.node(ProcessId(1)).log();
+    // Revoked: slots p3 leads first, in a row, by everyone but p3 — which
+    // proposed its own queue there, so what such a slot decided is the
+    // filler or a command, as the view change found it.
+    assert!(revoked.len() >= 2, "{revoked:?}");
+    for (k, (slot, leader)) in revoked.iter().enumerate() {
+        assert_eq!((*slot, *leader), (15 + 7 * k as u64, 3));
+    }
+    assert!(cluster.revoked(victim).is_empty());
+    for p in &all {
+        assert!(cluster.suspects(*p).is_empty(), "at {p}");
+        assert_eq!(cluster.node(*p).open_slots(), 0, "at {p}");
+    }
+    for p in &others {
+        let cleared = cluster.registry.metrics(p.index()).leader_clear_total.get();
+        assert_eq!(cleared, 1, "p3, once, at {p}");
+    }
+    // Nothing lost, nothing twice, everyone agrees. (A slot commits its
+    // leader's queue head and p3's queue is not in step with the others'
+    // after the outage, so order across slots is not asserted.)
+    let mut committed: Vec<u64> = log
+        .iter()
+        .filter(|v| **v != idle())
+        .map(|v| v.as_u64().unwrap() - 1000)
+        .collect();
+    committed.sort_unstable();
+    assert_eq!(committed, (0..COMMANDS).collect::<Vec<_>>());
+    assert!(cluster.logs_agree(&all));
+    // Cleared, p3 is an ordinary leader again: its later slots are not
+    // revoked and carry commands.
+    let last_revoked = revoked.last().unwrap().0;
+    let later: Vec<u64> = (last_revoked + 1..log.len() as u64)
+        .filter(|s| slot_leader(&cfg, *s, 1) == victim)
+        .collect();
+    assert!(later.len() >= 2, "{later:?}");
+    for slot in later {
+        assert_ne!(log[slot as usize], idle(), "slot {slot}");
+    }
+}
+
+/// (h) Fewer than `f + 1` suspecting nodes revoke alone and move nobody.
+/// p4 and p5 are cut off while slot 0 runs, so they — and only they — time
+/// out on its leader p2, which then really crashes. Under load the two
+/// revoke the slots p2 leads first; their two wishes stay below the `f + 1`
+/// adoption threshold, so everyone else opens those slots reactively and
+/// waits out the view-1 timeout exactly as today (only started earlier).
+/// No command is lost or duplicated on the way.
+#[test]
+fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
+    let cfg = generalized_seven();
+    let crashed = ProcessId(2);
+    let knowing = [ProcessId(4), ProcessId(5)];
+    let unknowing = [ProcessId(1), ProcessId(3), ProcessId(6), ProcessId(7)];
+    let live: Vec<ProcessId> = cfg.processes().filter(|p| *p != crashed).collect();
+    let healed_at = SimTime(9 * DELTA.0);
+    let network = Network::scripted(DELTA, move |info| {
+        if info.sent_at < healed_at && knowing.contains(&info.to) {
+            SimTime::NEVER
+        } else {
+            info.sent_at + DELTA
+        }
+    });
+    let mut cluster = Cluster::pipelined(cfg, 29, network, |_, node| Box::new(node));
+    assert_eq!(slot_leader(&cfg, 0, 1), crashed);
+    assert_eq!(slot_leader(&cfg, 7, 1), crashed);
+    cluster.sim.schedule_crash(crashed, healed_at);
+    const COMMANDS: u64 = 40;
+    let first_command_at = SimTime(12 * DELTA.0);
+    for i in 0..COMMANDS {
+        cluster.submit(command(i), SimTime(first_command_at.0 + i * DELTA.0));
+    }
+
+    // Idle start: slot 0 decides without the two, who time out on p2 and
+    // catch up by backfill after the heal.
+    cluster.sim.run_until(SimTime(first_command_at.0 - 1));
+    for p in &live {
+        assert_eq!(cluster.node(*p).applied(), 1, "at {p}");
+        let expected = if knowing.contains(p) { vec![2] } else { vec![] };
+        assert_eq!(cluster.suspects(*p), expected, "at {p}");
+    }
+
+    // The two revoke slot 7 once their first commands overlap; the rest
+    // open it on their wishes one delay later and sit in view 1 until their
+    // own timers expire.
+    let mut committed_at = vec![SimTime::ZERO];
+    let timeout_at = SimTime(first_command_at.0 + DELTA.0 + BASE_TIMEOUT);
+    cluster.run_dry(&live, cfg.f(), &mut committed_at, |c| {
+        if c.sim.now() < timeout_at {
+            for p in unknowing {
+                assert!(c.suspects(p).is_empty(), "at {p}");
+                assert!(c.revoked(p).is_empty(), "at {p}");
+            }
+            assert!(c.node(ProcessId(1)).applied() <= 7);
+        }
+    });
+    // (Slot 21 enters the two's window while slot 7 holds everything up.)
+    for p in knowing {
+        assert_eq!(
+            cluster.revoked(p)[..3],
+            [(7, 2), (14, 2), (21, 2)],
+            "at {p}"
+        );
+    }
+    assert!(
+        committed_at[7] >= SimTime(timeout_at.0 + 6 * DELTA.0),
+        "slot 7 committed at {:?}",
+        committed_at[7]
+    );
+    // The timeout taught the rest; from the next rotation on all revoke.
+    for p in &live {
+        assert_eq!(cluster.suspects(*p), vec![2], "at {p}");
+        assert!(cluster.revoked(*p).contains(&(28, 2)), "at {p}");
+        assert_eq!(cluster.node(*p).running_slots(), 0, "at {p}");
+    }
+    let log = cluster.node(ProcessId(1)).log();
+    assert_eq!(log[7], idle());
+    assert_eq!(log[14], idle());
+    let committed: Vec<u64> = log
+        .iter()
+        .filter(|v| **v != idle())
+        .map(|v| v.as_u64().unwrap() - 1000)
+        .collect();
+    assert_eq!(committed, (0..COMMANDS).collect::<Vec<_>>());
+    assert!(cluster.logs_agree(&live));
 }
