@@ -49,10 +49,8 @@ fn main() {
         3,
         "slow path: three message delays when t < failures <= f"
     );
-    assert!(
-        report.stats.by_kind.contains_key("sig"),
-        "signature shares sent"
-    );
+    // The shares ride inside the acks; a Commit round proves they were
+    // sent and assembled into a certificate.
     assert!(
         report.stats.by_kind.contains_key("Commit"),
         "Commit round ran"

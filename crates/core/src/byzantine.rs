@@ -21,9 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
-use crate::message::{
-    AckMsg, CertAckMsg, CommitMsg, Message, ProposeMsg, SigShareMsg, VoteMsg, WishMsg,
-};
+use crate::message::{AckMsg, CertAckMsg, CommitMsg, Message, ProposeMsg, VoteMsg, WishMsg};
 use crate::payload::{ack_payload, certack_payload, propose_payload};
 
 /// A Byzantine `leader(1)` that equivocates: proposes `value_a` to the
@@ -131,11 +129,11 @@ impl RandomByzantine {
     fn random_message(&mut self, n: usize) -> Message {
         let value = self.random_value();
         let view = self.random_view();
-        match self.rng.gen_range(0..8) {
+        match self.rng.gen_range(0..7) {
             0 => {
-                // Exercise the ack-carried share path too: no share, a
-                // valid own share, or a share whose claimed signer doesn't
-                // match the sender (receivers must drop that one).
+                // An ack with no share, a valid own share, or a share whose
+                // claimed signer doesn't match the sender (receivers must
+                // drop that one).
                 let share = match self.rng.gen_range(0..3) {
                     0 => None,
                     1 => Some(self.keys.sign(&ack_payload(&value, view))),
@@ -148,10 +146,6 @@ impl RandomByzantine {
             }
             1 => Message::Wish(WishMsg { view }),
             2 => {
-                let sig = self.keys.sign(&ack_payload(&value, view));
-                Message::SigShare(SigShareMsg { value, view, sig })
-            }
-            3 => {
                 // A commit certificate made only of our own signature: it
                 // will fail quorum verification — receivers must reject it.
                 let sigs: SignatureSet = [self.keys.sign(&ack_payload(&value, view))]
@@ -161,7 +155,7 @@ impl RandomByzantine {
                     cert: CommitCert { value, view, sigs },
                 })
             }
-            4 => {
+            3 => {
                 // A propose: only valid if we actually lead `view` and the
                 // certificate checks out (Genesis only works for view 1).
                 let sig = self.keys.sign(&propose_payload(&value, view));
@@ -172,12 +166,12 @@ impl RandomByzantine {
                     sig,
                 })
             }
-            5 => {
+            4 => {
                 // A nil vote for a random view — validly signed.
                 let vote = SignedVote::sign(&self.keys, None, view);
                 Message::Vote(VoteMsg { view, vote })
             }
-            6 => {
+            5 => {
                 // A fabricated non-nil vote. The leader signature inside is
                 // our own, so it only verifies if we led that view.
                 let vd = VoteData {

@@ -57,7 +57,6 @@ pub mod cluster;
 pub mod lower_bound;
 pub mod message;
 pub mod payload;
-pub mod preverify;
 pub mod replica;
 pub mod selection;
 pub mod theory;
@@ -65,6 +64,5 @@ pub mod theory;
 pub use certs::{CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData};
 pub use cluster::{Behavior, Report, SimCluster, SimClusterBuilder};
 pub use message::Message;
-pub use preverify::Preverifier;
 pub use replica::{CommitPath, Replica, ReplicaOptions};
 pub use selection::{select, Outcome, Rationale, SelectionError, SelectionResult};

@@ -3,7 +3,7 @@
 //! One message type per arrow in the paper's figures:
 //!
 //! * [`ProposeMsg`] / [`AckMsg`] — the fast path (Figure 1a);
-//! * [`SigShareMsg`] / [`CommitMsg`] — the slow path (Figure 5);
+//! * [`AckMsg`]'s share / [`CommitMsg`] — the slow path (Figure 5);
 //! * [`VoteMsg`] / [`CertRequestMsg`] / [`CertAckMsg`] — the view change
 //!   (Figure 1b);
 //! * [`WishMsg`] — the view synchronizer (the paper assumes one from the
@@ -39,14 +39,10 @@ fastbft_types::impl_wire_struct!(ProposeMsg {
 /// `ack(x̂, v)` with the slow-path share riding along: sent to every
 /// process after accepting a proposal; `n − t` acks decide the value.
 ///
-/// Appendix A.1 has the signature share *accompany* each ack; it was
-/// historically a separate [`SigShareMsg`] broadcast so that signing the
-/// (arbitrarily large) statement never delayed the fast path. Digest-
-/// carried statements removed that reason — `φ_ack` now signs 41 fixed
-/// bytes — so the share travels inside the ack and the value's bytes cross
-/// the wire once per ack instead of twice. [`SigShareMsg`] remains for
-/// share-only (re)transmission and fault-injection drivers; receivers
-/// treat an ack-carried share and a standalone share identically.
+/// Appendix A.1 has the signature share *accompany* each ack, and so it
+/// does here: `φ_ack` signs 41 fixed bytes (digest-carried statements), so
+/// signing never delays the fast path and the value's bytes cross the wire
+/// once per ack. There is no share-only message (wire tag 3 is unassigned).
 #[derive(Clone, Debug, PartialEq)]
 pub struct AckMsg {
     /// The acknowledged value.
@@ -58,20 +54,6 @@ pub struct AckMsg {
     pub share: Option<Signature>,
 }
 fastbft_types::impl_wire_struct!(AckMsg { value, view, share });
-
-/// `sig(φ_ack)`: a standalone slow-path signature share (see [`AckMsg`] —
-/// honest processes piggyback shares on their acks; this message remains
-/// the share-only form).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SigShareMsg {
-    /// The acknowledged value.
-    pub value: Value,
-    /// The view.
-    pub view: View,
-    /// `φ_ack = sign_q((ack, x, v))`.
-    pub sig: Signature,
-}
-fastbft_types::impl_wire_struct!(SigShareMsg { value, view, sig });
 
 /// `Commit(x, v, cc)`: broadcast once a commit certificate is assembled;
 /// `⌈(n+f+1)/2⌉` of these decide the value (slow path).
@@ -132,10 +114,8 @@ fastbft_types::impl_wire_struct!(WishMsg { view });
 pub enum Message {
     /// Fast path: leader proposal.
     Propose(ProposeMsg),
-    /// Fast path: acknowledgment.
+    /// Fast path: acknowledgment (carries the slow path's signature share).
     Ack(AckMsg),
-    /// Slow path: signature share.
-    SigShare(SigShareMsg),
     /// Slow path: commit certificate broadcast.
     Commit(CommitMsg),
     /// View change: vote.
@@ -157,10 +137,6 @@ impl Encode for Message {
             }
             Message::Ack(m) => {
                 buf.push(2);
-                m.encode(buf);
-            }
-            Message::SigShare(m) => {
-                buf.push(3);
                 m.encode(buf);
             }
             Message::Commit(m) => {
@@ -192,7 +168,6 @@ impl Decode for Message {
         Ok(match r.take_u8()? {
             1 => Message::Propose(ProposeMsg::decode(r)?),
             2 => Message::Ack(AckMsg::decode(r)?),
-            3 => Message::SigShare(SigShareMsg::decode(r)?),
             4 => Message::Commit(CommitMsg::decode(r)?),
             5 => Message::Vote(VoteMsg::decode(r)?),
             6 => Message::CertRequest(CertRequestMsg::decode(r)?),
@@ -213,7 +188,6 @@ impl SimMessage for Message {
         match self {
             Message::Propose(_) => "propose",
             Message::Ack(_) => "ack",
-            Message::SigShare(_) => "sig",
             Message::Commit(_) => "Commit",
             Message::Vote(_) => "vote",
             Message::CertRequest(_) => "CertReq",
@@ -253,10 +227,10 @@ mod tests {
                 view: v,
                 share: None,
             }),
-            Message::SigShare(SigShareMsg {
+            Message::Ack(AckMsg {
                 value: x.clone(),
                 view: v,
-                sig: sig.clone(),
+                share: Some(sig.clone()),
             }),
             Message::Commit(CommitMsg {
                 cert: CommitCert {
@@ -302,9 +276,9 @@ mod tests {
             })
             .kind(),
             Message::Wish(WishMsg { view: View(1) }).kind(),
-            Message::SigShare(SigShareMsg {
-                value: x,
+            Message::CertAck(CertAckMsg {
                 view: View(1),
+                value: x,
                 sig,
             })
             .kind(),
@@ -320,9 +294,12 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_tag() {
-        assert!(matches!(
-            fastbft_types::wire::from_bytes::<Message>(&[99]),
-            Err(WireError::InvalidTag { tag: 99, .. })
-        ));
+        // 3 was the standalone signature share's tag; it stays unassigned.
+        for tag in [3, 99] {
+            assert!(matches!(
+                fastbft_types::wire::from_bytes::<Message>(&[tag]),
+                Err(WireError::InvalidTag { tag: t, .. }) if t == tag
+            ));
+        }
     }
 }

@@ -29,8 +29,7 @@ use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::certs::{CertCache, CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData};
 use crate::message::{
-    AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, SigShareMsg, VoteMsg,
-    WishMsg,
+    AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, VoteMsg, WishMsg,
 };
 use crate::payload::{ack_payload, certack_payload, propose_payload};
 use crate::selection::{select, Outcome};
@@ -498,12 +497,7 @@ impl Replica {
         }
     }
 
-    fn on_sig_share(&mut self, from: ProcessId, s: SigShareMsg, fx: &mut Effects<Message>) {
-        self.on_share(from, s.value, s.view, s.sig, fx);
-    }
-
-    /// Handles one slow-path share `φ_ack`, whether it rode inside an ack
-    /// or arrived as a standalone [`SigShareMsg`].
+    /// Handles the slow-path share `φ_ack` an ack carried.
     fn on_share(
         &mut self,
         from: ProcessId,
@@ -810,10 +804,6 @@ impl Actor<Message> for Replica {
             Message::Ack(mut a) => {
                 a.value = self.intern(a.value);
                 self.on_ack(from, a, fx);
-            }
-            Message::SigShare(mut s) => {
-                s.value = self.intern(s.value);
-                self.on_sig_share(from, s, fx);
             }
             Message::Commit(mut c) => {
                 c.cert.value = self.intern(c.cert.value);
@@ -1154,10 +1144,10 @@ mod tests {
             let sig = pair.sign(&ack_payload(&x, View::FIRST));
             r.on_message(
                 ProcessId::from_index(i),
-                Message::SigShare(SigShareMsg {
+                Message::Ack(AckMsg {
                     value: x.clone(),
                     view: View::FIRST,
-                    sig,
+                    share: Some(sig),
                 }),
                 &mut buf,
             );
@@ -1177,10 +1167,10 @@ mod tests {
             let sig = pair.sign(&ack_payload(&x, View::FIRST));
             r.on_message(
                 ProcessId::from_index((i + 1) % 8),
-                Message::SigShare(SigShareMsg {
+                Message::Ack(AckMsg {
                     value: x.clone(),
                     view: View::FIRST,
-                    sig,
+                    share: Some(sig),
                 }),
                 &mut buf,
             );

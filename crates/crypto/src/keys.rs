@@ -216,8 +216,7 @@ pub struct KeyDirectory {
     /// Cross-clone memo of *successful* verifications, disabled by default
     /// (`OnceLock` stays empty). A `OnceLock` rather than an
     /// `Option<Arc<…>>` so that [`enable_shared_memo`] on any clone turns
-    /// the memo on for every clone already handed out — replica actors are
-    /// built before the verify pool that warms the memo for them.
+    /// the memo on for every clone already handed out.
     ///
     /// [`enable_shared_memo`]: KeyDirectory::enable_shared_memo
     memo: Arc<OnceLock<VerifyMemo>>,
@@ -265,17 +264,16 @@ impl KeyDirectory {
     /// Turns on the shared verification memo for this directory *and every
     /// clone of it*, existing or future.
     ///
+    /// Vestige: nothing in the workspace calls it; the frozen `benchmark/src/probes.rs` times the memo.
+    ///
     /// With the memo on, a successful [`verify`](KeyDirectory::verify) of a
     /// `(signer, statement, tag)` triple is recorded, and any later check of
     /// the identical triple — from any clone, any thread — returns `true`
-    /// without redoing the MAC. This is what makes a verify-pool worker's
-    /// check reusable by the replica's own inline verification paths: both
-    /// hold clones of one directory.
+    /// without redoing the MAC.
     ///
     /// Only successes are memoized, and the key binds the full statement
     /// bytes, so the memo can never accept anything the MAC would reject.
-    /// Off by default: the deterministic simulator and every seat without
-    /// a verify pool take the exact pre-existing path.
+    /// Off by default.
     pub fn enable_shared_memo(&self) {
         self.memo.get_or_init(VerifyMemo::default);
     }

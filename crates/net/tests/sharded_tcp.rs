@@ -1,7 +1,5 @@
 //! Sharded SMR over real sockets: two consensus groups multiplexed over
-//! one authenticated loopback-TCP mesh, with verify pools attached —
-//! the full multicore datapath (ingress → verify workers → protocol →
-//! apply) end to end.
+//! one authenticated loopback-TCP mesh, end to end.
 
 use std::time::Duration;
 
@@ -11,8 +9,8 @@ use fastbft_runtime::{spawn_with, NodeSeat};
 use fastbft_sim::Actor;
 use fastbft_smr::runtime::as_smr_node;
 use fastbft_smr::{
-    kv_shard_of, kv_shard_router, with_verify_pools, KvCommand, KvStore, ShardedKvHandle,
-    SlotMessage, SmrClusterHandle, SmrNode,
+    kv_shard_of, kv_shard_router, KvCommand, KvStore, ShardedKvHandle, SlotMessage,
+    SmrClusterHandle, SmrNode,
 };
 use fastbft_types::{Config, ShardMap, Value};
 
@@ -25,7 +23,7 @@ fn put(key: &str, value: &str) -> Value {
 }
 
 #[test]
-fn sharded_smr_over_tcp_with_verify_pools() {
+fn sharded_smr_over_tcp() {
     let n = 4;
     let shards = 2;
     let cfg = Config::new(n, 1, 1).unwrap();
@@ -67,9 +65,6 @@ fn sharded_smr_over_tcp_with_verify_pools() {
                 verify: None,
             });
         }
-        // Two verify workers per seat: inbound frames take the staged
-        // path (submit → worker preverify → in-order redeem).
-        let seats = with_verify_pools(seats, cfg, &dir, 2);
         groups.push(SmrClusterHandle::new(
             spawn_with(seats, Duration::from_micros(50)),
             n,

@@ -55,10 +55,6 @@ pub struct Metrics {
     // Never set and not exported: kept only because the frozen
     // `benchmark/src/loadgen.rs` reads it (`smr.apply_queue_peak`, always 0).
     pub apply_queue_depth: Gauge,
-    // runtime: the inbound verify/decode pool.
-    pub verify_offload_total: Counter,
-    pub verify_inline_total: Counter,
-    pub verify_queue_depth: Gauge,
     pub snapshot_taken_total: Counter,
     pub snapshot_installed_total: Counter,
     pub backfill_slots_total: Counter,
@@ -95,7 +91,7 @@ impl Metrics {
     }
 
     /// `(name, help, counter)` for every counter, in exposition order.
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 31] {
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 29] {
         [
             (
                 "commit_fast_total",
@@ -181,16 +177,6 @@ impl Metrics {
                 "ingress_shed_total",
                 "Client commands shed at ingress by the pending-queue budget.",
                 &self.ingress_shed_total,
-            ),
-            (
-                "verify_offload_total",
-                "Inbound messages whose signature checks ran on a verify-pool worker.",
-                &self.verify_offload_total,
-            ),
-            (
-                "verify_inline_total",
-                "Inbound messages verified inline on the event loop (no pool).",
-                &self.verify_inline_total,
             ),
             (
                 "snapshot_taken_total",
@@ -283,7 +269,7 @@ impl Metrics {
     }
 
     /// `(name, help, gauge)` for every gauge.
-    fn gauges(&self) -> [(&'static str, &'static str, &Gauge); 6] {
+    fn gauges(&self) -> [(&'static str, &'static str, &Gauge); 5] {
         [
             (
                 "leader_suspected",
@@ -294,11 +280,6 @@ impl Metrics {
                 "stash_depth",
                 "Future-slot messages currently stashed (bounded).",
                 &self.stash_depth,
-            ),
-            (
-                "verify_queue_depth",
-                "Messages submitted to the verify pool and not yet consumed.",
-                &self.verify_queue_depth,
             ),
             (
                 "writer_queue_depth_peak",
@@ -790,19 +771,15 @@ mod tests {
         reg.shard_replica(1, 1)
             .get()
             .unwrap()
-            .verify_offload_total
+            .commit_slow_total
             .add(9);
-        reg.shard_replica(1, 0)
-            .get()
-            .unwrap()
-            .verify_queue_depth
-            .set(3);
+        reg.shard_replica(1, 0).get().unwrap().stash_depth.set(3);
         let text = reg.render_text();
         // Every series carries both labels, replica first.
         assert!(text.contains("fastbft_commit_fast_total{replica=\"p1\",shard=\"s0\"} 1"));
         assert!(text.contains("fastbft_commit_fast_total{replica=\"p1\",shard=\"s1\"} 0"));
-        assert!(text.contains("fastbft_verify_offload_total{replica=\"p2\",shard=\"s1\"} 9"));
-        assert!(text.contains("fastbft_verify_queue_depth{replica=\"p1\",shard=\"s1\"} 3"));
+        assert!(text.contains("fastbft_commit_slow_total{replica=\"p2\",shard=\"s1\"} 9"));
+        assert!(text.contains("fastbft_stash_depth{replica=\"p1\",shard=\"s1\"} 3"));
         for line in text.lines() {
             if line.starts_with('#') {
                 continue;
@@ -815,7 +792,7 @@ mod tests {
         // The JSON dump carries the same addressing.
         let json = reg.render_json();
         assert!(json.contains("\"replica\":\"p2\",\"shard\":\"s1\""));
-        assert!(json.contains("\"verify_offload_total\":9"));
+        assert!(json.contains("\"commit_slow_total\":9"));
         // An unsharded registry's exposition stays exactly shard-free.
         let flat = MetricsRegistry::new(2).render_text();
         assert!(!flat.contains("shard="), "unsharded output grew a label");

@@ -21,8 +21,7 @@ use fastbft_obs::MetricsRegistry;
 use fastbft_sim::{Actor, Effects, Outgoing, SimMessage, SimTime, TimerId};
 use fastbft_types::{ProcessId, Value};
 
-use crate::transport::{ChannelTransport, Inbound, Polled, Staged, Transport};
-use crate::verify::VerifyPool;
+use crate::transport::{ChannelTransport, Inbound, Polled, Transport};
 
 /// A decision reported by a replica thread.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,19 +84,8 @@ pub struct NodeSeat<M, T> {
     pub transport: T,
     /// Feeds the transport's inbound queue from outside.
     pub control: Sender<Inbound<M>>,
-    /// The seat's verify pool, if inbound verification is offloaded (see
-    /// [`VerifyPool`]). `None` — the default for every pre-existing
-    /// construction path — is the plain single-threaded datapath.
-    pub verify: Option<VerifyPool<M>>,
-}
-
-impl<M, T> NodeSeat<M, T> {
-    /// Attaches a verify pool to this seat (builder-style).
-    #[must_use]
-    pub fn with_verify_pool(mut self, pool: VerifyPool<M>) -> Self {
-        self.verify = Some(pool);
-        self
-    }
+    /// Vestige: always `None`, named only by the frozen `benchmark/src/cluster.rs`.
+    pub verify: Option<std::convert::Infallible>,
 }
 
 /// Spawns one thread per actor over the in-process channel transport.
@@ -142,7 +130,7 @@ pub fn spawn_with<M: SimMessage, T: Transport<M>>(
             actor,
             mut transport,
             control,
-            verify,
+            ..
         } = seat;
         controls.push(control);
         let id = ProcessId::from_index(i);
@@ -154,7 +142,6 @@ pub fn spawn_with<M: SimMessage, T: Transport<M>>(
                 id,
                 n,
                 &mut transport,
-                verify,
                 decisions_tx,
                 applied_tx,
                 start,
@@ -202,7 +189,6 @@ fn run_node<M: SimMessage>(
     id: ProcessId,
     n: usize,
     transport: &mut impl Transport<M>,
-    mut verify: Option<VerifyPool<M>>,
     decisions: Sender<Decision>,
     applied: Sender<Applied>,
     start: Instant,
@@ -285,19 +271,7 @@ fn run_node<M: SimMessage>(
         let timeout = timers
             .peek()
             .map(|Reverse((deadline, _))| deadline.saturating_duration_since(Instant::now()));
-        // Stage 1 (ingress): pull the batch; deliveries go straight to the
-        // verify pool (stage 2) as they are enumerated. Stage 3 (protocol)
-        // and stage 4 (apply) run below, redeeming tickets in batch order —
-        // verification of message k+1 overlaps with processing of k, and
-        // the actor still observes the exact arrival order.
-        for staged in transport.recv_batch_staged(RECV_BATCH, timeout, verify.as_mut()) {
-            let polled = match staged {
-                Staged::Ready(polled) => polled,
-                Staged::Pending(ticket) => verify
-                    .as_mut()
-                    .expect("a pending ticket implies a pool")
-                    .wait(ticket),
-            };
+        for polled in transport.recv_batch(RECV_BATCH, timeout) {
             match polled {
                 Polled::Delivered(from, msg) => {
                     let mut fx = Effects::new(id, n, now_ticks(start));
@@ -475,7 +449,7 @@ impl<M: SimMessage> ClusterHandle<M> {
             actor,
             mut transport,
             control,
-            verify,
+            ..
         } = seat;
         self.controls[index] = control;
         let id = ProcessId::from_index(index);
@@ -489,7 +463,6 @@ impl<M: SimMessage> ClusterHandle<M> {
                 id,
                 n,
                 &mut transport,
-                verify,
                 decisions_tx,
                 applied_tx,
                 start,

@@ -633,7 +633,7 @@ impl<M: SimMessage, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
 }
 
 /// Wraps every seat's transport in a [`FaultTransport`] on the shared
-/// `plan`. Seat `i` keeps its actor, control sender, and verify pool; its
+/// `plan`. Seat `i` keeps its actor and control sender; its
 /// wrapper is keyed to process `pᵢ₊₁` and draws from `seed`.
 ///
 /// Wrap **all** seats of a cluster: each directed link is enforced by its

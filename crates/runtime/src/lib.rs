@@ -41,10 +41,8 @@ mod cluster;
 pub mod faults;
 pub mod shard;
 pub mod transport;
-pub mod verify;
 
 pub use cluster::{spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat};
 pub use faults::{wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile};
 pub use shard::{split_groups, GroupMessage, GroupSeats, GroupTransport, RawSender, ShardPump};
-pub use transport::{ChannelSender, ChannelTransport, Inbound, Polled, Staged, Transport};
-pub use verify::{Preverify, Ticket, VerifyPool};
+pub use transport::{ChannelSender, ChannelTransport, Inbound, Polled, Transport};

@@ -18,8 +18,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fastbft_sim::SimMessage;
 use fastbft_types::{ProcessId, Value};
 
-use crate::verify::{Ticket, VerifyPool};
-
 /// An event queued toward a node's event loop.
 #[derive(Debug)]
 pub enum Inbound<M> {
@@ -56,20 +54,6 @@ pub enum Polled<M> {
     TimedOut,
     /// The transport can never deliver again (every feeder is gone).
     Closed,
-}
-
-/// One entry of a *staged* receive batch (see
-/// [`Transport::recv_batch_staged`]): either an event that is ready to
-/// process, or a ticket for a delivery whose verification is in flight on
-/// the verify pool.
-#[derive(Debug)]
-pub enum Staged<M> {
-    /// Ready to hand to the actor (control outcomes, client commands, and
-    /// — with no pool — every delivery).
-    Ready(Polled<M>),
-    /// A delivery submitted to the pool; redeem with
-    /// [`VerifyPool::wait`] in batch order to preserve arrival order.
-    Pending(Ticket),
 }
 
 /// Reliable authenticated point-to-point links, as assumed by the paper's
@@ -143,36 +127,6 @@ pub trait Transport<M: SimMessage>: Send + 'static {
             }
         }
         out
-    }
-
-    /// [`recv_batch`](Transport::recv_batch) with the verify stage spliced
-    /// in: each peer delivery in the batch is submitted to `pool` (its
-    /// signature checks start on worker threads immediately) and surfaces
-    /// as [`Staged::Pending`]; everything else is [`Staged::Ready`]. With
-    /// `pool = None` every event is `Ready` — the exact legacy path.
-    ///
-    /// The event loop redeems the batch **in order**, so the actor sees
-    /// the same sequence `recv_batch` produced while later deliveries'
-    /// verification overlaps with earlier deliveries' processing.
-    fn recv_batch_staged(
-        &mut self,
-        max: usize,
-        timeout: Option<Duration>,
-        pool: Option<&mut VerifyPool<M>>,
-    ) -> Vec<Staged<M>> {
-        let batch = self.recv_batch(max, timeout);
-        match pool {
-            None => batch.into_iter().map(Staged::Ready).collect(),
-            Some(pool) => batch
-                .into_iter()
-                .map(|polled| match polled {
-                    delivery @ (Polled::Delivered(..) | Polled::DeliveredBatch(..)) => {
-                        Staged::Pending(pool.submit(delivery))
-                    }
-                    other => Staged::Ready(other),
-                })
-                .collect(),
-        }
     }
 }
 

@@ -51,11 +51,9 @@ pub use harness::{logs_consistent, offset_logs_consistent, SmrReport, SmrSimClus
 pub use kv::{KvCommand, KvOutput, KvStore};
 pub use machine::{CountingMachine, StateMachine};
 pub use multiplex::{
-    checkpoint_signature, checkpoint_signature_valid, snapshot_response_valid, AdaptiveBatch,
-    Batching, SlotMessage, SmrNode, DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
+    checkpoint_signature, snapshot_response_valid, AdaptiveBatch, Batching, SlotMessage, SmrNode,
+    DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
 };
 pub use runtime::{as_smr_node, smr_actors, smr_actors_configured, SmrClusterHandle};
-pub use shard::{
-    kv_shard_of, kv_shard_router, slot_preverifier, with_verify_pools, ShardedKvHandle,
-};
+pub use shard::{kv_shard_of, kv_shard_router, ShardedKvHandle};
 pub use tag::{command_body, parse_client_tag, tag_command};

@@ -389,10 +389,8 @@ pub fn checkpoint_signature(keys: &KeyPair, upto: u64, digest: &Digest) -> Signa
 }
 
 /// Whether `sig` is a valid checkpoint attestation over `(upto, digest)`
-/// — the verify twin of [`checkpoint_signature`], exposed so verify
-/// pools can warm the directory's memo with exactly the check the node
-/// will re-run.
-pub fn checkpoint_signature_valid(
+/// — the verify twin of [`checkpoint_signature`].
+fn checkpoint_signature_valid(
     dir: &KeyDirectory,
     upto: u64,
     digest: &Digest,
@@ -418,7 +416,7 @@ pub fn snapshot_response_valid(
     let digest = fastbft_crypto::digest(payload);
     let mut signers = BTreeSet::new();
     for sig in sigs {
-        if dir.verify_parts(&[SNAPSHOT_DOMAIN, &upto.to_be_bytes(), &digest], sig) {
+        if checkpoint_signature_valid(dir, upto, &digest, sig) {
             signers.insert(sig.signer);
         }
     }
@@ -1453,11 +1451,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// local snapshot, or parked (bounded per signer) until we reach that
     /// boundary ourselves.
     fn on_checkpoint(&mut self, from: ProcessId, upto: u64, digest: Digest, sig: Signature) {
-        if sig.signer != from
-            || !self
-                .dir
-                .verify_parts(&[SNAPSHOT_DOMAIN, &upto.to_be_bytes(), &digest], &sig)
-        {
+        if sig.signer != from || !checkpoint_signature_valid(&self.dir, upto, &digest, &sig) {
             return;
         }
         if let Some(snap) = &mut self.snapshot {
@@ -1605,10 +1599,7 @@ impl<S: StateMachine> SmrNode<S> {
         // own (we now vouch for this state, and can serve it onward).
         let mut sigmap = BTreeMap::new();
         for sig in sigs {
-            if self
-                .dir
-                .verify_parts(&[SNAPSHOT_DOMAIN, &upto.to_be_bytes(), &digest], &sig)
-            {
+            if checkpoint_signature_valid(&self.dir, upto, &digest, &sig) {
                 sigmap.insert(sig.signer, sig);
             }
         }
@@ -1717,15 +1708,21 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                     // committed value; once f + 1 peers do, the hole
                     // closes ([`Self::on_backfill`]). One reply per
                     // inbound frame, so a spamming peer gains no
-                    // amplification.
-                    if let Some(value) = self.committed_tail.get(&slot) {
-                        fx.send(
-                            from,
-                            SlotMessage::Backfill {
-                                slot,
-                                value: value.clone(),
-                            },
-                        );
+                    // amplification. Acks and Commits get none: they are
+                    // the protocol's own stragglers (the last ack and every
+                    // Commit of a slot the fast path decided one delay
+                    // earlier), and a sender that is really stuck follows
+                    // them with a Wish, Vote or Propose.
+                    if !matches!(inner, Message::Ack(_) | Message::Commit(_)) {
+                        if let Some(value) = self.committed_tail.get(&slot) {
+                            fx.send(
+                                from,
+                                SlotMessage::Backfill {
+                                    slot,
+                                    value: value.clone(),
+                                },
+                            );
+                        }
                     }
                     return;
                 }

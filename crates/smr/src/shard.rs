@@ -19,62 +19,19 @@
 //! single-group SMR safety condition, and no key ever appears in two
 //! groups — [`ShardedKvHandle::logs_agree`] checks all three.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use fastbft_core::replica::ReplicaOptions;
-use fastbft_core::Preverifier;
 use fastbft_crypto::KeyDirectory;
 use fastbft_runtime::{
-    spawn_with, split_groups, ChannelTransport, GroupMessage, NodeSeat, Preverify, ShardPump,
-    Transport, VerifyPool,
+    spawn_with, split_groups, ChannelTransport, GroupMessage, NodeSeat, ShardPump,
 };
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, ShardMap, Value};
 
 use crate::kv::{KvCommand, KvStore};
-use crate::multiplex::{checkpoint_signature_valid, SlotMessage, SmrNode};
+use crate::multiplex::{SlotMessage, SmrNode};
 use crate::runtime::SmrClusterHandle;
-
-/// The verify-pool warmer for [`SlotMessage`] traffic: consensus frames go
-/// through the core [`Preverifier`] (share/cert checks into the shared
-/// directory memo), checkpoint attestations are pre-verified against the
-/// snapshot domain. Pure — the node re-runs every check as the authority;
-/// this only makes those re-runs memo hits.
-pub fn slot_preverifier(cfg: Config, dir: KeyDirectory) -> Preverify<SlotMessage> {
-    let inner = Preverifier::new(cfg, dir.clone());
-    Arc::new(move |msg: &SlotMessage| match msg {
-        SlotMessage::Consensus { inner: m, .. } => inner.preverify(m),
-        SlotMessage::Checkpoint { upto, digest, sig } => {
-            let _ = checkpoint_signature_valid(&dir, *upto, digest, sig);
-        }
-        // Snapshot/backfill payloads are verified against quorum rules the
-        // node alone tracks — nothing to warm.
-        _ => {}
-    })
-}
-
-/// Attaches a [`VerifyPool`] of `workers` threads (running
-/// [`slot_preverifier`]) to every seat. `workers = 0` returns the seats
-/// untouched — no pool, no shared memo, the bit-for-bit single-threaded
-/// datapath.
-pub fn with_verify_pools<T: Transport<SlotMessage>>(
-    seats: Vec<NodeSeat<SlotMessage, T>>,
-    cfg: Config,
-    dir: &KeyDirectory,
-    workers: usize,
-) -> Vec<NodeSeat<SlotMessage, T>> {
-    if workers == 0 {
-        return seats;
-    }
-    seats
-        .into_iter()
-        .map(|seat| {
-            let pool = VerifyPool::new(workers, slot_preverifier(cfg, dir.clone()));
-            seat.with_verify_pool(pool)
-        })
-        .collect()
-}
 
 /// The group owning `key`: the [`ShardMap`] range its digest's lead byte
 /// falls in. Routing on the digest rather than the raw lead byte matters
@@ -156,8 +113,7 @@ impl ShardedKvHandle {
     /// Spawns a sharded KV cluster over the in-process channel transport:
     /// `shards` independent groups of `n` [`SmrNode`]s (group `g` staggered
     /// to lead from process `(g mod n) + 1` first), all multiplexed over
-    /// one `n`-process mesh. `verify_workers > 0` additionally attaches a
-    /// [`VerifyPool`] to every seat.
+    /// one `n`-process mesh.
     pub fn spawn_channel(
         cfg: Config,
         seed: u64,
@@ -165,7 +121,6 @@ impl ShardedKvHandle {
         opts: ReplicaOptions,
         batch_size: usize,
         tick: Duration,
-        verify_workers: usize,
     ) -> Self {
         let n = cfg.n();
         let map = ShardMap::new(shards);
@@ -208,7 +163,6 @@ impl ShardedKvHandle {
                     verify: None,
                 });
             }
-            let seats = with_verify_pools(seats, cfg, &dir, verify_workers);
             groups.push(SmrClusterHandle::new(
                 spawn_with(seats, tick),
                 n,

@@ -1,0 +1,259 @@
+//! What a slot costs on the wire, and who gets a `Backfill`, in virtual
+//! time.
+//!
+//! A node answers consensus traffic for a slot it has settled with the
+//! committed value, so a replica that missed the slot can close the hole.
+//! It answers only frames a *stuck* sender emits (`Wish`, `Vote`,
+//! `Propose`, …), not the protocol's own stragglers: the last `Ack` and
+//! every `Commit` of a slot the fast path decided one delay earlier. These
+//! tests pin the resulting message budget exactly, the trigger kind by
+//! kind, and that a replica cut off for several slots still heals through
+//! its own `Wish`es.
+//!
+//! Everything runs on the deterministic simulator: one message delay is
+//! exactly Δ, the view-1 timeout is the default 8Δ, every cluster uses
+//! batch 1 (one command per slot).
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use fastbft_core::message::{AckMsg, CommitMsg, Message, ProposeMsg, WishMsg};
+use fastbft_core::{CommitCert, ProgressCert};
+use fastbft_crypto::KeyDirectory;
+use fastbft_sim::{Network, SimDuration, SimTime, Simulation, TraceEvent};
+use fastbft_smr::{offset_logs_consistent, CountingMachine, SlotMessage, SmrNode};
+use fastbft_types::{Config, ProcessId, Value, View};
+
+const DELTA: SimDuration = SimDuration::DELTA;
+/// The default view-1 timeout (`ReplicaOptions::default().base_timeout`).
+const BASE_TIMEOUT: u64 = 8 * DELTA.0;
+
+type Node = SmrNode<CountingMachine>;
+
+/// The `i`-th client command.
+fn command(i: u64) -> Value {
+    Value::from_u64(1000 + i)
+}
+
+/// Honest nodes on every seat, each holding the same `queued` commands (the
+/// broadcast client model); `depth` pins the pipeline depth.
+fn cluster(
+    cfg: Config,
+    seed: u64,
+    network: Network,
+    queued: u64,
+    depth: Option<u64>,
+) -> Simulation<SlotMessage> {
+    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
+    let mut sim = Simulation::new(network, seed);
+    for pair in pairs {
+        let node = SmrNode::new(
+            cfg,
+            pair,
+            dir.clone(),
+            CountingMachine::new(),
+            (0..queued).map(command),
+            Value::from_u64(0),
+        );
+        sim.add_actor(Box::new(match depth {
+            Some(depth) => node.with_pipeline_depth(depth),
+            None => node,
+        }));
+    }
+    sim.start();
+    sim
+}
+
+fn node(sim: &Simulation<SlotMessage>, p: ProcessId) -> &Node {
+    sim.actor(p)
+        .as_any()
+        .and_then(|any| any.downcast_ref::<Node>())
+        .expect("every seat holds an honest node")
+}
+
+/// Every `Backfill` sent so far, as (from, to).
+fn backfills(sim: &Simulation<SlotMessage>) -> Vec<(ProcessId, ProcessId)> {
+    sim.trace()
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Send {
+                from,
+                to,
+                kind: "backfill",
+                ..
+            } => Some((from, to)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Steps until `done` holds and returns the time.
+fn run_until(
+    sim: &mut Simulation<SlotMessage>,
+    done: impl Fn(&Simulation<SlotMessage>) -> bool,
+) -> SimTime {
+    while !done(sim) {
+        assert!(
+            sim.step() && sim.now() < SimTime(2_000 * DELTA.0),
+            "stalled"
+        );
+    }
+    sim.now()
+}
+
+/// `slots` commands through a live cluster at depth 1, run until the wire
+/// is quiet.
+fn settled(cfg: Config, slots: u64) -> Simulation<SlotMessage> {
+    let mut sim = cluster(cfg, 5, Network::synchronous(DELTA), slots, Some(1));
+    sim.run_until(SimTime(1_000 * DELTA.0));
+    for p in cfg.processes() {
+        assert_eq!(node(&sim, p).applied(), slots, "{p} applied every slot");
+    }
+    sim
+}
+
+/// With every seat live a slot costs one proposal to everyone and one ack
+/// from everyone to everyone — plus, where the slow path runs beside the
+/// fast one (`t < f`), one `Commit` from everyone to everyone. Nothing
+/// else: no `Backfill` answers the stragglers of a decided slot.
+#[test]
+fn a_live_slot_costs_exactly_its_protocol_messages() {
+    const SLOTS: u64 = 12;
+    for (cfg, per_slot) in [
+        (Config::new(7, 2, 1).unwrap(), 7 + 49 + 49),
+        (Config::new(4, 1, 1).unwrap(), 4 + 16),
+    ] {
+        let n = cfg.n();
+        let sim = settled(cfg, SLOTS);
+        let stats = sim.trace().message_stats(SimTime::NEVER);
+        let count = |kind: &str| stats.by_kind.get(kind).map_or(0, |(msgs, _)| *msgs) as u64;
+        assert_eq!(count("propose"), SLOTS * n as u64, "n = {n}");
+        assert_eq!(count("ack"), SLOTS * (n * n) as u64, "n = {n}");
+        assert_eq!(count("backfill"), 0, "n = {n}");
+        assert_eq!(
+            stats.messages as u64,
+            SLOTS * per_slot,
+            "n = {n}: {stats:?}"
+        );
+    }
+}
+
+/// A late `Ack` and a late `Commit` for a settled slot elicit nothing; a
+/// `Wish` and a `Propose` for it — what a sender that is really stuck sends
+/// next — elicit exactly one `Backfill` each, to the sender.
+#[test]
+fn only_a_stuck_senders_frames_are_answered() {
+    let cfg = Config::new(7, 2, 1).unwrap();
+    let mut sim = settled(cfg, 3);
+    let (pairs, _dir) = KeyDirectory::generate(cfg.n(), 5);
+    let (p1, p2) = (ProcessId(1), ProcessId(2));
+    let value = node(&sim, p1).log()[0].clone();
+    let stragglers = [
+        Message::Ack(AckMsg {
+            value: value.clone(),
+            view: View::FIRST,
+            share: None,
+        }),
+        Message::Commit(CommitMsg {
+            cert: CommitCert {
+                value: value.clone(),
+                view: View::FIRST,
+                sigs: Default::default(),
+            },
+        }),
+    ];
+    let stuck = [
+        Message::Wish(WishMsg { view: View(2) }),
+        Message::Propose(ProposeMsg {
+            value,
+            view: View::FIRST,
+            cert: ProgressCert::Genesis,
+            sig: pairs[1].sign(b"late"),
+        }),
+    ];
+    let mut deliver = |inner: Message| {
+        let at = sim.now();
+        sim.inject_message(p2, p1, SlotMessage::Consensus { slot: 0, inner }, at);
+        sim.run_until(at + DELTA + DELTA);
+        backfills(&sim)
+    };
+    for inner in stragglers {
+        assert_eq!(deliver(inner), vec![], "a straggler is not answered");
+    }
+    for (answered, inner) in stuck.into_iter().enumerate() {
+        assert_eq!(deliver(inner), vec![(p1, p2); answered + 1]);
+    }
+}
+
+/// A seat cut off for several slots of a loaded cluster and then healed
+/// closes every hole through its own `Wish`es: each open slot's view timer
+/// fires within one timeout of the heal, the `Wish` takes Δ to reach the
+/// peers and their `Backfill`s Δ to come back.
+#[test]
+fn a_seat_cut_off_for_several_slots_heals_through_its_own_wishes() {
+    const COMMANDS: u64 = 60;
+    let cfg = Config::new(7, 2, 1).unwrap();
+    let victim = ProcessId(7);
+    let peers: Vec<ProcessId> = cfg.processes().filter(|p| *p != victim).collect();
+
+    let cut = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&cut);
+    let network = Network::scripted(DELTA, move |info| {
+        if flag.load(Ordering::Relaxed) && (info.from == victim || info.to == victim) {
+            SimTime::NEVER
+        } else {
+            info.sent_at + DELTA
+        }
+    });
+    // The default pipeline depth, one command per Δ to every seat.
+    let mut sim = cluster(cfg, 9, network, 0, None);
+    for i in 0..COMMANDS {
+        for p in cfg.processes() {
+            sim.submit_client(p, command(i), SimTime(i * DELTA.0));
+        }
+    }
+    let applied = |sim: &Simulation<SlotMessage>, who: &[ProcessId]| {
+        who.iter().map(|p| node(sim, *p).applied()).min().unwrap()
+    };
+
+    // The victim leads slots 5, 12, 19, …: cut it off once slot 12 is
+    // settled and heal once the peers are through slot 18, so the cut
+    // costs them no view change.
+    run_until(&mut sim, |sim| applied(sim, &peers) >= 13);
+    cut.store(true, Ordering::Relaxed);
+    run_until(&mut sim, |sim| applied(sim, &peers) >= 19);
+    cut.store(false, Ordering::Relaxed);
+    let healed_at = sim.now();
+    let tip = applied(&sim, &peers);
+    let holes = tip - node(&sim, victim).applied();
+    assert!(holes >= 4, "the victim missed several slots: {holes}");
+    assert_eq!(
+        backfills(&sim),
+        vec![],
+        "nobody was answered before the heal"
+    );
+
+    let closed_at = run_until(&mut sim, |sim| node(sim, victim).applied() >= tip);
+    assert!(
+        closed_at.since(healed_at).0 <= BASE_TIMEOUT + 2 * DELTA.0,
+        "holes closed {:?} after the heal",
+        closed_at.since(healed_at)
+    );
+    let sent = backfills(&sim);
+    assert!(sent.len() as u64 > holes * cfg.f() as u64, "{sent:?}");
+    assert!(sent.iter().all(|(_, to)| *to == victim), "{sent:?}");
+
+    // Everyone, the victim included, ends with the whole load and one log.
+    let everyone: Vec<ProcessId> = cfg.processes().collect();
+    run_until(&mut sim, |sim| {
+        everyone
+            .iter()
+            .all(|p| node(sim, *p).commands_applied() >= COMMANDS)
+    });
+    let logs: Vec<(u64, &[Value])> = everyone
+        .iter()
+        .map(|p| (node(&sim, *p).log_offset(), node(&sim, *p).log()))
+        .collect();
+    assert!(offset_logs_consistent(&logs));
+}

@@ -1,6 +1,5 @@
 //! The sharded KV store end to end: routing discipline, per-group log
-//! agreement, verify-pool determinism, and the cross-shard consistency
-//! property test.
+//! agreement, and the cross-shard consistency property test.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -49,7 +48,7 @@ fn keys_covering_shards(shards: usize, per_shard: usize) -> Vec<String> {
 fn sharded_kv_commits_and_routes() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let mut cluster =
-        ShardedKvHandle::spawn_channel(cfg, 11, 4, ReplicaOptions::default(), 1, TICK, 0);
+        ShardedKvHandle::spawn_channel(cfg, 11, 4, ReplicaOptions::default(), 1, TICK);
     let keys = keys_covering_shards(4, 4);
     let mut routed: BTreeMap<usize, Vec<String>> = BTreeMap::new();
     for (i, key) in keys.iter().enumerate() {
@@ -79,50 +78,6 @@ fn sharded_kv_commits_and_routes() {
     }
 }
 
-/// Extracts each replica's applied client commands, in log order.
-fn client_logs(cluster: &ShardedKvHandle) -> Vec<Vec<Value>> {
-    let idle = KvCommand::Noop.to_value();
-    cluster.groups()[0]
-        .logs()
-        .iter()
-        .map(|log| log.values().filter(|cmd| **cmd != idle).cloned().collect())
-        .collect()
-}
-
-/// The same single-group workload through a 3-worker verify pool and
-/// through the inline path: both commit everything, and within each run
-/// all replicas apply the identical client-command sequence — worker
-/// interleaving never reaches the protocol.
-#[test]
-fn verify_pool_cluster_matches_inline() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let keys: Vec<String> = (0..12).map(|i| format!("key-{i}")).collect();
-    let mut applied = Vec::new();
-    for workers in [0, 3] {
-        let mut cluster =
-            ShardedKvHandle::spawn_channel(cfg, 13, 1, ReplicaOptions::default(), 1, TICK, workers);
-        for (i, key) in keys.iter().enumerate() {
-            cluster.submit(put(key, &format!("v{i}")));
-        }
-        assert!(cluster.await_submitted(WAIT), "workers={workers} commits");
-        assert!(cluster.logs_agree(), "workers={workers} agreement");
-        let logs = client_logs(&cluster);
-        for log in &logs {
-            assert_eq!(log.len(), keys.len(), "workers={workers} applied all");
-            assert_eq!(log, &logs[0], "replicas apply the same sequence");
-        }
-        let mut sorted: Vec<Value> = logs[0].clone();
-        sorted.sort_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
-        applied.push(sorted);
-        cluster.shutdown();
-    }
-    // Same command set committed with and without the pool (order across
-    // runs may differ — thread scheduling — but nothing is lost or
-    // invented).
-    let keys_only = |run: &[Value]| -> Vec<Value> { run.to_vec() };
-    assert_eq!(keys_only(&applied[0]), keys_only(&applied[1]));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 4,
@@ -141,7 +96,7 @@ proptest! {
         let cfg = Config::new(4, 1, 1).unwrap();
         let map = ShardMap::new(2);
         let mut cluster = ShardedKvHandle::spawn_channel(
-            cfg, 17, 2, ReplicaOptions::default(), 1, TICK, 0,
+            cfg, 17, 2, ReplicaOptions::default(), 1, TICK,
         );
         // Random lead bytes drive keys into both shards unpredictably;
         // later writes to the same key overwrite earlier ones.
