@@ -465,7 +465,12 @@ impl Replica {
         if p.view < View::FIRST {
             return;
         }
-        if !self.dir.verify(&propose_payload(&p.value, p.view), &p.sig) {
+        if !verify_counted(
+            &self.dir,
+            &self.metrics,
+            &propose_payload(&p.value, p.view),
+            &p.sig,
+        ) {
             return;
         }
         if !p
@@ -510,7 +515,7 @@ impl Replica {
             return;
         }
         let payload = ack_payload(&value, view);
-        if sig.signer != from || !self.dir.verify(&payload, &sig) {
+        if sig.signer != from || !verify_counted(&self.dir, &self.metrics, &payload, &sig) {
             return;
         }
         let key = (view, value);
@@ -714,9 +719,12 @@ impl Replica {
             return;
         }
         if ack.sig.signer != from
-            || !self
-                .dir
-                .verify(&certack_payload(&ack.value, ack.view), &ack.sig)
+            || !verify_counted(
+                &self.dir,
+                &self.metrics,
+                &certack_payload(&ack.value, ack.view),
+                &ack.sig,
+            )
         {
             return;
         }
@@ -772,6 +780,23 @@ impl Replica {
         fx.broadcast_others(Message::Wish(WishMsg { view }));
         self.sync_check(fx);
     }
+}
+
+/// One signature checked on arrival, outside any certificate: always a
+/// fresh HMAC, counted next to the certificate path's fresh checks
+/// (`certs::note_sig_stats`) so `sig_memo_miss_total` is every signature
+/// check that ran. A free function: `on_cert_ack` calls it while it holds
+/// the leader state mutably.
+fn verify_counted(
+    dir: &KeyDirectory,
+    metrics: &MetricsHandle,
+    statement: &[u8],
+    sig: &Signature,
+) -> bool {
+    if let Some(m) = metrics.get() {
+        m.sig_memo_miss_total.inc();
+    }
+    dir.verify(statement, sig)
 }
 
 impl Actor<Message> for Replica {

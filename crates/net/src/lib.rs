@@ -58,18 +58,13 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::{MetricsHandle, MetricsRegistry};
-use fastbft_runtime::{
-    spawn_with, split_groups, ClusterHandle, GroupMessage, GroupTransport, Inbound, NodeSeat,
-    ShardPump, Transport,
-};
+use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat, Transport};
 use fastbft_sim::{Actor, SimMessage};
 use fastbft_types::wire::{Decode, Encode};
-use fastbft_types::Value;
 
-pub use tcp::{TcpOptions, TcpSender, TcpStats, TcpTransport};
+pub use tcp::{TcpOptions, TcpStats, TcpTransport};
 
 /// Spawns a thread-per-replica cluster whose replicas talk over loopback
 /// TCP with authenticated frames — the socket-backed sibling of
@@ -282,69 +277,6 @@ pub fn tcp_reseat<M: SimMessage + Encode + Decode>(
         control,
         verify: None,
     })
-}
-
-/// One node's slice of a sharded TCP mesh: its per-group transports (and
-/// their control senders) plus the pump that routes the shared socket
-/// mesh's inbound traffic to them (see
-/// [`fastbft_runtime::shard`]).
-pub type TcpGroupSeats<M> = Vec<(
-    GroupTransport<M, TcpSender<GroupMessage<M>>>,
-    Sender<Inbound<M>>,
-)>;
-
-/// Builds a sharded loopback-TCP mesh: one socket mesh (one listener and
-/// one set of writer threads per node), multiplexing `groups` independent
-/// consensus groups over group-tagged frames. For each node this returns
-/// its per-group `(transport, control)` pairs — assemble group `g`'s
-/// cluster by taking element `g` from every node and pairing it with that
-/// group's actors in [`NodeSeat`]s. `router` maps a client command to the
-/// group that must order it.
-///
-/// **Teardown order:** shut the group clusters down first, then drop the
-/// returned [`ShardPump`]s — each pump owns its node's underlying
-/// [`TcpTransport`], whose teardown waits for the groups' sender clones
-/// to be gone.
-///
-/// # Errors
-///
-/// An [`io::Error`] if binding the loopback listeners fails.
-///
-/// # Panics
-///
-/// Panics if a key pair is out of place (`pairs[i]` must belong to
-/// process `p_{i+1}`) or `groups == 0`.
-#[allow(clippy::type_complexity)]
-pub fn tcp_shard_mesh<M, R>(
-    pairs: Vec<KeyPair>,
-    dir: KeyDirectory,
-    opts: TcpOptions,
-    groups: usize,
-    router: R,
-) -> io::Result<(Vec<TcpGroupSeats<M>>, Vec<SocketAddr>, Vec<ShardPump>)>
-where
-    M: SimMessage + Encode + Decode,
-    R: Fn(&Value) -> usize + Send + Clone + 'static,
-{
-    assert!(groups > 0, "at least one group");
-    let (listeners, addrs) = bind_loopback(&pairs)?;
-
-    let mut nodes = Vec::with_capacity(pairs.len());
-    let mut pumps = Vec::with_capacity(pairs.len());
-    for (pair, listener) in pairs.into_iter().zip(listeners) {
-        let (transport, _control) = TcpTransport::<GroupMessage<M>>::start(
-            pair,
-            dir.clone(),
-            listener,
-            addrs.clone(),
-            opts.clone(),
-        )?;
-        let sender = transport.sender();
-        let (group_seats, pump) = split_groups(transport, sender, groups, router.clone());
-        nodes.push(group_seats);
-        pumps.push(pump);
-    }
-    Ok((nodes, addrs, pumps))
 }
 
 /// Compile-time proof that [`TcpTransport`] satisfies the runtime's

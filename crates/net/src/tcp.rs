@@ -186,135 +186,7 @@ struct PeerHandle {
     /// Frames currently queued (only the event-loop thread increments, so
     /// the bound check is exact).
     depth: Arc<AtomicUsize>,
-    dropped: Arc<AtomicU64>,
     writer: JoinHandle<()>,
-}
-
-/// A clone of one peer's send side, held by a [`TcpSender`].
-#[derive(Clone)]
-struct PeerSend {
-    tx: Sender<Bytes>,
-    depth: Arc<AtomicUsize>,
-    dropped: Arc<AtomicU64>,
-}
-
-/// The detachable, cloneable send half of a [`TcpTransport`] — what a
-/// sharded deployment hands each consensus group so all groups on a
-/// process send over the *same* mesh concurrently (it implements
-/// `fastbft_runtime`'s [`RawSender`](fastbft_runtime::RawSender)).
-///
-/// Safe to use from several threads at once: frames are enqueued on the
-/// peers' bounded queues exactly like [`Transport::send`], and the
-/// per-peer writer thread assigns session sequence numbers at drain time,
-/// so interleaved senders can never produce a sequence gap. With multiple
-/// senders the queue-bound check becomes approximate (concurrent
-/// increments may briefly overshoot by the number of senders) — the bound
-/// still holds within that slack.
-///
-/// **Teardown order matters:** the writer threads exit when *every*
-/// sender clone is gone. Drop all `TcpSender`s (and the transports built
-/// on them) *before* dropping the originating [`TcpTransport`], or its
-/// `Drop` will wait on writers that are still owed frames.
-pub struct TcpSender<M> {
-    id: ProcessId,
-    n: usize,
-    outbound_queue_frames: usize,
-    peers: Vec<Option<PeerSend>>,
-    inbound_tx: Sender<Inbound<M>>,
-    /// Per-clone encode buffer (each clone starts fresh), preserving the
-    /// encode-once broadcast without sharing mutable state.
-    scratch: Vec<u8>,
-    metrics: MetricsHandle,
-}
-
-impl<M> Clone for TcpSender<M> {
-    fn clone(&self) -> Self {
-        TcpSender {
-            id: self.id,
-            n: self.n,
-            outbound_queue_frames: self.outbound_queue_frames,
-            peers: self.peers.clone(),
-            inbound_tx: self.inbound_tx.clone(),
-            scratch: Vec::new(),
-            metrics: self.metrics.clone(),
-        }
-    }
-}
-
-impl<M: SimMessage + Encode> TcpSender<M> {
-    /// Sends `msg` to `to` ([`Transport::send`] semantics: self-delivery
-    /// bypasses the sockets, full queues drop and count).
-    pub fn send(&mut self, to: ProcessId, msg: M) {
-        if to == self.id {
-            let _ = self.inbound_tx.send(Inbound::Peer(self.id, msg));
-            return;
-        }
-        encode_into(&msg, &mut self.scratch);
-        let payload = Bytes::copy_from_slice(&self.scratch);
-        self.enqueue(to.index(), payload);
-    }
-
-    /// Broadcasts `msg` to every process including this one
-    /// ([`Transport::broadcast`] semantics — one encode, `n−1` reference
-    /// bumps).
-    pub fn broadcast(&mut self, msg: M) {
-        encode_into(&msg, &mut self.scratch);
-        let payload = Bytes::copy_from_slice(&self.scratch);
-        for peer in 0..self.n {
-            if peer != self.id.index() {
-                self.enqueue(peer, payload.clone());
-            }
-        }
-        let _ = self.inbound_tx.send(Inbound::Peer(self.id, msg));
-    }
-
-    /// Number of processes in the mesh.
-    pub fn mesh_size(&self) -> usize {
-        self.n
-    }
-
-    fn enqueue(&self, peer: usize, payload: Bytes) {
-        let Some(handle) = self.peers[peer].as_ref() else {
-            return;
-        };
-        if payload.len() + FRAME_OVERHEAD + 8 > MAX_FRAME_LEN
-            || handle.depth.load(Ordering::Relaxed) >= self.outbound_queue_frames
-        {
-            handle.dropped.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.send_drop_total.inc();
-            }
-            return;
-        }
-        let depth = handle.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(m) = self.metrics.get() {
-            m.writer_queue_depth_peak.set_max(depth as u64);
-        }
-        if handle.tx.send(payload).is_err() {
-            handle.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-impl<M: SimMessage + Encode> fastbft_runtime::RawSender<M> for TcpSender<M> {
-    fn send_raw(&mut self, to: ProcessId, msg: M) {
-        self.send(to, msg);
-    }
-    fn broadcast_raw(&mut self, msg: M) {
-        self.broadcast(msg);
-    }
-    fn mesh_size(&self) -> usize {
-        TcpSender::mesh_size(self)
-    }
-}
-
-impl<M> std::fmt::Debug for TcpSender<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpSender")
-            .field("id", &self.id)
-            .field("n", &self.n)
-            .finish()
-    }
 }
 
 /// Everything a writer thread needs to own its peer's link.
@@ -471,12 +343,7 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
                 metrics: metrics.clone(),
             };
             let writer = std::thread::spawn(move || peer_writer(seat, rx));
-            peers.push(Some(PeerHandle {
-                tx,
-                depth,
-                dropped: Arc::clone(&dropped[i]),
-                writer,
-            }));
+            peers.push(Some(PeerHandle { tx, depth, writer }));
         }
 
         let control = inbound_tx.clone();
@@ -506,31 +373,6 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
         self.listener_addr
     }
 
-    /// Detaches a cloneable send half (see [`TcpSender`] — including its
-    /// teardown-order contract). The transport keeps working unchanged;
-    /// the sender feeds the same writer queues and inbound queue.
-    pub fn sender(&self) -> TcpSender<M> {
-        TcpSender {
-            id: self.id,
-            n: self.n,
-            outbound_queue_frames: self.opts.outbound_queue_frames,
-            peers: self
-                .peers
-                .iter()
-                .map(|p| {
-                    p.as_ref().map(|h| PeerSend {
-                        tx: h.tx.clone(),
-                        depth: Arc::clone(&h.depth),
-                        dropped: Arc::clone(&h.dropped),
-                    })
-                })
-                .collect(),
-            inbound_tx: self.inbound_tx.clone(),
-            scratch: Vec::new(),
-            metrics: self.metrics.clone(),
-        }
-    }
-
     /// Handle to this node's send-side drop counters; clone it out before
     /// spawning the cluster to observe slow-peer drops while it runs.
     pub fn stats(&self) -> TcpStats {
@@ -550,7 +392,7 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
         if payload.len() + FRAME_OVERHEAD + 8 > MAX_FRAME_LEN
             || handle.depth.load(Ordering::Relaxed) >= self.opts.outbound_queue_frames
         {
-            handle.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped[peer].fetch_add(1, Ordering::Relaxed);
             if let Some(m) = self.metrics.get() {
                 m.send_drop_total.inc();
             }

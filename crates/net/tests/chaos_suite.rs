@@ -5,6 +5,7 @@
 //! the same three properties on both transports — that matrix, under the
 //! fixed `FASTBFT_CHAOS_SEED`, is the CI chaos gate.
 
+use std::path::Path;
 use std::time::Duration;
 
 use fastbft_core::replica::ReplicaOptions;
@@ -69,6 +70,7 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         TICK,
         base_timeout,
         ChaosLoad::default(),
+        &Path::new(env!("CARGO_TARGET_TMPDIR")).join("postmortem/chaos_suite"),
     )
 }
 

@@ -379,36 +379,17 @@ impl MetricsHandle {
 #[derive(Clone, Debug)]
 pub struct MetricsRegistry {
     replicas: Vec<Arc<Metrics>>,
-    /// Consensus groups covered; blocks are stored row-major, shard 0's
-    /// `n` seats first. `1` for an unsharded cluster — and then no
-    /// `shard` label appears in any exposition, byte-identical to the
-    /// pre-sharding output.
-    shards: usize,
 }
 
 impl MetricsRegistry {
-    /// A registry for an `n`-replica cluster (a single consensus group).
+    /// A registry for an `n`-replica cluster.
     pub fn new(n: usize) -> Self {
-        MetricsRegistry::new_sharded(n, 1)
-    }
-
-    /// A registry for a sharded deployment: `shards` consensus groups of
-    /// `n` replica seats each, every `(shard, seat)` pair with its own
-    /// block. With `shards > 1` each exposed series carries a
-    /// `shard="sG"` label next to `replica="pN"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0.
-    pub fn new_sharded(n: usize, shards: usize) -> Self {
-        assert!(shards > 0, "at least one shard");
         MetricsRegistry {
-            replicas: (0..n * shards).map(|_| Arc::new(Metrics::new())).collect(),
-            shards,
+            replicas: (0..n).map(|_| Arc::new(Metrics::new())).collect(),
         }
     }
 
-    /// Number of blocks (replica seats × shards).
+    /// Number of replica seats.
     pub fn len(&self) -> usize {
         self.replicas.len()
     }
@@ -418,43 +399,14 @@ impl MetricsRegistry {
         self.replicas.is_empty()
     }
 
-    /// Number of consensus groups covered (1 when unsharded).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The `replica="pN"` label set for block `index`, including the
-    /// `shard` label when the registry covers more than one group.
-    fn labels(&self, index: usize) -> String {
-        let n = self.replicas.len() / self.shards;
-        if self.shards > 1 {
-            format!("replica=\"p{}\",shard=\"s{}\"", index % n + 1, index / n)
-        } else {
-            format!("replica=\"p{}\"", index + 1)
-        }
-    }
-
     /// An enabled handle for replica seat `index` (0-based: seat 0 is
-    /// process p1, matching the workspace's actor-vector convention). In
-    /// a sharded registry this addresses shard 0.
+    /// process p1, matching the workspace's actor-vector convention).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn replica(&self, index: usize) -> MetricsHandle {
         MetricsHandle(Some(Arc::clone(&self.replicas[index])))
-    }
-
-    /// An enabled handle for seat `index` of consensus group `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` or `index` is out of range.
-    pub fn shard_replica(&self, shard: usize, index: usize) -> MetricsHandle {
-        let n = self.replicas.len() / self.shards;
-        assert!(shard < self.shards, "shard {shard} out of range");
-        assert!(index < n, "replica {index} out of range");
-        MetricsHandle(Some(Arc::clone(&self.replicas[shard * n + index])))
     }
 
     /// Direct access to seat `index`'s block (assertions, scrapes).
@@ -494,7 +446,7 @@ impl MetricsRegistry {
                     .find(|(n, _, _)| *n == name)
                     .map(|(_, _, c)| c.get())
                     .unwrap_or(0);
-                let _ = writeln!(out, "fastbft_{name}{{{}}} {value}", self.labels(i));
+                let _ = writeln!(out, "fastbft_{name}{{replica=\"p{}\"}} {value}", i + 1);
             }
         }
         for (name, help) in probe.gauges().map(|(name, help, _)| (name, help)) {
@@ -507,7 +459,7 @@ impl MetricsRegistry {
                     .find(|(n, _, _)| *n == name)
                     .map(|(_, _, g)| g.get())
                     .unwrap_or(0);
-                let _ = writeln!(out, "fastbft_{name}{{{}}} {value}", self.labels(i));
+                let _ = writeln!(out, "fastbft_{name}{{replica=\"p{}\"}} {value}", i + 1);
             }
         }
         for (name, help) in probe.histograms().map(|(name, help, _)| (name, help)) {
@@ -520,16 +472,20 @@ impl MetricsRegistry {
                     .find(|(n, _, _)| *n == name)
                     .map(|(_, _, h)| *h)
                     .expect("histogram families are identical across replicas");
-                let labels = self.labels(i);
+                let p = i + 1;
                 for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
                     let _ = writeln!(
                         out,
-                        "fastbft_{name}{{{labels},quantile=\"{label}\"}} {}",
+                        "fastbft_{name}{{replica=\"p{p}\",quantile=\"{label}\"}} {}",
                         h.quantile(q)
                     );
                 }
-                let _ = writeln!(out, "fastbft_{name}_sum{{{labels}}} {}", h.sum());
-                let _ = writeln!(out, "fastbft_{name}_count{{{labels}}} {}", h.count());
+                let _ = writeln!(out, "fastbft_{name}_sum{{replica=\"p{p}\"}} {}", h.sum());
+                let _ = writeln!(
+                    out,
+                    "fastbft_{name}_count{{replica=\"p{p}\"}} {}",
+                    h.count()
+                );
             }
         }
         out
@@ -544,17 +500,7 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let n = self.replicas.len() / self.shards;
-            if self.shards > 1 {
-                let _ = write!(
-                    out,
-                    "{{\"replica\":\"p{}\",\"shard\":\"s{}\",\"counters\":{{",
-                    i % n + 1,
-                    i / n
-                );
-            } else {
-                let _ = write!(out, "{{\"replica\":\"p{}\",\"counters\":{{", i + 1);
-            }
+            let _ = write!(out, "{{\"replica\":\"p{}\",\"counters\":{{", i + 1);
             let mut first = true;
             for (name, _, c) in m.counters().iter().chain(m.byte_counters().iter()) {
                 if !first {
@@ -756,46 +702,6 @@ mod tests {
         assert!(json.contains("\"fault_links_shaped\":4"));
         assert!(json.contains("\"send_drop_unreachable_total\":6"));
         assert!(json.contains("\"peer_links_down\":2"));
-    }
-
-    #[test]
-    fn sharded_exposition_shape() {
-        let reg = MetricsRegistry::new_sharded(2, 2);
-        assert_eq!(reg.len(), 4);
-        assert_eq!(reg.shards(), 2);
-        reg.shard_replica(0, 0)
-            .get()
-            .unwrap()
-            .commit_fast_total
-            .inc();
-        reg.shard_replica(1, 1)
-            .get()
-            .unwrap()
-            .commit_slow_total
-            .add(9);
-        reg.shard_replica(1, 0).get().unwrap().stash_depth.set(3);
-        let text = reg.render_text();
-        // Every series carries both labels, replica first.
-        assert!(text.contains("fastbft_commit_fast_total{replica=\"p1\",shard=\"s0\"} 1"));
-        assert!(text.contains("fastbft_commit_fast_total{replica=\"p1\",shard=\"s1\"} 0"));
-        assert!(text.contains("fastbft_commit_slow_total{replica=\"p2\",shard=\"s1\"} 9"));
-        assert!(text.contains("fastbft_stash_depth{replica=\"p1\",shard=\"s1\"} 3"));
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
-            }
-            let (series, value) = line.rsplit_once(' ').expect("space-separated");
-            assert!(series.contains("{replica=\"p"), "unlabeled series: {line}");
-            assert!(series.contains(",shard=\"s"), "shardless series: {line}");
-            assert!(value.parse::<f64>().is_ok(), "non-numeric value: {line}");
-        }
-        // The JSON dump carries the same addressing.
-        let json = reg.render_json();
-        assert!(json.contains("\"replica\":\"p2\",\"shard\":\"s1\""));
-        assert!(json.contains("\"commit_slow_total\":9"));
-        // An unsharded registry's exposition stays exactly shard-free.
-        let flat = MetricsRegistry::new(2).render_text();
-        assert!(!flat.contains("shard="), "unsharded output grew a label");
     }
 
     #[test]

@@ -39,10 +39,8 @@
 pub mod chaos;
 mod cluster;
 pub mod faults;
-pub mod shard;
 pub mod transport;
 
 pub use cluster::{spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat};
 pub use faults::{wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile};
-pub use shard::{split_groups, GroupMessage, GroupSeats, GroupTransport, RawSender, ShardPump};
-pub use transport::{ChannelSender, ChannelTransport, Inbound, Polled, Transport};
+pub use transport::{ChannelTransport, Inbound, Polled, Transport};

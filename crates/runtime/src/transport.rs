@@ -196,45 +196,7 @@ pub struct ChannelTransport<M> {
     rx: Receiver<Inbound<M>>,
 }
 
-/// The detachable send half of a [`ChannelTransport`]: the same peer
-/// queues and authenticated sender id, cloneable and usable from any
-/// thread while the receive half lives elsewhere — what lets one process
-/// mesh carry several consensus groups (see [`crate::shard`]).
-#[derive(Clone)]
-pub struct ChannelSender<M> {
-    id: ProcessId,
-    peers: Vec<Sender<Inbound<M>>>,
-}
-
-impl<M: SimMessage> ChannelSender<M> {
-    /// Sends `msg` to `to` (drops silently if the peer is gone, matching
-    /// [`Transport::send`] semantics).
-    pub fn send(&self, to: ProcessId, msg: M) {
-        let _ = self.peers[to.index()].send(Inbound::Peer(self.id, msg));
-    }
-
-    /// Sends `msg` to every process, including this one.
-    pub fn broadcast(&self, msg: M) {
-        for to in ProcessId::all(self.peers.len()) {
-            self.send(to, msg.clone());
-        }
-    }
-
-    /// Number of processes in the mesh.
-    pub fn mesh_size(&self) -> usize {
-        self.peers.len()
-    }
-}
-
 impl<M: SimMessage> ChannelTransport<M> {
-    /// The detachable, cloneable send half of this transport.
-    pub fn sender(&self) -> ChannelSender<M> {
-        ChannelSender {
-            id: self.id,
-            peers: self.peers.clone(),
-        }
-    }
-
     /// Builds a fully connected mesh of `n` channel transports. Returns
     /// each node's transport paired with the control sender that feeds its
     /// queue (for injection and shutdown).

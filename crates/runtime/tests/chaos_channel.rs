@@ -6,6 +6,7 @@
 //! deliveries; the TCP twin of this suite lives in
 //! `crates/net/tests/chaos_suite.rs`.
 
+use std::path::Path;
 use std::time::Duration;
 
 use fastbft_core::replica::ReplicaOptions;
@@ -78,6 +79,7 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         TICK,
         base_timeout,
         ChaosLoad::default(),
+        &Path::new(env!("CARGO_TARGET_TMPDIR")).join("postmortem/chaos_channel"),
     )
 }
 

@@ -17,12 +17,18 @@
 //! lead (and time out) once, a second rotation's slowest slot must stay
 //! below the view-1 timeout — the cross-slot leader suspicion at work.
 //!
+//! A gate that fails leaves a post-mortem behind before it panics: the
+//! registry's JSON dump and every replica's flight-recorder tail (the
+//! script's `chaos-step` events sit in replica 0's), in a directory the
+//! caller names and the panic message repeats.
+//!
 //! The harness is transport-generic: hand it seats built over the
 //! channel mesh or over TCP (`fastbft_net::tcp_seats_metered`), wrapped
 //! by [`fastbft_runtime::wrap_seats_metered`] either way — the same
 //! scenarios and the same assertions run on both, which is exactly the
 //! chaos suite's CI matrix.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use fastbft_obs::MetricsRegistry;
@@ -68,12 +74,64 @@ pub struct ChaosReport {
     pub injected: [u64; 4],
 }
 
+/// The gates of one chaos run: where a failed one leaves its post-mortem.
+struct Gates<'a> {
+    name: &'static str,
+    registry: &'a MetricsRegistry,
+    dir: &'a Path,
+}
+
+impl Gates<'_> {
+    /// Panics with `what` unless `ok`, after writing `metrics.json` and one
+    /// `recorder-pN.txt` per replica under `dir/<scenario>-n<n>/` (the
+    /// suites run one scenario at two cluster sizes).
+    #[track_caller]
+    fn require(&self, ok: bool, what: impl std::fmt::Display) {
+        if ok {
+            return;
+        }
+        let dir = self
+            .dir
+            .join(format!("{}-n{}", self.name, self.registry.len()));
+        let written = std::fs::create_dir_all(&dir).and_then(|()| {
+            std::fs::write(dir.join("metrics.json"), self.registry.render_json())?;
+            for i in 0..self.registry.len() {
+                let tail: String = self
+                    .registry
+                    .metrics(i)
+                    .recorder
+                    .snapshot()
+                    .iter()
+                    .map(|e| {
+                        format!(
+                            "{:>6} {:>10} us  {}  {}\n",
+                            e.seq, e.at_us, e.kind, e.detail
+                        )
+                    })
+                    .collect();
+                std::fs::write(dir.join(format!("recorder-p{}.txt", i + 1)), tail)?;
+            }
+            Ok(())
+        });
+        let name = self.name;
+        match written {
+            Ok(()) => panic!("[{name}] {what} (post-mortem: {})", dir.display()),
+            Err(e) => panic!(
+                "[{name}] {what} (post-mortem not written to {}: {e})",
+                dir.display()
+            ),
+        }
+    }
+}
+
 /// Runs `scenario` against a cluster built from `seats` (already wrapped
 /// in [`FaultTransport`](fastbft_runtime::FaultTransport)s on `plan`,
 /// metered into `registry`) and asserts the three degradation
 /// properties. `base_timeout` is the wall-clock view-1 timeout the
 /// replicas were built with — derive it from the scenario
-/// ([`Scenario::base_timeout_ticks`]), never hand-tune it per test.
+/// ([`Scenario::base_timeout_ticks`]), never hand-tune it per test. A
+/// failed gate writes its post-mortem under
+/// `postmortem/<scenario name>-n<n>/`.
 ///
 /// # Panics
 ///
@@ -93,10 +151,15 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     tick: Duration,
     base_timeout: Duration,
     load: ChaosLoad,
+    postmortem: &Path,
 ) -> ChaosReport {
     let n = cfg.n();
     assert_eq!(seats.len(), n, "one seat per process");
-    let name = scenario.name;
+    let gates = Gates {
+        name: scenario.name,
+        registry: &registry,
+        dir: postmortem,
+    };
     let all: Vec<ProcessId> = (0..n).map(ProcessId::from_index).collect();
     let totals = |registry: &MetricsRegistry| -> (u64, u64) {
         (
@@ -113,9 +176,9 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     for i in 0..load.warmup {
         cluster.submit(Value::from_u64(0x0100_0000 + i));
     }
-    assert!(
+    gates.require(
         cluster.await_commands(all.clone(), load.warmup, Duration::from_secs(30)),
-        "[{name}] warmup load must commit on a healthy cluster"
+        "warmup load must commit on a healthy cluster",
     );
     let (fast0, slow0) = totals(&registry);
 
@@ -141,9 +204,9 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
                 .map(|left| left.saturating_sub(left / 10))
                 .unwrap_or(Duration::from_secs(5))
         };
-        assert!(
+        gates.require(
             cluster.await_commands(survivors.clone(), submitted, window()),
-            "[{name}] survivors above the slow quorum must commit during the fault"
+            "survivors above the slow quorum must commit during the fault",
         );
         // Dead leaders must stop costing timeouts. Each probe waits for the
         // one before it, so it is one slot, and a rotation of `n` of them
@@ -156,9 +219,9 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
             let sent = Instant::now();
             cluster.submit(Value::from_u64(0x0280_0000 + submitted));
             submitted += 1;
-            assert!(
+            gates.require(
                 cluster.await_commands(survivors.clone(), submitted, window()),
-                "[{name}] survivors must commit probe {submitted} during the fault"
+                format_args!("survivors must commit probe {submitted} during the fault"),
             );
             timed.then(|| sent.elapsed())
         };
@@ -168,10 +231,12 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         let rotation: Vec<Duration> = (0..n).filter_map(|_| probe(true)).collect();
         // Nearest-rank p99 of n < 100 samples is the slowest one.
         let p99 = rotation.iter().max().copied().unwrap_or_default();
-        assert!(
+        gates.require(
             p99 < base_timeout,
-            "[{name}] after the first rotation a slot led by an isolated seat must not \
-             wait out the {base_timeout:?} view timer (second rotation: {rotation:?})"
+            format_args!(
+                "after the first rotation a slot led by an isolated seat must not \
+                 wait out the {base_timeout:?} view timer (second rotation: {rotation:?})"
+            ),
         );
         (fast1, slow1) = totals(&registry);
         run.join();
@@ -191,44 +256,45 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     }
     let total = submitted + load.after;
     let window = scenario.recovery_window(base_timeout);
-    assert!(
+    gates.require(
         cluster.await_commands(all, total, window),
-        "[{name}] liveness must return within {window:?} of heal"
+        format_args!("liveness must return within {window:?} of heal"),
     );
     let (fast2, slow2) = totals(&registry);
 
     // Property 1: safety, always.
-    assert!(cluster.logs_agree(), "[{name}] log divergence under faults");
+    gates.require(cluster.logs_agree(), "log divergence under faults");
 
     // Property 3: path attribution per the scenario's expectation.
     let (fast_during, slow_during) = (fast1 - fast0, slow1 - slow0);
     let fast_after = fast2 - fast1;
     match scenario.expectation {
         PathExpectation::FastRecovers => {
-            assert!(
+            gates.require(
                 fast_after > 0,
-                "[{name}] fast path must produce commits after heal (fast {fast0}→{fast1}→{fast2})"
+                format_args!(
+                    "fast path must produce commits after heal (fast {fast0}→{fast1}→{fast2})"
+                ),
             );
         }
         PathExpectation::SlowWhileFaulted => {
-            assert!(
+            gates.require(
                 slow_during > 0,
-                "[{name}] commits during the fault must exist on the slow path"
+                "commits during the fault must exist on the slow path",
             );
-            assert!(
+            gates.require(
                 slow_during > fast_during,
-                "[{name}] with the fast quorum unreachable, the slow path must carry \
-                 the fault window (fast {fast_during}, slow {slow_during})"
+                format_args!(
+                    "with the fast quorum unreachable, the slow path must carry \
+                     the fault window (fast {fast_during}, slow {slow_during})"
+                ),
             );
-            assert!(
-                fast_after > 0,
-                "[{name}] the fast path must resume after heal"
-            );
+            gates.require(fast_after > 0, "the fast path must resume after heal");
         }
         PathExpectation::StallAllowed => {
-            assert!(
+            gates.require(
                 fast_after > 0,
-                "[{name}] a stalled cluster must resume fast commits after heal"
+                "a stalled cluster must resume fast commits after heal",
             );
         }
     }
@@ -236,21 +302,21 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     // The fault classes the scenario promises must actually have fired —
     // otherwise the run proved nothing.
     if scenario.injects_delays {
-        assert!(
+        gates.require(
             plan.injected_delays() > 0,
-            "[{name}] promised delay injection never fired"
+            "promised delay injection never fired",
         );
     }
     if scenario.injects_drops {
-        assert!(
+        gates.require(
             plan.injected_drops() > 0,
-            "[{name}] promised loss injection never fired"
+            "promised loss injection never fired",
         );
     }
     if scenario.injects_partitions {
-        assert!(
+        gates.require(
             plan.partition_drops() > 0,
-            "[{name}] promised partition never dropped a delivery"
+            "promised partition never dropped a delivery",
         );
     }
 

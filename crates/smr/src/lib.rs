@@ -43,7 +43,6 @@ pub mod kv;
 pub mod machine;
 pub mod multiplex;
 pub mod runtime;
-pub mod shard;
 mod suspicion;
 pub mod tag;
 
@@ -55,5 +54,4 @@ pub use multiplex::{
     DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
 };
 pub use runtime::{as_smr_node, smr_actors, smr_actors_configured, SmrClusterHandle};
-pub use shard::{kv_shard_of, kv_shard_router, ShardedKvHandle};
 pub use tag::{command_body, parse_client_tag, tag_command};

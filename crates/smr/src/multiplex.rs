@@ -509,9 +509,6 @@ pub struct SmrNode<S: StateMachine> {
     /// Lowest observed commit latency in µs (adaptive batching only) —
     /// the congestion reference the EWMA is compared against.
     commit_floor_us: f64,
-    /// Constant added to every slot's leader rotation (see
-    /// [`with_leader_stagger`](SmrNode::with_leader_stagger)). Default 0.
-    leader_stagger: u64,
     /// How many consecutive slots may run concurrently while commands are
     /// queued (1 = strictly sequential). Deeper pipelines amortize wakeups
     /// and let the transport's writer threads coalesce frames from several
@@ -624,7 +621,6 @@ impl<S: StateMachine> SmrNode<S> {
             ingress_max_bytes: DEFAULT_INGRESS_MAX_BYTES,
             commit_ewma_us: 0.0,
             commit_floor_us: 0.0,
-            leader_stagger: 0,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             slots: BTreeMap::new(),
             decided: BTreeMap::new(),
@@ -706,20 +702,6 @@ impl<S: StateMachine> SmrNode<S> {
         assert!(max_bytes >= 1, "ingress byte budget must be at least 1");
         self.ingress_max_cmds = max_cmds;
         self.ingress_max_bytes = max_bytes;
-        self
-    }
-
-    /// Adds a constant offset to every slot's leader rotation: slot `s`
-    /// starts under the leader that slot `s + stagger` would normally get.
-    /// A sharded deployment gives group `g` stagger `g`, so at any moment
-    /// the shards' current leaders sit on *different* processes — leader
-    /// work spreads across the cluster instead of piling onto one node.
-    /// Within a group this is just a relabeling of the rotation; safety
-    /// and liveness are untouched. Default 0. All nodes of a group must
-    /// use the same stagger.
-    #[must_use]
-    pub fn with_leader_stagger(mut self, stagger: u64) -> Self {
-        self.leader_stagger = stagger;
         self
     }
 
@@ -1057,8 +1039,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// across slots so every process's commands get committed without
     /// waiting for a view change (fairness).
     fn slot_config(&self, slot: u64) -> Config {
-        self.cfg
-            .with_leader_offset(slot.wrapping_add(self.leader_stagger))
+        self.cfg.with_leader_offset(slot)
     }
 
     /// `slot`'s first leader, if this node's instance of it would start out

@@ -8,7 +8,8 @@
 //! every `Commit` of a slot the fast path decided one delay earlier. These
 //! tests pin the resulting message budget exactly, the trigger kind by
 //! kind, and that a replica cut off for several slots still heals through
-//! its own `Wish`es.
+//! its own `Wish`es — and that both metrics exporters print the counts
+//! such a run implies, no more and no less.
 //!
 //! Everything runs on the deterministic simulator: one message delay is
 //! exactly Δ, the view-1 timeout is the default 8Δ, every cluster uses
@@ -18,8 +19,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fastbft_core::message::{AckMsg, CommitMsg, Message, ProposeMsg, WishMsg};
+use fastbft_core::replica::ReplicaOptions;
 use fastbft_core::{CommitCert, ProgressCert};
 use fastbft_crypto::KeyDirectory;
+use fastbft_obs::MetricsRegistry;
 use fastbft_sim::{Network, SimDuration, SimTime, Simulation, TraceEvent};
 use fastbft_smr::{offset_logs_consistent, CountingMachine, SlotMessage, SmrNode};
 use fastbft_types::{Config, ProcessId, Value, View};
@@ -36,17 +39,19 @@ fn command(i: u64) -> Value {
 }
 
 /// Honest nodes on every seat, each holding the same `queued` commands (the
-/// broadcast client model); `depth` pins the pipeline depth.
+/// broadcast client model); `depth` pins the pipeline depth, seat `i`
+/// records into `registry.replica(i)`.
 fn cluster(
     cfg: Config,
     seed: u64,
     network: Network,
     queued: u64,
     depth: Option<u64>,
+    registry: Option<&MetricsRegistry>,
 ) -> Simulation<SlotMessage> {
     let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
     let mut sim = Simulation::new(network, seed);
-    for pair in pairs {
+    for (i, pair) in pairs.into_iter().enumerate() {
         let node = SmrNode::new(
             cfg,
             pair,
@@ -54,7 +59,11 @@ fn cluster(
             CountingMachine::new(),
             (0..queued).map(command),
             Value::from_u64(0),
-        );
+        )
+        .with_options(ReplicaOptions {
+            metrics: registry.map_or_else(Default::default, |r| r.replica(i)),
+            ..ReplicaOptions::default()
+        });
         sim.add_actor(Box::new(match depth {
             Some(depth) => node.with_pipeline_depth(depth),
             None => node,
@@ -104,8 +113,9 @@ fn run_until(
 
 /// `slots` commands through a live cluster at depth 1, run until the wire
 /// is quiet.
-fn settled(cfg: Config, slots: u64) -> Simulation<SlotMessage> {
-    let mut sim = cluster(cfg, 5, Network::synchronous(DELTA), slots, Some(1));
+fn settled(cfg: Config, slots: u64, registry: Option<&MetricsRegistry>) -> Simulation<SlotMessage> {
+    let network = Network::synchronous(DELTA);
+    let mut sim = cluster(cfg, 5, network, slots, Some(1), registry);
     sim.run_until(SimTime(1_000 * DELTA.0));
     for p in cfg.processes() {
         assert_eq!(node(&sim, p).applied(), slots, "{p} applied every slot");
@@ -125,7 +135,7 @@ fn a_live_slot_costs_exactly_its_protocol_messages() {
         (Config::new(4, 1, 1).unwrap(), 4 + 16),
     ] {
         let n = cfg.n();
-        let sim = settled(cfg, SLOTS);
+        let sim = settled(cfg, SLOTS, None);
         let stats = sim.trace().message_stats(SimTime::NEVER);
         let count = |kind: &str| stats.by_kind.get(kind).map_or(0, |(msgs, _)| *msgs) as u64;
         assert_eq!(count("propose"), SLOTS * n as u64, "n = {n}");
@@ -139,13 +149,67 @@ fn a_live_slot_costs_exactly_its_protocol_messages() {
     }
 }
 
+/// What the exporters print is what the code did. The same runs with a
+/// metrics plane attached: every replica commits every slot on the fast
+/// path and nothing else happens to it, and it runs exactly one signature
+/// check per slot for the proposal — plus, where acks carry the slow
+/// path's share (`t < f`), one per ack it handles before the slot is
+/// applied: the fast quorum's `n − t`, the stragglers being dropped ahead
+/// of the check. The Prometheus text and the JSON dump both carry those
+/// totals, per replica, and a cluster's exposition has no `shard` label or
+/// key anywhere.
+#[test]
+fn both_exporters_print_the_counts_of_a_live_run() {
+    const SLOTS: u64 = 12;
+    for (cfg, checks_per_slot) in [
+        (Config::new(7, 2, 1).unwrap(), 1 + 6),
+        (Config::new(4, 1, 1).unwrap(), 1),
+    ] {
+        let n = cfg.n();
+        let registry = MetricsRegistry::new(n);
+        settled(cfg, SLOTS, Some(&registry));
+        let expected = [
+            ("commit_fast_total", SLOTS),
+            ("commit_slow_total", 0),
+            ("view_change_total", 0),
+            ("dedup_dropped_total", 0),
+            ("backfill_slots_total", 0),
+            ("ingress_shed_total", 0),
+            ("sig_memo_miss_total", SLOTS * checks_per_slot),
+        ];
+
+        let text = registry.render_text();
+        let json = registry.render_json();
+        assert!(!text.contains("shard"), "n = {n}: {text}");
+        assert!(!json.contains("shard"), "n = {n}: {json}");
+        let blocks: Vec<&str> = json.split("{\"replica\":").skip(1).collect();
+        assert_eq!(blocks.len(), n);
+        for (i, block) in blocks.iter().enumerate() {
+            let p = i + 1;
+            assert!(block.starts_with(&format!("\"p{p}\",\"counters\":{{")));
+            for (name, value) in expected {
+                let sample = format!("fastbft_{name}{{replica=\"p{p}\"}} {value}");
+                assert!(
+                    text.lines().any(|line| line == sample),
+                    "n = {n}: no line `{sample}` in the text exposition"
+                );
+                let entry = format!("\"{name}\":{value},");
+                assert!(
+                    block.contains(&entry),
+                    "n = {n}: no {entry} in p{p}'s JSON block"
+                );
+            }
+        }
+    }
+}
+
 /// A late `Ack` and a late `Commit` for a settled slot elicit nothing; a
 /// `Wish` and a `Propose` for it — what a sender that is really stuck sends
 /// next — elicit exactly one `Backfill` each, to the sender.
 #[test]
 fn only_a_stuck_senders_frames_are_answered() {
     let cfg = Config::new(7, 2, 1).unwrap();
-    let mut sim = settled(cfg, 3);
+    let mut sim = settled(cfg, 3, None);
     let (pairs, _dir) = KeyDirectory::generate(cfg.n(), 5);
     let (p1, p2) = (ProcessId(1), ProcessId(2));
     let value = node(&sim, p1).log()[0].clone();
@@ -207,7 +271,7 @@ fn a_seat_cut_off_for_several_slots_heals_through_its_own_wishes() {
         }
     });
     // The default pipeline depth, one command per Δ to every seat.
-    let mut sim = cluster(cfg, 9, network, 0, None);
+    let mut sim = cluster(cfg, 9, network, 0, None, None);
     for i in 0..COMMANDS {
         for p in cfg.processes() {
             sim.submit_client(p, command(i), SimTime(i * DELTA.0));

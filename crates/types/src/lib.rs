@@ -33,13 +33,11 @@
 
 mod config;
 mod id;
-mod shard;
 mod value;
 pub mod wire;
 
 pub use config::{Config, ConfigError, ProtocolKind};
 pub use id::{ProcessId, View};
-pub use shard::{ShardMap, MAX_SHARDS};
 pub use value::Value;
 
 /// Result alias for wire decoding.
