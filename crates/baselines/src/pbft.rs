@@ -77,6 +77,7 @@ impl PreparedCert {
             &prepare_payload(&self.value, self.view),
             dir,
             2 * cfg.f() + 1,
+            &mut 0,
         )
     }
 }

@@ -49,7 +49,7 @@ fn bench_certificates(c: &mut Criterion) {
     for signers in [2usize, 4, 8, 17] {
         let set: SignatureSet = pairs[..signers].iter().map(|p| p.sign(msg)).collect();
         group.bench_with_input(BenchmarkId::from_parameter(signers), &set, |b, set| {
-            b.iter(|| set.verify(std::hint::black_box(msg), &dir, signers));
+            b.iter(|| set.verify(std::hint::black_box(msg), &dir, signers, &mut 0));
         });
     }
     group.finish();

@@ -4,12 +4,10 @@
 //! on a fixed 41-byte `tag ‖ H(x) ‖ v` buffer, with `H(x)` memoized on the
 //! value. These benches pin the property the refactor claims: once a
 //! value's digest is warm, signing, verifying and certificate verification
-//! cost the **same** for an 8-byte label and a 1 KiB command batch, and a
-//! memoized re-verification (the redelivered-certificate path) does no HMAC
-//! work at all.
+//! cost the **same** for an 8-byte label and a 1 KiB command batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fastbft_core::certs::{CertCache, CommitCert};
+use fastbft_core::certs::CommitCert;
 use fastbft_core::payload::{ack_payload, propose_payload};
 use fastbft_crypto::KeyDirectory;
 use fastbft_types::{Config, Value, View};
@@ -57,8 +55,7 @@ fn bench_cert_verify(c: &mut Criterion) {
     for size in PAYLOADS {
         let x = warm_value(size);
         let stmt = ack_payload(&x, View(1));
-        // Never verified: clones of it carry no verification memo.
-        let pristine = CommitCert {
+        let cert = CommitCert {
             value: x.clone(),
             view: View(1),
             sigs: pairs[..cfg.slow_quorum()]
@@ -66,26 +63,8 @@ fn bench_cert_verify(c: &mut Criterion) {
                 .map(|p| p.sign(&stmt))
                 .collect(),
         };
-        // Cold: every signature walks the HMAC engine (the clone per
-        // iteration is what keeps the memo cold; its cost is shared by both
-        // payload sizes, so the payload-independence comparison stands).
-        group.bench_function(BenchmarkId::new("cold", size), |b| {
-            b.iter(|| std::hint::black_box(pristine.clone()).verify(&cfg, &dir));
-        });
-        // Memoized: the certificate was verified once already.
-        let warmed = pristine.clone();
-        assert!(warmed.verify(&cfg, &dir));
-        group.bench_function(BenchmarkId::new("memoized", size), |b| {
-            b.iter(|| std::hint::black_box(&warmed).verify(&cfg, &dir));
-        });
-        // Redelivered: a freshly decoded copy (no memo) through the
-        // replica-level certificate cache.
-        let mut cache = CertCache::new();
-        assert!(pristine.clone().verify_cached(&cfg, &dir, &mut cache));
-        let redelivered: CommitCert =
-            fastbft_types::wire::from_bytes(&fastbft_types::wire::to_bytes(&pristine)).unwrap();
-        group.bench_function(BenchmarkId::new("redelivered_cached", size), |b| {
-            b.iter(|| std::hint::black_box(&redelivered).verify_cached(&cfg, &dir, &mut cache));
+        group.bench_function(BenchmarkId::from_parameter(size), |b| {
+            b.iter(|| std::hint::black_box(&cert).verify(&cfg, &dir, None));
         });
     }
     group.finish();

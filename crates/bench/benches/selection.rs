@@ -78,7 +78,7 @@ fn bench_vote_validation(c: &mut Criterion) {
     let votes = votes_single_value(&cfg, &pairs);
     let sv = votes.values().next().unwrap().clone();
     c.bench_function("signed_vote_is_valid", |b| {
-        b.iter(|| std::hint::black_box(&sv).is_valid(&cfg, &dir, View(2)));
+        b.iter(|| std::hint::black_box(&sv).is_valid(&cfg, &dir, View(2), None));
     });
 }
 

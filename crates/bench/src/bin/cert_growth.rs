@@ -55,14 +55,17 @@ fn main() {
             })
             .collect();
         let naive = ProgressCert::Naive(votes);
-        assert!(naive.verify(&cfg, &dir, &x, view), "naive cert must verify");
+        assert!(
+            naive.verify(&cfg, &dir, &x, view, None),
+            "naive cert must verify"
+        );
 
         let bounded_sigs: SignatureSet = pairs[..cfg.cert_quorum()]
             .iter()
             .map(|p| p.sign(&certack_payload(&x, view)))
             .collect();
         let bounded = ProgressCert::Bounded(bounded_sigs);
-        assert!(bounded.verify(&cfg, &dir, &x, view));
+        assert!(bounded.verify(&cfg, &dir, &x, view, None));
 
         println!(
             "{}",

@@ -13,13 +13,9 @@
 //!   `⌈(n+f+1)/2⌉` signature shares over `(ack, x, v)`.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 
-use fastbft_crypto::{
-    sha256::Sha256, value_digest, Digest, KeyDirectory, KeyPair, SigVerifyStats, Signature,
-    SignatureSet,
-};
-use fastbft_obs::MetricsHandle;
+use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
+use fastbft_obs::Metrics;
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -27,10 +23,10 @@ use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload
 use crate::selection::{select, Outcome, SelectionError};
 
 thread_local! {
-    /// Reused encode scratch for vote statements and certificate
-    /// fingerprints: signing or validating a vote previously built a
-    /// throwaway `to_wire_bytes()` `Vec` per call — the hot paths here are
-    /// per-vote at every view change, so the allocation was pure overhead.
+    /// Reused encode scratch for vote statements: signing or validating a
+    /// vote previously built a throwaway `to_wire_bytes()` `Vec` per call —
+    /// the hot paths here are per-vote at every view change, so the
+    /// allocation was pure overhead.
     static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -45,14 +41,37 @@ fn vote_statement(vote: &Vote, dest_view: View) -> Statement {
     })
 }
 
-/// SHA-256 of a value's canonical encoding, via the reused scratch buffer.
-fn encoded_digest(value: &impl Encode) -> Digest {
-    ENCODE_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.clear();
-        value.encode(&mut buf);
-        Sha256::digest_of(&buf)
-    })
+/// One signature checked through the directory and, when the receiver
+/// keeps counters, counted: `sig_memo_miss_total` is every signature check
+/// that ran, inside a certificate or outside one.
+pub(crate) fn verify_counted(
+    dir: &KeyDirectory,
+    metrics: Option<&Metrics>,
+    statement: &[u8],
+    sig: &Signature,
+) -> bool {
+    if let Some(m) = metrics {
+        m.sig_memo_miss_total.inc();
+    }
+    dir.verify(statement, sig)
+}
+
+/// One signature certificate checked: the walk over `sigs`, with the
+/// certificate and every signature check the walk ran counted.
+fn verify_quorum(
+    sigs: &SignatureSet,
+    statement: &[u8],
+    dir: &KeyDirectory,
+    threshold: usize,
+    metrics: Option<&Metrics>,
+) -> bool {
+    let mut checks = 0;
+    let ok = sigs.verify(statement, dir, threshold, &mut checks);
+    if let Some(m) = metrics {
+        m.cert_cache_miss_total.inc();
+        m.sig_memo_miss_total.add(checks);
+    }
+    ok
 }
 
 /// Which progress-certificate construction the protocol uses.
@@ -83,20 +102,36 @@ pub enum ProgressCert {
 }
 
 impl ProgressCert {
-    /// Verifies that this certificate proves `x` safe in `v`.
-    pub fn verify(&self, cfg: &Config, dir: &KeyDirectory, x: &Value, v: View) -> bool {
+    /// Verifies that this certificate proves `x` safe in `v`. Every
+    /// signature is checked, every time; `metrics`, when the receiver keeps
+    /// counters, counts the certificate and the checks that ran.
+    pub fn verify(
+        &self,
+        cfg: &Config,
+        dir: &KeyDirectory,
+        x: &Value,
+        v: View,
+        metrics: Option<&Metrics>,
+    ) -> bool {
         match self {
             ProgressCert::Genesis => v.is_first(),
-            ProgressCert::Bounded(sigs) => {
-                sigs.verify(&certack_payload(x, v), dir, cfg.cert_quorum())
-            }
+            ProgressCert::Bounded(sigs) => verify_quorum(
+                sigs,
+                &certack_payload(x, v),
+                dir,
+                cfg.cert_quorum(),
+                metrics,
+            ),
             ProgressCert::Naive(votes) => {
+                if let Some(m) = metrics {
+                    m.cert_cache_miss_total.inc();
+                }
                 // Re-run the selection algorithm on the presented votes, as a
                 // CertRequest verifier would (the naive scheme makes *every*
                 // propose recipient such a verifier).
                 let mut map = std::collections::BTreeMap::new();
                 for sv in votes {
-                    if !sv.is_valid(cfg, dir, v) {
+                    if !sv.is_valid(cfg, dir, v, metrics) {
                         return false;
                     }
                     if map.insert(sv.voter, sv.clone()).is_some() {
@@ -117,172 +152,6 @@ impl ProgressCert {
     /// Encoded size in bytes (the E7 metric).
     pub fn wire_size(&self) -> usize {
         self.to_wire_bytes().len()
-    }
-
-    /// [`ProgressCert::verify`] through a [`CertCache`]: a certificate that
-    /// already verified for `(x, v)` (e.g. re-delivered with a re-proposal,
-    /// or embedded in several votes) is recognized by fingerprint and does
-    /// no signature work.
-    pub fn verify_cached(
-        &self,
-        cfg: &Config,
-        dir: &KeyDirectory,
-        x: &Value,
-        v: View,
-        cache: &mut CertCache,
-    ) -> bool {
-        match self {
-            // The trivial certificate has nothing worth caching.
-            ProgressCert::Genesis => v.is_first(),
-            ProgressCert::Bounded(sigs) => {
-                let key = (
-                    CertKind::BoundedProgress,
-                    v,
-                    *value_digest(x),
-                    encoded_digest(sigs),
-                );
-                cache.check(key, |metrics| {
-                    let stats =
-                        sigs.verify_with_stats(&certack_payload(x, v), dir, cfg.cert_quorum());
-                    note_sig_stats(metrics, stats);
-                    stats.ok
-                })
-            }
-            ProgressCert::Naive(votes) => {
-                let key = (
-                    CertKind::NaiveProgress,
-                    v,
-                    *value_digest(x),
-                    encoded_digest(votes),
-                );
-                // The naive scheme's per-vote signatures are not memoized
-                // (E7 ablation path) — no signature-memo stats to record.
-                cache.check(key, |_| self.verify(cfg, dir, x, v))
-            }
-        }
-    }
-}
-
-/// Certificate kind discriminant for [`CertCache`] fingerprints.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum CertKind {
-    BoundedProgress,
-    NaiveProgress,
-    Commit,
-}
-
-/// Fingerprint of a successfully verified certificate: kind, view, value
-/// digest, and the digest of the certificate evidence's canonical encoding.
-///
-/// Hashing the evidence bytes (not just the signer set) is what makes the
-/// cache sound: a Byzantine peer re-sending a cert with the right signers
-/// but tampered signature tags produces a different fingerprint and is
-/// re-verified (and rejected) instead of riding an earlier cert's success.
-type CertFingerprint = (CertKind, View, Digest, Digest);
-
-/// Memo of certificates that have already verified **successfully**.
-///
-/// Commit certificates are broadcast by every process and re-delivered with
-/// every re-proposal and piggybacked vote, so the same `(view, value,
-/// evidence)` certificate reaches a replica many times; this cache turns
-/// each re-verification into one fingerprint hash (a few SHA-256 blocks
-/// over the signature tags) instead of a full multi-signer HMAC walk.
-/// Failures are never cached — garbage stays cheap to reject and cannot
-/// poison the memo — so every entry corresponds to a certificate that
-/// genuinely carried a quorum of valid signatures, which bounds the cache
-/// by real protocol traffic (a capacity backstop guards the pathological
-/// case anyway).
-#[derive(Debug)]
-pub struct CertCache {
-    seen: HashSet<CertFingerprint>,
-    /// Bound on memoized entries; on overflow the memo resets.
-    capacity: usize,
-    /// Observability handle: cache hits/misses and the signature-memo
-    /// work of cache-missing verifications are recorded here (disabled by
-    /// default — [`CertCache::with_metrics`] enables it).
-    metrics: MetricsHandle,
-}
-
-/// Default backstop bound on [`CertCache`] entries; on overflow the memo
-/// resets (correctness is unaffected — certificates are simply
-/// re-verified). Deployments tune this through
-/// `ReplicaOptions::cert_cache_capacity`.
-pub const DEFAULT_CERT_CACHE_CAPACITY: usize = 4096;
-
-impl Default for CertCache {
-    fn default() -> Self {
-        CertCache::new()
-    }
-}
-
-impl CertCache {
-    /// Creates an empty cache with the default capacity.
-    pub fn new() -> Self {
-        CertCache::with_capacity(DEFAULT_CERT_CACHE_CAPACITY, MetricsHandle::none())
-    }
-
-    /// An empty cache with the default capacity that records hits, misses
-    /// and signature-memo stats into `metrics`.
-    pub fn with_metrics(metrics: MetricsHandle) -> Self {
-        CertCache::with_capacity(DEFAULT_CERT_CACHE_CAPACITY, metrics)
-    }
-
-    /// An empty cache bounded at `capacity` memoized certificates. A
-    /// capacity of 0 disables memoization entirely (every certificate is
-    /// re-verified); hit/miss metrics still flow.
-    pub fn with_capacity(capacity: usize, metrics: MetricsHandle) -> Self {
-        CertCache {
-            seen: HashSet::new(),
-            capacity,
-            metrics,
-        }
-    }
-
-    /// The configured entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of memoized certificates (for tests and monitoring).
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    /// Returns `true` if `key` is memoized; otherwise runs `verify` and
-    /// memoizes a success. The closure receives the cache's metrics
-    /// handle so verifications can attribute their signature-memo work.
-    fn check(&mut self, key: CertFingerprint, verify: impl FnOnce(&MetricsHandle) -> bool) -> bool {
-        if self.seen.contains(&key) {
-            if let Some(m) = self.metrics.get() {
-                m.cert_cache_hit_total.inc();
-            }
-            return true;
-        }
-        if let Some(m) = self.metrics.get() {
-            m.cert_cache_miss_total.inc();
-        }
-        let ok = verify(&self.metrics);
-        if ok && self.capacity > 0 {
-            if self.seen.len() >= self.capacity {
-                self.seen.clear();
-            }
-            self.seen.insert(key);
-        }
-        ok
-    }
-}
-
-/// Records one certificate verification's signature-memo split, if the
-/// handle is live.
-fn note_sig_stats(metrics: &MetricsHandle, stats: SigVerifyStats) {
-    if let Some(m) = metrics.get() {
-        m.sig_memo_hit_total.add(stats.memo_hits);
-        m.sig_memo_miss_total.add(stats.fresh_checks);
     }
 }
 
@@ -329,32 +198,16 @@ pub struct CommitCert {
 }
 
 impl CommitCert {
-    /// Verifies the certificate against the slow-path quorum.
-    pub fn verify(&self, cfg: &Config, dir: &KeyDirectory) -> bool {
-        self.sigs
-            .verify(&ack_payload(&self.value, self.view), dir, cfg.slow_quorum())
-    }
-
-    /// [`CommitCert::verify`] through a [`CertCache`]: the same certificate
-    /// re-delivered (every process broadcasts its `Commit`, and votes
-    /// piggyback the latest one) is recognized by fingerprint instead of
-    /// re-walking its signature quorum.
-    pub fn verify_cached(&self, cfg: &Config, dir: &KeyDirectory, cache: &mut CertCache) -> bool {
-        let key = (
-            CertKind::Commit,
-            self.view,
-            *value_digest(&self.value),
-            encoded_digest(&self.sigs),
-        );
-        cache.check(key, |metrics| {
-            let stats = self.sigs.verify_with_stats(
-                &ack_payload(&self.value, self.view),
-                dir,
-                cfg.slow_quorum(),
-            );
-            note_sig_stats(metrics, stats);
-            stats.ok
-        })
+    /// Verifies the certificate against the slow-path quorum; `metrics`
+    /// as for [`ProgressCert::verify`].
+    pub fn verify(&self, cfg: &Config, dir: &KeyDirectory, metrics: Option<&Metrics>) -> bool {
+        verify_quorum(
+            &self.sigs,
+            &ack_payload(&self.value, self.view),
+            dir,
+            cfg.slow_quorum(),
+            metrics,
+        )
     }
 
     /// Encoded size in bytes.
@@ -425,37 +278,19 @@ impl SignedVote {
     /// embedded view precedes `dest_view`, `τ` is a valid signature by
     /// `leader(u)` over `(propose, x, u)`, the progress certificate proves
     /// `x` safe in `u`, and any piggybacked commit certificate is valid and
-    /// no newer than `u`.
-    pub fn is_valid(&self, cfg: &Config, dir: &KeyDirectory, dest_view: View) -> bool {
-        self.validate(cfg, dir, dest_view, None)
-    }
-
-    /// [`SignedVote::is_valid`] with the embedded certificates checked
-    /// through a [`CertCache`] — the same commit certificate is typically
-    /// piggybacked by many voters, and a leader validates each vote both on
-    /// arrival and (as a CertRequest verifier would) in snapshots.
-    pub fn is_valid_cached(
+    /// no newer than `u`. `metrics` as for [`ProgressCert::verify`].
+    pub fn is_valid(
         &self,
         cfg: &Config,
         dir: &KeyDirectory,
         dest_view: View,
-        cache: &mut CertCache,
-    ) -> bool {
-        self.validate(cfg, dir, dest_view, Some(cache))
-    }
-
-    fn validate(
-        &self,
-        cfg: &Config,
-        dir: &KeyDirectory,
-        dest_view: View,
-        mut cache: Option<&mut CertCache>,
+        metrics: Option<&Metrics>,
     ) -> bool {
         if self.sig.signer != self.voter {
             return false;
         }
         let payload = vote_statement(&self.vote, dest_view);
-        if !dir.verify(&payload, &self.sig) {
+        if !verify_counted(dir, metrics, &payload, &self.sig) {
             return false;
         }
         let Some(vd) = &self.vote else {
@@ -467,27 +302,18 @@ impl SignedVote {
         if vd.leader_sig.signer != cfg.leader(vd.view) {
             return false;
         }
-        if !dir.verify(&propose_payload(&vd.value, vd.view), &vd.leader_sig) {
+        let tau = propose_payload(&vd.value, vd.view);
+        if !verify_counted(dir, metrics, &tau, &vd.leader_sig) {
             return false;
         }
-        let pc_ok = match cache.as_deref_mut() {
-            Some(c) => vd
-                .progress_cert
-                .verify_cached(cfg, dir, &vd.value, vd.view, c),
-            None => vd.progress_cert.verify(cfg, dir, &vd.value, vd.view),
-        };
-        if !pc_ok {
+        if !vd
+            .progress_cert
+            .verify(cfg, dir, &vd.value, vd.view, metrics)
+        {
             return false;
         }
         if let Some(cc) = &vd.commit_cert {
-            if cc.view > vd.view {
-                return false;
-            }
-            let cc_ok = match cache {
-                Some(c) => cc.verify_cached(cfg, dir, c),
-                None => cc.verify(cfg, dir),
-            };
-            if !cc_ok {
+            if cc.view > vd.view || !cc.verify(cfg, dir, metrics) {
                 return false;
             }
         }
@@ -516,8 +342,8 @@ mod tests {
     fn genesis_cert_only_valid_in_view_one() {
         let (cfg, _pairs, dir) = setup();
         let x = Value::from_u64(1);
-        assert!(ProgressCert::Genesis.verify(&cfg, &dir, &x, View(1)));
-        assert!(!ProgressCert::Genesis.verify(&cfg, &dir, &x, View(2)));
+        assert!(ProgressCert::Genesis.verify(&cfg, &dir, &x, View(1), None));
+        assert!(!ProgressCert::Genesis.verify(&cfg, &dir, &x, View(2), None));
     }
 
     #[test]
@@ -527,15 +353,21 @@ mod tests {
         let v = View(3);
         let payload = certack_payload(&x, v);
         let one: SignatureSet = [pairs[0].sign(&payload)].into_iter().collect();
-        assert!(!ProgressCert::Bounded(one).verify(&cfg, &dir, &x, v));
+        assert!(!ProgressCert::Bounded(one).verify(&cfg, &dir, &x, v, None));
         let two: SignatureSet = pairs[..2].iter().map(|p| p.sign(&payload)).collect();
-        assert!(ProgressCert::Bounded(two).verify(&cfg, &dir, &x, v));
+        assert!(ProgressCert::Bounded(two.clone()).verify(&cfg, &dir, &x, v, None));
+        // …nor does the same evidence certify x in another view: the walk
+        // stops at, and counts, its first signature.
+        let m = Metrics::new();
+        assert!(!ProgressCert::Bounded(two).verify(&cfg, &dir, &x, View(4), Some(&m)));
+        assert_eq!(m.sig_memo_miss_total.get(), 1);
+        assert_eq!(m.cert_cache_miss_total.get(), 1);
         // Signatures over the wrong value do not certify x.
         let wrong: SignatureSet = pairs[..2]
             .iter()
             .map(|p| p.sign(&certack_payload(&Value::from_u64(2), v)))
             .collect();
-        assert!(!ProgressCert::Bounded(wrong).verify(&cfg, &dir, &x, v));
+        assert!(!ProgressCert::Bounded(wrong).verify(&cfg, &dir, &x, v, None));
     }
 
     #[test]
@@ -550,22 +382,22 @@ mod tests {
             view: v,
             sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
         };
-        assert!(cc.verify(&cfg, &dir));
+        assert!(cc.verify(&cfg, &dir, None));
         let small = CommitCert {
             value: x.clone(),
             view: v,
             sigs: pairs[..2].iter().map(|p| p.sign(&payload)).collect(),
         };
-        assert!(!small.verify(&cfg, &dir));
+        assert!(!small.verify(&cfg, &dir, None));
     }
 
     #[test]
     fn nil_votes_validate_and_roundtrip() {
         let (cfg, pairs, dir) = setup();
         let sv = SignedVote::sign(&pairs[2], None, View(4));
-        assert!(sv.is_valid(&cfg, &dir, View(4)));
+        assert!(sv.is_valid(&cfg, &dir, View(4), None));
         // …but not for a different destination view (replay defence).
-        assert!(!sv.is_valid(&cfg, &dir, View(5)));
+        assert!(!sv.is_valid(&cfg, &dir, View(5), None));
         roundtrip(&sv);
     }
 
@@ -581,7 +413,7 @@ mod tests {
             commit_cert: None,
         };
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
-        assert!(sv.is_valid(&cfg, &dir, View(2)));
+        assert!(sv.is_valid(&cfg, &dir, View(2), None));
         roundtrip(&sv);
     }
 
@@ -598,7 +430,7 @@ mod tests {
             commit_cert: None,
         };
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
-        assert!(!sv.is_valid(&cfg, &dir, View(2)));
+        assert!(!sv.is_valid(&cfg, &dir, View(2), None));
     }
 
     #[test]
@@ -614,7 +446,7 @@ mod tests {
         };
         // view 3 not < dest view 3
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(3));
-        assert!(!sv.is_valid(&cfg, &dir, View(3)));
+        assert!(!sv.is_valid(&cfg, &dir, View(3), None));
     }
 
     #[test]
@@ -641,10 +473,18 @@ mod tests {
             }
         };
         let good = SignedVote::sign(&pairs[0], Some(make(View(1))), View(2));
-        assert!(good.is_valid(&cfg, &dir, View(2)));
+        assert!(good.is_valid(&cfg, &dir, View(2), None));
+        // What a receiver's counters see, again on every call: φ_vote, τ
+        // and the nested certificate's three shares.
+        let m = Metrics::new();
+        for round in 1..=2 {
+            assert!(good.is_valid(&cfg, &dir, View(2), Some(&m)));
+            assert_eq!(m.sig_memo_miss_total.get(), round * 5);
+            assert_eq!(m.cert_cache_miss_total.get(), round);
+        }
         // cc.view > vote.view is malformed.
         let bad = SignedVote::sign(&pairs[0], Some(make(View(2))), View(3));
-        assert!(!bad.is_valid(&cfg, &dir, View(3)));
+        assert!(!bad.is_valid(&cfg, &dir, View(3), None));
     }
 
     #[test]
@@ -663,17 +503,19 @@ mod tests {
         if let Some(vd) = &mut sv.vote {
             vd.value = Value::from_u64(10);
         }
-        assert!(!sv.is_valid(&cfg, &dir, View(2)));
+        assert!(!sv.is_valid(&cfg, &dir, View(2), None));
         // Claiming someone else's voter id also fails.
         let sv2 = SignedVote {
             voter: ProcessId(3),
             ..SignedVote::sign(&pairs[0], None, View(2))
         };
-        assert!(!sv2.is_valid(&cfg, &dir, View(2)));
+        assert!(!sv2.is_valid(&cfg, &dir, View(2), None));
     }
 
+    /// Same (view, value, signer set) as a certificate that verified, but
+    /// one forged tag: rejected, on the instance and on a decoded copy.
     #[test]
-    fn cert_cache_makes_redelivered_certs_free() {
+    fn tampered_commit_cert_evidence_is_rejected() {
         let (cfg, pairs, dir) = setup();
         let x = Value::from_u64(5);
         let payload = ack_payload(&x, View(1));
@@ -682,32 +524,7 @@ mod tests {
             view: View(1),
             sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
         };
-        let mut cache = CertCache::new();
-        assert!(cc.verify_cached(&cfg, &dir, &mut cache));
-        assert_eq!(cache.len(), 1);
-        // A re-delivered copy arrives freshly decoded (no SignatureSet
-        // memo): the replica-level cache must still skip every HMAC.
-        let redelivered: CommitCert = fastbft_types::wire::from_bytes(&cc.to_wire_bytes()).unwrap();
-        let before = dir.verifications_performed();
-        assert!(redelivered.verify_cached(&cfg, &dir, &mut cache));
-        assert_eq!(dir.verifications_performed(), before);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn cert_cache_reverifies_tampered_evidence() {
-        let (cfg, pairs, dir) = setup();
-        let x = Value::from_u64(5);
-        let payload = ack_payload(&x, View(1));
-        let cc = CommitCert {
-            value: x.clone(),
-            view: View(1),
-            sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
-        };
-        let mut cache = CertCache::new();
-        assert!(cc.verify_cached(&cfg, &dir, &mut cache));
-        // Same (view, value, signer set) but one forged tag: the evidence
-        // fingerprint differs, so the cache must NOT vouch for it.
+        assert!(cc.verify(&cfg, &dir, None));
         let mut forged = cc.clone();
         forged.sigs = cc
             .sigs
@@ -721,89 +538,10 @@ mod tests {
                 }
             })
             .collect();
+        assert!(!forged.verify(&cfg, &dir, None));
         let fresh: CommitCert = fastbft_types::wire::from_bytes(&forged.to_wire_bytes()).unwrap();
-        assert!(!fresh.verify_cached(&cfg, &dir, &mut cache));
-        // Failures are not memoized.
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn cert_cache_capacity_bounds_and_evicts() {
-        let (cfg, pairs, dir) = setup();
-        let mut cache = CertCache::with_capacity(4, MetricsHandle::none());
-        assert_eq!(cache.capacity(), 4);
-        let cert_for = |view: u64| {
-            let x = Value::from_u64(view);
-            let payload = ack_payload(&x, View(view));
-            CommitCert {
-                value: x,
-                view: View(view),
-                sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
-            }
-        };
-        // Fill to capacity: all four distinct certs are memoized.
-        for view in 1..=4 {
-            assert!(cert_for(view).verify_cached(&cfg, &dir, &mut cache));
-        }
-        assert_eq!(cache.len(), 4);
-        // A fifth distinct cert overflows: the memo resets wholesale and
-        // only the newcomer remains …
-        assert!(cert_for(5).verify_cached(&cfg, &dir, &mut cache));
-        assert_eq!(cache.len(), 1);
-        // … so an evicted cert re-verifies (paying its HMACs again) and is
-        // re-admitted. Correctness is unaffected either way.
-        let evicted: CommitCert =
-            fastbft_types::wire::from_bytes(&cert_for(1).to_wire_bytes()).unwrap();
-        let before = dir.verifications_performed();
-        assert!(evicted.verify_cached(&cfg, &dir, &mut cache));
-        #[cfg(debug_assertions)]
-        assert!(dir.verifications_performed() > before);
-        #[cfg(not(debug_assertions))]
-        let _ = before;
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn cert_cache_capacity_zero_disables_memoization() {
-        let (cfg, pairs, dir) = setup();
-        let x = Value::from_u64(5);
-        let payload = ack_payload(&x, View(1));
-        let cc = CommitCert {
-            value: x.clone(),
-            view: View(1),
-            sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
-        };
-        let mut cache = CertCache::with_capacity(0, MetricsHandle::none());
-        assert!(cc.verify_cached(&cfg, &dir, &mut cache));
-        assert!(cache.is_empty());
-        // Nothing was memoized, but verification still succeeds.
-        let fresh: CommitCert = fastbft_types::wire::from_bytes(&cc.to_wire_bytes()).unwrap();
-        assert!(fresh.verify_cached(&cfg, &dir, &mut cache));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn progress_cert_cache_hits_and_misses() {
-        let (cfg, pairs, dir) = setup();
-        let x = Value::from_u64(1);
-        let v = View(3);
-        let set: SignatureSet = pairs[..2]
-            .iter()
-            .map(|p| p.sign(&certack_payload(&x, v)))
-            .collect();
-        let cert = ProgressCert::Bounded(set);
-        let mut cache = CertCache::new();
-        assert!(cert.verify_cached(&cfg, &dir, &x, v, &mut cache));
-        let fresh: ProgressCert = fastbft_types::wire::from_bytes(&cert.to_wire_bytes()).unwrap();
-        let before = dir.verifications_performed();
-        assert!(fresh.verify_cached(&cfg, &dir, &x, v, &mut cache));
-        assert_eq!(dir.verifications_performed(), before);
-        // The same evidence must not certify a different value or view.
-        assert!(!fresh.verify_cached(&cfg, &dir, &Value::from_u64(2), v, &mut cache));
-        assert!(!fresh.verify_cached(&cfg, &dir, &x, View(4), &mut cache));
-        // Genesis stays view-1-only through the cache.
-        assert!(ProgressCert::Genesis.verify_cached(&cfg, &dir, &x, View(1), &mut cache));
-        assert!(!ProgressCert::Genesis.verify_cached(&cfg, &dir, &x, View(2), &mut cache));
+        assert!(!fresh.verify(&cfg, &dir, None));
+        assert!(cc.verify(&cfg, &dir, None), "the original still verifies");
     }
 
     #[test]

@@ -27,7 +27,9 @@ use fastbft_obs::MetricsHandle;
 use fastbft_sim::{Actor, Effects, SimDuration, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
-use crate::certs::{CertCache, CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData};
+use crate::certs::{
+    verify_counted, CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData,
+};
 use crate::message::{
     AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, VoteMsg, WishMsg,
 };
@@ -47,14 +49,10 @@ pub struct ReplicaOptions {
     pub base_timeout: SimDuration,
     /// Observability handle. Disabled by default; wire one up from a
     /// [`fastbft_obs::MetricsRegistry`] to record commit paths, view
-    /// changes and certificate-cache traffic. Carried by `ReplicaOptions`
+    /// changes and signature-check counts. Carried by `ReplicaOptions`
     /// so it threads unchanged through every construction path (the SMR
     /// multiplexer clones the options into each per-slot replica).
     pub metrics: MetricsHandle,
-    /// Entry bound for the certificate-verification cache
-    /// ([`CertCache`]); on overflow the cache resets and certificates are
-    /// simply re-verified. 0 disables memoization.
-    pub cert_cache_capacity: usize,
 }
 
 impl Default for ReplicaOptions {
@@ -64,7 +62,6 @@ impl Default for ReplicaOptions {
             slow_path: None,
             base_timeout: SimDuration(SimDuration::DELTA.0 * 8),
             metrics: MetricsHandle::none(),
-            cert_cache_capacity: crate::certs::DEFAULT_CERT_CACHE_CAPACITY,
         }
     }
 }
@@ -176,10 +173,6 @@ pub struct Replica {
     interned: BTreeSet<Value>,
     /// Total bytes held by `interned` (see [`INTERN_BYTES_CAP`]).
     interned_bytes: usize,
-    /// Memo of certificates already verified (commit certs are broadcast
-    /// by everyone and piggybacked on votes; progress certs ride every
-    /// re-proposal).
-    cert_cache: CertCache,
     /// Observability handle (see [`ReplicaOptions::metrics`]).
     metrics: MetricsHandle,
     /// Which path produced the first decision, for path attribution.
@@ -241,7 +234,6 @@ impl Replica {
             leader_signal: None,
             interned: BTreeSet::new(),
             interned_bytes: 0,
-            cert_cache: CertCache::with_capacity(opts.cert_cache_capacity, opts.metrics.clone()),
             metrics: opts.metrics,
             decided_path: None,
         }
@@ -465,9 +457,10 @@ impl Replica {
         if p.view < View::FIRST {
             return;
         }
+        let metrics = self.metrics.get();
         if !verify_counted(
             &self.dir,
-            &self.metrics,
+            metrics,
             &propose_payload(&p.value, p.view),
             &p.sig,
         ) {
@@ -475,7 +468,7 @@ impl Replica {
         }
         if !p
             .cert
-            .verify_cached(&self.cfg, &self.dir, &p.value, p.view, &mut self.cert_cache)
+            .verify(&self.cfg, &self.dir, &p.value, p.view, metrics)
         {
             return;
         }
@@ -515,14 +508,12 @@ impl Replica {
             return;
         }
         let payload = ack_payload(&value, view);
-        if sig.signer != from || !verify_counted(&self.dir, &self.metrics, &payload, &sig) {
+        if sig.signer != from || !verify_counted(&self.dir, self.metrics.get(), &payload, &sig) {
             return;
         }
         let key = (view, value);
         let shares = self.share_tally.entry(key.clone()).or_default();
-        // The share just verified over `payload`: record that, so verifying
-        // the assembled commit certificate re-does none of the HMAC work.
-        shares.insert_verified(sig, &payload);
+        shares.insert(sig);
         if shares.len() >= self.cfg.slow_quorum() && !self.commit_sent.contains(&key) {
             self.commit_sent.insert(key.clone());
             let cert = CommitCert {
@@ -549,10 +540,7 @@ impl Replica {
         if !self.slow_path {
             return;
         }
-        if !c
-            .cert
-            .verify_cached(&self.cfg, &self.dir, &mut self.cert_cache)
-        {
+        if !c.cert.verify(&self.cfg, &self.dir, self.metrics.get()) {
             return;
         }
         self.store_cc(c.cert.clone());
@@ -576,7 +564,7 @@ impl Replica {
         }
         if !v
             .vote
-            .is_valid_cached(&self.cfg, &self.dir, v.view, &mut self.cert_cache)
+            .is_valid(&self.cfg, &self.dir, v.view, self.metrics.get())
         {
             return;
         }
@@ -616,8 +604,7 @@ impl Replica {
                 ls.snapshot = snapshot.clone();
                 ls.requested = true;
                 let payload = certack_payload(&value, view);
-                ls.certacks
-                    .insert_verified(self.keys.sign(&payload), &payload);
+                ls.certacks.insert(self.keys.sign(&payload));
                 let targets: Vec<ProcessId> = self
                     .cfg
                     .processes()
@@ -685,7 +672,7 @@ impl Replica {
         }
         let mut map = BTreeMap::new();
         for sv in &req.votes {
-            if !sv.is_valid_cached(&self.cfg, &self.dir, req.view, &mut self.cert_cache) {
+            if !sv.is_valid(&self.cfg, &self.dir, req.view, self.metrics.get()) {
                 return;
             }
             if map.insert(sv.voter, sv.clone()).is_some() {
@@ -721,16 +708,14 @@ impl Replica {
         if ack.sig.signer != from
             || !verify_counted(
                 &self.dir,
-                &self.metrics,
+                self.metrics.get(),
                 &certack_payload(&ack.value, ack.view),
                 &ack.sig,
             )
         {
             return;
         }
-        // Verified just above: pre-memoize it in the assembling certificate.
-        ls.certacks
-            .insert_verified(ack.sig, &certack_payload(&ack.value, ack.view));
+        ls.certacks.insert(ack.sig);
         self.try_propose_certified(fx);
     }
 
@@ -780,23 +765,6 @@ impl Replica {
         fx.broadcast_others(Message::Wish(WishMsg { view }));
         self.sync_check(fx);
     }
-}
-
-/// One signature checked on arrival, outside any certificate: always a
-/// fresh HMAC, counted next to the certificate path's fresh checks
-/// (`certs::note_sig_stats`) so `sig_memo_miss_total` is every signature
-/// check that ran. A free function: `on_cert_ack` calls it while it holds
-/// the leader state mutably.
-fn verify_counted(
-    dir: &KeyDirectory,
-    metrics: &MetricsHandle,
-    statement: &[u8],
-    sig: &Signature,
-) -> bool {
-    if let Some(m) = metrics.get() {
-        m.sig_memo_miss_total.inc();
-    }
-    dir.verify(statement, sig)
 }
 
 impl Actor<Message> for Replica {

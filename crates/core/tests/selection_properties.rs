@@ -163,7 +163,7 @@ fn leader_and_verifier_agree_on_real_votes() {
 
     // Leader side.
     for sv in votes.values() {
-        assert!(sv.is_valid(&cfg, &dir, View(2)));
+        assert!(sv.is_valid(&cfg, &dir, View(2), None));
     }
     let leader_result = select(&cfg, View(2), &votes).unwrap();
     assert_eq!(leader_result.outcome, Outcome::Constrained(x.clone()));
@@ -175,6 +175,6 @@ fn leader_and_verifier_agree_on_real_votes() {
     // And the naive certificate built from this very set verifies for x
     // (and only x among voted values).
     let cert = ProgressCert::Naive(votes.values().cloned().collect());
-    assert!(cert.verify(&cfg, &dir, &x, View(2)));
-    assert!(!cert.verify(&cfg, &dir, &Value::from_u64(99), View(2)));
+    assert!(cert.verify(&cfg, &dir, &x, View(2), None));
+    assert!(!cert.verify(&cfg, &dir, &Value::from_u64(99), View(2), None));
 }

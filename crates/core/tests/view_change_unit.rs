@@ -148,7 +148,7 @@ fn leader_certification_roundtrip() {
         assert_eq!(p.value, x);
         assert_eq!(p.view, View(2));
         assert!(
-            p.cert.verify(&cfg, &dir, &x, View(2)),
+            p.cert.verify(&cfg, &dir, &x, View(2), None),
             "certificate must verify"
         );
         assert!(matches!(p.cert, ProgressCert::Bounded(_)));

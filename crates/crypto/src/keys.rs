@@ -127,8 +127,8 @@ impl KeyPair {
 const MEMO_STATEMENT_MAX: usize = 64;
 
 /// Bound on the shared verification memo. On overflow the memo is cleared
-/// wholesale (the certificate-cache idiom): correctness never depends on a
-/// hit, and a reset costs at most one re-verification per live statement.
+/// wholesale: correctness never depends on a hit, and a reset costs at
+/// most one re-verification per live statement.
 const MEMO_CAP: usize = 1 << 14;
 
 /// Key of one memoized verification: the claimed signer, the *full*
@@ -208,10 +208,9 @@ impl VerifyMemo {
 pub struct KeyDirectory {
     engines: Arc<Vec<HmacEngine>>,
     /// MAC computations performed by [`KeyDirectory::verify`]; shared by
-    /// clones. The verification-memoization layers (`SignatureSet`'s
-    /// per-signer memo, `fastbft_core`'s certificate cache) are specified
-    /// as "the HMAC work happens once" — this counter is what lets tests
-    /// assert that, per directory, without a process-global.
+    /// clones. The shared memo below is specified as "the HMAC work
+    /// happens once" — this counter is what lets its tests assert that,
+    /// per directory, without a process-global.
     verifications: Arc<AtomicU64>,
     /// Cross-clone memo of *successful* verifications, disabled by default
     /// (`OnceLock` stays empty). A `OnceLock` rather than an
@@ -251,8 +250,8 @@ impl KeyDirectory {
 
     /// Number of MAC computations [`verify`](KeyDirectory::verify) has
     /// performed through this directory (clones share the counter). Tests
-    /// diff this around a call to prove a memoization layer skipped the
-    /// HMAC work.
+    /// diff this around a call to prove the shared memo skipped the HMAC
+    /// work.
     ///
     /// Maintained in **debug builds only**: in release the counter stays 0,
     /// so the per-frame verify hot path doesn't bounce a shared cache line
@@ -338,16 +337,6 @@ impl KeyDirectory {
         }
         ok
     }
-
-    /// Verifies a batch, returning `true` only if *all* signatures are valid
-    /// over `message` (used when checking certificates).
-    pub fn verify_all<'a>(
-        &self,
-        message: &[u8],
-        sigs: impl IntoIterator<Item = &'a Signature>,
-    ) -> bool {
-        sigs.into_iter().all(|s| self.verify(message, s))
-    }
 }
 
 #[cfg(test)]
@@ -401,16 +390,6 @@ mod tests {
                 assert_ne!(tags[i].tag(), tags[j].tag());
             }
         }
-    }
-
-    #[test]
-    fn verify_all_batches() {
-        let (pairs, dir) = KeyDirectory::generate(4, 3);
-        let sigs: Vec<_> = pairs.iter().map(|p| p.sign(b"cert")).collect();
-        assert!(dir.verify_all(b"cert", &sigs));
-        let mut bad = sigs.clone();
-        bad[2] = Signature::from_parts(ProcessId(3), [1; 32]);
-        assert!(!dir.verify_all(b"cert", &bad));
     }
 
     #[test]

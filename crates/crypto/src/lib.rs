@@ -47,7 +47,7 @@ pub mod sha256;
 mod sigset;
 
 pub use keys::{KeyDirectory, KeyPair, SecretKey, Signature};
-pub use sigset::{SigVerifyStats, SignatureSet};
+pub use sigset::SignatureSet;
 
 /// 32-byte digest type shared by [`sha256`] and [`hmac`].
 pub type Digest = [u8; 32];

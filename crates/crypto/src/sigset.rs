@@ -6,50 +6,11 @@
 //! [`SignatureSet`] captures that shape once.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::ProcessId;
 
 use crate::{KeyDirectory, Signature};
-
-/// Verification memo: which signers' signatures have already verified over
-/// which statement. One statement at a time — certificates certify exactly
-/// one statement, so a second statement simply resets the memo.
-///
-/// Soundness: a bit is set only after [`KeyDirectory::verify`] accepted the
-/// signature over exactly `statement`, and a signer's signature can never
-/// be replaced once inserted ([`SignatureSet::insert`] keeps the first), so
-/// a set bit can never vouch for different bytes.
-#[derive(Debug, Default)]
-struct VerifyMemo {
-    /// The statement the memo is about (empty = no memo yet).
-    statement: Vec<u8>,
-    /// Bit `i` ⇒ the signature by `ProcessId(i + 1)` verified over
-    /// `statement`. Signers with ids above 64 are simply never memoized.
-    mask: u64,
-}
-
-/// The memo bit for a signer, if it fits the bitset.
-fn memo_bit(signer: ProcessId) -> Option<u64> {
-    (1..=64).contains(&signer.0).then(|| 1u64 << (signer.0 - 1))
-}
-
-/// Outcome of one certificate verification, split by where the work went
-/// (see [`SignatureSet::verify_with_stats`]): `memo_hits` signatures were
-/// vouched for by the per-signer memo, `fresh_checks` went through the
-/// HMAC engine. On failure the counts cover the signatures examined up to
-/// the rejecting one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SigVerifyStats {
-    /// Whether the certificate verified (threshold met, all checked
-    /// signatures valid).
-    pub ok: bool,
-    /// Signature checks skipped by the memo.
-    pub memo_hits: u64,
-    /// Signature checks that ran a fresh HMAC verification.
-    pub fresh_checks: u64,
-}
 
 /// A set of signatures by distinct signers, intended to certify a single
 /// logical statement (the caller supplies the statement bytes at
@@ -58,12 +19,10 @@ pub struct SigVerifyStats {
 /// Duplicate signers are coalesced on insert — a Byzantine process cannot
 /// inflate a certificate by signing twice.
 ///
-/// Verification is memoized per signer: once a signature has verified over
-/// a statement (via [`verify`](SignatureSet::verify), or recorded at insert
-/// time via [`insert_verified`](SignatureSet::insert_verified)), re-checking
-/// the certificate over the same statement does no HMAC work for that
-/// signer. The memo is identity metadata: it is skipped by equality and the
-/// wire encoding, and clones carry a copy of it.
+/// Nothing marks a signature verified except checking it: every
+/// [`verify`](SignatureSet::verify) walks every signature through the
+/// directory, so a set means the same at whoever receives it, however it
+/// was assembled or delivered.
 ///
 /// ```
 /// use fastbft_crypto::{KeyDirectory, SignatureSet};
@@ -74,13 +33,14 @@ pub struct SigVerifyStats {
 ///     set.insert(p.sign(b"statement"));
 /// }
 /// assert_eq!(set.len(), 3);
-/// assert!(set.verify(b"statement", &dir, 3));
-/// assert!(!set.verify(b"statement", &dir, 4)); // threshold not met
+/// let mut checks = 0;
+/// assert!(set.verify(b"statement", &dir, 3, &mut checks));
+/// assert!(!set.verify(b"statement", &dir, 4, &mut checks)); // threshold not met
+/// assert_eq!(checks, 3); // one per signature walked; none below the threshold
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SignatureSet {
     sigs: BTreeMap<ProcessId, Signature>,
-    verified: Mutex<VerifyMemo>,
 }
 
 impl SignatureSet {
@@ -110,32 +70,6 @@ impl SignatureSet {
         }
     }
 
-    /// Inserts a signature the caller has **already verified** over
-    /// `statement` (e.g. a slow-path share checked on receipt), marking it
-    /// memo-verified so a later [`verify`](SignatureSet::verify) of the
-    /// assembled certificate skips its HMAC. Returns `true` if the signer
-    /// was new.
-    pub fn insert_verified(&mut self, sig: Signature, statement: &[u8]) -> bool {
-        let signer = sig.signer;
-        let inserted = self.insert(sig);
-        if inserted {
-            let memo = self.memo();
-            if memo.statement.is_empty() && memo.mask == 0 {
-                memo.statement = statement.to_vec();
-            }
-            if memo.statement == statement {
-                if let Some(bit) = memo_bit(signer) {
-                    memo.mask |= bit;
-                }
-            }
-        }
-        inserted
-    }
-
-    fn memo(&mut self) -> &mut VerifyMemo {
-        self.verified.get_mut().expect("memo lock poisoned")
-    }
-
     /// Number of distinct signers.
     pub fn len(&self) -> usize {
         self.sigs.len()
@@ -162,53 +96,21 @@ impl SignatureSet {
     }
 
     /// Verifies the certificate: at least `threshold` distinct signers, every
-    /// signature valid over `statement`.
-    ///
-    /// Signers already memo-verified over this statement are skipped (their
-    /// signatures cannot have changed — inserts never replace); the rest are
-    /// checked and, on success, memoized, so a certificate re-verified over
-    /// the same statement short-circuits to a bitset test instead of
-    /// re-walking the map through the HMAC engine.
-    pub fn verify(&self, statement: &[u8], directory: &KeyDirectory, threshold: usize) -> bool {
-        self.verify_with_stats(statement, directory, threshold).ok
-    }
-
-    /// [`verify`](SignatureSet::verify), also reporting how much of the
-    /// work the per-signer memo absorbed — the observability plane's view
-    /// into this cache (every memoized skip is an HMAC the replica did
-    /// not recompute). Counting is free: the loop already knows which
-    /// branch each signer took.
-    pub fn verify_with_stats(
+    /// signature valid over `statement`. Below the threshold nothing is
+    /// checked; otherwise the signatures are checked in signer order up to
+    /// the first invalid one, and `checks` grows by one per check that ran.
+    pub fn verify(
         &self,
         statement: &[u8],
         directory: &KeyDirectory,
         threshold: usize,
-    ) -> SigVerifyStats {
-        let mut stats = SigVerifyStats::default();
-        if self.len() < threshold {
-            return stats;
-        }
-        let mut memo = self.verified.lock().expect("memo lock poisoned");
-        if memo.statement != statement {
-            memo.statement = statement.to_vec();
-            memo.mask = 0;
-        }
-        for sig in self.sigs.values() {
-            let bit = memo_bit(sig.signer);
-            if bit.is_some_and(|b| memo.mask & b != 0) {
-                stats.memo_hits += 1;
-                continue; // already verified over these exact bytes
-            }
-            stats.fresh_checks += 1;
-            if !directory.verify(statement, sig) {
-                return stats;
-            }
-            if let Some(b) = bit {
-                memo.mask |= b;
-            }
-        }
-        stats.ok = true;
-        stats
+        checks: &mut u64,
+    ) -> bool {
+        self.len() >= threshold
+            && self.sigs.values().all(|sig| {
+                *checks += 1;
+                directory.verify(statement, sig)
+            })
     }
 
     /// Size of the certificate on the wire, in bytes.
@@ -216,31 +118,6 @@ impl SignatureSet {
         4 + self.len() * Signature::WIRE_SIZE
     }
 }
-
-impl Clone for SignatureSet {
-    fn clone(&self) -> Self {
-        let memo = self.verified.lock().expect("memo lock poisoned");
-        SignatureSet {
-            sigs: self.sigs.clone(),
-            // Carry the memo: a certificate assembled from receipt-verified
-            // shares stays pre-verified through the clone that broadcasts it.
-            verified: Mutex::new(VerifyMemo {
-                statement: memo.statement.clone(),
-                mask: memo.mask,
-            }),
-        }
-    }
-}
-
-// Equality is over the signatures only: the memo is derived metadata and a
-// freshly decoded set must equal the set it was encoded from.
-impl PartialEq for SignatureSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.sigs == other.sigs
-    }
-}
-
-impl Eq for SignatureSet {}
 
 impl FromIterator<Signature> for SignatureSet {
     fn from_iter<I: IntoIterator<Item = Signature>>(iter: I) -> Self {
@@ -302,20 +179,22 @@ mod tests {
     fn threshold_verification() {
         let (pairs, dir) = setup();
         let set: SignatureSet = pairs.iter().take(3).map(|p| p.sign(b"s")).collect();
-        assert!(set.verify(b"s", &dir, 1));
-        assert!(set.verify(b"s", &dir, 3));
-        assert!(!set.verify(b"s", &dir, 4));
-        assert!(!set.verify(b"different", &dir, 3));
+        assert!(set.verify(b"s", &dir, 1, &mut 0));
+        assert!(set.verify(b"s", &dir, 3, &mut 0));
+        assert!(!set.verify(b"s", &dir, 4, &mut 0));
+        assert!(!set.verify(b"different", &dir, 3, &mut 0));
     }
 
     #[test]
     fn one_bad_signature_fails_whole_cert() {
         let (pairs, dir) = setup();
         let mut set: SignatureSet = pairs.iter().take(2).map(|p| p.sign(b"s")).collect();
+        assert!(set.verify(b"s", &dir, 2, &mut 0));
         // p3 signs the wrong statement.
         set.insert(pairs[2].sign(b"not s"));
         assert_eq!(set.len(), 3);
-        assert!(!set.verify(b"s", &dir, 3));
+        assert!(!set.verify(b"s", &dir, 3, &mut 0));
+        assert!(!set.verify(b"s", &dir, 3, &mut 0), "and when asked again");
     }
 
     #[test]
@@ -341,87 +220,32 @@ mod tests {
         ));
     }
 
-    /// The satellite invariant: a certificate verified twice does the HMAC
-    /// work once. The second `verify` over the same statement must be pure
-    /// memo (zero directory MACs).
+    /// One signer's tag relabelled with five ids is five signers but not
+    /// five signatures: it never verifies, cloned (what the simulator and
+    /// the channel mesh deliver) or not — and an honest set is checked in
+    /// full every time it is asked.
     #[test]
-    #[cfg(debug_assertions)] // diffs the debug-only verification counter
-    fn verify_twice_does_the_hmac_work_once() {
+    fn relabelled_signatures_never_verify_before_or_after_a_clone() {
         let (pairs, dir) = setup();
-        let set: SignatureSet = pairs.iter().take(3).map(|p| p.sign(b"s")).collect();
-        let before = dir.verifications_performed();
-        assert!(set.verify(b"s", &dir, 3));
-        assert_eq!(dir.verifications_performed() - before, 3);
-        let before = dir.verifications_performed();
-        assert!(set.verify(b"s", &dir, 3));
-        assert_eq!(
-            dir.verifications_performed(),
-            before,
-            "second verify must be memoized"
-        );
-        // A different statement resets the memo and does real work again —
-        // and fails, because the signatures are over b"s".
-        let before = dir.verifications_performed();
-        assert!(!set.verify(b"other", &dir, 3));
-        assert!(dir.verifications_performed() > before);
-        // …after which the original statement is re-verified from scratch
-        // (the memo holds one statement at a time), still correctly.
-        assert!(set.verify(b"s", &dir, 3));
-    }
-
-    #[test]
-    fn insert_verified_pre_memoizes_receipt_checked_shares() {
-        let (pairs, dir) = setup();
-        let mut set = SignatureSet::new();
-        for p in pairs.iter().take(3) {
-            let sig = p.sign(b"s");
-            // Model the slow path: each share is verified on receipt…
-            assert!(dir.verify(b"s", &sig));
-            set.insert_verified(sig, b"s");
+        let tag = *pairs[0].sign(b"s").tag();
+        let set: SignatureSet = (1..=5)
+            .map(|id| Signature::from_parts(ProcessId(id), tag))
+            .collect();
+        assert_eq!(set.len(), 5);
+        for copy in [set.clone(), set.clone().clone(), set] {
+            let mut checks = 0;
+            assert!(!copy.verify(b"s", &dir, 5, &mut checks));
+            // p1's own tag passes; p2's relabelled copy is where it stops.
+            assert_eq!(checks, 2);
+            assert!(!copy.verify(b"s", &dir, 2, &mut 0), "nor a smaller quorum");
         }
-        // …so verifying the assembled certificate does zero HMACs.
-        let before = dir.verifications_performed();
-        assert!(set.verify(b"s", &dir, 3));
-        assert_eq!(dir.verifications_performed(), before);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)] // diffs the debug-only verification counter
-    fn memo_travels_with_clones_but_not_equality() {
-        let (pairs, dir) = setup();
-        let set: SignatureSet = pairs.iter().take(2).map(|p| p.sign(b"s")).collect();
-        assert!(set.verify(b"s", &dir, 2));
-        let cloned = set.clone();
-        let before = dir.verifications_performed();
-        assert!(cloned.verify(b"s", &dir, 2));
-        assert_eq!(dir.verifications_performed(), before);
-        // A decoded copy has no memo yet still compares equal.
-        let decoded: SignatureSet = from_bytes(&to_bytes(&set)).unwrap();
-        assert_eq!(decoded, set);
-        let before = dir.verifications_performed();
-        assert!(decoded.verify(b"s", &dir, 2));
-        assert_eq!(dir.verifications_performed() - before, 2);
-    }
-
-    /// An unverified signature added to a memoized set is the only one
-    /// re-checked — and a bad one still fails the certificate.
-    #[test]
-    #[cfg(debug_assertions)] // diffs the debug-only verification counter
-    fn new_and_bad_signatures_are_not_shadowed_by_the_memo() {
-        let (pairs, dir) = setup();
-        let mut set: SignatureSet = pairs.iter().take(2).map(|p| p.sign(b"s")).collect();
-        assert!(set.verify(b"s", &dir, 2));
-        set.insert(pairs[2].sign(b"s"));
-        let before = dir.verifications_performed();
-        assert!(set.verify(b"s", &dir, 3));
-        assert_eq!(dir.verifications_performed() - before, 1);
-        // A forged share never becomes memo-verified.
-        set.insert(pairs[3].sign(b"not s"));
-        assert!(!set.verify(b"s", &dir, 4));
-        assert!(
-            !set.verify(b"s", &dir, 4),
-            "failure is not cached as success"
-        );
+        let honest: SignatureSet = pairs.iter().map(|p| p.sign(b"s")).collect();
+        for copy in [honest.clone(), honest] {
+            let mut checks = 0;
+            assert!(copy.verify(b"s", &dir, 5, &mut checks));
+            assert!(copy.verify(b"s", &dir, 5, &mut checks));
+            assert_eq!(checks, 10, "a second verification is a second walk");
+        }
     }
 
     #[test]

@@ -104,8 +104,8 @@ proptest! {
             }
         }
         prop_assert_eq!(set.len(), n);
-        prop_assert!(set.verify(msg, &dir, n));
-        prop_assert!(!set.verify(msg, &dir, n + 1));
+        prop_assert!(set.verify(msg, &dir, n, &mut 0));
+        prop_assert!(!set.verify(msg, &dir, n + 1, &mut 0));
         // Wire round-trip preserves the set.
         let decoded: SignatureSet = from_bytes(&to_bytes(&set)).unwrap();
         prop_assert_eq!(decoded, set);

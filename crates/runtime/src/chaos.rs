@@ -4,9 +4,10 @@
 //! A [`Scenario`] is data, not behavior: a list of [`ChaosStep`]s (at
 //! `t = at`, apply this mutation), the worst one-way delay it injects,
 //! and a [`PathExpectation`] saying how the commit path should degrade.
-//! [`run_scenario`] plays the script on a background thread against the
-//! cluster's shared plan while the harness drives load; the test then
-//! checks the three graceful-degradation properties:
+//! [`run_scenario`] plays the script against the cluster's shared plan —
+//! steps due at once before it returns, later ones on a background thread —
+//! while the harness drives load; the test then checks the three
+//! graceful-degradation properties:
 //!
 //! 1. **Safety, always** — all logs agree, faulted or not.
 //! 2. **Liveness after heal** — commits resume within a bounded window
@@ -417,24 +418,41 @@ impl ChaosRun {
     }
 }
 
-/// Plays `scenario`'s script against `plan` on a background thread:
-/// each step fires at `start + step.at` (steps are sorted by offset) and
-/// is logged to `metrics`' flight recorder as a `chaos-step` event. The
-/// steps are consumed (`scenario.steps` is left empty); the scenario's
-/// metadata stays readable for the harness' assertions.
+/// Plays `scenario`'s script against `plan`: each step fires at
+/// `start + step.at` (steps are sorted by offset) and is logged to
+/// `metrics`' flight recorder as a `chaos-step` event. Steps due at
+/// `t + 0` are applied before this returns — the load a caller offers next
+/// meets the fault, however late the script thread is first scheduled —
+/// and the rest on a background thread. The steps are consumed
+/// (`scenario.steps` is left empty); the scenario's metadata stays
+/// readable for the harness' assertions.
 pub fn run_scenario(plan: &FaultPlan, scenario: &mut Scenario, metrics: MetricsHandle) -> ChaosRun {
     let mut steps = std::mem::take(&mut scenario.steps);
     steps.sort_by_key(|s| s.at);
+    let later = steps.split_off(steps.partition_point(|s| s.at.is_zero()));
     let name = scenario.name;
     let plan = plan.clone();
+    let fire = move |step: ChaosStep| {
+        (step.apply)(&plan);
+        if let Some(m) = metrics.get() {
+            m.recorder.record(
+                "chaos-step",
+                format!("{name}: {} (t+{:?})", step.label, step.at),
+            );
+        }
+    };
+    let start = Instant::now();
+    let mut applied = 0;
+    for step in steps {
+        fire(step);
+        applied += 1;
+    }
     let abort = Arc::new(AtomicBool::new(false));
     let stop = Arc::clone(&abort);
     let handle = std::thread::Builder::new()
         .name(format!("chaos-{name}"))
         .spawn(move || {
-            let start = Instant::now();
-            let mut applied = 0;
-            for step in steps {
+            for step in later {
                 let due = start + step.at;
                 loop {
                     if stop.load(Ordering::Relaxed) {
@@ -447,14 +465,8 @@ pub fn run_scenario(plan: &FaultPlan, scenario: &mut Scenario, metrics: MetricsH
                     // Wake at least every 20 ms so aborts stay prompt.
                     std::thread::sleep((due - now).min(Duration::from_millis(20)));
                 }
-                (step.apply)(&plan);
+                fire(step);
                 applied += 1;
-                if let Some(m) = metrics.get() {
-                    m.recorder.record(
-                        "chaos-step",
-                        format!("{name}: {} (t+{:?})", step.label, step.at),
-                    );
-                }
             }
             applied
         })
@@ -506,6 +518,37 @@ mod tests {
         assert!(scenario.steps.is_empty(), "steps are consumed");
         assert_eq!(run.join(), 2);
         assert_eq!(*order.lock().unwrap(), vec!["cut", "heal"]);
+    }
+
+    /// The harness offers its `during` load as soon as `run_scenario`
+    /// returns: a fault scripted for `t + 0` must be in force by then, not
+    /// whenever the script thread first runs.
+    #[test]
+    fn a_step_due_at_once_is_in_force_when_run_scenario_returns() {
+        let plan = FaultPlan::new();
+        let untouched = plan.version();
+        let mut scenario = Scenario {
+            name: "at-once",
+            steps: vec![ChaosStep::new(Duration::ZERO, "isolate", |plan| {
+                plan.isolate(ProcessId(1));
+            })],
+            heal_at: None,
+            max_delay: Duration::ZERO,
+            timeout_covers: Duration::ZERO,
+            expectation: PathExpectation::StallAllowed,
+            injects_delays: false,
+            injects_drops: false,
+            injects_partitions: true,
+        };
+        let metrics = MetricsHandle::standalone();
+        let run = run_scenario(&plan, &mut scenario, metrics.clone());
+        // No join and no sleep before looking.
+        assert!(plan.version() > untouched, "the plan was mutated");
+        let events = metrics.get().expect("enabled").recorder.snapshot();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, "chaos-step");
+        assert_eq!(events[0].detail, "at-once: isolate (t+0ns)");
+        assert_eq!(run.join(), 1);
     }
 
     #[test]

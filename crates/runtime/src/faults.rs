@@ -5,8 +5,8 @@
 //! [`ChannelTransport`](crate::ChannelTransport) or `fastbft-net`'s
 //! `TcpTransport` — and shapes every *inbound* delivery according to a
 //! shared, runtime-togglable [`FaultPlan`]: fixed delay plus jitter,
-//! probabilistic loss, duplication, a reordering window, a bandwidth cap,
-//! and hard partitions. Chaos scripts (see [`crate::chaos`]) mutate the
+//! probabilistic loss, duplication, a reordering window, and hard
+//! partitions. Chaos scripts (see [`crate::chaos`]) mutate the
 //! plan while the cluster runs — heal a partition, un-delay a leader —
 //! and every node's wrapper picks the change up on its next delivery.
 //!
@@ -73,9 +73,6 @@ pub struct LinkProfile {
     pub reorder: f64,
     /// The window for [`reorder`](LinkProfile::reorder) draws.
     pub reorder_window: Duration,
-    /// Bandwidth cap in bytes/second: each delivery occupies the link for
-    /// `wire_size / bandwidth` and queues behind earlier ones.
-    pub bandwidth: Option<u64>,
     /// Hard partition: every delivery on this link is dropped.
     pub partitioned: bool,
 }
@@ -125,19 +122,12 @@ impl LinkProfile {
         self
     }
 
-    /// Caps the link at `bytes_per_sec`.
-    pub fn with_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.bandwidth = Some(bytes_per_sec);
-        self
-    }
-
     /// Whether this profile changes nothing (the default).
     pub fn is_transparent(&self) -> bool {
         *self == LinkProfile::default()
     }
 
-    /// The worst-case one-way delay this profile can inject, ignoring
-    /// bandwidth queueing (which depends on offered load).
+    /// The worst-case one-way delay this profile can inject.
     pub fn max_delay(&self) -> Duration {
         self.delay + self.jitter + self.reorder_window
     }
@@ -211,7 +201,7 @@ impl FaultPlan {
         self.inner.version.fetch_add(1, Ordering::Release);
     }
 
-    fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.inner.version.load(Ordering::Acquire)
     }
 
@@ -391,8 +381,6 @@ pub struct FaultTransport<M: SimMessage, T: Transport<M>> {
     table: PlanTable,
     /// Per-source delivery counters keying the deterministic RNG.
     link_seq: HashMap<ProcessId, u64>,
-    /// Per-source link-busy cursor for the bandwidth cap.
-    busy_until: HashMap<ProcessId, Instant>,
     held: BinaryHeap<Reverse<Held<M>>>,
     hseq: u64,
 }
@@ -412,7 +400,6 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
             version,
             table,
             link_seq: HashMap::new(),
-            busy_until: HashMap::new(),
             held: BinaryHeap::new(),
             hseq: 0,
         }
@@ -488,18 +475,6 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
             return None;
         }
         let mut delay = profile.delay;
-        if let Some(bw) = profile.bandwidth {
-            let nanos = (msg.wire_size() as u128)
-                .saturating_mul(1_000_000_000)
-                .checked_div(u128::from(bw.max(1)))
-                .unwrap_or(0)
-                .min(u128::from(u64::MAX)) as u64;
-            let ser = Duration::from_nanos(nanos);
-            let cursor = self.busy_until.entry(from).or_insert(now);
-            let start = (*cursor).max(now);
-            *cursor = start + ser;
-            delay += (start + ser).duration_since(now);
-        }
         if !profile.jitter.is_zero() {
             delay += uniform_duration(&mut rng, profile.jitter);
         }
@@ -857,32 +832,6 @@ mod tests {
         }
         assert_eq!(seen, 2, "original plus exactly one duplicate");
         assert_eq!(plan.injected_dups(), 1);
-    }
-
-    #[test]
-    fn bandwidth_cap_queues_behind_earlier_messages() {
-        let plan = FaultPlan::new();
-        // 1 KiB messages over ~32 KiB/s: ~31 ms of serialization each.
-        plan.set_outbound(
-            ProcessId(2),
-            LinkProfile::default().with_bandwidth(32 * 1024),
-        );
-        let (mut t1, mut t2, _control) = pair(&plan, 7);
-        let start = Instant::now();
-        for i in 0..4 {
-            t2.send(ProcessId(1), Ping(i));
-        }
-        for _ in 0..4 {
-            assert!(matches!(
-                t1.recv(Some(Duration::from_secs(2))),
-                Polled::Delivered(ProcessId(2), Ping(_))
-            ));
-        }
-        assert!(
-            start.elapsed() >= Duration::from_millis(100),
-            "4 KiB through a 32 KiB/s cap finished too fast: {:?}",
-            start.elapsed()
-        );
     }
 
     #[test]

@@ -410,11 +410,6 @@ impl<M: SimMessage> Simulation<M> {
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
-
-    /// Consumes the simulation, returning its trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
 }
 
 #[cfg(test)]

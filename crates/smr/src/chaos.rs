@@ -44,7 +44,7 @@ use crate::runtime::SmrClusterHandle;
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosLoad {
     /// Commands committed *before* the fault starts (healthy baseline,
-    /// also warms sessions and memos).
+    /// also warms sessions).
     pub warmup: u64,
     /// Commands submitted *while* the fault holds.
     pub during: u64,
@@ -182,8 +182,9 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     );
     let (fast0, slow0) = totals(&registry);
 
-    // Phase 2: the fault window. The script runs on its own thread; the
-    // harness offers load underneath it.
+    // Phase 2: the fault window. The script's t + 0 step is in force when
+    // `run_scenario` returns, the rest runs on its own thread; the harness
+    // offers load underneath it.
     let fault_started = Instant::now();
     let run = run_scenario(&plan, &mut scenario, registry.replica(0));
     for i in 0..load.during {

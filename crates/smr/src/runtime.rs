@@ -23,15 +23,19 @@
 //! use std::time::Duration;
 //! use fastbft_core::replica::ReplicaOptions;
 //! use fastbft_crypto::KeyDirectory;
-//! use fastbft_smr::runtime::SmrClusterHandle;
+//! use fastbft_smr::runtime::{smr_actors, SmrClusterHandle};
 //! use fastbft_smr::{KvCommand, KvStore};
-//! use fastbft_types::{Config, ProcessId};
+//! use fastbft_types::Config;
 //!
 //! let cfg = Config::new(4, 1, 1)?;
-//! let mut cluster = SmrClusterHandle::spawn_channel(
-//!     cfg, 7, KvStore::new(), KvCommand::Noop.to_value(),
-//!     ReplicaOptions::default(), 1, Duration::from_micros(50),
+//! let (pairs, dir) = KeyDirectory::generate(cfg.n(), 7);
+//! let idle = KvCommand::Noop.to_value();
+//! let actors = smr_actors(
+//!     cfg, &pairs, &dir, KvStore::new(), vec![Vec::new(); cfg.n()],
+//!     idle.clone(), ReplicaOptions::default(), 1,
 //! );
+//! let running = fastbft_runtime::spawn(actors, Duration::from_micros(50));
+//! let mut cluster = SmrClusterHandle::new(running, cfg.n(), idle);
 //! cluster.submit(KvCommand::Put { key: "x".into(), value: "1".into() }.to_value());
 //! assert!(cluster.await_commands(cfg.processes(), 1, Duration::from_secs(10)));
 //! assert!(cluster.logs_agree());
@@ -44,7 +48,7 @@ use std::time::{Duration, Instant};
 
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::{KeyDirectory, KeyPair};
-use fastbft_runtime::{spawn, ClusterHandle, NodeSeat, Transport};
+use fastbft_runtime::{ClusterHandle, NodeSeat, Transport};
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, Value};
 
@@ -168,9 +172,9 @@ pub struct SmrClusterHandle {
 impl SmrClusterHandle {
     /// Wraps an already-spawned cluster of `n` [`SmrNode`] actors.
     /// `idle` must be the nodes' idle filler (it is exempt from command
-    /// counting). This is the entry point for non-channel transports:
-    /// build seats (e.g. `fastbft_net::tcp_seats`), `spawn_with` them, and
-    /// hand the result here.
+    /// counting). Spawn the actors (`fastbft_runtime::spawn` for channels;
+    /// for other transports build seats, e.g. `fastbft_net::tcp_seats`, and
+    /// `spawn_with` them) and hand the result here.
     pub fn new(inner: ClusterHandle<SlotMessage>, n: usize, idle: Value) -> Self {
         SmrClusterHandle {
             inner,
@@ -178,32 +182,6 @@ impl SmrClusterHandle {
             logs: vec![BTreeMap::new(); n],
             commands: vec![0; n],
         }
-    }
-
-    /// Spawns an SMR cluster over the in-process channel transport with
-    /// empty client queues; submit commands with
-    /// [`submit`](SmrClusterHandle::submit).
-    pub fn spawn_channel<S: StateMachine + Clone + Send + 'static>(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batch_size: usize,
-        tick: Duration,
-    ) -> Self {
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-        let actors = smr_actors(
-            cfg,
-            &pairs,
-            &dir,
-            machine,
-            vec![Vec::new(); cfg.n()],
-            idle_input.clone(),
-            opts,
-            batch_size,
-        );
-        SmrClusterHandle::new(spawn(actors, tick), cfg.n(), idle_input)
     }
 
     /// Submits a client command to every replica of the running cluster —

@@ -155,9 +155,11 @@ fn a_live_slot_costs_exactly_its_protocol_messages() {
 /// check per slot for the proposal — plus, where acks carry the slow
 /// path's share (`t < f`), one per ack it handles before the slot is
 /// applied: the fast quorum's `n − t`, the stragglers being dropped ahead
-/// of the check. The Prometheus text and the JSON dump both carry those
-/// totals, per replica, and a cluster's exposition has no `shard` label or
-/// key anywhere.
+/// of the check. No certificate is walked: the `Commit`s of the slow path
+/// running beside the fast one arrive a delay after the slot settled. The
+/// Prometheus text and the JSON dump both carry those totals, per replica,
+/// and a cluster's exposition has no `shard` label or key anywhere, nor
+/// the hit counters of the caches there no longer are.
 #[test]
 fn both_exporters_print_the_counts_of_a_live_run() {
     const SLOTS: u64 = 12;
@@ -176,12 +178,15 @@ fn both_exporters_print_the_counts_of_a_live_run() {
             ("backfill_slots_total", 0),
             ("ingress_shed_total", 0),
             ("sig_memo_miss_total", SLOTS * checks_per_slot),
+            ("cert_cache_miss_total", 0),
         ];
 
         let text = registry.render_text();
         let json = registry.render_json();
-        assert!(!text.contains("shard"), "n = {n}: {text}");
-        assert!(!json.contains("shard"), "n = {n}: {json}");
+        for gone in ["shard", "cert_cache_hit_total", "sig_memo_hit_total"] {
+            assert!(!text.contains(gone), "n = {n}: {gone} in {text}");
+            assert!(!json.contains(gone), "n = {n}: {gone} in {json}");
+        }
         let blocks: Vec<&str> = json.split("{\"replica\":").skip(1).collect();
         assert_eq!(blocks.len(), n);
         for (i, block) in blocks.iter().enumerate() {

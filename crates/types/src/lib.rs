@@ -39,6 +39,3 @@ pub mod wire;
 pub use config::{Config, ConfigError, ProtocolKind};
 pub use id::{ProcessId, View};
 pub use value::Value;
-
-/// Result alias for wire decoding.
-pub type WireResult<T> = Result<T, wire::WireError>;

@@ -100,7 +100,7 @@ proptest! {
             commit_cert: None,
         };
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
-        prop_assert!(sv.is_valid(&cfg, &dir, View(2)));
+        prop_assert!(sv.is_valid(&cfg, &dir, View(2), None));
 
         let mut bytes = to_bytes(&sv);
         let idx = flip_at % bytes.len();
@@ -109,7 +109,7 @@ proptest! {
         if let Ok(tampered) = from_bytes::<SignedVote>(&bytes) {
             if tampered != sv {
                 prop_assert!(
-                    !tampered.is_valid(&cfg, &dir, View(2)),
+                    !tampered.is_valid(&cfg, &dir, View(2), None),
                     "tampered vote accepted (flipped byte {idx})"
                 );
             }
