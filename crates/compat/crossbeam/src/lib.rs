@@ -5,8 +5,10 @@
 //! MPMC channel whose `Sender` *and* `Receiver` are cloneable, with a
 //! `recv_timeout`. This shim implements that over a `Mutex<VecDeque>` +
 //! `Condvar`. It is not lock-free — fine for the thread-per-replica runtime,
-//! whose message rates are far below contention territory. Swap in the real
-//! crate for serious wall-clock benchmarking.
+//! whose message rates are far below contention territory. A send signals
+//! the `Condvar` only while a receiver is parked on it (counted under the
+//! mutex), so a receiver that is already running costs the sender no
+//! syscall. Swap in the real crate for serious wall-clock benchmarking.
 
 #![warn(missing_docs)]
 
@@ -21,6 +23,8 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers parked on `ready` inside `recv` / `recv_timeout`.
+        waiting: usize,
     }
 
     struct Inner<T> {
@@ -71,6 +75,7 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                waiting: 0,
             }),
             ready: Condvar::new(),
         });
@@ -90,8 +95,14 @@ pub mod channel {
                 return Err(SendError(value));
             }
             state.queue.push_back(value);
+            // A receiver checks the queue and parks under this same lock,
+            // so none waiting now means none can miss this message — and
+            // a running receiver is spared the wake-up syscall.
+            let wake = state.waiting > 0;
             drop(state);
-            self.inner.ready.notify_one();
+            if wake {
+                self.inner.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -127,7 +138,9 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.waiting += 1;
                 state = self.inner.ready.wait(state).unwrap();
+                state.waiting -= 1;
             }
         }
 
@@ -147,12 +160,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.waiting += 1;
                 let (guard, result) = self
                     .inner
                     .ready
                     .wait_timeout(state, deadline - now)
                     .unwrap();
                 state = guard;
+                state.waiting -= 1;
                 if result.timed_out() && state.queue.is_empty() {
                     if state.senders == 0 {
                         return Err(RecvTimeoutError::Disconnected);
@@ -250,6 +265,67 @@ pub mod channel {
             all.extend(h2.join().unwrap());
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
+        }
+
+        /// A sender wakes only a parked receiver; a wake-up lost to that
+        /// shortcut would leave a consumer parked on a non-empty queue.
+        /// Consumers mix all three receive calls, so they park, time out
+        /// and poll while the producers run; each stops at the first stop
+        /// mark it receives, and a sender stays alive throughout, so no
+        /// disconnect wakes anyone: a lost wake-up hangs the test.
+        #[test]
+        fn concurrent_producers_and_consumers_lose_no_message_and_no_wakeup() {
+            const PRODUCERS: u64 = 4;
+            const CONSUMERS: usize = 2;
+            const PER_PRODUCER: u64 = 100_000;
+            const STOP: u64 = u64::MAX;
+            let (tx, rx) = unbounded::<u64>();
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            tx.send(p * PER_PRODUCER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        let mut got = Vec::new();
+                        for round in 0u64.. {
+                            let next = match round % 3 {
+                                0 => rx.recv().ok(),
+                                1 => rx.recv_timeout(Duration::from_micros(50)).ok(),
+                                _ => rx.try_recv(),
+                            };
+                            match next {
+                                Some(STOP) => break,
+                                Some(v) => got.push(v),
+                                None => {}
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            for producer in producers {
+                producer.join().unwrap();
+            }
+            // Let the consumers drain the queue and park, so that each stop
+            // mark has a parked receiver to wake.
+            std::thread::sleep(Duration::from_millis(50));
+            for _ in 0..CONSUMERS {
+                tx.send(STOP).unwrap();
+            }
+            let mut all: Vec<u64> = Vec::new();
+            for consumer in consumers {
+                all.extend(consumer.join().unwrap());
+            }
+            all.sort_unstable();
+            assert!(all.iter().copied().eq(0..PRODUCERS * PER_PRODUCER));
         }
     }
 }

@@ -330,11 +330,6 @@ impl SimCluster {
         self.report(all)
     }
 
-    /// Direct access to the underlying simulation (advanced scenarios).
-    pub fn sim_mut(&mut self) -> &mut Simulation<Message> {
-        &mut self.sim
-    }
-
     /// The trace recorded so far.
     pub fn trace(&self) -> &Trace {
         self.sim.trace()
@@ -406,30 +401,12 @@ impl Report {
             .unwrap_or(0)
     }
 
-    /// Decision latency of the fastest correct process, in message delays.
-    pub fn decision_delays_min(&self) -> u64 {
-        self.decisions
-            .iter()
-            .map(|(_, t, _)| t.0.div_ceil(self.delta.0.max(1)))
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Decision time of a specific process, in ticks.
     pub fn decision_time(&self, p: ProcessId) -> Option<SimTime> {
         self.decisions
             .iter()
             .find(|(q, _, _)| *q == p)
             .map(|(_, t, _)| *t)
-    }
-
-    /// View the deciding propose belonged to is not tracked here; use the
-    /// trace for fine-grained questions. This accessor answers the common
-    /// one: did anything go wrong?
-    pub fn is_safe(&self) -> bool {
-        self.violations
-            .iter()
-            .all(|v| matches!(v, Violation::Undecided { .. }))
     }
 }
 

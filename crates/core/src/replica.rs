@@ -337,12 +337,13 @@ impl Replica {
                         CommitPath::Fast => m.commit_fast_total.inc(),
                         CommitPath::Slow => m.commit_slow_total.inc(),
                     }
+                    let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
                     m.recorder.record(
                         match path {
                             CommitPath::Fast => "commit-fast",
                             CommitPath::Slow => "commit-slow",
                         },
-                        format!("p{} decided in view {}", self.id.0, self.view.0),
+                        format!("p{p} decided slot {slot} in view {view}"),
                     );
                 }
                 fx.decide(value.clone());
@@ -371,12 +372,9 @@ impl Replica {
         debug_assert!(v > self.view);
         if let Some(m) = self.metrics.get() {
             m.view_change_total.inc();
-            m.recorder.record(
-                "view-change",
-                format!("p{} entered view {} (leader p{})", self.id.0, v.0, {
-                    self.cfg.leader(v).0
-                }),
-            );
+            let (p, slot, leader) = (self.id.0, self.cfg.leader_offset(), self.cfg.leader(v).0);
+            let detail = format!("p{p} slot {slot} entered view {} (leader p{leader})", v.0);
+            m.recorder.record("view-change", detail);
         }
         self.view = v;
         self.leader = None;
@@ -822,9 +820,14 @@ impl Actor<Message> for Replica {
         if self.decided.is_some() {
             return; // nothing left to synchronize for
         }
+        let leader = self.cfg.leader(self.view);
+        if let Some(m) = self.metrics.get() {
+            let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
+            let detail = format!("p{p} slot {slot} view {view} timed out waiting for {leader}");
+            m.recorder.record("view-timeout", detail);
+        }
         // Leading a view and failing to propose in it (too few votes
         // arrived) says nothing about anyone else.
-        let leader = self.cfg.leader(self.view);
         if leader != self.id && self.acked_view != Some(self.view) {
             self.leader_signal = Some(LeaderSignal::TimedOut {
                 leader,

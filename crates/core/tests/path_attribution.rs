@@ -133,11 +133,25 @@ fn silent_leader_is_visible_as_view_changes_before_the_decision() {
     // never handed to a replica.
     assert_eq!(registry.metrics(leader.index()).view_change_total.get(), 0);
 
-    // View-change events landed in the flight recorder with the entering
-    // process attributed.
+    // The expired view timer and the view change landed in the flight
+    // recorder with the process, the slot (0: a single instance) and the
+    // leaders attributed.
     let events = registry.metrics(live[0].index()).recorder.snapshot();
-    assert!(
-        events.iter().any(|e| e.kind == "view-change"),
-        "flight recorder must hold the view-change event; got {events:?}"
-    );
+    let p = live[0].0;
+    for (kind, detail) in [
+        (
+            "view-timeout",
+            format!("p{p} slot 0 view 1 timed out waiting for p{}", leader.0),
+        ),
+        (
+            "view-change",
+            format!("p{p} slot 0 entered view 2 (leader p3)"),
+        ),
+        ("commit-fast", format!("p{p} decided slot 0 in view 2")),
+    ] {
+        assert!(
+            events.iter().any(|e| e.kind == kind && e.detail == detail),
+            "no {kind} event `{detail}` in {events:?}"
+        );
+    }
 }

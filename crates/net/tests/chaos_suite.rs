@@ -16,7 +16,7 @@ use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::chaos::{chaos_seed_from_env, Scenario};
 use fastbft_sim::SimDuration;
 use fastbft_smr::chaos::{run_chaos, ChaosLoad, ChaosReport};
-use fastbft_smr::{smr_actors_configured, Batching, CountingMachine};
+use fastbft_smr::{smr_actors_configured, AdaptiveBatch, Batching, CountingMachine};
 use fastbft_types::{Config, Value};
 
 const TICK: Duration = Duration::from_micros(50);
@@ -51,7 +51,11 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         vec![Vec::new(); n],
         idle(),
         opts,
-        Batching::Fixed(1),
+        // One command per slot.
+        Batching::Adaptive(AdaptiveBatch {
+            max_batch_cmds: 1,
+            ..AdaptiveBatch::default()
+        }),
         None,
         Some(&registry),
     );

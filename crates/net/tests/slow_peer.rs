@@ -16,8 +16,8 @@ use fastbft_net::{TcpOptions, TcpTransport};
 use fastbft_runtime::chaos::Scenario;
 use fastbft_runtime::{spawn_with, NodeSeat};
 use fastbft_sim::{Actor, SimDuration};
-use fastbft_smr::runtime::{smr_actors, SmrClusterHandle};
-use fastbft_smr::{CountingMachine, SlotMessage};
+use fastbft_smr::runtime::{smr_actors_configured, SmrClusterHandle};
+use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SlotMessage};
 use fastbft_types::{Config, ProcessId, Value};
 
 const COMMANDS: u64 = 64;
@@ -66,7 +66,7 @@ fn actors(cfg: Config, seed: u64) -> (Vec<Box<dyn Actor<SlotMessage> + Send>>, K
     let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
     let idle = Value::from_u64(u64::MAX);
     let queue: Vec<Value> = (0..COMMANDS).map(Value::from_u64).collect();
-    let actors = smr_actors(
+    let actors = smr_actors_configured(
         cfg,
         &pairs,
         &dir,
@@ -74,7 +74,13 @@ fn actors(cfg: Config, seed: u64) -> (Vec<Box<dyn Actor<SlotMessage> + Send>>, K
         vec![queue; cfg.n()],
         idle.clone(),
         smr_opts(),
-        1,
+        // One command per slot.
+        Batching::Adaptive(AdaptiveBatch {
+            max_batch_cmds: 1,
+            ..AdaptiveBatch::default()
+        }),
+        None,
+        None,
     );
     (actors, KeyState { pairs, dir, idle })
 }

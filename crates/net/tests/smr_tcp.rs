@@ -12,8 +12,8 @@ use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::spawn_with;
 use fastbft_sim::{Actor, ScriptedActor};
 use fastbft_smr::{
-    as_smr_node, smr_actors, smr_actors_configured, AdaptiveBatch, Batching, KvCommand, KvStore,
-    SlotMessage, SmrClusterHandle, SmrNode,
+    as_smr_node, smr_actors_configured, AdaptiveBatch, Batching, KvCommand, KvStore, SlotMessage,
+    SmrClusterHandle, SmrNode,
 };
 use fastbft_types::{Config, ProcessId, Value};
 
@@ -27,13 +27,21 @@ fn put(i: usize) -> Value {
     .to_value()
 }
 
-/// Spawns an n=4 SMR-over-TCP cluster; seat `i` is replaced by a silent
-/// actor for every process id in `silent`.
+/// The batcher capped at one command per slot.
+fn one_per_slot() -> Batching {
+    Batching::Adaptive(AdaptiveBatch {
+        max_batch_cmds: 1,
+        ..AdaptiveBatch::default()
+    })
+}
+
+/// Spawns an n=4 SMR-over-TCP cluster, one command per slot; seat `i` is
+/// replaced by a silent actor for every process id in `silent`.
 fn spawn_kv_tcp(seed: u64, silent: &[u32]) -> SmrClusterHandle {
     let cfg = Config::new(4, 1, 1).unwrap();
     let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
     let idle = KvCommand::Noop.to_value();
-    let actors: Vec<Box<dyn Actor<SlotMessage> + Send>> = smr_actors(
+    let actors: Vec<Box<dyn Actor<SlotMessage> + Send>> = smr_actors_configured(
         cfg,
         &pairs,
         &dir,
@@ -41,7 +49,9 @@ fn spawn_kv_tcp(seed: u64, silent: &[u32]) -> SmrClusterHandle {
         vec![Vec::new(); cfg.n()],
         idle.clone(),
         ReplicaOptions::default(),
-        1,
+        one_per_slot(),
+        None,
+        None,
     )
     .into_iter()
     .enumerate()
@@ -197,8 +207,8 @@ fn silent_leader_recovers_mid_log_over_tcp() {
     );
 }
 
-/// The kill-and-rejoin chaos path over real TCP, under fixed batch-1 and
-/// under the shipped adaptive batcher: a replica is stopped mid-log (thread
+/// The kill-and-rejoin chaos path over real TCP, at one command per slot and
+/// under the shipped batcher bounds: a replica is stopped mid-log (thread
 /// joined, transport dropped), the survivors keep committing past it with
 /// a short snapshot cadence, and a *fresh* node — empty log, empty store,
 /// fresh transport state on the retained port — rejoins by installing an
@@ -206,8 +216,8 @@ fn silent_leader_recovers_mid_log_over_tcp() {
 /// state on all four replicas.
 #[test]
 fn killed_replica_rejoins_via_snapshot_over_tcp() {
-    kill_and_rejoin(34, Batching::Fixed(1));
-    kill_and_rejoin(35, Batching::Adaptive(AdaptiveBatch::default()));
+    kill_and_rejoin(34, one_per_slot());
+    kill_and_rejoin(35, Batching::default());
 }
 
 fn kill_and_rejoin(seed: u64, batching: Batching) {

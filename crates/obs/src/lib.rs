@@ -53,5 +53,5 @@ mod registry;
 
 pub use histogram::Histogram;
 pub use instruments::{Counter, Gauge};
-pub use recorder::{global_recorder, record_global, Event, FlightRecorder};
+pub use recorder::{Event, FlightRecorder};
 pub use registry::{Metrics, MetricsHandle, MetricsRegistry};

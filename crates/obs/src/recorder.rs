@@ -10,12 +10,11 @@
 //!
 //! Recording takes a mutex — the recorder is for **rare** control-plane
 //! events, not per-frame traffic (that is what [`Counter`](crate::Counter)
-//! is for). A process-wide [`global_recorder`] backs the `log` compat
-//! shim's `trace!`/`debug!` macros for call sites with no replica handle.
+//! is for).
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One recorded protocol event.
@@ -27,8 +26,7 @@ pub struct Event {
     /// Microseconds since the recorder was created.
     pub at_us: u64,
     /// Event taxonomy tag, e.g. `"view-change"`, `"commit-fast"`,
-    /// `"snapshot-install"`, `"mac-reject"`, or a log level for events
-    /// routed through the `log` shim.
+    /// `"snapshot-install"`, `"mac-reject"`.
     pub kind: &'static str,
     /// Human-readable detail line.
     pub detail: String,
@@ -101,12 +99,6 @@ impl FlightRecorder {
         });
     }
 
-    /// [`record`](FlightRecorder::record) from preformatted arguments —
-    /// the entry point the `log` compat shim macros use.
-    pub fn record_args(&self, kind: &'static str, args: fmt::Arguments<'_>) {
-        self.record(kind, args.to_string());
-    }
-
     /// A copy of the current ring contents, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
         let inner = self.inner.lock().expect("recorder poisoned");
@@ -128,20 +120,6 @@ impl FlightRecorder {
     pub fn total_recorded(&self) -> u64 {
         self.inner.lock().expect("recorder poisoned").next_seq
     }
-}
-
-/// The process-wide recorder backing the `log` compat shim: call sites
-/// with no replica-scoped [`Metrics`](crate::Metrics) handle (library
-/// internals, transport threads) record here.
-pub fn global_recorder() -> &'static FlightRecorder {
-    static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(FlightRecorder::new)
-}
-
-/// Records preformatted arguments into the [`global_recorder`] — the
-/// function the `log` shim's `trace!`/`debug!` macros expand to.
-pub fn record_global(kind: &'static str, args: fmt::Arguments<'_>) {
-    global_recorder().record_args(kind, args);
 }
 
 #[cfg(test)]
@@ -168,14 +146,5 @@ mod tests {
         r.record("b", String::new());
         let events = r.snapshot();
         assert!(events[0].at_us <= events[1].at_us);
-    }
-
-    #[test]
-    fn global_recorder_accepts_args() {
-        record_global("trace", format_args!("replica {} did {}", 1, "x"));
-        assert!(global_recorder()
-            .snapshot()
-            .iter()
-            .any(|e| e.kind == "trace" && e.detail == "replica 1 did x"));
     }
 }

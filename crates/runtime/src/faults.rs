@@ -417,12 +417,6 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped transport (e.g. to grab a TCP
-    /// sender).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     fn refresh(&mut self) {
         let v = self.plan.version();
         if v != self.version {

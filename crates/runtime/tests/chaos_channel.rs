@@ -17,7 +17,7 @@ use fastbft_runtime::transport::ChannelTransport;
 use fastbft_runtime::{wrap_seats_metered, FaultPlan, NodeSeat};
 use fastbft_sim::SimDuration;
 use fastbft_smr::chaos::{run_chaos, ChaosLoad, ChaosReport};
-use fastbft_smr::{smr_actors_configured, Batching, CountingMachine};
+use fastbft_smr::{smr_actors_configured, AdaptiveBatch, Batching, CountingMachine};
 use fastbft_types::{Config, Value};
 
 const TICK: Duration = Duration::from_micros(50);
@@ -52,7 +52,11 @@ fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
         vec![Vec::new(); n],
         idle(),
         opts,
-        Batching::Fixed(1),
+        // One command per slot.
+        Batching::Adaptive(AdaptiveBatch {
+            max_batch_cmds: 1,
+            ..AdaptiveBatch::default()
+        }),
         None,
         Some(&registry),
     );

@@ -1,12 +1,11 @@
 //! Simulated SMR clusters: wiring, execution and consistency checking.
 
-use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
 use fastbft_sim::{Network, SimDuration, SimTime, Simulation};
 use fastbft_types::{Config, ProcessId, Value};
 
 use crate::machine::StateMachine;
-use crate::multiplex::{Batching, SlotMessage, SmrNode};
+use crate::multiplex::{SlotMessage, SmrNode};
 
 /// Outcome of an SMR run.
 #[derive(Clone, Debug)]
@@ -72,207 +71,39 @@ pub struct SmrSimCluster<S: StateMachine + 'static> {
 }
 
 impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
-    /// Builds a cluster. `commands[i]` is process `i+1`'s client queue
-    /// (slot leaders drain their own queues; followers' queues commit when
-    /// they lead a view).
+    /// Builds a cluster over `network`. `commands[i]` is process `i+1`'s
+    /// client queue (slot leaders drain their own queues; followers' queues
+    /// commit when they lead a view). Every seat's node is passed through
+    /// `configure` — chain the `with_*` options of [`SmrNode`] there, or
+    /// pass `|node| node` for a node as shipped.
     pub fn new(
         cfg: Config,
         seed: u64,
         machine: S,
         commands: Vec<Vec<Value>>,
         idle_input: Value,
-        opts: ReplicaOptions,
-    ) -> Self {
-        Self::new_batched(cfg, seed, machine, commands, idle_input, opts, 1)
-    }
-
-    /// Like [`SmrSimCluster::new`] but bundling up to `batch_size` commands
-    /// into each slot (throughput amortization; see E9).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_batched(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        commands: Vec<Vec<Value>>,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batch_size: usize,
-    ) -> Self {
-        Self::new_with_network(
-            cfg,
-            seed,
-            machine,
-            commands,
-            idle_input,
-            opts,
-            batch_size,
-            Network::synchronous(SimDuration::DELTA),
-        )
-    }
-
-    /// Like [`SmrSimCluster::new_batched`] but also pinning the slot
-    /// pipeline depth (see [`SmrNode::with_pipeline_depth`]) — tests that
-    /// must observe batching or sequencing in isolation pass `1`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_batched_with_depth(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        commands: Vec<Vec<Value>>,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batch_size: usize,
-        pipeline_depth: u64,
-    ) -> Self {
-        Self::build(
-            cfg,
-            seed,
-            machine,
-            commands,
-            idle_input,
-            opts,
-            batch_size,
-            Some(pipeline_depth),
-            None,
-            Network::synchronous(SimDuration::DELTA),
-        )
-    }
-
-    /// Like [`SmrSimCluster::new_batched`] but over an arbitrary [`Network`]
-    /// — scripted and adversarial delay schedules included. This is the
-    /// entry point for pipelining regression tests, where slots must be
-    /// opened while earlier slots are still undecided.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_network(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        commands: Vec<Vec<Value>>,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batch_size: usize,
         network: Network,
-    ) -> Self {
-        Self::build(
-            cfg, seed, machine, commands, idle_input, opts, batch_size, None, None, network,
-        )
-    }
-
-    /// Like [`SmrSimCluster::new_with_network`] but also pinning the
-    /// snapshot interval (see [`SmrNode::with_snapshot_interval`]) — state
-    /// transfer tests use a short interval so snapshots exist early.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_network_snapshotting(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        commands: Vec<Vec<Value>>,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batch_size: usize,
-        network: Network,
-        snapshot_interval: u64,
-    ) -> Self {
-        Self::build_batching(
-            cfg,
-            seed,
-            machine,
-            commands,
-            idle_input,
-            opts,
-            Batching::Fixed(batch_size),
-            None,
-            Some(snapshot_interval),
-            network,
-        )
-    }
-
-    /// Like [`SmrSimCluster::new_with_network`] but with an explicit
-    /// [`Batching`] mode — the entry point for adaptive-batching tests.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_network_batching(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        commands: Vec<Vec<Value>>,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batching: Batching,
-        network: Network,
-    ) -> Self {
-        Self::build_batching(
-            cfg, seed, machine, commands, idle_input, opts, batching, None, None, network,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        commands: Vec<Vec<Value>>,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batch_size: usize,
-        pipeline_depth: Option<u64>,
-        snapshot_interval: Option<u64>,
-        network: Network,
-    ) -> Self {
-        Self::build_batching(
-            cfg,
-            seed,
-            machine,
-            commands,
-            idle_input,
-            opts,
-            Batching::Fixed(batch_size),
-            pipeline_depth,
-            snapshot_interval,
-            network,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_batching(
-        cfg: Config,
-        seed: u64,
-        machine: S,
-        commands: Vec<Vec<Value>>,
-        idle_input: Value,
-        opts: ReplicaOptions,
-        batching: Batching,
-        pipeline_depth: Option<u64>,
-        snapshot_interval: Option<u64>,
-        network: Network,
+        configure: impl Fn(SmrNode<S>) -> SmrNode<S>,
     ) -> Self {
         assert_eq!(commands.len(), cfg.n(), "one command queue per process");
-        let delta = SimDuration::DELTA;
         let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let mut sim = Simulation::new(network, seed.wrapping_add(7));
-        for (i, cmds) in commands.into_iter().enumerate() {
-            let mut node = SmrNode::new(
+        for (pair, cmds) in pairs.into_iter().zip(commands) {
+            let node = SmrNode::new(
                 cfg,
-                pairs[i].clone(),
+                pair,
                 dir.clone(),
                 machine.clone(),
                 cmds,
                 idle_input.clone(),
-            )
-            .with_options(opts.clone())
-            .with_batching(batching.clone());
-            if let Some(depth) = pipeline_depth {
-                node = node.with_pipeline_depth(depth);
-            }
-            if let Some(interval) = snapshot_interval {
-                node = node.with_snapshot_interval(interval);
-            }
-            sim.add_actor(Box::new(node));
+            );
+            sim.add_actor(Box::new(configure(node)));
         }
         sim.start();
         SmrSimCluster {
             sim,
             cfg,
-            delta,
+            delta: SimDuration::DELTA,
             _marker: std::marker::PhantomData,
         }
     }
@@ -464,7 +295,8 @@ mod tests {
             CountingMachine::new(),
             vec![queue; 4],
             Value::from_u64(0),
-            ReplicaOptions::default(),
+            Network::synchronous(SimDuration::DELTA),
+            |node| node.with_batch_size(1),
         );
         let report = cluster.run_until_commands(10, SimTime(1_000_000));
         assert!(report.commands_everywhere >= 10);
@@ -497,7 +329,8 @@ mod tests {
             KvStore::new(),
             commands,
             KvCommand::Noop.to_value(),
-            ReplicaOptions::default(),
+            Network::synchronous(SimDuration::DELTA),
+            |node| node.with_batch_size(1),
         );
         let report = cluster.run_until_applied(5, SimTime(1_000_000));
         assert!(report.applied_everywhere >= 5, "{report:?}");

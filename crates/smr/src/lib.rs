@@ -8,7 +8,8 @@
 //! * [`StateMachine`] — deterministic command execution ([`machine`]);
 //! * [`KvStore`] / [`KvCommand`] — a replicated key-value store ([`kv`]);
 //! * [`SmrNode`] — one consensus instance per log slot, applied in order
-//!   ([`multiplex`]);
+//!   ([`multiplex`]), its proposals sized by one batching policy
+//!   ([`batcher`]);
 //! * [`SmrSimCluster`] — a ready-made simulated cluster with log-consistency
 //!   checking ([`harness`]);
 //! * [`SmrClusterHandle`] — the same nodes on the wall-clock thread
@@ -17,16 +18,15 @@
 //!
 //! ```
 //! use fastbft_smr::{KvCommand, KvStore, SmrSimCluster};
-//! use fastbft_core::replica::ReplicaOptions;
 //! use fastbft_types::{Config, ProcessId};
-//! use fastbft_sim::SimTime;
+//! use fastbft_sim::{Network, SimDuration, SimTime};
 //!
 //! let cfg = Config::new(4, 1, 1)?;
 //! let mut commands = vec![Vec::new(); 4];
 //! commands[1] = vec![KvCommand::Put { key: "x".into(), value: "1".into() }.to_value()];
 //! let mut cluster = SmrSimCluster::new(
 //!     cfg, 42, KvStore::new(), commands, KvCommand::Noop.to_value(),
-//!     ReplicaOptions::default(),
+//!     Network::synchronous(SimDuration::DELTA), |node| node,
 //! );
 //! let report = cluster.run_until_applied(1, SimTime(100_000));
 //! assert!(report.logs_consistent);
@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod batcher;
 pub mod chaos;
 pub mod harness;
 pub mod kv;
@@ -46,12 +47,13 @@ pub mod runtime;
 mod suspicion;
 pub mod tag;
 
+pub use batcher::{AdaptiveBatch, Batching};
 pub use harness::{logs_consistent, offset_logs_consistent, SmrReport, SmrSimCluster};
 pub use kv::{KvCommand, KvOutput, KvStore};
 pub use machine::{CountingMachine, StateMachine};
 pub use multiplex::{
-    checkpoint_signature, snapshot_response_valid, AdaptiveBatch, Batching, SlotMessage, SmrNode,
-    DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
+    checkpoint_signature, snapshot_response_valid, SlotMessage, SmrNode, DEFAULT_SNAPSHOT_INTERVAL,
+    MAX_STASH_AHEAD, SLOT_WINDOW,
 };
-pub use runtime::{as_smr_node, smr_actors, smr_actors_configured, SmrClusterHandle};
+pub use runtime::{as_smr_node, smr_actors_configured, SmrClusterHandle};
 pub use tag::{command_body, parse_client_tag, tag_command};

@@ -37,16 +37,12 @@
 //!   that much in-flight work, so quiescence stands: an idle node has
 //!   nothing running, at most a few decided no-ops parked above the next
 //!   free slot.
-//! * **Adaptive proposal batching.** Under [`Batching::Adaptive`] the
-//!   number of commands drained into each proposal is a feedback-tuned
-//!   *target* rather than a constant: it doubles while drains leave a
-//!   backlog behind, halves when drains run far under target or commit
-//!   latency climbs well above its observed floor, and is bounded by
-//!   command-count and byte caps. A batch held back while the pipeline is
-//!   busy flushes the moment the pipeline quiesces or a flush-age backstop
-//!   timer fires — a lone command on an idle cluster never waits.
-//!   [`Batching::Fixed`] (what [`with_batch_size`](SmrNode::with_batch_size)
-//!   configures) preserves the constant-size behavior exactly.
+//! * **Adaptive proposal batching.** How many queued commands a proposal
+//!   drains is the `batcher` module's decision — a feedback-tuned target
+//!   within the [`AdaptiveBatch`] bounds, a held batch flushed on
+//!   quiescence or by a flush-age backstop; the node tells it what
+//!   happened (a drain, a commit, a hold, the backstop) and whether it is
+//!   quiescent.
 //! * **Ingress backpressure.** `on_client` enforces a bounded
 //!   pending-command budget (count and bytes); submissions past it are
 //!   shed and counted instead of growing the queue without limit.
@@ -67,10 +63,11 @@ use std::time::Instant;
 use fastbft_core::message::Message;
 use fastbft_core::replica::{CommitPath, Replica, ReplicaOptions};
 use fastbft_crypto::{Digest, KeyDirectory, KeyPair, Signature};
-use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimMessage, TimerId};
+use fastbft_sim::{Actor, Effects, Outgoing, SimMessage, SimTime, TimerId};
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value};
 
+use crate::batcher::{AdaptiveBatch, Batcher, Batching, FlushReason};
 use crate::machine::StateMachine;
 use crate::suspicion::{self, SuspicionTable};
 use crate::tag::parse_client_tag;
@@ -290,20 +287,14 @@ const RECOVERY_GAP: u64 = SLOT_WINDOW / 2;
 /// gen`, so this value is unreachable by any realistic slot.
 const RECOVERY_TIMER: TimerId = TimerId(u64::MAX);
 
-/// Timer id reserved for the adaptive batcher's flush-age backstop: a
-/// batch held back while the pipeline is busy flushes when it fires even
-/// if the pipeline never quiesces.
+/// Timer id reserved for the batcher's flush-age backstop: a batch held
+/// back while the pipeline is busy flushes when it fires even if the
+/// pipeline never quiesces.
 const BATCH_FLUSH_TIMER: TimerId = TimerId(u64::MAX - 1);
 
 /// Timer namespace stride: slot id in the high bits, the replica's own
 /// timer generation in the low bits.
 const TIMER_STRIDE: u64 = 1 << 32;
-
-/// Default [`AdaptiveBatch::max_batch_cmds`].
-pub const DEFAULT_MAX_BATCH_CMDS: usize = 256;
-
-/// Default [`AdaptiveBatch::max_batch_bytes`]: 1 MiB.
-pub const DEFAULT_MAX_BATCH_BYTES: usize = 1 << 20;
 
 /// Default ingress budget in queued commands (see
 /// [`SmrNode::with_ingress_budget`]).
@@ -311,71 +302,6 @@ pub const DEFAULT_INGRESS_MAX_CMDS: usize = 65_536;
 
 /// Default ingress budget in queued command bytes: 64 MiB.
 pub const DEFAULT_INGRESS_MAX_BYTES: usize = 64 << 20;
-
-/// Tuning knobs of the self-adjusting proposal batcher (see
-/// [`Batching::Adaptive`]). The *target* batch size is not configured —
-/// it starts at 1 and moves with feedback: it doubles while a drain
-/// leaves backlog behind (the pipeline is underbatching), halves when
-/// drains run far under target or the commit-latency EWMA climbs well
-/// above its observed floor (batches outgrew the cluster), and always
-/// stays within `1..=max_batch_cmds`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AdaptiveBatch {
-    /// Hard cap on commands per proposal (and the ceiling the adaptive
-    /// target grows toward).
-    pub max_batch_cmds: usize,
-    /// Hard cap on the summed command bytes per proposal. A single
-    /// oversized command still ships alone — the cap bounds *batching*,
-    /// it cannot wedge the queue.
-    pub max_batch_bytes: usize,
-    /// How long a held batch may wait before the backstop timer forces a
-    /// flush (virtual time, like every protocol timer). Only reached
-    /// when the pipeline stays busy without ever quiescing.
-    pub flush_age: SimDuration,
-}
-
-impl Default for AdaptiveBatch {
-    fn default() -> Self {
-        AdaptiveBatch {
-            max_batch_cmds: DEFAULT_MAX_BATCH_CMDS,
-            max_batch_bytes: DEFAULT_MAX_BATCH_BYTES,
-            flush_age: SimDuration::DELTA,
-        }
-    }
-}
-
-/// How queued client commands are grouped into slot proposals.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Batching {
-    /// Every proposal drains up to this constant many queued commands —
-    /// the pre-adaptive behavior, kept as the escape hatch for hand-tuned
-    /// deployments ([`SmrNode::with_batch_size`] configures this).
-    Fixed(usize),
-    /// Feedback-tuned batch sizes: lone commands flush immediately on an
-    /// idle pipeline, backlogs grow the batch target toward the caps (see
-    /// [`AdaptiveBatch`]).
-    Adaptive(AdaptiveBatch),
-}
-
-impl Default for Batching {
-    fn default() -> Self {
-        Batching::Fixed(1)
-    }
-}
-
-/// Why a proposal batch was flushed — the adaptive batcher's metrics
-/// breakdown (fixed-size batching always flushes for `Size`).
-#[derive(Clone, Copy, Debug)]
-enum FlushReason {
-    /// The drain reached the (fixed or adaptive) command-count target.
-    Size,
-    /// The byte cap bound the drain below its command-count target.
-    Bytes,
-    /// The pipeline was idle, so everything queued flushed at once.
-    Quiescence,
-    /// The flush-age backstop fired for a held batch.
-    Timeout,
-}
 
 /// Domain-separation prefix for checkpoint attestations (keeps snapshot
 /// signatures from colliding with consensus statements).
@@ -491,31 +417,19 @@ pub struct SmrNode<S: StateMachine> {
     /// Proposed-when-idle filler command.
     idle_input: Value,
     /// How queued commands are grouped into slot proposals.
-    batching: Batching,
-    /// The adaptive batcher's current per-proposal command target
-    /// (ignored under [`Batching::Fixed`]).
-    batch_target: usize,
-    /// Whether a [`BATCH_FLUSH_TIMER`] is outstanding for held commands.
-    flush_armed: bool,
-    /// Set when the flush-age backstop fired with commands still queued:
-    /// the next drain opportunity flushes regardless of the target.
-    flush_due: bool,
+    batcher: Batcher,
     /// Ingress budget: queued client commands past this count are shed.
     ingress_max_cmds: usize,
     /// Ingress budget: queued client-command bytes past this are shed.
     ingress_max_bytes: usize,
-    /// EWMA of observed commit latency in µs (adaptive batching only).
-    commit_ewma_us: f64,
-    /// Lowest observed commit latency in µs (adaptive batching only) —
-    /// the congestion reference the EWMA is compared against.
-    commit_floor_us: f64,
     /// How many consecutive slots may run concurrently while commands are
     /// queued (1 = strictly sequential). Deeper pipelines amortize wakeups
     /// and let the transport's writer threads coalesce frames from several
     /// slots into single writes.
     pipeline_depth: u64,
-    /// Open consensus instances.
-    slots: BTreeMap<u64, Replica>,
+    /// Open consensus instances, each with the time on this actor's clock
+    /// at which it was started.
+    slots: BTreeMap<u64, (Replica, SimTime)>,
     /// Seats watched failing as leaders, consulted after every callback
     /// into a slot's instance (see [`crate::suspicion`]).
     suspicion: SuspicionTable,
@@ -585,9 +499,10 @@ pub struct SmrNode<S: StateMachine> {
     /// Backfill votes: slot → sender → claimed committed value. A value is
     /// applied once f+1 distinct senders agree on it.
     backfill: BTreeMap<u64, HashMap<ProcessId, Value>>,
-    /// When each open slot's instance was created. Populated only while a
-    /// metrics sink is attached (the commit/apply latency histograms are
-    /// the sole consumers), so the default sim path stays wall-clock-free.
+    /// When each open slot's instance was created, on the wall clock.
+    /// Populated only while a metrics sink is attached (the commit/apply
+    /// latency histograms are the sole consumers), so the default sim path
+    /// stays wall-clock-free.
     slot_opened: HashMap<u64, Instant>,
 }
 
@@ -613,14 +528,9 @@ impl<S: StateMachine> SmrNode<S> {
             pending,
             pending_bytes,
             idle_input,
-            batching: Batching::Fixed(1),
-            batch_target: 1,
-            flush_armed: false,
-            flush_due: false,
+            batcher: Batcher::new(Batching::default()),
             ingress_max_cmds: DEFAULT_INGRESS_MAX_CMDS,
             ingress_max_bytes: DEFAULT_INGRESS_MAX_BYTES,
-            commit_ewma_us: 0.0,
-            commit_floor_us: 0.0,
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             slots: BTreeMap::new(),
             decided: BTreeMap::new(),
@@ -648,40 +558,30 @@ impl<S: StateMachine> SmrNode<S> {
         }
     }
 
-    /// Bundles up to `batch_size` queued commands into each slot's proposal
-    /// (amortizing the two message delays over many commands). Default 1.
-    /// This configures [`Batching::Fixed`] — the escape hatch when a
-    /// deployment wants a hand-tuned constant instead of
-    /// [`Batching::Adaptive`] feedback.
+    /// Caps each slot's proposal at `batch_size` commands, every other
+    /// bound of the batching policy at its default. At 1 the batch target
+    /// cannot leave 1 and nothing is ever held: one command per slot.
     ///
     /// # Panics
     ///
     /// Panics if `batch_size` is 0.
     #[must_use]
     pub fn with_batch_size(self, batch_size: usize) -> Self {
-        assert!(batch_size >= 1, "batch size must be at least 1");
-        self.with_batching(Batching::Fixed(batch_size))
+        self.with_batching(Batching::Adaptive(AdaptiveBatch {
+            max_batch_cmds: batch_size,
+            ..AdaptiveBatch::default()
+        }))
     }
 
-    /// Configures how queued commands are grouped into proposals. Default
-    /// `Batching::Fixed(1)`.
+    /// Sets the bounds within which queued commands are grouped into
+    /// proposals. Default `Batching::Adaptive(AdaptiveBatch::default())`.
     ///
     /// # Panics
     ///
-    /// Panics if a fixed size or an adaptive cap is 0.
+    /// Panics if a cap is 0.
     #[must_use]
     pub fn with_batching(mut self, batching: Batching) -> Self {
-        match &batching {
-            Batching::Fixed(size) => {
-                assert!(*size >= 1, "batch size must be at least 1");
-            }
-            Batching::Adaptive(a) => {
-                assert!(a.max_batch_cmds >= 1, "max_batch_cmds must be at least 1");
-                assert!(a.max_batch_bytes >= 1, "max_batch_bytes must be at least 1");
-            }
-        }
-        self.batch_target = 1;
-        self.batching = batching;
+        self.batcher = Batcher::new(batching);
         self
     }
 
@@ -796,14 +696,10 @@ impl<S: StateMachine> SmrNode<S> {
         &self.machine
     }
 
-    /// The adaptive batcher's current per-proposal command target (always
-    /// the configured constant under [`Batching::Fixed`]; for tests and
+    /// The batcher's current per-proposal command target (for tests and
     /// monitoring).
     pub fn batch_target(&self) -> usize {
-        match &self.batching {
-            Batching::Fixed(size) => *size,
-            Batching::Adaptive(_) => self.batch_target,
-        }
+        self.batcher.target()
     }
 
     /// Summed bytes of the commands queued at ingress (budget accounting;
@@ -844,45 +740,13 @@ impl<S: StateMachine> SmrNode<S> {
         self.suspicion.suspects().collect()
     }
 
-    /// How many commands the next proposal should drain, and why — `None`
-    /// to propose nothing (empty queue, or an adaptive batcher holding a
-    /// sub-target batch while the pipeline is busy). Pure: the planned
-    /// drain happens in [`input_for_slot`](Self::input_for_slot).
+    /// How many commands the next proposal should drain, and why (see
+    /// [`Batcher::plan`]). Evaluated before a new slot is inserted
+    /// (`open_slot` computes the input first), so "no open slots" really
+    /// means idle. Pure: the planned drain happens in
+    /// [`input_for_slot`](Self::input_for_slot).
     fn plan_drain(&self) -> Option<(usize, FlushReason)> {
-        let len = self.pending.len();
-        if len == 0 {
-            return None;
-        }
-        match &self.batching {
-            Batching::Fixed(size) => Some(((*size).min(len), FlushReason::Size)),
-            Batching::Adaptive(a) => {
-                // Evaluated before the new slot is inserted (`open_slot`
-                // computes the input first), so "no open slots" really
-                // means idle.
-                let (cap, mut reason) = if self.quiescent() {
-                    (a.max_batch_cmds, FlushReason::Quiescence)
-                } else if len >= self.batch_target {
-                    (self.batch_target, FlushReason::Size)
-                } else if self.flush_due {
-                    (a.max_batch_cmds, FlushReason::Timeout)
-                } else {
-                    return None;
-                };
-                let mut take = 0usize;
-                let mut bytes = 0usize;
-                for cmd in self.pending.iter().take(cap.min(len)) {
-                    let size = cmd.as_bytes().len();
-                    // The first command always ships, however large.
-                    if take > 0 && bytes + size > a.max_batch_bytes {
-                        reason = FlushReason::Bytes;
-                        break;
-                    }
-                    bytes += size;
-                    take += 1;
-                }
-                Some((take, reason))
-            }
-        }
+        self.batcher.plan(&self.pending, self.quiescent())
     }
 
     /// Whether nothing is under way that a held batch could be waiting
@@ -902,41 +766,8 @@ impl<S: StateMachine> SmrNode<S> {
                 .all(|slot| self.revoked.contains(slot))
     }
 
-    /// Nudges the adaptive batch target after a drain of `take` commands
-    /// (no-op for fixed batching).
-    fn tune_batch_target(&mut self, take: usize) {
-        let Batching::Adaptive(a) = &self.batching else {
-            return;
-        };
-        let mut target = self.batch_target;
-        if !self.pending.is_empty() {
-            // The drain left backlog behind: underbatching — grow. This
-            // branch overrides the latency guard below: with a queue
-            // building, bigger batches mean *fewer* slots in flight for
-            // the same commands, so growing is what relieves slot
-            // pressure — shrinking here would open more slots and feed
-            // the very congestion the guard reacts to.
-            target = (target * 2).min(a.max_batch_cmds);
-        } else {
-            if take * 4 <= target {
-                // Drains run far under target: shrink back toward latency.
-                target = (target / 2).max(1);
-            }
-            // Congestion guard: commit latency far above its observed
-            // floor with no backlog queued means the batches (or the
-            // pipeline) outgrew the cluster.
-            if self.commit_floor_us > 0.0
-                && self.commit_ewma_us > 4.0 * self.commit_floor_us
-                && self.commit_ewma_us > 1_000.0
-            {
-                target = (target / 2).max(1);
-            }
-        }
-        self.batch_target = target;
-    }
-
     /// Whether the node should open a slot to propose queued commands
-    /// right now (an adaptive batcher may prefer to hold them).
+    /// right now (the batcher may prefer to hold them).
     fn wants_proposal(&self) -> bool {
         self.plan_drain().is_some()
     }
@@ -958,7 +789,6 @@ impl<S: StateMachine> SmrNode<S> {
                     self.pending_bytes -= cmd.as_bytes().len();
                     cmds.push(cmd);
                 }
-                self.flush_due = false;
                 self.propose_cursor = slot + 1;
                 self.in_flight.insert(slot, cmds.clone());
                 if let Some(m) = self.opts.metrics.get() {
@@ -970,7 +800,7 @@ impl<S: StateMachine> SmrNode<S> {
                         FlushReason::Timeout => m.batch_flush_timeout_total.inc(),
                     }
                 }
-                self.tune_batch_target(take);
+                self.batcher.drained(take, self.pending.len());
             }
         }
         if cmds.is_empty() {
@@ -1121,11 +951,8 @@ impl<S: StateMachine> SmrNode<S> {
         // again: the instance starts out wishing for the first live view.
         self.suspicion
             .steer(slot, &mut replica, &mut inner, &self.opts.metrics);
-        self.slots.insert(slot, replica);
-        // The open timestamp feeds the latency histograms *and* the
-        // adaptive batcher's congestion signal, so it is kept whenever
-        // either consumer exists.
-        if self.opts.metrics.is_enabled() || matches!(self.batching, Batching::Adaptive(_)) {
+        self.slots.insert(slot, (replica, fx.now()));
+        if self.opts.metrics.is_enabled() {
             self.slot_opened.insert(slot, Instant::now());
         }
         self.relay_inner(slot, inner, fx);
@@ -1140,7 +967,7 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     fn deliver(&mut self, slot: u64, from: ProcessId, msg: Message, fx: &mut Effects<SlotMessage>) {
-        let Some(replica) = self.slots.get_mut(&slot) else {
+        let Some((replica, _)) = self.slots.get_mut(&slot) else {
             return;
         };
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
@@ -1247,27 +1074,17 @@ impl<S: StateMachine> SmrNode<S> {
         if slot < self.applied || self.decided.contains_key(&slot) {
             return;
         }
-        // Commit latency, split by the path the slot's own replica took.
         // Backfill-settled slots have no local replica (and took neither
-        // path here), so they record nothing.
-        if let Some(at) = self.slot_opened.get(&slot) {
-            let us = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
-            if matches!(self.batching, Batching::Adaptive(_)) {
-                // Feed the batcher's congestion signal (floor + EWMA).
-                let us = us as f64;
-                self.commit_floor_us = if self.commit_floor_us == 0.0 {
-                    us
-                } else {
-                    self.commit_floor_us.min(us)
-                };
-                self.commit_ewma_us = if self.commit_ewma_us == 0.0 {
-                    us
-                } else {
-                    0.8 * self.commit_ewma_us + 0.2 * us
-                };
-            }
+        // path here), so they feed neither the batcher's congestion signal
+        // nor the commit latency histograms, which split by the path the
+        // slot's own replica took.
+        if let Some((replica, opened)) = self.slots.get(&slot) {
+            self.batcher.slot_committed(fx.now().since(*opened));
             if let Some(m) = self.opts.metrics.get() {
-                if let Some(path) = self.slots.get(&slot).and_then(|r| r.decided_path()) {
+                if let (Some(at), Some(path)) =
+                    (self.slot_opened.get(&slot), replica.decided_path())
+                {
+                    let us = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
                     match path {
                         CommitPath::Fast => m.commit_latency_fast_us.record(us),
                         CommitPath::Slow => m.commit_latency_slow_us.record(us),
@@ -1315,10 +1132,10 @@ impl<S: StateMachine> SmrNode<S> {
             }
         }
         // Keep the pipeline going while there is work; quiesce when idle
-        // (a client submission re-opens the pipeline via `on_client`). An
-        // adaptive batcher holding a sub-target batch counts as idle here —
-        // but if this advance drained the pipeline empty, `wants_proposal`
-        // sees the quiescence and flushes the held batch right now.
+        // (a client submission re-opens the pipeline via `on_client`). A
+        // batcher holding a sub-target batch counts as idle here — but if
+        // this advance drained the pipeline empty, `wants_proposal` sees
+        // the quiescence and flushes the held batch right now.
         if self.wants_proposal() || !self.in_flight.is_empty() {
             self.open_slot(self.applied, fx);
         }
@@ -1748,11 +1565,11 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
             return;
         }
         if timer == BATCH_FLUSH_TIMER {
-            // Flush-age backstop: commands held by the adaptive batcher
-            // flush now even though the target was never reached.
-            self.flush_armed = false;
-            if matches!(self.batching, Batching::Adaptive(_)) && !self.pending.is_empty() {
-                self.flush_due = true;
+            // Flush-age backstop: commands the batcher holds flush now
+            // even though the target was never reached.
+            let held = !self.pending.is_empty();
+            self.batcher.flush_timer_fired(held);
+            if held {
                 self.open_slot(self.applied, fx);
                 self.fill_pipeline(fx);
             }
@@ -1760,7 +1577,7 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
         }
         let slot = timer.0 / TIMER_STRIDE;
         let inner_timer = TimerId(timer.0 % TIMER_STRIDE);
-        let Some(replica) = self.slots.get_mut(&slot) else {
+        let Some((replica, _)) = self.slots.get_mut(&slot) else {
             return;
         };
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
@@ -1803,18 +1620,16 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
 }
 
 impl<S: StateMachine> SmrNode<S> {
-    /// Arms the flush-age backstop if the adaptive batcher is holding
-    /// commands, so they ship even if the pipeline never quiesces. Called
-    /// wherever commands enter the queue: a client's, and those `advance`
-    /// re-queues (which a hold would otherwise strand until the next
-    /// submission).
+    /// Arms the flush-age backstop if the batcher is holding commands, so
+    /// they ship even if the pipeline never quiesces. Called wherever
+    /// commands enter the queue: a client's, and those `advance` re-queues
+    /// (which a hold would otherwise strand until the next submission).
     fn arm_flush_timer(&mut self, fx: &mut Effects<SlotMessage>) {
-        let Batching::Adaptive(a) = &self.batching else {
+        if self.pending.is_empty() || self.wants_proposal() {
             return;
-        };
-        if !self.flush_armed && !self.pending.is_empty() && !self.wants_proposal() {
-            self.flush_armed = true;
-            fx.set_timer(a.flush_age, BATCH_FLUSH_TIMER);
+        }
+        if let Some(flush_age) = self.batcher.hold_began() {
+            fx.set_timer(flush_age, BATCH_FLUSH_TIMER);
         }
     }
 

@@ -23,16 +23,16 @@
 //! use std::time::Duration;
 //! use fastbft_core::replica::ReplicaOptions;
 //! use fastbft_crypto::KeyDirectory;
-//! use fastbft_smr::runtime::{smr_actors, SmrClusterHandle};
-//! use fastbft_smr::{KvCommand, KvStore};
+//! use fastbft_smr::runtime::{smr_actors_configured, SmrClusterHandle};
+//! use fastbft_smr::{Batching, KvCommand, KvStore};
 //! use fastbft_types::Config;
 //!
 //! let cfg = Config::new(4, 1, 1)?;
 //! let (pairs, dir) = KeyDirectory::generate(cfg.n(), 7);
 //! let idle = KvCommand::Noop.to_value();
-//! let actors = smr_actors(
+//! let actors = smr_actors_configured(
 //!     cfg, &pairs, &dir, KvStore::new(), vec![Vec::new(); cfg.n()],
-//!     idle.clone(), ReplicaOptions::default(), 1,
+//!     idle.clone(), ReplicaOptions::default(), Batching::default(), None, None,
 //! );
 //! let running = fastbft_runtime::spawn(actors, Duration::from_micros(50));
 //! let mut cluster = SmrClusterHandle::new(running, cfg.n(), idle);
@@ -52,47 +52,22 @@ use fastbft_runtime::{ClusterHandle, NodeSeat, Transport};
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, Value};
 
+use crate::batcher::Batching;
 use crate::machine::StateMachine;
-use crate::multiplex::{Batching, SlotMessage, SmrNode};
+use crate::multiplex::{SlotMessage, SmrNode};
 
 /// Builds one boxed [`SmrNode`] actor per process, ready for
 /// [`fastbft_runtime::spawn`] / `spawn_with` (or `fastbft-net`'s TCP
 /// seats). `commands[i]` preloads process `i+1`'s client queue; submit to a
-/// running cluster via [`SmrClusterHandle::submit`].
-#[allow(clippy::too_many_arguments)]
-pub fn smr_actors<S: StateMachine + Clone + Send + 'static>(
-    cfg: Config,
-    pairs: &[KeyPair],
-    dir: &KeyDirectory,
-    machine: S,
-    commands: Vec<Vec<Value>>,
-    idle_input: Value,
-    opts: ReplicaOptions,
-    batch_size: usize,
-) -> Vec<Box<dyn Actor<SlotMessage> + Send>> {
-    smr_actors_configured(
-        cfg,
-        pairs,
-        dir,
-        machine,
-        commands,
-        idle_input,
-        opts,
-        Batching::Fixed(batch_size),
-        None,
-        None,
-    )
-}
-
-/// The fully-general [`SmrNode`] actor builder: any [`Batching`] mode
-/// ([`smr_actors`] fixes it), an optional snapshot interval (`None` keeps
-/// the default cadence; restart/chaos tests use a short one so a rejoining
-/// node finds an attested snapshot to install), an optional metrics plane.
-/// With a registry, node `i` (and every per-slot replica it opens) records
-/// into `registry.replica(i)`, the same sink a metered transport for seat
-/// `i` should use (`fastbft_net::tcp_seats_metered`); attach the registry
-/// to the spawned cluster's handle ([`SmrClusterHandle::attach_metrics`])
-/// to scrape it.
+/// running cluster via [`SmrClusterHandle::submit`]. `batching` bounds the
+/// proposal batcher, `snapshot_interval` is optional (`None` keeps the
+/// default cadence; restart/chaos tests use a short one so a rejoining
+/// node finds an attested snapshot to install), and so is the metrics
+/// plane. With a registry, node `i` (and every per-slot replica it opens)
+/// records into `registry.replica(i)`, the same sink a metered transport
+/// for seat `i` should use (`fastbft_net::tcp_seats_metered`); attach the
+/// registry to the spawned cluster's handle
+/// ([`SmrClusterHandle::attach_metrics`]) to scrape it.
 #[allow(clippy::too_many_arguments)]
 pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
     cfg: Config,

@@ -6,7 +6,7 @@ use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
 use fastbft_obs::{Metrics, MetricsRegistry};
 use fastbft_sim::{Actor, Effects, Network, ScriptedActor, SimDuration, SimTime, Simulation};
-use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
+use fastbft_smr::{AdaptiveBatch, CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value};
 use proptest::prelude::*;
 
@@ -16,26 +16,23 @@ fn adaptive_cluster(
     network: Network,
 ) -> SmrSimCluster<CountingMachine> {
     let cfg = Config::new(4, 1, 1).unwrap();
-    SmrSimCluster::new_with_network_batching(
+    SmrSimCluster::new(
         cfg,
         seed,
         CountingMachine::new(),
         commands,
         Value::from_u64(0),
-        ReplicaOptions::default(),
-        Batching::Adaptive(AdaptiveBatch::default()),
         network,
+        |node| node,
     )
 }
 
 const DELTA: u64 = SimDuration::DELTA.0;
 const BURST: u64 = 200;
 
-/// `n = 7` with seats 6–7 silent and adaptive batching (otherwise as
-/// shipped), a metrics block per seat, and clients that submit in virtual
-/// time to every seat at once. Starts with a burst of [`BURST`] commands
-/// at Δ: the first rotation teaches everyone the two dead seats while the
-/// backlog grows the batch target.
+/// A cluster with its last seats silent and nodes as shipped on the others,
+/// a metrics block per seat, and clients that submit in virtual time to
+/// every seat at once.
 struct Degraded {
     sim: Simulation<SlotMessage>,
     registry: MetricsRegistry,
@@ -43,12 +40,19 @@ struct Degraded {
 }
 
 impl Degraded {
+    /// `n = 7` with seats 6–7 silent and a burst of [`BURST`] commands at
+    /// Δ: the first rotation teaches everyone the two dead seats while the
+    /// backlog grows the batch target.
     fn under_a_burst(seed: u64) -> Self {
-        let cfg = Config::new(7, 2, 1).unwrap();
+        Degraded::bursting(Config::new(7, 2, 1).unwrap(), seed, 5)
+    }
+
+    /// The first `live` seats of `cfg` live, the [`BURST`] submitted at Δ.
+    fn bursting(cfg: Config, seed: u64, live: usize) -> Self {
         let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let registry = MetricsRegistry::new(cfg.n());
         let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), seed);
-        let live: Vec<ProcessId> = cfg.processes().take(5).collect();
+        let live: Vec<ProcessId> = cfg.processes().take(live).collect();
         for p in cfg.processes() {
             if !live.contains(&p) {
                 sim.add_actor(Box::new(ScriptedActor::silent()));
@@ -65,8 +69,7 @@ impl Degraded {
             .with_options(ReplicaOptions {
                 metrics: registry.replica(p.index()),
                 ..ReplicaOptions::default()
-            })
-            .with_batching(Batching::Adaptive(AdaptiveBatch::default()));
+            });
             sim.add_actor(Box::new(node));
         }
         sim.start();
@@ -180,7 +183,6 @@ fn requeued_commands_the_batcher_holds_get_the_backstop_armed() {
         Vec::new(),
         filler.clone(),
     )
-    .with_batching(Batching::Adaptive(AdaptiveBatch::default()))
     .with_pipeline_depth(1);
     let batch = |cmd: &Value| Value::new(fastbft_types::wire::to_bytes(&vec![cmd.clone()]));
     // One effect buffer for the whole drive: it collects every timer set.
@@ -255,6 +257,77 @@ fn backlog_is_amortized_into_fewer_slots() {
             assert_eq!(hits, 1, "{p} applied {cmd:?} {hits} times");
         }
     }
+}
+
+/// What a run does is a function of its seed and schedule, not of how fast
+/// the host steps the simulator: the batcher reads the actor's clock. One
+/// silent seat at `n = 4`, a backlog and then a trickle, run twice: the
+/// same trace, the same batch in every proposal and the same batch target
+/// after every event, on every seat.
+///
+/// The run also shows the congestion guard at work in virtual time. The
+/// burst fills the 16-slot window; the four slots the silent seat leads
+/// each wait out the view-1 timeout and commit together, 14Δ after they
+/// opened against the fast path's 2Δ floor, and the smoothed latency ends
+/// above 4× the floor. The drains that follow in the same callback grow the
+/// target while they leave a backlog (which overrides the guard); the one
+/// that empties the queue takes more than a quarter of the target — so it
+/// is not "far under target" — and still halves it.
+#[test]
+fn adaptive_run_is_reproducible() {
+    const TRICKLE: u64 = 60;
+    /// Per live seat: (batch target, proposals drained, commands drained).
+    type Snapshot = Vec<(usize, u64, u64)>;
+    let run = || {
+        let mut cluster = Degraded::bursting(Config::new(4, 1, 1).unwrap(), 41, 3);
+        // Three commands per Δ, once the backlog is through.
+        for i in 0..TRICKLE {
+            let at = SimTime(40 * DELTA + i * DELTA / 3);
+            cluster.submit(Value::from_u64(5000 + i), at);
+        }
+        let mut history: Vec<Snapshot> = Vec::new();
+        while cluster.sim.step() {
+            let snapshot: Snapshot = cluster
+                .live
+                .iter()
+                .map(|p| {
+                    let drains = &cluster.metrics(*p).batch_size;
+                    (
+                        cluster.node(*p).batch_target(),
+                        drains.count(),
+                        drains.sum(),
+                    )
+                })
+                .collect();
+            if history.last() != Some(&snapshot) {
+                history.push(snapshot);
+            }
+        }
+        for p in &cluster.live {
+            assert_eq!(cluster.node(*p).commands_applied(), BURST + TRICKLE);
+            // The trickle was held below target and shipped by the backstop.
+            assert!(cluster.metrics(*p).batch_flush_timeout_total.get() > 0);
+        }
+        (cluster.sim.trace().records().to_vec(), history)
+    };
+    let (trace, history) = run();
+    let (trace_again, history_again) = run();
+    assert!(trace == trace_again, "the traces of two runs differ");
+    assert_eq!(history, history_again);
+
+    // One drain between two snapshots of a seat, so the commands it took
+    // are the difference of the sums.
+    let guard_halvings = history
+        .windows(2)
+        .flat_map(|w| w[0].iter().zip(&w[1]))
+        .filter(
+            |((target, drains, cmds), (after, drains_after, cmds_after))| {
+                let take = (cmds_after - cmds) as usize;
+                *drains_after == drains + 1 && after < target && take * 4 > *target
+            },
+        )
+        .count();
+    assert!(guard_halvings >= 1, "the congestion guard never acted");
 }
 
 proptest! {

@@ -95,8 +95,8 @@ impl Cluster {
         Cluster::build(cfg, seed, network, commands, configure, seat)
     }
 
-    /// Honest nodes as shipped — the default pipeline depth, empty queues —
-    /// for tests that [`submit`](Cluster::submit) their load.
+    /// Honest nodes at the default pipeline depth, with empty queues, for
+    /// tests that [`submit`](Cluster::submit) their load.
     fn pipelined(
         cfg: Config,
         seed: u64,
@@ -126,6 +126,7 @@ impl Cluster {
                 (0..commands).map(command),
                 idle(),
             )
+            .with_batch_size(1)
             .with_options(ReplicaOptions {
                 metrics: registry.replica(p.index()),
                 ..ReplicaOptions::default()
@@ -372,6 +373,52 @@ fn dead_leaders_stop_costing_timeouts_after_the_first_rotation() {
     let json = cluster.registry.render_json();
     assert!(json.contains("\"detail\":\"suspect p6 (slot 4, view 1)\""));
     assert!(json.contains("\"detail\":\"suspect p7 (slot 4, view 2)\""));
+}
+
+/// The flight recorder says which slot. Same cluster, through slot 5: slot 4
+/// waits out p6 and then p7, and every event of that story — the two
+/// expired view timers with the leader each waited for, the two view
+/// entries, the slow-path commit in view 3 — carries `slot 4`. Slot 5, led
+/// by the now-suspected p7, is entered by wish: a view change and a commit,
+/// no timer.
+#[test]
+fn post_mortem_events_name_their_slot() {
+    let cfg = generalized_seven();
+    let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
+    let net = Network::synchronous(DELTA);
+    let mut cluster = Cluster::new(cfg, 17, net, 6, None, two_silent_seats);
+    cluster.run_until_applied(&live, 6, |_| {});
+
+    let events = cluster.registry.metrics(2).recorder.snapshot();
+    let of_slot = |slot: u64| -> Vec<(&str, &str)> {
+        let tag = format!(" slot {slot} ");
+        events
+            .iter()
+            .filter(|e| ["view-timeout", "view-change", "commit-slow"].contains(&e.kind))
+            .filter(|e| e.detail.contains(&tag))
+            .map(|e| (e.kind, e.detail.as_str()))
+            .collect()
+    };
+    assert_eq!(of_slot(0), [("commit-slow", "p3 decided slot 0 in view 1")]);
+    assert_eq!(
+        of_slot(4),
+        [
+            ("view-timeout", "p3 slot 4 view 1 timed out waiting for p6"),
+            ("view-change", "p3 slot 4 entered view 2 (leader p7)"),
+            ("view-timeout", "p3 slot 4 view 2 timed out waiting for p7"),
+            ("view-change", "p3 slot 4 entered view 3 (leader p1)"),
+            ("commit-slow", "p3 decided slot 4 in view 3"),
+        ]
+    );
+    assert_eq!(
+        of_slot(5),
+        [
+            ("view-change", "p3 slot 5 entered view 2 (leader p1)"),
+            ("commit-slow", "p3 decided slot 5 in view 2"),
+        ]
+    );
+    let timeouts = events.iter().filter(|e| e.kind == "view-timeout").count();
+    assert_eq!(timeouts, 2, "no other timer expired: {events:?}");
 }
 
 /// (b) False suspicion heals. A correct leader whose outbound traffic is

@@ -60,6 +60,7 @@ fn cluster(
             (0..queued).map(command),
             Value::from_u64(0),
         )
+        .with_batch_size(1)
         .with_options(ReplicaOptions {
             metrics: registry.map_or_else(Default::default, |r| r.replica(i)),
             ..ReplicaOptions::default()

@@ -25,7 +25,7 @@ fn metered_cluster(cfg: Config, seed: u64) -> (SmrClusterHandle, MetricsRegistry
         vec![Vec::new(); cfg.n()],
         KvCommand::Noop.to_value(),
         ReplicaOptions::default(),
-        Batching::Fixed(1),
+        Batching::default(),
         None,
         Some(&registry),
     );

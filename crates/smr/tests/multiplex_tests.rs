@@ -2,9 +2,8 @@
 //! namespacing, rotation and pipelining behavior.
 
 use fastbft_core::message::{AckMsg, Message, WishMsg};
-use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
-use fastbft_sim::{Actor, Effects, SimTime};
+use fastbft_sim::{Actor, Effects, Network, SimDuration, SimTime};
 use fastbft_smr::{CountingMachine, KvCommand, KvStore, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -20,7 +19,8 @@ fn empty_queues_quiesce_after_slot_zero() {
         CountingMachine::new(),
         vec![Vec::new(); 4],
         Value::from_u64(0),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node,
     );
     let report = cluster.run_until_applied(25, SimTime(5_000_000));
     assert_eq!(report.applied_everywhere, 1, "{report:?}");
@@ -45,7 +45,8 @@ fn rotation_commits_every_nodes_commands() {
         CountingMachine::new(),
         commands,
         Value::from_u64(0),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node,
     );
     let report = cluster.run_until_applied(4, SimTime(5_000_000));
     assert!(report.applied_everywhere >= 4);
@@ -75,7 +76,8 @@ fn slot_zero_leader_is_paper_leader() {
         CountingMachine::new(),
         commands,
         Value::from_u64(0),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node,
     );
     let report = cluster.run_until_applied(1, SimTime(1_000_000));
     assert!(report.applied_everywhere >= 1);
@@ -111,7 +113,8 @@ fn kv_delete_of_missing_key_is_consistent() {
         KvStore::new(),
         vec![queue.clone(); 4],
         KvCommand::Noop.to_value(),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node,
     );
     let report = cluster.run_until_commands(4, SimTime(5_000_000));
     assert!(report.commands_everywhere >= 4, "{report:?}");
@@ -216,15 +219,14 @@ fn batching_multiplies_throughput() {
     let run = |batch: usize| {
         // Pipeline depth pinned to 1: this test isolates the *batching*
         // gain, which deeper slot pipelining (the default) would mask.
-        let mut cluster = SmrSimCluster::new_batched_with_depth(
+        let mut cluster = SmrSimCluster::new(
             cfg,
             8,
             CountingMachine::new(),
             vec![queue.clone(); 4],
             Value::from_u64(u64::MAX),
-            ReplicaOptions::default(),
-            batch,
-            1,
+            Network::synchronous(SimDuration::DELTA),
+            |node| node.with_batch_size(batch).with_pipeline_depth(1),
         );
         let report = cluster.run_until_commands(64, SimTime(50_000_000));
         assert!(report.commands_everywhere >= 64, "{report:?}");
@@ -257,7 +259,8 @@ fn long_pipeline_makes_steady_progress() {
         CountingMachine::new(),
         vec![queue; 4],
         Value::from_u64(u64::MAX),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node.with_batch_size(1),
     );
     let report = cluster.run_until_applied(100, SimTime(50_000_000));
     assert!(report.applied_everywhere >= 100, "{report:?}");

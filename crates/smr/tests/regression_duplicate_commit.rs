@@ -9,7 +9,6 @@
 //! applied — and logged — twice.
 
 use fastbft_core::message::{Message, WishMsg};
-use fastbft_core::replica::ReplicaOptions;
 use fastbft_sim::{Network, SimDuration, SimTime};
 use fastbft_smr::{CountingMachine, SlotMessage, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
@@ -35,15 +34,14 @@ fn overlapping_slots_never_commit_a_command_twice() {
             info.sent_at + delta
         }
     });
-    let mut cluster = SmrSimCluster::new_with_network(
+    let mut cluster = SmrSimCluster::new(
         cfg,
         7,
         CountingMachine::new(),
         commands,
         Value::from_u64(0),
-        ReplicaOptions::default(),
-        1,
         network,
+        |node| node.with_batch_size(1),
     );
     // A harmless slot-1 message reaching p3 makes it open slot 1 (it is the
     // slot-1 leader, so it immediately proposes) while slot 0 is still

@@ -16,7 +16,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use fastbft_core::replica::ReplicaOptions;
 use fastbft_sim::{Network, SimDuration, SimTime};
 use fastbft_smr::{
     KvCommand, KvStore, SmrSimCluster, DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
@@ -55,16 +54,17 @@ fn replica_partitioned_past_stash_horizon_recovers() {
             info.sent_at + delta
         }
     });
-    let mut cluster = SmrSimCluster::new_with_network_snapshotting(
+    let mut cluster = SmrSimCluster::new(
         cfg,
         11,
         KvStore::new(),
         commands,
         KvCommand::Noop.to_value(),
-        ReplicaOptions::default(),
-        1,
         network,
-        DEFAULT_SNAPSHOT_INTERVAL,
+        |node| {
+            node.with_batch_size(1)
+                .with_snapshot_interval(DEFAULT_SNAPSHOT_INTERVAL)
+        },
     );
 
     // Phase A: the live trio commits one full stash horizon *plus* a

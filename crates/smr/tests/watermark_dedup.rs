@@ -8,8 +8,7 @@
 //! client's out-of-order window — these tests pin both the boundedness and
 //! the unchanged at-most-once semantics.
 
-use fastbft_core::replica::ReplicaOptions;
-use fastbft_sim::SimTime;
+use fastbft_sim::{Network, SimDuration, SimTime};
 use fastbft_smr::{
     parse_client_tag, tag_command, CountingMachine, KvCommand, KvStore, SmrSimCluster,
 };
@@ -45,14 +44,14 @@ fn dedup_state_stays_bounded_over_a_10k_command_run() {
             tag_command(client, seq, &i.to_be_bytes())
         })
         .collect();
-    let mut cluster = SmrSimCluster::new_batched(
+    let mut cluster = SmrSimCluster::new(
         cfg,
         11,
         CountingMachine::new(),
         vec![queue; 4],
         Value::from_u64(u64::MAX),
-        ReplicaOptions::default(),
-        64,
+        Network::synchronous(SimDuration::DELTA),
+        |node| node.with_batch_size(64),
     );
     // Check boundedness *during* the run, not only at the end: at several
     // checkpoints the per-node dedup state must stay within the transient
@@ -89,14 +88,14 @@ fn tagged_duplicates_execute_exactly_once() {
     // Every replica queues seqs 1..=20, then a stale resubmission of 1..=5.
     let mut queue: Vec<Value> = (1..=20).map(cmd).collect();
     queue.extend((1..=5).map(cmd));
-    let mut cluster = SmrSimCluster::new_batched(
+    let mut cluster = SmrSimCluster::new(
         cfg,
         12,
         CountingMachine::new(),
         vec![queue; 4],
         Value::from_u64(u64::MAX),
-        ReplicaOptions::default(),
-        4,
+        Network::synchronous(SimDuration::DELTA),
+        |node| node.with_batch_size(4),
     );
     let report = cluster.run_until_commands(20, SimTime(10_000_000));
     assert!(report.logs_consistent);
@@ -126,14 +125,14 @@ fn out_of_order_sequences_converge_and_prune() {
         Vec::new(),
         Vec::new(),
     ];
-    let mut cluster = SmrSimCluster::new_batched(
+    let mut cluster = SmrSimCluster::new(
         cfg,
         13,
         CountingMachine::new(),
         queues,
         Value::from_u64(u64::MAX),
-        ReplicaOptions::default(),
-        2,
+        Network::synchronous(SimDuration::DELTA),
+        |node| node.with_batch_size(2),
     );
     let report = cluster.run_until_commands(40, SimTime(10_000_000));
     assert!(report.logs_consistent);
@@ -148,14 +147,14 @@ fn out_of_order_sequences_converge_and_prune() {
 fn untagged_commands_still_dedup_by_digest() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let queue: Vec<Value> = (0..50).map(Value::from_u64).collect();
-    let mut cluster = SmrSimCluster::new_batched(
+    let mut cluster = SmrSimCluster::new(
         cfg,
         14,
         CountingMachine::new(),
         vec![queue; 4],
         Value::from_u64(u64::MAX),
-        ReplicaOptions::default(),
-        4,
+        Network::synchronous(SimDuration::DELTA),
+        |node| node.with_batch_size(4),
     );
     let report = cluster.run_until_commands(50, SimTime(10_000_000));
     assert!(report.logs_consistent);
@@ -190,7 +189,8 @@ fn tagged_puts_change_the_replicated_store_on_every_replica() {
             KvStore::new(),
             vec![queue; 4],
             KvCommand::Noop.to_value(),
-            ReplicaOptions::default(),
+            Network::synchronous(SimDuration::DELTA),
+            |node| node,
         );
         let report = cluster.run_until_commands(5, SimTime(1_000_000));
         assert!(report.commands_everywhere >= 5, "{report:?}");

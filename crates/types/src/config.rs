@@ -160,6 +160,12 @@ impl Config {
         self
     }
 
+    /// The leader-map rotation (see [`Config::with_leader_offset`]): the log
+    /// slot of an instance the SMR layer opened, 0 for a single instance.
+    pub fn leader_offset(&self) -> u64 {
+        self.offset
+    }
+
     /// Number of processes `n`.
     pub fn n(&self) -> usize {
         self.n

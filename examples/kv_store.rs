@@ -8,8 +8,7 @@
 //!
 //! Run with: `cargo run --example kv_store`
 
-use fastbft::core::replica::ReplicaOptions;
-use fastbft::sim::SimTime;
+use fastbft::sim::{Network, SimDuration, SimTime};
 use fastbft::smr::{KvCommand, KvStore, SmrSimCluster};
 use fastbft::types::Config;
 
@@ -66,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         KvStore::new(),
         commands,
         KvCommand::Noop.to_value(),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node,
     );
     let report = cluster.run_until_commands(workload.len() as u64, SimTime(1_000_000));
 

@@ -1,8 +1,7 @@
 //! SMR integration: replicated logs stay identical across replicas, with
 //! randomized command workloads.
 
-use fastbft::core::replica::ReplicaOptions;
-use fastbft::sim::SimTime;
+use fastbft::sim::{Network, SimDuration, SimTime};
 use fastbft::smr::{CountingMachine, KvCommand, KvStore, SmrSimCluster};
 use fastbft::types::{Config, ProcessId, Value};
 use proptest::prelude::*;
@@ -20,7 +19,8 @@ fn logs_identical_across_replicas() {
         CountingMachine::new(),
         commands,
         Value::from_u64(u64::MAX),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node.with_batch_size(1),
     );
     let report = cluster.run_until_applied(20, SimTime(10_000_000));
     assert!(report.applied_everywhere >= 20, "{report:?}");
@@ -52,7 +52,8 @@ fn generalized_config_smr() {
         CountingMachine::new(),
         vec![workload; 8],
         Value::from_u64(u64::MAX),
-        ReplicaOptions::default(),
+        Network::synchronous(SimDuration::DELTA),
+        |node| node,
     );
     let report = cluster.run_until_commands(8, SimTime(10_000_000));
     assert!(report.commands_everywhere >= 8, "{report:?}");
@@ -95,7 +96,8 @@ proptest! {
             KvStore::new(),
             commands,
             KvCommand::Noop.to_value(),
-            ReplicaOptions::default(),
+            Network::synchronous(SimDuration::DELTA),
+            |node| node,
         );
         let report = cluster.run_until_commands(distinct.len() as u64, SimTime(10_000_000));
         prop_assert!(
