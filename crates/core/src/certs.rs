@@ -5,41 +5,20 @@
 //! * [`SignedVote`] — a vote plus `φ_vote = sign_q((vote, vote_q, v))`,
 //!   bound to the destination view `v`;
 //! * [`ProgressCert`] — the paper's `σ`: proof that a value is safe in a
-//!   view. Comes in the **bounded** form the paper contributes (`f + 1`
-//!   CertAck signatures) and the **naive** form it discusses and rejects
-//!   (the full vote set, verified by re-running the selection algorithm) —
-//!   kept for the certificate-growth ablation (experiment E7);
+//!   view, in the one form the paper contributes: `f + 1` CertAck
+//!   signatures, whatever the view. The form §3.2 discusses and rejects —
+//!   the whole vote set, every vote embedding an earlier certificate — is
+//!   not a type here: it would make the wire types recursive (see
+//!   ARCHITECTURE, "Wire types and decode depth");
 //! * [`CommitCert`] — the paper's slow-path commit certificate:
 //!   `⌈(n+f+1)/2⌉` signature shares over `(ack, x, v)`.
-
-use std::cell::RefCell;
 
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
 use fastbft_obs::Metrics;
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value, View};
 
-use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload, Statement};
-use crate::selection::{select, Outcome, SelectionError};
-
-thread_local! {
-    /// Reused encode scratch for vote statements: signing or validating a
-    /// vote previously built a throwaway `to_wire_bytes()` `Vec` per call —
-    /// the hot paths here are per-vote at every view change, so the
-    /// allocation was pure overhead.
-    static ENCODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The statement `φ_vote` signs for `vote` destined to `dest_view`,
-/// built through the reused thread-local scratch buffer.
-fn vote_statement(vote: &Vote, dest_view: View) -> Statement {
-    ENCODE_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.clear();
-        vote.encode(&mut buf);
-        vote_payload(&buf, dest_view)
-    })
-}
+use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload};
 
 /// One signature checked through the directory and, when the receiver
 /// keeps counters, counted: `sig_memo_miss_total` is every signature check
@@ -74,21 +53,12 @@ fn verify_quorum(
     ok
 }
 
-/// Which progress-certificate construction the protocol uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CertMode {
-    /// The paper's contribution: constant-size certificates built from
-    /// `f + 1` CertAck signatures via the extra view-change round-trip.
-    #[default]
-    Bounded,
-    /// The naive scheme §3.2 discusses: the certificate is the whole vote
-    /// set; verifiers re-run the selection algorithm. Certificate size (and
-    /// verification time) grows with the view number — the ablation of E7.
-    Naive,
-}
-
 /// A progress certificate: transferable proof that value `x` is safe in
 /// view `v` (no other value was or will be decided in any view `< v`).
+///
+/// Wire tags 0 and 1. Tag 2 — the whole-vote-set form, which only an
+/// ablation mode ever emitted — stays unassigned: a certificate holds
+/// signatures, never votes, so decoding one cannot re-enter itself.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProgressCert {
     /// The trivial certificate for view 1, where any value is safe (`⊥`).
@@ -96,9 +66,6 @@ pub enum ProgressCert {
     /// `f + 1` signatures over `(CertAck, x, v)` — at least one is from a
     /// correct process that re-ran the selection algorithm (§3.2).
     Bounded(SignatureSet),
-    /// The full set of `≥ n − f` signed votes; verified by re-running the
-    /// selection algorithm locally.
-    Naive(Vec<SignedVote>),
 }
 
 impl ProgressCert {
@@ -122,30 +89,6 @@ impl ProgressCert {
                 cfg.cert_quorum(),
                 metrics,
             ),
-            ProgressCert::Naive(votes) => {
-                if let Some(m) = metrics {
-                    m.cert_cache_miss_total.inc();
-                }
-                // Re-run the selection algorithm on the presented votes, as a
-                // CertRequest verifier would (the naive scheme makes *every*
-                // propose recipient such a verifier).
-                let mut map = std::collections::BTreeMap::new();
-                for sv in votes {
-                    if !sv.is_valid(cfg, dir, v, metrics) {
-                        return false;
-                    }
-                    if map.insert(sv.voter, sv.clone()).is_some() {
-                        return false; // duplicate voter
-                    }
-                }
-                match select(cfg, v, &map) {
-                    Ok(result) => match result.outcome {
-                        Outcome::Constrained(ref y) => y == x,
-                        Outcome::Free => true,
-                    },
-                    Err(SelectionError::NeedMoreVotes { .. }) => false,
-                }
-            }
         }
     }
 
@@ -163,10 +106,6 @@ impl Encode for ProgressCert {
                 buf.push(1);
                 sigs.encode(buf);
             }
-            ProgressCert::Naive(votes) => {
-                buf.push(2);
-                votes.encode(buf);
-            }
         }
     }
 }
@@ -176,7 +115,6 @@ impl Decode for ProgressCert {
         match r.take_u8()? {
             0 => Ok(ProgressCert::Genesis),
             1 => Ok(ProgressCert::Bounded(SignatureSet::decode(r)?)),
-            2 => Ok(ProgressCert::Naive(Vec::<SignedVote>::decode(r)?)),
             tag => Err(WireError::InvalidTag {
                 tag,
                 context: "ProgressCert",
@@ -265,7 +203,7 @@ fastbft_types::impl_wire_struct!(SignedVote { voter, vote, sig });
 impl SignedVote {
     /// Creates and signs a vote destined for the leader of `dest_view`.
     pub fn sign(keypair: &KeyPair, vote: Vote, dest_view: View) -> Self {
-        let payload = vote_statement(&vote, dest_view);
+        let payload = vote_payload(&vote.to_wire_bytes(), dest_view);
         SignedVote {
             voter: keypair.id(),
             vote,
@@ -289,7 +227,7 @@ impl SignedVote {
         if self.sig.signer != self.voter {
             return false;
         }
-        let payload = vote_statement(&self.vote, dest_view);
+        let payload = vote_payload(&self.vote.to_wire_bytes(), dest_view);
         if !verify_counted(dir, metrics, &payload, &self.sig) {
             return false;
         }
@@ -550,11 +488,21 @@ mod tests {
         roundtrip(&ProgressCert::Genesis);
         let set: SignatureSet = pairs[..2].iter().map(|p| p.sign(b"s")).collect();
         roundtrip(&ProgressCert::Bounded(set));
-        let votes = vec![
-            SignedVote::sign(&pairs[0], None, View(2)),
-            SignedVote::sign(&pairs[1], None, View(2)),
-        ];
-        roundtrip(&ProgressCert::Naive(votes));
+    }
+
+    #[test]
+    fn decode_rejects_bad_tag() {
+        // 2 was the whole-vote-set certificate's tag; it stays unassigned,
+        // so no wire type can contain itself.
+        for tag in [2, 3, 99] {
+            assert_eq!(
+                fastbft_types::wire::from_bytes::<ProgressCert>(&[tag]),
+                Err(WireError::InvalidTag {
+                    tag,
+                    context: "ProgressCert"
+                })
+            );
+        }
     }
 
     #[test]

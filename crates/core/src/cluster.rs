@@ -28,7 +28,6 @@ use fastbft_sim::{
 use fastbft_types::{Config, ProcessId, Value};
 
 use crate::byzantine::{EquivocatingLeader, RandomByzantine};
-use crate::certs::CertMode;
 use crate::message::Message;
 use crate::replica::{Replica, ReplicaOptions};
 
@@ -72,14 +71,11 @@ impl Behavior {
 pub struct SimClusterBuilder {
     cfg: Config,
     seed: u64,
-    delta: SimDuration,
     gst: SimTime,
     pre_gst_max: SimDuration,
     inputs: Vec<Value>,
     behaviors: BTreeMap<ProcessId, Behavior>,
-    options: ReplicaOptions,
     metrics: Option<MetricsRegistry>,
-    horizon: Option<SimTime>,
 }
 
 impl SimClusterBuilder {
@@ -87,14 +83,11 @@ impl SimClusterBuilder {
         SimClusterBuilder {
             cfg,
             seed: 0,
-            delta: SimDuration::DELTA,
             gst: SimTime::ZERO,
             pre_gst_max: SimDuration(SimDuration::DELTA.0 * 10),
             inputs: (1..=cfg.n() as u64).map(Value::from_u64).collect(),
             behaviors: BTreeMap::new(),
-            options: ReplicaOptions::default(),
             metrics: None,
-            horizon: None,
         }
     }
 
@@ -107,13 +100,6 @@ impl SimClusterBuilder {
     pub fn inputs_u64(mut self, inputs: impl IntoIterator<Item = u64>) -> Self {
         self.inputs = inputs.into_iter().map(Value::from_u64).collect();
         assert_eq!(self.inputs.len(), self.cfg.n(), "one input per process");
-        self
-    }
-
-    /// Sets one process's input value.
-    #[must_use]
-    pub fn input(mut self, p: ProcessId, value: Value) -> Self {
-        self.inputs[p.index()] = value;
         self
     }
 
@@ -131,48 +117,12 @@ impl SimClusterBuilder {
         self
     }
 
-    /// Sets the message-delay bound Δ.
-    #[must_use]
-    pub fn delta(mut self, delta: SimDuration) -> Self {
-        self.delta = delta;
-        self
-    }
-
     /// Sets the global stabilization time; before it, delays are uniformly
     /// random up to `pre_gst_max`.
     #[must_use]
     pub fn gst(mut self, gst: SimTime, pre_gst_max: SimDuration) -> Self {
         self.gst = gst;
         self.pre_gst_max = pre_gst_max;
-        self
-    }
-
-    /// Selects the progress-certificate mode (E7 ablation).
-    #[must_use]
-    pub fn cert_mode(mut self, mode: CertMode) -> Self {
-        self.options.cert_mode = mode;
-        self
-    }
-
-    /// Forces the slow path on or off (default: on iff `t < f`).
-    #[must_use]
-    pub fn slow_path(mut self, on: bool) -> Self {
-        self.options.slow_path = Some(on);
-        self
-    }
-
-    /// Sets the view-1 timeout (doubles per view).
-    #[must_use]
-    pub fn base_timeout(mut self, timeout: SimDuration) -> Self {
-        self.options.base_timeout = timeout;
-        self
-    }
-
-    /// Overrides the simulation horizon used by
-    /// [`SimCluster::run_until_all_decide`].
-    #[must_use]
-    pub fn horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = Some(horizon);
         self
     }
 
@@ -195,10 +145,11 @@ impl SimClusterBuilder {
     pub fn build(self) -> SimCluster {
         let cfg = self.cfg;
         let (pairs, dir) = KeyDirectory::generate(cfg.n(), self.seed);
+        let delta = SimDuration::DELTA;
         let network = if self.gst == SimTime::ZERO {
-            Network::synchronous(self.delta)
+            Network::synchronous(delta)
         } else {
-            Network::partially_synchronous(self.delta, self.gst, self.pre_gst_max)
+            Network::partially_synchronous(delta, self.gst, self.pre_gst_max)
         };
         let mut sim = Simulation::new(network, self.seed.wrapping_add(1));
         let mut byzantine = Vec::new();
@@ -217,7 +168,7 @@ impl SimClusterBuilder {
             }
             let input = self.inputs[p.index()].clone();
             let keys = pairs[p.index()].clone();
-            let mut options = self.options.clone();
+            let mut options = ReplicaOptions::default();
             if let Some(registry) = &self.metrics {
                 options.metrics = registry.replica(p.index());
             }
@@ -255,18 +206,16 @@ impl SimClusterBuilder {
         for (p, at) in crashes {
             sim.schedule_crash(p, at);
         }
-        let horizon = self.horizon.unwrap_or_else(|| {
-            let gst_part = if self.gst == SimTime::NEVER {
-                SimTime::ZERO
-            } else {
-                self.gst
-            };
-            gst_part + SimDuration(self.delta.0.saturating_mul(20_000))
-        });
+        let gst_part = if self.gst == SimTime::NEVER {
+            SimTime::ZERO
+        } else {
+            self.gst
+        };
+        let horizon = gst_part + SimDuration(delta.0.saturating_mul(20_000));
         SimCluster {
             sim,
             cfg,
-            delta: self.delta,
+            delta,
             inputs: self.inputs,
             byzantine,
             horizon,

@@ -41,7 +41,7 @@
 //! |---|---|---|
 //! | [`replica`] | §3.1, A.1 | the per-process state machine (fast + slow path, synchronizer) |
 //! | [`selection`] | §3.2, A.2 | the selection algorithm as a pure function |
-//! | [`certs`] | §3.2, A | votes, progress certificates (bounded + naive), commit certificates |
+//! | [`certs`] | §3.2, A | votes, bounded progress certificates, commit certificates |
 //! | [`message`] | Fig. 1, 5 | the message vocabulary |
 //! | [`payload`] | §3.1–3.2 | canonical bytes for every signed statement |
 //! | [`byzantine`] | §2.1 | adversarial actors (equivocator, fuzzer) |
@@ -61,7 +61,7 @@ pub mod replica;
 pub mod selection;
 pub mod theory;
 
-pub use certs::{CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData};
+pub use certs::{CommitCert, ProgressCert, SignedVote, Vote, VoteData};
 pub use cluster::{Behavior, Report, SimCluster, SimClusterBuilder};
 pub use message::Message;
 pub use replica::{CommitPath, Replica, ReplicaOptions};

@@ -27,9 +27,7 @@ use fastbft_obs::MetricsHandle;
 use fastbft_sim::{Actor, Effects, SimDuration, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
-use crate::certs::{
-    verify_counted, CertMode, CommitCert, ProgressCert, SignedVote, Vote, VoteData,
-};
+use crate::certs::{verify_counted, CommitCert, ProgressCert, SignedVote, Vote, VoteData};
 use crate::message::{
     AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, VoteMsg, WishMsg,
 };
@@ -39,12 +37,6 @@ use crate::selection::{select, Outcome};
 /// Tuning knobs for a [`Replica`].
 #[derive(Clone, Debug)]
 pub struct ReplicaOptions {
-    /// Progress-certificate construction (bounded vs naive; E7 ablation).
-    pub cert_mode: CertMode,
-    /// Whether the slow path runs. `None` (default) enables it exactly when
-    /// `t < f` — the vanilla protocol (`t = f`) has no slow path in the
-    /// paper, and the generalized protocol needs it.
-    pub slow_path: Option<bool>,
     /// View-1 timeout; doubles on every view change (view synchronizer).
     pub base_timeout: SimDuration,
     /// Observability handle. Disabled by default; wire one up from a
@@ -58,8 +50,6 @@ pub struct ReplicaOptions {
 impl Default for ReplicaOptions {
     fn default() -> Self {
         ReplicaOptions {
-            cert_mode: CertMode::Bounded,
-            slow_path: None,
             base_timeout: SimDuration(SimDuration::DELTA.0 * 8),
             metrics: MetricsHandle::none(),
         }
@@ -103,8 +93,6 @@ struct LeaderState {
     view: View,
     /// Value selected and awaiting certification.
     selected: Option<Value>,
-    /// Snapshot of votes the selection ran over (sent in CertRequest).
-    snapshot: Vec<SignedVote>,
     /// Collected CertAck signatures.
     certacks: SignatureSet,
     /// CertRequest already sent.
@@ -121,7 +109,8 @@ pub struct Replica {
     keys: KeyPair,
     dir: KeyDirectory,
     input: Value,
-    cert_mode: CertMode,
+    /// Whether the slow path runs: exactly when `t < f` (Appendix A; the
+    /// vanilla protocol, `t = f`, has none).
     slow_path: bool,
     base_timeout: SimDuration,
 
@@ -206,15 +195,13 @@ impl Replica {
         input: Value,
         opts: ReplicaOptions,
     ) -> Self {
-        let slow_path = opts.slow_path.unwrap_or(cfg.t() < cfg.f());
         Replica {
             id: keys.id(),
             cfg,
             keys,
             dir,
             input,
-            cert_mode: opts.cert_mode,
-            slow_path,
+            slow_path: cfg.t() < cfg.f(),
             base_timeout: opts.base_timeout,
             view: View::FIRST,
             vote: None,
@@ -394,7 +381,6 @@ impl Replica {
             self.leader = Some(LeaderState {
                 view: v,
                 selected: None,
-                snapshot: Vec::new(),
                 certacks: SignatureSet::new(),
                 requested: false,
                 proposed: false,
@@ -593,49 +579,32 @@ impl Replica {
         };
         let snapshot: Vec<SignedVote> = votes.values().cloned().collect();
 
-        match self.cert_mode {
-            CertMode::Bounded => {
-                // Ask 2f + 1 processes (the smallest ids other than ourself)
-                // to confirm the selection; certify it ourselves right away.
-                let ls = self.leader.as_mut().expect("leader state checked above");
-                ls.selected = Some(value.clone());
-                ls.snapshot = snapshot.clone();
-                ls.requested = true;
-                let payload = certack_payload(&value, view);
-                ls.certacks.insert(self.keys.sign(&payload));
-                let targets: Vec<ProcessId> = self
-                    .cfg
-                    .processes()
-                    .filter(|p| *p != self.id)
-                    .take(self.cfg.cert_request_targets())
-                    .collect();
-                for to in targets {
-                    fx.send(
-                        to,
-                        Message::CertRequest(CertRequestMsg {
-                            view,
-                            value: value.clone(),
-                            votes: snapshot.clone(),
-                        }),
-                    );
-                }
-                // f + 1 = 2 can already be satisfied by self + nobody only
-                // when f = 0, which Config forbids; still, check.
-                self.try_propose_certified(fx);
-            }
-            CertMode::Naive => {
-                // The certificate is the vote set itself; propose directly.
-                let ls = self.leader.as_mut().expect("leader state checked above");
-                ls.proposed = true;
-                let sig = self.keys.sign(&propose_payload(&value, view));
-                fx.broadcast(Message::Propose(ProposeMsg {
-                    value,
+        // Ask 2f + 1 processes (the smallest ids other than ourself) to
+        // confirm the selection; certify it ourselves right away.
+        let ls = self.leader.as_mut().expect("leader state checked above");
+        ls.selected = Some(value.clone());
+        ls.requested = true;
+        let payload = certack_payload(&value, view);
+        ls.certacks.insert(self.keys.sign(&payload));
+        let targets: Vec<ProcessId> = self
+            .cfg
+            .processes()
+            .filter(|p| *p != self.id)
+            .take(self.cfg.cert_request_targets())
+            .collect();
+        for to in targets {
+            fx.send(
+                to,
+                Message::CertRequest(CertRequestMsg {
                     view,
-                    cert: ProgressCert::Naive(snapshot),
-                    sig,
-                }));
-            }
+                    value: value.clone(),
+                    votes: snapshot.clone(),
+                }),
+            );
         }
+        // f + 1 = 2 can already be satisfied by self + nobody only
+        // when f = 0, which Config forbids; still, check.
+        self.try_propose_certified(fx);
     }
 
     fn try_propose_certified(&mut self, fx: &mut Effects<Message>) {

@@ -171,10 +171,4 @@ fn leader_and_verifier_agree_on_real_votes() {
     // Verifier side: identical set, identical conclusion.
     let verifier_result = select(&cfg, View(2), &votes).unwrap();
     assert_eq!(leader_result, verifier_result);
-
-    // And the naive certificate built from this very set verifies for x
-    // (and only x among voted values).
-    let cert = ProgressCert::Naive(votes.values().cloned().collect());
-    assert!(cert.verify(&cfg, &dir, &x, View(2), None));
-    assert!(!cert.verify(&cfg, &dir, &Value::from_u64(99), View(2), None));
 }

@@ -329,8 +329,7 @@ pub fn write_msg<T: Encode>(w: &mut impl Write, msg: &T) -> Result<(), FrameErro
 }
 
 /// Writes one length-prefixed frame from a pre-encoded body — the
-/// zero-extra-copy sibling of [`write_msg`] used by the transport's send
-/// path (see [`encode_frame_body`]).
+/// sibling of [`write_msg`] for a caller that has the encoding already.
 ///
 /// # Errors
 ///
@@ -353,25 +352,13 @@ pub fn write_body(w: &mut impl Write, body: &[u8]) -> Result<(), FrameError> {
 /// the receiver treats as a drop).
 pub const FRAME_OVERHEAD: usize = 4 + 4 + 8 + 4 + 40;
 
-/// Encodes a data-frame body directly from borrowed parts — byte-identical
-/// to encoding a [`Frame`] struct (pinned by a unit test), without first
-/// copying `payload` into one.
-pub fn encode_frame_body(sender: ProcessId, seq: u64, payload: &[u8], mac: &Signature) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + 8 + 4 + payload.len() + 36);
-    sender.encode(&mut body);
-    seq.encode(&mut body);
-    payload.encode(&mut body);
-    mac.encode(&mut body);
-    body
-}
-
 /// Appends one complete length-prefixed data frame to `buf` — the
 /// coalescing building block of the send pipeline: a writer thread appends
 /// every queued frame of a drain into one buffer and hands the whole thing
 /// to a single `write_all` (one syscall per drain instead of per frame).
-/// Byte-identical to [`write_body`] of [`encode_frame_body`]'s output
-/// (pinned by tests), and `k` appended frames read back as the same `k`
-/// frames (pinned by a property test).
+/// Byte-identical to [`write_msg`] of the same [`Frame`] (pinned by a unit
+/// test), and `k` appended frames read back as the same `k` frames (pinned
+/// by a property test).
 ///
 /// # Errors
 ///
@@ -446,41 +433,17 @@ pub fn decode_batch_payload<M: Decode>(payload: &[u8]) -> Result<Vec<M>, WireErr
     Ok(msgs)
 }
 
-/// Reads one length-prefixed frame body. `Ok(None)` means the stream
-/// closed cleanly on a frame boundary.
-///
-/// Partial reads are handled (the length prefix and body are both read to
-/// completion or diagnosed as [`FrameError::Truncated`]); a declared length
-/// above [`MAX_FRAME_LEN`] is rejected before any allocation.
+/// Reads one length-prefixed frame body into a fresh buffer — see
+/// [`read_frame_into`]. `Ok(None)` means the stream closed cleanly on a
+/// frame boundary.
 ///
 /// # Errors
 ///
 /// [`FrameError`] on truncation, oversized declarations, or socket errors.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < len_buf.len() {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None), // clean EOF between frames
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized { len });
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
-    Ok(Some(body))
+    // An empty buffer grows to exactly the frame's length.
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, &mut body)?.map(|_| body))
 }
 
 /// Reads one frame and decodes its body as `T`. `Ok(None)` on clean EOF.
@@ -495,10 +458,14 @@ pub fn read_msg<T: Decode>(r: &mut impl Read) -> Result<Option<T>, FrameError> {
     }
 }
 
-/// [`read_frame`] into a caller-owned body buffer — the
+/// Reads one length-prefixed frame body into a caller-owned buffer — the
 /// per-frame-allocation-free form the reader thread uses. Returns the
-/// frame's body length (the frame occupies `body[..len]`), or `None` on
-/// clean EOF.
+/// frame's body length (the frame occupies `body[..len]`), or `None` when
+/// the stream closed cleanly on a frame boundary.
+///
+/// Partial reads are handled (the length prefix and body are both read to
+/// completion or diagnosed as [`FrameError::Truncated`]); a declared length
+/// above [`MAX_FRAME_LEN`] is rejected before any allocation.
 ///
 /// The buffer is a high-water mark: it grows to the largest frame seen and
 /// never shrinks, so once warm there is no per-frame zero-fill or
@@ -778,14 +745,16 @@ mod tests {
         let (pairs, _) = keys();
         let mac = pairs[0].sign(b"m");
         let payload = vec![7u8; 33];
-        let via_struct = to_bytes(&Frame {
+        let body = to_bytes(&Frame {
             sender: ProcessId(3),
             seq: 12,
             payload: payload.clone(),
             mac: mac.clone(),
         });
-        let via_parts = encode_frame_body(ProcessId(3), 12, &payload, &mac);
-        assert_eq!(via_struct, via_parts);
+        let mut wire = Vec::new();
+        append_frame(&mut wire, ProcessId(3), 12, &payload, &mac).unwrap();
+        assert_eq!(wire[..4], (body.len() as u32).to_be_bytes());
+        assert_eq!(wire[4..], body);
     }
 
     #[test]

@@ -3,19 +3,22 @@
 //! Pins the acceptance criteria of the transport subsystem: an `n = 4,
 //! f = t = 1` cluster reaches a unanimous decision over 127.0.0.1, hostile
 //! bytes (bad MACs, spoofed senders, truncation, oversized lengths, random
-//! garbage) are rejected without panicking any replica thread, and
-//! shutdown joins every thread even with undelivered traffic in flight.
+//! garbage, a hostile payload under a valid MAC) are rejected without
+//! panicking any replica thread, and shutdown joins every thread even with
+//! undelivered traffic in flight.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use fastbft_core::replica::Replica;
 use fastbft_core::Message;
-use fastbft_crypto::session::{frame_preimage, SessionMac};
+use fastbft_crypto::session::{frame_preimage, mix_session, SessionMac};
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
-use fastbft_net::frame::{read_msg, write_msg, Frame, Hello, HelloAck};
-use fastbft_net::spawn_tcp;
+use fastbft_net::frame::{encode_batch_payload, read_msg, write_msg, Frame, Hello, HelloAck};
+use fastbft_net::{spawn_tcp, tcp_seats_metered, TcpOptions};
+use fastbft_obs::MetricsRegistry;
+use fastbft_runtime::spawn_with;
 use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
 use fastbft_types::wire::to_bytes;
 use fastbft_types::{Config, ProcessId, Value};
@@ -96,11 +99,14 @@ fn hostile_frames_are_rejected_without_breaking_consensus() {
         let session = 0xBAD_0001;
         write_msg(&mut s, &Hello::signed(&p4, session)).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let _ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
-        let payload = to_bytes(&Message::Wish(fastbft_core::message::WishMsg {
+        let ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
+        let mut payload = Vec::new();
+        let wish = to_bytes(&Message::Wish(fastbft_core::message::WishMsg {
             view: fastbft_types::View(2),
         }));
-        let mut mac = SessionMac::new(p4.clone(), session);
+        encode_batch_payload(&mut payload, &[wish]);
+        // Everything but the flipped byte is what a correct p4 would send.
+        let mut mac = SessionMac::new(p4.clone(), mix_session(session, ack.nonce));
         let (seq, sig) = mac.tag_next(&payload);
         let mut bad_tag = *sig.tag();
         bad_tag[0] ^= 0xFF;
@@ -120,11 +126,12 @@ fn hostile_frames_are_rejected_without_breaking_consensus() {
         let session = 0xBAD_0002;
         write_msg(&mut s, &Hello::signed(&p4, session)).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let _ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
+        let ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
         let payload = to_bytes(&Message::Wish(fastbft_core::message::WishMsg {
             view: fastbft_types::View(3),
         }));
         // p4 signs honestly, but stamps p2 as the frame sender.
+        let session = mix_session(session, ack.nonce);
         let sig = p4.sign(&frame_preimage(session, 1, &payload));
         let frame = Frame {
             sender: ProcessId(2),
@@ -155,6 +162,77 @@ fn hostile_frames_are_rejected_without_breaking_consensus() {
     for d in &decisions {
         assert_eq!(d.value, Value::from_u64(9));
     }
+}
+
+/// The case the six above cannot reach — all of them are refused before a
+/// payload is decoded: an *authenticated* member whose frame carries a
+/// *valid* MAC and a hostile payload. p4 sends a `Propose` whose certificate
+/// opens 2 000 nested levels of the whole-vote-set form (`ProgressCert` tag
+/// 2, 22 bytes a level) and then ends. While that tag decoded, this frame
+/// overflowed the reader thread's stack and aborted the process; now the
+/// decode fails at the first tag, p1 closes that one connection and the
+/// cluster decides.
+#[test]
+fn authenticated_peer_with_a_nested_certificate_is_dropped_in_decode() {
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let (actors, pairs, dir) = replicas(cfg, 11, 61);
+    let p4 = pairs[3].clone();
+    let registry = MetricsRegistry::new(cfg.n());
+    let (seats, addrs) =
+        tcp_seats_metered(actors, pairs, dir, TcpOptions::default(), &registry).unwrap();
+    let cluster = spawn_with(seats, Duration::from_micros(50));
+
+    let mut s = TcpStream::connect(addrs[0]).unwrap();
+    let session = 0xBAD_0004;
+    write_msg(&mut s, &Hello::signed(&p4, session)).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
+
+    // Message::Propose, an empty value, view 1, then the certificate chain:
+    // tag 2, one vote, voter p1, Some(VoteData { empty value, view 1, …
+    let mut msg = [&[1u8][..], &0u32.to_be_bytes(), &1u64.to_be_bytes()].concat();
+    let level = [
+        &[2u8][..],
+        &1u32.to_be_bytes(),
+        &1u32.to_be_bytes(),
+        &[1],
+        &0u32.to_be_bytes(),
+        &1u64.to_be_bytes(),
+    ]
+    .concat();
+    msg.extend(level.repeat(2_000));
+    let mut payload = Vec::new();
+    encode_batch_payload(&mut payload, &[msg]);
+    let mut mac = SessionMac::new(p4.clone(), mix_session(session, ack.nonce));
+    let (seq, sig) = mac.tag_next(&payload);
+    let frame = Frame {
+        sender: p4.id(),
+        seq,
+        payload,
+        mac: sig,
+    };
+    write_msg(&mut s, &frame).unwrap();
+    // p1 drops the connection: the attacker's next read is end-of-file.
+    assert_eq!(
+        s.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "p1 closed the connection"
+    );
+
+    let decisions = cluster.await_decisions(4, Duration::from_secs(20));
+    cluster.shutdown();
+    assert_eq!(
+        decisions.len(),
+        4,
+        "a hostile payload must not block consensus"
+    );
+    for d in &decisions {
+        assert_eq!(d.value, Value::from_u64(11));
+    }
+    // The frame passed the MAC and died in decode, not before.
+    let p1 = registry.metrics(0);
+    assert_eq!(p1.mac_reject_total.get(), 0);
+    assert!(p1.frames_in_total.get() >= 1);
 }
 
 /// Replaying a recorded connection cannot work: the listener contributes a

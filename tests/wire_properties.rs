@@ -5,7 +5,8 @@ use fastbft::core::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
 use fastbft::core::message::{AckMsg, CertAckMsg, Message, ProposeMsg, VoteMsg, WishMsg};
 use fastbft::core::payload::propose_payload;
 use fastbft::crypto::KeyDirectory;
-use fastbft::types::wire::{from_bytes, to_bytes};
+use fastbft::smr::SlotMessage;
+use fastbft::types::wire::{from_bytes, to_bytes, WireError, MAX_FRAME_LEN};
 use fastbft::types::{Config, Value, View};
 use proptest::prelude::*;
 
@@ -113,6 +114,71 @@ proptest! {
                     "tampered vote accepted (flipped byte {idx})"
                 );
             }
+        }
+    }
+}
+
+/// `levels` copies of the 22 bytes that opened one level of the
+/// whole-vote-set certificate this codec once accepted under `ProgressCert`
+/// tag 2 — `[SignedVote { voter, vote: Some(VoteData { value, view,
+/// progress_cert: …` — after which the input simply ends.
+fn nested_cert_chain(levels: usize) -> Vec<u8> {
+    let mut level = vec![2u8]; // the certificate's tag
+    level.extend(1u32.to_be_bytes()); // one vote
+    level.extend(1u32.to_be_bytes()); // voter p1
+    level.push(1); // Some(VoteData {
+    level.extend(0u32.to_be_bytes()); // empty value
+    level.extend(1u64.to_be_bytes()); // view 1
+    assert_eq!(level.len(), 22);
+    level.repeat(levels)
+}
+
+/// No wire type can contain itself: a certificate chain nested to any depth
+/// the frame cap admits is refused at its first tag, in constant stack, on
+/// the kind of thread the TCP reader decodes on. While tag 2 decoded, 2 000
+/// levels (44 KB) overflowed that stack in a release build and aborted the
+/// process.
+#[test]
+fn nested_certificate_chains_are_rejected_at_the_first_tag() {
+    // Everything a well-formed message encodes before the certificate.
+    let vote_head = [
+        &1u32.to_be_bytes()[..],
+        &[1],
+        &0u32.to_be_bytes(),
+        &1u64.to_be_bytes(),
+    ]
+    .concat();
+    let propose = [&[1u8][..], &0u32.to_be_bytes(), &1u64.to_be_bytes()].concat();
+    let vote = [&[5u8][..], &2u64.to_be_bytes(), &vote_head].concat();
+    let cert_request = [
+        &[6u8][..],
+        &2u64.to_be_bytes(),
+        &0u32.to_be_bytes(),
+        &1u32.to_be_bytes(),
+        &vote_head,
+    ]
+    .concat();
+    let in_slot = [&[1u8][..], &0u64.to_be_bytes()].concat();
+
+    for levels in [100, 2_000, 100_000, 700_000] {
+        let chain = nested_cert_chain(levels);
+        for head in [&propose, &vote, &cert_request] {
+            let bare = [&head[..], &chain].concat();
+            let slotted = [&in_slot[..], &bare].concat();
+            assert!(slotted.len() <= MAX_FRAME_LEN);
+            let decoded = std::thread::spawn(move || {
+                (
+                    from_bytes::<Message>(&bare).map(drop),
+                    from_bytes::<SlotMessage>(&slotted).map(drop),
+                )
+            })
+            .join()
+            .expect("the decoding thread returns");
+            let refused = Err(WireError::InvalidTag {
+                tag: 2,
+                context: "ProgressCert",
+            });
+            assert_eq!(decoded, (refused.clone(), refused), "{levels} levels");
         }
     }
 }
