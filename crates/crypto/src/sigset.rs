@@ -148,10 +148,16 @@ impl Decode for SignatureSet {
         let mut set = SignatureSet::new();
         for _ in 0..len {
             let sig = Signature::decode(r)?;
-            if !set.insert(sig) {
-                // Canonical encodings never contain duplicate signers.
-                return Err(WireError::Invalid("duplicate signer in signature set"));
+            // The one order `encode` writes: a duplicate or a disordered
+            // signer is not a canonical encoding of any set.
+            if set
+                .sigs
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= sig.signer)
+            {
+                return Err(WireError::Invalid("signers not strictly ascending"));
             }
+            set.sigs.insert(sig.signer, sig);
         }
         Ok(set)
     }
@@ -216,6 +222,22 @@ mod tests {
         sig.encode(&mut buf);
         assert!(matches!(
             from_bytes::<SignatureSet>(&buf),
+            Err(WireError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn decode_rejects_signers_out_of_order() {
+        let (pairs, _) = setup();
+        let set: SignatureSet = pairs[..2].iter().map(|p| p.sign(b"s")).collect();
+        let ascending = to_bytes(&set);
+        assert_eq!(from_bytes::<SignatureSet>(&ascending), Ok(set));
+        // The same two signatures, p2's first: what `encode` never writes.
+        let (count, sigs) = ascending.split_at(4);
+        let (p1, p2) = sigs.split_at(Signature::WIRE_SIZE);
+        let swapped = [count, p2, p1].concat();
+        assert!(matches!(
+            from_bytes::<SignatureSet>(&swapped),
             Err(WireError::Invalid(_))
         ));
     }

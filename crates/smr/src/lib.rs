@@ -9,7 +9,11 @@
 //! * [`KvStore`] / [`KvCommand`] — a replicated key-value store ([`kv`]);
 //! * [`SmrNode`] — one consensus instance per log slot, applied in order
 //!   ([`multiplex`]), its proposals sized by one batching policy
-//!   ([`batcher`]);
+//!   ([`batcher`]); around its one-record-per-slot table, one private
+//!   module per job: the wire enum and its codec (`slot_message`), the
+//!   at-most-once state (`dedup`), snapshots and state transfer
+//!   (`checkpoint`), what peers say about slots not opened yet (`ahead`),
+//!   dead leaders (`suspicion`);
 //! * [`SmrSimCluster`] — a ready-made simulated cluster with log-consistency
 //!   checking ([`harness`]);
 //! * [`SmrClusterHandle`] — the same nodes on the wall-clock thread
@@ -37,13 +41,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ahead;
 pub mod batcher;
 pub mod chaos;
+mod checkpoint;
+mod dedup;
 pub mod harness;
 pub mod kv;
 pub mod machine;
 pub mod multiplex;
 pub mod runtime;
+mod slot_message;
 mod suspicion;
 pub mod tag;
 

@@ -5,8 +5,8 @@
 //! The corpus is one well-formed encoding of every [`SlotMessage`] variant
 //! and, wrapped as `Consensus`, of every inner [`Message`] variant — signed
 //! the way seat p4 would sign them. Each of a fixed budget of mutants is
-//! decoded; whatever decodes is injected from p4 into a live `n = 4`
-//! cluster, at a slot near the cluster's tip, so it reaches the `on_message`
+//! decoded; whatever decodes must re-encode to the bytes it came from, and
+//! is injected from p4 into a live `n = 4` cluster, at a slot near the cluster's tip, so it reaches the `on_message`
 //! of a running instance and not only the stale-slot early return. The three
 //! correct seats must commit every client command, none twice, with
 //! consistent logs and equal stores.
@@ -289,6 +289,8 @@ fn spray(in_flight: &mut Vec<(usize, Vec<u8>)>, iteration: &mut usize) -> usize 
         let tip = cluster.applied(correct[0]);
         let bytes = mutant(&corpus, &mut rng, tip);
         if let Ok(msg) = from_bytes::<SlotMessage>(&bytes) {
+            // Canonical-strict: whatever decodes has exactly one encoding.
+            assert_eq!(to_bytes(&msg), bytes, "decoded, and re-encodes differently");
             decoded += 1;
             in_flight.push((*iteration, bytes));
             let now = cluster.report().final_time;
@@ -364,6 +366,7 @@ fn mutated_frames_never_break_the_correct_seats() {
         }
     });
     let decoded = worker.join().expect("the mutation loop finished");
+    eprintln!("hostile_wire: seed {SEED}, {decoded} of {MUTANTS} mutants decoded");
     // The loop is only worth its budget if a fair share of the mutants get
     // past the codec and into the protocol.
     assert!(

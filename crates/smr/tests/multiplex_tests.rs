@@ -212,6 +212,126 @@ fn stash_is_bounded_against_slot_spray() {
     assert!(node.stashed_messages() <= 4096);
 }
 
+/// The same two buffers are bounded in *bytes*: the message cap alone let
+/// one seat pin 4096 frames of any size, and the backfill votes — one value
+/// per slot of the horizon per sender — had no cap at all. p4 sprays a live
+/// cluster with distinct 256 KiB values as `Ack`s over every stashable slot
+/// and 1 MiB `Backfill`s over every slot of the horizon. What a correct
+/// seat holds plateaus at 32 MiB for each (`MAX_STASHED_BYTES`,
+/// `MAX_BACKFILL_BYTES`), a nearer slot still evicts a farther one when
+/// full, and the correct seats go on to commit their commands.
+#[test]
+fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
+    use fastbft_sim::{SimMessage, Simulation};
+    use fastbft_smr::{offset_logs_consistent, MAX_STASH_AHEAD, SLOT_WINDOW};
+
+    const CAP: usize = 32 << 20;
+    const BACKFILL: usize = 1 << 20;
+    const DELTA: u64 = SimDuration::DELTA.0;
+    type Node = SmrNode<CountingMachine>;
+
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let (pairs, dir) = KeyDirectory::generate(4, 33);
+    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 33);
+    for pair in pairs {
+        let machine = CountingMachine::new();
+        let node = SmrNode::new(cfg, pair, dir.clone(), machine, [], Value::from_u64(0));
+        sim.add_actor(Box::new(node));
+    }
+    sim.start();
+    fn node(sim: &Simulation<SlotMessage>, p: u32) -> &Node {
+        let actor = sim.actor(ProcessId(p)).as_any();
+        actor.and_then(|any| any.downcast_ref()).expect("a node")
+    }
+    let correct = [1, 2, 3];
+    // A fresh allocation per frame, every value distinct.
+    let value = |i: u64, len: usize| {
+        let mut bytes = vec![i as u8; len];
+        bytes[..8].copy_from_slice(&i.to_be_bytes());
+        Value::new(bytes)
+    };
+    let ack = |value: Value| {
+        Message::Ack(AckMsg {
+            value,
+            view: View::FIRST,
+            share: None,
+        })
+    };
+
+    // The stash, while the cluster is busy with slot 0: an ack for every
+    // slot from the window's edge to the horizon, nearest first — 48 MiB
+    // to each correct seat. It is full when the next frame no longer fits,
+    // and what arrives for farther slots after that is dropped.
+    let big = ack(value(0, 256 << 10)).wire_size();
+    for slot in SLOT_WINDOW..MAX_STASH_AHEAD {
+        let inner = ack(value(slot, 256 << 10));
+        for p in correct {
+            let frame = SlotMessage::Consensus {
+                slot,
+                inner: inner.clone(),
+            };
+            sim.inject_message(ProcessId(4), ProcessId(p), frame, SimTime::ZERO);
+        }
+    }
+    // p2 alone then gets one more, a little larger, for a near slot: it is
+    // admitted, and the frame of the farthest slot held makes room for it.
+    let larger = ack(value(1, 300 << 10));
+    let near = SlotMessage::Consensus {
+        slot: SLOT_WINDOW + 5,
+        inner: larger.clone(),
+    };
+    sim.inject_message(ProcessId(4), ProcessId(2), near, SimTime::ZERO);
+    sim.run_until(SimTime(DELTA));
+    let (stashed, _) = node(&sim, 1).buffered_bytes();
+    assert!(stashed <= CAP && stashed + big > CAP, "stash: {stashed}");
+    assert_eq!(node(&sim, 1).stashed_messages(), stashed / big);
+    assert_eq!(node(&sim, 2).stashed_messages(), stashed / big);
+    assert_eq!(
+        node(&sim, 2).buffered_bytes().0,
+        stashed - big + larger.wire_size()
+    );
+
+    // The votes, 32 MiB a wave (one Δ apart, to keep the test's own memory
+    // small), farthest slot first so every wave evicts the one before.
+    let mut peak = 0;
+    for wave in (0..MAX_STASH_AHEAD).rev().collect::<Vec<_>>().chunks(32) {
+        let now = sim.now();
+        for &slot in wave {
+            let value = value(slot, BACKFILL);
+            for p in correct {
+                let value = value.clone();
+                let frame = SlotMessage::Backfill { slot, value };
+                sim.inject_message(ProcessId(4), ProcessId(p), frame, now);
+            }
+        }
+        sim.run_until(SimTime(now.0 + DELTA));
+        for p in correct {
+            let (stashed, votes) = node(&sim, p).buffered_bytes();
+            assert!(stashed <= CAP && votes <= CAP, "p{p}: {stashed}, {votes}");
+            peak = peak.max(votes);
+        }
+    }
+    assert_eq!(peak, CAP, "32 one-MiB votes fit exactly");
+
+    // Full buffers cost nothing: six commands at each correct seat commit,
+    // once each, on every seat.
+    let now = sim.now();
+    for i in 0..18u64 {
+        let to = ProcessId(correct[i as usize % 3]);
+        sim.submit_client(to, Value::from_u64(100 + i), now);
+    }
+    sim.run_until(SimTime(now.0 + 200 * DELTA));
+    let logs: Vec<(u64, &[Value])> = (1..=4)
+        .map(|p| (node(&sim, p).log_offset(), node(&sim, p).log()))
+        .collect();
+    assert!(offset_logs_consistent(&logs));
+    for p in 1..=4 {
+        assert_eq!(node(&sim, p).commands_applied(), 18, "p{p}");
+        let (stashed, votes) = node(&sim, p).buffered_bytes();
+        assert!(stashed <= CAP && votes <= CAP, "p{p}: {stashed}, {votes}");
+    }
+}
+
 #[test]
 fn batching_multiplies_throughput() {
     let cfg = Config::new(4, 1, 1).unwrap();
