@@ -323,6 +323,9 @@ pub struct FabReplica {
     acked_view: Option<View>,
     decided: Option<Value>,
 
+    // Tallies keyed by `(view, value)` and by view, as `core::Replica`'s were
+    // until its per-view records (one place per sender): kept, because this
+    // baseline runs in the simulator only and no peer can spray it.
     ack_tally: BTreeMap<(View, Value), BTreeSet<ProcessId>>,
     pending_proposes: BTreeMap<View, (Value, Option<Vec<FabSignedVote>>, Signature)>,
     votes_in: BTreeMap<View, BTreeMap<ProcessId, FabSignedVote>>,

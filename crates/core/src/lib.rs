@@ -39,7 +39,7 @@
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
-//! | [`replica`] | §3.1, A.1 | the per-process state machine (fast + slow path, synchronizer) |
+//! | [`replica`] | §3.1, A.1 | the per-process state machine (fast + slow path, synchronizer): one record per view, one place per sender in it |
 //! | [`selection`] | §3.2, A.2 | the selection algorithm as a pure function |
 //! | [`certs`] | §3.2, A | votes, bounded progress certificates, commit certificates |
 //! | [`message`] | Fig. 1, 5 | the message vocabulary |

@@ -16,11 +16,57 @@
 //! * **view synchronization** — a wish/enter synchronizer with doubling
 //!   timeouts providing the three properties the paper requires (§3).
 //!
+//! # One record per view, one place per sender
+//!
+//! The paper's rules are per sender: a correct process acknowledges at most
+//! one proposal per view, and a value is decided on `n − t` acks (or
+//! `⌈(n+f+1)/2⌉` `Commit`s) for the same `(x, v)` *from different
+//! processes*. The replica's state has that shape: one table,
+//! `views: View → ViewRecord`, and in a record one place per sender —
+//!
+//! | field | paper | holds |
+//! |---|---|---|
+//! | `proposal` | §3.1 `propose(x̂, v, σ, τ)` | the first *verified* proposal of the view: pending until the view is entered, then the one acknowledged |
+//! | `acks` | §3.1 `ack(x, v)`, A.1 `φ_ack` | sender → the value of its first ack and, on the slow path, its verified share; `n − t` senders on one value decide, `⌈(n+f+1)/2⌉` shares on one value make the commit certificate |
+//! | `commits` | A.1 `Commit(cc)` | sender → the value of its first *verified* certificate; `⌈(n+f+1)/2⌉` senders on one value decide |
+//! | `sent_commit` | A.1 | this replica's own `Commit` for the view went out |
+//! | `votes` | §3.2 `vote(vote_q, φ_vote)` | a view this replica leads: sender → its first *valid* vote, the selection algorithm's input |
+//! | `leader` | §3.2 CertRequest / CertAck | the current view, if this replica leads it: the value selected and the CertAcks collected |
+//!
+//! A sender's second ack, `Commit` or vote in a view is refused (and
+//! counted: `contribution_refused_total`), so quorums are counted over
+//! senders, never over messages, and one sender holds one value per view
+//! whatever it sends. A sender takes places in any view up to one leader
+//! rotation (`n` views) above the current one — farther than the `≤ f`
+//! seats the SMR layer's suspicion table skips — and beyond that horizon
+//! in one view at a time, the first it spoke in: a replica that lags more
+//! than `n` views still decides on the `n − t` acks of the view its peers
+//! decided in, whenever they arrive, and the records above the current
+//! view number at most `2n`. What that gives up against holding
+//! everything: a *correct* sender that spoke in two views beyond this
+//! replica's horizon has the second refused, and these frames are sent
+//! once — a replica that far behind can miss a quorum, and single-shot
+//! `core` has no retransmission (the SMR layer's `Backfill` is one).
+//! Records at or below the current view stay for the life of the instance:
+//! the late acks of an abandoned view still decide.
+//!
+//! **The record is the interner.** A value arriving in a `Propose`, `Ack`
+//! or `Commit` that equals one its view's record already holds (the
+//! proposal first) is swapped for that instance before any statement is
+//! built, so the copies of a hot value share one allocation and one
+//! memoized digest; a `CertAck` is checked against the leader's own
+//! instance of the value it selected. Not covered: a verifier hashes a
+//! `CertRequest`'s value and then the `Propose`'s separately — one SHA-256
+//! of the batch per view change. A value that would be a *new* allocation —
+//! no verified proposal of its view vouches for it — is held only within
+//! its sender's `1/n` share of [`HELD_BYTES_BUDGET`], one byte budget per
+//! replica: what one sender says cannot crowd out another's.
+//!
 //! The replica is an I/O-free [`Actor`]: all effects go through
 //! [`Effects`], so the same code runs under the simulator, the thread
 //! runtime and the property tests.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
 use fastbft_obs::MetricsHandle;
@@ -87,10 +133,21 @@ pub enum LeaderSignal {
     },
 }
 
-/// Leader-side state for the view currently led.
-#[derive(Debug)]
+/// How many bytes of values that no verified proposal of their view vouches
+/// for a replica holds, over all its view records. Such a value — an `Ack`
+/// that overtook its proposal, a `Commit` for a view whose proposal never
+/// came, a Byzantine sender's garbage — is held to be counted, at one per
+/// sender and view, and charged to that sender: each has a `1/n` share of
+/// the budget, and past it a new allocation of *its* is refused as if the
+/// link had dropped it, whatever the others hold. A correct sender is
+/// charged for a value only until its proposal arrives (a late one, for a
+/// view already left, still vouches), so its share is spent only by an ack
+/// larger than the share itself or by leaders that withhold proposals.
+pub const HELD_BYTES_BUDGET: usize = 4 << 20;
+
+/// Leader-side progress in the view currently led.
+#[derive(Debug, Default)]
 struct LeaderState {
-    view: View,
     /// Value selected and awaiting certification.
     selected: Option<Value>,
     /// Collected CertAck signatures.
@@ -99,6 +156,68 @@ struct LeaderState {
     requested: bool,
     /// Propose already sent.
     proposed: bool,
+}
+
+/// Everything the replica knows about one view, by sender (module docs:
+/// the table of fields against the paper). Equal values in a record are
+/// one allocation — whatever enters is first swapped for the instance held
+/// — so comparing them is a pointer comparison (`Arc`'s, under `Value`).
+#[derive(Debug, Default)]
+struct ViewRecord {
+    /// The first verified proposal of the view: pending until the view is
+    /// entered, then the one acknowledged.
+    proposal: Option<ProposeMsg>,
+    /// Each sender's first ack: its value and, on the slow path, its
+    /// verified share.
+    acks: BTreeMap<ProcessId, (Value, Option<Signature>)>,
+    /// The value of each sender's first verified commit certificate.
+    commits: BTreeMap<ProcessId, Value>,
+    /// This replica's `Commit` for the view went out.
+    sent_commit: bool,
+    /// Each sender's first valid vote, if this replica leads the view.
+    votes: BTreeMap<ProcessId, SignedVote>,
+    /// `Some` in the record of the current view only, and only while this
+    /// replica leads it.
+    leader: Option<LeaderState>,
+}
+
+impl ViewRecord {
+    /// The values senders hold a place with, in id order, acks first.
+    fn contributed(&self) -> impl Iterator<Item = (ProcessId, &Value)> {
+        let acked = self.acks.iter().map(|(from, (value, _))| (*from, value));
+        acked.chain(self.commits.iter().map(|(from, value)| (*from, value)))
+    }
+
+    /// The value the view's verified proposal vouches for.
+    fn vouched(&self) -> Option<&Value> {
+        self.proposal.as_ref().map(|p| &p.value)
+    }
+
+    /// The instance of `value` the record already holds, the proposal's
+    /// first.
+    fn held(&self, value: &Value) -> Option<&Value> {
+        let contributed = self.contributed().map(|(_, held)| held);
+        let mut held = self.vouched().into_iter().chain(contributed);
+        held.find(|held| *held == value)
+    }
+
+    /// Bytes of the values `from` (every sender, if `None`) holds a place
+    /// with that the proposal does not vouch for — counted per place, so an
+    /// allocation two places share counts at both.
+    fn unvouched_bytes(&self, from: Option<ProcessId>) -> usize {
+        let charged = |(sender, value): &(ProcessId, &Value)| {
+            from.is_none_or(|from| *sender == from) && Some(*value) != self.vouched()
+        };
+        let places = self.contributed().filter(charged);
+        places.map(|(_, value)| value.len()).sum()
+    }
+
+    /// Whether `from` holds a place of any kind in the record.
+    fn has(&self, from: ProcessId) -> bool {
+        let proposed = self.proposal.as_ref().is_some_and(|p| p.sig.signer == from);
+        let said = self.acks.contains_key(&from) || self.commits.contains_key(&from);
+        proposed || said || self.votes.contains_key(&from)
+    }
 }
 
 /// A correct process running the protocol. See module docs.
@@ -123,20 +242,11 @@ pub struct Replica {
     latest_cc: Option<CommitCert>,
     decided: Option<Value>,
 
-    /// Distinct ack senders per `(view, value)`.
-    ack_tally: BTreeMap<(View, Value), BTreeSet<ProcessId>>,
-    /// Slow path: signature shares per `(view, value)`.
-    share_tally: BTreeMap<(View, Value), SignatureSet>,
-    /// Slow path: distinct `Commit` senders per `(view, value)`.
-    commit_tally: BTreeMap<(View, Value), BTreeSet<ProcessId>>,
-    /// `(view, value)` pairs whose `Commit` we already broadcast.
-    commit_sent: BTreeSet<(View, Value)>,
-
-    /// Valid proposals for views we have not entered yet.
-    pending_proposes: BTreeMap<View, ProposeMsg>,
-    /// Votes received per destination view (we may lead that view later).
-    votes_in: BTreeMap<View, BTreeMap<ProcessId, SignedVote>>,
-    leader: Option<LeaderState>,
+    /// What each sender contributed to each view (module docs). The one
+    /// view-keyed collection: records exist for views up to one leader
+    /// rotation above `view` and for one view per sender beyond that, and
+    /// are never removed.
+    views: BTreeMap<View, ViewRecord>,
 
     /// View synchronizer: highest wish seen per process.
     wishes: BTreeMap<ProcessId, View>,
@@ -148,38 +258,11 @@ pub struct Replica {
     /// takes it (see [`Replica::take_leader_signal`]).
     leader_signal: Option<LeaderSignal>,
 
-    /// Canonical instances of values seen in messages. Every statement
-    /// embeds the value's memoized digest, but a value decoded from the
-    /// wire arrives as a fresh allocation with a cold cache — interning
-    /// swaps it for the first-seen instance so the bytes are hashed once
-    /// per replica (and duplicate copies of a hot value share storage).
-    ///
-    /// Values land here **before** validation, so the set is bounded
-    /// against Byzantine value spray two ways: a count *and* total-bytes
-    /// cap (beyond either, new values pass through uninterned), and a
-    /// full reset at every view change — hostile garbage is held for at
-    /// most one view, and honest traffic re-warms at one hash per value.
-    interned: BTreeSet<Value>,
-    /// Total bytes held by `interned` (see [`INTERN_BYTES_CAP`]).
-    interned_bytes: usize,
     /// Observability handle (see [`ReplicaOptions::metrics`]).
     metrics: MetricsHandle,
     /// Which path produced the first decision, for path attribution.
     decided_path: Option<CommitPath>,
 }
-
-/// Backstop bound on the value interner; beyond it new values pass through
-/// uninterned (correctness unaffected — their digests are just per-copy).
-/// Correct executions see a handful of distinct values per view, so honest
-/// traffic sits far below both caps.
-const INTERN_CAP: usize = 1024;
-
-/// Total-bytes bound on the value interner: values are interned from
-/// messages *before* signature checks, so without a byte cap a Byzantine
-/// peer could pin `INTERN_CAP × MAX_FRAME_LEN` of garbage. With it (plus
-/// the per-view reset in `enter_view`) hostile spray is bounded to a few
-/// MiB for at most one view.
-const INTERN_BYTES_CAP: usize = 4 << 20;
 
 impl Replica {
     /// Creates a replica with default options.
@@ -208,19 +291,11 @@ impl Replica {
             acked_view: None,
             latest_cc: None,
             decided: None,
-            ack_tally: BTreeMap::new(),
-            share_tally: BTreeMap::new(),
-            commit_tally: BTreeMap::new(),
-            commit_sent: BTreeSet::new(),
-            pending_proposes: BTreeMap::new(),
-            votes_in: BTreeMap::new(),
-            leader: None,
+            views: BTreeMap::new(),
             wishes: BTreeMap::new(),
             my_wish: None,
             timer_gen: 0,
             leader_signal: None,
-            interned: BTreeSet::new(),
-            interned_bytes: 0,
             metrics: opts.metrics,
             decided_path: None,
         }
@@ -267,6 +342,18 @@ impl Replica {
         self.my_wish
     }
 
+    /// Bytes this replica's senders are charged against
+    /// [`HELD_BYTES_BUDGET`], all together (test accessor for the bound).
+    #[doc(hidden)]
+    pub fn held_bytes(&self) -> usize {
+        self.unvouched_bytes(None)
+    }
+
+    fn unvouched_bytes(&self, from: Option<ProcessId>) -> usize {
+        let records = self.views.values();
+        records.map(|record| record.unvouched_bytes(from)).sum()
+    }
+
     /// Raises this replica's wish to `view` (no-op unless that is beyond
     /// its current view and wish), as if its timer had already expired in
     /// every view below. A wish is all it is: the replica stays in its
@@ -288,18 +375,36 @@ impl Replica {
 
     // -- internals -----------------------------------------------------------
 
-    /// Returns the canonical instance of `value` (see the `interned` field).
-    fn intern(&mut self, value: Value) -> Value {
-        if let Some(canonical) = self.interned.get(&value) {
-            return canonical.clone();
+    /// Counts a contribution refused: a sender's second in a view, its
+    /// second view beyond the horizon, or a value past its byte share.
+    fn refuse(&self) {
+        if let Some(m) = self.metrics.get() {
+            m.contribution_refused_total.inc();
         }
-        if self.interned.len() < INTERN_CAP
-            && self.interned_bytes.saturating_add(value.len()) <= INTERN_BYTES_CAP
-        {
-            self.interned_bytes += value.len();
-            self.interned.insert(value.clone());
+    }
+
+    /// Whether `from` may take a place in `view`: any view up to one
+    /// leader rotation above the current one, and beyond that horizon one
+    /// view at a time, the first it took a place in.
+    fn admits(&self, from: ProcessId, view: View) -> bool {
+        let beyond = View(self.view.0.saturating_add(self.cfg.n() as u64 + 1));
+        let mut out_there = self.views.range(beyond..);
+        view < beyond || out_there.all(|(held, record)| *held == view || !record.has(from))
+    }
+
+    /// The instance of `value` to build statements on and to hold for
+    /// `from` in `view`'s record: the one the record already holds if it
+    /// holds an equal one, else `value` itself — unless that new allocation
+    /// would not fit `from`'s share of the byte budget.
+    fn canonical(&self, from: ProcessId, view: View, value: Value) -> Option<Value> {
+        let held = self.views.get(&view).and_then(|record| record.held(&value));
+        match held {
+            Some(held) => Some(held.clone()),
+            None => {
+                let charged = self.unvouched_bytes(Some(from)).saturating_add(value.len());
+                (charged <= HELD_BYTES_BUDGET / self.cfg.n()).then_some(value)
+            }
         }
-        value
     }
 
     fn timeout_for(&self, view: View) -> SimDuration {
@@ -363,13 +468,15 @@ impl Replica {
             let detail = format!("p{p} slot {slot} entered view {} (leader p{leader})", v.0);
             m.recorder.record("view-change", detail);
         }
+        // The leader-side state of the views left behind (and of the ones
+        // skipped) is dead: only the current view's is ever read. What
+        // decides — acks, commits, the proposal that vouches for them —
+        // stays.
+        for (_, left) in self.views.range_mut(self.view..v) {
+            left.votes.clear();
+            left.leader = None;
+        }
         self.view = v;
-        self.leader = None;
-        // Reset the interner: any Byzantine garbage it absorbed is released
-        // here, and the handful of honest hot values re-warm at one hash
-        // each (their clones elsewhere keep their memoized digests).
-        self.interned.clear();
-        self.interned_bytes = 0;
         self.arm_timer(fx);
 
         // Send our vote to the new leader (§3.2: "Whenever a correct process
@@ -377,14 +484,9 @@ impl Replica {
         let leader = self.cfg.leader(v);
         let signed = SignedVote::sign(&self.keys, self.current_vote_for(v), v);
         if leader == self.id {
-            self.votes_in.entry(v).or_default().insert(self.id, signed);
-            self.leader = Some(LeaderState {
-                view: v,
-                selected: None,
-                certacks: SignatureSet::new(),
-                requested: false,
-                proposed: false,
-            });
+            let record = self.views.entry(v).or_default();
+            record.votes.insert(self.id, signed);
+            record.leader = Some(LeaderState::default());
             self.try_leader_progress(fx);
         } else {
             fx.send(
@@ -397,25 +499,26 @@ impl Replica {
         }
 
         // A proposal for this view may have arrived while we lagged behind.
-        if let Some(p) = self.pending_proposes.remove(&v) {
-            self.accept_proposal(p, fx);
-        }
-        // Old buffered proposals are useless now.
-        self.pending_proposes = self.pending_proposes.split_off(&v);
+        self.acknowledge_proposal(fx);
     }
 
-    /// Handles a verified proposal for the **current** view.
-    fn accept_proposal(&mut self, p: ProposeMsg, fx: &mut Effects<Message>) {
+    /// Acknowledges the verified proposal of the **current** view, if its
+    /// record holds one and none was acknowledged in this view yet.
+    fn acknowledge_proposal(&mut self, fx: &mut Effects<Message>) {
         if self.acked_view == Some(self.view) {
             return; // only the first proposal per view is acknowledged
         }
+        let record = self.views.get(&self.view);
+        let Some(p) = record.and_then(|record| record.proposal.as_ref()) else {
+            return;
+        };
         debug_assert_eq!(p.view, self.view);
         self.acked_view = Some(p.view);
         self.vote = Some(VoteData {
             value: p.value.clone(),
             view: p.view,
-            progress_cert: p.cert,
-            leader_sig: p.sig,
+            progress_cert: p.cert.clone(),
+            leader_sig: p.sig.clone(),
             commit_cert: None,
         });
         // The slow-path share rides inside the ack (one copy of the value
@@ -426,13 +529,13 @@ impl Replica {
             .slow_path
             .then(|| self.keys.sign(&ack_payload(&p.value, p.view)));
         fx.broadcast(Message::Ack(AckMsg {
-            value: p.value,
+            value: p.value.clone(),
             view: p.view,
             share,
         }));
     }
 
-    fn on_propose(&mut self, from: ProcessId, p: ProposeMsg, fx: &mut Effects<Message>) {
+    fn on_propose(&mut self, from: ProcessId, mut p: ProposeMsg, fx: &mut Effects<Message>) {
         // Authentication and validity (§3.1): correct leader id, valid τ,
         // valid progress certificate for (x̂, v).
         if from != self.cfg.leader(p.view) || p.sig.signer != from {
@@ -440,6 +543,16 @@ impl Replica {
         }
         if p.view < View::FIRST {
             return;
+        }
+        if !self.admits(from, p.view) {
+            return self.refuse();
+        }
+        // Acks that overtook the proposal hold its value already.
+        let record = self.views.get(&p.view);
+        let held = record.and_then(|record| record.held(&p.value)).cloned();
+        let awaited = held.is_some();
+        if let Some(held) = held {
+            p.value = held;
         }
         let metrics = self.metrics.get();
         if !verify_counted(
@@ -457,56 +570,52 @@ impl Replica {
             return;
         }
         self.leader_signal = Some(LeaderSignal::Proposed { leader: from });
-        if p.view > self.view {
-            // We are behind; keep the proposal for when the synchronizer
-            // catches us up (the leader sends it exactly once).
-            self.pending_proposes.entry(p.view).or_insert(p);
-        } else if p.view == self.view {
-            self.accept_proposal(p, fx);
+        if p.view < self.view && !awaited {
+            return; // stale, and no place in its view waits to be vouched for
         }
-        // p.view < self.view: stale, ignore.
+        // Ahead of us, it waits for the synchronizer to catch us up (the
+        // leader sends it exactly once); the first one is the one kept.
+        let view = p.view;
+        let record = self.views.entry(view).or_default();
+        record.proposal.get_or_insert(p);
+        if view == self.view {
+            self.acknowledge_proposal(fx);
+        }
     }
 
     fn on_ack(&mut self, from: ProcessId, a: AckMsg, fx: &mut Effects<Message>) {
-        if let Some(sig) = a.share {
-            self.on_share(from, a.value.clone(), a.view, sig, fx);
+        let record = self.views.get(&a.view);
+        if !self.admits(from, a.view) || record.is_some_and(|r| r.acks.contains_key(&from)) {
+            return self.refuse();
         }
-        let senders = self.ack_tally.entry((a.view, a.value.clone())).or_default();
-        senders.insert(from);
-        if senders.len() >= self.cfg.fast_quorum() {
-            let value = a.value.clone();
-            self.try_decide(&value, CommitPath::Fast, fx);
-        }
-    }
+        let Some(value) = self.canonical(from, a.view, a.value) else {
+            return self.refuse();
+        };
+        // The slow-path share `φ_ack`, kept only if it checks out; the ack
+        // counts either way.
+        let share = a.share.filter(|sig| {
+            let checks = |payload| verify_counted(&self.dir, self.metrics.get(), payload, sig);
+            self.slow_path && sig.signer == from && checks(&ack_payload(&value, a.view))
+        });
+        let shared = share.is_some();
+        let record = self.views.entry(a.view).or_default();
+        record.acks.insert(from, (value.clone(), share));
+        let agreeing = || record.acks.values().filter(|(held, _)| *held == value);
+        let shares = || agreeing().filter_map(|(_, share)| share.as_ref());
 
-    /// Handles the slow-path share `φ_ack` an ack carried.
-    fn on_share(
-        &mut self,
-        from: ProcessId,
-        value: Value,
-        view: View,
-        sig: Signature,
-        fx: &mut Effects<Message>,
-    ) {
-        if !self.slow_path {
-            return;
-        }
-        let payload = ack_payload(&value, view);
-        if sig.signer != from || !verify_counted(&self.dir, self.metrics.get(), &payload, &sig) {
-            return;
-        }
-        let key = (view, value);
-        let shares = self.share_tally.entry(key.clone()).or_default();
-        shares.insert(sig);
-        if shares.len() >= self.cfg.slow_quorum() && !self.commit_sent.contains(&key) {
-            self.commit_sent.insert(key.clone());
+        let fast = agreeing().count() >= self.cfg.fast_quorum();
+        if shared && !record.sent_commit && shares().count() >= self.cfg.slow_quorum() {
             let cert = CommitCert {
-                value: key.1.clone(),
-                view,
-                sigs: self.share_tally[&key].clone(),
+                value: value.clone(),
+                view: a.view,
+                sigs: shares().cloned().collect(),
             };
+            record.sent_commit = true;
             self.store_cc(cert.clone());
             fx.broadcast(Message::Commit(CommitMsg { cert }));
+        }
+        if fast {
+            self.try_decide(&value, CommitPath::Fast, fx);
         }
     }
 
@@ -524,17 +633,24 @@ impl Replica {
         if !self.slow_path {
             return;
         }
-        if !c.cert.verify(&self.cfg, &self.dir, self.metrics.get()) {
+        let mut cert = c.cert;
+        let record = self.views.get(&cert.view);
+        if !self.admits(from, cert.view) || record.is_some_and(|r| r.commits.contains_key(&from)) {
+            return self.refuse();
+        }
+        let Some(value) = self.canonical(from, cert.view, cert.value) else {
+            return self.refuse();
+        };
+        cert.value = value.clone();
+        if !cert.verify(&self.cfg, &self.dir, self.metrics.get()) {
             return;
         }
-        self.store_cc(c.cert.clone());
-        let senders = self
-            .commit_tally
-            .entry((c.cert.view, c.cert.value.clone()))
-            .or_default();
-        senders.insert(from);
-        if senders.len() >= self.cfg.slow_quorum() {
-            let value = c.cert.value.clone();
+        let record = self.views.entry(cert.view).or_default();
+        record.commits.insert(from, value.clone());
+        let agreeing = record.commits.values().filter(|held| **held == value);
+        let slow = agreeing.count() >= self.cfg.slow_quorum();
+        self.store_cc(cert);
+        if slow {
             self.try_decide(&value, CommitPath::Slow, fx);
         }
     }
@@ -543,8 +659,12 @@ impl Replica {
         if v.vote.voter != from {
             return; // votes travel directly from their signer
         }
-        if v.view < self.view && self.cfg.leader(v.view) != self.id {
-            return; // stale and not ours to lead
+        if self.cfg.leader(v.view) != self.id || v.view < self.view {
+            return; // not ours to lead, or a view we led and left
+        }
+        let record = self.views.get(&v.view);
+        if !self.admits(from, v.view) || record.is_some_and(|r| r.votes.contains_key(&from)) {
+            return self.refuse();
         }
         if !v
             .vote
@@ -552,36 +672,31 @@ impl Replica {
         {
             return;
         }
-        if self.cfg.leader(v.view) != self.id {
-            return;
-        }
-        self.votes_in
-            .entry(v.view)
-            .or_default()
-            .insert(v.vote.voter, v.vote);
+        let record = self.views.entry(v.view).or_default();
+        record.votes.insert(from, v.vote);
         self.try_leader_progress(fx);
     }
 
     fn try_leader_progress(&mut self, fx: &mut Effects<Message>) {
-        let Some(ls) = &self.leader else { return };
+        let view = self.view;
+        let Some(record) = self.views.get_mut(&view) else {
+            return;
+        };
+        let Some(ls) = &mut record.leader else { return };
         if ls.proposed || ls.requested {
             return;
         }
-        let view = ls.view;
-        debug_assert_eq!(view, self.view);
-        let votes = self.votes_in.entry(view).or_default();
-        let Ok(result) = select(&self.cfg, view, votes) else {
+        let Ok(result) = select(&self.cfg, view, &record.votes) else {
             return; // need more votes
         };
         let value = match result.outcome {
             Outcome::Constrained(x) => x,
             Outcome::Free => self.input.clone(),
         };
-        let snapshot: Vec<SignedVote> = votes.values().cloned().collect();
+        let snapshot: Vec<SignedVote> = record.votes.values().cloned().collect();
 
         // Ask 2f + 1 processes (the smallest ids other than ourself) to
         // confirm the selection; certify it ourselves right away.
-        let ls = self.leader.as_mut().expect("leader state checked above");
         ls.selected = Some(value.clone());
         ls.requested = true;
         let payload = certack_payload(&value, view);
@@ -608,7 +723,11 @@ impl Replica {
     }
 
     fn try_propose_certified(&mut self, fx: &mut Effects<Message>) {
-        let Some(ls) = &mut self.leader else { return };
+        let view = self.view;
+        let record = self.views.get_mut(&view);
+        let Some(ls) = record.and_then(|record| record.leader.as_mut()) else {
+            return;
+        };
         if ls.proposed || !ls.requested {
             return;
         }
@@ -619,7 +738,6 @@ impl Replica {
             return;
         }
         ls.proposed = true;
-        let view = ls.view;
         let cert = ProgressCert::Bounded(ls.certacks.clone());
         let sig = self.keys.sign(&propose_payload(&value, view));
         fx.broadcast(Message::Propose(ProposeMsg {
@@ -668,15 +786,23 @@ impl Replica {
     }
 
     fn on_cert_ack(&mut self, from: ProcessId, ack: CertAckMsg, fx: &mut Effects<Message>) {
-        let Some(ls) = &mut self.leader else { return };
-        if ls.view != ack.view || ls.selected.as_ref() != Some(&ack.value) {
+        if ack.view != self.view {
             return;
         }
+        let record = self.views.get_mut(&ack.view);
+        let Some(ls) = record.and_then(|record| record.leader.as_mut()) else {
+            return;
+        };
+        // Checked against our own instance of the value: its digest is warm
+        // from the CertAck we signed ourselves.
+        let Some(selected) = ls.selected.as_ref().filter(|x| **x == ack.value) else {
+            return;
+        };
         if ack.sig.signer != from
             || !verify_counted(
                 &self.dir,
                 self.metrics.get(),
-                &certack_payload(&ack.value, ack.view),
+                &certack_payload(selected, ack.view),
                 &ack.sig,
             )
         {
@@ -752,32 +878,13 @@ impl Actor<Message> for Replica {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: Message, fx: &mut Effects<Message>) {
-        // Swap each carried value for its canonical interned instance
-        // before handling: statement building needs the value digest, and
-        // interning is what makes that digest memoized per replica rather
-        // than recomputed for every decoded copy.
         match msg {
-            Message::Propose(mut p) => {
-                p.value = self.intern(p.value);
-                self.on_propose(from, p, fx);
-            }
-            Message::Ack(mut a) => {
-                a.value = self.intern(a.value);
-                self.on_ack(from, a, fx);
-            }
-            Message::Commit(mut c) => {
-                c.cert.value = self.intern(c.cert.value);
-                self.on_commit(from, c, fx);
-            }
+            Message::Propose(p) => self.on_propose(from, p, fx),
+            Message::Ack(a) => self.on_ack(from, a, fx),
+            Message::Commit(c) => self.on_commit(from, c, fx),
             Message::Vote(v) => self.on_vote(from, v, fx),
-            Message::CertRequest(mut r) => {
-                r.value = self.intern(r.value);
-                self.on_cert_request(from, r, fx);
-            }
-            Message::CertAck(mut a) => {
-                a.value = self.intern(a.value);
-                self.on_cert_ack(from, a, fx);
-            }
+            Message::CertRequest(r) => self.on_cert_request(from, r, fx),
+            Message::CertAck(a) => self.on_cert_ack(from, a, fx),
             Message::Wish(w) => self.on_wish(from, w, fx),
         }
     }
@@ -1293,33 +1400,223 @@ mod tests {
         );
     }
 
-    /// The interner absorbs unvalidated message values, so Byzantine value
-    /// spray must be bounded by bytes (not just count) and released at the
-    /// next view change.
+    /// A fresh allocation per frame, as a TCP decode produces, every value
+    /// distinct.
+    fn blob(i: u64, len: usize) -> Value {
+        let mut bytes = vec![i as u8; len];
+        bytes[..8].copy_from_slice(&i.to_be_bytes());
+        Value::new(bytes)
+    }
+
+    fn ack(value: Value, view: u64) -> Message {
+        Message::Ack(AckMsg {
+            value,
+            view: View(view),
+            share: None,
+        })
+    }
+
+    /// The values a replica's records hold a sender's place with.
+    fn contributed(r: &Replica) -> usize {
+        r.views.values().map(|rec| rec.contributed().count()).sum()
+    }
+
+    /// The bound on what a sender can make a replica hold (ARCHITECTURE's
+    /// bounds table, last row): one value per view, one view at a time
+    /// beyond the horizon, no new allocation past its own share of the byte
+    /// budget — and none of it at the expense of what another sender says
+    /// or of what a later quorum needs.
     #[test]
-    fn interner_is_byte_bounded_and_resets_on_view_change() {
+    fn a_sender_holds_one_value_per_view_inside_the_horizon_and_the_budget() {
+        const SPRAY: u64 = 2_000;
         let (cfg, pairs, dir) = fixture(4, 1, 1);
-        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
-        // Spray large distinct values: interned bytes must never exceed the
-        // cap even though the count cap is far away.
-        let big = 1 << 20; // 1 MiB each
-        for i in 0..16u8 {
-            r.intern(Value::new(vec![i; big]));
-        }
-        assert!(r.interned_bytes <= INTERN_BYTES_CAP);
-        assert!(r.interned.len() < 16, "byte cap did not bite");
-        // Values beyond the cap still pass through unharmed.
-        let v = Value::new(vec![0xEE; big]);
-        assert_eq!(r.intern(v.clone()), v);
-        // A view change releases everything.
+        let share = HELD_BYTES_BUDGET / cfg.n();
+        let registry = fastbft_obs::MetricsRegistry::new(4);
+        let opts = ReplicaOptions {
+            metrics: registry.replica(0),
+            ..ReplicaOptions::default()
+        };
+        let x = Value::from_u64(5);
+        let mut r = Replica::with_options(cfg, pairs[0].clone(), dir.clone(), x.clone(), opts);
+        let refused = || registry.metrics(0).contribution_refused_total.get();
         let mut buf = fx(1, 4);
+
+        // p4 sprays: a distinct 256 KiB ack for each of views 1 … 2 000,
+        // and then a second one for each of them. What stays is what its
+        // share pays for, four of the 1 + n values the horizon would admit.
+        for i in 0..2 * SPRAY {
+            r.on_message(
+                ProcessId(4),
+                ack(blob(i, 256 << 10), 1 + i % SPRAY),
+                &mut buf,
+            );
+        }
+        assert_eq!(contributed(&r), share / (256 << 10));
+        assert!(contributed(&r) <= 1 + cfg.n());
+        assert_eq!(r.held_bytes(), share);
+        assert_eq!(refused(), 2 * SPRAY - 4);
+
+        // The spray cost the others nothing. Two correct acks of view 1
+        // overtake their proposal and are held; the replica moves on to
+        // view 2, which releases nothing a quorum can still need: the third
+        // ack of the abandoned view decides. Its proposal, arriving last of
+        // all, still vouches for them.
+        for sender in [2, 3] {
+            r.on_message(ProcessId(sender), ack(x.clone(), 1), &mut buf);
+        }
+        let held = r.held_bytes();
+        assert_eq!(held, share + 2 * x.len(), "one charge per place");
         r.enter_view(View(2), &mut buf);
-        assert!(r.interned.is_empty());
-        assert_eq!(r.interned_bytes, 0);
-        // …and the interner works again afterwards.
-        let w = Value::from_u64(9);
-        r.intern(w.clone());
-        assert_eq!(r.interned.len(), 1);
-        assert_eq!(r.interned_bytes, 8);
+        assert_eq!(r.held_bytes(), held);
+        assert_eq!(r.decided(), None);
+        r.on_message(ProcessId(1), ack(x.clone(), 1), &mut buf);
+        assert_eq!(r.decided(), Some(&x));
+        let leader = cfg.leader(View::FIRST);
+        let propose = Message::Propose(ProposeMsg {
+            value: x.clone(),
+            view: View::FIRST,
+            cert: ProgressCert::Genesis,
+            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST)),
+        });
+        r.on_message(leader, propose.clone(), &mut buf);
+        assert_eq!(r.held_bytes(), share, "p4's, which nothing vouches for");
+
+        // Small values are bounded by count: views 1 … 1 + n, and the first
+        // view beyond them.
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        for i in 0..SPRAY {
+            r.on_message(ProcessId(4), ack(Value::from_u64(i), 1 + i), &mut buf);
+        }
+        assert_eq!(contributed(&r), 1 + cfg.n() + 1);
+        assert_eq!(r.views.keys().last(), Some(&View(2 + cfg.n() as u64)));
+
+        // A share, at its edge: one value of exactly that size fits, p4's
+        // next new allocation is refused whatever its size — p3's is not —
+        // until a verified proposal vouches for the value, after which it
+        // costs nothing.
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        r.on_message(ProcessId(4), ack(blob(0, share), 2), &mut buf);
+        assert_eq!(r.held_bytes(), share);
+        r.on_message(ProcessId(4), ack(x.clone(), 1), &mut buf);
+        assert_eq!(contributed(&r), 1, "no room for a new allocation of p4's");
+        r.on_message(ProcessId(3), ack(x.clone(), 1), &mut buf);
+        assert_eq!(contributed(&r), 2);
+        r.on_message(leader, propose, &mut buf);
+        r.on_message(ProcessId(4), ack(x.clone(), 1), &mut buf);
+        assert_eq!(contributed(&r), 3);
+        assert_eq!(r.held_bytes(), share);
+    }
+
+    /// A replica more than a leader rotation behind its peers still decides
+    /// on the acks of the view they decided in, as they arrive: each sender
+    /// has one view at a time beyond the horizon.
+    #[test]
+    fn a_replica_more_than_a_rotation_behind_decides_on_the_view_it_missed() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let registry = fastbft_obs::MetricsRegistry::new(4);
+        let opts = ReplicaOptions {
+            metrics: registry.replica(0),
+            ..ReplicaOptions::default()
+        };
+        let x = Value::from_u64(5);
+        let mut r = Replica::with_options(cfg, pairs[0].clone(), dir, x.clone(), opts);
+        let refused = || registry.metrics(0).contribution_refused_total.get();
+        let mut buf = fx(1, 4);
+        let missed = cfg.n() as u64 + 3;
+
+        for sender in [2, 3, 4] {
+            assert_eq!(r.decided(), None);
+            r.on_message(ProcessId(sender), ack(x.clone(), missed), &mut buf);
+        }
+        assert_eq!((r.decided(), r.view(), refused()), (Some(&x), View(1), 0));
+
+        // A second view out there is refused — until the wishes catch the
+        // replica up and it lies within the horizon.
+        r.on_message(ProcessId(2), ack(x.clone(), missed + 1), &mut buf);
+        assert_eq!(refused(), 1);
+        for sender in [2, 3, 4] {
+            let wish = Message::Wish(WishMsg { view: View(missed) });
+            r.on_message(ProcessId(sender), wish, &mut buf);
+        }
+        assert_eq!(r.view(), View(missed));
+        r.on_message(ProcessId(2), ack(x.clone(), missed + 1), &mut buf);
+        assert_eq!(refused(), 1);
+        assert!(r.views[&View(missed + 1)].has(ProcessId(2)));
+    }
+
+    /// The record is the interner: a value that arrives as a fresh
+    /// allocation (here through the wire codec) and equals one the record
+    /// holds ends up as that instance — the ack after the proposal, and the
+    /// proposal after the ack.
+    #[test]
+    fn a_decoded_copy_ends_up_holding_the_records_allocation() {
+        use fastbft_types::wire::{from_bytes, to_bytes};
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let leader = cfg.leader(View::FIRST);
+        let x = blob(7, 1 << 10);
+        let propose = Message::Propose(ProposeMsg {
+            value: x.clone(),
+            view: View::FIRST,
+            cert: ProgressCert::Genesis,
+            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST)),
+        });
+        let decoded = |m: &Message| from_bytes::<Message>(&to_bytes(m)).expect("round trip");
+        let at = |v: &Value| v.as_bytes().as_ptr();
+        let mut buf = fx(1, 4);
+
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        r.on_message(leader, propose.clone(), &mut buf);
+        r.on_message(ProcessId(3), decoded(&ack(x.clone(), 1)), &mut buf);
+        let record = &r.views[&View::FIRST];
+        assert_eq!(at(&record.acks[&ProcessId(3)].0), at(&x));
+        assert_eq!(r.held_bytes(), 0, "the proposal vouches for it");
+
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        let first = decoded(&ack(x.clone(), 1));
+        let Message::Ack(AckMsg { value: copy, .. }) = &first else {
+            unreachable!()
+        };
+        let copy = at(copy);
+        assert_ne!(copy, at(&x));
+        r.on_message(ProcessId(3), first, &mut buf);
+        assert_eq!(r.held_bytes(), x.len());
+        r.on_message(leader, decoded(&propose), &mut buf);
+        let record = &r.views[&View::FIRST];
+        assert_eq!(at(&record.proposal.as_ref().unwrap().value), copy);
+        assert_eq!(at(&r.vote().as_ref().unwrap().value), copy);
+        assert_eq!(r.held_bytes(), 0);
+    }
+
+    /// A vote is checked — its signature, its progress certificate, its
+    /// commit certificate — only by the replica that leads the view it is
+    /// for: anyone else drops it before the first signature check.
+    #[test]
+    fn a_vote_for_a_view_led_by_someone_else_is_dropped_unverified() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let mut buf = fx(1, 4);
+        let vote_for = |view: View| {
+            Message::Vote(VoteMsg {
+                view,
+                vote: SignedVote::sign(&pairs[1], None, view),
+            })
+        };
+        // `verifications_performed` counts in debug builds only.
+        let checks = |dir: &KeyDirectory| dir.verifications_performed();
+        let (ours, theirs) = (View(4), View(2));
+        assert_eq!(cfg.leader(ours), ProcessId(1));
+        assert_ne!(cfg.leader(theirs), ProcessId(1));
+
+        let mut r = replica(&cfg, &pairs, &dir, 0, 1);
+        r.on_message(ProcessId(2), vote_for(theirs), &mut buf);
+        r.on_message(ProcessId(2), vote_for(View::FIRST), &mut buf);
+        assert_eq!(checks(&dir), 0);
+        assert!(r.views.is_empty());
+
+        // The honest twin: a nil vote for a view this replica leads costs
+        // its one signature check and is held; its repeat costs nothing.
+        r.on_message(ProcessId(2), vote_for(ours), &mut buf);
+        r.on_message(ProcessId(2), vote_for(ours), &mut buf);
+        assert_eq!(checks(&dir), u64::from(cfg!(debug_assertions)));
+        assert_eq!(r.views[&ours].votes.len(), 1);
     }
 }

@@ -33,6 +33,7 @@ pub struct Metrics {
     pub commit_fast_total: Counter,
     pub commit_slow_total: Counter,
     pub view_change_total: Counter,
+    pub contribution_refused_total: Counter,
     // smr: leader suspicion across slots.
     pub view_skip_total: Counter,
     pub slot_revoked_total: Counter,
@@ -94,7 +95,7 @@ impl Metrics {
     }
 
     /// `(name, help, counter)` for every counter, in exposition order.
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 27] {
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 28] {
         [
             (
                 "commit_fast_total",
@@ -110,6 +111,11 @@ impl Metrics {
                 "view_change_total",
                 "View changes entered (leader replacements).",
                 &self.view_change_total,
+            ),
+            (
+                "contribution_refused_total",
+                "Acks, Commits, votes and proposals a consensus instance refused to hold: a sender's second in a view, its second view beyond the horizon, a value past its share of the byte budget.",
+                &self.contribution_refused_total,
             ),
             (
                 "view_skip_total",

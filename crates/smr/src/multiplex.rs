@@ -435,6 +435,14 @@ impl<S: StateMachine> SmrNode<S> {
         (self.stash.bytes(), self.backfill.bytes())
     }
 
+    /// Bytes the open instances hold against `core`'s
+    /// `HELD_BYTES_BUDGET`, summed (test accessor for that bound).
+    #[doc(hidden)]
+    pub fn held_bytes(&self) -> usize {
+        let instances = self.slots.values().filter_map(|s| s.instance.as_ref());
+        instances.map(|i| i.replica.held_bytes()).sum()
+    }
+
     /// Currently open consensus instances (for quiescence assertions).
     pub fn open_slots(&self) -> usize {
         self.instances().count()

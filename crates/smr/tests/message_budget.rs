@@ -157,7 +157,8 @@ fn a_live_slot_costs_exactly_its_protocol_messages() {
 /// path's share (`t < f`), one per ack it handles before the slot is
 /// applied: the fast quorum's `n − t`, the stragglers being dropped ahead
 /// of the check. No certificate is walked: the `Commit`s of the slow path
-/// running beside the fast one arrive a delay after the slot settled. The
+/// running beside the fast one arrive a delay after the slot settled. No
+/// instance refuses a contribution: every seat sends one of each a view. The
 /// Prometheus text and the JSON dump both carry those totals, per replica,
 /// and a cluster's exposition has no `shard` label or key anywhere, nor
 /// the hit counters of the caches there no longer are.
@@ -175,6 +176,7 @@ fn both_exporters_print_the_counts_of_a_live_run() {
             ("commit_fast_total", SLOTS),
             ("commit_slow_total", 0),
             ("view_change_total", 0),
+            ("contribution_refused_total", 0),
             ("dedup_dropped_total", 0),
             ("backfill_slots_total", 0),
             ("ingress_shed_total", 0),

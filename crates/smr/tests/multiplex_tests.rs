@@ -212,6 +212,20 @@ fn stash_is_bounded_against_slot_spray() {
     assert!(node.stashed_messages() <= 4096);
 }
 
+/// The node at seat `p` of a bare simulation of honest nodes.
+fn node_at(sim: &fastbft_sim::Simulation<SlotMessage>, p: u32) -> &SmrNode<CountingMachine> {
+    let actor = sim.actor(ProcessId(p)).as_any();
+    actor.and_then(|any| any.downcast_ref()).expect("a node")
+}
+
+/// A fresh allocation per frame, as a TCP decode produces, every value
+/// distinct.
+fn sprayed_value(i: u64, len: usize) -> Value {
+    let mut bytes = vec![i as u8; len];
+    bytes[..8].copy_from_slice(&i.to_be_bytes());
+    Value::new(bytes)
+}
+
 /// The same two buffers are bounded in *bytes*: the message cap alone let
 /// one seat pin 4096 frames of any size, and the backfill votes — one value
 /// per slot of the horizon per sender — had no cap at all. p4 sprays a live
@@ -228,7 +242,6 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
     const CAP: usize = 32 << 20;
     const BACKFILL: usize = 1 << 20;
     const DELTA: u64 = SimDuration::DELTA.0;
-    type Node = SmrNode<CountingMachine>;
 
     let cfg = Config::new(4, 1, 1).unwrap();
     let (pairs, dir) = KeyDirectory::generate(4, 33);
@@ -239,17 +252,8 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
         sim.add_actor(Box::new(node));
     }
     sim.start();
-    fn node(sim: &Simulation<SlotMessage>, p: u32) -> &Node {
-        let actor = sim.actor(ProcessId(p)).as_any();
-        actor.and_then(|any| any.downcast_ref()).expect("a node")
-    }
+    let (node, value) = (node_at, sprayed_value);
     let correct = [1, 2, 3];
-    // A fresh allocation per frame, every value distinct.
-    let value = |i: u64, len: usize| {
-        let mut bytes = vec![i as u8; len];
-        bytes[..8].copy_from_slice(&i.to_be_bytes());
-        Value::new(bytes)
-    };
     let ack = |value: Value| {
         Message::Ack(AckMsg {
             value,
@@ -329,6 +333,101 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
         assert_eq!(node(&sim, p).commands_applied(), 18, "p{p}");
         let (stashed, votes) = node(&sim, p).buffered_bytes();
         assert!(stashed <= CAP && votes <= CAP, "p{p}: {stashed}, {votes}");
+    }
+}
+
+/// The same sprayer against what `core` holds for the slots that *are*
+/// open (the bounds table's last row): p4 sends every correct seat a
+/// distinct 256 KiB ack for each of views 1 … 10 of eight slots inside the
+/// window, twice over. Every instance keeps one value per view from p4
+/// while p4's `1/n` share of the instance's byte budget lasts — 1 MiB a
+/// slot, four of the `1 + n` views within one leader rotation — and the
+/// second round adds nothing; when the slots have settled the bytes are
+/// gone with their instances, and honest traffic commits.
+#[test]
+fn held_bytes_plateau_under_an_ack_spray_at_every_open_slot() {
+    use fastbft_sim::Simulation;
+    use fastbft_smr::offset_logs_consistent;
+
+    const DELTA: u64 = SimDuration::DELTA.0;
+    const SLOTS: u64 = 8;
+    const VIEWS: u64 = 10;
+    const LEN: usize = 256 << 10;
+
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let (pairs, dir) = KeyDirectory::generate(4, 35);
+    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 35);
+    for pair in pairs {
+        let machine = CountingMachine::new();
+        let node = SmrNode::new(cfg, pair, dir.clone(), machine, [], Value::from_u64(0));
+        sim.add_actor(Box::new(node));
+    }
+    sim.start();
+    let node = node_at;
+    let correct = [1, 2, 3];
+    let mut sprayed = 0u64;
+    let mut spray = |sim: &mut Simulation<SlotMessage>| {
+        let now = sim.now();
+        for slot in 0..SLOTS {
+            for view in 1..=VIEWS {
+                sprayed += 1;
+                let inner = Message::Ack(AckMsg {
+                    value: sprayed_value(sprayed, LEN),
+                    view: View(view),
+                    share: None,
+                });
+                for p in correct {
+                    let inner = inner.clone();
+                    let frame = SlotMessage::Consensus { slot, inner };
+                    sim.inject_message(ProcessId(4), ProcessId(p), frame, now);
+                }
+            }
+        }
+    };
+
+    // The first round opens the eight slots at every correct seat and
+    // fills p4's place in the first views of each, as many as its share
+    // pays for; the rest is refused.
+    spray(&mut sim);
+    sim.run_until(SimTime(DELTA));
+    let per_slot = fastbft_core::replica::HELD_BYTES_BUDGET / cfg.n() / LEN * LEN;
+    assert!((LEN..=(1 + cfg.n()) * LEN).contains(&per_slot));
+    let plateau = SLOTS as usize * per_slot;
+    for p in correct {
+        assert_eq!(node(&sim, p).open_slots() as u64, SLOTS, "p{p}");
+        assert_eq!(node(&sim, p).held_bytes(), plateau, "p{p}");
+    }
+    // The second round finds p4's places taken and its share spent.
+    spray(&mut sim);
+    sim.run_until(SimTime(2 * DELTA));
+    for p in correct {
+        let held = node(&sim, p).held_bytes();
+        assert!(held <= plateau, "p{p}: {held}");
+        assert!(held >= plateau - per_slot, "p{p}: only slot 0 settled");
+    }
+
+    // The slots settle on the filler, and what was held goes with them.
+    sim.run_until(SimTime(100 * DELTA));
+    for p in 1..=4 {
+        assert_eq!(node(&sim, p).applied(), SLOTS, "p{p}");
+        assert_eq!(node(&sim, p).held_bytes(), 0, "p{p}");
+    }
+
+    // It cost nothing: six commands at each correct seat commit, once
+    // each, on every seat.
+    let now = sim.now();
+    for i in 0..18u64 {
+        let to = ProcessId(correct[i as usize % 3]);
+        sim.submit_client(to, Value::from_u64(100 + i), now);
+    }
+    sim.run_until(SimTime(now.0 + 200 * DELTA));
+    let logs: Vec<(u64, &[Value])> = (1..=4)
+        .map(|p| (node(&sim, p).log_offset(), node(&sim, p).log()))
+        .collect();
+    assert!(offset_logs_consistent(&logs));
+    for p in 1..=4 {
+        assert_eq!(node(&sim, p).commands_applied(), 18, "p{p}");
+        assert_eq!(node(&sim, p).held_bytes(), 0, "p{p}");
     }
 }
 
