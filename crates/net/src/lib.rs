@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod faults;
 pub mod frame;
 mod tcp;
 
@@ -157,7 +156,9 @@ fn seats_on<M: SimMessage + Encode + Decode>(
 /// run non-consensus actors — e.g. `fastbft_smr`'s slot-multiplexed SMR
 /// nodes — over authenticated TCP: pass the seats to
 /// [`fastbft_runtime::spawn_with`], wrapped in
-/// [`faults::wrap_seats`] first to shape their deliveries.
+/// [`fastbft_runtime::wrap_seats`] first to shape their deliveries — above
+/// frame decode and MAC verification, so what is delayed or dropped is an
+/// authenticated message.
 ///
 /// # Errors
 ///

@@ -1,88 +1,30 @@
 //! The chaos suite over real loopback TCP: the same catalog scenarios as
 //! `crates/runtime/tests/chaos_channel.rs`, with every authenticated
-//! socket transport wrapped in a `FaultTransport` on a shared plan
-//! (`tcp_seats_metered` + `wrap_seats_metered`). The graceful-degradation harness asserts
-//! the same three properties on both transports — that matrix, under the
-//! fixed `FASTBFT_CHAOS_SEED`, is the CI chaos gate.
+//! socket transport (`tcp_seats_metered`) wrapped by the harness in a
+//! `FaultTransport` on a shared plan. The graceful-degradation harness
+//! asserts the same three properties on both transports — that matrix,
+//! under the harness' fixed fault seed, is the CI chaos gate.
 
 use std::path::Path;
-use std::time::Duration;
 
-use fastbft_core::replica::ReplicaOptions;
-use fastbft_crypto::KeyDirectory;
-use fastbft_net::faults::{wrap_seats_metered, FaultPlan};
 use fastbft_net::tcp_seats_metered;
-use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::chaos::{chaos_seed_from_env, Scenario};
-use fastbft_sim::SimDuration;
-use fastbft_smr::chaos::{run_chaos, ChaosLoad, ChaosReport};
-use fastbft_smr::{smr_actors_configured, AdaptiveBatch, Batching, CountingMachine};
-use fastbft_types::{Config, Value};
+use fastbft_runtime::chaos::Scenario;
+use fastbft_smr::chaos::{run_chaos, ChaosReport};
+use fastbft_types::Config;
 
-const TICK: Duration = Duration::from_micros(50);
-/// The repo-wide default view-1 timeout, in ticks (8·Δ). Scenarios only
-/// ever *raise* this, by their injected delay profile.
-const FLOOR_TICKS: u64 = 800;
-/// Commit cadence hint the catalog scales its fault windows from.
-const COMMIT_MS: u64 = 25;
-
-fn idle() -> Value {
-    Value::from_u64(u64::MAX)
-}
-
-/// Builds a metered SMR cluster over loopback TCP, wraps every seat in a
-/// `FaultTransport` on a shared plan, and runs the scenario through the
-/// graceful-degradation harness. The view-1 timeout is *derived* from the
-/// scenario's injected delay profile — never hand-tuned per test.
-fn run(cfg: Config, key_seed: u64, scenario: Scenario) -> ChaosReport {
-    let n = cfg.n();
-    let (pairs, dir) = KeyDirectory::generate(n, key_seed);
-    let registry = MetricsRegistry::new(n);
-    let base_ticks = scenario.base_timeout_ticks(TICK, FLOOR_TICKS);
-    let opts = ReplicaOptions {
-        base_timeout: SimDuration(base_ticks),
-        ..ReplicaOptions::default()
-    };
-    let actors = smr_actors_configured(
-        cfg,
-        &pairs,
-        &dir,
-        CountingMachine::new(),
-        vec![Vec::new(); n],
-        idle(),
-        opts,
-        // One command per slot.
-        Batching::Adaptive(AdaptiveBatch {
-            max_batch_cmds: 1,
-            ..AdaptiveBatch::default()
-        }),
-        None,
-        Some(&registry),
-    );
-    let plan = FaultPlan::default();
-    let (seats, _addrs) = tcp_seats_metered(actors, pairs, dir, Default::default(), &registry)
-        .expect("loopback bind");
-    let seats = wrap_seats_metered(seats, &plan, chaos_seed_from_env(42), &registry);
-    let base_timeout = Duration::from_nanos(TICK.as_nanos() as u64 * base_ticks);
-    run_chaos(
-        seats,
-        cfg,
-        idle(),
-        registry,
-        plan,
-        scenario,
-        TICK,
-        base_timeout,
-        ChaosLoad::default(),
-        &Path::new(env!("CARGO_TARGET_TMPDIR")).join("postmortem/chaos_suite"),
-    )
-}
-
-fn catalog_scenario(cfg: &Config, name: &str) -> Scenario {
-    Scenario::catalog(cfg, COMMIT_MS)
+/// Runs the catalog scenario `name` on a cluster over loopback TCP.
+fn run(cfg: Config, name: &str) -> ChaosReport {
+    let scenario = Scenario::catalog(&cfg)
         .into_iter()
         .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("{name} missing from the catalog"))
+        .unwrap_or_else(|| panic!("{name} missing from the catalog"));
+    let on_tcp = |actors, pairs, dir, registry: &_| {
+        let (seats, _addrs) = tcp_seats_metered(actors, pairs, dir, Default::default(), registry)
+            .expect("loopback bind");
+        seats
+    };
+    let postmortem = Path::new(env!("CARGO_TARGET_TMPDIR")).join("postmortem/chaos_suite");
+    run_chaos(cfg, &scenario, on_tcp, &postmortem)
 }
 
 fn generalized_seven() -> Config {
@@ -91,15 +33,13 @@ fn generalized_seven() -> Config {
 
 #[test]
 fn delay_the_leader_recovers_the_fast_path_over_tcp() {
-    let cfg = generalized_seven();
-    let report = run(cfg, 81, catalog_scenario(&cfg, "delay-the-leader"));
+    let report = run(generalized_seven(), "delay-the-leader");
     assert!(report.injected[0] > 0, "delays must have been injected");
 }
 
 #[test]
 fn partition_the_fast_quorum_degrades_to_the_slow_path_over_tcp() {
-    let cfg = generalized_seven();
-    let report = run(cfg, 82, catalog_scenario(&cfg, "partition-the-fast-quorum"));
+    let report = run(generalized_seven(), "partition-the-fast-quorum");
     assert!(
         report.injected[3] > 0,
         "partition must have dropped traffic"
@@ -109,22 +49,19 @@ fn partition_the_fast_quorum_degrades_to_the_slow_path_over_tcp() {
 
 #[test]
 fn flapping_link_stays_safe_and_recovers_over_tcp() {
-    let cfg = generalized_seven();
-    let report = run(cfg, 83, catalog_scenario(&cfg, "flapping-link"));
+    let report = run(generalized_seven(), "flapping-link");
     assert!(report.injected[3] > 0, "flaps must have dropped traffic");
 }
 
 #[test]
 fn slow_follower_does_not_sink_the_fast_path_over_tcp() {
-    let cfg = generalized_seven();
-    let report = run(cfg, 84, catalog_scenario(&cfg, "slow-follower"));
+    let report = run(generalized_seven(), "slow-follower");
     assert!(report.injected[0] > 0, "delays must have been injected");
 }
 
 #[test]
 fn asymmetric_wan_commits_across_regions_over_tcp() {
-    let cfg = generalized_seven();
-    let report = run(cfg, 85, catalog_scenario(&cfg, "asymmetric-wan"));
+    let report = run(generalized_seven(), "asymmetric-wan");
     assert!(report.injected[0] > 0, "cross-region delays must fire");
     assert!(
         report.fast[2] > 0,
@@ -138,9 +75,7 @@ fn asymmetric_wan_commits_across_regions_over_tcp() {
 /// (fast) once healed, with no divergence.
 #[test]
 fn vanilla_partition_stalls_then_recovers_over_tcp() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let scenario = Scenario::partition_the_fast_quorum(&cfg, Duration::from_millis(COMMIT_MS * 40));
-    let report = run(cfg, 86, scenario);
+    let report = run(Config::new(4, 1, 1).unwrap(), "partition-the-fast-quorum");
     assert!(
         report.injected[3] > 0,
         "partition must have dropped traffic"

@@ -13,27 +13,15 @@ use std::time::{Duration, Instant};
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
 use fastbft_net::{TcpOptions, TcpTransport};
-use fastbft_runtime::chaos::Scenario;
+use fastbft_runtime::chaos::recovery_window;
 use fastbft_runtime::{spawn_with, NodeSeat};
-use fastbft_sim::{Actor, SimDuration};
+use fastbft_sim::Actor;
 use fastbft_smr::runtime::{smr_actors_configured, SmrClusterHandle};
 use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SlotMessage};
 use fastbft_types::{Config, ProcessId, Value};
 
 const COMMANDS: u64 = 64;
 const TICK: Duration = Duration::from_micros(50);
-/// The repo-wide default view-1 timeout, in ticks (8·Δ) — the no-fault
-/// floor the scenario derivation starts from.
-const FLOOR_TICKS: u64 = 800;
-
-/// The fault under test, as a chaos scenario: p4 is dead to the network.
-/// The blackhole is staged at the kernel level below (no `FaultPlan`
-/// shaping), but the view-1 timeout and the time budget are *derived*
-/// from the scenario — the same way every plan-shaped chaos test derives
-/// them — instead of being hand-tuned constants.
-fn blackhole_scenario() -> Scenario {
-    Scenario::unreachable_peer(ProcessId(4))
-}
 
 fn hostile_opts() -> TcpOptions {
     TcpOptions {
@@ -51,17 +39,6 @@ fn hostile_opts() -> TcpOptions {
     }
 }
 
-fn smr_opts() -> ReplicaOptions {
-    // The blackholed replica *leads* every fourth slot, so those slots
-    // must recover via the view synchronizer. The blackhole adds no
-    // latency to the live links (`timeout_covers` is zero), so the
-    // derived timeout is exactly the no-fault floor — brisk recovery.
-    ReplicaOptions {
-        base_timeout: SimDuration(blackhole_scenario().base_timeout_ticks(TICK, FLOOR_TICKS)),
-        ..ReplicaOptions::default()
-    }
-}
-
 fn actors(cfg: Config, seed: u64) -> (Vec<Box<dyn Actor<SlotMessage> + Send>>, KeyState) {
     let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
     let idle = Value::from_u64(u64::MAX);
@@ -73,7 +50,11 @@ fn actors(cfg: Config, seed: u64) -> (Vec<Box<dyn Actor<SlotMessage> + Send>>, K
         CountingMachine::new(),
         vec![queue; cfg.n()],
         idle.clone(),
-        smr_opts(),
+        // The blackholed replica *leads* every fourth slot, so those slots
+        // must recover via the view synchronizer. The blackhole adds no
+        // latency to the live links, so the default view-1 timeout stands
+        // — brisk recovery.
+        ReplicaOptions::default(),
         // One command per slot.
         Batching::Adaptive(AdaptiveBatch {
             max_batch_cmds: 1,
@@ -154,17 +135,16 @@ fn blackholed_replica_does_not_reduce_correct_replicas_throughput() {
     // the healthy cluster must be quick.
     let (healthy, _) = run(41, false);
     // Budget for the hostile run: the protocol must view-change past the
-    // blackholed replica's ~16 dead-leader slots (one derived timeout
-    // each, overlapping under the 16-deep pipeline) — the scenario's
-    // recovery window bounds that comfortably. The *failure mode this
-    // guards against* is categorically slower: when sends dialed and
-    // handshook on the event-loop thread, every send toward the
-    // blackhole froze the sender's timers for up to 600 ms, so
-    // dead-leader slots could not even time out promptly and the run
-    // took minutes.
-    let scenario = blackhole_scenario();
-    let base = TICK * u32::try_from(scenario.base_timeout_ticks(TICK, FLOOR_TICKS)).unwrap();
-    let budget = scenario.recovery_window(base).as_secs_f64();
+    // blackholed replica's ~16 dead-leader slots (one view-1 timeout
+    // each, overlapping under the 16-deep pipeline) — the chaos plane's
+    // recovery window for a fault that injects no delay bounds that
+    // comfortably. The *failure mode this guards against* is
+    // categorically slower: when sends dialed and handshook on the
+    // event-loop thread, every send toward the blackhole froze the
+    // sender's timers for up to 600 ms, so dead-leader slots could not
+    // even time out promptly and the run took minutes.
+    let base_timeout = TICK * u32::try_from(ReplicaOptions::default().base_timeout.0).unwrap();
+    let budget = recovery_window(base_timeout, Duration::ZERO).as_secs_f64();
     let (blackholed, dropped) = run(42, true);
     assert!(
         blackholed < budget,

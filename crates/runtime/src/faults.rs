@@ -6,9 +6,11 @@
 //! `TcpTransport` — and shapes every *inbound* delivery according to a
 //! shared, runtime-togglable [`FaultPlan`]: fixed delay plus jitter,
 //! probabilistic loss, duplication, a reordering window, and hard
-//! partitions. Chaos scripts (see [`crate::chaos`]) mutate the
-//! plan while the cluster runs — heal a partition, un-delay a leader —
-//! and every node's wrapper picks the change up on its next delivery.
+//! partitions. Chaos scripts (see [`crate::chaos`]) swap the plan's
+//! [`LinkRules`] while the cluster runs — heal a partition, un-delay a
+//! leader — and every node's wrapper picks the change up on its next
+//! delivery. Every injected fault is counted once, in the wrapper's
+//! metrics block.
 //!
 //! # Why shaping happens on the receive side
 //!
@@ -41,12 +43,12 @@
 //! talks to itself, like a real partition.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fastbft_obs::{MetricsHandle, MetricsRegistry};
+use fastbft_obs::{Counter, Metrics, MetricsHandle, MetricsRegistry};
 use fastbft_sim::SimMessage;
 use fastbft_types::ProcessId;
 use rand::rngs::StdRng;
@@ -133,19 +135,41 @@ impl LinkProfile {
     }
 }
 
-/// The resolved rule table: explicit pairs override per-source wildcards,
-/// which override per-destination wildcards, which override the default.
+/// A complete set of link rules below a plan's default profile: explicit
+/// pairs override per-source wildcards, which override per-destination
+/// wildcards. A chaos step (see [`crate::chaos`]) is one of these, swapped
+/// in whole by [`FaultPlan::set_rules`]; the empty set is a healed network.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LinkRules {
+    /// Directed `src → dst` rules — the only ones that reach a self-link.
+    pub pairs: BTreeMap<(ProcessId, ProcessId), LinkProfile>,
+    /// Everything a process sends (except its self-delivery).
+    pub by_src: BTreeMap<ProcessId, LinkProfile>,
+    /// Everything a process receives (except its self-delivery).
+    pub by_dst: BTreeMap<ProcessId, LinkProfile>,
+}
+
+impl LinkRules {
+    /// Every profile the rules name.
+    pub(crate) fn profiles(&self) -> impl Iterator<Item = &LinkProfile> {
+        self.pairs
+            .values()
+            .chain(self.by_src.values())
+            .chain(self.by_dst.values())
+    }
+}
+
+/// The resolved rule table: the rules, then the default.
 #[derive(Clone, Debug, Default)]
 struct PlanTable {
     default: LinkProfile,
-    pairs: HashMap<(ProcessId, ProcessId), LinkProfile>,
-    by_src: HashMap<ProcessId, LinkProfile>,
-    by_dst: HashMap<ProcessId, LinkProfile>,
+    rules: LinkRules,
 }
 
 impl PlanTable {
     fn resolve(&self, src: ProcessId, dst: ProcessId) -> LinkProfile {
-        if let Some(p) = self.pairs.get(&(src, dst)) {
+        let rules = &self.rules;
+        if let Some(p) = rules.pairs.get(&(src, dst)) {
             return *p;
         }
         // Self-delivery is exempt from wildcard rules: quorum counting
@@ -153,20 +177,17 @@ impl PlanTable {
         if src == dst {
             return LinkProfile::default();
         }
-        if let Some(p) = self.by_src.get(&src) {
+        if let Some(p) = rules.by_src.get(&src) {
             return *p;
         }
-        if let Some(p) = self.by_dst.get(&dst) {
+        if let Some(p) = rules.by_dst.get(&dst) {
             return *p;
         }
         self.default
     }
 
     fn rule_count(&self) -> usize {
-        self.pairs.len()
-            + self.by_src.len()
-            + self.by_dst.len()
-            + usize::from(!self.default.is_transparent())
+        self.rules.profiles().count() + usize::from(!self.default.is_transparent())
     }
 }
 
@@ -174,16 +195,14 @@ impl PlanTable {
 struct PlanInner {
     version: AtomicU64,
     table: Mutex<PlanTable>,
-    delays: AtomicU64,
-    drops: AtomicU64,
-    dups: AtomicU64,
-    partition_drops: AtomicU64,
 }
 
 /// A shared, runtime-togglable fault plan: the single source of truth
 /// every [`FaultTransport`] in a cluster consults. Cloning the handle
 /// shares the plan; mutations are picked up by each wrapper on its next
-/// delivery (a version counter invalidates the wrapper's snapshot).
+/// delivery (a version counter invalidates the wrapper's snapshot). What
+/// the wrappers inject is counted once, in their metrics blocks
+/// ([`wrap_seats_metered`]).
 #[derive(Clone, Default)]
 pub struct FaultPlan {
     inner: Arc<PlanInner>,
@@ -209,108 +228,36 @@ impl FaultPlan {
         self.inner.table.lock().expect("not poisoned").clone()
     }
 
+    /// How the plan shapes `src → dst` right now.
+    #[cfg(test)]
+    pub(crate) fn resolve(&self, src: ProcessId, dst: ProcessId) -> LinkProfile {
+        self.snapshot().resolve(src, dst)
+    }
+
     /// Sets the fallback profile for every link without a more specific
     /// rule.
     pub fn set_default(&self, profile: LinkProfile) {
         self.mutate(|t| t.default = profile);
     }
 
-    /// Shapes the directed link `src → dst` (overrides wildcards).
-    pub fn set_link(&self, src: ProcessId, dst: ProcessId, profile: LinkProfile) {
-        self.mutate(|t| {
-            t.pairs.insert((src, dst), profile);
-        });
-    }
-
-    /// Shapes both directions between `a` and `b`.
-    pub fn set_link_sym(&self, a: ProcessId, b: ProcessId, profile: LinkProfile) {
-        self.mutate(|t| {
-            t.pairs.insert((a, b), profile);
-            t.pairs.insert((b, a), profile);
-        });
-    }
-
-    /// Removes the pair rules for `a → b` and `b → a`.
-    pub fn clear_link_sym(&self, a: ProcessId, b: ProcessId) {
-        self.mutate(|t| {
-            t.pairs.remove(&(a, b));
-            t.pairs.remove(&(b, a));
-        });
-    }
-
-    /// Shapes everything `src` sends (except its self-delivery).
-    pub fn set_outbound(&self, src: ProcessId, profile: LinkProfile) {
-        self.mutate(|t| {
-            t.by_src.insert(src, profile);
-        });
-    }
-
-    /// Shapes everything `dst` receives (except its self-delivery).
-    pub fn set_inbound(&self, dst: ProcessId, profile: LinkProfile) {
-        self.mutate(|t| {
-            t.by_dst.insert(dst, profile);
-        });
+    /// Replaces every pair and wildcard rule with `rules`, under one
+    /// version bump; the default profile stays.
+    pub fn set_rules(&self, rules: LinkRules) {
+        self.mutate(|t| t.rules = rules);
     }
 
     /// Cuts `node` off from every peer, both directions (self-delivery
-    /// survives). Undo with [`heal_node`](FaultPlan::heal_node).
+    /// survives).
     pub fn isolate(&self, node: ProcessId) {
         self.mutate(|t| {
-            t.by_src.insert(node, LinkProfile::cut());
-            t.by_dst.insert(node, LinkProfile::cut());
+            t.rules.by_src.insert(node, LinkProfile::cut());
+            t.rules.by_dst.insert(node, LinkProfile::cut());
         });
     }
 
-    /// Removes every rule involving `node` (wildcards and pairs).
-    pub fn heal_node(&self, node: ProcessId) {
-        self.mutate(|t| {
-            t.by_src.remove(&node);
-            t.by_dst.remove(&node);
-            t.pairs.retain(|(s, d), _| *s != node && *d != node);
-        });
-    }
-
-    /// Hard-partitions the processes into the given groups: every link
-    /// crossing a group boundary is cut, links within a group are left to
-    /// their existing rules.
-    pub fn partition(&self, groups: &[Vec<ProcessId>]) {
-        self.mutate(|t| {
-            for (gi, ga) in groups.iter().enumerate() {
-                for gb in groups.iter().skip(gi + 1) {
-                    for &a in ga {
-                        for &b in gb {
-                            t.pairs.insert((a, b), LinkProfile::cut());
-                            t.pairs.insert((b, a), LinkProfile::cut());
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// Drops every rule: the network is whole again.
+    /// Drops every rule and the default: the network is whole again.
     pub fn heal(&self) {
         self.mutate(|t| *t = PlanTable::default());
-    }
-
-    /// Deliveries delayed so far, across every wrapper on this plan.
-    pub fn injected_delays(&self) -> u64 {
-        self.inner.delays.load(Ordering::Relaxed)
-    }
-
-    /// Deliveries dropped by probabilistic loss so far.
-    pub fn injected_drops(&self) -> u64 {
-        self.inner.drops.load(Ordering::Relaxed)
-    }
-
-    /// Duplicate deliveries injected so far.
-    pub fn injected_dups(&self) -> u64 {
-        self.inner.dups.load(Ordering::Relaxed)
-    }
-
-    /// Deliveries dropped by hard partitions so far.
-    pub fn partition_drops(&self) -> u64 {
-        self.inner.partition_drops.load(Ordering::Relaxed)
     }
 }
 
@@ -389,8 +336,11 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
     /// Wraps `inner` (node `id`'s transport) on `plan`, drawing fault
     /// decisions from `seed`.
     pub fn new(inner: T, id: ProcessId, plan: FaultPlan, seed: u64) -> Self {
-        let table = plan.snapshot();
+        // The order `refresh` reads in: a mutation landing in between
+        // leaves a newer table under an older version, which the next
+        // delivery re-reads — never the reverse.
         let version = plan.version();
+        let table = plan.snapshot();
         FaultTransport {
             inner,
             id,
@@ -406,15 +356,12 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
     }
 
     /// Reports injected-fault counters into `metrics` (usually the same
-    /// per-replica block the node's actor records into).
+    /// per-replica block the node's actor records into), starting with
+    /// the rules already in force.
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
         self.metrics = metrics;
+        self.publish_rule_count();
         self
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
     }
 
     fn refresh(&mut self) {
@@ -422,9 +369,19 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
         if v != self.version {
             self.version = v;
             self.table = self.plan.snapshot();
-            if let Some(m) = self.metrics.get() {
-                m.fault_links_shaped.set(self.table.rule_count() as u64);
-            }
+            self.publish_rule_count();
+        }
+    }
+
+    fn publish_rule_count(&self) {
+        if let Some(m) = self.metrics.get() {
+            m.fault_links_shaped.set(self.table.rule_count() as u64);
+        }
+    }
+
+    fn count(&self, pick: impl Fn(&Metrics) -> &Counter) {
+        if let Some(m) = self.metrics.get() {
+            pick(m).inc();
         }
     }
 
@@ -446,13 +403,7 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
             return Some(msg);
         }
         if profile.partitioned {
-            self.plan
-                .inner
-                .partition_drops
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.fault_partition_drop_total.inc();
-            }
+            self.count(|m| &m.fault_partition_drop_total);
             return None;
         }
         let seq = {
@@ -462,10 +413,7 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
         };
         let mut rng = StdRng::seed_from_u64(link_draw(self.seed, from, self.id, seq));
         if profile.loss > 0.0 && rng.gen_bool(profile.loss.clamp(0.0, 1.0)) {
-            self.plan.inner.drops.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.fault_drop_injected_total.inc();
-            }
+            self.count(|m| &m.fault_drop_injected_total);
             return None;
         }
         let mut delay = profile.delay;
@@ -484,28 +432,14 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
             let dup_delay =
                 delay + profile.jitter + profile.reorder_window + Duration::from_micros(50);
             self.push_held(now + dup_delay, from, msg.clone());
-            self.plan.inner.dups.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.fault_dup_injected_total.inc();
-            }
+            self.count(|m| &m.fault_dup_injected_total);
         }
         if delay.is_zero() {
             return Some(msg);
         }
-        self.plan.inner.delays.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.fault_delay_injected_total.inc();
-        }
+        self.count(|m| &m.fault_delay_injected_total);
         self.push_held(now + delay, from, msg);
         None
-    }
-
-    /// Admits a whole batch, returning the messages that pass through
-    /// immediately (in order). Shaped ones land in the heap individually.
-    fn admit_batch(&mut self, from: ProcessId, msgs: Vec<M>, now: Instant) -> Vec<M> {
-        msgs.into_iter()
-            .filter_map(|msg| self.admit(from, msg, now))
-            .collect()
     }
 
     fn next_due(&self) -> Option<Instant> {
@@ -561,7 +495,11 @@ impl<M: SimMessage, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
                 }
                 Polled::DeliveredBatch(from, msgs) => {
                     let now = Instant::now();
-                    let mut kept = self.admit_batch(from, msgs, now);
+                    // Shaped per message; what passes through stays in order.
+                    let mut kept: Vec<M> = msgs
+                        .into_iter()
+                        .filter_map(|msg| self.admit(from, msg, now))
+                        .collect();
                     match kept.len() {
                         0 => {}
                         1 => return Polled::Delivered(from, kept.remove(0)),
@@ -643,20 +581,12 @@ pub fn wrap_seats_metered<M: SimMessage, T: Transport<M>>(
         "metrics registry must cover all {} seats",
         seats.len()
     );
-    seats
+    wrap_seats(seats, plan, seed)
         .into_iter()
         .enumerate()
         .map(|(i, seat)| NodeSeat {
-            actor: seat.actor,
-            transport: FaultTransport::new(
-                seat.transport,
-                ProcessId::from_index(i),
-                plan.clone(),
-                seed,
-            )
-            .with_metrics(registry.replica(i)),
-            control: seat.control,
-            verify: seat.verify,
+            transport: seat.transport.with_metrics(registry.replica(i)),
+            ..seat
         })
         .collect()
 }
@@ -678,23 +608,44 @@ mod tests {
         }
     }
 
-    type PairFixture = (
-        FaultTransport<Ping, ChannelTransport<Ping>>,
-        ChannelTransport<Ping>,
-        Sender<Inbound<Ping>>,
-    );
+    type Wrapped = FaultTransport<Ping, ChannelTransport<Ping>>;
+    type PairFixture = (Wrapped, ChannelTransport<Ping>, Sender<Inbound<Ping>>);
 
-    /// A two-node fixture: returns p1's wrapped transport, p2's raw
-    /// transport (to send from), and p1's control sender.
+    /// A two-node fixture: returns p1's wrapped transport (metered), p2's
+    /// raw transport (to send from), and p1's control sender.
     fn pair(plan: &FaultPlan, seed: u64) -> PairFixture {
         let mut mesh = ChannelTransport::<Ping>::mesh(2);
         let (t2, _) = mesh.remove(1);
         let (t1, control) = mesh.remove(0);
-        (
-            FaultTransport::new(t1, ProcessId(1), plan.clone(), seed),
-            t2,
-            control,
-        )
+        let t1 = FaultTransport::new(t1, ProcessId(1), plan.clone(), seed);
+        (t1.with_metrics(MetricsHandle::standalone()), t2, control)
+    }
+
+    /// What p1's wrapper counted into its metrics block.
+    fn counted(t1: &Wrapped, pick: impl Fn(&Metrics) -> &Counter) -> u64 {
+        pick(t1.metrics.get().expect("metered")).get()
+    }
+
+    /// Rules shaping everything p2 sends.
+    fn from_p2(profile: LinkProfile) -> LinkRules {
+        LinkRules {
+            by_src: BTreeMap::from([(ProcessId(2), profile)]),
+            ..LinkRules::default()
+        }
+    }
+
+    /// A plan configured before wrapping exports its rules from the start,
+    /// not only after its next mutation.
+    #[test]
+    fn a_metered_wrapper_publishes_the_rules_already_in_force() {
+        let plan = FaultPlan::new();
+        plan.set_default(LinkProfile::delayed(
+            Duration::from_millis(2),
+            Duration::ZERO,
+        ));
+        let (t1, _t2, _control) = pair(&plan, 7);
+        let shaped = &t1.metrics.get().expect("metered").fault_links_shaped;
+        assert_eq!(shaped.get(), 1);
     }
 
     #[test]
@@ -706,7 +657,7 @@ mod tests {
             t1.recv(Some(Duration::from_secs(1))),
             Polled::Delivered(ProcessId(2), Ping(1))
         ));
-        assert_eq!(plan.injected_delays(), 0);
+        assert_eq!(counted(&t1, |m| &m.fault_delay_injected_total), 0);
     }
 
     #[test]
@@ -719,8 +670,8 @@ mod tests {
             t1.recv(Some(Duration::from_millis(50))),
             Polled::TimedOut
         ));
-        assert_eq!(plan.partition_drops(), 1);
-        plan.heal_node(ProcessId(2));
+        assert_eq!(counted(&t1, |m| &m.fault_partition_drop_total), 1);
+        plan.set_rules(LinkRules::default());
         t2.send(ProcessId(1), Ping(2));
         assert!(matches!(
             t1.recv(Some(Duration::from_secs(1))),
@@ -743,10 +694,10 @@ mod tests {
     #[test]
     fn delay_holds_messages_until_due() {
         let plan = FaultPlan::new();
-        plan.set_outbound(
-            ProcessId(2),
-            LinkProfile::delayed(Duration::from_millis(60), Duration::ZERO),
-        );
+        plan.set_rules(from_p2(LinkProfile::delayed(
+            Duration::from_millis(60),
+            Duration::ZERO,
+        )));
         let (mut t1, mut t2, _control) = pair(&plan, 7);
         t2.send(ProcessId(1), Ping(1));
         let start = Instant::now();
@@ -764,16 +715,16 @@ mod tests {
             start.elapsed() >= Duration::from_millis(55),
             "arrived early"
         );
-        assert_eq!(plan.injected_delays(), 1);
+        assert_eq!(counted(&t1, |m| &m.fault_delay_injected_total), 1);
     }
 
     #[test]
     fn zero_jitter_delay_preserves_fifo() {
         let plan = FaultPlan::new();
-        plan.set_outbound(
-            ProcessId(2),
-            LinkProfile::delayed(Duration::from_millis(20), Duration::ZERO),
-        );
+        plan.set_rules(from_p2(LinkProfile::delayed(
+            Duration::from_millis(20),
+            Duration::ZERO,
+        )));
         let (mut t1, mut t2, _control) = pair(&plan, 7);
         for i in 0..5 {
             t2.send(ProcessId(1), Ping(i));
@@ -815,7 +766,7 @@ mod tests {
     #[test]
     fn duplication_injects_a_trailing_copy() {
         let plan = FaultPlan::new();
-        plan.set_outbound(ProcessId(2), LinkProfile::default().with_duplication(1.0));
+        plan.set_rules(from_p2(LinkProfile::default().with_duplication(1.0)));
         let (mut t1, mut t2, _control) = pair(&plan, 7);
         t2.send(ProcessId(1), Ping(3));
         let mut seen = 0;
@@ -825,7 +776,7 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, 2, "original plus exactly one duplicate");
-        assert_eq!(plan.injected_dups(), 1);
+        assert_eq!(counted(&t1, |m| &m.fault_dup_injected_total), 1);
     }
 
     #[test]
@@ -844,8 +795,10 @@ mod tests {
     #[test]
     fn pair_rule_overrides_wildcards() {
         let plan = FaultPlan::new();
-        plan.set_outbound(ProcessId(2), LinkProfile::cut());
-        plan.set_link(ProcessId(2), ProcessId(1), LinkProfile::default());
+        plan.set_rules(LinkRules {
+            pairs: BTreeMap::from([((ProcessId(2), ProcessId(1)), LinkProfile::default())]),
+            ..from_p2(LinkProfile::cut())
+        });
         let (mut t1, mut t2, _control) = pair(&plan, 7);
         t2.send(ProcessId(1), Ping(4));
         assert!(matches!(
@@ -857,7 +810,7 @@ mod tests {
     #[test]
     fn batches_are_shaped_per_message() {
         let plan = FaultPlan::new();
-        plan.set_outbound(ProcessId(2), LinkProfile::lossy(1.0));
+        plan.set_rules(from_p2(LinkProfile::lossy(1.0)));
         let (mut t1, _t2, control) = pair(&plan, 7);
         control
             .send(Inbound::PeerBatch(
@@ -869,16 +822,16 @@ mod tests {
             t1.recv(Some(Duration::from_millis(50))),
             Polled::TimedOut
         ));
-        assert_eq!(plan.injected_drops(), 3);
+        assert_eq!(counted(&t1, |m| &m.fault_drop_injected_total), 3);
     }
 
     #[test]
     fn held_messages_survive_feeder_closure() {
         let plan = FaultPlan::new();
-        plan.set_outbound(
-            ProcessId(2),
-            LinkProfile::delayed(Duration::from_millis(40), Duration::ZERO),
-        );
+        plan.set_rules(from_p2(LinkProfile::delayed(
+            Duration::from_millis(40),
+            Duration::ZERO,
+        )));
         let (mut t1, mut t2, control) = pair(&plan, 7);
         t2.send(ProcessId(1), Ping(8));
         // Give the queued message a moment to be admitted into the heap.

@@ -42,5 +42,7 @@ pub mod faults;
 pub mod transport;
 
 pub use cluster::{spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat};
-pub use faults::{wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile};
+pub use faults::{
+    wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile, LinkRules,
+};
 pub use transport::{ChannelTransport, Inbound, Polled, Transport};

@@ -4,26 +4,30 @@
 //! scripted faults applied to live clusters that already contain
 //! protocol-level adversaries.
 //!
-//! The plan shapes honest↔honest links with delay, jitter, reordering and
-//! duplication — faults that preserve *eventual delivery*, which is the
-//! link assumption the single-shot protocol is proved under. Outright
+//! The script shapes honest↔honest links with delay, jitter, reordering
+//! and duplication — faults that preserve *eventual delivery*, which is
+//! the link assumption the single-shot protocol is proved under. Outright
 //! loss is confined to links touching the Byzantine seat: dropping a
 //! liar's traffic (or deliveries addressed to it) can only shrink the
 //! adversary's power, so the plan stays within the paper's model while
 //! every fault class still fires. (Sustained loss between *correct*
 //! processes belongs to the SMR chaos suite, whose backfill layer
-//! restores the reliable-link abstraction.)
+//! restores the reliable-link abstraction.) The network heals at 400 ms,
+//! covering both the shaped regime and the recovery in one run.
 
-use std::thread;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use fastbft_core::byzantine::{EquivocatingLeader, RandomByzantine};
 use fastbft_core::message::Message;
-use fastbft_core::replica::{Replica, ReplicaOptions};
-use fastbft_crypto::KeyDirectory;
-use fastbft_runtime::chaos::chaos_seed_from_env;
+use fastbft_core::replica::Replica;
+use fastbft_crypto::{KeyDirectory, KeyPair};
+use fastbft_obs::MetricsRegistry;
+use fastbft_runtime::chaos::{run_scenario, ChaosStep, PathExpectation, Scenario};
 use fastbft_runtime::transport::ChannelTransport;
-use fastbft_runtime::{spawn_with, wrap_seats, ClusterHandle, FaultPlan, LinkProfile, NodeSeat};
+use fastbft_runtime::{
+    spawn_with, wrap_seats_metered, Decision, FaultPlan, LinkProfile, LinkRules, NodeSeat,
+};
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -38,44 +42,75 @@ fn hostile_but_fair() -> LinkProfile {
         .with_duplication(0.1)
 }
 
-/// Builds the plan: fair-but-hostile everywhere, plus loss on every link
-/// into and out of the Byzantine process.
-fn byzantine_weather(byz: ProcessId) -> FaultPlan {
-    let plan = FaultPlan::default();
-    plan.set_default(hostile_but_fair());
-    plan.set_outbound(byz, hostile_but_fair().with_loss(0.25));
-    plan.set_inbound(byz, hostile_but_fair().with_loss(0.25));
-    plan
+/// The script: fair-but-hostile links between the correct processes plus
+/// loss on every link into and out of the Byzantine one, then the empty
+/// set — a whole network — at 400 ms.
+fn byzantine_weather(n: usize, byz: ProcessId) -> Scenario {
+    let correct = || (0..n).map(ProcessId::from_index).filter(move |p| *p != byz);
+    let lossy = BTreeMap::from([(byz, hostile_but_fair().with_loss(0.25))]);
+    let weather = LinkRules {
+        pairs: correct()
+            .flat_map(|a| correct().filter(move |b| *b != a).map(move |b| (a, b)))
+            .map(|link| (link, hostile_but_fair()))
+            .collect(),
+        by_src: lossy.clone(),
+        by_dst: lossy,
+    };
+    Scenario {
+        name: "byzantine-weather",
+        steps: vec![
+            ChaosStep::new(Duration::ZERO, "hostile links, lossy liar", weather),
+            ChaosStep::new(Duration::from_millis(400), "heal", LinkRules::default()),
+        ],
+        expectation: PathExpectation::FastRecovers,
+        timer_covers_delay: false,
+    }
 }
 
-/// Wraps `actors` over the channel mesh with every link shaped by `plan`
-/// and spawns them on the thread runtime.
-fn spawn_faulted(
-    actors: Vec<Box<dyn Actor<Message> + Send>>,
-    plan: &FaultPlan,
-) -> ClusterHandle<Message> {
-    let n = actors.len();
-    let seats: Vec<NodeSeat<_, ChannelTransport<_>>> = actors
-        .into_iter()
+/// Runs `cfg`'s correct replicas (all proposing 7) with `byz` played by
+/// `liar`, over the channel mesh under the weather, until the correct
+/// ones decide; returns their decisions and the delays, drops and
+/// duplicates the metered wrappers injected.
+fn run_in_weather(
+    cfg: Config,
+    key_seed: u64,
+    byz: ProcessId,
+    liar: impl Fn(KeyPair) -> Box<dyn Actor<Message> + Send>,
+) -> (Vec<Decision>, [u64; 3]) {
+    let n = cfg.n();
+    let (pairs, dir) = KeyDirectory::generate(n, key_seed);
+    let seats: Vec<NodeSeat<_, ChannelTransport<_>>> = cfg
+        .processes()
         .zip(ChannelTransport::mesh(n))
-        .map(|(actor, (transport, control))| NodeSeat {
-            actor,
-            transport,
-            control,
-            verify: None,
+        .map(|(p, (transport, control))| {
+            let keys = pairs[p.index()].clone();
+            let actor: Box<dyn Actor<Message> + Send> = if p == byz {
+                liar(keys)
+            } else {
+                Box::new(Replica::new(cfg, keys, dir.clone(), Value::from_u64(7)))
+            };
+            NodeSeat {
+                actor,
+                transport,
+                control,
+                verify: None,
+            }
         })
         .collect();
-    spawn_with(wrap_seats(seats, plan, chaos_seed_from_env(42)), TICK)
-}
-
-/// Heals the plan on a background thread once `after` elapses, covering
-/// both the shaped regime and the recovery in one run.
-fn heal_after(plan: &FaultPlan, after: Duration) -> thread::JoinHandle<()> {
-    let plan = plan.clone();
-    thread::spawn(move || {
-        thread::sleep(after);
-        plan.heal();
-    })
+    let (plan, registry) = (FaultPlan::new(), MetricsRegistry::new(n));
+    let seats = wrap_seats_metered(seats, &plan, 42, &registry);
+    // The first step is in force before any seat runs.
+    let weather = run_scenario(&plan, &byzantine_weather(n, byz), registry.replica(0));
+    let cluster = spawn_with(seats, TICK);
+    let decisions = cluster.await_decisions(n - 1, Duration::from_secs(30));
+    assert_eq!(weather.join().unwrap(), 2, "the network healed");
+    cluster.shutdown();
+    let injected = [
+        registry.total(|m| &m.fault_delay_injected_total),
+        registry.total(|m| &m.fault_drop_injected_total),
+        registry.total(|m| &m.fault_dup_injected_total),
+    ];
+    (decisions, injected)
 }
 
 /// An equivocating view-1 leader (value `a` to part of the cluster, `b`
@@ -86,41 +121,16 @@ fn heal_after(plan: &FaultPlan, after: Duration) -> thread::JoinHandle<()> {
 fn equivocating_leader_under_faults_cannot_split_the_cluster() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let leader = cfg.leader(View::FIRST);
-    let (pairs, dir) = KeyDirectory::generate(4, 31);
-    let a = Value::from_u64(100);
-    let b = Value::from_u64(200);
-    let honest = Value::from_u64(7);
+    let (a, b) = (Value::from_u64(100), Value::from_u64(200));
     let recipients_a: Vec<ProcessId> = cfg.processes().filter(|p| *p != leader).take(2).collect();
-
-    let actors: Vec<Box<dyn Actor<Message> + Send>> = cfg
-        .processes()
-        .map(|p| -> Box<dyn Actor<Message> + Send> {
-            if p == leader {
-                Box::new(EquivocatingLeader::new(
-                    pairs[p.index()].clone(),
-                    a.clone(),
-                    b.clone(),
-                    recipients_a.clone(),
-                ))
-            } else {
-                Box::new(Replica::with_options(
-                    cfg,
-                    pairs[p.index()].clone(),
-                    dir.clone(),
-                    honest.clone(),
-                    ReplicaOptions::default(),
-                ))
-            }
-        })
-        .collect();
-
-    let plan = byzantine_weather(leader);
-    let cluster = spawn_faulted(actors, &plan);
-    let healer = heal_after(&plan, Duration::from_millis(400));
-
-    let decisions = cluster.await_decisions(3, Duration::from_secs(30));
-    healer.join().unwrap();
-    cluster.shutdown();
+    let (decisions, [delays, drops, _]) = run_in_weather(cfg, 31, leader, |keys| {
+        Box::new(EquivocatingLeader::new(
+            keys,
+            a.clone(),
+            b.clone(),
+            recipients_a.clone(),
+        ))
+    });
 
     assert_eq!(
         decisions.len(),
@@ -135,11 +145,8 @@ fn equivocating_leader_under_faults_cannot_split_the_cluster() {
             d.process
         );
     }
-    assert!(plan.injected_delays() > 0, "delay shaping must have fired");
-    assert!(
-        plan.injected_drops() > 0,
-        "loss on the liar's links must have fired"
-    );
+    assert!(delays > 0, "delay shaping must have fired");
+    assert!(drops > 0, "loss on the liar's links must have fired");
 }
 
 /// A message-fuzzing Byzantine process on a generalized 8-node cluster
@@ -148,34 +155,10 @@ fn equivocating_leader_under_faults_cannot_split_the_cluster() {
 #[test]
 fn random_byzantine_under_faults_cannot_block_agreement() {
     let cfg = Config::new(8, 2, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(8, 32);
-    let honest = Value::from_u64(7);
     let byz = ProcessId(8); // never the view-1 leader (that is p2)
-
-    let actors: Vec<Box<dyn Actor<Message> + Send>> = cfg
-        .processes()
-        .map(|p| -> Box<dyn Actor<Message> + Send> {
-            if p == byz {
-                Box::new(RandomByzantine::new(cfg, pairs[p.index()].clone(), 99))
-            } else {
-                Box::new(Replica::with_options(
-                    cfg,
-                    pairs[p.index()].clone(),
-                    dir.clone(),
-                    honest.clone(),
-                    ReplicaOptions::default(),
-                ))
-            }
-        })
-        .collect();
-
-    let plan = byzantine_weather(byz);
-    let cluster = spawn_faulted(actors, &plan);
-    let healer = heal_after(&plan, Duration::from_millis(400));
-
-    let decisions = cluster.await_decisions(7, Duration::from_secs(30));
-    healer.join().unwrap();
-    cluster.shutdown();
+    let (decisions, [delays, drops, dups]) = run_in_weather(cfg, 32, byz, |keys| {
+        Box::new(RandomByzantine::new(cfg, keys, 99))
+    });
 
     assert_eq!(
         decisions.len(),
@@ -184,15 +167,13 @@ fn random_byzantine_under_faults_cannot_block_agreement() {
     );
     for d in &decisions {
         assert_eq!(
-            d.value, honest,
+            d.value,
+            Value::from_u64(7),
             "{:?} decided a value the fuzzer forged",
             d.process
         );
     }
-    assert!(plan.injected_delays() > 0, "delay shaping must have fired");
-    assert!(
-        plan.injected_drops() > 0,
-        "loss on the fuzzer's links must have fired"
-    );
-    assert!(plan.injected_dups() > 0, "duplication must have fired");
+    assert!(delays > 0, "delay shaping must have fired");
+    assert!(drops > 0, "loss on the fuzzer's links must have fired");
+    assert!(dups > 0, "duplication must have fired");
 }

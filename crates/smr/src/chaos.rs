@@ -18,49 +18,44 @@
 //! below the view-1 timeout — the cross-slot leader suspicion at work.
 //!
 //! A gate that fails leaves a post-mortem behind before it panics: the
-//! registry's JSON dump and every replica's flight-recorder tail (the
-//! script's `chaos-step` events sit in replica 0's), in a directory the
-//! caller names and the panic message repeats.
+//! registry's JSON dump, every replica's flight-recorder tail (the
+//! script's `chaos-step` events sit in replica 0's) and the script itself
+//! (`scenario.txt`: the steps as data, the derived budgets and the base
+//! timeout used), in a directory the caller names and the panic message
+//! repeats.
 //!
-//! The harness is transport-generic: hand it seats built over the
-//! channel mesh or over TCP (`fastbft_net::tcp_seats_metered`), wrapped
-//! by [`fastbft_runtime::wrap_seats_metered`] either way — the same
+//! The harness is transport-generic: the caller only puts the actors on
+//! a transport — the channel mesh, or TCP (`fastbft_net::tcp_seats_metered`)
+//! — and the harness wraps them in
+//! [`fastbft_runtime::wrap_seats_metered`] either way, so the same
 //! scenarios and the same assertions run on both, which is exactly the
 //! chaos suite's CI matrix.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use fastbft_core::replica::ReplicaOptions;
+use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::chaos::{run_scenario, PathExpectation, Scenario};
-use fastbft_runtime::faults::FaultPlan;
-use fastbft_runtime::{spawn_with, NodeSeat, Transport};
+use fastbft_runtime::chaos::{recovery_window, run_scenario, PathExpectation, Scenario};
+use fastbft_runtime::{spawn_with, wrap_seats_metered, FaultPlan, NodeSeat, Transport};
+use fastbft_sim::{Actor, SimDuration};
 use fastbft_types::{Config, ProcessId, Value};
 
+use crate::batcher::{AdaptiveBatch, Batching};
+use crate::machine::CountingMachine;
 use crate::multiplex::SlotMessage;
-use crate::runtime::SmrClusterHandle;
+use crate::runtime::{smr_actors_configured, SmrClusterHandle};
 
-/// How much load the harness offers around the fault window.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosLoad {
-    /// Commands committed *before* the fault starts (healthy baseline,
-    /// also warms sessions).
-    pub warmup: u64,
-    /// Commands submitted *while* the fault holds.
-    pub during: u64,
-    /// Commands submitted *after* the script completes.
-    pub after: u64,
-}
-
-impl Default for ChaosLoad {
-    fn default() -> Self {
-        ChaosLoad {
-            warmup: 6,
-            during: 6,
-            after: 6,
-        }
-    }
-}
+/// Wall time of one protocol tick.
+const TICK: Duration = Duration::from_micros(50);
+/// The one seed of a chaos run: its keys and every delivery's fate.
+const SEED: u64 = 42;
+/// Commands offered before, during and after the fault window each.
+const LOAD: u64 = 6;
+/// The fault kinds, in [`Scenario::injects`] / [`ChaosReport::injected`]
+/// order.
+const KINDS: [&str; 4] = ["delay", "loss", "duplication", "partition"];
 
 /// What a chaos run measured, for test assertions beyond the built-in
 /// gates.
@@ -76,25 +71,27 @@ pub struct ChaosReport {
 
 /// The gates of one chaos run: where a failed one leaves its post-mortem.
 struct Gates<'a> {
-    name: &'static str,
+    scenario: &'a Scenario,
     registry: &'a MetricsRegistry,
     dir: &'a Path,
+    base_timeout: Duration,
 }
 
 impl Gates<'_> {
-    /// Panics with `what` unless `ok`, after writing `metrics.json` and one
-    /// `recorder-pN.txt` per replica under `dir/<scenario>-n<n>/` (the
-    /// suites run one scenario at two cluster sizes).
+    /// Panics with `what` unless `ok`, after writing `metrics.json`,
+    /// `scenario.txt` and one `recorder-pN.txt` per replica under
+    /// `dir/<scenario>-n<n>/` (the suites run one scenario at two cluster
+    /// sizes).
     #[track_caller]
     fn require(&self, ok: bool, what: impl std::fmt::Display) {
         if ok {
             return;
         }
-        let dir = self
-            .dir
-            .join(format!("{}-n{}", self.name, self.registry.len()));
+        let name = self.scenario.name;
+        let dir = self.dir.join(format!("{name}-n{}", self.registry.len()));
         let written = std::fs::create_dir_all(&dir).and_then(|()| {
             std::fs::write(dir.join("metrics.json"), self.registry.render_json())?;
+            std::fs::write(dir.join("scenario.txt"), self.script())?;
             for i in 0..self.registry.len() {
                 let tail: String = self
                     .registry
@@ -113,7 +110,6 @@ impl Gates<'_> {
             }
             Ok(())
         });
-        let name = self.name;
         match written {
             Ok(()) => panic!("[{name}] {what} (post-mortem: {})", dir.display()),
             Err(e) => panic!(
@@ -122,15 +118,32 @@ impl Gates<'_> {
             ),
         }
     }
+
+    /// The script as data — one line per step — under the budgets
+    /// derived from it and the base timeout the run used.
+    fn script(&self) -> String {
+        let s = self.scenario;
+        let (heal_at, max_delay, injects) = (s.heal_at(), s.max_delay(), s.injects());
+        let mut text = format!(
+            "{} {:?}, timer covers delay: {}, heal_at {heal_at:?}, max_delay {max_delay:?}, \
+             injects {KINDS:?} {injects:?}, base_timeout {:?}\n",
+            s.name, s.expectation, s.timer_covers_delay, self.base_timeout
+        );
+        for step in &s.steps {
+            text += &format!("t+{:?} {}: {:?}\n", step.at, step.label, step.rules);
+        }
+        text
+    }
 }
 
-/// Runs `scenario` against a cluster built from `seats` (already wrapped
-/// in [`FaultTransport`](fastbft_runtime::FaultTransport)s on `plan`,
-/// metered into `registry`) and asserts the three degradation
-/// properties. `base_timeout` is the wall-clock view-1 timeout the
-/// replicas were built with — derive it from the scenario
-/// ([`Scenario::base_timeout_ticks`]), never hand-tune it per test. A
-/// failed gate writes its post-mortem under
+/// Runs `scenario` against a metered SMR cluster of `cfg.n()` replicas and
+/// asserts the three degradation properties. The harness builds the keys,
+/// the actors (one command per slot, the view-1 timeout derived from
+/// [`ReplicaOptions::default`] and the scenario —
+/// [`Scenario::base_timeout_ticks`]), the registry and the plan; `seats`
+/// only puts the actors on a transport, and the harness wraps what it
+/// returns in fault transports under one fixed seed, so every run shapes
+/// the same deliveries. A failed gate writes its post-mortem under
 /// `postmortem/<scenario name>-n<n>/`.
 ///
 /// # Panics
@@ -138,27 +151,53 @@ impl Gates<'_> {
 /// Panics — failing the calling test — if any degradation property is
 /// violated: log divergence, liveness not restored within the recovery
 /// window, commit-path attribution contradicting the scenario's
-/// expectation, or a fault class the scenario promises to inject never
-/// firing.
-#[allow(clippy::too_many_arguments)]
+/// expectation, or a fault kind the scenario injects never firing.
 pub fn run_chaos<T: Transport<SlotMessage>>(
-    seats: Vec<NodeSeat<SlotMessage, T>>,
     cfg: Config,
-    idle: Value,
-    registry: MetricsRegistry,
-    plan: FaultPlan,
-    mut scenario: Scenario,
-    tick: Duration,
-    base_timeout: Duration,
-    load: ChaosLoad,
+    scenario: &Scenario,
+    seats: impl FnOnce(
+        Vec<Box<dyn Actor<SlotMessage> + Send>>,
+        Vec<KeyPair>,
+        KeyDirectory,
+        &MetricsRegistry,
+    ) -> Vec<NodeSeat<SlotMessage, T>>,
     postmortem: &Path,
 ) -> ChaosReport {
     let n = cfg.n();
+    let idle = Value::from_u64(u64::MAX);
+    let defaults = ReplicaOptions::default();
+    let ticks = scenario.base_timeout_ticks(TICK, defaults.base_timeout.0);
+    let base_timeout = TICK * u32::try_from(ticks).expect("a view-1 timeout below 2^32 ticks");
+    let (pairs, dir) = KeyDirectory::generate(n, SEED);
+    let registry = MetricsRegistry::new(n);
+    let actors = smr_actors_configured(
+        cfg,
+        &pairs,
+        &dir,
+        CountingMachine::new(),
+        vec![Vec::new(); n],
+        idle.clone(),
+        ReplicaOptions {
+            base_timeout: SimDuration(ticks),
+            ..defaults
+        },
+        // One command per slot.
+        Batching::Adaptive(AdaptiveBatch {
+            max_batch_cmds: 1,
+            ..AdaptiveBatch::default()
+        }),
+        None,
+        Some(&registry),
+    );
+    let seats = seats(actors, pairs, dir, &registry);
     assert_eq!(seats.len(), n, "one seat per process");
+    let plan = FaultPlan::new();
+    let seats = wrap_seats_metered(seats, &plan, SEED, &registry);
     let gates = Gates {
-        name: scenario.name,
+        scenario,
         registry: &registry,
         dir: postmortem,
+        base_timeout,
     };
     let all: Vec<ProcessId> = (0..n).map(ProcessId::from_index).collect();
     let totals = |registry: &MetricsRegistry| -> (u64, u64) {
@@ -168,16 +207,16 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         )
     };
 
-    let mut cluster = SmrClusterHandle::new(spawn_with(seats, tick), n, idle);
+    let mut cluster = SmrClusterHandle::new(spawn_with(seats, TICK), n, idle);
     cluster.attach_metrics(registry.clone());
 
     // Phase 1: healthy baseline. Commands are tagged by phase so replays
     // and duplicates can never alias across phases.
-    for i in 0..load.warmup {
+    for i in 0..LOAD {
         cluster.submit(Value::from_u64(0x0100_0000 + i));
     }
     gates.require(
-        cluster.await_commands(all.clone(), load.warmup, Duration::from_secs(30)),
+        cluster.await_commands(all.clone(), LOAD, Duration::from_secs(30)),
         "warmup load must commit on a healthy cluster",
     );
     let (fast0, slow0) = totals(&registry);
@@ -186,11 +225,12 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     // `run_scenario` returns, the rest runs on its own thread; the harness
     // offers load underneath it.
     let fault_started = Instant::now();
-    let run = run_scenario(&plan, &mut scenario, registry.replica(0));
-    for i in 0..load.during {
+    let heal_at = scenario.heal_at();
+    let run = run_scenario(&plan, scenario, registry.replica(0));
+    for i in 0..LOAD {
         cluster.submit(Value::from_u64(0x0200_0000 + i));
     }
-    let mut submitted = load.warmup + load.during;
+    let mut submitted = 2 * LOAD;
     let (fast1, slow1);
     if scenario.expectation == PathExpectation::SlowWhileFaulted {
         // The survivors must keep committing *while* the fault holds —
@@ -199,8 +239,7 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         // fast path racing ahead.
         let survivors: Vec<ProcessId> = all[..n - (cfg.t() + 1)].to_vec();
         let window = || {
-            scenario
-                .heal_at
+            heal_at
                 .map(|heal| heal.saturating_sub(fault_started.elapsed()))
                 .map(|left| left.saturating_sub(left / 10))
                 .unwrap_or(Duration::from_secs(5))
@@ -240,25 +279,24 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
             ),
         );
         (fast1, slow1) = totals(&registry);
-        run.join();
+        run.join().expect("the chaos script panicked");
     } else {
         // No mid-window gate: let the script run out (its last step is
         // the heal), then snapshot — the during bucket covers the whole
         // fault window.
-        run.join();
+        run.join().expect("the chaos script panicked");
         (fast1, slow1) = totals(&registry);
     }
 
     // Phase 3: post-heal. Liveness must return within the derived
     // recovery window, on every replica — including the ones that were
     // cut off.
-    for i in 0..load.after {
+    for i in 0..LOAD {
         cluster.submit(Value::from_u64(0x0300_0000 + i));
     }
-    let total = submitted + load.after;
-    let window = scenario.recovery_window(base_timeout);
+    let window = recovery_window(base_timeout, scenario.max_delay());
     gates.require(
-        cluster.await_commands(all, total, window),
+        cluster.await_commands(all, submitted + LOAD, window),
         format_args!("liveness must return within {window:?} of heal"),
     );
     let (fast2, slow2) = totals(&registry);
@@ -300,24 +338,18 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         }
     }
 
-    // The fault classes the scenario promises must actually have fired —
+    // Every fault kind the script injects must actually have fired —
     // otherwise the run proved nothing.
-    if scenario.injects_delays {
+    let injected = [
+        registry.total(|m| &m.fault_delay_injected_total),
+        registry.total(|m| &m.fault_drop_injected_total),
+        registry.total(|m| &m.fault_dup_injected_total),
+        registry.total(|m| &m.fault_partition_drop_total),
+    ];
+    for ((promised, fired), kind) in scenario.injects().into_iter().zip(injected).zip(KINDS) {
         gates.require(
-            plan.injected_delays() > 0,
-            "promised delay injection never fired",
-        );
-    }
-    if scenario.injects_drops {
-        gates.require(
-            plan.injected_drops() > 0,
-            "promised loss injection never fired",
-        );
-    }
-    if scenario.injects_partitions {
-        gates.require(
-            plan.partition_drops() > 0,
-            "promised partition never dropped a delivery",
+            !promised || fired > 0,
+            format_args!("the script's {kind} injection never fired"),
         );
     }
 
@@ -325,11 +357,61 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     ChaosReport {
         fast: [fast0, fast_during, fast_after],
         slow: [slow0, slow_during, slow2 - slow1],
-        injected: [
-            plan.injected_delays(),
-            plan.injected_drops(),
-            plan.injected_dups(),
-            plan.partition_drops(),
-        ],
+        injected,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+
+    /// A failed gate writes all three kinds of file — the registry, the
+    /// script, each replica's recorder — and names their directory.
+    #[test]
+    fn a_failed_gate_leaves_metrics_script_and_recorders_behind() {
+        let cfg = Config::new(4, 1, 1).unwrap();
+        let registry = MetricsRegistry::new(cfg.n());
+        let chaos = "partition-the-fast-quorum: isolate fast quorum margin (t+0ns)";
+        let recorder = &registry.metrics(0).recorder;
+        recorder.record("chaos-step", chaos.to_string());
+        let root = std::env::temp_dir().join(format!("fastbft-postmortem-{}", std::process::id()));
+        let gates = Gates {
+            scenario: &Scenario::catalog(&cfg)[1],
+            registry: &registry,
+            dir: &root,
+            base_timeout: Duration::from_millis(40),
+        };
+        let failed = catch_unwind(AssertUnwindSafe(|| gates.require(false, "gate under test")));
+        let message = *failed.unwrap_err().downcast::<String>().unwrap();
+        let dir = root.join("partition-the-fast-quorum-n4");
+        let named = format!(
+            "[partition-the-fast-quorum] gate under test (post-mortem: {})",
+            dir.display()
+        );
+        assert_eq!(message, named);
+
+        let read = |file: &str| std::fs::read_to_string(dir.join(file)).expect(file);
+        assert!(read("metrics.json").contains("\"fault_links_shaped\":0"));
+        assert!(read("recorder-p1.txt").ends_with(&format!("chaos-step  {chaos}\n")));
+        for p in 2..=4 {
+            assert_eq!(read(&format!("recorder-p{p}.txt")), "");
+        }
+        let script = read("scenario.txt");
+        let lines: Vec<&str> = script.lines().collect();
+        assert_eq!(lines.len(), 3, "{script}");
+        assert_eq!(
+            lines[0],
+            "partition-the-fast-quorum StallAllowed, timer covers delay: false, heal_at Some(1s), \
+             max_delay 0ns, injects [\"delay\", \"loss\", \"duplication\", \"partition\"] \
+             [false, false, false, true], base_timeout 40ms"
+        );
+        let isolated = "t+0ns isolate fast quorum margin: LinkRules { pairs: {}, by_src: \
+                        {ProcessId(3): LinkProfile { delay: 0ns, jitter: 0ns, loss: 0.0,";
+        assert!(lines[1].starts_with(isolated), "{script}");
+        let healed = "t+1s heal partition: LinkRules { pairs: {}, by_src: {}, by_dst: {} }";
+        assert_eq!(lines[2], healed);
+        std::fs::remove_dir_all(&root).expect("clean up");
     }
 }
