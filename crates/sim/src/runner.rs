@@ -205,7 +205,9 @@ impl<M: SimMessage> Simulation<M> {
     }
 
     /// Shared body of [`route`](Simulation::route) and
-    /// [`inject_message`](Simulation::inject_message).
+    /// [`inject_message`](Simulation::inject_message). A message the
+    /// network delivers at [`SimTime::NEVER`] is lost: its send is traced
+    /// and nothing is queued.
     fn route_at(&mut self, from: ProcessId, to: ProcessId, msg: M, sent_at: SimTime) {
         let info = SendInfo {
             from,
@@ -224,7 +226,9 @@ impl<M: SimMessage> Simulation<M> {
                 deliver_at,
             },
         );
-        self.push_event(deliver_at, to.index(), EventKind::Deliver { from, msg });
+        if deliver_at != SimTime::NEVER {
+            self.push_event(deliver_at, to.index(), EventKind::Deliver { from, msg });
+        }
     }
 
     fn next_send_seq(&mut self) -> u64 {
@@ -495,6 +499,32 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    /// A message the network delivers at `NEVER` is lost, not parked at
+    /// the end of time: the run goes quiet at the last real event.
+    #[test]
+    fn a_message_delivered_never_is_dropped() {
+        let network = Network::scripted(SimDuration(100), |info| {
+            if (info.from, info.to) == (ProcessId(1), ProcessId(2)) {
+                SimTime::NEVER
+            } else {
+                info.sent_at + SimDuration(100)
+            }
+        });
+        let mut sim = Simulation::new(network, 0);
+        sim.add_actor(Box::new(ScriptedActor::broadcaster(Ping(1))));
+        sim.add_actor(Box::new(Echo { replied: false }));
+        sim.start();
+        sim.run_to_quiescence();
+        assert_eq!(sim.now(), SimTime(100));
+        let delivered_to_p2 = sim
+            .trace()
+            .records()
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::Deliver { to, .. } if to == ProcessId(2)));
+        assert!(!delivered_to_p2);
+        assert_eq!(sim.trace().message_stats(SimTime::NEVER).messages, 2);
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //! commands[1] = vec![KvCommand::Put { key: "x".into(), value: "1".into() }.to_value()];
 //! let mut cluster = SmrSimCluster::new(
 //!     cfg, 42, KvStore::new(), commands, KvCommand::Noop.to_value(),
-//!     Network::synchronous(SimDuration::DELTA), |node| node,
+//!     Network::synchronous(SimDuration::DELTA), |_, node| Box::new(node),
 //! );
-//! let report = cluster.run_until_applied(1, SimTime(100_000));
-//! assert!(report.logs_consistent);
-//! assert_eq!(cluster.machine(ProcessId(3)).get("x"), Some(&"1".to_string()));
+//! let report = cluster.run_until(SimTime(100_000), |c| c.report().applied_everywhere >= 1);
+//! assert!(report.logs_consistent && report.at_most_once && report.converged);
+//! assert_eq!(cluster.node(ProcessId(3)).machine().get("x"), Some(&"1".to_string()));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

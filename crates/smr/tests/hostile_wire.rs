@@ -15,7 +15,6 @@
 //! prints the seed, the iteration and the mutants in flight as hex, and
 //! repeats exactly.
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fastbft_core::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
@@ -25,10 +24,7 @@ use fastbft_core::message::{
 use fastbft_core::payload::{ack_payload, certack_payload, propose_payload};
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_sim::{Actor, Effects, Network, SimDuration, SimTime};
-use fastbft_smr::{
-    checkpoint_signature, offset_logs_consistent, KvCommand, KvStore, SlotMessage, SmrNode,
-    SmrSimCluster,
-};
+use fastbft_smr::{checkpoint_signature, KvCommand, KvStore, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::wire::{from_bytes, to_bytes};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -277,74 +273,57 @@ fn spray(in_flight: &mut Vec<(usize, Vec<u8>)>, iteration: &mut usize) -> usize 
         cfg,
         SEED,
         KvStore::new(),
-        vec![commands.clone(); cfg.n()],
+        vec![commands; cfg.n()],
         KvCommand::Noop.to_value(),
         Network::synchronous(SimDuration::DELTA),
-        |node| node.with_batch_size(1).with_pipeline_depth(4),
+        |_, node| Box::new(node.with_batch_size(1).with_pipeline_depth(4)),
     );
 
     let mut rng = Rng(SEED);
     let mut decoded = 0;
     while *iteration < MUTANTS {
-        let tip = cluster.applied(correct[0]);
+        let tip = cluster.node(correct[0]).applied();
         let bytes = mutant(&corpus, &mut rng, tip);
         if let Ok(msg) = from_bytes::<SlotMessage>(&bytes) {
             // Canonical-strict: whatever decodes has exactly one encoding.
             assert_eq!(to_bytes(&msg), bytes, "decoded, and re-encodes differently");
             decoded += 1;
             in_flight.push((*iteration, bytes));
-            let now = cluster.report().final_time;
-            let to = correct[*iteration % correct.len()];
-            cluster.inject_message(P4, to, msg, now);
+            let sim = cluster.sim_mut();
+            let now = sim.now();
+            sim.inject_message(P4, correct[*iteration % correct.len()], msg, now);
         }
         *iteration += 1;
         if iteration.is_multiple_of(MUTANTS_PER_STEP) {
-            let now = cluster.report().final_time;
-            cluster.run_until_applied_by(&correct, u64::MAX, now + SimDuration::DELTA);
+            // Everything up to Δ from now, and the first event after it.
+            let until = cluster.sim().now() + SimDuration::DELTA;
+            cluster.run_until(SimTime::NEVER, |c| c.sim().now() > until);
             in_flight.clear();
         }
     }
-    let under_fire = cluster.applied(correct[0]);
+    let under_fire = cluster.node(correct[0]).applied();
 
     // Every client command commits at the correct seats. Snapshots truncate
     // the logs, so the stores say what was applied and the retained logs
     // say it was applied consistently, nothing twice.
-    let horizon = cluster.report().final_time + SimDuration(SimDuration::DELTA.0 * 20_000);
+    let horizon = cluster.sim().now() + SimDuration(SimDuration::DELTA.0 * 20_000);
     let committed = |cluster: &SmrSimCluster<KvStore>| {
         correct.iter().all(|p| {
-            let store = cluster.machine(*p);
-            (0..COMMANDS).all(|i| store.get(&format!("k{i}")) == Some(&i.to_string()))
+            let node = cluster.node(*p);
+            // The count first: the stores are read only once it can hold.
+            node.commands_applied() >= COMMANDS
+                && (0..COMMANDS)
+                    .all(|i| node.machine().get(&format!("k{i}")) == Some(&i.to_string()))
         })
     };
-    let mut target = under_fire;
     assert!(
         under_fire > 0 && !committed(&cluster),
         "the cluster must be committing while the mutants land"
     );
-    while !committed(&cluster) {
-        assert!(
-            cluster.report().final_time <= horizon,
-            "the correct seats stopped committing at slot {target}"
-        );
-        target += 16;
-        cluster.run_until_applied_by(&correct, target, horizon);
-    }
-    let logs: Vec<(u64, Vec<Value>)> = correct
-        .iter()
-        .map(|p| (cluster.log_offset(*p), cluster.log(*p)))
-        .collect();
-    let retained: Vec<(u64, &[Value])> = logs.iter().map(|(o, l)| (*o, l.as_slice())).collect();
-    assert!(offset_logs_consistent(&retained), "correct seats diverged");
-    for (p, (_, log)) in correct.iter().zip(&logs) {
-        let client = log.iter().filter(|c| commands.contains(c));
-        let applied = client.clone().count();
-        let distinct: BTreeSet<&[u8]> = client.map(Value::as_bytes).collect();
-        assert_eq!(distinct.len(), applied, "{p} applied a command twice");
-    }
-    let digest = cluster.machine(correct[0]).state_digest();
-    for p in correct {
-        assert_eq!(cluster.machine(p).state_digest(), digest, "{p}'s store");
-    }
+    let report = cluster.run_until(horizon, committed);
+    assert!(report.logs_consistent, "correct seats diverged: {report:?}");
+    assert!(report.at_most_once, "a command applied twice: {report:?}");
+    assert!(report.converged, "stores differ: {report:?}");
     decoded
 }
 

@@ -3,10 +3,8 @@
 //! budget, the rest is shed and counted, and nothing it took in is lost.
 
 use fastbft_core::replica::ReplicaOptions;
-use fastbft_crypto::KeyDirectory;
-use fastbft_obs::MetricsRegistry;
-use fastbft_sim::{Network, ScriptedActor, SimDuration, SimTime, Simulation};
-use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SlotMessage, SmrNode};
+use fastbft_sim::{Network, ScriptedActor, SimDuration, SimTime};
+use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value};
 
 const DELTA: u64 = SimDuration::DELTA.0;
@@ -16,13 +14,6 @@ const CMD_BYTES: usize = 10;
 
 fn command(i: usize) -> Value {
     Value::new(vec![i as u8 + 1; CMD_BYTES])
-}
-
-fn node(sim: &Simulation<SlotMessage>, p: ProcessId) -> &SmrNode<CountingMachine> {
-    sim.actor(p)
-        .as_any()
-        .and_then(|any| any.downcast_ref())
-        .expect("a live seat")
 }
 
 /// n = 4 with p2 — first leader of slot 0 — silent, a pipeline of
@@ -49,35 +40,29 @@ fn node(sim: &Simulation<SlotMessage>, p: ProcessId) -> &SmrNode<CountingMachine
 fn what_exceeds_pipeline_plus_budget_is_shed_and_nothing_accepted_is_lost() {
     for (max_cmds, max_bytes) in [(8, 1 << 20), (1000, 8 * CMD_BYTES)] {
         let cfg = Config::new(4, 1, 1).unwrap();
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), 31);
-        let registry = MetricsRegistry::new(cfg.n());
-        let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 31);
         let silent = cfg.with_leader_offset(0).leader(fastbft_types::View::FIRST);
         assert_eq!(silent, ProcessId(2));
         let live: Vec<ProcessId> = cfg.processes().filter(|p| *p != silent).collect();
-        for p in cfg.processes() {
-            if p == silent {
-                sim.add_actor(Box::new(ScriptedActor::silent()));
-                continue;
-            }
-            let node = SmrNode::new(
-                cfg,
-                pairs[p.index()].clone(),
-                dir.clone(),
-                CountingMachine::new(),
-                Vec::new(),
-                Value::from_u64(0),
-            )
-            .with_options(ReplicaOptions {
-                metrics: registry.replica(p.index()),
-                ..ReplicaOptions::default()
-            })
-            .with_batching(Batching::Adaptive(AdaptiveBatch::default()))
-            .with_pipeline_depth(DEPTH)
-            .with_ingress_budget(max_cmds, max_bytes);
-            sim.add_actor(Box::new(node));
-        }
-        sim.start();
+        let mut cluster = SmrSimCluster::new(
+            cfg,
+            31,
+            CountingMachine::new(),
+            vec![Vec::new(); cfg.n()],
+            Value::from_u64(0),
+            Network::synchronous(SimDuration::DELTA),
+            |p, node| {
+                if p == silent {
+                    Box::new(ScriptedActor::silent())
+                } else {
+                    Box::new(
+                        node.with_batching(Batching::Adaptive(AdaptiveBatch::default()))
+                            .with_pipeline_depth(DEPTH)
+                            .with_ingress_budget(max_cmds, max_bytes),
+                    )
+                }
+            },
+        );
+        let sim = cluster.sim_mut();
         let burst_at = SimTime(DELTA);
         for p in &live {
             let mut order: Vec<usize> = (0..BURST).collect();
@@ -88,41 +73,34 @@ fn what_exceeds_pipeline_plus_budget_is_shed_and_nothing_accepted_is_lost() {
                 sim.submit_client(*p, command(i), burst_at);
             }
         }
-        let shed = |p: &ProcessId| {
-            let m = registry.metrics(p.index());
+        let shed = |c: &SmrSimCluster<CountingMachine>, p: &ProcessId| {
+            let m = c.registry().metrics(p.index());
             (m.ingress_shed_total.get(), m.ingress_shed_bytes_total.get())
         };
 
         // The burst alone: nothing has been delivered yet.
         sim.run_until(burst_at);
         for p in &live {
-            assert_eq!(shed(p), (9, 90), "{p}, budget ({max_cmds}, {max_bytes})");
-            assert_eq!(node(&sim, *p).pending(), 3 + 8);
-            assert_eq!(node(&sim, *p).pending_bytes(), 8 * CMD_BYTES);
+            let budget = (max_cmds, max_bytes);
+            assert_eq!(shed(&cluster, p), (9, 90), "{p}, budget {budget:?}");
+            assert_eq!(cluster.node(*p).pending(), 3 + 8);
+            assert_eq!(cluster.node(*p).pending_bytes(), 8 * CMD_BYTES);
         }
 
         // Through the view change, one event at a time.
         let accepted = BURST as u64 - 9;
-        let horizon = SimTime(200 * DELTA);
-        let done = |sim: &Simulation<SlotMessage>| {
-            live.iter()
-                .all(|p| node(sim, *p).commands_applied() == accepted)
-        };
         let mut settled_at = None;
-        while !done(&sim) && sim.now() < horizon && sim.step() {
+        let report = cluster.run_until(SimTime(200 * DELTA), |c| {
             for p in &live {
-                let n = node(&sim, *p);
-                assert!(n.pending_bytes() <= max_bytes, "{p} at {:?}", sim.now());
+                let n = c.node(*p);
+                assert!(n.pending_bytes() <= max_bytes, "{p} at {}", c.sim().now());
                 if settled_at.is_none() && n.applied() > 0 {
-                    settled_at = Some(sim.now());
+                    settled_at = Some(c.sim().now());
                 }
             }
-        }
-        assert!(
-            done(&sim),
-            "accepted commands lost: stopped at {:?}",
-            sim.now()
-        );
+            live.iter()
+                .all(|p| c.node(*p).commands_applied() == accepted)
+        });
         assert!(
             settled_at.expect("slot 0 settled") > SimTime(ReplicaOptions::default().base_timeout.0),
             "nothing may settle before slot 0's view change"
@@ -130,17 +108,16 @@ fn what_exceeds_pipeline_plus_budget_is_shed_and_nothing_accepted_is_lost() {
 
         // Exactly once each, shed ones never, identically everywhere, and
         // the re-queues were neither shed nor counted.
-        let reference = node(&sim, live[0]).log().to_vec();
+        assert!(report.logs_consistent && report.at_most_once, "{report:?}");
         for p in &live {
-            let log = node(&sim, *p).log();
-            assert_eq!(log, reference, "{p}");
+            let log = cluster.node(*p).log();
             for i in 0..BURST {
-                let hits = log.iter().filter(|v| **v == command(i)).count();
-                assert_eq!(hits, usize::from(i < accepted as usize), "{p}, command {i}");
+                let applied = log.contains(&command(i));
+                assert_eq!(applied, i < accepted as usize, "{p}, command {i}");
             }
-            assert_eq!(shed(p), (9, 90), "{p} after the view change");
-            assert_eq!(node(&sim, *p).pending(), 0);
-            let m = registry.metrics(p.index());
+            assert_eq!(shed(&cluster, p), (9, 90), "{p} after the view change");
+            assert_eq!(cluster.node(*p).pending(), 0);
+            let m = cluster.registry().metrics(p.index());
             assert!(m.view_change_total.get() >= 1);
             assert!(m.dedup_dropped_total.get() >= 1, "command 0 won two slots");
         }

@@ -24,15 +24,14 @@ use std::sync::Arc;
 use fastbft_core::byzantine::RandomByzantine;
 use fastbft_core::message::{Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::propose_payload;
-use fastbft_core::replica::{Replica, ReplicaOptions};
+use fastbft_core::replica::Replica;
 use fastbft_core::ProgressCert;
 use fastbft_crypto::KeyDirectory;
-use fastbft_obs::MetricsRegistry;
 use fastbft_sim::{
     Actor, ConsensusChecker, Effects, Network, Outgoing, ScriptedActor, SimDuration, SimTime,
     Simulation, TimerId, TraceEvent,
 };
-use fastbft_smr::{offset_logs_consistent, CountingMachine, SlotMessage, SmrNode};
+use fastbft_smr::{CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
 use proptest::prelude::*;
 
@@ -45,6 +44,7 @@ const VIEW_CHANGE_SLOT: u64 = 7 * DELTA.0;
 
 type Node = SmrNode<CountingMachine>;
 type BoxedActor = Box<dyn Actor<SlotMessage>>;
+type Cluster = SmrSimCluster<CountingMachine>;
 
 fn idle() -> Value {
     Value::from_u64(0)
@@ -64,224 +64,179 @@ fn slot_leader(cfg: &Config, slot: u64, view: u64) -> ProcessId {
     cfg.with_leader_offset(slot).leader(View(view))
 }
 
-/// A simulated SMR cluster whose seats the test chooses one by one, with a
-/// metrics block per seat and the apply time of every slot as seen by p1.
-struct Cluster {
-    sim: Simulation<SlotMessage>,
-    registry: MetricsRegistry,
-    /// `applied_at[s]`: when p1 applied slot `s`.
-    applied_at: Vec<SimTime>,
+/// Every seat is offered an honest node with the same `commands`-long
+/// client queue (the broadcast client model), batch 1 and pipeline depth 1;
+/// `seat` may keep it, wrap it or replace it.
+fn sequential(
+    cfg: Config,
+    seed: u64,
+    network: Network,
+    commands: u64,
+    snapshot_interval: Option<u64>,
+    mut seat: impl FnMut(ProcessId, Node) -> BoxedActor,
+) -> Cluster {
+    let queue: Vec<Value> = (0..commands).map(command).collect();
+    SmrSimCluster::new(
+        cfg,
+        seed,
+        CountingMachine::new(),
+        vec![queue; cfg.n()],
+        idle(),
+        network,
+        |p, node| {
+            let node = node.with_batch_size(1).with_pipeline_depth(1);
+            seat(
+                p,
+                match snapshot_interval {
+                    Some(interval) => node.with_snapshot_interval(interval),
+                    None => node,
+                },
+            )
+        },
+    )
 }
 
-impl Cluster {
-    /// Every seat gets an honest node with the same `commands`-long client
-    /// queue (the broadcast client model) and pipeline depth 1; `seat` may
-    /// keep it, wrap it or replace it.
-    fn new(
-        cfg: Config,
-        seed: u64,
-        network: Network,
-        commands: u64,
-        snapshot_interval: Option<u64>,
-        seat: impl FnMut(ProcessId, Node) -> BoxedActor,
-    ) -> Self {
-        let configure = |node: Node| {
-            let node = node.with_pipeline_depth(1);
-            match snapshot_interval {
-                Some(interval) => node.with_snapshot_interval(interval),
-                None => node,
-            }
-        };
-        Cluster::build(cfg, seed, network, commands, configure, seat)
-    }
+/// Batch-1 nodes at the default pipeline depth, with empty queues, for
+/// tests that [`submit`] their load.
+fn pipelined(
+    cfg: Config,
+    seed: u64,
+    network: Network,
+    mut seat: impl FnMut(ProcessId, Node) -> BoxedActor,
+) -> Cluster {
+    SmrSimCluster::new(
+        cfg,
+        seed,
+        CountingMachine::new(),
+        vec![Vec::new(); cfg.n()],
+        idle(),
+        network,
+        |p, node| seat(p, node.with_batch_size(1)),
+    )
+}
 
-    /// Honest nodes at the default pipeline depth, with empty queues, for
-    /// tests that [`submit`](Cluster::submit) their load.
-    fn pipelined(
-        cfg: Config,
-        seed: u64,
-        network: Network,
-        seat: impl FnMut(ProcessId, Node) -> BoxedActor,
-    ) -> Self {
-        Cluster::build(cfg, seed, network, 0, |node| node, seat)
+/// Hands `cmd` to every seat's client path at `at` (the broadcast client
+/// model; a silent seat ignores it).
+fn submit(cluster: &mut Cluster, cmd: Value, at: SimTime) {
+    let sim = cluster.sim_mut();
+    for p in ProcessId::all(sim.n()) {
+        sim.submit_client(p, cmd.clone(), at);
     }
+}
 
-    fn build(
-        cfg: Config,
-        seed: u64,
-        network: Network,
-        commands: u64,
-        configure: impl Fn(Node) -> Node,
-        mut seat: impl FnMut(ProcessId, Node) -> BoxedActor,
-    ) -> Self {
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-        let registry = MetricsRegistry::new(cfg.n());
-        let mut sim = Simulation::new(network, seed);
-        for p in cfg.processes() {
-            let node = SmrNode::new(
-                cfg,
-                pairs[p.index()].clone(),
-                dir.clone(),
-                CountingMachine::new(),
-                (0..commands).map(command),
-                idle(),
-            )
-            .with_batch_size(1)
-            .with_options(ReplicaOptions {
-                metrics: registry.replica(p.index()),
-                ..ReplicaOptions::default()
-            });
-            sim.add_actor(seat(p, configure(node)));
+fn suspects(cluster: &Cluster, p: ProcessId) -> Vec<u32> {
+    let suspected = cluster.node(p).suspected_leaders();
+    suspected.iter().map(|s| s.0).collect()
+}
+
+/// Runs until every seat in `who` applied `slots` slots, with the caller's
+/// invariant checked after every event and the apply time of every slot as
+/// seen by p1 recorded in `applied_at` (`applied_at[s]`: when p1 applied
+/// slot `s`).
+fn run_until_applied(
+    cluster: &mut Cluster,
+    applied_at: &mut Vec<SimTime>,
+    who: &[ProcessId],
+    slots: u64,
+    check: impl Fn(&Cluster),
+) {
+    cluster.run_until(SimTime(10_000 * DELTA.0), |c| {
+        while (applied_at.len() as u64) < c.node(ProcessId(1)).applied() {
+            applied_at.push(c.sim().now());
         }
-        sim.start();
-        Cluster {
-            sim,
-            registry,
-            applied_at: Vec::new(),
+        check(c);
+        who.iter().all(|p| c.node(*p).applied() >= slots)
+    });
+}
+
+/// Open-to-apply time of slot `s` at p1 (depth 1: a slot opens when its
+/// predecessor applies).
+fn latency(applied_at: &[SimTime], s: usize) -> u64 {
+    let opened = if s == 0 {
+        SimTime::ZERO
+    } else {
+        applied_at[s - 1]
+    };
+    applied_at[s].since(opened).0
+}
+
+/// Wish messages handed to the network at or after `from`.
+fn wishes_sent_since(cluster: &Cluster, from: SimTime) -> usize {
+    let records = cluster.sim().trace().records();
+    records
+        .iter()
+        .filter(|r| r.at >= from)
+        .filter(|r| matches!(r.event, TraceEvent::Send { kind: "wish", .. }))
+        .count()
+}
+
+/// The `(slot, leader seat)` of every `revoke slot s (leader pX)` event in
+/// `p`'s flight recorder, oldest first.
+fn revoked(cluster: &Cluster, p: ProcessId) -> Vec<(u64, u32)> {
+    cluster
+        .registry()
+        .metrics(p.index())
+        .recorder
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.kind == "leader-suspicion")
+        .filter_map(|e| {
+            let (slot, leader) = e
+                .detail
+                .strip_prefix("revoke slot ")?
+                .strip_suffix(')')?
+                .split_once(" (leader p")?;
+            Some((slot.parse().ok()?, leader.parse().ok()?))
+        })
+        .collect()
+}
+
+/// Slots applied at `f + 1` or more of `who`: what a client may take as
+/// committed.
+fn applied_at_quorum(cluster: &Cluster, who: &[ProcessId], f: usize) -> u64 {
+    let mut applied: Vec<u64> = who.iter().map(|p| cluster.node(*p).applied()).collect();
+    applied.sort_unstable_by(|a, b| b.cmp(a));
+    applied[f]
+}
+
+/// Runs one Δ at a time (every event of these runs falls on a multiple of
+/// Δ) until nothing has happened for `QUIET` — far longer than any timer
+/// still pending can be — with the caller's invariant checked after every
+/// instant, recording when each slot reached
+/// [`applied_at_quorum`] in `committed_at`.
+fn run_dry(
+    cluster: &mut Cluster,
+    who: &[ProcessId],
+    f: usize,
+    committed_at: &mut Vec<SimTime>,
+    check: impl Fn(&Cluster),
+) {
+    const QUIET: u64 = 64;
+    let mut at = cluster.sim().now();
+    let horizon = SimTime(at.0 + 10_000 * DELTA.0);
+    let mut last_event = at;
+    while at.0 < last_event.0 + QUIET * DELTA.0 {
+        assert!(at < horizon, "never went quiet");
+        at += DELTA;
+        let sim = cluster.sim_mut();
+        let before = (sim.trace().records().len(), sim.pending_events());
+        sim.run_until(at);
+        if (sim.trace().records().len(), sim.pending_events()) != before {
+            last_event = at;
         }
-    }
-
-    /// Hands `cmd` to every seat's client path at `at` (the broadcast
-    /// client model; a silent seat ignores it).
-    fn submit(&mut self, cmd: Value, at: SimTime) {
-        for p in ProcessId::all(self.sim.n()) {
-            self.sim.submit_client(p, cmd.clone(), at);
+        while (committed_at.len() as u64) < applied_at_quorum(cluster, who, f) {
+            committed_at.push(at);
         }
+        check(cluster);
     }
+}
 
-    fn node(&self, p: ProcessId) -> &Node {
-        self.sim
-            .actor(p)
-            .as_any()
-            .and_then(|any| any.downcast_ref::<Node>())
-            .unwrap_or_else(|| panic!("{p} does not hold an honest node"))
-    }
-
-    fn suspects(&self, p: ProcessId) -> Vec<u32> {
-        self.node(p)
-            .suspected_leaders()
-            .iter()
-            .map(|s| s.0)
-            .collect()
-    }
-
-    /// One simulator event, then bookkeeping and the caller's invariant.
-    fn step(&mut self, mut check: impl FnMut(&Cluster)) -> bool {
-        let more = self.sim.step();
-        while (self.applied_at.len() as u64) < self.node(ProcessId(1)).applied() {
-            self.applied_at.push(self.sim.now());
-        }
-        check(self);
-        more
-    }
-
-    /// Runs until every seat in `who` applied `slots` slots.
-    fn run_until_applied(&mut self, who: &[ProcessId], slots: u64, check: impl Fn(&Cluster)) {
-        let horizon = SimTime(10_000 * DELTA.0);
-        while who.iter().any(|p| self.node(*p).applied() < slots) {
-            assert!(
-                self.step(&check) && self.sim.now() < horizon,
-                "stalled before {slots} slots: applied {:?} at {:?}",
-                who.iter()
-                    .map(|p| self.node(*p).applied())
-                    .collect::<Vec<_>>(),
-                self.sim.now()
-            );
-        }
-    }
-
-    /// Open-to-apply time of slot `s` at p1 (depth 1: a slot opens when
-    /// its predecessor applies).
-    fn latency(&self, s: usize) -> u64 {
-        let opened = if s == 0 {
-            SimTime::ZERO
-        } else {
-            self.applied_at[s - 1]
-        };
-        self.applied_at[s].since(opened).0
-    }
-
-    /// Wish messages handed to the network at or after `from`.
-    fn wishes_sent_since(&self, from: SimTime) -> usize {
-        self.sim
-            .trace()
-            .records()
-            .iter()
-            .filter(|r| r.at >= from)
-            .filter(|r| matches!(r.event, TraceEvent::Send { kind: "wish", .. }))
-            .count()
-    }
-
-    /// The `(slot, leader seat)` of every `revoke slot s (leader pX)` event
-    /// in `p`'s flight recorder, oldest first.
-    fn revoked(&self, p: ProcessId) -> Vec<(u64, u32)> {
-        self.registry
-            .metrics(p.index())
-            .recorder
-            .snapshot()
-            .into_iter()
-            .filter(|e| e.kind == "leader-suspicion")
-            .filter_map(|e| {
-                let (slot, leader) = e
-                    .detail
-                    .strip_prefix("revoke slot ")?
-                    .strip_suffix(')')?
-                    .split_once(" (leader p")?;
-                Some((slot.parse().ok()?, leader.parse().ok()?))
-            })
-            .collect()
-    }
-
-    /// Slots applied at `f + 1` or more of `who`: what a client may take as
-    /// committed.
-    fn applied_at_quorum(&self, who: &[ProcessId], f: usize) -> u64 {
-        let mut applied: Vec<u64> = who.iter().map(|p| self.node(*p).applied()).collect();
-        applied.sort_unstable_by(|a, b| b.cmp(a));
-        applied[f]
-    }
-
-    /// Runs one Δ at a time (every event of these runs falls on a multiple
-    /// of Δ) until nothing has happened for `QUIET` — far longer than any
-    /// timer still pending can be — with the caller's invariant checked
-    /// after every instant, recording when each slot reached
-    /// [`applied_at_quorum`](Cluster::applied_at_quorum) in `committed_at`.
-    fn run_dry(
-        &mut self,
-        who: &[ProcessId],
-        f: usize,
-        committed_at: &mut Vec<SimTime>,
-        check: impl Fn(&Cluster),
-    ) {
-        const QUIET: u64 = 64;
-        let mut at = self.sim.now();
-        let horizon = SimTime(at.0 + 10_000 * DELTA.0);
-        let mut last_event = at;
-        while at.0 < last_event.0 + QUIET * DELTA.0 {
-            assert!(at < horizon, "never went quiet");
-            at += DELTA;
-            let before = (self.sim.trace().records().len(), self.sim.pending_events());
-            self.sim.run_until(at);
-            if (self.sim.trace().records().len(), self.sim.pending_events()) != before {
-                last_event = at;
-            }
-            while (committed_at.len() as u64) < self.applied_at_quorum(who, f) {
-                committed_at.push(at);
-            }
-            check(self);
-        }
-    }
-
-    fn view_changes(&self, p: ProcessId) -> u64 {
-        self.registry.metrics(p.index()).view_change_total.get()
-    }
-
-    fn logs_agree(&self, who: &[ProcessId]) -> bool {
-        let logs: Vec<(u64, &[Value])> = who
-            .iter()
-            .map(|p| (self.node(*p).log_offset(), self.node(*p).log()))
-            .collect();
-        offset_logs_consistent(&logs)
-    }
+fn view_changes(cluster: &Cluster, p: ProcessId) -> u64 {
+    cluster
+        .registry()
+        .metrics(p.index())
+        .view_change_total
+        .get()
 }
 
 /// Seats 6–7 of [`generalized_seven`] silent, the rest honest.
@@ -303,27 +258,28 @@ fn dead_leaders_stop_costing_timeouts_after_the_first_rotation() {
     let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
     const SLOTS: u64 = 28; // four rotations
     let net = Network::synchronous(DELTA);
-    let mut cluster = Cluster::new(cfg, 17, net, SLOTS, None, two_silent_seats);
+    let mut cluster = sequential(cfg, 17, net, SLOTS, None, two_silent_seats);
+    let mut applied_at = Vec::new();
 
     // First rotation: slot 4 is led by p6 then p7 and pays both timeouts
     // (8Δ, then the doubled 16Δ) before p1's view decides it.
-    cluster.run_until_applied(&live, 7, |_| {});
+    run_until_applied(&mut cluster, &mut applied_at, &live, 7, |_| {});
     assert_eq!(slot_leader(&cfg, 4, 1), ProcessId(6));
     assert_eq!(slot_leader(&cfg, 4, 2), ProcessId(7));
     assert!(
-        cluster.latency(4) >= 3 * BASE_TIMEOUT,
+        latency(&applied_at, 4) >= 3 * BASE_TIMEOUT,
         "slot 4 took {}",
-        cluster.latency(4)
+        latency(&applied_at, 4)
     );
     for p in &live {
-        assert_eq!(cluster.suspects(*p), vec![6, 7], "at {p}");
+        assert_eq!(suspects(&cluster, *p), vec![6, 7], "at {p}");
     }
     // Slot 5 (p7 first) already benefits inside the first rotation.
-    assert!(cluster.latency(5) <= VIEW_CHANGE_SLOT);
+    assert!(latency(&applied_at, 5) <= VIEW_CHANGE_SLOT);
 
-    let learned_at = cluster.sim.now();
-    let view_changes_then: Vec<u64> = live.iter().map(|p| cluster.view_changes(*p)).collect();
-    cluster.run_until_applied(&live, SLOTS, |_| {});
+    let learned_at = cluster.sim().now();
+    let view_changes_then: Vec<u64> = live.iter().map(|p| view_changes(&cluster, *p)).collect();
+    run_until_applied(&mut cluster, &mut applied_at, &live, SLOTS, |_| {});
 
     let mut dead_led = 0;
     for s in 7..SLOTS as usize {
@@ -331,13 +287,13 @@ fn dead_leaders_stop_costing_timeouts_after_the_first_rotation() {
         if first.0 >= 6 {
             dead_led += 1;
             assert!(
-                cluster.latency(s) <= VIEW_CHANGE_SLOT,
+                latency(&applied_at, s) <= VIEW_CHANGE_SLOT,
                 "dead-led slot {s} took {} (> 7Δ)",
-                cluster.latency(s)
+                latency(&applied_at, s)
             );
         } else {
             // Five live seats are below the fast quorum of six: slow path.
-            assert_eq!(cluster.latency(s), 3 * DELTA.0, "live-led slot {s}");
+            assert_eq!(latency(&applied_at, s), 3 * DELTA.0, "live-led slot {s}");
         }
     }
     assert_eq!(dead_led, 6, "slots 11, 12, 18, 19, 25, 26");
@@ -345,12 +301,16 @@ fn dead_leaders_stop_costing_timeouts_after_the_first_rotation() {
     // broadcast each live node makes when it opens a dead-led slot (a firing
     // timer re-broadcasts its wish), and each such slot is entered once.
     assert_eq!(
-        cluster.wishes_sent_since(learned_at),
+        wishes_sent_since(&cluster, learned_at),
         dead_led * live.len() * (cfg.n() - 1)
     );
     for (p, before) in live.iter().zip(view_changes_then) {
-        assert_eq!(cluster.view_changes(*p) - before, dead_led as u64, "at {p}");
-        let m = cluster.registry.metrics(p.index());
+        assert_eq!(
+            view_changes(&cluster, *p) - before,
+            dead_led as u64,
+            "at {p}"
+        );
+        let m = cluster.registry().metrics(p.index());
         assert_eq!(m.leader_suspect_total.get(), 2);
         assert_eq!(m.leader_suspected.get(), 2);
         assert_eq!(
@@ -359,18 +319,18 @@ fn dead_leaders_stop_costing_timeouts_after_the_first_rotation() {
             "+1: slot 5 at {p}"
         );
     }
-    assert!(cluster.logs_agree(&live));
+    assert!(cluster.report().logs_consistent);
     for p in &live {
         assert_eq!(cluster.node(*p).commands_applied(), SLOTS);
     }
     // Both exporters print exactly what happened, and the flight-recorder
     // tail names the seats and where they were caught.
-    let text = cluster.registry.render_text();
+    let text = cluster.registry().render_text();
     assert!(text.contains("fastbft_leader_suspected{replica=\"p3\"} 2"));
     assert!(text.contains("fastbft_leader_suspect_total{replica=\"p3\"} 2"));
     assert!(text.contains("fastbft_leader_clear_total{replica=\"p3\"} 0"));
     assert!(text.contains("fastbft_view_skip_total{replica=\"p3\"} 7"));
-    let json = cluster.registry.render_json();
+    let json = cluster.registry().render_json();
     assert!(json.contains("\"detail\":\"suspect p6 (slot 4, view 1)\""));
     assert!(json.contains("\"detail\":\"suspect p7 (slot 4, view 2)\""));
 }
@@ -386,10 +346,11 @@ fn post_mortem_events_name_their_slot() {
     let cfg = generalized_seven();
     let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
     let net = Network::synchronous(DELTA);
-    let mut cluster = Cluster::new(cfg, 17, net, 6, None, two_silent_seats);
-    cluster.run_until_applied(&live, 6, |_| {});
+    let mut cluster = sequential(cfg, 17, net, 6, None, two_silent_seats);
+    let mut applied_at = Vec::new();
+    run_until_applied(&mut cluster, &mut applied_at, &live, 6, |_| {});
 
-    let events = cluster.registry.metrics(2).recorder.snapshot();
+    let events = cluster.registry().metrics(2).recorder.snapshot();
     let of_slot = |slot: u64| -> Vec<(&str, &str)> {
         let tag = format!(" slot {slot} ");
         events
@@ -440,47 +401,48 @@ fn a_healed_leader_is_cleared_by_its_next_proposal() {
             info.sent_at + DELTA
         }
     });
-    let mut cluster = Cluster::new(cfg, 23, network, 21, None, |_, node| Box::new(node));
+    let mut cluster = sequential(cfg, 23, network, 21, None, |_, node| Box::new(node));
+    let mut applied_at = Vec::new();
 
     // p3 leads slots 1, 8, 15. Cut off, slot 1 times out at everyone else.
     assert_eq!(slot_leader(&cfg, 1, 1), victim);
-    cluster.run_until_applied(&all, 2, |_| {});
-    assert!(cluster.latency(1) >= BASE_TIMEOUT);
+    run_until_applied(&mut cluster, &mut applied_at, &all, 2, |_| {});
+    assert!(latency(&applied_at, 1) >= BASE_TIMEOUT);
     for p in &others {
-        assert_eq!(cluster.suspects(*p), vec![3], "at {p}");
+        assert_eq!(suspects(&cluster, *p), vec![3], "at {p}");
     }
-    assert!(cluster.suspects(victim).is_empty(), "p3 heard everyone");
+    assert!(suspects(&cluster, victim).is_empty(), "p3 heard everyone");
 
     // Heal. Slot 8 opens with the others wishing past p3 — and p3's
     // proposal, arriving with those wishes, clears it. No timeout is paid.
     cut.store(false, Ordering::Relaxed);
     assert_eq!(slot_leader(&cfg, 8, 1), victim);
-    cluster.run_until_applied(&all, 9, |_| {});
+    run_until_applied(&mut cluster, &mut applied_at, &all, 9, |_| {});
     assert!(
-        cluster.latency(8) <= VIEW_CHANGE_SLOT,
+        latency(&applied_at, 8) <= VIEW_CHANGE_SLOT,
         "{}",
-        cluster.latency(8)
+        latency(&applied_at, 8)
     );
     for p in &all {
-        assert!(cluster.suspects(*p).is_empty(), "at {p}");
+        assert!(suspects(&cluster, *p).is_empty(), "at {p}");
     }
     for p in &others {
-        let m = cluster.registry.metrics(p.index());
+        let m = cluster.registry().metrics(p.index());
         assert_eq!(m.leader_clear_total.get(), 1, "at {p}");
         assert_eq!(m.leader_suspected.get(), 0, "at {p}");
     }
 
     // One rotation later p3's slot is an ordinary view-1 fast-path slot.
-    let view_changes_then: Vec<u64> = all.iter().map(|p| cluster.view_changes(*p)).collect();
+    let view_changes_then: Vec<u64> = all.iter().map(|p| view_changes(&cluster, *p)).collect();
     assert_eq!(slot_leader(&cfg, 15, 1), victim);
-    cluster.run_until_applied(&all, 16, |_| {});
+    run_until_applied(&mut cluster, &mut applied_at, &all, 16, |_| {});
     for s in 9..16 {
-        assert_eq!(cluster.latency(s), 2 * DELTA.0, "slot {s}");
+        assert_eq!(latency(&applied_at, s), 2 * DELTA.0, "slot {s}");
     }
     for (p, before) in all.iter().zip(view_changes_then) {
-        assert_eq!(cluster.view_changes(*p), before, "view change at {p}");
+        assert_eq!(view_changes(&cluster, *p), before, "view change at {p}");
     }
-    assert!(cluster.logs_agree(&all));
+    assert!(cluster.report().logs_consistent);
 }
 
 /// A Byzantine seat for (c): an honest node that says nothing at all in odd
@@ -551,7 +513,7 @@ fn byzantine_wishes_and_flapping_leaders_gain_nothing() {
     let cfg = generalized_seven();
     let correct: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
     const SLOTS: u64 = 28;
-    let mut cluster = Cluster::new(
+    let mut cluster = sequential(
         cfg,
         31,
         Network::synchronous(DELTA),
@@ -568,16 +530,23 @@ fn byzantine_wishes_and_flapping_leaders_gain_nothing() {
             }
         },
     );
+    let mut applied_at = Vec::new();
     let only_byzantine_suspects = |c: &Cluster| {
         for p in 1..=5 {
-            let suspects = c.suspects(ProcessId(p));
+            let suspects = suspects(c, ProcessId(p));
             assert!(
                 suspects.iter().all(|s| *s >= 6),
                 "p{p} suspects a correct seat: {suspects:?}"
             );
         }
     };
-    cluster.run_until_applied(&correct, SLOTS, only_byzantine_suspects);
+    run_until_applied(
+        &mut cluster,
+        &mut applied_at,
+        &correct,
+        SLOTS,
+        only_byzantine_suspects,
+    );
 
     let silent = |slot: u64, view: u64| slot % 2 == 1 && slot_leader(&cfg, slot, view).0 >= 6;
     let mut timeouts_paid = 0;
@@ -596,7 +565,7 @@ fn byzantine_wishes_and_flapping_leaders_gain_nothing() {
         } else {
             3 * DELTA.0
         };
-        let took = cluster.latency(s as usize);
+        let took = latency(&applied_at, s as usize);
         assert!(
             took <= bound,
             "slot {s} (first leader {first}, {k} silent) took {took} > {bound}"
@@ -608,12 +577,12 @@ fn byzantine_wishes_and_flapping_leaders_gain_nothing() {
     // and the doubled view-2 timeout the parent paid is never waited out.
     for s in [11, 25] {
         assert_eq!(
-            cluster.latency(s),
+            latency(&applied_at, s),
             BASE_TIMEOUT + VIEW_CHANGE_SLOT,
             "slot {s}"
         );
     }
-    assert!(cluster.logs_agree(&correct));
+    assert!(cluster.report().logs_consistent);
     for p in &correct {
         assert_eq!(cluster.node(*p).commands_applied(), SLOTS);
     }
@@ -759,7 +728,7 @@ proptest! {
             Network::partially_synchronous(DELTA, SimTime(gst * DELTA.0), SimDuration(10 * DELTA.0))
         };
         let (pairs, _) = KeyDirectory::generate(cfg.n(), seed);
-        let mut cluster = Cluster::pipelined(cfg, seed, network, |p, node| {
+        let mut cluster = pipelined(cfg, seed, network, |p, node| {
             if p.0 == 7 {
                 Box::new(ScriptedActor::silent())
             } else if p.0 == fuzzer {
@@ -773,7 +742,7 @@ proptest! {
             cfg.processes().filter(|p| p.0 != 7 && p.0 != fuzzer).collect();
         const COMMANDS: u64 = 30;
         for i in 0..COMMANDS {
-            cluster.submit(command(i), SimTime((i + 1) * DELTA.0));
+            submit(&mut cluster, command(i), SimTime((i + 1) * DELTA.0));
         }
         // (A fuzzer-led slot may commit one of its palette values, which
         // counts as a command too: look for ours.)
@@ -781,25 +750,14 @@ proptest! {
             c.node(p).log().iter().filter(|v| v.as_u64() >= Some(1000)).count() as u64
         };
         let deadline = SimTime((gst + 3_000) * DELTA.0);
-        while correct.iter().any(|p| ours(&cluster, *p) < COMMANDS) {
-            prop_assert!(
-                cluster.step(|_| {}) && cluster.sim.now() < deadline,
-                "commands lost: {:?} applied",
-                correct.iter().map(|p| ours(&cluster, *p)).collect::<Vec<_>>()
-            );
-        }
+        let report = cluster.run_until(deadline, |c| correct.iter().all(|p| ours(c, *p) >= COMMANDS));
+        prop_assert!(report.logs_consistent && report.at_most_once, "{:?}", report);
         for p in &correct {
-            let node = cluster.node(*p);
-            prop_assert_eq!(node.log_offset(), 0, "one snapshot interval holds the run");
-            for i in 0..COMMANDS {
-                let hits = node.log().iter().filter(|v| **v == command(i)).count();
-                prop_assert_eq!(hits, 1, "{} applied command {} {} times", p, i, hits);
-            }
+            prop_assert_eq!(cluster.node(*p).log_offset(), 0, "one snapshot interval holds the run");
         }
-        prop_assert!(cluster.logs_agree(&correct));
         let revoked: u64 = correct
             .iter()
-            .map(|p| cluster.registry.metrics(p.index()).slot_revoked_total.get())
+            .map(|p| cluster.registry().metrics(p.index()).slot_revoked_total.get())
             .sum();
         prop_assert!(revoked > 0, "the case never revoked a slot");
     }
@@ -1023,26 +981,27 @@ fn snapshot_install_starts_with_an_empty_table() {
     // Snapshots every 16 slots; the live side runs 100 slots ahead — past
     // the victim's window of 64 — and still has work left after the heal
     // (an idle cluster sends a laggard nothing to notice the gap by).
-    let mut cluster = Cluster::new(cfg, 41, network, 140, Some(16), |_, node| Box::new(node));
-    cluster.run_until_applied(&live, 100, |_| {});
+    let mut cluster = sequential(cfg, 41, network, 140, Some(16), |_, node| Box::new(node));
+    let mut applied_at = Vec::new();
+    run_until_applied(&mut cluster, &mut applied_at, &live, 100, |_| {});
     assert_eq!(cluster.node(victim).applied(), 0);
     assert_eq!(
-        cluster.suspects(victim),
+        suspects(&cluster, victim),
         vec![2],
         "slot 0's leader timed out"
     );
 
     healed.store(true, Ordering::Relaxed);
-    let horizon = SimTime(cluster.sim.now().0 + 1_000 * DELTA.0);
-    while cluster.node(victim).snapshot_upto().is_none() {
-        assert_eq!(cluster.suspects(victim), vec![2], "cleared before install");
-        assert!(
-            cluster.step(|_| {}) && cluster.sim.now() < horizon,
-            "no install"
-        );
-    }
-    assert!(cluster.suspects(victim).is_empty());
-    let m = cluster.registry.metrics(victim.index());
+    let horizon = SimTime(cluster.sim().now().0 + 1_000 * DELTA.0);
+    cluster.run_until(horizon, |c| {
+        let installed = c.node(victim).snapshot_upto().is_some();
+        if !installed {
+            assert_eq!(suspects(c, victim), vec![2], "cleared before install");
+        }
+        installed
+    });
+    assert!(suspects(&cluster, victim).is_empty());
+    let m = cluster.registry().metrics(victim.index());
     assert_eq!(m.snapshot_installed_total.get(), 1);
     assert_eq!(m.leader_clear_total.get(), 1);
 }
@@ -1077,16 +1036,22 @@ fn window_bound(who: &[ProcessId]) -> impl Fn(&Cluster) + '_ {
 fn paced_load_commits_at_three_delays_whoever_leads() {
     let cfg = generalized_seven();
     let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
-    let mut cluster = Cluster::pipelined(cfg, 17, Network::synchronous(DELTA), two_silent_seats);
+    let mut cluster = pipelined(cfg, 17, Network::synchronous(DELTA), two_silent_seats);
     // Batch 1: slot `s` is log index `s`. 80 commands stay inside one
     // snapshot interval, so the whole log is there to read at the end.
     const COMMANDS: u64 = 80;
     let submitted_at = |i: u64| SimTime((i + 1) * DELTA.0);
     for i in 0..COMMANDS {
-        cluster.submit(command(i), submitted_at(i));
+        submit(&mut cluster, command(i), submitted_at(i));
     }
     let mut committed_at = Vec::new();
-    cluster.run_dry(&live, cfg.f(), &mut committed_at, window_bound(&live));
+    run_dry(
+        &mut cluster,
+        &live,
+        cfg.f(),
+        &mut committed_at,
+        window_bound(&live),
+    );
 
     // Quiet: the queue ran dry with every command applied everywhere, no
     // instance running, and what is parked is revoked slots above the hole
@@ -1098,9 +1063,9 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
         assert_eq!(node.applied(), slots, "at {p}");
         assert_eq!(node.running_slots(), 0, "at {p}");
         assert_eq!(node.log_offset(), 0, "at {p}");
-        assert_eq!(cluster.suspects(*p), vec![6, 7], "at {p}");
+        assert_eq!(suspects(&cluster, *p), vec![6, 7], "at {p}");
     }
-    assert!(cluster.logs_agree(&live));
+    assert!(cluster.report().logs_consistent);
 
     // The first rotation pays slot 4's two timeouts; one view change later
     // the revoked slots are ahead of the load for good.
@@ -1131,9 +1096,9 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
     // What was revoked: slots a dead seat leads first, once each, and each
     // decided the filler. In the steady state that is every such slot —
     // two per rotation — so no client command sits in a dead-led slot.
-    let revoked = cluster.revoked(ProcessId(1));
-    assert!(revoked.windows(2).all(|w| w[0].0 < w[1].0), "{revoked:?}");
-    for (slot, leader) in &revoked {
+    let at_p1 = revoked(&cluster, ProcessId(1));
+    assert!(at_p1.windows(2).all(|w| w[0].0 < w[1].0), "{at_p1:?}");
+    for (slot, leader) in &at_p1 {
         assert_eq!(slot_leader(&cfg, *slot, 1).0, *leader);
         assert!(*leader >= 6, "slot {slot} revoked from live p{leader}");
         if *slot < slots {
@@ -1141,7 +1106,7 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
         }
     }
     for rotation in steady.div_ceil(7)..slots / 7 {
-        let in_rotation: Vec<u64> = revoked
+        let in_rotation: Vec<u64> = at_p1
             .iter()
             .map(|(s, _)| *s)
             .filter(|s| s / 7 == rotation)
@@ -1150,21 +1115,21 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
     }
     // Revoking stopped with the load, inside the last window.
     let horizon = slots + PIPELINE_DEPTH as u64;
-    assert!(revoked.last().unwrap().0 < horizon);
+    assert!(at_p1.last().unwrap().0 < horizon);
     for p in &live {
-        assert_eq!(cluster.revoked(*p), revoked, "at {p}");
-        let m = cluster.registry.metrics(p.index());
-        assert_eq!(m.slot_revoked_total.get(), revoked.len() as u64, "at {p}");
+        assert_eq!(revoked(&cluster, *p), at_p1, "at {p}");
+        let m = cluster.registry().metrics(p.index());
+        assert_eq!(m.slot_revoked_total.get(), at_p1.len() as u64, "at {p}");
     }
-    let text = cluster.registry.render_text();
+    let text = cluster.registry().render_text();
     assert!(text.contains(&format!(
         "fastbft_slot_revoked_total{{replica=\"p3\"}} {}",
-        revoked.len()
+        at_p1.len()
     )));
-    let json = cluster.registry.render_json();
+    let json = cluster.registry().render_json();
     assert!(json.contains(&format!(
         "\"detail\":\"revoke slot {} (leader p{})\"",
-        revoked[0].0, revoked[0].1
+        at_p1[0].0, at_p1[0].1
     )));
 
     // Revoking needs this node's own proposals running. A stray frame for
@@ -1175,8 +1140,8 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
     let stray = (horizon..)
         .find(|s| slot_leader(&cfg, *s, 1).0 >= 6)
         .expect("two of every seven");
-    let now = cluster.sim.now();
-    cluster.sim.inject_message(
+    let now = cluster.sim().now();
+    cluster.sim_mut().inject_message(
         ProcessId(2),
         ProcessId(1),
         SlotMessage::Consensus {
@@ -1185,13 +1150,13 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
         },
         now,
     );
-    cluster.run_dry(&live, cfg.f(), &mut committed_at, |_| {});
+    run_dry(&mut cluster, &live, cfg.f(), &mut committed_at, |_| {});
     for (p, open) in live.iter().zip(open) {
         let node = cluster.node(*p);
         assert_eq!(node.applied(), slots, "at {p}");
         assert_eq!(node.running_slots(), 0, "at {p}");
         assert_eq!(node.open_slots(), open + 1, "the stray slot, at {p}");
-        assert_eq!(cluster.revoked(*p), revoked, "at {p}");
+        assert_eq!(revoked(&cluster, *p), at_p1, "at {p}");
     }
 }
 
@@ -1205,18 +1170,24 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
 fn a_backlog_puts_no_command_in_a_dead_led_slot() {
     let cfg = generalized_seven();
     let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
-    let mut cluster = Cluster::pipelined(cfg, 19, Network::synchronous(DELTA), two_silent_seats);
+    let mut cluster = pipelined(cfg, 19, Network::synchronous(DELTA), two_silent_seats);
     const COMMANDS: u64 = 70;
     for i in 0..COMMANDS {
-        cluster.submit(command(i), SimTime(DELTA.0));
+        submit(&mut cluster, command(i), SimTime(DELTA.0));
     }
-    cluster.run_dry(&live, cfg.f(), &mut Vec::new(), window_bound(&live));
+    run_dry(
+        &mut cluster,
+        &live,
+        cfg.f(),
+        &mut Vec::new(),
+        window_bound(&live),
+    );
 
     let log = cluster.node(ProcessId(1)).log();
-    let revoked = cluster.revoked(ProcessId(1));
+    let at_p1 = revoked(&cluster, ProcessId(1));
     // (The first window, and what follows it until slot 4 has timed out,
     // opens before anyone knows.)
-    let learned = revoked.first().expect("nothing was ever revoked").0;
+    let learned = at_p1.first().expect("nothing was ever revoked").0;
     assert!(learned <= 4 * 7, "learning took until slot {learned}");
     let dead_led: Vec<u64> = (learned..log.len() as u64)
         .filter(|s| slot_leader(&cfg, *s, 1).0 >= 6)
@@ -1229,10 +1200,10 @@ fn a_backlog_puts_no_command_in_a_dead_led_slot() {
         let node = cluster.node(*p);
         assert_eq!(node.commands_applied(), COMMANDS, "at {p}");
         assert_eq!(node.running_slots(), 0, "at {p}");
-        let at_p: Vec<u64> = cluster.revoked(*p).iter().map(|(s, _)| *s).collect();
+        let at_p: Vec<u64> = revoked(&cluster, *p).iter().map(|(s, _)| *s).collect();
         assert!(dead_led.iter().all(|s| at_p.contains(s)), "at {p}");
     }
-    assert!(cluster.logs_agree(&live));
+    assert!(cluster.report().logs_consistent);
 }
 
 /// (g) Revoking a *live* leader's slot loses nothing. p3's outbound traffic
@@ -1256,43 +1227,54 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
             info.sent_at + DELTA
         }
     });
-    let mut cluster = Cluster::pipelined(cfg, 23, network, |_, node| Box::new(node));
+    let mut cluster = pipelined(cfg, 23, network, |_, node| Box::new(node));
+    let mut applied_at = Vec::new();
     const COMMANDS: u64 = 60;
     for i in 0..COMMANDS {
-        cluster.submit(command(i), SimTime((i + 1) * DELTA.0));
+        submit(&mut cluster, command(i), SimTime((i + 1) * DELTA.0));
     }
 
     // p3 leads slots 1, 8, 15, … Slot 1 times out at everyone else (slot 8
     // is open by then, its proposal lost too), who then revoke.
     assert_eq!(slot_leader(&cfg, 1, 1), victim);
-    cluster.run_until_applied(&others, 2, |_| {});
+    run_until_applied(&mut cluster, &mut applied_at, &others, 2, |_| {});
     for p in &others {
-        assert_eq!(cluster.suspects(*p), vec![3], "at {p}");
-        assert_eq!(cluster.revoked(*p).first(), Some(&(15, 3)), "at {p}");
+        assert_eq!(suspects(&cluster, *p), vec![3], "at {p}");
+        assert_eq!(revoked(&cluster, *p).first(), Some(&(15, 3)), "at {p}");
     }
-    assert!(cluster.suspects(victim).is_empty(), "p3 heard everyone");
+    assert!(suspects(&cluster, victim).is_empty(), "p3 heard everyone");
 
     // Heal. Every slot p3 leads first from here on is revoked until it is
     // cleared, so the proposal that clears it is one for a revoked slot.
     cut.store(false, Ordering::Relaxed);
-    cluster.run_dry(&all, cfg.f(), &mut Vec::new(), window_bound(&all));
+    run_dry(
+        &mut cluster,
+        &all,
+        cfg.f(),
+        &mut Vec::new(),
+        window_bound(&all),
+    );
 
-    let revoked = cluster.revoked(ProcessId(1));
+    let at_p1 = revoked(&cluster, ProcessId(1));
     let log = cluster.node(ProcessId(1)).log();
     // Revoked: slots p3 leads first, in a row, by everyone but p3 — which
     // proposed its own queue there, so what such a slot decided is the
     // filler or a command, as the view change found it.
-    assert!(revoked.len() >= 2, "{revoked:?}");
-    for (k, (slot, leader)) in revoked.iter().enumerate() {
+    assert!(at_p1.len() >= 2, "{at_p1:?}");
+    for (k, (slot, leader)) in at_p1.iter().enumerate() {
         assert_eq!((*slot, *leader), (15 + 7 * k as u64, 3));
     }
-    assert!(cluster.revoked(victim).is_empty());
+    assert!(revoked(&cluster, victim).is_empty());
     for p in &all {
-        assert!(cluster.suspects(*p).is_empty(), "at {p}");
+        assert!(suspects(&cluster, *p).is_empty(), "at {p}");
         assert_eq!(cluster.node(*p).open_slots(), 0, "at {p}");
     }
     for p in &others {
-        let cleared = cluster.registry.metrics(p.index()).leader_clear_total.get();
+        let cleared = cluster
+            .registry()
+            .metrics(p.index())
+            .leader_clear_total
+            .get();
         assert_eq!(cleared, 1, "p3, once, at {p}");
     }
     // Nothing lost, nothing twice, everyone agrees. (A slot commits its
@@ -1305,10 +1287,10 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
         .collect();
     committed.sort_unstable();
     assert_eq!(committed, (0..COMMANDS).collect::<Vec<_>>());
-    assert!(cluster.logs_agree(&all));
+    assert!(cluster.report().logs_consistent);
     // Cleared, p3 is an ordinary leader again: its later slots are not
     // revoked and carry commands.
-    let last_revoked = revoked.last().unwrap().0;
+    let last_revoked = at_p1.last().unwrap().0;
     let later: Vec<u64> = (last_revoked + 1..log.len() as u64)
         .filter(|s| slot_leader(&cfg, *s, 1) == victim)
         .collect();
@@ -1340,23 +1322,27 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
             info.sent_at + DELTA
         }
     });
-    let mut cluster = Cluster::pipelined(cfg, 29, network, |_, node| Box::new(node));
+    let mut cluster = pipelined(cfg, 29, network, |_, node| Box::new(node));
     assert_eq!(slot_leader(&cfg, 0, 1), crashed);
     assert_eq!(slot_leader(&cfg, 7, 1), crashed);
-    cluster.sim.schedule_crash(crashed, healed_at);
+    cluster.sim_mut().schedule_crash(crashed, healed_at);
     const COMMANDS: u64 = 40;
     let first_command_at = SimTime(12 * DELTA.0);
     for i in 0..COMMANDS {
-        cluster.submit(command(i), SimTime(first_command_at.0 + i * DELTA.0));
+        submit(
+            &mut cluster,
+            command(i),
+            SimTime(first_command_at.0 + i * DELTA.0),
+        );
     }
 
     // Idle start: slot 0 decides without the two, who time out on p2 and
     // catch up by backfill after the heal.
-    cluster.sim.run_until(SimTime(first_command_at.0 - 1));
+    cluster.sim_mut().run_until(SimTime(first_command_at.0 - 1));
     for p in &live {
         assert_eq!(cluster.node(*p).applied(), 1, "at {p}");
         let expected = if knowing.contains(p) { vec![2] } else { vec![] };
-        assert_eq!(cluster.suspects(*p), expected, "at {p}");
+        assert_eq!(suspects(&cluster, *p), expected, "at {p}");
     }
 
     // The two revoke slot 7 once their first commands overlap; the rest
@@ -1364,11 +1350,11 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
     // own timers expire.
     let mut committed_at = vec![SimTime::ZERO];
     let timeout_at = SimTime(first_command_at.0 + DELTA.0 + BASE_TIMEOUT);
-    cluster.run_dry(&live, cfg.f(), &mut committed_at, |c| {
-        if c.sim.now() < timeout_at {
+    run_dry(&mut cluster, &live, cfg.f(), &mut committed_at, |c| {
+        if c.sim().now() < timeout_at {
             for p in unknowing {
-                assert!(c.suspects(p).is_empty(), "at {p}");
-                assert!(c.revoked(p).is_empty(), "at {p}");
+                assert!(suspects(c, p).is_empty(), "at {p}");
+                assert!(revoked(c, p).is_empty(), "at {p}");
             }
             assert!(c.node(ProcessId(1)).applied() <= 7);
         }
@@ -1376,7 +1362,7 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
     // (Slot 21 enters the two's window while slot 7 holds everything up.)
     for p in knowing {
         assert_eq!(
-            cluster.revoked(p)[..3],
+            revoked(&cluster, p)[..3],
             [(7, 2), (14, 2), (21, 2)],
             "at {p}"
         );
@@ -1388,8 +1374,8 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
     );
     // The timeout taught the rest; from the next rotation on all revoke.
     for p in &live {
-        assert_eq!(cluster.suspects(*p), vec![2], "at {p}");
-        assert!(cluster.revoked(*p).contains(&(28, 2)), "at {p}");
+        assert_eq!(suspects(&cluster, *p), vec![2], "at {p}");
+        assert!(revoked(&cluster, *p).contains(&(28, 2)), "at {p}");
         assert_eq!(cluster.node(*p).running_slots(), 0, "at {p}");
     }
     let log = cluster.node(ProcessId(1)).log();
@@ -1401,5 +1387,5 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
         .map(|v| v.as_u64().unwrap() - 1000)
         .collect();
     assert_eq!(committed, (0..COMMANDS).collect::<Vec<_>>());
-    assert!(cluster.logs_agree(&live));
+    assert!(cluster.report().logs_consistent);
 }

@@ -19,19 +19,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fastbft_core::message::{AckMsg, CommitMsg, Message, ProposeMsg, WishMsg};
-use fastbft_core::replica::ReplicaOptions;
 use fastbft_core::{CommitCert, ProgressCert};
 use fastbft_crypto::KeyDirectory;
-use fastbft_obs::MetricsRegistry;
-use fastbft_sim::{Network, SimDuration, SimTime, Simulation, TraceEvent};
-use fastbft_smr::{offset_logs_consistent, CountingMachine, SlotMessage, SmrNode};
+use fastbft_sim::{Network, SimDuration, SimTime, TraceEvent};
+use fastbft_smr::{CountingMachine, SlotMessage, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 const DELTA: SimDuration = SimDuration::DELTA;
 /// The default view-1 timeout (`ReplicaOptions::default().base_timeout`).
 const BASE_TIMEOUT: u64 = 8 * DELTA.0;
+/// Where a run that has not finished counts as stalled.
+const HORIZON: SimTime = SimTime(2_000 * DELTA.0);
 
-type Node = SmrNode<CountingMachine>;
+type Cluster = SmrSimCluster<CountingMachine>;
 
 /// The `i`-th client command.
 fn command(i: u64) -> Value {
@@ -39,51 +39,30 @@ fn command(i: u64) -> Value {
 }
 
 /// Honest nodes on every seat, each holding the same `queued` commands (the
-/// broadcast client model); `depth` pins the pipeline depth, seat `i`
-/// records into `registry.replica(i)`.
-fn cluster(
-    cfg: Config,
-    seed: u64,
-    network: Network,
-    queued: u64,
-    depth: Option<u64>,
-    registry: Option<&MetricsRegistry>,
-) -> Simulation<SlotMessage> {
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-    let mut sim = Simulation::new(network, seed);
-    for (i, pair) in pairs.into_iter().enumerate() {
-        let node = SmrNode::new(
-            cfg,
-            pair,
-            dir.clone(),
-            CountingMachine::new(),
-            (0..queued).map(command),
-            Value::from_u64(0),
-        )
-        .with_batch_size(1)
-        .with_options(ReplicaOptions {
-            metrics: registry.map_or_else(Default::default, |r| r.replica(i)),
-            ..ReplicaOptions::default()
-        });
-        sim.add_actor(Box::new(match depth {
-            Some(depth) => node.with_pipeline_depth(depth),
-            None => node,
-        }));
-    }
-    sim.start();
-    sim
-}
-
-fn node(sim: &Simulation<SlotMessage>, p: ProcessId) -> &Node {
-    sim.actor(p)
-        .as_any()
-        .and_then(|any| any.downcast_ref::<Node>())
-        .expect("every seat holds an honest node")
+/// broadcast client model); `depth` pins the pipeline depth.
+fn cluster(cfg: Config, seed: u64, network: Network, queued: u64, depth: Option<u64>) -> Cluster {
+    SmrSimCluster::new(
+        cfg,
+        seed,
+        CountingMachine::new(),
+        vec![(0..queued).map(command).collect(); cfg.n()],
+        Value::from_u64(0),
+        network,
+        |_, node| {
+            let node = node.with_batch_size(1);
+            Box::new(match depth {
+                Some(depth) => node.with_pipeline_depth(depth),
+                None => node,
+            })
+        },
+    )
 }
 
 /// Every `Backfill` sent so far, as (from, to).
-fn backfills(sim: &Simulation<SlotMessage>) -> Vec<(ProcessId, ProcessId)> {
-    sim.trace()
+fn backfills(cluster: &Cluster) -> Vec<(ProcessId, ProcessId)> {
+    cluster
+        .sim()
+        .trace()
         .records()
         .iter()
         .filter_map(|r| match r.event {
@@ -98,30 +77,16 @@ fn backfills(sim: &Simulation<SlotMessage>) -> Vec<(ProcessId, ProcessId)> {
         .collect()
 }
 
-/// Steps until `done` holds and returns the time.
-fn run_until(
-    sim: &mut Simulation<SlotMessage>,
-    done: impl Fn(&Simulation<SlotMessage>) -> bool,
-) -> SimTime {
-    while !done(sim) {
-        assert!(
-            sim.step() && sim.now() < SimTime(2_000 * DELTA.0),
-            "stalled"
-        );
-    }
-    sim.now()
-}
-
 /// `slots` commands through a live cluster at depth 1, run until the wire
 /// is quiet.
-fn settled(cfg: Config, slots: u64, registry: Option<&MetricsRegistry>) -> Simulation<SlotMessage> {
+fn settled(cfg: Config, slots: u64) -> Cluster {
     let network = Network::synchronous(DELTA);
-    let mut sim = cluster(cfg, 5, network, slots, Some(1), registry);
-    sim.run_until(SimTime(1_000 * DELTA.0));
+    let mut cluster = cluster(cfg, 5, network, slots, Some(1));
+    cluster.sim_mut().run_until(SimTime(1_000 * DELTA.0));
     for p in cfg.processes() {
-        assert_eq!(node(&sim, p).applied(), slots, "{p} applied every slot");
+        assert_eq!(cluster.node(p).applied(), slots, "{p} applied every slot");
     }
-    sim
+    cluster
 }
 
 /// With every seat live a slot costs one proposal to everyone and one ack
@@ -136,8 +101,8 @@ fn a_live_slot_costs_exactly_its_protocol_messages() {
         (Config::new(4, 1, 1).unwrap(), 4 + 16),
     ] {
         let n = cfg.n();
-        let sim = settled(cfg, SLOTS, None);
-        let stats = sim.trace().message_stats(SimTime::NEVER);
+        let cluster = settled(cfg, SLOTS);
+        let stats = cluster.sim().trace().message_stats(SimTime::NEVER);
         let count = |kind: &str| stats.by_kind.get(kind).map_or(0, |(msgs, _)| *msgs) as u64;
         assert_eq!(count("propose"), SLOTS * n as u64, "n = {n}");
         assert_eq!(count("ack"), SLOTS * (n * n) as u64, "n = {n}");
@@ -170,8 +135,8 @@ fn both_exporters_print_the_counts_of_a_live_run() {
         (Config::new(4, 1, 1).unwrap(), 1),
     ] {
         let n = cfg.n();
-        let registry = MetricsRegistry::new(n);
-        settled(cfg, SLOTS, Some(&registry));
+        let cluster = settled(cfg, SLOTS);
+        let registry = cluster.registry();
         let expected = [
             ("commit_fast_total", SLOTS),
             ("commit_slow_total", 0),
@@ -217,10 +182,10 @@ fn both_exporters_print_the_counts_of_a_live_run() {
 #[test]
 fn only_a_stuck_senders_frames_are_answered() {
     let cfg = Config::new(7, 2, 1).unwrap();
-    let mut sim = settled(cfg, 3, None);
+    let mut cluster = settled(cfg, 3);
     let (pairs, _dir) = KeyDirectory::generate(cfg.n(), 5);
     let (p1, p2) = (ProcessId(1), ProcessId(2));
-    let value = node(&sim, p1).log()[0].clone();
+    let value = cluster.node(p1).log()[0].clone();
     let stragglers = [
         Message::Ack(AckMsg {
             value: value.clone(),
@@ -245,10 +210,11 @@ fn only_a_stuck_senders_frames_are_answered() {
         }),
     ];
     let mut deliver = |inner: Message| {
+        let sim = cluster.sim_mut();
         let at = sim.now();
         sim.inject_message(p2, p1, SlotMessage::Consensus { slot: 0, inner }, at);
         sim.run_until(at + DELTA + DELTA);
-        backfills(&sim)
+        backfills(&cluster)
     };
     for inner in stragglers {
         assert_eq!(deliver(inner), vec![], "a straggler is not answered");
@@ -279,53 +245,46 @@ fn a_seat_cut_off_for_several_slots_heals_through_its_own_wishes() {
         }
     });
     // The default pipeline depth, one command per Δ to every seat.
-    let mut sim = cluster(cfg, 9, network, 0, None, None);
+    let mut cluster = cluster(cfg, 9, network, 0, None);
     for i in 0..COMMANDS {
         for p in cfg.processes() {
-            sim.submit_client(p, command(i), SimTime(i * DELTA.0));
+            let at = SimTime(i * DELTA.0);
+            cluster.sim_mut().submit_client(p, command(i), at);
         }
     }
-    let applied = |sim: &Simulation<SlotMessage>, who: &[ProcessId]| {
-        who.iter().map(|p| node(sim, *p).applied()).min().unwrap()
-    };
+    let applied =
+        |c: &Cluster, who: &[ProcessId]| who.iter().map(|p| c.node(*p).applied()).min().unwrap();
 
     // The victim leads slots 5, 12, 19, …: cut it off once slot 12 is
     // settled and heal once the peers are through slot 18, so the cut
     // costs them no view change.
-    run_until(&mut sim, |sim| applied(sim, &peers) >= 13);
+    cluster.run_until(HORIZON, |c| applied(c, &peers) >= 13);
     cut.store(true, Ordering::Relaxed);
-    run_until(&mut sim, |sim| applied(sim, &peers) >= 19);
+    cluster.run_until(HORIZON, |c| applied(c, &peers) >= 19);
     cut.store(false, Ordering::Relaxed);
-    let healed_at = sim.now();
-    let tip = applied(&sim, &peers);
-    let holes = tip - node(&sim, victim).applied();
+    let healed_at = cluster.sim().now();
+    let tip = applied(&cluster, &peers);
+    let holes = tip - cluster.node(victim).applied();
     assert!(holes >= 4, "the victim missed several slots: {holes}");
     assert_eq!(
-        backfills(&sim),
+        backfills(&cluster),
         vec![],
         "nobody was answered before the heal"
     );
 
-    let closed_at = run_until(&mut sim, |sim| node(sim, victim).applied() >= tip);
+    let closed_at = cluster
+        .run_until(HORIZON, |c| c.node(victim).applied() >= tip)
+        .final_time;
     assert!(
         closed_at.since(healed_at).0 <= BASE_TIMEOUT + 2 * DELTA.0,
         "holes closed {:?} after the heal",
         closed_at.since(healed_at)
     );
-    let sent = backfills(&sim);
+    let sent = backfills(&cluster);
     assert!(sent.len() as u64 > holes * cfg.f() as u64, "{sent:?}");
     assert!(sent.iter().all(|(_, to)| *to == victim), "{sent:?}");
 
     // Everyone, the victim included, ends with the whole load and one log.
-    let everyone: Vec<ProcessId> = cfg.processes().collect();
-    run_until(&mut sim, |sim| {
-        everyone
-            .iter()
-            .all(|p| node(sim, *p).commands_applied() >= COMMANDS)
-    });
-    let logs: Vec<(u64, &[Value])> = everyone
-        .iter()
-        .map(|p| (node(&sim, *p).log_offset(), node(&sim, *p).log()))
-        .collect();
-    assert!(offset_logs_consistent(&logs));
+    let report = cluster.run_until(HORIZON, |c| c.report().commands_everywhere >= COMMANDS);
+    assert!(report.logs_consistent, "{report:?}");
 }

@@ -20,14 +20,15 @@ fn empty_queues_quiesce_after_slot_zero() {
         vec![Vec::new(); 4],
         Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
-        |node| node,
+        |_, node| Box::new(node),
     );
-    let report = cluster.run_until_applied(25, SimTime(5_000_000));
+    cluster.sim_mut().run_to_quiescence();
+    let report = cluster.report();
     assert_eq!(report.applied_everywhere, 1, "{report:?}");
     assert!(report.logs_consistent);
     // Everything committed was the idle no-op, and the run went quiet long
     // before the horizon.
-    for v in cluster.log(ProcessId(2)) {
+    for v in cluster.node(ProcessId(2)).log() {
         assert_eq!(v.as_u64(), Some(0));
     }
     assert!(report.final_time < SimTime(5_000_000), "{report:?}");
@@ -46,12 +47,11 @@ fn rotation_commits_every_nodes_commands() {
         commands,
         Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
-        |node| node,
+        |_, node| Box::new(node),
     );
-    let report = cluster.run_until_applied(4, SimTime(5_000_000));
-    assert!(report.applied_everywhere >= 4);
+    let report = cluster.run_until(SimTime(5_000_000), |c| c.report().applied_everywhere >= 4);
     assert!(report.logs_consistent);
-    let log = cluster.log(ProcessId(1));
+    let log = cluster.node(ProcessId(1)).log();
     let committed: std::collections::BTreeSet<u64> = log
         .iter()
         .filter_map(|v| v.as_u64())
@@ -77,11 +77,10 @@ fn slot_zero_leader_is_paper_leader() {
         commands,
         Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
-        |node| node,
+        |_, node| Box::new(node),
     );
-    let report = cluster.run_until_applied(1, SimTime(1_000_000));
-    assert!(report.applied_everywhere >= 1);
-    assert_eq!(cluster.log(ProcessId(1))[0], Value::from_u64(101)); // p2's command
+    cluster.run_until(SimTime(1_000_000), |c| c.report().applied_everywhere >= 1);
+    assert_eq!(cluster.node(ProcessId(1)).log()[0], Value::from_u64(101)); // p2's command
 }
 
 #[test]
@@ -111,29 +110,20 @@ fn kv_delete_of_missing_key_is_consistent() {
         cfg,
         6,
         KvStore::new(),
-        vec![queue.clone(); 4],
+        vec![queue; 4],
         KvCommand::Noop.to_value(),
         Network::synchronous(SimDuration::DELTA),
-        |node| node,
+        |_, node| Box::new(node),
     );
-    let report = cluster.run_until_commands(4, SimTime(5_000_000));
-    assert!(report.commands_everywhere >= 4, "{report:?}");
-    assert!(report.logs_consistent);
+    let report = cluster.run_until(SimTime(5_000_000), |c| c.report().commands_everywhere >= 4);
+    // At-most-once: no command (including the duplicated delete) appears
+    // twice in any log.
+    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
     for p in cfg.processes() {
-        assert!(cluster.machine(p).is_empty(), "store at {p} not empty");
-        assert_eq!(
-            cluster.machine(p).state_digest(),
-            cluster.machine(ProcessId(1)).state_digest()
+        assert!(
+            cluster.node(p).machine().is_empty(),
+            "store at {p} not empty"
         );
-        // At-most-once: no command (including the duplicated delete)
-        // appears twice in any log.
-        let log = cluster.log(p);
-        for cmd in &queue {
-            assert!(
-                log.iter().filter(|v| *v == cmd).count() <= 1,
-                "{p} applied {cmd:?} more than once"
-            );
-        }
     }
 }
 
@@ -212,18 +202,25 @@ fn stash_is_bounded_against_slot_spray() {
     assert!(node.stashed_messages() <= 4096);
 }
 
-/// The node at seat `p` of a bare simulation of honest nodes.
-fn node_at(sim: &fastbft_sim::Simulation<SlotMessage>, p: u32) -> &SmrNode<CountingMachine> {
-    let actor = sim.actor(ProcessId(p)).as_any();
-    actor.and_then(|any| any.downcast_ref()).expect("a node")
-}
-
 /// A fresh allocation per frame, as a TCP decode produces, every value
 /// distinct.
 fn sprayed_value(i: u64, len: usize) -> Value {
     let mut bytes = vec![i as u8; len];
     bytes[..8].copy_from_slice(&i.to_be_bytes());
     Value::new(bytes)
+}
+
+/// n = 4 honest nodes as shipped, with empty queues.
+fn idle_cluster(seed: u64) -> SmrSimCluster<CountingMachine> {
+    SmrSimCluster::new(
+        Config::new(4, 1, 1).unwrap(),
+        seed,
+        CountingMachine::new(),
+        vec![Vec::new(); 4],
+        Value::from_u64(0),
+        Network::synchronous(SimDuration::DELTA),
+        |_, node| Box::new(node),
+    )
 }
 
 /// The same two buffers are bounded in *bytes*: the message cap alone let
@@ -236,24 +233,16 @@ fn sprayed_value(i: u64, len: usize) -> Value {
 /// full, and the correct seats go on to commit their commands.
 #[test]
 fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
-    use fastbft_sim::{SimMessage, Simulation};
-    use fastbft_smr::{offset_logs_consistent, MAX_STASH_AHEAD, SLOT_WINDOW};
+    use fastbft_sim::SimMessage;
+    use fastbft_smr::{MAX_STASH_AHEAD, SLOT_WINDOW};
 
     const CAP: usize = 32 << 20;
     const BACKFILL: usize = 1 << 20;
     const DELTA: u64 = SimDuration::DELTA.0;
 
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(4, 33);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 33);
-    for pair in pairs {
-        let machine = CountingMachine::new();
-        let node = SmrNode::new(cfg, pair, dir.clone(), machine, [], Value::from_u64(0));
-        sim.add_actor(Box::new(node));
-    }
-    sim.start();
-    let (node, value) = (node_at, sprayed_value);
-    let correct = [1, 2, 3];
+    let mut cluster = idle_cluster(33);
+    let value = sprayed_value;
+    let correct = [ProcessId(1), ProcessId(2), ProcessId(3)];
     let ack = |value: Value| {
         Message::Ack(AckMsg {
             value,
@@ -267,6 +256,7 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
     // to each correct seat. It is full when the next frame no longer fits,
     // and what arrives for farther slots after that is dropped.
     let big = ack(value(0, 256 << 10)).wire_size();
+    let sim = cluster.sim_mut();
     for slot in SLOT_WINDOW..MAX_STASH_AHEAD {
         let inner = ack(value(slot, 256 << 10));
         for p in correct {
@@ -274,7 +264,7 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
                 slot,
                 inner: inner.clone(),
             };
-            sim.inject_message(ProcessId(4), ProcessId(p), frame, SimTime::ZERO);
+            sim.inject_message(ProcessId(4), p, frame, SimTime::ZERO);
         }
     }
     // p2 alone then gets one more, a little larger, for a near slot: it is
@@ -286,12 +276,12 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
     };
     sim.inject_message(ProcessId(4), ProcessId(2), near, SimTime::ZERO);
     sim.run_until(SimTime(DELTA));
-    let (stashed, _) = node(&sim, 1).buffered_bytes();
+    let (stashed, _) = cluster.node(ProcessId(1)).buffered_bytes();
     assert!(stashed <= CAP && stashed + big > CAP, "stash: {stashed}");
-    assert_eq!(node(&sim, 1).stashed_messages(), stashed / big);
-    assert_eq!(node(&sim, 2).stashed_messages(), stashed / big);
+    assert_eq!(cluster.node(ProcessId(1)).stashed_messages(), stashed / big);
+    assert_eq!(cluster.node(ProcessId(2)).stashed_messages(), stashed / big);
     assert_eq!(
-        node(&sim, 2).buffered_bytes().0,
+        cluster.node(ProcessId(2)).buffered_bytes().0,
         stashed - big + larger.wire_size()
     );
 
@@ -299,19 +289,20 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
     // small), farthest slot first so every wave evicts the one before.
     let mut peak = 0;
     for wave in (0..MAX_STASH_AHEAD).rev().collect::<Vec<_>>().chunks(32) {
+        let sim = cluster.sim_mut();
         let now = sim.now();
         for &slot in wave {
             let value = value(slot, BACKFILL);
             for p in correct {
                 let value = value.clone();
                 let frame = SlotMessage::Backfill { slot, value };
-                sim.inject_message(ProcessId(4), ProcessId(p), frame, now);
+                sim.inject_message(ProcessId(4), p, frame, now);
             }
         }
         sim.run_until(SimTime(now.0 + DELTA));
         for p in correct {
-            let (stashed, votes) = node(&sim, p).buffered_bytes();
-            assert!(stashed <= CAP && votes <= CAP, "p{p}: {stashed}, {votes}");
+            let (stashed, votes) = cluster.node(p).buffered_bytes();
+            assert!(stashed <= CAP && votes <= CAP, "{p}: {stashed}, {votes}");
             peak = peak.max(votes);
         }
     }
@@ -319,20 +310,19 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
 
     // Full buffers cost nothing: six commands at each correct seat commit,
     // once each, on every seat.
+    let sim = cluster.sim_mut();
     let now = sim.now();
     for i in 0..18u64 {
-        let to = ProcessId(correct[i as usize % 3]);
+        let to = correct[i as usize % 3];
         sim.submit_client(to, Value::from_u64(100 + i), now);
     }
     sim.run_until(SimTime(now.0 + 200 * DELTA));
-    let logs: Vec<(u64, &[Value])> = (1..=4)
-        .map(|p| (node(&sim, p).log_offset(), node(&sim, p).log()))
-        .collect();
-    assert!(offset_logs_consistent(&logs));
-    for p in 1..=4 {
-        assert_eq!(node(&sim, p).commands_applied(), 18, "p{p}");
-        let (stashed, votes) = node(&sim, p).buffered_bytes();
-        assert!(stashed <= CAP && votes <= CAP, "p{p}: {stashed}, {votes}");
+    let report = cluster.report();
+    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
+    for p in ProcessId::all(4) {
+        assert_eq!(cluster.node(p).commands_applied(), 18, "{p}");
+        let (stashed, votes) = cluster.node(p).buffered_bytes();
+        assert!(stashed <= CAP && votes <= CAP, "{p}: {stashed}, {votes}");
     }
 }
 
@@ -347,24 +337,15 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
 #[test]
 fn held_bytes_plateau_under_an_ack_spray_at_every_open_slot() {
     use fastbft_sim::Simulation;
-    use fastbft_smr::offset_logs_consistent;
 
     const DELTA: u64 = SimDuration::DELTA.0;
     const SLOTS: u64 = 8;
     const VIEWS: u64 = 10;
     const LEN: usize = 256 << 10;
 
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(4, 35);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 35);
-    for pair in pairs {
-        let machine = CountingMachine::new();
-        let node = SmrNode::new(cfg, pair, dir.clone(), machine, [], Value::from_u64(0));
-        sim.add_actor(Box::new(node));
-    }
-    sim.start();
-    let node = node_at;
-    let correct = [1, 2, 3];
+    let n = 4;
+    let mut cluster = idle_cluster(35);
+    let correct = [ProcessId(1), ProcessId(2), ProcessId(3)];
     let mut sprayed = 0u64;
     let mut spray = |sim: &mut Simulation<SlotMessage>| {
         let now = sim.now();
@@ -379,7 +360,7 @@ fn held_bytes_plateau_under_an_ack_spray_at_every_open_slot() {
                 for p in correct {
                     let inner = inner.clone();
                     let frame = SlotMessage::Consensus { slot, inner };
-                    sim.inject_message(ProcessId(4), ProcessId(p), frame, now);
+                    sim.inject_message(ProcessId(4), p, frame, now);
                 }
             }
         }
@@ -388,46 +369,45 @@ fn held_bytes_plateau_under_an_ack_spray_at_every_open_slot() {
     // The first round opens the eight slots at every correct seat and
     // fills p4's place in the first views of each, as many as its share
     // pays for; the rest is refused.
-    spray(&mut sim);
-    sim.run_until(SimTime(DELTA));
-    let per_slot = fastbft_core::replica::HELD_BYTES_BUDGET / cfg.n() / LEN * LEN;
-    assert!((LEN..=(1 + cfg.n()) * LEN).contains(&per_slot));
+    spray(cluster.sim_mut());
+    cluster.sim_mut().run_until(SimTime(DELTA));
+    let per_slot = fastbft_core::replica::HELD_BYTES_BUDGET / n / LEN * LEN;
+    assert!((LEN..=(1 + n) * LEN).contains(&per_slot));
     let plateau = SLOTS as usize * per_slot;
     for p in correct {
-        assert_eq!(node(&sim, p).open_slots() as u64, SLOTS, "p{p}");
-        assert_eq!(node(&sim, p).held_bytes(), plateau, "p{p}");
+        assert_eq!(cluster.node(p).open_slots() as u64, SLOTS, "{p}");
+        assert_eq!(cluster.node(p).held_bytes(), plateau, "{p}");
     }
     // The second round finds p4's places taken and its share spent.
-    spray(&mut sim);
-    sim.run_until(SimTime(2 * DELTA));
+    spray(cluster.sim_mut());
+    cluster.sim_mut().run_until(SimTime(2 * DELTA));
     for p in correct {
-        let held = node(&sim, p).held_bytes();
-        assert!(held <= plateau, "p{p}: {held}");
-        assert!(held >= plateau - per_slot, "p{p}: only slot 0 settled");
+        let held = cluster.node(p).held_bytes();
+        assert!(held <= plateau, "{p}: {held}");
+        assert!(held >= plateau - per_slot, "{p}: only slot 0 settled");
     }
 
     // The slots settle on the filler, and what was held goes with them.
-    sim.run_until(SimTime(100 * DELTA));
-    for p in 1..=4 {
-        assert_eq!(node(&sim, p).applied(), SLOTS, "p{p}");
-        assert_eq!(node(&sim, p).held_bytes(), 0, "p{p}");
+    cluster.sim_mut().run_until(SimTime(100 * DELTA));
+    for p in ProcessId::all(4) {
+        assert_eq!(cluster.node(p).applied(), SLOTS, "{p}");
+        assert_eq!(cluster.node(p).held_bytes(), 0, "{p}");
     }
 
     // It cost nothing: six commands at each correct seat commit, once
     // each, on every seat.
+    let sim = cluster.sim_mut();
     let now = sim.now();
     for i in 0..18u64 {
-        let to = ProcessId(correct[i as usize % 3]);
+        let to = correct[i as usize % 3];
         sim.submit_client(to, Value::from_u64(100 + i), now);
     }
     sim.run_until(SimTime(now.0 + 200 * DELTA));
-    let logs: Vec<(u64, &[Value])> = (1..=4)
-        .map(|p| (node(&sim, p).log_offset(), node(&sim, p).log()))
-        .collect();
-    assert!(offset_logs_consistent(&logs));
-    for p in 1..=4 {
-        assert_eq!(node(&sim, p).commands_applied(), 18, "p{p}");
-        assert_eq!(node(&sim, p).held_bytes(), 0, "p{p}");
+    let report = cluster.report();
+    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
+    for p in ProcessId::all(4) {
+        assert_eq!(cluster.node(p).commands_applied(), 18, "{p}");
+        assert_eq!(cluster.node(p).held_bytes(), 0, "{p}");
     }
 }
 
@@ -445,14 +425,16 @@ fn batching_multiplies_throughput() {
             vec![queue.clone(); 4],
             Value::from_u64(u64::MAX),
             Network::synchronous(SimDuration::DELTA),
-            |node| node.with_batch_size(batch).with_pipeline_depth(1),
+            |_, node| Box::new(node.with_batch_size(batch).with_pipeline_depth(1)),
         );
-        let report = cluster.run_until_commands(64, SimTime(50_000_000));
-        assert!(report.commands_everywhere >= 64, "{report:?}");
+        let report = cluster.run_until(SimTime(50_000_000), |c| {
+            c.report().commands_everywhere >= 64
+        });
         assert!(report.logs_consistent);
         // Order and exactly-once still hold under batching.
         let committed: Vec<u64> = cluster
-            .log(ProcessId(2))
+            .node(ProcessId(2))
+            .log()
             .iter()
             .filter_map(|v| v.as_u64())
             .filter(|x| *x < 64)
@@ -479,13 +461,14 @@ fn long_pipeline_makes_steady_progress() {
         vec![queue; 4],
         Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
-        |node| node.with_batch_size(1),
+        |_, node| Box::new(node.with_batch_size(1)),
     );
-    let report = cluster.run_until_applied(100, SimTime(50_000_000));
-    assert!(report.applied_everywhere >= 100, "{report:?}");
+    let report = cluster.run_until(SimTime(50_000_000), |c| {
+        c.report().applied_everywhere >= 100
+    });
     assert!(report.logs_consistent);
     // Commands committed exactly once each, in order.
-    let log = cluster.log(ProcessId(3));
+    let log = cluster.node(ProcessId(3)).log();
     let committed: Vec<u64> = log
         .iter()
         .filter_map(|v| v.as_u64())

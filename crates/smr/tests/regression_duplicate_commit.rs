@@ -21,9 +21,8 @@ use fastbft_types::{Config, ProcessId, Value, View};
 #[test]
 fn overlapping_slots_never_commit_a_command_twice() {
     let cfg = Config::new(4, 1, 1).unwrap();
-    let cmd = Value::from_u64(4242);
     // Standard SMR client model: the command is broadcast to every replica.
-    let commands = vec![vec![cmd.clone()]; 4];
+    let commands = vec![vec![Value::from_u64(4242)]; 4];
     let delta = SimDuration::DELTA;
     let network = Network::scripted(delta, move |info| {
         if info.to == ProcessId(3) && info.sent_at < SimTime(150) {
@@ -41,12 +40,12 @@ fn overlapping_slots_never_commit_a_command_twice() {
         commands,
         Value::from_u64(0),
         network,
-        |node| node.with_batch_size(1),
+        |_, node| Box::new(node.with_batch_size(1)),
     );
     // A harmless slot-1 message reaching p3 makes it open slot 1 (it is the
     // slot-1 leader, so it immediately proposes) while slot 0 is still
     // undecided at p3.
-    cluster.inject_message(
+    cluster.sim_mut().inject_message(
         ProcessId(1),
         ProcessId(3),
         SlotMessage::Consensus {
@@ -55,18 +54,7 @@ fn overlapping_slots_never_commit_a_command_twice() {
         },
         SimTime(150),
     );
-    cluster.run_until_applied(2, SimTime(40_000));
-
-    for p in cfg.processes() {
-        let log = cluster.log(p);
-        assert!(
-            log.len() >= 2,
-            "{p} must have applied both slots: log {log:?}"
-        );
-        let hits = log.iter().filter(|v| **v == cmd).count();
-        assert_eq!(
-            hits, 1,
-            "{p} applied {cmd:?} {hits} times (at-most-once violated): log {log:?}"
-        );
-    }
+    let report = cluster.run_until(SimTime(40_000), |c| c.report().applied_everywhere >= 2);
+    assert!(report.at_most_once, "{report:?}");
+    assert_eq!(report.commands_everywhere, 1, "{report:?}");
 }

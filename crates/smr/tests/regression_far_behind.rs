@@ -61,24 +61,22 @@ fn replica_partitioned_past_stash_horizon_recovers() {
         commands,
         KvCommand::Noop.to_value(),
         network,
-        |node| {
-            node.with_batch_size(1)
-                .with_snapshot_interval(DEFAULT_SNAPSHOT_INTERVAL)
+        |_, node| {
+            Box::new(
+                node.with_batch_size(1)
+                    .with_snapshot_interval(DEFAULT_SNAPSHOT_INTERVAL),
+            )
         },
     );
 
     // Phase A: the live trio commits one full stash horizon *plus* a
     // window beyond the victim — the pre-fix point of no return.
     let horizon_slots = MAX_STASH_AHEAD + SLOT_WINDOW;
-    let report = cluster.run_until_applied_by(&live, horizon_slots, SimTime(2_000_000_000));
-    for p in live {
-        assert!(
-            cluster.applied(p) >= horizon_slots,
-            "live side stalled during the partition: {report:?}"
-        );
-    }
+    cluster.run_until(SimTime(2_000_000_000), |c| {
+        live.iter().all(|p| c.node(*p).applied() >= horizon_slots)
+    });
     assert_eq!(
-        cluster.applied(victim),
+        cluster.node(victim).applied(),
         0,
         "victim advanced while partitioned"
     );
@@ -87,32 +85,23 @@ fn replica_partitioned_past_stash_horizon_recovers() {
     // slots are gone from every live window) but by installing an attested
     // snapshot — and then converge on all 500 commands with everyone else.
     healed.store(true, Ordering::Relaxed);
-    let report = cluster.run_until_commands(COMMANDS as u64, SimTime(8_000_000_000));
-    assert!(
-        report.commands_everywhere >= COMMANDS as u64,
-        "cluster did not converge after healing: {report:?}"
-    );
-    assert!(report.logs_consistent, "{report:?}");
-
-    // Byte-identical state everywhere, including the victim.
-    let reference = cluster.machine(ProcessId(1)).state_digest();
-    for p in cfg.processes() {
-        assert_eq!(
-            cluster.machine(p).state_digest(),
-            reference,
-            "state diverged at {p}"
-        );
-    }
-    assert_eq!(cluster.machine(victim).len(), COMMANDS);
+    let report = cluster.run_until(SimTime(8_000_000_000), |c| {
+        cfg.processes()
+            .all(|p| c.node(p).commands_applied() >= COMMANDS as u64)
+    });
+    // Identical state everywhere, including the victim.
+    assert!(report.logs_consistent && report.converged, "{report:?}");
+    assert_eq!(cluster.node(victim).machine().len(), COMMANDS);
 
     // The victim rejoined by state transfer, not by replaying from zero:
     // its retained log starts at an installed snapshot boundary.
+    let v = cluster.node(victim);
     assert!(
-        cluster.snapshot_upto(victim).is_some(),
+        v.snapshot_upto().is_some(),
         "victim rejoined without installing a snapshot"
     );
     assert!(
-        cluster.log_offset(victim) > 0,
+        v.log_offset() > 0,
         "victim replayed the full log instead of installing a snapshot"
     );
 
@@ -120,18 +109,19 @@ fn replica_partitioned_past_stash_horizon_recovers() {
     // the snapshot interval on every replica — not by history length
     // (pre-fix, 500+ slots of dedup digests accumulated forever).
     for p in cfg.processes() {
+        let node = cluster.node(p);
         assert!(
-            cluster.dedup_entries(p) <= 2 * DEFAULT_SNAPSHOT_INTERVAL as usize,
+            node.dedup_entries() <= 2 * DEFAULT_SNAPSHOT_INTERVAL as usize,
             "dedup state unbounded at {p}: {} entries",
-            cluster.dedup_entries(p)
+            node.dedup_entries()
         );
         assert!(
-            cluster.tail_len(p) <= DEFAULT_SNAPSHOT_INTERVAL as usize,
+            node.tail_len() <= DEFAULT_SNAPSHOT_INTERVAL as usize,
             "backfill tail unbounded at {p}: {} entries",
-            cluster.tail_len(p)
+            node.tail_len()
         );
         assert!(
-            cluster.log_offset(p) > 0,
+            node.log_offset() > 0,
             "log never truncated at {p} despite {horizon_slots}+ applied slots"
         );
     }

@@ -51,17 +51,19 @@ fn dedup_state_stays_bounded_over_a_10k_command_run() {
         vec![queue; 4],
         Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
-        |node| node.with_batch_size(64),
+        |_, node| Box::new(node.with_batch_size(64)),
     );
     // Check boundedness *during* the run, not only at the end: at several
     // checkpoints the per-node dedup state must stay within the transient
     // out-of-order window, far below the commands already applied.
     for checkpoint in [2_000u64, 5_000, 8_000, COMMANDS] {
-        let report = cluster.run_until_commands(checkpoint, SimTime(100_000_000));
+        let report = cluster.run_until(SimTime(100_000_000), |c| {
+            cfg.processes()
+                .all(|p| c.node(p).commands_applied() >= checkpoint)
+        });
         assert!(report.logs_consistent);
-        assert!(report.commands_everywhere >= checkpoint, "{report:?}");
         for p in cfg.processes() {
-            let entries = cluster.dedup_entries(p);
+            let entries = cluster.node(p).dedup_entries();
             assert!(
                 entries <= 256,
                 "{p}: {entries} dedup entries at checkpoint {checkpoint} — unbounded growth"
@@ -71,7 +73,7 @@ fn dedup_state_stays_bounded_over_a_10k_command_run() {
     // Fully applied and contiguous: the watermarks have pruned everything.
     for p in cfg.processes() {
         assert_eq!(
-            cluster.dedup_entries(p),
+            cluster.node(p).dedup_entries(),
             0,
             "{p}: contiguous tagged workload must prune to empty"
         );
@@ -95,17 +97,16 @@ fn tagged_duplicates_execute_exactly_once() {
         vec![queue; 4],
         Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
-        |node| node.with_batch_size(4),
+        |_, node| Box::new(node.with_batch_size(4)),
     );
-    let report = cluster.run_until_commands(20, SimTime(10_000_000));
-    assert!(report.logs_consistent);
+    let report = cluster.run_until(SimTime(10_000_000), |c| {
+        c.report().commands_everywhere >= 20
+    });
+    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
     for p in cfg.processes() {
-        let log = cluster.log(p);
-        let tagged: Vec<(u64, u64)> = log.iter().filter_map(parse_client_tag).collect();
-        assert_eq!(tagged.len(), 20, "{p}: every distinct command once");
-        let mut seqs: Vec<u64> = tagged.iter().map(|(_, s)| *s).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, (1..=20).collect::<Vec<_>>(), "{p}: no duplicates");
+        let log = cluster.node(p).log();
+        let tagged = log.iter().filter_map(parse_client_tag).count();
+        assert_eq!(tagged, 20, "{p}: every distinct command once");
     }
 }
 
@@ -132,12 +133,14 @@ fn out_of_order_sequences_converge_and_prune() {
         queues,
         Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
-        |node| node.with_batch_size(2),
+        |_, node| Box::new(node.with_batch_size(2)),
     );
-    let report = cluster.run_until_commands(40, SimTime(10_000_000));
+    let report = cluster.run_until(SimTime(10_000_000), |c| {
+        c.report().commands_everywhere >= 40
+    });
     assert!(report.logs_consistent);
     for p in cfg.processes() {
-        assert_eq!(cluster.dedup_entries(p), 0, "{p}: gaps must drain");
+        assert_eq!(cluster.node(p).dedup_entries(), 0, "{p}: gaps must drain");
     }
 }
 
@@ -154,14 +157,21 @@ fn untagged_commands_still_dedup_by_digest() {
         vec![queue; 4],
         Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
-        |node| node.with_batch_size(4),
+        |_, node| Box::new(node.with_batch_size(4)),
     );
-    let report = cluster.run_until_commands(50, SimTime(10_000_000));
-    assert!(report.logs_consistent);
+    let report = cluster.run_until(SimTime(10_000_000), |c| {
+        c.report().commands_everywhere >= 50
+    });
+    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
     for p in cfg.processes() {
-        assert_eq!(cluster.dedup_entries(p), 50, "{p}: digest per command");
+        assert_eq!(
+            cluster.node(p).dedup_entries(),
+            50,
+            "{p}: digest per command"
+        );
         let count: Vec<u64> = cluster
-            .log(p)
+            .node(p)
+            .log()
             .iter()
             .filter_map(|v| v.as_u64())
             .filter(|x| *x < 50)
@@ -190,18 +200,13 @@ fn tagged_puts_change_the_replicated_store_on_every_replica() {
             vec![queue; 4],
             KvCommand::Noop.to_value(),
             Network::synchronous(SimDuration::DELTA),
-            |node| node,
+            |_, node| Box::new(node),
         );
-        let report = cluster.run_until_commands(5, SimTime(1_000_000));
-        assert!(report.commands_everywhere >= 5, "{report:?}");
-        assert!(report.logs_consistent);
-        let digests: Vec<_> = cfg
-            .processes()
-            .map(|p| cluster.machine(p).state_digest())
-            .collect();
-        assert!(digests.windows(2).all(|w| w[0] == w[1]), "replicas differ");
-        assert_eq!(cluster.machine(ProcessId(3)).get("k4"), Some(&"v4".into()));
-        digests[0]
+        let report = cluster.run_until(SimTime(1_000_000), |c| c.report().commands_everywhere >= 5);
+        assert!(report.logs_consistent && report.converged, "{report:?}");
+        let store = cluster.node(ProcessId(3)).machine();
+        assert_eq!(store.get("k4"), Some(&"v4".into()));
+        store.state_digest()
     };
     let tagged = run((0..5)
         .map(|k| tag_command(9, k + 1, put(k).to_value().as_bytes()))

