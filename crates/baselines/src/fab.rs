@@ -613,39 +613,29 @@ impl Actor<FabMessage> for FabReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbft_sim::{Network, ScriptedActor, SimTime, Simulation};
+    use fastbft_core::cluster::{Report, SimCluster};
+    use fastbft_sim::{Network, ScriptedActor, SimTime};
 
-    fn run_cluster(
-        n: usize,
-        f: usize,
-        t: usize,
-        inputs: &[u64],
-        silent: &[u32],
-    ) -> (Vec<(ProcessId, SimTime, Value)>, SimDuration) {
+    fn run_cluster(n: usize, f: usize, t: usize, inputs: &[u64], silent: &[u32]) -> Report {
         let cfg = fab_config(n, f, t).unwrap();
-        let (pairs, dir) = KeyDirectory::generate(n, 11);
-        let delta = SimDuration::DELTA;
-        let mut sim = Simulation::new(Network::synchronous(delta), 3);
-        for i in 0..n {
-            if silent.contains(&(i as u32 + 1)) {
-                sim.add_actor(Box::new(ScriptedActor::silent()));
+        let network = Network::synchronous(SimDuration::DELTA);
+        let inputs = inputs.iter().copied().map(Value::from_u64);
+        let faulty = silent.iter().copied().map(ProcessId);
+        let mut cluster = SimCluster::new(n, 11, network, inputs, faulty, |p, keys, dir, input| {
+            if silent.contains(&p.0) {
+                Box::new(ScriptedActor::silent())
             } else {
-                sim.add_actor(Box::new(FabReplica::new(
-                    cfg,
-                    pairs[i].clone(),
-                    dir.clone(),
-                    Value::from_u64(inputs[i]),
-                )));
+                Box::new(FabReplica::new(cfg, keys, dir.clone(), input))
             }
-        }
-        sim.start();
-        let correct: Vec<ProcessId> = (1..=n as u32)
-            .filter(|i| !silent.contains(i))
-            .map(ProcessId)
-            .collect();
-        let ok = sim.run_until_all_decide(&correct, SimTime(1_000_000));
-        assert!(ok, "FaB cluster failed to decide");
-        (sim.decisions(), delta)
+        });
+        let report = cluster.run_until_all_decide();
+        assert!(report.all_decided, "FaB cluster failed to decide");
+        assert!(
+            report.final_time <= SimTime(1_000_000),
+            "FaB cluster decided too late"
+        );
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        report
     }
 
     #[test]
@@ -659,11 +649,11 @@ mod tests {
 
     #[test]
     fn common_case_is_two_delays() {
-        let (decisions, delta) = run_cluster(6, 1, 1, &[7; 6], &[]);
-        assert_eq!(decisions.len(), 6);
-        for (_, time, v) in &decisions {
-            assert_eq!(*v, Value::from_u64(7));
-            assert_eq!(time.0.div_ceil(delta.0), 2, "FaB is two-step");
+        let report = run_cluster(6, 1, 1, &[7; 6], &[]);
+        assert_eq!(report.decisions.len(), 6);
+        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(7)));
+        for (_, time, _) in &report.decisions {
+            assert_eq!(time.0.div_ceil(report.delta.0), 2, "FaB is two-step");
         }
     }
 
@@ -671,20 +661,20 @@ mod tests {
     fn stays_fast_with_t_failures() {
         // n = 6, f = t = 1: one silent process, still two delays for the
         // rest (the silent process is not the leader).
-        let (decisions, delta) = run_cluster(6, 1, 1, &[4; 6], &[5]);
-        assert_eq!(decisions.len(), 5);
-        for (_, time, _) in &decisions {
-            assert_eq!(time.0.div_ceil(delta.0), 2);
+        let report = run_cluster(6, 1, 1, &[4; 6], &[5]);
+        assert_eq!(report.decisions.len(), 5);
+        for (_, time, _) in &report.decisions {
+            assert_eq!(time.0.div_ceil(report.delta.0), 2);
         }
     }
 
     #[test]
     fn silent_leader_recovers() {
-        let (decisions, delta) = run_cluster(6, 1, 1, &[3; 6], &[2]); // leader(1) = p2
-        assert_eq!(decisions.len(), 5);
-        for (_, time, v) in &decisions {
-            assert_eq!(*v, Value::from_u64(3));
-            assert!(time.0 > 2 * delta.0);
+        let report = run_cluster(6, 1, 1, &[3; 6], &[2]); // leader(1) = p2
+        assert_eq!(report.decisions.len(), 5);
+        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(3)));
+        for (_, time, _) in &report.decisions {
+            assert!(time.0 > 2 * report.delta.0);
         }
     }
 

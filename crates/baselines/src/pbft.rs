@@ -572,77 +572,67 @@ impl Actor<PbftMessage> for PbftReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbft_sim::{Network, SimTime, Simulation};
+    use fastbft_core::cluster::{Report, SimCluster};
+    use fastbft_sim::{Network, ScriptedActor, SimTime};
 
-    fn run_cluster(
-        n: usize,
-        f: usize,
-        inputs: &[u64],
-        silent: &[u32],
-    ) -> (Vec<(ProcessId, SimTime, Value)>, SimDuration) {
+    fn run_cluster(n: usize, f: usize, inputs: &[u64], silent: &[u32]) -> Report {
         let cfg = Config::new_unchecked(n, f, 1.min(f));
-        let (pairs, dir) = KeyDirectory::generate(n, 42);
-        let delta = SimDuration::DELTA;
-        let mut sim = Simulation::new(Network::synchronous(delta), 5);
-        for i in 0..n {
-            if silent.contains(&(i as u32 + 1)) {
-                sim.add_actor(Box::new(fastbft_sim::ScriptedActor::silent()));
+        let network = Network::synchronous(SimDuration::DELTA);
+        let inputs = inputs.iter().copied().map(Value::from_u64);
+        let faulty = silent.iter().copied().map(ProcessId);
+        let mut cluster = SimCluster::new(n, 42, network, inputs, faulty, |p, keys, dir, input| {
+            if silent.contains(&p.0) {
+                Box::new(ScriptedActor::silent())
             } else {
-                sim.add_actor(Box::new(PbftReplica::new(
-                    cfg,
-                    pairs[i].clone(),
-                    dir.clone(),
-                    Value::from_u64(inputs[i]),
-                )));
+                Box::new(PbftReplica::new(cfg, keys, dir.clone(), input))
             }
-        }
-        sim.start();
-        let correct: Vec<ProcessId> = (1..=n as u32)
-            .filter(|i| !silent.contains(i))
-            .map(ProcessId)
-            .collect();
-        let ok = sim.run_until_all_decide(&correct, SimTime(1_000_000));
-        assert!(ok, "pbft cluster failed to decide");
-        (sim.decisions(), delta)
+        });
+        let report = cluster.run_until_all_decide();
+        assert!(report.all_decided, "pbft cluster failed to decide");
+        assert!(
+            report.final_time <= SimTime(1_000_000),
+            "pbft cluster decided too late"
+        );
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        report
     }
 
     #[test]
     fn common_case_is_three_delays() {
-        let (decisions, delta) = run_cluster(4, 1, &[7, 7, 7, 7], &[]);
-        assert_eq!(decisions.len(), 4);
-        for (_, t, v) in &decisions {
-            assert_eq!(*v, Value::from_u64(7));
-            assert_eq!(t.0.div_ceil(delta.0), 3, "PBFT decides in 3 delays");
+        let report = run_cluster(4, 1, &[7, 7, 7, 7], &[]);
+        assert_eq!(report.decisions.len(), 4);
+        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(7)));
+        for (_, t, _) in &report.decisions {
+            assert_eq!(t.0.div_ceil(report.delta.0), 3, "PBFT decides in 3 delays");
         }
     }
 
     #[test]
     fn leader_value_adopted() {
-        let (decisions, _) = run_cluster(4, 1, &[1, 2, 3, 4], &[]);
+        let report = run_cluster(4, 1, &[1, 2, 3, 4], &[]);
         // leader(1) = p2 proposes its input 2.
-        for (_, _, v) in &decisions {
-            assert_eq!(*v, Value::from_u64(2));
-        }
+        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(2)));
     }
 
     #[test]
     fn silent_leader_recovers_via_view_change() {
         // leader(1) = p2 is silent; the others must still decide.
-        let (decisions, delta) = run_cluster(4, 1, &[5, 5, 5, 5], &[2]);
-        assert_eq!(decisions.len(), 3);
-        for (_, t, v) in &decisions {
-            assert_eq!(*v, Value::from_u64(5));
-            assert!(t.0 > 3 * delta.0, "must be slower than the common case");
+        let report = run_cluster(4, 1, &[5, 5, 5, 5], &[2]);
+        assert_eq!(report.decisions.len(), 3);
+        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(5)));
+        for (_, t, _) in &report.decisions {
+            assert!(
+                t.0 > 3 * report.delta.0,
+                "must be slower than the common case"
+            );
         }
     }
 
     #[test]
     fn seven_processes_tolerate_two_silent() {
-        let (decisions, _) = run_cluster(7, 2, &[9; 7], &[1, 3]);
-        assert_eq!(decisions.len(), 5);
-        for (_, _, v) in &decisions {
-            assert_eq!(*v, Value::from_u64(9));
-        }
+        let report = run_cluster(7, 2, &[9; 7], &[1, 3]);
+        assert_eq!(report.decisions.len(), 5);
+        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(9)));
     }
 
     #[test]

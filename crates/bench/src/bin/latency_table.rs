@@ -6,76 +6,42 @@
 
 use fastbft_baselines::{fab_config, FabReplica, PbftReplica};
 use fastbft_bench::{header, row};
-use fastbft_core::cluster::SimCluster;
-use fastbft_crypto::KeyDirectory;
-use fastbft_sim::{Network, SimDuration, SimTime, Simulation};
-use fastbft_types::{Config, ProcessId, ProtocolKind, Value};
+use fastbft_core::cluster::{Report, SimCluster};
+use fastbft_sim::{Network, SimDuration};
+use fastbft_types::{Config, ProtocolKind, Value};
+
+fn summary(n: usize, report: &Report) -> (usize, u64, usize) {
+    assert!(report.violations.is_empty() && report.all_decided);
+    (n, report.decision_delays_max(), report.stats.messages)
+}
 
 fn ktz(f: usize, t: usize) -> (usize, u64, usize) {
     let n = ProtocolKind::Ktz.min_n(f, t);
     let cfg = Config::new(n, f, t).unwrap();
     let mut cluster = SimCluster::builder(cfg).inputs_u64(vec![7; n]).build();
-    let report = cluster.run_until_all_decide();
-    assert!(report.violations.is_empty() && report.all_decided);
-    (n, report.decision_delays_max(), report.stats.messages)
+    summary(n, &cluster.run_until_all_decide())
 }
 
 fn fab(f: usize, t: usize) -> (usize, u64, usize) {
     let n = ProtocolKind::FabPaxos.min_n(f, t);
     let cfg = fab_config(n, f, t).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(n, 5);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 5);
-    for keys in pairs.iter().take(n).cloned() {
-        sim.add_actor(Box::new(FabReplica::new(
-            cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let all: Vec<ProcessId> = (1..=n as u32).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&all, SimTime(1_000_000)));
-    let delays = sim
-        .decisions()
-        .iter()
-        .map(|(_, t, _)| t.0.div_ceil(SimDuration::DELTA.0))
-        .max()
-        .unwrap();
-    (
-        n,
-        delays,
-        sim.trace().message_stats(SimTime::NEVER).messages,
-    )
+    let network = Network::synchronous(SimDuration::DELTA);
+    let inputs = vec![Value::from_u64(7); n];
+    let mut cluster = SimCluster::new(n, 5, network, inputs, [], |_, keys, dir, input| {
+        Box::new(FabReplica::new(cfg, keys, dir.clone(), input))
+    });
+    summary(n, &cluster.run_until_all_decide())
 }
 
 fn pbft(f: usize) -> (usize, u64, usize) {
     let n = ProtocolKind::Pbft.min_n(f, 0);
     let cfg = Config::new_unchecked(n, f, 1.min(f));
-    let (pairs, dir) = KeyDirectory::generate(n, 6);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 6);
-    for keys in pairs.iter().take(n).cloned() {
-        sim.add_actor(Box::new(PbftReplica::new(
-            cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let all: Vec<ProcessId> = (1..=n as u32).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&all, SimTime(1_000_000)));
-    let delays = sim
-        .decisions()
-        .iter()
-        .map(|(_, t, _)| t.0.div_ceil(SimDuration::DELTA.0))
-        .max()
-        .unwrap();
-    (
-        n,
-        delays,
-        sim.trace().message_stats(SimTime::NEVER).messages,
-    )
+    let network = Network::synchronous(SimDuration::DELTA);
+    let inputs = vec![Value::from_u64(7); n];
+    let mut cluster = SimCluster::new(n, 6, network, inputs, [], |_, keys, dir, input| {
+        Box::new(PbftReplica::new(cfg, keys, dir.clone(), input))
+    });
+    summary(n, &cluster.run_until_all_decide())
 }
 
 fn main() {

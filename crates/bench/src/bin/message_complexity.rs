@@ -8,56 +8,42 @@
 
 use fastbft_baselines::{fab_config, FabReplica, PbftReplica};
 use fastbft_bench::{header, row};
-use fastbft_core::cluster::SimCluster;
-use fastbft_crypto::KeyDirectory;
-use fastbft_sim::{MessageStats, Network, SimDuration, SimTime, Simulation};
-use fastbft_types::{Config, ProcessId, ProtocolKind, Value};
+use fastbft_core::cluster::{Report, SimCluster};
+use fastbft_sim::{MessageStats, Network, SimDuration};
+use fastbft_types::{Config, ProtocolKind, Value};
+
+fn stats(n: usize, report: Report) -> (usize, MessageStats) {
+    assert!(report.violations.is_empty() && report.all_decided);
+    (n, report.stats)
+}
 
 fn ktz_stats(f: usize, t: usize) -> (usize, MessageStats) {
     let n = ProtocolKind::Ktz.min_n(f, t);
     let cfg = Config::new(n, f, t).unwrap();
     let mut cluster = SimCluster::builder(cfg).inputs_u64(vec![7; n]).build();
-    let report = cluster.run_until_all_decide();
-    assert!(report.all_decided);
-    (n, report.stats)
+    stats(n, cluster.run_until_all_decide())
 }
 
 fn fab_stats(f: usize, t: usize) -> (usize, MessageStats) {
     let n = ProtocolKind::FabPaxos.min_n(f, t);
     let cfg = fab_config(n, f, t).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(n, 3);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 3);
-    for keys in pairs.iter().take(n).cloned() {
-        sim.add_actor(Box::new(FabReplica::new(
-            cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let all: Vec<ProcessId> = (1..=n as u32).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&all, SimTime(1_000_000)));
-    (n, sim.trace().message_stats(SimTime::NEVER))
+    let network = Network::synchronous(SimDuration::DELTA);
+    let inputs = vec![Value::from_u64(7); n];
+    let mut cluster = SimCluster::new(n, 3, network, inputs, [], |_, keys, dir, input| {
+        Box::new(FabReplica::new(cfg, keys, dir.clone(), input))
+    });
+    stats(n, cluster.run_until_all_decide())
 }
 
 fn pbft_stats(f: usize) -> (usize, MessageStats) {
     let n = ProtocolKind::Pbft.min_n(f, 0);
     let cfg = Config::new_unchecked(n, f, 1.min(f));
-    let (pairs, dir) = KeyDirectory::generate(n, 4);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 4);
-    for keys in pairs.iter().take(n).cloned() {
-        sim.add_actor(Box::new(PbftReplica::new(
-            cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let all: Vec<ProcessId> = (1..=n as u32).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&all, SimTime(1_000_000)));
-    (n, sim.trace().message_stats(SimTime::NEVER))
+    let network = Network::synchronous(SimDuration::DELTA);
+    let inputs = vec![Value::from_u64(7); n];
+    let mut cluster = SimCluster::new(n, 4, network, inputs, [], |_, keys, dir, input| {
+        Box::new(PbftReplica::new(cfg, keys, dir.clone(), input))
+    });
+    stats(n, cluster.run_until_all_decide())
 }
 
 fn main() {

@@ -7,9 +7,8 @@
 use fastbft_baselines::{fab_config, FabReplica, PbftReplica};
 use fastbft_bench::{header, row};
 use fastbft_core::cluster::SimCluster;
-use fastbft_crypto::KeyDirectory;
-use fastbft_sim::{Network, SimDuration, SimTime, Simulation};
-use fastbft_types::{Config, ProcessId, ProtocolKind, Value};
+use fastbft_sim::{Network, SimDuration};
+use fastbft_types::{Config, ProtocolKind, Value};
 
 fn main() {
     println!("# E5 — minimum processes for f-resilient, t-fast Byzantine consensus\n");
@@ -46,36 +45,24 @@ fn main() {
 
     print!("validating FaB at n = 6 … ");
     let fab_cfg = fab_config(6, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(6, 1);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 1);
-    for keys in pairs.iter().take(6).cloned() {
-        sim.add_actor(Box::new(FabReplica::new(
-            fab_cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let all: Vec<ProcessId> = (1..=6).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&all, SimTime(100_000)));
+    let network = Network::synchronous(SimDuration::DELTA);
+    let inputs = vec![Value::from_u64(7); 6];
+    let mut cluster = SimCluster::new(6, 1, network, inputs, [], |_, keys, dir, input| {
+        Box::new(FabReplica::new(fab_cfg, keys, dir.clone(), input))
+    });
+    let report = cluster.run_until_all_decide();
+    assert!(report.all_decided && report.violations.is_empty());
     println!("decides ✓");
 
     print!("validating PBFT at n = 4 … ");
     let pbft_cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(4, 2);
-    let mut sim = Simulation::new(Network::synchronous(SimDuration::DELTA), 2);
-    for keys in pairs.iter().take(4).cloned() {
-        sim.add_actor(Box::new(PbftReplica::new(
-            pbft_cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let all: Vec<ProcessId> = (1..=4).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&all, SimTime(100_000)));
+    let network = Network::synchronous(SimDuration::DELTA);
+    let inputs = vec![Value::from_u64(7); 4];
+    let mut cluster = SimCluster::new(4, 2, network, inputs, [], |_, keys, dir, input| {
+        Box::new(PbftReplica::new(pbft_cfg, keys, dir.clone(), input))
+    });
+    let report = cluster.run_until_all_decide();
+    assert!(report.all_decided && report.violations.is_empty());
     println!("decides ✓");
 
     // And the impossibility side: KTZ21's constructor rejects n below the

@@ -1,8 +1,13 @@
-//! High-level harness: a simulated cluster of replicas.
+//! High-level harness: a simulated cluster of single-shot consensus
+//! replicas.
 //!
-//! [`SimCluster`] wires replicas, keys, the network model and the invariant
-//! checker together so examples, tests and benchmarks can express scenarios
-//! in a few lines:
+//! [`SimCluster`] wires seats, keys, the network model and the invariant
+//! checker together, for any protocol whose actors speak a [`SimMessage`]:
+//! this paper's [`Replica`], and the baselines' PBFT and FaB replicas. Every
+//! run ends in the same [`Report`], checked by [`ConsensusChecker`] for
+//! agreement, validity and liveness. [`SimCluster::new`] is the one
+//! constructor; [`SimCluster::builder`] seats this paper's protocol by
+//! [`Behavior`] through it, so scenarios read in a few lines:
 //!
 //! ```
 //! use fastbft_core::cluster::SimCluster;
@@ -19,11 +24,11 @@
 
 use std::collections::BTreeMap;
 
-use fastbft_crypto::KeyDirectory;
+use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
 use fastbft_sim::{
-    ConsensusChecker, MessageStats, Network, ScriptedActor, SimDuration, SimTime, Simulation,
-    Trace, Violation,
+    Actor, ConsensusChecker, MessageStats, Network, ScriptedActor, SimDuration, SimMessage,
+    SimTime, Simulation, Trace, Violation,
 };
 use fastbft_types::{Config, ProcessId, Value};
 
@@ -66,7 +71,8 @@ impl Behavior {
     }
 }
 
-/// Builder for [`SimCluster`].
+/// Builder for a [`SimCluster`] of this paper's replicas: a seat function
+/// over [`SimCluster::new`] that seats each process by its [`Behavior`].
 #[derive(Debug)]
 pub struct SimClusterBuilder {
     cfg: Config,
@@ -143,114 +149,133 @@ impl SimClusterBuilder {
 
     /// Assembles the cluster.
     pub fn build(self) -> SimCluster {
-        let cfg = self.cfg;
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), self.seed);
-        let delta = SimDuration::DELTA;
-        let network = if self.gst == SimTime::ZERO {
-            Network::synchronous(delta)
-        } else {
-            Network::partially_synchronous(delta, self.gst, self.pre_gst_max)
-        };
-        let mut sim = Simulation::new(network, self.seed.wrapping_add(1));
-        let mut byzantine = Vec::new();
-        let mut crashes = Vec::new();
-        if let Some(registry) = &self.metrics {
+        let SimClusterBuilder {
+            cfg,
+            seed,
+            gst,
+            pre_gst_max,
+            inputs,
+            behaviors,
+            metrics,
+        } = self;
+        if let Some(registry) = &metrics {
             assert!(
                 registry.len() >= cfg.n(),
                 "metrics registry must cover all {} processes",
                 cfg.n()
             );
         }
-        for p in cfg.processes() {
-            let behavior = self.behaviors.get(&p).cloned().unwrap_or_default();
-            if behavior.is_byzantine() {
-                byzantine.push(p);
-            }
-            let input = self.inputs[p.index()].clone();
-            let keys = pairs[p.index()].clone();
-            let mut options = ReplicaOptions::default();
-            if let Some(registry) = &self.metrics {
-                options.metrics = registry.replica(p.index());
-            }
-            match behavior {
-                Behavior::Honest => {
-                    sim.add_actor(Box::new(Replica::with_options(
-                        cfg,
-                        keys,
-                        dir.clone(),
-                        input,
-                        options,
-                    )));
-                }
-                Behavior::CrashAt(at) => {
-                    sim.add_actor(Box::new(Replica::with_options(
-                        cfg,
-                        keys,
-                        dir.clone(),
-                        input,
-                        options,
-                    )));
-                    crashes.push((p, at));
-                }
-                Behavior::Silent => {
-                    sim.add_actor(Box::new(ScriptedActor::silent()));
-                }
-                Behavior::EquivocateView1 { a, b, recipients_a } => {
-                    sim.add_actor(Box::new(EquivocatingLeader::new(keys, a, b, recipients_a)));
-                }
-                Behavior::Random { seed } => {
-                    sim.add_actor(Box::new(RandomByzantine::new(cfg, keys, seed)));
-                }
-            }
-        }
-        for (p, at) in crashes {
-            sim.schedule_crash(p, at);
-        }
-        let gst_part = if self.gst == SimTime::NEVER {
-            SimTime::ZERO
+        let network = if gst == SimTime::ZERO {
+            Network::synchronous(SimDuration::DELTA)
         } else {
-            self.gst
+            Network::partially_synchronous(SimDuration::DELTA, gst, pre_gst_max)
         };
-        let horizon = gst_part + SimDuration(delta.0.saturating_mul(20_000));
-        SimCluster {
-            sim,
-            cfg,
-            delta,
-            inputs: self.inputs,
-            byzantine,
-            horizon,
-            started: false,
+        let faulty = behaviors
+            .iter()
+            .filter(|(_, b)| b.is_byzantine())
+            .map(|(p, _)| *p);
+        let mut cluster = SimCluster::new(
+            cfg.n(),
+            seed,
+            network,
+            inputs,
+            faulty,
+            |p, keys, dir, input| match behaviors.get(&p).cloned().unwrap_or_default() {
+                Behavior::Honest | Behavior::CrashAt(_) => {
+                    let mut options = ReplicaOptions::default();
+                    if let Some(registry) = &metrics {
+                        options.metrics = registry.replica(p.index());
+                    }
+                    Box::new(Replica::with_options(
+                        cfg,
+                        keys,
+                        dir.clone(),
+                        input,
+                        options,
+                    ))
+                }
+                Behavior::Silent => Box::new(ScriptedActor::silent()),
+                Behavior::EquivocateView1 { a, b, recipients_a } => {
+                    Box::new(EquivocatingLeader::new(keys, a, b, recipients_a))
+                }
+                Behavior::Random { seed } => Box::new(RandomByzantine::new(cfg, keys, seed)),
+            },
+        );
+        for (p, behavior) in &behaviors {
+            if let Behavior::CrashAt(at) = behavior {
+                cluster.sim.schedule_crash(*p, *at);
+            }
         }
+        cluster
     }
 }
 
-/// A ready-to-run simulated cluster. See module docs for an example.
-pub struct SimCluster {
-    sim: Simulation<Message>,
-    cfg: Config,
-    delta: SimDuration,
+/// A ready-to-run simulated cluster of any single-shot protocol. See the
+/// module docs for an example.
+pub struct SimCluster<M: SimMessage = Message> {
+    sim: Simulation<M>,
     inputs: Vec<Value>,
-    byzantine: Vec<ProcessId>,
+    faulty: Vec<ProcessId>,
     horizon: SimTime,
     started: bool,
 }
 
 impl SimCluster {
-    /// Starts building a cluster for `cfg`.
+    /// Starts building a cluster of this paper's replicas for `cfg`.
     pub fn builder(cfg: Config) -> SimClusterBuilder {
         SimClusterBuilder::new(cfg)
     }
+}
 
-    /// The system configuration.
-    pub fn config(&self) -> &Config {
-        &self.cfg
+impl<M: SimMessage> SimCluster<M> {
+    /// Seats `n` processes on `network`: `seat(p, keys, &dir, input)` is
+    /// called once per process, in id order, and returns what `p` runs — a
+    /// replica of any protocol, or a silent or Byzantine stand-in.
+    ///
+    /// Keys come from `KeyDirectory::generate(n, seed)` and the simulator's
+    /// RNG (read only by a partially synchronous network) from `seed + 1`.
+    /// `faulty` is the set the checker treats as Byzantine: their decisions
+    /// are ignored, and every other process owes agreement, validity and a
+    /// decision within the horizon: `20 000 Δ` past the network's GST, or
+    /// past 0 on a scripted network, which has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one input per process.
+    pub fn new(
+        n: usize,
+        seed: u64,
+        network: Network,
+        inputs: impl IntoIterator<Item = Value>,
+        faulty: impl IntoIterator<Item = ProcessId>,
+        mut seat: impl FnMut(ProcessId, KeyPair, &KeyDirectory, Value) -> Box<dyn Actor<M>>,
+    ) -> Self {
+        let inputs: Vec<Value> = inputs.into_iter().collect();
+        assert_eq!(inputs.len(), n, "one input per process");
+        let (pairs, dir) = KeyDirectory::generate(n, seed);
+        let stable_from = if network.gst == SimTime::NEVER {
+            SimTime::ZERO
+        } else {
+            network.gst
+        };
+        let horizon = stable_from + SimDuration(network.delta.0.saturating_mul(20_000));
+        let mut sim = Simulation::new(network, seed.wrapping_add(1));
+        for (p, keys) in ProcessId::all(n).zip(pairs) {
+            sim.add_actor(seat(p, keys, &dir, inputs[p.index()].clone()));
+        }
+        SimCluster {
+            sim,
+            inputs,
+            faulty: faulty.into_iter().collect(),
+            horizon,
+            started: false,
+        }
     }
 
     /// Ids of the correct (non-Byzantine) processes.
     pub fn correct_processes(&self) -> Vec<ProcessId> {
-        self.cfg
-            .processes()
-            .filter(|p| !self.byzantine.contains(p))
+        ProcessId::all(self.inputs.len())
+            .filter(|p| !self.faulty.contains(p))
             .collect()
     }
 
@@ -285,16 +310,11 @@ impl SimCluster {
     }
 
     fn report(&self, all_decided: bool) -> Report {
-        let checker = ConsensusChecker::new(
-            self.cfg
-                .processes()
-                .map(|p| (p, self.inputs[p.index()].clone())),
-        )
-        .with_byzantine_set(self.byzantine.iter().copied());
+        let checker =
+            ConsensusChecker::new(ProcessId::all(self.inputs.len()).zip(self.inputs.clone()))
+                .with_byzantine_set(self.faulty.iter().copied());
         let mut violations = checker.check_safety(self.sim.trace());
-        if all_decided {
-            // Liveness holds; nothing to add.
-        } else {
+        if !all_decided {
             violations.extend(checker.check_liveness(self.sim.trace(), self.horizon));
         }
         Report {
@@ -302,10 +322,10 @@ impl SimCluster {
                 .sim
                 .decisions()
                 .into_iter()
-                .filter(|(p, _, _)| !self.byzantine.contains(p))
+                .filter(|(p, _, _)| !self.faulty.contains(p))
                 .collect(),
             violations,
-            delta: self.delta,
+            delta: self.sim.delta(),
             all_decided,
             stats: self.sim.trace().message_stats(SimTime::NEVER),
             final_time: self.sim.now(),

@@ -30,13 +30,11 @@
 //! | `P4`  | f−1 = 1 | 6 | 6 | correct; received value 1 |
 //! | `P5`  | t = 2 | 7, 8 | 7, 8, 9 | correct; received value 1 |
 
-use fastbft_crypto::KeyDirectory;
-use fastbft_sim::{
-    ConsensusChecker, Network, ScriptedActor, SimDuration, SimTime, Simulation, Violation,
-};
+use fastbft_sim::{Network, ScriptedActor, SimDuration, SimTime, Violation};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::certs::{ProgressCert, SignedVote, VoteData};
+use crate::cluster::SimCluster;
 use crate::message::{AckMsg, Message, ProposeMsg, VoteMsg};
 use crate::payload::propose_payload;
 use crate::replica::{Replica, ReplicaOptions};
@@ -95,7 +93,6 @@ pub fn run_attack(n: usize, seed: u64) -> AttackOutcome {
         "attack is parameterized for n = 8 or n = 9 (f = t = 2)"
     );
     let cfg = Config::new_unchecked(n, F, T);
-    let (pairs, dir) = KeyDirectory::generate(n, seed);
     let delta = DELTA;
 
     let zero = Value::from_u64(0);
@@ -126,39 +123,24 @@ pub fn run_attack(n: usize, seed: u64) -> AttackOutcome {
         info.sent_at + delta
     });
 
-    let mut sim = Simulation::new(network, seed.wrapping_add(1));
-
     // -- actors -------------------------------------------------------------
     let opts = ReplicaOptions {
         base_timeout: SimDuration(delta.0 * 8),
         ..ReplicaOptions::default()
     };
 
-    // τ signatures of the equivocating leader p = p2 over both proposals.
-    let p_keys = &pairs[ProcessId(2).index()];
-    let tau_zero = p_keys.sign(&propose_payload(&zero, v1));
-    let tau_one = p_keys.sign(&propose_payload(&one, v1));
-    let propose_zero = Message::Propose(ProposeMsg {
-        value: zero.clone(),
-        view: v1,
-        cert: ProgressCert::Genesis,
-        sig: tau_zero.clone(),
-    });
-    let propose_one = Message::Propose(ProposeMsg {
-        value: one.clone(),
-        view: v1,
-        cert: ProgressCert::Genesis,
-        sig: tau_one.clone(),
-    });
-
     let p1_group = [ProcessId(1), ProcessId(3)];
     let rest: Vec<ProcessId> = (5..=n as u32).map(ProcessId).collect();
     let all: Vec<ProcessId> = (1..=n as u32).map(ProcessId).collect();
+    let others_not_5: Vec<ProcessId> = all
+        .iter()
+        .copied()
+        .filter(|p| *p != FAST_DECIDER && !BYZANTINE.contains(p))
+        .collect();
+    let leader_v2 = cfg.leader(v2);
 
-    // p = p2: equivocate in round 1 (m5 to P1, m1 to P3/P4/P5); in round 2,
-    // send ack(1) to P3 only, exactly as the correct p of ρ1 would have
-    // looked *to P3*; silence to everyone else. In the ρ3 continuation it
-    // helps steer the decision to 0 by acking the new proposal.
+    // p = p2 acks 1 to P3 in round 2, and p and P2 both ack the view-2
+    // proposal of 0.
     let ack_one_v1 = Message::Ack(AckMsg {
         value: one.clone(),
         view: v1,
@@ -169,107 +151,122 @@ pub fn run_attack(n: usize, seed: u64) -> AttackOutcome {
         view: v2,
         share: None,
     });
-    let p_script = ScriptedActor::silent()
-        .with_multicast_at(SimTime::ZERO, p1_group, propose_zero.clone())
-        .with_multicast_at(SimTime::ZERO, rest.iter().copied(), propose_one.clone())
-        .with_send_at(SimTime(delta.0), FAST_DECIDER, ack_one_v1.clone())
-        .with_multicast_at(
-            SimTime(13 * delta.0),
-            all.iter().copied(),
-            ack_zero_v2.clone(),
-        );
+    // p's τ signature over value 0 in view 1, which P2's vote quotes: seats
+    // are built in id order, so p2's exists when p4's script is written.
+    let mut tau_zero = None;
 
-    // P2 = p4: pretend state t2 (acked 1) to P3, state s2 (acked 0) to the
-    // others; vote for (0, view 1) in the view change with p's genuine τ;
-    // ack the new proposal.
-    let p4_keys = &pairs[ProcessId(4).index()];
-    let p4_vote = SignedVote::sign(
-        p4_keys,
-        Some(VoteData {
-            value: zero.clone(),
-            view: v1,
-            progress_cert: ProgressCert::Genesis,
-            leader_sig: tau_zero.clone(),
-            commit_cert: None,
-        }),
-        v2,
+    // Correct processes run the real protocol, unmodified. Inputs: the new
+    // leader (p3) has input 0, matching the proof's steering of ρ3 toward
+    // consensus value 0; other inputs are irrelevant.
+    let inputs = vec![zero.clone(); n];
+    let mut cluster = SimCluster::new(
+        n,
+        seed,
+        network,
+        inputs,
+        BYZANTINE,
+        |p, keys, dir, input| {
+            match p {
+                // p = p2: equivocate in round 1 (m5 to P1, m1 to P3/P4/P5);
+                // in round 2, send ack(1) to P3 only, exactly as the correct
+                // p of ρ1 would have looked *to P3*; silence to everyone
+                // else. In the ρ3 continuation it helps steer the decision
+                // to 0 by acking the new proposal.
+                ProcessId(2) => {
+                    let tau = |value: &Value| keys.sign(&propose_payload(value, v1));
+                    let propose = |value: &Value| {
+                        Message::Propose(ProposeMsg {
+                            value: value.clone(),
+                            view: v1,
+                            cert: ProgressCert::Genesis,
+                            sig: tau(value),
+                        })
+                    };
+                    tau_zero = Some(tau(&zero));
+                    Box::new(
+                        ScriptedActor::silent()
+                            .with_multicast_at(SimTime::ZERO, p1_group, propose(&zero))
+                            .with_multicast_at(SimTime::ZERO, rest.iter().copied(), propose(&one))
+                            .with_send_at(SimTime(delta.0), FAST_DECIDER, ack_one_v1.clone())
+                            .with_multicast_at(
+                                SimTime(13 * delta.0),
+                                all.iter().copied(),
+                                ack_zero_v2.clone(),
+                            ),
+                    )
+                }
+                // P2 = p4: pretend state t2 (acked 1) to P3, state s2 (acked
+                // 0) to the others; vote for (0, view 1) in the view change
+                // with p's genuine τ; ack the new proposal.
+                ProcessId(4) => {
+                    let vote = SignedVote::sign(
+                        &keys,
+                        Some(VoteData {
+                            value: zero.clone(),
+                            view: v1,
+                            progress_cert: ProgressCert::Genesis,
+                            leader_sig: tau_zero.clone().expect("p2 is seated before p4"),
+                            commit_cert: None,
+                        }),
+                        v2,
+                    );
+                    Box::new(
+                        ScriptedActor::silent()
+                            .with_send_at(SimTime(delta.0), FAST_DECIDER, ack_one_v1.clone())
+                            .with_multicast_at(
+                                SimTime(delta.0),
+                                others_not_5.iter().copied(),
+                                Message::Ack(AckMsg {
+                                    value: zero.clone(),
+                                    view: v1,
+                                    share: None,
+                                }),
+                            )
+                            .with_send_at(
+                                SimTime(9 * delta.0),
+                                leader_v2,
+                                Message::Vote(VoteMsg { view: v2, vote }),
+                            )
+                            .with_multicast_at(
+                                SimTime(13 * delta.0),
+                                all.iter().copied(),
+                                ack_zero_v2.clone(),
+                            ),
+                    )
+                }
+                _ => Box::new(Replica::with_options(
+                    cfg,
+                    keys,
+                    dir.clone(),
+                    input,
+                    opts.clone(),
+                )),
+            }
+        },
     );
-    let others_not_5: Vec<ProcessId> = all
+    // Run past T_LATE and let the flood settle so duplicate decisions surface.
+    let report = cluster.run_until(HORIZON);
+
+    let fast_decision = report
+        .decisions
         .iter()
-        .copied()
-        .filter(|p| *p != FAST_DECIDER && !BYZANTINE.contains(p))
-        .collect();
-    let leader_v2 = cfg.leader(v2);
-    let p4_script = ScriptedActor::silent()
-        .with_send_at(SimTime(delta.0), FAST_DECIDER, ack_one_v1.clone())
-        .with_multicast_at(
-            SimTime(delta.0),
-            others_not_5.iter().copied(),
-            Message::Ack(AckMsg {
-                value: zero.clone(),
-                view: v1,
-                share: None,
-            }),
-        )
-        .with_send_at(
-            SimTime(9 * delta.0),
-            leader_v2,
-            Message::Vote(VoteMsg {
-                view: v2,
-                vote: p4_vote,
-            }),
-        )
-        .with_multicast_at(
-            SimTime(13 * delta.0),
-            all.iter().copied(),
-            ack_zero_v2.clone(),
-        );
-
-    for p in cfg.processes() {
-        if p == ProcessId(2) {
-            sim.add_actor(Box::new(p_script.clone()));
-        } else if p == ProcessId(4) {
-            sim.add_actor(Box::new(p4_script.clone()));
-        } else {
-            // Correct processes run the real protocol, unmodified. Inputs:
-            // the new leader (p3) has input 0, matching the proof's steering
-            // of ρ3 toward consensus value 0; other inputs are irrelevant.
-            sim.add_actor(Box::new(Replica::with_options(
-                cfg,
-                pairs[p.index()].clone(),
-                dir.clone(),
-                zero.clone(),
-                opts.clone(),
-            )));
-        }
-    }
-
-    sim.start();
-    let correct: Vec<ProcessId> = cfg.processes().filter(|p| !BYZANTINE.contains(p)).collect();
-    sim.run_until_all_decide(&correct, HORIZON);
-    // Let the T_LATE flood settle so duplicate decisions surface.
-    sim.run_until(HORIZON);
-
-    let checker = ConsensusChecker::new(cfg.processes().map(|p| (p, zero.clone())))
-        .with_byzantine_set(BYZANTINE);
-    let violations = checker.check_safety(sim.trace());
-
-    let decisions: Vec<(ProcessId, SimTime, Value)> = sim
-        .decisions()
-        .into_iter()
-        .filter(|(p, _, _)| !BYZANTINE.contains(p))
-        .collect();
-    let fast_decision = sim.decision(FAST_DECIDER).map(|(t, v)| (*t, v.clone()));
-    let disagreement = decisions
+        .find(|(p, _, _)| *p == FAST_DECIDER)
+        .map(|(_, t, v)| (*t, v.clone()));
+    let disagreement = report
+        .decisions
         .iter()
-        .any(|(_, _, v)| decisions.first().is_some_and(|(_, _, v0)| v != v0));
+        .any(|(_, _, v)| report.decisions.first().is_some_and(|(_, _, v0)| v != v0));
 
     AttackOutcome {
         n,
         f: F,
         fast_decision,
-        decisions,
-        violations,
+        decisions: report.decisions,
+        violations: report
+            .violations
+            .into_iter()
+            .filter(|v| !matches!(v, Violation::Undecided { .. }))
+            .collect(),
         disagreement,
     }
 }

@@ -99,7 +99,8 @@ pub enum KvOutput {
 }
 
 /// One `(key, value)` pair of a [`KvStore`] snapshot (the canonical
-/// snapshot encoding is the sorted pair list the `BTreeMap` iterates).
+/// snapshot encoding is the sorted pair list the `BTreeMap` iterates;
+/// `snapshot` writes those bytes without building the list).
 #[derive(Debug, PartialEq)]
 struct KvPair {
     key: String,
@@ -164,16 +165,17 @@ impl StateMachine for KvStore {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        // BTreeMap iteration is sorted, so the pair list is canonical.
-        let pairs: Vec<KvPair> = self
-            .map
-            .iter()
-            .map(|(k, v)| KvPair {
-                key: k.clone(),
-                value: v.clone(),
-            })
-            .collect();
-        fastbft_types::wire::to_bytes(&pairs)
+        // The bytes of `Vec<KvPair>` over the sorted map — canonical because
+        // BTreeMap iteration is — written straight from the map: a `u32`
+        // count, then each key and value length-prefixed.
+        let len: usize = self.map.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+        let mut buf = Vec::with_capacity(4 + len);
+        (self.map.len() as u32).encode(&mut buf);
+        for (key, value) in &self.map {
+            key.encode(&mut buf);
+            value.encode(&mut buf);
+        }
+        buf
     }
 
     fn restore(&mut self, bytes: &[u8]) -> bool {

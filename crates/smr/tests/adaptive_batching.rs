@@ -279,6 +279,72 @@ fn adaptive_run_is_reproducible() {
     assert!(guard_halvings >= 1, "the congestion guard never acted");
 }
 
+/// Known gap: the target's only way back to 1 is the congestion guard
+/// (ARCHITECTURE, "Propose pipeline & apply stage"). `n = 4`, pipeline depth
+/// 2, one command per Δ handed to every seat: the target stays 1 for the
+/// whole run, as it does at depths 1, 3 and 16, and every command ships
+/// alone. One tick that delivers two commands leaves a backlog behind a
+/// drain, which doubles the target to 2 on every seat; no later drain is
+/// "far under" a target of 2 and commit latency never nears the guard, so
+/// it stays 2 through the last of 300 commands. The 109 commands before the
+/// burst took a slot each; the 192 from it on take 97, each but the last
+/// held a Δ for the next. This asserts today's behaviour: a fix for the gap
+/// flips it.
+#[test]
+fn known_gap_the_targets_only_way_back_to_1() {
+    const COMMANDS: u64 = 300;
+    const BURST_AT: SimTime = SimTime(110 * DELTA);
+    // Every seat's `(time, seat, target)` whenever its target moved, and
+    // every seat's drains.
+    let run = |depth: u64, burst: bool| {
+        let mut cluster = SmrSimCluster::new(
+            Config::new(4, 1, 1).unwrap(),
+            7,
+            CountingMachine::new(),
+            vec![Vec::new(); 4],
+            Value::from_u64(0),
+            Network::synchronous(SimDuration::DELTA),
+            |_, node| Box::new(node.with_pipeline_depth(depth)),
+        );
+        for i in 0..COMMANDS {
+            let at = SimTime((i + 1) * DELTA);
+            submit(&mut cluster, Value::from_u64(1000 + i), at);
+        }
+        if burst {
+            submit(&mut cluster, Value::from_u64(999), BURST_AT);
+        }
+        let mut targets = [1; 4];
+        let mut moves = Vec::new();
+        while cluster.sim_mut().step() {
+            for p in ProcessId::all(4) {
+                let target = cluster.node(p).batch_target();
+                if target != targets[p.index()] {
+                    targets[p.index()] = target;
+                    moves.push((cluster.sim().now(), p, target));
+                }
+            }
+        }
+        let drains: Vec<u64> = ProcessId::all(4)
+            .map(|p| {
+                assert_eq!(
+                    cluster.node(p).commands_applied(),
+                    COMMANDS + u64::from(burst)
+                );
+                cluster.registry().metrics(p.index()).batch_size.count()
+            })
+            .collect();
+        (moves, drains)
+    };
+    for depth in [1, 2, 3, 16] {
+        assert_eq!(run(depth, false).0, [], "depth {depth}");
+    }
+    assert_eq!(run(2, false).1, [COMMANDS; 4]);
+    let (moves, drains) = run(2, true);
+    let stuck: Vec<_> = ProcessId::all(4).map(|p| (BURST_AT, p, 2)).collect();
+    assert_eq!(moves, stuck);
+    assert_eq!(drains, [109 + 97; 4]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 

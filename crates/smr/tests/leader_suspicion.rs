@@ -17,19 +17,18 @@
 //! leaders early, with the idle filler — run the default depth under paced
 //! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fastbft_core::byzantine::RandomByzantine;
+use fastbft_core::cluster::SimCluster;
 use fastbft_core::message::{Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::propose_payload;
 use fastbft_core::replica::Replica;
 use fastbft_core::ProgressCert;
 use fastbft_crypto::KeyDirectory;
 use fastbft_sim::{
-    Actor, ConsensusChecker, Effects, Network, Outgoing, ScriptedActor, SimDuration, SimTime,
-    Simulation, TimerId, TraceEvent,
+    Actor, Effects, Network, Outgoing, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
 };
 use fastbft_smr::{CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
@@ -673,37 +672,27 @@ proptest! {
         gst in 0u64..20,
     ) {
         let cfg = generalized_seven();
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let network = if gst == 0 {
             Network::synchronous(DELTA)
         } else {
             Network::partially_synchronous(DELTA, SimTime(gst * DELTA.0), SimDuration(10 * DELTA.0))
         };
-        let mut sim = Simulation::new(network, seed + 1);
-        let inputs: BTreeMap<ProcessId, Value> =
-            cfg.processes().map(|p| (p, Value::from_u64(u64::from(p.0)))).collect();
-        for p in cfg.processes() {
-            let keys = pairs[p.index()].clone();
+        let inputs = cfg.processes().map(|p| Value::from_u64(u64::from(p.0)));
+        let faulty = cfg.processes().filter(|p| fuzzers.contains(&p.index()));
+        let mut cluster = SimCluster::new(cfg.n(), seed, network, inputs, faulty, |p, keys, dir, input| {
             if fuzzers.contains(&p.index()) {
-                sim.add_actor(Box::new(RandomByzantine::new(cfg, keys, seed ^ u64::from(p.0))));
+                Box::new(RandomByzantine::new(cfg, keys, seed ^ u64::from(p.0)))
             } else {
-                sim.add_actor(Box::new(StartsWishing {
-                    replica: Replica::new(cfg, keys, dir.clone(), inputs[&p].clone()),
+                Box::new(StartsWishing {
+                    replica: Replica::new(cfg, keys, dir.clone(), input),
                     wish: View(wishes[p.index()]),
-                }));
+                })
             }
-        }
-        let byzantine: Vec<ProcessId> =
-            cfg.processes().filter(|p| fuzzers.contains(&p.index())).collect();
-        let correct: Vec<ProcessId> =
-            cfg.processes().filter(|p| !byzantine.contains(p)).collect();
-        sim.start();
+        });
+        let report = cluster.run_until_all_decide();
+        prop_assert!(report.violations.is_empty(), "{:?}", report.violations);
         let deadline = SimTime((gst + 2_000) * DELTA.0);
-        sim.run_until_all_decide(&correct, deadline);
-        let violations = ConsensusChecker::new(inputs)
-            .with_byzantine_set(byzantine)
-            .check_all(sim.trace(), deadline);
-        prop_assert!(violations.is_empty(), "{violations:?}");
+        prop_assert!(report.all_decided && report.final_time <= deadline, "undecided by {deadline}");
     }
 
     /// (d′) The same weather over the whole stack, so that revocation runs

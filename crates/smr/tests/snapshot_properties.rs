@@ -2,12 +2,25 @@
 //! KV machine (canonical, lossless, atomic) and the authenticated
 //! snapshot-response validation under adversarial tampering.
 
+use std::collections::BTreeMap;
+
 use fastbft_crypto::KeyDirectory;
 use fastbft_smr::{
     checkpoint_signature, snapshot_response_valid, KvCommand, KvStore, StateMachine,
 };
 use fastbft_types::Value;
 use proptest::prelude::*;
+
+/// One entry of the reference snapshot encoding: the store's sorted pairs
+/// collected into a list, then encoded as `Vec<Pair>` — what
+/// `KvStore::snapshot` built before it wrote the same bytes from the map.
+#[derive(Debug)]
+struct Pair {
+    key: String,
+    value: String,
+}
+
+fastbft_types::impl_wire_struct!(Pair { key, value });
 
 /// A small op alphabet so keys collide often — puts overwrite, deletes hit
 /// live keys, and the ghost cases (delete of a missing key) all occur.
@@ -60,6 +73,46 @@ proptest! {
         a.apply(&op(next));
         b.apply(&op(next));
         prop_assert_eq!(a.state_digest(), b.state_digest());
+    }
+
+    /// `snapshot()` is byte for byte the reference pair-list encoding, on
+    /// stores of empty to 1 KiB keys and values, ASCII and multi-byte,
+    /// overwritten and deleted.
+    #[test]
+    fn kv_snapshot_is_the_pair_list_encoding(
+        puts in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u8>(), 0..24),
+                proptest::collection::vec(any::<u8>(), 0..1100),
+            ),
+            0..48,
+        ),
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 0..64),
+    ) {
+        let puts = puts.iter().map(|(k, v)| KvCommand::Put {
+            key: String::from_utf8_lossy(k).into_owned(),
+            value: String::from_utf8_lossy(v).into_owned(),
+        });
+        let ops = ops.iter().map(|o| KvCommand::from_value(&op(*o)).unwrap());
+        let mut store = KvStore::new();
+        let mut model = BTreeMap::new();
+        for cmd in puts.chain(ops) {
+            store.apply(&cmd.to_value());
+            match cmd {
+                KvCommand::Put { key, value } => {
+                    model.insert(key, value);
+                }
+                KvCommand::Delete { key } => {
+                    model.remove(&key);
+                }
+                _ => unreachable!("only puts and deletes are generated"),
+            }
+        }
+        let reference: Vec<Pair> = model
+            .into_iter()
+            .map(|(key, value)| Pair { key, value })
+            .collect();
+        prop_assert_eq!(store.snapshot(), fastbft_types::wire::to_bytes(&reference));
     }
 
     /// Truncated snapshot bytes are rejected atomically: `restore` returns

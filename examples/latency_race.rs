@@ -8,9 +8,8 @@
 
 use fastbft::baselines::{fab_config, FabReplica, PbftReplica};
 use fastbft::core::cluster::SimCluster;
-use fastbft::crypto::KeyDirectory;
-use fastbft::sim::{Network, SimDuration, SimTime, Simulation};
-use fastbft::types::{Config, ProcessId, ProtocolKind, Value};
+use fastbft::sim::{Network, SimDuration};
+use fastbft::types::{Config, ProtocolKind, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let delta = SimDuration::DELTA;
@@ -38,61 +37,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // FaB Paxos: n = 6 for the same guarantee.
     let fab_n = ProtocolKind::FabPaxos.min_n(1, 1);
     let fab_cfg = fab_config(fab_n, 1, 1).map_err(std::io::Error::other)?;
-    let (pairs, dir) = KeyDirectory::generate(fab_n, 42);
-    let mut sim = Simulation::new(Network::synchronous(delta), 1);
-    for keys in pairs.iter().take(fab_n).cloned() {
-        sim.add_actor(Box::new(FabReplica::new(
-            fab_cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let everyone: Vec<ProcessId> = (1..=fab_n as u32).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&everyone, SimTime(100_000)));
-    let fab_delays = sim
-        .decisions()
-        .iter()
-        .map(|(_, t, _)| t.0.div_ceil(delta.0))
-        .max()
-        .unwrap();
+    let inputs = vec![Value::from_u64(7); fab_n];
+    let mut fab = SimCluster::new(
+        fab_n,
+        42,
+        Network::synchronous(delta),
+        inputs,
+        [],
+        |_, keys, dir, input| Box::new(FabReplica::new(fab_cfg, keys, dir.clone(), input)),
+    );
+    let fab_report = fab.run_until_all_decide();
+    assert!(fab_report.all_decided && fab_report.violations.is_empty());
     println!(
         "{:<22} {:>4} {:>16} {:>12}",
         "FaB Paxos",
         fab_n,
-        fab_delays,
-        sim.trace().message_stats(SimTime::NEVER).messages
+        fab_report.decision_delays_max(),
+        fab_report.stats.messages
     );
 
     // PBFT: n = 4, but three message delays.
     let pbft_n = ProtocolKind::Pbft.min_n(1, 0);
     let pbft_cfg = Config::new(pbft_n, 1, 1)?;
-    let (pairs, dir) = KeyDirectory::generate(pbft_n, 43);
-    let mut sim = Simulation::new(Network::synchronous(delta), 2);
-    for keys in pairs.iter().take(pbft_n).cloned() {
-        sim.add_actor(Box::new(PbftReplica::new(
-            pbft_cfg,
-            keys,
-            dir.clone(),
-            Value::from_u64(7),
-        )));
-    }
-    sim.start();
-    let everyone: Vec<ProcessId> = (1..=pbft_n as u32).map(ProcessId).collect();
-    assert!(sim.run_until_all_decide(&everyone, SimTime(100_000)));
-    let pbft_delays = sim
-        .decisions()
-        .iter()
-        .map(|(_, t, _)| t.0.div_ceil(delta.0))
-        .max()
-        .unwrap();
+    let inputs = vec![Value::from_u64(7); pbft_n];
+    let mut pbft = SimCluster::new(
+        pbft_n,
+        43,
+        Network::synchronous(delta),
+        inputs,
+        [],
+        |_, keys, dir, input| Box::new(PbftReplica::new(pbft_cfg, keys, dir.clone(), input)),
+    );
+    let pbft_report = pbft.run_until_all_decide();
+    assert!(pbft_report.all_decided && pbft_report.violations.is_empty());
     println!(
         "{:<22} {:>4} {:>16} {:>12}",
         "PBFT",
         pbft_n,
-        pbft_delays,
-        sim.trace().message_stats(SimTime::NEVER).messages
+        pbft_report.decision_delays_max(),
+        pbft_report.stats.messages
     );
 
     println!(
@@ -101,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fab_n - cfg.n()
     );
     assert_eq!(report.decision_delays_max(), 2);
-    assert_eq!(fab_delays, 2);
-    assert_eq!(pbft_delays, 3);
+    assert_eq!(fab_report.decision_delays_max(), 2);
+    assert_eq!(pbft_report.decision_delays_max(), 3);
     Ok(())
 }
