@@ -2,7 +2,7 @@
 //!
 //! This crate hosts no library logic of its own — see the `src/bin/`
 //! binaries (one per experiment, mapped onto the paper's figures and tables
-//! in `docs/ARCHITECTURE.md`) and the Criterion benches under `benches/`.
+//! in `docs/ARCHITECTURE.md`), each of which asserts the numbers it prints.
 //!
 //! Shared helpers for the binaries live here.
 

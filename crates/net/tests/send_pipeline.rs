@@ -1,4 +1,4 @@
-//! The send pipeline's two load-bearing invariants, asserted directly:
+//! The send pipeline's three load-bearing invariants, asserted directly:
 //!
 //! 1. **Encode-once broadcast** — a broadcast of one protocol message
 //!    encodes the payload exactly once regardless of cluster size
@@ -7,13 +7,17 @@
 //!    ever blocks on connect, redial or handshake: the event-loop thread
 //!    does no socket work. A blackholed peer costs its own writer thread,
 //!    a bounded queue, and counted drops — never the actor's time.
+//! 3. **One MAC per drain** — messages queued behind a busy writer leave
+//!    in one frame per drain, each frame MACed once, not one per message.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use fastbft_crypto::session::{mix_session, SessionVerifier};
 use fastbft_crypto::KeyDirectory;
+use fastbft_net::frame::{decode_batch_payload, read_msg, write_msg, Frame, Hello, HelloAck};
 use fastbft_net::{TcpOptions, TcpTransport};
 use fastbft_runtime::{Polled, Transport};
 use fastbft_sim::SimMessage;
@@ -112,6 +116,59 @@ fn point_to_point_send_also_encodes_exactly_once() {
     let before = ENCODES.load(Ordering::SeqCst);
     transport.send(ProcessId(3), Probe(5));
     assert_eq!(ENCODES.load(Ordering::SeqCst) - before, 1);
+}
+
+#[test]
+fn messages_queued_behind_a_busy_writer_leave_in_fewer_frames_one_mac_each() {
+    let _serial = serial();
+    const K: u64 = 8;
+    let (pairs, dir) = KeyDirectory::generate(2, 73);
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
+        .collect();
+    let addrs = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+    let mine = listeners[0].try_clone().unwrap();
+    let (mut transport, _control) = TcpTransport::<Probe>::start(
+        pairs[0].clone(),
+        dir.clone(),
+        mine,
+        addrs,
+        TcpOptions::default(),
+    )
+    .unwrap();
+    // The test plays p2. p1's writer drains what is queued, dials, and
+    // waits in the handshake for a `HelloAck` that is withheld until all
+    // K messages are queued: the rest leave in the writer's next drain.
+    for i in 0..K {
+        transport.send(ProcessId(2), Probe(i));
+    }
+    let (mut peer, _) = listeners[1].accept().unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let hello: Hello = read_msg(&mut peer).unwrap().expect("hello");
+    hello.verify(&dir, ProcessId(2)).unwrap();
+    let nonce = 0x5EED;
+    write_msg(
+        &mut peer,
+        &HelloAck::signed(&pairs[1], hello.session, nonce),
+    )
+    .unwrap();
+
+    let mut verifier = SessionVerifier::new(dir, ProcessId(1), mix_session(hello.session, nonce));
+    let mut received = Vec::new();
+    let mut frames = 0;
+    while received.len() < K as usize {
+        let frame: Frame = read_msg(&mut peer).unwrap().expect("frame");
+        verifier
+            .verify(frame.seq, &frame.payload, &frame.mac)
+            .unwrap_or_else(|e| panic!("frame {} must verify: {e}", frame.seq));
+        received.extend(decode_batch_payload::<Probe>(&frame.payload).unwrap());
+        frames += 1;
+    }
+    assert!(
+        frames < K,
+        "{K} queued messages must share frames, got {frames} frames"
+    );
+    assert_eq!(received, (0..K).map(Probe).collect::<Vec<_>>());
 }
 
 #[test]
