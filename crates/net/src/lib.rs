@@ -18,11 +18,11 @@
 //!   allocation, and any malformed, truncated or MAC-invalid frame drops
 //!   the connection — never a panic, never an unauthenticated delivery.
 //!
-//! The transport plugs into `fastbft_runtime`'s [`Transport`] abstraction,
-//! so the exact same event loop (timer heap, decision reporting, shutdown)
-//! drives replicas over channels and over TCP. [`spawn_tcp`] builds the
-//! loopback cluster used by the integration tests and the `tcp_cluster`
-//! example:
+//! The transport plugs into `fastbft_runtime`'s
+//! [`Transport`](fastbft_runtime::Transport) abstraction, so the exact same
+//! event loop (timer heap, decision reporting, shutdown) drives replicas
+//! over channels and over TCP. [`spawn_tcp`] builds the loopback cluster
+//! used by the integration tests and the `tcp_cluster` example:
 //!
 //! ```
 //! use std::time::Duration;
@@ -59,7 +59,7 @@ use std::time::Duration;
 
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::{MetricsHandle, MetricsRegistry};
-use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat, Transport};
+use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat};
 use fastbft_sim::{Actor, SimMessage};
 use fastbft_types::wire::{Decode, Encode};
 
@@ -278,12 +278,4 @@ pub fn tcp_reseat<M: SimMessage + Encode + Decode>(
         control,
         verify: None,
     })
-}
-
-/// Compile-time proof that [`TcpTransport`] satisfies the runtime's
-/// [`Transport`] abstraction for the protocol message type (referenced by
-/// the workspace smoke test).
-pub fn transport_is_pluggable<M: SimMessage + Encode + Decode>() {
-    fn assert_transport<M: SimMessage, T: Transport<M>>() {}
-    assert_transport::<M, TcpTransport<M>>();
 }

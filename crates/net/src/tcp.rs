@@ -53,6 +53,12 @@ use crate::frame::{
     read_frame_into, read_msg, write_msg, Hello, HelloAck, FRAME_OVERHEAD,
 };
 
+/// Maximum concurrently-accepted inbound connections per listener. Beyond
+/// this the accept loop drops new connections immediately, bounding the fd
+/// and thread cost a connect-and-hold peer can impose. A full mesh uses one
+/// inbound connection per peer, so anything ≳ `4·n` is generous.
+const MAX_INBOUND_CONNECTIONS: usize = 256;
+
 /// Tunables for the TCP transport.
 #[derive(Clone, Debug)]
 pub struct TcpOptions {
@@ -75,11 +81,6 @@ pub struct TcpOptions {
     /// are dropped immediately instead of redialing, so a dead peer costs
     /// one dial budget per cooldown rather than one per frame.
     pub redial_cooldown: Duration,
-    /// Maximum concurrently-accepted inbound connections. Beyond this the
-    /// accept loop drops new connections immediately, bounding the fd and
-    /// thread cost a connect-and-hold peer can impose. A full mesh uses
-    /// one inbound connection per peer, so anything ≳ `4·n` is generous.
-    pub max_connections: usize,
     /// Capacity, in frames, of each peer's outbound queue. When a peer's
     /// queue is full (it is dead, slow, or blackholed), new frames to it
     /// are dropped and counted ([`TcpStats`]) instead of blocking the
@@ -95,7 +96,6 @@ impl Default for TcpOptions {
             connect_backoff: Duration::from_millis(20),
             connect_timeout: Duration::from_secs(1),
             redial_cooldown: Duration::from_millis(250),
-            max_connections: 256,
             outbound_queue_frames: 1024,
         }
     }
@@ -293,7 +293,6 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
         let accept_metrics = metrics.clone();
         let my_id = pair.id();
         let handshake_timeout = opts.handshake_timeout;
-        let max_connections = opts.max_connections;
         let listener_thread = std::thread::spawn(move || {
             accept_loop(
                 listener,
@@ -303,7 +302,6 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
                 accept_tx,
                 accept_shared,
                 handshake_timeout,
-                max_connections,
                 accept_metrics,
             );
         });
@@ -768,7 +766,6 @@ fn accept_loop<M: SimMessage + Decode>(
     inbound_tx: Sender<Inbound<M>>,
     shared: Arc<NetShared>,
     handshake_timeout: Duration,
-    max_connections: usize,
     metrics: MetricsHandle,
 ) {
     let mut next_conn_id: u64 = 0;
@@ -806,7 +803,7 @@ fn accept_loop<M: SimMessage + Decode>(
             let mut streams = shared.streams.lock().expect("not poisoned");
             // Count only accept-side entries (ids below the writer range)
             // against the inbound cap.
-            if streams.keys().filter(|id| **id < (1 << 32)).count() >= max_connections {
+            if streams.keys().filter(|id| **id < (1 << 32)).count() >= MAX_INBOUND_CONNECTIONS {
                 // At capacity: refuse by dropping. Correct peers redial.
                 continue;
             }

@@ -11,17 +11,14 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use fastbft_core::replica::ReplicaOptions;
-use fastbft_crypto::KeyDirectory;
 use fastbft_net::{TcpOptions, TcpTransport};
 use fastbft_runtime::chaos::recovery_window;
-use fastbft_runtime::{spawn_with, NodeSeat};
-use fastbft_sim::Actor;
-use fastbft_smr::runtime::{smr_actors_configured, SmrClusterHandle};
-use fastbft_smr::{AdaptiveBatch, Batching, CountingMachine, SlotMessage};
+use fastbft_runtime::NodeSeat;
+use fastbft_smr::runtime::{SmrClusterHandle, TICK};
+use fastbft_smr::CountingMachine;
 use fastbft_types::{Config, ProcessId, Value};
 
 const COMMANDS: u64 = 64;
-const TICK: Duration = Duration::from_micros(50);
 
 fn hostile_opts() -> TcpOptions {
     TcpOptions {
@@ -39,82 +36,59 @@ fn hostile_opts() -> TcpOptions {
     }
 }
 
-fn actors(cfg: Config, seed: u64) -> (Vec<Box<dyn Actor<SlotMessage> + Send>>, KeyState) {
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-    let idle = Value::from_u64(u64::MAX);
-    let queue: Vec<Value> = (0..COMMANDS).map(Value::from_u64).collect();
-    let actors = smr_actors_configured(
-        cfg,
-        &pairs,
-        &dir,
-        CountingMachine::new(),
-        vec![queue; cfg.n()],
-        idle.clone(),
-        // The blackholed replica *leads* every fourth slot, so those slots
-        // must recover via the view synchronizer. The blackhole adds no
-        // latency to the live links, so the default view-1 timeout stands
-        // — brisk recovery.
-        ReplicaOptions::default(),
-        // One command per slot.
-        Batching::Adaptive(AdaptiveBatch {
-            max_batch_cmds: 1,
-            ..AdaptiveBatch::default()
-        }),
-        None,
-        None,
-    );
-    (actors, KeyState { pairs, dir, idle })
-}
-
-struct KeyState {
-    pairs: Vec<fastbft_crypto::KeyPair>,
-    dir: KeyDirectory,
-    idle: Value,
-}
-
 /// Wall-clock seconds for the three correct replicas (p1–p3) to commit and
 /// apply all commands. When `blackhole` is set, p4's listener is bound but
 /// its transport, actor and handlers never exist.
 fn run(seed: u64, blackhole: bool) -> (f64, u64) {
     let cfg = Config::new(4, 1, 1).unwrap();
-    let (mut all_actors, keys) = actors(cfg, seed);
-    let live = if blackhole {
-        all_actors.truncate(3);
-        3
-    } else {
-        4
-    };
-
+    let queue: Vec<Value> = (0..COMMANDS).map(Value::from_u64).collect();
     let listeners: Vec<TcpListener> = (0..4)
         .map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap())
         .collect();
     let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
-
-    let mut seats: Vec<NodeSeat<SlotMessage, TcpTransport<SlotMessage>>> = Vec::new();
-    let mut stats = Vec::new();
-    for (i, actor) in all_actors.into_iter().enumerate() {
-        let (transport, control) = TcpTransport::start(
-            keys.pairs[i].clone(),
-            keys.dir.clone(),
-            listeners[i].try_clone().unwrap(),
-            addrs.clone(),
-            hostile_opts(),
-        )
-        .unwrap();
-        stats.push(transport.stats());
-        seats.push(NodeSeat {
-            actor,
-            transport,
-            control,
-            verify: None,
-        });
-    }
     // In the blackhole run, listeners[3] stays bound (SYNs are accepted by
     // the kernel backlog) but is never served — the worst non-crash shape:
     // dials "succeed", then handshakes hang until timeout.
-
-    let inner = spawn_with(seats, TICK);
-    let mut cluster = SmrClusterHandle::new(inner, live, keys.idle.clone());
+    let mut stats = Vec::new();
+    let mut cluster = SmrClusterHandle::spawn(
+        cfg,
+        seed,
+        CountingMachine::new(),
+        vec![queue; cfg.n()],
+        Value::from_u64(u64::MAX),
+        |mut actors, pairs, dir, _| {
+            if blackhole {
+                actors.truncate(3);
+            }
+            actors
+                .into_iter()
+                .zip(pairs)
+                .zip(&listeners)
+                .map(|((actor, pair), listener)| {
+                    let (transport, control) = TcpTransport::start(
+                        pair,
+                        dir.clone(),
+                        listener.try_clone().unwrap(),
+                        addrs.clone(),
+                        hostile_opts(),
+                    )
+                    .unwrap();
+                    stats.push(transport.stats());
+                    NodeSeat {
+                        actor,
+                        transport,
+                        control,
+                        verify: None,
+                    }
+                })
+                .collect()
+        },
+        // One command per slot. The blackholed replica *leads* every
+        // fourth slot, so those slots must recover via the view
+        // synchronizer. The blackhole adds no latency to the live links,
+        // so the default view-1 timeout stands — brisk recovery.
+        |_, node| Box::new(node.with_batch_size(1)),
+    );
     let start = Instant::now();
     let correct = (0..3).map(ProcessId::from_index);
     let ok = cluster.await_commands(correct, COMMANDS, Duration::from_secs(60));

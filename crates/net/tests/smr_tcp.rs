@@ -5,19 +5,16 @@
 
 use std::time::{Duration, Instant};
 
-use fastbft_core::replica::ReplicaOptions;
-use fastbft_crypto::KeyDirectory;
-use fastbft_net::{tcp_reseat, tcp_seats, tcp_seats_metered, tcp_seats_retaining};
+use fastbft_crypto::{KeyDirectory, KeyPair};
+use fastbft_net::{tcp_reseat, tcp_seats_metered, tcp_seats_retaining, TcpTransport};
 use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::spawn_with;
+use fastbft_runtime::NodeSeat;
 use fastbft_sim::{Actor, ScriptedActor};
 use fastbft_smr::{
-    as_smr_node, smr_actors_configured, AdaptiveBatch, Batching, KvCommand, KvStore, SlotMessage,
-    SmrClusterHandle, SmrNode,
+    as_smr_node, AdaptiveBatch, Batching, KvCommand, KvStore, SlotMessage, SmrClusterHandle,
+    SmrNode,
 };
 use fastbft_types::{Config, ProcessId, Value};
-
-const TICK: Duration = Duration::from_micros(50);
 
 fn put(i: usize) -> Value {
     KvCommand::Put {
@@ -39,32 +36,33 @@ fn one_per_slot() -> Batching {
 /// replaced by a silent actor for every process id in `silent`.
 fn spawn_kv_tcp(seed: u64, silent: &[u32]) -> SmrClusterHandle {
     let cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-    let idle = KvCommand::Noop.to_value();
-    let actors: Vec<Box<dyn Actor<SlotMessage> + Send>> = smr_actors_configured(
+    SmrClusterHandle::spawn(
         cfg,
-        &pairs,
-        &dir,
+        seed,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        idle.clone(),
-        ReplicaOptions::default(),
-        one_per_slot(),
-        None,
-        None,
+        KvCommand::Noop.to_value(),
+        on_tcp,
+        |p, node| {
+            if silent.contains(&p.0) {
+                Box::new(ScriptedActor::silent())
+            } else {
+                Box::new(node.with_batching(one_per_slot()))
+            }
+        },
     )
-    .into_iter()
-    .enumerate()
-    .map(|(i, node)| -> Box<dyn Actor<SlotMessage> + Send> {
-        if silent.contains(&(i as u32 + 1)) {
-            Box::new(ScriptedActor::silent())
-        } else {
-            node
-        }
-    })
-    .collect();
-    let (seats, _addrs) = tcp_seats(actors, pairs, dir, Default::default()).expect("loopback bind");
-    SmrClusterHandle::new(spawn_with(seats, TICK), cfg.n(), idle)
+}
+
+/// Puts the actors on metered loopback-TCP seats.
+fn on_tcp(
+    actors: Vec<Box<dyn Actor<SlotMessage> + Send>>,
+    pairs: Vec<KeyPair>,
+    dir: KeyDirectory,
+    registry: &MetricsRegistry,
+) -> Vec<NodeSeat<SlotMessage, TcpTransport<SlotMessage>>> {
+    let (seats, _addrs) =
+        tcp_seats_metered(actors, pairs, dir, Default::default(), registry).expect("loopback bind");
+    seats
 }
 
 /// All-correct run: commands submitted to the *running* cluster commit on
@@ -118,30 +116,20 @@ fn kv_replicates_identically_over_tcp() {
 #[test]
 fn metrics_scrape_over_tcp_is_well_formed_and_reflects_the_run() {
     let cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), 37);
-    let idle = KvCommand::Noop.to_value();
-    let registry = MetricsRegistry::new(cfg.n());
-    let actors = smr_actors_configured(
+    let mut cluster = SmrClusterHandle::spawn(
         cfg,
-        &pairs,
-        &dir,
+        37,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        idle.clone(),
-        ReplicaOptions::default(),
-        Batching::Adaptive(AdaptiveBatch::default()),
-        None,
-        Some(&registry),
+        KvCommand::Noop.to_value(),
+        on_tcp,
+        |_, node| Box::new(node),
     );
-    let (seats, _addrs) = tcp_seats_metered(actors, pairs, dir, Default::default(), &registry)
-        .expect("loopback bind");
-    let mut cluster = SmrClusterHandle::new(spawn_with(seats, TICK), cfg.n(), idle);
-    cluster.attach_metrics(registry);
     for i in 0..18 {
         cluster.submit(put(i));
     }
     assert!(cluster.await_commands(cfg.processes(), 18, Duration::from_secs(60)));
-    let scrape = cluster.metrics_text().expect("registry attached");
+    let scrape = cluster.registry().render_text();
     cluster.shutdown();
 
     let mut samples: Vec<(&str, f64)> = Vec::new();
@@ -223,24 +211,29 @@ fn killed_replica_rejoins_via_snapshot_over_tcp() {
 fn kill_and_rejoin(seed: u64, batching: Batching) {
     const INTERVAL: u64 = 8;
     let cfg = Config::new(4, 1, 1).unwrap();
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
     let idle = KvCommand::Noop.to_value();
-    let actors = smr_actors_configured(
+    let mut retained = None;
+    let mut cluster = SmrClusterHandle::spawn(
         cfg,
-        &pairs,
-        &dir,
+        seed,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
         idle.clone(),
-        ReplicaOptions::default(),
-        batching.clone(),
-        Some(INTERVAL),
-        None,
+        |actors, pairs, dir, _| {
+            let (seats, addrs, listeners) =
+                tcp_seats_retaining(actors, pairs, dir, Default::default()).expect("loopback bind");
+            retained = Some((addrs, listeners));
+            seats
+        },
+        |_, node| {
+            Box::new(
+                node.with_batching(batching.clone())
+                    .with_snapshot_interval(INTERVAL),
+            )
+        },
     );
-    let (seats, addrs, listeners) =
-        tcp_seats_retaining(actors, pairs.clone(), dir.clone(), Default::default())
-            .expect("loopback bind");
-    let mut cluster = SmrClusterHandle::new(spawn_with(seats, TICK), cfg.n(), idle.clone());
+    let (addrs, listeners) = retained.expect("seats built");
+    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
 
     // Phase 1: a common prefix on all four replicas.
     for i in 0..10 {
@@ -254,7 +247,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
 
     // Kill p2 mid-log: event loop joined, sockets torn down. The retained
     // listener clone keeps its port bound while the seat is dead.
-    drop(cluster.stop_node(1));
+    drop(cluster.inner_mut().stop_node(1));
 
     // Phase 2: the survivors commit well past p2's death, taking (and
     // mutually attesting) several snapshots along the way.
@@ -290,7 +283,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
         Default::default(),
     )
     .expect("reseat on retained port");
-    cluster.restart_node(1, seat);
+    cluster.inner_mut().restart_node(1, seat);
 
     // Catch-up: keep filler traffic flowing until p2 applies a command
     // submitted in the *previous* round. Two things force this shape:

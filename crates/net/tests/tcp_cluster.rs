@@ -7,7 +7,7 @@
 //! panicking any replica thread, and shutdown joins every thread even with
 //! undelivered traffic in flight.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ use fastbft_core::Message;
 use fastbft_crypto::session::{frame_preimage, mix_session, SessionMac};
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
 use fastbft_net::frame::{encode_batch_payload, read_msg, write_msg, Frame, Hello, HelloAck};
-use fastbft_net::{spawn_tcp, tcp_seats_metered, TcpOptions};
+use fastbft_net::{spawn_tcp, tcp_seats, tcp_seats_metered, TcpOptions};
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::spawn_with;
 use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
@@ -233,6 +233,59 @@ fn authenticated_peer_with_a_nested_certificate_is_dropped_in_decode() {
     let p1 = registry.metrics(0);
     assert_eq!(p1.mac_reject_total.get(), 0);
     assert!(p1.frames_in_total.get() >= 1);
+}
+
+/// The inbound-connection cap at its edge: p1's listener keeps 256
+/// unauthenticated connect-and-hold sockets, closes the 257th unanswered —
+/// its first read is end-of-file, no `HelloAck` — and still holds the
+/// 256th; once the holders close, the cluster decides.
+#[test]
+fn the_257th_inbound_connection_is_closed_unanswered() {
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let (actors, pairs, dir) = replicas(cfg, 13, 67);
+    // No holder's handshake may time out (and free its place) mid-test.
+    let opts = TcpOptions {
+        handshake_timeout: Duration::from_secs(60),
+        ..TcpOptions::default()
+    };
+    // Transports dial on first send, so until the cluster spawns the
+    // holders are p1's only inbound connections.
+    let (seats, addrs) = tcp_seats(actors, pairs, dir, opts).unwrap();
+    let holders: Vec<TcpStream> = (0..256)
+        .map(|_| TcpStream::connect(addrs[0]).unwrap())
+        .collect();
+    let mut refused = TcpStream::connect(addrs[0]).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(
+        refused.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "the 257th connection is closed before any handshake"
+    );
+    // The accept loop takes connections in order: the 256th was in before
+    // the 257th was turned away, and it is still open.
+    let mut last = &holders[255];
+    last.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let held = last.read(&mut [0u8; 1]).unwrap_err().kind();
+    assert!(
+        matches!(held, ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "the 256th connection is held: {held:?}"
+    );
+
+    drop(holders);
+    let cluster = spawn_with(seats, Duration::from_micros(50));
+    let decisions = cluster.await_decisions(4, Duration::from_secs(30));
+    cluster.shutdown();
+    assert_eq!(
+        decisions.len(),
+        4,
+        "the cluster decides once the holders close"
+    );
+    for d in &decisions {
+        assert_eq!(d.value, Value::from_u64(13));
+    }
 }
 
 /// Replaying a recorded connection cannot work: the listener contributes a

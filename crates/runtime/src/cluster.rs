@@ -7,17 +7,16 @@
 //! process cannot spoof its identity), and timer requests are served from a
 //! local timer heap.
 //!
-//! [`spawn`] wires the in-process [`ChannelTransport`]; `fastbft-net`
-//! builds the same cluster over loopback TCP via [`spawn_with`]. Either
-//! way this is the "it is not simulator-only" proof and the engine behind
-//! the wall-clock benchmarks (E9).
+//! [`spawn`] wires the in-process [`ChannelTransport`] ([`channel_seats`]);
+//! `fastbft-net` builds the same cluster over loopback TCP via
+//! [`spawn_with`]. Either way this is the "it is not simulator-only" proof
+//! and the engine behind the wall-clock benchmarks (E9).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fastbft_obs::MetricsRegistry;
 use fastbft_sim::{Actor, Effects, Outgoing, SimMessage, SimTime, TimerId};
 use fastbft_types::{ProcessId, Value};
 
@@ -66,11 +65,6 @@ pub struct ClusterHandle<M> {
     applied_tx: Sender<Applied>,
     start: Instant,
     tick: Duration,
-    /// The cluster's metrics plane, if one was attached: the same
-    /// per-replica [`fastbft_obs::Metrics`] sinks the actors (and metered
-    /// transports) were built with, held here so the handle can scrape
-    /// them while the cluster runs.
-    metrics: Option<MetricsRegistry>,
 }
 
 /// One replica's seat in a cluster: its protocol state machine, the
@@ -88,16 +82,13 @@ pub struct NodeSeat<M, T> {
     pub verify: Option<std::convert::Infallible>,
 }
 
-/// Spawns one thread per actor over the in-process channel transport.
-/// `tick` converts the protocol's abstract [`fastbft_sim::SimDuration`]
-/// ticks into wall time (timers only — message transport is as fast as the
-/// channels go).
-pub fn spawn<M: SimMessage>(
+/// Puts one actor per seat on the in-process channel mesh — the channel
+/// counterpart of `fastbft-net`'s `tcp_seats`.
+pub fn channel_seats<M: SimMessage>(
     actors: Vec<Box<dyn Actor<M> + Send>>,
-    tick: Duration,
-) -> ClusterHandle<M> {
+) -> Vec<NodeSeat<M, ChannelTransport<M>>> {
     let mesh = ChannelTransport::mesh(actors.len());
-    let seats = actors
+    actors
         .into_iter()
         .zip(mesh)
         .map(|(actor, (transport, control))| NodeSeat {
@@ -106,8 +97,18 @@ pub fn spawn<M: SimMessage>(
             control,
             verify: None,
         })
-        .collect();
-    spawn_with(seats, tick)
+        .collect()
+}
+
+/// Spawns one thread per actor over the in-process channel transport.
+/// `tick` converts the protocol's abstract [`fastbft_sim::SimDuration`]
+/// ticks into wall time (timers only — message transport is as fast as the
+/// channels go).
+pub fn spawn<M: SimMessage>(
+    actors: Vec<Box<dyn Actor<M> + Send>>,
+    tick: Duration,
+) -> ClusterHandle<M> {
+    spawn_with(channel_seats(actors), tick)
 }
 
 /// Spawns one thread per seat over an arbitrary [`Transport`] — the
@@ -159,7 +160,6 @@ pub fn spawn_with<M: SimMessage, T: Transport<M>>(
         applied_tx,
         start,
         tick,
-        metrics: None,
     }
 }
 
@@ -330,16 +330,6 @@ impl<M: SimMessage> ClusterHandle<M> {
         let _ = self.controls[to.index()].send(Inbound::Peer(from, msg));
     }
 
-    /// Submits a client command to one node of the *running* cluster,
-    /// routed to its actor's
-    /// [`on_client`](fastbft_sim::Actor::on_client) callback. Commands sent
-    /// to a single node commit only when that node leads a slot (possibly
-    /// after view-change timeouts); the standard SMR client pattern is
-    /// [`submit_all`](ClusterHandle::submit_all).
-    pub fn submit(&self, to: ProcessId, command: Value) {
-        let _ = self.controls[to.index()].send(Inbound::Client(command));
-    }
-
     /// Submits a client command to every node — the paper's §1.1 client
     /// model (a command reaches all replicas; whichever leads the next slot
     /// proposes it, and identity dedup keeps execution at-most-once).
@@ -354,40 +344,6 @@ impl<M: SimMessage> ClusterHandle<M> {
     /// arbitrarily.
     pub fn applied_events(&self) -> &Receiver<Applied> {
         &self.applied
-    }
-
-    /// Attaches the metrics plane the cluster's actors were built with, so
-    /// this handle can scrape it (`registry.replica(i)` handles must have
-    /// gone into the actors before spawning — attaching here only wires the
-    /// read side). Returns `self` for builder-style chaining.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Attaches the metrics plane to an already-built handle (non-consuming
-    /// variant of [`with_metrics`](ClusterHandle::with_metrics)).
-    pub fn attach_metrics(&mut self, registry: MetricsRegistry) {
-        self.metrics = Some(registry);
-    }
-
-    /// The attached metrics plane, if any.
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.metrics.as_ref()
-    }
-
-    /// Scrapes the cluster's metrics in Prometheus text exposition format.
-    /// `None` if no registry was attached.
-    pub fn metrics_text(&self) -> Option<String> {
-        self.metrics.as_ref().map(MetricsRegistry::render_text)
-    }
-
-    /// Scrapes the cluster's metrics (counters, gauges, histogram
-    /// percentiles, and flight-recorder events) as a JSON document. `None`
-    /// if no registry was attached.
-    pub fn metrics_json(&self) -> Option<String> {
-        self.metrics.as_ref().map(MetricsRegistry::render_json)
     }
 
     /// Stops all threads, joins them, and hands back the actors in seat

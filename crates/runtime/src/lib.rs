@@ -41,7 +41,7 @@ mod cluster;
 pub mod faults;
 pub mod transport;
 
-pub use cluster::{spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat};
+pub use cluster::{channel_seats, spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat};
 pub use faults::{
     wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile, LinkRules,
 };

@@ -24,9 +24,8 @@ use fastbft_core::replica::Replica;
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::chaos::{run_scenario, ChaosStep, PathExpectation, Scenario};
-use fastbft_runtime::transport::ChannelTransport;
 use fastbft_runtime::{
-    spawn_with, wrap_seats_metered, Decision, FaultPlan, LinkProfile, LinkRules, NodeSeat,
+    channel_seats, spawn_with, wrap_seats_metered, Decision, FaultPlan, LinkProfile, LinkRules,
 };
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, Value, View};
@@ -79,26 +78,19 @@ fn run_in_weather(
 ) -> (Vec<Decision>, [u64; 3]) {
     let n = cfg.n();
     let (pairs, dir) = KeyDirectory::generate(n, key_seed);
-    let seats: Vec<NodeSeat<_, ChannelTransport<_>>> = cfg
+    let actors = cfg
         .processes()
-        .zip(ChannelTransport::mesh(n))
-        .map(|(p, (transport, control))| {
+        .map(|p| -> Box<dyn Actor<Message> + Send> {
             let keys = pairs[p.index()].clone();
-            let actor: Box<dyn Actor<Message> + Send> = if p == byz {
+            if p == byz {
                 liar(keys)
             } else {
                 Box::new(Replica::new(cfg, keys, dir.clone(), Value::from_u64(7)))
-            };
-            NodeSeat {
-                actor,
-                transport,
-                control,
-                verify: None,
             }
         })
         .collect();
     let (plan, registry) = (FaultPlan::new(), MetricsRegistry::new(n));
-    let seats = wrap_seats_metered(seats, &plan, 42, &registry);
+    let seats = wrap_seats_metered(channel_seats(actors), &plan, 42, &registry);
     // The first step is in force before any seat runs.
     let weather = run_scenario(&plan, &byzantine_weather(n, byz), registry.replica(0));
     let cluster = spawn_with(seats, TICK);

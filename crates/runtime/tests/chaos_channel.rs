@@ -7,9 +7,8 @@
 
 use std::path::Path;
 
+use fastbft_runtime::channel_seats;
 use fastbft_runtime::chaos::Scenario;
-use fastbft_runtime::transport::ChannelTransport;
-use fastbft_runtime::NodeSeat;
 use fastbft_smr::chaos::{run_chaos, ChaosReport};
 use fastbft_types::Config;
 
@@ -19,21 +18,13 @@ fn run(cfg: Config, name: &str) -> ChaosReport {
         .into_iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("{name} missing from the catalog"));
-    let on_channels = |actors: Vec<_>, _, _, _: &_| {
-        let mesh = ChannelTransport::mesh(cfg.n());
-        actors
-            .into_iter()
-            .zip(mesh)
-            .map(|(actor, (transport, control))| NodeSeat {
-                actor,
-                transport,
-                control,
-                verify: None,
-            })
-            .collect()
-    };
     let postmortem = Path::new(env!("CARGO_TARGET_TMPDIR")).join("postmortem/chaos_channel");
-    run_chaos(cfg, &scenario, on_channels, &postmortem)
+    run_chaos(
+        cfg,
+        &scenario,
+        |actors, _, _, _| channel_seats(actors),
+        &postmortem,
+    )
 }
 
 fn generalized_seven() -> Config {

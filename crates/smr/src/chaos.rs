@@ -38,17 +38,14 @@ use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::chaos::{recovery_window, run_scenario, PathExpectation, Scenario};
-use fastbft_runtime::{spawn_with, wrap_seats_metered, FaultPlan, NodeSeat, Transport};
+use fastbft_runtime::{wrap_seats_metered, FaultPlan, NodeSeat, Transport};
 use fastbft_sim::{Actor, SimDuration};
 use fastbft_types::{Config, ProcessId, Value};
 
-use crate::batcher::{AdaptiveBatch, Batching};
 use crate::machine::CountingMachine;
 use crate::multiplex::SlotMessage;
-use crate::runtime::{smr_actors_configured, SmrClusterHandle};
+use crate::runtime::{SmrClusterHandle, TICK};
 
-/// Wall time of one protocol tick.
-const TICK: Duration = Duration::from_micros(50);
 /// The one seed of a chaos run: its keys and every delivery's fate.
 const SEED: u64 = 42;
 /// Commands offered before, during and after the fault window each.
@@ -164,35 +161,27 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
     postmortem: &Path,
 ) -> ChaosReport {
     let n = cfg.n();
-    let idle = Value::from_u64(u64::MAX);
-    let defaults = ReplicaOptions::default();
-    let ticks = scenario.base_timeout_ticks(TICK, defaults.base_timeout.0);
+    let ticks = scenario.base_timeout_ticks(TICK, ReplicaOptions::default().base_timeout.0);
     let base_timeout = TICK * u32::try_from(ticks).expect("a view-1 timeout below 2^32 ticks");
-    let (pairs, dir) = KeyDirectory::generate(n, SEED);
-    let registry = MetricsRegistry::new(n);
-    let actors = smr_actors_configured(
+    let plan = FaultPlan::new();
+    let mut cluster = SmrClusterHandle::spawn(
         cfg,
-        &pairs,
-        &dir,
+        SEED,
         CountingMachine::new(),
         vec![Vec::new(); n],
-        idle.clone(),
-        ReplicaOptions {
-            base_timeout: SimDuration(ticks),
-            ..defaults
+        Value::from_u64(u64::MAX),
+        |actors, pairs, dir, registry| {
+            let seats = seats(actors, pairs, dir, registry);
+            assert_eq!(seats.len(), n, "one seat per process");
+            wrap_seats_metered(seats, &plan, SEED, registry)
         },
-        // One command per slot.
-        Batching::Adaptive(AdaptiveBatch {
-            max_batch_cmds: 1,
-            ..AdaptiveBatch::default()
-        }),
-        None,
-        Some(&registry),
+        // One command per slot, under the scenario's view-1 timeout.
+        |_, mut node| {
+            node.opts.base_timeout = SimDuration(ticks);
+            Box::new(node.with_batch_size(1))
+        },
     );
-    let seats = seats(actors, pairs, dir, &registry);
-    assert_eq!(seats.len(), n, "one seat per process");
-    let plan = FaultPlan::new();
-    let seats = wrap_seats_metered(seats, &plan, SEED, &registry);
+    let registry = cluster.registry().clone();
     let gates = Gates {
         scenario,
         registry: &registry,
@@ -206,9 +195,6 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
             registry.total(|m| &m.commit_slow_total),
         )
     };
-
-    let mut cluster = SmrClusterHandle::new(spawn_with(seats, TICK), n, idle);
-    cluster.attach_metrics(registry.clone());
 
     // Phase 1: healthy baseline. Commands are tagged by phase so replays
     // and duplicates can never alias across phases.

@@ -169,7 +169,7 @@ pub struct SmrNode<S: StateMachine> {
     cfg: Config,
     keys: KeyPair,
     dir: KeyDirectory,
-    opts: ReplicaOptions,
+    pub(crate) opts: ReplicaOptions,
     /// The replicated state machine, executed on the event loop.
     machine: S,
     /// Commands this node wants committed, in submission order.

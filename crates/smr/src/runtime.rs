@@ -19,26 +19,32 @@
 //!   condition to the sparse per-index logs (sparse because a replica that
 //!   restarts or installs a snapshot resumes at a higher log index).
 //!
+//! [`SmrClusterHandle::spawn`] is the one way to build such a cluster, the
+//! wall-clock twin of `SmrSimCluster::new`: keys from the seed, one
+//! [`MetricsRegistry`] every node records into, `seats` to put the nodes
+//! on a transport and `configure` to say what each seat holds.
+//!
 //! ```
 //! use std::time::Duration;
-//! use fastbft_core::replica::ReplicaOptions;
-//! use fastbft_crypto::KeyDirectory;
-//! use fastbft_smr::runtime::{smr_actors_configured, SmrClusterHandle};
-//! use fastbft_smr::{Batching, KvCommand, KvStore};
+//! use fastbft_runtime::channel_seats;
+//! use fastbft_smr::runtime::SmrClusterHandle;
+//! use fastbft_smr::{KvCommand, KvStore};
 //! use fastbft_types::Config;
 //!
 //! let cfg = Config::new(4, 1, 1)?;
-//! let (pairs, dir) = KeyDirectory::generate(cfg.n(), 7);
-//! let idle = KvCommand::Noop.to_value();
-//! let actors = smr_actors_configured(
-//!     cfg, &pairs, &dir, KvStore::new(), vec![Vec::new(); cfg.n()],
-//!     idle.clone(), ReplicaOptions::default(), Batching::default(), None, None,
+//! let mut cluster = SmrClusterHandle::spawn(
+//!     cfg,
+//!     7,
+//!     KvStore::new(),
+//!     vec![Vec::new(); cfg.n()],
+//!     KvCommand::Noop.to_value(),
+//!     |actors, _pairs, _dir, _registry| channel_seats(actors),
+//!     |_, node| Box::new(node),
 //! );
-//! let running = fastbft_runtime::spawn(actors, Duration::from_micros(50));
-//! let mut cluster = SmrClusterHandle::new(running, cfg.n(), idle);
 //! cluster.submit(KvCommand::Put { key: "x".into(), value: "1".into() }.to_value());
 //! assert!(cluster.await_commands(cfg.processes(), 1, Duration::from_secs(10)));
 //! assert!(cluster.logs_agree());
+//! assert!(cluster.registry().render_text().contains("fastbft_commit_fast_total"));
 //! cluster.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -48,7 +54,8 @@ use std::time::{Duration, Instant};
 
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::{KeyDirectory, KeyPair};
-use fastbft_runtime::{ClusterHandle, NodeSeat, Transport};
+use fastbft_obs::MetricsRegistry;
+use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat, Transport};
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, Value};
 
@@ -56,18 +63,11 @@ use crate::batcher::Batching;
 use crate::machine::StateMachine;
 use crate::multiplex::{SlotMessage, SmrNode};
 
-/// Builds one boxed [`SmrNode`] actor per process, ready for
-/// [`fastbft_runtime::spawn`] / `spawn_with` (or `fastbft-net`'s TCP
-/// seats). `commands[i]` preloads process `i+1`'s client queue; submit to a
-/// running cluster via [`SmrClusterHandle::submit`]. `batching` bounds the
-/// proposal batcher, `snapshot_interval` is optional (`None` keeps the
-/// default cadence; restart/chaos tests use a short one so a rejoining
-/// node finds an attested snapshot to install), and so is the metrics
-/// plane. With a registry, node `i` (and every per-slot replica it opens)
-/// records into `registry.replica(i)`, the same sink a metered transport
-/// for seat `i` should use (`fastbft_net::tcp_seats_metered`); attach the
-/// registry to the spawned cluster's handle
-/// ([`SmrClusterHandle::attach_metrics`]) to scrape it.
+/// Wall time of one protocol tick (timers only) in every cluster
+/// [`SmrClusterHandle::spawn`] builds.
+pub const TICK: Duration = Duration::from_micros(50);
+
+/// Vestige: named only by the frozen `benchmark/`; build clusters with [`SmrClusterHandle::spawn`].
 #[allow(clippy::too_many_arguments)]
 pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
     cfg: Config,
@@ -79,7 +79,7 @@ pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
     opts: ReplicaOptions,
     batching: Batching,
     snapshot_interval: Option<u64>,
-    registry: Option<&fastbft_obs::MetricsRegistry>,
+    registry: Option<&MetricsRegistry>,
 ) -> Vec<Box<dyn Actor<SlotMessage> + Send>> {
     if let Some(registry) = registry {
         assert!(
@@ -131,9 +131,11 @@ pub fn as_smr_node<S: StateMachine + 'static>(
 
 /// Handle to a replicated state machine running on the thread runtime,
 /// over any transport. Wraps the generic [`ClusterHandle`], consuming its
-/// applied-event stream into per-replica logs.
+/// applied-event stream into per-replica logs, and owns the cluster's one
+/// [`MetricsRegistry`].
 pub struct SmrClusterHandle {
     inner: ClusterHandle<SlotMessage>,
+    registry: MetricsRegistry,
     idle: Value,
     /// Per-replica logs keyed by global log index. Sparse: a replica that
     /// installed a snapshot (or restarted) resumes emitting events at a
@@ -145,14 +147,65 @@ pub struct SmrClusterHandle {
 }
 
 impl SmrClusterHandle {
-    /// Wraps an already-spawned cluster of `n` [`SmrNode`] actors.
-    /// `idle` must be the nodes' idle filler (it is exempt from command
-    /// counting). Spawn the actors (`fastbft_runtime::spawn` for channels;
-    /// for other transports build seats, e.g. `fastbft_net::tcp_seats`, and
-    /// `spawn_with` them) and hand the result here.
+    /// Builds and spawns a cluster of `cfg.n()` seats at [`TICK`]. Keys come
+    /// from `KeyDirectory::generate(n, seed)`; `commands[i]` preloads
+    /// process `i+1`'s client queue. Every seat is offered an [`SmrNode`]
+    /// with its own copy of `machine`, recording into
+    /// [`registry`](Self::registry)`.replica(i)`; `configure(p, node)`
+    /// returns what seat `p` holds — the node as is (`|_, node|
+    /// Box::new(node)`), with its `with_*` options chained, or another
+    /// actor entirely (a silent or Byzantine seat). `seats(actors, pairs,
+    /// dir, registry)` puts the actors on a transport:
+    /// `fastbft_runtime::channel_seats`, `fastbft_net::tcp_seats_metered`,
+    /// or anything that returns one seat per process in order.
+    pub fn spawn<S: StateMachine + Clone + Send + 'static, T: Transport<SlotMessage>>(
+        cfg: Config,
+        seed: u64,
+        machine: S,
+        commands: Vec<Vec<Value>>,
+        idle_input: Value,
+        seats: impl FnOnce(
+            Vec<Box<dyn Actor<SlotMessage> + Send>>,
+            Vec<KeyPair>,
+            KeyDirectory,
+            &MetricsRegistry,
+        ) -> Vec<NodeSeat<SlotMessage, T>>,
+        mut configure: impl FnMut(ProcessId, SmrNode<S>) -> Box<dyn Actor<SlotMessage> + Send>,
+    ) -> Self {
+        assert_eq!(commands.len(), cfg.n(), "one command queue per process");
+        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
+        let registry = MetricsRegistry::new(cfg.n());
+        let actors = cfg
+            .processes()
+            .zip(&pairs)
+            .zip(commands)
+            .map(|((p, pair), cmds)| {
+                let node = SmrNode::new(
+                    cfg,
+                    pair.clone(),
+                    dir.clone(),
+                    machine.clone(),
+                    cmds,
+                    idle_input.clone(),
+                )
+                .with_options(ReplicaOptions {
+                    metrics: registry.replica(p.index()),
+                    ..ReplicaOptions::default()
+                });
+                configure(p, node)
+            })
+            .collect();
+        let seats = seats(actors, pairs, dir, &registry);
+        let mut cluster = Self::new(spawn_with(seats, TICK), cfg.n(), idle_input);
+        cluster.registry = registry;
+        cluster
+    }
+
+    /// Vestige: wraps a cluster spawned by hand; named only by the frozen `benchmark/`.
     pub fn new(inner: ClusterHandle<SlotMessage>, n: usize, idle: Value) -> Self {
         SmrClusterHandle {
             inner,
+            registry: MetricsRegistry::new(n),
             idle,
             logs: vec![BTreeMap::new(); n],
             commands: vec![0; n],
@@ -170,34 +223,26 @@ impl SmrClusterHandle {
     }
 
     /// The wrapped transport-generic handle (injection hooks, decision
-    /// stream, per-node submission).
+    /// stream, applied-event stream).
     pub fn inner(&self) -> &ClusterHandle<SlotMessage> {
         &self.inner
     }
 
-    /// Attaches the metrics plane the nodes were built with (see
-    /// [`fastbft_obs::MetricsRegistry`]): `registry.replica(i)` handles
-    /// must have gone into each node's `ReplicaOptions.metrics` before
-    /// spawning; attaching here wires the scrape side.
-    pub fn attach_metrics(&mut self, registry: fastbft_obs::MetricsRegistry) {
-        self.inner.attach_metrics(registry);
+    /// The wrapped handle, to stop and restart seats mid-run (a revived
+    /// SMR node rejoins by snapshot recovery).
+    pub fn inner_mut(&mut self) -> &mut ClusterHandle<SlotMessage> {
+        &mut self.inner
     }
 
-    /// The attached metrics plane, if any.
-    pub fn metrics(&self) -> Option<&fastbft_obs::MetricsRegistry> {
-        self.inner.metrics()
+    /// The metrics every node seat records into (seat `i` is block `i`);
+    /// scrape it while the cluster runs with `render_text` / `render_json`.
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.registry
     }
 
-    /// Scrapes cluster metrics in Prometheus text exposition format
-    /// (`None` if no registry was attached).
-    pub fn metrics_text(&self) -> Option<String> {
-        self.inner.metrics_text()
-    }
-
-    /// Scrapes cluster metrics as a JSON document (`None` if no registry
-    /// was attached).
-    pub fn metrics_json(&self) -> Option<String> {
-        self.inner.metrics_json()
+    /// Vestige: replaces the handle's registry; named only by the frozen `benchmark/`.
+    pub fn attach_metrics(&mut self, registry: MetricsRegistry) {
+        self.registry = registry;
     }
 
     /// Waits until each process in `processes` has applied at least `k`
@@ -260,37 +305,6 @@ impl SmrClusterHandle {
             }
         }
         true
-    }
-
-    /// Kills one replica mid-run (chaos hook): stops its event loop and
-    /// returns the dead actor. The remaining replicas keep committing as
-    /// long as ≥ n − f stay live; revive the seat with
-    /// [`restart_node`](SmrClusterHandle::restart_node).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the seat is already stopped.
-    pub fn stop_node(&mut self, index: usize) -> Box<dyn Actor<SlotMessage> + Send> {
-        self.inner.stop_node(index)
-    }
-
-    /// Revives a stopped seat with a fresh node and transport (for TCP,
-    /// build the seat with `fastbft_net::tcp_reseat` on the retained
-    /// listener). The revived node starts empty and rejoins by snapshot
-    /// recovery: once live peers demonstrate f+1 matching tips ahead of it,
-    /// it installs their attested snapshot, absorbs the committed suffix,
-    /// and resumes voting — its applied events resume at the post-snapshot
-    /// log indexes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the seat is still running.
-    pub fn restart_node<T: Transport<SlotMessage>>(
-        &mut self,
-        index: usize,
-        seat: NodeSeat<SlotMessage, T>,
-    ) {
-        self.inner.restart_node(index, seat);
     }
 
     /// Stops the cluster and hands back the actors in seat order; downcast

@@ -5,33 +5,22 @@
 
 use std::time::Duration;
 
-use fastbft_core::replica::ReplicaOptions;
-use fastbft_crypto::KeyDirectory;
 use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::spawn;
-use fastbft_smr::{smr_actors_configured, Batching, KvCommand, KvStore, SmrClusterHandle};
+use fastbft_runtime::channel_seats;
+use fastbft_smr::{KvCommand, KvStore, SmrClusterHandle};
 use fastbft_types::Config;
 
-const TICK: Duration = Duration::from_micros(50);
-
 fn metered_cluster(cfg: Config, seed: u64) -> (SmrClusterHandle, MetricsRegistry) {
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-    let registry = MetricsRegistry::new(cfg.n());
-    let actors = smr_actors_configured(
+    let cluster = SmrClusterHandle::spawn(
         cfg,
-        &pairs,
-        &dir,
+        seed,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
         KvCommand::Noop.to_value(),
-        ReplicaOptions::default(),
-        Batching::default(),
-        None,
-        Some(&registry),
+        |actors, _, _, _| channel_seats(actors),
+        |_, node| Box::new(node),
     );
-    let mut cluster =
-        SmrClusterHandle::new(spawn(actors, TICK), cfg.n(), KvCommand::Noop.to_value());
-    cluster.attach_metrics(registry.clone());
+    let registry = cluster.registry().clone();
     (cluster, registry)
 }
 
@@ -72,7 +61,7 @@ fn scrape_reflects_commits_on_a_running_cluster() {
     assert!(batches >= 1, "someone must have drained a proposal batch");
 
     // Both exporters render from the live handle.
-    let text = cluster.metrics_text().expect("registry attached");
+    let text = cluster.registry().render_text();
     assert!(text.contains("# TYPE fastbft_commit_fast_total counter"));
     assert!(text.contains("fastbft_commit_latency_fast_us_count"));
     // The leader-suspicion family is exposed on every replica (what it
@@ -93,7 +82,7 @@ fn scrape_reflects_commits_on_a_running_cluster() {
             "malformed exposition line: {line:?}"
         );
     }
-    let json = cluster.metrics_json().expect("registry attached");
+    let json = cluster.registry().render_json();
     assert!(json.contains("\"commit_fast_total\""));
     assert!(json.contains("\"leader_suspected\""));
     assert!(json.contains("\"view_skip_total\""));
@@ -117,7 +106,7 @@ fn scrape_is_safe_while_replicas_are_mid_commit() {
             }
             .to_value(),
         );
-        let text = cluster.metrics_text().expect("registry attached");
+        let text = cluster.registry().render_text();
         assert!(text.contains("fastbft_commit_fast_total"));
     }
     assert!(cluster.await_commands(cfg.processes(), 20, Duration::from_secs(30)));

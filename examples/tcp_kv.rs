@@ -10,9 +10,9 @@
 //! cargo run --release --example tcp_kv
 //! ```
 //!
-//! With `--metrics`, every replica (and its TCP transport seat) records
-//! into a [`fastbft::obs::MetricsRegistry`], and after the workload the
-//! example dumps the Prometheus text exposition — commit-path counters,
+//! Every replica (and its TCP transport seat) records into the cluster's
+//! [`fastbft::obs::MetricsRegistry`]; with `--metrics`, after the workload
+//! the example dumps the Prometheus text exposition — commit-path counters,
 //! latency histograms, frame/byte totals — exactly what a scrape endpoint
 //! would serve:
 //!
@@ -22,45 +22,33 @@
 
 use std::time::{Duration, Instant};
 
-use fastbft::core::replica::ReplicaOptions;
-use fastbft::crypto::KeyDirectory;
-use fastbft::net::{tcp_seats, tcp_seats_metered};
-use fastbft::obs::MetricsRegistry;
-use fastbft::runtime::spawn_with;
-use fastbft::smr::runtime::{as_smr_node, smr_actors_configured, SmrClusterHandle};
-use fastbft::smr::{AdaptiveBatch, Batching, KvCommand, KvStore};
+use fastbft::net::tcp_seats_metered;
+use fastbft::smr::runtime::{as_smr_node, SmrClusterHandle};
+use fastbft::smr::{KvCommand, KvStore};
 use fastbft::types::Config;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let metrics = std::env::args().any(|a| a == "--metrics");
     // The paper's headline configuration: n = 3f + 2t − 1 = 4.
     let cfg = Config::new(4, 1, 1)?;
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), 2027);
-    let idle = KvCommand::Noop.to_value();
-    let registry = metrics.then(|| MetricsRegistry::new(cfg.n()));
-    // Adaptive batching sizes each slot's batch from live feedback.
-    let actors = smr_actors_configured(
+    let mut addrs = Vec::new();
+    // Adaptive batching, as shipped, sizes each slot's batch from live
+    // feedback.
+    let mut cluster = SmrClusterHandle::spawn(
         cfg,
-        &pairs,
-        &dir,
+        2027,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        idle.clone(),
-        ReplicaOptions::default(),
-        Batching::Adaptive(AdaptiveBatch::default()),
-        None,
-        registry.as_ref(),
+        KvCommand::Noop.to_value(),
+        |actors, pairs, dir, registry| {
+            let (seats, bound) =
+                tcp_seats_metered(actors, pairs, dir, Default::default(), registry)
+                    .expect("loopback bind");
+            addrs = bound;
+            seats
+        },
+        |_, node| Box::new(node),
     );
-    let (seats, addrs) = if let Some(registry) = &registry {
-        tcp_seats_metered(actors, pairs, dir, Default::default(), registry)?
-    } else {
-        tcp_seats(actors, pairs, dir, Default::default())?
-    };
-    let mut cluster =
-        SmrClusterHandle::new(spawn_with(seats, Duration::from_micros(50)), cfg.n(), idle);
-    if let Some(registry) = registry {
-        cluster.attach_metrics(registry);
-    }
     println!("replicated KV store, n = 4, f = t = 1, listening on:");
     for (i, addr) in addrs.iter().enumerate() {
         println!("  p{} @ {addr}", i + 1);
@@ -103,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The scrape a metrics endpoint would serve, taken while the cluster
     // is still running (exporters read the live atomics).
-    let scrape = cluster.metrics_text();
+    let scrape = metrics.then(|| cluster.registry().render_text());
 
     let actors = cluster.shutdown();
     let mut digests = Vec::new();

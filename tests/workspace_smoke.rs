@@ -54,12 +54,16 @@ fn facade_reexports_resolve() {
     }
 
     // fastbft::net (facade path resolves; socket runs are covered by the
-    // net crate's own tests). `transport_is_pluggable` only compiles if
+    // net crate's own tests). `assert_transport` only compiles if
     // TcpTransport implements the runtime's Transport trait.
     #[allow(unused)]
     fn net_spawn_resolves() {
+        fn assert_transport<M: fastbft::sim::SimMessage, T: fastbft::runtime::Transport<M>>() {}
         let _ = fastbft::net::spawn_tcp::<fastbft::core::Message>;
-        let _ = fastbft::net::transport_is_pluggable::<fastbft::core::Message>;
+        assert_transport::<
+            fastbft::core::Message,
+            fastbft::net::TcpTransport<fastbft::core::Message>,
+        >();
     }
     let _opts = fastbft::net::TcpOptions::default();
     assert_eq!(fastbft::net::frame::MAGIC, 0x4642_4E31, "\"FBN1\"");
