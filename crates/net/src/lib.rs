@@ -40,7 +40,7 @@
 //!         Box::new(Replica::new(cfg, keys.clone(), dir.clone(), Value::from_u64(7)))
 //!     })
 //!     .collect();
-//! let (cluster, _addrs) = spawn_tcp(actors, pairs, dir, Duration::from_micros(50))?;
+//! let (cluster, _addrs) = spawn_tcp(actors, pairs, dir)?;
 //! let decisions = cluster.await_decisions(4, Duration::from_secs(10));
 //! assert_eq!(decisions.len(), 4);
 //! cluster.shutdown();
@@ -55,11 +55,10 @@ mod tcp;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::time::Duration;
 
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::{MetricsHandle, MetricsRegistry};
-use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat};
+use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat, TICK};
 use fastbft_sim::{Actor, SimMessage};
 use fastbft_types::wire::{Decode, Encode};
 
@@ -67,7 +66,7 @@ pub use tcp::{TcpOptions, TcpStats, TcpTransport};
 
 /// Spawns a thread-per-replica cluster whose replicas talk over loopback
 /// TCP with authenticated frames — the socket-backed sibling of
-/// [`fastbft_runtime::spawn`], with the same `tick` semantics and the same
+/// [`fastbft_runtime::spawn`], at the same [`TICK`] and with the same
 /// [`ClusterHandle`].
 ///
 /// Each replica gets an ephemeral `127.0.0.1` listener (bound before any
@@ -88,10 +87,9 @@ pub fn spawn_tcp<M: SimMessage + Encode + Decode>(
     actors: Vec<Box<dyn Actor<M> + Send>>,
     pairs: Vec<KeyPair>,
     dir: KeyDirectory,
-    tick: Duration,
 ) -> io::Result<(ClusterHandle<M>, Vec<SocketAddr>)> {
     let (seats, addrs) = tcp_seats(actors, pairs, dir, TcpOptions::default())?;
-    Ok((spawn_with(seats, tick), addrs))
+    Ok((spawn_with(seats, TICK), addrs))
 }
 
 /// Checks that `pairs[i]` belongs to process `p_{i+1}` and binds one

@@ -1,19 +1,23 @@
-//! The chaos suite over real loopback TCP: the same catalog scenarios as
-//! `crates/runtime/tests/chaos_channel.rs`, with every authenticated
-//! socket transport (`tcp_seats_metered`) wrapped by the harness in a
-//! `FaultTransport` on a shared plan. The graceful-degradation harness
-//! asserts the same three properties on both transports — that matrix,
-//! under the harness' fixed fault seed, is the CI chaos gate.
+//! The chaos catalog over real loopback TCP: every catalog scenario drives
+//! a live SMR cluster through [`fastbft_smr::chaos::run_chaos`], with every
+//! authenticated socket transport (`tcp_seats_metered`) wrapped by the
+//! harness in a `FaultTransport` on a shared plan, under the harness' one
+//! fixed fault seed. The harness asserts every gate — logs agree, liveness
+//! returns within the recovery window, the commit path matches the
+//! scenario, every promised fault fired — so each test is one scenario. The
+//! same catalog runs over many seeds in virtual time in
+//! `crates/smr/tests/chaos_virtual.rs`; this suite is its real-transport
+//! check.
 
 use std::path::Path;
 
 use fastbft_net::tcp_seats_metered;
 use fastbft_runtime::chaos::Scenario;
-use fastbft_smr::chaos::{run_chaos, ChaosReport};
+use fastbft_smr::chaos::run_chaos;
 use fastbft_types::Config;
 
 /// Runs the catalog scenario `name` on a cluster over loopback TCP.
-fn run(cfg: Config, name: &str) -> ChaosReport {
+fn run(cfg: Config, name: &str) {
     let scenario = Scenario::catalog(&cfg)
         .into_iter()
         .find(|s| s.name == name)
@@ -24,7 +28,7 @@ fn run(cfg: Config, name: &str) -> ChaosReport {
         seats
     };
     let postmortem = Path::new(env!("CARGO_TARGET_TMPDIR")).join("postmortem/chaos_suite");
-    run_chaos(cfg, &scenario, on_tcp, &postmortem)
+    run_chaos(cfg, &scenario, on_tcp, &postmortem);
 }
 
 fn generalized_seven() -> Config {
@@ -33,40 +37,27 @@ fn generalized_seven() -> Config {
 
 #[test]
 fn delay_the_leader_recovers_the_fast_path_over_tcp() {
-    let report = run(generalized_seven(), "delay-the-leader");
-    assert!(report.injected[0] > 0, "delays must have been injected");
+    run(generalized_seven(), "delay-the-leader");
 }
 
 #[test]
 fn partition_the_fast_quorum_degrades_to_the_slow_path_over_tcp() {
-    let report = run(generalized_seven(), "partition-the-fast-quorum");
-    assert!(
-        report.injected[3] > 0,
-        "partition must have dropped traffic"
-    );
-    assert!(report.slow[1] > 0, "slow path must carry the fault window");
+    run(generalized_seven(), "partition-the-fast-quorum");
 }
 
 #[test]
 fn flapping_link_stays_safe_and_recovers_over_tcp() {
-    let report = run(generalized_seven(), "flapping-link");
-    assert!(report.injected[3] > 0, "flaps must have dropped traffic");
+    run(generalized_seven(), "flapping-link");
 }
 
 #[test]
 fn slow_follower_does_not_sink_the_fast_path_over_tcp() {
-    let report = run(generalized_seven(), "slow-follower");
-    assert!(report.injected[0] > 0, "delays must have been injected");
+    run(generalized_seven(), "slow-follower");
 }
 
 #[test]
 fn asymmetric_wan_commits_across_regions_over_tcp() {
-    let report = run(generalized_seven(), "asymmetric-wan");
-    assert!(report.injected[0] > 0, "cross-region delays must fire");
-    assert!(
-        report.fast[2] > 0,
-        "a WAN delay profile must not kill the fast path"
-    );
+    run(generalized_seven(), "asymmetric-wan");
 }
 
 /// On the vanilla 4-node cluster (`t = f`), isolating `t + 1 = 2` nodes
@@ -75,10 +66,5 @@ fn asymmetric_wan_commits_across_regions_over_tcp() {
 /// (fast) once healed, with no divergence.
 #[test]
 fn vanilla_partition_stalls_then_recovers_over_tcp() {
-    let report = run(Config::new(4, 1, 1).unwrap(), "partition-the-fast-quorum");
-    assert!(
-        report.injected[3] > 0,
-        "partition must have dropped traffic"
-    );
-    assert!(report.fast[2] > 0, "fast commits must resume after heal");
+    run(Config::new(4, 1, 1).unwrap(), "partition-the-fast-quorum");
 }

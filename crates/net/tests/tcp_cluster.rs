@@ -18,7 +18,7 @@ use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
 use fastbft_net::frame::{encode_batch_payload, read_msg, write_msg, Frame, Hello, HelloAck};
 use fastbft_net::{spawn_tcp, tcp_seats, tcp_seats_metered, TcpOptions};
 use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::spawn_with;
+use fastbft_runtime::{spawn_with, TICK};
 use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
 use fastbft_types::wire::to_bytes;
 use fastbft_types::{Config, ProcessId, Value};
@@ -50,7 +50,7 @@ fn replicas(
 fn four_replicas_decide_unanimously_over_loopback() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let (actors, pairs, dir) = replicas(cfg, 7, 41);
-    let (cluster, addrs) = spawn_tcp(actors, pairs, dir, Duration::from_micros(50)).unwrap();
+    let (cluster, addrs) = spawn_tcp(actors, pairs, dir).unwrap();
     assert_eq!(addrs.len(), 4);
     let decisions = cluster.await_decisions(4, Duration::from_secs(20));
     cluster.shutdown();
@@ -70,7 +70,7 @@ fn hostile_frames_are_rejected_without_breaking_consensus() {
     // Keep an "attacker" copy of p4's key: a *member* key, used to probe
     // that even a legitimate key cannot spoof someone else's identity.
     let p4 = pairs[3].clone();
-    let (cluster, addrs) = spawn_tcp(actors, pairs, dir, Duration::from_micros(50)).unwrap();
+    let (cluster, addrs) = spawn_tcp(actors, pairs, dir).unwrap();
     let target = addrs[0]; // everything below attacks p1
 
     // (a) Pure garbage: not even a handshake.
@@ -180,7 +180,7 @@ fn authenticated_peer_with_a_nested_certificate_is_dropped_in_decode() {
     let registry = MetricsRegistry::new(cfg.n());
     let (seats, addrs) =
         tcp_seats_metered(actors, pairs, dir, TcpOptions::default(), &registry).unwrap();
-    let cluster = spawn_with(seats, Duration::from_micros(50));
+    let cluster = spawn_with(seats, TICK);
 
     let mut s = TcpStream::connect(addrs[0]).unwrap();
     let session = 0xBAD_0004;
@@ -275,7 +275,7 @@ fn the_257th_inbound_connection_is_closed_unanswered() {
     );
 
     drop(holders);
-    let cluster = spawn_with(seats, Duration::from_micros(50));
+    let cluster = spawn_with(seats, TICK);
     let decisions = cluster.await_decisions(4, Duration::from_secs(30));
     cluster.shutdown();
     assert_eq!(
@@ -298,7 +298,7 @@ fn replayed_handshake_gets_a_fresh_listener_nonce() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let (actors, pairs, dir) = replicas(cfg, 2, 59);
     let p4 = pairs[3].clone();
-    let (cluster, addrs) = spawn_tcp(actors, pairs, dir, Duration::from_micros(50)).unwrap();
+    let (cluster, addrs) = spawn_tcp(actors, pairs, dir).unwrap();
 
     let hello = Hello::signed(&p4, 0xCAFE); // the "recording"
     let mut nonces = Vec::new();
@@ -354,7 +354,7 @@ fn shutdown_joins_with_inflight_timers_and_messages_tcp() {
     let actors: Vec<Box<dyn Actor<Message> + Send>> = (0..n)
         .map(|_| -> Box<dyn Actor<Message> + Send> { Box::new(Flooder { echoes_left: 500 }) })
         .collect();
-    let (cluster, _addrs) = spawn_tcp(actors, pairs, dir, Duration::from_micros(50)).unwrap();
+    let (cluster, _addrs) = spawn_tcp(actors, pairs, dir).unwrap();
     // Let the flood start, then tear down mid-traffic with timers armed.
     std::thread::sleep(Duration::from_millis(100));
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -373,7 +373,7 @@ fn shutdown_joins_with_inflight_timers_and_messages_tcp() {
 fn generalized_config_decides_over_loopback() {
     let cfg = Config::new(8, 2, 1).unwrap();
     let (actors, pairs, dir) = replicas(cfg, 5, 53);
-    let (cluster, _addrs) = spawn_tcp(actors, pairs, dir, Duration::from_micros(50)).unwrap();
+    let (cluster, _addrs) = spawn_tcp(actors, pairs, dir).unwrap();
     let decisions = cluster.await_decisions(8, Duration::from_secs(30));
     cluster.shutdown();
     assert_eq!(decisions.len(), 8);

@@ -9,10 +9,11 @@
 //! [`heal_at`](Scenario::heal_at), [`max_delay`](Scenario::max_delay) and
 //! the fault kinds the script [`injects`](Scenario::injects), so a
 //! scenario can be listed, printed and replayed, and no hand-copied fact
-//! can drift from what its script does. [`run_scenario`] plays the
-//! script against the cluster's shared plan — steps due at once before it
-//! returns, later ones on a background thread — while the harness drives
-//! load; the test then checks the three graceful-degradation properties:
+//! can drift from what its script does. A harness (`fastbft_smr::chaos`)
+//! plays the script against the cluster's shared plan — each step's rules
+//! in force from its offset on, the steps due at once before any load —
+//! while it drives load, and checks the three graceful-degradation
+//! properties:
 //!
 //! 1. **Safety, always** — all logs agree, faulted or not.
 //! 2. **Liveness after heal** — commits resume within a bounded window
@@ -37,24 +38,27 @@
 //!
 //! [`Scenario::catalog`], windows sized for a cluster committing about
 //! every 25 ms; offsets and budgets in ms, every budget derived from the
-//! steps (∅ is the empty rule set):
+//! steps (∅ is the empty rule set). Every scenario runs on both clocks, at
+//! the cluster sizes in the last column: in virtual time over 32 seeds
+//! each (`fastbft_smr::chaos::run_chaos_virtual`, the `chaos_virtual`
+//! suite), and on the wall clock over authenticated loopback TCP at one
+//! seed (`fastbft_smr::chaos::run_chaos`, the `chaos_suite` suite):
 //!
-//! | name | steps | `heal_at` | `max_delay` | injects | timer covers it | expectation |
-//! |---|---|---|---|---|---|---|
-//! | `delay-the-leader` | 0: p1's outbound delayed 500 + ≤ 50 jitter; 1000: ∅ | 1000 | 550 | delays | no | [`FastRecovers`](PathExpectation::FastRecovers) |
-//! | `partition-the-fast-quorum` | 0: the `t + 1` highest ids cut both ways; 1000: ∅ | 1000 | 0 | partitions | no | [`SlowWhileFaulted`](PathExpectation::SlowWhileFaulted) (n = 7), [`StallAllowed`](PathExpectation::StallAllowed) below the slow / vote quorum (n = 4) |
-//! | `flapping-link` | 0, 500, 1000: p1 ↔ p2 cut; 250, 750, 1250: ∅ | 1250 | 0 | partitions | no | [`FastRecovers`](PathExpectation::FastRecovers) |
-//! | `slow-follower` | 0: p2's links delayed 50 + ≤ 12 both ways; 1000: ∅ | 1000 | 62 | delays | yes | [`FastRecovers`](PathExpectation::FastRecovers) |
-//! | `asymmetric-wan` | 0: every pair 1 + ≤ ¼ inside a region, 10 + ≤ 2.5 across ([`wan_regions`]) | never | 12.5 | delays | yes | [`FastRecovers`](PathExpectation::FastRecovers) |
+//! | name | steps | `heal_at` | `max_delay` | injects | timer covers it | expectation | clocks (n) |
+//! |---|---|---|---|---|---|---|---|
+//! | `delay-the-leader` | 0: p1's outbound delayed 500 + ≤ 50 jitter; 1000: ∅ | 1000 | 550 | delays | no | [`FastRecovers`](PathExpectation::FastRecovers) | virtual (4, 7), TCP (7) |
+//! | `partition-the-fast-quorum` | 0: the `t + 1` highest ids cut both ways; 1000: ∅ | 1000 | 0 | partitions | no | [`SlowWhileFaulted`](PathExpectation::SlowWhileFaulted) (n = 7), [`StallAllowed`](PathExpectation::StallAllowed) below the slow / vote quorum (n = 4) | virtual (4, 7), TCP (4, 7) |
+//! | `flapping-link` | 0, 500, 1000: p1 ↔ p2 cut; 250, 750, 1250: ∅ | 1250 | 0 | partitions | no | [`FastRecovers`](PathExpectation::FastRecovers) | virtual (4, 7), TCP (7) |
+//! | `slow-follower` | 0: p2's links delayed 50 + ≤ 12 both ways; 1000: ∅ | 1000 | 62 | delays | yes | [`FastRecovers`](PathExpectation::FastRecovers) | virtual (4, 7), TCP (7) |
+//! | `asymmetric-wan` | 0: every pair 1 + ≤ ¼ inside a region, 10 + ≤ 2.5 across ([`wan_regions`]) | never | 12.5 | delays | yes | [`FastRecovers`](PathExpectation::FastRecovers) | virtual (4, 7), TCP (7) |
 
 use std::collections::BTreeMap;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fastbft_obs::MetricsHandle;
 use fastbft_types::{Config, ProcessId};
 
-use crate::faults::{FaultPlan, LinkProfile, LinkRules};
+use crate::cluster::ticks;
+use crate::faults::{LinkProfile, LinkRules};
 
 /// One step of a chaos script: from `at` on, `rules` are all the link
 /// rules in force.
@@ -96,8 +100,8 @@ pub enum PathExpectation {
 pub struct Scenario {
     /// Scenario name.
     pub name: &'static str,
-    /// The script, in any order; [`run_scenario`] sorts by offset
-    /// (stably: of two steps at one offset, the later listed wins).
+    /// The script, in any order: it plays sorted by offset (stably: of two
+    /// steps at one offset, the later listed wins).
     pub steps: Vec<ChaosStep>,
     /// The degradation contract the harness asserts.
     pub expectation: PathExpectation,
@@ -148,18 +152,16 @@ impl Scenario {
             })
     }
 
-    /// The view-1 timeout, in runtime ticks, that keeps this scenario's
+    /// The view-1 timeout, in [`TICK`](crate::TICK)s, that keeps this scenario's
     /// *intended* delays below the view timer: `floor_ticks` (the
     /// no-fault baseline) plus, when the timer must cover them, four times
     /// [`max_delay`](Scenario::max_delay) (round trip, both legs shaped,
     /// with 2× margin) — derived, never hand-tuned per test.
-    pub fn base_timeout_ticks(&self, tick: Duration, floor_ticks: u64) -> u64 {
+    pub fn base_timeout_ticks(&self, floor_ticks: u64) -> u64 {
         if !self.timer_covers_delay {
             return floor_ticks;
         }
-        let cover = self.max_delay().as_nanos().saturating_mul(4);
-        let per_tick = tick.as_nanos().max(1);
-        floor_ticks + u64::try_from(cover.div_ceil(per_tick)).unwrap_or(u64::MAX)
+        floor_ticks + ticks(self.max_delay().saturating_mul(4)).0
     }
 
     /// `delay-the-leader`: from `t = 0`, everything `victim` *sends* is
@@ -313,7 +315,7 @@ impl Scenario {
 
     /// Every scenario in the catalog (the module docs' table), for an
     /// `n`-process cluster committing about every 25 ms — the suite CI
-    /// runs on both transports.
+    /// runs on both clocks.
     pub fn catalog(cfg: &Config) -> Vec<Scenario> {
         let ms = Duration::from_millis;
         vec![
@@ -343,114 +345,10 @@ pub fn wan_regions(n: usize) -> Vec<usize> {
     vec![n - minority, minority]
 }
 
-/// Plays `scenario`'s script against `plan`: each step's rules replace
-/// the plan's at `start + step.at` (steps sorted by offset), logged to
-/// `metrics`' flight recorder as a `chaos-step` event. Steps due at
-/// `t + 0` are applied before this returns — the load a caller offers next
-/// meets the fault, however late the script thread is first scheduled —
-/// and the rest on a background thread, whose handle joins with the
-/// number of steps applied.
-pub fn run_scenario(
-    plan: &FaultPlan,
-    scenario: &Scenario,
-    metrics: MetricsHandle,
-) -> JoinHandle<usize> {
-    let mut steps = scenario.steps.clone();
-    steps.sort_by_key(|s| s.at);
-    let later = steps.split_off(steps.partition_point(|s| s.at.is_zero()));
-    let name = scenario.name;
-    let plan = plan.clone();
-    let fire = move |step: ChaosStep| {
-        plan.set_rules(step.rules);
-        if let Some(m) = metrics.get() {
-            m.recorder.record(
-                "chaos-step",
-                format!("{name}: {} (t+{:?})", step.label, step.at),
-            );
-        }
-    };
-    let start = Instant::now();
-    let applied = steps.len() + later.len();
-    for step in steps {
-        fire(step);
-    }
-    std::thread::Builder::new()
-        .name(format!("chaos-{name}"))
-        .spawn(move || {
-            for step in later {
-                std::thread::sleep((start + step.at).saturating_duration_since(Instant::now()));
-                fire(step);
-            }
-            applied
-        })
-        .expect("spawn chaos script thread")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn recorded(metrics: &MetricsHandle) -> Vec<String> {
-        let events = metrics.get().expect("enabled").recorder.snapshot();
-        assert!(events.iter().all(|e| e.kind == "chaos-step"));
-        events.into_iter().map(|e| e.detail).collect()
-    }
-
-    #[test]
-    fn steps_fire_in_offset_order() {
-        let (p1, p2) = (ProcessId(1), ProcessId(2));
-        let plan = FaultPlan::new();
-        let cut = LinkRules {
-            pairs: BTreeMap::from([((p1, p2), LinkProfile::cut())]),
-            ..LinkRules::default()
-        };
-        let scenario = Scenario {
-            name: "test",
-            steps: vec![
-                // Deliberately listed out of order: run_scenario sorts.
-                ChaosStep::new(Duration::from_millis(40), "heal", LinkRules::default()),
-                ChaosStep::new(Duration::ZERO, "cut", cut),
-            ],
-            expectation: PathExpectation::FastRecovers,
-            timer_covers_delay: false,
-        };
-        let metrics = MetricsHandle::standalone();
-        let run = run_scenario(&plan, &scenario, metrics.clone());
-        assert_eq!(plan.resolve(p1, p2), LinkProfile::cut());
-        assert_eq!(run.join().unwrap(), 2);
-        assert_eq!(plan.resolve(p1, p2), LinkProfile::default());
-        assert_eq!(
-            recorded(&metrics),
-            ["test: cut (t+0ns)", "test: heal (t+40ms)"]
-        );
-    }
-
-    /// The harness offers its `during` load as soon as `run_scenario`
-    /// returns: a fault scripted for `t + 0` must be in force by then, not
-    /// whenever the script thread first runs.
-    #[test]
-    fn a_step_due_at_once_is_in_force_when_run_scenario_returns() {
-        let plan = FaultPlan::new();
-        let untouched = plan.version();
-        let cut = BTreeMap::from([(ProcessId(1), LinkProfile::cut())]);
-        let isolated = LinkRules {
-            pairs: BTreeMap::new(),
-            by_src: cut.clone(),
-            by_dst: cut,
-        };
-        let scenario = Scenario {
-            name: "at-once",
-            steps: vec![ChaosStep::new(Duration::ZERO, "isolate", isolated)],
-            expectation: PathExpectation::StallAllowed,
-            timer_covers_delay: false,
-        };
-        let metrics = MetricsHandle::standalone();
-        let run = run_scenario(&plan, &scenario, metrics.clone());
-        // No join and no sleep before looking.
-        assert!(plan.version() > untouched, "the plan was mutated");
-        assert_eq!(recorded(&metrics), ["at-once: isolate (t+0ns)"]);
-        assert_eq!(run.join().unwrap(), 1);
-    }
+    use crate::FaultPlan;
 
     /// The catalog as a table, at n = 4 and n = 7: each scenario's derived
     /// budgets, and after each step every one of the `n × n` links — row
@@ -568,8 +466,7 @@ mod tests {
             Duration::from_millis(1),
             Duration::from_millis(100),
         );
-        let tick = Duration::from_micros(50);
-        let ticks = s.base_timeout_ticks(tick, 800);
+        let ticks = s.base_timeout_ticks(800);
         // 4 × 5 ms = 20 ms of cover on top of the 40 ms floor.
         assert_eq!(ticks, 800 + 400);
         // Scenarios that *want* view changes keep the bare floor.
@@ -577,7 +474,7 @@ mod tests {
             &Config::new(7, 2, 1).unwrap(),
             Duration::from_millis(100),
         );
-        assert_eq!(p.base_timeout_ticks(tick, 800), 800);
+        assert_eq!(p.base_timeout_ticks(800), 800);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fastbft_sim::{Actor, Effects, Outgoing, SimMessage, SimTime, TimerId};
+use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimMessage, SimTime, TimerId};
 use fastbft_types::{ProcessId, Value};
 
 use crate::transport::{ChannelTransport, Inbound, Polled, Transport};
@@ -100,21 +100,30 @@ pub fn channel_seats<M: SimMessage>(
         .collect()
 }
 
-/// Spawns one thread per actor over the in-process channel transport.
-/// `tick` converts the protocol's abstract [`fastbft_sim::SimDuration`]
-/// ticks into wall time (timers only — message transport is as fast as the
-/// channels go).
-pub fn spawn<M: SimMessage>(
-    actors: Vec<Box<dyn Actor<M> + Send>>,
-    tick: Duration,
-) -> ClusterHandle<M> {
-    spawn_with(channel_seats(actors), tick)
+/// Wall time of one protocol tick: every wall-clock cluster converts the
+/// protocol's abstract [`fastbft_sim::SimDuration`] ticks into wall time at
+/// this rate (timers only — message transport is as fast as the links go),
+/// and [`FaultPlan::network`](crate::FaultPlan::network) converts a link
+/// profile's wall-time delays back into ticks at the same rate.
+pub const TICK: Duration = Duration::from_micros(50);
+
+/// `d` in whole [`TICK`]s, rounded up: a delay at all is at least a tick.
+pub(crate) fn ticks(d: Duration) -> SimDuration {
+    SimDuration(u64::try_from(d.as_nanos().div_ceil(TICK.as_nanos())).unwrap_or(u64::MAX))
+}
+
+/// Spawns one thread per actor over the in-process channel transport, at
+/// [`TICK`].
+pub fn spawn<M: SimMessage>(actors: Vec<Box<dyn Actor<M> + Send>>) -> ClusterHandle<M> {
+    spawn_with(channel_seats(actors), TICK)
 }
 
 /// Spawns one thread per seat over an arbitrary [`Transport`] — the
 /// transport-generic engine behind [`spawn`] and `fastbft-net`'s
 /// `spawn_tcp`. Node `i` of the cluster runs as process `p_{i+1}`; the
 /// transport of seat `i` must identify itself accordingly.
+///
+/// Vestige: `tick` is always [`TICK`]; the parameter stays because the frozen `benchmark/` names it.
 pub fn spawn_with<M: SimMessage, T: Transport<M>>(
     seats: Vec<NodeSeat<M, T>>,
     tick: Duration,
@@ -487,7 +496,7 @@ mod tests {
     #[test]
     fn four_threads_reach_consensus() {
         let cfg = Config::new(4, 1, 1).unwrap();
-        let cluster = spawn(replicas(cfg, &[7, 7, 7, 7], &[]), Duration::from_micros(50));
+        let cluster = spawn(replicas(cfg, &[7, 7, 7, 7], &[]));
         let decisions = cluster.await_decisions(4, Duration::from_secs(10));
         cluster.shutdown();
         assert_eq!(decisions.len(), 4);
@@ -500,10 +509,7 @@ mod tests {
     fn silent_replica_does_not_block_consensus() {
         let cfg = Config::new(4, 1, 1).unwrap();
         // p4 silent (not the view-1 leader p2): fast path still works.
-        let cluster = spawn(
-            replicas(cfg, &[3, 3, 3, 3], &[4]),
-            Duration::from_micros(50),
-        );
+        let cluster = spawn(replicas(cfg, &[3, 3, 3, 3], &[4]));
         let decisions = cluster.await_decisions(3, Duration::from_secs(10));
         cluster.shutdown();
         assert_eq!(decisions.len(), 3);
@@ -516,10 +522,7 @@ mod tests {
     fn silent_leader_recovers_in_real_time() {
         let cfg = Config::new(4, 1, 1).unwrap();
         // leader(1) = p2 silent: the view change must fire on real timers.
-        let cluster = spawn(
-            replicas(cfg, &[5, 5, 5, 5], &[2]),
-            Duration::from_micros(50),
-        );
+        let cluster = spawn(replicas(cfg, &[5, 5, 5, 5], &[2]));
         let decisions = cluster.await_decisions(3, Duration::from_secs(30));
         cluster.shutdown();
         assert_eq!(decisions.len(), 3, "view change must recover");
@@ -531,7 +534,7 @@ mod tests {
     #[test]
     fn generalized_config_runs_threaded() {
         let cfg = Config::new(8, 2, 1).unwrap();
-        let cluster = spawn(replicas(cfg, &[9; 8], &[]), Duration::from_micros(50));
+        let cluster = spawn(replicas(cfg, &[9; 8], &[]));
         let decisions = cluster.await_decisions(8, Duration::from_secs(10));
         cluster.shutdown();
         assert_eq!(decisions.len(), 8);

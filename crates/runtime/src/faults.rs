@@ -12,6 +12,10 @@
 //! delivery. Every injected fault is counted once, in the wrapper's
 //! metrics block.
 //!
+//! The same plan runs in virtual time: [`FaultPlan::network`] is a
+//! simulator network that takes every delivery's fate from the same
+//! function, so a [`LinkRules`] value is one fault on either clock.
+//!
 //! # Why shaping happens on the receive side
 //!
 //! Every directed link `src → dst` has exactly one receiver, so applying
@@ -22,6 +26,12 @@
 //! loop's own deadline. The send side stays untouched, which preserves
 //! the TCP transport's encode-once broadcast path.
 //!
+//! The simulator has no receive side to shape: it decides a delivery's
+//! time when the message is sent. [`FaultPlan::network`] therefore takes
+//! the fate at send time — the same fate, drawn by the same function for
+//! the same `k`-th delivery of the link, since a link delivers in the
+//! order it sends on both clocks.
+//!
 //! Dropped messages are gone for good — there is no retransmission below
 //! the protocol. That is exactly the paper's partial-synchrony reading:
 //! before GST (while a fault plan is active) messages may be lost or
@@ -31,11 +41,12 @@
 //! # Determinism
 //!
 //! The fate of the `k`-th delivery on link `src → dst` is a pure function
-//! of `(seed, src, dst, k)`: each delivery draws a fresh splitmix-seeded
-//! [`StdRng`] keyed on those four values, so per-link fault sequences are
-//! reproducible under a fixed seed regardless of how the runtime
-//! interleaves links — thread scheduling can reorder *when* messages
-//! arrive, never *which* ones survive.
+//! of `(profile, seed, src, dst, k)` ([`LinkProfile`]'s `fate`): each
+//! delivery draws a fresh splitmix-seeded [`StdRng`] keyed on the last
+//! four, so per-link fault sequences are reproducible under a fixed seed
+//! regardless of how the runtime interleaves links — thread scheduling can
+//! reorder *when* messages arrive, never *which* ones survive. In virtual
+//! time the whole run is a function of its seeds.
 //!
 //! Control-plane events are never shaped: client submissions, shutdown,
 //! and self-deliveries (`src == dst`) pass through untouched unless an
@@ -49,12 +60,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fastbft_obs::{Counter, Metrics, MetricsHandle, MetricsRegistry};
-use fastbft_sim::SimMessage;
+use fastbft_sim::{Network, SimDuration, SimMessage, SimTime};
 use fastbft_types::ProcessId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::NodeSeat;
+use crate::cluster::{ticks, NodeSeat};
 use crate::transport::{Polled, Transport};
 
 /// Shaping applied to one directed link (`src → dst`). The default is
@@ -133,6 +144,55 @@ impl LinkProfile {
     pub fn max_delay(&self) -> Duration {
         self.delay + self.jitter + self.reorder_window
     }
+
+    /// The fate of the `k`-th delivery on `src → dst` under this profile,
+    /// drawn under `seed` — the one decision both clocks take. A
+    /// transparent or partitioned profile draws nothing.
+    fn fate(&self, seed: u64, src: ProcessId, dst: ProcessId, k: u64) -> Fate {
+        if self.is_transparent() {
+            return Fate::Late {
+                delay: Duration::ZERO,
+                copy: None,
+            };
+        }
+        if self.partitioned {
+            return Fate::Cut;
+        }
+        let mut rng = StdRng::seed_from_u64(link_draw(seed, src, dst, k));
+        if self.loss > 0.0 && rng.gen_bool(self.loss.clamp(0.0, 1.0)) {
+            return Fate::Lost;
+        }
+        let mut delay = self.delay;
+        if !self.jitter.is_zero() {
+            delay += uniform_duration(&mut rng, self.jitter);
+        }
+        if self.reorder > 0.0
+            && !self.reorder_window.is_zero()
+            && rng.gen_bool(self.reorder.clamp(0.0, 1.0))
+        {
+            delay += uniform_duration(&mut rng, self.reorder_window);
+        }
+        // The copy always trails the original's worst case, so dup and
+        // reorder stay distinguishable in tests.
+        let copy = (self.duplicate > 0.0 && rng.gen_bool(self.duplicate.clamp(0.0, 1.0)))
+            .then(|| delay + self.jitter + self.reorder_window + Duration::from_micros(50));
+        Fate::Late { delay, copy }
+    }
+}
+
+/// What becomes of one delivery.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fate {
+    /// Dropped by a hard partition.
+    Cut,
+    /// Dropped by probabilistic loss.
+    Lost,
+    /// Delivered `delay` late (zero: on time), and once more `copy` late
+    /// when a duplicate was drawn.
+    Late {
+        delay: Duration,
+        copy: Option<Duration>,
+    },
 }
 
 /// A complete set of link rules below a plan's default profile: explicit
@@ -188,6 +248,61 @@ impl PlanTable {
 
     fn rule_count(&self) -> usize {
         self.rules.profiles().count() + usize::from(!self.default.is_transparent())
+    }
+}
+
+/// One holder's view of a [`FaultPlan`]: the table as of the plan version
+/// it last read, and how many fates each link has drawn — what keys the
+/// next one. A [`FaultTransport`] holds one for the links into its node,
+/// [`FaultPlan::network`] one for the whole matrix.
+struct PlanView {
+    plan: FaultPlan,
+    seed: u64,
+    version: u64,
+    table: PlanTable,
+    drawn: HashMap<(ProcessId, ProcessId), u64>,
+}
+
+impl PlanView {
+    fn new(plan: FaultPlan, seed: u64) -> Self {
+        // The order `refresh` reads in: a mutation landing in between
+        // leaves a newer table under an older version, which the next
+        // refresh re-reads — never the reverse.
+        let version = plan.version();
+        let table = plan.snapshot();
+        PlanView {
+            plan,
+            seed,
+            version,
+            table,
+            drawn: HashMap::new(),
+        }
+    }
+
+    /// Re-reads the table if the plan changed since the last read; whether
+    /// it did.
+    fn refresh(&mut self) -> bool {
+        let v = self.plan.version();
+        if v == self.version {
+            return false;
+        }
+        self.version = v;
+        self.table = self.plan.snapshot();
+        true
+    }
+
+    /// The profile of `src → dst` in the table last read, and the fate of
+    /// its next delivery. Only a profile that draws counts the delivery.
+    fn next(&mut self, src: ProcessId, dst: ProcessId) -> (LinkProfile, Fate) {
+        let profile = self.table.resolve(src, dst);
+        let k = if profile.is_transparent() || profile.partitioned {
+            0
+        } else {
+            let drawn = self.drawn.entry((src, dst)).or_insert(0);
+            *drawn += 1;
+            *drawn
+        };
+        (profile, profile.fate(self.seed, src, dst, k))
     }
 }
 
@@ -259,6 +374,30 @@ impl FaultPlan {
     pub fn heal(&self) {
         self.mutate(|t| *t = PlanTable::default());
     }
+
+    /// This plan as a simulator network: each send is delivered at
+    /// `sent_at + delta` plus what its link's profile adds (one [`TICK`](crate::TICK) of
+    /// wall time per tick, rounded up), or never. Every fate is drawn as a
+    /// [`FaultTransport`] on the same plan and `seed` draws it, at send
+    /// time, and the plan's mutations take effect from the next send on.
+    ///
+    /// # Panics
+    ///
+    /// A send on a link whose profile duplicates panics: a simulator
+    /// network delivers each send once.
+    pub fn network(&self, delta: SimDuration, seed: u64) -> Network {
+        let mut view = PlanView::new(self.clone(), seed);
+        Network::scripted(delta, move |info| {
+            view.refresh();
+            let (profile, fate) = view.next(info.from, info.to);
+            let once = "a simulator network delivers each send once: no duplication";
+            assert!(profile.duplicate == 0.0, "{once}");
+            match fate {
+                Fate::Cut | Fate::Lost => SimTime::NEVER,
+                Fate::Late { delay, .. } => info.sent_at + delta + ticks(delay),
+            }
+        })
+    }
 }
 
 /// A delivery held back by the shaper, ordered by due time (insertion
@@ -320,14 +459,8 @@ fn uniform_duration(rng: &mut StdRng, upto: Duration) -> Duration {
 pub struct FaultTransport<M: SimMessage, T: Transport<M>> {
     inner: T,
     id: ProcessId,
-    plan: FaultPlan,
-    seed: u64,
     metrics: MetricsHandle,
-    /// Plan version the cached `table` reflects.
-    version: u64,
-    table: PlanTable,
-    /// Per-source delivery counters keying the deterministic RNG.
-    link_seq: HashMap<ProcessId, u64>,
+    view: PlanView,
     held: BinaryHeap<Reverse<Held<M>>>,
     hseq: u64,
 }
@@ -336,20 +469,11 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
     /// Wraps `inner` (node `id`'s transport) on `plan`, drawing fault
     /// decisions from `seed`.
     pub fn new(inner: T, id: ProcessId, plan: FaultPlan, seed: u64) -> Self {
-        // The order `refresh` reads in: a mutation landing in between
-        // leaves a newer table under an older version, which the next
-        // delivery re-reads — never the reverse.
-        let version = plan.version();
-        let table = plan.snapshot();
         FaultTransport {
             inner,
             id,
-            plan,
-            seed,
             metrics: MetricsHandle::none(),
-            version,
-            table,
-            link_seq: HashMap::new(),
+            view: PlanView::new(plan, seed),
             held: BinaryHeap::new(),
             hseq: 0,
         }
@@ -365,17 +489,15 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
     }
 
     fn refresh(&mut self) {
-        let v = self.plan.version();
-        if v != self.version {
-            self.version = v;
-            self.table = self.plan.snapshot();
+        if self.view.refresh() {
             self.publish_rule_count();
         }
     }
 
     fn publish_rule_count(&self) {
         if let Some(m) = self.metrics.get() {
-            m.fault_links_shaped.set(self.table.rule_count() as u64);
+            m.fault_links_shaped
+                .set(self.view.table.rule_count() as u64);
         }
     }
 
@@ -398,40 +520,19 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
     /// Applies the link profile to one delivery: returns it if it passes
     /// through untouched, otherwise queues/drops it and returns `None`.
     fn admit(&mut self, from: ProcessId, msg: M, now: Instant) -> Option<M> {
-        let profile = self.table.resolve(from, self.id);
-        if profile.is_transparent() {
-            return Some(msg);
-        }
-        if profile.partitioned {
-            self.count(|m| &m.fault_partition_drop_total);
-            return None;
-        }
-        let seq = {
-            let c = self.link_seq.entry(from).or_insert(0);
-            *c += 1;
-            *c
+        let (delay, copy) = match self.view.next(from, self.id).1 {
+            Fate::Cut => {
+                self.count(|m| &m.fault_partition_drop_total);
+                return None;
+            }
+            Fate::Lost => {
+                self.count(|m| &m.fault_drop_injected_total);
+                return None;
+            }
+            Fate::Late { delay, copy } => (delay, copy),
         };
-        let mut rng = StdRng::seed_from_u64(link_draw(self.seed, from, self.id, seq));
-        if profile.loss > 0.0 && rng.gen_bool(profile.loss.clamp(0.0, 1.0)) {
-            self.count(|m| &m.fault_drop_injected_total);
-            return None;
-        }
-        let mut delay = profile.delay;
-        if !profile.jitter.is_zero() {
-            delay += uniform_duration(&mut rng, profile.jitter);
-        }
-        if profile.reorder > 0.0
-            && !profile.reorder_window.is_zero()
-            && rng.gen_bool(profile.reorder.clamp(0.0, 1.0))
-        {
-            delay += uniform_duration(&mut rng, profile.reorder_window);
-        }
-        if profile.duplicate > 0.0 && rng.gen_bool(profile.duplicate.clamp(0.0, 1.0)) {
-            // The copy always trails the original's worst case, so dup
-            // and reorder stay distinguishable in tests.
-            let dup_delay =
-                delay + profile.jitter + profile.reorder_window + Duration::from_micros(50);
-            self.push_held(now + dup_delay, from, msg.clone());
+        if let Some(copy) = copy {
+            self.push_held(now + copy, from, msg.clone());
             self.count(|m| &m.fault_dup_injected_total);
         }
         if delay.is_zero() {
@@ -593,9 +694,12 @@ pub fn wrap_seats_metered<M: SimMessage, T: Transport<M>>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::transport::{ChannelTransport, Inbound};
     use crossbeam::channel::Sender;
+    use fastbft_sim::{Simulation, TraceEvent};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u32);
@@ -737,30 +841,61 @@ mod tests {
         }
     }
 
+    /// The fate of a delivery is one function on both clocks: 64 sends on
+    /// a lossy, jittered link lose the same deliveries and draw the same
+    /// delays, to the tick, through a `FaultTransport` and through
+    /// `FaultPlan::network`; another seed draws other fates.
     #[test]
     fn loss_is_deterministic_per_link_sequence() {
-        let run = |seed: u64| -> Vec<u32> {
-            let plan = FaultPlan::new();
-            plan.set_default(LinkProfile::lossy(0.5));
-            let (mut t1, mut t2, _control) = pair(&plan, seed);
+        let plan = FaultPlan::new();
+        let (ms, zero) = (Duration::from_millis, SimTime::ZERO);
+        plan.set_default(LinkProfile::delayed(ms(1), ms(2)).with_loss(0.5));
+        // Each send's fate: `None` if lost, else its delay in ticks. Admitted
+        // at one instant, a held delivery is late by its due time minus it.
+        let wall = |seed: u64| -> Vec<Option<SimDuration>> {
+            let (mut t1, _t2, _control) = pair(&plan, seed);
+            let at = Instant::now();
             for i in 0..64 {
-                t2.send(ProcessId(1), Ping(i));
+                assert_eq!(t1.admit(ProcessId(2), Ping(i), at), None, "none is on time");
             }
-            let mut got = Vec::new();
-            while let Polled::Delivered(_, Ping(i)) = t1.recv(Some(Duration::from_millis(50))) {
-                got.push(i);
+            let mut fates = vec![None; 64];
+            for Reverse(held) in t1.held.drain() {
+                fates[held.msg.0 as usize] = Some(ticks(held.due - at));
             }
-            got
+            fates
         };
-        let a = run(42);
-        let b = run(42);
-        let c = run(43);
-        assert_eq!(a, b, "same seed, same fates");
-        assert_ne!(a, c, "different seed, different fates");
-        assert!(
-            !a.is_empty() && a.len() < 64,
-            "loss neither total nor absent"
-        );
+        // With no base delay, a send is delivered at its drawn delay.
+        let simulated = |seed: u64| -> Vec<Option<SimDuration>> {
+            let mut sim = Simulation::new(plan.network(SimDuration::ZERO, seed), 0);
+            for i in 0..64 {
+                sim.inject_message(ProcessId(2), ProcessId(1), Ping(i), zero);
+            }
+            let records = sim.trace().records().iter();
+            records
+                .map(|r| match r.event {
+                    TraceEvent::Send { deliver_at, .. } => deliver_at,
+                    _ => unreachable!("only sends were traced"),
+                })
+                .map(|at| (at != SimTime::NEVER).then_some(at.since(zero)))
+                .collect()
+        };
+        let a = wall(42);
+        assert_eq!(a, simulated(42), "one fate on both clocks");
+        assert_eq!(a, wall(42), "same seed, same fates");
+        assert_ne!(a, wall(43), "different seed, different fates");
+        let lost = a.iter().filter(|fate| fate.is_none()).count();
+        assert!(0 < lost && lost < 64, "loss neither total nor absent");
+        let delays: BTreeSet<SimDuration> = a.iter().flatten().copied().collect();
+        assert!(delays.len() > 1, "the jitter drew more than one delay");
+    }
+
+    #[test]
+    #[should_panic(expected = "delivers each send once")]
+    fn a_simulator_network_refuses_duplication() {
+        let plan = FaultPlan::new();
+        plan.set_default(LinkProfile::default().with_duplication(0.5));
+        let mut sim = Simulation::new(plan.network(SimDuration::DELTA, 7), 0);
+        sim.inject_message(ProcessId(2), ProcessId(1), Ping(0), SimTime::ZERO);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! reliable authenticated links (§2.1). Two transports exist today:
 //! the in-process [`ChannelTransport`] (below) and `fastbft-net`'s
 //! `TcpTransport` (real sockets, MAC-authenticated frames); [`spawn`] wires
-//! the former, [`spawn_with`] accepts either.
+//! the former, [`spawn_with`] accepts either. Every cluster runs its timers
+//! at one [`TICK`] per protocol tick.
 //!
 //! ```no_run
 //! use std::time::Duration;
@@ -26,7 +27,7 @@
 //!         Box::new(Replica::new(cfg, keys, dir.clone(), Value::from_u64(7)))
 //!     })
 //!     .collect();
-//! let cluster = spawn(actors, Duration::from_micros(50));
+//! let cluster = spawn(actors);
 //! let decisions = cluster.await_decisions(4, Duration::from_secs(5));
 //! assert_eq!(decisions.len(), 4);
 //! cluster.shutdown();
@@ -41,7 +42,9 @@ mod cluster;
 pub mod faults;
 pub mod transport;
 
-pub use cluster::{channel_seats, spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat};
+pub use cluster::{
+    channel_seats, spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat, TICK,
+};
 pub use faults::{
     wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile, LinkRules,
 };

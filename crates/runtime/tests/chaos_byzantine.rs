@@ -23,14 +23,12 @@ use fastbft_core::message::Message;
 use fastbft_core::replica::Replica;
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::chaos::{run_scenario, ChaosStep, PathExpectation, Scenario};
 use fastbft_runtime::{
     channel_seats, spawn_with, wrap_seats_metered, Decision, FaultPlan, LinkProfile, LinkRules,
+    TICK,
 };
 use fastbft_sim::Actor;
 use fastbft_types::{Config, ProcessId, Value, View};
-
-const TICK: Duration = Duration::from_micros(50);
 
 /// The shared shaping profile for links between correct processes:
 /// delayed, jittered, occasionally reordered and duplicated — but every
@@ -41,28 +39,18 @@ fn hostile_but_fair() -> LinkProfile {
         .with_duplication(0.1)
 }
 
-/// The script: fair-but-hostile links between the correct processes plus
-/// loss on every link into and out of the Byzantine one, then the empty
-/// set — a whole network — at 400 ms.
-fn byzantine_weather(n: usize, byz: ProcessId) -> Scenario {
+/// The weather: fair-but-hostile links between the correct processes plus
+/// loss on every link into and out of the Byzantine one.
+fn byzantine_weather(n: usize, byz: ProcessId) -> LinkRules {
     let correct = || (0..n).map(ProcessId::from_index).filter(move |p| *p != byz);
     let lossy = BTreeMap::from([(byz, hostile_but_fair().with_loss(0.25))]);
-    let weather = LinkRules {
+    LinkRules {
         pairs: correct()
             .flat_map(|a| correct().filter(move |b| *b != a).map(move |b| (a, b)))
             .map(|link| (link, hostile_but_fair()))
             .collect(),
         by_src: lossy.clone(),
         by_dst: lossy,
-    };
-    Scenario {
-        name: "byzantine-weather",
-        steps: vec![
-            ChaosStep::new(Duration::ZERO, "hostile links, lossy liar", weather),
-            ChaosStep::new(Duration::from_millis(400), "heal", LinkRules::default()),
-        ],
-        expectation: PathExpectation::FastRecovers,
-        timer_covers_delay: false,
     }
 }
 
@@ -91,11 +79,19 @@ fn run_in_weather(
         .collect();
     let (plan, registry) = (FaultPlan::new(), MetricsRegistry::new(n));
     let seats = wrap_seats_metered(channel_seats(actors), &plan, 42, &registry);
-    // The first step is in force before any seat runs.
-    let weather = run_scenario(&plan, &byzantine_weather(n, byz), registry.replica(0));
+    // The weather is in force before any seat runs; the network heals at
+    // 400 ms.
+    plan.set_rules(byzantine_weather(n, byz));
+    let healer = std::thread::spawn({
+        let plan = plan.clone();
+        move || {
+            std::thread::sleep(Duration::from_millis(400));
+            plan.heal();
+        }
+    });
     let cluster = spawn_with(seats, TICK);
     let decisions = cluster.await_decisions(n - 1, Duration::from_secs(30));
-    assert_eq!(weather.join().unwrap(), 2, "the network healed");
+    healer.join().expect("the network healed");
     cluster.shutdown();
     let injected = [
         registry.total(|m| &m.fault_delay_injected_total),

@@ -43,7 +43,7 @@ fn decisions_under_a_shower(spoofed: &[u32], awaited: &[u32]) -> Vec<Decision> {
         .into_iter()
         .map(|replica| -> Box<dyn Actor<Message> + Send> { Box::new(replica) })
         .collect();
-    let cluster = spawn(actors, Duration::from_micros(50));
+    let cluster = spawn(actors);
     for shared in [false, true] {
         for &from in spoofed {
             for _ in 0..if shared { 1 } else { 10 } {
@@ -154,7 +154,7 @@ fn smr_on_threads() {
             ))
         })
         .collect();
-    let cluster = spawn(actors, Duration::from_micros(50));
+    let cluster = spawn(actors);
     // SMR nodes never "decide" at the cluster level (slots are internal);
     // give the pipeline a moment, then stop. Consistency is asserted by the
     // sim-based suites; here we only prove the runtime drives SMR without

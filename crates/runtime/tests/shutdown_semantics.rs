@@ -51,7 +51,7 @@ fn shutdown_joins_with_inflight_timers_and_messages_channels() {
     let actors: Vec<Box<dyn Actor<Blob> + Send>> = (0..4)
         .map(|_| -> Box<dyn Actor<Blob> + Send> { Box::new(Flooder { echoes_left: 1000 }) })
         .collect();
-    let cluster = spawn(actors, Duration::from_micros(50));
+    let cluster = spawn(actors);
     // Let traffic build, then tear down mid-flight.
     std::thread::sleep(Duration::from_millis(50));
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -72,7 +72,7 @@ fn immediate_shutdown_joins() {
     let actors: Vec<Box<dyn Actor<Blob> + Send>> = (0..4)
         .map(|_| -> Box<dyn Actor<Blob> + Send> { Box::new(Flooder { echoes_left: 0 }) })
         .collect();
-    let cluster = spawn(actors, Duration::from_micros(50));
+    let cluster = spawn(actors);
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         cluster.shutdown();

@@ -1,35 +1,33 @@
 //! The graceful-degradation harness: drives an SMR cluster through a
-//! chaos [`Scenario`] and asserts the three properties every scenario
-//! must exhibit (see [`fastbft_runtime::chaos`]):
+//! chaos [`Scenario`] and asserts the properties every scenario must
+//! exhibit (see [`fastbft_runtime::chaos`]):
 //!
 //! 1. **Safety** — the per-replica logs agree, fault or no fault.
 //! 2. **Liveness after heal** — the full command load (submitted before,
 //!    during, and after the fault window) is applied by *every* replica
 //!    within the scenario's derived recovery window.
-//! 3. **Path attribution** — the metrics plane shows the commit path the
-//!    scenario's [`PathExpectation`] demands: fast-path commits resume
-//!    after heal, and while the fast quorum is unreachable the commits
-//!    that do land are slow-path.
+//! 3. **Path attribution** — fast-path commits resume after heal, and while
+//!    the fast quorum is unreachable the slow path carries the commits that
+//!    land, a slot led by an isolated seat no longer waiting out the view
+//!    timer after one rotation (the cross-slot leader suspicion).
+//! 4. **The faults fired** — every kind the script injects, or the run
+//!    proved nothing.
 //!
-//! Where the survivors can still commit
-//! ([`PathExpectation::SlowWhileFaulted`]) a fourth gate rides inside the
-//! fault window: after one rotation of slots has let every isolated seat
-//! lead (and time out) once, a second rotation's slowest slot must stay
-//! below the view-1 timeout — the cross-slot leader suspicion at work.
+//! One scenario runs on either clock through the same phases and gates, on
+//! the same seats (one command per slot, the scenario's derived view-1
+//! timeout), each step of the script applied at its offset on that clock:
+//! [`run_chaos`] on the wall-clock runtime over a transport the caller
+//! picks, under one fixed fault seed; [`run_chaos_virtual`] in virtual
+//! time over [`FaultPlan::network`], a pure function of its seed, whose
+//! trace records the faults — a send traced at [`SimTime::NEVER`] was
+//! dropped, one later than an unshaped link delivers was shaped.
 //!
 //! A gate that fails leaves a post-mortem behind before it panics: the
 //! registry's JSON dump, every replica's flight-recorder tail (the
 //! script's `chaos-step` events sit in replica 0's) and the script itself
 //! (`scenario.txt`: the steps as data, the derived budgets and the base
 //! timeout used), in a directory the caller names and the panic message
-//! repeats.
-//!
-//! The harness is transport-generic: the caller only puts the actors on
-//! a transport — the channel mesh, or TCP (`fastbft_net::tcp_seats_metered`)
-//! — and the harness wraps them in
-//! [`fastbft_runtime::wrap_seats_metered`] either way, so the same
-//! scenarios and the same assertions run on both, which is exactly the
-//! chaos suite's CI matrix.
+//! repeats with the scenario, the cluster size and the seed.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -37,59 +35,52 @@ use std::time::{Duration, Instant};
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::chaos::{recovery_window, run_scenario, PathExpectation, Scenario};
-use fastbft_runtime::{wrap_seats_metered, FaultPlan, NodeSeat, Transport};
-use fastbft_sim::{Actor, SimDuration};
+use fastbft_runtime::chaos::{recovery_window, ChaosStep, PathExpectation, Scenario};
+use fastbft_runtime::{wrap_seats_metered, FaultPlan, LinkProfile, NodeSeat, Transport, TICK};
+use fastbft_sim::{Actor, SimDuration, SimTime, TraceEvent};
 use fastbft_types::{Config, ProcessId, Value};
 
-use crate::machine::CountingMachine;
-use crate::multiplex::SlotMessage;
-use crate::runtime::{SmrClusterHandle, TICK};
+use crate::harness::SmrSimCluster;
+use crate::machine::{CountingMachine, StateMachine};
+use crate::multiplex::{SlotMessage, SmrNode};
+use crate::runtime::SmrClusterHandle;
 
-/// The one seed of a chaos run: its keys and every delivery's fate.
+/// The one seed of a wall-clock run: its keys and every delivery's fate.
 const SEED: u64 = 42;
 /// Commands offered before, during and after the fault window each.
 const LOAD: u64 = 6;
-/// The fault kinds, in [`Scenario::injects`] / [`ChaosReport::injected`]
-/// order.
+/// The fault kinds, in [`Scenario::injects`] order.
 const KINDS: [&str; 4] = ["delay", "loss", "duplication", "partition"];
-
-/// What a chaos run measured, for test assertions beyond the built-in
-/// gates.
-#[derive(Clone, Debug)]
-pub struct ChaosReport {
-    /// Fast-path commits (before, during, after) the fault window.
-    pub fast: [u64; 3],
-    /// Slow-path commits (before, during, after) the fault window.
-    pub slow: [u64; 3],
-    /// Injected-fault counters: delays, drops, dups, partition drops.
-    pub injected: [u64; 4],
-}
+/// A virtual run's unshaped link: one tick, about a hop of the channel mesh.
+const HOP: SimDuration = SimDuration(1);
+/// The most ticks a virtual run adds to every link the script leaves
+/// alone, so each seed is another schedule: small enough that the seven
+/// hops of a view change fit under the 800-tick view timer.
+const JITTER: u32 = 40;
 
 /// The gates of one chaos run: where a failed one leaves its post-mortem.
 struct Gates<'a> {
     scenario: &'a Scenario,
     registry: &'a MetricsRegistry,
+    seed: u64,
     dir: &'a Path,
-    base_timeout: Duration,
 }
 
 impl Gates<'_> {
     /// Panics with `what` unless `ok`, after writing `metrics.json`,
     /// `scenario.txt` and one `recorder-pN.txt` per replica under
-    /// `dir/<scenario>-n<n>/` (the suites run one scenario at two cluster
-    /// sizes).
+    /// `dir/<scenario>-n<n>-seed<seed>/`.
     #[track_caller]
     fn require(&self, ok: bool, what: impl std::fmt::Display) {
         if ok {
             return;
         }
-        let name = self.scenario.name;
-        let dir = self.dir.join(format!("{name}-n{}", self.registry.len()));
+        let (name, n, seed) = (self.scenario.name, self.registry.len(), self.seed);
+        let dir = self.dir.join(format!("{name}-n{n}-seed{seed}"));
         let written = std::fs::create_dir_all(&dir).and_then(|()| {
             std::fs::write(dir.join("metrics.json"), self.registry.render_json())?;
             std::fs::write(dir.join("scenario.txt"), self.script())?;
-            for i in 0..self.registry.len() {
+            for i in 0..n {
                 let tail: String = self
                     .registry
                     .metrics(i)
@@ -107,13 +98,18 @@ impl Gates<'_> {
             }
             Ok(())
         });
+        let run = format!("[{name} n={n} seed={seed}] {what}");
         match written {
-            Ok(()) => panic!("[{name}] {what} (post-mortem: {})", dir.display()),
-            Err(e) => panic!(
-                "[{name}] {what} (post-mortem not written to {}: {e})",
-                dir.display()
-            ),
+            Ok(()) => panic!("{run} (post-mortem: {})", dir.display()),
+            Err(e) => panic!("{run} (post-mortem not written to {}: {e})", dir.display()),
         }
+    }
+
+    /// The seats' view-1 timeout: the no-fault floor, covering the
+    /// scenario's delay where it must.
+    fn base_timeout(&self) -> Duration {
+        let ticks = view_timeout(self.scenario);
+        TICK * u32::try_from(ticks).expect("a view-1 timeout below 2^32 ticks")
     }
 
     /// The script as data — one line per step — under the budgets
@@ -124,7 +120,10 @@ impl Gates<'_> {
         let mut text = format!(
             "{} {:?}, timer covers delay: {}, heal_at {heal_at:?}, max_delay {max_delay:?}, \
              injects {KINDS:?} {injects:?}, base_timeout {:?}\n",
-            s.name, s.expectation, s.timer_covers_delay, self.base_timeout
+            s.name,
+            s.expectation,
+            s.timer_covers_delay,
+            self.base_timeout()
         );
         for step in &s.steps {
             text += &format!("t+{:?} {}: {:?}\n", step.at, step.label, step.rules);
@@ -133,15 +132,252 @@ impl Gates<'_> {
     }
 }
 
-/// Runs `scenario` against a metered SMR cluster of `cfg.n()` replicas and
-/// asserts the three degradation properties. The harness builds the keys,
-/// the actors (one command per slot, the view-1 timeout derived from
-/// [`ReplicaOptions::default`] and the scenario —
-/// [`Scenario::base_timeout_ticks`]), the registry and the plan; `seats`
-/// only puts the actors on a transport, and the harness wraps what it
-/// returns in fault transports under one fixed seed, so every run shapes
-/// the same deliveries. A failed gate writes its post-mortem under
-/// `postmortem/<scenario name>-n<n>/`.
+/// An SMR cluster on one clock: what [`Run`] needs of it.
+trait Clock {
+    /// Time since the cluster started.
+    fn now(&self) -> Duration;
+    /// Hands `command` to every replica (the broadcast client model).
+    fn submit(&mut self, command: Value);
+    /// Runs until every process of `who` has applied `k` client commands
+    /// (`true`) or the clock reads `until` (`false`).
+    fn run_until(&mut self, who: &[ProcessId], k: u64, until: Duration) -> bool;
+    /// Whether the replicas' logs agree.
+    fn logs_agree(&self) -> bool;
+    /// The deliveries each fault kind touched, in [`Scenario::injects`]
+    /// order.
+    fn fired(&self) -> [u64; 4];
+}
+
+/// A run in progress: the cluster, its plan, the script's steps not in
+/// force yet (each with its due time, the last due first) and the gates.
+struct Run<'a, C: Clock> {
+    clock: C,
+    plan: FaultPlan,
+    pending: Vec<(Duration, ChaosStep)>,
+    gates: Gates<'a>,
+}
+
+impl<C: Clock> Run<'_, C> {
+    /// Puts every step due by now in force, each logged to replica 0's
+    /// flight recorder.
+    fn apply_due(&mut self) {
+        let (now, name) = (self.clock.now(), self.gates.scenario.name);
+        while let Some((_, step)) = self.pending.pop_if(|(due, _)| *due <= now) {
+            self.plan.set_rules(step.rules);
+            let recorder = &self.gates.registry.metrics(0).recorder;
+            recorder.record(
+                "chaos-step",
+                format!("{name}: {} (t+{:?})", step.label, step.at),
+            );
+        }
+    }
+
+    /// Runs until every process of `who` has applied `k` client commands
+    /// (`true`) or `within` has passed (`false`), putting each step of the
+    /// script in force when it comes due.
+    fn await_commands(&mut self, who: &[ProcessId], k: u64, within: Duration) -> bool {
+        let deadline = self.clock.now() + within;
+        loop {
+            self.apply_due();
+            let until = self.pending.last().map_or(deadline, |s| deadline.min(s.0));
+            if self.clock.run_until(who, k, until) {
+                return true;
+            }
+            if self.clock.now() >= deadline {
+                self.apply_due();
+                return false;
+            }
+        }
+    }
+
+    /// Offers `LOAD` commands tagged `tag` — one tag per phase, so replays
+    /// and duplicates can never alias across phases.
+    fn load(&mut self, tag: u64) {
+        for i in 0..LOAD {
+            self.clock.submit(Value::from_u64(tag + i));
+        }
+    }
+
+    /// Plays the scenario — load before, during and after the fault
+    /// window — and asserts every gate.
+    fn drive(&mut self, cfg: Config) {
+        let (n, scenario) = (cfg.n(), self.gates.scenario);
+        let all: Vec<ProcessId> = cfg.processes().collect();
+        let registry = self.gates.registry;
+        let totals = || {
+            (
+                registry.total(|m| &m.commit_fast_total),
+                registry.total(|m| &m.commit_slow_total),
+            )
+        };
+
+        // Phase 1: healthy baseline.
+        self.load(0x0100_0000);
+        let warm = self.await_commands(&all, LOAD, Duration::from_secs(30));
+        self.gates
+            .require(warm, "warmup load must commit on a healthy cluster");
+        let (fast0, slow0) = totals();
+
+        // Phase 2: the fault window. The steps due at once are in force
+        // before the load is offered, the rest come due as the run goes.
+        let start = self.clock.now();
+        let mut steps = scenario.steps.clone();
+        // Stably by offset, then reversed: of two steps at one offset the
+        // later listed is applied last and wins.
+        steps.sort_by_key(|s| s.at);
+        self.pending = steps.into_iter().rev().map(|s| (start + s.at, s)).collect();
+        self.apply_due();
+        self.load(0x0200_0000);
+        let mut submitted = 2 * LOAD;
+        let slow_window = scenario.expectation == PathExpectation::SlowWhileFaulted;
+        if slow_window {
+            // The survivors must keep committing *while* the fault holds —
+            // wait for them inside the window and snapshot before heal
+            // fires, so the during-window counters cannot be polluted by a
+            // healed fast path racing ahead.
+            let survivors: Vec<ProcessId> = all[..n - (cfg.t() + 1)].to_vec();
+            let window = |now: Duration| {
+                let heal = scenario
+                    .heal_at()
+                    .map(|heal| heal.saturating_sub(now - start));
+                let left = heal.unwrap_or(Duration::from_secs(5));
+                left - left / 10
+            };
+            let during = self.await_commands(&survivors, submitted, window(self.clock.now()));
+            self.gates.require(
+                during,
+                "survivors above the slow quorum must commit during the fault",
+            );
+            // Dead leaders must stop costing timeouts. Each probe waits for
+            // the one before it, so it is one slot, and a rotation of `n`
+            // of them makes every isolated seat lead — and be timed out on
+            // — at least once. A second rotation, each probe timed from
+            // submit to applied by every survivor, must then stay below the
+            // view-1 timeout: the survivors suspect those seats and wish
+            // past them (see `crate::suspicion`).
+            let mut rotation = Vec::new();
+            for probe in 0..2 * n {
+                let sent = self.clock.now();
+                self.clock.submit(Value::from_u64(0x0280_0000 + submitted));
+                submitted += 1;
+                let done = self.await_commands(&survivors, submitted, window(sent));
+                self.gates.require(
+                    done,
+                    format_args!("survivors must commit probe {submitted} during the fault"),
+                );
+                if probe >= n {
+                    rotation.push(self.clock.now() - sent);
+                }
+            }
+            // Nearest-rank p99 of n < 100 samples is the slowest one.
+            let p99 = rotation.iter().max().copied().unwrap_or_default();
+            let base_timeout = self.gates.base_timeout();
+            self.gates.require(
+                p99 < base_timeout,
+                format_args!(
+                    "after the first rotation a slot led by an isolated seat must not \
+                     wait out the {base_timeout:?} view timer (second rotation: {rotation:?})"
+                ),
+            );
+        }
+        // Let the script run out: its last step is the heal. Without a
+        // mid-window gate the during bucket covers the whole fault window.
+        let mid_window = totals();
+        if let Some(&(last, _)) = self.pending.first() {
+            let left = last.saturating_sub(self.clock.now());
+            self.await_commands(&all, u64::MAX, left);
+        }
+        let (fast1, slow1) = if slow_window { mid_window } else { totals() };
+
+        // Phase 3: post-heal. Liveness must return within the derived
+        // recovery window, on every replica — including the ones that were
+        // cut off.
+        self.load(0x0300_0000);
+        let window = recovery_window(self.gates.base_timeout(), scenario.max_delay());
+        let live = self.await_commands(&all, submitted + LOAD, window);
+        let gates = &self.gates;
+        gates.require(
+            live,
+            format_args!("liveness must return within {window:?} of heal"),
+        );
+        let (fast2, _) = totals();
+        gates.require(self.clock.logs_agree(), "log divergence under faults");
+        gates.require(
+            fast2 > fast1,
+            format_args!("the fast path must resume after heal (fast {fast0}→{fast1}→{fast2})"),
+        );
+        let (fast, slow) = (fast1 - fast0, slow1 - slow0);
+        gates.require(
+            !slow_window || slow > fast,
+            format_args!(
+                "with the fast quorum unreachable, the slow path must carry the fault \
+                 window (fast {fast}, slow {slow})"
+            ),
+        );
+        let fired = self.clock.fired();
+        for ((promised, fired), kind) in scenario.injects().into_iter().zip(fired).zip(KINDS) {
+            gates.require(
+                !promised || fired > 0,
+                format_args!("the script's {kind} injection never fired"),
+            );
+        }
+    }
+}
+
+/// The view-1 timeout, in ticks, of every seat that runs `scenario`.
+fn view_timeout(scenario: &Scenario) -> u64 {
+    scenario.base_timeout_ticks(ReplicaOptions::default().base_timeout.0)
+}
+
+/// What every seat of a chaos run holds: the node, one command per slot,
+/// under the scenario's view-1 timeout.
+fn seated<S: StateMachine>(mut node: SmrNode<S>, scenario: &Scenario) -> SmrNode<S> {
+    node.opts.base_timeout = SimDuration(view_timeout(scenario));
+    node.with_batch_size(1)
+}
+
+/// The wall clock.
+struct Wall {
+    cluster: SmrClusterHandle,
+    started: Instant,
+}
+
+impl Clock for Wall {
+    fn now(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    fn submit(&mut self, command: Value) {
+        self.cluster.submit(command);
+    }
+
+    fn run_until(&mut self, who: &[ProcessId], k: u64, until: Duration) -> bool {
+        let within = until.saturating_sub(self.now());
+        self.cluster.await_commands(who.iter().copied(), k, within)
+    }
+
+    fn logs_agree(&self) -> bool {
+        self.cluster.logs_agree()
+    }
+
+    fn fired(&self) -> [u64; 4] {
+        let registry = self.cluster.registry();
+        [
+            registry.total(|m| &m.fault_delay_injected_total),
+            registry.total(|m| &m.fault_drop_injected_total),
+            registry.total(|m| &m.fault_dup_injected_total),
+            registry.total(|m| &m.fault_partition_drop_total),
+        ]
+    }
+}
+
+/// Runs `scenario` against a metered SMR cluster of `cfg.n()` replicas on
+/// the wall clock and asserts every gate. The harness builds the keys,
+/// the seats' nodes, the registry and the plan; `seats` only puts the
+/// actors on a transport, and the harness wraps what it returns in fault
+/// transports under one fixed seed, so every run shapes the same
+/// deliveries. A failed gate writes its post-mortem under
+/// `postmortem/<scenario name>-n<n>-seed<seed>/`.
 ///
 /// # Panics
 ///
@@ -159,12 +395,10 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         &MetricsRegistry,
     ) -> Vec<NodeSeat<SlotMessage, T>>,
     postmortem: &Path,
-) -> ChaosReport {
+) {
     let n = cfg.n();
-    let ticks = scenario.base_timeout_ticks(TICK, ReplicaOptions::default().base_timeout.0);
-    let base_timeout = TICK * u32::try_from(ticks).expect("a view-1 timeout below 2^32 ticks");
     let plan = FaultPlan::new();
-    let mut cluster = SmrClusterHandle::spawn(
+    let cluster = SmrClusterHandle::spawn(
         cfg,
         SEED,
         CountingMachine::new(),
@@ -175,186 +409,253 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
             assert_eq!(seats.len(), n, "one seat per process");
             wrap_seats_metered(seats, &plan, SEED, registry)
         },
-        // One command per slot, under the scenario's view-1 timeout.
-        |_, mut node| {
-            node.opts.base_timeout = SimDuration(ticks);
-            Box::new(node.with_batch_size(1))
-        },
+        |_, node| Box::new(seated(node, scenario)),
     );
     let registry = cluster.registry().clone();
     let gates = Gates {
         scenario,
         registry: &registry,
+        seed: SEED,
         dir: postmortem,
-        base_timeout,
     };
-    let all: Vec<ProcessId> = (0..n).map(ProcessId::from_index).collect();
-    let totals = |registry: &MetricsRegistry| -> (u64, u64) {
-        (
-            registry.total(|m| &m.commit_fast_total),
-            registry.total(|m| &m.commit_slow_total),
-        )
+    let clock = Wall {
+        cluster,
+        started: Instant::now(),
     };
+    let pending = Vec::new();
+    let mut run = Run {
+        clock,
+        plan,
+        pending,
+        gates,
+    };
+    run.drive(cfg);
+    run.clock.cluster.shutdown();
+}
 
-    // Phase 1: healthy baseline. Commands are tagged by phase so replays
-    // and duplicates can never alias across phases.
-    for i in 0..LOAD {
-        cluster.submit(Value::from_u64(0x0100_0000 + i));
+/// The simulator's clock. `at` is the next instant to run: every event
+/// before it has.
+struct Virtual {
+    cluster: SmrSimCluster<CountingMachine>,
+    at: SimTime,
+}
+
+impl Clock for Virtual {
+    fn now(&self) -> Duration {
+        TICK * u32::try_from(self.at.0).expect("a run shorter than 2^32 ticks")
     }
-    gates.require(
-        cluster.await_commands(all.clone(), LOAD, Duration::from_secs(30)),
-        "warmup load must commit on a healthy cluster",
+
+    fn submit(&mut self, command: Value) {
+        let (sim, at) = (self.cluster.sim_mut(), self.at);
+        for p in ProcessId::all(sim.n()) {
+            sim.submit_client(p, command.clone(), at);
+        }
+    }
+
+    fn run_until(&mut self, who: &[ProcessId], k: u64, until: Duration) -> bool {
+        while !who
+            .iter()
+            .all(|p| self.cluster.node(*p).commands_applied() >= k)
+        {
+            if self.now() >= until {
+                return false;
+            }
+            self.cluster.sim_mut().run_until(self.at);
+            self.at += SimDuration(1);
+        }
+        true
+    }
+
+    fn logs_agree(&self) -> bool {
+        self.cluster.report().logs_consistent
+    }
+
+    fn fired(&self) -> [u64; 4] {
+        let (mut shaped, mut dropped) = (0, 0);
+        for record in self.cluster.sim().trace().records() {
+            if let TraceEvent::Send { deliver_at, .. } = record.event {
+                if deliver_at == SimTime::NEVER {
+                    dropped += 1;
+                } else if deliver_at.since(record.at) > HOP + SimDuration(JITTER.into()) {
+                    shaped += 1;
+                }
+            }
+        }
+        // A drop is whichever of loss and partition the script promises
+        // (`run_chaos_virtual` refuses a script promising both), and a
+        // simulator network delivers each send once.
+        [shaped, dropped, 0, dropped]
+    }
+}
+
+/// Runs `scenario` against a metered SMR cluster of `cfg.n()` replicas in
+/// virtual time and asserts every gate [`run_chaos`] asserts, on the same
+/// seats. The links take one tick plus a jitter the script's rules
+/// override link by link, every fate drawn by [`FaultPlan::network`]; the
+/// keys, the jitter and every fate come from `seed`, so each seed is
+/// another schedule and a failing one replays exactly. A failed gate
+/// writes its post-mortem under `postmortem/<scenario name>-n<n>-seed<seed>/`.
+///
+/// # Panics
+///
+/// Panics — failing the calling test, naming the scenario, `n` and `seed`
+/// — if any degradation property is violated (see [`run_chaos`]); before
+/// the run, if the scenario promises both loss and partition drops, which
+/// the trace cannot tell apart.
+pub fn run_chaos_virtual(cfg: Config, scenario: &Scenario, seed: u64, postmortem: &Path) {
+    let [_, loss, _, partition] = scenario.injects();
+    let both = "promises loss and partition drops, which the trace cannot tell apart";
+    assert!(!(loss && partition), "[{}] {both}", scenario.name);
+    let plan = FaultPlan::new();
+    plan.set_default(LinkProfile::delayed(Duration::ZERO, TICK * JITTER));
+    let cluster = SmrSimCluster::new(
+        cfg,
+        seed,
+        CountingMachine::new(),
+        vec![Vec::new(); cfg.n()],
+        Value::from_u64(u64::MAX),
+        plan.network(HOP, seed),
+        |_, node| Box::new(seated(node, scenario)),
     );
-    let (fast0, slow0) = totals(&registry);
-
-    // Phase 2: the fault window. The script's t + 0 step is in force when
-    // `run_scenario` returns, the rest runs on its own thread; the harness
-    // offers load underneath it.
-    let fault_started = Instant::now();
-    let heal_at = scenario.heal_at();
-    let run = run_scenario(&plan, scenario, registry.replica(0));
-    for i in 0..LOAD {
-        cluster.submit(Value::from_u64(0x0200_0000 + i));
+    let registry = cluster.registry().clone();
+    let gates = Gates {
+        scenario,
+        registry: &registry,
+        seed,
+        dir: postmortem,
+    };
+    let clock = Virtual {
+        cluster,
+        at: SimTime::ZERO,
+    };
+    let pending = Vec::new();
+    Run {
+        clock,
+        plan,
+        pending,
+        gates,
     }
-    let mut submitted = 2 * LOAD;
-    let (fast1, slow1);
-    if scenario.expectation == PathExpectation::SlowWhileFaulted {
-        // The survivors must keep committing *while* the fault holds —
-        // wait for them inside the window and snapshot before heal fires,
-        // so the during-window counters cannot be polluted by a healed
-        // fast path racing ahead.
-        let survivors: Vec<ProcessId> = all[..n - (cfg.t() + 1)].to_vec();
-        let window = || {
-            heal_at
-                .map(|heal| heal.saturating_sub(fault_started.elapsed()))
-                .map(|left| left.saturating_sub(left / 10))
-                .unwrap_or(Duration::from_secs(5))
-        };
-        gates.require(
-            cluster.await_commands(survivors.clone(), submitted, window()),
-            "survivors above the slow quorum must commit during the fault",
-        );
-        // Dead leaders must stop costing timeouts. Each probe waits for the
-        // one before it, so it is one slot, and a rotation of `n` of them
-        // makes every isolated seat lead — and be timed out on — at least
-        // once. A second rotation, each probe timed from submit to applied
-        // by every survivor, must then stay below the view-1 timeout: the
-        // survivors suspect those seats and wish past them (see
-        // `crate::suspicion`).
-        let mut probe = |timed: bool| {
-            let sent = Instant::now();
-            cluster.submit(Value::from_u64(0x0280_0000 + submitted));
-            submitted += 1;
-            gates.require(
-                cluster.await_commands(survivors.clone(), submitted, window()),
-                format_args!("survivors must commit probe {submitted} during the fault"),
-            );
-            timed.then(|| sent.elapsed())
-        };
-        for _ in 0..n {
-            probe(false);
-        }
-        let rotation: Vec<Duration> = (0..n).filter_map(|_| probe(true)).collect();
-        // Nearest-rank p99 of n < 100 samples is the slowest one.
-        let p99 = rotation.iter().max().copied().unwrap_or_default();
-        gates.require(
-            p99 < base_timeout,
-            format_args!(
-                "after the first rotation a slot led by an isolated seat must not \
-                 wait out the {base_timeout:?} view timer (second rotation: {rotation:?})"
-            ),
-        );
-        (fast1, slow1) = totals(&registry);
-        run.join().expect("the chaos script panicked");
-    } else {
-        // No mid-window gate: let the script run out (its last step is
-        // the heal), then snapshot — the during bucket covers the whole
-        // fault window.
-        run.join().expect("the chaos script panicked");
-        (fast1, slow1) = totals(&registry);
-    }
-
-    // Phase 3: post-heal. Liveness must return within the derived
-    // recovery window, on every replica — including the ones that were
-    // cut off.
-    for i in 0..LOAD {
-        cluster.submit(Value::from_u64(0x0300_0000 + i));
-    }
-    let window = recovery_window(base_timeout, scenario.max_delay());
-    gates.require(
-        cluster.await_commands(all, submitted + LOAD, window),
-        format_args!("liveness must return within {window:?} of heal"),
-    );
-    let (fast2, slow2) = totals(&registry);
-
-    // Property 1: safety, always.
-    gates.require(cluster.logs_agree(), "log divergence under faults");
-
-    // Property 3: path attribution per the scenario's expectation.
-    let (fast_during, slow_during) = (fast1 - fast0, slow1 - slow0);
-    let fast_after = fast2 - fast1;
-    match scenario.expectation {
-        PathExpectation::FastRecovers => {
-            gates.require(
-                fast_after > 0,
-                format_args!(
-                    "fast path must produce commits after heal (fast {fast0}→{fast1}→{fast2})"
-                ),
-            );
-        }
-        PathExpectation::SlowWhileFaulted => {
-            gates.require(
-                slow_during > 0,
-                "commits during the fault must exist on the slow path",
-            );
-            gates.require(
-                slow_during > fast_during,
-                format_args!(
-                    "with the fast quorum unreachable, the slow path must carry \
-                     the fault window (fast {fast_during}, slow {slow_during})"
-                ),
-            );
-            gates.require(fast_after > 0, "the fast path must resume after heal");
-        }
-        PathExpectation::StallAllowed => {
-            gates.require(
-                fast_after > 0,
-                "a stalled cluster must resume fast commits after heal",
-            );
-        }
-    }
-
-    // Every fault kind the script injects must actually have fired —
-    // otherwise the run proved nothing.
-    let injected = [
-        registry.total(|m| &m.fault_delay_injected_total),
-        registry.total(|m| &m.fault_drop_injected_total),
-        registry.total(|m| &m.fault_dup_injected_total),
-        registry.total(|m| &m.fault_partition_drop_total),
-    ];
-    for ((promised, fired), kind) in scenario.injects().into_iter().zip(injected).zip(KINDS) {
-        gates.require(
-            !promised || fired > 0,
-            format_args!("the script's {kind} injection never fired"),
-        );
-    }
-
-    cluster.shutdown();
-    ChaosReport {
-        fast: [fast0, fast_during, fast_after],
-        slow: [slow0, slow_during, slow2 - slow1],
-        injected,
-    }
+    .drive(cfg);
 }
 
 #[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    use fastbft_runtime::LinkRules;
+    use fastbft_sim::Simulation;
+
     use super::*;
 
+    /// A cluster on which every command offered is applied at once, on the
+    /// fast path, so every gate passes; at each offer it notes whether the
+    /// plan cuts p4's sends to p1.
+    struct Eager {
+        now: Duration,
+        offered: u64,
+        registry: MetricsRegistry,
+        /// The plan as a simulator network, to read which links it cuts.
+        probe: Simulation<SlotMessage>,
+        cut_at_offer: Vec<bool>,
+    }
+
+    impl Eager {
+        /// Whether the plan cuts p`from`'s sends to p1 now.
+        fn cut(&mut self, from: u32) -> bool {
+            let probe = SlotMessage::SnapshotRequest { have: 0 };
+            let (from, zero) = (ProcessId(from), SimTime::ZERO);
+            self.probe.inject_message(from, ProcessId(1), probe, zero);
+            let sent = &self.probe.trace().records().last().expect("traced").event;
+            matches!(sent, TraceEvent::Send { deliver_at, .. } if *deliver_at == SimTime::NEVER)
+        }
+    }
+
+    impl Clock for Eager {
+        fn now(&self) -> Duration {
+            self.now
+        }
+
+        fn submit(&mut self, _: Value) {
+            self.offered += 1;
+            self.registry.metrics(0).commit_fast_total.inc();
+            let cut = self.cut(4);
+            self.cut_at_offer.push(cut);
+        }
+
+        fn run_until(&mut self, _: &[ProcessId], k: u64, until: Duration) -> bool {
+            if k > self.offered {
+                self.now = until;
+            }
+            k <= self.offered
+        }
+
+        fn logs_agree(&self) -> bool {
+            true
+        }
+
+        fn fired(&self) -> [u64; 4] {
+            [1; 4]
+        }
+    }
+
+    /// A script listed out of order plays sorted by offset: the `t + 0`
+    /// step is in force before the fault window's load is offered, of two
+    /// steps at one offset the later listed wins, and every step is a
+    /// `chaos-step` event in replica 0's recorder, in the order applied.
+    #[test]
+    fn a_script_plays_in_offset_order_with_the_t0_step_before_the_load() {
+        let cut = |p| LinkRules {
+            by_src: [(ProcessId(p), LinkProfile::cut())].into(),
+            ..LinkRules::default()
+        };
+        let later = Duration::from_millis(10);
+        let scenario = Scenario {
+            name: "shuffled",
+            steps: vec![
+                ChaosStep::new(later, "cut p2", cut(2)),
+                ChaosStep::new(Duration::ZERO, "cut p4", cut(4)),
+                ChaosStep::new(later, "cut p3", cut(3)),
+            ],
+            expectation: PathExpectation::FastRecovers,
+            timer_covers_delay: false,
+        };
+        let (plan, registry) = (FaultPlan::new(), MetricsRegistry::new(4));
+        let clock = Eager {
+            now: Duration::ZERO,
+            offered: 0,
+            registry: registry.clone(),
+            probe: Simulation::new(plan.network(HOP, 0), 0),
+            cut_at_offer: Vec::new(),
+        };
+        let gates = Gates {
+            scenario: &scenario,
+            registry: &registry,
+            seed: 0,
+            dir: Path::new("unwritten"),
+        };
+        let pending = Vec::new();
+        let mut run = Run {
+            clock,
+            plan,
+            pending,
+            gates,
+        };
+        run.drive(Config::new(4, 1, 1).unwrap());
+
+        let in_window: Vec<bool> = (0..3 * LOAD).map(|i| i / LOAD == 1).collect();
+        assert_eq!(run.clock.cut_at_offer, in_window, "before, during, after");
+        assert_eq!([2, 3, 4].map(|p| run.clock.cut(p)), [false, true, false]);
+        let events = registry.metrics(0).recorder.snapshot().into_iter();
+        let steps: Vec<String> = events
+            .map(|e| format!("{}: {}", e.kind, e.detail))
+            .collect();
+        let applied = ["cut p4 (t+0ns)", "cut p2 (t+10ms)", "cut p3 (t+10ms)"];
+        assert_eq!(steps, applied.map(|s| format!("chaos-step: shuffled: {s}")));
+    }
+
     /// A failed gate writes all three kinds of file — the registry, the
-    /// script, each replica's recorder — and names their directory.
+    /// script, each replica's recorder — and names their directory and the
+    /// run: scenario, cluster size, seed.
     #[test]
     fn a_failed_gate_leaves_metrics_script_and_recorders_behind() {
         let cfg = Config::new(4, 1, 1).unwrap();
@@ -366,14 +667,14 @@ mod tests {
         let gates = Gates {
             scenario: &Scenario::catalog(&cfg)[1],
             registry: &registry,
+            seed: 5,
             dir: &root,
-            base_timeout: Duration::from_millis(40),
         };
         let failed = catch_unwind(AssertUnwindSafe(|| gates.require(false, "gate under test")));
         let message = *failed.unwrap_err().downcast::<String>().unwrap();
-        let dir = root.join("partition-the-fast-quorum-n4");
+        let dir = root.join("partition-the-fast-quorum-n4-seed5");
         let named = format!(
-            "[partition-the-fast-quorum] gate under test (post-mortem: {})",
+            "[partition-the-fast-quorum n=4 seed=5] gate under test (post-mortem: {})",
             dir.display()
         );
         assert_eq!(message, named);

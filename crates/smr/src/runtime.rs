@@ -63,9 +63,7 @@ use crate::batcher::Batching;
 use crate::machine::StateMachine;
 use crate::multiplex::{SlotMessage, SmrNode};
 
-/// Wall time of one protocol tick (timers only) in every cluster
-/// [`SmrClusterHandle::spawn`] builds.
-pub const TICK: Duration = Duration::from_micros(50);
+pub use fastbft_runtime::TICK;
 
 /// Vestige: named only by the frozen `benchmark/`; build clusters with [`SmrClusterHandle::spawn`].
 #[allow(clippy::too_many_arguments)]

@@ -18,10 +18,8 @@
 //!
 //! n = 4, one command per slot, pipeline depth 4, a snapshot every 16 slots.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use fastbft_sim::{Network, SimDuration, SimTime};
+use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
+use fastbft_sim::{SimDuration, SimTime};
 use fastbft_smr::{tag_command, KvCommand, KvStore, SmrSimCluster, SLOT_WINDOW};
 use fastbft_types::wire::Encode;
 use fastbft_types::{Config, ProcessId, Value};
@@ -98,22 +96,20 @@ fn a_snapshot_installed_over_open_slots_requeues_what_it_did_not_execute() {
     let live = [ProcessId(1), ProcessId(2), ProcessId(3)];
     let everyone: Vec<ProcessId> = cfg.processes().collect();
 
-    let cut = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&cut);
-    let network = Network::scripted(SimDuration::DELTA, move |info| {
-        if flag.load(Ordering::Relaxed) && (info.from == victim || info.to == victim) {
-            SimTime::NEVER
-        } else {
-            info.sent_at + SimDuration::DELTA
-        }
-    });
+    let plan = FaultPlan::new();
+    let cut = LinkProfile::cut();
+    let cut_off = LinkRules {
+        pairs: [((victim, victim), cut)].into(),
+        by_src: [(victim, cut)].into(),
+        by_dst: [(victim, cut)].into(),
+    };
     let cluster = SmrSimCluster::new(
         cfg,
         23,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
         KvCommand::Noop.to_value(),
-        network,
+        plan.network(SimDuration::DELTA, 23),
         |_, node| {
             Box::new(
                 node.with_batch_size(1)
@@ -153,7 +149,7 @@ fn a_snapshot_installed_over_open_slots_requeues_what_it_did_not_execute() {
         untagged("f"),
     ];
     let bytes = |cmds: &[Value]| cmds.iter().map(|c| c.as_bytes().len()).sum::<usize>();
-    cut.store(true, Ordering::Relaxed);
+    plan.set_rules(cut_off);
     let sim = run.cluster.sim_mut();
     let cut_at = sim.now();
     for cmd in &own {
@@ -191,7 +187,7 @@ fn a_snapshot_installed_over_open_slots_requeues_what_it_did_not_execute() {
     // Heal, with a little paced load so there is something to hear: frames
     // beyond the victim's window, which it stashes while it sees f + 1
     // peers past the recovery gap, asks, and installs.
-    cut.store(false, Ordering::Relaxed);
+    plan.heal();
     let healed_at = run.cluster.sim().now();
     for i in 0..8 {
         run.submit_shared(&live, SimTime(healed_at.0 + i * DELTA));

@@ -17,9 +17,6 @@
 //! leaders early, with the idle filler — run the default depth under paced
 //! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use fastbft_core::byzantine::RandomByzantine;
 use fastbft_core::cluster::SimCluster;
 use fastbft_core::message::{Message, ProposeMsg, WishMsg};
@@ -27,6 +24,7 @@ use fastbft_core::payload::propose_payload;
 use fastbft_core::replica::Replica;
 use fastbft_core::ProgressCert;
 use fastbft_crypto::KeyDirectory;
+use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{
     Actor, Effects, Network, Outgoing, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
 };
@@ -238,6 +236,14 @@ fn view_changes(cluster: &Cluster, p: ProcessId) -> u64 {
         .get()
 }
 
+/// Rules that lose everything `victim` sends to a peer.
+fn muted(victim: ProcessId) -> LinkRules {
+    LinkRules {
+        by_src: [(victim, LinkProfile::cut())].into(),
+        ..LinkRules::default()
+    }
+}
+
 /// Seats 6–7 of [`generalized_seven`] silent, the rest honest.
 fn two_silent_seats(p: ProcessId, node: Node) -> BoxedActor {
     if p.0 >= 6 {
@@ -391,15 +397,9 @@ fn a_healed_leader_is_cleared_by_its_next_proposal() {
     let victim = ProcessId(3);
     let all: Vec<ProcessId> = cfg.processes().collect();
     let others: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
-    let cut = Arc::new(AtomicBool::new(true));
-    let flag = Arc::clone(&cut);
-    let network = Network::scripted(DELTA, move |info| {
-        if flag.load(Ordering::Relaxed) && info.from == victim && info.to != victim {
-            SimTime::NEVER
-        } else {
-            info.sent_at + DELTA
-        }
-    });
+    let plan = FaultPlan::new();
+    plan.set_rules(muted(victim));
+    let network = plan.network(DELTA, 23);
     let mut cluster = sequential(cfg, 23, network, 21, None, |_, node| Box::new(node));
     let mut applied_at = Vec::new();
 
@@ -414,7 +414,7 @@ fn a_healed_leader_is_cleared_by_its_next_proposal() {
 
     // Heal. Slot 8 opens with the others wishing past p3 — and p3's
     // proposal, arriving with those wishes, clears it. No timeout is paid.
-    cut.store(false, Ordering::Relaxed);
+    plan.heal();
     assert_eq!(slot_leader(&cfg, 8, 1), victim);
     run_until_applied(&mut cluster, &mut applied_at, &all, 9, |_| {});
     assert!(
@@ -958,15 +958,14 @@ fn snapshot_install_starts_with_an_empty_table() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let victim = ProcessId(4);
     let live = [ProcessId(1), ProcessId(2), ProcessId(3)];
-    let healed = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&healed);
-    let network = Network::scripted(DELTA, move |info| {
-        if !flag.load(Ordering::Relaxed) && (info.from == victim || info.to == victim) {
-            SimTime::NEVER
-        } else {
-            info.sent_at + DELTA
-        }
+    let plan = FaultPlan::new();
+    let cut = LinkProfile::cut();
+    plan.set_rules(LinkRules {
+        pairs: [((victim, victim), cut)].into(),
+        by_src: [(victim, cut)].into(),
+        by_dst: [(victim, cut)].into(),
     });
+    let network = plan.network(DELTA, 41);
     // Snapshots every 16 slots; the live side runs 100 slots ahead — past
     // the victim's window of 64 — and still has work left after the heal
     // (an idle cluster sends a laggard nothing to notice the gap by).
@@ -980,7 +979,7 @@ fn snapshot_install_starts_with_an_empty_table() {
         "slot 0's leader timed out"
     );
 
-    healed.store(true, Ordering::Relaxed);
+    plan.heal();
     let horizon = SimTime(cluster.sim().now().0 + 1_000 * DELTA.0);
     cluster.run_until(horizon, |c| {
         let installed = c.node(victim).snapshot_upto().is_some();
@@ -1207,16 +1206,9 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
     let victim = ProcessId(3);
     let all: Vec<ProcessId> = cfg.processes().collect();
     let others: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
-    let cut = Arc::new(AtomicBool::new(true));
-    let flag = Arc::clone(&cut);
-    let network = Network::scripted(DELTA, move |info| {
-        if flag.load(Ordering::Relaxed) && info.from == victim && info.to != victim {
-            SimTime::NEVER
-        } else {
-            info.sent_at + DELTA
-        }
-    });
-    let mut cluster = pipelined(cfg, 23, network, |_, node| Box::new(node));
+    let plan = FaultPlan::new();
+    plan.set_rules(muted(victim));
+    let mut cluster = pipelined(cfg, 23, plan.network(DELTA, 23), |_, node| Box::new(node));
     let mut applied_at = Vec::new();
     const COMMANDS: u64 = 60;
     for i in 0..COMMANDS {
@@ -1235,7 +1227,7 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
 
     // Heal. Every slot p3 leads first from here on is revoked until it is
     // cleared, so the proposal that clears it is one for a revoked slot.
-    cut.store(false, Ordering::Relaxed);
+    plan.heal();
     run_dry(
         &mut cluster,
         &all,
@@ -1304,14 +1296,13 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
     let unknowing = [ProcessId(1), ProcessId(3), ProcessId(6), ProcessId(7)];
     let live: Vec<ProcessId> = cfg.processes().filter(|p| *p != crashed).collect();
     let healed_at = SimTime(9 * DELTA.0);
-    let network = Network::scripted(DELTA, move |info| {
-        if info.sent_at < healed_at && knowing.contains(&info.to) {
-            SimTime::NEVER
-        } else {
-            info.sent_at + DELTA
-        }
+    let plan = FaultPlan::new();
+    plan.set_rules(LinkRules {
+        pairs: knowing.map(|p| ((p, p), LinkProfile::cut())).into(),
+        by_dst: knowing.map(|p| (p, LinkProfile::cut())).into(),
+        ..LinkRules::default()
     });
-    let mut cluster = pipelined(cfg, 29, network, |_, node| Box::new(node));
+    let mut cluster = pipelined(cfg, 29, plan.network(DELTA, 29), |_, node| Box::new(node));
     assert_eq!(slot_leader(&cfg, 0, 1), crashed);
     assert_eq!(slot_leader(&cfg, 7, 1), crashed);
     cluster.sim_mut().schedule_crash(crashed, healed_at);
@@ -1326,7 +1317,10 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
     }
 
     // Idle start: slot 0 decides without the two, who time out on p2 and
-    // catch up by backfill after the heal.
+    // catch up by backfill after the heal — from the first send at
+    // `healed_at` on.
+    cluster.sim_mut().run_until(SimTime(healed_at.0 - 1));
+    plan.heal();
     cluster.sim_mut().run_until(SimTime(first_command_at.0 - 1));
     for p in &live {
         assert_eq!(cluster.node(*p).applied(), 1, "at {p}");

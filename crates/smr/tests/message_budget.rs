@@ -15,12 +15,10 @@
 //! exactly Δ, the view-1 timeout is the default 8Δ, every cluster uses
 //! batch 1 (one command per slot).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use fastbft_core::message::{AckMsg, CommitMsg, Message, ProposeMsg, WishMsg};
 use fastbft_core::{CommitCert, ProgressCert};
 use fastbft_crypto::KeyDirectory;
+use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{Network, SimDuration, SimTime, TraceEvent};
 use fastbft_smr::{CountingMachine, SlotMessage, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
@@ -235,17 +233,15 @@ fn a_seat_cut_off_for_several_slots_heals_through_its_own_wishes() {
     let victim = ProcessId(7);
     let peers: Vec<ProcessId> = cfg.processes().filter(|p| *p != victim).collect();
 
-    let cut = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&cut);
-    let network = Network::scripted(DELTA, move |info| {
-        if flag.load(Ordering::Relaxed) && (info.from == victim || info.to == victim) {
-            SimTime::NEVER
-        } else {
-            info.sent_at + DELTA
-        }
-    });
+    let plan = FaultPlan::new();
+    let cut = LinkProfile::cut();
+    let cut_off = LinkRules {
+        pairs: [((victim, victim), cut)].into(),
+        by_src: [(victim, cut)].into(),
+        by_dst: [(victim, cut)].into(),
+    };
     // The default pipeline depth, one command per Δ to every seat.
-    let mut cluster = cluster(cfg, 9, network, 0, None);
+    let mut cluster = cluster(cfg, 9, plan.network(DELTA, 9), 0, None);
     for i in 0..COMMANDS {
         for p in cfg.processes() {
             let at = SimTime(i * DELTA.0);
@@ -259,9 +255,9 @@ fn a_seat_cut_off_for_several_slots_heals_through_its_own_wishes() {
     // settled and heal once the peers are through slot 18, so the cut
     // costs them no view change.
     cluster.run_until(HORIZON, |c| applied(c, &peers) >= 13);
-    cut.store(true, Ordering::Relaxed);
+    plan.set_rules(cut_off);
     cluster.run_until(HORIZON, |c| applied(c, &peers) >= 19);
-    cut.store(false, Ordering::Relaxed);
+    plan.heal();
     let healed_at = cluster.sim().now();
     let tip = applied(&cluster, &peers);
     let holes = tip - cluster.node(victim).applied();

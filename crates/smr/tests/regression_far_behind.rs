@@ -13,10 +13,8 @@
 //! voting; snapshot truncation keeps everyone's memory bounded by the
 //! snapshot interval throughout.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use fastbft_sim::{Network, SimDuration, SimTime};
+use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
+use fastbft_sim::{SimDuration, SimTime};
 use fastbft_smr::{
     KvCommand, KvStore, SmrSimCluster, DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
 };
@@ -44,15 +42,12 @@ fn replica_partitioned_past_stash_horizon_recovers() {
     let commands = vec![queue.clone(), queue.clone(), queue, Vec::new()];
 
     // Partition: until healed, anything to or from the victim is lost.
-    let healed = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&healed);
-    let delta = SimDuration::DELTA;
-    let network = Network::scripted(delta, move |info| {
-        if !flag.load(Ordering::Relaxed) && (info.from == victim || info.to == victim) {
-            SimTime::NEVER
-        } else {
-            info.sent_at + delta
-        }
+    let plan = FaultPlan::new();
+    let cut = LinkProfile::cut();
+    plan.set_rules(LinkRules {
+        pairs: [((victim, victim), cut)].into(),
+        by_src: [(victim, cut)].into(),
+        by_dst: [(victim, cut)].into(),
     });
     let mut cluster = SmrSimCluster::new(
         cfg,
@@ -60,7 +55,7 @@ fn replica_partitioned_past_stash_horizon_recovers() {
         KvStore::new(),
         commands,
         KvCommand::Noop.to_value(),
-        network,
+        plan.network(SimDuration::DELTA, 11),
         |_, node| {
             Box::new(
                 node.with_batch_size(1)
@@ -84,7 +79,7 @@ fn replica_partitioned_past_stash_horizon_recovers() {
     // Phase B: heal. The victim must recover — not via the stash (those
     // slots are gone from every live window) but by installing an attested
     // snapshot — and then converge on all 500 commands with everyone else.
-    healed.store(true, Ordering::Relaxed);
+    plan.heal();
     let report = cluster.run_until(SimTime(8_000_000_000), |c| {
         cfg.processes()
             .all(|p| c.node(p).commands_applied() >= COMMANDS as u64)

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    let (cluster, addrs) = spawn_tcp(actors, pairs, dir, Duration::from_micros(50))?;
+    let (cluster, addrs) = spawn_tcp(actors, pairs, dir)?;
     println!("n = 4, f = t = 1 replicas listening on:");
     for (i, addr) in addrs.iter().enumerate() {
         println!("  p{} @ {addr}", i + 1);
