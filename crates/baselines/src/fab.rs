@@ -27,11 +27,6 @@ use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value, View};
 
-/// Minimum processes for FaB with parameters `(f, t)`.
-pub fn fab_min_n(f: usize, t: usize) -> usize {
-    3 * f + 2 * t + 1
-}
-
 // ---------------------------------------------------------------------------
 // Signed statements (domain-separated from the core protocol's).
 // ---------------------------------------------------------------------------
@@ -307,8 +302,9 @@ impl SimMessage for FabMessage {
 
 /// A FaB Paxos replica (single-shot consensus).
 ///
-/// Construct the configuration with [`fab_config`] so the FaB bound
-/// `n ≥ 3f + 2t + 1` is enforced rather than this paper's `3f + 2t − 1`.
+/// Construct the configuration with `ProtocolKind::FabPaxos.config` so the
+/// FaB bound `n ≥ 3f + 2t + 1` is enforced rather than this paper's
+/// `3f + 2t − 1`.
 #[derive(Debug)]
 pub struct FabReplica {
     cfg: Config,
@@ -336,27 +332,8 @@ pub struct FabReplica {
     timer_gen: u64,
 }
 
-/// Builds a [`Config`] validated against **FaB's** resilience bound.
-///
-/// # Errors
-///
-/// Returns an error string if `n < 3f + 2t + 1` or the thresholds are
-/// malformed.
-pub fn fab_config(n: usize, f: usize, t: usize) -> Result<Config, String> {
-    if f == 0 || t == 0 || t > f {
-        return Err(format!("invalid thresholds f={f}, t={t}"));
-    }
-    if n < fab_min_n(f, t) {
-        return Err(format!(
-            "FaB needs n >= 3f + 2t + 1 = {}, got {n}",
-            fab_min_n(f, t)
-        ));
-    }
-    Ok(Config::new_unchecked(n, f, t))
-}
-
 impl FabReplica {
-    /// Creates a FaB replica. Use [`fab_config`] for `cfg`.
+    /// Creates a FaB replica. Use `ProtocolKind::FabPaxos.config` for `cfg`.
     pub fn new(cfg: Config, keys: KeyPair, dir: KeyDirectory, input: Value) -> Self {
         FabReplica {
             id: keys.id(),
@@ -613,74 +590,11 @@ impl Actor<FabMessage> for FabReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbft_core::cluster::{Report, SimCluster};
-    use fastbft_sim::{Network, ScriptedActor, SimTime};
-
-    fn run_cluster(n: usize, f: usize, t: usize, inputs: &[u64], silent: &[u32]) -> Report {
-        let cfg = fab_config(n, f, t).unwrap();
-        let network = Network::synchronous(SimDuration::DELTA);
-        let inputs = inputs.iter().copied().map(Value::from_u64);
-        let faulty = silent.iter().copied().map(ProcessId);
-        let mut cluster = SimCluster::new(n, 11, network, inputs, faulty, |p, keys, dir, input| {
-            if silent.contains(&p.0) {
-                Box::new(ScriptedActor::silent())
-            } else {
-                Box::new(FabReplica::new(cfg, keys, dir.clone(), input))
-            }
-        });
-        let report = cluster.run_until_all_decide();
-        assert!(report.all_decided, "FaB cluster failed to decide");
-        assert!(
-            report.final_time <= SimTime(1_000_000),
-            "FaB cluster decided too late"
-        );
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        report
-    }
-
-    #[test]
-    fn fab_bound_enforced() {
-        assert!(fab_config(6, 1, 1).is_ok());
-        assert!(fab_config(5, 1, 1).is_err());
-        assert!(fab_config(4, 1, 1).is_err()); // where KTZ21 succeeds!
-        assert_eq!(fab_min_n(1, 1), 6);
-        assert_eq!(fab_min_n(2, 2), 11); // 5f + 1
-    }
-
-    #[test]
-    fn common_case_is_two_delays() {
-        let report = run_cluster(6, 1, 1, &[7; 6], &[]);
-        assert_eq!(report.decisions.len(), 6);
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(7)));
-        for (_, time, _) in &report.decisions {
-            assert_eq!(time.0.div_ceil(report.delta.0), 2, "FaB is two-step");
-        }
-    }
-
-    #[test]
-    fn stays_fast_with_t_failures() {
-        // n = 6, f = t = 1: one silent process, still two delays for the
-        // rest (the silent process is not the leader).
-        let report = run_cluster(6, 1, 1, &[4; 6], &[5]);
-        assert_eq!(report.decisions.len(), 5);
-        for (_, time, _) in &report.decisions {
-            assert_eq!(time.0.div_ceil(report.delta.0), 2);
-        }
-    }
-
-    #[test]
-    fn silent_leader_recovers() {
-        let report = run_cluster(6, 1, 1, &[3; 6], &[2]); // leader(1) = p2
-        assert_eq!(report.decisions.len(), 5);
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(3)));
-        for (_, time, _) in &report.decisions {
-            assert!(time.0 > 2 * report.delta.0);
-        }
-    }
+    use fastbft_types::ProtocolKind;
 
     #[test]
     fn fab_select_thresholds() {
-        let cfg = fab_config(6, 1, 1).unwrap();
+        let cfg = ProtocolKind::FabPaxos.config(6, 1, 1).unwrap();
         let (pairs, _) = KeyDirectory::generate(6, 8);
         let mut votes = BTreeMap::new();
         // 4 nil votes: need n − f = 5.
@@ -706,7 +620,7 @@ mod tests {
 
     #[test]
     fn vote_validity_checks() {
-        let cfg = fab_config(6, 1, 1).unwrap();
+        let cfg = ProtocolKind::FabPaxos.config(6, 1, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(6, 8);
         let x = Value::from_u64(9);
         let leader1 = cfg.leader(View::FIRST);
@@ -760,7 +674,7 @@ mod tests {
         // The E7 story: FaB certificates embed the previous vote set, so
         // their size grows with the chain of view changes. Simulate silent
         // leaders for a few views and measure the propose sizes.
-        let cfg = fab_config(6, 1, 1).unwrap();
+        let cfg = ProtocolKind::FabPaxos.config(6, 1, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(6, 8);
         let x = Value::from_u64(1);
         // View-1 propose: no cert.

@@ -572,72 +572,11 @@ impl Actor<PbftMessage> for PbftReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbft_core::cluster::{Report, SimCluster};
-    use fastbft_sim::{Network, ScriptedActor, SimTime};
-
-    fn run_cluster(n: usize, f: usize, inputs: &[u64], silent: &[u32]) -> Report {
-        let cfg = Config::new_unchecked(n, f, 1.min(f));
-        let network = Network::synchronous(SimDuration::DELTA);
-        let inputs = inputs.iter().copied().map(Value::from_u64);
-        let faulty = silent.iter().copied().map(ProcessId);
-        let mut cluster = SimCluster::new(n, 42, network, inputs, faulty, |p, keys, dir, input| {
-            if silent.contains(&p.0) {
-                Box::new(ScriptedActor::silent())
-            } else {
-                Box::new(PbftReplica::new(cfg, keys, dir.clone(), input))
-            }
-        });
-        let report = cluster.run_until_all_decide();
-        assert!(report.all_decided, "pbft cluster failed to decide");
-        assert!(
-            report.final_time <= SimTime(1_000_000),
-            "pbft cluster decided too late"
-        );
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        report
-    }
-
-    #[test]
-    fn common_case_is_three_delays() {
-        let report = run_cluster(4, 1, &[7, 7, 7, 7], &[]);
-        assert_eq!(report.decisions.len(), 4);
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(7)));
-        for (_, t, _) in &report.decisions {
-            assert_eq!(t.0.div_ceil(report.delta.0), 3, "PBFT decides in 3 delays");
-        }
-    }
-
-    #[test]
-    fn leader_value_adopted() {
-        let report = run_cluster(4, 1, &[1, 2, 3, 4], &[]);
-        // leader(1) = p2 proposes its input 2.
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(2)));
-    }
-
-    #[test]
-    fn silent_leader_recovers_via_view_change() {
-        // leader(1) = p2 is silent; the others must still decide.
-        let report = run_cluster(4, 1, &[5, 5, 5, 5], &[2]);
-        assert_eq!(report.decisions.len(), 3);
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(5)));
-        for (_, t, _) in &report.decisions {
-            assert!(
-                t.0 > 3 * report.delta.0,
-                "must be slower than the common case"
-            );
-        }
-    }
-
-    #[test]
-    fn seven_processes_tolerate_two_silent() {
-        let report = run_cluster(7, 2, &[9; 7], &[1, 3]);
-        assert_eq!(report.decisions.len(), 5);
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(9)));
-    }
+    use fastbft_types::ProtocolKind;
 
     #[test]
     fn prepared_cert_verification() {
-        let cfg = Config::new(4, 1, 1).unwrap();
+        let cfg = ProtocolKind::Pbft.config(4, 1, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(4, 1);
         let x = Value::from_u64(3);
         let v = View(2);

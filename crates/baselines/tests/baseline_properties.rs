@@ -2,10 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use fastbft_baselines::fab::{fab_config, fab_select, FabSelection, FabSignedVote, FabVoteData};
+use fastbft_baselines::fab::{fab_select, FabSelection, FabSignedVote, FabVoteData};
 use fastbft_baselines::pbft::{PreparedCert, SignedViewChange, ViewChangeBody};
 use fastbft_crypto::{KeyDirectory, Signature, SignatureSet};
-use fastbft_types::{ProcessId, Value, View};
+use fastbft_types::{ProcessId, ProtocolKind, Value, View};
 use proptest::prelude::*;
 
 /// Raw (unvalidated) FaB vote for rule-level testing.
@@ -37,7 +37,7 @@ proptest! {
         votes_spec in proptest::collection::vec(
             proptest::option::of((0u64..3, 1u64..=3)), 6),
     ) {
-        let cfg = fab_config(6, 1, 1).unwrap();
+        let cfg = ProtocolKind::FabPaxos.config(6, 1, 1).unwrap();
         let votes: BTreeMap<ProcessId, FabSignedVote> = votes_spec
             .iter()
             .enumerate()
@@ -59,7 +59,7 @@ proptest! {
     /// constrains at f + t after excluding a proven equivocator).
     #[test]
     fn fab_threshold_exact(extra_nil in 0usize..2) {
-        let cfg = fab_config(6, 1, 1).unwrap(); // f = t = 1 ⇒ threshold 3
+        let cfg = ProtocolKind::FabPaxos.config(6, 1, 1).unwrap(); // f = t = 1 ⇒ threshold 3
         let mut votes: BTreeMap<ProcessId, FabSignedVote> = BTreeMap::new();
         for p in 1..=2u32 {
             let (k, v) = raw_fab_vote(p, Some((7, 1)));
@@ -87,7 +87,7 @@ proptest! {
         signers in 1usize..=4,
         seed in any::<u64>(),
     ) {
-        let cfg = fastbft_types::Config::new(4, 1, 1).unwrap();
+        let cfg = ProtocolKind::Pbft.config(4, 1, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(4, seed);
         let x = Value::from_u64(1);
         let v = View(3);
@@ -116,7 +116,7 @@ proptest! {
 /// certificate invalidates the signature.
 #[test]
 fn pbft_view_change_binding() {
-    let cfg = fastbft_types::Config::new(4, 1, 1).unwrap();
+    let cfg = ProtocolKind::Pbft.config(4, 1, 1).unwrap();
     let (pairs, dir) = KeyDirectory::generate(4, 3);
     let _ = (&cfg, &dir, &pairs);
     let body = ViewChangeBody {

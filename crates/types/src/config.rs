@@ -138,10 +138,11 @@ impl Config {
 
     /// Builds a configuration **without** checking the resilience bound.
     ///
-    /// This exists solely for the lower-bound experiments (E4), which
+    /// This exists for the lower-bound experiments (E4), which
     /// deliberately instantiate the protocol on `n = 3f + 2t − 2` processes
-    /// to demonstrate that the adversary of Section 4 forces disagreement.
-    /// Never use it for anything meant to be safe.
+    /// to demonstrate that the adversary of Section 4 forces disagreement,
+    /// and for [`ProtocolKind::config`], which checks the baselines' own
+    /// bounds before calling it. Never use it for anything meant to be safe.
     pub fn new_unchecked(n: usize, f: usize, t: usize) -> Self {
         Config { n, f, t, offset: 0 }
     }
@@ -281,8 +282,10 @@ impl fmt::Display for Config {
 }
 
 /// The protocols compared throughout the experiments, with their published
-/// resilience and common-case latency. Used by the resilience/latency tables
-/// (experiments E5/E6).
+/// resilience, the [`Config`] each runs at and its common-case latency.
+/// `fastbft_baselines::run` runs a protocol by its kind, and the
+/// `protocol_table` binary (experiments E5, E6 and E12) runs every kind at
+/// its minimum `n`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum ProtocolKind {
     /// This paper's protocol: `n = max(3f + 2t − 1, 3f + 1)`, 2 delays.
@@ -303,6 +306,34 @@ impl ProtocolKind {
             ProtocolKind::FabPaxos => 3 * f + 2 * t + 1,
             ProtocolKind::Pbft => 3 * f + 1,
         }
+    }
+
+    /// The configuration this protocol runs `n` processes at, refused below
+    /// [`ProtocolKind::min_n`]. This paper's protocol is [`Config::new`];
+    /// FaB checks the same thresholds against its own bound `3f + 2t + 1`;
+    /// PBFT has no fast path, so `t` is neither checked nor read by its
+    /// replica.
+    ///
+    /// # Errors
+    ///
+    /// * [`ConfigError::ZeroResilience`] if `f = 0`;
+    /// * [`ConfigError::InvalidThreshold`] unless `1 ≤ t ≤ f` (not for PBFT);
+    /// * [`ConfigError::TooFewProcesses`] if `n < self.min_n(f, t)`.
+    pub fn config(self, n: usize, f: usize, t: usize) -> Result<Config, ConfigError> {
+        if self == ProtocolKind::Ktz {
+            return Config::new(n, f, t);
+        }
+        if f == 0 {
+            return Err(ConfigError::ZeroResilience);
+        }
+        if self == ProtocolKind::FabPaxos && (t == 0 || t > f) {
+            return Err(ConfigError::InvalidThreshold { t, f });
+        }
+        let required = self.min_n(f, t);
+        if n < required {
+            return Err(ConfigError::TooFewProcesses { n, required });
+        }
+        Ok(Config::new_unchecked(n, f, t))
     }
 
     /// Common-case decision latency in message delays.
@@ -502,6 +533,42 @@ mod tests {
                 ProtocolKind::FabPaxos.min_n(f, f)
             );
         }
+    }
+
+    /// Every protocol's bound at its edge: `min_n` is accepted and one
+    /// process fewer is refused, naming `min_n`.
+    #[test]
+    fn every_protocol_config_is_refused_one_below_its_bound() {
+        let sizes = [
+            (ProtocolKind::Ktz, [4, 7, 9]),
+            (ProtocolKind::FabPaxos, [6, 9, 11]),
+            (ProtocolKind::Pbft, [4, 7, 7]),
+        ];
+        for (kind, sizes) in sizes {
+            for ((f, t), n) in [(1, 1), (2, 1), (2, 2)].into_iter().zip(sizes) {
+                assert_eq!(kind.min_n(f, t), n, "{kind} at f = {f}, t = {t}");
+                let cfg = kind.config(n, f, t).unwrap();
+                assert_eq!((cfg.n(), cfg.f(), cfg.t()), (n, f, t));
+                assert_eq!(
+                    kind.config(n - 1, f, t),
+                    Err(ConfigError::TooFewProcesses {
+                        n: n - 1,
+                        required: n
+                    }),
+                    "{kind} at f = {f}, t = {t}"
+                );
+            }
+        }
+        let fab = ProtocolKind::FabPaxos;
+        assert_eq!(
+            fab.config(11, 2, 3),
+            Err(ConfigError::InvalidThreshold { t: 3, f: 2 })
+        );
+        assert_eq!(fab.config(6, 0, 0), Err(ConfigError::ZeroResilience));
+        assert_eq!(
+            ProtocolKind::Pbft.config(6, 0, 1),
+            Err(ConfigError::ZeroResilience)
+        );
     }
 
     #[test]

@@ -33,11 +33,12 @@ fn facade_reexports_resolve() {
     assert!(report.all_decided);
 
     // fastbft::baselines
-    assert_eq!(
-        fastbft::baselines::fab_min_n(1, 1),
-        6,
-        "FaB needs 3f + 2t + 1"
-    );
+    let network = fastbft::sim::Network::synchronous(fastbft::sim::SimDuration::DELTA);
+    let inputs = vec![fastbft::types::Value::from_u64(7); 6];
+    let kind = fastbft::types::ProtocolKind::FabPaxos;
+    let report: fastbft::core::Report =
+        fastbft::baselines::run(kind, 1, 1, 1, network, inputs, &[]);
+    assert!(report.all_decided, "FaB decides at 3f + 2t + 1 = 6");
 
     // fastbft::smr
     let _kv: fastbft::smr::KvStore = Default::default();
