@@ -2,10 +2,10 @@
 //! a live SMR cluster through [`fastbft_smr::chaos::run_chaos`], with every
 //! authenticated socket transport (`tcp_seats_metered`) wrapped by the
 //! harness in a `FaultTransport` on a shared plan, under the harness' one
-//! fixed fault seed. The harness asserts every gate — logs agree, liveness
-//! returns within the recovery window, the commit path matches the
-//! scenario, every promised fault fired — so each test is one scenario. The
-//! same catalog runs over many seeds in virtual time in
+//! fixed fault seed. The harness asserts every gate — the SMR checker finds
+//! no violation, liveness returns within the recovery window, the commit
+//! path matches the scenario, every promised fault fired — so each test is
+//! one scenario. The same catalog runs over many seeds in virtual time in
 //! `crates/smr/tests/chaos_virtual.rs`; this suite is its real-transport
 //! check.
 

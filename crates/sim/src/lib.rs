@@ -32,6 +32,7 @@ mod checker;
 mod network;
 mod runner;
 mod script;
+mod smr_checker;
 mod time;
 mod trace;
 
@@ -40,5 +41,6 @@ pub use checker::{ConsensusChecker, Violation};
 pub use network::{DelayPolicy, Network, SendInfo};
 pub use runner::Simulation;
 pub use script::ScriptedActor;
+pub use smr_checker::{SmrChecker, SmrViolation};
 pub use time::{SimDuration, SimTime};
 pub use trace::{MessageStats, Trace, TraceEvent, TraceRecord};

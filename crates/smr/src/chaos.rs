@@ -2,7 +2,9 @@
 //! chaos [`Scenario`] and asserts the properties every scenario must
 //! exhibit (see [`fastbft_runtime::chaos`]):
 //!
-//! 1. **Safety** — the per-replica logs agree, fault or no fault.
+//! 1. **Safety** — the SMR checker ([`fastbft_sim::SmrChecker`]) finds no
+//!    violation, fault or no fault (convergence in virtual time only,
+//!    where the stores are at hand).
 //! 2. **Liveness after heal** — the full command load (submitted before,
 //!    during, and after the fault window) is applied by *every* replica
 //!    within the scenario's derived recovery window.
@@ -37,10 +39,10 @@ use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::chaos::{recovery_window, ChaosStep, PathExpectation, Scenario};
 use fastbft_runtime::{wrap_seats_metered, FaultPlan, LinkProfile, NodeSeat, Transport, TICK};
-use fastbft_sim::{Actor, SimDuration, SimTime, TraceEvent};
+use fastbft_sim::{Actor, SimDuration, SimTime, SmrViolation, TraceEvent};
 use fastbft_types::{Config, ProcessId, Value};
 
-use crate::harness::SmrSimCluster;
+use crate::harness::{listed, SmrSimCluster};
 use crate::machine::{CountingMachine, StateMachine};
 use crate::multiplex::{SlotMessage, SmrNode};
 use crate::runtime::SmrClusterHandle;
@@ -141,8 +143,8 @@ trait Clock {
     /// Runs until every process of `who` has applied `k` client commands
     /// (`true`) or the clock reads `until` (`false`).
     fn run_until(&mut self, who: &[ProcessId], k: u64, until: Duration) -> bool;
-    /// Whether the replicas' logs agree.
-    fn logs_agree(&self) -> bool;
+    /// What the SMR checker found in the replicas so far.
+    fn violations(&self) -> Vec<SmrViolation>;
     /// The deliveries each fault kind touched, in [`Scenario::injects`]
     /// order.
     fn fired(&self) -> [u64; 4];
@@ -301,7 +303,9 @@ impl<C: Clock> Run<'_, C> {
             format_args!("liveness must return within {window:?} of heal"),
         );
         let (fast2, _) = totals();
-        gates.require(self.clock.logs_agree(), "log divergence under faults");
+        let violations = self.clock.violations();
+        let found = format!("the SMR checker found: {}", listed(&violations));
+        gates.require(violations.is_empty(), found);
         gates.require(
             fast2 > fast1,
             format_args!("the fast path must resume after heal (fast {fast0}→{fast1}→{fast2})"),
@@ -356,8 +360,8 @@ impl Clock for Wall {
         self.cluster.await_commands(who.iter().copied(), k, within)
     }
 
-    fn logs_agree(&self) -> bool {
-        self.cluster.logs_agree()
+    fn violations(&self) -> Vec<SmrViolation> {
+        self.cluster.violations().to_vec()
     }
 
     fn fired(&self) -> [u64; 4] {
@@ -382,9 +386,10 @@ impl Clock for Wall {
 /// # Panics
 ///
 /// Panics — failing the calling test — if any degradation property is
-/// violated: log divergence, liveness not restored within the recovery
-/// window, commit-path attribution contradicting the scenario's
-/// expectation, or a fault kind the scenario injects never firing.
+/// violated: a violation the SMR checker finds, liveness not restored
+/// within the recovery window, commit-path attribution contradicting the
+/// scenario's expectation, or a fault kind the scenario injects never
+/// firing.
 pub fn run_chaos<T: Transport<SlotMessage>>(
     cfg: Config,
     scenario: &Scenario,
@@ -466,8 +471,8 @@ impl Clock for Virtual {
         true
     }
 
-    fn logs_agree(&self) -> bool {
-        self.cluster.report().logs_consistent
+    fn violations(&self) -> Vec<SmrViolation> {
+        self.cluster.violations()
     }
 
     fn fired(&self) -> [u64; 4] {
@@ -589,8 +594,8 @@ mod tests {
             k <= self.offered
         }
 
-        fn logs_agree(&self) -> bool {
-            true
+        fn violations(&self) -> Vec<SmrViolation> {
+            Vec::new()
         }
 
         fn fired(&self) -> [u64; 4] {

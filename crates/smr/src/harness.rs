@@ -1,11 +1,10 @@
-//! Simulated SMR clusters: wiring, execution and consistency checking.
-
-use std::collections::BTreeSet;
+//! Simulated SMR clusters: wiring, execution, and an [`SmrChecker`] over
+//! the node seats at every return of [`SmrSimCluster::run_until`].
 
 use fastbft_core::replica::ReplicaOptions;
-use fastbft_crypto::{Digest, KeyDirectory};
+use fastbft_crypto::KeyDirectory;
 use fastbft_obs::MetricsRegistry;
-use fastbft_sim::{Actor, Network, SimTime, Simulation};
+use fastbft_sim::{Actor, Network, SimTime, Simulation, SmrChecker, SmrViolation};
 use fastbft_types::{Config, ProcessId, Value};
 
 use crate::machine::StateMachine;
@@ -21,71 +20,16 @@ pub struct SmrReport {
     pub commands_everywhere: u64,
     /// Virtual time when the run stopped.
     pub final_time: SimTime,
-    /// Whether all per-node logs agree on their common prefix.
-    pub logs_consistent: bool,
-    /// Whether no node's retained log holds a non-idle command twice.
-    pub at_most_once: bool,
-    /// Whether nodes that applied the same number of slots hold equal
-    /// state digests.
-    pub converged: bool,
     /// Applied slots per Δ of the slowest node (throughput).
     pub slots_per_delta: f64,
     /// Applied commands per Δ of the slowest node.
     pub commands_per_delta: f64,
 }
 
-/// Whether a set of per-replica logs agree on every pairwise common prefix
-/// — the SMR safety condition (two replicas may be at different positions,
-/// but where both have applied, they must have applied the same commands).
-/// Shared by the simulated harness and the wall-clock
-/// [`SmrClusterHandle`](crate::runtime::SmrClusterHandle).
-pub fn logs_consistent(logs: &[Vec<Value>]) -> bool {
-    let offset_logs: Vec<(u64, &[Value])> = logs.iter().map(|l| (0, l.as_slice())).collect();
-    offset_logs_consistent(&offset_logs)
-}
-
-/// [`logs_consistent`] for logs that start at different global indexes —
-/// the shape snapshot truncation produces, where each node retains only the
-/// suffix since its last snapshot. Two logs must agree wherever their
-/// retained index ranges overlap (non-overlapping logs are vacuously
-/// consistent: the truncated prefix was digest-attested at install time).
-pub fn offset_logs_consistent(logs: &[(u64, &[Value])]) -> bool {
-    for i in 0..logs.len() {
-        for j in i + 1..logs.len() {
-            let (off_i, log_i) = logs[i];
-            let (off_j, log_j) = logs[j];
-            let start = off_i.max(off_j);
-            let end = (off_i + log_i.len() as u64).min(off_j + log_j.len() as u64);
-            if start >= end {
-                continue;
-            }
-            let slice_i = &log_i[(start - off_i) as usize..(end - off_i) as usize];
-            let slice_j = &log_j[(start - off_j) as usize..(end - off_j) as usize];
-            if slice_i != slice_j {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Whether no log holds a command other than `idle` twice. The filler
-/// recurs by design; a client command twice was executed twice.
-fn at_most_once(logs: &[(u64, &[Value])], idle: &Value) -> bool {
-    logs.iter().all(|(_, log)| {
-        let mut seen = BTreeSet::new();
-        log.iter()
-            .filter(|cmd| *cmd != idle)
-            .all(|cmd| seen.insert(cmd.as_bytes()))
-    })
-}
-
-/// Whether every two replicas at the same position, `(applied, state
-/// digest)` each, hold the same state.
-fn converged(states: &[(u64, Digest)]) -> bool {
-    states
-        .iter()
-        .all(|(at, digest)| states.iter().all(|(at2, d2)| at != at2 || digest == d2))
+/// `violations` one after another, as they read.
+pub(crate) fn listed(violations: &[SmrViolation]) -> String {
+    let texts: Vec<String> = violations.iter().map(ToString::to_string).collect();
+    texts.join("; ")
 }
 
 /// A simulated replicated-state-machine cluster over the core protocol —
@@ -185,7 +129,8 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
     /// # Panics
     ///
     /// Panics, naming every node's applied slots, if the event queue
-    /// empties or virtual time passes `horizon` before `done` holds.
+    /// empties or virtual time passes `horizon` before `done` holds; then
+    /// if there are any [`violations`](Self::violations), listing them.
     pub fn run_until(
         &mut self,
         horizon: SimTime,
@@ -210,10 +155,30 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
                 );
             }
         }
+        let (violations, now) = (self.violations(), self.sim.now());
+        let found = listed(&violations);
+        assert!(
+            violations.is_empty(),
+            "the SMR checker found at {now}: {found}"
+        );
         self.report()
     }
 
-    /// Builds the report for the current state, over the node seats.
+    /// What an [`SmrChecker`] finds in the node seats' retained logs and
+    /// `(applied, state digest)` now — for runs stepped by hand through
+    /// [`sim_mut`](Self::sim_mut); [`run_until`](Self::run_until) asserts it.
+    pub fn violations(&self) -> Vec<SmrViolation> {
+        let mut checker = SmrChecker::new(self.sim.n(), self.idle.clone());
+        for (p, node) in self.nodes() {
+            for (index, command) in (node.log_offset()..).zip(node.log()) {
+                checker.observe(p, index, command.clone());
+            }
+            checker.observe_state(p, node.applied(), node.state_digest());
+        }
+        checker.violations().to_vec()
+    }
+
+    /// The counters for the current state, over the node seats.
     pub fn report(&self) -> SmrReport {
         let min = |metric: fn(&SmrNode<S>) -> u64| {
             self.nodes()
@@ -222,14 +187,6 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
                 .unwrap_or(0)
         };
         let (applied, commands) = (min(SmrNode::applied), min(SmrNode::commands_applied));
-        let logs: Vec<(u64, &[Value])> = self
-            .nodes()
-            .map(|(_, node)| (node.log_offset(), node.log()))
-            .collect();
-        let states: Vec<(u64, Digest)> = self
-            .nodes()
-            .map(|(_, node)| (node.applied(), node.state_digest()))
-            .collect();
         let now = self.sim.now();
         let per_delta = |count: u64| {
             if now.0 == 0 {
@@ -242,9 +199,6 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
             applied_everywhere: applied,
             commands_everywhere: commands,
             final_time: now,
-            logs_consistent: offset_logs_consistent(&logs),
-            at_most_once: at_most_once(&logs, &self.idle),
-            converged: converged(&states),
             slots_per_delta: per_delta(applied),
             commands_per_delta: per_delta(commands),
         }
@@ -258,59 +212,6 @@ mod tests {
     use crate::machine::CountingMachine;
     use fastbft_sim::SimDuration;
     use fastbft_types::View;
-
-    /// The report's three safety predicates on hand-made logs and states.
-    #[test]
-    fn the_report_predicates_flag_what_they_name() {
-        let v = Value::from_u64;
-        let idle = v(0);
-        let twice = [v(1), v(2), v(1)];
-        let fillers = [v(0), v(1), v(0), v(0)];
-        let (from_0, from_2) = ([v(7), v(8), v(9)], [v(9), v(10)]);
-        let diverged = [v(7), v(8), v(1)];
-        // (case, logs at their offsets, at most once, consistent)
-        let cases = [
-            ("a client command twice", vec![(0, &twice[..])], false, true),
-            (
-                "the idle filler repeated",
-                vec![(0, &fillers[..])],
-                true,
-                true,
-            ),
-            (
-                "agreement across offsets",
-                vec![(0, &from_0[..]), (2, &from_2[..])],
-                true,
-                true,
-            ),
-            (
-                "disagreement across offsets",
-                vec![(2, &from_2[..]), (0, &diverged[..])],
-                true,
-                false,
-            ),
-        ];
-        for (case, logs, once, consistent) in cases {
-            assert_eq!(at_most_once(&logs, &idle), once, "{case}");
-            assert_eq!(offset_logs_consistent(&logs), consistent, "{case}");
-        }
-
-        let (a, b) = ([1; 32], [2; 32]);
-        for (case, states, expected) in [
-            (
-                "unequal digests at equal applied",
-                vec![(5, a), (3, b), (5, b)],
-                false,
-            ),
-            (
-                "unequal digests at different applied",
-                vec![(5, a), (6, b)],
-                true,
-            ),
-        ] {
-            assert_eq!(converged(&states), expected, "{case}");
-        }
-    }
 
     #[test]
     fn counting_smr_applies_in_lockstep() {
@@ -328,7 +229,6 @@ mod tests {
         );
         let report =
             cluster.run_until(SimTime(1_000_000), |c| c.report().commands_everywhere >= 10);
-        assert!(report.logs_consistent && report.at_most_once && report.converged);
         // Sequential slots at 2Δ each plus pipeline restarts: ≥ 0.3 slots/Δ
         // would be suspiciously fast for a strictly sequential pipeline; we
         // just require steady progress.
@@ -384,8 +284,7 @@ mod tests {
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node.with_batch_size(1)),
         );
-        let report = cluster.run_until(SimTime(1_000_000), |c| c.report().applied_everywhere >= 5);
-        assert!(report.logs_consistent && report.converged, "{report:?}");
+        cluster.run_until(SimTime(1_000_000), |c| c.report().applied_everywhere >= 5);
         // Every replica's store holds all five keys.
         for p in cfg.processes() {
             let store = cluster.node(p).machine();

@@ -12,12 +12,9 @@
 //!   [`on_client`](fastbft_sim::Actor::on_client));
 //! * every applied command streams back out as an
 //!   [`Applied`](fastbft_runtime::Applied) event (per-slot event stream,
-//!   not a one-shot decision), from which the handle reconstructs each
-//!   replica's log;
-//! * the cross-replica consistency check
-//!   ([`SmrClusterHandle::logs_agree`]) applies the harness's consistency
-//!   condition to the sparse per-index logs (sparse because a replica that
-//!   restarts or installs a snapshot resumes at a higher log index).
+//!   not a one-shot decision), which the handle feeds, event by event, to
+//!   an [`SmrChecker`] keeping each replica's log: sparse, since a replica
+//!   that restarts or installs a snapshot resumes at a higher index.
 //!
 //! [`SmrClusterHandle::spawn`] is the one way to build such a cluster, the
 //! wall-clock twin of `SmrSimCluster::new`: keys from the seed, one
@@ -43,7 +40,7 @@
 //! );
 //! cluster.submit(KvCommand::Put { key: "x".into(), value: "1".into() }.to_value());
 //! assert!(cluster.await_commands(cfg.processes(), 1, Duration::from_secs(10)));
-//! assert!(cluster.logs_agree());
+//! assert_eq!(cluster.violations(), []);
 //! assert!(cluster.registry().render_text().contains("fastbft_commit_fast_total"));
 //! cluster.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -56,7 +53,7 @@ use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat, Transport};
-use fastbft_sim::Actor;
+use fastbft_sim::{Actor, SmrChecker, SmrViolation};
 use fastbft_types::{Config, ProcessId, Value};
 
 use crate::batcher::Batching;
@@ -129,19 +126,14 @@ pub fn as_smr_node<S: StateMachine + 'static>(
 
 /// Handle to a replicated state machine running on the thread runtime,
 /// over any transport. Wraps the generic [`ClusterHandle`], consuming its
-/// applied-event stream into per-replica logs, and owns the cluster's one
+/// applied-event stream into an [`SmrChecker`], and owns the cluster's one
 /// [`MetricsRegistry`].
 pub struct SmrClusterHandle {
     inner: ClusterHandle<SlotMessage>,
     registry: MetricsRegistry,
-    idle: Value,
-    /// Per-replica logs keyed by global log index. Sparse: a replica that
-    /// installed a snapshot (or restarted) resumes emitting events at a
-    /// higher index, with the truncated prefix absent.
-    logs: Vec<BTreeMap<u64, Value>>,
-    /// Per-replica count of non-idle log entries, maintained incrementally
-    /// so `await_commands` never rescans the logs on the hot path.
-    commands: Vec<u64>,
+    /// The per-replica logs, keyed by global log index, and what they
+    /// violate.
+    checker: SmrChecker,
 }
 
 impl SmrClusterHandle {
@@ -204,9 +196,7 @@ impl SmrClusterHandle {
         SmrClusterHandle {
             inner,
             registry: MetricsRegistry::new(n),
-            idle,
-            logs: vec![BTreeMap::new(); n],
-            commands: vec![0; n],
+            checker: SmrChecker::new(n, idle),
         }
     }
 
@@ -244,8 +234,8 @@ impl SmrClusterHandle {
     }
 
     /// Waits until each process in `processes` has applied at least `k`
-    /// client commands (idle filler excluded), consuming applied events
-    /// into the per-replica logs. Returns `false` on timeout. Restrict
+    /// distinct client commands (idle filler excluded), feeding every
+    /// applied event to the checker. Returns `false` on timeout. Restrict
     /// `processes` to the correct replicas when some seats are Byzantine.
     pub fn await_commands(
         &mut self,
@@ -256,7 +246,7 @@ impl SmrClusterHandle {
         let watched: Vec<ProcessId> = processes.into_iter().collect();
         let deadline = Instant::now() + timeout;
         loop {
-            if watched.iter().all(|p| self.commands[p.index()] >= k) {
+            if watched.iter().all(|p| self.checker.commands(*p) >= k) {
                 return true;
             }
             let wait = deadline.saturating_duration_since(Instant::now());
@@ -264,16 +254,9 @@ impl SmrClusterHandle {
                 return false;
             }
             match self.inner.applied_events().recv_timeout(wait) {
-                Ok(event) => {
-                    // Keyed by global index: duplicates (a restarted seat
-                    // re-emitting) overwrite idempotently, and a replica
-                    // resuming from a snapshot just starts at a higher key.
-                    let i = event.process.index();
-                    let fresh = event.command != self.idle;
-                    if self.logs[i].insert(event.index, event.command).is_none() && fresh {
-                        self.commands[i] += 1;
-                    }
-                }
+                Ok(event) => self
+                    .checker
+                    .observe(event.process, event.index, event.command),
                 Err(_) => return false,
             }
         }
@@ -283,26 +266,13 @@ impl SmrClusterHandle {
     /// far (grows as [`await_commands`](SmrClusterHandle::await_commands)
     /// consumes events), keyed by global log index.
     pub fn logs(&self) -> &[BTreeMap<u64, Value>] {
-        &self.logs
+        self.checker.logs()
     }
 
-    /// Whether the reconstructed logs satisfy the SMR safety condition:
-    /// wherever two replicas have both applied an index, they applied the
-    /// same command — the sparse-log analogue of the harness's
-    /// [`logs_consistent`](crate::harness::logs_consistent) check (indexes
-    /// one side truncated into a snapshot are vacuously consistent; the
-    /// install verified them by digest).
-    pub fn logs_agree(&self) -> bool {
-        for i in 0..self.logs.len() {
-            for j in i + 1..self.logs.len() {
-                for (index, cmd) in &self.logs[i] {
-                    if self.logs[j].get(index).is_some_and(|other| other != cmd) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    /// What the [`SmrChecker`] found in the applied events consumed so far
+    /// (agreement and at most once: no state digest rides the events).
+    pub fn violations(&self) -> &[SmrViolation] {
+        self.checker.violations()
     }
 
     /// Stops the cluster and hands back the actors in seat order; downcast

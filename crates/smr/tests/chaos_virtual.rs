@@ -1,7 +1,8 @@
 //! The chaos catalog in virtual time: every catalog scenario at n = 4 and
 //! n = 7, each over [`SEEDS`] through
 //! [`fastbft_smr::chaos::run_chaos_virtual`], which asserts every gate —
-//! logs agree, liveness returns within the recovery window, the commit
+//! the SMR checker finds no violation (agreement, at most once,
+//! convergence), liveness returns within the recovery window, the commit
 //! path matches the scenario, every promised fault fired — and names the
 //! scenario, `n` and the seed of a run that fails one. A run is a pure
 //! function of its seed: the keys, the jitter on the links the script

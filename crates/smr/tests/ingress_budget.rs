@@ -90,7 +90,7 @@ fn what_exceeds_pipeline_plus_budget_is_shed_and_nothing_accepted_is_lost() {
         // Through the view change, one event at a time.
         let accepted = BURST as u64 - 9;
         let mut settled_at = None;
-        let report = cluster.run_until(SimTime(200 * DELTA), |c| {
+        cluster.run_until(SimTime(200 * DELTA), |c| {
             for p in &live {
                 let n = c.node(*p);
                 assert!(n.pending_bytes() <= max_bytes, "{p} at {}", c.sim().now());
@@ -106,9 +106,8 @@ fn what_exceeds_pipeline_plus_budget_is_shed_and_nothing_accepted_is_lost() {
             "nothing may settle before slot 0's view change"
         );
 
-        // Exactly once each, shed ones never, identically everywhere, and
-        // the re-queues were neither shed nor counted.
-        assert!(report.logs_consistent && report.at_most_once, "{report:?}");
+        // Applied (once: `run_until` checked), shed ones never, and the
+        // re-queues were neither shed nor counted.
         for p in &live {
             let log = cluster.node(*p).log();
             for i in 0..BURST {

@@ -25,7 +25,7 @@ fn empty_queues_quiesce_after_slot_zero() {
     cluster.sim_mut().run_to_quiescence();
     let report = cluster.report();
     assert_eq!(report.applied_everywhere, 1, "{report:?}");
-    assert!(report.logs_consistent);
+    assert_eq!(cluster.violations(), []);
     // Everything committed was the idle no-op, and the run went quiet long
     // before the horizon.
     for v in cluster.node(ProcessId(2)).log() {
@@ -49,8 +49,7 @@ fn rotation_commits_every_nodes_commands() {
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );
-    let report = cluster.run_until(SimTime(5_000_000), |c| c.report().applied_everywhere >= 4);
-    assert!(report.logs_consistent);
+    cluster.run_until(SimTime(5_000_000), |c| c.report().applied_everywhere >= 4);
     let log = cluster.node(ProcessId(1)).log();
     let committed: std::collections::BTreeSet<u64> = log
         .iter()
@@ -115,10 +114,7 @@ fn kv_delete_of_missing_key_is_consistent() {
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );
-    let report = cluster.run_until(SimTime(5_000_000), |c| c.report().commands_everywhere >= 4);
-    // At-most-once: no command (including the duplicated delete) appears
-    // twice in any log.
-    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
+    cluster.run_until(SimTime(5_000_000), |c| c.report().commands_everywhere >= 4);
     for p in cfg.processes() {
         assert!(
             cluster.node(p).machine().is_empty(),
@@ -317,8 +313,7 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
         sim.submit_client(to, Value::from_u64(100 + i), now);
     }
     sim.run_until(SimTime(now.0 + 200 * DELTA));
-    let report = cluster.report();
-    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
+    assert_eq!(cluster.violations(), []);
     for p in ProcessId::all(4) {
         assert_eq!(cluster.node(p).commands_applied(), 18, "{p}");
         let (stashed, votes) = cluster.node(p).buffered_bytes();
@@ -403,8 +398,7 @@ fn held_bytes_plateau_under_an_ack_spray_at_every_open_slot() {
         sim.submit_client(to, Value::from_u64(100 + i), now);
     }
     sim.run_until(SimTime(now.0 + 200 * DELTA));
-    let report = cluster.report();
-    assert!(report.logs_consistent && report.at_most_once, "{report:?}");
+    assert_eq!(cluster.violations(), []);
     for p in ProcessId::all(4) {
         assert_eq!(cluster.node(p).commands_applied(), 18, "{p}");
         assert_eq!(cluster.node(p).held_bytes(), 0, "{p}");
@@ -430,7 +424,6 @@ fn batching_multiplies_throughput() {
         let report = cluster.run_until(SimTime(50_000_000), |c| {
             c.report().commands_everywhere >= 64
         });
-        assert!(report.logs_consistent);
         // Order and exactly-once still hold under batching.
         let committed: Vec<u64> = cluster
             .node(ProcessId(2))
@@ -463,10 +456,9 @@ fn long_pipeline_makes_steady_progress() {
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node.with_batch_size(1)),
     );
-    let report = cluster.run_until(SimTime(50_000_000), |c| {
+    cluster.run_until(SimTime(50_000_000), |c| {
         c.report().applied_everywhere >= 100
     });
-    assert!(report.logs_consistent);
     // Commands committed exactly once each, in order.
     let log = cluster.node(ProcessId(3)).log();
     let committed: Vec<u64> = log

@@ -77,10 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "applied {} commands everywhere in {} (≈ {:.2} commands per Δ)",
         report.commands_everywhere, report.final_time, report.commands_per_delta
     );
-    assert!(report.logs_consistent, "replica logs diverged!");
-
-    // Every replica holds the same state.
-    assert!(report.converged, "replica states diverged!");
+    // `run_until` returned: the SMR checker found the states equal.
     let reference = cluster.node(fastbft::types::ProcessId(1)).machine();
     println!("\nfinal store ({} keys):", reference.len());
     for key in ["alice", "carol", "dave", "erin"] {
