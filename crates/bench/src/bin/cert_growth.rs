@@ -22,6 +22,7 @@ use fastbft_bench::{header, row};
 use fastbft_core::certs::{ProgressCert, SignedVote, VoteData};
 use fastbft_core::cluster::{Behavior, SimCluster};
 use fastbft_core::payload::{certack_payload, propose_payload};
+use fastbft_core::ReplicaOptions;
 use fastbft_crypto::{KeyDirectory, SignatureSet};
 use fastbft_types::wire::Encode;
 use fastbft_types::{Config, Value, View};
@@ -60,6 +61,8 @@ fn main() {
     let (pairs, dir) = KeyDirectory::generate(4, 9);
     let x = Value::from_u64(1);
     let overhead = vote_overhead(&cfg);
+    // A receiver's block, which every certificate check counts into.
+    let metrics = ReplicaOptions::default().metrics;
 
     println!("# E7 — progress certificate size vs view number (n = 4, f = t = 1)\n");
     println!(
@@ -73,7 +76,7 @@ fn main() {
             .map(|p| p.sign(&certack_payload(&x, view)))
             .collect();
         let bounded = ProgressCert::Bounded(bounded_sigs);
-        assert!(bounded.verify(&cfg, &dir, &x, view, None));
+        assert!(bounded.verify(&cfg, &dir, &x, view, &metrics));
 
         println!(
             "{}",

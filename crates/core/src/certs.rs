@@ -20,18 +20,16 @@ use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload};
 
-/// One signature checked through the directory and, when the receiver
-/// keeps counters, counted: `sig_memo_miss_total` is every signature check
-/// that ran, inside a certificate or outside one.
+/// One signature checked through the directory and counted:
+/// `sig_memo_miss_total` is every signature check that ran, inside a
+/// certificate or outside one.
 pub(crate) fn verify_counted(
     dir: &KeyDirectory,
-    metrics: Option<&Metrics>,
+    metrics: &Metrics,
     statement: &[u8],
     sig: &Signature,
 ) -> bool {
-    if let Some(m) = metrics {
-        m.sig_memo_miss_total.inc();
-    }
+    metrics.sig_memo_miss_total.inc();
     dir.verify(statement, sig)
 }
 
@@ -42,14 +40,12 @@ fn verify_quorum(
     statement: &[u8],
     dir: &KeyDirectory,
     threshold: usize,
-    metrics: Option<&Metrics>,
+    metrics: &Metrics,
 ) -> bool {
     let mut checks = 0;
     let ok = sigs.verify(statement, dir, threshold, &mut checks);
-    if let Some(m) = metrics {
-        m.cert_cache_miss_total.inc();
-        m.sig_memo_miss_total.add(checks);
-    }
+    metrics.cert_cache_miss_total.inc();
+    metrics.sig_memo_miss_total.add(checks);
     ok
 }
 
@@ -70,15 +66,15 @@ pub enum ProgressCert {
 
 impl ProgressCert {
     /// Verifies that this certificate proves `x` safe in `v`. Every
-    /// signature is checked, every time; `metrics`, when the receiver keeps
-    /// counters, counts the certificate and the checks that ran.
+    /// signature is checked, every time; the receiver's `metrics` count the
+    /// certificate and the checks that ran.
     pub fn verify(
         &self,
         cfg: &Config,
         dir: &KeyDirectory,
         x: &Value,
         v: View,
-        metrics: Option<&Metrics>,
+        metrics: &Metrics,
     ) -> bool {
         match self {
             ProgressCert::Genesis => v.is_first(),
@@ -138,7 +134,7 @@ pub struct CommitCert {
 impl CommitCert {
     /// Verifies the certificate against the slow-path quorum; `metrics`
     /// as for [`ProgressCert::verify`].
-    pub fn verify(&self, cfg: &Config, dir: &KeyDirectory, metrics: Option<&Metrics>) -> bool {
+    pub fn verify(&self, cfg: &Config, dir: &KeyDirectory, metrics: &Metrics) -> bool {
         verify_quorum(
             &self.sigs,
             &ack_payload(&self.value, self.view),
@@ -222,7 +218,7 @@ impl SignedVote {
         cfg: &Config,
         dir: &KeyDirectory,
         dest_view: View,
-        metrics: Option<&Metrics>,
+        metrics: &Metrics,
     ) -> bool {
         if self.sig.signer != self.voter {
             return false;
@@ -280,8 +276,8 @@ mod tests {
     fn genesis_cert_only_valid_in_view_one() {
         let (cfg, _pairs, dir) = setup();
         let x = Value::from_u64(1);
-        assert!(ProgressCert::Genesis.verify(&cfg, &dir, &x, View(1), None));
-        assert!(!ProgressCert::Genesis.verify(&cfg, &dir, &x, View(2), None));
+        assert!(ProgressCert::Genesis.verify(&cfg, &dir, &x, View(1), &Metrics::new()));
+        assert!(!ProgressCert::Genesis.verify(&cfg, &dir, &x, View(2), &Metrics::new()));
     }
 
     #[test]
@@ -291,13 +287,13 @@ mod tests {
         let v = View(3);
         let payload = certack_payload(&x, v);
         let one: SignatureSet = [pairs[0].sign(&payload)].into_iter().collect();
-        assert!(!ProgressCert::Bounded(one).verify(&cfg, &dir, &x, v, None));
+        assert!(!ProgressCert::Bounded(one).verify(&cfg, &dir, &x, v, &Metrics::new()));
         let two: SignatureSet = pairs[..2].iter().map(|p| p.sign(&payload)).collect();
-        assert!(ProgressCert::Bounded(two.clone()).verify(&cfg, &dir, &x, v, None));
+        assert!(ProgressCert::Bounded(two.clone()).verify(&cfg, &dir, &x, v, &Metrics::new()));
         // …nor does the same evidence certify x in another view: the walk
         // stops at, and counts, its first signature.
         let m = Metrics::new();
-        assert!(!ProgressCert::Bounded(two).verify(&cfg, &dir, &x, View(4), Some(&m)));
+        assert!(!ProgressCert::Bounded(two).verify(&cfg, &dir, &x, View(4), &m));
         assert_eq!(m.sig_memo_miss_total.get(), 1);
         assert_eq!(m.cert_cache_miss_total.get(), 1);
         // Signatures over the wrong value do not certify x.
@@ -305,7 +301,7 @@ mod tests {
             .iter()
             .map(|p| p.sign(&certack_payload(&Value::from_u64(2), v)))
             .collect();
-        assert!(!ProgressCert::Bounded(wrong).verify(&cfg, &dir, &x, v, None));
+        assert!(!ProgressCert::Bounded(wrong).verify(&cfg, &dir, &x, v, &Metrics::new()));
     }
 
     #[test]
@@ -320,22 +316,22 @@ mod tests {
             view: v,
             sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
         };
-        assert!(cc.verify(&cfg, &dir, None));
+        assert!(cc.verify(&cfg, &dir, &Metrics::new()));
         let small = CommitCert {
             value: x.clone(),
             view: v,
             sigs: pairs[..2].iter().map(|p| p.sign(&payload)).collect(),
         };
-        assert!(!small.verify(&cfg, &dir, None));
+        assert!(!small.verify(&cfg, &dir, &Metrics::new()));
     }
 
     #[test]
     fn nil_votes_validate_and_roundtrip() {
         let (cfg, pairs, dir) = setup();
         let sv = SignedVote::sign(&pairs[2], None, View(4));
-        assert!(sv.is_valid(&cfg, &dir, View(4), None));
+        assert!(sv.is_valid(&cfg, &dir, View(4), &Metrics::new()));
         // …but not for a different destination view (replay defence).
-        assert!(!sv.is_valid(&cfg, &dir, View(5), None));
+        assert!(!sv.is_valid(&cfg, &dir, View(5), &Metrics::new()));
         roundtrip(&sv);
     }
 
@@ -351,7 +347,7 @@ mod tests {
             commit_cert: None,
         };
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
-        assert!(sv.is_valid(&cfg, &dir, View(2), None));
+        assert!(sv.is_valid(&cfg, &dir, View(2), &Metrics::new()));
         roundtrip(&sv);
     }
 
@@ -368,7 +364,7 @@ mod tests {
             commit_cert: None,
         };
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
-        assert!(!sv.is_valid(&cfg, &dir, View(2), None));
+        assert!(!sv.is_valid(&cfg, &dir, View(2), &Metrics::new()));
     }
 
     #[test]
@@ -384,7 +380,7 @@ mod tests {
         };
         // view 3 not < dest view 3
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(3));
-        assert!(!sv.is_valid(&cfg, &dir, View(3), None));
+        assert!(!sv.is_valid(&cfg, &dir, View(3), &Metrics::new()));
     }
 
     #[test]
@@ -411,18 +407,18 @@ mod tests {
             }
         };
         let good = SignedVote::sign(&pairs[0], Some(make(View(1))), View(2));
-        assert!(good.is_valid(&cfg, &dir, View(2), None));
+        assert!(good.is_valid(&cfg, &dir, View(2), &Metrics::new()));
         // What a receiver's counters see, again on every call: φ_vote, τ
         // and the nested certificate's three shares.
         let m = Metrics::new();
         for round in 1..=2 {
-            assert!(good.is_valid(&cfg, &dir, View(2), Some(&m)));
+            assert!(good.is_valid(&cfg, &dir, View(2), &m));
             assert_eq!(m.sig_memo_miss_total.get(), round * 5);
             assert_eq!(m.cert_cache_miss_total.get(), round);
         }
         // cc.view > vote.view is malformed.
         let bad = SignedVote::sign(&pairs[0], Some(make(View(2))), View(3));
-        assert!(!bad.is_valid(&cfg, &dir, View(3), None));
+        assert!(!bad.is_valid(&cfg, &dir, View(3), &Metrics::new()));
     }
 
     #[test]
@@ -441,13 +437,13 @@ mod tests {
         if let Some(vd) = &mut sv.vote {
             vd.value = Value::from_u64(10);
         }
-        assert!(!sv.is_valid(&cfg, &dir, View(2), None));
+        assert!(!sv.is_valid(&cfg, &dir, View(2), &Metrics::new()));
         // Claiming someone else's voter id also fails.
         let sv2 = SignedVote {
             voter: ProcessId(3),
             ..SignedVote::sign(&pairs[0], None, View(2))
         };
-        assert!(!sv2.is_valid(&cfg, &dir, View(2), None));
+        assert!(!sv2.is_valid(&cfg, &dir, View(2), &Metrics::new()));
     }
 
     /// Same (view, value, signer set) as a certificate that verified, but
@@ -462,7 +458,7 @@ mod tests {
             view: View(1),
             sigs: pairs[..3].iter().map(|p| p.sign(&payload)).collect(),
         };
-        assert!(cc.verify(&cfg, &dir, None));
+        assert!(cc.verify(&cfg, &dir, &Metrics::new()));
         let mut forged = cc.clone();
         forged.sigs = cc
             .sigs
@@ -476,10 +472,13 @@ mod tests {
                 }
             })
             .collect();
-        assert!(!forged.verify(&cfg, &dir, None));
+        assert!(!forged.verify(&cfg, &dir, &Metrics::new()));
         let fresh: CommitCert = fastbft_types::wire::from_bytes(&forged.to_wire_bytes()).unwrap();
-        assert!(!fresh.verify(&cfg, &dir, None));
-        assert!(cc.verify(&cfg, &dir, None), "the original still verifies");
+        assert!(!fresh.verify(&cfg, &dir, &Metrics::new()));
+        assert!(
+            cc.verify(&cfg, &dir, &Metrics::new()),
+            "the original still verifies"
+        );
     }
 
     #[test]

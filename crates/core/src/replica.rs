@@ -67,9 +67,10 @@
 //! runtime and the property tests.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
-use fastbft_obs::MetricsHandle;
+use fastbft_obs::Metrics;
 use fastbft_sim::{Actor, Effects, SimDuration, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -85,19 +86,20 @@ use crate::selection::{select, Outcome};
 pub struct ReplicaOptions {
     /// View-1 timeout; doubles on every view change (view synchronizer).
     pub base_timeout: SimDuration,
-    /// Observability handle. Disabled by default; wire one up from a
-    /// [`fastbft_obs::MetricsRegistry`] to record commit paths, view
-    /// changes and signature-check counts. Carried by `ReplicaOptions`
-    /// so it threads unchanged through every construction path (the SMR
-    /// multiplexer clones the options into each per-slot replica).
-    pub metrics: MetricsHandle,
+    /// The block this replica records commit paths, view changes and
+    /// signature-check counts into. By default a fresh one of its own;
+    /// take seat `i`'s from a [`fastbft_obs::MetricsRegistry`] to scrape
+    /// it with the cluster's. Carried by `ReplicaOptions` so it threads
+    /// unchanged through every construction path (the SMR multiplexer
+    /// clones the options into each per-slot replica).
+    pub metrics: Arc<Metrics>,
 }
 
 impl Default for ReplicaOptions {
     fn default() -> Self {
         ReplicaOptions {
             base_timeout: SimDuration(SimDuration::DELTA.0 * 8),
-            metrics: MetricsHandle::none(),
+            metrics: Arc::default(),
         }
     }
 }
@@ -258,8 +260,8 @@ pub struct Replica {
     /// takes it (see [`Replica::take_leader_signal`]).
     leader_signal: Option<LeaderSignal>,
 
-    /// Observability handle (see [`ReplicaOptions::metrics`]).
-    metrics: MetricsHandle,
+    /// Where this replica records (see [`ReplicaOptions::metrics`]).
+    metrics: Arc<Metrics>,
     /// Which path produced the first decision, for path attribution.
     decided_path: Option<CommitPath>,
 }
@@ -378,9 +380,7 @@ impl Replica {
     /// Counts a contribution refused: a sender's second in a view, its
     /// second view beyond the horizon, or a value past its byte share.
     fn refuse(&self) {
-        if let Some(m) = self.metrics.get() {
-            m.contribution_refused_total.inc();
-        }
+        self.metrics.contribution_refused_total.inc();
     }
 
     /// Whether `from` may take a place in `view`: any view up to one
@@ -424,20 +424,19 @@ impl Replica {
             None => {
                 self.decided = Some(value.clone());
                 self.decided_path = Some(path);
-                if let Some(m) = self.metrics.get() {
-                    match path {
-                        CommitPath::Fast => m.commit_fast_total.inc(),
-                        CommitPath::Slow => m.commit_slow_total.inc(),
-                    }
-                    let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
-                    m.recorder.record(
-                        match path {
-                            CommitPath::Fast => "commit-fast",
-                            CommitPath::Slow => "commit-slow",
-                        },
-                        format!("p{p} decided slot {slot} in view {view}"),
-                    );
+                let m = &self.metrics;
+                match path {
+                    CommitPath::Fast => m.commit_fast_total.inc(),
+                    CommitPath::Slow => m.commit_slow_total.inc(),
                 }
+                let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
+                m.recorder.record(
+                    match path {
+                        CommitPath::Fast => "commit-fast",
+                        CommitPath::Slow => "commit-slow",
+                    },
+                    format!("p{p} decided slot {slot} in view {view}"),
+                );
                 fx.decide(value.clone());
             }
             Some(prev) if prev != value => {
@@ -462,12 +461,10 @@ impl Replica {
 
     fn enter_view(&mut self, v: View, fx: &mut Effects<Message>) {
         debug_assert!(v > self.view);
-        if let Some(m) = self.metrics.get() {
-            m.view_change_total.inc();
-            let (p, slot, leader) = (self.id.0, self.cfg.leader_offset(), self.cfg.leader(v).0);
-            let detail = format!("p{p} slot {slot} entered view {} (leader p{leader})", v.0);
-            m.recorder.record("view-change", detail);
-        }
+        self.metrics.view_change_total.inc();
+        let (p, slot, leader) = (self.id.0, self.cfg.leader_offset(), self.cfg.leader(v).0);
+        let detail = format!("p{p} slot {slot} entered view {} (leader p{leader})", v.0);
+        self.metrics.recorder.record("view-change", detail);
         // The leader-side state of the views left behind (and of the ones
         // skipped) is dead: only the current view's is ever read. What
         // decides — acks, commits, the proposal that vouches for them —
@@ -554,7 +551,7 @@ impl Replica {
         if let Some(held) = held {
             p.value = held;
         }
-        let metrics = self.metrics.get();
+        let metrics = &self.metrics;
         if !verify_counted(
             &self.dir,
             metrics,
@@ -594,7 +591,7 @@ impl Replica {
         // The slow-path share `φ_ack`, kept only if it checks out; the ack
         // counts either way.
         let share = a.share.filter(|sig| {
-            let checks = |payload| verify_counted(&self.dir, self.metrics.get(), payload, sig);
+            let checks = |payload| verify_counted(&self.dir, &self.metrics, payload, sig);
             self.slow_path && sig.signer == from && checks(&ack_payload(&value, a.view))
         });
         let shared = share.is_some();
@@ -642,7 +639,7 @@ impl Replica {
             return self.refuse();
         };
         cert.value = value.clone();
-        if !cert.verify(&self.cfg, &self.dir, self.metrics.get()) {
+        if !cert.verify(&self.cfg, &self.dir, &self.metrics) {
             return;
         }
         let record = self.views.entry(cert.view).or_default();
@@ -666,10 +663,7 @@ impl Replica {
         if !self.admits(from, v.view) || record.is_some_and(|r| r.votes.contains_key(&from)) {
             return self.refuse();
         }
-        if !v
-            .vote
-            .is_valid(&self.cfg, &self.dir, v.view, self.metrics.get())
-        {
+        if !v.vote.is_valid(&self.cfg, &self.dir, v.view, &self.metrics) {
             return;
         }
         let record = self.views.entry(v.view).or_default();
@@ -757,7 +751,7 @@ impl Replica {
         }
         let mut map = BTreeMap::new();
         for sv in &req.votes {
-            if !sv.is_valid(&self.cfg, &self.dir, req.view, self.metrics.get()) {
+            if !sv.is_valid(&self.cfg, &self.dir, req.view, &self.metrics) {
                 return;
             }
             if map.insert(sv.voter, sv.clone()).is_some() {
@@ -801,7 +795,7 @@ impl Replica {
         if ack.sig.signer != from
             || !verify_counted(
                 &self.dir,
-                self.metrics.get(),
+                &self.metrics,
                 &certack_payload(selected, ack.view),
                 &ack.sig,
             )
@@ -897,11 +891,9 @@ impl Actor<Message> for Replica {
             return; // nothing left to synchronize for
         }
         let leader = self.cfg.leader(self.view);
-        if let Some(m) = self.metrics.get() {
-            let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
-            let detail = format!("p{p} slot {slot} view {view} timed out waiting for {leader}");
-            m.recorder.record("view-timeout", detail);
-        }
+        let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
+        let detail = format!("p{p} slot {slot} view {view} timed out waiting for {leader}");
+        self.metrics.recorder.record("view-timeout", detail);
         // Leading a view and failing to propose in it (too few votes
         // arrived) says nothing about anyone else.
         if leader != self.id && self.acked_view != Some(self.view) {
@@ -1153,6 +1145,27 @@ mod tests {
         let mut r = replica(&cfg, &pairs, &dir, 0, 1);
         r.on_message(leader, propose(&pairs[0]), &mut buf);
         assert_eq!(r.take_leader_signal(), None);
+    }
+
+    /// A replica built with the default options records into a block of
+    /// its own: nothing has to be wired for its flight recorder to hold the
+    /// post-mortem of a view that timed out.
+    #[test]
+    fn a_replica_built_without_a_registry_records() {
+        let (cfg, pairs, dir) = fixture(4, 1, 1);
+        let opts = ReplicaOptions::default();
+        let metrics = Arc::clone(&opts.metrics);
+        let mut r = Replica::with_options(cfg, pairs[0].clone(), dir, Value::from_u64(1), opts);
+        let mut buf = fx(1, 4);
+        r.on_start(&mut buf);
+        r.on_timer(TimerId(1), &mut buf);
+        let events = metrics.recorder.snapshot();
+        let timeouts: Vec<&str> = events
+            .iter()
+            .filter(|e| e.kind == "view-timeout")
+            .map(|e| e.detail.as_str())
+            .collect();
+        assert_eq!(timeouts, ["p1 slot 0 view 1 timed out waiting for p2"]);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use fastbft_core::certs::{ProgressCert, SignedVote, VoteData};
 use fastbft_core::payload::propose_payload;
 use fastbft_core::selection::{select, Outcome, Rationale};
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
+use fastbft_obs::Metrics;
 use fastbft_types::{Config, ProcessId, Value, View};
 use proptest::prelude::*;
 
@@ -163,7 +164,7 @@ fn leader_and_verifier_agree_on_real_votes() {
 
     // Leader side.
     for sv in votes.values() {
-        assert!(sv.is_valid(&cfg, &dir, View(2), None));
+        assert!(sv.is_valid(&cfg, &dir, View(2), &Metrics::new()));
     }
     let leader_result = select(&cfg, View(2), &votes).unwrap();
     assert_eq!(leader_result.outcome, Outcome::Constrained(x.clone()));

@@ -7,6 +7,7 @@ use fastbft_core::message::{CertAckMsg, CertRequestMsg, Message, VoteMsg, WishMs
 use fastbft_core::payload::{certack_payload, propose_payload};
 use fastbft_core::replica::Replica;
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
+use fastbft_obs::Metrics;
 use fastbft_sim::{Actor, Effects, SimTime};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -148,7 +149,7 @@ fn leader_certification_roundtrip() {
         assert_eq!(p.value, x);
         assert_eq!(p.view, View(2));
         assert!(
-            p.cert.verify(&cfg, &dir, &x, View(2), None),
+            p.cert.verify(&cfg, &dir, &x, View(2), &Metrics::new()),
             "certificate must verify"
         );
         assert!(matches!(p.cert, ProgressCert::Bounded(_)));

@@ -55,9 +55,10 @@ mod tcp;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 
 use fastbft_crypto::{KeyDirectory, KeyPair};
-use fastbft_obs::{MetricsHandle, MetricsRegistry};
+use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat, TICK};
 use fastbft_sim::{Actor, SimMessage};
 use fastbft_types::wire::{Decode, Encode};
@@ -116,7 +117,7 @@ fn bind_loopback(pairs: &[KeyPair]) -> io::Result<(Vec<TcpListener>, Vec<SocketA
 
 /// Starts one transport per bound listener and pairs it with its actor;
 /// seat `i` reports wire-level counters into `registry.replica(i)` when a
-/// registry is given.
+/// registry is given, else into a block of its own.
 fn seats_on<M: SimMessage + Encode + Decode>(
     actors: Vec<Box<dyn Actor<M> + Send>>,
     pairs: Vec<KeyPair>,
@@ -135,7 +136,7 @@ fn seats_on<M: SimMessage + Encode + Decode>(
             listener,
             addrs.to_vec(),
             opts.clone(),
-            registry.map_or_else(MetricsHandle::none, |r| r.replica(i)),
+            registry.map_or_else(Arc::default, |r| r.replica(i)),
         )?;
         seats.push(NodeSeat {
             actor,
@@ -219,48 +220,18 @@ pub fn tcp_seats_metered<M: SimMessage + Encode + Decode>(
     Ok((seats, addrs))
 }
 
-/// [`tcp_seats`] that also hands back a clone of each replica's bound
-/// listener. Restart tests keep the clones: the file descriptor keeps the
-/// port bound while a seat is down (peer redials queue in the accept
-/// backlog — no rebind race, no address reuse window), and
-/// [`tcp_reseat`] builds the replacement seat on it.
-///
-/// # Errors
-///
-/// An [`io::Error`] if binding or cloning the loopback listeners fails.
-///
-/// # Panics
-///
-/// Panics if `pairs` does not line up with `actors`.
-#[allow(clippy::type_complexity)]
-pub fn tcp_seats_retaining<M: SimMessage + Encode + Decode>(
-    actors: Vec<Box<dyn Actor<M> + Send>>,
-    pairs: Vec<KeyPair>,
-    dir: KeyDirectory,
-    opts: TcpOptions,
-) -> io::Result<(
-    Vec<NodeSeat<M, TcpTransport<M>>>,
-    Vec<SocketAddr>,
-    Vec<TcpListener>,
-)> {
-    let (listeners, addrs) = bind_loopback(&pairs)?;
-    let retained: Vec<TcpListener> = listeners
-        .iter()
-        .map(TcpListener::try_clone)
-        .collect::<io::Result<_>>()?;
-    let seats = seats_on(actors, pairs, &dir, listeners, &addrs, &opts, None)?;
-    Ok((seats, addrs, retained))
-}
-
-/// Builds a replacement [`NodeSeat`] for a stopped replica on its retained
-/// listener (see [`tcp_seats_retaining`]): fresh transport state — new
-/// sessions, new sequence numbers — on the *same* port, so peers' redial
-/// loops find the revived node without reconfiguration. Pass the result to
+/// Builds a [`NodeSeat`] on a clone of `listener`, a listener the caller
+/// bound and keeps. The kept listener holds the port while the seat is
+/// down (peer redials queue in the accept backlog — no rebind race, no
+/// address reuse window), so a replacement built on it later gets fresh
+/// transport state — new sessions, new sequence numbers — on the *same*
+/// port, and peers' redial loops find the revived node without
+/// reconfiguration. Pass the replacement to
 /// [`fastbft_runtime::ClusterHandle::restart_node`].
 ///
 /// # Errors
 ///
-/// An [`io::Error`] if cloning the retained listener fails.
+/// An [`io::Error`] if cloning the listener fails.
 pub fn tcp_reseat<M: SimMessage + Encode + Decode>(
     actor: Box<dyn Actor<M> + Send>,
     pair: KeyPair,

@@ -42,7 +42,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fastbft_crypto::session::{derive_nonce, mix_session, SessionMac, SessionVerifier};
 use fastbft_crypto::{KeyDirectory, KeyPair};
-use fastbft_obs::MetricsHandle;
+use fastbft_obs::Metrics;
 use fastbft_runtime::transport::{poll_queue, poll_queue_batch, Inbound, Polled, Transport};
 use fastbft_sim::SimMessage;
 use fastbft_types::wire::{encode_into, Decode, Encode, MAX_FRAME_LEN};
@@ -207,7 +207,7 @@ struct WriterSeat {
     /// down) — shared across the node's writer threads so the
     /// `peer_links_down` gauge reflects the whole node.
     links_down: Arc<AtomicU64>,
-    metrics: MetricsHandle,
+    metrics: Arc<Metrics>,
 }
 
 /// [`Transport`] implementation over real TCP sockets with authenticated
@@ -231,7 +231,7 @@ pub struct TcpTransport<M> {
     listener_addr: SocketAddr,
     listener: Option<JoinHandle<()>>,
     shared: Arc<NetShared>,
-    metrics: MetricsHandle,
+    metrics: Arc<Metrics>,
 }
 
 impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
@@ -242,7 +242,8 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
     ///
     /// `addrs[i]` must be the listener address of process `p_{i+1}`; `pair`
     /// is this node's key, `dir` the cluster directory used to authenticate
-    /// peers.
+    /// peers. It counts its wire-level traffic into a block of its own;
+    /// [`start_metered`](TcpTransport::start_metered) names the block.
     ///
     /// # Errors
     ///
@@ -254,15 +255,14 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
         addrs: Vec<SocketAddr>,
         opts: TcpOptions,
     ) -> io::Result<(Self, Sender<Inbound<M>>)> {
-        Self::start_metered(pair, dir, listener, addrs, opts, MetricsHandle::none())
+        Self::start_metered(pair, dir, listener, addrs, opts, Arc::default())
     }
 
-    /// [`start`](TcpTransport::start) with a metrics sink: the transport
-    /// reports wire-level counters (frames/bytes in and out, MAC
+    /// [`start`](TcpTransport::start) with a named metrics block: the
+    /// transport reports wire-level counters (frames/bytes in and out, MAC
     /// rejections, reconnects, send drops, peak writer-queue depth) into
-    /// `metrics` — typically one replica's slice of a
-    /// [`fastbft_obs::MetricsRegistry`]. A disabled handle
-    /// ([`MetricsHandle::none`]) makes this identical to `start`.
+    /// `metrics` — typically one replica's block of a
+    /// [`fastbft_obs::MetricsRegistry`].
     ///
     /// # Errors
     ///
@@ -273,7 +273,7 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
         listener: TcpListener,
         addrs: Vec<SocketAddr>,
         opts: TcpOptions,
-        metrics: MetricsHandle,
+        metrics: Arc<Metrics>,
     ) -> io::Result<(Self, Sender<Inbound<M>>)> {
         let listener_addr = listener.local_addr()?;
         let (inbound_tx, inbound_rx) = unbounded();
@@ -290,7 +290,7 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
         let accept_tx = inbound_tx.clone();
         let accept_pair = pair.clone();
         let accept_dir = dir.clone();
-        let accept_metrics = metrics.clone();
+        let accept_metrics = Arc::clone(&metrics);
         let my_id = pair.id();
         let handshake_timeout = opts.handshake_timeout;
         let listener_thread = std::thread::spawn(move || {
@@ -338,7 +338,7 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
                 frames: Arc::clone(&frames),
                 messages: Arc::clone(&messages),
                 links_down: Arc::clone(&links_down),
-                metrics: metrics.clone(),
+                metrics: Arc::clone(&metrics),
             };
             let writer = std::thread::spawn(move || peer_writer(seat, rx));
             peers.push(Some(PeerHandle { tx, depth, writer }));
@@ -391,15 +391,11 @@ impl<M: SimMessage + Encode + Decode> TcpTransport<M> {
             || handle.depth.load(Ordering::Relaxed) >= self.opts.outbound_queue_frames
         {
             self.dropped[peer].fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.send_drop_total.inc();
-            }
+            self.metrics.send_drop_total.inc();
             return;
         }
         let depth = handle.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(m) = self.metrics.get() {
-            m.writer_queue_depth_peak.set_max(depth as u64);
-        }
+        self.metrics.writer_queue_depth_peak.set_max(depth as u64);
         if handle.tx.send(payload).is_err() {
             handle.depth.fetch_sub(1, Ordering::Relaxed);
         }
@@ -528,10 +524,10 @@ fn peer_writer(seat: WriterSeat, rx: Receiver<Bytes>) {
                 // Cooling down after a failed (re)connect: drop the batch.
                 seat.dropped
                     .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if let Some(m) = seat.metrics.get() {
-                    m.send_drop_total.add(batch.len() as u64);
-                    m.send_drop_unreachable_total.add(batch.len() as u64);
-                }
+                seat.metrics.send_drop_total.add(batch.len() as u64);
+                seat.metrics
+                    .send_drop_unreachable_total
+                    .add(batch.len() as u64);
                 continue;
             }
             dead_until = None;
@@ -543,9 +539,7 @@ fn peer_writer(seat: WriterSeat, rx: Receiver<Bytes>) {
                 // Redials only: the first link of the run is a connect,
                 // not a reconnect.
                 if ever_linked {
-                    if let Some(m) = seat.metrics.get() {
-                        m.reconnect_total.inc();
-                    }
+                    seat.metrics.reconnect_total.inc();
                 }
                 ever_linked = true;
                 mark_link_up(&seat, &mut is_down);
@@ -564,9 +558,7 @@ fn peer_writer(seat: WriterSeat, rx: Receiver<Bytes>) {
         // dial budget.
         if had_link {
             if let Ok(mut out) = dial(&seat) {
-                if let Some(m) = seat.metrics.get() {
-                    m.reconnect_total.inc();
-                }
+                seat.metrics.reconnect_total.inc();
                 if write_batch(&seat, &mut out, &batch, &mut payload, &mut wire).is_ok() {
                     link = Some(out);
                     continue;
@@ -577,10 +569,10 @@ fn peer_writer(seat: WriterSeat, rx: Receiver<Bytes>) {
         // Peer unreachable: drop the batch and back off.
         seat.dropped
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        if let Some(m) = seat.metrics.get() {
-            m.send_drop_total.add(batch.len() as u64);
-            m.send_drop_unreachable_total.add(batch.len() as u64);
-        }
+        seat.metrics.send_drop_total.add(batch.len() as u64);
+        seat.metrics
+            .send_drop_unreachable_total
+            .add(batch.len() as u64);
         mark_link_down(&seat, &mut is_down);
         dead_until = Some(Instant::now() + seat.opts.redial_cooldown);
     }
@@ -590,9 +582,7 @@ fn peer_writer(seat: WriterSeat, rx: Receiver<Bytes>) {
     // cluster stops would read as an outage).
     if is_down {
         let down = seat.links_down.fetch_sub(1, Ordering::Relaxed) - 1;
-        if let Some(m) = seat.metrics.get() {
-            m.peer_links_down.set(down);
-        }
+        seat.metrics.peer_links_down.set(down);
     }
 }
 
@@ -606,16 +596,14 @@ fn mark_link_down(seat: &WriterSeat, is_down: &mut bool) {
     }
     *is_down = true;
     let down = seat.links_down.fetch_add(1, Ordering::Relaxed) + 1;
-    if let Some(m) = seat.metrics.get() {
-        m.peer_links_down.set(down);
-        m.recorder.record(
-            "peer-link-down",
-            format!(
-                "p{} -> p{} unreachable, cooling down {:?}",
-                seat.me.0, seat.peer.0, seat.opts.redial_cooldown
-            ),
-        );
-    }
+    seat.metrics.peer_links_down.set(down);
+    seat.metrics.recorder.record(
+        "peer-link-down",
+        format!(
+            "p{} -> p{} unreachable, cooling down {:?}",
+            seat.me.0, seat.peer.0, seat.opts.redial_cooldown
+        ),
+    );
 }
 
 /// Clears the down state once a dial succeeds again.
@@ -625,13 +613,11 @@ fn mark_link_up(seat: &WriterSeat, is_down: &mut bool) {
     }
     *is_down = false;
     let down = seat.links_down.fetch_sub(1, Ordering::Relaxed) - 1;
-    if let Some(m) = seat.metrics.get() {
-        m.peer_links_down.set(down);
-        m.recorder.record(
-            "peer-link-up",
-            format!("p{} -> p{} link restored", seat.me.0, seat.peer.0),
-        );
-    }
+    seat.metrics.peer_links_down.set(down);
+    seat.metrics.recorder.record(
+        "peer-link-up",
+        format!("p{} -> p{} link restored", seat.me.0, seat.peer.0),
+    );
 }
 
 /// Releases an outbound link's registry entry (and thereby its fd clone).
@@ -681,10 +667,8 @@ fn write_batch(
     seat.frames.fetch_add(frames, Ordering::Relaxed);
     seat.messages
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    if let Some(m) = seat.metrics.get() {
-        m.frames_out_total.add(frames);
-        m.bytes_out_total.add(wire.len() as u64);
-    }
+    seat.metrics.frames_out_total.add(frames);
+    seat.metrics.bytes_out_total.add(wire.len() as u64);
     Ok(())
 }
 
@@ -766,7 +750,7 @@ fn accept_loop<M: SimMessage + Decode>(
     inbound_tx: Sender<Inbound<M>>,
     shared: Arc<NetShared>,
     handshake_timeout: Duration,
-    metrics: MetricsHandle,
+    metrics: Arc<Metrics>,
 ) {
     let mut next_conn_id: u64 = 0;
     loop {
@@ -819,7 +803,7 @@ fn accept_loop<M: SimMessage + Decode>(
         let dir = dir.clone();
         let inbound_tx = inbound_tx.clone();
         let handler_shared = Arc::clone(&shared);
-        let handler_metrics = metrics.clone();
+        let handler_metrics = Arc::clone(&metrics);
         let handle = std::thread::spawn(move || {
             serve_connection(
                 stream,
@@ -852,7 +836,7 @@ fn serve_connection<M: SimMessage + Decode>(
     inbound_tx: Sender<Inbound<M>>,
     shared: Arc<NetShared>,
     handshake_timeout: Duration,
-    metrics: MetricsHandle,
+    metrics: Arc<Metrics>,
 ) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(handshake_timeout)).is_err() {
@@ -906,15 +890,11 @@ fn serve_connection<M: SimMessage + Decode>(
                 .verify(frame.seq, frame.payload, &frame.mac)
                 .is_err()
         {
-            if let Some(m) = metrics.get() {
-                m.mac_reject_total.inc();
-            }
+            metrics.mac_reject_total.inc();
             return;
         }
-        if let Some(m) = metrics.get() {
-            m.frames_in_total.inc();
-            m.bytes_in_total.add(len as u64);
-        }
+        metrics.frames_in_total.inc();
+        metrics.bytes_in_total.add(len as u64);
         // One verified frame carries a whole writer drain: decode the
         // batch and hand it to the event loop as one queue operation.
         match decode_batch_payload::<M>(frame.payload) {

@@ -3,10 +3,11 @@
 //! recovery mid-log, deadlock-free shutdown with slots in flight, and a
 //! metrics scrape that is well formed and reflects the run.
 
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use fastbft_crypto::{KeyDirectory, KeyPair};
-use fastbft_net::{tcp_reseat, tcp_seats_metered, tcp_seats_retaining, TcpTransport};
+use fastbft_net::{tcp_reseat, tcp_seats_metered, TcpTransport};
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::NodeSeat;
 use fastbft_sim::{Actor, ScriptedActor};
@@ -195,7 +196,7 @@ fn silent_leader_recovers_mid_log_over_tcp() {
 /// under the shipped batcher bounds: a replica is stopped mid-log (thread
 /// joined, transport dropped), the survivors keep committing past it with
 /// a short snapshot cadence, and a *fresh* node — empty log, empty store,
-/// fresh transport state on the retained port — rejoins by installing an
+/// fresh transport state on the kept port — rejoins by installing an
 /// attested snapshot plus the committed suffix, ending with byte-identical
 /// state on all four replicas.
 #[test]
@@ -208,7 +209,12 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
     const INTERVAL: u64 = 8;
     let cfg = Config::new(4, 1, 1).unwrap();
     let idle = KvCommand::Noop.to_value();
-    let mut retained = None;
+    // Bound here, and every seat built on a clone: the kept listeners hold
+    // the ports while a seat is dead.
+    let listeners: Vec<TcpListener> = (0..cfg.n())
+        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("loopback bind"))
+        .collect();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
     let mut cluster = SmrClusterHandle::spawn(
         cfg,
         seed,
@@ -216,10 +222,14 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
         vec![Vec::new(); cfg.n()],
         idle.clone(),
         |actors, pairs, dir, _| {
-            let (seats, addrs, listeners) =
-                tcp_seats_retaining(actors, pairs, dir, Default::default()).expect("loopback bind");
-            retained = Some((addrs, listeners));
+            let seats = actors.into_iter().zip(pairs).zip(&listeners);
             seats
+                .map(|((actor, pair), listener)| {
+                    let opts = Default::default();
+                    tcp_reseat(actor, pair, dir.clone(), listener, addrs.clone(), opts)
+                        .expect("seat on a bound listener")
+                })
+                .collect()
         },
         |_, node| {
             Box::new(
@@ -228,7 +238,6 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
             )
         },
     );
-    let (addrs, listeners) = retained.expect("seats built");
     let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
 
     // Phase 1: a common prefix on all four replicas.
@@ -241,8 +250,8 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
         cluster.logs()
     );
 
-    // Kill p2 mid-log: event loop joined, sockets torn down. The retained
-    // listener clone keeps its port bound while the seat is dead.
+    // Kill p2 mid-log: event loop joined, sockets torn down. The kept
+    // listener keeps its port bound while the seat is dead.
     drop(cluster.inner_mut().stop_node(1));
 
     // Phase 2: the survivors commit well past p2's death, taking (and
@@ -278,7 +287,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
         addrs,
         Default::default(),
     )
-    .expect("reseat on retained port");
+    .expect("reseat on the kept port");
     cluster.inner_mut().restart_node(1, seat);
 
     // Catch-up: keep filler traffic flowing until p2 applies a command

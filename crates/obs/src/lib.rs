@@ -18,10 +18,10 @@
 //! * [`FlightRecorder`] — a bounded ring buffer of structured protocol
 //!   events (view changes, path decisions, snapshot installs, MAC
 //!   rejections). Rare-path only: recording takes a mutex.
-//! * [`Metrics`] — one instance per replica holding every layer's
-//!   instruments, shared as an `Arc` through [`MetricsHandle`] (a cheap
-//!   optional handle that defaults to *disabled*, so un-instrumented
-//!   construction paths pay one branch per record site).
+//! * [`Metrics`] — one block per replica seat holding every layer's
+//!   instruments, shared as an `Arc<Metrics>` by everything the seat runs.
+//!   Every seat records: one built without a registry gets a block of its
+//!   own (`Arc::default()`), so a record site is a plain call.
 //! * [`MetricsRegistry`] — the cluster-wide view: `n` replica metrics plus
 //!   the two exporters, Prometheus-style text exposition
 //!   ([`render_text`](MetricsRegistry::render_text)) and a JSON dump
@@ -31,11 +31,9 @@
 //! use fastbft_obs::MetricsRegistry;
 //!
 //! let registry = MetricsRegistry::new(4);
-//! let handle = registry.replica(0); // give this to replica p1
-//! if let Some(m) = handle.get() {
-//!     m.commit_fast_total.inc();
-//!     m.commit_latency_fast_us.record(180);
-//! }
+//! let m = registry.replica(0); // give this to replica p1
+//! m.commit_fast_total.inc();
+//! m.commit_latency_fast_us.record(180);
 //! let text = registry.render_text();
 //! assert!(text.contains("fastbft_commit_fast_total{replica=\"p1\"} 1"));
 //! ```
@@ -54,4 +52,4 @@ mod registry;
 pub use histogram::Histogram;
 pub use instruments::{Counter, Gauge};
 pub use recorder::{Event, FlightRecorder};
-pub use registry::{Metrics, MetricsHandle, MetricsRegistry};
+pub use registry::{Metrics, MetricsRegistry};

@@ -1,13 +1,15 @@
-//! Per-replica metric blocks, the optional handle layers record through,
-//! and the cluster-wide registry with both exporters.
+//! Per-replica metric blocks and the cluster-wide registry with both
+//! exporters.
 //!
-//! Ownership model: a [`MetricsRegistry`] owns one [`Metrics`] block per
-//! replica seat. Each block is handed to its replica as a
-//! [`MetricsHandle`] (an `Option<Arc<Metrics>>`), threaded through
-//! `ReplicaOptions` so it reaches every per-slot `Replica`, the SMR
-//! multiplexer, and — via the metered transport constructors — the TCP
-//! writer/reader threads. A handle defaults to **disabled**: every record
-//! site is `if let Some(m) = handle.get() { … }`, one branch when off.
+//! Ownership model: every replica seat records into one [`Metrics`] block,
+//! held as an `Arc<Metrics>` by each layer of the seat — threaded through
+//! `ReplicaOptions` so it reaches every per-slot `Replica` and the SMR
+//! multiplexer, and through the transport constructors to the TCP
+//! writer/reader threads and the fault wrapper. A [`MetricsRegistry`] owns
+//! one block per seat and hands seat `i`'s out with
+//! [`replica`](MetricsRegistry::replica); a seat built without a registry
+//! records into a block of its own (`Arc::default()`), which only its
+//! holders can read. Every record site is a plain call.
 //!
 //! Exposition: [`render_text`](MetricsRegistry::render_text) emits
 //! Prometheus-style text (counters and gauges as single series,
@@ -16,7 +18,6 @@
 //! (MetricsRegistry::render_json) emits one JSON object with the same
 //! data plus each replica's flight-recorder tail.
 
-use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -94,8 +95,9 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// `(name, help, counter)` for every counter, in exposition order.
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 28] {
+    /// `(name, help, counter)` for every counter, in exposition order (the
+    /// byte counters last).
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 32] {
         [
             (
                 "commit_fast_total",
@@ -237,13 +239,6 @@ impl Metrics {
                 "Deliveries dropped by a hard partition in the fault plan.",
                 &self.fault_partition_drop_total,
             ),
-        ]
-    }
-
-    /// `(name, help, counter)` for byte counters (split out so the text
-    /// renderer can group all counters; bytes are still counters).
-    fn byte_counters(&self) -> [(&'static str, &'static str, &Counter); 4] {
-        [
             (
                 "ingress_shed_bytes_total",
                 "Command bytes shed at ingress by the pending-queue budget.",
@@ -325,53 +320,6 @@ impl Metrics {
     }
 }
 
-/// A cheap, cloneable, optional reference to one replica's [`Metrics`].
-///
-/// Defaults to disabled (`MetricsHandle::default()` records nothing), so
-/// every construction path that predates observability keeps working
-/// unchanged; [`MetricsRegistry::replica`] produces enabled handles.
-#[derive(Clone, Default)]
-pub struct MetricsHandle(Option<Arc<Metrics>>);
-
-impl fmt::Debug for MetricsHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(_) => f.write_str("MetricsHandle(enabled)"),
-            None => f.write_str("MetricsHandle(disabled)"),
-        }
-    }
-}
-
-impl From<Arc<Metrics>> for MetricsHandle {
-    fn from(metrics: Arc<Metrics>) -> Self {
-        MetricsHandle(Some(metrics))
-    }
-}
-
-impl MetricsHandle {
-    /// A disabled handle: every record site short-circuits on one branch.
-    pub fn none() -> Self {
-        MetricsHandle(None)
-    }
-
-    /// An enabled handle over a fresh standalone block (tests, single
-    /// replicas); cluster code should use [`MetricsRegistry::replica`].
-    pub fn standalone() -> Self {
-        MetricsHandle(Some(Arc::new(Metrics::new())))
-    }
-
-    /// The block to record into, if enabled.
-    #[inline]
-    pub fn get(&self) -> Option<&Metrics> {
-        self.0.as_deref()
-    }
-
-    /// Whether recording is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
 /// The cluster-wide metrics plane: one [`Metrics`] block per replica
 /// seat, plus the two exporters. Clones share the same blocks, so a
 /// bench or test can keep a clone and scrape while the cluster runs.
@@ -398,14 +346,14 @@ impl MetricsRegistry {
         self.replicas.is_empty()
     }
 
-    /// An enabled handle for replica seat `index` (0-based: seat 0 is
+    /// Replica seat `index`'s block, to record into (0-based: seat 0 is
     /// process p1, matching the workspace's actor-vector convention).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn replica(&self, index: usize) -> MetricsHandle {
-        MetricsHandle(Some(Arc::clone(&self.replicas[index])))
+    pub fn replica(&self, index: usize) -> Arc<Metrics> {
+        Arc::clone(&self.replicas[index])
     }
 
     /// Direct access to seat `index`'s block (assertions, scrapes).
@@ -428,65 +376,30 @@ impl MetricsRegistry {
     /// summaries (`quantile` labels + `_sum` + `_count`).
     pub fn render_text(&self) -> String {
         let mut out = String::with_capacity(16 * 1024);
-        if self.replicas.is_empty() {
-            return out;
-        }
-        let probe = &self.replicas[0];
-        let counter_families = probe.counters().map(|(name, help, _)| (name, help));
-        let byte_families = probe.byte_counters().map(|(name, help, _)| (name, help));
-        for (name, help) in counter_families.into_iter().chain(byte_families) {
-            let _ = writeln!(out, "# HELP fastbft_{name} {help}");
-            let _ = writeln!(out, "# TYPE fastbft_{name} counter");
-            for (i, m) in self.replicas.iter().enumerate() {
-                let value = m
-                    .counters()
-                    .iter()
-                    .chain(m.byte_counters().iter())
-                    .find(|(n, _, _)| *n == name)
-                    .map(|(_, _, c)| c.get())
-                    .unwrap_or(0);
-                let _ = writeln!(out, "fastbft_{name}{{replica=\"p{}\"}} {value}", i + 1);
-            }
-        }
-        for (name, help) in probe.gauges().map(|(name, help, _)| (name, help)) {
-            let _ = writeln!(out, "# HELP fastbft_{name} {help}");
-            let _ = writeln!(out, "# TYPE fastbft_{name} gauge");
-            for (i, m) in self.replicas.iter().enumerate() {
-                let value = m
-                    .gauges()
-                    .iter()
-                    .find(|(n, _, _)| *n == name)
-                    .map(|(_, _, g)| g.get())
-                    .unwrap_or(0);
-                let _ = writeln!(out, "fastbft_{name}{{replica=\"p{}\"}} {value}", i + 1);
-            }
-        }
-        for (name, help) in probe.histograms().map(|(name, help, _)| (name, help)) {
-            let _ = writeln!(out, "# HELP fastbft_{name} {help}");
-            let _ = writeln!(out, "# TYPE fastbft_{name} summary");
-            for (i, m) in self.replicas.iter().enumerate() {
-                let h = m
-                    .histograms()
-                    .iter()
-                    .find(|(n, _, _)| *n == name)
-                    .map(|(_, _, h)| *h)
-                    .expect("histogram families are identical across replicas");
-                let p = i + 1;
-                for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-                    let _ = writeln!(
-                        out,
-                        "fastbft_{name}{{replica=\"p{p}\",quantile=\"{label}\"}} {}",
-                        h.quantile(q)
-                    );
-                }
-                let _ = writeln!(out, "fastbft_{name}_sum{{replica=\"p{p}\"}} {}", h.sum());
+        let counters: Vec<_> = self.replicas.iter().map(|m| m.counters()).collect();
+        write_families(&mut out, "counter", &counters, |out, name, p, c| {
+            let _ = writeln!(out, "fastbft_{name}{{replica=\"p{p}\"}} {}", c.get());
+        });
+        let gauges: Vec<_> = self.replicas.iter().map(|m| m.gauges()).collect();
+        write_families(&mut out, "gauge", &gauges, |out, name, p, g| {
+            let _ = writeln!(out, "fastbft_{name}{{replica=\"p{p}\"}} {}", g.get());
+        });
+        let histograms: Vec<_> = self.replicas.iter().map(|m| m.histograms()).collect();
+        write_families(&mut out, "summary", &histograms, |out, name, p, h| {
+            for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
                 let _ = writeln!(
                     out,
-                    "fastbft_{name}_count{{replica=\"p{p}\"}} {}",
-                    h.count()
+                    "fastbft_{name}{{replica=\"p{p}\",quantile=\"{label}\"}} {}",
+                    h.quantile(q)
                 );
             }
-        }
+            let _ = writeln!(out, "fastbft_{name}_sum{{replica=\"p{p}\"}} {}", h.sum());
+            let _ = writeln!(
+                out,
+                "fastbft_{name}_count{{replica=\"p{p}\"}} {}",
+                h.count()
+            );
+        });
         out
     }
 
@@ -501,7 +414,7 @@ impl MetricsRegistry {
             }
             let _ = write!(out, "{{\"replica\":\"p{}\",\"counters\":{{", i + 1);
             let mut first = true;
-            for (name, _, c) in m.counters().iter().chain(m.byte_counters().iter()) {
+            for (name, _, c) in m.counters().iter() {
                 if !first {
                     out.push(',');
                 }
@@ -553,6 +466,28 @@ impl MetricsRegistry {
     }
 }
 
+/// One `# HELP` / `# TYPE` header of `kind` per family, each followed by
+/// `series(out, name, N, instrument)` for every replica `pN`: `lists[i]` is
+/// replica `i`'s list, and every list holds the same families in the same
+/// order, so a family is paired with each replica's by position.
+fn write_families<T, const K: usize>(
+    out: &mut String,
+    kind: &str,
+    lists: &[[(&'static str, &'static str, &T); K]],
+    series: impl Fn(&mut String, &str, usize, &T),
+) {
+    let Some(first) = lists.first() else {
+        return;
+    };
+    for (j, (name, help, _)) in first.iter().enumerate() {
+        let _ = writeln!(out, "# HELP fastbft_{name} {help}");
+        let _ = writeln!(out, "# TYPE fastbft_{name} {kind}");
+        for (i, list) in lists.iter().enumerate() {
+            series(out, name, i + 1, list[j].2);
+        }
+    }
+}
+
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -577,11 +512,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handle_defaults_disabled() {
-        let h = MetricsHandle::default();
-        assert!(!h.is_enabled());
-        assert!(h.get().is_none());
-        assert!(MetricsRegistry::new(2).replica(1).is_enabled());
+    fn a_seat_records_into_the_block_the_registry_renders() {
+        let reg = MetricsRegistry::new(2);
+        reg.replica(1).commit_fast_total.inc();
+        assert_eq!(reg.metrics(1).commit_fast_total.get(), 1);
+        assert!(Arc::ptr_eq(&reg.replica(1), &reg.replica(1)));
+        assert!(!Arc::ptr_eq(&reg.replica(0), &reg.replica(1)));
     }
 
     #[test]
@@ -590,7 +526,56 @@ mod tests {
         reg.metrics(0).commit_fast_total.inc();
         reg.metrics(1).commit_latency_fast_us.record(250);
         let text = reg.render_text();
-        assert!(text.contains("# TYPE fastbft_commit_fast_total counter"));
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE fastbft_"))
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "commit_fast_total counter",
+                "commit_slow_total counter",
+                "view_change_total counter",
+                "contribution_refused_total counter",
+                "view_skip_total counter",
+                "slot_revoked_total counter",
+                "leader_suspect_total counter",
+                "leader_clear_total counter",
+                "cert_cache_miss_total counter",
+                "sig_memo_miss_total counter",
+                "dedup_dropped_total counter",
+                "batch_flush_size_total counter",
+                "batch_flush_bytes_total counter",
+                "batch_flush_quiescence_total counter",
+                "batch_flush_timeout_total counter",
+                "ingress_shed_total counter",
+                "snapshot_taken_total counter",
+                "snapshot_installed_total counter",
+                "backfill_slots_total counter",
+                "frames_out_total counter",
+                "frames_in_total counter",
+                "mac_reject_total counter",
+                "reconnect_total counter",
+                "send_drop_unreachable_total counter",
+                "fault_delay_injected_total counter",
+                "fault_drop_injected_total counter",
+                "fault_dup_injected_total counter",
+                "fault_partition_drop_total counter",
+                "ingress_shed_bytes_total counter",
+                "bytes_out_total counter",
+                "bytes_in_total counter",
+                "send_drop_total counter",
+                "leader_suspected gauge",
+                "stash_depth gauge",
+                "writer_queue_depth_peak gauge",
+                "peer_links_down gauge",
+                "fault_links_shaped gauge",
+                "batch_size summary",
+                "commit_latency_fast_us summary",
+                "commit_latency_slow_us summary",
+                "apply_latency_us summary",
+            ]
+        );
         assert!(text.contains("fastbft_commit_fast_total{replica=\"p1\"} 1"));
         assert!(text.contains("fastbft_commit_fast_total{replica=\"p2\"} 0"));
         assert!(text.contains("fastbft_commit_latency_fast_us{replica=\"p2\",quantile=\"0.99\"}"));

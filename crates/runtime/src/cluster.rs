@@ -217,7 +217,8 @@ fn run_node<M: SimMessage>(
     // Effect application shared by all four callbacks. Every decision and
     // every applied-command event is forwarded — a multi-slot actor reports
     // one event per commit, and suppressing repeats is the *consumer's*
-    // choice (`await_decisions` dedups per process), not the event loop's.
+    // choice (`await_decisions` keeps the first per process and refuses a
+    // changed one), not the event loop's.
     macro_rules! apply {
         ($fx:expr) => {{
             let fx = $fx;
@@ -313,6 +314,12 @@ fn run_node<M: SimMessage>(
 impl<M: SimMessage> ClusterHandle<M> {
     /// Waits until `count` distinct processes have decided, or `timeout`
     /// elapses. Returns the decisions observed (first per process).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a process decides again with another value while this
+    /// waits — a changed decision, which no correct process makes (an
+    /// equal repeat is ignored).
     pub fn await_decisions(&self, count: usize, timeout: Duration) -> Vec<Decision> {
         let deadline = Instant::now() + timeout;
         let mut seen: Vec<Decision> = Vec::new();
@@ -322,11 +329,16 @@ impl<M: SimMessage> ClusterHandle<M> {
                 break;
             }
             match self.decisions.recv_timeout(wait) {
-                Ok(d) => {
-                    if !seen.iter().any(|s| s.process == d.process) {
-                        seen.push(d);
-                    }
-                }
+                Ok(d) => match seen.iter().find(|s| s.process == d.process) {
+                    None => seen.push(d),
+                    Some(first) => assert!(
+                        first.value == d.value,
+                        "{} changed its decision from {:?} to {:?}",
+                        d.process,
+                        first.value,
+                        d.value
+                    ),
+                },
                 Err(_) => break,
             }
         }
@@ -491,6 +503,34 @@ mod tests {
         // And the deadline helper never panics on Instant overflow.
         let far = timer_deadline(Instant::now(), Duration::from_secs(1), u64::MAX);
         assert!(far > Instant::now());
+    }
+
+    /// Decides 1 on start and 2 when its first timer fires.
+    struct Flipper;
+
+    impl Actor<Message> for Flipper {
+        fn on_start(&mut self, fx: &mut Effects<Message>) {
+            fx.decide(Value::from_u64(1));
+            fx.set_timer(SimDuration(1), TimerId(1));
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: Message, _: &mut Effects<Message>) {}
+
+        fn on_timer(&mut self, _: TimerId, fx: &mut Effects<Message>) {
+            fx.decide(Value::from_u64(2));
+        }
+    }
+
+    #[test]
+    fn a_changed_decision_is_refused() {
+        let cluster = spawn(vec![Box::new(Flipper), Box::new(ScriptedActor::silent())]);
+        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.await_decisions(2, Duration::from_secs(5))
+        }));
+        cluster.shutdown();
+        let panic = waited.expect_err("p1 decided 1, then 2");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(message, "p1 changed its decision from Value(1) to Value(2)");
     }
 
     #[test]

@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fastbft_obs::{Counter, Metrics, MetricsHandle, MetricsRegistry};
+use fastbft_obs::{Counter, Metrics, MetricsRegistry};
 use fastbft_sim::{Network, SimDuration, SimMessage, SimTime};
 use fastbft_types::ProcessId;
 use rand::rngs::StdRng;
@@ -459,7 +459,7 @@ fn uniform_duration(rng: &mut StdRng, upto: Duration) -> Duration {
 pub struct FaultTransport<M: SimMessage, T: Transport<M>> {
     inner: T,
     id: ProcessId,
-    metrics: MetricsHandle,
+    metrics: Arc<Metrics>,
     view: PlanView,
     held: BinaryHeap<Reverse<Held<M>>>,
     hseq: u64,
@@ -467,22 +467,25 @@ pub struct FaultTransport<M: SimMessage, T: Transport<M>> {
 
 impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
     /// Wraps `inner` (node `id`'s transport) on `plan`, drawing fault
-    /// decisions from `seed`.
+    /// decisions from `seed`. It counts what it injects into a block of its
+    /// own until [`with_metrics`](Self::with_metrics) names another.
     pub fn new(inner: T, id: ProcessId, plan: FaultPlan, seed: u64) -> Self {
-        FaultTransport {
+        let wrapper = FaultTransport {
             inner,
             id,
-            metrics: MetricsHandle::none(),
+            metrics: Arc::default(),
             view: PlanView::new(plan, seed),
             held: BinaryHeap::new(),
             hseq: 0,
-        }
+        };
+        wrapper.publish_rule_count();
+        wrapper
     }
 
-    /// Reports injected-fault counters into `metrics` (usually the same
+    /// Counts injected faults into `metrics` instead (usually the same
     /// per-replica block the node's actor records into), starting with
     /// the rules already in force.
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
+    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
         self.metrics = metrics;
         self.publish_rule_count();
         self
@@ -495,16 +498,13 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
     }
 
     fn publish_rule_count(&self) {
-        if let Some(m) = self.metrics.get() {
-            m.fault_links_shaped
-                .set(self.view.table.rule_count() as u64);
-        }
+        self.metrics
+            .fault_links_shaped
+            .set(self.view.table.rule_count() as u64);
     }
 
     fn count(&self, pick: impl Fn(&Metrics) -> &Counter) {
-        if let Some(m) = self.metrics.get() {
-            pick(m).inc();
-        }
+        pick(&self.metrics).inc();
     }
 
     fn push_held(&mut self, due: Instant, from: ProcessId, msg: M) {
@@ -715,19 +715,19 @@ mod tests {
     type Wrapped = FaultTransport<Ping, ChannelTransport<Ping>>;
     type PairFixture = (Wrapped, ChannelTransport<Ping>, Sender<Inbound<Ping>>);
 
-    /// A two-node fixture: returns p1's wrapped transport (metered), p2's
+    /// A two-node fixture: returns p1's wrapped transport, p2's
     /// raw transport (to send from), and p1's control sender.
     fn pair(plan: &FaultPlan, seed: u64) -> PairFixture {
         let mut mesh = ChannelTransport::<Ping>::mesh(2);
         let (t2, _) = mesh.remove(1);
         let (t1, control) = mesh.remove(0);
         let t1 = FaultTransport::new(t1, ProcessId(1), plan.clone(), seed);
-        (t1.with_metrics(MetricsHandle::standalone()), t2, control)
+        (t1, t2, control)
     }
 
     /// What p1's wrapper counted into its metrics block.
     fn counted(t1: &Wrapped, pick: impl Fn(&Metrics) -> &Counter) -> u64 {
-        pick(t1.metrics.get().expect("metered")).get()
+        pick(&t1.metrics).get()
     }
 
     /// Rules shaping everything p2 sends.
@@ -748,7 +748,7 @@ mod tests {
             Duration::ZERO,
         ));
         let (t1, _t2, _control) = pair(&plan, 7);
-        let shaped = &t1.metrics.get().expect("metered").fault_links_shaped;
+        let shaped = &t1.metrics.fault_links_shaped;
         assert_eq!(shaped.get(), 1);
     }
 

@@ -153,10 +153,10 @@ struct Instance {
     replica: Replica,
     /// On this actor's clock (the batcher's congestion signal).
     started: SimTime,
-    /// On the wall clock, only while a metrics sink is attached — the
-    /// commit/apply latency histograms are the sole consumers, so the
-    /// default sim path stays wall-clock-free.
-    started_wall: Option<Instant>,
+    /// On the wall clock, for the commit/apply latency histograms alone:
+    /// nothing the node decides reads it, so a simulated run still repeats
+    /// exactly.
+    started_wall: Instant,
 }
 
 /// Microseconds since `at`, for a latency histogram.
@@ -535,9 +535,7 @@ impl<S: StateMachine> SmrNode<S> {
     fn apply_command(&mut self, cmd: Value, fx: &mut Effects<SlotMessage>) {
         if cmd != self.idle_input {
             if !self.dedup.insert(CommandId::of(&cmd)) {
-                if let Some(m) = self.opts.metrics.get() {
-                    m.dedup_dropped_total.inc();
-                }
+                self.opts.metrics.dedup_dropped_total.inc();
                 return; // already executed in an earlier slot
             }
             if let Some(pos) = self.pending.iter().position(|p| *p == cmd) {
@@ -581,15 +579,11 @@ impl<S: StateMachine> SmrNode<S> {
         if let Some(instance) = &record.instance {
             self.batcher
                 .slot_committed(fx.now().since(instance.started));
-            if let Some(m) = self.opts.metrics.get() {
-                if let (Some(at), Some(path)) =
-                    (instance.started_wall, instance.replica.decided_path())
-                {
-                    match path {
-                        CommitPath::Fast => m.commit_latency_fast_us.record(elapsed_us(at)),
-                        CommitPath::Slow => m.commit_latency_slow_us.record(elapsed_us(at)),
-                    }
-                }
+            let (m, at) = (&self.opts.metrics, instance.started_wall);
+            match instance.replica.decided_path() {
+                Some(CommitPath::Fast) => m.commit_latency_fast_us.record(elapsed_us(at)),
+                Some(CommitPath::Slow) => m.commit_latency_slow_us.record(elapsed_us(at)),
+                None => {}
             }
         }
         record.decided = Some(value);
@@ -613,10 +607,9 @@ impl<S: StateMachine> SmrNode<S> {
             }
             self.committed_tail.insert(self.applied, value);
             self.requeue_unapplied(record.drained);
-            if let Some(at) = record.instance.and_then(|i| i.started_wall) {
-                if let Some(m) = self.opts.metrics.get() {
-                    m.apply_latency_us.record(elapsed_us(at));
-                }
+            if let Some(instance) = record.instance {
+                let latency = elapsed_us(instance.started_wall);
+                self.opts.metrics.apply_latency_us.record(latency);
             }
             self.applied += 1;
             if self.checkpoints.due(self.applied) {
@@ -648,12 +641,10 @@ impl<S: StateMachine> SmrNode<S> {
         self.note_stash_depth();
     }
 
-    /// Mirrors the stash size into the metrics gauge (no-op when metrics
-    /// are disabled). Called after every change to the stash.
+    /// Mirrors the stash size into the metrics gauge. Called after every
+    /// change to the stash.
     fn note_stash_depth(&self) {
-        if let Some(m) = self.opts.metrics.get() {
-            m.stash_depth.set(self.stash.len() as u64);
-        }
+        self.opts.metrics.stash_depth.set(self.stash.len() as u64);
     }
 
     /// Checkpoints at the current (interval-aligned) apply point: truncates
@@ -679,13 +670,12 @@ impl<S: StateMachine> SmrNode<S> {
         let bytes = to_bytes(&payload);
         self.dedup = payload.dedup;
         let attestation = self.checkpoints.seal(&self.keys, upto, bytes);
-        if let Some(m) = self.opts.metrics.get() {
-            m.snapshot_taken_total.inc();
-            m.recorder.record(
-                "snapshot",
-                format!("p{} checkpointed upto={upto}", self.keys.id().0),
-            );
-        }
+        let m = &self.opts.metrics;
+        m.snapshot_taken_total.inc();
+        m.recorder.record(
+            "snapshot",
+            format!("p{} checkpointed upto={upto}", self.keys.id().0),
+        );
         fx.broadcast(attestation);
     }
 
@@ -757,13 +747,12 @@ impl<S: StateMachine> SmrNode<S> {
         self.purge_settled();
         self.checkpoints
             .adopt(&self.keys, upto, digest, payload, signers);
-        if let Some(m) = self.opts.metrics.get() {
-            m.snapshot_installed_total.inc();
-            m.recorder.record(
-                "snapshot-install",
-                format!("p{} installed snapshot upto={upto}", self.keys.id().0),
-            );
-        }
+        let m = &self.opts.metrics;
+        m.snapshot_installed_total.inc();
+        m.recorder.record(
+            "snapshot-install",
+            format!("p{} installed snapshot upto={upto}", self.keys.id().0),
+        );
         // Anything decided/backfilled at or past the boundary may now be
         // contiguous.
         self.advance(fx);
@@ -790,9 +779,7 @@ impl<S: StateMachine> SmrNode<S> {
         let votes = self.backfill.at(slot);
         if votes.iter().filter(|vote| vote.item == value).count() > self.cfg.f() {
             self.backfill.take(slot);
-            if let Some(m) = self.opts.metrics.get() {
-                m.backfill_slots_total.inc();
-            }
+            self.opts.metrics.backfill_slots_total.inc();
             self.on_slot_decided(slot, value, fx);
         }
     }
@@ -922,10 +909,9 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
         if self.pending.len() >= self.ingress_max_cmds
             || self.pending_bytes.saturating_add(size) > self.ingress_max_bytes
         {
-            if let Some(m) = self.opts.metrics.get() {
-                m.ingress_shed_total.inc();
-                m.ingress_shed_bytes_total.add(size as u64);
-            }
+            let m = &self.opts.metrics;
+            m.ingress_shed_total.inc();
+            m.ingress_shed_bytes_total.add(size as u64);
             return;
         }
         self.pending_bytes += size;

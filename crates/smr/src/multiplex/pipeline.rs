@@ -69,14 +69,13 @@ impl<S: StateMachine> SmrNode<S> {
         let cmds: Vec<Value> = self.pending.drain(..take).collect();
         self.pending_bytes -= cmds.iter().map(|c| c.as_bytes().len()).sum::<usize>();
         self.propose_cursor = slot + 1;
-        if let Some(m) = self.opts.metrics.get() {
-            m.batch_size.record(take as u64);
-            match reason {
-                FlushReason::Size => m.batch_flush_size_total.inc(),
-                FlushReason::Bytes => m.batch_flush_bytes_total.inc(),
-                FlushReason::Quiescence => m.batch_flush_quiescence_total.inc(),
-                FlushReason::Timeout => m.batch_flush_timeout_total.inc(),
-            }
+        let m = &self.opts.metrics;
+        m.batch_size.record(take as u64);
+        match reason {
+            FlushReason::Size => m.batch_flush_size_total.inc(),
+            FlushReason::Bytes => m.batch_flush_bytes_total.inc(),
+            FlushReason::Quiescence => m.batch_flush_quiescence_total.inc(),
+            FlushReason::Timeout => m.batch_flush_timeout_total.inc(),
         }
         self.batcher.drained(take, self.pending.len());
         cmds
@@ -178,13 +177,12 @@ impl<S: StateMachine> SmrNode<S> {
             .filter(|_| self.overlapping());
         let drained = match revoked_from {
             Some(leader) => {
-                if let Some(m) = self.opts.metrics.get() {
-                    m.slot_revoked_total.inc();
-                    m.recorder.record(
-                        suspicion::EVENT_KIND,
-                        format!("revoke slot {slot} (leader p{})", leader.0),
-                    );
-                }
+                let m = &self.opts.metrics;
+                m.slot_revoked_total.inc();
+                m.recorder.record(
+                    suspicion::EVENT_KIND,
+                    format!("revoke slot {slot} (leader p{})", leader.0),
+                );
                 Vec::new()
             }
             None => self.drain_for_slot(slot),
@@ -213,7 +211,7 @@ impl<S: StateMachine> SmrNode<S> {
             instance: Some(Instance {
                 replica,
                 started: fx.now(),
-                started_wall: self.opts.metrics.is_enabled().then(Instant::now),
+                started_wall: Instant::now(),
             }),
             drained,
             revoked: revoked_from.is_some(),

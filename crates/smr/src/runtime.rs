@@ -47,6 +47,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastbft_core::replica::ReplicaOptions;
@@ -90,12 +91,11 @@ pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
         .zip(commands)
         .enumerate()
         .map(|(i, (pair, cmds))| -> Box<dyn Actor<SlotMessage> + Send> {
-            let opts = match registry {
-                Some(registry) => ReplicaOptions {
-                    metrics: registry.replica(i),
-                    ..opts.clone()
-                },
-                None => opts.clone(),
+            // Each node records into a block of its own: the caller's
+            // options would share one block across every node's thread.
+            let opts = ReplicaOptions {
+                metrics: registry.map_or_else(Arc::default, |r| r.replica(i)),
+                ..opts.clone()
             };
             let mut node = SmrNode::new(
                 cfg,

@@ -53,7 +53,7 @@ use std::collections::BTreeSet;
 
 use fastbft_core::message::Message;
 use fastbft_core::replica::{LeaderSignal, Replica};
-use fastbft_obs::MetricsHandle;
+use fastbft_obs::Metrics;
 use fastbft_sim::Effects;
 use fastbft_types::{Config, ProcessId, View};
 
@@ -93,7 +93,7 @@ impl SuspicionTable {
         slot: u64,
         replica: &mut Replica,
         fx: &mut Effects<Message>,
-        metrics: &MetricsHandle,
+        metrics: &Metrics,
     ) {
         self.observe(slot, replica.take_leader_signal(), metrics);
         // A decided instance has nothing left to synchronize for.
@@ -103,24 +103,20 @@ impl SuspicionTable {
         let heading = replica.view().max(replica.wish().unwrap_or(View::FIRST));
         let target = self.first_live_view(replica.config(), heading);
         if target > heading {
-            if let Some(m) = metrics.get() {
-                m.view_skip_total.inc();
-            }
+            metrics.view_skip_total.inc();
             replica.wish_for(target, fx);
         }
     }
 
-    fn observe(&mut self, slot: u64, signal: Option<LeaderSignal>, metrics: &MetricsHandle) {
+    fn observe(&mut self, slot: u64, signal: Option<LeaderSignal>, metrics: &Metrics) {
         match signal {
             Some(LeaderSignal::TimedOut { leader, view }) if self.suspected.insert(leader) => {
-                if let Some(m) = metrics.get() {
-                    m.leader_suspect_total.inc();
-                    m.leader_suspected.set(self.suspected.len() as u64);
-                    m.recorder.record(
-                        EVENT_KIND,
-                        format!("suspect p{} (slot {slot}, view {})", leader.0, view.0),
-                    );
-                }
+                metrics.leader_suspect_total.inc();
+                metrics.leader_suspected.set(self.suspected.len() as u64);
+                metrics.recorder.record(
+                    EVENT_KIND,
+                    format!("suspect p{} (slot {slot}, view {})", leader.0, view.0),
+                );
             }
             Some(LeaderSignal::Proposed { leader }) if self.suspected.remove(&leader) => {
                 self.note_cleared(leader, metrics);
@@ -131,18 +127,18 @@ impl SuspicionTable {
 
     /// Forgets everything (snapshot install: a node that needed state
     /// transfer was cut off, and its timeouts say nothing about its peers).
-    pub(crate) fn reset(&mut self, metrics: &MetricsHandle) {
+    pub(crate) fn reset(&mut self, metrics: &Metrics) {
         while let Some(seat) = self.suspected.pop_first() {
             self.note_cleared(seat, metrics);
         }
     }
 
-    fn note_cleared(&self, seat: ProcessId, metrics: &MetricsHandle) {
-        if let Some(m) = metrics.get() {
-            m.leader_clear_total.inc();
-            m.leader_suspected.set(self.suspected.len() as u64);
-            m.recorder.record(EVENT_KIND, format!("clear p{}", seat.0));
-        }
+    fn note_cleared(&self, seat: ProcessId, metrics: &Metrics) {
+        metrics.leader_clear_total.inc();
+        metrics.leader_suspected.set(self.suspected.len() as u64);
+        metrics
+            .recorder
+            .record(EVENT_KIND, format!("clear p{}", seat.0));
     }
 
     /// The first view at or after `from` whose leader under `cfg` (the
@@ -184,24 +180,24 @@ mod tests {
 
     #[test]
     fn own_timeouts_suspect_and_verified_proposals_clear() {
-        let off = MetricsHandle::none();
+        let metrics = Metrics::new();
         let mut table = SuspicionTable::default();
-        table.observe(4, timed_out(6, 1), &off);
-        table.observe(4, timed_out(7, 2), &off);
-        table.observe(4, None, &off);
+        table.observe(4, timed_out(6, 1), &metrics);
+        table.observe(4, timed_out(7, 2), &metrics);
+        table.observe(4, None, &metrics);
         assert_eq!(suspects(&table), vec![6, 7]);
         // A proposal from an unsuspected seat changes nothing.
-        table.observe(9, proposed(2), &off);
+        table.observe(9, proposed(2), &metrics);
         assert_eq!(suspects(&table), vec![6, 7]);
-        table.observe(9, proposed(6), &off);
+        table.observe(9, proposed(6), &metrics);
         assert_eq!(suspects(&table), vec![7]);
-        table.reset(&off);
+        table.reset(&metrics);
         assert!(suspects(&table).is_empty());
     }
 
     #[test]
     fn skipping_starts_at_the_first_suspected_leader_only() {
-        let off = MetricsHandle::none();
+        let metrics = Metrics::new();
         let cfg = Config::new(7, 2, 1).unwrap();
         let mut table = SuspicionTable::default();
         // leader(v) under offset o is p_{((v + o) mod 7) + 1}.
@@ -210,9 +206,9 @@ mod tests {
         assert_eq!(led_by_6_then_7.leader(View(2)), ProcessId(7));
         assert_eq!(table.first_live_view(&led_by_6_then_7, View(1)), View(1));
 
-        table.observe(4, timed_out(6, 1), &off);
+        table.observe(4, timed_out(6, 1), &metrics);
         assert_eq!(table.first_live_view(&led_by_6_then_7, View(1)), View(2));
-        table.observe(4, timed_out(7, 2), &off);
+        table.observe(4, timed_out(7, 2), &metrics);
         assert_eq!(table.first_live_view(&led_by_6_then_7, View(1)), View(3));
         // Mid-slot: a wish for view 2 lands on p7 and moves on.
         assert_eq!(table.first_live_view(&led_by_6_then_7, View(2)), View(3));
@@ -230,11 +226,11 @@ mod tests {
 
     #[test]
     fn more_than_f_suspects_means_no_skipping() {
-        let off = MetricsHandle::none();
+        let metrics = Metrics::new();
         let cfg = Config::new(7, 2, 1).unwrap();
         let mut table = SuspicionTable::default();
         for seat in [5, 6, 7] {
-            table.observe(0, timed_out(seat, 1), &off);
+            table.observe(0, timed_out(seat, 1), &metrics);
         }
         for offset in 0..7 {
             assert_eq!(
@@ -244,7 +240,7 @@ mod tests {
             );
         }
         // Back at f the skipping resumes, never past f views.
-        table.observe(1, proposed(5), &off);
+        table.observe(1, proposed(5), &metrics);
         assert_eq!(
             table.first_live_view(&cfg.with_leader_offset(4), View(1)),
             View(3)
@@ -257,8 +253,7 @@ mod tests {
         use fastbft_sim::{Actor, SimTime};
         use fastbft_types::Value;
 
-        let handle = MetricsHandle::standalone();
-        let m = handle.get().unwrap();
+        let m = &Metrics::new();
         let cfg = Config::new(7, 2, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(7, 3);
         let mut table = SuspicionTable::default();
@@ -285,12 +280,12 @@ mod tests {
         let mut replica = instance(4);
         let mut fx = Effects::new(ProcessId(1), 7, SimTime::ZERO);
         replica.on_start(&mut fx);
-        table.steer(4, &mut replica, &mut fx, &handle);
+        table.steer(4, &mut replica, &mut fx, m);
         assert!(wishes(&fx).is_empty(), "nothing suspected yet");
         let timer = fx.timers_set()[0].1;
         replica.on_timer(timer, &mut fx);
-        table.steer(4, &mut replica, &mut fx, &handle);
-        table.steer(4, &mut replica, &mut fx, &handle); // idempotent
+        table.steer(4, &mut replica, &mut fx, m);
+        table.steer(4, &mut replica, &mut fx, m); // idempotent
         assert_eq!(suspects(&table), vec![6]);
         assert_eq!(wishes(&fx), vec![2; 6]);
         assert_eq!(m.leader_suspect_total.get(), 1);
@@ -301,19 +296,19 @@ mod tests {
         let mut replica = instance(11);
         let mut fx = Effects::new(ProcessId(1), 7, SimTime::ZERO);
         replica.on_start(&mut fx);
-        table.steer(11, &mut replica, &mut fx, &handle);
+        table.steer(11, &mut replica, &mut fx, m);
         assert_eq!(wishes(&fx), vec![2; 6]);
         assert_eq!(m.view_skip_total.get(), 1);
         // … and a slot led by a live seat opens as ever.
         let mut replica = instance(0);
         let mut fx = Effects::new(ProcessId(1), 7, SimTime::ZERO);
         replica.on_start(&mut fx);
-        table.steer(0, &mut replica, &mut fx, &handle);
+        table.steer(0, &mut replica, &mut fx, m);
         assert!(wishes(&fx).is_empty());
         assert_eq!(m.view_skip_total.get(), 1);
 
-        table.observe(18, proposed(6), &handle);
-        table.observe(19, proposed(6), &handle); // already clear
+        table.observe(18, proposed(6), m);
+        table.observe(19, proposed(6), m); // already clear
         assert_eq!(m.leader_clear_total.get(), 1);
         assert_eq!(m.leader_suspected.get(), 0);
         let details: Vec<String> = m

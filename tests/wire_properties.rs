@@ -5,6 +5,7 @@ use fastbft::core::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
 use fastbft::core::message::{AckMsg, CertAckMsg, Message, ProposeMsg, VoteMsg, WishMsg};
 use fastbft::core::payload::propose_payload;
 use fastbft::crypto::KeyDirectory;
+use fastbft::obs::Metrics;
 use fastbft::smr::SlotMessage;
 use fastbft::types::wire::{from_bytes, to_bytes, WireError, MAX_FRAME_LEN};
 use fastbft::types::{Config, Value, View};
@@ -101,7 +102,8 @@ proptest! {
             commit_cert: None,
         };
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
-        prop_assert!(sv.is_valid(&cfg, &dir, View(2), None));
+        let metrics = Metrics::new();
+        prop_assert!(sv.is_valid(&cfg, &dir, View(2), &metrics));
 
         let mut bytes = to_bytes(&sv);
         let idx = flip_at % bytes.len();
@@ -110,7 +112,7 @@ proptest! {
         if let Ok(tampered) = from_bytes::<SignedVote>(&bytes) {
             if tampered != sv {
                 prop_assert!(
-                    !tampered.is_valid(&cfg, &dir, View(2), None),
+                    !tampered.is_valid(&cfg, &dir, View(2), &metrics),
                     "tampered vote accepted (flipped byte {idx})"
                 );
             }
