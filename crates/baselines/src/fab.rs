@@ -19,11 +19,15 @@
 //! learner role split — though FaB's lower bound section is exactly about
 //! that split; see §4.4 of the target paper), but the quorum structure, the
 //! resilience and the message-delay profile are FaB's.
+//!
+//! The view synchronizer, the view timer and the decide rule are
+//! `fastbft_core::sync`'s, the ones this paper's replica runs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use fastbft_core::sync::{decide, SyncStep, Synchronizer, ViewTimer, BASE_TIMEOUT};
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
-use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
+use fastbft_sim::{Actor, Effects, SimMessage, TimerId};
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -312,7 +316,6 @@ pub struct FabReplica {
     dir: KeyDirectory,
     id: ProcessId,
     input: Value,
-    base_timeout: SimDuration,
 
     view: View,
     vote: Option<FabVoteData>,
@@ -327,21 +330,20 @@ pub struct FabReplica {
     votes_in: BTreeMap<View, BTreeMap<ProcessId, FabSignedVote>>,
     proposed: BTreeSet<View>,
 
-    wishes: BTreeMap<ProcessId, View>,
-    my_wish: Option<View>,
-    timer_gen: u64,
+    sync: Synchronizer,
+    timer: ViewTimer,
 }
 
 impl FabReplica {
     /// Creates a FaB replica. Use `ProtocolKind::FabPaxos.config` for `cfg`.
     pub fn new(cfg: Config, keys: KeyPair, dir: KeyDirectory, input: Value) -> Self {
+        let id = keys.id();
         FabReplica {
-            id: keys.id(),
+            id,
             cfg,
             keys,
             dir,
             input,
-            base_timeout: SimDuration(SimDuration::DELTA.0 * 8),
             view: View::FIRST,
             vote: None,
             acked_view: None,
@@ -350,33 +352,14 @@ impl FabReplica {
             pending_proposes: BTreeMap::new(),
             votes_in: BTreeMap::new(),
             proposed: BTreeSet::new(),
-            wishes: BTreeMap::new(),
-            my_wish: None,
-            timer_gen: 0,
+            sync: Synchronizer::new(id, cfg.f()),
+            timer: ViewTimer::new(BASE_TIMEOUT),
         }
     }
 
     /// The decided value, if any.
     pub fn decided(&self) -> Option<&Value> {
         self.decided.as_ref()
-    }
-
-    fn arm_timer(&mut self, fx: &mut Effects<FabMessage>) {
-        self.timer_gen += 1;
-        let exp = (self.view.0.saturating_sub(1)).min(12) as u32;
-        fx.set_timer(
-            SimDuration(self.base_timeout.0.saturating_mul(1 << exp)),
-            TimerId(self.timer_gen),
-        );
-    }
-
-    fn try_decide(&mut self, value: &Value, fx: &mut Effects<FabMessage>) {
-        if self.decided.is_none() {
-            self.decided = Some(value.clone());
-            fx.decide(value.clone());
-        } else if self.decided.as_ref() != Some(value) {
-            fx.decide(value.clone());
-        }
     }
 
     fn accept_proposal(
@@ -433,7 +416,7 @@ impl FabReplica {
         let senders = self.ack_tally.entry((view, value.clone())).or_default();
         senders.insert(from);
         if senders.len() >= self.cfg.fast_quorum() {
-            self.try_decide(&value, fx);
+            decide(&mut self.decided, &value, fx);
         }
     }
 
@@ -479,7 +462,7 @@ impl FabReplica {
     fn enter_view(&mut self, v: View, fx: &mut Effects<FabMessage>) {
         debug_assert!(v > self.view);
         self.view = v;
-        self.arm_timer(fx);
+        self.timer.arm(v, fx);
         let leader = self.cfg.leader(v);
         let signed = FabSignedVote::sign(&self.keys, self.vote.clone(), v);
         if leader == self.id {
@@ -500,47 +483,20 @@ impl FabReplica {
         self.pending_proposes = self.pending_proposes.split_off(&v);
     }
 
-    fn kth_largest_wish(&self, k: usize) -> Option<View> {
-        let mut views: Vec<View> = self.wishes.values().copied().collect();
-        views.sort_unstable_by(|a, b| b.cmp(a));
-        views.get(k - 1).copied()
-    }
-
-    fn on_wish(&mut self, from: ProcessId, view: View, fx: &mut Effects<FabMessage>) {
-        let entry = self.wishes.entry(from).or_insert(view);
-        if view > *entry {
-            *entry = view;
-        }
-        self.sync_check(fx);
-    }
-
-    fn sync_check(&mut self, fx: &mut Effects<FabMessage>) {
-        if let Some(w1) = self.kth_largest_wish(self.cfg.f() + 1) {
-            if self.my_wish.is_none_or(|mine| w1 > mine) && w1 > self.view {
-                self.my_wish = Some(w1);
-                self.broadcast_wish(w1, fx);
+    /// Carries out what the synchronizer asked for, in its order.
+    fn synchronize(&mut self, steps: Vec<SyncStep>, fx: &mut Effects<FabMessage>) {
+        for step in steps {
+            match step {
+                SyncStep::Wish(view) => fx.broadcast_others(FabMessage::Wish { view }),
+                SyncStep::Enter(view) => self.enter_view(view, fx),
             }
         }
-        if let Some(w2) = self.kth_largest_wish(2 * self.cfg.f() + 1) {
-            if w2 > self.view {
-                self.enter_view(w2, fx);
-            }
-        }
-    }
-
-    fn broadcast_wish(&mut self, view: View, fx: &mut Effects<FabMessage>) {
-        let entry = self.wishes.entry(self.id).or_insert(view);
-        if view > *entry {
-            *entry = view;
-        }
-        fx.broadcast_others(FabMessage::Wish { view });
-        self.sync_check(fx);
     }
 }
 
 impl Actor<FabMessage> for FabReplica {
     fn on_start(&mut self, fx: &mut Effects<FabMessage>) {
-        self.arm_timer(fx);
+        self.timer.arm(self.view, fx);
         if self.cfg.leader(View::FIRST) == self.id {
             let value = self.input.clone();
             let sig = self.keys.sign(&fab_propose_payload(&value, View::FIRST));
@@ -564,22 +520,20 @@ impl Actor<FabMessage> for FabReplica {
             } => self.on_propose(from, value, view, cert, sig, fx),
             FabMessage::Ack { value, view } => self.on_ack(from, value, view, fx),
             FabMessage::Vote { view, vote } => self.on_vote(from, view, vote, fx),
-            FabMessage::Wish { view } => self.on_wish(from, view, fx),
+            FabMessage::Wish { view } => {
+                let steps = self.sync.on_wish(from, view, self.view);
+                self.synchronize(steps, fx);
+            }
         }
     }
 
     fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<FabMessage>) {
-        if timer.0 != self.timer_gen || self.decided.is_some() {
+        if !self.timer.is_current(timer) || self.decided.is_some() {
             return;
         }
-        let target = self.view.next();
-        let wish = match self.my_wish {
-            Some(mine) if mine >= target => mine,
-            _ => target,
-        };
-        self.my_wish = Some(wish);
-        self.broadcast_wish(wish, fx);
-        self.arm_timer(fx);
+        let steps = self.sync.on_timeout(self.view);
+        self.synchronize(steps, fx);
+        self.timer.arm(self.view, fx);
     }
 
     fn label(&self) -> &'static str {

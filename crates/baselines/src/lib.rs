@@ -11,13 +11,14 @@
 //!   `t = f`), two more than the paper's tight bound `3f + 2t − 1`.
 //!
 //! Both are implemented as [`fastbft_sim::Actor`]s over the same substrate
-//! as the paper's replica, and [`run`] runs any of the three by its
-//! [`ProtocolKind`] under identical network conditions, so the latency,
-//! resilience and message-complexity experiments (E5, E6, E12) compare
-//! protocols, not plumbing.
+//! as the paper's replica, with the same view timer and decide rule
+//! ([`fastbft_core::sync`]; FaB also its wish/enter synchronizer, PBFT
+//! keeps its own view-change counting), and [`run`] runs any of the three
+//! by its [`ProtocolKind`] under identical network conditions, so the
+//! latency, resilience and message-complexity experiments (E5, E6, E12)
+//! compare protocols, not plumbing.
 //!
-//! Faithfulness notes are at the top of each module; simplifications are
-//! summarized in `DESIGN.md` §2.
+//! Faithfulness notes and simplifications are at the top of each module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

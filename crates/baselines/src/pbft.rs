@@ -21,12 +21,16 @@
 //! carrying the view-change messages as justification, which doubles as the
 //! pre-prepare for the new view. Checkpoints, watermarks and request
 //! batching — PBFT machinery for state-machine replication rather than
-//! single-shot consensus — are intentionally absent; see DESIGN.md.
+//! single-shot consensus — are intentionally absent: one instance decides
+//! one value, so there is no log to truncate and nothing to order. The view
+//! timer and the decide rule are `fastbft_core::sync`'s, shared with the
+//! other two protocols; the view-change counting is PBFT's own.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use fastbft_core::sync::{decide, ViewTimer, BASE_TIMEOUT};
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
-use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
+use fastbft_sim::{Actor, Effects, SimMessage, TimerId};
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -270,7 +274,6 @@ pub struct PbftReplica {
     dir: KeyDirectory,
     id: ProcessId,
     input: Value,
-    base_timeout: SimDuration,
 
     view: View,
     /// Value pre-prepared in the current view (first valid one).
@@ -291,7 +294,7 @@ pub struct PbftReplica {
     vc_sent: BTreeSet<View>,
     /// New-view already broadcast (as leader).
     nv_sent: BTreeSet<View>,
-    timer_gen: u64,
+    timer: ViewTimer,
 }
 
 impl PbftReplica {
@@ -304,7 +307,6 @@ impl PbftReplica {
             keys,
             dir,
             input,
-            base_timeout: SimDuration(SimDuration::DELTA.0 * 8),
             view: View::FIRST,
             preprepared: None,
             prepared: None,
@@ -315,7 +317,7 @@ impl PbftReplica {
             view_changes: BTreeMap::new(),
             vc_sent: BTreeSet::new(),
             nv_sent: BTreeSet::new(),
-            timer_gen: 0,
+            timer: ViewTimer::new(BASE_TIMEOUT),
         }
     }
 
@@ -331,24 +333,6 @@ impl PbftReplica {
 
     fn quorum(&self) -> usize {
         2 * self.cfg.f() + 1
-    }
-
-    fn arm_timer(&mut self, fx: &mut Effects<PbftMessage>) {
-        self.timer_gen += 1;
-        let exp = (self.view.0.saturating_sub(1)).min(12) as u32;
-        fx.set_timer(
-            SimDuration(self.base_timeout.0.saturating_mul(1 << exp)),
-            TimerId(self.timer_gen),
-        );
-    }
-
-    fn try_decide(&mut self, value: &Value, fx: &mut Effects<PbftMessage>) {
-        if self.decided.is_none() {
-            self.decided = Some(value.clone());
-            fx.decide(value.clone());
-        } else if self.decided.as_ref() != Some(value) {
-            fx.decide(value.clone()); // surfaces as a checker violation
-        }
     }
 
     /// Handles a valid proposal for the current view (pre-prepare or the
@@ -405,7 +389,7 @@ impl PbftReplica {
         let senders = self.commit_tally.entry((view, value.clone())).or_default();
         senders.insert(from);
         if senders.len() >= self.quorum() {
-            self.try_decide(&value, fx);
+            decide(&mut self.decided, &value, fx);
         }
     }
 
@@ -473,7 +457,7 @@ impl PbftReplica {
         }
         self.view = target;
         self.preprepared = None;
-        self.arm_timer(fx);
+        self.timer.arm(target, fx);
     }
 
     fn on_new_view(
@@ -518,7 +502,7 @@ impl PbftReplica {
 
 impl Actor<PbftMessage> for PbftReplica {
     fn on_start(&mut self, fx: &mut Effects<PbftMessage>) {
-        self.arm_timer(fx);
+        self.timer.arm(self.view, fx);
         if self.cfg.leader(View::FIRST) == self.id {
             let value = self.input.clone();
             let sig = self.keys.sign(&preprepare_payload(&value, View::FIRST));
@@ -556,12 +540,12 @@ impl Actor<PbftMessage> for PbftReplica {
     }
 
     fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<PbftMessage>) {
-        if timer.0 != self.timer_gen || self.decided.is_some() {
+        if !self.timer.is_current(timer) || self.decided.is_some() {
             return;
         }
         let target = self.view.next();
         self.send_view_change(target, fx);
-        self.arm_timer(fx);
+        self.timer.arm(self.view, fx);
     }
 
     fn label(&self) -> &'static str {

@@ -39,8 +39,9 @@
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
-//! | [`replica`] | §3.1, A.1 | the per-process state machine (fast + slow path, synchronizer): one record per view, one place per sender in it |
+//! | [`replica`] | §3.1, A.1 | the per-process state machine (fast + slow path, view change): one record per view, one place per sender in it |
 //! | [`selection`] | §3.2, A.2 | the selection algorithm as a pure function |
+//! | [`sync`] | §3 | the wish/enter view synchronizer, the doubling view timer and the decide rule, shared with the baselines |
 //! | [`certs`] | §3.2, A | votes, bounded progress certificates, commit certificates |
 //! | [`message`] | Fig. 1, 5 | the message vocabulary |
 //! | [`payload`] | §3.1–3.2 | canonical bytes for every signed statement |
@@ -59,6 +60,7 @@ pub mod message;
 pub mod payload;
 pub mod replica;
 pub mod selection;
+pub mod sync;
 pub mod theory;
 
 pub use certs::{CommitCert, ProgressCert, SignedVote, Vote, VoteData};

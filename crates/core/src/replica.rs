@@ -13,8 +13,9 @@
 //!   vote to `leader(v)`; the leader collects `n − f` valid votes, runs the
 //!   selection algorithm, has its choice certified by `f + 1` processes
 //!   (bounded certificates) and proposes;
-//! * **view synchronization** — a wish/enter synchronizer with doubling
-//!   timeouts providing the three properties the paper requires (§3).
+//! * **view synchronization** — the wish/enter synchronizer of
+//!   [`crate::sync`], with doubling timeouts, providing the three properties
+//!   the paper requires (§3).
 //!
 //! # One record per view, one place per sender
 //!
@@ -80,6 +81,7 @@ use crate::message::{
 };
 use crate::payload::{ack_payload, certack_payload, propose_payload};
 use crate::selection::{select, Outcome};
+use crate::sync::{decide, SyncStep, Synchronizer, ViewTimer, BASE_TIMEOUT};
 
 /// Tuning knobs for a [`Replica`].
 #[derive(Clone, Debug)]
@@ -98,7 +100,7 @@ pub struct ReplicaOptions {
 impl Default for ReplicaOptions {
     fn default() -> Self {
         ReplicaOptions {
-            base_timeout: SimDuration(SimDuration::DELTA.0 * 8),
+            base_timeout: BASE_TIMEOUT,
             metrics: Arc::default(),
         }
     }
@@ -233,7 +235,6 @@ pub struct Replica {
     /// Whether the slow path runs: exactly when `t < f` (Appendix A; the
     /// vanilla protocol, `t = f`, has none).
     slow_path: bool,
-    base_timeout: SimDuration,
 
     view: View,
     /// The paper's `vote_q`: the last proposal acknowledged.
@@ -250,12 +251,10 @@ pub struct Replica {
     /// are never removed.
     views: BTreeMap<View, ViewRecord>,
 
-    /// View synchronizer: highest wish seen per process.
-    wishes: BTreeMap<ProcessId, View>,
-    /// Highest wish we have broadcast.
-    my_wish: Option<View>,
-    /// Timer generation; stale timers are ignored.
-    timer_gen: u64,
+    /// The view synchronizer: every process's highest wish, and ours.
+    sync: Synchronizer,
+    /// The view timer; a timer from an earlier view is stale.
+    timer: ViewTimer,
     /// What the last callback learned about a leader, until the caller
     /// takes it (see [`Replica::take_leader_signal`]).
     leader_signal: Option<LeaderSignal>,
@@ -280,23 +279,22 @@ impl Replica {
         input: Value,
         opts: ReplicaOptions,
     ) -> Self {
+        let id = keys.id();
         Replica {
-            id: keys.id(),
+            id,
             cfg,
             keys,
             dir,
             input,
             slow_path: cfg.t() < cfg.f(),
-            base_timeout: opts.base_timeout,
             view: View::FIRST,
             vote: None,
             acked_view: None,
             latest_cc: None,
             decided: None,
             views: BTreeMap::new(),
-            wishes: BTreeMap::new(),
-            my_wish: None,
-            timer_gen: 0,
+            sync: Synchronizer::new(id, cfg.f()),
+            timer: ViewTimer::new(opts.base_timeout),
             leader_signal: None,
             metrics: opts.metrics,
             decided_path: None,
@@ -341,7 +339,7 @@ impl Replica {
 
     /// The highest view this replica has broadcast a wish for, if any.
     pub fn wish(&self) -> Option<View> {
-        self.my_wish
+        self.sync.wish()
     }
 
     /// Bytes this replica's senders are charged against
@@ -363,10 +361,8 @@ impl Replica {
     /// only with the synchronizer's usual `2f + 1` wishes — so, like any
     /// timer setting, this can cost liveness but never safety.
     pub fn wish_for(&mut self, view: View, fx: &mut Effects<Message>) {
-        if view > self.view && self.my_wish.is_none_or(|mine| view > mine) {
-            self.my_wish = Some(view);
-            self.broadcast_wish(view, fx);
-        }
+        let steps = self.sync.wish_for(view, self.view);
+        self.synchronize(steps, fx);
     }
 
     /// Takes what the last callback learned about a leader, if anything
@@ -407,46 +403,24 @@ impl Replica {
         }
     }
 
-    fn timeout_for(&self, view: View) -> SimDuration {
-        // Doubling timeouts: after GST some view's timeout exceeds the time a
-        // correct leader needs, giving it the paper's required ≥ 5Δ of quiet.
-        let exp = (view.0.saturating_sub(1)).min(12) as u32;
-        SimDuration(self.base_timeout.0.saturating_mul(1 << exp))
-    }
-
-    fn arm_timer(&mut self, fx: &mut Effects<Message>) {
-        self.timer_gen += 1;
-        fx.set_timer(self.timeout_for(self.view), TimerId(self.timer_gen));
-    }
-
     fn try_decide(&mut self, value: &Value, path: CommitPath, fx: &mut Effects<Message>) {
-        match &self.decided {
-            None => {
-                self.decided = Some(value.clone());
-                self.decided_path = Some(path);
-                let m = &self.metrics;
-                match path {
-                    CommitPath::Fast => m.commit_fast_total.inc(),
-                    CommitPath::Slow => m.commit_slow_total.inc(),
-                }
-                let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
-                m.recorder.record(
-                    match path {
-                        CommitPath::Fast => "commit-fast",
-                        CommitPath::Slow => "commit-slow",
-                    },
-                    format!("p{p} decided slot {slot} in view {view}"),
-                );
-                fx.decide(value.clone());
-            }
-            Some(prev) if prev != value => {
-                // Should be unreachable for n ≥ 3f + 2t − 1; surfacing the
-                // second decision lets the checker catch safety violations in
-                // deliberately under-provisioned runs (lower-bound demo).
-                fx.decide(value.clone());
-            }
-            Some(_) => {}
+        if !decide(&mut self.decided, value, fx) {
+            return;
         }
+        self.decided_path = Some(path);
+        let m = &self.metrics;
+        match path {
+            CommitPath::Fast => m.commit_fast_total.inc(),
+            CommitPath::Slow => m.commit_slow_total.inc(),
+        }
+        let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
+        m.recorder.record(
+            match path {
+                CommitPath::Fast => "commit-fast",
+                CommitPath::Slow => "commit-slow",
+            },
+            format!("p{p} decided slot {slot} in view {view}"),
+        );
     }
 
     /// The vote we send to the leader of `dest_view`, with the freshest
@@ -474,7 +448,7 @@ impl Replica {
             left.leader = None;
         }
         self.view = v;
-        self.arm_timer(fx);
+        self.timer.arm(v, fx);
 
         // Send our vote to the new leader (§3.2: "Whenever a correct process
         // changes its current view, it sends vote(vote_q, φ_vote)").
@@ -806,57 +780,20 @@ impl Replica {
         self.try_propose_certified(fx);
     }
 
-    // -- view synchronizer ----------------------------------------------------
-
-    fn on_wish(&mut self, from: ProcessId, w: WishMsg, fx: &mut Effects<Message>) {
-        let entry = self.wishes.entry(from).or_insert(w.view);
-        if w.view > *entry {
-            *entry = w.view;
-        }
-        self.sync_check(fx);
-    }
-
-    /// `k`-th largest wish (1-based) across processes, if at least `k`
-    /// processes have wished.
-    fn kth_largest_wish(&self, k: usize) -> Option<View> {
-        let mut views: Vec<View> = self.wishes.values().copied().collect();
-        views.sort_unstable_by(|a, b| b.cmp(a));
-        views.get(k - 1).copied()
-    }
-
-    fn sync_check(&mut self, fx: &mut Effects<Message>) {
-        // Adopt: f + 1 processes wish ≥ W ⇒ at least one is correct, so a
-        // correct process timed out; join the wish so laggards cannot stall.
-        if let Some(w1) = self.kth_largest_wish(self.cfg.f() + 1) {
-            if self.my_wish.is_none_or(|mine| w1 > mine) && w1 > self.view {
-                self.my_wish = Some(w1);
-                self.broadcast_wish(w1, fx);
+    /// Carries out what the synchronizer asked for, in its order.
+    fn synchronize(&mut self, steps: Vec<SyncStep>, fx: &mut Effects<Message>) {
+        for step in steps {
+            match step {
+                SyncStep::Wish(view) => fx.broadcast_others(Message::Wish(WishMsg { view })),
+                SyncStep::Enter(view) => self.enter_view(view, fx),
             }
         }
-        // Enter: 2f + 1 processes wish ≥ W ⇒ f + 1 correct processes agreed
-        // to move; entering is safe and all correct processes will follow.
-        if let Some(w2) = self.kth_largest_wish(2 * self.cfg.f() + 1) {
-            if w2 > self.view {
-                self.enter_view(w2, fx);
-            }
-        }
-    }
-
-    fn broadcast_wish(&mut self, view: View, fx: &mut Effects<Message>) {
-        // Record our own wish immediately (our broadcast also reaches us,
-        // but counting it now avoids an extra Δ of latency).
-        let entry = self.wishes.entry(self.id).or_insert(view);
-        if view > *entry {
-            *entry = view;
-        }
-        fx.broadcast_others(Message::Wish(WishMsg { view }));
-        self.sync_check(fx);
     }
 }
 
 impl Actor<Message> for Replica {
     fn on_start(&mut self, fx: &mut Effects<Message>) {
-        self.arm_timer(fx);
+        self.timer.arm(self.view, fx);
         if self.cfg.leader(View::FIRST) == self.id {
             // View 1: any value is safe; propose our input with the trivial
             // certificate (§3.1).
@@ -879,12 +816,15 @@ impl Actor<Message> for Replica {
             Message::Vote(v) => self.on_vote(from, v, fx),
             Message::CertRequest(r) => self.on_cert_request(from, r, fx),
             Message::CertAck(a) => self.on_cert_ack(from, a, fx),
-            Message::Wish(w) => self.on_wish(from, w, fx),
+            Message::Wish(w) => {
+                let steps = self.sync.on_wish(from, w.view, self.view);
+                self.synchronize(steps, fx);
+            }
         }
     }
 
     fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<Message>) {
-        if timer.0 != self.timer_gen {
+        if !self.timer.is_current(timer) {
             return; // stale timer from an earlier view
         }
         if self.decided.is_some() {
@@ -903,15 +843,10 @@ impl Actor<Message> for Replica {
             });
         }
         // Timeout: wish to move past the current view.
-        let target = self.view.next();
-        let wish = match self.my_wish {
-            Some(mine) if mine >= target => mine,
-            _ => target,
-        };
-        self.my_wish = Some(wish);
-        self.broadcast_wish(wish, fx);
+        let steps = self.sync.on_timeout(self.view);
+        self.synchronize(steps, fx);
         // Re-arm so we keep escalating if the next leader stalls too.
-        self.arm_timer(fx);
+        self.timer.arm(self.view, fx);
     }
 
     fn label(&self) -> &'static str {
@@ -1065,7 +1000,7 @@ mod tests {
         assert_eq!(r.view(), View::FIRST);
         assert_eq!(
             buf.timers_set(),
-            &[(r.timeout_for(View::FIRST), TimerId(1))]
+            &[(r.timer.timeout_for(View::FIRST), TimerId(1))]
         );
         // Own wish + one more is f + 1: adopted already; the third enters.
         r.on_message(
@@ -1383,7 +1318,7 @@ mod tests {
             );
         }
         assert_eq!(r.view(), View::FIRST);
-        assert_eq!(r.my_wish, None);
+        assert_eq!(r.wish(), None);
     }
 
     #[test]

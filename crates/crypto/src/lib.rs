@@ -14,7 +14,7 @@
 //! * [`Signature`] / [`SignatureSet`] — fixed-size signatures and multi-signer
 //!   collections used by progress and commit certificates.
 //!
-//! # Substitution note (see DESIGN.md §4)
+//! # Substitution note
 //!
 //! Signatures are HMAC-SHA256 tags rather than asymmetric signatures. In a
 //! single-address-space simulation this is sound: Byzantine actors are our

@@ -12,8 +12,8 @@ use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::NodeSeat;
 use fastbft_sim::{Actor, ScriptedActor};
 use fastbft_smr::{
-    as_smr_node, AdaptiveBatch, Batching, KvCommand, KvStore, SlotMessage, SmrClusterHandle,
-    SmrNode,
+    as_smr_node, tag_command, AdaptiveBatch, Batching, KvCommand, KvStore, SlotMessage,
+    SmrClusterHandle, SmrNode,
 };
 use fastbft_types::{Config, ProcessId, Value};
 
@@ -23,6 +23,12 @@ fn put(i: usize) -> Value {
         value: format!("v{i}"),
     }
     .to_value()
+}
+
+/// `put(i)` as client 0's command `i + 1`: at most once over any horizon,
+/// where an untagged command is deduplicated over two snapshot intervals.
+fn tagged_put(i: usize) -> Value {
+    tag_command(0, i as u64 + 1, put(i).as_bytes())
 }
 
 /// The batcher capped at one command per slot.
@@ -242,7 +248,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
 
     // Phase 1: a common prefix on all four replicas.
     for i in 0..10 {
-        cluster.submit(put(i));
+        cluster.submit(tagged_put(i));
     }
     assert!(
         cluster.await_commands(cfg.processes(), 10, Duration::from_secs(60)),
@@ -258,7 +264,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
     // mutually attesting) several snapshots along the way.
     let survivors = [ProcessId(1), ProcessId(3), ProcessId(4)];
     for i in 10..40 {
-        cluster.submit(put(i));
+        cluster.submit(tagged_put(i));
     }
     assert!(
         cluster.await_commands(survivors, 40, Duration::from_secs(120)),
@@ -311,7 +317,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
             "revived replica never reached the tip: log {:?}",
             cluster.logs()[1]
         );
-        last_round = (next..next + 4).map(put).collect();
+        last_round = (next..next + 4).map(tagged_put).collect();
         next += 4;
         for cmd in &last_round {
             cluster.submit(cmd.clone());
@@ -328,7 +334,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
     // the tip: every marker lands in a slot p2 applies itself, in order, so
     // waiting for all of them in p2's (sparse, snapshot-truncated) log
     // proves it applied everything.
-    let markers: Vec<Value> = (next..next + 10).map(put).collect();
+    let markers: Vec<Value> = (next..next + 10).map(tagged_put).collect();
     next += 10;
     for cmd in &markers {
         cluster.submit(cmd.clone());

@@ -96,7 +96,6 @@ pub struct Effects<M> {
     pub(crate) timers: Vec<(SimDuration, TimerId)>,
     pub(crate) decision: Option<Value>,
     pub(crate) applied: Vec<(u64, Value)>,
-    pub(crate) halt: bool,
 }
 
 impl<M: SimMessage> Effects<M> {
@@ -114,7 +113,6 @@ impl<M: SimMessage> Effects<M> {
             timers: Vec::new(),
             decision: None,
             applied: Vec::new(),
-            halt: false,
         }
     }
 
@@ -223,11 +221,6 @@ impl<M: SimMessage> Effects<M> {
     pub fn applied_log(&self) -> &[(u64, Value)] {
         &self.applied
     }
-
-    /// Permanently stops this actor (used to model crashes from within).
-    pub fn halt(&mut self) {
-        self.halt = true;
-    }
 }
 
 #[cfg(test)]
@@ -293,8 +286,5 @@ mod tests {
         assert_eq!(fx.outbox.len(), 1);
         assert_eq!(fx.timers, vec![(SimDuration(10), TimerId(1))]);
         assert_eq!(fx.decision, Some(Value::from_u64(1)));
-        assert!(!fx.halt);
-        fx.halt();
-        assert!(fx.halt);
     }
 }

@@ -184,13 +184,6 @@ impl ConsensusChecker {
             })
             .collect()
     }
-
-    /// Convenience: both safety and liveness.
-    pub fn check_all(&self, trace: &Trace, deadline: SimTime) -> Vec<Violation> {
-        let mut v = self.check_safety(trace);
-        v.extend(self.check_liveness(trace, deadline));
-        v
-    }
 }
 
 #[cfg(test)]

@@ -273,7 +273,6 @@ impl<M: SimMessage> Simulation<M> {
             outbox,
             timers,
             decision,
-            halt,
             ..
         } = fx;
         // Broadcasts are structural in the outbox (so real transports can
@@ -304,9 +303,6 @@ impl<M: SimMessage> Simulation<M> {
                 self.trace
                     .push(self.now, TraceEvent::DuplicateDecide { process: id, value });
             }
-        }
-        if halt {
-            self.nodes[node].crashed = true;
         }
     }
 

@@ -16,6 +16,16 @@
 //!   rotate at identical boundaries, so what the set refuses is the same
 //!   cluster-wide.
 //!
+//! **The bound on untagged commands.** An untagged command that executed
+//! more than two snapshot intervals ago and is still queued on some node
+//! is proposed again and executes twice. A node drops what it executes
+//! from its queue, and a snapshot install drops what the installed set
+//! holds, so this takes a node that did not apply the command itself and
+//! holds it past the window: one that recovers by snapshot with commands
+//! queued from before it was cut off, or a client's late retry. A client
+//! that needs exactly-once across recovery tags its commands, as the
+//! benchmark's clients do.
+//!
 //! The wire form is what a snapshot payload carries and is canonical: both
 //! generations' digests as one ascending list, then the clients ascending
 //! by id, each with its watermark and ascending `above` list. Two replicas

@@ -704,9 +704,10 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Installs a quorum-attested snapshot that is ahead of us: restores
-    /// the machine, adopts the dedup/log bookkeeping, discards everything
-    /// below the boundary, and adopts the snapshot as our own (we can now
-    /// serve it too).
+    /// the machine, adopts the dedup/log bookkeeping, drops the queued
+    /// commands the snapshot executed, discards everything below the
+    /// boundary, and adopts the snapshot as our own (we can now serve it
+    /// too).
     fn on_snapshot_response(
         &mut self,
         upto: u64,
@@ -735,6 +736,12 @@ impl<S: StateMachine> SmrNode<S> {
         self.log_offset = parsed.log_offset;
         self.client_commands = parsed.client_commands;
         self.dedup = parsed.dedup;
+        // What the snapshot executed is not this node's to propose again:
+        // past the untagged dedup window it would execute twice.
+        let dedup = &self.dedup;
+        self.pending
+            .retain(|cmd| !dedup.contains(&CommandId::of(cmd)));
+        self.pending_bytes = self.pending.iter().map(|c| c.as_bytes().len()).sum();
         // Slots below the boundary are settled by the snapshot: re-queue
         // our drained commands the snapshot did not execute, drop the rest
         // of their records.
