@@ -13,7 +13,8 @@
 //!   makes this safe exactly when `n ≥ 3f + 2t + 1` — FaB's bound.
 //!   Proposals in views `> 1` carry the justifying vote set as their
 //!   progress certificate (FaB's certificates are unbounded, one of the
-//!   costs the target paper's CertAck round removes — experiment E7).
+//!   costs the target paper's CertAck round removes — experiment E7, the
+//!   facade's `cert_growth` example).
 //!
 //! Presentation is simplified from the original (no proposer/acceptor/
 //! learner role split — though FaB's lower bound section is exactly about

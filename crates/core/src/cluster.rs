@@ -385,40 +385,6 @@ mod tests {
     use fastbft_types::View;
 
     #[test]
-    fn four_processes_decide_in_two_steps() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        let mut cluster = SimCluster::builder(cfg).inputs_u64([7, 7, 7, 7]).build();
-        let report = cluster.run_until_all_decide();
-        assert!(report.all_decided, "violations: {:?}", report.violations);
-        assert!(report.violations.is_empty());
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(7)));
-        assert_eq!(report.decision_delays_max(), 2);
-    }
-
-    #[test]
-    fn vanilla_nine_processes_decide_fast() {
-        let cfg = Config::vanilla(9, 2).unwrap();
-        let mut cluster = SimCluster::builder(cfg)
-            .inputs_u64([3, 3, 3, 3, 3, 3, 3, 3, 3])
-            .build();
-        let report = cluster.run_until_all_decide();
-        assert!(report.all_decided);
-        assert!(report.violations.is_empty());
-        assert_eq!(report.decision_delays_max(), 2);
-    }
-
-    #[test]
-    fn leader_input_wins_with_distinct_inputs() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        let mut cluster = SimCluster::builder(cfg).inputs_u64([1, 2, 3, 4]).build();
-        let report = cluster.run_until_all_decide();
-        // leader(1) = p2, so its input 2 is decided.
-        assert_eq!(report.unanimous_decision(), Some(Value::from_u64(2)));
-        let leader = cfg.leader(View::FIRST);
-        assert_eq!(leader, ProcessId(2));
-    }
-
-    #[test]
     fn crashed_leader_triggers_view_change_and_decision() {
         let cfg = Config::new(4, 1, 1).unwrap();
         let leader = cfg.leader(View::FIRST);

@@ -110,8 +110,8 @@ fn kv_replicates_identically_over_tcp() {
     );
 }
 
-/// The observability plane end to end, on the cluster `examples/tcp_kv.rs
-/// -- --metrics` prints a scrape of (n = 4, adaptive batching, metered
+/// The observability plane end to end, on the cluster whose scrape
+/// `examples/tcp_kv.rs` prints (n = 4, adaptive batching, metered
 /// seats): every line of the Prometheus text is a comment, blank or a
 /// `fastbft_`-prefixed sample with a numeric value; fast-path commits, TCP
 /// frames and batch flushes were counted; both ingress-shed counters are

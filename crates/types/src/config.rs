@@ -283,8 +283,8 @@ impl fmt::Display for Config {
 
 /// The protocols compared throughout the experiments, with their published
 /// resilience, the [`Config`] each runs at and its common-case latency.
-/// `fastbft_baselines::run` runs a protocol by its kind, and the
-/// `protocol_table` binary (experiments E5, E6 and E12) runs every kind at
+/// `fastbft_baselines::run` runs a protocol by its kind, and the facade's
+/// `protocol_table` example (experiments E5, E6 and E12) runs every kind at
 /// its minimum `n`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum ProtocolKind {

@@ -10,22 +10,23 @@
 //! The replica speaks only the bounded form, so the naive column is
 //! computed, not built: one real vote is encoded and measured, and the
 //! whole-vote-set size follows from the recurrence a verbatim chain obeys
-//! ([`naive_cert_size`]). `fastbft_baselines::fab` is the executable
+//! (`naive_cert_size`). `fastbft::baselines::fab` is the executable
 //! whole-vote-set scheme (`cert_growth_is_unbounded_in_views`).
 //!
 //! Two measurements:
 //! 1. structural: certificate sizes for views 2..=6;
 //! 2. live: a real silent-leader run, reporting the sizes of the `propose`
 //!    messages observed on the wire.
+//!
+//! Run with: `cargo run --release --example cert_growth`
 
-use fastbft_bench::{header, row};
-use fastbft_core::certs::{ProgressCert, SignedVote, VoteData};
-use fastbft_core::cluster::{Behavior, SimCluster};
-use fastbft_core::payload::{certack_payload, propose_payload};
-use fastbft_core::ReplicaOptions;
-use fastbft_crypto::{KeyDirectory, SignatureSet};
-use fastbft_types::wire::Encode;
-use fastbft_types::{Config, Value, View};
+use fastbft::core::certs::{ProgressCert, SignedVote, VoteData};
+use fastbft::core::cluster::{Behavior, SimCluster};
+use fastbft::core::payload::{certack_payload, propose_payload};
+use fastbft::core::ReplicaOptions;
+use fastbft::crypto::{KeyDirectory, SignatureSet};
+use fastbft::types::wire::Encode;
+use fastbft::types::{Config, Value, View};
 
 /// Bytes of a signed non-nil vote around the certificate it embeds: one
 /// real vote with a `Genesis` certificate, encoded, minus that certificate.
@@ -61,14 +62,14 @@ fn main() {
     let (pairs, dir) = KeyDirectory::generate(4, 9);
     let x = Value::from_u64(1);
     let overhead = vote_overhead(&cfg);
+    assert_eq!(overhead, 98);
     // A receiver's block, which every certificate check counts into.
     let metrics = ReplicaOptions::default().metrics;
 
     println!("# E7 — progress certificate size vs view number (n = 4, f = t = 1)\n");
-    println!(
-        "{}",
-        header(&["view", "naive cert (bytes)", "bounded cert (bytes)"])
-    );
+    println!("| view | naive cert (bytes) | bounded cert (bytes) |");
+    println!("|---|---|---|");
+    let mut naive = Vec::new();
     for v in 2..=6u64 {
         let view = View(v);
         let bounded_sigs: SignatureSet = pairs[..cfg.cert_quorum()]
@@ -77,16 +78,19 @@ fn main() {
             .collect();
         let bounded = ProgressCert::Bounded(bounded_sigs);
         assert!(bounded.verify(&cfg, &dir, &x, view, &metrics));
-
-        println!(
-            "{}",
-            row(&[
-                v.to_string(),
-                naive_cert_size(&cfg, overhead, v).to_string(),
-                bounded.wire_size().to_string(),
-            ])
+        assert_eq!(
+            bounded.wire_size(),
+            77,
+            "f + 1 signatures, whatever the view"
         );
+
+        let size = naive_cert_size(&cfg, overhead, v);
+        naive.push(size);
+        println!("| {v} | {size} | {} |", bounded.wire_size());
     }
+    // The sizes the hand-built chain of whole-vote-set certificates read
+    // while the replica still carried that form.
+    assert_eq!(naive, [302, 1_205, 3_914, 12_041, 36_422]);
 
     // Live run: a silent first leader forces one view change; the view-2
     // proposes carry the bounded certificate.
@@ -106,22 +110,4 @@ fn main() {
 
     println!("\nshape: naive certificates grow without bound in the view number;");
     println!("bounded certificates stay at f + 1 signatures — the paper's point. ✓");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The sizes the hand-built chain of whole-vote-set certificates read
-    /// while the replica still carried that form (views 2..=6, n = 4).
-    #[test]
-    fn naive_sizes_match_the_hand_built_chain() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        let overhead = vote_overhead(&cfg);
-        assert_eq!(overhead, 98);
-        let sizes: Vec<usize> = (2..=6)
-            .map(|v| naive_cert_size(&cfg, overhead, v))
-            .collect();
-        assert_eq!(sizes, [302, 1_205, 3_914, 12_041, 36_422]);
-    }
 }

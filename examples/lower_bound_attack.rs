@@ -7,8 +7,10 @@
 //! * `n = 3f + 2t − 1 = 9` (the paper's bound): the identical adversary is
 //!   powerless — quorum intersection (QI2) forces every later view to adopt
 //!   the fast-decided value.
+//!
+//! Run with: `cargo run --release --example lower_bound_attack`
 
-use fastbft_core::lower_bound::{at_bound_n, below_bound_n, run_attack, FAST_DECIDER};
+use fastbft::core::lower_bound::{at_bound_n, below_bound_n, run_attack, FAST_DECIDER};
 
 fn main() {
     println!("# E4 / Theorem 4.5 — the 3f + 2t − 1 lower bound, executed (f = t = 2)\n");

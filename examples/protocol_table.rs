@@ -2,19 +2,20 @@
 //! (§1.2, §5).
 //!
 //! For every `(f, t)` with `1 ≤ t ≤ f ≤ 4`, every [`ProtocolKind`] runs at
-//! its own minimum `n` through `fastbft_baselines::run`, on an identical
+//! its own minimum `n` through `fastbft::baselines::run`, on an identical
 //! synchronous network, all processes correct, unanimous inputs. Each row
 //! reports `n` (E5: `3f + 2t − 1` against FaB's `3f + 2t + 1` and PBFT's
 //! `3f + 1`), the decision latency in message delays (E6: 2 against
 //! PBFT's 3) and the messages and bytes of the decision (E12: `Θ(n²)` for
 //! all three), and asserts the latency, a clean run and that one process
 //! fewer is refused.
+//!
+//! Run with: `cargo run --release --example protocol_table`
 
-use fastbft_baselines::run;
-use fastbft_bench::{header, row, DELTA};
-use fastbft_core::cluster::Report;
-use fastbft_sim::Network;
-use fastbft_types::{ProtocolKind, Value};
+use fastbft::baselines::run;
+use fastbft::core::cluster::Report;
+use fastbft::sim::{Network, SimDuration};
+use fastbft::types::{ProtocolKind, Value};
 
 fn run_all_correct(kind: ProtocolKind, f: usize, t: usize, n: usize) -> Report {
     let report = run(
@@ -22,7 +23,7 @@ fn run_all_correct(kind: ProtocolKind, f: usize, t: usize, n: usize) -> Report {
         f,
         t,
         1,
-        Network::synchronous(DELTA),
+        Network::synchronous(SimDuration::DELTA),
         vec![Value::from_u64(7); n],
         &[],
     );
@@ -36,10 +37,8 @@ fn run_all_correct(kind: ProtocolKind, f: usize, t: usize, n: usize) -> Report {
 
 fn main() {
     println!("# E5 + E6 + E12 — every protocol at its minimum n (synchronous, all correct)\n");
-    println!(
-        "{}",
-        header(&["f", "t", "protocol", "n", "delays", "messages", "bytes", "msgs/n²"])
-    );
+    println!("| f | t | protocol | n | delays | messages | bytes | msgs/n² |");
+    println!("|---|---|---|---|---|---|---|---|");
     for f in 1..=4usize {
         for t in 1..=f {
             for kind in ProtocolKind::ALL {
@@ -56,19 +55,10 @@ fn main() {
                     kind.common_case_delays() as u64,
                     "{kind} at f = {f}, t = {t}"
                 );
-                let stats = &report.stats;
+                let (messages, bytes) = (report.stats.messages, report.stats.bytes);
+                let per_n2 = messages as f64 / (n * n) as f64;
                 println!(
-                    "{}",
-                    row(&[
-                        f.to_string(),
-                        t.to_string(),
-                        kind.to_string(),
-                        n.to_string(),
-                        delays.to_string(),
-                        stats.messages.to_string(),
-                        stats.bytes.to_string(),
-                        format!("{:.2}", stats.messages as f64 / (n * n) as f64),
-                    ])
+                    "| {f} | {t} | {kind} | {n} | {delays} | {messages} | {bytes} | {per_n2:.2} |"
                 );
             }
             let gap = ProtocolKind::FabPaxos.min_n(f, t) - ProtocolKind::Ktz.min_n(f, t);

@@ -11,14 +11,10 @@
 //! ```
 //!
 //! Every replica (and its TCP transport seat) records into the cluster's
-//! [`fastbft::obs::MetricsRegistry`]; with `--metrics`, after the workload
-//! the example dumps the Prometheus text exposition — commit-path counters,
-//! latency histograms, frame/byte totals — exactly what a scrape endpoint
-//! would serve:
-//!
-//! ```bash
-//! cargo run --release --example tcp_kv -- --metrics
-//! ```
+//! [`fastbft::obs::MetricsRegistry`]; after the store check the example
+//! prints the Prometheus text exposition — commit-path counters, latency
+//! histograms, frame/byte totals — exactly what a scrape endpoint would
+//! serve.
 
 use std::time::{Duration, Instant};
 
@@ -28,7 +24,6 @@ use fastbft::smr::{KvCommand, KvStore};
 use fastbft::types::Config;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let metrics = std::env::args().any(|a| a == "--metrics");
     // The paper's headline configuration: n = 3f + 2t − 1 = 4.
     let cfg = Config::new(4, 1, 1)?;
     let mut addrs = Vec::new();
@@ -91,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The scrape a metrics endpoint would serve, taken while the cluster
     // is still running (exporters read the live atomics).
-    let scrape = metrics.then(|| cluster.registry().render_text());
+    let scrape = cluster.registry().render_text();
 
     let actors = cluster.shutdown();
     let mut digests = Vec::new();
@@ -118,9 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{submitted} commands replicated over authenticated loopback TCP in {elapsed:?} — \
          identical state on all 4 replicas ✓"
     );
-    if let Some(scrape) = scrape {
-        println!("\n# --- metrics scrape (Prometheus text exposition) ---");
-        print!("{scrape}");
-    }
+    println!("\n# --- metrics scrape (Prometheus text exposition) ---");
+    print!("{scrape}");
     Ok(())
 }
