@@ -28,7 +28,7 @@ fn raw_fab_vote(p: u32, vote: Option<(u64, u64)>) -> (ProcessId, FabSignedVote) 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// FaB's rule is total, deterministic, and never returns a value that
     /// appears in no vote.

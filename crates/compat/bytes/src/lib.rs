@@ -39,15 +39,6 @@ impl Bytes {
         Bytes(Arc::new(data.to_vec()))
     }
 
-    /// Creates a `Bytes` holding a copy of the static slice.
-    ///
-    /// Unlike the real `bytes` crate, this shim copies: backing storage is
-    /// `Arc<Vec<u8>>` so that `From<Vec<u8>>` is a zero-copy move (the hot
-    /// path), which leaves no room for a borrowed-static representation.
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes(Arc::new(data.to_vec()))
-    }
-
     /// Number of bytes contained.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -56,16 +47,6 @@ impl Bytes {
     /// Whether the container holds zero bytes.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-
-    /// Borrows the contents as a plain slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Copies the contents into a fresh `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
     }
 }
 
@@ -105,42 +86,6 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<&[u8]> for Bytes {
-    fn from(v: &[u8]) -> Self {
-        Bytes::copy_from_slice(v)
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(v: String) -> Self {
-        Bytes::from(v.into_bytes())
-    }
-}
-
-impl From<&str> for Bytes {
-    fn from(v: &str) -> Self {
-        Bytes::copy_from_slice(v.as_bytes())
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,9 +99,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::cmp_owned)] // the point is to exercise Ord on Bytes itself
     fn ordering_and_default() {
-        assert!(Bytes::from(&b"a"[..]) < Bytes::from(&b"b"[..]));
+        assert!(Bytes::from(b"a".to_vec()) < Bytes::from(b"b".to_vec()));
         assert!(Bytes::default().is_empty());
     }
 }

@@ -9,7 +9,7 @@
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assert_ne!`],
 //!   [`prop_oneof!`];
 //! * [`strategy::Strategy`] with `prop_map`/`boxed`, [`strategy::Just`],
-//!   integer-range and tuple strategies;
+//!   unsigned-integer-range and tuple strategies;
 //! * [`fn@collection::vec`], [`option::of`], [`arbitrary::any`].
 //!
 //! Differences from the real crate: generation is seeded deterministically
@@ -150,13 +150,7 @@ pub mod arbitrary {
         )*};
     }
 
-    impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-    impl Arbitrary for u128 {
-        fn arbitrary(rng: &mut TestRng) -> Self {
-            ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
-        }
-    }
+    impl_arbitrary_int!(u8, u16, u32, u64, usize);
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> Self {
@@ -200,7 +194,7 @@ pub mod prelude {
 /// use proptest::prelude::*;
 ///
 /// proptest! {
-///     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+///     #![proptest_config(ProptestConfig::with_cases(64))]
 ///
 ///     fn addition_commutes(a in 0u32..1000, b in 0u32..1000) {
 ///         prop_assert_eq!(a + b, b + a);

@@ -23,31 +23,6 @@ pub trait Strategy {
         Map { inner: self, f }
     }
 
-    /// Generates a value, then generates from the strategy `f` returns for
-    /// it (dependent generation).
-    fn prop_flat_map<S, F>(self, f: F) -> FlatMap<Self, F>
-    where
-        Self: Sized,
-        S: Strategy,
-        F: Fn(Self::Value) -> S,
-    {
-        FlatMap { inner: self, f }
-    }
-
-    /// Retries generation until `f` accepts the value (up to a bounded
-    /// number of attempts, then panics).
-    fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
-
     /// Erases the concrete strategy type.
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -103,53 +78,6 @@ where
     }
 }
 
-/// Strategy produced by [`Strategy::prop_flat_map`].
-#[derive(Clone, Debug)]
-pub struct FlatMap<S, F> {
-    inner: S,
-    f: F,
-}
-
-impl<S, S2, F> Strategy for FlatMap<S, F>
-where
-    S: Strategy,
-    S2: Strategy,
-    F: Fn(S::Value) -> S2,
-{
-    type Value = S2::Value;
-    fn generate(&self, rng: &mut TestRng) -> S2::Value {
-        (self.f)(self.inner.generate(rng)).generate(rng)
-    }
-}
-
-/// Strategy produced by [`Strategy::prop_filter`].
-#[derive(Clone, Debug)]
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S, F> Strategy for Filter<S, F>
-where
-    S: Strategy,
-    F: Fn(&S::Value) -> bool,
-{
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.generate(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!(
-            "prop_filter {:?} rejected 1000 consecutive values",
-            self.whence
-        );
-    }
-}
-
 /// Strategy produced by [`crate::prop_oneof!`]: a uniform choice among
 /// same-typed strategies.
 pub struct Union<T> {
@@ -189,7 +117,7 @@ macro_rules! impl_range_strategy {
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_range_strategy!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_tuple_strategy {
     ($($name:ident),+) => {

@@ -12,22 +12,18 @@ pub type TestRng = StdRng;
 pub struct ProptestConfig {
     /// Number of generated cases per property.
     pub cases: u32,
-    /// Accepted for compatibility; the shim never shrinks.
-    pub max_shrink_iters: u32,
-    /// Accepted for compatibility; the shim never rejects locally.
-    pub max_local_rejects: u32,
-    /// Accepted for compatibility; the shim never rejects globally.
-    pub max_global_rejects: u32,
+}
+
+impl ProptestConfig {
+    /// A configuration running `cases` cases per property.
+    pub fn with_cases(cases: u32) -> Self {
+        ProptestConfig { cases }
+    }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig {
-            cases: 256,
-            max_shrink_iters: 1024,
-            max_local_rejects: 65_536,
-            max_global_rejects: 1024,
-        }
+        ProptestConfig::with_cases(256)
     }
 }
 

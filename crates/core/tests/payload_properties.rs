@@ -21,7 +21,7 @@ fn value_bytes() -> impl Strategy<Value = Vec<u8>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The four statement kinds never collide for the same `(value, view)`
     /// — a signature over one can never replay as another.

@@ -76,6 +76,12 @@ fn acked(value: u64, view: u64, cc: bool) -> Option<Ack> {
 /// One seat's signed vote, and what selection reads of it.
 type Cast = (ProcessId, Option<Ack>, SignedVote);
 
+/// What each seat voted, as selection reads it: a vote set's identity.
+type Votes = Vec<(ProcessId, Option<Ack>)>;
+
+/// Each correct seat's ack, or `None` for a nil vote.
+type Acks = BTreeMap<ProcessId, Option<Ack>>;
+
 /// Who is Byzantine, where `x` was decided, and what correct seats signed.
 struct History<'a> {
     cfg: Config,
@@ -184,7 +190,7 @@ impl History<'_> {
 
     /// Every assignment of acks to the correct seats this history allows,
     /// each with the seats whose shares make the commit certificate.
-    fn correct_states(&self) -> Vec<(Vec<ProcessId>, BTreeMap<ProcessId, Option<Ack>>)> {
+    fn correct_states(&self) -> Vec<(Vec<ProcessId>, Acks)> {
         let (d, f) = (self.d, self.cfg.f());
         let mut menu = vec![None, acked(X, d, false)];
         if d == 2 {
@@ -274,12 +280,12 @@ fn check_every_vote_set(cfg: Config) -> usize {
         let entry = valid.entry(sv.to_wire_bytes());
         *entry.or_insert_with(|| sv.is_valid(&cfg, &dir, DEST, &metrics))
     };
-    let mut checked: HashSet<(Vec<(ProcessId, Option<Ack>)>, bool)> = HashSet::new();
+    let mut checked: HashSet<(Votes, bool)> = HashSet::new();
     for history in History::all(cfg, &pairs) {
         let byzantine = history.byzantine_choices(&mut is_valid);
         let correct = history.correct().len();
         // Correct parts already combined with every Byzantine choice.
-        let mut seen: HashSet<Vec<(ProcessId, Option<Ack>)>> = HashSet::new();
+        let mut seen: HashSet<Votes> = HashSet::new();
         // A vote depends on the certificate's signers only if it has one.
         let mut built: HashMap<_, SignedVote> = HashMap::new();
         for (ackers, states) in history.correct_states() {

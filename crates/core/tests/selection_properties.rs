@@ -49,7 +49,7 @@ fn cfg9() -> Config {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Selection never panics and is deterministic on arbitrary vote sets.
     #[test]

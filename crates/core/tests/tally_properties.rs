@@ -104,7 +104,7 @@ fn streams() -> impl Strategy<Value = (Config, Vec<Ack>)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Whatever arrives, from however many equivocating senders: the
     /// replica announces what the model announces, when it does.

@@ -7,7 +7,7 @@ use fastbft_types::ProcessId;
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Streaming over arbitrary chunkings equals the one-shot digest.
     #[test]

@@ -15,7 +15,7 @@ use fastbft_types::{ProcessId, Value};
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// encode → decode of a batch payload is the identity, through a dirty
     /// reused scratch buffer.

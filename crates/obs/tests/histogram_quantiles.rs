@@ -32,7 +32,7 @@ fn workload() -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// For every tracked quantile, the estimate brackets the true value:
     /// `true ≤ estimate ≤ true + true/16 + 1`.

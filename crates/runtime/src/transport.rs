@@ -187,9 +187,10 @@ pub fn poll_queue_batch<M>(
     out
 }
 
-/// The in-process transport: one crossbeam channel per node plays the
-/// authenticated link, and the transport (not the sender) attaches the
-/// sender id — a thread cannot spoof its identity.
+/// The in-process transport: one `std::sync::mpsc` channel per node (through
+/// the offline `crossbeam` shim) plays the authenticated link, and the
+/// transport (not the sender) attaches the sender id — a thread cannot
+/// spoof its identity.
 pub struct ChannelTransport<M> {
     id: ProcessId,
     peers: Vec<Sender<Inbound<M>>>,
@@ -385,5 +386,23 @@ mod tests {
             t.recv(Some(Duration::from_millis(1))),
             Polled::Closed
         ));
+        // The batch path: what was queued before the last feeder went is
+        // delivered, in order, and only the next call reports the close.
+        let mut mesh = ChannelTransport::<Ping>::mesh(1);
+        let (mut t, control) = mesh.remove(0);
+        t.send(ProcessId(1), Ping(1));
+        t.send(ProcessId(1), Ping(2));
+        drop(control);
+        t.peers.clear();
+        let batch = t.recv_batch(16, Some(Duration::from_secs(1)));
+        assert!(matches!(
+            batch[..],
+            [
+                Polled::Delivered(ProcessId(1), Ping(1)),
+                Polled::Delivered(ProcessId(1), Ping(2))
+            ]
+        ));
+        let batch = t.recv_batch(16, Some(Duration::from_secs(1)));
+        assert!(matches!(batch[..], [Polled::Closed]));
     }
 }

@@ -31,7 +31,7 @@ impl Actor<Ping> for Gossip {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Partial synchrony is enforced: every message is delivered by
     /// `max(send_time, GST) + Δ`, never before its send.

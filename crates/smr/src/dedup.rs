@@ -207,7 +207,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A snapshot's dedup bytes decode to the state that wrote them and
         /// re-encode to themselves, wherever in a history of commands and

@@ -343,7 +343,7 @@ fn known_gap_the_targets_only_way_back_to_1() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// With adaptive batches in flight through a chaotic pre-GST window —
     /// delays past the base timeout, so early slots go through view

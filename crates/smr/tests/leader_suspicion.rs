@@ -656,7 +656,7 @@ impl Actor<SlotMessage> for SlotFuzzer {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// (d) Safety is independent of wishes: single-shot replicas that each
     /// start wishing for an arbitrary view `≤ f + 1`, with up to `f`

@@ -48,7 +48,7 @@ fn store_after(ops: &[(u8, u8, u16)]) -> KvStore {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `restore(snapshot())` reproduces the exact state: equal digests,
     /// byte-identical re-snapshot (canonicality), and identical behavior

@@ -14,7 +14,7 @@ fn valid_configs() -> impl Strategy<Value = Config> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// (QI1): two (n−f)-quorums intersect in more than f processes.
     #[test]

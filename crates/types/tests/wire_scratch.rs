@@ -26,7 +26,7 @@ where
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn values_encode_identically_through_reused_scratch(

@@ -19,6 +19,16 @@ use fastbft::core::cluster::{Behavior, Report, SimCluster};
 use fastbft::sim::{SimDuration, SimTime};
 use fastbft::types::{Config, ProcessId, View};
 
+/// `(n, f, t)`, a process crashing at 1.5Δ, the pre-GST delay bound in Δ,
+/// the seeds, and the GSTs in Δ.
+type Sweep = (
+    (usize, usize, usize),
+    Option<ProcessId>,
+    u64,
+    Range<u64>,
+    [u64; 4],
+);
+
 /// The latest decision of a run, in ticks.
 fn decided_at(report: &Report) -> u64 {
     assert!(
@@ -38,9 +48,7 @@ fn main() {
         "| n | f | t | faulty | pre-GST delays ≤ (Δ) | seeds | GST (Δ) | decided at (Δ) | Δ after GST |"
     );
     println!("|---|---|---|---|---|---|---|---|---|");
-    // ((n, f, t), a process crashing at 1.5Δ, pre-GST delay bound in Δ,
-    // seeds, GSTs in Δ)
-    let sweeps: [(_, Option<ProcessId>, u64, Range<u64>, [u64; 4]); 2] = [
+    let sweeps: [Sweep; 2] = [
         ((9, 2, 2), None, 10, 0..5, [0, 5, 20, 50]),
         ((4, 1, 1), Some(ProcessId(4)), 20, 3..4, [0, 10, 30, 60]),
     ];

@@ -41,11 +41,7 @@ fn behaviors(seed: u64) -> impl Strategy<Value = Behavior> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        max_shrink_iters: 64,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Up to f random Byzantine processes + random seeds on a synchronous
     /// network: safety always holds, and liveness holds for these

@@ -55,7 +55,7 @@ fn generalized_config_smr() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random KV workloads replicate identically on every node.
     #[test]

@@ -16,7 +16,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// decode(encode(x)) == x and encode is canonical, for random values.
     #[test]
