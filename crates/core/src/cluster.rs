@@ -77,8 +77,7 @@ impl Behavior {
 pub struct SimClusterBuilder {
     cfg: Config,
     seed: u64,
-    gst: SimTime,
-    pre_gst_max: SimDuration,
+    network: Network,
     inputs: Vec<Value>,
     behaviors: BTreeMap<ProcessId, Behavior>,
     metrics: Option<MetricsRegistry>,
@@ -89,8 +88,7 @@ impl SimClusterBuilder {
         SimClusterBuilder {
             cfg,
             seed: 0,
-            gst: SimTime::ZERO,
-            pre_gst_max: SimDuration(SimDuration::DELTA.0 * 10),
+            network: Network::synchronous(SimDuration::DELTA),
             inputs: (1..=cfg.n() as u64).map(Value::from_u64).collect(),
             behaviors: BTreeMap::new(),
             metrics: None,
@@ -123,12 +121,11 @@ impl SimClusterBuilder {
         self
     }
 
-    /// Sets the global stabilization time; before it, delays are uniformly
-    /// random up to `pre_gst_max`.
+    /// Sets the network (default: synchronous, every message taking
+    /// [`SimDuration::DELTA`]) — partially synchronous, or a fault plan's.
     #[must_use]
-    pub fn gst(mut self, gst: SimTime, pre_gst_max: SimDuration) -> Self {
-        self.gst = gst;
-        self.pre_gst_max = pre_gst_max;
+    pub fn network(mut self, network: Network) -> Self {
+        self.network = network;
         self
     }
 
@@ -152,8 +149,7 @@ impl SimClusterBuilder {
         let SimClusterBuilder {
             cfg,
             seed,
-            gst,
-            pre_gst_max,
+            network,
             inputs,
             behaviors,
             metrics,
@@ -165,11 +161,6 @@ impl SimClusterBuilder {
                 cfg.n()
             );
         }
-        let network = if gst == SimTime::ZERO {
-            Network::synchronous(SimDuration::DELTA)
-        } else {
-            Network::partially_synchronous(SimDuration::DELTA, gst, pre_gst_max)
-        };
         let faulty = behaviors
             .iter()
             .filter(|(_, b)| b.is_byzantine())

@@ -3,7 +3,7 @@
 //! the sweep.
 
 use fastbft_core::cluster::{Behavior, SimCluster};
-use fastbft_sim::{SimTime, Violation};
+use fastbft_sim::{Network, SimDuration, SimTime, Violation};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 fn assert_safe_and_live(report: &fastbft_core::Report, label: &str) {
@@ -100,7 +100,11 @@ fn fuzzers_with_chaotic_network() {
         let cfg = Config::new(8, 2, 1).unwrap();
         let mut cluster = SimCluster::builder(cfg)
             .inputs_u64(vec![6; 8])
-            .gst(SimTime(1_500), fastbft_sim::SimDuration(1_200))
+            .network(Network::partially_synchronous(
+                SimDuration::DELTA,
+                SimTime(1_500),
+                SimDuration(1_200),
+            ))
             .behavior(ProcessId(3), Behavior::Random { seed })
             .behavior(ProcessId(6), Behavior::Random { seed: seed + 50 })
             .seed(seed)

@@ -82,7 +82,6 @@ pub struct Metrics {
     // faults: the injection plane (FaultTransport / FaultPlan).
     pub fault_delay_injected_total: Counter,
     pub fault_drop_injected_total: Counter,
-    pub fault_dup_injected_total: Counter,
     pub fault_partition_drop_total: Counter,
     pub fault_links_shaped: Gauge,
     /// This replica's flight recorder (rare control-plane events).
@@ -97,7 +96,7 @@ impl Metrics {
 
     /// `(name, help, counter)` for every counter, in exposition order (the
     /// byte counters last).
-    fn counters(&self) -> [(&'static str, &'static str, &Counter); 32] {
+    fn counters(&self) -> [(&'static str, &'static str, &Counter); 31] {
         [
             (
                 "commit_fast_total",
@@ -221,18 +220,13 @@ impl Metrics {
             ),
             (
                 "fault_delay_injected_total",
-                "Deliveries delayed by the fault plan (delay, jitter, reorder).",
+                "Deliveries delayed by the fault plan (delay, jitter).",
                 &self.fault_delay_injected_total,
             ),
             (
                 "fault_drop_injected_total",
                 "Deliveries dropped by the fault plan's probabilistic loss.",
                 &self.fault_drop_injected_total,
-            ),
-            (
-                "fault_dup_injected_total",
-                "Duplicate deliveries injected by the fault plan.",
-                &self.fault_dup_injected_total,
             ),
             (
                 "fault_partition_drop_total",
@@ -559,7 +553,6 @@ mod tests {
                 "send_drop_unreachable_total counter",
                 "fault_delay_injected_total counter",
                 "fault_drop_injected_total counter",
-                "fault_dup_injected_total counter",
                 "fault_partition_drop_total counter",
                 "ingress_shed_bytes_total counter",
                 "bytes_out_total counter",
@@ -663,7 +656,6 @@ mod tests {
         let m = reg.metrics(0);
         m.fault_delay_injected_total.add(11);
         m.fault_drop_injected_total.add(3);
-        m.fault_dup_injected_total.inc();
         m.fault_partition_drop_total.add(9);
         m.fault_links_shaped.set(4);
         m.send_drop_unreachable_total.add(6);
@@ -672,7 +664,6 @@ mod tests {
         assert!(text.contains("# TYPE fastbft_fault_delay_injected_total counter"));
         assert!(text.contains("fastbft_fault_delay_injected_total{replica=\"p1\"} 11"));
         assert!(text.contains("fastbft_fault_drop_injected_total{replica=\"p1\"} 3"));
-        assert!(text.contains("fastbft_fault_dup_injected_total{replica=\"p1\"} 1"));
         assert!(text.contains("fastbft_fault_partition_drop_total{replica=\"p1\"} 9"));
         assert!(text.contains("# TYPE fastbft_fault_links_shaped gauge"));
         assert!(text.contains("fastbft_fault_links_shaped{replica=\"p1\"} 4"));

@@ -135,18 +135,17 @@ impl Scenario {
             .unwrap_or_default()
     }
 
-    /// The fault kinds the steps inject, in the order of the four
+    /// The fault kinds the steps inject, in the order of the three
     /// `fault_*` counters of `fastbft_obs::Metrics` (and of the SMR
-    /// harness' report): delays, probabilistic drops, duplicates,
-    /// partition drops. A harness gates on each one promised having fired.
-    pub fn injects(&self) -> [bool; 4] {
+    /// harness' report): delays, probabilistic drops, partition drops. A
+    /// harness gates on each one promised having fired.
+    pub fn injects(&self) -> [bool; 3] {
         self.profiles()
-            .fold([false; 4], |[delays, drops, dups, cuts], p| {
+            .fold([false; 3], |[delays, drops, cuts], p| {
                 let live = !p.partitioned;
                 [
                     delays || (live && !p.max_delay().is_zero()),
                     drops || (live && p.loss > 0.0),
-                    dups || (live && p.duplicate > 0.0),
                     cuts || p.partitioned,
                 ]
             })
@@ -372,7 +371,7 @@ mod tests {
                 .find(|(_, p)| *p == link)
                 .map_or('?', |(c, _)| *c)
         };
-        let (delays, cuts) = ([true, false, false, false], [false, false, false, true]);
+        let (delays, cuts) = ([true, false, false], [false, false, true]);
         let flaps = [0, 250, 500, 750, 1000, 1250];
         // heal_at, max_delay, what the view timer covers, injects, and the
         // offsets of the steps in ms.

@@ -69,8 +69,8 @@ pub struct ClusterHandle<M> {
 
 /// One replica's seat in a cluster: its protocol state machine, the
 /// transport its event loop will run on, and the control sender feeding
-/// that transport's inbound queue (used by [`ClusterHandle::inject`] and
-/// [`ClusterHandle::shutdown`]).
+/// that transport's inbound queue (used by [`ClusterHandle::submit_all`]
+/// and [`ClusterHandle::shutdown`]).
 pub struct NodeSeat<M, T> {
     /// The protocol state machine.
     pub actor: Box<dyn Actor<M> + Send>,
@@ -343,12 +343,6 @@ impl<M: SimMessage> ClusterHandle<M> {
             }
         }
         seen
-    }
-
-    /// Injects a message into a node as if sent by `from` (test hook for
-    /// Byzantine drivers living outside the cluster).
-    pub fn inject(&self, from: ProcessId, to: ProcessId, msg: M) {
-        let _ = self.controls[to.index()].send(Inbound::Peer(from, msg));
     }
 
     /// Submits a client command to every node — the paper's §1.1 client

@@ -5,16 +5,18 @@
 //! [`ChannelTransport`](crate::ChannelTransport) or `fastbft-net`'s
 //! `TcpTransport` — and shapes every *inbound* delivery according to a
 //! shared, runtime-togglable [`FaultPlan`]: fixed delay plus jitter,
-//! probabilistic loss, duplication, a reordering window, and hard
-//! partitions. Chaos scripts (see [`crate::chaos`]) swap the plan's
-//! [`LinkRules`] while the cluster runs — heal a partition, un-delay a
-//! leader — and every node's wrapper picks the change up on its next
-//! delivery. Every injected fault is counted once, in the wrapper's
-//! metrics block.
+//! probabilistic loss, and hard partitions. Those are the faults §2.1's
+//! links have before GST; a link never duplicates a delivery (TCP drops
+//! replays by sequence number and MAC, the channel mesh and the simulator
+//! deliver each send once), so the plan does not either. Chaos scripts
+//! (see [`crate::chaos`]) swap the plan's [`LinkRules`] while the cluster
+//! runs — heal a partition, un-delay a leader — and every node's wrapper
+//! picks the change up on its next delivery. Each delayed, lost or cut
+//! delivery is counted in the wrapper's metrics block.
 //!
 //! The same plan runs in virtual time: [`FaultPlan::network`] is a
 //! simulator network that takes every delivery's fate from the same
-//! function, so a [`LinkRules`] value is one fault on either clock.
+//! function, so every [`LinkRules`] value is one fault on either clock.
 //!
 //! # Why shaping happens on the receive side
 //!
@@ -78,14 +80,6 @@ pub struct LinkProfile {
     pub jitter: Duration,
     /// Probability in `[0, 1]` that a delivery is dropped.
     pub loss: f64,
-    /// Probability in `[0, 1]` that a delivery is duplicated (the copy
-    /// arrives after the original, past the jitter window).
-    pub duplicate: f64,
-    /// Probability in `[0, 1]` that a delivery draws an extra delay in
-    /// `[0, reorder_window]`, letting later messages overtake it.
-    pub reorder: f64,
-    /// The window for [`reorder`](LinkProfile::reorder) draws.
-    pub reorder_window: Duration,
     /// Hard partition: every delivery on this link is dropped.
     pub partitioned: bool,
 }
@@ -122,19 +116,6 @@ impl LinkProfile {
         self
     }
 
-    /// Adds probabilistic duplication to this profile.
-    pub fn with_duplication(mut self, duplicate: f64) -> Self {
-        self.duplicate = duplicate;
-        self
-    }
-
-    /// Adds a reordering window to this profile.
-    pub fn with_reorder(mut self, reorder: f64, window: Duration) -> Self {
-        self.reorder = reorder;
-        self.reorder_window = window;
-        self
-    }
-
     /// Whether this profile changes nothing (the default).
     pub fn is_transparent(&self) -> bool {
         *self == LinkProfile::default()
@@ -142,7 +123,7 @@ impl LinkProfile {
 
     /// The worst-case one-way delay this profile can inject.
     pub fn max_delay(&self) -> Duration {
-        self.delay + self.jitter + self.reorder_window
+        self.delay + self.jitter
     }
 
     /// The fate of the `k`-th delivery on `src → dst` under this profile,
@@ -150,10 +131,7 @@ impl LinkProfile {
     /// transparent or partitioned profile draws nothing.
     fn fate(&self, seed: u64, src: ProcessId, dst: ProcessId, k: u64) -> Fate {
         if self.is_transparent() {
-            return Fate::Late {
-                delay: Duration::ZERO,
-                copy: None,
-            };
+            return Fate::Late(Duration::ZERO);
         }
         if self.partitioned {
             return Fate::Cut;
@@ -166,17 +144,7 @@ impl LinkProfile {
         if !self.jitter.is_zero() {
             delay += uniform_duration(&mut rng, self.jitter);
         }
-        if self.reorder > 0.0
-            && !self.reorder_window.is_zero()
-            && rng.gen_bool(self.reorder.clamp(0.0, 1.0))
-        {
-            delay += uniform_duration(&mut rng, self.reorder_window);
-        }
-        // The copy always trails the original's worst case, so dup and
-        // reorder stay distinguishable in tests.
-        let copy = (self.duplicate > 0.0 && rng.gen_bool(self.duplicate.clamp(0.0, 1.0)))
-            .then(|| delay + self.jitter + self.reorder_window + Duration::from_micros(50));
-        Fate::Late { delay, copy }
+        Fate::Late(delay)
     }
 }
 
@@ -187,12 +155,8 @@ enum Fate {
     Cut,
     /// Dropped by probabilistic loss.
     Lost,
-    /// Delivered `delay` late (zero: on time), and once more `copy` late
-    /// when a duplicate was drawn.
-    Late {
-        delay: Duration,
-        copy: Option<Duration>,
-    },
+    /// Delivered this late (zero: on time).
+    Late(Duration),
 }
 
 /// A complete set of link rules below a plan's default profile: explicit
@@ -291,9 +255,9 @@ impl PlanView {
         true
     }
 
-    /// The profile of `src → dst` in the table last read, and the fate of
-    /// its next delivery. Only a profile that draws counts the delivery.
-    fn next(&mut self, src: ProcessId, dst: ProcessId) -> (LinkProfile, Fate) {
+    /// The fate of the next delivery on `src → dst` under the table last
+    /// read. Only a profile that draws counts the delivery.
+    fn next(&mut self, src: ProcessId, dst: ProcessId) -> Fate {
         let profile = self.table.resolve(src, dst);
         let k = if profile.is_transparent() || profile.partitioned {
             0
@@ -302,7 +266,7 @@ impl PlanView {
             *drawn += 1;
             *drawn
         };
-        (profile, profile.fate(self.seed, src, dst, k))
+        profile.fate(self.seed, src, dst, k)
     }
 }
 
@@ -380,21 +344,13 @@ impl FaultPlan {
     /// wall time per tick, rounded up), or never. Every fate is drawn as a
     /// [`FaultTransport`] on the same plan and `seed` draws it, at send
     /// time, and the plan's mutations take effect from the next send on.
-    ///
-    /// # Panics
-    ///
-    /// A send on a link whose profile duplicates panics: a simulator
-    /// network delivers each send once.
     pub fn network(&self, delta: SimDuration, seed: u64) -> Network {
         let mut view = PlanView::new(self.clone(), seed);
         Network::scripted(delta, move |info| {
             view.refresh();
-            let (profile, fate) = view.next(info.from, info.to);
-            let once = "a simulator network delivers each send once: no duplication";
-            assert!(profile.duplicate == 0.0, "{once}");
-            match fate {
+            match view.next(info.from, info.to) {
                 Fate::Cut | Fate::Lost => SimTime::NEVER,
-                Fate::Late { delay, .. } => info.sent_at + delta + ticks(delay),
+                Fate::Late(delay) => info.sent_at + delta + ticks(delay),
             }
         })
     }
@@ -507,20 +463,10 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
         pick(&self.metrics).inc();
     }
 
-    fn push_held(&mut self, due: Instant, from: ProcessId, msg: M) {
-        self.hseq += 1;
-        self.held.push(Reverse(Held {
-            due,
-            seq: self.hseq,
-            from,
-            msg,
-        }));
-    }
-
     /// Applies the link profile to one delivery: returns it if it passes
     /// through untouched, otherwise queues/drops it and returns `None`.
     fn admit(&mut self, from: ProcessId, msg: M, now: Instant) -> Option<M> {
-        let (delay, copy) = match self.view.next(from, self.id).1 {
+        let delay = match self.view.next(from, self.id) {
             Fate::Cut => {
                 self.count(|m| &m.fault_partition_drop_total);
                 return None;
@@ -529,17 +475,19 @@ impl<M: SimMessage, T: Transport<M>> FaultTransport<M, T> {
                 self.count(|m| &m.fault_drop_injected_total);
                 return None;
             }
-            Fate::Late { delay, copy } => (delay, copy),
+            Fate::Late(delay) => delay,
         };
-        if let Some(copy) = copy {
-            self.push_held(now + copy, from, msg.clone());
-            self.count(|m| &m.fault_dup_injected_total);
-        }
         if delay.is_zero() {
             return Some(msg);
         }
         self.count(|m| &m.fault_delay_injected_total);
-        self.push_held(now + delay, from, msg);
+        self.hseq += 1;
+        self.held.push(Reverse(Held {
+            due: now + delay,
+            seq: self.hseq,
+            from,
+            msg,
+        }));
         None
     }
 
@@ -887,31 +835,6 @@ mod tests {
         assert!(0 < lost && lost < 64, "loss neither total nor absent");
         let delays: BTreeSet<SimDuration> = a.iter().flatten().copied().collect();
         assert!(delays.len() > 1, "the jitter drew more than one delay");
-    }
-
-    #[test]
-    #[should_panic(expected = "delivers each send once")]
-    fn a_simulator_network_refuses_duplication() {
-        let plan = FaultPlan::new();
-        plan.set_default(LinkProfile::default().with_duplication(0.5));
-        let mut sim = Simulation::new(plan.network(SimDuration::DELTA, 7), 0);
-        sim.inject_message(ProcessId(2), ProcessId(1), Ping(0), SimTime::ZERO);
-    }
-
-    #[test]
-    fn duplication_injects_a_trailing_copy() {
-        let plan = FaultPlan::new();
-        plan.set_rules(from_p2(LinkProfile::default().with_duplication(1.0)));
-        let (mut t1, mut t2, _control) = pair(&plan, 7);
-        t2.send(ProcessId(1), Ping(3));
-        let mut seen = 0;
-        while let Polled::Delivered(ProcessId(2), Ping(3)) =
-            t1.recv(Some(Duration::from_millis(200)))
-        {
-            seen += 1;
-        }
-        assert_eq!(seen, 2, "original plus exactly one duplicate");
-        assert_eq!(counted(&t1, |m| &m.fault_dup_injected_total), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! [`ChannelTransport`] and `fastbft-net`'s `TcpTransport`.
 //!
 //! A transport's receive side is fed through a control sender of
-//! [`Inbound`] values: the cluster handle keeps a clone per node to inject
-//! test messages and to deliver the shutdown signal, and socket reader
+//! [`Inbound`] values: the cluster handle keeps a clone per node to submit
+//! client commands and to deliver the shutdown signal, and socket reader
 //! threads push authenticated deliveries through the same queue.
 
 use std::time::Duration;

@@ -52,7 +52,7 @@ const SEED: u64 = 42;
 /// Commands offered before, during and after the fault window each.
 const LOAD: u64 = 6;
 /// The fault kinds, in [`Scenario::injects`] order.
-const KINDS: [&str; 4] = ["delay", "loss", "duplication", "partition"];
+const KINDS: [&str; 3] = ["delay", "loss", "partition"];
 /// A virtual run's unshaped link: one tick, about a hop of the channel mesh.
 const HOP: SimDuration = SimDuration(1);
 /// The most ticks a virtual run adds to every link the script leaves
@@ -147,7 +147,7 @@ trait Clock {
     fn violations(&self) -> Vec<SmrViolation>;
     /// The deliveries each fault kind touched, in [`Scenario::injects`]
     /// order.
-    fn fired(&self) -> [u64; 4];
+    fn fired(&self) -> [u64; 3];
 }
 
 /// A run in progress: the cluster, its plan, the script's steps not in
@@ -364,12 +364,11 @@ impl Clock for Wall {
         self.cluster.violations().to_vec()
     }
 
-    fn fired(&self) -> [u64; 4] {
+    fn fired(&self) -> [u64; 3] {
         let registry = self.cluster.registry();
         [
             registry.total(|m| &m.fault_delay_injected_total),
             registry.total(|m| &m.fault_drop_injected_total),
-            registry.total(|m| &m.fault_dup_injected_total),
             registry.total(|m| &m.fault_partition_drop_total),
         ]
     }
@@ -475,7 +474,7 @@ impl Clock for Virtual {
         self.cluster.violations()
     }
 
-    fn fired(&self) -> [u64; 4] {
+    fn fired(&self) -> [u64; 3] {
         let (mut shaped, mut dropped) = (0, 0);
         for record in self.cluster.sim().trace().records() {
             if let TraceEvent::Send { deliver_at, .. } = record.event {
@@ -487,9 +486,8 @@ impl Clock for Virtual {
             }
         }
         // A drop is whichever of loss and partition the script promises
-        // (`run_chaos_virtual` refuses a script promising both), and a
-        // simulator network delivers each send once.
-        [shaped, dropped, 0, dropped]
+        // (`run_chaos_virtual` refuses a script promising both).
+        [shaped, dropped, dropped]
     }
 }
 
@@ -508,7 +506,7 @@ impl Clock for Virtual {
 /// the run, if the scenario promises both loss and partition drops, which
 /// the trace cannot tell apart.
 pub fn run_chaos_virtual(cfg: Config, scenario: &Scenario, seed: u64, postmortem: &Path) {
-    let [_, loss, _, partition] = scenario.injects();
+    let [_, loss, partition] = scenario.injects();
     let both = "promises loss and partition drops, which the trace cannot tell apart";
     assert!(!(loss && partition), "[{}] {both}", scenario.name);
     let plan = FaultPlan::new();
@@ -598,8 +596,8 @@ mod tests {
             Vec::new()
         }
 
-        fn fired(&self) -> [u64; 4] {
-            [1; 4]
+        fn fired(&self) -> [u64; 3] {
+            [1; 3]
         }
     }
 
@@ -696,8 +694,8 @@ mod tests {
         assert_eq!(
             lines[0],
             "partition-the-fast-quorum StallAllowed, timer covers delay: false, heal_at Some(1s), \
-             max_delay 0ns, injects [\"delay\", \"loss\", \"duplication\", \"partition\"] \
-             [false, false, false, true], base_timeout 40ms"
+             max_delay 0ns, injects [\"delay\", \"loss\", \"partition\"] \
+             [false, false, true], base_timeout 40ms"
         );
         let isolated = "t+0ns isolate fast quorum margin: LinkRules { pairs: {}, by_src: \
                         {ProcessId(3): LinkProfile { delay: 0ns, jitter: 0ns, loss: 0.0,";

@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use fastbft::core::cluster::{Behavior, Report, SimCluster};
-use fastbft::sim::{SimDuration, SimTime};
+use fastbft::sim::{Network, SimDuration, SimTime};
 use fastbft::types::{Config, ProcessId, View};
 
 /// `(n, f, t)`, a process crashing at 1.5Δ, the pre-GST delay bound in Δ,
@@ -67,7 +67,11 @@ fn main() {
                 .map(|seed| {
                     let mut builder = SimCluster::builder(cfg)
                         .inputs_u64(vec![7; cfg.n()])
-                        .gst(SimTime(gst), SimDuration(pre_gst * delta))
+                        .network(Network::partially_synchronous(
+                            SimDuration::DELTA,
+                            SimTime(gst),
+                            SimDuration(pre_gst * delta),
+                        ))
                         .seed(seed);
                     if let Some(p) = crashed {
                         builder = builder.behavior(p, Behavior::CrashAt(SimTime(150)));

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full protocol scenarios on the simulator.
 
 use fastbft::core::cluster::{Behavior, SimCluster};
-use fastbft::sim::{SimDuration, SimTime};
+use fastbft::sim::{Network, SimDuration, SimTime};
 use fastbft::types::{Config, ProcessId, Value, View};
 
 /// Common case at a spread of valid configurations: two message delays,
@@ -51,7 +51,11 @@ fn partial_synchrony_with_late_gst() {
         let cfg = Config::new(4, 1, 1).unwrap();
         let mut cluster = SimCluster::builder(cfg)
             .inputs_u64([9, 9, 9, 9])
-            .gst(SimTime(3_000), SimDuration(2_000))
+            .network(Network::partially_synchronous(
+                SimDuration::DELTA,
+                SimTime(3_000),
+                SimDuration(2_000),
+            ))
             .seed(seed)
             .build();
         let report = cluster.run_until_all_decide();
