@@ -362,8 +362,8 @@ impl<M: SimMessage> ClusterHandle<M> {
     }
 
     /// Stops all threads, joins them, and hands back the actors in seat
-    /// order so callers can inspect final state (e.g. an SMR node's applied
-    /// log and state machine) after the run.
+    /// order so callers can inspect final state (e.g. an SMR node's state
+    /// machine) after the run.
     ///
     /// # Panics
     ///

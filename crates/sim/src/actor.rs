@@ -63,7 +63,7 @@ pub trait Actor<M: SimMessage> {
 
     /// Downcasting hook for harnesses that need to inspect actor state after
     /// (or during) a run — e.g. the SMR harness reads each node's applied
-    /// log. Override with `Some(self)` to opt in.
+    /// slot count and state digest. Override with `Some(self)` to opt in.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
@@ -211,8 +211,8 @@ impl<M: SimMessage> Effects<M> {
     /// the multi-slot analogue of [`decide`](Effects::decide): a replicated
     /// state machine emits one of these per applied command rather than a
     /// single terminal decision. The thread runtime forwards them to
-    /// `ClusterHandle::applied_events`; the simulator exposes them through
-    /// this buffer for harness inspection.
+    /// `ClusterHandle::applied_events`, the simulator to
+    /// [`Simulation::drain_applied`](crate::Simulation::drain_applied).
     pub fn record_applied(&mut self, index: u64, command: &Value) {
         self.applied.push((index, command.clone()));
     }

@@ -108,6 +108,9 @@ pub struct Simulation<M: SimMessage> {
     started: bool,
     trace: Trace,
     rng: StdRng,
+    /// Every actor's [`Effects::record_applied`] events not yet drained,
+    /// in the order applied (see [`drain_applied`](Self::drain_applied)).
+    applied: Vec<(ProcessId, u64, Value)>,
 }
 
 impl<M: SimMessage> Simulation<M> {
@@ -123,6 +126,7 @@ impl<M: SimMessage> Simulation<M> {
             started: false,
             trace: Trace::new(),
             rng: StdRng::seed_from_u64(seed),
+            applied: Vec::new(),
         }
     }
 
@@ -173,6 +177,14 @@ impl<M: SimMessage> Simulation<M> {
                     .map(|(t, v)| (ProcessId::from_index(i), *t, v.clone()))
             })
             .collect()
+    }
+
+    /// Takes every `(process, log index, command)` an actor recorded with
+    /// [`Effects::record_applied`] since the last call, in the order
+    /// applied — the stream the thread runtime forwards as
+    /// `ClusterHandle::applied_events`. Kept out of the [`trace`](Self::trace).
+    pub fn drain_applied(&mut self) -> std::vec::Drain<'_, (ProcessId, u64, Value)> {
+        self.applied.drain(..)
     }
 
     /// Schedules `process` to crash (stop taking steps) at `at`. Crashes are
@@ -273,8 +285,13 @@ impl<M: SimMessage> Simulation<M> {
             outbox,
             timers,
             decision,
+            applied,
             ..
         } = fx;
+        let applied = applied
+            .into_iter()
+            .map(|(index, command)| (id, index, command));
+        self.applied.extend(applied);
         // Broadcasts are structural in the outbox (so real transports can
         // encode once); the simulator expands them here, in emission order,
         // so per-link delays and message counting are per destination
@@ -459,6 +476,37 @@ mod tests {
             .map(|r| r.at)
             .collect();
         assert_eq!(delivers, vec![SimTime(100), SimTime(200)]);
+    }
+
+    /// Applies every ping's number at log index 0, 1, … in arrival order.
+    struct Applier {
+        applied: u64,
+    }
+    impl Actor<Ping> for Applier {
+        fn on_start(&mut self, _fx: &mut Effects<Ping>) {}
+        fn on_message(&mut self, _from: ProcessId, msg: Ping, fx: &mut Effects<Ping>) {
+            fx.record_applied(self.applied, &Value::from_u64(msg.0));
+            self.applied += 1;
+        }
+    }
+
+    /// The applied events leave through the kernel as recorded, once each,
+    /// and leave no mark on the trace.
+    #[test]
+    fn applied_events_drain_in_the_order_applied() {
+        let mut sim = Simulation::new(Network::synchronous(SimDuration(100)), 0);
+        sim.add_actor(Box::new(ScriptedActor::silent()));
+        sim.add_actor(Box::new(Applier { applied: 0 }));
+        sim.start();
+        for (i, at) in [(5, 0), (6, 50)] {
+            sim.inject_message(ProcessId(1), ProcessId(2), Ping(i), SimTime(at));
+        }
+        sim.run_to_quiescence();
+        let drained: Vec<_> = sim.drain_applied().collect();
+        let expect = |i, x| (ProcessId(2), i, Value::from_u64(x));
+        assert_eq!(drained, [expect(0, 5), expect(1, 6)]);
+        assert_eq!(sim.drain_applied().count(), 0);
+        assert_eq!(sim.trace().records().len(), 4, "{}", sim.trace());
     }
 
     #[test]

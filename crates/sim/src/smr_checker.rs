@@ -1,9 +1,16 @@
 //! Replicated-log invariant checking: [`SmrChecker`] is fed what replicas
-//! applied, one `(seat, log index, command)` entry at a time — the shape
-//! of the runtime's applied-event stream — and as `(seat, applied slots,
-//! state digest)`. Logs may be sparse: the indexes a seat never reported
-//! (truncated into a snapshot it installed, or applied before it
-//! restarted) are vacuously consistent; the install verified them.
+//! applied, one `(seat, log index, command)` entry at a time, and as
+//! `(seat, applied slots, state digest)`.
+//!
+//! Both SMR clusters feed it every entry of the run from one stream, each
+//! replica's `Effects::record_applied` events: on the wall clock as the
+//! runtime forwards them (`ClusterHandle::applied_events`), in virtual
+//! time as the kernel keeps them ([`Simulation::drain_applied`]). Logs may
+//! be sparse: the indexes a seat never reported (covered by a snapshot it
+//! installed, or applied before it restarted) are vacuously consistent;
+//! the install verified them.
+//!
+//! [`Simulation::drain_applied`]: crate::Simulation::drain_applied
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -129,13 +136,15 @@ impl SmrChecker {
     }
 
     /// Records that seat `p`, having applied `applied` slots, holds a state
-    /// whose digest is `digest`.
+    /// whose digest is `digest`. Reporting a state again changes nothing.
     pub fn observe_state(&mut self, p: ProcessId, applied: u64, digest: [u8; 32]) {
         let (q, first) = *self.states.entry(applied).or_insert((p, digest));
         if first != digest {
             let (a, b) = ((q, first), (p, digest));
             let violation = SmrViolation::StatesDiffer { applied, a, b };
-            self.violations.push(violation);
+            if !self.violations.contains(&violation) {
+                self.violations.push(violation);
+            }
         }
     }
 
@@ -179,6 +188,8 @@ mod tests {
             "unequal digests at equal applied | p1/5=ab p2/3=01 p3/5=01 | \
              after 5 slots p1 holds abababab… but p3 holds 01010101…",
             "unequal digests at unequal applied | p1/5=ab p2/6=01 | ",
+            "an unequal digest re-reported | p1/5=ab p3/5=01 p3/5=01 | \
+             after 5 slots p1 holds abababab… but p3 holds 01010101…",
         ];
         for row in rows {
             let cols: Vec<&str> = row.split(" | ").collect();

@@ -143,8 +143,8 @@ trait Clock {
     /// Runs until every process of `who` has applied `k` client commands
     /// (`true`) or the clock reads `until` (`false`).
     fn run_until(&mut self, who: &[ProcessId], k: u64, until: Duration) -> bool;
-    /// What the SMR checker found in the replicas so far.
-    fn violations(&self) -> Vec<SmrViolation>;
+    /// What the SMR checker found in every applied event so far.
+    fn violations(&mut self) -> &[SmrViolation];
     /// The deliveries each fault kind touched, in [`Scenario::injects`]
     /// order.
     fn fired(&self) -> [u64; 3];
@@ -304,7 +304,7 @@ impl<C: Clock> Run<'_, C> {
         );
         let (fast2, _) = totals();
         let violations = self.clock.violations();
-        let found = format!("the SMR checker found: {}", listed(&violations));
+        let found = format!("the SMR checker found: {}", listed(violations));
         gates.require(violations.is_empty(), found);
         gates.require(
             fast2 > fast1,
@@ -360,8 +360,8 @@ impl Clock for Wall {
         self.cluster.await_commands(who.iter().copied(), k, within)
     }
 
-    fn violations(&self) -> Vec<SmrViolation> {
-        self.cluster.violations().to_vec()
+    fn violations(&mut self) -> &[SmrViolation] {
+        self.cluster.violations()
     }
 
     fn fired(&self) -> [u64; 3] {
@@ -470,7 +470,7 @@ impl Clock for Virtual {
         true
     }
 
-    fn violations(&self) -> Vec<SmrViolation> {
+    fn violations(&mut self) -> &[SmrViolation] {
         self.cluster.violations()
     }
 
@@ -592,8 +592,8 @@ mod tests {
             k <= self.offered
         }
 
-        fn violations(&self) -> Vec<SmrViolation> {
-            Vec::new()
+        fn violations(&mut self) -> &[SmrViolation] {
+            &[]
         }
 
         fn fired(&self) -> [u64; 3] {

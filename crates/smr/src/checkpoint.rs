@@ -88,7 +88,9 @@ pub fn snapshot_response_valid(
 pub(crate) struct SnapshotPayload {
     /// First slot not covered by this snapshot.
     pub(crate) upto: u64,
-    /// Global log index of the first post-snapshot log entry.
+    /// Log entries applied below `upto`, filler included: the log index of
+    /// the first entry after the snapshot, which an installing replica
+    /// records its next applied command at.
     pub(crate) log_offset: u64,
     /// Client (non-filler) commands applied up to `upto`.
     pub(crate) client_commands: u64,

@@ -1,5 +1,8 @@
-//! Simulated SMR clusters: wiring, execution, and an [`SmrChecker`] over
-//! the node seats at every return of [`SmrSimCluster::run_until`].
+//! Simulated SMR clusters: wiring, execution, and one [`SmrChecker`] fed
+//! every applied event of the run, checked at every return of
+//! [`SmrSimCluster::run_until`].
+
+use std::collections::BTreeMap;
 
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
@@ -38,12 +41,15 @@ pub(crate) fn listed(violations: &[SmrViolation]) -> String {
 /// Every seat is offered an [`SmrNode`] with its own copy of the state
 /// machine, recording into the cluster's [`registry`](Self::registry); the
 /// seat holds whatever actor the constructor's `configure` makes of it.
-/// Tests read nodes through [`node`](Self::node) and drive or inspect the
-/// simulator through [`sim`](Self::sim) / [`sim_mut`](Self::sim_mut).
+/// Tests read nodes through [`node`](Self::node), the replicated logs
+/// through [`logs`](Self::logs), and drive or inspect the simulator
+/// through [`sim`](Self::sim) / [`sim_mut`](Self::sim_mut).
 pub struct SmrSimCluster<S: StateMachine + 'static> {
     sim: Simulation<SlotMessage>,
     registry: MetricsRegistry,
-    idle: Value,
+    /// Every seat's log, from every applied event the kernel drained, and
+    /// what it violates.
+    checker: SmrChecker,
     _marker: std::marker::PhantomData<S>,
 }
 
@@ -67,6 +73,7 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
         assert_eq!(commands.len(), cfg.n(), "one command queue per process");
         let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let registry = MetricsRegistry::new(cfg.n());
+        let checker = SmrChecker::new(cfg.n(), idle_input.clone());
         let mut sim = Simulation::new(network, seed.wrapping_add(7));
         for ((p, pair), cmds) in cfg.processes().zip(pairs).zip(commands) {
             let node = SmrNode::new(
@@ -87,7 +94,7 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
         SmrSimCluster {
             sim,
             registry,
-            idle: idle_input,
+            checker,
             _marker: std::marker::PhantomData,
         }
     }
@@ -124,7 +131,8 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
     }
 
     /// Steps the simulator one event at a time until `done` holds, then
-    /// reports.
+    /// reports. `done` may read the run so far, [`logs`](Self::logs)
+    /// included.
     ///
     /// # Panics
     ///
@@ -134,7 +142,7 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
     pub fn run_until(
         &mut self,
         horizon: SimTime,
-        mut done: impl FnMut(&Self) -> bool,
+        mut done: impl FnMut(&mut Self) -> bool,
     ) -> SmrReport {
         while !done(self) {
             let stepped = self.sim.step();
@@ -155,27 +163,43 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
                 );
             }
         }
-        let (violations, now) = (self.violations(), self.sim.now());
-        let found = listed(&violations);
+        let now = self.sim.now();
+        let violations = self.violations();
         assert!(
             violations.is_empty(),
-            "the SMR checker found at {now}: {found}"
+            "the SMR checker found at {now}: {}",
+            listed(violations)
         );
         self.report()
     }
 
-    /// What an [`SmrChecker`] finds in the node seats' retained logs and
-    /// `(applied, state digest)` now — for runs stepped by hand through
-    /// [`sim_mut`](Self::sim_mut); [`run_until`](Self::run_until) asserts it.
-    pub fn violations(&self) -> Vec<SmrViolation> {
-        let mut checker = SmrChecker::new(self.sim.n(), self.idle.clone());
-        for (p, node) in self.nodes() {
-            for (index, command) in (node.log_offset()..).zip(node.log()) {
-                checker.observe(p, index, command.clone());
-            }
-            checker.observe_state(p, node.applied(), node.state_digest());
+    /// Feeds the checker every applied event the kernel holds.
+    fn feed(&mut self) {
+        for (p, index, command) in self.sim.drain_applied() {
+            self.checker.observe(p, index, command);
         }
-        checker.violations().to_vec()
+    }
+
+    /// Every seat's log over the whole run so far, by seat index, keyed by
+    /// log index: sparse below a snapshot the seat installed.
+    pub fn logs(&mut self) -> &[BTreeMap<u64, Value>] {
+        self.feed();
+        self.checker.logs()
+    }
+
+    /// What the [`SmrChecker`] found in every applied event of the run so
+    /// far, and in the node seats' `(applied, state digest)` now — for runs
+    /// stepped by hand through [`sim_mut`](Self::sim_mut);
+    /// [`run_until`](Self::run_until) asserts it.
+    pub fn violations(&mut self) -> &[SmrViolation] {
+        self.feed();
+        for p in ProcessId::all(self.sim.n()) {
+            if let Some(node) = as_smr_node::<S>(self.sim.actor(p)) {
+                let digest = node.state_digest();
+                self.checker.observe_state(p, node.applied(), digest);
+            }
+        }
+        self.checker.violations()
     }
 
     /// The counters for the current state, over the node seats.

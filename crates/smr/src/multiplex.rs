@@ -53,7 +53,7 @@
 //!    and counted. Re-queued work is exempt.
 //! 7. **Catch-up** — `checkpoint`, and the committed tail here. Every
 //!    snapshot interval a node takes a digest-attested snapshot of machine
-//!    and dedup state, truncates log, tail and dedup generations below it and
+//!    and dedup state, truncates tail and dedup generations below it and
 //!    broadcasts a signed [`SlotMessage::Checkpoint`]. A node that sees f+1
 //!    peers a recovery gap ahead asks for state, installs the first
 //!    snapshot carrying f+1 matching attestations, absorbs the committed
@@ -104,7 +104,7 @@ pub const MAX_STASH_AHEAD: u64 = 4 * SLOT_WINDOW;
 
 /// Default [`SmrNode::with_snapshot_interval`]: a snapshot every this many
 /// applied slots. Two windows keeps checkpoint overhead negligible while
-/// bounding per-replica dedup/log memory to O(interval).
+/// bounding per-replica dedup/tail memory to O(interval).
 pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 2 * SLOT_WINDOW;
 
 /// Timer id reserved for re-issuing a [`SlotMessage::SnapshotRequest`]
@@ -209,13 +209,10 @@ pub struct SmrNode<S: StateMachine> {
     /// Backfill votes: per unsettled slot, each sender's claimed committed
     /// value. A value is applied once f+1 distinct senders agree on it.
     backfill: AheadBuffer<Value>,
-    /// The applied command log *since the last snapshot* (for cross-replica
-    /// assertions); entries below were truncated into the snapshot.
-    log: Vec<Value>,
-    /// Global log index of `log[0]` — total entries truncated so far.
-    log_offset: u64,
-    /// Client (non-idle) commands applied — the global log length minus
-    /// filler.
+    /// Log entries applied so far, filler included: the log index the next
+    /// applied command takes.
+    log_len: u64,
+    /// Client (non-idle) commands applied — `log_len` minus filler.
     client_commands: u64,
     /// Snapshot cadence, the latest snapshot with its attestations, and the
     /// state-transfer bookkeeping (see [`crate::checkpoint`]).
@@ -258,8 +255,7 @@ impl<S: StateMachine> SmrNode<S> {
             dedup: Dedup::default(),
             stash: AheadBuffer::stash(),
             backfill: AheadBuffer::backfill_votes(),
-            log: Vec::new(),
-            log_offset: 0,
+            log_len: 0,
             client_commands: 0,
             checkpoints: Checkpoints::new(DEFAULT_SNAPSHOT_INTERVAL),
             committed_tail: BTreeMap::new(),
@@ -368,18 +364,6 @@ impl<S: StateMachine> SmrNode<S> {
     /// `await_commands` counting).
     pub fn commands_applied(&self) -> u64 {
         self.client_commands
-    }
-
-    /// The applied command log since the last snapshot (entries below
-    /// [`log_offset`](Self::log_offset) were truncated into it).
-    pub fn log(&self) -> &[Value] {
-        &self.log
-    }
-
-    /// Global log index of `log()[0]`: how many applied entries snapshots
-    /// have truncated away.
-    pub fn log_offset(&self) -> u64 {
-        self.log_offset
     }
 
     /// The snapshot boundary (first uncovered slot) of the latest snapshot
@@ -546,8 +530,8 @@ impl<S: StateMachine> SmrNode<S> {
             self.client_commands += 1;
         }
         self.machine.apply(&cmd);
-        fx.record_applied(self.log_offset + self.log.len() as u64, &cmd);
-        self.log.push(cmd);
+        fx.record_applied(self.log_len, &cmd);
+        self.log_len += 1;
     }
 
     /// Puts the commands this node drained into a slot back at the queue
@@ -648,21 +632,19 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Checkpoints at the current (interval-aligned) apply point: truncates
-    /// log/tail/dedup state below it, stores the snapshot with the
+    /// tail/dedup state below it, stores the snapshot with the
     /// attestations already parked for it, and broadcasts a signed
     /// attestation of its own.
     fn take_snapshot(&mut self, fx: &mut Effects<SlotMessage>) {
         let upto = self.applied;
         // Truncate everything the snapshot now covers.
-        self.log_offset += self.log.len() as u64;
-        self.log.clear();
         self.committed_tail = self.committed_tail.split_off(&upto);
         // Replicas rotate at identical boundaries, so the reachable dedup
         // set stays identical cluster-wide (determinism).
         self.dedup.rotate();
         let payload = SnapshotPayload {
             upto,
-            log_offset: self.log_offset,
+            log_offset: self.log_len,
             client_commands: self.client_commands,
             machine: self.machine.snapshot(),
             dedup: mem::take(&mut self.dedup),
@@ -704,10 +686,10 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Installs a quorum-attested snapshot that is ahead of us: restores
-    /// the machine, adopts the dedup/log bookkeeping, drops the queued
-    /// commands the snapshot executed, discards everything below the
-    /// boundary, and adopts the snapshot as our own (we can now serve it
-    /// too).
+    /// the machine, adopts the dedup and log-length bookkeeping, drops the
+    /// queued commands the snapshot executed, discards everything below
+    /// the boundary, and adopts the snapshot as our own (we can now serve
+    /// it too).
     fn on_snapshot_response(
         &mut self,
         upto: u64,
@@ -732,8 +714,7 @@ impl<S: StateMachine> SmrNode<S> {
         // about its peers.
         self.suspicion.reset(&self.opts.metrics);
         self.applied = upto;
-        self.log.clear();
-        self.log_offset = parsed.log_offset;
+        self.log_len = parsed.log_offset;
         self.client_commands = parsed.client_commands;
         self.dedup = parsed.dedup;
         // What the snapshot executed is not this node's to propose again:

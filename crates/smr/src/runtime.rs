@@ -116,7 +116,7 @@ pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
 }
 
 /// Downcasts a shut-down cluster actor back to its [`SmrNode`] for final
-/// state inspection (log, state machine). `None` if the seat held
+/// state inspection (applied slots, state machine). `None` if the seat held
 /// something else — e.g. a scripted Byzantine actor.
 pub fn as_smr_node<S: StateMachine + 'static>(
     actor: &dyn Actor<SlotMessage>,
@@ -276,7 +276,7 @@ impl SmrClusterHandle {
     }
 
     /// Stops the cluster and hands back the actors in seat order; downcast
-    /// with [`as_smr_node`] to inspect final logs and machine state.
+    /// with [`as_smr_node`] to inspect final machine state.
     pub fn shutdown(self) -> Vec<Box<dyn Actor<SlotMessage> + Send>> {
         self.inner.shutdown()
     }

@@ -303,9 +303,9 @@ fn spray(in_flight: &mut Vec<(usize, Vec<u8>)>, iteration: &mut usize) -> usize 
     }
     let under_fire = cluster.node(correct[0]).applied();
 
-    // Every client command commits at the correct seats. Snapshots truncate
-    // the logs, so the stores say what was applied and the retained logs
-    // say it was applied consistently, nothing twice.
+    // Every client command commits at the correct seats: the stores say
+    // what was applied, and the checker, fed every applied event of the
+    // run, that it was applied consistently, nothing twice.
     let horizon = cluster.sim().now() + SimDuration(SimDuration::DELTA.0 * 20_000);
     let committed = |cluster: &SmrSimCluster<KvStore>| {
         correct.iter().all(|p| {
@@ -320,7 +320,7 @@ fn spray(in_flight: &mut Vec<(usize, Vec<u8>)>, iteration: &mut usize) -> usize 
         under_fire > 0 && !committed(&cluster),
         "the cluster must be committing while the mutants land"
     );
-    cluster.run_until(horizon, committed);
+    cluster.run_until(horizon, |c| committed(c));
     decoded
 }
 

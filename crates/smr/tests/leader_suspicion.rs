@@ -188,6 +188,17 @@ fn revoked(cluster: &Cluster, p: ProcessId) -> Vec<(u64, u32)> {
         .collect()
 }
 
+/// `p`'s whole log, in log order: every entry it applied, none covered by
+/// a snapshot it installed.
+fn log(cluster: &mut Cluster, p: ProcessId) -> Vec<Value> {
+    let log = &cluster.logs()[p.index()];
+    assert!(
+        log.keys().copied().eq(0..log.len() as u64),
+        "{p} installed a snapshot"
+    );
+    log.values().cloned().collect()
+}
+
 /// Slots applied at `f + 1` or more of `who`: what a client may take as
 /// committed.
 fn applied_at_quorum(cluster: &Cluster, who: &[ProcessId], f: usize) -> u64 {
@@ -733,13 +744,13 @@ proptest! {
         }
         // (A fuzzer-led slot may commit one of its palette values, which
         // counts as a command too: look for ours.)
-        let ours = |c: &Cluster, p: ProcessId| {
-            c.node(p).log().iter().filter(|v| v.as_u64() >= Some(1000)).count() as u64
+        let ours = |c: &mut Cluster, p: ProcessId| {
+            c.logs()[p.index()].values().filter(|v| v.as_u64() >= Some(1000)).count() as u64
         };
         let deadline = SimTime((gst + 3_000) * DELTA.0);
         cluster.run_until(deadline, |c| correct.iter().all(|p| ours(c, *p) >= COMMANDS));
         for p in &correct {
-            prop_assert_eq!(cluster.node(*p).log_offset(), 0, "one snapshot interval holds the run");
+            prop_assert!(cluster.node(*p).snapshot_upto().is_none(), "one snapshot interval holds the run");
         }
         let revoked: u64 = correct
             .iter()
@@ -1047,14 +1058,14 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
         assert_eq!(node.commands_applied(), COMMANDS, "at {p}");
         assert_eq!(node.applied(), slots, "at {p}");
         assert_eq!(node.running_slots(), 0, "at {p}");
-        assert_eq!(node.log_offset(), 0, "at {p}");
+        assert!(node.snapshot_upto().is_none(), "at {p}");
         assert_eq!(suspects(&cluster, *p), vec![6, 7], "at {p}");
     }
 
     // The first rotation pays slot 4's two timeouts; one view change later
     // the revoked slots are ahead of the load for good.
     let settled = SimTime(committed_at[6].0 + VIEW_CHANGE_SLOT);
-    let log = cluster.node(ProcessId(1)).log();
+    let log = log(&mut cluster, ProcessId(1));
     let mut seen = 0;
     let mut steady = None;
     for (slot, entry) in log.iter().enumerate() {
@@ -1167,7 +1178,7 @@ fn a_backlog_puts_no_command_in_a_dead_led_slot() {
         window_bound(&live),
     );
 
-    let log = cluster.node(ProcessId(1)).log();
+    let log = log(&mut cluster, ProcessId(1));
     let at_p1 = revoked(&cluster, ProcessId(1));
     // (The first window, and what follows it until slot 4 has timed out,
     // opens before anyone knows.)
@@ -1232,7 +1243,7 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
     );
 
     let at_p1 = revoked(&cluster, ProcessId(1));
-    let log = cluster.node(ProcessId(1)).log();
+    let log = log(&mut cluster, ProcessId(1));
     // Revoked: slots p3 leads first, in a row, by everyone but p3 — which
     // proposed its own queue there, so what such a slot decided is the
     // filler or a command, as the view change found it.
@@ -1355,7 +1366,7 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
         assert!(revoked(&cluster, *p).contains(&(28, 2)), "at {p}");
         assert_eq!(cluster.node(*p).running_slots(), 0, "at {p}");
     }
-    let log = cluster.node(ProcessId(1)).log();
+    let log = log(&mut cluster, ProcessId(1));
     assert_eq!(log[7], idle());
     assert_eq!(log[14], idle());
     let committed: Vec<u64> = log

@@ -183,7 +183,7 @@ fn only_a_stuck_senders_frames_are_answered() {
     let mut cluster = settled(cfg, 3);
     let (pairs, _dir) = KeyDirectory::generate(cfg.n(), 5);
     let (p1, p2) = (ProcessId(1), ProcessId(2));
-    let value = cluster.node(p1).log()[0].clone();
+    let value = cluster.logs()[p1.index()][&0].clone();
     let stragglers = [
         Message::Ack(AckMsg {
             value: value.clone(),

@@ -28,7 +28,7 @@ fn empty_queues_quiesce_after_slot_zero() {
     assert_eq!(cluster.violations(), []);
     // Everything committed was the idle no-op, and the run went quiet long
     // before the horizon.
-    for v in cluster.node(ProcessId(2)).log() {
+    for v in cluster.logs()[ProcessId(2).index()].values() {
         assert_eq!(v.as_u64(), Some(0));
     }
     assert!(report.final_time < SimTime(5_000_000), "{report:?}");
@@ -50,9 +50,9 @@ fn rotation_commits_every_nodes_commands() {
         |_, node| Box::new(node),
     );
     cluster.run_until(SimTime(5_000_000), |c| c.report().applied_everywhere >= 4);
-    let log = cluster.node(ProcessId(1)).log();
+    let log = &cluster.logs()[ProcessId(1).index()];
     let committed: std::collections::BTreeSet<u64> = log
-        .iter()
+        .values()
         .filter_map(|v| v.as_u64())
         .filter(|x| *x >= 100)
         .collect();
@@ -79,7 +79,8 @@ fn slot_zero_leader_is_paper_leader() {
         |_, node| Box::new(node),
     );
     cluster.run_until(SimTime(1_000_000), |c| c.report().applied_everywhere >= 1);
-    assert_eq!(cluster.node(ProcessId(1)).log()[0], Value::from_u64(101)); // p2's command
+    let first = &cluster.logs()[ProcessId(1).index()][&0];
+    assert_eq!(*first, Value::from_u64(101)); // p2's command
 }
 
 #[test]
@@ -425,10 +426,8 @@ fn batching_multiplies_throughput() {
             c.report().commands_everywhere >= 64
         });
         // Order and exactly-once still hold under batching.
-        let committed: Vec<u64> = cluster
-            .node(ProcessId(2))
-            .log()
-            .iter()
+        let committed: Vec<u64> = cluster.logs()[ProcessId(2).index()]
+            .values()
             .filter_map(|v| v.as_u64())
             .filter(|x| *x < 64)
             .collect();
@@ -460,9 +459,8 @@ fn long_pipeline_makes_steady_progress() {
         c.report().applied_everywhere >= 100
     });
     // Commands committed exactly once each, in order.
-    let log = cluster.node(ProcessId(3)).log();
-    let committed: Vec<u64> = log
-        .iter()
+    let committed: Vec<u64> = cluster.logs()[ProcessId(3).index()]
+        .values()
         .filter_map(|v| v.as_u64())
         .filter(|x| *x < 100)
         .collect();

@@ -101,9 +101,8 @@ fn tagged_duplicates_execute_exactly_once() {
     cluster.run_until(SimTime(10_000_000), |c| {
         c.report().commands_everywhere >= 20
     });
-    for p in cfg.processes() {
-        let log = cluster.node(p).log();
-        let tagged = log.iter().filter_map(parse_client_tag).count();
+    for (p, log) in cfg.processes().zip(cluster.logs()) {
+        let tagged = log.values().filter_map(parse_client_tag).count();
         assert_eq!(tagged, 20, "{p}: every distinct command once");
     }
 }
@@ -166,8 +165,8 @@ fn untagged_commands_still_dedup_by_digest() {
             "{p}: digest per command"
         );
         // Once each despite the 4× broadcast: `run_until` checked.
-        let log = cluster.node(p).log();
-        assert!((0..50).all(|i| log.contains(&Value::from_u64(i))), "{p}");
+        let log: Vec<&Value> = cluster.logs()[p.index()].values().collect();
+        assert!((0..50).all(|i| log.contains(&&Value::from_u64(i))), "{p}");
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use fastbft::sim::{Network, SimDuration, SimTime};
 use fastbft::smr::{CountingMachine, KvCommand, KvStore, SmrSimCluster};
-use fastbft::types::{Config, ProcessId, Value};
+use fastbft::types::{Config, Value};
 use proptest::prelude::*;
 
 #[test]
@@ -26,10 +26,8 @@ fn logs_identical_across_replicas() {
     );
     cluster.run_until(SimTime(10_000_000), |c| c.report().applied_everywhere >= 20);
     // The leader's 20 commands all committed, in submission order.
-    let committed: Vec<&Value> = cluster
-        .node(ProcessId(1))
-        .log()
-        .iter()
+    let committed: Vec<&Value> = cluster.logs()[0]
+        .values()
         .filter(|v| v.as_u64().is_some_and(|x| x < 20))
         .collect();
     assert_eq!(committed.len(), 20);
