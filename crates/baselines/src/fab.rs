@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fastbft_core::sync::{decide, SyncStep, Synchronizer, ViewTimer, BASE_TIMEOUT};
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
 use fastbft_sim::{Actor, Effects, SimMessage, TimerId};
-use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
+use fastbft_types::wire::Encode;
 use fastbft_types::{Config, ProcessId, Value, View};
 
 // ---------------------------------------------------------------------------
@@ -223,68 +223,12 @@ pub enum FabMessage {
     },
 }
 
-impl Encode for FabMessage {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FabMessage::Propose {
-                value,
-                view,
-                cert,
-                sig,
-            } => {
-                buf.push(1);
-                value.encode(buf);
-                view.encode(buf);
-                cert.encode(buf);
-                sig.encode(buf);
-            }
-            FabMessage::Ack { value, view } => {
-                buf.push(2);
-                value.encode(buf);
-                view.encode(buf);
-            }
-            FabMessage::Vote { view, vote } => {
-                buf.push(3);
-                view.encode(buf);
-                vote.encode(buf);
-            }
-            FabMessage::Wish { view } => {
-                buf.push(4);
-                view.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for FabMessage {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => FabMessage::Propose {
-                value: Value::decode(r)?,
-                view: View::decode(r)?,
-                cert: Option::<Vec<FabSignedVote>>::decode(r)?,
-                sig: Signature::decode(r)?,
-            },
-            2 => FabMessage::Ack {
-                value: Value::decode(r)?,
-                view: View::decode(r)?,
-            },
-            3 => FabMessage::Vote {
-                view: View::decode(r)?,
-                vote: FabSignedVote::decode(r)?,
-            },
-            4 => FabMessage::Wish {
-                view: View::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    tag,
-                    context: "FabMessage",
-                })
-            }
-        })
-    }
-}
+fastbft_types::impl_wire_enum!(FabMessage {
+    1 => Propose { value, view, cert, sig },
+    2 => Ack { value, view },
+    3 => Vote { view, vote },
+    4 => Wish { view },
+});
 
 impl SimMessage for FabMessage {
     fn kind(&self) -> &'static str {

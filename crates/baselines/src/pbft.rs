@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use fastbft_core::sync::{decide, ViewTimer, BASE_TIMEOUT};
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
 use fastbft_sim::{Actor, Effects, SimMessage, TimerId};
-use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
+use fastbft_types::wire::Encode;
 use fastbft_types::{Config, ProcessId, Value, View};
 
 // ---------------------------------------------------------------------------
@@ -172,79 +172,13 @@ pub enum PbftMessage {
     },
 }
 
-impl Encode for PbftMessage {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PbftMessage::PrePrepare { value, view, sig } => {
-                buf.push(1);
-                value.encode(buf);
-                view.encode(buf);
-                sig.encode(buf);
-            }
-            PbftMessage::Prepare { value, view, sig } => {
-                buf.push(2);
-                value.encode(buf);
-                view.encode(buf);
-                sig.encode(buf);
-            }
-            PbftMessage::Commit { value, view } => {
-                buf.push(3);
-                value.encode(buf);
-                view.encode(buf);
-            }
-            PbftMessage::ViewChange(vc) => {
-                buf.push(4);
-                vc.encode(buf);
-            }
-            PbftMessage::NewView {
-                view,
-                value,
-                justification,
-                sig,
-            } => {
-                buf.push(5);
-                view.encode(buf);
-                value.encode(buf);
-                justification.encode(buf);
-                sig.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for PbftMessage {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => PbftMessage::PrePrepare {
-                value: Value::decode(r)?,
-                view: View::decode(r)?,
-                sig: Signature::decode(r)?,
-            },
-            2 => PbftMessage::Prepare {
-                value: Value::decode(r)?,
-                view: View::decode(r)?,
-                sig: Signature::decode(r)?,
-            },
-            3 => PbftMessage::Commit {
-                value: Value::decode(r)?,
-                view: View::decode(r)?,
-            },
-            4 => PbftMessage::ViewChange(SignedViewChange::decode(r)?),
-            5 => PbftMessage::NewView {
-                view: View::decode(r)?,
-                value: Value::decode(r)?,
-                justification: Vec::<SignedViewChange>::decode(r)?,
-                sig: Signature::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    tag,
-                    context: "PbftMessage",
-                })
-            }
-        })
-    }
-}
+fastbft_types::impl_wire_enum!(PbftMessage {
+    1 => PrePrepare { value, view, sig },
+    2 => Prepare { value, view, sig },
+    3 => Commit { value, view },
+    4 => ViewChange(SignedViewChange),
+    5 => NewView { view, value, justification, sig },
+});
 
 impl SimMessage for PbftMessage {
     fn kind(&self) -> &'static str {

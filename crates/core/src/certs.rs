@@ -15,7 +15,7 @@
 
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
 use fastbft_obs::Metrics;
-use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
+use fastbft_types::wire::Encode;
 use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload};
@@ -94,30 +94,10 @@ impl ProgressCert {
     }
 }
 
-impl Encode for ProgressCert {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProgressCert::Genesis => buf.push(0),
-            ProgressCert::Bounded(sigs) => {
-                buf.push(1);
-                sigs.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ProgressCert {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.take_u8()? {
-            0 => Ok(ProgressCert::Genesis),
-            1 => Ok(ProgressCert::Bounded(SignatureSet::decode(r)?)),
-            tag => Err(WireError::InvalidTag {
-                tag,
-                context: "ProgressCert",
-            }),
-        }
-    }
-}
+fastbft_types::impl_wire_enum!(ProgressCert {
+    0 => Genesis,
+    1 => Bounded(SignatureSet),
+});
 
 /// A commit certificate: `⌈(n+f+1)/2⌉` signature shares over `(ack, x, v)`
 /// (Appendix A). Holding one proves no other value can be decided in `v`.
@@ -258,7 +238,7 @@ impl SignedVote {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbft_types::wire::roundtrip;
+    use fastbft_types::wire::{roundtrip, WireError};
 
     fn setup() -> (Config, Vec<KeyPair>, KeyDirectory) {
         let cfg = Config::new(4, 1, 1).unwrap();

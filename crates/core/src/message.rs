@@ -11,7 +11,7 @@
 
 use fastbft_crypto::Signature;
 use fastbft_sim::SimMessage;
-use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
+use fastbft_types::wire::Encode;
 use fastbft_types::{Value, View};
 
 use crate::certs::{CommitCert, ProgressCert, SignedVote};
@@ -128,60 +128,15 @@ pub enum Message {
     Wish(WishMsg),
 }
 
-impl Encode for Message {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Message::Propose(m) => {
-                buf.push(1);
-                m.encode(buf);
-            }
-            Message::Ack(m) => {
-                buf.push(2);
-                m.encode(buf);
-            }
-            Message::Commit(m) => {
-                buf.push(4);
-                m.encode(buf);
-            }
-            Message::Vote(m) => {
-                buf.push(5);
-                m.encode(buf);
-            }
-            Message::CertRequest(m) => {
-                buf.push(6);
-                m.encode(buf);
-            }
-            Message::CertAck(m) => {
-                buf.push(7);
-                m.encode(buf);
-            }
-            Message::Wish(m) => {
-                buf.push(8);
-                m.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Message {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => Message::Propose(ProposeMsg::decode(r)?),
-            2 => Message::Ack(AckMsg::decode(r)?),
-            4 => Message::Commit(CommitMsg::decode(r)?),
-            5 => Message::Vote(VoteMsg::decode(r)?),
-            6 => Message::CertRequest(CertRequestMsg::decode(r)?),
-            7 => Message::CertAck(CertAckMsg::decode(r)?),
-            8 => Message::Wish(WishMsg::decode(r)?),
-            tag => {
-                return Err(WireError::InvalidTag {
-                    tag,
-                    context: "Message",
-                })
-            }
-        })
-    }
-}
+fastbft_types::impl_wire_enum!(Message {
+    1 => Propose(ProposeMsg),
+    2 => Ack(AckMsg),
+    4 => Commit(CommitMsg),
+    5 => Vote(VoteMsg),
+    6 => CertRequest(CertRequestMsg),
+    7 => CertAck(CertAckMsg),
+    8 => Wish(WishMsg),
+});
 
 impl SimMessage for Message {
     fn kind(&self) -> &'static str {
@@ -205,7 +160,7 @@ impl SimMessage for Message {
 mod tests {
     use super::*;
     use fastbft_crypto::KeyDirectory;
-    use fastbft_types::wire::roundtrip;
+    use fastbft_types::wire::{roundtrip, WireError};
 
     #[test]
     fn all_messages_roundtrip() {

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
+use fastbft_types::wire::Encode;
 use fastbft_types::Value;
 
 use crate::machine::StateMachine;
@@ -44,50 +44,12 @@ impl KvCommand {
     }
 }
 
-impl Encode for KvCommand {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            KvCommand::Put { key, value } => {
-                buf.push(1);
-                key.encode(buf);
-                value.encode(buf);
-            }
-            KvCommand::Get { key } => {
-                buf.push(2);
-                key.encode(buf);
-            }
-            KvCommand::Delete { key } => {
-                buf.push(3);
-                key.encode(buf);
-            }
-            KvCommand::Noop => buf.push(4),
-        }
-    }
-}
-
-impl Decode for KvCommand {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => KvCommand::Put {
-                key: String::decode(r)?,
-                value: String::decode(r)?,
-            },
-            2 => KvCommand::Get {
-                key: String::decode(r)?,
-            },
-            3 => KvCommand::Delete {
-                key: String::decode(r)?,
-            },
-            4 => KvCommand::Noop,
-            tag => {
-                return Err(WireError::InvalidTag {
-                    tag,
-                    context: "KvCommand",
-                })
-            }
-        })
-    }
-}
+fastbft_types::impl_wire_enum!(KvCommand {
+    1 => Put { key, value },
+    2 => Get { key },
+    3 => Delete { key },
+    4 => Noop,
+});
 
 /// Output of applying one command to the store.
 #[derive(Clone, Debug, PartialEq, Eq)]

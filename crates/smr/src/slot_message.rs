@@ -2,15 +2,15 @@
 //!
 //! Consensus traffic tagged with its log slot, plus the checkpoint /
 //! state-transfer control plane. The encoding is a variant tag, then the
-//! variant's fields in declaration order — the same canonical-strict
-//! discipline as [`Message`], so slot-tagged frames travel the
-//! authenticated TCP transport unchanged. No variant can contain a
-//! `SlotMessage` (ARCHITECTURE, "Wire types and decode depth").
+//! variant's fields in declaration order, from one tag table
+//! (`impl_wire_enum!`) — the same canonical-strict discipline as
+//! [`Message`], so slot-tagged frames travel the authenticated TCP
+//! transport unchanged. No variant can contain a `SlotMessage`
+//! (ARCHITECTURE, "Wire types and decode depth").
 
 use fastbft_core::message::Message;
 use fastbft_crypto::{Digest, Signature};
 use fastbft_sim::SimMessage;
-use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::Value;
 
 /// A frame of the replicated state machine: consensus traffic tagged with
@@ -80,6 +80,11 @@ impl SimMessage for SlotMessage {
         }
     }
 
+    /// The encoding's length, counted without encoding: the simulator
+    /// sizes every send, snapshot responses included.
+    /// `golden_wire_table_pins_every_enum_variant` (root
+    /// `tests/wire_properties.rs`) checks it against `to_wire_bytes` for
+    /// every variant.
     fn wire_size(&self) -> usize {
         match self {
             SlotMessage::Consensus { inner, .. } => 1 + 8 + inner.wire_size(),
@@ -93,73 +98,10 @@ impl SimMessage for SlotMessage {
     }
 }
 
-impl Encode for SlotMessage {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SlotMessage::Consensus { slot, inner } => {
-                buf.push(1);
-                slot.encode(buf);
-                inner.encode(buf);
-            }
-            SlotMessage::Checkpoint { upto, digest, sig } => {
-                buf.push(2);
-                upto.encode(buf);
-                digest.encode(buf);
-                sig.encode(buf);
-            }
-            SlotMessage::SnapshotRequest { have } => {
-                buf.push(3);
-                have.encode(buf);
-            }
-            SlotMessage::SnapshotResponse {
-                upto,
-                payload,
-                sigs,
-            } => {
-                buf.push(4);
-                upto.encode(buf);
-                payload.encode(buf);
-                sigs.encode(buf);
-            }
-            SlotMessage::Backfill { slot, value } => {
-                buf.push(5);
-                slot.encode(buf);
-                value.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for SlotMessage {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            1 => SlotMessage::Consensus {
-                slot: u64::decode(r)?,
-                inner: Message::decode(r)?,
-            },
-            2 => SlotMessage::Checkpoint {
-                upto: u64::decode(r)?,
-                digest: <[u8; 32]>::decode(r)?,
-                sig: Signature::decode(r)?,
-            },
-            3 => SlotMessage::SnapshotRequest {
-                have: u64::decode(r)?,
-            },
-            4 => SlotMessage::SnapshotResponse {
-                upto: u64::decode(r)?,
-                payload: Vec::<u8>::decode(r)?,
-                sigs: Vec::<Signature>::decode(r)?,
-            },
-            5 => SlotMessage::Backfill {
-                slot: u64::decode(r)?,
-                value: Value::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::InvalidTag {
-                    tag,
-                    context: "SlotMessage",
-                })
-            }
-        })
-    }
-}
+fastbft_types::impl_wire_enum!(SlotMessage {
+    1 => Consensus { slot, inner },
+    2 => Checkpoint { upto, digest, sig },
+    3 => SnapshotRequest { have },
+    4 => SnapshotResponse { upto, payload, sigs },
+    5 => Backfill { slot, value },
+});

@@ -8,7 +8,17 @@
 //! * fixed-width big-endian integers,
 //! * length-prefixed byte strings and sequences (`u32` lengths),
 //! * `Option<T>` as a one-byte tag followed by the payload,
-//! * structs encoded field-by-field in declaration order.
+//! * structs encoded field-by-field in declaration order
+//!   ([`impl_wire_struct!`](crate::impl_wire_struct)),
+//! * enums as a one-byte tag followed by the variant's fields, from one
+//!   tag table per enum ([`impl_wire_enum!`](crate::impl_wire_enum)): each
+//!   tag is written once, and every tag without a row is refused.
+//!
+//! Replicas sign encodings, so a tag table is part of the protocol. A
+//! hand-written codec is still the right choice where decoding enforces a
+//! condition the field list cannot say — `SignatureSet`'s strictly
+//! ascending signers, `Dedup`'s canonical order — or where the type is not
+//! a field list (`Value`, `Signature`).
 //!
 //! Decoding is strict: trailing bytes, truncated input and invalid tags are
 //! all errors, so `decode(encode(x)) == x` and `encode(decode(b)) == b` for
@@ -396,6 +406,95 @@ macro_rules! impl_wire_struct {
             ) -> Result<Self, $crate::wire::WireError> {
                 Ok($name {
                     $( $field: $crate::wire::Decode::decode(r)?, )+
+                })
+            }
+        }
+    };
+}
+
+/// Implements `Encode`/`Decode` for an enum from its tag table: one row per
+/// variant, its one-byte tag and then its fields in wire order.
+///
+/// A row is a unit variant (`4 => Noop`), a one-payload tuple variant
+/// (`1 => Bounded(SignatureSet)`) or a struct-like variant with its fields
+/// named (`1 => Put { key, value }`). A variant encodes as its tag followed
+/// by its fields; any tag without a row decodes to
+/// [`WireError::InvalidTag`] with the enum's name as `context`. Every
+/// variant needs a row, or the generated `match` does not compile.
+///
+/// ```
+/// use fastbft_types::impl_wire_enum;
+/// # use fastbft_types::wire::{from_bytes, roundtrip, to_bytes, WireError};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Dot, Circle(u32), Rect { w: u16, h: u16 } }
+/// impl_wire_enum!(Shape { 1 => Dot, 2 => Circle(u32), 4 => Rect { w, h } });
+/// roundtrip(&Shape::Circle(5));
+/// assert_eq!(to_bytes(&Shape::Rect { w: 1, h: 2 }), [4, 0, 1, 0, 2]);
+/// assert_eq!(
+///     from_bytes::<Shape>(&[3]),
+///     Err(WireError::InvalidTag { tag: 3, context: "Shape" }),
+/// );
+/// ```
+#[macro_export]
+macro_rules! impl_wire_enum {
+    // One row's pattern, encoding and decoding. `$p` names a tuple
+    // variant's payload, `$buf` / `$r` the buffer and the reader; the main
+    // rule passes them in because hygiene hides a name one expansion
+    // introduces from every other expansion.
+    (@pattern $p:ident $name:ident $variant:ident) => { $name::$variant };
+    (@pattern $p:ident $name:ident $variant:ident ($ty:ty)) => { $name::$variant($p) };
+    (@pattern $p:ident $name:ident $variant:ident { $($field:ident),+ }) => {
+        $name::$variant { $($field),+ }
+    };
+    (@encode $buf:ident $p:ident) => {};
+    (@encode $buf:ident $p:ident ($ty:ty)) => {
+        <$ty as $crate::wire::Encode>::encode($p, $buf)
+    };
+    (@encode $buf:ident $p:ident { $($field:ident),+ }) => {
+        $( $crate::wire::Encode::encode($field, $buf); )+
+    };
+    (@decode $r:ident $name:ident $variant:ident) => { $name::$variant };
+    (@decode $r:ident $name:ident $variant:ident ($ty:ty)) => {
+        $name::$variant(<$ty as $crate::wire::Decode>::decode($r)?)
+    };
+    (@decode $r:ident $name:ident $variant:ident { $($field:ident),+ }) => {
+        $name::$variant { $( $field: $crate::wire::Decode::decode($r)?, )+ }
+    };
+    ($name:ident {
+        $($tag:literal => $variant:ident $(($ty:ty))? $({ $($field:ident),+ $(,)? })?),+ $(,)?
+    }) => {
+        impl $crate::wire::Encode for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(
+                        $crate::impl_wire_enum!(
+                            @pattern payload $name $variant $(($ty))? $({ $($field),+ })?
+                        ) => {
+                            buf.push($tag);
+                            $crate::impl_wire_enum!(
+                                @encode buf payload $(($ty))? $({ $($field),+ })?
+                            );
+                        }
+                    )+
+                }
+            }
+        }
+        impl $crate::wire::Decode for $name {
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.take_u8()? {
+                    $(
+                        $tag => $crate::impl_wire_enum!(
+                            @decode r $name $variant $(($ty))? $({ $($field),+ })?
+                        ),
+                    )+
+                    tag => {
+                        return Err($crate::wire::WireError::InvalidTag {
+                            tag,
+                            context: stringify!($name),
+                        })
+                    }
                 })
             }
         }
