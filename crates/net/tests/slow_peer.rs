@@ -55,7 +55,6 @@ fn run(seed: u64, blackhole: bool) -> (f64, u64) {
         seed,
         CountingMachine::new(),
         vec![queue; cfg.n()],
-        Value::from_u64(u64::MAX),
         |mut actors, pairs, dir, _| {
             if blackhole {
                 actors.truncate(3);

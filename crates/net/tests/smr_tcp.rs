@@ -48,7 +48,6 @@ fn spawn_kv_tcp(seed: u64, silent: &[u32]) -> SmrClusterHandle {
         seed,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        KvCommand::Noop.to_value(),
         on_tcp,
         |p, node| {
             if silent.contains(&p.0) {
@@ -124,7 +123,6 @@ fn metrics_scrape_over_tcp_is_well_formed_and_reflects_the_run() {
         37,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        KvCommand::Noop.to_value(),
         on_tcp,
         |_, node| Box::new(node),
     );
@@ -214,7 +212,6 @@ fn killed_replica_rejoins_via_snapshot_over_tcp() {
 fn kill_and_rejoin(seed: u64, batching: Batching) {
     const INTERVAL: u64 = 8;
     let cfg = Config::new(4, 1, 1).unwrap();
-    let idle = KvCommand::Noop.to_value();
     // Bound here, and every seat built on a clone: the kept listeners hold
     // the ports while a seat is dead.
     let listeners: Vec<TcpListener> = (0..cfg.n())
@@ -226,7 +223,6 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
         seed,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        idle.clone(),
         |actors, pairs, dir, _| {
             let seats = actors.into_iter().zip(pairs).zip(&listeners);
             seats
@@ -281,7 +277,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
         dir.clone(),
         KvStore::new(),
         Vec::new(),
-        idle.clone(),
+        Value::default(),
     )
     .with_batching(batching)
     .with_snapshot_interval(INTERVAL);
@@ -296,7 +292,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
     .expect("reseat on the kept port");
     cluster.inner_mut().restart_node(1, seat);
 
-    // Catch-up: keep filler traffic flowing until p2 applies a command
+    // Catch-up: keep client traffic flowing until p2 applies a command
     // submitted in the *previous* round. Two things force this shape:
     // peer tips only outrun the recovery gap (which triggers state
     // transfer) while new slots keep opening — and an adaptive batcher

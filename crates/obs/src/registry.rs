@@ -125,7 +125,7 @@ impl Metrics {
             ),
             (
                 "slot_revoked_total",
-                "Slots a suspected seat leads first that this node gave the idle filler, most of them started ahead of the pipeline.",
+                "Slots a suspected seat leads first that this node gave the empty batch, most of them started ahead of the pipeline.",
                 &self.slot_revoked_total,
             ),
             (

@@ -1,6 +1,8 @@
 //! Replicated-log invariant checking: [`SmrChecker`] is fed what replicas
 //! applied, one `(seat, log index, command)` entry at a time, and as
-//! `(seat, applied slots, state digest)`.
+//! `(seat, applied slots, state digest)`. Every entry is a command a client
+//! submitted — a slot with nothing to commit logs nothing — so at most once
+//! holds for every command, with no exemption.
 //!
 //! Both SMR clusters feed it every entry of the run from one stream, each
 //! replica's `Effects::record_applied` events: on the wall clock as the
@@ -30,7 +32,7 @@ pub enum SmrViolation {
         /// The conflicting entry.
         b: (ProcessId, Value),
     },
-    /// A seat applied a client command at two log indexes.
+    /// A seat applied a command at two log indexes.
     AppliedTwice {
         /// The offending seat.
         process: ProcessId,
@@ -76,14 +78,14 @@ impl fmt::Display for SmrViolation {
 }
 
 /// Checks one run of `n` seats, as it is fed, for per-index agreement, at
-/// most once per seat (the idle filler recurs by design) and convergence
-/// (seats that applied as many slots hold equal states).
+/// most once per seat (every command, no exemption: a log holds exactly
+/// the commands clients submitted) and convergence (seats that applied as
+/// many slots hold equal states).
 #[derive(Clone, Debug)]
 pub struct SmrChecker {
-    idle: Value,
     /// Per seat, the command at every log index it reported.
     logs: Vec<BTreeMap<u64, Value>>,
-    /// Per seat, the index each client command was first applied at.
+    /// Per seat, the index each command was first applied at.
     first_at: Vec<BTreeMap<Value, u64>>,
     /// Per applied-slot count, the first seat reported there and its state.
     states: BTreeMap<u64, (ProcessId, [u8; 32])>,
@@ -91,11 +93,9 @@ pub struct SmrChecker {
 }
 
 impl SmrChecker {
-    /// A checker for seats `p1..=pn`; `idle` is the filler a seat may apply
-    /// any number of times.
-    pub fn new(n: usize, idle: Value) -> Self {
+    /// A checker for seats `p1..=pn`.
+    pub fn new(n: usize) -> Self {
         SmrChecker {
-            idle,
             logs: vec![BTreeMap::new(); n],
             first_at: vec![BTreeMap::new(); n],
             states: BTreeMap::new(),
@@ -118,19 +118,17 @@ impl SmrChecker {
         if self.logs[p.index()].contains_key(&index) {
             return;
         }
-        if command != self.idle {
-            let first = *self.first_at[p.index()]
-                .entry(command.clone())
-                .or_insert(index);
-            if first != index {
-                let (process, indexes) = (p, [first, index]);
-                let command = command.clone();
-                self.violations.push(SmrViolation::AppliedTwice {
-                    process,
-                    command,
-                    indexes,
-                });
-            }
+        let first = *self.first_at[p.index()]
+            .entry(command.clone())
+            .or_insert(index);
+        if first != index {
+            let (process, indexes) = (p, [first, index]);
+            let command = command.clone();
+            self.violations.push(SmrViolation::AppliedTwice {
+                process,
+                command,
+                indexes,
+            });
         }
         self.logs[p.index()].insert(index, command);
     }
@@ -153,7 +151,7 @@ impl SmrChecker {
         &self.logs
     }
 
-    /// How many distinct client commands seat `p` applied so far.
+    /// How many distinct commands seat `p` applied so far.
     pub fn commands(&self, p: ProcessId) -> u64 {
         self.first_at[p.index()].len() as u64
     }
@@ -168,19 +166,18 @@ impl SmrChecker {
 mod tests {
     use super::*;
 
-    /// Each property on a hand-made run of three seats, idle filler 0. A
-    /// row is `case | feed | what the checker finds`; the feed runs in
-    /// order, `p1:4=7` is p1 applying command 7 at log index 4 and `p1/5=ab`
-    /// is p1 holding a state with digest `[0xab; 32]` after 5 slots.
+    /// Each property on a hand-made run of three seats. A row is `case |
+    /// feed | what the checker finds`; the feed runs in order, `p1:4=7` is
+    /// p1 applying command 7 at log index 4 and `p1/5=ab` is p1 holding a
+    /// state with digest `[0xab; 32]` after 5 slots.
     #[test]
     fn the_checker_flags_what_it_names() {
         let rows = [
             "an index re-emitted with its command | p1:4=7 p1:4=7 | ",
             "an index re-emitted with another command | p1:4=7 p2:4=7 p1:4=8 | \
              log index 4: p1 applied Value(7) but p1 applied Value(8)",
-            "a client command at two indexes of one seat | p1:0=1 p1:1=2 p1:2=1 | \
+            "a command at two indexes of one seat | p1:0=1 p1:1=2 p1:2=1 | \
              p1 applied Value(1) at log indexes 0 and 2",
-            "the idle filler repeated | p1:0=0 p1:1=1 p1:2=0 p1:3=0 | ",
             "overlapping offsets that agree | p1:0=7 p1:1=8 p1:2=9 p2:2=9 p2:3=10 | ",
             "overlapping offsets that disagree | p3:2=9 p3:3=10 p2:0=7 p2:1=8 p2:2=1 | \
              log index 2: p3 applied Value(9) but p2 applied Value(1)",
@@ -196,7 +193,7 @@ mod tests {
             let [case, feed, found] = cols[..] else {
                 panic!("{row}: not `case | feed | found`")
             };
-            let mut checker = SmrChecker::new(3, Value::from_u64(0));
+            let mut checker = SmrChecker::new(3);
             for event in feed.split_whitespace() {
                 let (p, rest) = event[1..].split_once([':', '/']).expect(event);
                 let (at, what) = rest.split_once('=').expect(event);

@@ -407,7 +407,6 @@ pub fn run_chaos<T: Transport<SlotMessage>>(
         SEED,
         CountingMachine::new(),
         vec![Vec::new(); n],
-        Value::from_u64(u64::MAX),
         |actors, pairs, dir, registry| {
             let seats = seats(actors, pairs, dir, registry);
             assert_eq!(seats.len(), n, "one seat per process");
@@ -516,7 +515,6 @@ pub fn run_chaos_virtual(cfg: Config, scenario: &Scenario, seed: u64, postmortem
         seed,
         CountingMachine::new(),
         vec![Vec::new(); cfg.n()],
-        Value::from_u64(u64::MAX),
         plan.network(HOP, seed),
         |_, node| Box::new(seated(node, scenario)),
     );

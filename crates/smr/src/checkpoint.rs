@@ -88,12 +88,10 @@ pub fn snapshot_response_valid(
 pub(crate) struct SnapshotPayload {
     /// First slot not covered by this snapshot.
     pub(crate) upto: u64,
-    /// Log entries applied below `upto`, filler included: the log index of
-    /// the first entry after the snapshot, which an installing replica
-    /// records its next applied command at.
+    /// Commands applied below `upto` (every log entry is one): the log
+    /// index of the first entry after the snapshot, which an installing
+    /// replica records its next applied command at.
     pub(crate) log_offset: u64,
-    /// Client (non-filler) commands applied up to `upto`.
-    pub(crate) client_commands: u64,
     /// [`StateMachine::snapshot`](crate::StateMachine::snapshot) bytes.
     pub(crate) machine: Vec<u8>,
     /// The at-most-once state, in its canonical form.
@@ -103,7 +101,6 @@ pub(crate) struct SnapshotPayload {
 fastbft_types::impl_wire_struct!(SnapshotPayload {
     upto,
     log_offset,
-    client_commands,
     machine,
     dedup
 });
@@ -484,7 +481,6 @@ mod tests {
         let sigs: Vec<Signature> = (1..4)
             .map(|i| attestation(&pairs[i], 32, &bytes).2)
             .collect();
-        let idle = Value::from_u64(0);
         let machine = CountingMachine::new();
         let mut node = SmrNode::new(
             cfg,
@@ -492,7 +488,7 @@ mod tests {
             dir.clone(),
             machine,
             Vec::new(),
-            idle,
+            Value::default(),
         );
         let mut fx = Effects::new(P1, 4, SimTime::ZERO);
         node.on_start(&mut fx);

@@ -1,6 +1,11 @@
 //! Simulated SMR clusters: wiring, execution, and one [`SmrChecker`] fed
 //! every applied event of the run, checked at every return of
 //! [`SmrSimCluster::run_until`].
+//!
+//! The logs it keeps hold commands only, one per index: a slot with nothing
+//! to commit decides the empty batch and adds nothing, so a log index is a
+//! command index, not a slot. What a slot decided is the node's to say
+//! (`SmrNode::decided_batch`).
 
 use std::collections::BTreeMap;
 
@@ -66,14 +71,13 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
         seed: u64,
         machine: S,
         commands: Vec<Vec<Value>>,
-        idle_input: Value,
         network: Network,
         mut configure: impl FnMut(ProcessId, SmrNode<S>) -> Box<dyn Actor<SlotMessage>>,
     ) -> Self {
         assert_eq!(commands.len(), cfg.n(), "one command queue per process");
         let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let registry = MetricsRegistry::new(cfg.n());
-        let checker = SmrChecker::new(cfg.n(), idle_input.clone());
+        let checker = SmrChecker::new(cfg.n());
         let mut sim = Simulation::new(network, seed.wrapping_add(7));
         for ((p, pair), cmds) in cfg.processes().zip(pairs).zip(commands) {
             let node = SmrNode::new(
@@ -82,7 +86,7 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
                 dir.clone(),
                 machine.clone(),
                 cmds,
-                idle_input.clone(),
+                Value::default(),
             )
             .with_options(ReplicaOptions {
                 metrics: registry.replica(p.index()),
@@ -247,7 +251,6 @@ mod tests {
             3,
             CountingMachine::new(),
             vec![queue; 4],
-            Value::from_u64(0),
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node.with_batch_size(1)),
         );
@@ -272,7 +275,6 @@ mod tests {
                 3,
                 CountingMachine::new(),
                 vec![queue; 4],
-                Value::from_u64(0),
                 Network::synchronous(delta),
                 |_, node| Box::new(node.with_batch_size(1).with_pipeline_depth(1)),
             );
@@ -304,7 +306,6 @@ mod tests {
             5,
             KvStore::new(),
             commands,
-            KvCommand::Noop.to_value(),
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node.with_batch_size(1)),
         );

@@ -28,7 +28,7 @@ pub enum KvCommand {
         /// Key.
         key: String,
     },
-    /// Do nothing (the empty slot filler).
+    /// Do nothing: a command like any other, applied at most once.
     Noop,
 }
 

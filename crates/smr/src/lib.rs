@@ -28,8 +28,8 @@
 //! let mut commands = vec![Vec::new(); 4];
 //! commands[1] = vec![KvCommand::Put { key: "x".into(), value: "1".into() }.to_value()];
 //! let mut cluster = SmrSimCluster::new(
-//!     cfg, 42, KvStore::new(), commands, KvCommand::Noop.to_value(),
-//!     Network::synchronous(SimDuration::DELTA), |_, node| Box::new(node),
+//!     cfg, 42, KvStore::new(), commands, Network::synchronous(SimDuration::DELTA),
+//!     |_, node| Box::new(node),
 //! );
 //! // Returns only if the SMR checker finds nothing.
 //! cluster.run_until(SimTime(100_000), |c| c.report().applied_everywhere >= 1);

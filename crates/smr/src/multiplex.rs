@@ -20,7 +20,8 @@
 //!    (never re-proposed while the slot is pipelined), and applying dedups
 //!    by command identity: a command decided in two slots (slots overlap;
 //!    several nodes propose the same broadcast command) executes and is
-//!    logged exactly once. Tagged commands
+//!    logged exactly once, whatever its bytes — no command is exempt.
+//!    Tagged commands
 //!    ([`tag_command`](crate::tag::tag_command)) are exact over any
 //!    horizon, untagged ones over the last two snapshot intervals.
 //! 2. **Bounded buffering** — `ahead`. What peers say about slots this node
@@ -33,17 +34,19 @@
 //! 3. **Idle quiescence** — `multiplex::pipeline` (`quiescent`, the fill
 //!    loop). Slots open only while there is work (pending or in-flight
 //!    commands, or a peer demonstrably ahead); an idle cluster stops
-//!    proposing filler, and a client command ([`Actor::on_client`])
-//!    restarts it.
+//!    opening slots, and a client command ([`Actor::on_client`]) restarts
+//!    it. A slot opened with nothing to commit proposes the empty batch,
+//!    which applies and logs nothing: the log holds exactly the commands
+//!    clients submitted, so a log index is a command index.
 //! 4. **Revoked slots** — `multiplex::pipeline` (`open_slot`,
 //!    `revoke_ahead`), fed by `suspicion`. While a node's pipeline overlaps
 //!    (two or more of its proposals running at once in live-led slots) a
-//!    slot whose first leader it suspects gets the idle filler from it,
+//!    slot whose first leader it suspects gets the empty batch from it,
 //!    never its commands, whoever asks for the slot, and is started as it
-//!    enters the window: its view change decides a no-op before the log
-//!    position is wanted. Never without that much in-flight work, so an
-//!    idle node has nothing running, at most a few decided no-ops parked
-//!    above the next free slot.
+//!    enters the window: its view change decides the empty batch before
+//!    the log position is wanted. Never without that much in-flight work,
+//!    so an idle node has nothing running, at most a few decided empty
+//!    slots parked above the next free slot.
 //! 5. **Adaptive proposal batching** — `batcher`. How many queued commands
 //!    a proposal drains is a feedback-tuned target within the
 //!    [`AdaptiveBatch`] bounds; the node tells the batcher what happened (a
@@ -141,7 +144,7 @@ struct Slot {
     /// slot: in flight until the slot is applied, then re-queued if it
     /// decided something else.
     drained: Vec<Value>,
-    /// Whether this node started the slot with the idle filler because it
+    /// Whether this node started the slot with the empty batch because it
     /// suspected its first leader (see [`SmrNode::open_slot`]).
     revoked: bool,
     /// The decided value, until the apply point reaches the slot.
@@ -176,8 +179,6 @@ pub struct SmrNode<S: StateMachine> {
     pending: VecDeque<Value>,
     /// Summed command bytes across `pending` (ingress budget accounting).
     pending_bytes: usize,
-    /// Proposed-when-idle filler command.
-    idle_input: Value,
     /// How queued commands are grouped into slot proposals.
     batcher: Batcher,
     /// Ingress budget: queued client commands past this count are shed.
@@ -209,11 +210,9 @@ pub struct SmrNode<S: StateMachine> {
     /// Backfill votes: per unsettled slot, each sender's claimed committed
     /// value. A value is applied once f+1 distinct senders agree on it.
     backfill: AheadBuffer<Value>,
-    /// Log entries applied so far, filler included: the log index the next
-    /// applied command takes.
+    /// Commands applied so far: the log index the next applied command
+    /// takes.
     log_len: u64,
-    /// Client (non-idle) commands applied — `log_len` minus filler.
-    client_commands: u64,
     /// Snapshot cadence, the latest snapshot with its attestations, and the
     /// state-transfer bookkeeping (see [`crate::checkpoint`]).
     checkpoints: Checkpoints,
@@ -225,13 +224,15 @@ pub struct SmrNode<S: StateMachine> {
 
 impl<S: StateMachine> SmrNode<S> {
     /// Creates a node with a queue of client commands to commit.
+    ///
+    /// Vestige: `_idle_input` is ignored (a slot with nothing to commit proposes the empty batch); the parameter stays because the frozen `benchmark/` names it.
     pub fn new(
         cfg: Config,
         keys: KeyPair,
         dir: KeyDirectory,
         machine: S,
         commands: impl IntoIterator<Item = Value>,
-        idle_input: Value,
+        _idle_input: Value,
     ) -> Self {
         let pending: VecDeque<Value> = commands.into_iter().collect();
         let pending_bytes = pending.iter().map(|c| c.as_bytes().len()).sum();
@@ -244,7 +245,6 @@ impl<S: StateMachine> SmrNode<S> {
             machine,
             pending,
             pending_bytes,
-            idle_input,
             batcher: Batcher::new(Batching::default()),
             ingress_max_cmds: DEFAULT_INGRESS_MAX_CMDS,
             ingress_max_bytes: DEFAULT_INGRESS_MAX_BYTES,
@@ -256,7 +256,6 @@ impl<S: StateMachine> SmrNode<S> {
             stash: AheadBuffer::stash(),
             backfill: AheadBuffer::backfill_votes(),
             log_len: 0,
-            client_commands: 0,
             checkpoints: Checkpoints::new(DEFAULT_SNAPSHOT_INTERVAL),
             committed_tail: BTreeMap::new(),
         }
@@ -359,11 +358,10 @@ impl<S: StateMachine> SmrNode<S> {
         self.applied
     }
 
-    /// Number of *client* commands applied so far (≥ slots when batching;
-    /// idle filler is excluded, matching the runtime handle's
-    /// `await_commands` counting).
+    /// Number of commands applied so far (≥ slots when batching, ≤ when
+    /// slots decide the empty batch): the node's log length.
     pub fn commands_applied(&self) -> u64 {
-        self.client_commands
+        self.log_len
     }
 
     /// The snapshot boundary (first uncovered slot) of the latest snapshot
@@ -437,6 +435,17 @@ impl<S: StateMachine> SmrNode<S> {
     #[doc(hidden)]
     pub fn running_slots(&self) -> usize {
         self.instances().filter(|s| s.decided.is_none()).count()
+    }
+
+    /// The batch `slot` decided, while this node holds it: applied and
+    /// still in the committed tail (from the latest snapshot boundary on),
+    /// or decided and parked above the apply point. Test accessor: the log
+    /// holds commands, not slots.
+    #[doc(hidden)]
+    pub fn decided_batch(&self, slot: u64) -> Option<Vec<Value>> {
+        let parked = self.slots.get(&slot).and_then(|s| s.decided.as_ref());
+        let value = parked.or_else(|| self.committed_tail.get(&slot))?;
+        Some(Self::decode_batch(value))
     }
 
     /// The slot records that hold a consensus instance.
@@ -513,21 +522,17 @@ impl<S: StateMachine> SmrNode<S> {
         self.dedup.entries()
     }
 
-    /// Applies one decided command: at-most-once by identity for client
-    /// commands (the idle filler is exempt — it recurs by design), removing
-    /// committed commands from the local queue wherever they sit.
+    /// Applies one decided command at most once by identity, removing it
+    /// from the local queue wherever it sits.
     fn apply_command(&mut self, cmd: Value, fx: &mut Effects<SlotMessage>) {
-        if cmd != self.idle_input {
-            if !self.dedup.insert(CommandId::of(&cmd)) {
-                self.opts.metrics.dedup_dropped_total.inc();
-                return; // already executed in an earlier slot
+        if !self.dedup.insert(CommandId::of(&cmd)) {
+            self.opts.metrics.dedup_dropped_total.inc();
+            return; // already executed in an earlier slot
+        }
+        if let Some(pos) = self.pending.iter().position(|p| *p == cmd) {
+            if let Some(removed) = self.pending.remove(pos) {
+                self.pending_bytes -= removed.as_bytes().len();
             }
-            if let Some(pos) = self.pending.iter().position(|p| *p == cmd) {
-                if let Some(removed) = self.pending.remove(pos) {
-                    self.pending_bytes -= removed.as_bytes().len();
-                }
-            }
-            self.client_commands += 1;
         }
         self.machine.apply(&cmd);
         fx.record_applied(self.log_len, &cmd);
@@ -645,7 +650,6 @@ impl<S: StateMachine> SmrNode<S> {
         let payload = SnapshotPayload {
             upto,
             log_offset: self.log_len,
-            client_commands: self.client_commands,
             machine: self.machine.snapshot(),
             dedup: mem::take(&mut self.dedup),
         };
@@ -715,7 +719,6 @@ impl<S: StateMachine> SmrNode<S> {
         self.suspicion.reset(&self.opts.metrics);
         self.applied = upto;
         self.log_len = parsed.log_offset;
-        self.client_commands = parsed.client_commands;
         self.dedup = parsed.dedup;
         // What the snapshot executed is not this node's to propose again:
         // past the untagged dedup window it would execute twice.

@@ -35,7 +35,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// for, so it (and a lone command) flushes immediately rather than
     /// waiting out a timer: nothing of this node's in flight, and no
     /// instance open or parked other than the slots it revoked. Those it
-    /// gave the filler, and an idle degraded cluster keeps some decided and
+    /// gave the empty batch, and an idle degraded cluster keeps some decided and
     /// parked above the next free slot, where only a new proposal can reach
     /// them. On a healthy cluster nothing is revoked and this is "no
     /// instance at all".
@@ -57,7 +57,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// never re-propose them; they are re-queued at apply time if the slot
     /// decides something else.
     fn drain_for_slot(&mut self, slot: u64) -> Vec<Value> {
-        // The cursor advances only on a real drain: an idle proposal for an
+        // The cursor advances only on a real drain: an empty proposal for an
         // out-of-order (e.g. adversarially sprayed in-window) slot must not
         // bar nearer slots from proposing queued commands.
         if slot < self.propose_cursor {
@@ -84,7 +84,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// Opens further slots, up to the pipeline depth, while the batcher
     /// wants to propose — each drains its own proposal batch, unless
     /// [`open_slot`](Self::open_slot) revokes it. Slots already open (a
-    /// peer's frame, or revoked ahead — an idle proposal from us either
+    /// peer's frame, or revoked ahead — an empty proposal from us either
     /// way) are skipped; the queued commands go into the next free slot.
     pub(super) fn fill_pipeline(&mut self, fx: &mut Effects<SlotMessage>) {
         while self.wants_proposal() {
@@ -160,11 +160,11 @@ impl<S: StateMachine> SmrNode<S> {
     /// Starts `slot`'s instance unless it has one or is settled. The one
     /// place a slot's proposal is chosen: while the pipeline
     /// [overlaps](Self::overlapping), a slot whose first leader this node
-    /// suspects is *revoked* — it gets the idle filler, drains nothing and
+    /// suspects is *revoked* — it gets the empty batch, drains nothing and
     /// leaves `propose_cursor` alone, whoever asked for it (the fill loop,
     /// [`revoke_ahead`], a peer's frame) — so the node's commands ride only
     /// in live-led slots. Any other slot gets the batch
-    /// [`drain_for_slot`] plans for it, or the filler when that is empty.
+    /// [`drain_for_slot`] plans for it, which may be empty.
     ///
     /// [`revoke_ahead`]: Self::revoke_ahead
     /// [`drain_for_slot`]: Self::drain_for_slot
@@ -187,18 +187,13 @@ impl<S: StateMachine> SmrNode<S> {
             }
             None => self.drain_for_slot(slot),
         };
-        // A slot with nothing to commit proposes the idle filler alone, as
-        // a one-command batch.
-        let input = if drained.is_empty() {
-            Value::new(to_bytes(&vec![self.idle_input.clone()]))
-        } else {
-            Value::new(to_bytes(&drained))
-        };
+        // A slot with nothing to commit proposes the empty batch, which
+        // applies nothing.
         let mut replica = Replica::with_options(
             self.slot_config(slot),
             self.keys.clone(),
             self.dir.clone(),
-            input,
+            Value::new(to_bytes(&drained)),
             self.opts.clone(),
         );
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());

@@ -34,7 +34,6 @@
 //!     7,
 //!     KvStore::new(),
 //!     vec![Vec::new(); cfg.n()],
-//!     KvCommand::Noop.to_value(),
 //!     |actors, _pairs, _dir, _registry| channel_seats(actors),
 //!     |_, node| Box::new(node),
 //! );
@@ -63,7 +62,7 @@ use crate::multiplex::{SlotMessage, SmrNode};
 
 pub use fastbft_runtime::TICK;
 
-/// Vestige: named only by the frozen `benchmark/`; build clusters with [`SmrClusterHandle::spawn`].
+/// Vestige: named only by the frozen `benchmark/`, which also passes the ignored `_idle_input`; build clusters with [`SmrClusterHandle::spawn`].
 #[allow(clippy::too_many_arguments)]
 pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
     cfg: Config,
@@ -71,7 +70,7 @@ pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
     dir: &KeyDirectory,
     machine: S,
     commands: Vec<Vec<Value>>,
-    idle_input: Value,
+    _idle_input: Value,
     opts: ReplicaOptions,
     batching: Batching,
     snapshot_interval: Option<u64>,
@@ -103,7 +102,7 @@ pub fn smr_actors_configured<S: StateMachine + Clone + Send + 'static>(
                 dir.clone(),
                 machine.clone(),
                 cmds,
-                idle_input.clone(),
+                Value::default(),
             )
             .with_batching(batching.clone())
             .with_options(opts);
@@ -153,7 +152,6 @@ impl SmrClusterHandle {
         seed: u64,
         machine: S,
         commands: Vec<Vec<Value>>,
-        idle_input: Value,
         seats: impl FnOnce(
             Vec<Box<dyn Actor<SlotMessage> + Send>>,
             Vec<KeyPair>,
@@ -176,7 +174,7 @@ impl SmrClusterHandle {
                     dir.clone(),
                     machine.clone(),
                     cmds,
-                    idle_input.clone(),
+                    Value::default(),
                 )
                 .with_options(ReplicaOptions {
                     metrics: registry.replica(p.index()),
@@ -186,17 +184,19 @@ impl SmrClusterHandle {
             })
             .collect();
         let seats = seats(actors, pairs, dir, &registry);
-        let mut cluster = Self::new(spawn_with(seats, TICK), cfg.n(), idle_input);
-        cluster.registry = registry;
-        cluster
+        SmrClusterHandle {
+            inner: spawn_with(seats, TICK),
+            registry,
+            checker: SmrChecker::new(cfg.n()),
+        }
     }
 
-    /// Vestige: wraps a cluster spawned by hand; named only by the frozen `benchmark/`.
-    pub fn new(inner: ClusterHandle<SlotMessage>, n: usize, idle: Value) -> Self {
+    /// Vestige: wraps a cluster spawned by hand, ignoring `_idle_input`; named only by the frozen `benchmark/`.
+    pub fn new(inner: ClusterHandle<SlotMessage>, n: usize, _idle_input: Value) -> Self {
         SmrClusterHandle {
             inner,
             registry: MetricsRegistry::new(n),
-            checker: SmrChecker::new(n, idle),
+            checker: SmrChecker::new(n),
         }
     }
 
@@ -234,7 +234,7 @@ impl SmrClusterHandle {
     }
 
     /// Waits until each process in `processes` has applied at least `k`
-    /// distinct client commands (idle filler excluded), feeding every
+    /// distinct commands, feeding every
     /// applied event to the checker. Returns `false` on timeout. Restrict
     /// `processes` to the correct replicas when some seats are Byzantine.
     pub fn await_commands(

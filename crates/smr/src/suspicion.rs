@@ -26,11 +26,11 @@
 //!   view change — 7 delays against the slow path's 3 — and in-order apply
 //!   parks every later slot behind it. So a node whose pipeline overlaps
 //!   (two or more of its proposals running in live-led slots) proposes the
-//!   idle filler in such a slot, keeping its commands for live-led ones,
+//!   empty batch in such a slot, keeping its commands for live-led ones,
 //!   and starts those slots as soon as they enter its window
 //!   ([`skipped_first_leader`] is the test, `SmrNode::open_slot` the
 //!   decision, `SmrNode::revoke_ahead` the loop): by the time the log
-//!   reaches them they have decided a no-op.
+//!   reaches them they have decided the empty batch.
 //!
 //! A view change needs `f + 1` timers to fire before the rest adopt the
 //! wish, so one timeout teaches at least `f + 1` correct nodes — not all of
@@ -42,7 +42,7 @@
 //! Safety never depends on the table: all it produces is a `Wish`, exactly
 //! what an early timer would have sent, and the view synchronizer is
 //! liveness-only; a revoked slot is an ordinary instance started early
-//! with an input any idle node might propose. It is local soft state — not
+//! with the input any idle node proposes. It is local soft state — not
 //! in snapshots, empty after a restart or a snapshot install (one timeout
 //! per dead seat to re-learn).
 //!

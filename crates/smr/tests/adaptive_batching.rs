@@ -18,7 +18,6 @@ fn adaptive_cluster(seed: u64, commands: Vec<Vec<Value>>, network: Network) -> C
         seed,
         CountingMachine::new(),
         commands,
-        Value::from_u64(0),
         network,
         |_, node| Box::new(node),
     )
@@ -42,7 +41,6 @@ fn bursting(cfg: Config, seed: u64, live: usize) -> Cluster {
         seed,
         CountingMachine::new(),
         vec![Vec::new(); cfg.n()],
-        Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
         |p, node| {
             if p.index() < live {
@@ -90,11 +88,11 @@ fn lone_command_commits_without_waiting() {
 }
 
 /// Revoked slots do not make an idle node look busy. An idle degraded
-/// cluster keeps some — decided no-ops — parked above the next free slot,
-/// where only a new proposal can reach them. A lone command that arrives
-/// then is flushed for quiescence, at once, and commits on the slow path's
-/// 3Δ; counted as open instances they would hold it (and anything re-queued
-/// at apply time) for a flush-age whenever the target is above 1.
+/// cluster keeps some — decided empty batches — parked above the next free
+/// slot, where only a new proposal can reach them. A lone command that
+/// arrives then is flushed for quiescence, at once, and commits on the slow
+/// path's 3Δ; counted as open instances they would hold it (and anything
+/// re-queued at apply time) for a flush-age whenever the target is above 1.
 #[test]
 fn lone_command_does_not_wait_behind_parked_revoked_slots() {
     let mut cluster = under_a_burst(21);
@@ -134,17 +132,16 @@ fn lone_command_does_not_wait_behind_parked_revoked_slots() {
 fn requeued_commands_the_batcher_holds_get_the_backstop_armed() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let (pairs, dir) = KeyDirectory::generate(4, 31);
-    let filler = Value::from_u64(0);
     let mut node = SmrNode::new(
         cfg,
         pairs[0].clone(),
         dir,
         CountingMachine::new(),
         Vec::new(),
-        filler.clone(),
+        Value::default(),
     )
     .with_pipeline_depth(1);
-    let batch = |cmd: &Value| Value::new(fastbft_types::wire::to_bytes(&vec![cmd.clone()]));
+    let batch = |cmds: &[Value]| Value::new(fastbft_types::wire::to_bytes(&cmds.to_vec()));
     // One effect buffer for the whole drive: it collects every timer set.
     let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
     let mut settle = |node: &mut SmrNode<CountingMachine>, slot: u64, value: Value| {
@@ -162,7 +159,7 @@ fn requeued_commands_the_batcher_holds_get_the_backstop_armed() {
     // looking quiescent. Slot 0 fills the depth-1 window, so three
     // submissions queue up behind it.
     node.on_start(&mut Effects::new(ProcessId(1), 4, SimTime::ZERO));
-    settle(&mut node, 9, batch(&filler));
+    settle(&mut node, 9, batch(&[]));
     for i in 1..=3 {
         let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
         node.on_client(Value::from_u64(i), &mut fx);
@@ -175,10 +172,11 @@ fn requeued_commands_the_batcher_holds_get_the_backstop_armed() {
     // (target 2). Slot 1 decides someone else's proposal: the command
     // comes back, slot 2 takes two and leaves one (target 4). Slot 2
     // goes the same way: three commands queued, under target, held.
-    settle(&mut node, 0, batch(&filler));
-    settle(&mut node, 1, batch(&Value::from_u64(901)));
-    settle(&mut node, 2, batch(&Value::from_u64(902)));
+    settle(&mut node, 0, batch(&[]));
+    settle(&mut node, 1, batch(&[Value::from_u64(901)]));
+    settle(&mut node, 2, batch(&[Value::from_u64(902)]));
     assert_eq!(node.applied(), 3);
+    assert_eq!(node.decided_batch(0), Some(Vec::new()));
     assert_eq!(node.batch_target(), 4);
     assert_eq!((node.pending(), node.open_slots()), (3, 0), "held");
 
@@ -299,7 +297,6 @@ fn known_gap_the_targets_only_way_back_to_1() {
             7,
             CountingMachine::new(),
             vec![Vec::new(); 4],
-            Value::from_u64(0),
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node.with_pipeline_depth(depth)),
         );

@@ -48,7 +48,6 @@ fn what_exceeds_pipeline_plus_budget_is_shed_and_nothing_accepted_is_lost() {
             31,
             CountingMachine::new(),
             vec![Vec::new(); cfg.n()],
-            Value::from_u64(0),
             Network::synchronous(SimDuration::DELTA),
             |p, node| {
                 if p == silent {

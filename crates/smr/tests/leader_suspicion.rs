@@ -14,7 +14,7 @@
 //! opens the instant slot `s − 1` applies and a slot's latency is the gap
 //! between two applies. The tests of *revoking ahead* — a node with two or
 //! more proposals running at once starts the slots of suspected first
-//! leaders early, with the idle filler — run the default depth under paced
+//! leaders early, with the empty batch — run the default depth under paced
 //! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
 use fastbft_core::byzantine::RandomByzantine;
@@ -43,8 +43,9 @@ type Node = SmrNode<CountingMachine>;
 type BoxedActor = Box<dyn Actor<SlotMessage>>;
 type Cluster = SmrSimCluster<CountingMachine>;
 
-fn idle() -> Value {
-    Value::from_u64(0)
+/// What a slot with nothing to commit decides.
+fn empty_batch() -> Vec<Value> {
+    Vec::new()
 }
 
 /// The `i`-th client command.
@@ -78,7 +79,6 @@ fn sequential(
         seed,
         CountingMachine::new(),
         vec![queue; cfg.n()],
-        idle(),
         network,
         |p, node| {
             let node = node.with_batch_size(1).with_pipeline_depth(1);
@@ -106,7 +106,6 @@ fn pipelined(
         seed,
         CountingMachine::new(),
         vec![Vec::new(); cfg.n()],
-        idle(),
         network,
         |p, node| seat(p, node.with_batch_size(1)),
     )
@@ -188,15 +187,24 @@ fn revoked(cluster: &Cluster, p: ProcessId) -> Vec<(u64, u32)> {
         .collect()
 }
 
-/// `p`'s whole log, in log order: every entry it applied, none covered by
-/// a snapshot it installed.
-fn log(cluster: &mut Cluster, p: ProcessId) -> Vec<Value> {
+/// The batch every slot `p` applied decided, by slot (at batch 1 one
+/// command, or none), checked against `p`'s whole log: the batches in slot
+/// order are every entry it applied, none covered by a snapshot.
+fn decided(cluster: &mut Cluster, p: ProcessId) -> Vec<Vec<Value>> {
+    let node = cluster.node(p);
+    let batches: Vec<Vec<Value>> = (0..node.applied())
+        .map(|slot| {
+            let batch = node.decided_batch(slot);
+            batch.unwrap_or_else(|| panic!("{p} snapshotted slot {slot}"))
+        })
+        .collect();
     let log = &cluster.logs()[p.index()];
     assert!(
         log.keys().copied().eq(0..log.len() as u64),
         "{p} installed a snapshot"
     );
-    log.values().cloned().collect()
+    assert!(log.values().eq(batches.iter().flatten()), "{p}'s log");
+    batches
 }
 
 /// Slots applied at `f + 1` or more of `who`: what a client may take as
@@ -829,7 +837,7 @@ fn more_than_f_suspects_disable_skipping() {
             dir.clone(),
             CountingMachine::new(),
             Vec::new(),
-            idle(),
+            Value::default(),
         )
     };
     let mut driven = Driven {
@@ -916,7 +924,7 @@ fn a_wish_that_lands_on_a_suspect_moves_on_at_once() {
         dir,
         CountingMachine::new(),
         Vec::new(),
-        idle(),
+        Value::default(),
     );
     let mut driven = Driven { node, n: 7 };
     driven.call(|node, fx| node.on_start(fx));
@@ -1024,7 +1032,7 @@ fn window_bound(who: &[ProcessId]) -> impl Fn(&Cluster) + '_ {
 /// (f) Revoking ahead. Paced open-loop load — one command per Δ, the
 /// pipeline at its default depth — with seats 6–7 silent. Once the first
 /// rotation has taught everyone, every dead-led slot is started ahead of
-/// the pipeline with the idle filler, so client commands land only in
+/// the pipeline with the empty batch, so client commands land only in
 /// live-led slots and commit at the slow path's 3Δ whoever's turn it is to
 /// lead (7Δ for 2 of every 7 before). Then silence: the cluster goes quiet
 /// with nothing running, and a stray frame does not start it revoking.
@@ -1033,8 +1041,9 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
     let cfg = generalized_seven();
     let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
     let mut cluster = pipelined(cfg, 17, Network::synchronous(DELTA), two_silent_seats);
-    // Batch 1: slot `s` is log index `s`. 80 commands stay inside one
-    // snapshot interval, so the whole log is there to read at the end.
+    // Batch 1: a slot decides one command or the empty batch. 80 commands
+    // stay inside one snapshot interval, so every slot's batch is there to
+    // read at the end.
     const COMMANDS: u64 = 80;
     let submitted_at = |i: u64| SimTime((i + 1) * DELTA.0);
     for i in 0..COMMANDS {
@@ -1065,13 +1074,14 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
     // The first rotation pays slot 4's two timeouts; one view change later
     // the revoked slots are ahead of the load for good.
     let settled = SimTime(committed_at[6].0 + VIEW_CHANGE_SLOT);
-    let log = log(&mut cluster, ProcessId(1));
+    let decided = decided(&mut cluster, ProcessId(1));
     let mut seen = 0;
     let mut steady = None;
-    for (slot, entry) in log.iter().enumerate() {
-        if *entry == idle() {
+    for (slot, batch) in decided.iter().enumerate() {
+        let [entry] = batch.as_slice() else {
+            assert_eq!(*batch, empty_batch(), "slot {slot}");
             continue;
-        }
+        };
         let i = entry.as_u64().expect("a client command") - 1000;
         assert_eq!(i, seen, "commands commit once each, in submission order");
         seen += 1;
@@ -1089,15 +1099,19 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
     assert!(steady <= 7 * 7, "steady state began at slot {steady}");
 
     // What was revoked: slots a dead seat leads first, once each, and each
-    // decided the filler. In the steady state that is every such slot —
-    // two per rotation — so no client command sits in a dead-led slot.
+    // decided the empty batch. In the steady state that is every such slot
+    // — two per rotation — so no client command sits in a dead-led slot.
     let at_p1 = revoked(&cluster, ProcessId(1));
     assert!(at_p1.windows(2).all(|w| w[0].0 < w[1].0), "{at_p1:?}");
     for (slot, leader) in &at_p1 {
         assert_eq!(slot_leader(&cfg, *slot, 1).0, *leader);
         assert!(*leader >= 6, "slot {slot} revoked from live p{leader}");
         if *slot < slots {
-            assert_eq!(log[*slot as usize], idle(), "revoked slot {slot}");
+            assert_eq!(
+                decided[*slot as usize],
+                empty_batch(),
+                "revoked slot {slot}"
+            );
         }
     }
     for rotation in steady.div_ceil(7)..slots / 7 {
@@ -1129,8 +1143,9 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
 
     // Revoking needs this node's own proposals running. A stray frame for
     // a far dead-led slot opens that one slot reactively everywhere (it
-    // decides the filler through a view change, as any such slot would); no
-    // node revokes anything on it, and the cluster goes quiet again.
+    // decides the empty batch through a view change, as any such slot
+    // would); no node revokes anything on it, and the cluster goes quiet
+    // again.
     let open: Vec<usize> = live.iter().map(|p| cluster.node(*p).open_slots()).collect();
     let stray = (horizon..)
         .find(|s| slot_leader(&cfg, *s, 1).0 >= 6)
@@ -1158,9 +1173,9 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
 /// (f′) The same under backlog, where the window is always full: every
 /// command is queued at once, so each advance brings exactly one new tail
 /// slot into the window and the fill loop is there to take it. A dead-led
-/// tail slot gets the filler all the same — the decision sits where a slot's
-/// proposal is chosen, not in who asks for the slot — so once the seats are
-/// known no command is decided in a slot they lead.
+/// tail slot gets the empty batch all the same — the decision sits where a
+/// slot's proposal is chosen, not in who asks for the slot — so once the
+/// seats are known no command is decided in a slot they lead.
 #[test]
 fn a_backlog_puts_no_command_in_a_dead_led_slot() {
     let cfg = generalized_seven();
@@ -1178,18 +1193,22 @@ fn a_backlog_puts_no_command_in_a_dead_led_slot() {
         window_bound(&live),
     );
 
-    let log = log(&mut cluster, ProcessId(1));
+    let decided = decided(&mut cluster, ProcessId(1));
     let at_p1 = revoked(&cluster, ProcessId(1));
     // (The first window, and what follows it until slot 4 has timed out,
     // opens before anyone knows.)
     let learned = at_p1.first().expect("nothing was ever revoked").0;
     assert!(learned <= 4 * 7, "learning took until slot {learned}");
-    let dead_led: Vec<u64> = (learned..log.len() as u64)
+    let dead_led: Vec<u64> = (learned..decided.len() as u64)
         .filter(|s| slot_leader(&cfg, *s, 1).0 >= 6)
         .collect();
     assert!(dead_led.len() >= 16, "{dead_led:?}");
     for slot in &dead_led {
-        assert_eq!(log[*slot as usize], idle(), "dead-led slot {slot}");
+        assert_eq!(
+            decided[*slot as usize],
+            empty_batch(),
+            "dead-led slot {slot}"
+        );
     }
     for p in &live {
         let node = cluster.node(*p);
@@ -1243,10 +1262,10 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
     );
 
     let at_p1 = revoked(&cluster, ProcessId(1));
-    let log = log(&mut cluster, ProcessId(1));
+    let decided = decided(&mut cluster, ProcessId(1));
     // Revoked: slots p3 leads first, in a row, by everyone but p3 — which
     // proposed its own queue there, so what such a slot decided is the
-    // filler or a command, as the view change found it.
+    // empty batch or a command, as the view change found it.
     assert!(at_p1.len() >= 2, "{at_p1:?}");
     for (k, (slot, leader)) in at_p1.iter().enumerate() {
         assert_eq!((*slot, *leader), (15 + 7 * k as u64, 3));
@@ -1267,9 +1286,9 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
     // Nothing lost; `run_dry` checked the rest. (A slot commits its
     // leader's queue head and p3's queue is not in step with the others'
     // after the outage, so order across slots is not asserted.)
-    let mut committed: Vec<u64> = log
+    let mut committed: Vec<u64> = decided
         .iter()
-        .filter(|v| **v != idle())
+        .flatten()
         .map(|v| v.as_u64().unwrap() - 1000)
         .collect();
     committed.sort_unstable();
@@ -1277,12 +1296,12 @@ fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
     // Cleared, p3 is an ordinary leader again: its later slots are not
     // revoked and carry commands.
     let last_revoked = at_p1.last().unwrap().0;
-    let later: Vec<u64> = (last_revoked + 1..log.len() as u64)
+    let later: Vec<u64> = (last_revoked + 1..decided.len() as u64)
         .filter(|s| slot_leader(&cfg, *s, 1) == victim)
         .collect();
     assert!(later.len() >= 2, "{later:?}");
     for slot in later {
-        assert_ne!(log[slot as usize], idle(), "slot {slot}");
+        assert_ne!(decided[slot as usize], empty_batch(), "slot {slot}");
     }
 }
 
@@ -1366,12 +1385,12 @@ fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
         assert!(revoked(&cluster, *p).contains(&(28, 2)), "at {p}");
         assert_eq!(cluster.node(*p).running_slots(), 0, "at {p}");
     }
-    let log = log(&mut cluster, ProcessId(1));
-    assert_eq!(log[7], idle());
-    assert_eq!(log[14], idle());
-    let committed: Vec<u64> = log
+    let decided = decided(&mut cluster, ProcessId(1));
+    assert_eq!(decided[7], empty_batch());
+    assert_eq!(decided[14], empty_batch());
+    let committed: Vec<u64> = decided
         .iter()
-        .filter(|v| **v != idle())
+        .flatten()
         .map(|v| v.as_u64().unwrap() - 1000)
         .collect();
     assert_eq!(committed, (0..COMMANDS).collect::<Vec<_>>());

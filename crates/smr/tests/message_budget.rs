@@ -11,9 +11,15 @@
 //! its own `Wish`es — and that both metrics exporters print the counts
 //! such a run implies, no more and no less.
 //!
+//! The open-loop rows count what the broadcast client model costs per
+//! applied command with the node as shipped: slots, slots that decided the
+//! empty batch, drains and dedup drops.
+//!
 //! Everything runs on the deterministic simulator: one message delay is
-//! exactly Δ, the view-1 timeout is the default 8Δ, every cluster uses
-//! batch 1 (one command per slot).
+//! exactly Δ, the view-1 timeout is the default 8Δ, and every cluster but
+//! the open-loop rows' uses batch 1 (one command per slot).
+
+use std::collections::BTreeMap;
 
 use fastbft_core::message::{AckMsg, CommitMsg, Message, ProposeMsg, WishMsg};
 use fastbft_core::{CommitCert, ProgressCert};
@@ -44,7 +50,6 @@ fn cluster(cfg: Config, seed: u64, network: Network, queued: u64, depth: Option<
         seed,
         CountingMachine::new(),
         vec![(0..queued).map(command).collect(); cfg.n()],
-        Value::from_u64(0),
         network,
         |_, node| {
             let node = node.with_batch_size(1);
@@ -282,4 +287,107 @@ fn a_seat_cut_off_for_several_slots_heals_through_its_own_wishes() {
 
     // Everyone, the victim included, ends with the whole load and one log.
     cluster.run_until(HORIZON, |c| c.report().commands_everywhere >= COMMANDS);
+}
+
+/// splitmix64: the open-loop rows need a repeatable stream, not a good one.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// One open-loop run to the end of its events: nodes as shipped, every seat
+/// hearing of each of `commands` commands, one every Δ/5, at its own time
+/// — jittered in [0, Δ] per seat — as clients that broadcast to every
+/// replica are heard. Returns, with every seat at `commands` applied:
+/// slots applied, slots that decided the empty batch, drains (the four
+/// `batch_flush_*_total` summed over seats) and `dedup_dropped_total`
+/// summed over seats.
+fn open_loop(cfg: Config, commands: u64) -> [u64; 4] {
+    let mut cluster = SmrSimCluster::new(
+        cfg,
+        7,
+        CountingMachine::new(),
+        vec![Vec::new(); cfg.n()],
+        Network::synchronous(DELTA),
+        |_, node| Box::new(node),
+    );
+    let mut jitter = Rng(7);
+    for i in 0..commands {
+        for p in cfg.processes() {
+            let at = SimTime(i * DELTA.0 / 5 + jitter.below(DELTA.0 + 1));
+            cluster.sim_mut().submit_client(p, command(i), at);
+        }
+    }
+    // Each slot's batch length, read at p1 (`decided_batch`) after every
+    // event, parked above the apply point or applied. A snapshot prunes
+    // the tail in the event that applies its boundary, so the slot that
+    // event decided may be gone already (the ones it applied with it were
+    // read parked): its length is the event's commands, logged or
+    // dropped, less theirs.
+    let p1 = ProcessId(1);
+    let seen = |c: &Cluster| {
+        let dropped = &c.registry().metrics(p1.index()).dedup_dropped_total;
+        (
+            c.node(p1).applied(),
+            c.node(p1).commands_applied() + dropped.get(),
+        )
+    };
+    let mut lens: BTreeMap<u64, u64> = BTreeMap::new();
+    let (mut from, mut before) = seen(&cluster);
+    while cluster.sim_mut().step() {
+        let (to, after) = seen(&cluster);
+        let node = cluster.node(p1);
+        // Applied, then parked past the slot the apply point waits for.
+        for slot in (from..to).chain(to + 1..) {
+            match node.decided_batch(slot) {
+                Some(batch) => lens.insert(slot, batch.len() as u64),
+                None if slot < to => continue,
+                None => break,
+            };
+        }
+        let unread: Vec<u64> = (from..to).filter(|s| !lens.contains_key(s)).collect();
+        if let [slot] = unread[..] {
+            let read: u64 = (from..to).filter_map(|s| lens.get(&s)).sum();
+            lens.insert(slot, after - before - read);
+        }
+        (from, before) = (to, after);
+    }
+    assert_eq!(cluster.violations(), []);
+    let slots = cluster.node(p1).applied();
+    assert!(lens.keys().copied().eq(0..slots));
+    let empty = lens.values().filter(|len| **len == 0).count() as u64;
+    for p in cfg.processes() {
+        let node = cluster.node(p);
+        assert_eq!((node.applied(), node.commands_applied()), (slots, commands));
+    }
+    let registry = cluster.registry();
+    let drains = registry.total(|m| &m.batch_flush_size_total)
+        + registry.total(|m| &m.batch_flush_bytes_total)
+        + registry.total(|m| &m.batch_flush_quiescence_total)
+        + registry.total(|m| &m.batch_flush_timeout_total);
+    let dropped = registry.total(|m| &m.dedup_dropped_total);
+    [slots, empty, drains, dropped]
+}
+
+/// The open-loop rows, per 1 000 applied commands (each seat applies all
+/// 1 000): slots applied, slots that decided the empty batch, drains and
+/// dedup drops (these two summed over seats). The broadcast model's cost
+/// shows here and nowhere else: seats hear of a command at different
+/// times, so they drain it into different slots, and every copy decided
+/// after the first is dropped at apply.
+#[test]
+fn the_open_loop_rows() {
+    for (cfg, row) in [
+        (Config::new(4, 1, 1).unwrap(), [587, 2, 1_856, 3_248]),
+        (Config::new(7, 2, 1).unwrap(), [573, 3, 3_067, 6_524]),
+    ] {
+        assert_eq!(open_loop(cfg, 1_000), row, "n = {}", cfg.n());
+    }
 }

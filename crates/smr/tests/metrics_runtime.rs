@@ -16,7 +16,6 @@ fn metered_cluster(cfg: Config, seed: u64) -> (SmrClusterHandle, MetricsRegistry
         seed,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        KvCommand::Noop.to_value(),
         |actors, _, _, _| channel_seats(actors),
         |_, node| Box::new(node),
     );

@@ -10,15 +10,14 @@ use fastbft_types::{Config, ProcessId, Value, View};
 #[test]
 fn empty_queues_quiesce_after_slot_zero() {
     // With nothing to commit, the pipeline settles instead of burning
-    // slots on filler forever: slot 0 (opened unconditionally at start)
-    // decides the idle no-op, and no further slot opens.
+    // slots forever: slot 0 (opened unconditionally at start) decides the
+    // empty batch, and no further slot opens.
     let cfg = Config::new(4, 1, 1).unwrap();
     let mut cluster = SmrSimCluster::new(
         cfg,
         9,
         CountingMachine::new(),
         vec![Vec::new(); 4],
-        Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );
@@ -26,10 +25,11 @@ fn empty_queues_quiesce_after_slot_zero() {
     let report = cluster.report();
     assert_eq!(report.applied_everywhere, 1, "{report:?}");
     assert_eq!(cluster.violations(), []);
-    // Everything committed was the idle no-op, and the run went quiet long
-    // before the horizon.
-    for v in cluster.logs()[ProcessId(2).index()].values() {
-        assert_eq!(v.as_u64(), Some(0));
+    // What slot 0 committed was the empty batch, so no seat applied a
+    // command, and the run went quiet long before the horizon.
+    for p in cfg.processes() {
+        assert_eq!(cluster.node(p).decided_batch(0), Some(Vec::new()));
+        assert!(cluster.logs()[p.index()].is_empty(), "{p}");
     }
     assert!(report.final_time < SimTime(5_000_000), "{report:?}");
 }
@@ -45,17 +45,13 @@ fn rotation_commits_every_nodes_commands() {
         4,
         CountingMachine::new(),
         commands,
-        Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );
     cluster.run_until(SimTime(5_000_000), |c| c.report().applied_everywhere >= 4);
     let log = &cluster.logs()[ProcessId(1).index()];
-    let committed: std::collections::BTreeSet<u64> = log
-        .values()
-        .filter_map(|v| v.as_u64())
-        .filter(|x| *x >= 100)
-        .collect();
+    let committed: std::collections::BTreeSet<u64> =
+        log.values().filter_map(|v| v.as_u64()).collect();
     assert_eq!(
         committed,
         [100u64, 101, 102, 103].into_iter().collect(),
@@ -74,7 +70,6 @@ fn slot_zero_leader_is_paper_leader() {
         4,
         CountingMachine::new(),
         commands,
-        Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );
@@ -111,7 +106,6 @@ fn kv_delete_of_missing_key_is_consistent() {
         6,
         KvStore::new(),
         vec![queue; 4],
-        KvCommand::Noop.to_value(),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );
@@ -122,6 +116,67 @@ fn kv_delete_of_missing_key_is_consistent() {
             "store at {p} not empty"
         );
     }
+}
+
+/// Every seat's queue: two puts around a client's own `Noop`.
+fn puts_around_a_noop() -> Vec<Value> {
+    let put = |key: &str| {
+        let (key, value) = (key.into(), "1".into());
+        KvCommand::Put { key, value }.to_value()
+    };
+    vec![put("a"), KvCommand::Noop.to_value(), put("b")]
+}
+
+/// A client's `Noop` is a command like any other: every seat applies it
+/// once, with the two puts around it, and the cluster goes quiet — nothing
+/// of it is re-queued once it has run.
+#[test]
+fn a_clients_noop_is_one_command() {
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let mut cluster = SmrSimCluster::new(
+        cfg,
+        3,
+        KvStore::new(),
+        vec![puts_around_a_noop(); 4],
+        Network::synchronous(SimDuration::DELTA),
+        |_, node| Box::new(node),
+    );
+    let horizon = SimTime(100_000);
+    while cluster.sim().now() <= horizon && cluster.sim_mut().step() {}
+    let applied: Vec<u64> = cfg
+        .processes()
+        .map(|p| cluster.node(p).commands_applied())
+        .collect();
+    let events_left = cluster.sim().pending_events();
+    assert_eq!((applied, events_left), (vec![3; 4], 0), "by {horizon}");
+    let noop = KvCommand::Noop.to_value();
+    for (i, log) in cluster.logs().iter().enumerate() {
+        assert_eq!(log.len(), 3, "p{}: {log:?}", i + 1);
+        assert_eq!(log.values().filter(|c| **c == noop).count(), 1);
+    }
+    assert_eq!(cluster.violations(), []);
+}
+
+/// The same queues on the wall clock: every seat reaches three commands.
+#[test]
+fn a_clients_noop_is_one_command_on_the_wall_clock() {
+    use fastbft_runtime::channel_seats;
+    use fastbft_smr::runtime::SmrClusterHandle;
+
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let mut cluster = SmrClusterHandle::spawn(
+        cfg,
+        3,
+        KvStore::new(),
+        vec![puts_around_a_noop(); 4],
+        |actors, _, _, _| channel_seats(actors),
+        |_, node| Box::new(node),
+    );
+    let reached = cluster.await_commands(cfg.processes(), 3, std::time::Duration::from_secs(10));
+    let lens: Vec<usize> = cluster.logs().iter().map(|log| log.len()).collect();
+    assert!(reached, "log lengths: {lens:?}");
+    assert_eq!(cluster.violations(), []);
+    cluster.shutdown();
 }
 
 #[test]
@@ -174,7 +229,7 @@ fn stash_is_bounded_against_slot_spray() {
         dir,
         CountingMachine::new(),
         Vec::new(),
-        Value::from_u64(0),
+        Value::default(),
     );
     let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
     node.on_start(&mut fx);
@@ -214,7 +269,6 @@ fn idle_cluster(seed: u64) -> SmrSimCluster<CountingMachine> {
         seed,
         CountingMachine::new(),
         vec![Vec::new(); 4],
-        Value::from_u64(0),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     )
@@ -383,7 +437,7 @@ fn held_bytes_plateau_under_an_ack_spray_at_every_open_slot() {
         assert!(held >= plateau - per_slot, "{p}: only slot 0 settled");
     }
 
-    // The slots settle on the filler, and what was held goes with them.
+    // The slots settle on the empty batch, and what was held goes with them.
     cluster.sim_mut().run_until(SimTime(100 * DELTA));
     for p in ProcessId::all(4) {
         assert_eq!(cluster.node(p).applied(), SLOTS, "{p}");
@@ -418,7 +472,6 @@ fn batching_multiplies_throughput() {
             8,
             CountingMachine::new(),
             vec![queue.clone(); 4],
-            Value::from_u64(u64::MAX),
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node.with_batch_size(batch).with_pipeline_depth(1)),
         );
@@ -429,7 +482,6 @@ fn batching_multiplies_throughput() {
         let committed: Vec<u64> = cluster.logs()[ProcessId(2).index()]
             .values()
             .filter_map(|v| v.as_u64())
-            .filter(|x| *x < 64)
             .collect();
         assert_eq!(committed, (0..64).collect::<Vec<_>>());
         report.commands_per_delta
@@ -451,7 +503,6 @@ fn long_pipeline_makes_steady_progress() {
         2,
         CountingMachine::new(),
         vec![queue; 4],
-        Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node.with_batch_size(1)),
     );
@@ -462,7 +513,6 @@ fn long_pipeline_makes_steady_progress() {
     let committed: Vec<u64> = cluster.logs()[ProcessId(3).index()]
         .values()
         .filter_map(|v| v.as_u64())
-        .filter(|x| *x < 100)
         .collect();
     assert_eq!(committed, (0..100).collect::<Vec<_>>());
 }

@@ -38,7 +38,6 @@ fn overlapping_slots_never_commit_a_command_twice() {
         7,
         CountingMachine::new(),
         commands,
-        Value::from_u64(0),
         network,
         |_, node| Box::new(node.with_batch_size(1)),
     );

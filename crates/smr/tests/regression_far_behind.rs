@@ -50,8 +50,7 @@ fn cut_off_past_the_horizon(
         by_dst: [(VICTIM, cut)].into(),
     });
     let network = plan.network(SimDuration::DELTA, 11);
-    let idle = KvCommand::Noop.to_value();
-    let mut cluster = SmrSimCluster::new(cfg, 11, KvStore::new(), queues, idle, network, configure);
+    let mut cluster = SmrSimCluster::new(cfg, 11, KvStore::new(), queues, network, configure);
     cluster.run_until(SimTime(2_000_000_000), |c| {
         LIVE.iter()
             .all(|p| c.node(*p).applied() >= MAX_STASH_AHEAD + SLOT_WINDOW)
@@ -79,8 +78,17 @@ fn replica_partitioned_past_stash_horizon_recovers() {
     // and then converge on all 500 commands with everyone else.
     plan.heal();
     let horizon = SimTime(8_000_000_000);
-    cluster.run_until(horizon, |c| c.node(VICTIM).snapshot_upto().is_some());
+    let mut resumed = (0, 0);
+    cluster.run_until(horizon, |c| {
+        let victim = c.node(VICTIM);
+        resumed = (victim.applied(), victim.commands_applied());
+        victim.snapshot_upto().is_some()
+    });
     let installed = cluster.node(VICTIM).snapshot_upto().unwrap();
+    // The install applied nothing past its boundary: the victim's log
+    // resumes at the snapshot's log offset, the commands below it.
+    let (applied, offset) = resumed;
+    assert_eq!(applied, installed);
     cluster.run_until(horizon, |c| {
         cfg.processes()
             .all(|p| c.node(p).commands_applied() >= COMMANDS as u64)
@@ -89,12 +97,11 @@ fn replica_partitioned_past_stash_horizon_recovers() {
 
     // The victim rejoined by state transfer, not by replaying from zero:
     // the checker, fed every entry it applied, saw its first one at the
-    // first snapshot it held (one command per slot: a slot is a log
-    // index), so that snapshot was installed, not taken.
+    // first snapshot it held, so that snapshot was installed, not taken.
     let first = cluster.logs()[VICTIM.index()].keys().next().copied();
     assert_eq!(
         first,
-        Some(installed),
+        Some(offset),
         "victim replayed the log below {installed} instead of installing a snapshot"
     );
 

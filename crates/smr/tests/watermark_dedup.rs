@@ -49,7 +49,6 @@ fn dedup_state_stays_bounded_over_a_10k_command_run() {
         11,
         CountingMachine::new(),
         vec![queue; 4],
-        Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node.with_batch_size(64)),
     );
@@ -94,7 +93,6 @@ fn tagged_duplicates_execute_exactly_once() {
         12,
         CountingMachine::new(),
         vec![queue; 4],
-        Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node.with_batch_size(4)),
     );
@@ -128,7 +126,6 @@ fn out_of_order_sequences_converge_and_prune() {
         13,
         CountingMachine::new(),
         queues,
-        Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node.with_batch_size(2)),
     );
@@ -151,7 +148,6 @@ fn untagged_commands_still_dedup_by_digest() {
         14,
         CountingMachine::new(),
         vec![queue; 4],
-        Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node.with_batch_size(4)),
     );
@@ -188,7 +184,6 @@ fn tagged_puts_change_the_replicated_store_on_every_replica() {
             19,
             KvStore::new(),
             vec![queue; 4],
-            KvCommand::Noop.to_value(),
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node),
         );

@@ -64,7 +64,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         2024,
         KvStore::new(),
         commands,
-        KvCommand::Noop.to_value(),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );

@@ -34,7 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         2027,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
-        KvCommand::Noop.to_value(),
         |actors, pairs, dir, registry| {
             let (seats, bound) =
                 tcp_seats_metered(actors, pairs, dir, Default::default(), registry)

@@ -20,16 +20,12 @@ fn logs_identical_across_replicas() {
         1,
         CountingMachine::new(),
         commands,
-        Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node.with_batch_size(1)),
     );
     cluster.run_until(SimTime(10_000_000), |c| c.report().applied_everywhere >= 20);
     // The leader's 20 commands all committed, in submission order.
-    let committed: Vec<&Value> = cluster.logs()[0]
-        .values()
-        .filter(|v| v.as_u64().is_some_and(|x| x < 20))
-        .collect();
+    let committed: Vec<&Value> = cluster.logs()[0].values().collect();
     assert_eq!(committed.len(), 20);
     for (i, v) in committed.iter().enumerate() {
         assert_eq!(v.as_u64(), Some(i as u64), "commit order broken");
@@ -45,7 +41,6 @@ fn generalized_config_smr() {
         3,
         CountingMachine::new(),
         vec![workload; 8],
-        Value::from_u64(u64::MAX),
         Network::synchronous(SimDuration::DELTA),
         |_, node| Box::new(node),
     );
@@ -84,7 +79,6 @@ proptest! {
             seed,
             KvStore::new(),
             vec![workload; 4],
-            KvCommand::Noop.to_value(),
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node),
         );
