@@ -21,7 +21,15 @@
 //! * [`Metrics`] — one block per replica seat holding every layer's
 //!   instruments, shared as an `Arc<Metrics>` by everything the seat runs.
 //!   Every seat records: one built without a registry gets a block of its
-//!   own (`Arc::default()`), so a record site is a plain call.
+//!   own (`Arc::default()`), so a record site is a plain call. Each
+//!   exported metric is one row of a table in `registry.rs` — kind, field
+//!   name, HELP text — which declares the field, documents it and lists it
+//!   for both exporters, so a metric cannot record without being exported.
+//!   Adding one is adding its row (and a value to the golden exposition,
+//!   `tests/golden_exposition.rs`). The few fields no exporter prints sit
+//!   in one block after the rows: the flight recorder, and the `Vestige:`
+//!   counters and gauge that are never set, kept only because the frozen
+//!   benchmark reads them.
 //! * [`MetricsRegistry`] — the cluster-wide view: `n` replica metrics plus
 //!   the two exporters, Prometheus-style text exposition
 //!   ([`render_text`](MetricsRegistry::render_text)) and a JSON dump

@@ -307,9 +307,11 @@ impl Rng {
 /// — jittered in [0, Δ] per seat — as clients that broadcast to every
 /// replica are heard. Returns, with every seat at `commands` applied:
 /// slots applied, slots that decided the empty batch, drains (the four
-/// `batch_flush_*_total` summed over seats) and `dedup_dropped_total`
-/// summed over seats.
-fn open_loop(cfg: Config, commands: u64) -> [u64; 4] {
+/// `batch_flush_*_total` summed over seats), `dedup_dropped_total`,
+/// messages sent and their encoded bytes (the trace's), signature checks
+/// (`sig_memo_miss_total`), certificates walked (`cert_cache_miss_total`),
+/// fast commits and slow commits — every counter summed over seats.
+fn open_loop(cfg: Config, commands: u64) -> [u64; 10] {
     let mut cluster = SmrSimCluster::new(
         cfg,
         7,
@@ -373,21 +375,39 @@ fn open_loop(cfg: Config, commands: u64) -> [u64; 4] {
         + registry.total(|m| &m.batch_flush_quiescence_total)
         + registry.total(|m| &m.batch_flush_timeout_total);
     let dropped = registry.total(|m| &m.dedup_dropped_total);
-    [slots, empty, drains, dropped]
+    let stats = cluster.sim().trace().message_stats(SimTime::NEVER);
+    [
+        slots,
+        empty,
+        drains,
+        dropped,
+        stats.messages as u64,
+        stats.bytes as u64,
+        registry.total(|m| &m.sig_memo_miss_total),
+        registry.total(|m| &m.cert_cache_miss_total),
+        registry.total(|m| &m.commit_fast_total),
+        registry.total(|m| &m.commit_slow_total),
+    ]
 }
 
 /// The open-loop rows, per 1 000 applied commands (each seat applies all
-/// 1 000): slots applied, slots that decided the empty batch, drains and
-/// dedup drops (these two summed over seats). The broadcast model's cost
-/// shows here and nowhere else: seats hear of a command at different
-/// times, so they drain it into different slots, and every copy decided
-/// after the first is dropped at apply.
+/// 1 000): slots applied, slots that decided the empty batch, drains,
+/// dedup drops, messages, encoded bytes, signature checks, certificates
+/// walked, fast and slow commits (all but the first two summed over
+/// seats). The broadcast model's cost shows here and nowhere else: seats
+/// hear of a command at different times, so they drain it into different
+/// slots, and every copy decided after the first is dropped at apply.
+/// Every slot commits fast at every seat (slots × n), and no slot commits
+/// slow; at n = 4 (t = f) an ack carries no share, so a seat checks one
+/// signature a slot, the proposal's.
 #[test]
 fn the_open_loop_rows() {
-    for (cfg, row) in [
-        (Config::new(4, 1, 1).unwrap(), [587, 2, 1_856, 3_248]),
-        (Config::new(7, 2, 1).unwrap(), [573, 3, 3_067, 6_524]),
-    ] {
+    #[rustfmt::skip]
+    let rows = [
+        (Config::new(4, 1, 1).unwrap(), [587, 2, 1_856, 3_248, 11_882, 845_708, 2_348, 0, 2_348, 0]),
+        (Config::new(7, 2, 1).unwrap(), [573, 3, 3_067, 6_524, 60_463, 10_372_088, 70_511, 8_036, 4_011, 0]),
+    ];
+    for (cfg, row) in rows {
         assert_eq!(open_loop(cfg, 1_000), row, "n = {}", cfg.n());
     }
 }
