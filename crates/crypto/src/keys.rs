@@ -2,6 +2,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -209,8 +210,9 @@ pub struct KeyDirectory {
     engines: Arc<Vec<HmacEngine>>,
     /// MAC computations performed by [`KeyDirectory::verify`]; shared by
     /// clones. The shared memo below is specified as "the HMAC work
-    /// happens once" — this counter is what lets its tests assert that,
-    /// per directory, without a process-global.
+    /// happens once": its tests diff this count around a call to assert
+    /// that, per directory. A replica counts its checks in its `Metrics`.
+    #[cfg(test)]
     verifications: Arc<AtomicU64>,
     /// Cross-clone memo of *successful* verifications, disabled by default
     /// (`OnceLock` stays empty). A `OnceLock` rather than an
@@ -242,22 +244,11 @@ impl KeyDirectory {
             pairs,
             KeyDirectory {
                 engines: Arc::new(engines),
+                #[cfg(test)]
                 verifications: Arc::new(AtomicU64::new(0)),
                 memo: Arc::new(OnceLock::new()),
             },
         )
-    }
-
-    /// Number of MAC computations [`verify`](KeyDirectory::verify) has
-    /// performed through this directory (clones share the counter). Tests
-    /// diff this around a call to prove the shared memo skipped the HMAC
-    /// work.
-    ///
-    /// Maintained in **debug builds only**: in release the counter stays 0,
-    /// so the per-frame verify hot path doesn't bounce a shared cache line
-    /// between reader threads for test-only instrumentation.
-    pub fn verifications_performed(&self) -> u64 {
-        self.verifications.load(Ordering::Relaxed)
     }
 
     /// Turns on the shared verification memo for this directory *and every
@@ -325,9 +316,7 @@ impl KeyDirectory {
             }
             None => None,
         };
-        // Test-only instrumentation (see `verifications_performed`): not
-        // worth a shared atomic on the per-frame hot path in release.
-        #[cfg(debug_assertions)]
+        #[cfg(test)]
         self.verifications.fetch_add(1, Ordering::Relaxed);
         let ok = digest_eq(&engine.mac_parts(parts), &sig.tag);
         if ok {
@@ -410,9 +399,8 @@ mod tests {
         let sig = pairs[0].sign(b"m");
         assert!(dir.verify(b"m", &sig));
         assert!(dir.verify(b"m", &sig));
-        // Without the memo every verify pays a MAC (counted in debug).
-        #[cfg(debug_assertions)]
-        assert_eq!(dir.verifications_performed(), 2);
+        // Without the memo every verify pays a MAC.
+        assert_eq!(dir.verifications.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -421,11 +409,11 @@ mod tests {
         dir.enable_shared_memo();
         let sig = pairs[0].sign(b"statement");
         assert!(dir.verify(b"statement", &sig));
-        let before = dir.verifications_performed();
+        let before = dir.verifications.load(Ordering::Relaxed);
         // Same triple again, and through a *clone* — both must hit.
         assert!(dir.verify(b"statement", &sig));
         assert!(dir.clone().verify(b"statement", &sig));
-        assert_eq!(dir.verifications_performed(), before);
+        assert_eq!(dir.verifications.load(Ordering::Relaxed), before);
     }
 
     #[test]
@@ -451,9 +439,9 @@ mod tests {
         let sig = pairs[1].sign(b"warmed");
         // Warm through one clone, hit through the other.
         assert!(dir.verify(b"warmed", &sig));
-        let before = earlier_clone.verifications_performed();
+        let before = earlier_clone.verifications.load(Ordering::Relaxed);
         assert!(earlier_clone.verify(b"warmed", &sig));
-        assert_eq!(earlier_clone.verifications_performed(), before);
+        assert_eq!(earlier_clone.verifications.load(Ordering::Relaxed), before);
     }
 
     #[test]
@@ -463,13 +451,10 @@ mod tests {
         let long = vec![7u8; MEMO_STATEMENT_MAX + 1];
         let sig = pairs[0].sign(&long);
         assert!(dir.verify(&long, &sig));
-        let before = dir.verifications_performed();
+        let before = dir.verifications.load(Ordering::Relaxed);
         // Verifies fine, but pays the MAC again: no memo entry was made.
         assert!(dir.verify(&long, &sig));
-        #[cfg(debug_assertions)]
-        assert_eq!(dir.verifications_performed(), before + 1);
-        #[cfg(not(debug_assertions))]
-        let _ = before;
+        assert_eq!(dir.verifications.load(Ordering::Relaxed), before + 1);
     }
 
     #[test]

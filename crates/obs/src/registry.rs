@@ -120,6 +120,8 @@ metrics! {
     Counter bytes_out_total: "Wire bytes written, including frame headers and MACs.",
     Counter bytes_in_total: "Wire payload bytes read from verified frames.",
     Counter send_drop_total: "Outbound messages dropped (oversized or writer queue full).",
+    // smr: what a slot decided.
+    Counter slot_empty_total: "Slots applied that decided the empty batch.",
     Gauge leader_suspected: "Seats this node currently suspects as dead leaders.",
     Gauge stash_depth: "Future-slot messages currently stashed (bounded).",
     Gauge writer_queue_depth_peak: "High-water mark of any per-peer writer queue, in messages.",

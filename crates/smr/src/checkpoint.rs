@@ -8,10 +8,11 @@
 //!   the snapshot cluster-wide.
 //! * **Attestations.** A checkpoint signature covers `(domain, upto, payload
 //!   digest)`. Validity is one function, [`valid_signers`]: one pass over
-//!   the signatures that returns the distinct signers whose signature
-//!   checks. `f + 1` of them pin at least one correct replica vouching for
-//!   the bytes; everything that needs the quorum (serving, installing,
-//!   [`snapshot_response_valid`]) asks that one function, once.
+//!   the signatures, each check counted, that returns the distinct signers
+//!   whose signature checks. `f + 1` of them pin at least one correct
+//!   replica vouching for the bytes; everything that needs the quorum
+//!   (serving, installing, [`snapshot_response_valid`]) asks that one
+//!   function, once.
 //! * **The books** ([`Checkpoints`]): the latest snapshot taken or
 //!   installed with the attestations gathered for it; attestations that
 //!   arrived for boundaries not reached yet, two per signer (a Byzantine
@@ -25,6 +26,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use fastbft_crypto::{Digest, KeyDirectory, KeyPair, Signature};
+use fastbft_obs::Metrics;
 use fastbft_types::wire::from_bytes;
 use fastbft_types::ProcessId;
 
@@ -50,16 +52,18 @@ pub fn checkpoint_signature(keys: &KeyPair, upto: u64, digest: &Digest) -> Signa
 }
 
 /// The valid checkpoint attestations over `(upto, digest)` among `sigs`, by
-/// signer: each signature is checked once, and a signer counts once however
-/// many it sent.
+/// signer: each signature is checked once and counted in `metrics`, and a
+/// signer counts once however many it sent.
 fn valid_signers<S: Borrow<Signature>>(
     dir: &KeyDirectory,
+    metrics: &Metrics,
     upto: u64,
     digest: &Digest,
     sigs: impl IntoIterator<Item = S>,
 ) -> BTreeMap<ProcessId, S> {
     let statement: [&[u8]; 3] = [SNAPSHOT_DOMAIN, &upto.to_be_bytes(), digest];
     sigs.into_iter()
+        .inspect(|_| metrics.sig_memo_miss_total.inc())
         .filter(|sig| dir.verify_parts(&statement, sig.borrow()))
         .map(|sig| (sig.borrow().signer, sig))
         .collect()
@@ -72,14 +76,16 @@ fn valid_signers<S: Borrow<Signature>>(
 /// The node additionally requires the payload to parse as a
 /// `SnapshotPayload` whose `upto` matches; any single-byte tamper of a
 /// response breaks the digest (hence every signature) or the strict codec.
+/// `metrics` count the signature checks.
 pub fn snapshot_response_valid(
     dir: &KeyDirectory,
+    metrics: &Metrics,
     f: usize,
     upto: u64,
     payload: &[u8],
     sigs: &[Signature],
 ) -> bool {
-    valid_signers(dir, upto, &fastbft_crypto::digest(payload), sigs).len() > f
+    valid_signers(dir, metrics, upto, &fastbft_crypto::digest(payload), sigs).len() > f
 }
 
 /// The canonical snapshot payload: everything a replica needs to resume
@@ -108,16 +114,17 @@ fastbft_types::impl_wire_struct!(SnapshotPayload {
 /// Opens a [`SlotMessage::SnapshotResponse`]: if `sigs` holds f+1 valid
 /// attestations of `bytes` at `upto` and `bytes` is a canonical payload for
 /// that same boundary, the parsed payload, its digest and the valid
-/// attestations by signer.
+/// attestations by signer. `metrics` count the signature checks.
 pub(crate) fn open_response(
     dir: &KeyDirectory,
+    metrics: &Metrics,
     f: usize,
     upto: u64,
     bytes: &[u8],
     sigs: Vec<Signature>,
 ) -> Option<(SnapshotPayload, Digest, BTreeMap<ProcessId, Signature>)> {
     let digest = fastbft_crypto::digest(bytes);
-    let signers = valid_signers(dir, upto, &digest, sigs);
+    let signers = valid_signers(dir, metrics, upto, &digest, sigs);
     if signers.len() <= f {
         return None;
     }
@@ -217,15 +224,17 @@ impl Checkpoints {
 
     /// Handles `from`'s checkpoint attestation: merged into the matching
     /// local snapshot, or parked until this node reaches that boundary.
+    /// `metrics` count the signature check.
     pub(crate) fn attest(
         &mut self,
         dir: &KeyDirectory,
+        metrics: &Metrics,
         from: ProcessId,
         upto: u64,
         digest: Digest,
         sig: Signature,
     ) {
-        if sig.signer != from || valid_signers(dir, upto, &digest, [&sig]).is_empty() {
+        if sig.signer != from || valid_signers(dir, metrics, upto, &digest, [&sig]).is_empty() {
             return;
         }
         if let Some(snap) = &mut self.latest {
@@ -348,7 +357,7 @@ mod tests {
         let attest =
             |books: &mut Checkpoints, from: ProcessId, who: usize, upto: u64, bytes: &[u8]| {
                 let (upto, digest, sig) = attestation(&pairs[who], upto, bytes);
-                books.attest(&dir, from, upto, digest, sig);
+                books.attest(&dir, &Metrics::new(), from, upto, digest, sig);
             };
         // Ahead of any local snapshot: parked, and merged when p1 seals the
         // same bytes at that boundary — p3's, for other bytes, is not.
@@ -364,7 +373,7 @@ mod tests {
         attest(&mut books, P2, 2, 16, &payload(16));
         let (upto, digest, _) = attestation(&pairs[2], 16, &payload(16));
         let forged = Signature::from_parts(P3, [7; 32]);
-        books.attest(&dir, P3, upto, digest, forged);
+        books.attest(&dir, &Metrics::new(), P3, upto, digest, forged);
         assert_eq!(signers(&books), [P1, P2]);
         attest(&mut books, P3, 2, 16, &payload(16));
         assert_eq!(signers(&books), [P1, P2, P3]);
@@ -380,14 +389,14 @@ mod tests {
         let (pairs, dir) = keys();
         let mut books = Checkpoints::new(16);
         let (upto, digest, sig) = attestation(&pairs[2], 48, &payload(48));
-        books.attest(&dir, P3, upto, digest, sig);
+        books.attest(&dir, &Metrics::new(), P3, upto, digest, sig);
         for boundary in 1..=100u64 {
             let (upto, digest, sig) = attestation(&pairs[1], 16 * boundary, b"spray");
-            books.attest(&dir, P2, upto, digest, sig);
+            books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
         }
         // Re-attesting a parked boundary replaces, it does not stack.
         let (upto, digest, sig) = attestation(&pairs[1], 1600, b"again");
-        books.attest(&dir, P2, upto, digest, sig);
+        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
         let parked =
             |p: &ProcessId| -> Vec<u64> { books.parked[p].iter().map(|(at, _, _)| *at).collect() };
         assert_eq!(parked(&P2), [1584, 1600]);
@@ -407,7 +416,7 @@ mod tests {
         books.seal(&pairs[0], 16, payload(16));
         assert!(books.response(0, F).is_none(), "f signers");
         let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
-        books.attest(&dir, P2, upto, digest, sig.clone());
+        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig.clone());
         let Some(SlotMessage::SnapshotResponse {
             upto,
             payload: bytes,
@@ -418,7 +427,8 @@ mod tests {
         };
         assert_eq!((upto, bytes), (16, payload(16)));
         assert_eq!(sigs.len(), 2);
-        assert!(snapshot_response_valid(&dir, F, 16, &payload(16), &sigs));
+        let valid = snapshot_response_valid(&dir, &Metrics::new(), F, 16, &payload(16), &sigs);
+        assert!(valid);
         assert!(
             books.response(16, F).is_none(),
             "nothing the requester lacks"
@@ -442,29 +452,30 @@ mod tests {
     #[test]
     fn a_response_opens_only_with_a_quorum_over_a_payload_for_its_boundary() {
         let (pairs, dir) = keys();
+        let open =
+            |upto, bytes: &[u8], sigs| open_response(&dir, &Metrics::new(), F, upto, bytes, sigs);
         let sigs_for = |upto: u64, bytes: &[u8], who: &[usize]| -> Vec<Signature> {
             who.iter()
                 .map(|i| attestation(&pairs[*i], upto, bytes).2)
                 .collect()
         };
         let bytes = payload(32);
-        let (parsed, digest, signers) =
-            open_response(&dir, F, 32, &bytes, sigs_for(32, &bytes, &[1, 2]))
-                .expect("f + 1 attestations of a payload for 32");
+        let (parsed, digest, signers) = open(32, &bytes, sigs_for(32, &bytes, &[1, 2]))
+            .expect("f + 1 attestations of a payload for 32");
         assert_eq!(parsed.upto, 32);
         assert_eq!(digest, fastbft_crypto::digest(&bytes));
         assert_eq!(signers.keys().copied().collect::<Vec<_>>(), [P2, P3]);
         // f signers, however often; signatures over another boundary.
-        assert!(open_response(&dir, F, 32, &bytes, sigs_for(32, &bytes, &[1, 1, 1])).is_none());
-        assert!(open_response(&dir, F, 32, &bytes, sigs_for(48, &bytes, &[1, 2])).is_none());
+        assert!(open(32, &bytes, sigs_for(32, &bytes, &[1, 1, 1])).is_none());
+        assert!(open(32, &bytes, sigs_for(48, &bytes, &[1, 2])).is_none());
         // A quorum that really signed `(48, bytes)` — but the bytes say 32.
-        assert!(open_response(&dir, F, 48, &bytes, sigs_for(48, &bytes, &[1, 2])).is_none());
+        assert!(open(48, &bytes, sigs_for(48, &bytes, &[1, 2])).is_none());
         // A quorum over bytes that are no payload at all.
-        assert!(open_response(&dir, F, 32, b"junk", sigs_for(32, b"junk", &[1, 2])).is_none());
+        assert!(open(32, b"junk", sigs_for(32, b"junk", &[1, 2])).is_none());
     }
 
-    /// Install checks each signature of the response once (the counter is
-    /// maintained in debug builds only).
+    /// Install checks each signature of the response once, and counts
+    /// each check.
     #[test]
     fn an_install_verifies_each_signature_once() {
         use crate::{CountingMachine, SmrNode};
@@ -492,7 +503,6 @@ mod tests {
         );
         let mut fx = Effects::new(P1, 4, SimTime::ZERO);
         node.on_start(&mut fx);
-        let before = dir.verifications_performed();
         let response = SlotMessage::SnapshotResponse {
             upto: 32,
             payload: bytes,
@@ -500,9 +510,7 @@ mod tests {
         };
         node.on_message(P2, response, &mut fx);
         assert_eq!((node.applied(), node.snapshot_upto()), (32, Some(32)));
-        if cfg!(debug_assertions) {
-            assert_eq!(dir.verifications_performed() - before, 3);
-        }
+        assert_eq!(node.opts.metrics.sig_memo_miss_total.get(), 3);
     }
 
     #[test]

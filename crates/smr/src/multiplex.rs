@@ -438,14 +438,11 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// The batch `slot` decided, while this node holds it: applied and
-    /// still in the committed tail (from the latest snapshot boundary on),
-    /// or decided and parked above the apply point. Test accessor: the log
-    /// holds commands, not slots.
+    /// still in the committed tail (from the latest snapshot boundary on).
+    /// Test accessor: the log holds commands, not slots.
     #[doc(hidden)]
     pub fn decided_batch(&self, slot: u64) -> Option<Vec<Value>> {
-        let parked = self.slots.get(&slot).and_then(|s| s.decided.as_ref());
-        let value = parked.or_else(|| self.committed_tail.get(&slot))?;
-        Some(Self::decode_batch(value))
+        self.committed_tail.get(&slot).map(Self::decode_batch)
     }
 
     /// The slot records that hold a consensus instance.
@@ -591,7 +588,11 @@ impl<S: StateMachine> SmrNode<S> {
             }
             let record = first.remove();
             let value = record.decided.expect("checked above");
-            for cmd in Self::decode_batch(&value) {
+            let batch = Self::decode_batch(&value);
+            if batch.is_empty() {
+                self.opts.metrics.slot_empty_total.inc();
+            }
+            for cmd in batch {
                 self.apply_command(cmd, fx);
             }
             self.committed_tail.insert(self.applied, value);
@@ -704,8 +705,9 @@ impl<S: StateMachine> SmrNode<S> {
         if upto <= self.applied {
             return;
         }
+        let (dir, m) = (&self.dir, &self.opts.metrics);
         let Some((parsed, digest, signers)) =
-            checkpoint::open_response(&self.dir, self.cfg.f(), upto, &payload, sigs)
+            checkpoint::open_response(dir, m, self.cfg.f(), upto, &payload, sigs)
         else {
             return;
         };
@@ -849,7 +851,8 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
             SlotMessage::Checkpoint { upto, digest, sig } => {
                 if from != fx.id() {
                     self.note_peer_tip(from, upto, fx);
-                    self.checkpoints.attest(&self.dir, from, upto, digest, sig);
+                    let (dir, m) = (&self.dir, &self.opts.metrics);
+                    self.checkpoints.attest(dir, m, from, upto, digest, sig);
                 }
             }
             SlotMessage::SnapshotRequest { have } => {

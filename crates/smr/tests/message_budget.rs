@@ -1,32 +1,28 @@
-//! What a slot costs on the wire, and who gets a `Backfill`, in virtual
-//! time.
+//! What a run costs, and who gets a `Backfill`, in virtual time.
+//!
+//! `the_work_ledger` is one literal table: a row per (configuration, seats
+//! silenced, load), a column per count, every cell read from the nodes,
+//! the registry's `Metrics` or the trace. To add a row or a column, add it
+//! with zeros and paste what the failing assertion prints.
 //!
 //! A node answers consensus traffic for a slot it has settled with the
 //! committed value, so a replica that missed the slot can close the hole.
 //! It answers only frames a *stuck* sender emits (`Wish`, `Vote`,
 //! `Propose`, …), not the protocol's own stragglers: the last `Ack` and
-//! every `Commit` of a slot the fast path decided one delay earlier. These
-//! tests pin the resulting message budget exactly, the trigger kind by
-//! kind, and that a replica cut off for several slots still heals through
-//! its own `Wish`es — and that both metrics exporters print the counts
-//! such a run implies, no more and no less.
-//!
-//! The open-loop rows count what the broadcast client model costs per
-//! applied command with the node as shipped: slots, slots that decided the
-//! empty batch, drains and dedup drops.
+//! every `Commit` of a slot the fast path decided one delay earlier. The
+//! other two tests pin that trigger kind by kind, and that a replica cut
+//! off for several slots still heals through its own `Wish`es.
 //!
 //! Everything runs on the deterministic simulator: one message delay is
-//! exactly Δ, the view-1 timeout is the default 8Δ, and every cluster but
-//! the open-loop rows' uses batch 1 (one command per slot).
-
-use std::collections::BTreeMap;
+//! exactly Δ, and the view-1 timeout is the default 8Δ.
 
 use fastbft_core::message::{AckMsg, CommitMsg, Message, ProposeMsg, WishMsg};
 use fastbft_core::{CommitCert, ProgressCert};
 use fastbft_crypto::KeyDirectory;
+use fastbft_obs::{Metrics, MetricsRegistry};
 use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
-use fastbft_sim::{Network, SimDuration, SimTime, TraceEvent};
-use fastbft_smr::{CountingMachine, SlotMessage, SmrSimCluster};
+use fastbft_sim::{Network, ScriptedActor, SimDuration, SimTime, TraceEvent};
+use fastbft_smr::{CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 const DELTA: SimDuration = SimDuration::DELTA;
@@ -90,93 +86,6 @@ fn settled(cfg: Config, slots: u64) -> Cluster {
         assert_eq!(cluster.node(p).applied(), slots, "{p} applied every slot");
     }
     cluster
-}
-
-/// With every seat live a slot costs one proposal to everyone and one ack
-/// from everyone to everyone — plus, where the slow path runs beside the
-/// fast one (`t < f`), one `Commit` from everyone to everyone. Nothing
-/// else: no `Backfill` answers the stragglers of a decided slot.
-#[test]
-fn a_live_slot_costs_exactly_its_protocol_messages() {
-    const SLOTS: u64 = 12;
-    for (cfg, per_slot) in [
-        (Config::new(7, 2, 1).unwrap(), 7 + 49 + 49),
-        (Config::new(4, 1, 1).unwrap(), 4 + 16),
-    ] {
-        let n = cfg.n();
-        let cluster = settled(cfg, SLOTS);
-        let stats = cluster.sim().trace().message_stats(SimTime::NEVER);
-        let count = |kind: &str| stats.by_kind.get(kind).map_or(0, |(msgs, _)| *msgs) as u64;
-        assert_eq!(count("propose"), SLOTS * n as u64, "n = {n}");
-        assert_eq!(count("ack"), SLOTS * (n * n) as u64, "n = {n}");
-        assert_eq!(count("backfill"), 0, "n = {n}");
-        assert_eq!(
-            stats.messages as u64,
-            SLOTS * per_slot,
-            "n = {n}: {stats:?}"
-        );
-    }
-}
-
-/// What the exporters print is what the code did. The same runs with a
-/// metrics plane attached: every replica commits every slot on the fast
-/// path and nothing else happens to it, and it runs exactly one signature
-/// check per slot for the proposal — plus, where acks carry the slow
-/// path's share (`t < f`), one per ack it handles before the slot is
-/// applied: the fast quorum's `n − t`, the stragglers being dropped ahead
-/// of the check. No certificate is walked: the `Commit`s of the slow path
-/// running beside the fast one arrive a delay after the slot settled. No
-/// instance refuses a contribution: every seat sends one of each a view. The
-/// Prometheus text and the JSON dump both carry those totals, per replica,
-/// and a cluster's exposition has no `shard` label or key anywhere, nor
-/// the hit counters of the caches there no longer are.
-#[test]
-fn both_exporters_print_the_counts_of_a_live_run() {
-    const SLOTS: u64 = 12;
-    for (cfg, checks_per_slot) in [
-        (Config::new(7, 2, 1).unwrap(), 1 + 6),
-        (Config::new(4, 1, 1).unwrap(), 1),
-    ] {
-        let n = cfg.n();
-        let cluster = settled(cfg, SLOTS);
-        let registry = cluster.registry();
-        let expected = [
-            ("commit_fast_total", SLOTS),
-            ("commit_slow_total", 0),
-            ("view_change_total", 0),
-            ("contribution_refused_total", 0),
-            ("dedup_dropped_total", 0),
-            ("backfill_slots_total", 0),
-            ("ingress_shed_total", 0),
-            ("sig_memo_miss_total", SLOTS * checks_per_slot),
-            ("cert_cache_miss_total", 0),
-        ];
-
-        let text = registry.render_text();
-        let json = registry.render_json();
-        for gone in ["shard", "cert_cache_hit_total", "sig_memo_hit_total"] {
-            assert!(!text.contains(gone), "n = {n}: {gone} in {text}");
-            assert!(!json.contains(gone), "n = {n}: {gone} in {json}");
-        }
-        let blocks: Vec<&str> = json.split("{\"replica\":").skip(1).collect();
-        assert_eq!(blocks.len(), n);
-        for (i, block) in blocks.iter().enumerate() {
-            let p = i + 1;
-            assert!(block.starts_with(&format!("\"p{p}\",\"counters\":{{")));
-            for (name, value) in expected {
-                let sample = format!("fastbft_{name}{{replica=\"p{p}\"}} {value}");
-                assert!(
-                    text.lines().any(|line| line == sample),
-                    "n = {n}: no line `{sample}` in the text exposition"
-                );
-                let entry = format!("\"{name}\":{value},");
-                assert!(
-                    block.contains(&entry),
-                    "n = {n}: no {entry} in p{p}'s JSON block"
-                );
-            }
-        }
-    }
 }
 
 /// A late `Ack` and a late `Commit` for a settled slot elicit nothing; a
@@ -302,23 +211,21 @@ impl Rng {
     }
 }
 
-/// One open-loop run to the end of its events: nodes as shipped, every seat
-/// hearing of each of `commands` commands, one every Δ/5, at its own time
-/// — jittered in [0, Δ] per seat — as clients that broadcast to every
-/// replica are heard. Returns, with every seat at `commands` applied:
-/// slots applied, slots that decided the empty batch, drains (the four
-/// `batch_flush_*_total` summed over seats), `dedup_dropped_total`,
-/// messages sent and their encoded bytes (the trace's), signature checks
-/// (`sig_memo_miss_total`), certificates walked (`cert_cache_miss_total`),
-/// fast commits and slow commits — every counter summed over seats.
-fn open_loop(cfg: Config, commands: u64) -> [u64; 10] {
+/// One open-loop run to the end of its events: nodes as shipped but for
+/// the `silent` seats, every seat hearing of each of `commands` commands,
+/// one every Δ/5, at its own time — jittered in [0, Δ] per seat — as
+/// clients that broadcast to every replica are heard.
+fn open_loop(cfg: Config, silent: &[ProcessId], commands: u64) -> Cluster {
     let mut cluster = SmrSimCluster::new(
         cfg,
         7,
         CountingMachine::new(),
         vec![Vec::new(); cfg.n()],
         Network::synchronous(DELTA),
-        |_, node| Box::new(node),
+        |p, node| match silent.contains(&p) {
+            true => Box::new(ScriptedActor::silent()),
+            false => Box::new(node),
+        },
     );
     let mut jitter = Rng(7);
     for i in 0..commands {
@@ -327,87 +234,176 @@ fn open_loop(cfg: Config, commands: u64) -> [u64; 10] {
             cluster.sim_mut().submit_client(p, command(i), at);
         }
     }
-    // Each slot's batch length, read at p1 (`decided_batch`) after every
-    // event, parked above the apply point or applied. A snapshot prunes
-    // the tail in the event that applies its boundary, so the slot that
-    // event decided may be gone already (the ones it applied with it were
-    // read parked): its length is the event's commands, logged or
-    // dropped, less theirs.
-    let p1 = ProcessId(1);
-    let seen = |c: &Cluster| {
-        let dropped = &c.registry().metrics(p1.index()).dedup_dropped_total;
-        (
-            c.node(p1).applied(),
-            c.node(p1).commands_applied() + dropped.get(),
-        )
-    };
-    let mut lens: BTreeMap<u64, u64> = BTreeMap::new();
-    let (mut from, mut before) = seen(&cluster);
-    while cluster.sim_mut().step() {
-        let (to, after) = seen(&cluster);
-        let node = cluster.node(p1);
-        // Applied, then parked past the slot the apply point waits for.
-        for slot in (from..to).chain(to + 1..) {
-            match node.decided_batch(slot) {
-                Some(batch) => lens.insert(slot, batch.len() as u64),
-                None if slot < to => continue,
-                None => break,
-            };
-        }
-        let unread: Vec<u64> = (from..to).filter(|s| !lens.contains_key(s)).collect();
-        if let [slot] = unread[..] {
-            let read: u64 = (from..to).filter_map(|s| lens.get(&s)).sum();
-            lens.insert(slot, after - before - read);
-        }
-        (from, before) = (to, after);
-    }
-    assert_eq!(cluster.violations(), []);
-    let slots = cluster.node(p1).applied();
-    assert!(lens.keys().copied().eq(0..slots));
-    let empty = lens.values().filter(|len| **len == 0).count() as u64;
-    for p in cfg.processes() {
-        let node = cluster.node(p);
-        assert_eq!((node.applied(), node.commands_applied()), (slots, commands));
-    }
-    let registry = cluster.registry();
-    let drains = registry.total(|m| &m.batch_flush_size_total)
-        + registry.total(|m| &m.batch_flush_bytes_total)
-        + registry.total(|m| &m.batch_flush_quiescence_total)
-        + registry.total(|m| &m.batch_flush_timeout_total);
-    let dropped = registry.total(|m| &m.dedup_dropped_total);
-    let stats = cluster.sim().trace().message_stats(SimTime::NEVER);
-    [
-        slots,
-        empty,
-        drains,
-        dropped,
-        stats.messages as u64,
-        stats.bytes as u64,
-        registry.total(|m| &m.sig_memo_miss_total),
-        registry.total(|m| &m.cert_cache_miss_total),
-        registry.total(|m| &m.commit_fast_total),
-        registry.total(|m| &m.commit_slow_total),
-    ]
+    while cluster.sim_mut().step() {}
+    cluster
 }
 
-/// The open-loop rows, per 1 000 applied commands (each seat applies all
-/// 1 000): slots applied, slots that decided the empty batch, drains,
-/// dedup drops, messages, encoded bytes, signature checks, certificates
-/// walked, fast and slow commits (all but the first two summed over
-/// seats). The broadcast model's cost shows here and nowhere else: seats
-/// hear of a command at different times, so they drain it into different
-/// slots, and every copy decided after the first is dropped at apply.
-/// Every slot commits fast at every seat (slots × n), and no slot commits
-/// slow; at n = 4 (t = f) an ack carries no share, so a seat checks one
-/// signature a slot, the proposal's.
+/// What a ledger row loads the cluster with.
+#[derive(Clone, Copy, Debug)]
+enum Load {
+    /// [`settled`]: this many commands queued at every seat, one a slot.
+    Queued(u64),
+    /// [`open_loop`]: this many commands, one every Δ/5.
+    Open(u64),
+}
+
+/// A counter, by its exposition name.
+type Read = (&'static str, fn(&Metrics) -> u64);
+
+macro_rules! counter {
+    ($name:ident) => {
+        (stringify!($name), |m: &Metrics| m.$name.get())
+    };
+}
+
+/// How a ledger column reads a run.
+enum Column {
+    /// Of the node, the same at every live seat.
+    Node(fn(&SmrNode<CountingMachine>) -> u64),
+    /// A counter, the same at every live seat.
+    Each(Read),
+    /// A counter, the fewest at any live seat.
+    Least(Read),
+    /// Counters summed over seats.
+    Sum(&'static [Read]),
+    /// Messages sent: of one kind, or of every kind.
+    Sent(Option<&'static str>),
+    /// Encoded bytes sent.
+    Bytes,
+}
+
+/// The ledger's columns, by label, in row order.
+#[rustfmt::skip]
+const COLUMNS: [(&str, Column); 20] = [
+    ("slots", Column::Node(SmrNode::applied)),
+    ("parked", Column::Node(|node| node.open_slots() as u64)),
+    ("empty", Column::Each(counter!(slot_empty_total))),
+    ("drains", Column::Sum(&[
+        counter!(batch_flush_size_total), counter!(batch_flush_bytes_total),
+        counter!(batch_flush_quiescence_total), counter!(batch_flush_timeout_total),
+    ])),
+    ("dropped", Column::Sum(&[counter!(dedup_dropped_total)])),
+    ("msgs", Column::Sent(None)),
+    ("bytes", Column::Bytes),
+    ("Propose", Column::Sent(Some("propose"))),
+    ("Ack", Column::Sent(Some("ack"))),
+    ("Commit", Column::Sent(Some("Commit"))),
+    ("Backfill", Column::Sent(Some("backfill"))),
+    ("sigs", Column::Sum(&[counter!(sig_memo_miss_total)])),
+    ("fewest", Column::Least(counter!(sig_memo_miss_total))),
+    ("certs", Column::Sum(&[counter!(cert_cache_miss_total)])),
+    ("fast", Column::Sum(&[counter!(commit_fast_total)])),
+    ("slow", Column::Sum(&[counter!(commit_slow_total)])),
+    ("views", Column::Sum(&[counter!(view_change_total)])),
+    ("refused", Column::Sum(&[counter!(contribution_refused_total)])),
+    ("backfilled", Column::Sum(&[counter!(backfill_slots_total)])),
+    ("shed", Column::Sum(&[counter!(ingress_shed_total)])),
+];
+
+/// A ledger row: one cell per column of [`COLUMNS`].
+type Row = [u64; COLUMNS.len()];
+
+impl Column {
+    /// The counters this column reads.
+    fn counters(&self) -> &[Read] {
+        match self {
+            Column::Each(read) | Column::Least(read) => std::slice::from_ref(read),
+            Column::Sum(reads) => reads,
+            _ => &[],
+        }
+    }
+}
+
+/// A run's row, once every live seat is checked to have applied all
+/// `commands` with no checker violation and no instance still running.
+fn ledger(cluster: &mut Cluster, silent: &[ProcessId], commands: u64) -> Row {
+    assert_eq!(cluster.violations(), []);
+    let registry = cluster.registry();
+    let seats = registry.len();
+    let live: Vec<ProcessId> = ProcessId::all(seats)
+        .filter(|p| !silent.contains(p))
+        .collect();
+    let at = |p: ProcessId| registry.metrics(p.index());
+    let each = |read: &dyn Fn(ProcessId) -> u64| {
+        let value = read(live[0]);
+        assert!(live.iter().all(|p| read(*p) == value));
+        value
+    };
+    assert_eq!(each(&|p| cluster.node(p).commands_applied()), commands);
+    assert_eq!(each(&|p| cluster.node(p).running_slots() as u64), 0);
+    let stats = cluster.sim().trace().message_stats(SimTime::NEVER);
+    COLUMNS.map(|(_, column)| match column {
+        Column::Node(read) => each(&|p| read(cluster.node(p))),
+        Column::Each((_, read)) => each(&|p| read(at(p))),
+        Column::Least((_, read)) => live.iter().map(|p| read(at(*p))).min().unwrap(),
+        Column::Sum(reads) => ProcessId::all(seats)
+            .flat_map(|p| reads.iter().map(move |(_, read)| read(at(p))))
+            .sum(),
+        Column::Sent(None) => stats.messages as u64,
+        Column::Sent(Some(kind)) => stats.by_kind.get(kind).map_or(0, |(msgs, _)| *msgs) as u64,
+        Column::Bytes => stats.bytes as u64,
+    })
+}
+
+/// What the exporters print is what the code did: every counter the
+/// ledger reads is each seat's line in the text exposition and its entry
+/// in the seat's block of the JSON dump.
+fn exported(registry: &MetricsRegistry) {
+    let (text, json) = (registry.render_text(), registry.render_json());
+    let blocks: Vec<&str> = json.split("{\"replica\":").skip(1).collect();
+    assert_eq!(blocks.len(), registry.len());
+    for (i, block) in blocks.iter().enumerate() {
+        let p = i + 1;
+        assert!(block.starts_with(&format!("\"p{p}\",\"counters\":{{")));
+        for (name, read) in COLUMNS.iter().flat_map(|(_, column)| column.counters()) {
+            let value = read(registry.metrics(i));
+            let sample = format!("fastbft_{name}{{replica=\"p{p}\"}} {value}");
+            assert!(text.lines().any(|line| line == sample), "no `{sample}`");
+            let entry = format!("\"{name}\":{value}");
+            let mut entries = block.split([',', '{', '}']);
+            assert!(entries.any(|e| e == entry), "no {entry} for p{p}");
+        }
+    }
+}
+
+/// The work ledger, one column per entry of [`COLUMNS`].
+///
+/// Queued, a slot costs one proposal to everyone and one ack from everyone
+/// to everyone, plus a `Commit` from everyone to everyone where the slow
+/// path runs beside the fast one (`t < f`), and nothing else. Each seat
+/// checks the proposal's signature and, where acks carry a share, the fast
+/// quorum's `n − t` acks. The `Commit`s arrive after the slot settled and
+/// walk no certificate. In the open loop seats drain one command into
+/// different slots, so every copy decided after the first is dropped at
+/// apply. The checks there include the `n − 1` checkpoint attestations
+/// each seat checks per snapshot boundary. With seats silent, each live
+/// seat ends holding the dead-led slots it revoked ahead, decided empty and
+/// parked behind the next live-led slot: nothing is pending, so no seat
+/// opens that one. With `f` seats silent every commit is slow.
 #[test]
-fn the_open_loop_rows() {
+fn the_work_ledger() {
+    use Load::{Open, Queued};
+    let (four, seven) = (Config::new(4, 1, 1).unwrap(), Config::new(7, 2, 1).unwrap());
     #[rustfmt::skip]
-    let rows = [
-        (Config::new(4, 1, 1).unwrap(), [587, 2, 1_856, 3_248, 11_882, 845_708, 2_348, 0, 2_348, 0]),
-        (Config::new(7, 2, 1).unwrap(), [573, 3, 3_067, 6_524, 60_463, 10_372_088, 70_511, 8_036, 4_011, 0]),
+    let rows: [(Config, &[u32], Load, Row); 7] = [
+        //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed
+        (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0]),
+        (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0]),
+        (four,  &[],     Open(1_000), [  587,     0,     2,  1_856,   3_248, 11_882,    845_708,   2_348,  9_392,      0,       36,  2_396,    599,      0, 2_348,     0,     0,       0,          0,    0]),
+        (seven, &[],     Open(1_000), [  573,     0,     3,  3_067,   6_524, 60_463, 10_372_088,   4_011, 28_077, 28_077,       42, 70_679, 10_097,  8_036, 4_011,     0,     0,       0,          0,    0]),
+        (four,  &[4],    Open(1_000), [  465,     2,   110,    863,   1_737,  9_396,    713_298,   1_868,  5_604,      0,        0,  3_307,  1_063,    354, 1_401,     0,   354,       0,          0,    0]),
+        (seven, &[7],    Open(1_000), [  529,     2,    76,  2_080,   4_830, 52_619,  8_562_926,   3_717, 22_302, 22_302,       65, 63_943, 10_593,  7_950, 3_186,     0,   462,       0,          0,    0]),
+        (seven, &[6, 7], Open(1_000), [  465,     4,   127,  1_354,   3_625, 42_171,  6_699_166,   3_283, 16_415, 16_415,        0, 78_603, 15_639, 12_405,     0, 2_345,   695,       0,          0,    0]),
     ];
-    for (cfg, row) in rows {
-        assert_eq!(open_loop(cfg, 1_000), row, "n = {}", cfg.n());
+    for (cfg, silent, load, row) in rows {
+        let silent: Vec<ProcessId> = silent.iter().copied().map(ProcessId).collect();
+        let (mut cluster, commands) = match load {
+            Queued(slots) => (settled(cfg, slots), slots),
+            Open(commands) => (open_loop(cfg, &silent, commands), commands),
+        };
+        let read = ledger(&mut cluster, &silent, commands);
+        let named: Vec<_> = COLUMNS.iter().map(|(label, _)| *label).zip(read).collect();
+        assert_eq!(read, row, "{cfg:?}, {silent:?} silent, {load:?}: {named:?}");
+        exported(cluster.registry());
     }
 }

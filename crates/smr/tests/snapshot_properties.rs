@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 
 use fastbft_crypto::KeyDirectory;
+use fastbft_obs::Metrics;
 use fastbft_smr::{
     checkpoint_signature, snapshot_response_valid, KvCommand, KvStore, StateMachine,
 };
@@ -158,13 +159,17 @@ proptest! {
         let f = 1usize;
         let upto = (upto_seed as u64 + 1) * 16;
         let digest = fastbft_crypto::digest(&payload);
+        let metrics = Metrics::new();
+        let valid = |upto, payload: &[u8], sigs: &[_]| {
+            snapshot_response_valid(&dir, &metrics, f, upto, payload, sigs)
+        };
 
         // Exactly f+1 = 2 distinct signers: the acceptance threshold.
         let sigs: Vec<_> = pairs[..2]
             .iter()
             .map(|kp| checkpoint_signature(kp, upto, &digest))
             .collect();
-        prop_assert!(snapshot_response_valid(&dir, f, upto, &payload, &sigs));
+        prop_assert!(valid(upto, &payload, &sigs));
 
         // Single-byte tamper of the payload: every attestation now covers
         // the wrong digest.
@@ -172,7 +177,7 @@ proptest! {
         let idx = idx_seed as usize % tampered.len();
         tampered[idx] ^= 1 << bit;
         prop_assert!(
-            !snapshot_response_valid(&dir, f, upto, &tampered, &sigs),
+            !valid(upto, &tampered, &sigs),
             "flipping bit {} of byte {} went undetected",
             bit,
             idx
@@ -180,13 +185,13 @@ proptest! {
 
         // Tampered boundary: the signed statement binds `upto`.
         let wrong_upto = upto + 1 + delta_seed as u64;
-        prop_assert!(!snapshot_response_valid(&dir, f, wrong_upto, &payload, &sigs));
+        prop_assert!(!valid(wrong_upto, &payload, &sigs));
 
         // f valid signers are not enough.
-        prop_assert!(!snapshot_response_valid(&dir, f, upto, &payload, &sigs[..1]));
+        prop_assert!(!valid(upto, &payload, &sigs[..1]));
 
         // Duplicates of one signer must not be counted as distinct peers.
         let padded = vec![sigs[0].clone(), sigs[0].clone(), sigs[0].clone()];
-        prop_assert!(!snapshot_response_valid(&dir, f, upto, &payload, &padded));
+        prop_assert!(!valid(upto, &payload, &padded));
     }
 }
