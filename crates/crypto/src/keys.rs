@@ -1,10 +1,7 @@
 //! Per-process keys, signatures and the verification directory.
 
-use std::collections::HashSet;
 use std::fmt;
-#[cfg(test)]
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use fastbft_types::wire::{Decode, Encode, WireError, WireReader};
 use fastbft_types::ProcessId;
@@ -122,80 +119,6 @@ impl KeyPair {
     }
 }
 
-/// Longest statement the shared verification memo will key on. Protocol
-/// statements are 41 bytes (`tag ‖ H(m) ‖ v`) and checkpoint attestations
-/// 48; anything longer skips the memo rather than growing the key.
-const MEMO_STATEMENT_MAX: usize = 64;
-
-/// Bound on the shared verification memo. On overflow the memo is cleared
-/// wholesale: correctness never depends on a hit, and a reset costs at
-/// most one re-verification per live statement.
-const MEMO_CAP: usize = 1 << 14;
-
-/// Key of one memoized verification: the claimed signer, the *full*
-/// statement bytes, and the signature tag. All three are bound, so a hit
-/// can only reproduce a previously successful check of the identical
-/// triple — a tag memoized for one statement can never vouch for another.
-#[derive(PartialEq, Eq, Hash)]
-struct MemoKey {
-    signer: ProcessId,
-    tag: Digest,
-    len: u8,
-    stmt: [u8; MEMO_STATEMENT_MAX],
-}
-
-impl MemoKey {
-    /// Builds the key for `(parts, sig)`; `None` when the concatenated
-    /// statement exceeds [`MEMO_STATEMENT_MAX`] (such checks skip the memo).
-    fn build(parts: &[&[u8]], sig: &Signature) -> Option<MemoKey> {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if total > MEMO_STATEMENT_MAX {
-            return None;
-        }
-        let mut stmt = [0u8; MEMO_STATEMENT_MAX];
-        let mut at = 0;
-        for part in parts {
-            stmt[at..at + part.len()].copy_from_slice(part);
-            at += part.len();
-        }
-        Some(MemoKey {
-            signer: sig.signer,
-            tag: *sig.tag(),
-            len: total as u8,
-            stmt,
-        })
-    }
-}
-
-impl fmt::Debug for MemoKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Statement bytes can embed digests of values; keep Debug terse.
-        write!(f, "MemoKey({} · {} bytes)", self.signer, self.len)
-    }
-}
-
-/// The shared cross-clone verification memo (see
-/// [`KeyDirectory::enable_shared_memo`]). Only *successful* checks are
-/// recorded, so garbage can never poison it.
-#[derive(Debug, Default)]
-struct VerifyMemo {
-    seen: Mutex<HashSet<MemoKey>>,
-}
-
-impl VerifyMemo {
-    fn contains(&self, key: &MemoKey) -> bool {
-        self.seen.lock().expect("memo poisoned").contains(key)
-    }
-
-    fn insert(&self, key: MemoKey) {
-        let mut seen = self.seen.lock().expect("memo poisoned");
-        if seen.len() >= MEMO_CAP {
-            seen.clear();
-        }
-        seen.insert(key);
-    }
-}
-
 /// The verification directory: maps each process id to its verification key.
 ///
 /// Plays the role of the paper's PKI ("every process knows the identifiers
@@ -208,19 +131,6 @@ impl VerifyMemo {
 #[derive(Clone, Debug)]
 pub struct KeyDirectory {
     engines: Arc<Vec<HmacEngine>>,
-    /// MAC computations performed by [`KeyDirectory::verify`]; shared by
-    /// clones. The shared memo below is specified as "the HMAC work
-    /// happens once": its tests diff this count around a call to assert
-    /// that, per directory. A replica counts its checks in its `Metrics`.
-    #[cfg(test)]
-    verifications: Arc<AtomicU64>,
-    /// Cross-clone memo of *successful* verifications, disabled by default
-    /// (`OnceLock` stays empty). A `OnceLock` rather than an
-    /// `Option<Arc<…>>` so that [`enable_shared_memo`] on any clone turns
-    /// the memo on for every clone already handed out.
-    ///
-    /// [`enable_shared_memo`]: KeyDirectory::enable_shared_memo
-    memo: Arc<OnceLock<VerifyMemo>>,
 }
 
 impl KeyDirectory {
@@ -244,35 +154,14 @@ impl KeyDirectory {
             pairs,
             KeyDirectory {
                 engines: Arc::new(engines),
-                #[cfg(test)]
-                verifications: Arc::new(AtomicU64::new(0)),
-                memo: Arc::new(OnceLock::new()),
             },
         )
     }
 
-    /// Turns on the shared verification memo for this directory *and every
-    /// clone of it*, existing or future.
+    /// Does nothing: every [`verify`](KeyDirectory::verify) computes its MAC.
     ///
-    /// Vestige: nothing in the workspace calls it; the frozen `benchmark/src/probes.rs` times the memo.
-    ///
-    /// With the memo on, a successful [`verify`](KeyDirectory::verify) of a
-    /// `(signer, statement, tag)` triple is recorded, and any later check of
-    /// the identical triple — from any clone, any thread — returns `true`
-    /// without redoing the MAC.
-    ///
-    /// Only successes are memoized, and the key binds the full statement
-    /// bytes, so the memo can never accept anything the MAC would reject.
-    /// Off by default.
-    pub fn enable_shared_memo(&self) {
-        self.memo.get_or_init(VerifyMemo::default);
-    }
-
-    /// Whether [`enable_shared_memo`](KeyDirectory::enable_shared_memo) has
-    /// been called on this directory or any clone of it.
-    pub fn shared_memo_enabled(&self) -> bool {
-        self.memo.get().is_some()
-    }
+    /// Vestige: the shared verification memo it once switched on is gone; the frozen `benchmark/src/probes.rs` still calls it.
+    pub fn enable_shared_memo(&self) {}
 
     /// Number of processes the directory knows about.
     pub fn len(&self) -> usize {
@@ -301,30 +190,7 @@ impl KeyDirectory {
         else {
             return false;
         };
-        let memo_key = match self.memo.get() {
-            Some(memo) => {
-                let key = MemoKey::build(parts, sig);
-                if let Some(k) = &key {
-                    if memo.contains(k) {
-                        // A recorded success of this exact triple: the MAC
-                        // already matched once, skip recomputing it. No
-                        // `verifications` bump — the counter counts MACs.
-                        return true;
-                    }
-                }
-                key
-            }
-            None => None,
-        };
-        #[cfg(test)]
-        self.verifications.fetch_add(1, Ordering::Relaxed);
-        let ok = digest_eq(&engine.mac_parts(parts), &sig.tag);
-        if ok {
-            if let (Some(memo), Some(key)) = (self.memo.get(), memo_key) {
-                memo.insert(key);
-            }
-        }
-        ok
+        digest_eq(&engine.mac_parts(parts), &sig.tag)
     }
 }
 
@@ -339,7 +205,10 @@ mod tests {
         for pair in &pairs {
             let sig = pair.sign(b"message");
             assert!(dir.verify(b"message", &sig));
+            assert!(dir.verify_parts(&[b"mess", b"age"], &sig));
             assert!(!dir.verify(b"other", &sig));
+            // Parts whose concatenation is another statement.
+            assert!(!dir.verify_parts(&[b"mess", b"age!"], &sig));
         }
     }
 
@@ -390,71 +259,6 @@ mod tests {
         roundtrip(&sigs);
         // Wire size matches the constant.
         assert_eq!(sig.to_wire_bytes().len(), Signature::WIRE_SIZE);
-    }
-
-    #[test]
-    fn memo_disabled_by_default() {
-        let (pairs, dir) = KeyDirectory::generate(2, 11);
-        assert!(!dir.shared_memo_enabled());
-        let sig = pairs[0].sign(b"m");
-        assert!(dir.verify(b"m", &sig));
-        assert!(dir.verify(b"m", &sig));
-        // Without the memo every verify pays a MAC.
-        assert_eq!(dir.verifications.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn memo_hit_skips_the_mac() {
-        let (pairs, dir) = KeyDirectory::generate(2, 11);
-        dir.enable_shared_memo();
-        let sig = pairs[0].sign(b"statement");
-        assert!(dir.verify(b"statement", &sig));
-        let before = dir.verifications.load(Ordering::Relaxed);
-        // Same triple again, and through a *clone* — both must hit.
-        assert!(dir.verify(b"statement", &sig));
-        assert!(dir.clone().verify(b"statement", &sig));
-        assert_eq!(dir.verifications.load(Ordering::Relaxed), before);
-    }
-
-    #[test]
-    fn memo_never_vouches_for_a_different_statement_or_signer() {
-        let (pairs, dir) = KeyDirectory::generate(2, 11);
-        dir.enable_shared_memo();
-        let sig = pairs[0].sign(b"good");
-        assert!(dir.verify(b"good", &sig));
-        // The memoized tag must not transfer to another statement, another
-        // claimed signer, or a split of the same bytes with different
-        // lengths claimed.
-        assert!(!dir.verify(b"evil", &sig));
-        assert!(!dir.verify(b"good", &Signature::from_parts(ProcessId(2), *sig.tag())));
-        assert!(!dir.verify_parts(&[b"go", b"od!"], &sig));
-    }
-
-    #[test]
-    fn memo_enable_propagates_to_preexisting_clones() {
-        let (pairs, dir) = KeyDirectory::generate(2, 11);
-        let earlier_clone = dir.clone();
-        dir.enable_shared_memo();
-        assert!(earlier_clone.shared_memo_enabled());
-        let sig = pairs[1].sign(b"warmed");
-        // Warm through one clone, hit through the other.
-        assert!(dir.verify(b"warmed", &sig));
-        let before = earlier_clone.verifications.load(Ordering::Relaxed);
-        assert!(earlier_clone.verify(b"warmed", &sig));
-        assert_eq!(earlier_clone.verifications.load(Ordering::Relaxed), before);
-    }
-
-    #[test]
-    fn oversized_statements_bypass_the_memo() {
-        let (pairs, dir) = KeyDirectory::generate(2, 11);
-        dir.enable_shared_memo();
-        let long = vec![7u8; MEMO_STATEMENT_MAX + 1];
-        let sig = pairs[0].sign(&long);
-        assert!(dir.verify(&long, &sig));
-        let before = dir.verifications.load(Ordering::Relaxed);
-        // Verifies fine, but pays the MAC again: no memo entry was made.
-        assert!(dir.verify(&long, &sig));
-        assert_eq!(dir.verifications.load(Ordering::Relaxed), before + 1);
     }
 
     #[test]

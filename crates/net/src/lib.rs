@@ -20,29 +20,33 @@
 //!
 //! The transport plugs into `fastbft_runtime`'s
 //! [`Transport`](fastbft_runtime::Transport) abstraction, so the exact same
-//! event loop (timer heap, decision reporting, shutdown) drives replicas
-//! over channels and over TCP. [`spawn_tcp`] builds the loopback cluster
-//! used by the integration tests and the `tcp_cluster` example:
+//! event loop (timer heap, applied-event stream, shutdown) drives replicas
+//! over channels and over TCP. [`tcp_seats_metered`] puts a cluster's
+//! actors on loopback TCP; `fastbft_smr`'s `SmrClusterHandle::spawn` runs
+//! them and checks what they apply:
 //!
 //! ```
 //! use std::time::Duration;
-//! use fastbft_core::{Message, Replica};
-//! use fastbft_crypto::KeyDirectory;
-//! use fastbft_net::spawn_tcp;
-//! use fastbft_sim::Actor;
-//! use fastbft_types::{Config, Value};
+//! use fastbft_net::tcp_seats_metered;
+//! use fastbft_smr::{KvCommand, KvStore, SmrClusterHandle};
+//! use fastbft_types::Config;
 //!
 //! let cfg = Config::new(4, 1, 1)?;
-//! let (pairs, dir) = KeyDirectory::generate(4, 1);
-//! let actors: Vec<Box<dyn Actor<Message> + Send>> = pairs
-//!     .iter()
-//!     .map(|keys| -> Box<dyn Actor<Message> + Send> {
-//!         Box::new(Replica::new(cfg, keys.clone(), dir.clone(), Value::from_u64(7)))
-//!     })
-//!     .collect();
-//! let (cluster, _addrs) = spawn_tcp(actors, pairs, dir)?;
-//! let decisions = cluster.await_decisions(4, Duration::from_secs(10));
-//! assert_eq!(decisions.len(), 4);
+//! let mut cluster = SmrClusterHandle::spawn(
+//!     cfg,
+//!     1,
+//!     KvStore::new(),
+//!     vec![Vec::new(); cfg.n()],
+//!     |actors, pairs, dir, registry| {
+//!         tcp_seats_metered(actors, pairs, dir, Default::default(), registry)
+//!             .expect("loopback bind")
+//!             .0
+//!     },
+//!     |_, node| Box::new(node),
+//! );
+//! cluster.submit(KvCommand::Put { key: "x".into(), value: "7".into() }.to_value());
+//! assert!(cluster.await_commands(cfg.processes(), 1, Duration::from_secs(10)));
+//! assert_eq!(cluster.violations(), []);
 //! cluster.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -59,39 +63,11 @@ use std::sync::Arc;
 
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
-use fastbft_runtime::{spawn_with, ClusterHandle, NodeSeat, TICK};
+use fastbft_runtime::NodeSeat;
 use fastbft_sim::{Actor, SimMessage};
 use fastbft_types::wire::{Decode, Encode};
 
 pub use tcp::{TcpOptions, TcpStats, TcpTransport};
-
-/// Spawns a thread-per-replica cluster whose replicas talk over loopback
-/// TCP with authenticated frames — the socket-backed sibling of
-/// [`fastbft_runtime::spawn`], at the same [`TICK`] and with the same
-/// [`ClusterHandle`].
-///
-/// Each replica gets an ephemeral `127.0.0.1` listener (bound before any
-/// thread starts, so no startup races) and dials its peers lazily on first
-/// send. `pairs[i]` must be the key pair of process `p_{i+1}`, matching
-/// `actors[i]`. Also returns the per-replica listener addresses, so tests
-/// and external (possibly Byzantine) drivers can reach the cluster.
-///
-/// # Errors
-///
-/// An [`io::Error`] if binding the loopback listeners fails.
-///
-/// # Panics
-///
-/// Panics if `pairs` does not line up with `actors` (wrong length or a key
-/// pair whose process id is not `p_{i+1}`).
-pub fn spawn_tcp<M: SimMessage + Encode + Decode>(
-    actors: Vec<Box<dyn Actor<M> + Send>>,
-    pairs: Vec<KeyPair>,
-    dir: KeyDirectory,
-) -> io::Result<(ClusterHandle<M>, Vec<SocketAddr>)> {
-    let (seats, addrs) = tcp_seats(actors, pairs, dir, TcpOptions::default())?;
-    Ok((spawn_with(seats, TICK), addrs))
-}
 
 /// Checks that `pairs[i]` belongs to process `p_{i+1}` and binds one
 /// ephemeral `127.0.0.1` listener per process, returning the listeners
@@ -151,9 +127,9 @@ fn seats_on<M: SimMessage + Encode + Decode>(
 /// Builds the loopback-TCP [`NodeSeat`]s for a cluster *without* spawning
 /// it: one ephemeral `127.0.0.1` listener per replica (bound before
 /// returning, so no startup races), transports dialing lazily on first
-/// send. This is the building block behind [`spawn_tcp`] and the way to
-/// run non-consensus actors — e.g. `fastbft_smr`'s slot-multiplexed SMR
-/// nodes — over authenticated TCP: pass the seats to
+/// send. This is how any actors — `fastbft_smr`'s slot-multiplexed SMR
+/// nodes above all — run over authenticated TCP: return the seats from
+/// `SmrClusterHandle::spawn`'s `seats` closure or pass them to
 /// [`fastbft_runtime::spawn_with`], wrapped in
 /// [`fastbft_runtime::wrap_seats`] first to shape their deliveries — above
 /// frame decode and MAC verification, so what is delayed or dropped is an

@@ -211,8 +211,8 @@ struct WriterSeat {
 }
 
 /// [`Transport`] implementation over real TCP sockets with authenticated
-/// frames. Build a full cluster with [`spawn_tcp`](crate::spawn_tcp), or
-/// one node's transport with [`TcpTransport::start`] for custom topologies
+/// frames. Build a full cluster's seats with
+/// [`tcp_seats_metered`](crate::tcp_seats_metered), or one node's transport with [`TcpTransport::start`] for custom topologies
 /// (separate processes, real machines).
 pub struct TcpTransport<M> {
     id: ProcessId,

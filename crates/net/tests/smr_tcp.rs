@@ -39,10 +39,9 @@ fn one_per_slot() -> Batching {
     })
 }
 
-/// Spawns an n=4 SMR-over-TCP cluster, one command per slot; seat `i` is
+/// Spawns an SMR-over-TCP cluster, one command per slot; seat `i` is
 /// replaced by a silent actor for every process id in `silent`.
-fn spawn_kv_tcp(seed: u64, silent: &[u32]) -> SmrClusterHandle {
-    let cfg = Config::new(4, 1, 1).unwrap();
+fn spawn_kv_tcp(cfg: Config, seed: u64, silent: &[u32]) -> SmrClusterHandle {
     SmrClusterHandle::spawn(
         cfg,
         seed,
@@ -72,41 +71,47 @@ fn on_tcp(
 }
 
 /// All-correct run: commands submitted to the *running* cluster commit on
-/// every replica, each exactly once, leaving identical KV state.
+/// every replica, each exactly once, leaving identical KV state — at the
+/// headline n = 4 and at the generalized n = 8 (f = 2, t = 1: 8 listeners,
+/// 56 authenticated connections).
 #[test]
 fn kv_replicates_identically_over_tcp() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let mut cluster = spawn_kv_tcp(31, &[]);
-    let commands: Vec<Value> = (0..10).map(put).collect();
-    for cmd in &commands {
-        cluster.submit(cmd.clone());
-    }
-    assert!(
-        cluster.await_commands(cfg.processes(), 10, Duration::from_secs(60)),
-        "cluster did not apply all 10 commands: logs {:?}",
-        cluster.logs()
-    );
-    assert_eq!(cluster.violations(), []);
-    for log in cluster.logs() {
+    for cfg in [Config::new(4, 1, 1), Config::new(8, 2, 1)] {
+        let cfg = cfg.unwrap();
+        let mut cluster = spawn_kv_tcp(cfg, 31, &[]);
+        let commands: Vec<Value> = (0..10).map(put).collect();
         for cmd in &commands {
-            assert!(log.values().any(|v| v == cmd), "command never applied");
+            cluster.submit(cmd.clone());
         }
-    }
+        assert!(
+            cluster.await_commands(cfg.processes(), 10, Duration::from_secs(60)),
+            "n = {}: cluster did not apply all 10 commands: logs {:?}",
+            cfg.n(),
+            cluster.logs()
+        );
+        assert_eq!(cluster.violations(), []);
+        for log in cluster.logs() {
+            for cmd in &commands {
+                assert!(log.values().any(|v| v == cmd), "command never applied");
+            }
+        }
 
-    // Final state straight from the actors: identical stores everywhere.
-    let actors = cluster.shutdown();
-    let digests: Vec<_> = actors
-        .iter()
-        .map(|a| {
-            let node = as_smr_node::<KvStore>(a.as_ref()).expect("SMR seat");
-            assert_eq!(node.machine().get("k3"), Some(&"v3".to_string()));
-            node.machine().state_digest()
-        })
-        .collect();
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "replica state diverged"
-    );
+        // Final state straight from the actors: identical stores everywhere.
+        let actors = cluster.shutdown();
+        let digests: Vec<_> = actors
+            .iter()
+            .map(|a| {
+                let node = as_smr_node::<KvStore>(a.as_ref()).expect("SMR seat");
+                assert_eq!(node.machine().get("k3"), Some(&"v3".to_string()));
+                node.machine().state_digest()
+            })
+            .collect();
+        assert!(
+            digests.windows(2).all(|w| w[0] == w[1]),
+            "n = {}: replica state diverged",
+            cfg.n()
+        );
+    }
 }
 
 /// The observability plane end to end, on the cluster whose scrape
@@ -166,7 +171,7 @@ fn metrics_scrape_over_tcp_is_well_formed_and_reflects_the_run() {
 /// it mid-log and still commit every command consistently.
 #[test]
 fn silent_leader_recovers_mid_log_over_tcp() {
-    let mut cluster = spawn_kv_tcp(32, &[2]);
+    let mut cluster = spawn_kv_tcp(Config::new(4, 1, 1).unwrap(), 32, &[2]);
     let correct = [ProcessId(1), ProcessId(3), ProcessId(4)];
     let commands: Vec<Value> = (0..5).map(put).collect();
     for cmd in &commands {
@@ -385,7 +390,7 @@ fn kill_and_rejoin(seed: u64, batching: Batching) {
 /// sockets carry traffic (mirrors `shutdown_semantics.rs` for SMR + TCP).
 #[test]
 fn shutdown_with_inflight_slots_joins() {
-    let cluster = spawn_kv_tcp(33, &[]);
+    let cluster = spawn_kv_tcp(Config::new(4, 1, 1).unwrap(), 33, &[]);
     for i in 0..50 {
         cluster.submit(put(i));
     }

@@ -1,76 +1,97 @@
 //! Loopback TCP cluster integration: real replicas over real sockets.
 //!
-//! Pins the acceptance criteria of the transport subsystem: an `n = 4,
-//! f = t = 1` cluster reaches a unanimous decision over 127.0.0.1, hostile
-//! bytes (bad MACs, spoofed senders, truncation, oversized lengths, random
-//! garbage, a hostile payload under a valid MAC) are rejected without
-//! panicking any replica thread, and shutdown joins every thread even with
-//! undelivered traffic in flight.
+//! Pins the acceptance criteria of the transport subsystem: hostile bytes
+//! (bad MACs, spoofed senders, truncation, oversized lengths, random
+//! garbage, a hostile payload under a valid MAC, a flood of
+//! unauthenticated connections) are rejected without panicking any replica
+//! thread — an `n = 4, f = t = 1` SMR cluster over 127.0.0.1 still applies
+//! every submitted command, checked by the SMR checker — and shutdown
+//! joins every thread even with undelivered traffic in flight.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use fastbft_core::replica::Replica;
 use fastbft_core::Message;
 use fastbft_crypto::session::{frame_preimage, mix_session, SessionMac};
-use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
+use fastbft_crypto::{KeyDirectory, Signature};
 use fastbft_net::frame::{encode_batch_payload, read_msg, write_msg, Frame, Hello, HelloAck};
-use fastbft_net::{spawn_tcp, tcp_seats, tcp_seats_metered, TcpOptions};
-use fastbft_obs::MetricsRegistry;
+use fastbft_net::{tcp_seats, tcp_seats_metered, TcpOptions};
 use fastbft_runtime::{spawn_with, TICK};
-use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
+use fastbft_sim::{Actor, Effects, ScriptedActor, SimDuration, SimMessage, TimerId};
+use fastbft_smr::{KvCommand, KvStore, SlotMessage, SmrClusterHandle};
 use fastbft_types::wire::to_bytes;
-use fastbft_types::{Config, ProcessId, Value};
+use fastbft_types::{Config, ProcessId};
 
-fn replicas(
-    cfg: Config,
-    input: u64,
+/// Spawns an `n = 4` SMR cluster on metered loopback-TCP seats with keys
+/// from `seed`. `before_start` sees the listener addresses once every
+/// listener accepts and before any replica thread runs (transports dial on
+/// first send, so until then a test's connections are the only inbound
+/// ones).
+fn spawn_kv_tcp(
     seed: u64,
-) -> (
-    Vec<Box<dyn Actor<Message> + Send>>,
-    Vec<KeyPair>,
-    KeyDirectory,
-) {
-    let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
-    let actors = (0..cfg.n())
-        .map(|i| -> Box<dyn Actor<Message> + Send> {
-            Box::new(Replica::new(
-                cfg,
-                pairs[i].clone(),
-                dir.clone(),
-                Value::from_u64(input),
-            ))
-        })
-        .collect();
-    (actors, pairs, dir)
+    opts: TcpOptions,
+    before_start: impl FnOnce(&[SocketAddr]),
+) -> (SmrClusterHandle, Vec<SocketAddr>) {
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let mut addrs = Vec::new();
+    let cluster = SmrClusterHandle::spawn(
+        cfg,
+        seed,
+        KvStore::new(),
+        vec![Vec::new(); cfg.n()],
+        |actors, pairs, dir, registry| {
+            let (seats, bound) =
+                tcp_seats_metered(actors, pairs, dir, opts, registry).expect("loopback bind");
+            before_start(&bound);
+            addrs = bound;
+            seats
+        },
+        |_, node| Box::new(node),
+    );
+    (cluster, addrs)
 }
 
-#[test]
-fn four_replicas_decide_unanimously_over_loopback() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (actors, pairs, dir) = replicas(cfg, 7, 41);
-    let (cluster, addrs) = spawn_tcp(actors, pairs, dir).unwrap();
-    assert_eq!(addrs.len(), 4);
-    let decisions = cluster.await_decisions(4, Duration::from_secs(20));
-    cluster.shutdown();
-    assert_eq!(decisions.len(), 4, "all four replicas must decide");
-    for d in &decisions {
-        assert_eq!(d.value, Value::from_u64(7), "{} decided wrongly", d.process);
+/// Submits four puts to the running cluster and asserts that every replica
+/// applies all four with the SMR checker clean — no replica thread
+/// panicked or wedged.
+fn all_four_apply(cluster: &mut SmrClusterHandle, why: &str) {
+    for i in 0..4 {
+        let put = KvCommand::Put {
+            key: format!("k{i}"),
+            value: format!("v{i}"),
+        };
+        cluster.submit(put.to_value());
     }
+    let all = (1..=4).map(ProcessId);
+    assert!(
+        cluster.await_commands(all, 4, Duration::from_secs(30)),
+        "{why}: logs {:?}",
+        cluster.logs()
+    );
+    assert_eq!(cluster.violations(), []);
+}
+
+/// A consensus message for slot 0, as a peer would frame it.
+fn wish(view: u64) -> Vec<u8> {
+    to_bytes(&SlotMessage::Consensus {
+        slot: 0,
+        inner: Message::Wish(fastbft_core::message::WishMsg {
+            view: fastbft_types::View(view),
+        }),
+    })
 }
 
 /// Every class of hostile input from the acceptance criteria, fired at a
-/// live cluster which must still decide unanimously — proving the frames
-/// were rejected without panicking or wedging any replica thread.
+/// live cluster which must still apply every submitted command — proving
+/// the frames were rejected without panicking or wedging any replica
+/// thread.
 #[test]
 fn hostile_frames_are_rejected_without_breaking_consensus() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (actors, pairs, dir) = replicas(cfg, 9, 43);
-    // Keep an "attacker" copy of p4's key: a *member* key, used to probe
-    // that even a legitimate key cannot spoof someone else's identity.
-    let p4 = pairs[3].clone();
-    let (cluster, addrs) = spawn_tcp(actors, pairs, dir).unwrap();
+    // An "attacker" copy of p4's key: a *member* key, used to probe that
+    // even a legitimate key cannot spoof someone else's identity.
+    let p4 = KeyDirectory::generate(4, 43).0[3].clone();
+    let (mut cluster, addrs) = spawn_kv_tcp(43, TcpOptions::default(), |_| {});
     let target = addrs[0]; // everything below attacks p1
 
     // (a) Pure garbage: not even a handshake.
@@ -101,10 +122,7 @@ fn hostile_frames_are_rejected_without_breaking_consensus() {
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
         let mut payload = Vec::new();
-        let wish = to_bytes(&Message::Wish(fastbft_core::message::WishMsg {
-            view: fastbft_types::View(2),
-        }));
-        encode_batch_payload(&mut payload, &[wish]);
+        encode_batch_payload(&mut payload, &[wish(2)]);
         // Everything but the flipped byte is what a correct p4 would send.
         let mut mac = SessionMac::new(p4.clone(), mix_session(session, ack.nonce));
         let (seq, sig) = mac.tag_next(&payload);
@@ -127,9 +145,7 @@ fn hostile_frames_are_rejected_without_breaking_consensus() {
         write_msg(&mut s, &Hello::signed(&p4, session)).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
-        let payload = to_bytes(&Message::Wish(fastbft_core::message::WishMsg {
-            view: fastbft_types::View(3),
-        }));
+        let payload = wish(3);
         // p4 signs honestly, but stamps p2 as the frame sender.
         let session = mix_session(session, ack.nonce);
         let sig = p4.sign(&frame_preimage(session, 1, &payload));
@@ -150,37 +166,24 @@ fn hostile_frames_are_rejected_without_breaking_consensus() {
         write_msg(&mut s, &hello).unwrap();
     }
 
-    // Despite all of the above, the protocol proceeds to a unanimous
-    // decision and no replica thread has panicked.
-    let decisions = cluster.await_decisions(4, Duration::from_secs(20));
+    // Despite all of the above, every replica applies what the client
+    // submits and no replica thread has panicked.
+    all_four_apply(&mut cluster, "hostile frames must not block consensus");
     cluster.shutdown();
-    assert_eq!(
-        decisions.len(),
-        4,
-        "hostile frames must not block consensus"
-    );
-    for d in &decisions {
-        assert_eq!(d.value, Value::from_u64(9));
-    }
 }
 
 /// The case the six above cannot reach — all of them are refused before a
 /// payload is decoded: an *authenticated* member whose frame carries a
-/// *valid* MAC and a hostile payload. p4 sends a `Propose` whose certificate
-/// opens 2 000 nested levels of the whole-vote-set form (`ProgressCert` tag
-/// 2, 22 bytes a level) and then ends. While that tag decoded, this frame
-/// overflowed the reader thread's stack and aborted the process; now the
-/// decode fails at the first tag, p1 closes that one connection and the
-/// cluster decides.
+/// *valid* MAC and a hostile payload. p4 sends slot 0 a `Propose` whose
+/// certificate opens 2 000 nested levels of the whole-vote-set form
+/// (`ProgressCert` tag 2, 22 bytes a level) and then ends. While that tag
+/// decoded, this frame overflowed the reader thread's stack and aborted the
+/// process; now the decode fails at the first tag, p1 closes that one
+/// connection and the cluster applies what is submitted.
 #[test]
 fn authenticated_peer_with_a_nested_certificate_is_dropped_in_decode() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (actors, pairs, dir) = replicas(cfg, 11, 61);
-    let p4 = pairs[3].clone();
-    let registry = MetricsRegistry::new(cfg.n());
-    let (seats, addrs) =
-        tcp_seats_metered(actors, pairs, dir, TcpOptions::default(), &registry).unwrap();
-    let cluster = spawn_with(seats, TICK);
+    let p4 = KeyDirectory::generate(4, 61).0[3].clone();
+    let (mut cluster, addrs) = spawn_kv_tcp(61, TcpOptions::default(), |_| {});
 
     let mut s = TcpStream::connect(addrs[0]).unwrap();
     let session = 0xBAD_0004;
@@ -188,9 +191,17 @@ fn authenticated_peer_with_a_nested_certificate_is_dropped_in_decode() {
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let ack: HelloAck = read_msg(&mut s).unwrap().expect("ack");
 
-    // Message::Propose, an empty value, view 1, then the certificate chain:
-    // tag 2, one vote, voter p1, Some(VoteData { empty value, view 1, …
-    let mut msg = [&[1u8][..], &0u32.to_be_bytes(), &1u64.to_be_bytes()].concat();
+    // SlotMessage::Consensus for slot 0 around Message::Propose, an empty
+    // value, view 1, then the certificate chain: tag 2, one vote, voter p1,
+    // Some(VoteData { empty value, view 1, …
+    let mut msg = [
+        &[1u8][..],
+        &0u64.to_be_bytes(),
+        &[1u8],
+        &0u32.to_be_bytes(),
+        &1u64.to_be_bytes(),
+    ]
+    .concat();
     let level = [
         &[2u8][..],
         &1u32.to_be_bytes(),
@@ -219,73 +230,52 @@ fn authenticated_peer_with_a_nested_certificate_is_dropped_in_decode() {
         "p1 closed the connection"
     );
 
-    let decisions = cluster.await_decisions(4, Duration::from_secs(20));
-    cluster.shutdown();
-    assert_eq!(
-        decisions.len(),
-        4,
-        "a hostile payload must not block consensus"
-    );
-    for d in &decisions {
-        assert_eq!(d.value, Value::from_u64(11));
-    }
+    all_four_apply(&mut cluster, "a hostile payload must not block consensus");
     // The frame passed the MAC and died in decode, not before.
-    let p1 = registry.metrics(0);
+    let p1 = cluster.registry().metrics(0);
     assert_eq!(p1.mac_reject_total.get(), 0);
     assert!(p1.frames_in_total.get() >= 1);
+    cluster.shutdown();
 }
 
 /// The inbound-connection cap at its edge: p1's listener keeps 256
 /// unauthenticated connect-and-hold sockets, closes the 257th unanswered —
 /// its first read is end-of-file, no `HelloAck` — and still holds the
-/// 256th; once the holders close, the cluster decides.
+/// 256th; once the holders close, the cluster applies what is submitted.
 #[test]
 fn the_257th_inbound_connection_is_closed_unanswered() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (actors, pairs, dir) = replicas(cfg, 13, 67);
     // No holder's handshake may time out (and free its place) mid-test.
     let opts = TcpOptions {
         handshake_timeout: Duration::from_secs(60),
         ..TcpOptions::default()
     };
-    // Transports dial on first send, so until the cluster spawns the
-    // holders are p1's only inbound connections.
-    let (seats, addrs) = tcp_seats(actors, pairs, dir, opts).unwrap();
-    let holders: Vec<TcpStream> = (0..256)
-        .map(|_| TcpStream::connect(addrs[0]).unwrap())
-        .collect();
-    let mut refused = TcpStream::connect(addrs[0]).unwrap();
-    refused
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    assert_eq!(
-        refused.read(&mut [0u8; 1]).unwrap(),
-        0,
-        "the 257th connection is closed before any handshake"
-    );
-    // The accept loop takes connections in order: the 256th was in before
-    // the 257th was turned away, and it is still open.
-    let mut last = &holders[255];
-    last.set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
-    let held = last.read(&mut [0u8; 1]).unwrap_err().kind();
-    assert!(
-        matches!(held, ErrorKind::WouldBlock | ErrorKind::TimedOut),
-        "the 256th connection is held: {held:?}"
-    );
-
-    drop(holders);
-    let cluster = spawn_with(seats, TICK);
-    let decisions = cluster.await_decisions(4, Duration::from_secs(30));
+    let (mut cluster, _) = spawn_kv_tcp(67, opts, |addrs| {
+        let holders: Vec<TcpStream> = (0..256)
+            .map(|_| TcpStream::connect(addrs[0]).unwrap())
+            .collect();
+        let mut refused = TcpStream::connect(addrs[0]).unwrap();
+        refused
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            refused.read(&mut [0u8; 1]).unwrap(),
+            0,
+            "the 257th connection is closed before any handshake"
+        );
+        // The accept loop takes connections in order: the 256th was in
+        // before the 257th was turned away, and it is still open.
+        let mut last = &holders[255];
+        last.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let held = last.read(&mut [0u8; 1]).unwrap_err().kind();
+        assert!(
+            matches!(held, ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "the 256th connection is held: {held:?}"
+        );
+        // The holders close here, before any replica thread starts.
+    });
+    all_four_apply(&mut cluster, "the cluster commits once the holders close");
     cluster.shutdown();
-    assert_eq!(
-        decisions.len(),
-        4,
-        "the cluster decides once the holders close"
-    );
-    for d in &decisions {
-        assert_eq!(d.value, Value::from_u64(13));
-    }
 }
 
 /// Replaying a recorded connection cannot work: the listener contributes a
@@ -295,10 +285,13 @@ fn the_257th_inbound_connection_is_closed_unanswered() {
 /// the old nonce (`SessionVerifier` rejection pinned in `fastbft_crypto`).
 #[test]
 fn replayed_handshake_gets_a_fresh_listener_nonce() {
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (actors, pairs, dir) = replicas(cfg, 2, 59);
+    let (pairs, dir) = KeyDirectory::generate(4, 59);
     let p4 = pairs[3].clone();
-    let (cluster, addrs) = spawn_tcp(actors, pairs, dir).unwrap();
+    let actors = (0..4)
+        .map(|_| -> Box<dyn Actor<Message> + Send> { Box::new(ScriptedActor::silent()) })
+        .collect();
+    let (seats, addrs) = tcp_seats(actors, pairs, dir, TcpOptions::default()).unwrap();
+    let cluster = spawn_with(seats, TICK);
 
     let hello = Hello::signed(&p4, 0xCAFE); // the "recording"
     let mut nonces = Vec::new();
@@ -354,7 +347,8 @@ fn shutdown_joins_with_inflight_timers_and_messages_tcp() {
     let actors: Vec<Box<dyn Actor<Message> + Send>> = (0..n)
         .map(|_| -> Box<dyn Actor<Message> + Send> { Box::new(Flooder { echoes_left: 500 }) })
         .collect();
-    let (cluster, _addrs) = spawn_tcp(actors, pairs, dir).unwrap();
+    let (seats, _addrs) = tcp_seats(actors, pairs, dir, TcpOptions::default()).unwrap();
+    let cluster = spawn_with(seats, TICK);
     // Let the flood start, then tear down mid-traffic with timers armed.
     std::thread::sleep(Duration::from_millis(100));
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -365,21 +359,6 @@ fn shutdown_joins_with_inflight_timers_and_messages_tcp() {
     done_rx
         .recv_timeout(Duration::from_secs(20))
         .expect("TCP cluster shutdown deadlocked");
-}
-
-/// The generalized configuration also runs over TCP (exercises 8 listeners
-/// and 56 authenticated connections).
-#[test]
-fn generalized_config_decides_over_loopback() {
-    let cfg = Config::new(8, 2, 1).unwrap();
-    let (actors, pairs, dir) = replicas(cfg, 5, 53);
-    let (cluster, _addrs) = spawn_tcp(actors, pairs, dir).unwrap();
-    let decisions = cluster.await_decisions(8, Duration::from_secs(30));
-    cluster.shutdown();
-    assert_eq!(decisions.len(), 8);
-    for d in &decisions {
-        assert_eq!(d.value, Value::from_u64(5));
-    }
 }
 
 /// `SimMessage::wire_size` (used by the message-complexity experiment)

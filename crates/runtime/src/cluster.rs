@@ -7,10 +7,11 @@
 //! process cannot spoof its identity), and timer requests are served from a
 //! local timer heap.
 //!
-//! [`spawn`] wires the in-process [`ChannelTransport`] ([`channel_seats`]);
-//! `fastbft-net` builds the same cluster over loopback TCP via
-//! [`spawn_with`]. Either way this is the "it is not simulator-only" proof
-//! and the engine behind the wall-clock benchmarks (E9).
+//! [`spawn_with`] runs seats over any transport: the in-process
+//! [`ChannelTransport`] ([`channel_seats`]) or `fastbft-net`'s loopback TCP
+//! (`tcp_seats`). What a replica applies leaves through one stream,
+//! [`ClusterHandle::applied_events`]; `fastbft_smr`'s `SmrClusterHandle`
+//! builds every replicated-log cluster on it and checks that stream.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -22,23 +23,13 @@ use fastbft_types::{ProcessId, Value};
 
 use crate::transport::{ChannelTransport, Inbound, Polled, Transport};
 
-/// A decision reported by a replica thread.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Decision {
-    /// The deciding process.
-    pub process: ProcessId,
-    /// The decided value.
-    pub value: Value,
-    /// Wall-clock time from cluster start to the decision.
-    pub elapsed: Duration,
-}
-
-/// One applied-command event reported by a replica thread — the multi-slot
-/// (state machine replication) analogue of [`Decision`]. A replica emits
+/// One applied-command event reported by a replica thread. A replica emits
 /// one of these per command it applies, via
-/// [`Effects::record_applied`](fastbft_sim::Effects::record_applied);
-/// the runtime forwards every event instead of suppressing all but the
-/// first, so the handle observes the full replicated log as it grows.
+/// [`Effects::record_applied`](fastbft_sim::Effects::record_applied), and
+/// the runtime forwards every one, so the handle observes the full
+/// replicated log as it grows. This is the runtime's only output stream:
+/// a single-shot [`Effects::decide`](fastbft_sim::Effects::decide) is read
+/// by the simulator's consensus checker, never here.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Applied {
     /// The applying process.
@@ -57,14 +48,11 @@ pub struct ClusterHandle<M> {
     /// One entry per seat; `None` while that seat is stopped (see
     /// [`ClusterHandle::stop_node`] / [`ClusterHandle::restart_node`]).
     threads: Vec<Option<std::thread::JoinHandle<Box<dyn Actor<M> + Send>>>>,
-    decisions: Receiver<Decision>,
     applied: Receiver<Applied>,
-    /// Retained so restarted seats report into the same event streams with
+    /// Retained so restarted seats report into the same stream with
     /// elapsed times on the original cluster clock.
-    decisions_tx: Sender<Decision>,
     applied_tx: Sender<Applied>,
     start: Instant,
-    tick: Duration,
 }
 
 /// One replica's seat in a cluster: its protocol state machine, the
@@ -112,24 +100,16 @@ pub(crate) fn ticks(d: Duration) -> SimDuration {
     SimDuration(u64::try_from(d.as_nanos().div_ceil(TICK.as_nanos())).unwrap_or(u64::MAX))
 }
 
-/// Spawns one thread per actor over the in-process channel transport, at
-/// [`TICK`].
-pub fn spawn<M: SimMessage>(actors: Vec<Box<dyn Actor<M> + Send>>) -> ClusterHandle<M> {
-    spawn_with(channel_seats(actors), TICK)
-}
-
-/// Spawns one thread per seat over an arbitrary [`Transport`] — the
-/// transport-generic engine behind [`spawn`] and `fastbft-net`'s
-/// `spawn_tcp`. Node `i` of the cluster runs as process `p_{i+1}`; the
+/// Spawns one thread per seat over an arbitrary [`Transport`], timers at
+/// [`TICK`]. Node `i` of the cluster runs as process `p_{i+1}`; the
 /// transport of seat `i` must identify itself accordingly.
 ///
-/// Vestige: `tick` is always [`TICK`]; the parameter stays because the frozen `benchmark/` names it.
+/// Vestige: `_tick` is ignored (every cluster runs at [`TICK`]); the parameter stays because the frozen `benchmark/` passes it.
 pub fn spawn_with<M: SimMessage, T: Transport<M>>(
     seats: Vec<NodeSeat<M, T>>,
-    tick: Duration,
+    _tick: Duration,
 ) -> ClusterHandle<M> {
     let n = seats.len();
-    let (decisions_tx, decisions_rx) = unbounded::<Decision>();
     let (applied_tx, applied_rx) = unbounded::<Applied>();
     let start = Instant::now();
 
@@ -144,31 +124,18 @@ pub fn spawn_with<M: SimMessage, T: Transport<M>>(
         } = seat;
         controls.push(control);
         let id = ProcessId::from_index(i);
-        let decisions_tx = decisions_tx.clone();
         let applied_tx = applied_tx.clone();
         threads.push(Some(std::thread::spawn(move || {
-            run_node(
-                actor,
-                id,
-                n,
-                &mut transport,
-                decisions_tx,
-                applied_tx,
-                start,
-                tick,
-            )
+            run_node(actor, id, n, &mut transport, applied_tx, start)
         })));
     }
 
     ClusterHandle {
         controls,
         threads,
-        decisions: decisions_rx,
         applied: applied_rx,
-        decisions_tx,
         applied_tx,
         start,
-        tick,
     }
 }
 
@@ -176,8 +143,8 @@ pub fn spawn_with<M: SimMessage, T: Transport<M>>(
 /// truncation the runtime used to apply: the product is computed in `u128`
 /// nanoseconds and saturates at `Duration::from_nanos(u64::MAX)` (~584
 /// years) instead of wrapping or clamping the tick count.
-fn ticks_to_duration(tick: Duration, delay_ticks: u64) -> Duration {
-    let nanos = tick.as_nanos().saturating_mul(u128::from(delay_ticks));
+fn ticks_to_duration(delay_ticks: u64) -> Duration {
+    let nanos = TICK.as_nanos().saturating_mul(u128::from(delay_ticks));
     if nanos > u128::from(u64::MAX) {
         Duration::from_nanos(u64::MAX)
     } else {
@@ -187,38 +154,27 @@ fn ticks_to_duration(tick: Duration, delay_ticks: u64) -> Duration {
 
 /// Arms a timer `delay` from `now`, saturating at the platform's far
 /// future if the instant arithmetic itself would overflow.
-fn timer_deadline(now: Instant, tick: Duration, delay_ticks: u64) -> Instant {
-    now.checked_add(ticks_to_duration(tick, delay_ticks))
+fn timer_deadline(now: Instant, delay_ticks: u64) -> Instant {
+    now.checked_add(ticks_to_duration(delay_ticks))
         .unwrap_or_else(|| now + Duration::from_secs(60 * 60 * 24 * 3650))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_node<M: SimMessage>(
     mut actor: Box<dyn Actor<M> + Send>,
     id: ProcessId,
     n: usize,
     transport: &mut impl Transport<M>,
-    decisions: Sender<Decision>,
     applied: Sender<Applied>,
     start: Instant,
-    tick: Duration,
 ) -> Box<dyn Actor<M> + Send> {
     let mut timers: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
 
-    let now_ticks = |start: Instant| -> SimTime {
-        let ticks = if tick.is_zero() {
-            0
-        } else {
-            (start.elapsed().as_nanos() / tick.as_nanos().max(1)) as u64
-        };
-        SimTime(ticks)
-    };
+    let now_ticks = |start: Instant| SimTime((start.elapsed().as_nanos() / TICK.as_nanos()) as u64);
 
-    // Effect application shared by all four callbacks. Every decision and
-    // every applied-command event is forwarded — a multi-slot actor reports
-    // one event per commit, and suppressing repeats is the *consumer's*
-    // choice (`await_decisions` keeps the first per process and refuses a
-    // changed one), not the event loop's.
+    // Effect application shared by all four callbacks. Every
+    // applied-command event is forwarded: a multi-slot actor reports one
+    // per command it applies, and what to make of them is the consumer's
+    // job (`fastbft_smr`'s checker), not the event loop's.
     macro_rules! apply {
         ($fx:expr) => {{
             let fx = $fx;
@@ -231,17 +187,7 @@ fn run_node<M: SimMessage>(
                 }
             }
             for (delay, timer) in fx.timers_set() {
-                timers.push(Reverse((
-                    timer_deadline(Instant::now(), tick, delay.0),
-                    timer.0,
-                )));
-            }
-            if let Some(value) = fx.decision_made() {
-                let _ = decisions.send(Decision {
-                    process: id,
-                    value: value.clone(),
-                    elapsed: start.elapsed(),
-                });
+                timers.push(Reverse((timer_deadline(Instant::now(), delay.0), timer.0)));
             }
             for (index, command) in fx.applied_log() {
                 let _ = applied.send(Applied {
@@ -305,46 +251,10 @@ fn run_node<M: SimMessage>(
             }
         }
     }
-    // A no-op for every workspace actor; the call stays while the frozen
-    // `benchmark/src/trace.rs` implements the hook.
-    actor.on_shutdown();
     actor
 }
 
 impl<M: SimMessage> ClusterHandle<M> {
-    /// Waits until `count` distinct processes have decided, or `timeout`
-    /// elapses. Returns the decisions observed (first per process).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a process decides again with another value while this
-    /// waits — a changed decision, which no correct process makes (an
-    /// equal repeat is ignored).
-    pub fn await_decisions(&self, count: usize, timeout: Duration) -> Vec<Decision> {
-        let deadline = Instant::now() + timeout;
-        let mut seen: Vec<Decision> = Vec::new();
-        while seen.len() < count {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                break;
-            }
-            match self.decisions.recv_timeout(wait) {
-                Ok(d) => match seen.iter().find(|s| s.process == d.process) {
-                    None => seen.push(d),
-                    Some(first) => assert!(
-                        first.value == d.value,
-                        "{} changed its decision from {:?} to {:?}",
-                        d.process,
-                        first.value,
-                        d.value
-                    ),
-                },
-                Err(_) => break,
-            }
-        }
-        seen
-    }
-
     /// Submits a client command to every node — the paper's §1.1 client
     /// model (a command reaches all replicas; whichever leads the next slot
     /// proposes it, and identity dedup keeps execution at-most-once).
@@ -402,8 +312,8 @@ impl<M: SimMessage> ClusterHandle<M> {
     }
 
     /// Restarts a stopped seat with a fresh actor and transport — the
-    /// kill-and-rejoin path. The new node reports into the same decision /
-    /// applied streams (elapsed times stay on the original cluster clock);
+    /// kill-and-rejoin path. The new node reports into the same applied
+    /// stream (elapsed times stay on the original cluster clock);
     /// state catch-up is the *actor's* job (e.g. an SMR node's snapshot
     /// recovery).
     ///
@@ -425,20 +335,10 @@ impl<M: SimMessage> ClusterHandle<M> {
         self.controls[index] = control;
         let id = ProcessId::from_index(index);
         let n = self.controls.len();
-        let decisions_tx = self.decisions_tx.clone();
         let applied_tx = self.applied_tx.clone();
-        let (start, tick) = (self.start, self.tick);
+        let start = self.start;
         self.threads[index] = Some(std::thread::spawn(move || {
-            run_node(
-                actor,
-                id,
-                n,
-                &mut transport,
-                decisions_tx,
-                applied_tx,
-                start,
-                tick,
-            )
+            run_node(actor, id, n, &mut transport, applied_tx, start)
         }));
     }
 }
@@ -446,131 +346,24 @@ impl<M: SimMessage> ClusterHandle<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbft_core::replica::{Replica, ReplicaOptions};
-    use fastbft_core::Message;
-    use fastbft_crypto::KeyDirectory;
-    use fastbft_sim::ScriptedActor;
-    use fastbft_types::Config;
-
-    fn replicas(
-        cfg: Config,
-        inputs: &[u64],
-        silent: &[u32],
-    ) -> Vec<Box<dyn Actor<Message> + Send>> {
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), 9);
-        let opts = ReplicaOptions::default();
-        (0..cfg.n())
-            .map(|i| -> Box<dyn Actor<Message> + Send> {
-                if silent.contains(&(i as u32 + 1)) {
-                    Box::new(ScriptedActor::silent())
-                } else {
-                    Box::new(Replica::with_options(
-                        cfg,
-                        pairs[i].clone(),
-                        dir.clone(),
-                        Value::from_u64(inputs[i]),
-                        opts.clone(),
-                    ))
-                }
-            })
-            .collect()
-    }
 
     #[test]
     fn tick_delays_beyond_u32_are_not_truncated() {
         // The old conversion clamped the tick count through `u32`, silently
         // shortening any delay beyond u32::MAX ticks to ~u32::MAX ticks.
-        let tick = Duration::from_millis(1);
         let delay = 1u64 << 40; // ≫ u32::MAX ticks
-        let d = ticks_to_duration(tick, delay);
-        assert_eq!(d, Duration::from_millis(1 << 40));
+        let d = ticks_to_duration(delay);
+        assert_eq!(d, Duration::from_micros(50 << 40));
         // What the buggy conversion produced — must NOT be the answer.
-        assert!(d > tick.saturating_mul(u32::MAX));
+        assert!(d > TICK.saturating_mul(u32::MAX));
     }
 
     #[test]
     fn tick_delays_saturate_instead_of_overflowing() {
-        let d = ticks_to_duration(Duration::from_secs(1), u64::MAX);
+        let d = ticks_to_duration(u64::MAX);
         assert_eq!(d, Duration::from_nanos(u64::MAX));
-        // Zero tick (as-fast-as-possible clusters) stays zero.
-        assert_eq!(ticks_to_duration(Duration::ZERO, u64::MAX), Duration::ZERO);
         // And the deadline helper never panics on Instant overflow.
-        let far = timer_deadline(Instant::now(), Duration::from_secs(1), u64::MAX);
+        let far = timer_deadline(Instant::now(), u64::MAX);
         assert!(far > Instant::now());
-    }
-
-    /// Decides 1 on start and 2 when its first timer fires.
-    struct Flipper;
-
-    impl Actor<Message> for Flipper {
-        fn on_start(&mut self, fx: &mut Effects<Message>) {
-            fx.decide(Value::from_u64(1));
-            fx.set_timer(SimDuration(1), TimerId(1));
-        }
-
-        fn on_message(&mut self, _: ProcessId, _: Message, _: &mut Effects<Message>) {}
-
-        fn on_timer(&mut self, _: TimerId, fx: &mut Effects<Message>) {
-            fx.decide(Value::from_u64(2));
-        }
-    }
-
-    #[test]
-    fn a_changed_decision_is_refused() {
-        let cluster = spawn(vec![Box::new(Flipper), Box::new(ScriptedActor::silent())]);
-        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cluster.await_decisions(2, Duration::from_secs(5))
-        }));
-        cluster.shutdown();
-        let panic = waited.expect_err("p1 decided 1, then 2");
-        let message = panic.downcast_ref::<String>().expect("a formatted message");
-        assert_eq!(message, "p1 changed its decision from Value(1) to Value(2)");
-    }
-
-    #[test]
-    fn four_threads_reach_consensus() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        let cluster = spawn(replicas(cfg, &[7, 7, 7, 7], &[]));
-        let decisions = cluster.await_decisions(4, Duration::from_secs(10));
-        cluster.shutdown();
-        assert_eq!(decisions.len(), 4);
-        for d in &decisions {
-            assert_eq!(d.value, Value::from_u64(7));
-        }
-    }
-
-    #[test]
-    fn silent_replica_does_not_block_consensus() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        // p4 silent (not the view-1 leader p2): fast path still works.
-        let cluster = spawn(replicas(cfg, &[3, 3, 3, 3], &[4]));
-        let decisions = cluster.await_decisions(3, Duration::from_secs(10));
-        cluster.shutdown();
-        assert_eq!(decisions.len(), 3);
-        for d in &decisions {
-            assert_eq!(d.value, Value::from_u64(3));
-        }
-    }
-
-    #[test]
-    fn silent_leader_recovers_in_real_time() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        // leader(1) = p2 silent: the view change must fire on real timers.
-        let cluster = spawn(replicas(cfg, &[5, 5, 5, 5], &[2]));
-        let decisions = cluster.await_decisions(3, Duration::from_secs(30));
-        cluster.shutdown();
-        assert_eq!(decisions.len(), 3, "view change must recover");
-        for d in &decisions {
-            assert_eq!(d.value, Value::from_u64(5));
-        }
-    }
-
-    #[test]
-    fn generalized_config_runs_threaded() {
-        let cfg = Config::new(8, 2, 1).unwrap();
-        let cluster = spawn(replicas(cfg, &[9; 8], &[]));
-        let decisions = cluster.await_decisions(8, Duration::from_secs(10));
-        cluster.shutdown();
-        assert_eq!(decisions.len(), 8);
     }
 }

@@ -6,30 +6,42 @@
 //! [`Actor`](fastbft_sim::Actor) state machines running on OS threads with
 //! real timers, over a pluggable [`Transport`] that plays the paper's
 //! reliable authenticated links (§2.1). Two transports exist today:
-//! the in-process [`ChannelTransport`] (below) and `fastbft-net`'s
-//! `TcpTransport` (real sockets, MAC-authenticated frames); [`spawn`] wires
-//! the former, [`spawn_with`] accepts either. Every cluster runs its timers
-//! at one [`TICK`] per protocol tick.
+//! the in-process [`ChannelTransport`] (seated by [`channel_seats`]) and
+//! `fastbft-net`'s `TcpTransport` (real sockets, MAC-authenticated
+//! frames); [`spawn_with`] runs either. Every cluster runs its timers at
+//! one [`TICK`] per protocol tick, and what its replicas apply leaves
+//! through one stream, [`ClusterHandle::applied_events`]. Replicated-log
+//! clusters are built by `fastbft_smr`'s `SmrClusterHandle::spawn`, which
+//! checks that stream; the example below drives the bare runtime with an
+//! actor that applies every client command it is handed.
 //!
-//! ```no_run
+//! ```
 //! use std::time::Duration;
-//! use fastbft_core::{Replica, Message};
-//! use fastbft_crypto::KeyDirectory;
-//! use fastbft_runtime::spawn;
-//! use fastbft_sim::Actor;
-//! use fastbft_types::{Config, Value};
+//! use fastbft_core::Message;
+//! use fastbft_runtime::{channel_seats, spawn_with, TICK};
+//! use fastbft_sim::{Actor, Effects};
+//! use fastbft_types::{ProcessId, Value};
 //!
-//! let cfg = Config::new(4, 1, 1)?;
-//! let (pairs, dir) = KeyDirectory::generate(4, 1);
-//! let actors: Vec<Box<dyn Actor<Message> + Send>> = pairs
-//!     .into_iter()
-//!     .map(|keys| -> Box<dyn Actor<Message> + Send> {
-//!         Box::new(Replica::new(cfg, keys, dir.clone(), Value::from_u64(7)))
-//!     })
+//! struct Log(u64);
+//!
+//! impl Actor<Message> for Log {
+//!     fn on_start(&mut self, _: &mut Effects<Message>) {}
+//!     fn on_message(&mut self, _: ProcessId, _: Message, _: &mut Effects<Message>) {}
+//!     fn on_client(&mut self, command: Value, fx: &mut Effects<Message>) {
+//!         fx.record_applied(self.0, &command);
+//!         self.0 += 1;
+//!     }
+//! }
+//!
+//! let actors = (0..4)
+//!     .map(|_| -> Box<dyn Actor<Message> + Send> { Box::new(Log(0)) })
 //!     .collect();
-//! let cluster = spawn(actors);
-//! let decisions = cluster.await_decisions(4, Duration::from_secs(5));
-//! assert_eq!(decisions.len(), 4);
+//! let cluster = spawn_with(channel_seats(actors), TICK);
+//! cluster.submit_all(Value::from_u64(7));
+//! for _ in 0..4 {
+//!     let event = cluster.applied_events().recv_timeout(Duration::from_secs(5))?;
+//!     assert_eq!((event.index, &event.command), (0, &Value::from_u64(7)));
+//! }
 //! cluster.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -42,9 +54,7 @@ mod cluster;
 pub mod faults;
 pub mod transport;
 
-pub use cluster::{
-    channel_seats, spawn, spawn_with, Applied, ClusterHandle, Decision, NodeSeat, TICK,
-};
+pub use cluster::{channel_seats, spawn_with, Applied, ClusterHandle, NodeSeat, TICK};
 pub use faults::{
     wrap_seats, wrap_seats_metered, FaultPlan, FaultTransport, LinkProfile, LinkRules,
 };

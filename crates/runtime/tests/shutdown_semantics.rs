@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use fastbft_runtime::spawn;
+use fastbft_runtime::{channel_seats, spawn_with, TICK};
 use fastbft_sim::{Actor, Effects, SimDuration, SimMessage, TimerId};
 use fastbft_types::ProcessId;
 
@@ -32,7 +32,7 @@ impl Actor<Blob> for Flooder {
             fx.broadcast(Blob(vec![0; 512]));
         }
         for i in 0..50 {
-            // ~minutes away at the 50µs tick used below: still pending at
+            // ~minutes away at the 50µs TICK: still pending at
             // shutdown time.
             fx.set_timer(SimDuration(1_000_000_000 + i), TimerId(i));
         }
@@ -51,7 +51,7 @@ fn shutdown_joins_with_inflight_timers_and_messages_channels() {
     let actors: Vec<Box<dyn Actor<Blob> + Send>> = (0..4)
         .map(|_| -> Box<dyn Actor<Blob> + Send> { Box::new(Flooder { echoes_left: 1000 }) })
         .collect();
-    let cluster = spawn(actors);
+    let cluster = spawn_with(channel_seats(actors), TICK);
     // Let traffic build, then tear down mid-flight.
     std::thread::sleep(Duration::from_millis(50));
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -72,7 +72,7 @@ fn immediate_shutdown_joins() {
     let actors: Vec<Box<dyn Actor<Blob> + Send>> = (0..4)
         .map(|_| -> Box<dyn Actor<Blob> + Send> { Box::new(Flooder { echoes_left: 0 }) })
         .collect();
-    let cluster = spawn(actors);
+    let cluster = spawn_with(channel_seats(actors), TICK);
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         cluster.shutdown();

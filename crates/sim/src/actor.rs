@@ -49,11 +49,7 @@ pub trait Actor<M: SimMessage> {
     /// default ignores the command.
     fn on_client(&mut self, _command: Value, _fx: &mut Effects<M>) {}
 
-    /// Invoked once when the actor's event loop stops (runtime shutdown or
-    /// a single-seat stop). The simulator never calls this; the default is
-    /// a no-op.
-    // No actor in the workspace overrides it: kept because the frozen
-    // `benchmark/src/trace.rs` forwards it from its wrapper actor.
+    /// Vestige: nothing calls it and no workspace actor overrides it; it stays because the frozen `benchmark/src/trace.rs` forwards it from its wrapper actor.
     fn on_shutdown(&mut self) {}
 
     /// Optional human-readable label used in traces.

@@ -210,8 +210,8 @@ impl SmrClusterHandle {
         self.inner.submit_all(command);
     }
 
-    /// The wrapped transport-generic handle (injection hooks, decision
-    /// stream, applied-event stream).
+    /// The wrapped transport-generic handle (injection hooks, the
+    /// applied-event stream).
     pub fn inner(&self) -> &ClusterHandle<SlotMessage> {
         &self.inner
     }

@@ -7,17 +7,25 @@ use std::time::Duration;
 
 use fastbft_obs::MetricsRegistry;
 use fastbft_runtime::channel_seats;
+use fastbft_sim::ScriptedActor;
 use fastbft_smr::{KvCommand, KvStore, SmrClusterHandle};
 use fastbft_types::Config;
 
-fn metered_cluster(cfg: Config, seed: u64) -> (SmrClusterHandle, MetricsRegistry) {
+/// A channel-mesh cluster whose seats in `silent` hold a silent actor.
+fn metered_cluster(cfg: Config, seed: u64, silent: &[u32]) -> (SmrClusterHandle, MetricsRegistry) {
     let cluster = SmrClusterHandle::spawn(
         cfg,
         seed,
         KvStore::new(),
         vec![Vec::new(); cfg.n()],
         |actors, _, _, _| channel_seats(actors),
-        |_, node| Box::new(node),
+        |p, node| {
+            if silent.contains(&p.0) {
+                Box::new(ScriptedActor::silent())
+            } else {
+                Box::new(node)
+            }
+        },
     );
     let registry = cluster.registry().clone();
     (cluster, registry)
@@ -26,7 +34,7 @@ fn metered_cluster(cfg: Config, seed: u64) -> (SmrClusterHandle, MetricsRegistry
 #[test]
 fn scrape_reflects_commits_on_a_running_cluster() {
     let cfg = Config::new(4, 1, 1).unwrap();
-    let (mut cluster, registry) = metered_cluster(cfg, 11);
+    let (mut cluster, registry) = metered_cluster(cfg, 11, &[]);
     for k in 0..5u64 {
         cluster.submit(
             KvCommand::Put {
@@ -90,25 +98,42 @@ fn scrape_reflects_commits_on_a_running_cluster() {
     cluster.shutdown();
 }
 
+/// Renders repeatedly while the cluster is actively committing: the
+/// exporters read the same atomics the hot path writes, so this is the
+/// torn-read regression test for the scrape path. Each input is a
+/// configuration and the seats it silences: every seat live at n = 4 and
+/// at n = 8 (f = 2, t = 1); p4 silent, whose slots the others take over
+/// while the rest stay on the fast path; p2 silent, the leader of slot 0,
+/// passed by a view change on real timers.
 #[test]
 fn scrape_is_safe_while_replicas_are_mid_commit() {
-    // Render repeatedly while the cluster is actively committing: the
-    // exporters read the same atomics the hot path writes, so this is the
-    // torn-read regression test for the scrape path.
-    let cfg = Config::new(4, 1, 1).unwrap();
-    let (mut cluster, _registry) = metered_cluster(cfg, 13);
-    for k in 0..20u64 {
-        cluster.submit(
-            KvCommand::Put {
-                key: format!("x{k}"),
-                value: "y".into(),
-            }
-            .to_value(),
+    for (cfg, silent) in [
+        (Config::new(4, 1, 1), &[][..]),
+        (Config::new(4, 1, 1), &[4]),
+        (Config::new(4, 1, 1), &[2]),
+        (Config::new(8, 2, 1), &[]),
+    ] {
+        let cfg = cfg.unwrap();
+        let (mut cluster, _registry) = metered_cluster(cfg, 13, silent);
+        for k in 0..20u64 {
+            cluster.submit(
+                KvCommand::Put {
+                    key: format!("x{k}"),
+                    value: "y".into(),
+                }
+                .to_value(),
+            );
+            let text = cluster.registry().render_text();
+            assert!(text.contains("fastbft_commit_fast_total"));
+        }
+        let live = cfg.processes().filter(|p| !silent.contains(&p.0));
+        assert!(
+            cluster.await_commands(live, 20, Duration::from_secs(30)),
+            "n = {}, silent {silent:?}: logs {:?}",
+            cfg.n(),
+            cluster.logs()
         );
-        let text = cluster.registry().render_text();
-        assert!(text.contains("fastbft_commit_fast_total"));
+        assert_eq!(cluster.violations(), []);
+        cluster.shutdown();
     }
-    assert!(cluster.await_commands(cfg.processes(), 20, Duration::from_secs(30)));
-    assert_eq!(cluster.violations(), []);
-    cluster.shutdown();
 }

@@ -47,7 +47,6 @@ fn facade_reexports_resolve() {
     // runtime crate's own tests)
     #[allow(unused)]
     fn runtime_spawn_resolves() {
-        let _ = fastbft::runtime::spawn::<fastbft::core::Message>;
         let _ = fastbft::runtime::spawn_with::<
             fastbft::core::Message,
             fastbft::runtime::ChannelTransport<fastbft::core::Message>,
@@ -60,7 +59,6 @@ fn facade_reexports_resolve() {
     #[allow(unused)]
     fn net_spawn_resolves() {
         fn assert_transport<M: fastbft::sim::SimMessage, T: fastbft::runtime::Transport<M>>() {}
-        let _ = fastbft::net::spawn_tcp::<fastbft::core::Message>;
         assert_transport::<
             fastbft::core::Message,
             fastbft::net::TcpTransport<fastbft::core::Message>,
