@@ -1,327 +1,547 @@
-//! Byzantine behaviors for testing and experiments.
+//! Byzantine seats as data: one move alphabet and one interpreter.
 //!
 //! The paper's adversary controls up to `f` processes completely, subject
-//! only to cryptography: it cannot forge other processes' signatures. These
-//! actors model the attack repertoire the protocol must survive:
+//! only to cryptography: it signs anything as itself and forges no one
+//! else's signature. Here every Byzantine seat is the same thing — an
+//! honest [`Replica`] wrapped by [`Adversary`], which turns what the
+//! replica would send, plus the [`Move`]s in force, into what the seat
+//! sends. The moves are the short sequences the fast-path / view-change
+//! violations of the literature are made of: split a proposal, let one
+//! seat alone hear a message, withhold a kind, sit out a view change, lie
+//! in a vote, stop, and replay a signed proposal seen earlier — in this
+//! instance or another one (the seat keeps what it saw in a bounded
+//! [`ReplayStore`], which outlives a run when the caller hands it on).
 //!
-//! * [`EquivocatingLeader`] — `leader(1)` sends conflicting, individually
-//!   valid proposals to different halves of the system (the equivocation
-//!   the selection algorithm's evidence handling exists for);
-//! * [`RandomByzantine`] — a fuzzer that emits structurally valid but
-//!   semantically hostile messages of every kind, with real signatures
-//!   (a Byzantine process *can* sign anything as itself);
-//! * silence and crashes are modeled by [`fastbft_sim::ScriptedActor::silent`]
-//!   and [`fastbft_sim::Simulation::schedule_crash`] respectively.
+//! A behaviour is a fixed list of moves: `cluster::Behavior` maps each of
+//! its variants to one ([`Behavior::moves`](crate::cluster::Behavior::moves)),
+//! and [`random_moves`] is a seeded draw from the alphabet. The scripted
+//! executions of the lower-bound proof stay scripted
+//! ([`fastbft_sim::ScriptedActor`]); `hostile_wire`'s byte mutator works
+//! below the message level.
 
-use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
-use fastbft_sim::{Actor, Effects, SimDuration, TimerId};
+use std::collections::VecDeque;
+
+use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
+use fastbft_sim::{Actor, Effects, Outgoing, SimTime, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
-use crate::message::{AckMsg, CertAckMsg, CommitMsg, Message, ProposeMsg, VoteMsg, WishMsg};
-use crate::payload::{ack_payload, certack_payload, propose_payload};
+use crate::certs::{ProgressCert, SignedVote, VoteData};
+use crate::message::{Message, ProposeMsg, VoteMsg};
+use crate::payload::propose_payload;
+use crate::replica::Replica;
 
-/// A Byzantine `leader(1)` that equivocates: proposes `value_a` to the
-/// processes in `recipients_a` and `value_b` to everyone else, both with
-/// valid signatures and Genesis certificates, then goes silent.
-#[derive(Debug)]
-pub struct EquivocatingLeader {
-    keys: KeyPair,
-    value_a: Value,
-    value_b: Value,
-    recipients_a: Vec<ProcessId>,
+/// A message kind, as a move names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// [`Message::Propose`].
+    Propose,
+    /// [`Message::Ack`].
+    Ack,
+    /// [`Message::Commit`].
+    Commit,
+    /// [`Message::Vote`].
+    Vote,
+    /// [`Message::CertRequest`].
+    CertRequest,
+    /// [`Message::CertAck`].
+    CertAck,
+    /// [`Message::Wish`].
+    Wish,
 }
 
-impl EquivocatingLeader {
-    /// Creates the equivocator. `keys` must belong to `leader(1)` for the
-    /// proposals to pass verification.
+impl Kind {
+    /// Every kind, in wire-tag order.
+    pub const ALL: [Kind; 7] = [
+        Kind::Propose,
+        Kind::Ack,
+        Kind::Commit,
+        Kind::Vote,
+        Kind::CertRequest,
+        Kind::CertAck,
+        Kind::Wish,
+    ];
+
+    /// The kind of `msg`, and the view it belongs to.
+    pub fn of(msg: &Message) -> (Kind, View) {
+        match msg {
+            Message::Propose(p) => (Kind::Propose, p.view),
+            Message::Ack(a) => (Kind::Ack, a.view),
+            Message::Commit(c) => (Kind::Commit, c.cert.view),
+            Message::Vote(v) => (Kind::Vote, v.view),
+            Message::CertRequest(r) => (Kind::CertRequest, r.view),
+            Message::CertAck(a) => (Kind::CertAck, a.view),
+            Message::Wish(w) => (Kind::Wish, w.view),
+        }
+    }
+}
+
+/// One move of a Byzantine seat. All of a seat's moves are in force at
+/// once; the ones that say what the *replica* sends act on each of its
+/// messages, the others send messages of the seat's own.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Move {
+    /// Equivocate to a split: at start the seat proposes each value of
+    /// `split` to its seat, in order, under its own τ and the genesis
+    /// certificate, and its replica's view-1 proposal stays home. Only view
+    /// 1 can be split: a later proposal needs a certificate, which names
+    /// one value.
+    Equivocate {
+        /// `(recipient, value)`, in send order.
+        split: Vec<(ProcessId, Value)>,
+    },
+    /// Send to exactly one seat: the replica's `kind` messages of `view`
+    /// reach `to` only.
+    SendToOne {
+        /// The kind narrowed.
+        kind: Kind,
+        /// Its view.
+        view: View,
+        /// The one recipient.
+        to: ProcessId,
+    },
+    /// Withhold a kind: the replica's messages of this kind reach no one. A
+    /// seat that withholds every kind is silent, and keeps no timers.
+    Withhold(Kind),
+    /// Stay silent in a view change: the replica's wish, vote,
+    /// certification request and CertAck for `view` stay home.
+    SilentInViewChange {
+        /// The view the seat does not help anyone into.
+        view: View,
+    },
+    /// Lie in a vote: the seat's vote for `view` claims `claim` instead of
+    /// what its replica acknowledged — nothing (a nil vote), or the latest
+    /// proposal of that value from an earlier view in its store. With no
+    /// such proposal held, the vote goes as the replica made it.
+    LieInVote {
+        /// The destination view of the lying vote.
+        view: View,
+        /// What it claims.
+        claim: Option<Value>,
+    },
+    /// Stop at a given time: from `at` on the seat takes no step. Under a
+    /// `SimCluster` the kernel crashes it at `at`, as the paper's crash.
+    Stop {
+        /// When it stops.
+        at: SimTime,
+    },
+    /// Replay a proposal seen earlier: when the replica enters `view`, the
+    /// seat proposes the latest proposal for `view` in its store — seen in
+    /// any instance — under its own τ for this instance, to everyone; the
+    /// replica's own proposal and certification requests for `view` stay
+    /// home. The certificate travels as it was signed.
+    Replay {
+        /// The view led with replayed evidence.
+        view: View,
+    },
+}
+
+/// At most this many proposals are kept by a [`ReplayStore`].
+pub const REPLAY_STORE_CAP: usize = 16;
+
+/// The proposals a Byzantine seat has seen, newest last: at most
+/// [`REPLAY_STORE_CAP`] of them (so at most that many frames' bytes), the
+/// oldest evicted first and a repeat kept once.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ReplayStore {
+    proposals: VecDeque<ProposeMsg>,
+}
+
+impl ReplayStore {
+    /// Keeps `p`, evicting the oldest proposal when full.
+    pub fn keep(&mut self, p: &ProposeMsg) {
+        if self.proposals.contains(p) {
+            return;
+        }
+        if self.proposals.len() == REPLAY_STORE_CAP {
+            self.proposals.pop_front();
+        }
+        self.proposals.push_back(p.clone());
+    }
+
+    /// The latest proposal kept that `pick` accepts.
+    pub fn latest(&self, pick: impl Fn(&ProposeMsg) -> bool) -> Option<&ProposeMsg> {
+        self.proposals.iter().rev().find(|p| pick(p))
+    }
+}
+
+/// The interpreter: an honest [`Replica`] whose outgoing effects the
+/// seat's [`Move`]s rewrite. Its decision is never reported (a faulty
+/// seat's decision counts for nothing).
+pub struct Adversary {
+    replica: Replica,
+    keys: KeyPair,
+    moves: Vec<Move>,
+    store: ReplayStore,
+}
+
+impl Adversary {
+    /// A seat of `cfg`'s instance with these keys and input, playing
+    /// `moves`.
     pub fn new(
+        cfg: Config,
         keys: KeyPair,
-        value_a: Value,
-        value_b: Value,
-        recipients_a: impl IntoIterator<Item = ProcessId>,
+        dir: KeyDirectory,
+        input: Value,
+        moves: Vec<Move>,
     ) -> Self {
-        EquivocatingLeader {
+        Adversary {
+            replica: Replica::new(cfg, keys.clone(), dir, input),
             keys,
-            value_a,
-            value_b,
-            recipients_a: recipients_a.into_iter().collect(),
+            moves,
+            store: ReplayStore::default(),
         }
     }
 
-    fn propose(&self, value: &Value) -> Message {
-        Message::Propose(ProposeMsg {
-            value: value.clone(),
-            view: View::FIRST,
-            cert: ProgressCert::Genesis,
-            sig: self.keys.sign(&propose_payload(value, View::FIRST)),
+    /// Starts from `store`: what the seat saw before this run.
+    #[must_use]
+    pub fn with_store(mut self, store: ReplayStore) -> Self {
+        self.store = store;
+        self
+    }
+
+    /// What the seat has seen.
+    pub fn store(&self) -> &ReplayStore {
+        &self.store
+    }
+
+    fn stopped_by(&self, t: SimTime) -> bool {
+        let stop = |m: &Move| matches!(m, Move::Stop { at } if *at <= t);
+        self.moves.iter().any(stop)
+    }
+
+    /// Whether a replica message of `kind` in `view` stays home.
+    fn keeps_home(&self, kind: Kind, view: View) -> bool {
+        let view_change = matches!(
+            kind,
+            Kind::Wish | Kind::Vote | Kind::CertRequest | Kind::CertAck
+        );
+        self.moves.iter().any(|m| match m {
+            Move::Withhold(k) => *k == kind,
+            Move::SilentInViewChange { view: v } => view_change && *v == view,
+            Move::Equivocate { .. } => kind == Kind::Propose && view == View::FIRST,
+            Move::Replay { view: v } => {
+                matches!(kind, Kind::Propose | Kind::CertRequest) && *v == view
+            }
+            _ => false,
         })
     }
-}
 
-impl Actor<Message> for EquivocatingLeader {
-    fn on_start(&mut self, fx: &mut Effects<Message>) {
-        let a = self.propose(&self.value_a);
-        let b = self.propose(&self.value_b);
-        for to in ProcessId::all(fx.n()) {
-            if self.recipients_a.contains(&to) {
-                fx.send(to, a.clone());
-            } else {
-                fx.send(to, b.clone());
-            }
+    fn sign_propose(&self, value: &Value, view: View) -> Signature {
+        self.keys.sign(&propose_payload(
+            value,
+            view,
+            self.replica.config().instance(),
+        ))
+    }
+
+    /// One replica message after the moves: kept home, or sent (a vote
+    /// possibly lying) to its recipients or to the one seat named.
+    fn relay(&self, out: &Outgoing<Message>, fx: &mut Effects<Message>) {
+        let (to, msg) = match out {
+            Outgoing::To(to, msg) => (Some(*to), msg),
+            Outgoing::All(msg) => (None, msg),
+        };
+        let (kind, view) = Kind::of(msg);
+        if self.keeps_home(kind, view) {
+            return;
+        }
+        let msg = self.lie(msg);
+        let only = self.moves.iter().find_map(|m| match m {
+            Move::SendToOne {
+                kind: k,
+                view: v,
+                to,
+            } if *k == kind && *v == view => Some(*to),
+            _ => None,
+        });
+        match (only, to) {
+            (Some(one), Some(to)) if one != to => {}
+            (Some(one), _) | (None, Some(one)) => fx.send(one, msg),
+            (None, None) => fx.broadcast(msg),
         }
     }
 
-    fn on_message(&mut self, _from: ProcessId, _msg: Message, _fx: &mut Effects<Message>) {}
-
-    fn label(&self) -> &'static str {
-        "equivocating-leader"
-    }
-}
-
-/// A fuzzing adversary: periodically emits randomized protocol messages of
-/// every kind to random processes. All signatures it produces are its own
-/// and genuine — like a real Byzantine process, it can sign any *statement*
-/// but cannot forge anyone else's signature.
-///
-/// Used by the property tests: for any `n ≥ 3f + 2t − 1`, no combination of
-/// up to `f` fuzzers and pre-GST chaos may break agreement.
-#[derive(Debug)]
-pub struct RandomByzantine {
-    cfg: Config,
-    keys: KeyPair,
-    rng: StdRng,
-    burst: usize,
-    period: SimDuration,
-    /// Values the fuzzer plays with.
-    palette: Vec<Value>,
-}
-
-impl RandomByzantine {
-    /// Creates a fuzzer for the process owning `keys`.
-    pub fn new(cfg: Config, keys: KeyPair, seed: u64) -> Self {
-        RandomByzantine {
-            cfg,
-            keys,
-            rng: StdRng::seed_from_u64(seed),
-            burst: 6,
-            period: SimDuration(SimDuration::DELTA.0 / 2),
-            palette: (0..4).map(Value::from_u64).collect(),
-        }
-    }
-
-    fn random_value(&mut self) -> Value {
-        let i = self.rng.gen_range(0..self.palette.len());
-        self.palette[i].clone()
-    }
-
-    fn random_view(&mut self) -> View {
-        View(self.rng.gen_range(1..=6))
-    }
-
-    fn random_target(&mut self, n: usize) -> ProcessId {
-        ProcessId(self.rng.gen_range(1..=n as u32))
-    }
-
-    fn random_message(&mut self, n: usize) -> Message {
-        let value = self.random_value();
-        let view = self.random_view();
-        match self.rng.gen_range(0..7) {
-            0 => {
-                // An ack with no share, a valid own share, or a share whose
-                // claimed signer doesn't match the sender (receivers must
-                // drop that one).
-                let share = match self.rng.gen_range(0..3) {
-                    0 => None,
-                    1 => Some(self.keys.sign(&ack_payload(&value, view))),
-                    _ => Some(Signature::from_parts(
-                        self.random_target(n),
-                        *self.keys.sign(&ack_payload(&value, view)).tag(),
-                    )),
+    /// The replica's vote, or the one a [`Move::LieInVote`] makes instead.
+    fn lie(&self, msg: &Message) -> Message {
+        let Message::Vote(vote) = msg else {
+            return msg.clone();
+        };
+        let view = vote.view;
+        let claim = self.moves.iter().find_map(|m| match m {
+            Move::LieInVote { view: v, claim } if *v == view => Some(claim),
+            _ => None,
+        });
+        let lie = match claim {
+            None => return msg.clone(),
+            Some(None) => None,
+            Some(Some(x)) => {
+                let Some(p) = self.store.latest(|p| p.value == *x && p.view < view) else {
+                    return msg.clone();
                 };
-                Message::Ack(AckMsg { value, view, share })
-            }
-            1 => Message::Wish(WishMsg { view }),
-            2 => {
-                // A commit certificate made only of our own signature: it
-                // will fail quorum verification — receivers must reject it.
-                let sigs: SignatureSet = [self.keys.sign(&ack_payload(&value, view))]
-                    .into_iter()
-                    .collect();
-                Message::Commit(CommitMsg {
-                    cert: CommitCert { value, view, sigs },
-                })
-            }
-            3 => {
-                // A propose: only valid if we actually lead `view` and the
-                // certificate checks out (Genesis only works for view 1).
-                let sig = self.keys.sign(&propose_payload(&value, view));
-                Message::Propose(ProposeMsg {
-                    value,
-                    view,
-                    cert: ProgressCert::Genesis,
-                    sig,
-                })
-            }
-            4 => {
-                // A nil vote for a random view — validly signed.
-                let vote = SignedVote::sign(&self.keys, None, view);
-                Message::Vote(VoteMsg { view, vote })
-            }
-            5 => {
-                // A fabricated non-nil vote. The leader signature inside is
-                // our own, so it only verifies if we led that view.
-                let vd = VoteData {
-                    value: value.clone(),
-                    view: View(view.0.saturating_sub(1).max(1)),
-                    progress_cert: ProgressCert::Genesis,
-                    leader_sig: self.keys.sign(&propose_payload(
-                        &value,
-                        View(view.0.saturating_sub(1).max(1)),
-                    )),
+                Some(VoteData {
+                    value: p.value.clone(),
+                    view: p.view,
+                    progress_cert: p.cert.clone(),
+                    leader_sig: p.sig.clone(),
                     commit_cert: None,
-                };
-                let dest = View(vd.view.0 + 1);
-                let vote = SignedVote::sign(&self.keys, Some(vd), dest);
-                Message::Vote(VoteMsg { view: dest, vote })
+                })
             }
-            _ => {
-                let sig = self.keys.sign(&certack_payload(&value, view));
-                Message::CertAck(CertAckMsg { view, value, sig })
+        };
+        let vote = SignedVote::sign(&self.keys, lie, view, self.replica.config().instance());
+        Message::Vote(VoteMsg { view, vote })
+    }
+
+    /// The seat's own sends: the split at start, a replay on entering a
+    /// view.
+    fn own_moves(&self, entered: Option<View>, fx: &mut Effects<Message>) {
+        for m in &self.moves {
+            match m {
+                Move::Equivocate { split } if entered == Some(View::FIRST) => {
+                    for (to, value) in split {
+                        let propose = ProposeMsg {
+                            value: value.clone(),
+                            view: View::FIRST,
+                            cert: ProgressCert::Genesis,
+                            sig: self.sign_propose(value, View::FIRST),
+                        };
+                        fx.send(*to, Message::Propose(propose));
+                    }
+                }
+                Move::Replay { view } if entered == Some(*view) => {
+                    if let Some(p) = self.store.latest(|p| p.view == *view) {
+                        let sig = self.sign_propose(&p.value, *view);
+                        fx.broadcast(Message::Propose(ProposeMsg { sig, ..p.clone() }));
+                    }
+                }
+                _ => {}
             }
         }
     }
 
-    fn burst(&mut self, fx: &mut Effects<Message>) {
-        let n = fx.n();
-        for _ in 0..self.burst {
-            let to = self.random_target(n);
-            let msg = self.random_message(n);
-            fx.send(to, msg);
+    /// Runs one replica callback (`start`: its first) through the moves.
+    fn step(
+        &mut self,
+        start: bool,
+        fx: &mut Effects<Message>,
+        call: impl FnOnce(&mut Replica, &mut Effects<Message>),
+    ) {
+        let now = fx.now();
+        if self.stopped_by(now) {
+            return;
+        }
+        let before = self.replica.view();
+        let mut inner = Effects::new(fx.id(), fx.n(), now);
+        call(&mut self.replica, &mut inner);
+        for out in inner.outgoing() {
+            self.relay(out, fx);
+        }
+        let view = self.replica.view();
+        self.own_moves((start || view != before).then_some(view), fx);
+        let silent = Kind::ALL
+            .iter()
+            .all(|k| self.moves.contains(&Move::Withhold(*k)));
+        for (delay, timer) in inner.timers_set() {
+            if !silent && !self.stopped_by(now + *delay) {
+                fx.set_timer(*delay, *timer);
+            }
         }
     }
 }
 
-impl Actor<Message> for RandomByzantine {
+impl Actor<Message> for Adversary {
     fn on_start(&mut self, fx: &mut Effects<Message>) {
-        // If we happen to lead view 1, equivocate right away.
-        if self.cfg.leader(View::FIRST) == self.keys.id() {
-            let a = self.random_value();
-            let b = self.random_value();
-            for to in ProcessId::all(fx.n()) {
-                let v = if to.0 % 2 == 0 { &a } else { &b };
-                fx.send(
-                    to,
-                    Message::Propose(ProposeMsg {
-                        value: v.clone(),
-                        view: View::FIRST,
-                        cert: ProgressCert::Genesis,
-                        sig: self.keys.sign(&propose_payload(v, View::FIRST)),
-                    }),
-                );
-            }
-        }
-        self.burst(fx);
-        fx.set_timer(self.period, TimerId(0));
+        self.step(true, fx, |r, inner| r.on_start(inner));
     }
 
-    fn on_message(&mut self, _from: ProcessId, _msg: Message, fx: &mut Effects<Message>) {
-        // React to roughly one message in four with hostile noise.
-        if self.rng.gen_bool(0.25) {
-            let to = self.random_target(fx.n());
-            let msg = self.random_message(fx.n());
-            fx.send(to, msg);
+    fn on_message(&mut self, from: ProcessId, msg: Message, fx: &mut Effects<Message>) {
+        if let Message::Propose(p) = &msg {
+            self.store.keep(p);
         }
+        self.step(false, fx, |r, inner| r.on_message(from, msg, inner));
     }
 
-    fn on_timer(&mut self, _timer: TimerId, fx: &mut Effects<Message>) {
-        self.burst(fx);
-        fx.set_timer(self.period, TimerId(0));
+    fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<Message>) {
+        self.step(false, fx, |r, inner| r.on_timer(timer, inner));
     }
 
     fn label(&self) -> &'static str {
-        "random-byzantine"
+        "adversary"
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 }
 
-/// Builds per-process keys plus a directory and wraps common setup used by
-/// tests and experiments.
-pub fn keyed_system(cfg: &Config, seed: u64) -> (Vec<KeyPair>, KeyDirectory) {
-    KeyDirectory::generate(cfg.n(), seed)
+/// A seeded draw from the alphabet for seat `id` of `cfg`: if it leads view
+/// 1, a split of its proposal between even and odd seats, then one to
+/// three moves over views 1–4 and the values 0–3. It never stops (`Stop`
+/// is the crash behaviour's move).
+pub fn random_moves(cfg: &Config, id: ProcessId, seed: u64) -> Vec<Move> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let value = |rng: &mut StdRng| Value::from_u64(rng.gen_range(0..4));
+    let mut moves = Vec::new();
+    if cfg.leader(View::FIRST) == id {
+        let (even, odd) = (value(&mut rng), value(&mut rng));
+        let split = ProcessId::all(cfg.n())
+            .map(|to| (to, if to.0 % 2 == 0 { &even } else { &odd }.clone()))
+            .collect();
+        moves.push(Move::Equivocate { split });
+    }
+    for _ in 0..rng.gen_range(1..=3) {
+        let view = View(rng.gen_range(1..=4));
+        let kind = Kind::ALL[rng.gen_range(0..Kind::ALL.len())];
+        moves.push(match rng.gen_range(0..5) {
+            0 => Move::SendToOne {
+                kind,
+                view,
+                to: ProcessId(rng.gen_range(1..=cfg.n() as u32)),
+            },
+            1 => Move::Withhold(kind),
+            2 => Move::SilentInViewChange { view },
+            3 => Move::LieInVote {
+                view,
+                claim: rng.gen_bool(0.5).then(|| value(&mut rng)),
+            },
+            _ => Move::Replay { view },
+        });
+    }
+    moves
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastbft_sim::{SimMessage, SimTime};
+    use crate::message::WishMsg;
+
+    fn seat(moves: Vec<Move>) -> (Adversary, KeyDirectory) {
+        let cfg = Config::new(4, 1, 1).unwrap();
+        let (pairs, dir) = KeyDirectory::generate(4, 3);
+        let keys = pairs[cfg.leader(View::FIRST).index()].clone();
+        let seat = Adversary::new(cfg, keys, dir.clone(), Value::from_u64(7), moves);
+        (seat, dir)
+    }
+
+    fn proposal(value: u64, view: u64) -> ProposeMsg {
+        let (pairs, _) = KeyDirectory::generate(4, 3);
+        let value = Value::from_u64(value);
+        let sig = pairs[0].sign(&propose_payload(&value, View(view), 0));
+        let cert = ProgressCert::Genesis;
+        let view = View(view);
+        ProposeMsg {
+            value,
+            view,
+            cert,
+            sig,
+        }
+    }
+
+    /// The store at its edge: `REPLAY_STORE_CAP` distinct proposals are all
+    /// kept, one more evicts the oldest, and a repeat changes nothing.
+    #[test]
+    fn the_replay_store_keeps_its_cap_and_evicts_the_oldest() {
+        let mut store = ReplayStore::default();
+        let cap = REPLAY_STORE_CAP as u64;
+        for i in 0..cap {
+            store.keep(&proposal(i, 1));
+        }
+        assert_eq!(store.proposals.len(), REPLAY_STORE_CAP);
+        assert!(store.latest(|p| p.value.as_u64() == Some(0)).is_some());
+        store.keep(&proposal(cap, 1));
+        store.keep(&proposal(cap, 1));
+        assert_eq!(store.proposals.len(), REPLAY_STORE_CAP);
+        assert!(store.latest(|p| p.value.as_u64() == Some(0)).is_none());
+        let newest = store.latest(|_| true).unwrap();
+        assert_eq!(newest.value.as_u64(), Some(cap));
+    }
+
+    /// The split goes out at start, each proposal verifying on its own;
+    /// the replica's own proposal (7) and every other kind stay home, and
+    /// a seat that withholds every kind sets no timer.
+    #[test]
+    fn a_split_leaves_at_start_and_nothing_else_does() {
+        let split: Vec<_> = ProcessId::all(4)
+            .map(|to| (to, Value::from_u64(u64::from(to.0 % 2))))
+            .collect();
+        let mut moves = vec![Move::Equivocate {
+            split: split.clone(),
+        }];
+        moves.extend(Kind::ALL.map(Move::Withhold));
+        let (mut seat, dir) = seat(moves);
+        let mut fx = Effects::new(ProcessId(2), 4, SimTime::ZERO);
+        seat.on_start(&mut fx);
+        assert_eq!(fx.timers_set(), []);
+        let sent: Vec<_> = fx.sent();
+        assert_eq!(sent.len(), split.len());
+        for ((to, m), (want_to, want)) in sent.iter().zip(&split) {
+            let Message::Propose(p) = m else {
+                panic!("{m:?}")
+            };
+            assert_eq!((to, &p.value), (want_to, want));
+            assert!(dir.verify(&propose_payload(&p.value, p.view, 0), &p.sig));
+        }
+        let mut fx = Effects::new(ProcessId(2), 4, SimTime(100));
+        seat.on_message(
+            ProcessId(1),
+            Message::Wish(WishMsg { view: View(2) }),
+            &mut fx,
+        );
+        assert!(fx.sent().is_empty());
+    }
+
+    /// The moves that narrow what the replica says, on its view-1 proposal
+    /// and its view-2 wish: all of it, one seat only, none, and none once
+    /// stopped.
+    #[test]
+    fn narrowing_moves_act_on_their_kind_and_view_only() {
+        let cases: [(Vec<Move>, usize, usize); 4] = [
+            (vec![], 4, 3),
+            (
+                vec![Move::SendToOne {
+                    kind: Kind::Propose,
+                    view: View::FIRST,
+                    to: ProcessId(3),
+                }],
+                1,
+                3,
+            ),
+            (vec![Move::SilentInViewChange { view: View(2) }], 4, 0),
+            (vec![Move::Stop { at: SimTime(1) }], 4, 0),
+        ];
+        for (moves, proposals, wishes) in cases {
+            let (mut seat, _) = seat(moves.clone());
+            let mut fx = Effects::new(ProcessId(2), 4, SimTime::ZERO);
+            seat.on_start(&mut fx);
+            assert_eq!(fx.sent().len(), proposals, "{moves:?}");
+            // A stopped seat sets no timer that would fire after it stops.
+            let timer = fx.timers_set().first().map_or(TimerId(0), |t| t.1);
+            let mut fx = Effects::new(ProcessId(2), 4, SimTime(1_000));
+            seat.on_timer(timer, &mut fx);
+            assert_eq!(fx.sent().len(), wishes, "{moves:?}");
+        }
+    }
 
     #[test]
-    fn equivocator_sends_conflicting_but_valid_proposals() {
+    fn the_draw_is_a_function_of_its_seed_and_reaches_every_move() {
         let cfg = Config::new(4, 1, 1).unwrap();
-        let (pairs, dir) = keyed_system(&cfg, 3);
-        let leader = cfg.leader(View::FIRST);
-        let mut eq = EquivocatingLeader::new(
-            pairs[leader.index()].clone(),
-            Value::from_u64(0),
-            Value::from_u64(1),
-            [ProcessId(1), ProcessId(3)],
-        );
-        let mut fx = Effects::new(leader, 4, SimTime::ZERO);
-        eq.on_start(&mut fx);
-        assert_eq!(fx.sent().len(), 4);
-        let mut zeros = 0;
-        let mut ones = 0;
-        for (to, m) in fx.sent() {
-            let Message::Propose(p) = m else {
-                panic!("non-propose")
-            };
-            // Each proposal individually verifies.
-            assert!(dir.verify(&propose_payload(&p.value, p.view), &p.sig));
-            match p.value.as_u64() {
-                Some(0) => {
-                    zeros += 1;
-                    assert!(matches!(to.0, 1 | 3));
-                }
-                Some(1) => ones += 1,
-                _ => panic!("unexpected value"),
+        let draw = |seed| random_moves(&cfg, ProcessId(2), seed);
+        assert_eq!(draw(9), draw(9));
+        assert_ne!(draw(9), draw(10));
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..100 {
+            for m in draw(seed) {
+                seen.insert(
+                    format!("{m:?}")
+                        .split([' ', '('])
+                        .next()
+                        .unwrap()
+                        .to_owned(),
+                );
             }
         }
-        assert_eq!((zeros, ones), (2, 2));
-    }
-
-    #[test]
-    fn fuzzer_is_deterministic_per_seed() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        let (pairs, _) = keyed_system(&cfg, 3);
-        let run = |seed| {
-            let mut fz = RandomByzantine::new(cfg, pairs[0].clone(), seed);
-            let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
-            fz.on_start(&mut fx);
-            fx.sent()
-                .iter()
-                .map(|(to, m)| format!("{to}:{}", m.kind()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(9), run(9));
-        assert_ne!(run(9), run(10));
-    }
-
-    #[test]
-    fn fuzzer_covers_many_message_kinds() {
-        let cfg = Config::new(4, 1, 1).unwrap();
-        let (pairs, _) = keyed_system(&cfg, 3);
-        let mut fz = RandomByzantine::new(cfg, pairs[0].clone(), 5);
-        let mut kinds = std::collections::BTreeSet::new();
-        let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
-        for _ in 0..100 {
-            fz.on_timer(TimerId(0), &mut fx);
-        }
-        for (_, m) in fx.sent() {
-            kinds.insert(m.kind());
-        }
-        assert!(kinds.len() >= 6, "only saw kinds {kinds:?}");
+        assert_eq!(seen.len(), 6, "{seen:?}");
     }
 }

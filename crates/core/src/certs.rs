@@ -20,6 +20,13 @@ use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload};
 
+/// One signature made by `keys` and counted: `signatures_made_total` is
+/// every signature a replica makes, as `verify_counted` is every check.
+pub(crate) fn sign_counted(keys: &KeyPair, metrics: &Metrics, statement: &[u8]) -> Signature {
+    metrics.signatures_made_total.inc();
+    keys.sign(statement)
+}
+
 /// One signature checked through the directory and counted:
 /// `sig_memo_miss_total` is every signature check that ran, inside a
 /// certificate or outside one.
@@ -80,7 +87,7 @@ impl ProgressCert {
             ProgressCert::Genesis => v.is_first(),
             ProgressCert::Bounded(sigs) => verify_quorum(
                 sigs,
-                &certack_payload(x, v),
+                &certack_payload(x, v, cfg.instance()),
                 dir,
                 cfg.cert_quorum(),
                 metrics,
@@ -117,7 +124,7 @@ impl CommitCert {
     pub fn verify(&self, cfg: &Config, dir: &KeyDirectory, metrics: &Metrics) -> bool {
         verify_quorum(
             &self.sigs,
-            &ack_payload(&self.value, self.view),
+            &ack_payload(&self.value, self.view, cfg.instance()),
             dir,
             cfg.slow_quorum(),
             metrics,
@@ -177,9 +184,10 @@ pub struct SignedVote {
 fastbft_types::impl_wire_struct!(SignedVote { voter, vote, sig });
 
 impl SignedVote {
-    /// Creates and signs a vote destined for the leader of `dest_view`.
-    pub fn sign(keypair: &KeyPair, vote: Vote, dest_view: View) -> Self {
-        let payload = vote_payload(&vote.to_wire_bytes(), dest_view);
+    /// Creates and signs a vote destined for the leader of `dest_view` in
+    /// consensus instance `instance`.
+    pub fn sign(keypair: &KeyPair, vote: Vote, dest_view: View, instance: u64) -> Self {
+        let payload = vote_payload(&vote.to_wire_bytes(), dest_view, instance);
         SignedVote {
             voter: keypair.id(),
             vote,
@@ -192,7 +200,8 @@ impl SignedVote {
     /// embedded view precedes `dest_view`, `τ` is a valid signature by
     /// `leader(u)` over `(propose, x, u)`, the progress certificate proves
     /// `x` safe in `u`, and any piggybacked commit certificate is valid and
-    /// no newer than `u`. `metrics` as for [`ProgressCert::verify`].
+    /// no newer than `u`; every statement in `cfg`'s instance. `metrics` as
+    /// for [`ProgressCert::verify`].
     pub fn is_valid(
         &self,
         cfg: &Config,
@@ -203,7 +212,7 @@ impl SignedVote {
         if self.sig.signer != self.voter {
             return false;
         }
-        let payload = vote_payload(&self.vote.to_wire_bytes(), dest_view);
+        let payload = vote_payload(&self.vote.to_wire_bytes(), dest_view, cfg.instance());
         if !verify_counted(dir, metrics, &payload, &self.sig) {
             return false;
         }
@@ -216,7 +225,7 @@ impl SignedVote {
         if vd.leader_sig.signer != cfg.leader(vd.view) {
             return false;
         }
-        let tau = propose_payload(&vd.value, vd.view);
+        let tau = propose_payload(&vd.value, vd.view, cfg.instance());
         if !verify_counted(dir, metrics, &tau, &vd.leader_sig) {
             return false;
         }
@@ -249,7 +258,7 @@ mod tests {
     /// A valid propose signature for view 1 by its leader (p2 under the
     /// paper's leader map).
     fn tau(pairs: &[KeyPair], cfg: &Config, x: &Value, v: View) -> Signature {
-        pairs[cfg.leader(v).index()].sign(&propose_payload(x, v))
+        pairs[cfg.leader(v).index()].sign(&propose_payload(x, v, 0))
     }
 
     #[test]
@@ -265,7 +274,7 @@ mod tests {
         let (cfg, pairs, dir) = setup();
         let x = Value::from_u64(1);
         let v = View(3);
-        let payload = certack_payload(&x, v);
+        let payload = certack_payload(&x, v, 0);
         let one: SignatureSet = [pairs[0].sign(&payload)].into_iter().collect();
         assert!(!ProgressCert::Bounded(one).verify(&cfg, &dir, &x, v, &Metrics::new()));
         let two: SignatureSet = pairs[..2].iter().map(|p| p.sign(&payload)).collect();
@@ -279,7 +288,7 @@ mod tests {
         // Signatures over the wrong value do not certify x.
         let wrong: SignatureSet = pairs[..2]
             .iter()
-            .map(|p| p.sign(&certack_payload(&Value::from_u64(2), v)))
+            .map(|p| p.sign(&certack_payload(&Value::from_u64(2), v, 0)))
             .collect();
         assert!(!ProgressCert::Bounded(wrong).verify(&cfg, &dir, &x, v, &Metrics::new()));
     }
@@ -289,7 +298,7 @@ mod tests {
         let (cfg, pairs, dir) = setup();
         let x = Value::from_u64(5);
         let v = View(1);
-        let payload = ack_payload(&x, v);
+        let payload = ack_payload(&x, v, 0);
         // slow quorum for (4,1,1) is ceil(6/2) = 3.
         let cc = CommitCert {
             value: x.clone(),
@@ -308,7 +317,7 @@ mod tests {
     #[test]
     fn nil_votes_validate_and_roundtrip() {
         let (cfg, pairs, dir) = setup();
-        let sv = SignedVote::sign(&pairs[2], None, View(4));
+        let sv = SignedVote::sign(&pairs[2], None, View(4), 0);
         assert!(sv.is_valid(&cfg, &dir, View(4), &Metrics::new()));
         // …but not for a different destination view (replay defence).
         assert!(!sv.is_valid(&cfg, &dir, View(5), &Metrics::new()));
@@ -326,7 +335,7 @@ mod tests {
             leader_sig: tau(&pairs, &cfg, &x, View(1)),
             commit_cert: None,
         };
-        let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
+        let sv = SignedVote::sign(&pairs[0], Some(vd), View(2), 0);
         assert!(sv.is_valid(&cfg, &dir, View(2), &Metrics::new()));
         roundtrip(&sv);
     }
@@ -340,10 +349,10 @@ mod tests {
             value: x.clone(),
             view: View(1),
             progress_cert: ProgressCert::Genesis,
-            leader_sig: pairs[2].sign(&propose_payload(&x, View(1))),
+            leader_sig: pairs[2].sign(&propose_payload(&x, View(1), 0)),
             commit_cert: None,
         };
-        let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
+        let sv = SignedVote::sign(&pairs[0], Some(vd), View(2), 0);
         assert!(!sv.is_valid(&cfg, &dir, View(2), &Metrics::new()));
     }
 
@@ -359,7 +368,7 @@ mod tests {
             commit_cert: None,
         };
         // view 3 not < dest view 3
-        let sv = SignedVote::sign(&pairs[0], Some(vd), View(3));
+        let sv = SignedVote::sign(&pairs[0], Some(vd), View(3), 0);
         assert!(!sv.is_valid(&cfg, &dir, View(3), &Metrics::new()));
     }
 
@@ -372,7 +381,7 @@ mod tests {
             view: View(1),
             sigs: pairs[..3]
                 .iter()
-                .map(|p| p.sign(&ack_payload(&x, View(1))))
+                .map(|p| p.sign(&ack_payload(&x, View(1), 0)))
                 .collect(),
         };
         let make = |cc_view: View| {
@@ -386,7 +395,7 @@ mod tests {
                 commit_cert: Some(cc),
             }
         };
-        let good = SignedVote::sign(&pairs[0], Some(make(View(1))), View(2));
+        let good = SignedVote::sign(&pairs[0], Some(make(View(1))), View(2), 0);
         assert!(good.is_valid(&cfg, &dir, View(2), &Metrics::new()));
         // What a receiver's counters see, again on every call: φ_vote, τ
         // and the nested certificate's three shares.
@@ -397,7 +406,7 @@ mod tests {
             assert_eq!(m.cert_cache_miss_total.get(), round);
         }
         // cc.view > vote.view is malformed.
-        let bad = SignedVote::sign(&pairs[0], Some(make(View(2))), View(3));
+        let bad = SignedVote::sign(&pairs[0], Some(make(View(2))), View(3), 0);
         assert!(!bad.is_valid(&cfg, &dir, View(3), &Metrics::new()));
     }
 
@@ -412,7 +421,7 @@ mod tests {
             leader_sig: tau(&pairs, &cfg, &x, View(1)),
             commit_cert: None,
         };
-        let mut sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
+        let mut sv = SignedVote::sign(&pairs[0], Some(vd), View(2), 0);
         // Tamper with the embedded value after signing.
         if let Some(vd) = &mut sv.vote {
             vd.value = Value::from_u64(10);
@@ -421,7 +430,7 @@ mod tests {
         // Claiming someone else's voter id also fails.
         let sv2 = SignedVote {
             voter: ProcessId(3),
-            ..SignedVote::sign(&pairs[0], None, View(2))
+            ..SignedVote::sign(&pairs[0], None, View(2), 0)
         };
         assert!(!sv2.is_valid(&cfg, &dir, View(2), &Metrics::new()));
     }
@@ -432,7 +441,7 @@ mod tests {
     fn tampered_commit_cert_evidence_is_rejected() {
         let (cfg, pairs, dir) = setup();
         let x = Value::from_u64(5);
-        let payload = ack_payload(&x, View(1));
+        let payload = ack_payload(&x, View(1), 0);
         let cc = CommitCert {
             value: x.clone(),
             view: View(1),
@@ -491,7 +500,7 @@ mod tests {
         let size_at = |v: View| {
             let set: SignatureSet = pairs[..2]
                 .iter()
-                .map(|p| p.sign(&certack_payload(&x, v)))
+                .map(|p| p.sign(&certack_payload(&x, v, 0)))
                 .collect();
             ProgressCert::Bounded(set).wire_size()
         };

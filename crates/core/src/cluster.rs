@@ -27,16 +27,17 @@ use std::collections::BTreeMap;
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::MetricsRegistry;
 use fastbft_sim::{
-    Actor, ConsensusChecker, MessageStats, Network, ScriptedActor, SimDuration, SimMessage,
-    SimTime, Simulation, Trace, Violation,
+    Actor, ConsensusChecker, MessageStats, Network, SimDuration, SimMessage, SimTime, Simulation,
+    Trace, Violation,
 };
 use fastbft_types::{Config, ProcessId, Value};
 
-use crate::byzantine::{EquivocatingLeader, RandomByzantine};
+use crate::byzantine::{random_moves, Adversary, Kind, Move};
 use crate::message::Message;
 use crate::replica::{Replica, ReplicaOptions};
 
-/// How a given process behaves in the scenario.
+/// How a given process behaves in the scenario: each Byzantine behaviour
+/// is a fixed list of [`Move`]s ([`Behavior::moves`]).
 #[derive(Clone, Debug, Default)]
 pub enum Behavior {
     /// A correct replica.
@@ -57,9 +58,9 @@ pub enum Behavior {
         /// Who receives the first value.
         recipients_a: Vec<ProcessId>,
     },
-    /// The message fuzzer ([`RandomByzantine`]).
+    /// A seeded draw from the move alphabet ([`random_moves`]).
     Random {
-        /// Fuzzer seed.
+        /// The draw's seed.
         seed: u64,
     },
 }
@@ -68,6 +69,29 @@ impl Behavior {
     /// Whether the behavior counts as Byzantine for the checker.
     pub fn is_byzantine(&self) -> bool {
         !matches!(self, Behavior::Honest)
+    }
+
+    /// The moves seat `p` of `cfg` plays: none when honest, a stop for a
+    /// crash, every kind withheld for silence, a split and then silence
+    /// for `EquivocateView1`, a seeded draw for `Random`.
+    pub fn moves(&self, cfg: &Config, p: ProcessId) -> Vec<Move> {
+        let silence = Kind::ALL.map(Move::Withhold);
+        match self {
+            Behavior::Honest => Vec::new(),
+            Behavior::CrashAt(at) => vec![Move::Stop { at: *at }],
+            Behavior::Silent => silence.to_vec(),
+            Behavior::EquivocateView1 { a, b, recipients_a } => {
+                let value = |to: &ProcessId| if recipients_a.contains(to) { a } else { b };
+                let split = ProcessId::all(cfg.n())
+                    .map(|to| (to, value(&to).clone()))
+                    .collect();
+                [Move::Equivocate { split }]
+                    .into_iter()
+                    .chain(silence)
+                    .collect()
+            }
+            Behavior::Random { seed } => random_moves(cfg, p, *seed),
+        }
     }
 }
 
@@ -114,7 +138,7 @@ impl SimClusterBuilder {
         self
     }
 
-    /// Sets the RNG seed (keys, network jitter, fuzzers).
+    /// Sets the RNG seed (keys, network jitter).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -165,36 +189,37 @@ impl SimClusterBuilder {
             .iter()
             .filter(|(_, b)| b.is_byzantine())
             .map(|(p, _)| *p);
+        let moves: BTreeMap<ProcessId, Vec<Move>> = behaviors
+            .iter()
+            .map(|(p, b)| (*p, b.moves(&cfg, *p)))
+            .collect();
         let mut cluster = SimCluster::new(
             cfg.n(),
             seed,
             network,
             inputs,
             faulty,
-            |p, keys, dir, input| match behaviors.get(&p).cloned().unwrap_or_default() {
-                Behavior::Honest | Behavior::CrashAt(_) => {
+            |p, keys, dir, input| {
+                let moves = moves.get(&p).cloned().unwrap_or_default();
+                // Honest until it stops (if it does): the replica itself,
+                // metered, and the kernel's crash below.
+                if moves.iter().all(|m| matches!(m, Move::Stop { .. })) {
                     let mut options = ReplicaOptions::default();
                     if let Some(registry) = &metrics {
                         options.metrics = registry.replica(p.index());
                     }
-                    Box::new(Replica::with_options(
-                        cfg,
-                        keys,
-                        dir.clone(),
-                        input,
-                        options,
-                    ))
+                    let dir = dir.clone();
+                    Box::new(Replica::with_options(cfg, keys, dir, input, options))
+                } else {
+                    Box::new(Adversary::new(cfg, keys, dir.clone(), input, moves))
                 }
-                Behavior::Silent => Box::new(ScriptedActor::silent()),
-                Behavior::EquivocateView1 { a, b, recipients_a } => {
-                    Box::new(EquivocatingLeader::new(keys, a, b, recipients_a))
-                }
-                Behavior::Random { seed } => Box::new(RandomByzantine::new(cfg, keys, seed)),
             },
         );
-        for (p, behavior) in &behaviors {
-            if let Behavior::CrashAt(at) = behavior {
-                cluster.sim.schedule_crash(*p, *at);
+        for (p, moves) in &moves {
+            for m in moves {
+                if let Move::Stop { at } = m {
+                    cluster.sim.schedule_crash(*p, *at);
+                }
             }
         }
         cluster
@@ -298,6 +323,12 @@ impl<M: SimMessage> SimCluster<M> {
     /// The trace recorded so far.
     pub fn trace(&self) -> &Trace {
         self.sim.trace()
+    }
+
+    /// What seat `p` runs, e.g. to read an
+    /// [`Adversary`]'s store after a run.
+    pub fn actor(&self, p: ProcessId) -> &dyn Actor<M> {
+        self.sim.actor(p)
     }
 
     fn report(&self, all_decided: bool) -> Report {

@@ -44,8 +44,8 @@
 //! | [`sync`] | §3 | the wish/enter view synchronizer, the doubling view timer and the decide rule, shared with the baselines |
 //! | [`certs`] | §3.2, A | votes, bounded progress certificates, commit certificates |
 //! | [`message`] | Fig. 1, 5 | the message vocabulary |
-//! | [`payload`] | §3.1–3.2 | canonical bytes for every signed statement |
-//! | [`byzantine`] | §2.1 | adversarial actors (equivocator, fuzzer) |
+//! | [`payload`] | §3.1–3.2 | canonical bytes for every signed statement, each bound to its view and instance |
+//! | [`byzantine`] | §2.1 | the Byzantine move alphabet and its interpreter over an honest replica |
 //! | [`cluster`] | — | the simulated-cluster harness used by tests/experiments |
 //! | [`lower_bound`] | §4 | the executable lower-bound construction (Fig. 2–4) |
 

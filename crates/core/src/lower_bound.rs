@@ -173,7 +173,7 @@ pub fn run_attack(n: usize, seed: u64) -> AttackOutcome {
                 // else. In the ρ3 continuation it helps steer the decision
                 // to 0 by acking the new proposal.
                 ProcessId(2) => {
-                    let tau = |value: &Value| keys.sign(&propose_payload(value, v1));
+                    let tau = |value: &Value| keys.sign(&propose_payload(value, v1, 0));
                     let propose = |value: &Value| {
                         Message::Propose(ProposeMsg {
                             value: value.clone(),
@@ -209,6 +209,7 @@ pub fn run_attack(n: usize, seed: u64) -> AttackOutcome {
                             commit_cert: None,
                         }),
                         v2,
+                        0,
                     );
                     Box::new(
                         ScriptedActor::silent()

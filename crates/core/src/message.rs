@@ -40,7 +40,7 @@ fastbft_types::impl_wire_struct!(ProposeMsg {
 /// process after accepting a proposal; `n − t` acks decide the value.
 ///
 /// Appendix A.1 has the signature share *accompany* each ack, and so it
-/// does here: `φ_ack` signs 41 fixed bytes (digest-carried statements), so
+/// does here: `φ_ack` signs 49 fixed bytes (digest-carried statements), so
 /// signing never delays the fast path and the value's bytes cross the wire
 /// once per ack. There is no share-only message (wire tag 3 is unassigned).
 #[derive(Clone, Debug, PartialEq)]
@@ -168,7 +168,7 @@ mod tests {
         let x = Value::from_u64(7);
         let v = View(3);
         let sig = pairs[0].sign(b"any");
-        let sv = SignedVote::sign(&pairs[1], None, v);
+        let sv = SignedVote::sign(&pairs[1], None, v, 0);
 
         let msgs = vec![
             Message::Propose(ProposeMsg {

@@ -75,7 +75,9 @@ use fastbft_obs::Metrics;
 use fastbft_sim::{Actor, Effects, SimDuration, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
-use crate::certs::{verify_counted, CommitCert, ProgressCert, SignedVote, Vote, VoteData};
+use crate::certs::{
+    sign_counted, verify_counted, CommitCert, ProgressCert, SignedVote, Vote, VoteData,
+};
 use crate::message::{
     AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, VoteMsg, WishMsg,
 };
@@ -373,6 +375,17 @@ impl Replica {
 
     // -- internals -----------------------------------------------------------
 
+    /// Signs `statement` with this replica's key, counted.
+    fn sign(&self, statement: &[u8]) -> Signature {
+        sign_counted(&self.keys, &self.metrics, statement)
+    }
+
+    /// Signs `vote` for the leader of `dest_view`, counted.
+    fn sign_vote(&self, vote: Vote, dest_view: View) -> SignedVote {
+        self.metrics.signatures_made_total.inc();
+        SignedVote::sign(&self.keys, vote, dest_view, self.cfg.instance())
+    }
+
     /// Counts a contribution refused: a sender's second in a view, its
     /// second view beyond the horizon, or a value past its byte share.
     fn refuse(&self) {
@@ -413,7 +426,7 @@ impl Replica {
             CommitPath::Fast => m.commit_fast_total.inc(),
             CommitPath::Slow => m.commit_slow_total.inc(),
         }
-        let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
+        let (p, slot, view) = (self.id.0, self.cfg.instance(), self.view.0);
         m.recorder.record(
             match path {
                 CommitPath::Fast => "commit-fast",
@@ -436,7 +449,7 @@ impl Replica {
     fn enter_view(&mut self, v: View, fx: &mut Effects<Message>) {
         debug_assert!(v > self.view);
         self.metrics.view_change_total.inc();
-        let (p, slot, leader) = (self.id.0, self.cfg.leader_offset(), self.cfg.leader(v).0);
+        let (p, slot, leader) = (self.id.0, self.cfg.instance(), self.cfg.leader(v).0);
         let detail = format!("p{p} slot {slot} entered view {} (leader p{leader})", v.0);
         self.metrics.recorder.record("view-change", detail);
         // The leader-side state of the views left behind (and of the ones
@@ -453,7 +466,7 @@ impl Replica {
         // Send our vote to the new leader (§3.2: "Whenever a correct process
         // changes its current view, it sends vote(vote_q, φ_vote)").
         let leader = self.cfg.leader(v);
-        let signed = SignedVote::sign(&self.keys, self.current_vote_for(v), v);
+        let signed = self.sign_vote(self.current_vote_for(v), v);
         if leader == self.id {
             let record = self.views.entry(v).or_default();
             record.votes.insert(self.id, signed);
@@ -493,12 +506,12 @@ impl Replica {
             commit_cert: None,
         });
         // The slow-path share rides inside the ack (one copy of the value
-        // on the wire, not two): signing is 41 fixed bytes now, so it no
+        // on the wire, not two): signing is 49 fixed bytes now, so it no
         // longer needs the separate broadcast that kept it off the fast
         // path (see `AckMsg`).
         let share = self
             .slow_path
-            .then(|| self.keys.sign(&ack_payload(&p.value, p.view)));
+            .then(|| self.sign(&ack_payload(&p.value, p.view, self.cfg.instance())));
         fx.broadcast(Message::Ack(AckMsg {
             value: p.value.clone(),
             view: p.view,
@@ -529,7 +542,7 @@ impl Replica {
         if !verify_counted(
             &self.dir,
             metrics,
-            &propose_payload(&p.value, p.view),
+            &propose_payload(&p.value, p.view, self.cfg.instance()),
             &p.sig,
         ) {
             return;
@@ -566,7 +579,9 @@ impl Replica {
         // counts either way.
         let share = a.share.filter(|sig| {
             let checks = |payload| verify_counted(&self.dir, &self.metrics, payload, sig);
-            self.slow_path && sig.signer == from && checks(&ack_payload(&value, a.view))
+            self.slow_path
+                && sig.signer == from
+                && checks(&ack_payload(&value, a.view, self.cfg.instance()))
         });
         let shared = share.is_some();
         let record = self.views.entry(a.view).or_default();
@@ -667,8 +682,9 @@ impl Replica {
         // confirm the selection; certify it ourselves right away.
         ls.selected = Some(value.clone());
         ls.requested = true;
-        let payload = certack_payload(&value, view);
-        ls.certacks.insert(self.keys.sign(&payload));
+        let payload = certack_payload(&value, view, self.cfg.instance());
+        let own = sign_counted(&self.keys, &self.metrics, &payload);
+        ls.certacks.insert(own);
         let targets: Vec<ProcessId> = self
             .cfg
             .processes()
@@ -707,7 +723,7 @@ impl Replica {
         }
         ls.proposed = true;
         let cert = ProgressCert::Bounded(ls.certacks.clone());
-        let sig = self.keys.sign(&propose_payload(&value, view));
+        let sig = self.sign(&propose_payload(&value, view, self.cfg.instance()));
         fx.broadcast(Message::Propose(ProposeMsg {
             value,
             view,
@@ -742,7 +758,7 @@ impl Replica {
         if !acceptable {
             return;
         }
-        let sig = self.keys.sign(&certack_payload(&req.value, req.view));
+        let sig = self.sign(&certack_payload(&req.value, req.view, self.cfg.instance()));
         fx.send(
             from,
             Message::CertAck(CertAckMsg {
@@ -770,7 +786,7 @@ impl Replica {
             || !verify_counted(
                 &self.dir,
                 &self.metrics,
-                &certack_payload(selected, ack.view),
+                &certack_payload(selected, ack.view, self.cfg.instance()),
                 &ack.sig,
             )
         {
@@ -798,7 +814,7 @@ impl Actor<Message> for Replica {
             // View 1: any value is safe; propose our input with the trivial
             // certificate (§3.1).
             let value = self.input.clone();
-            let sig = self.keys.sign(&propose_payload(&value, View::FIRST));
+            let sig = self.sign(&propose_payload(&value, View::FIRST, self.cfg.instance()));
             fx.broadcast(Message::Propose(ProposeMsg {
                 value,
                 view: View::FIRST,
@@ -831,7 +847,7 @@ impl Actor<Message> for Replica {
             return; // nothing left to synchronize for
         }
         let leader = self.cfg.leader(self.view);
-        let (p, slot, view) = (self.id.0, self.cfg.leader_offset(), self.view.0);
+        let (p, slot, view) = (self.id.0, self.cfg.instance(), self.view.0);
         let detail = format!("p{p} slot {slot} view {view} timed out waiting for {leader}");
         self.metrics.recorder.record("view-timeout", detail);
         // Leading a view and failing to propose in it (too few votes
@@ -913,7 +929,7 @@ mod tests {
             value: x.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST)),
+            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST, 0)),
         };
         let mut buf = fx(1, 4);
         r.on_message(leader, Message::Propose(p.clone()), &mut buf);
@@ -924,7 +940,7 @@ mod tests {
             value: y.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: pairs[leader.index()].sign(&propose_payload(&y, View::FIRST)),
+            sig: pairs[leader.index()].sign(&propose_payload(&y, View::FIRST, 0)),
         };
         let mut buf2 = fx(1, 4);
         r.on_message(leader, Message::Propose(p2), &mut buf2);
@@ -942,7 +958,7 @@ mod tests {
             value: x.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: pairs[2].sign(&propose_payload(&x, View::FIRST)),
+            sig: pairs[2].sign(&propose_payload(&x, View::FIRST, 0)),
         };
         let mut buf = fx(1, 4);
         r.on_message(ProcessId(3), Message::Propose(p), &mut buf);
@@ -1027,7 +1043,7 @@ mod tests {
                 value: x.clone(),
                 view: View::FIRST,
                 cert: ProgressCert::Genesis,
-                sig: signer.sign(&propose_payload(&x, View::FIRST)),
+                sig: signer.sign(&propose_payload(&x, View::FIRST, 0)),
             })
         };
 
@@ -1161,7 +1177,7 @@ mod tests {
         let x = Value::from_u64(3);
         let mut buf = fx(1, 8);
         for (i, pair) in pairs.iter().enumerate().take(6) {
-            let sig = pair.sign(&ack_payload(&x, View::FIRST));
+            let sig = pair.sign(&ack_payload(&x, View::FIRST, 0));
             r.on_message(
                 ProcessId::from_index(i),
                 Message::Ack(AckMsg {
@@ -1184,7 +1200,7 @@ mod tests {
         let mut buf = fx(1, 8);
         for (i, pair) in pairs.iter().enumerate().take(6) {
             // Signature by i but claimed from sender i+1: must be dropped.
-            let sig = pair.sign(&ack_payload(&x, View::FIRST));
+            let sig = pair.sign(&ack_payload(&x, View::FIRST, 0));
             r.on_message(
                 ProcessId::from_index((i + 1) % 8),
                 Message::Ack(AckMsg {
@@ -1208,7 +1224,7 @@ mod tests {
             view: View::FIRST,
             sigs: pairs[..6]
                 .iter()
-                .map(|p| p.sign(&ack_payload(&x, View::FIRST)))
+                .map(|p| p.sign(&ack_payload(&x, View::FIRST, 0)))
                 .collect(),
         };
         let mut buf = fx(1, 8);
@@ -1233,7 +1249,7 @@ mod tests {
             view: View::FIRST,
             sigs: pairs[..3]
                 .iter()
-                .map(|p| p.sign(&ack_payload(&x, View::FIRST)))
+                .map(|p| p.sign(&ack_payload(&x, View::FIRST, 0)))
                 .collect(),
         };
         let mut buf = fx(1, 8);
@@ -1258,13 +1274,13 @@ mod tests {
         // from f + 1 = 2 CertAck signatures.
         let cert: SignatureSet = pairs[..2]
             .iter()
-            .map(|p| p.sign(&certack_payload(&x, v2)))
+            .map(|p| p.sign(&certack_payload(&x, v2, 0)))
             .collect();
         let p = ProposeMsg {
             value: x.clone(),
             view: v2,
             cert: ProgressCert::Bounded(cert),
-            sig: pairs[leader2.index()].sign(&propose_payload(&x, v2)),
+            sig: pairs[leader2.index()].sign(&propose_payload(&x, v2, 0)),
         };
         let mut buf = fx(1, 4);
         r.on_message(leader2, Message::Propose(p), &mut buf);
@@ -1424,7 +1440,7 @@ mod tests {
             value: x.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST)),
+            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST, 0)),
         });
         r.on_message(leader, propose.clone(), &mut buf);
         assert_eq!(r.held_bytes(), share, "p4's, which nothing vouches for");
@@ -1506,7 +1522,7 @@ mod tests {
             value: x.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST)),
+            sig: pairs[leader.index()].sign(&propose_payload(&x, View::FIRST, 0)),
         });
         let decoded = |m: &Message| from_bytes::<Message>(&to_bytes(m)).expect("round trip");
         let at = |v: &Value| v.as_bytes().as_ptr();
@@ -1545,7 +1561,7 @@ mod tests {
         let vote_for = |view: View| {
             Message::Vote(VoteMsg {
                 view,
-                vote: SignedVote::sign(&pairs[1], None, view),
+                vote: SignedVote::sign(&pairs[1], None, view, 0),
             })
         };
         let (ours, theirs) = (View(4), View(2));

@@ -96,11 +96,11 @@ fn a_proposal_certified_by_relabelled_certacks_is_not_acknowledged() {
             view: v,
             cert: ProgressCert::Bounded(evidence(
                 &pairs,
-                &certack_payload(&x, v),
+                &certack_payload(&x, v, 0),
                 cfg.cert_quorum(),
                 forged,
             )),
-            sig: pairs[leader.index()].sign(&propose_payload(&x, v)),
+            sig: pairs[leader.index()].sign(&propose_payload(&x, v, 0)),
         });
         for delivered in deliveries(&propose) {
             let mut r = replica(&cfg, &pairs, &dir, 1);
@@ -130,7 +130,7 @@ fn commits_carrying_relabelled_shares_decide_nothing_and_are_not_kept() {
             cert: CommitCert {
                 value: x.clone(),
                 view: v,
-                sigs: evidence(&pairs, &ack_payload(&x, v), cfg.slow_quorum(), forged),
+                sigs: evidence(&pairs, &ack_payload(&x, v, 0), cfg.slow_quorum(), forged),
             },
         });
         for delivered in deliveries(&commit) {
@@ -143,7 +143,7 @@ fn commits_carrying_relabelled_shares_decide_nothing_and_are_not_kept() {
                     value: x.clone(),
                     view: v,
                     cert: ProgressCert::Genesis,
-                    sig: pairs[leader.index()].sign(&propose_payload(&x, v)),
+                    sig: pairs[leader.index()].sign(&propose_payload(&x, v, 0)),
                 }),
                 &mut buf,
             );
@@ -185,16 +185,16 @@ fn votes_carrying_relabelled_shares_are_not_counted_by_a_leader() {
                 value: x.clone(),
                 view: u,
                 progress_cert: ProgressCert::Genesis,
-                leader_sig: pairs[cfg.leader(u).index()].sign(&propose_payload(&x, u)),
+                leader_sig: pairs[cfg.leader(u).index()].sign(&propose_payload(&x, u, 0)),
                 commit_cert: Some(CommitCert {
                     value: x.clone(),
                     view: u,
-                    sigs: evidence(&pairs, &ack_payload(&x, u), cfg.slow_quorum(), forged),
+                    sigs: evidence(&pairs, &ack_payload(&x, u, 0), cfg.slow_quorum(), forged),
                 }),
             };
             Message::Vote(VoteMsg {
                 view: v,
-                vote: SignedVote::sign(&pairs[voter], Some(data), v),
+                vote: SignedVote::sign(&pairs[voter], Some(data), v, 0),
             })
         };
         for mode in 0..2 {

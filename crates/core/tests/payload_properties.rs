@@ -30,10 +30,10 @@ proptest! {
         let x = Value::new(bytes);
         let v = View(view);
         let payloads = [
-            propose_payload(&x, v),
-            certack_payload(&x, v),
-            ack_payload(&x, v),
-            vote_payload(&x.as_bytes().to_vec().to_wire_bytes(), v),
+            propose_payload(&x, v, 0),
+            certack_payload(&x, v, 0),
+            ack_payload(&x, v, 0),
+            vote_payload(&x.as_bytes().to_vec().to_wire_bytes(), v, 0),
         ];
         for i in 0..payloads.len() {
             prop_assert_eq!(payloads[i].len(), STATEMENT_LEN);
@@ -56,17 +56,17 @@ proptest! {
         let x = Value::new(a.clone());
         let y = Value::new(b.clone());
         if a != b {
-            prop_assert_ne!(propose_payload(&x, View(v1)), propose_payload(&y, View(v1)));
-            prop_assert_ne!(certack_payload(&x, View(v1)), certack_payload(&y, View(v1)));
-            prop_assert_ne!(ack_payload(&x, View(v1)), ack_payload(&y, View(v1)));
+            prop_assert_ne!(propose_payload(&x, View(v1), 0), propose_payload(&y, View(v1), 0));
+            prop_assert_ne!(certack_payload(&x, View(v1), 0), certack_payload(&y, View(v1), 0));
+            prop_assert_ne!(ack_payload(&x, View(v1), 0), ack_payload(&y, View(v1), 0));
         }
         if v1 != v2 {
-            prop_assert_ne!(propose_payload(&x, View(v1)), propose_payload(&x, View(v2)));
-            prop_assert_ne!(certack_payload(&x, View(v1)), certack_payload(&x, View(v2)));
-            prop_assert_ne!(ack_payload(&x, View(v1)), ack_payload(&x, View(v2)));
+            prop_assert_ne!(propose_payload(&x, View(v1), 0), propose_payload(&x, View(v2), 0));
+            prop_assert_ne!(certack_payload(&x, View(v1), 0), certack_payload(&x, View(v2), 0));
+            prop_assert_ne!(ack_payload(&x, View(v1), 0), ack_payload(&x, View(v2), 0));
             prop_assert_ne!(
-                vote_payload(x.as_bytes(), View(v1)),
-                vote_payload(x.as_bytes(), View(v2))
+                vote_payload(x.as_bytes(), View(v1), 0),
+                vote_payload(x.as_bytes(), View(v2), 0)
             );
         }
     }
@@ -78,9 +78,9 @@ proptest! {
     fn statements_are_stable_across_copies(bytes in value_bytes(), view in 1u64..=1_000_000) {
         let x = Value::new(bytes.clone());
         let v = View(view);
-        let first = propose_payload(&x, v);
-        prop_assert_eq!(propose_payload(&x.clone(), v), first);
-        prop_assert_eq!(propose_payload(&Value::new(bytes), v), first);
+        let first = propose_payload(&x, v, 0);
+        prop_assert_eq!(propose_payload(&x.clone(), v, 0), first);
+        prop_assert_eq!(propose_payload(&Value::new(bytes), v, 0), first);
     }
 }
 
@@ -108,7 +108,7 @@ fn distinct_values_never_alias_a_statement() {
 
     let statements: Vec<_> = variants
         .iter()
-        .map(|bytes| ack_payload(&Value::new(bytes.clone()), v))
+        .map(|bytes| ack_payload(&Value::new(bytes.clone()), v, 0))
         .collect();
     for i in 0..statements.len() {
         for j in i + 1..statements.len() {

@@ -148,13 +148,13 @@ impl History<'_> {
             let seats = self.cfg.processes();
             let signers = seats.filter(|&p| certified || self.faulty(p));
             let certacks = signers.take(self.cfg.cert_quorum());
-            let certacks = certacks.map(|p| key(p).sign(&certack_payload(&x, u)));
+            let certacks = certacks.map(|p| key(p).sign(&certack_payload(&x, u, 0)));
             let (decided, d) = (Value::from_u64(X), View(self.d));
             let shares = ackers.iter().take(self.cfg.slow_quorum());
-            let shares = shares.map(|&p| key(p).sign(&ack_payload(&decided, d)));
+            let shares = shares.map(|&p| key(p).sign(&ack_payload(&decided, d, 0)));
             let proposer = [voter, self.cfg.leader(u)][self.proposed(a.value, a.view) as usize];
             VoteData {
-                leader_sig: key(proposer).sign(&propose_payload(&x, u)),
+                leader_sig: key(proposer).sign(&propose_payload(&x, u, 0)),
                 progress_cert: match a.bounded {
                     true => ProgressCert::Bounded(certacks.collect()),
                     false => ProgressCert::Genesis,
@@ -168,7 +168,7 @@ impl History<'_> {
                 view: u,
             }
         });
-        SignedVote::sign(key(voter), vote, DEST)
+        SignedVote::sign(key(voter), vote, DEST, 0)
     }
 
     /// What each Byzantine seat can send — nothing, or a vote that passes

@@ -148,17 +148,18 @@ fn leader_and_verifier_agree_on_real_votes() {
                 value: value.clone(),
                 view: View::FIRST,
                 progress_cert: ProgressCert::Genesis,
-                leader_sig: pairs[leader1.index()].sign(&propose_payload(value, View::FIRST)),
+                leader_sig: pairs[leader1.index()].sign(&propose_payload(value, View::FIRST, 0)),
                 commit_cert: None,
             }),
             View(2),
+            0,
         )
     };
 
     let votes: BTreeMap<ProcessId, SignedVote> = [
         (pairs[0].id(), mk_vote(&pairs[0], &x)),
-        (pairs[2].id(), SignedVote::sign(&pairs[2], None, View(2))),
-        (pairs[3].id(), SignedVote::sign(&pairs[3], None, View(2))),
+        (pairs[2].id(), SignedVote::sign(&pairs[2], None, View(2), 0)),
+        (pairs[3].id(), SignedVote::sign(&pairs[3], None, View(2), 0)),
     ]
     .into();
 

@@ -23,7 +23,7 @@ fn replicas(cfg: Config, pairs: &[KeyPair], dir: &KeyDirectory) -> Vec<Replica> 
 /// (a forgery whoever it claims to come from: signer p1 ≠ sender).
 fn bogus_ack(pairs: &[KeyPair], shared: bool) -> Message {
     let bogus = Value::from_u64(BOGUS);
-    let share = shared.then(|| pairs[0].sign(&ack_payload(&bogus, View::FIRST)));
+    let share = shared.then(|| pairs[0].sign(&ack_payload(&bogus, View::FIRST, 0)));
     Message::Ack(AckMsg {
         value: bogus,
         view: View::FIRST,

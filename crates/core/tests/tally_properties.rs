@@ -70,7 +70,7 @@ fn replica(cfg: &Config, stream: &[Ack]) -> (Vec<Announced>, Option<u64>) {
             Some(sender as usize % cfg.n()),
         ];
         let share = signer[share as usize].map(|signer| {
-            let tag = *pairs[signer].sign(&ack_payload(&value, view)).tag();
+            let tag = *pairs[signer].sign(&ack_payload(&value, view, 0)).tag();
             Signature::from_parts(ProcessId(sender), tag)
         });
         let mut fx = Effects::new(ProcessId(1), cfg.n(), SimTime::ZERO);

@@ -39,7 +39,7 @@ fn enter_view2(replica: &mut Replica, buf: &mut Effects<Message>) {
 fn nil_vote(pairs: &[KeyPair], voter: usize, dest: View) -> Message {
     Message::Vote(VoteMsg {
         view: dest,
-        vote: SignedVote::sign(&pairs[voter], None, dest),
+        vote: SignedVote::sign(&pairs[voter], None, dest, 0),
     })
 }
 
@@ -60,10 +60,11 @@ fn value_vote(
                 value: x.clone(),
                 view,
                 progress_cert: ProgressCert::Genesis,
-                leader_sig: pairs[cfg.leader(view).index()].sign(&propose_payload(&x, view)),
+                leader_sig: pairs[cfg.leader(view).index()].sign(&propose_payload(&x, view, 0)),
                 commit_cert: None,
             }),
             dest,
+            0,
         ),
     })
 }
@@ -106,7 +107,7 @@ fn leader_certification_roundtrip() {
         Message::CertAck(CertAckMsg {
             view: View(2),
             value: wrong.clone(),
-            sig: pairs[0].sign(&certack_payload(&wrong, View(2))),
+            sig: pairs[0].sign(&certack_payload(&wrong, View(2), 0)),
         }),
         &mut buf2,
     );
@@ -120,7 +121,7 @@ fn leader_certification_roundtrip() {
         Message::CertAck(CertAckMsg {
             view: View(2),
             value: x.clone(),
-            sig: pairs[1].sign(&certack_payload(&x, View(2))), // signer p2 ≠ sender p1
+            sig: pairs[1].sign(&certack_payload(&x, View(2), 0)), // signer p2 ≠ sender p1
         }),
         &mut buf3,
     );
@@ -134,7 +135,7 @@ fn leader_certification_roundtrip() {
         Message::CertAck(CertAckMsg {
             view: View(2),
             value: x.clone(),
-            sig: pairs[0].sign(&certack_payload(&x, View(2))),
+            sig: pairs[0].sign(&certack_payload(&x, View(2), 0)),
         }),
         &mut buf4,
     );
@@ -165,9 +166,9 @@ fn cert_request_verifier_paths() {
     let mut r = Replica::new(cfg, pairs[0].clone(), dir.clone(), Value::from_u64(1));
 
     let votes: Vec<SignedVote> = vec![
-        SignedVote::sign(&pairs[0], None, View(2)),
-        SignedVote::sign(&pairs[2], None, View(2)),
-        SignedVote::sign(&pairs[3], None, View(2)),
+        SignedVote::sign(&pairs[0], None, View(2), 0),
+        SignedVote::sign(&pairs[2], None, View(2), 0),
+        SignedVote::sign(&pairs[3], None, View(2), 0),
     ];
 
     // 1. Valid request from the leader: answered with a CertAck.
@@ -217,8 +218,8 @@ fn cert_request_verifier_paths() {
             Message::Vote(v) => v.vote,
             _ => unreachable!(),
         },
-        SignedVote::sign(&pairs[2], None, View(2)),
-        SignedVote::sign(&pairs[3], None, View(2)),
+        SignedVote::sign(&pairs[2], None, View(2), 0),
+        SignedVote::sign(&pairs[3], None, View(2), 0),
     ];
     let mut buf = fx(1);
     r.on_message(
@@ -274,7 +275,7 @@ fn leader_rejects_bad_votes() {
 
     // Relay: p4 forwards p1's genuine vote — rejected (votes travel
     // directly; accepting relays would let Byzantine processes replay).
-    let genuine = SignedVote::sign(&pairs[0], None, View(2));
+    let genuine = SignedVote::sign(&pairs[0], None, View(2), 0);
     let mut buf = fx(3);
     r.on_message(
         ProcessId(4),
@@ -285,7 +286,7 @@ fn leader_rejects_bad_votes() {
         &mut buf,
     );
     // Vote for the wrong destination view: rejected.
-    let stale = SignedVote::sign(&pairs[0], None, View(3));
+    let stale = SignedVote::sign(&pairs[0], None, View(3), 0);
     r.on_message(
         ProcessId(1),
         Message::Vote(VoteMsg {
@@ -295,7 +296,7 @@ fn leader_rejects_bad_votes() {
         &mut buf,
     );
     // Tampered signature: rejected.
-    let mut forged = SignedVote::sign(&pairs[0], None, View(2));
+    let mut forged = SignedVote::sign(&pairs[0], None, View(2), 0);
     forged.sig = Signature::from_parts(ProcessId(1), [9u8; 32]);
     r.on_message(
         ProcessId(1),

@@ -122,6 +122,9 @@ metrics! {
     Counter send_drop_total: "Outbound messages dropped (oversized or writer queue full).",
     // smr: what a slot decided.
     Counter slot_empty_total: "Slots applied that decided the empty batch.",
+    // crypto: what the seat signed.
+    Counter signatures_made_total:
+        "Signatures made: consensus statements, votes and checkpoint attestations.",
     Gauge leader_suspected: "Seats this node currently suspects as dead leaders.",
     Gauge stash_depth: "Future-slot messages currently stashed (bounded).",
     Gauge writer_queue_depth_peak: "High-water mark of any per-peer writer queue, in messages.",

@@ -184,8 +184,14 @@ impl Checkpoints {
     /// Records the local snapshot `payload` taken at `upto`: merges the
     /// attestations peers sent before this node got here, drops every
     /// parked one at or below the boundary (consumed or stale), and returns
-    /// this node's own attestation to broadcast.
-    pub(crate) fn seal(&mut self, keys: &KeyPair, upto: u64, payload: Vec<u8>) -> SlotMessage {
+    /// this node's own attestation to broadcast (counted in `metrics`).
+    pub(crate) fn seal(
+        &mut self,
+        keys: &KeyPair,
+        metrics: &Metrics,
+        upto: u64,
+        payload: Vec<u8>,
+    ) -> SlotMessage {
         let digest = fastbft_crypto::digest(&payload);
         let mut sigs = BTreeMap::new();
         for queue in self.parked.values_mut() {
@@ -196,21 +202,24 @@ impl Checkpoints {
                 *at > upto
             });
         }
-        let sig = self.adopt(keys, upto, digest, payload, sigs);
+        let sig = self.adopt(keys, metrics, upto, digest, payload, sigs);
         SlotMessage::Checkpoint { upto, digest, sig }
     }
 
     /// Makes `payload` at `upto` this node's latest snapshot, with the valid
     /// attestations `sigs` gathered for it plus this node's own, which is
     /// returned (it now vouches for the state, and can serve it onward).
+    /// `metrics` count the signature made.
     pub(crate) fn adopt(
         &mut self,
         keys: &KeyPair,
+        metrics: &Metrics,
         upto: u64,
         digest: Digest,
         payload: Vec<u8>,
         mut sigs: BTreeMap<ProcessId, Signature>,
     ) -> Signature {
+        metrics.signatures_made_total.inc();
         let own = checkpoint_signature(keys, upto, &digest);
         sigs.insert(keys.id(), own.clone());
         self.latest = Some(Attested {
@@ -363,7 +372,7 @@ mod tests {
         // same bytes at that boundary — p3's, for other bytes, is not.
         attest(&mut books, P2, 1, 16, &payload(16));
         attest(&mut books, P3, 2, 16, b"another state");
-        books.seal(&pairs[0], 16, payload(16));
+        books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
         assert_eq!(signers(&books), [P1, P2]);
         assert!(books.parked.values().all(VecDeque::is_empty), "consumed");
         // For the local boundary: the same digest is collected, another is
@@ -378,7 +387,7 @@ mod tests {
         attest(&mut books, P3, 2, 16, &payload(16));
         assert_eq!(signers(&books), [P1, P2, P3]);
         // Stale: below the local boundary, dropped outright.
-        books.seal(&pairs[0], 32, payload(32));
+        books.seal(&pairs[0], &Metrics::new(), 32, payload(32));
         attest(&mut books, P2, 1, 16, &payload(16));
         assert_eq!(signers(&books), [P1]);
         assert!(books.parked.values().all(VecDeque::is_empty));
@@ -413,7 +422,7 @@ mod tests {
             "no snapshot yet, still a request"
         );
         assert!(books.response(0, F).is_none());
-        books.seal(&pairs[0], 16, payload(16));
+        books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
         assert!(books.response(0, F).is_none(), "f signers");
         let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
         books.attest(&dir, &Metrics::new(), P2, upto, digest, sig.clone());
@@ -443,7 +452,7 @@ mod tests {
         assert!(books.first_ask(P2, 0, 20), "another requester");
         assert!(books.first_ask(P3, 4, 20), "its `have` moved");
         assert!(books.first_ask(P3, 4, 21), "the local apply point moved");
-        books.seal(&pairs[0], 32, payload(32));
+        books.seal(&pairs[0], &Metrics::new(), 32, payload(32));
         assert!(books.first_ask(P3, 4, 21), "the local snapshot moved");
         assert!(!books.first_ask(P3, 4, 21));
         assert_eq!(books.served.len(), 2);

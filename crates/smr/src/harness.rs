@@ -324,7 +324,7 @@ mod tests {
         // different slot: slot s has leader p_{((1+s) mod n)+1}.
         let cfg = Config::new(4, 1, 1).unwrap();
         let leaders: Vec<u32> = (0..4u64)
-            .map(|slot| cfg.with_leader_offset(slot).leader(View::FIRST).0)
+            .map(|slot| cfg.with_instance(slot).leader(View::FIRST).0)
             .collect();
         assert_eq!(leaders, vec![2, 3, 4, 1]);
     }

@@ -656,7 +656,9 @@ impl<S: StateMachine> SmrNode<S> {
         };
         let bytes = to_bytes(&payload);
         self.dedup = payload.dedup;
-        let attestation = self.checkpoints.seal(&self.keys, upto, bytes);
+        let attestation = self
+            .checkpoints
+            .seal(&self.keys, &self.opts.metrics, upto, bytes);
         let m = &self.opts.metrics;
         m.snapshot_taken_total.inc();
         m.recorder.record(
@@ -738,8 +740,14 @@ impl<S: StateMachine> SmrNode<S> {
         self.committed_tail = self.committed_tail.split_off(&upto);
         self.propose_cursor = self.propose_cursor.max(upto);
         self.purge_settled();
-        self.checkpoints
-            .adopt(&self.keys, upto, digest, payload, signers);
+        self.checkpoints.adopt(
+            &self.keys,
+            &self.opts.metrics,
+            upto,
+            digest,
+            payload,
+            signers,
+        );
         let m = &self.opts.metrics;
         m.snapshot_installed_total.inc();
         m.recorder.record(

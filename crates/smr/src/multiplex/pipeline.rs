@@ -124,9 +124,10 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// The configuration of `slot`'s instance. First leadership rotates
     /// across slots so every process's commands get committed without
-    /// waiting for a view change (fairness).
+    /// waiting for a view change (fairness), and every statement the
+    /// instance signs or checks names the slot.
     fn slot_config(&self, slot: u64) -> Config {
-        self.cfg.with_leader_offset(slot)
+        self.cfg.with_instance(slot)
     }
 
     /// `slot`'s first leader, if this node's instance of it would start out

@@ -201,7 +201,7 @@ mod tests {
         let cfg = Config::new(7, 2, 1).unwrap();
         let mut table = SuspicionTable::default();
         // leader(v) under offset o is p_{((v + o) mod 7) + 1}.
-        let led_by_6_then_7 = cfg.with_leader_offset(4);
+        let led_by_6_then_7 = cfg.with_instance(4);
         assert_eq!(led_by_6_then_7.leader(View(1)), ProcessId(6));
         assert_eq!(led_by_6_then_7.leader(View(2)), ProcessId(7));
         assert_eq!(table.first_live_view(&led_by_6_then_7, View(1)), View(1));
@@ -215,11 +215,11 @@ mod tests {
         assert_eq!(table.first_live_view(&led_by_6_then_7, View(3)), View(3));
         // A view with a live leader is left alone, whoever comes next.
         assert_eq!(
-            table.first_live_view(&cfg.with_leader_offset(3), View(1)),
+            table.first_live_view(&cfg.with_instance(3), View(1)),
             View(1)
         );
         assert_eq!(
-            table.first_live_view(&cfg.with_leader_offset(5), View(1)),
+            table.first_live_view(&cfg.with_instance(5), View(1)),
             View(2)
         );
     }
@@ -234,7 +234,7 @@ mod tests {
         }
         for offset in 0..7 {
             assert_eq!(
-                table.first_live_view(&cfg.with_leader_offset(offset), View(1)),
+                table.first_live_view(&cfg.with_instance(offset), View(1)),
                 View(1),
                 "f + 1 suspects: this node is the partitioned one"
             );
@@ -242,7 +242,7 @@ mod tests {
         // Back at f the skipping resumes, never past f views.
         table.observe(1, proposed(5), &metrics);
         assert_eq!(
-            table.first_live_view(&cfg.with_leader_offset(4), View(1)),
+            table.first_live_view(&cfg.with_instance(4), View(1)),
             View(3)
         );
     }
@@ -259,7 +259,7 @@ mod tests {
         let mut table = SuspicionTable::default();
         let instance = |offset: u64| {
             Replica::new(
-                cfg.with_leader_offset(offset),
+                cfg.with_instance(offset),
                 pairs[0].clone(),
                 dir.clone(),
                 Value::from_u64(1),

@@ -99,7 +99,7 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
         value: x.clone(),
         view: View::FIRST,
         progress_cert: ProgressCert::Genesis,
-        leader_sig: leader1.sign(&propose_payload(&x, View::FIRST)),
+        leader_sig: leader1.sign(&propose_payload(&x, View::FIRST, 0)),
         commit_cert,
     };
     let commit_cert = CommitCert {
@@ -107,7 +107,7 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
         view: View::FIRST,
         sigs: pairs[..cfg.slow_quorum()]
             .iter()
-            .map(|p| p.sign(&ack_payload(&x, View::FIRST)))
+            .map(|p| p.sign(&ack_payload(&x, View::FIRST, 0)))
             .collect(),
     };
     let consensus = [
@@ -115,7 +115,7 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
             value: x.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: p4.sign(&propose_payload(&x, View::FIRST)),
+            sig: p4.sign(&propose_payload(&x, View::FIRST, 0)),
         }),
         Message::Propose(ProposeMsg {
             value: x.clone(),
@@ -123,35 +123,35 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
             cert: ProgressCert::Bounded(
                 pairs[..cfg.cert_quorum()]
                     .iter()
-                    .map(|p| p.sign(&certack_payload(&x, View(2))))
+                    .map(|p| p.sign(&certack_payload(&x, View(2), 0)))
                     .collect(),
             ),
-            sig: p4.sign(&propose_payload(&x, View(2))),
+            sig: p4.sign(&propose_payload(&x, View(2), 0)),
         }),
         Message::Ack(AckMsg {
             value: x.clone(),
             view: View::FIRST,
-            share: Some(p4.sign(&ack_payload(&x, View::FIRST))),
+            share: Some(p4.sign(&ack_payload(&x, View::FIRST, 0))),
         }),
         Message::Commit(CommitMsg {
             cert: commit_cert.clone(),
         }),
         Message::Vote(VoteMsg {
             view: View(2),
-            vote: SignedVote::sign(p4, Some(voted(Some(commit_cert))), View(2)),
+            vote: SignedVote::sign(p4, Some(voted(Some(commit_cert))), View(2), 0),
         }),
         Message::CertRequest(CertRequestMsg {
             view: View(2),
             value: x.clone(),
             votes: pairs
                 .iter()
-                .map(|p| SignedVote::sign(p, Some(voted(None)), View(2)))
+                .map(|p| SignedVote::sign(p, Some(voted(None)), View(2), 0))
                 .collect(),
         }),
         Message::CertAck(CertAckMsg {
             view: View(2),
             value: x.clone(),
-            sig: p4.sign(&certack_payload(&x, View(2))),
+            sig: p4.sign(&certack_payload(&x, View(2), 0)),
         }),
         Message::Wish(WishMsg { view: View(2) }),
     ];

@@ -40,7 +40,7 @@ fn command(i: usize) -> Value {
 fn what_exceeds_pipeline_plus_budget_is_shed_and_nothing_accepted_is_lost() {
     for (max_cmds, max_bytes) in [(8, 1 << 20), (1000, 8 * CMD_BYTES)] {
         let cfg = Config::new(4, 1, 1).unwrap();
-        let silent = cfg.with_leader_offset(0).leader(fastbft_types::View::FIRST);
+        let silent = cfg.with_instance(0).leader(fastbft_types::View::FIRST);
         assert_eq!(silent, ProcessId(2));
         let live: Vec<ProcessId> = cfg.processes().filter(|p| *p != silent).collect();
         let mut cluster = SmrSimCluster::new(

@@ -17,13 +17,13 @@
 //! leaders early, with the empty batch — run the default depth under paced
 //! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
-use fastbft_core::byzantine::RandomByzantine;
+use fastbft_core::byzantine::{random_moves, Adversary, Move};
 use fastbft_core::cluster::SimCluster;
 use fastbft_core::message::{Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::propose_payload;
 use fastbft_core::replica::Replica;
 use fastbft_core::ProgressCert;
-use fastbft_crypto::KeyDirectory;
+use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{
     Actor, Effects, Network, Outgoing, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
@@ -59,7 +59,7 @@ fn generalized_seven() -> Config {
 
 /// The seat leading view `view` of slot `slot` (the SMR rotation).
 fn slot_leader(cfg: &Config, slot: u64, view: u64) -> ProcessId {
-    cfg.with_leader_offset(slot).leader(View(view))
+    cfg.with_instance(slot).leader(View(view))
 }
 
 /// Every seat is offered an honest node with the same `commands`-long
@@ -626,17 +626,51 @@ impl Actor<Message> for StartsWishing {
     }
 }
 
-/// A [`RandomByzantine`] seated in an SMR cluster: its noise goes into
-/// whichever slot it heard about last.
+/// A seeded draw from the move alphabet, seated in an SMR cluster: one
+/// interpreter per slot it hears of, each over that slot's instance and
+/// starting when the slot's first message arrives, every one playing the
+/// same moves. A timer carries its slot in its low 32 bits.
 struct SlotFuzzer {
-    inner: RandomByzantine,
-    slot: u64,
+    cfg: Config,
+    keys: KeyPair,
+    dir: KeyDirectory,
+    moves: Vec<Move>,
+    slots: std::collections::BTreeMap<u64, Adversary>,
 }
 
 impl SlotFuzzer {
-    fn lift(&self, inner: Effects<Message>, fx: &mut Effects<SlotMessage>) {
+    fn new(cfg: Config, keys: KeyPair, dir: KeyDirectory, seed: u64) -> Self {
+        let moves = random_moves(&cfg, keys.id(), seed);
+        let slots = Default::default();
+        SlotFuzzer {
+            cfg,
+            keys,
+            dir,
+            moves,
+            slots,
+        }
+    }
+
+    /// Runs `call` on `slot`'s interpreter (started first if new) and lifts
+    /// what it did into the slot.
+    fn run(
+        &mut self,
+        slot: u64,
+        fx: &mut Effects<SlotMessage>,
+        call: impl FnOnce(&mut Adversary, &mut Effects<Message>),
+    ) {
+        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
+        let seat = self.slots.entry(slot).or_insert_with(|| {
+            let cfg = self.cfg.with_instance(slot);
+            let (keys, dir) = (self.keys.clone(), self.dir.clone());
+            let input = Value::from_u64(slot % 4);
+            let mut seat = Adversary::new(cfg, keys, dir, input, self.moves.clone());
+            seat.on_start(&mut inner);
+            seat
+        });
+        call(seat, &mut inner);
         let lifted = |m: &Message| SlotMessage::Consensus {
-            slot: self.slot,
+            slot,
             inner: m.clone(),
         };
         for out in inner.outgoing() {
@@ -646,31 +680,23 @@ impl SlotFuzzer {
             }
         }
         for (delay, timer) in inner.timers_set() {
-            fx.set_timer(*delay, *timer);
+            fx.set_timer(*delay, TimerId(timer.0 << 32 | slot));
         }
     }
 }
 
 impl Actor<SlotMessage> for SlotFuzzer {
-    fn on_start(&mut self, fx: &mut Effects<SlotMessage>) {
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        self.inner.on_start(&mut inner);
-        self.lift(inner, fx);
-    }
+    fn on_start(&mut self, _fx: &mut Effects<SlotMessage>) {}
 
     fn on_message(&mut self, from: ProcessId, msg: SlotMessage, fx: &mut Effects<SlotMessage>) {
         if let SlotMessage::Consensus { slot, inner: msg } = msg {
-            self.slot = slot;
-            let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-            self.inner.on_message(from, msg, &mut inner);
-            self.lift(inner, fx);
+            self.run(slot, fx, |seat, inner| seat.on_message(from, msg, inner));
         }
     }
 
     fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<SlotMessage>) {
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        self.inner.on_timer(timer, &mut inner);
-        self.lift(inner, fx);
+        let (slot, timer) = (timer.0 & u64::from(u32::MAX), TimerId(timer.0 >> 32));
+        self.run(slot, fx, |seat, inner| seat.on_timer(timer, inner));
     }
 }
 
@@ -678,9 +704,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// (d) Safety is independent of wishes: single-shot replicas that each
-    /// start wishing for an arbitrary view `≤ f + 1`, with up to `f`
-    /// message fuzzers and pre-GST chaos, never disagree — and still all
-    /// decide once the network stabilizes.
+    /// start wishing for an arbitrary view `≤ f + 1`, with up to `f` seats
+    /// playing seeded draws from the move alphabet and pre-GST chaos, never
+    /// disagree — and still all decide once the network stabilizes.
     #[test]
     fn arbitrary_starting_wishes_keep_consensus_safe_and_live(
         seed in 0u64..10_000,
@@ -698,7 +724,8 @@ proptest! {
         let faulty = cfg.processes().filter(|p| fuzzers.contains(&p.index()));
         let mut cluster = SimCluster::new(cfg.n(), seed, network, inputs, faulty, |p, keys, dir, input| {
             if fuzzers.contains(&p.index()) {
-                Box::new(RandomByzantine::new(cfg, keys, seed ^ u64::from(p.0)))
+                let moves = random_moves(&cfg, p, seed ^ u64::from(p.0));
+                Box::new(Adversary::new(cfg, keys, dir.clone(), input, moves))
             } else {
                 Box::new(StartsWishing {
                     replica: Replica::new(cfg, keys, dir.clone(), input),
@@ -733,13 +760,13 @@ proptest! {
         } else {
             Network::partially_synchronous(DELTA, SimTime(gst * DELTA.0), SimDuration(10 * DELTA.0))
         };
-        let (pairs, _) = KeyDirectory::generate(cfg.n(), seed);
+        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let mut cluster = pipelined(cfg, seed, network, |p, node| {
             if p.0 == 7 {
                 Box::new(ScriptedActor::silent())
             } else if p.0 == fuzzer {
                 let keys = pairs[p.index()].clone();
-                Box::new(SlotFuzzer { inner: RandomByzantine::new(cfg, keys, seed ^ 0xf5), slot: 0 })
+                Box::new(SlotFuzzer::new(cfg, keys, dir.clone(), seed ^ 0xf5))
             } else {
                 Box::new(node)
             }
@@ -895,7 +922,7 @@ fn more_than_f_suspects_disable_skipping() {
             value: x.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: pairs[3].sign(&propose_payload(&x, View::FIRST)),
+            sig: pairs[3].sign(&propose_payload(&x, View::FIRST, 23)),
         }),
     );
     assert_eq!(

@@ -77,11 +77,11 @@ pub struct Config {
     n: usize,
     f: usize,
     t: usize,
-    /// Rotation offset added to the leader map (default 0). Lets multi-slot
-    /// deployments rotate first-leadership across slots for fairness; see
-    /// [`Config::with_leader_offset`].
+    /// The consensus instance these parameters run (default 0): the log
+    /// slot an SMR layer opened. It rotates the leader map and is part of
+    /// every signed statement; see [`Config::with_instance`].
     #[serde(default)]
-    offset: u64,
+    instance: u64,
 }
 
 impl Config {
@@ -114,7 +114,12 @@ impl Config {
         if n < required {
             return Err(ConfigError::TooFewProcesses { n, required });
         }
-        Ok(Config { n, f, t, offset: 0 })
+        Ok(Config {
+            n,
+            f,
+            t,
+            instance: 0,
+        })
     }
 
     /// Creates a configuration for the vanilla protocol (`t = f`,
@@ -144,27 +149,37 @@ impl Config {
     /// and for [`ProtocolKind::config`], which checks the baselines' own
     /// bounds before calling it. Never use it for anything meant to be safe.
     pub fn new_unchecked(n: usize, f: usize, t: usize) -> Self {
-        Config { n, f, t, offset: 0 }
+        Config {
+            n,
+            f,
+            t,
+            instance: 0,
+        }
     }
 
-    /// Returns a copy whose leader map is rotated by `offset`:
-    /// `leader(v) = p_{((v + offset) mod n) + 1}`.
+    /// Returns a copy for consensus instance `instance` — the log slot of an
+    /// instance the SMR layer opens. Two things follow from it:
     ///
-    /// All replicas of one consensus instance must use the same offset. The
-    /// SMR layer rotates by the slot number so every process gets to be the
-    /// initial leader of some slots (command fairness); single-instance
+    /// * the leader map is rotated by it,
+    ///   `leader(v) = p_{((v + instance) mod n) + 1}`, so every process gets
+    ///   to be the initial leader of some slots (command fairness);
+    /// * every statement a replica signs or checks names it
+    ///   (`fastbft_core::payload`), so evidence from one slot never verifies
+    ///   in another.
+    ///
+    /// All replicas of one instance must use the same value. Single-instance
     /// deployments leave it at the default 0, which is exactly the paper's
-    /// map.
+    /// leader map.
     #[must_use]
-    pub fn with_leader_offset(mut self, offset: u64) -> Self {
-        self.offset = offset;
+    pub fn with_instance(mut self, instance: u64) -> Self {
+        self.instance = instance;
         self
     }
 
-    /// The leader-map rotation (see [`Config::with_leader_offset`]): the log
-    /// slot of an instance the SMR layer opened, 0 for a single instance.
-    pub fn leader_offset(&self) -> u64 {
-        self.offset
+    /// The consensus instance (see [`Config::with_instance`]): the log slot
+    /// of an instance the SMR layer opened, 0 for a single instance.
+    pub fn instance(&self) -> u64 {
+        self.instance
     }
 
     /// Number of processes `n`.
@@ -244,7 +259,7 @@ impl Config {
     /// narrate "the first leader" use [`Config::leader`] everywhere, so the
     /// identity of `leader(1)` is consistent across the workspace.
     pub fn leader(&self, view: View) -> ProcessId {
-        ProcessId(((view.0.wrapping_add(self.offset)) % self.n as u64) as u32 + 1)
+        ProcessId(((view.0.wrapping_add(self.instance)) % self.n as u64) as u32 + 1)
     }
 
     /// Iterator over all process ids `p1 ..= pn`.

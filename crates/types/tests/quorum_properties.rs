@@ -89,7 +89,7 @@ proptest! {
     /// any offset.
     #[test]
     fn leader_round_robin(cfg in valid_configs(), start in 1u64..1000, offset in 0u64..100) {
-        let cfg = cfg.with_leader_offset(offset);
+        let cfg = cfg.with_instance(offset);
         let leaders: std::collections::BTreeSet<ProcessId> =
             (start..start + cfg.n() as u64).map(|v| cfg.leader(View(v))).collect();
         prop_assert_eq!(leaders.len(), cfg.n());
@@ -98,14 +98,14 @@ proptest! {
     /// Offsets change only *who* leads, never the quorum arithmetic.
     #[test]
     fn offset_preserves_quorums(cfg in valid_configs(), offset in 0u64..1000) {
-        let rotated = cfg.with_leader_offset(offset);
+        let rotated = cfg.with_instance(offset);
         prop_assert_eq!(rotated.vote_quorum(), cfg.vote_quorum());
         prop_assert_eq!(rotated.fast_quorum(), cfg.fast_quorum());
         prop_assert_eq!(rotated.slow_quorum(), cfg.slow_quorum());
         prop_assert_eq!(rotated.cert_quorum(), cfg.cert_quorum());
         prop_assert_eq!(rotated.selection_quorum(), cfg.selection_quorum());
         // offset = n is the identity rotation.
-        let full_turn = cfg.with_leader_offset(cfg.n() as u64);
+        let full_turn = cfg.with_instance(cfg.n() as u64);
         prop_assert_eq!(full_turn.leader(View(7)), cfg.leader(View(7)));
     }
 }

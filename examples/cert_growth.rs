@@ -39,11 +39,15 @@ fn vote_overhead(cfg: &Config) -> usize {
             value: x.clone(),
             view: View::FIRST,
             progress_cert: ProgressCert::Genesis,
-            leader_sig: pairs[cfg.leader(View::FIRST).index()]
-                .sign(&propose_payload(&x, View::FIRST)),
+            leader_sig: pairs[cfg.leader(View::FIRST).index()].sign(&propose_payload(
+                &x,
+                View::FIRST,
+                0,
+            )),
             commit_cert: None,
         }),
         View(2),
+        0,
     );
     vote.to_wire_bytes().len() - ProgressCert::Genesis.wire_size()
 }
@@ -74,7 +78,7 @@ fn main() {
         let view = View(v);
         let bounded_sigs: SignatureSet = pairs[..cfg.cert_quorum()]
             .iter()
-            .map(|p| p.sign(&certack_payload(&x, view)))
+            .map(|p| p.sign(&certack_payload(&x, view, 0)))
             .collect();
         let bounded = ProgressCert::Bounded(bounded_sigs);
         assert!(bounded.verify(&cfg, &dir, &x, view, &metrics));

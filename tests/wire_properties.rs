@@ -92,7 +92,7 @@ proptest! {
             }),
             Message::Vote(VoteMsg {
                 view,
-                vote: SignedVote::sign(&pairs[0], None, view),
+                vote: SignedVote::sign(&pairs[0], None, view, 0),
             }),
         ];
         for msg in &msgs {
@@ -119,10 +119,10 @@ proptest! {
             view: View::FIRST,
             progress_cert: ProgressCert::Genesis,
             leader_sig: pairs[cfg.leader(View::FIRST).index()]
-                .sign(&propose_payload(&x, View::FIRST)),
+                .sign(&propose_payload(&x, View::FIRST, 0)),
             commit_cert: None,
         };
-        let sv = SignedVote::sign(&pairs[0], Some(vd), View(2));
+        let sv = SignedVote::sign(&pairs[0], Some(vd), View(2), 0);
         let metrics = Metrics::new();
         prop_assert!(sv.is_valid(&cfg, &dir, View(2), &metrics));
 
@@ -251,10 +251,11 @@ fn golden_wire_table_pins_every_enum_variant() {
     const SIG_P3: &str = "000000039b3b666636dbc476ab47b1ed0d3d59b64fad0d8238489348c3faea54742f5bf1";
     const SIG_P4: &str = "000000049344dbff9966044e3c1eaa911f08aafbe13c66b1c2350ec7a155ba38a2bbaa6f";
     const DIGEST: &str = "d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1d1";
-    // p2's nil vote for view 3: voter, `None`, its signature.
+    // p2's nil vote for view 3 of instance 0: voter, `None`, its
+    // signature.
     const VOTE: &str = "00000002\
                         00\
-                        00000002fb64cb05025571bbbeee9fd1cd4e5b5dec78bedf9765f4b6e9c282e3ba1b7b6e";
+                        00000002734d4c0da54914d346984be8f5fd406bb184017f7c1630882118139e58273a8a";
     // p2's FaB vote for `x` in view 1: voter, `Some`, value, view, no
     // certificate, the leader's signature, the voter's.
     const FAB_VOTE: &str = "00000002\
@@ -286,7 +287,7 @@ fn golden_wire_table_pins_every_enum_variant() {
     pinned(&bounded, &["01", "00000002", SIG_P2, SIG_P3]);
     unassigned::<ProgressCert>(&[2, 255], "ProgressCert");
 
-    let vote = SignedVote::sign(&pairs[1], None, v);
+    let vote = SignedVote::sign(&pairs[1], None, v, 0);
     let messages: [(Message, &[&str]); 7] = [
         (
             Message::Propose(ProposeMsg {
