@@ -14,69 +14,25 @@
 //!
 //! A behaviour is a fixed list of moves: `cluster::Behavior` maps each of
 //! its variants to one ([`Behavior::moves`](crate::cluster::Behavior::moves)),
-//! and [`random_moves`] is a seeded draw from the alphabet. The scripted
-//! executions of the lower-bound proof stay scripted
-//! ([`fastbft_sim::ScriptedActor`]); `hostile_wire`'s byte mutator works
-//! below the message level.
+//! and [`random_moves`] is a seeded draw from the alphabet. A seat may also
+//! make [`Noise`]: malformed evidence on a clock, which the moves — all
+//! about well-formed evidence — do not make. The scripted executions of the
+//! lower-bound proof stay scripted ([`fastbft_sim::ScriptedActor`]);
+//! `hostile_wire`'s byte mutator works below the message level.
 
 use std::collections::VecDeque;
 
-use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
-use fastbft_sim::{Actor, Effects, Outgoing, SimTime, TimerId};
+use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
+use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimTime, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::certs::{ProgressCert, SignedVote, VoteData};
-use crate::message::{Message, ProposeMsg, VoteMsg};
-use crate::payload::propose_payload;
+use crate::certs::{CommitCert, ProgressCert, SignedVote, VoteData};
+use crate::message::{AckMsg, CertAckMsg, CommitMsg, Kind, Message, ProposeMsg, VoteMsg, WishMsg};
+use crate::payload::{ack_payload, certack_payload, propose_payload};
 use crate::replica::Replica;
-
-/// A message kind, as a move names it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kind {
-    /// [`Message::Propose`].
-    Propose,
-    /// [`Message::Ack`].
-    Ack,
-    /// [`Message::Commit`].
-    Commit,
-    /// [`Message::Vote`].
-    Vote,
-    /// [`Message::CertRequest`].
-    CertRequest,
-    /// [`Message::CertAck`].
-    CertAck,
-    /// [`Message::Wish`].
-    Wish,
-}
-
-impl Kind {
-    /// Every kind, in wire-tag order.
-    pub const ALL: [Kind; 7] = [
-        Kind::Propose,
-        Kind::Ack,
-        Kind::Commit,
-        Kind::Vote,
-        Kind::CertRequest,
-        Kind::CertAck,
-        Kind::Wish,
-    ];
-
-    /// The kind of `msg`, and the view it belongs to.
-    pub fn of(msg: &Message) -> (Kind, View) {
-        match msg {
-            Message::Propose(p) => (Kind::Propose, p.view),
-            Message::Ack(a) => (Kind::Ack, a.view),
-            Message::Commit(c) => (Kind::Commit, c.cert.view),
-            Message::Vote(v) => (Kind::Vote, v.view),
-            Message::CertRequest(r) => (Kind::CertRequest, r.view),
-            Message::CertAck(a) => (Kind::CertAck, a.view),
-            Message::Wish(w) => (Kind::Wish, w.view),
-        }
-    }
-}
 
 /// One move of a Byzantine seat. All of a seat's moves are in force at
 /// once; the ones that say what the *replica* sends act on each of its
@@ -103,7 +59,8 @@ pub enum Move {
         to: ProcessId,
     },
     /// Withhold a kind: the replica's messages of this kind reach no one. A
-    /// seat that withholds every kind is silent, and keeps no timers.
+    /// seat that withholds every kind is silent: it runs no replica, so it
+    /// keeps no timers.
     Withhold(Kind),
     /// Stay silent in a view change: the replica's wish, vote,
     /// certification request and CertAck for `view` stay home.
@@ -121,8 +78,9 @@ pub enum Move {
         /// What it claims.
         claim: Option<Value>,
     },
-    /// Stop at a given time: from `at` on the seat takes no step. Under a
-    /// `SimCluster` the kernel crashes it at `at`, as the paper's crash.
+    /// Stop at a given time: the simulator crashes the seat at `at`, as the
+    /// paper's crash (`SimCluster::builder` schedules it; the interpreter
+    /// plays no part).
     Stop {
         /// When it stops.
         at: SimTime,
@@ -168,13 +126,15 @@ impl ReplayStore {
 }
 
 /// The interpreter: an honest [`Replica`] whose outgoing effects the
-/// seat's [`Move`]s rewrite. Its decision is never reported (a faulty
-/// seat's decision counts for nothing).
+/// seat's [`Move`]s rewrite, and its [`Noise`] if it makes any. Its
+/// decision is never reported (a faulty seat's decision counts for
+/// nothing).
 pub struct Adversary {
     replica: Replica,
     keys: KeyPair,
     moves: Vec<Move>,
     store: ReplayStore,
+    noise: Option<Noise>,
 }
 
 impl Adversary {
@@ -192,6 +152,7 @@ impl Adversary {
             keys,
             moves,
             store: ReplayStore::default(),
+            noise: None,
         }
     }
 
@@ -202,14 +163,16 @@ impl Adversary {
         self
     }
 
+    /// Also makes [`Noise`] drawn from `seed`, about this instance.
+    #[must_use]
+    pub fn with_noise(mut self, seed: u64) -> Self {
+        self.noise = Some(Noise::new(self.keys.clone(), seed));
+        self
+    }
+
     /// What the seat has seen.
     pub fn store(&self) -> &ReplayStore {
         &self.store
-    }
-
-    fn stopped_by(&self, t: SimTime) -> bool {
-        let stop = |m: &Move| matches!(m, Move::Stop { at } if *at <= t);
-        self.moves.iter().any(stop)
     }
 
     /// Whether a replica message of `kind` in `view` stays home.
@@ -244,7 +207,7 @@ impl Adversary {
             Outgoing::To(to, msg) => (Some(*to), msg),
             Outgoing::All(msg) => (None, msg),
         };
-        let (kind, view) = Kind::of(msg);
+        let (kind, view) = msg.kind_and_view();
         if self.keeps_home(kind, view) {
             return;
         }
@@ -321,32 +284,30 @@ impl Adversary {
         }
     }
 
-    /// Runs one replica callback (`start`: its first) through the moves.
+    /// Runs one replica callback (`start`: its first) through the moves. A
+    /// seat that withholds every kind runs no replica: it makes its own
+    /// moves at start and nothing after.
     fn step(
         &mut self,
         start: bool,
         fx: &mut Effects<Message>,
         call: impl FnOnce(&mut Replica, &mut Effects<Message>),
     ) {
-        let now = fx.now();
-        if self.stopped_by(now) {
-            return;
-        }
+        let silent = Kind::ALL
+            .iter()
+            .all(|k| self.moves.contains(&Move::Withhold(*k)));
         let before = self.replica.view();
-        let mut inner = Effects::new(fx.id(), fx.n(), now);
-        call(&mut self.replica, &mut inner);
+        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
+        if !silent {
+            call(&mut self.replica, &mut inner);
+        }
         for out in inner.outgoing() {
             self.relay(out, fx);
         }
         let view = self.replica.view();
         self.own_moves((start || view != before).then_some(view), fx);
-        let silent = Kind::ALL
-            .iter()
-            .all(|k| self.moves.contains(&Move::Withhold(*k)));
         for (delay, timer) in inner.timers_set() {
-            if !silent && !self.stopped_by(now + *delay) {
-                fx.set_timer(*delay, *timer);
-            }
+            fx.set_timer(*delay, *timer);
         }
     }
 }
@@ -354,6 +315,9 @@ impl Adversary {
 impl Actor<Message> for Adversary {
     fn on_start(&mut self, fx: &mut Effects<Message>) {
         self.step(true, fx, |r, inner| r.on_start(inner));
+        if let Some(noise) = &mut self.noise {
+            noise.burst(self.replica.config().instance(), fx);
+        }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: Message, fx: &mut Effects<Message>) {
@@ -361,10 +325,18 @@ impl Actor<Message> for Adversary {
             self.store.keep(p);
         }
         self.step(false, fx, |r, inner| r.on_message(from, msg, inner));
+        if let Some(noise) = &mut self.noise {
+            noise.react(self.replica.config().instance(), fx);
+        }
     }
 
     fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<Message>) {
-        self.step(false, fx, |r, inner| r.on_timer(timer, inner));
+        match &mut self.noise {
+            Some(noise) if timer == Noise::TIMER => {
+                noise.burst(self.replica.config().instance(), fx);
+            }
+            _ => self.step(false, fx, |r, inner| r.on_timer(timer, inner)),
+        }
     }
 
     fn label(&self) -> &'static str {
@@ -412,10 +384,107 @@ pub fn random_moves(cfg: &Config, id: ProcessId, seed: u64) -> Vec<Move> {
     moves
 }
 
+/// Malformed evidence on a clock: the structurally valid, hostile messages
+/// a receiver must refuse, each to a random seat — acks whose share is
+/// missing, the seat's own, or relabelled to another signer; a commit
+/// certificate of one signature; a proposal under the genesis certificate
+/// for any view; nil and fabricated votes; CertAcks and wishes for any
+/// view (no CertRequest). Every signature is the seat's own, over
+/// statements of the instance it is told. A burst of six goes out at start
+/// and every Δ/2 ([`Noise::TIMER`]), and one more for one message received
+/// in four.
+#[derive(Debug)]
+pub struct Noise {
+    keys: KeyPair,
+    rng: StdRng,
+}
+
+impl Noise {
+    /// The timer a burst runs on; no replica timer is this (they count
+    /// view-timer generations).
+    pub const TIMER: TimerId = TimerId(u32::MAX as u64);
+
+    /// Noise signed with `keys`, drawn from `seed`.
+    pub fn new(keys: KeyPair, seed: u64) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
+        Noise { keys, rng }
+    }
+
+    /// Six messages about `instance`, and the timer for the next burst.
+    pub fn burst(&mut self, instance: u64, fx: &mut Effects<Message>) {
+        for _ in 0..6 {
+            self.send_one(instance, fx);
+        }
+        fx.set_timer(SimDuration(SimDuration::DELTA.0 / 2), Self::TIMER);
+    }
+
+    /// One message about `instance`, for one call in four (one per message
+    /// received).
+    pub fn react(&mut self, instance: u64, fx: &mut Effects<Message>) {
+        if self.rng.gen_bool(0.25) {
+            self.send_one(instance, fx);
+        }
+    }
+
+    fn send_one(&mut self, instance: u64, fx: &mut Effects<Message>) {
+        let seat = |rng: &mut StdRng| ProcessId(rng.gen_range(1..=fx.n() as u32));
+        let to = seat(&mut self.rng);
+        let value = Value::from_u64(self.rng.gen_range(0..4));
+        let view = View(self.rng.gen_range(1..=6));
+        let sign = |statement: &[u8]| self.keys.sign(statement);
+        let msg = match self.rng.gen_range(0..7) {
+            0 => {
+                let share = sign(&ack_payload(&value, view, instance));
+                let share = match self.rng.gen_range(0..3) {
+                    0 => None,
+                    1 => Some(share),
+                    _ => Some(Signature::from_parts(seat(&mut self.rng), *share.tag())),
+                };
+                Message::Ack(AckMsg { value, view, share })
+            }
+            1 => Message::Wish(WishMsg { view }),
+            2 => {
+                let sigs: SignatureSet = [sign(&ack_payload(&value, view, instance))]
+                    .into_iter()
+                    .collect();
+                let cert = CommitCert { value, view, sigs };
+                Message::Commit(CommitMsg { cert })
+            }
+            3 => Message::Propose(ProposeMsg {
+                sig: sign(&propose_payload(&value, view, instance)),
+                value,
+                view,
+                cert: ProgressCert::Genesis,
+            }),
+            4 => {
+                let vote = SignedVote::sign(&self.keys, None, view, instance);
+                Message::Vote(VoteMsg { view, vote })
+            }
+            5 => {
+                let led = View(view.0.saturating_sub(1).max(1));
+                let vote = VoteData {
+                    leader_sig: sign(&propose_payload(&value, led, instance)),
+                    value,
+                    view: led,
+                    progress_cert: ProgressCert::Genesis,
+                    commit_cert: None,
+                };
+                let dest = led.next();
+                let vote = SignedVote::sign(&self.keys, Some(vote), dest, instance);
+                Message::Vote(VoteMsg { view: dest, vote })
+            }
+            _ => {
+                let sig = sign(&certack_payload(&value, view, instance));
+                Message::CertAck(CertAckMsg { view, value, sig })
+            }
+        };
+        fx.send(to, msg);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::WishMsg;
 
     fn seat(moves: Vec<Move>) -> (Adversary, KeyDirectory) {
         let cfg = Config::new(4, 1, 1).unwrap();
@@ -493,11 +562,10 @@ mod tests {
     }
 
     /// The moves that narrow what the replica says, on its view-1 proposal
-    /// and its view-2 wish: all of it, one seat only, none, and none once
-    /// stopped.
+    /// and its view-2 wish: all of it, one seat only, and none.
     #[test]
     fn narrowing_moves_act_on_their_kind_and_view_only() {
-        let cases: [(Vec<Move>, usize, usize); 4] = [
+        let cases: [(Vec<Move>, usize, usize); 3] = [
             (vec![], 4, 3),
             (
                 vec![Move::SendToOne {
@@ -509,15 +577,13 @@ mod tests {
                 3,
             ),
             (vec![Move::SilentInViewChange { view: View(2) }], 4, 0),
-            (vec![Move::Stop { at: SimTime(1) }], 4, 0),
         ];
         for (moves, proposals, wishes) in cases {
             let (mut seat, _) = seat(moves.clone());
             let mut fx = Effects::new(ProcessId(2), 4, SimTime::ZERO);
             seat.on_start(&mut fx);
             assert_eq!(fx.sent().len(), proposals, "{moves:?}");
-            // A stopped seat sets no timer that would fire after it stops.
-            let timer = fx.timers_set().first().map_or(TimerId(0), |t| t.1);
+            let timer = fx.timers_set()[0].1;
             let mut fx = Effects::new(ProcessId(2), 4, SimTime(1_000));
             seat.on_timer(timer, &mut fx);
             assert_eq!(fx.sent().len(), wishes, "{moves:?}");
@@ -543,5 +609,30 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 6, "{seen:?}");
+    }
+
+    /// Noise is a function of its seed, makes every kind but a CertRequest,
+    /// and its burst re-arms its timer.
+    #[test]
+    fn noise_is_a_function_of_its_seed_and_makes_six_kinds() {
+        let (pairs, _) = KeyDirectory::generate(4, 3);
+        let run = |seed| {
+            let mut noise = Noise::new(pairs[0].clone(), seed);
+            let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
+            for _ in 0..100 {
+                noise.burst(0, &mut fx);
+            }
+            assert_eq!(fx.timers_set().len(), 100);
+            assert!(fx.timers_set().iter().all(|t| t.1 == Noise::TIMER));
+            fx.sent()
+        };
+        assert_eq!(run(9), run(9));
+        assert_ne!(run(9), run(10));
+        let kinds: std::collections::BTreeSet<_> = run(5)
+            .iter()
+            .map(|(_, m)| m.kind_and_view().0 as u8)
+            .collect();
+        assert_eq!(kinds.len(), 6, "{kinds:?}");
+        assert!(!kinds.contains(&(Kind::CertRequest as u8)));
     }
 }

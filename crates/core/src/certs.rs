@@ -20,11 +20,13 @@ use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::payload::{ack_payload, certack_payload, propose_payload, vote_payload};
 
-/// One signature made by `keys` and counted: `signatures_made_total` is
-/// every signature a replica makes, as `verify_counted` is every check.
-pub(crate) fn sign_counted(keys: &KeyPair, metrics: &Metrics, statement: &[u8]) -> Signature {
+/// One signature made by `keys` over the concatenation of `parts`, and
+/// counted: `signatures_made_total` is every signature a node makes (its
+/// replicas' statements and its checkpoint attestations), as
+/// `verify_counted` is every check.
+pub fn sign_counted(keys: &KeyPair, metrics: &Metrics, parts: &[&[u8]]) -> Signature {
     metrics.signatures_made_total.inc();
-    keys.sign(statement)
+    keys.sign_parts(parts)
 }
 
 /// One signature checked through the directory and counted:
@@ -187,11 +189,24 @@ impl SignedVote {
     /// Creates and signs a vote destined for the leader of `dest_view` in
     /// consensus instance `instance`.
     pub fn sign(keypair: &KeyPair, vote: Vote, dest_view: View, instance: u64) -> Self {
-        let payload = vote_payload(&vote.to_wire_bytes(), dest_view, instance);
+        Self::sign_with(vote, dest_view, instance, |statement| {
+            keypair.sign(statement)
+        })
+    }
+
+    /// [`SignedVote::sign`] with the signature made by `sign` over the
+    /// vote's statement; the voter is its signer.
+    pub fn sign_with(
+        vote: Vote,
+        dest_view: View,
+        instance: u64,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> Self {
+        let sig = sign(&vote_payload(&vote.to_wire_bytes(), dest_view, instance));
         SignedVote {
-            voter: keypair.id(),
+            voter: sig.signer,
             vote,
-            sig: keypair.sign(&payload),
+            sig,
         }
     }
 

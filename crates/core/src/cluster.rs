@@ -32,8 +32,8 @@ use fastbft_sim::{
 };
 use fastbft_types::{Config, ProcessId, Value};
 
-use crate::byzantine::{random_moves, Adversary, Kind, Move};
-use crate::message::Message;
+use crate::byzantine::{random_moves, Adversary, Move};
+use crate::message::{Kind, Message};
 use crate::replica::{Replica, ReplicaOptions};
 
 /// How a given process behaves in the scenario: each Byzantine behaviour
@@ -58,7 +58,8 @@ pub enum Behavior {
         /// Who receives the first value.
         recipients_a: Vec<ProcessId>,
     },
-    /// A seeded draw from the move alphabet ([`random_moves`]).
+    /// A seeded draw from the move alphabet ([`random_moves`]), making
+    /// [`Noise`](crate::byzantine::Noise) from the same seed.
     Random {
         /// The draw's seed.
         seed: u64,
@@ -73,7 +74,8 @@ impl Behavior {
 
     /// The moves seat `p` of `cfg` plays: none when honest, a stop for a
     /// crash, every kind withheld for silence, a split and then silence
-    /// for `EquivocateView1`, a seeded draw for `Random`.
+    /// for `EquivocateView1`, a seeded draw for `Random` (whose noise is no
+    /// move).
     pub fn moves(&self, cfg: &Config, p: ProcessId) -> Vec<Move> {
         let silence = Kind::ALL.map(Move::Withhold);
         match self {
@@ -209,9 +211,12 @@ impl SimClusterBuilder {
                         options.metrics = registry.replica(p.index());
                     }
                     let dir = dir.clone();
-                    Box::new(Replica::with_options(cfg, keys, dir, input, options))
-                } else {
-                    Box::new(Adversary::new(cfg, keys, dir.clone(), input, moves))
+                    return Box::new(Replica::with_options(cfg, keys, dir, input, options));
+                }
+                let seat = Adversary::new(cfg, keys, dir.clone(), input, moves);
+                match behaviors.get(&p) {
+                    Some(Behavior::Random { seed }) => Box::new(seat.with_noise(*seed)),
+                    _ => Box::new(seat),
                 }
             },
         );

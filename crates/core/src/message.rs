@@ -138,16 +138,65 @@ fastbft_types::impl_wire_enum!(Message {
     8 => Wish(WishMsg),
 });
 
+/// A message's kind: what the trace names ([`SimMessage::kind`]) and what a
+/// Byzantine move acts on ([`crate::byzantine::Move`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// [`Message::Propose`].
+    Propose,
+    /// [`Message::Ack`].
+    Ack,
+    /// [`Message::Commit`].
+    Commit,
+    /// [`Message::Vote`].
+    Vote,
+    /// [`Message::CertRequest`].
+    CertRequest,
+    /// [`Message::CertAck`].
+    CertAck,
+    /// [`Message::Wish`].
+    Wish,
+}
+
+impl Kind {
+    /// Every kind, in wire-tag order.
+    pub const ALL: [Kind; 7] = [
+        Kind::Propose,
+        Kind::Ack,
+        Kind::Commit,
+        Kind::Vote,
+        Kind::CertRequest,
+        Kind::CertAck,
+        Kind::Wish,
+    ];
+}
+
+impl Message {
+    /// The message's kind, and the view it belongs to: the one
+    /// classification of a message.
+    pub fn kind_and_view(&self) -> (Kind, View) {
+        match self {
+            Message::Propose(p) => (Kind::Propose, p.view),
+            Message::Ack(a) => (Kind::Ack, a.view),
+            Message::Commit(c) => (Kind::Commit, c.cert.view),
+            Message::Vote(v) => (Kind::Vote, v.view),
+            Message::CertRequest(r) => (Kind::CertRequest, r.view),
+            Message::CertAck(a) => (Kind::CertAck, a.view),
+            Message::Wish(w) => (Kind::Wish, w.view),
+        }
+    }
+}
+
 impl SimMessage for Message {
     fn kind(&self) -> &'static str {
-        match self {
-            Message::Propose(_) => "propose",
-            Message::Ack(_) => "ack",
-            Message::Commit(_) => "Commit",
-            Message::Vote(_) => "vote",
-            Message::CertRequest(_) => "CertReq",
-            Message::CertAck(_) => "CertAck",
-            Message::Wish(_) => "wish",
+        match self.kind_and_view().0 {
+            Kind::Propose => "propose",
+            Kind::Ack => "ack",
+            Kind::Commit => "Commit",
+            Kind::Vote => "vote",
+            Kind::CertRequest => "CertReq",
+            Kind::CertAck => "CertAck",
+            Kind::Wish => "wish",
         }
     }
 

@@ -375,15 +375,15 @@ impl Replica {
 
     // -- internals -----------------------------------------------------------
 
-    /// Signs `statement` with this replica's key, counted.
+    /// Signs `statement` with this replica's key, counted: every signature
+    /// the replica makes is made here.
     fn sign(&self, statement: &[u8]) -> Signature {
-        sign_counted(&self.keys, &self.metrics, statement)
+        sign_counted(&self.keys, &self.metrics, &[statement])
     }
 
-    /// Signs `vote` for the leader of `dest_view`, counted.
+    /// Signs `vote` for the leader of `dest_view`.
     fn sign_vote(&self, vote: Vote, dest_view: View) -> SignedVote {
-        self.metrics.signatures_made_total.inc();
-        SignedVote::sign(&self.keys, vote, dest_view, self.cfg.instance())
+        SignedVote::sign_with(vote, dest_view, self.cfg.instance(), |s| self.sign(s))
     }
 
     /// Counts a contribution refused: a sender's second in a view, its
@@ -662,11 +662,10 @@ impl Replica {
 
     fn try_leader_progress(&mut self, fx: &mut Effects<Message>) {
         let view = self.view;
-        let Some(record) = self.views.get_mut(&view) else {
+        let Some(record) = self.views.get(&view) else {
             return;
         };
-        let Some(ls) = &mut record.leader else { return };
-        if ls.proposed || ls.requested {
+        if !matches!(&record.leader, Some(ls) if !ls.proposed && !ls.requested) {
             return;
         }
         let Ok(result) = select(&self.cfg, view, &record.votes) else {
@@ -680,10 +679,11 @@ impl Replica {
 
         // Ask 2f + 1 processes (the smallest ids other than ourself) to
         // confirm the selection; certify it ourselves right away.
+        let own = self.sign(&certack_payload(&value, view, self.cfg.instance()));
+        let record = self.views.get_mut(&view).expect("looked up above");
+        let ls = record.leader.as_mut().expect("checked above");
         ls.selected = Some(value.clone());
         ls.requested = true;
-        let payload = certack_payload(&value, view, self.cfg.instance());
-        let own = sign_counted(&self.keys, &self.metrics, &payload);
         ls.certacks.insert(own);
         let targets: Vec<ProcessId> = self
             .cfg

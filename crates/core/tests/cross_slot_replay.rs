@@ -23,9 +23,9 @@
 //! decides E. The last test plays the same attack with the move alphabet
 //! (`fastbft_core::byzantine`) on two simulated slots.
 
-use fastbft_core::byzantine::{Adversary, Kind, Move, ReplayStore};
+use fastbft_core::byzantine::{Adversary, Move, ReplayStore};
 use fastbft_core::cluster::SimCluster;
-use fastbft_core::message::{AckMsg, Message, ProposeMsg, WishMsg};
+use fastbft_core::message::{AckMsg, Kind, Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::{ack_payload, propose_payload};
 use fastbft_core::replica::Replica;
 use fastbft_core::ProgressCert;

@@ -25,6 +25,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use fastbft_core::certs::sign_counted;
 use fastbft_crypto::{Digest, KeyDirectory, KeyPair, Signature};
 use fastbft_obs::Metrics;
 use fastbft_types::wire::from_bytes;
@@ -45,10 +46,20 @@ pub(crate) const RECOVERY_GAP: u64 = SLOT_WINDOW / 2;
 const SNAPSHOT_DOMAIN: &[u8; 8] = b"fbftSNAP";
 
 /// The checkpoint attestation a process broadcasts after snapshotting at
-/// `upto`: a signature over `(domain, upto, payload digest)`. Public so
-/// tests can mint attestations for hand-built snapshots.
-pub fn checkpoint_signature(keys: &KeyPair, upto: u64, digest: &Digest) -> Signature {
-    keys.sign_parts(&[SNAPSHOT_DOMAIN, &upto.to_be_bytes(), digest])
+/// `upto`: a signature over `(domain, upto, payload digest)`, counted in
+/// `metrics`. Public so tests can mint attestations for hand-built
+/// snapshots.
+pub fn checkpoint_signature(
+    keys: &KeyPair,
+    metrics: &Metrics,
+    upto: u64,
+    digest: &Digest,
+) -> Signature {
+    sign_counted(
+        keys,
+        metrics,
+        &[SNAPSHOT_DOMAIN, &upto.to_be_bytes(), digest],
+    )
 }
 
 /// The valid checkpoint attestations over `(upto, digest)` among `sigs`, by
@@ -219,8 +230,7 @@ impl Checkpoints {
         payload: Vec<u8>,
         mut sigs: BTreeMap<ProcessId, Signature>,
     ) -> Signature {
-        metrics.signatures_made_total.inc();
-        let own = checkpoint_signature(keys, upto, &digest);
+        let own = checkpoint_signature(keys, metrics, upto, &digest);
         sigs.insert(keys.id(), own.clone());
         self.latest = Some(Attested {
             upto,
@@ -351,7 +361,11 @@ mod tests {
     /// `who`'s attestation of `bytes` at `upto`, as its `Checkpoint` fields.
     fn attestation(who: &KeyPair, upto: u64, bytes: &[u8]) -> (u64, Digest, Signature) {
         let digest = fastbft_crypto::digest(bytes);
-        (upto, digest, checkpoint_signature(who, upto, &digest))
+        (
+            upto,
+            digest,
+            checkpoint_signature(who, &Metrics::new(), upto, &digest),
+        )
     }
 
     fn signers(books: &Checkpoints) -> Vec<ProcessId> {

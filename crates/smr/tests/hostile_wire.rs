@@ -23,6 +23,7 @@ use fastbft_core::message::{
 };
 use fastbft_core::payload::{ack_payload, certack_payload, propose_payload};
 use fastbft_crypto::{KeyDirectory, KeyPair};
+use fastbft_obs::Metrics;
 use fastbft_sim::{Network, SimDuration, SimTime};
 use fastbft_smr::{checkpoint_signature, KvCommand, KvStore, SlotMessage, SmrSimCluster};
 use fastbft_types::wire::{from_bytes, to_bytes};
@@ -164,7 +165,7 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
         SlotMessage::Checkpoint {
             upto: 128,
             digest,
-            sig: checkpoint_signature(p4, 128, &digest),
+            sig: checkpoint_signature(p4, &Metrics::new(), 128, &digest),
         },
         SlotMessage::SnapshotRequest { have: 0 },
         from_bytes(&unhex(SNAPSHOT_RESPONSE)).expect("a well-formed response"),

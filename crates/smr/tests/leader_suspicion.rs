@@ -17,7 +17,7 @@
 //! leaders early, with the empty batch — run the default depth under paced
 //! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
-use fastbft_core::byzantine::{random_moves, Adversary, Move};
+use fastbft_core::byzantine::{random_moves, Adversary, Move, Noise};
 use fastbft_core::cluster::SimCluster;
 use fastbft_core::message::{Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::propose_payload;
@@ -629,18 +629,39 @@ impl Actor<Message> for StartsWishing {
 /// A seeded draw from the move alphabet, seated in an SMR cluster: one
 /// interpreter per slot it hears of, each over that slot's instance and
 /// starting when the slot's first message arrives, every one playing the
-/// same moves. A timer carries its slot in its low 32 bits.
+/// same moves; and noise from the same seed, into whichever slot it heard
+/// of last. A timer carries its slot in its low 32 bits.
 struct SlotFuzzer {
     cfg: Config,
     keys: KeyPair,
     dir: KeyDirectory,
     moves: Vec<Move>,
     slots: std::collections::BTreeMap<u64, Adversary>,
+    noise: Noise,
+    latest: u64,
+}
+
+/// Lifts what one slot's seat did into the slot.
+fn lift(slot: u64, inner: &Effects<Message>, fx: &mut Effects<SlotMessage>) {
+    let lifted = |m: &Message| SlotMessage::Consensus {
+        slot,
+        inner: m.clone(),
+    };
+    for out in inner.outgoing() {
+        match out {
+            Outgoing::To(to, m) => fx.send(*to, lifted(m)),
+            Outgoing::All(m) => fx.broadcast(lifted(m)),
+        }
+    }
+    for (delay, timer) in inner.timers_set() {
+        fx.set_timer(*delay, TimerId(timer.0 << 32 | slot));
+    }
 }
 
 impl SlotFuzzer {
     fn new(cfg: Config, keys: KeyPair, dir: KeyDirectory, seed: u64) -> Self {
         let moves = random_moves(&cfg, keys.id(), seed);
+        let noise = Noise::new(keys.clone(), seed);
         let slots = Default::default();
         SlotFuzzer {
             cfg,
@@ -648,6 +669,8 @@ impl SlotFuzzer {
             dir,
             moves,
             slots,
+            noise,
+            latest: 0,
         }
     }
 
@@ -669,34 +692,41 @@ impl SlotFuzzer {
             seat
         });
         call(seat, &mut inner);
-        let lifted = |m: &Message| SlotMessage::Consensus {
-            slot,
-            inner: m.clone(),
-        };
-        for out in inner.outgoing() {
-            match out {
-                Outgoing::To(to, m) => fx.send(*to, lifted(m)),
-                Outgoing::All(m) => fx.broadcast(lifted(m)),
-            }
-        }
-        for (delay, timer) in inner.timers_set() {
-            fx.set_timer(*delay, TimerId(timer.0 << 32 | slot));
-        }
+        lift(slot, &inner, fx);
+    }
+
+    /// Runs `call` on the noise, about the slot heard of last.
+    fn noise(
+        &mut self,
+        fx: &mut Effects<SlotMessage>,
+        call: impl FnOnce(&mut Noise, u64, &mut Effects<Message>),
+    ) {
+        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
+        call(&mut self.noise, self.latest, &mut inner);
+        lift(self.latest, &inner, fx);
     }
 }
 
 impl Actor<SlotMessage> for SlotFuzzer {
-    fn on_start(&mut self, _fx: &mut Effects<SlotMessage>) {}
+    fn on_start(&mut self, fx: &mut Effects<SlotMessage>) {
+        self.noise(fx, Noise::burst);
+    }
 
     fn on_message(&mut self, from: ProcessId, msg: SlotMessage, fx: &mut Effects<SlotMessage>) {
         if let SlotMessage::Consensus { slot, inner: msg } = msg {
+            self.latest = slot;
             self.run(slot, fx, |seat, inner| seat.on_message(from, msg, inner));
+            self.noise(fx, Noise::react);
         }
     }
 
     fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<SlotMessage>) {
         let (slot, timer) = (timer.0 & u64::from(u32::MAX), TimerId(timer.0 >> 32));
-        self.run(slot, fx, |seat, inner| seat.on_timer(timer, inner));
+        if timer == Noise::TIMER {
+            self.noise(fx, Noise::burst);
+        } else {
+            self.run(slot, fx, |seat, inner| seat.on_timer(timer, inner));
+        }
     }
 }
 
@@ -724,8 +754,9 @@ proptest! {
         let faulty = cfg.processes().filter(|p| fuzzers.contains(&p.index()));
         let mut cluster = SimCluster::new(cfg.n(), seed, network, inputs, faulty, |p, keys, dir, input| {
             if fuzzers.contains(&p.index()) {
-                let moves = random_moves(&cfg, p, seed ^ u64::from(p.0));
-                Box::new(Adversary::new(cfg, keys, dir.clone(), input, moves))
+                let seed = seed ^ u64::from(p.0);
+                let moves = random_moves(&cfg, p, seed);
+                Box::new(Adversary::new(cfg, keys, dir.clone(), input, moves).with_noise(seed))
             } else {
                 Box::new(StartsWishing {
                     replica: Replica::new(cfg, keys, dir.clone(), input),

@@ -3,6 +3,7 @@
 
 use fastbft_core::message::{AckMsg, Message, WishMsg};
 use fastbft_crypto::KeyDirectory;
+use fastbft_obs::Metrics;
 use fastbft_sim::{Actor, Effects, Network, SimDuration, SimTime};
 use fastbft_smr::{CountingMachine, KvCommand, KvStore, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
@@ -198,7 +199,7 @@ fn slot_messages_roundtrip_on_the_wire() {
     // The state-transfer control plane rides the same wire.
     let (pairs, _dir) = KeyDirectory::generate(4, 3);
     let digest = fastbft_crypto::digest(b"snapshot payload");
-    let sig = fastbft_smr::checkpoint_signature(&pairs[0], 128, &digest);
+    let sig = fastbft_smr::checkpoint_signature(&pairs[0], &Metrics::new(), 128, &digest);
     fastbft_types::wire::roundtrip(&SlotMessage::Checkpoint {
         upto: 128,
         digest,

@@ -167,7 +167,7 @@ proptest! {
         // Exactly f+1 = 2 distinct signers: the acceptance threshold.
         let sigs: Vec<_> = pairs[..2]
             .iter()
-            .map(|kp| checkpoint_signature(kp, upto, &digest))
+            .map(|kp| checkpoint_signature(kp, &Metrics::new(), upto, &digest))
             .collect();
         prop_assert!(valid(upto, &payload, &sigs));
 

@@ -58,7 +58,7 @@ fn every_signed_kind_is_refused_in_another_slot_or_view() {
     let digest = fastbft::crypto::digest(&snapshot);
     let attestations: Vec<_> = pairs[..2]
         .iter()
-        .map(|p| checkpoint_signature(p, SLOT, &digest))
+        .map(|p| checkpoint_signature(p, &Metrics::new(), SLOT, &digest))
         .collect();
     let attested =
         |upto, f, sigs: &[_]| snapshot_response_valid(&dir, &metrics, f, upto, &snapshot, sigs);
