@@ -2,15 +2,22 @@
 //!
 //! The paper's adversary controls up to `f` processes completely, subject
 //! only to cryptography: it signs anything as itself and forges no one
-//! else's signature. Here every Byzantine seat is the same thing — an
-//! honest [`Replica`] wrapped by [`Adversary`], which turns what the
-//! replica would send, plus the [`Move`]s in force, into what the seat
-//! sends. The moves are the short sequences the fast-path / view-change
-//! violations of the literature are made of: split a proposal, let one
-//! seat alone hear a message, withhold a kind, sit out a view change, lie
-//! in a vote, stop, and replay a signed proposal seen earlier — in this
-//! instance or another one (the seat keeps what it saw in a bounded
-//! [`ReplayStore`], which outlives a run when the caller hands it on).
+//! else's signature. Here every Byzantine seat is the same thing — honest
+//! code whose sends an [`Interpreter`] rewrites: it turns what the replica
+//! would send, plus the [`Move`]s in force, into what the seat sends. The
+//! moves are the short sequences the fast-path / view-change violations of
+//! the literature are made of: split a proposal, let one seat alone hear a
+//! message, withhold a kind, sit out a view change, lie in a vote, stop,
+//! and replay a signed proposal seen earlier — in this instance or another
+//! one (the seat keeps what it saw in a bounded [`ReplayStore`], which
+//! outlives a run when the caller hands it on).
+//!
+//! The interpreter takes the instance as an argument, so one interpreter
+//! serves two seats: [`Adversary`], an honest single-shot [`Replica`] plus
+//! the interpreter, and the SMR layer's seat (`fastbft_smr::byzantine`),
+//! an honest `SmrNode` plus the interpreter with the log slot as the
+//! instance, its moves chosen per slot and one store for every slot. What
+//! either sends goes out in its [`Frame`].
 //!
 //! A behaviour is a fixed list of moves: `cluster::Behavior` maps each of
 //! its variants to one ([`Behavior::moves`](crate::cluster::Behavior::moves)),
@@ -23,7 +30,7 @@
 use std::collections::VecDeque;
 
 use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
-use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimTime, TimerId};
+use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimMessage, SimTime, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 use rand::rngs::StdRng;
@@ -125,49 +132,40 @@ impl ReplayStore {
     }
 }
 
-/// The interpreter: an honest [`Replica`] whose outgoing effects the
-/// seat's [`Move`]s rewrite, and its [`Noise`] if it makes any. Its
-/// decision is never reported (a faulty seat's decision counts for
-/// nothing).
-pub struct Adversary {
-    replica: Replica,
-    keys: KeyPair,
-    moves: Vec<Move>,
-    store: ReplayStore,
-    noise: Option<Noise>,
+/// A wire frame that carries one consensus message of an instance: the
+/// message itself in a single-shot run, a slot-tagged frame in the SMR
+/// layer. What an [`Interpreter`] and [`Noise`] send goes out in it.
+pub trait Frame: SimMessage {
+    /// `msg`, as a frame of `instance`.
+    fn carry(instance: u64, msg: Message) -> Self;
 }
 
-impl Adversary {
-    /// A seat of `cfg`'s instance with these keys and input, playing
-    /// `moves`.
-    pub fn new(
-        cfg: Config,
-        keys: KeyPair,
-        dir: KeyDirectory,
-        input: Value,
-        moves: Vec<Move>,
-    ) -> Self {
-        Adversary {
-            replica: Replica::new(cfg, keys.clone(), dir, input),
+impl Frame for Message {
+    fn carry(_instance: u64, msg: Message) -> Self {
+        msg
+    }
+}
+
+/// The move interpreter: what a Byzantine seat's keys, moves and store
+/// make of what an honest replica would send. It runs no replica itself:
+/// its caller hands it each message its replica made, and each view its
+/// replica entered, with the instance they belong to — the one instance of
+/// an [`Adversary`], or any log slot of the SMR layer's seat, which shares
+/// one store across its slots.
+pub struct Interpreter {
+    keys: KeyPair,
+    moves: Box<dyn Fn(u64) -> Vec<Move>>,
+    store: ReplayStore,
+}
+
+impl Interpreter {
+    /// Signs with `keys` and plays `moves(instance)` in each instance.
+    pub fn new(keys: KeyPair, moves: impl Fn(u64) -> Vec<Move> + 'static) -> Self {
+        Interpreter {
             keys,
-            moves,
+            moves: Box::new(moves),
             store: ReplayStore::default(),
-            noise: None,
         }
-    }
-
-    /// Starts from `store`: what the seat saw before this run.
-    #[must_use]
-    pub fn with_store(mut self, store: ReplayStore) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// Also makes [`Noise`] drawn from `seed`, about this instance.
-    #[must_use]
-    pub fn with_noise(mut self, seed: u64) -> Self {
-        self.noise = Some(Noise::new(self.keys.clone(), seed));
-        self
     }
 
     /// What the seat has seen.
@@ -175,44 +173,44 @@ impl Adversary {
         &self.store
     }
 
-    /// Whether a replica message of `kind` in `view` stays home.
-    fn keeps_home(&self, kind: Kind, view: View) -> bool {
-        let view_change = matches!(
-            kind,
-            Kind::Wish | Kind::Vote | Kind::CertRequest | Kind::CertAck
-        );
-        self.moves.iter().any(|m| match m {
-            Move::Withhold(k) => *k == kind,
-            Move::SilentInViewChange { view: v } => view_change && *v == view,
-            Move::Equivocate { .. } => kind == Kind::Propose && view == View::FIRST,
-            Move::Replay { view: v } => {
-                matches!(kind, Kind::Propose | Kind::CertRequest) && *v == view
-            }
-            _ => false,
-        })
+    /// The moves played in `instance`.
+    pub fn moves(&self, instance: u64) -> Vec<Move> {
+        (self.moves)(instance)
     }
 
-    fn sign_propose(&self, value: &Value, view: View) -> Signature {
-        self.keys.sign(&propose_payload(
-            value,
-            view,
-            self.replica.config().instance(),
-        ))
+    /// Whether the seat withholds every kind in `instance`.
+    fn silent(&self, instance: u64) -> bool {
+        let moves = self.moves(instance);
+        Kind::ALL
+            .iter()
+            .all(|k| moves.contains(&Move::Withhold(*k)))
     }
 
-    /// One replica message after the moves: kept home, or sent (a vote
-    /// possibly lying) to its recipients or to the one seat named.
-    fn relay(&self, out: &Outgoing<Message>, fx: &mut Effects<Message>) {
-        let (to, msg) = match out {
-            Outgoing::To(to, msg) => (Some(*to), msg),
-            Outgoing::All(msg) => (None, msg),
-        };
+    /// Keeps `msg` if it is a proposal, for a later [`Move::Replay`] or
+    /// [`Move::LieInVote`] in any instance.
+    pub fn observe(&mut self, msg: &Message) {
+        if let Message::Propose(p) = msg {
+            self.store.keep(p);
+        }
+    }
+
+    /// One replica message of `instance`, for `to` (everyone if `None`),
+    /// after the moves: kept home, or sent (a vote possibly lying) to its
+    /// recipients or to the one seat named.
+    pub fn relay<F: Frame>(
+        &self,
+        instance: u64,
+        to: Option<ProcessId>,
+        msg: &Message,
+        fx: &mut Effects<F>,
+    ) {
+        let moves = self.moves(instance);
         let (kind, view) = msg.kind_and_view();
-        if self.keeps_home(kind, view) {
+        if keeps_home(&moves, kind, view) {
             return;
         }
-        let msg = self.lie(msg);
-        let only = self.moves.iter().find_map(|m| match m {
+        let msg = F::carry(instance, self.lie(&moves, instance, msg));
+        let only = moves.iter().find_map(|m| match m {
             Move::SendToOne {
                 kind: k,
                 view: v,
@@ -228,12 +226,12 @@ impl Adversary {
     }
 
     /// The replica's vote, or the one a [`Move::LieInVote`] makes instead.
-    fn lie(&self, msg: &Message) -> Message {
+    fn lie(&self, moves: &[Move], instance: u64, msg: &Message) -> Message {
         let Message::Vote(vote) = msg else {
             return msg.clone();
         };
         let view = vote.view;
-        let claim = self.moves.iter().find_map(|m| match m {
+        let claim = moves.iter().find_map(|m| match m {
             Move::LieInVote { view: v, claim } if *v == view => Some(claim),
             _ => None,
         });
@@ -253,35 +251,101 @@ impl Adversary {
                 })
             }
         };
-        let vote = SignedVote::sign(&self.keys, lie, view, self.replica.config().instance());
+        let vote = SignedVote::sign(&self.keys, lie, view, instance);
         Message::Vote(VoteMsg { view, vote })
     }
 
-    /// The seat's own sends: the split at start, a replay on entering a
-    /// view.
-    fn own_moves(&self, entered: Option<View>, fx: &mut Effects<Message>) {
-        for m in &self.moves {
+    /// The seat's own sends in `instance` as its replica enters `view`: the
+    /// split on entering view 1, a replay on entering the view it names.
+    pub fn entered<F: Frame>(&self, instance: u64, view: View, fx: &mut Effects<F>) {
+        let sign = |value: &Value| self.keys.sign(&propose_payload(value, view, instance));
+        for m in self.moves(instance) {
             match m {
-                Move::Equivocate { split } if entered == Some(View::FIRST) => {
+                Move::Equivocate { split } if view == View::FIRST => {
                     for (to, value) in split {
                         let propose = ProposeMsg {
-                            value: value.clone(),
-                            view: View::FIRST,
+                            sig: sign(&value),
+                            value,
+                            view,
                             cert: ProgressCert::Genesis,
-                            sig: self.sign_propose(value, View::FIRST),
                         };
-                        fx.send(*to, Message::Propose(propose));
+                        fx.send(to, F::carry(instance, Message::Propose(propose)));
                     }
                 }
-                Move::Replay { view } if entered == Some(*view) => {
-                    if let Some(p) = self.store.latest(|p| p.view == *view) {
-                        let sig = self.sign_propose(&p.value, *view);
-                        fx.broadcast(Message::Propose(ProposeMsg { sig, ..p.clone() }));
+                Move::Replay { view: v } if v == view => {
+                    if let Some(p) = self.store.latest(|p| p.view == view) {
+                        let propose = ProposeMsg {
+                            sig: sign(&p.value),
+                            ..p.clone()
+                        };
+                        fx.broadcast(F::carry(instance, Message::Propose(propose)));
                     }
                 }
                 _ => {}
             }
         }
+    }
+}
+
+/// Whether `moves` keep a replica message of `kind` in `view` home.
+fn keeps_home(moves: &[Move], kind: Kind, view: View) -> bool {
+    let view_change = matches!(
+        kind,
+        Kind::Wish | Kind::Vote | Kind::CertRequest | Kind::CertAck
+    );
+    moves.iter().any(|m| match m {
+        Move::Withhold(k) => *k == kind,
+        Move::SilentInViewChange { view: v } => view_change && *v == view,
+        Move::Equivocate { .. } => kind == Kind::Propose && view == View::FIRST,
+        Move::Replay { view: v } => matches!(kind, Kind::Propose | Kind::CertRequest) && *v == view,
+        _ => false,
+    })
+}
+
+/// The single-shot seat: an honest [`Replica`] whose outgoing effects an
+/// [`Interpreter`] rewrites, and its [`Noise`] if it makes any. Its
+/// decision is never reported (a faulty seat's decision counts for
+/// nothing).
+pub struct Adversary {
+    replica: Replica,
+    interpreter: Interpreter,
+    noise: Option<Noise>,
+}
+
+impl Adversary {
+    /// A seat of `cfg`'s instance with these keys and input, playing
+    /// `moves`.
+    pub fn new(
+        cfg: Config,
+        keys: KeyPair,
+        dir: KeyDirectory,
+        input: Value,
+        moves: Vec<Move>,
+    ) -> Self {
+        Adversary {
+            replica: Replica::new(cfg, keys.clone(), dir, input),
+            interpreter: Interpreter::new(keys, move |_| moves.clone()),
+            noise: None,
+        }
+    }
+
+    /// Starts from `store`: what the seat saw before this run.
+    #[must_use]
+    pub fn with_store(mut self, store: ReplayStore) -> Self {
+        self.interpreter.store = store;
+        self
+    }
+
+    /// Also makes [`Noise`] drawn from `seed`, about this instance.
+    #[must_use]
+    pub fn with_noise(mut self, seed: u64) -> Self {
+        self.noise = Some(Noise::new(self.interpreter.keys.clone(), seed));
+        self
+    }
+
+    /// What the seat has seen.
+    pub fn store(&self) -> &ReplayStore {
+        self.interpreter.store()
     }
 
     /// Runs one replica callback (`start`: its first) through the moves. A
@@ -293,19 +357,23 @@ impl Adversary {
         fx: &mut Effects<Message>,
         call: impl FnOnce(&mut Replica, &mut Effects<Message>),
     ) {
-        let silent = Kind::ALL
-            .iter()
-            .all(|k| self.moves.contains(&Move::Withhold(*k)));
+        let instance = self.replica.config().instance();
         let before = self.replica.view();
         let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        if !silent {
+        if !self.interpreter.silent(instance) {
             call(&mut self.replica, &mut inner);
         }
         for out in inner.outgoing() {
-            self.relay(out, fx);
+            let (to, msg) = match out {
+                Outgoing::To(to, msg) => (Some(*to), msg),
+                Outgoing::All(msg) => (None, msg),
+            };
+            self.interpreter.relay(instance, to, msg, fx);
         }
         let view = self.replica.view();
-        self.own_moves((start || view != before).then_some(view), fx);
+        if start || view != before {
+            self.interpreter.entered(instance, view, fx);
+        }
         for (delay, timer) in inner.timers_set() {
             fx.set_timer(*delay, *timer);
         }
@@ -321,9 +389,7 @@ impl Actor<Message> for Adversary {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: Message, fx: &mut Effects<Message>) {
-        if let Message::Propose(p) = &msg {
-            self.store.keep(p);
-        }
+        self.interpreter.observe(&msg);
         self.step(false, fx, |r, inner| r.on_message(from, msg, inner));
         if let Some(noise) = &mut self.noise {
             noise.react(self.replica.config().instance(), fx);
@@ -411,7 +477,7 @@ impl Noise {
     }
 
     /// Six messages about `instance`, and the timer for the next burst.
-    pub fn burst(&mut self, instance: u64, fx: &mut Effects<Message>) {
+    pub fn burst<F: Frame>(&mut self, instance: u64, fx: &mut Effects<F>) {
         for _ in 0..6 {
             self.send_one(instance, fx);
         }
@@ -420,13 +486,13 @@ impl Noise {
 
     /// One message about `instance`, for one call in four (one per message
     /// received).
-    pub fn react(&mut self, instance: u64, fx: &mut Effects<Message>) {
+    pub fn react<F: Frame>(&mut self, instance: u64, fx: &mut Effects<F>) {
         if self.rng.gen_bool(0.25) {
             self.send_one(instance, fx);
         }
     }
 
-    fn send_one(&mut self, instance: u64, fx: &mut Effects<Message>) {
+    fn send_one<F: Frame>(&mut self, instance: u64, fx: &mut Effects<F>) {
         let seat = |rng: &mut StdRng| ProcessId(rng.gen_range(1..=fx.n() as u32));
         let to = seat(&mut self.rng);
         let value = Value::from_u64(self.rng.gen_range(0..4));
@@ -478,7 +544,7 @@ impl Noise {
                 Message::CertAck(CertAckMsg { view, value, sig })
             }
         };
-        fx.send(to, msg);
+        fx.send(to, F::carry(instance, msg));
     }
 }
 
@@ -618,7 +684,7 @@ mod tests {
         let (pairs, _) = KeyDirectory::generate(4, 3);
         let run = |seed| {
             let mut noise = Noise::new(pairs[0].clone(), seed);
-            let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
+            let mut fx = Effects::<Message>::new(ProcessId(1), 4, SimTime::ZERO);
             for _ in 0..100 {
                 noise.burst(0, &mut fx);
             }

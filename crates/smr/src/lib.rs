@@ -15,6 +15,8 @@
 //!   (`checkpoint`), what peers say about slots not opened yet (`ahead`),
 //!   dead leaders (`suspicion`);
 //! * [`SmrSimCluster`] — a ready-made simulated cluster ([`harness`]);
+//! * [`SmrAdversary`] — the Byzantine seat: `core`'s move alphabet played
+//!   slot by slot over an honest node ([`byzantine`]);
 //! * [`SmrClusterHandle`] — the same nodes on the wall-clock thread
 //!   runtime, over channels or authenticated TCP, with live client
 //!   submission and a per-slot applied-event stream ([`runtime`]).
@@ -42,6 +44,7 @@
 
 mod ahead;
 pub mod batcher;
+pub mod byzantine;
 pub mod chaos;
 mod checkpoint;
 mod dedup;
@@ -55,6 +58,7 @@ mod suspicion;
 pub mod tag;
 
 pub use batcher::{AdaptiveBatch, Batching};
+pub use byzantine::SmrAdversary;
 pub use harness::{SmrReport, SmrSimCluster};
 pub use kv::{KvCommand, KvOutput, KvStore};
 pub use machine::{CountingMachine, StateMachine};

@@ -75,7 +75,7 @@ use fastbft_core::replica::{CommitPath, Replica, ReplicaOptions};
 use fastbft_crypto::{Digest, KeyDirectory, KeyPair, Signature};
 use fastbft_sim::{Actor, Effects, Outgoing, SimTime, TimerId};
 use fastbft_types::wire::to_bytes;
-use fastbft_types::{Config, ProcessId, Value};
+use fastbft_types::{Config, ProcessId, Value, View};
 
 use crate::ahead::AheadBuffer;
 use crate::batcher::{AdaptiveBatch, Batcher, Batching};
@@ -170,7 +170,7 @@ fn elapsed_us(at: Instant) -> u64 {
 /// One process of the replicated state machine. See module docs.
 pub struct SmrNode<S: StateMachine> {
     cfg: Config,
-    keys: KeyPair,
+    pub(crate) keys: KeyPair,
     dir: KeyDirectory,
     pub(crate) opts: ReplicaOptions,
     /// The replicated state machine, executed on the event loop.
@@ -443,6 +443,14 @@ impl<S: StateMachine> SmrNode<S> {
     #[doc(hidden)]
     pub fn decided_batch(&self, slot: u64) -> Option<Vec<Value>> {
         self.committed_tail.get(&slot).map(Self::decode_batch)
+    }
+
+    /// The view `slot`'s instance is in, while this node has one open: how
+    /// the SMR layer's Byzantine seat (`crate::byzantine`) learns that a
+    /// slot entered a view.
+    pub(crate) fn slot_view(&self, slot: u64) -> Option<View> {
+        let instance = self.slots.get(&slot)?.instance.as_ref()?;
+        Some(instance.replica.view())
     }
 
     /// The slot records that hold a consensus instance.

@@ -13,7 +13,8 @@
 //!
 //! The loop runs on one default-stack thread, with a fixed seed: a failure
 //! prints the seed, the iteration and the mutants in flight as hex, and
-//! repeats exactly.
+//! repeats exactly. Which mutants the seed makes is drawn against the
+//! corpus's blank twin, so it does not change when only signed bytes do.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -22,7 +23,7 @@ use fastbft_core::message::{
     AckMsg, CertAckMsg, CertRequestMsg, CommitMsg, Message, ProposeMsg, VoteMsg, WishMsg,
 };
 use fastbft_core::payload::{ack_payload, certack_payload, propose_payload};
-use fastbft_crypto::{KeyDirectory, KeyPair};
+use fastbft_crypto::{KeyDirectory, KeyPair, Signature};
 use fastbft_obs::Metrics;
 use fastbft_sim::{Network, SimDuration, SimTime};
 use fastbft_smr::{checkpoint_signature, KvCommand, KvStore, SlotMessage, SmrSimCluster};
@@ -72,8 +73,8 @@ fn put(key: &str, value: u64) -> Value {
 /// with two attestations signed by keys the cluster does not know. No
 /// mutant of it carries f + 1 valid attestations, so no seat ever opens its
 /// payload: its bytes are mutation material only, and they are pinned
-/// because every entry's length and bytes fix which mutants `SEED` draws —
-/// and so which runs the seeds named in ARCHITECTURE reproduce.
+/// because its length and bytes — which the blank twin keeps as they are,
+/// attestations included — fix which mutants `SEED` draws.
 const SNAPSHOT_RESPONSE: &str = concat!(
     "0400000000000000010000005c00000000000000010000000000000001000000",
     "000000000100000018000000010000000b736e617073686f7474656400000001",
@@ -91,8 +92,18 @@ fn unhex(hex: &str) -> Vec<u8> {
 /// One well-formed message of every kind, as p4 would send them. `pairs`
 /// holds p4's key as the cluster knows it and, for every other seat, a key
 /// the cluster does not know: a Byzantine member signs for itself and can
-/// only make up what the others would have signed.
-fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
+/// only make up what the others would have signed. `blank` zeroes every
+/// signature's tag: the corpus's twin, which the mutation schedule reads.
+fn corpus(cfg: Config, pairs: &[KeyPair], blank: bool) -> Vec<Vec<u8>> {
+    let seal = |sig: Signature| {
+        if blank {
+            Signature::from_parts(sig.signer, [0; 32])
+        } else {
+            sig
+        }
+    };
+    let sign = |keys: &KeyPair, statement: &[u8]| seal(keys.sign(statement));
+    let vote = |keys: &KeyPair, vote| SignedVote::sign_with(vote, View(2), 0, |s| sign(keys, s));
     let p4 = &pairs[3];
     let x = put("hostile", 4);
     let leader1 = &pairs[cfg.leader(View::FIRST).index()];
@@ -100,7 +111,7 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
         value: x.clone(),
         view: View::FIRST,
         progress_cert: ProgressCert::Genesis,
-        leader_sig: leader1.sign(&propose_payload(&x, View::FIRST, 0)),
+        leader_sig: sign(leader1, &propose_payload(&x, View::FIRST, 0)),
         commit_cert,
     };
     let commit_cert = CommitCert {
@@ -108,7 +119,7 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
         view: View::FIRST,
         sigs: pairs[..cfg.slow_quorum()]
             .iter()
-            .map(|p| p.sign(&ack_payload(&x, View::FIRST, 0)))
+            .map(|p| sign(p, &ack_payload(&x, View::FIRST, 0)))
             .collect(),
     };
     let consensus = [
@@ -116,7 +127,7 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
             value: x.clone(),
             view: View::FIRST,
             cert: ProgressCert::Genesis,
-            sig: p4.sign(&propose_payload(&x, View::FIRST, 0)),
+            sig: sign(p4, &propose_payload(&x, View::FIRST, 0)),
         }),
         Message::Propose(ProposeMsg {
             value: x.clone(),
@@ -124,35 +135,32 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
             cert: ProgressCert::Bounded(
                 pairs[..cfg.cert_quorum()]
                     .iter()
-                    .map(|p| p.sign(&certack_payload(&x, View(2), 0)))
+                    .map(|p| sign(p, &certack_payload(&x, View(2), 0)))
                     .collect(),
             ),
-            sig: p4.sign(&propose_payload(&x, View(2), 0)),
+            sig: sign(p4, &propose_payload(&x, View(2), 0)),
         }),
         Message::Ack(AckMsg {
             value: x.clone(),
             view: View::FIRST,
-            share: Some(p4.sign(&ack_payload(&x, View::FIRST, 0))),
+            share: Some(sign(p4, &ack_payload(&x, View::FIRST, 0))),
         }),
         Message::Commit(CommitMsg {
             cert: commit_cert.clone(),
         }),
         Message::Vote(VoteMsg {
             view: View(2),
-            vote: SignedVote::sign(p4, Some(voted(Some(commit_cert))), View(2), 0),
+            vote: vote(p4, Some(voted(Some(commit_cert)))),
         }),
         Message::CertRequest(CertRequestMsg {
             view: View(2),
             value: x.clone(),
-            votes: pairs
-                .iter()
-                .map(|p| SignedVote::sign(p, Some(voted(None)), View(2), 0))
-                .collect(),
+            votes: pairs.iter().map(|p| vote(p, Some(voted(None)))).collect(),
         }),
         Message::CertAck(CertAckMsg {
             view: View(2),
             value: x.clone(),
-            sig: p4.sign(&certack_payload(&x, View(2), 0)),
+            sig: sign(p4, &certack_payload(&x, View(2), 0)),
         }),
         Message::Wish(WishMsg { view: View(2) }),
     ];
@@ -165,13 +173,21 @@ fn corpus(cfg: Config, pairs: &[KeyPair]) -> Vec<Vec<u8>> {
         SlotMessage::Checkpoint {
             upto: 128,
             digest,
-            sig: checkpoint_signature(p4, &Metrics::new(), 128, &digest),
+            sig: seal(checkpoint_signature(p4, &Metrics::new(), 128, &digest)),
         },
         SlotMessage::SnapshotRequest { have: 0 },
         from_bytes(&unhex(SNAPSHOT_RESPONSE)).expect("a well-formed response"),
         SlotMessage::Backfill { slot: 0, value: x },
     ]);
     msgs.iter().map(to_bytes).collect()
+}
+
+/// The corpus signed with the keys `key_seed` makes (p4's as the cluster
+/// knows it when `key_seed` is the cluster's seed), and its blank twin.
+fn corpora(cfg: Config, key_seed: u64) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let mut pairs = KeyDirectory::generate(cfg.n(), key_seed + 1).0;
+    pairs[3] = KeyDirectory::generate(cfg.n(), key_seed).0.remove(3);
+    (corpus(cfg, &pairs, false), corpus(cfg, &pairs, true))
 }
 
 /// Offsets of every `u32` that could be a length prefix: its value fits in
@@ -185,47 +201,115 @@ fn length_fields(bytes: &[u8]) -> Vec<usize> {
         .collect()
 }
 
-/// One mutant: a corpus entry with one to three mutations applied, then —
-/// usually, while it is still a `Consensus` frame — aimed at a slot at or
-/// just past `tip`.
-fn mutant(corpus: &[Vec<u8>], rng: &mut Rng, tip: u64) -> Vec<u8> {
-    let mut bytes = corpus[rng.below(corpus.len())].clone();
+/// One edit of a corpus entry.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Edit {
+    /// Flip bit `bit` of the byte at `at`.
+    Flip { at: usize, bit: usize },
+    /// Set the byte at `at`.
+    Set { at: usize, byte: u8 },
+    /// Cut the bytes at `at`.
+    Truncate { at: usize },
+    /// Cut at `at`, then append the rest of entry `other`, from `from`.
+    Splice {
+        at: usize,
+        other: usize,
+        from: usize,
+    },
+    /// Inflate the `u32` length field at `at`: off by one (0), doubled
+    /// (1), or huge (2, shifted right by `shift`).
+    Inflate { at: usize, how: usize, shift: usize },
+}
+
+impl Edit {
+    fn apply(self, bytes: &mut Vec<u8>, corpus: &[Vec<u8>]) {
+        match self {
+            Edit::Flip { at, bit } => bytes[at] ^= 1 << bit,
+            Edit::Set { at, byte } => bytes[at] = byte,
+            Edit::Truncate { at } => bytes.truncate(at),
+            Edit::Splice { at, other, from } => {
+                bytes.truncate(at);
+                bytes.extend_from_slice(&corpus[other][from..]);
+            }
+            Edit::Inflate { at, how, shift } => {
+                let len = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap());
+                let inflated = match how {
+                    0 => len.wrapping_add(1),
+                    1 => len.wrapping_mul(2).max(2),
+                    _ => u32::MAX >> shift,
+                };
+                bytes[at..at + 4].copy_from_slice(&inflated.to_be_bytes());
+            }
+        }
+    }
+}
+
+/// One mutant as drawn: a corpus entry, one to three edits, and — usually,
+/// while it is still a `Consensus` frame — how far past the cluster's tip
+/// its slot is aimed.
+#[derive(Debug, PartialEq)]
+struct Mutation {
+    entry: usize,
+    edits: Vec<Edit>,
+    aim: Option<u64>,
+}
+
+/// Draws one mutation against the corpus's blank `twins`, never its signed
+/// bytes: which mutants a seed makes is a function of the seed and the
+/// corpus's shape, whatever the keys sign.
+fn draw(twins: &[Vec<u8>], rng: &mut Rng) -> Mutation {
+    let entry = rng.below(twins.len());
+    let mut bytes = twins[entry].clone();
+    let mut edits = Vec::new();
     for _ in 0..1 + rng.below(3) {
         if bytes.is_empty() {
             break;
         }
         let at = rng.below(bytes.len());
-        match rng.below(8) {
-            0 => bytes[at] ^= 1 << rng.below(8),
-            1 => bytes[at] = 0,
-            2 => bytes[at] = 0xFF,
+        let edit = match rng.below(8) {
+            0 => Edit::Flip {
+                at,
+                bit: rng.below(8),
+            },
+            1 => Edit::Set { at, byte: 0 },
+            2 => Edit::Set { at, byte: 0xFF },
             // Every tag any enum or `Option` in the codec assigns.
-            3 => bytes[at] = rng.below(9) as u8,
-            4 => bytes.truncate(at),
+            3 => Edit::Set {
+                at,
+                byte: rng.below(9) as u8,
+            },
+            4 => Edit::Truncate { at },
             5 => {
-                // Splice: the rest of another entry, from a random offset.
-                let other = &corpus[rng.below(corpus.len())];
-                bytes.truncate(at);
-                bytes.extend_from_slice(&other[rng.below(other.len())..]);
+                let other = rng.below(twins.len());
+                let from = rng.below(twins[other].len());
+                Edit::Splice { at, other, from }
             }
             _ => {
-                // Inflate a length field: off by one, doubled, or huge.
                 let fields = length_fields(&bytes);
-                if let Some(&i) = fields.get(rng.below(fields.len().max(1))) {
-                    let len = u32::from_be_bytes(bytes[i..i + 4].try_into().unwrap());
-                    let inflated = match rng.below(3) {
-                        0 => len.wrapping_add(1),
-                        1 => len.wrapping_mul(2).max(2),
-                        _ => u32::MAX >> rng.below(8),
-                    };
-                    bytes[i..i + 4].copy_from_slice(&inflated.to_be_bytes());
-                }
+                let Some(&at) = fields.get(rng.below(fields.len().max(1))) else {
+                    continue;
+                };
+                let how = rng.below(3);
+                let shift = if how == 2 { rng.below(8) } else { 0 };
+                Edit::Inflate { at, how, shift }
             }
-        }
+        };
+        edit.apply(&mut bytes, twins);
+        edits.push(edit);
     }
-    if bytes.len() >= 9 && bytes[0] == 1 && rng.below(4) != 0 {
-        let slot = tip + rng.below(3) as u64;
-        bytes[1..9].copy_from_slice(&slot.to_be_bytes());
+    let consensus = bytes.len() >= 9 && bytes[0] == 1;
+    let aim = (consensus && rng.below(4) != 0).then(|| rng.below(3) as u64);
+    Mutation { entry, edits, aim }
+}
+
+/// The mutant `m` makes of the signed `corpus`, its slot aimed past `tip`.
+fn mutant(m: &Mutation, corpus: &[Vec<u8>], tip: u64) -> Vec<u8> {
+    let mut bytes = corpus[m.entry].clone();
+    for edit in &m.edits {
+        edit.apply(&mut bytes, corpus);
+    }
+    if let Some(ahead) = m.aim {
+        bytes[1..9].copy_from_slice(&(tip + ahead).to_be_bytes());
     }
     bytes
 }
@@ -240,9 +324,7 @@ fn spray(in_flight: &mut Vec<(usize, Vec<u8>)>, iteration: &mut usize) -> usize 
     let cfg = Config::new(4, 1, 1).unwrap();
     // The cluster's keys are `KeyDirectory::generate(n, SEED)`: p4 signs
     // with the key its peers verify, everyone else with a foreign one.
-    let mut pairs = KeyDirectory::generate(cfg.n(), SEED + 1).0;
-    pairs[3] = KeyDirectory::generate(cfg.n(), SEED).0.remove(3);
-    let corpus = corpus(cfg, &pairs);
+    let (corpus, twins) = corpora(cfg, SEED);
     for entry in &corpus {
         let decoded: SlotMessage = from_bytes(entry).expect("the corpus is well formed");
         assert_eq!(&to_bytes(&decoded), entry);
@@ -264,7 +346,7 @@ fn spray(in_flight: &mut Vec<(usize, Vec<u8>)>, iteration: &mut usize) -> usize 
     let mut decoded = 0;
     while *iteration < MUTANTS {
         let tip = cluster.node(correct[0]).applied();
-        let bytes = mutant(&corpus, &mut rng, tip);
+        let bytes = mutant(&draw(&twins, &mut rng), &corpus, tip);
         if let Ok(msg) = from_bytes::<SlotMessage>(&bytes) {
             // Canonical-strict: whatever decodes has exactly one encoding.
             assert_eq!(to_bytes(&msg), bytes, "decoded, and re-encodes differently");
@@ -330,4 +412,22 @@ fn mutated_frames_never_break_the_correct_seats() {
         decoded * 4 >= MUTANTS,
         "only {decoded} of {MUTANTS} mutants decoded"
     );
+}
+
+/// Which mutants the seed makes does not depend on the signature bytes:
+/// under two key seeds the corpora differ, and the first 1 000 draws pick
+/// the same entries, edits and offsets.
+#[test]
+fn the_mutation_schedule_does_not_depend_on_signature_bytes() {
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let draws = |twins: &[Vec<u8>]| {
+        let mut rng = Rng(SEED);
+        (0..1_000)
+            .map(|_| draw(twins, &mut rng))
+            .collect::<Vec<_>>()
+    };
+    let (signed, twins) = corpora(cfg, SEED);
+    let (other_signed, other_twins) = corpora(cfg, SEED + 100);
+    assert_ne!(signed, other_signed, "the key seeds sign alike");
+    assert_eq!(draws(&twins), draws(&other_twins));
 }

@@ -17,18 +17,18 @@
 //! leaders early, with the empty batch — run the default depth under paced
 //! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
-use fastbft_core::byzantine::{random_moves, Adversary, Move, Noise};
+use fastbft_core::byzantine::{random_moves, Adversary, Move};
 use fastbft_core::cluster::SimCluster;
-use fastbft_core::message::{Message, ProposeMsg, WishMsg};
+use fastbft_core::message::{Kind, Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::propose_payload;
 use fastbft_core::replica::Replica;
 use fastbft_core::ProgressCert;
-use fastbft_crypto::{KeyDirectory, KeyPair};
+use fastbft_crypto::KeyDirectory;
 use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{
-    Actor, Effects, Network, Outgoing, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
+    Actor, Effects, Network, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
 };
-use fastbft_smr::{CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
+use fastbft_smr::{CountingMachine, SlotMessage, SmrAdversary, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
 use proptest::prelude::*;
 
@@ -462,66 +462,11 @@ fn a_healed_leader_is_cleared_by_its_next_proposal() {
     }
 }
 
-/// A Byzantine seat for (c): an honest node that says nothing at all in odd
-/// slots (so it "proposes in alternate slots") and sprays `Wish`es for
-/// arbitrary views into every slot it hears about.
-struct Flaky {
-    inner: Node,
-    sprayed: u64,
-}
-
-impl Flaky {
-    fn relay(&mut self, inner: Effects<SlotMessage>, fx: &mut Effects<SlotMessage>) {
-        let muted =
-            |m: &SlotMessage| matches!(m, SlotMessage::Consensus { slot, .. } if slot % 2 == 1);
-        for out in inner.outgoing() {
-            match out {
-                Outgoing::To(_, m) | Outgoing::All(m) if muted(m) => {}
-                Outgoing::To(to, m) => fx.send(*to, m.clone()),
-                Outgoing::All(m) => fx.broadcast(m.clone()),
-            }
-        }
-        for (delay, timer) in inner.timers_set() {
-            fx.set_timer(*delay, *timer);
-        }
-    }
-}
-
-impl Actor<SlotMessage> for Flaky {
-    fn on_start(&mut self, fx: &mut Effects<SlotMessage>) {
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        self.inner.on_start(&mut inner);
-        self.relay(inner, fx);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: SlotMessage, fx: &mut Effects<SlotMessage>) {
-        if let SlotMessage::Consensus { slot, .. } = &msg {
-            self.sprayed += 1;
-            if self.sprayed.is_multiple_of(3) {
-                fx.broadcast_others(SlotMessage::Consensus {
-                    slot: *slot,
-                    inner: Message::Wish(WishMsg {
-                        view: View(2 + self.sprayed % 7),
-                    }),
-                });
-            }
-        }
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        self.inner.on_message(from, msg, &mut inner);
-        self.relay(inner, fx);
-    }
-
-    fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<SlotMessage>) {
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        self.inner.on_timer(timer, &mut inner);
-        self.relay(inner, fx);
-    }
-}
-
 /// (c) What `f` Byzantine seats can do with it: nothing to a correct
 /// leader, and nothing worse than today to a slot they stay silent in.
-/// Seats 6–7 spray wishes for arbitrary views everywhere and lead only
-/// their even slots. Throughout, no correct node ever suspects (hence
+/// Seats 6–7 withhold every kind in odd slots — so they lead only their
+/// even slots — and make noise everywhere, wishes for arbitrary views
+/// among it. Throughout, no correct node ever suspects (hence
 /// skips) a correct seat; a slot whose first `k` leaders are silent costs at
 /// most today's `k` timeouts plus the view change; every other slot costs
 /// no timeout at all.
@@ -538,10 +483,11 @@ fn byzantine_wishes_and_flapping_leaders_gain_nothing() {
         None,
         |p, node| {
             if p.0 >= 6 {
-                Box::new(Flaky {
-                    inner: node,
-                    sprayed: u64::from(p.0),
-                })
+                let moves = |slot: u64| match slot % 2 {
+                    1 => Kind::ALL.map(Move::Withhold).to_vec(),
+                    _ => Vec::new(),
+                };
+                Box::new(SmrAdversary::new(node, moves).with_noise(u64::from(p.0)))
             } else {
                 Box::new(node)
             }
@@ -626,110 +572,6 @@ impl Actor<Message> for StartsWishing {
     }
 }
 
-/// A seeded draw from the move alphabet, seated in an SMR cluster: one
-/// interpreter per slot it hears of, each over that slot's instance and
-/// starting when the slot's first message arrives, every one playing the
-/// same moves; and noise from the same seed, into whichever slot it heard
-/// of last. A timer carries its slot in its low 32 bits.
-struct SlotFuzzer {
-    cfg: Config,
-    keys: KeyPair,
-    dir: KeyDirectory,
-    moves: Vec<Move>,
-    slots: std::collections::BTreeMap<u64, Adversary>,
-    noise: Noise,
-    latest: u64,
-}
-
-/// Lifts what one slot's seat did into the slot.
-fn lift(slot: u64, inner: &Effects<Message>, fx: &mut Effects<SlotMessage>) {
-    let lifted = |m: &Message| SlotMessage::Consensus {
-        slot,
-        inner: m.clone(),
-    };
-    for out in inner.outgoing() {
-        match out {
-            Outgoing::To(to, m) => fx.send(*to, lifted(m)),
-            Outgoing::All(m) => fx.broadcast(lifted(m)),
-        }
-    }
-    for (delay, timer) in inner.timers_set() {
-        fx.set_timer(*delay, TimerId(timer.0 << 32 | slot));
-    }
-}
-
-impl SlotFuzzer {
-    fn new(cfg: Config, keys: KeyPair, dir: KeyDirectory, seed: u64) -> Self {
-        let moves = random_moves(&cfg, keys.id(), seed);
-        let noise = Noise::new(keys.clone(), seed);
-        let slots = Default::default();
-        SlotFuzzer {
-            cfg,
-            keys,
-            dir,
-            moves,
-            slots,
-            noise,
-            latest: 0,
-        }
-    }
-
-    /// Runs `call` on `slot`'s interpreter (started first if new) and lifts
-    /// what it did into the slot.
-    fn run(
-        &mut self,
-        slot: u64,
-        fx: &mut Effects<SlotMessage>,
-        call: impl FnOnce(&mut Adversary, &mut Effects<Message>),
-    ) {
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        let seat = self.slots.entry(slot).or_insert_with(|| {
-            let cfg = self.cfg.with_instance(slot);
-            let (keys, dir) = (self.keys.clone(), self.dir.clone());
-            let input = Value::from_u64(slot % 4);
-            let mut seat = Adversary::new(cfg, keys, dir, input, self.moves.clone());
-            seat.on_start(&mut inner);
-            seat
-        });
-        call(seat, &mut inner);
-        lift(slot, &inner, fx);
-    }
-
-    /// Runs `call` on the noise, about the slot heard of last.
-    fn noise(
-        &mut self,
-        fx: &mut Effects<SlotMessage>,
-        call: impl FnOnce(&mut Noise, u64, &mut Effects<Message>),
-    ) {
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        call(&mut self.noise, self.latest, &mut inner);
-        lift(self.latest, &inner, fx);
-    }
-}
-
-impl Actor<SlotMessage> for SlotFuzzer {
-    fn on_start(&mut self, fx: &mut Effects<SlotMessage>) {
-        self.noise(fx, Noise::burst);
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: SlotMessage, fx: &mut Effects<SlotMessage>) {
-        if let SlotMessage::Consensus { slot, inner: msg } = msg {
-            self.latest = slot;
-            self.run(slot, fx, |seat, inner| seat.on_message(from, msg, inner));
-            self.noise(fx, Noise::react);
-        }
-    }
-
-    fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<SlotMessage>) {
-        let (slot, timer) = (timer.0 & u64::from(u32::MAX), TimerId(timer.0 >> 32));
-        if timer == Noise::TIMER {
-            self.noise(fx, Noise::burst);
-        } else {
-            self.run(slot, fx, |seat, inner| seat.on_timer(timer, inner));
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -772,7 +614,8 @@ proptest! {
 
     /// (d′) The same weather over the whole stack, so that revocation runs
     /// in it: paced load on a pipelined cluster with p7 silent (someone to
-    /// suspect), up to one more seat fuzzing into every slot it hears of,
+    /// suspect), up to one more seat playing a fresh draw from the move
+    /// alphabet in every slot, and noise,
     /// and pre-GST delays past the view timeout (false suspicions, tables
     /// that differ between nodes, revoked slots racing their leaders). Every
     /// command is applied exactly once at every correct node and the logs
@@ -791,13 +634,13 @@ proptest! {
         } else {
             Network::partially_synchronous(DELTA, SimTime(gst * DELTA.0), SimDuration(10 * DELTA.0))
         };
-        let (pairs, dir) = KeyDirectory::generate(cfg.n(), seed);
         let mut cluster = pipelined(cfg, seed, network, |p, node| {
             if p.0 == 7 {
                 Box::new(ScriptedActor::silent())
             } else if p.0 == fuzzer {
-                let keys = pairs[p.index()].clone();
-                Box::new(SlotFuzzer::new(cfg, keys, dir.clone(), seed ^ 0xf5))
+                let seed = seed ^ 0xf5;
+                let moves = move |slot| random_moves(&cfg.with_instance(slot), p, seed ^ slot);
+                Box::new(SmrAdversary::new(node, moves).with_noise(seed))
             } else {
                 Box::new(node)
             }
