@@ -1,23 +1,25 @@
-//! Byzantine seats as data: one move alphabet and one interpreter.
+//! Byzantine seats as data: one move alphabet and one seat.
 //!
 //! The paper's adversary controls up to `f` processes completely, subject
 //! only to cryptography: it signs anything as itself and forges no one
-//! else's signature. Here every Byzantine seat is the same thing — honest
-//! code whose sends an [`Interpreter`] rewrites: it turns what the replica
-//! would send, plus the [`Move`]s in force, into what the seat sends. The
-//! moves are the short sequences the fast-path / view-change violations of
-//! the literature are made of: split a proposal, let one seat alone hear a
-//! message, withhold a kind, sit out a view change, lie in a vote, stop,
-//! and replay a signed proposal seen earlier — in this instance or another
-//! one (the seat keeps what it saw in a bounded [`ReplayStore`], which
-//! outlives a run when the caller hands it on).
+//! else's signature. Here every Byzantine seat is the same thing, a
+//! [`Seat`]: honest code whose sends the seat rewrites, turning what the
+//! node would send, plus the [`Move`]s in force, into what the seat sends.
+//! The moves are the short sequences the fast-path / view-change
+//! violations of the literature are made of: split a proposal, let one
+//! seat alone hear a message, withhold a kind, sit out a view change, lie
+//! in a vote, and replay a signed proposal seen earlier — in this instance
+//! or another one (the seat keeps what it saw in a bounded
+//! [`ReplayStore`], which outlives a run when the caller hands it on). A
+//! crash is no move: it is the simulator's, scheduled by whoever builds
+//! the run (`SimCluster::builder` for `Behavior::CrashAt`).
 //!
-//! The interpreter takes the instance as an argument, so one interpreter
-//! serves two seats: [`Adversary`], an honest single-shot [`Replica`] plus
-//! the interpreter, and the SMR layer's seat (`fastbft_smr::byzantine`),
-//! an honest `SmrNode` plus the interpreter with the log slot as the
-//! instance, its moves chosen per slot and one store for every slot. What
-//! either sends goes out in its [`Frame`].
+//! The node is anything [`Honest`]: a single-shot [`Replica`], one
+//! instance, or the SMR layer's node (`fastbft_smr::byzantine`), one
+//! instance per log slot with the moves chosen per slot and one store for
+//! every slot. The trait says which instance a frame belongs to and which
+//! view each instance is in; what the seat sends goes out in its
+//! [`Frame`].
 //!
 //! A behaviour is a fixed list of moves: `cluster::Behavior` maps each of
 //! its variants to one ([`Behavior::moves`](crate::cluster::Behavior::moves)),
@@ -27,10 +29,10 @@
 //! lower-bound proof stay scripted ([`fastbft_sim::ScriptedActor`]);
 //! `hostile_wire`'s byte mutator works below the message level.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
-use fastbft_crypto::{KeyDirectory, KeyPair, Signature, SignatureSet};
-use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimMessage, SimTime, TimerId};
+use fastbft_crypto::{KeyPair, Signature, SignatureSet};
+use fastbft_sim::{Actor, Effects, Outgoing, SimDuration, SimMessage, TimerId};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 use rand::rngs::StdRng;
@@ -42,13 +44,14 @@ use crate::payload::{ack_payload, certack_payload, propose_payload};
 use crate::replica::Replica;
 
 /// One move of a Byzantine seat. All of a seat's moves are in force at
-/// once; the ones that say what the *replica* sends act on each of its
+/// once; the ones that say what the *node* sends act on each of its
 /// messages, the others send messages of the seat's own.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Move {
-    /// Equivocate to a split: at start the seat proposes each value of
-    /// `split` to its seat, in order, under its own τ and the genesis
-    /// certificate, and its replica's view-1 proposal stays home. Only view
+    /// Equivocate to a split: as the instance enters view 1 the seat
+    /// proposes each value of `split` to its seat, in order, under its own
+    /// τ and the genesis certificate, and its replica's view-1 proposal
+    /// stays home. Only view
     /// 1 can be split: a later proposal needs a certificate, which names
     /// one value.
     Equivocate {
@@ -66,8 +69,8 @@ pub enum Move {
         to: ProcessId,
     },
     /// Withhold a kind: the replica's messages of this kind reach no one. A
-    /// seat that withholds every kind is silent: it runs no replica, so it
-    /// keeps no timers.
+    /// seat built from one list that withholds every kind is silent: it
+    /// runs no node, so it keeps no timers ([`Seat::new`]).
     Withhold(Kind),
     /// Stay silent in a view change: the replica's wish, vote,
     /// certification request and CertAck for `view` stay home.
@@ -84,13 +87,6 @@ pub enum Move {
         view: View,
         /// What it claims.
         claim: Option<Value>,
-    },
-    /// Stop at a given time: the simulator crashes the seat at `at`, as the
-    /// paper's crash (`SimCluster::builder` schedules it; the interpreter
-    /// plays no part).
-    Stop {
-        /// When it stops.
-        at: SimTime,
     },
     /// Replay a proposal seen earlier: when the replica enters `view`, the
     /// seat proposes the latest proposal for `view` in its store — seen in
@@ -134,7 +130,7 @@ impl ReplayStore {
 
 /// A wire frame that carries one consensus message of an instance: the
 /// message itself in a single-shot run, a slot-tagged frame in the SMR
-/// layer. What an [`Interpreter`] and [`Noise`] send goes out in it.
+/// layer. What a [`Seat`] and [`Noise`] send goes out in it.
 pub trait Frame: SimMessage {
     /// `msg`, as a frame of `instance`.
     fn carry(instance: u64, msg: Message) -> Self;
@@ -146,70 +142,172 @@ impl Frame for Message {
     }
 }
 
-/// The move interpreter: what a Byzantine seat's keys, moves and store
-/// make of what an honest replica would send. It runs no replica itself:
-/// its caller hands it each message its replica made, and each view its
-/// replica entered, with the instance they belong to — the one instance of
-/// an [`Adversary`], or any log slot of the SMR layer's seat, which shares
-/// one store across its slots.
-pub struct Interpreter {
+/// An honest node a [`Seat`] runs: a single-shot [`Replica`], or the SMR
+/// layer's node with one instance per log slot. The seat asks it three
+/// things.
+pub trait Honest: Actor<Self::Frame> + 'static {
+    /// The frame the node speaks.
+    type Frame: Frame;
+
+    /// The instance and consensus message `frame` carries, if it carries
+    /// one.
+    fn consensus<'a>(&self, frame: &'a Self::Frame) -> Option<(u64, &'a Message)>;
+
+    /// The instance a frame that carries no consensus message speaks for,
+    /// if it speaks for one (none, unless the node says otherwise).
+    fn speaks_for(&self, _frame: &Self::Frame) -> Option<u64> {
+        None
+    }
+
+    /// The view each open instance is in, by instance.
+    fn views(&self) -> BTreeMap<u64, View>;
+}
+
+impl Honest for Replica {
+    type Frame = Message;
+
+    fn consensus<'a>(&self, frame: &'a Message) -> Option<(u64, &'a Message)> {
+        Some((self.config().instance(), frame))
+    }
+
+    fn views(&self) -> BTreeMap<u64, View> {
+        BTreeMap::from([(self.config().instance(), self.view())])
+    }
+}
+
+/// The one Byzantine seat: an honest node whose callbacks run into a
+/// scratch buffer, and what its keys, moves and store make of the result.
+/// Its consensus frames go through the moves of their instance; a frame
+/// that speaks for an instance the seat plays moves in stays home; other
+/// frames and timers pass through. As an instance enters a view the seat
+/// makes its own moves there, in instance order. It reports no decision
+/// and forwards no applied event: a faulty seat's outcome counts for
+/// nothing. Its [`Noise`], if it makes any, is about the instance it heard
+/// from last (at start, the first open one).
+pub struct Seat<N: Honest> {
+    node: N,
     keys: KeyPair,
     moves: Box<dyn Fn(u64) -> Vec<Move>>,
     store: ReplayStore,
+    noise: Option<Noise>,
+    /// Runs no node: built from one list that withholds every kind.
+    silent: bool,
+    /// The view each open instance was in after the last callback.
+    views: BTreeMap<u64, View>,
+    /// The instance of the last consensus frame received.
+    latest: u64,
 }
 
-impl Interpreter {
-    /// Signs with `keys` and plays `moves(instance)` in each instance.
-    pub fn new(keys: KeyPair, moves: impl Fn(u64) -> Vec<Move> + 'static) -> Self {
-        Interpreter {
-            keys,
-            moves: Box::new(moves),
-            store: ReplayStore::default(),
+impl<N: Honest> Seat<N> {
+    /// Seats `node`, signing with `keys` (its own) and playing `moves` in
+    /// every instance. A seat that withholds every kind is silent: it runs
+    /// no node, so it keeps no timers, and makes its own moves at start
+    /// only.
+    pub fn new(node: N, keys: KeyPair, moves: Vec<Move>) -> Self {
+        let silent = Kind::ALL
+            .iter()
+            .all(|k| moves.contains(&Move::Withhold(*k)));
+        Seat {
+            silent,
+            ..Seat::per_instance(node, keys, move |_| moves.clone())
         }
     }
 
-    /// What the seat has seen.
+    /// Seats `node`, signing with `keys` (its own) and playing
+    /// `moves(instance)` in each instance (no move: honest there). It
+    /// always runs the node.
+    pub fn per_instance(
+        node: N,
+        keys: KeyPair,
+        moves: impl Fn(u64) -> Vec<Move> + 'static,
+    ) -> Self {
+        Seat {
+            node,
+            keys,
+            moves: Box::new(moves),
+            store: ReplayStore::default(),
+            noise: None,
+            silent: false,
+            views: BTreeMap::new(),
+            latest: 0,
+        }
+    }
+
+    /// Starts from `store`: what the seat saw before this run.
+    #[must_use]
+    pub fn with_store(mut self, store: ReplayStore) -> Self {
+        self.store = store;
+        self
+    }
+
+    /// Also makes [`Noise`] drawn from `seed`.
+    #[must_use]
+    pub fn with_noise(mut self, seed: u64) -> Self {
+        self.noise = Some(Noise::new(self.keys.clone(), seed));
+        self
+    }
+
+    /// What the seat has seen, in every instance.
     pub fn store(&self) -> &ReplayStore {
         &self.store
     }
 
-    /// The moves played in `instance`.
-    pub fn moves(&self, instance: u64) -> Vec<Move> {
-        (self.moves)(instance)
-    }
-
-    /// Whether the seat withholds every kind in `instance`.
-    fn silent(&self, instance: u64) -> bool {
-        let moves = self.moves(instance);
-        Kind::ALL
-            .iter()
-            .all(|k| moves.contains(&Move::Withhold(*k)))
-    }
-
-    /// Keeps `msg` if it is a proposal, for a later [`Move::Replay`] or
-    /// [`Move::LieInVote`] in any instance.
-    pub fn observe(&mut self, msg: &Message) {
-        if let Message::Propose(p) = msg {
-            self.store.keep(p);
+    /// Runs one node callback (unless the seat is silent) into a fresh
+    /// buffer and sends what the moves make of it, then the seat's own
+    /// moves in every instance that entered a view.
+    fn step(
+        &mut self,
+        fx: &mut Effects<N::Frame>,
+        call: impl FnOnce(&mut N, &mut Effects<N::Frame>),
+    ) {
+        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
+        if !self.silent {
+            call(&mut self.node, &mut inner);
+        }
+        let plays_in = |instance| !(self.moves)(instance).is_empty();
+        for out in inner.outgoing() {
+            let (to, frame) = match out {
+                Outgoing::To(to, frame) => (Some(*to), frame),
+                Outgoing::All(frame) => (None, frame),
+            };
+            if let Some((instance, msg)) = self.node.consensus(frame) {
+                self.relay(instance, to, msg, fx);
+            } else if self.node.speaks_for(frame).is_some_and(plays_in) {
+                // About an instance the seat plays moves in: it stays home.
+            } else if let Some(to) = to {
+                fx.send(to, frame.clone());
+            } else {
+                fx.broadcast(frame.clone());
+            }
+        }
+        let views = self.node.views();
+        for (instance, view) in &views {
+            if self.views.get(instance) != Some(view) {
+                self.entered(*instance, *view, fx);
+            }
+        }
+        self.views = views;
+        for (delay, timer) in inner.timers_set() {
+            fx.set_timer(*delay, *timer);
         }
     }
 
-    /// One replica message of `instance`, for `to` (everyone if `None`),
-    /// after the moves: kept home, or sent (a vote possibly lying) to its
-    /// recipients or to the one seat named.
-    pub fn relay<F: Frame>(
+    /// One message of `instance` from the node, for `to` (everyone if
+    /// `None`), after the moves: kept home, or sent (a vote possibly lying)
+    /// to its recipients or to the one seat named.
+    fn relay(
         &self,
         instance: u64,
         to: Option<ProcessId>,
         msg: &Message,
-        fx: &mut Effects<F>,
+        fx: &mut Effects<N::Frame>,
     ) {
-        let moves = self.moves(instance);
+        let moves = (self.moves)(instance);
         let (kind, view) = msg.kind_and_view();
         if keeps_home(&moves, kind, view) {
             return;
         }
-        let msg = F::carry(instance, self.lie(&moves, instance, msg));
+        let msg = N::Frame::carry(instance, self.lie(&moves, instance, msg));
         let only = moves.iter().find_map(|m| match m {
             Move::SendToOne {
                 kind: k,
@@ -225,7 +323,7 @@ impl Interpreter {
         }
     }
 
-    /// The replica's vote, or the one a [`Move::LieInVote`] makes instead.
+    /// The node's vote, or the one a [`Move::LieInVote`] makes instead.
     fn lie(&self, moves: &[Move], instance: u64, msg: &Message) -> Message {
         let Message::Vote(vote) = msg else {
             return msg.clone();
@@ -255,11 +353,11 @@ impl Interpreter {
         Message::Vote(VoteMsg { view, vote })
     }
 
-    /// The seat's own sends in `instance` as its replica enters `view`: the
-    /// split on entering view 1, a replay on entering the view it names.
-    pub fn entered<F: Frame>(&self, instance: u64, view: View, fx: &mut Effects<F>) {
+    /// The seat's own sends as `instance` enters `view`: the split on
+    /// entering view 1, a replay on entering the view it names.
+    fn entered(&self, instance: u64, view: View, fx: &mut Effects<N::Frame>) {
         let sign = |value: &Value| self.keys.sign(&propose_payload(value, view, instance));
-        for m in self.moves(instance) {
+        for m in (self.moves)(instance) {
             match m {
                 Move::Equivocate { split } if view == View::FIRST => {
                     for (to, value) in split {
@@ -269,7 +367,7 @@ impl Interpreter {
                             view,
                             cert: ProgressCert::Genesis,
                         };
-                        fx.send(to, F::carry(instance, Message::Propose(propose)));
+                        fx.send(to, N::Frame::carry(instance, Message::Propose(propose)));
                     }
                 }
                 Move::Replay { view: v } if v == view => {
@@ -278,7 +376,7 @@ impl Interpreter {
                             sig: sign(&p.value),
                             ..p.clone()
                         };
-                        fx.broadcast(F::carry(instance, Message::Propose(propose)));
+                        fx.broadcast(N::Frame::carry(instance, Message::Propose(propose)));
                     }
                 }
                 _ => {}
@@ -287,7 +385,7 @@ impl Interpreter {
     }
 }
 
-/// Whether `moves` keep a replica message of `kind` in `view` home.
+/// Whether `moves` keep a node message of `kind` in `view` home.
 fn keeps_home(moves: &[Move], kind: Kind, view: View) -> bool {
     let view_change = matches!(
         kind,
@@ -302,111 +400,41 @@ fn keeps_home(moves: &[Move], kind: Kind, view: View) -> bool {
     })
 }
 
-/// The single-shot seat: an honest [`Replica`] whose outgoing effects an
-/// [`Interpreter`] rewrites, and its [`Noise`] if it makes any. Its
-/// decision is never reported (a faulty seat's decision counts for
-/// nothing).
-pub struct Adversary {
-    replica: Replica,
-    interpreter: Interpreter,
-    noise: Option<Noise>,
-}
-
-impl Adversary {
-    /// A seat of `cfg`'s instance with these keys and input, playing
-    /// `moves`.
-    pub fn new(
-        cfg: Config,
-        keys: KeyPair,
-        dir: KeyDirectory,
-        input: Value,
-        moves: Vec<Move>,
-    ) -> Self {
-        Adversary {
-            replica: Replica::new(cfg, keys.clone(), dir, input),
-            interpreter: Interpreter::new(keys, move |_| moves.clone()),
-            noise: None,
-        }
-    }
-
-    /// Starts from `store`: what the seat saw before this run.
-    #[must_use]
-    pub fn with_store(mut self, store: ReplayStore) -> Self {
-        self.interpreter.store = store;
-        self
-    }
-
-    /// Also makes [`Noise`] drawn from `seed`, about this instance.
-    #[must_use]
-    pub fn with_noise(mut self, seed: u64) -> Self {
-        self.noise = Some(Noise::new(self.interpreter.keys.clone(), seed));
-        self
-    }
-
-    /// What the seat has seen.
-    pub fn store(&self) -> &ReplayStore {
-        self.interpreter.store()
-    }
-
-    /// Runs one replica callback (`start`: its first) through the moves. A
-    /// seat that withholds every kind runs no replica: it makes its own
-    /// moves at start and nothing after.
-    fn step(
-        &mut self,
-        start: bool,
-        fx: &mut Effects<Message>,
-        call: impl FnOnce(&mut Replica, &mut Effects<Message>),
-    ) {
-        let instance = self.replica.config().instance();
-        let before = self.replica.view();
-        let mut inner = Effects::new(fx.id(), fx.n(), fx.now());
-        if !self.interpreter.silent(instance) {
-            call(&mut self.replica, &mut inner);
-        }
-        for out in inner.outgoing() {
-            let (to, msg) = match out {
-                Outgoing::To(to, msg) => (Some(*to), msg),
-                Outgoing::All(msg) => (None, msg),
-            };
-            self.interpreter.relay(instance, to, msg, fx);
-        }
-        let view = self.replica.view();
-        if start || view != before {
-            self.interpreter.entered(instance, view, fx);
-        }
-        for (delay, timer) in inner.timers_set() {
-            fx.set_timer(*delay, *timer);
-        }
-    }
-}
-
-impl Actor<Message> for Adversary {
-    fn on_start(&mut self, fx: &mut Effects<Message>) {
-        self.step(true, fx, |r, inner| r.on_start(inner));
+impl<N: Honest> Actor<N::Frame> for Seat<N> {
+    fn on_start(&mut self, fx: &mut Effects<N::Frame>) {
+        self.step(fx, |node, inner| node.on_start(inner));
+        self.latest = self.views.keys().next().copied().unwrap_or_default();
         if let Some(noise) = &mut self.noise {
-            noise.burst(self.replica.config().instance(), fx);
+            noise.burst(self.latest, fx);
         }
     }
 
-    fn on_message(&mut self, from: ProcessId, msg: Message, fx: &mut Effects<Message>) {
-        self.interpreter.observe(&msg);
-        self.step(false, fx, |r, inner| r.on_message(from, msg, inner));
-        if let Some(noise) = &mut self.noise {
-            noise.react(self.replica.config().instance(), fx);
-        }
-    }
-
-    fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<Message>) {
-        match &mut self.noise {
-            Some(noise) if timer == Noise::TIMER => {
-                noise.burst(self.replica.config().instance(), fx);
+    fn on_message(&mut self, from: ProcessId, frame: N::Frame, fx: &mut Effects<N::Frame>) {
+        if let Some((instance, msg)) = self.node.consensus(&frame) {
+            self.latest = instance;
+            if let Message::Propose(p) = msg {
+                self.store.keep(p);
             }
-            _ => self.step(false, fx, |r, inner| r.on_timer(timer, inner)),
         }
+        self.step(fx, |node, inner| node.on_message(from, frame, inner));
+        if let Some(noise) = &mut self.noise {
+            noise.react(self.latest, fx);
+        }
+    }
+
+    fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<N::Frame>) {
+        match &mut self.noise {
+            Some(noise) if timer == Noise::TIMER => noise.burst(self.latest, fx),
+            _ => self.step(fx, |node, inner| node.on_timer(timer, inner)),
+        }
+    }
+
+    fn on_client(&mut self, command: Value, fx: &mut Effects<N::Frame>) {
+        self.step(fx, |node, inner| node.on_client(command, inner));
     }
 
     fn label(&self) -> &'static str {
-        "adversary"
+        "byzantine"
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -416,8 +444,7 @@ impl Actor<Message> for Adversary {
 
 /// A seeded draw from the alphabet for seat `id` of `cfg`: if it leads view
 /// 1, a split of its proposal between even and odd seats, then one to
-/// three moves over views 1–4 and the values 0–3. It never stops (`Stop`
-/// is the crash behaviour's move).
+/// three moves over views 1–4 and the values 0–3.
 pub fn random_moves(cfg: &Config, id: ProcessId, seed: u64) -> Vec<Move> {
     let mut rng = StdRng::seed_from_u64(seed);
     let value = |rng: &mut StdRng| Value::from_u64(rng.gen_range(0..4));
@@ -551,13 +578,15 @@ impl Noise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastbft_crypto::KeyDirectory;
+    use fastbft_sim::SimTime;
 
-    fn seat(moves: Vec<Move>) -> (Adversary, KeyDirectory) {
+    fn seat(moves: Vec<Move>) -> (Seat<Replica>, KeyDirectory) {
         let cfg = Config::new(4, 1, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(4, 3);
         let keys = pairs[cfg.leader(View::FIRST).index()].clone();
-        let seat = Adversary::new(cfg, keys, dir.clone(), Value::from_u64(7), moves);
-        (seat, dir)
+        let replica = Replica::new(cfg, keys.clone(), dir.clone(), Value::from_u64(7));
+        (Seat::new(replica, keys, moves), dir)
     }
 
     fn proposal(value: u64, view: u64) -> ProposeMsg {
@@ -674,6 +703,7 @@ mod tests {
                 );
             }
         }
+        // Every move of the alphabet: there are six.
         assert_eq!(seen.len(), 6, "{seen:?}");
     }
 

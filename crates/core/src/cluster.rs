@@ -32,12 +32,12 @@ use fastbft_sim::{
 };
 use fastbft_types::{Config, ProcessId, Value};
 
-use crate::byzantine::{random_moves, Adversary, Move};
+use crate::byzantine::{random_moves, Move, Seat};
 use crate::message::{Kind, Message};
 use crate::replica::{Replica, ReplicaOptions};
 
 /// How a given process behaves in the scenario: each Byzantine behaviour
-/// is a fixed list of [`Move`]s ([`Behavior::moves`]).
+/// but the crash is a fixed list of [`Move`]s ([`Behavior::moves`]).
 #[derive(Clone, Debug, Default)]
 pub enum Behavior {
     /// A correct replica.
@@ -72,15 +72,14 @@ impl Behavior {
         !matches!(self, Behavior::Honest)
     }
 
-    /// The moves seat `p` of `cfg` plays: none when honest, a stop for a
-    /// crash, every kind withheld for silence, a split and then silence
-    /// for `EquivocateView1`, a seeded draw for `Random` (whose noise is no
-    /// move).
+    /// The moves seat `p` of `cfg` plays: none when honest or crashing
+    /// (the crash is the simulator's), every kind withheld for silence, a
+    /// split and then silence for `EquivocateView1`, a seeded draw for
+    /// `Random` (whose noise is no move).
     pub fn moves(&self, cfg: &Config, p: ProcessId) -> Vec<Move> {
         let silence = Kind::ALL.map(Move::Withhold);
         match self {
-            Behavior::Honest => Vec::new(),
-            Behavior::CrashAt(at) => vec![Move::Stop { at: *at }],
+            Behavior::Honest | Behavior::CrashAt(_) => Vec::new(),
             Behavior::Silent => silence.to_vec(),
             Behavior::EquivocateView1 { a, b, recipients_a } => {
                 let value = |to: &ProcessId| if recipients_a.contains(to) { a } else { b };
@@ -191,10 +190,6 @@ impl SimClusterBuilder {
             .iter()
             .filter(|(_, b)| b.is_byzantine())
             .map(|(p, _)| *p);
-        let moves: BTreeMap<ProcessId, Vec<Move>> = behaviors
-            .iter()
-            .map(|(p, b)| (*p, b.moves(&cfg, *p)))
-            .collect();
         let mut cluster = SimCluster::new(
             cfg.n(),
             seed,
@@ -202,29 +197,28 @@ impl SimClusterBuilder {
             inputs,
             faulty,
             |p, keys, dir, input| {
-                let moves = moves.get(&p).cloned().unwrap_or_default();
-                // Honest until it stops (if it does): the replica itself,
+                let behavior = behaviors.get(&p).cloned().unwrap_or_default();
+                let moves = behavior.moves(&cfg, p);
+                let dir = dir.clone();
+                // Honest until it crashes (if it does): the replica itself,
                 // metered, and the kernel's crash below.
-                if moves.iter().all(|m| matches!(m, Move::Stop { .. })) {
+                if moves.is_empty() {
                     let mut options = ReplicaOptions::default();
                     if let Some(registry) = &metrics {
                         options.metrics = registry.replica(p.index());
                     }
-                    let dir = dir.clone();
                     return Box::new(Replica::with_options(cfg, keys, dir, input, options));
                 }
-                let seat = Adversary::new(cfg, keys, dir.clone(), input, moves);
-                match behaviors.get(&p) {
-                    Some(Behavior::Random { seed }) => Box::new(seat.with_noise(*seed)),
+                let seat = Seat::new(Replica::new(cfg, keys.clone(), dir, input), keys, moves);
+                match behavior {
+                    Behavior::Random { seed } => Box::new(seat.with_noise(seed)),
                     _ => Box::new(seat),
                 }
             },
         );
-        for (p, moves) in &moves {
-            for m in moves {
-                if let Move::Stop { at } = m {
-                    cluster.sim.schedule_crash(*p, *at);
-                }
+        for (p, behavior) in &behaviors {
+            if let Behavior::CrashAt(at) = behavior {
+                cluster.sim.schedule_crash(*p, *at);
             }
         }
         cluster
@@ -330,8 +324,8 @@ impl<M: SimMessage> SimCluster<M> {
         self.sim.trace()
     }
 
-    /// What seat `p` runs, e.g. to read an
-    /// [`Adversary`]'s store after a run.
+    /// What seat `p` runs, e.g. to read a Byzantine [`Seat`]'s store after
+    /// a run.
     pub fn actor(&self, p: ProcessId) -> &dyn Actor<M> {
         self.sim.actor(p)
     }

@@ -29,7 +29,7 @@
 //! hash-then-sign shape (PBFT signs request digests; HotStuff-family
 //! certificates verify in O(sigs), not O(sigs × payload)): signing and
 //! verifying cost the same for an 8-byte label and a 1 KiB command batch,
-//! because the value is hashed once per process ([`Value::digest_with`]
+//! because the value is hashed once per process ([`Value::digest`]
 //! memoizes it) while each signature only ever touches the 32-byte digest.
 //! The paper's §3.2 replay and domain-separation arguments carry over by
 //! collision resistance of SHA-256: two distinct values (or votes) would

@@ -23,7 +23,7 @@
 //! decides E. The last test plays the same attack with the move alphabet
 //! (`fastbft_core::byzantine`) on two simulated slots.
 
-use fastbft_core::byzantine::{Adversary, Move, ReplayStore};
+use fastbft_core::byzantine::{Move, ReplayStore, Seat};
 use fastbft_core::cluster::SimCluster;
 use fastbft_core::message::{AckMsg, Kind, Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::{ack_payload, propose_payload};
@@ -270,8 +270,8 @@ fn harvest_send_to_one_then_replay_splits_no_slot() {
         let seat = cluster
             .actor(P3)
             .as_any()
-            .and_then(|a| a.downcast_ref::<Adversary>());
-        seat.expect("p3 is an adversary").store().clone()
+            .and_then(|a| a.downcast_ref::<Seat<Replica>>());
+        seat.expect("p3 is a Byzantine seat").store().clone()
     };
 
     let cfg = base.with_instance(s);
@@ -292,7 +292,8 @@ fn harvest_send_to_one_then_replay_splits_no_slot() {
         [cut_off, P3],
         |p, keys, dir, input| {
             if p == P3 {
-                Box::new(Adversary::new(cfg, keys, dir.clone(), input, Vec::new()))
+                let replica = Replica::new(cfg, keys.clone(), dir.clone(), input);
+                Box::new(Seat::new(replica, keys, Vec::new()))
             } else {
                 Box::new(Replica::new(cfg, keys, dir.clone(), input))
             }
@@ -332,7 +333,8 @@ fn harvest_send_to_one_then_replay_splits_no_slot() {
         [P3],
         |p, keys, dir, input| {
             if p == P3 {
-                let seat = Adversary::new(cfg, keys, dir.clone(), input, moves.clone());
+                let replica = Replica::new(cfg, keys.clone(), dir.clone(), input);
+                let seat = Seat::new(replica, keys, moves.clone());
                 Box::new(seat.with_store(store.clone()))
             } else {
                 Box::new(Replica::new(cfg, keys, dir.clone(), input))

@@ -5,7 +5,8 @@
 //! crate provides that substrate without external dependencies:
 //!
 //! * [`sha256`] — SHA-256 implemented from scratch, validated against
-//!   FIPS 180-4 / NIST CAVP vectors;
+//!   FIPS 180-4 / NIST CAVP vectors (it lives in `fastbft_types`, beside
+//!   the `Value` whose digest it memoizes, and is re-exported here);
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231 vectors;
 //! * [`session`] — per-connection session MACs (`fastbft-net` frames), so a
 //!   socket peer cannot spoof its `ProcessId` or replay frames;
@@ -34,35 +35,30 @@
 //! assert!(!directory.verify(b"propose y in view 1", &sig));
 //! ```
 
-// `deny`, not `forbid`: the SHA-NI core in `sha256::shani` is the one
-// scoped `#[allow(unsafe_code)]` exception (CPU intrinsics require it);
-// everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hmac;
 mod keys;
 pub mod session;
-pub mod sha256;
 mod sigset;
 
+pub use fastbft_types::sha256;
+/// 32-byte digest type shared by [`sha256`] and [`hmac`].
+pub use fastbft_types::sha256::Digest;
 pub use keys::{KeyDirectory, KeyPair, SecretKey, Signature};
 pub use sigset::SignatureSet;
-
-/// 32-byte digest type shared by [`sha256`] and [`hmac`].
-pub type Digest = [u8; 32];
 
 /// Computes the SHA-256 digest of `data` (convenience wrapper).
 pub fn digest(data: &[u8]) -> Digest {
     sha256::Sha256::digest(data)
 }
 
-/// The canonical (memoized) SHA-256 digest of a consensus value.
+/// The canonical (memoized) SHA-256 digest of a consensus value:
+/// [`fastbft_types::Value::digest`].
 ///
 /// This is THE value-digest function of the protocol: every digest-carried
-/// signed statement embeds it, and SMR command dedup keys on it. Routing
-/// all callers through here keeps [`fastbft_types::Value`]'s memo cache
-/// single-function (the cache stores whatever was computed first).
+/// signed statement embeds it, and SMR command dedup keys on it.
 pub fn value_digest(value: &fastbft_types::Value) -> &Digest {
-    value.digest_with(sha256::Sha256::digest_of)
+    value.digest()
 }

@@ -15,8 +15,8 @@
 //!   (`checkpoint`), what peers say about slots not opened yet (`ahead`),
 //!   dead leaders (`suspicion`);
 //! * [`SmrSimCluster`] — a ready-made simulated cluster ([`harness`]);
-//! * [`SmrAdversary`] — the Byzantine seat: `core`'s move alphabet played
-//!   slot by slot over an honest node ([`byzantine`]);
+//! * [`byzantine_seat`] — `core`'s one Byzantine seat over a node: the
+//!   move alphabet played slot by slot ([`byzantine`]);
 //! * [`SmrClusterHandle`] — the same nodes on the wall-clock thread
 //!   runtime, over channels or authenticated TCP, with live client
 //!   submission and a per-slot applied-event stream ([`runtime`]).
@@ -58,7 +58,7 @@ mod suspicion;
 pub mod tag;
 
 pub use batcher::{AdaptiveBatch, Batching};
-pub use byzantine::SmrAdversary;
+pub use byzantine::byzantine_seat;
 pub use harness::{SmrReport, SmrSimCluster};
 pub use kv::{KvCommand, KvOutput, KvStore};
 pub use machine::{CountingMachine, StateMachine};

@@ -445,12 +445,13 @@ impl<S: StateMachine> SmrNode<S> {
         self.committed_tail.get(&slot).map(Self::decode_batch)
     }
 
-    /// The view `slot`'s instance is in, while this node has one open: how
-    /// the SMR layer's Byzantine seat (`crate::byzantine`) learns that a
-    /// slot entered a view.
-    pub(crate) fn slot_view(&self, slot: u64) -> Option<View> {
-        let instance = self.slots.get(&slot)?.instance.as_ref()?;
-        Some(instance.replica.view())
+    /// The view each open instance is in, by slot: how the Byzantine seat
+    /// (`crate::byzantine`) learns that a slot entered a view.
+    pub(crate) fn instance_views(&self) -> BTreeMap<u64, View> {
+        self.slots
+            .iter()
+            .filter_map(|(slot, s)| Some((*slot, s.instance.as_ref()?.replica.view())))
+            .collect()
     }
 
     /// The slot records that hold a consensus instance.

@@ -17,7 +17,7 @@
 //! leaders early, with the empty batch — run the default depth under paced
 //! client submissions (one per Δ against a 3Δ commit: always overlapping).
 
-use fastbft_core::byzantine::{random_moves, Adversary, Move};
+use fastbft_core::byzantine::{random_moves, Move, Seat};
 use fastbft_core::cluster::SimCluster;
 use fastbft_core::message::{Kind, Message, ProposeMsg, WishMsg};
 use fastbft_core::payload::propose_payload;
@@ -28,7 +28,7 @@ use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{
     Actor, Effects, Network, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
 };
-use fastbft_smr::{CountingMachine, SlotMessage, SmrAdversary, SmrNode, SmrSimCluster};
+use fastbft_smr::{byzantine_seat, CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
 use proptest::prelude::*;
 
@@ -487,7 +487,7 @@ fn byzantine_wishes_and_flapping_leaders_gain_nothing() {
                     1 => Kind::ALL.map(Move::Withhold).to_vec(),
                     _ => Vec::new(),
                 };
-                Box::new(SmrAdversary::new(node, moves).with_noise(u64::from(p.0)))
+                Box::new(byzantine_seat(node, moves).with_noise(u64::from(p.0)))
             } else {
                 Box::new(node)
             }
@@ -598,7 +598,8 @@ proptest! {
             if fuzzers.contains(&p.index()) {
                 let seed = seed ^ u64::from(p.0);
                 let moves = random_moves(&cfg, p, seed);
-                Box::new(Adversary::new(cfg, keys, dir.clone(), input, moves).with_noise(seed))
+                let replica = Replica::new(cfg, keys.clone(), dir.clone(), input);
+                Box::new(Seat::new(replica, keys, moves).with_noise(seed))
             } else {
                 Box::new(StartsWishing {
                     replica: Replica::new(cfg, keys, dir.clone(), input),
@@ -640,7 +641,7 @@ proptest! {
             } else if p.0 == fuzzer {
                 let seed = seed ^ 0xf5;
                 let moves = move |slot| random_moves(&cfg.with_instance(slot), p, seed ^ slot);
-                Box::new(SmrAdversary::new(node, moves).with_noise(seed))
+                Box::new(byzantine_seat(node, moves).with_noise(seed))
             } else {
                 Box::new(node)
             }

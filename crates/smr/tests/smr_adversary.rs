@@ -1,19 +1,20 @@
-//! The SMR layer's Byzantine seat (`fastbft_smr::byzantine`) against the
-//! fast-path / view-change seam, at n = 4 (f = t = 1), in virtual time.
+//! `core`'s one Byzantine seat over SMR nodes (`fastbft_smr::byzantine`)
+//! against the fast-path / view-change seam, in virtual time.
 //!
-//! One seat plays moves from `core`'s alphabet in the slots it picks and
-//! is honest elsewhere. The first test pins the known liveness gap it
-//! reaches deterministically; the second spends a certificate from one
-//! slot in another, which the slot-bound statements refuse.
+//! A seat plays moves from `core`'s alphabet in the slots it picks and is
+//! honest elsewhere. The first test pins the known liveness gap such seats
+//! reach deterministically, at n = 4 and n = 7; the second spends a
+//! certificate from one slot in another at n = 4, which the slot-bound
+//! statements refuse.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fastbft_core::byzantine::Move;
+use fastbft_core::byzantine::{Move, Seat};
 use fastbft_core::message::Kind;
 use fastbft_core::ProgressCert;
 use fastbft_sim::{Network, SimDuration, SimTime};
-use fastbft_smr::{CountingMachine, SmrAdversary, SmrSimCluster, SLOT_WINDOW};
+use fastbft_smr::{byzantine_seat, CountingMachine, SmrNode, SmrSimCluster, SLOT_WINDOW};
 use fastbft_types::wire::to_bytes;
 use fastbft_types::{Config, ProcessId, Value, View};
 
@@ -22,6 +23,8 @@ const P1: ProcessId = ProcessId(1);
 const P2: ProcessId = ProcessId(2);
 const P3: ProcessId = ProcessId(3);
 const P4: ProcessId = ProcessId(4);
+const P6: ProcessId = ProcessId(6);
+const P7: ProcessId = ProcessId(7);
 
 /// What `p`'s flight recorder says of `slot`: the views it entered, and the
 /// path and view it decided on.
@@ -47,72 +50,141 @@ fn batch(commands: &[u64]) -> Value {
 }
 
 /// Known gap: a slot only one correct replica decided (ARCHITECTURE; ROADMAP
-/// item 2). p4 leads view 1 of slot `S` and, in `S` only, splits its
-/// proposal — batch A to p1, p2 and itself, batch B to p3 — acks A to p1
-/// alone, and stays out of the view change into view 2. p1 holds `n − t`
-/// acks for A and decides `S` on the fast path; p2 and p3 are one ack short
-/// and time out, but view 2 needs a third wish, which neither p4 nor the
-/// decided p1 sends. p1 answers their wishes with a `Backfill`, which needs
-/// `f + 1` senders, and p4 sends none for `S`. So p2 and p3 stop at `S`, and
-/// p1 stops `SLOT_WINDOW` slots later, where their windows end. Every seed
-/// does the same.
+/// item 2). The last Byzantine seat leads view 1 of slot `S` and, in `S`
+/// only, splits its proposal: batch A to every seat but the last correct
+/// one, batch B to that one. Every Byzantine seat acks A to p1 alone, so
+/// p1 holds `n − t` acks and decides `S` on the fast path, while the other
+/// A-ackers hold `n − f − 1` shares, one short of a commit certificate's
+/// `⌈(n+f+1)/2⌉`, and time out. p1 answers their wishes with a `Backfill`,
+/// which needs `f + 1` senders, and no Byzantine seat sends one for `S`.
+/// Whether they ever decide `S` is a matter of votes:
 ///
-/// This asserts today's stall: ROADMAP item 2(d)'s fix flips it.
+/// * n = 4 (f = t = 1), p4 sitting out view 2: p4's view-3 wish carries p2
+///   and p3 into views 2, 3, 4, …, but every leader's selection excludes p4
+///   as a proven equivocator (its two signed view-1 proposals) and holds 2
+///   of the `n − f` = 3 votes it needs; the third would be the decided
+///   p1's. p2 and p3 stop at `S`, and p1 `SLOT_WINDOW` slots later, where
+///   their windows end;
+/// * n = 7 (f = 2, t = 1), p6 and p7 sitting out view 2 only: they vote in
+///   view 3, and its leader p2, with p7 excluded, still holds `n − f` = 5
+///   votes, `f + t` = 3 of them for A at view 1 — a progress certificate
+///   for A. Six acks decide it fast and every correct seat converges;
+/// * n = 7, p6 and p7 sitting out every view change of `S`: four correct
+///   wishers are one short of the `2f + 1` that enter view 2. Stalled as at
+///   n = 4.
+///
+/// Every seed does the same. A stalled cluster never goes quiet: the stuck
+/// seats keep wishing and asking for snapshots. The frames of each kind
+/// sent between 1 000Δ and 2 000Δ are pinned for seed 1.
+///
+/// This asserts today's stalls: ROADMAP item 2(d)'s fix flips them.
 #[test]
 fn known_gap_a_slot_only_one_correct_replica_decided() {
-    const S: u64 = 6;
-    let cfg = Config::new(4, 1, 1).unwrap();
-    assert_eq!(cfg.with_instance(S).leader(View::FIRST), P4);
     let (a, b) = (batch(&[1]), batch(&[2]));
-    let moves = move |slot| {
-        if slot != S {
-            return Vec::new();
-        }
-        let split = vec![
-            (P1, a.clone()),
-            (P2, a.clone()),
-            (P3, b.clone()),
-            (P4, a.clone()),
-        ];
-        vec![
-            Move::Equivocate { split },
-            Move::SendToOne {
-                kind: Kind::Ack,
-                view: View::FIRST,
-                to: P1,
-            },
-            Move::SilentInViewChange { view: View(2) },
-        ]
-    };
-    for seed in 1..=4 {
-        let queue: Vec<Value> = (1000..1200).map(Value::from_u64).collect();
-        let mut cluster = SmrSimCluster::new(
-            cfg,
-            seed,
-            CountingMachine::new(),
-            vec![queue; cfg.n()],
-            Network::synchronous(DELTA),
-            |p, node| {
-                let node = node.with_batch_size(1);
-                if p == P4 {
-                    Box::new(SmrAdversary::new(node, moves.clone()))
-                } else {
-                    Box::new(node)
-                }
-            },
-        );
-        cluster.sim_mut().run_until(SimTime(100 * DELTA.0));
-        let fast = ("commit-fast", "p1 decided slot 6 in view 1".to_string());
-        assert_eq!(story(&cluster, P1, S), [fast], "seed {seed}");
-        cluster.sim_mut().run_until(SimTime(2_000 * DELTA.0));
-        assert_eq!(cluster.violations(), [], "seed {seed}");
-        let applied: Vec<u64> = [P1, P2, P3]
-            .iter()
-            .map(|p| cluster.node(*p).applied())
+    let four = Config::new(4, 1, 1).unwrap();
+    let seven = Config::new(7, 2, 1).unwrap();
+    let view_two = vec![Move::SilentInViewChange { view: View(2) }];
+    let every_view = [Kind::Wish, Kind::Vote, Kind::CertRequest, Kind::CertAck].map(Move::Withhold);
+    // (cfg, S, the Byzantine seats, the view changes they sit out, what p1
+    // and the other correct seats applied, the frames sent between 1 000Δ
+    // and 2 000Δ at seed 1)
+    type Case<'a> = (
+        Config,
+        u64,
+        Vec<ProcessId>,
+        Vec<Move>,
+        Vec<u64>,
+        Vec<(&'a str, usize)>,
+    );
+    let cases: [Case; 3] = [
+        (
+            four,
+            6,
+            vec![P4],
+            view_two.clone(),
+            vec![6 + SLOT_WINDOW, 6, 6],
+            vec![
+                ("backfill", 3),
+                ("snap-request", 1125),
+                ("vote", 2),
+                ("wish", 6009),
+            ],
+        ),
+        (seven, 5, vec![P6, P7], view_two, vec![265; 5], vec![]),
+        (
+            seven,
+            5,
+            vec![P6, P7],
+            every_view.to_vec(),
+            vec![5 + SLOT_WINDOW, 5, 5, 5, 5],
+            vec![("backfill", 500), ("snap-request", 4500), ("wish", 15000)],
+        ),
+    ];
+    for (cfg, s, byzantine, sit_out, applied, frames) in cases {
+        let leader = cfg.with_instance(s).leader(View::FIRST);
+        assert_eq!(byzantine.last(), Some(&leader));
+        let correct: Vec<ProcessId> = cfg.processes().filter(|p| !byzantine.contains(p)).collect();
+        let to_b = *correct.last().unwrap();
+        let split: Vec<_> = cfg
+            .processes()
+            .map(|p| (p, if p == to_b { &b } else { &a }.clone()))
             .collect();
-        assert_eq!(applied, [S + SLOT_WINDOW, S, S], "seed {seed}");
-        let batch_a = Some(vec![Value::from_u64(1)]);
-        assert_eq!(cluster.node(P1).decided_batch(S), batch_a, "seed {seed}");
+        let ack_to_p1 = Move::SendToOne {
+            kind: Kind::Ack,
+            view: View::FIRST,
+            to: P1,
+        };
+        let moves: Vec<Move> = [ack_to_p1].into_iter().chain(sit_out).collect();
+        let mut leads = vec![Move::Equivocate { split }];
+        leads.extend(moves.iter().cloned());
+        let in_slot =
+            move |moves: Vec<Move>| move |slot| if slot == s { moves.clone() } else { Vec::new() };
+        for seed in 1..=4 {
+            let queue: Vec<Value> = (1000..1200).map(Value::from_u64).collect();
+            let mut cluster = SmrSimCluster::new(
+                cfg,
+                seed,
+                CountingMachine::new(),
+                vec![queue; cfg.n()],
+                Network::synchronous(DELTA),
+                |p, node| {
+                    let node = node.with_batch_size(1);
+                    if p == leader {
+                        Box::new(byzantine_seat(node, in_slot(leads.clone())))
+                    } else if byzantine.contains(&p) {
+                        Box::new(byzantine_seat(node, in_slot(moves.clone())))
+                    } else {
+                        Box::new(node)
+                    }
+                },
+            );
+            let case = format!("n = {} sitting out {:?}, seed {seed}", cfg.n(), &moves[1..]);
+            cluster.sim_mut().run_until(SimTime(100 * DELTA.0));
+            let fast = ("commit-fast", format!("p1 decided slot {s} in view 1"));
+            assert_eq!(story(&cluster, P1, s), [fast], "{case}");
+            cluster.sim_mut().run_until(SimTime(2_000 * DELTA.0));
+            assert_eq!(cluster.violations(), [], "{case}");
+            let now: Vec<u64> = correct.iter().map(|p| cluster.node(*p).applied()).collect();
+            assert_eq!(now, applied, "{case}");
+            // Whoever got past `S` applied A's command, and B's nowhere.
+            let logs = cluster.logs();
+            for (p, _) in correct.iter().zip(&now).filter(|(_, a)| **a > s) {
+                let log = &logs[p.index()];
+                let has = |c: u64| log.values().any(|v| *v == Value::from_u64(c));
+                assert_eq!((has(1), has(2)), (true, false), "{p}: {case}");
+            }
+            if seed == 1 {
+                let stats = |at: u64| cluster.sim().trace().message_stats(SimTime(at * DELTA.0));
+                let before = stats(1_000).by_kind;
+                let sent: Vec<(&str, usize)> = stats(2_000)
+                    .by_kind
+                    .into_iter()
+                    .map(|(kind, (m, _))| (kind, m - before.get(kind).map_or(0, |b| b.0)))
+                    .filter(|(_, m)| *m > 0)
+                    .collect();
+                assert_eq!(sent, frames, "{case}");
+            }
+        }
     }
 }
 
@@ -178,7 +250,7 @@ fn a_certificate_harvested_in_one_slot_decides_nothing_in_another() {
         |p, node| {
             let node = node.with_batch_size(1).with_pipeline_depth(1);
             if p == P3 {
-                Box::new(SmrAdversary::new(node, moves))
+                Box::new(byzantine_seat(node, moves))
             } else {
                 Box::new(node)
             }
@@ -193,7 +265,7 @@ fn a_certificate_harvested_in_one_slot_decides_nothing_in_another() {
         .sim()
         .actor(P3)
         .as_any()
-        .and_then(|a| a.downcast_ref::<SmrAdversary<CountingMachine>>())
+        .and_then(|a| a.downcast_ref::<Seat<SmrNode<CountingMachine>>>())
         .expect("p3 is the adversary")
         .store()
         .clone();

@@ -6,7 +6,8 @@
 //!
 //! * [`ProcessId`] and [`View`] — newtypes for process identifiers and view
 //!   numbers (the paper's `p_i` and `v`);
-//! * [`Value`] — an opaque consensus value (the paper's `x`);
+//! * [`Value`] — an opaque consensus value (the paper's `x`), and its
+//!   hash, [`sha256`]: the crate that owns `Value` owns its digest;
 //! * [`Config`] — the system parameters `(n, f, t)` together with all quorum
 //!   thresholds used by the protocol and its proofs (`n − f`, `n − t`,
 //!   `⌈(n+f+1)/2⌉`, `f + 1`, `2f + 1`, `f + t`);
@@ -28,11 +29,15 @@
 //! assert_eq!(v, Value::from_u64(42));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the SHA-NI core in `sha256::shani` is the one
+// scoped `#[allow(unsafe_code)]` exception (CPU intrinsics require it);
+// everything else stays unsafe-free.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
 mod id;
+pub mod sha256;
 mod value;
 pub mod wire;
 

@@ -5,7 +5,7 @@
 //! short/long-message cases in the test module.
 //!
 //! ```
-//! use fastbft_crypto::sha256::Sha256;
+//! use fastbft_types::sha256::Sha256;
 //!
 //! let digest = Sha256::digest(b"abc");
 //! assert_eq!(
@@ -17,7 +17,8 @@
 //! # }
 //! ```
 
-use crate::Digest;
+/// A 32-byte SHA-256 digest.
+pub type Digest = [u8; 32];
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes (FIPS 180-4 §4.2.2).

@@ -8,6 +8,7 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
+use crate::sha256::{Digest, Sha256};
 use crate::wire::{Decode, Encode, WireError, WireReader};
 
 /// An opaque consensus value (the paper's `x`).
@@ -17,8 +18,8 @@ use crate::wire::{Decode, Encode, WireError, WireReader};
 /// are cheap reference bumps — important because the all-to-all `ack` phase
 /// clones the proposed value `O(n²)` times per decision.
 ///
-/// A value also carries a lazily computed, memoized 32-byte digest (see
-/// [`Value::digest_with`]) shared by all clones. Every signed statement in
+/// A value also carries a lazily computed, memoized SHA-256 digest (see
+/// [`Value::digest`]) shared by all clones. Every signed statement in
 /// the protocol embeds `H(x)` rather than the value bytes, so the digest is
 /// on the sign/verify hot path; memoizing it means a value's bytes are
 /// hashed at most once per allocation, no matter how many signatures
@@ -36,7 +37,7 @@ use crate::wire::{Decode, Encode, WireError, WireReader};
 pub struct Value {
     bytes: Bytes,
     /// Memoized digest of `bytes`; `Arc` so clones share one computation.
-    digest: Arc<OnceLock<[u8; 32]>>,
+    digest: Arc<OnceLock<Digest>>,
 }
 
 impl Value {
@@ -77,17 +78,12 @@ impl Value {
         self.bytes.is_empty()
     }
 
-    /// The memoized digest of the value bytes, computing it with `compute`
-    /// on first use. Clones share the cache, so across a process each
-    /// allocation is hashed at most once.
-    ///
-    /// Every caller in a process must supply the same hash function (this
-    /// workspace uses SHA-256 via `fastbft_crypto::value_digest`): the
-    /// first computation wins and later calls return it regardless of the
-    /// closure passed. `fastbft_types` stays crypto-free; the hash function
-    /// is injected by the layer that owns it.
-    pub fn digest_with(&self, compute: impl FnOnce(&[u8]) -> [u8; 32]) -> &[u8; 32] {
-        self.digest.get_or_init(|| compute(&self.bytes))
+    /// The SHA-256 digest of the value bytes, memoized: clones share the
+    /// cache, so across a process each allocation is hashed at most once.
+    /// Nothing but this hash can fill the cache, so a value delivered as a
+    /// clone reads the digest of its own bytes whoever sent it.
+    pub fn digest(&self) -> &Digest {
+        self.digest.get_or_init(|| Sha256::digest_of(&self.bytes))
     }
 }
 
@@ -223,25 +219,16 @@ mod tests {
     fn digest_computed_once_and_shared_by_clones() {
         let v = Value::new(vec![3u8; 100]);
         let clone = v.clone();
-        let mut calls = 0;
-        let d1 = *v.digest_with(|b| {
-            calls += 1;
-            let mut d = [0u8; 32];
-            d[0] = b[0];
-            d
-        });
-        // Clones share the memo: the closure must not run again.
-        let d2 = *clone.digest_with(|_| panic!("digest recomputed for a clone"));
-        assert_eq!(calls, 1);
-        assert_eq!(d1, d2);
-        assert_eq!(d1[0], 3);
+        // Clones share the memo: both read the one cell.
+        assert!(std::ptr::eq(v.digest(), clone.digest()));
+        assert_eq!(*v.digest(), Sha256::digest(&[3u8; 100]));
     }
 
     #[test]
     fn digest_cache_does_not_affect_identity() {
         let a = Value::from_u64(7);
         let b = Value::from_u64(7);
-        a.digest_with(|_| [9u8; 32]);
+        a.digest();
         // Only `a` has a cached digest; equality, ordering and hashing must
         // still treat the two as the same value.
         assert_eq!(a, b);
