@@ -125,6 +125,10 @@ metrics! {
     // crypto: what the seat signed.
     Counter signatures_made_total:
         "Signatures made: consensus statements, votes and checkpoint attestations.",
+    // smr: what applying a command costs the queue.
+    Counter pending_compared_total:
+        "Pending-queue entries compared while applying commands: the whole queue on a miss, up \
+        to the match on a hit.",
     Gauge leader_suspected: "Seats this node currently suspects as dead leaders.",
     Gauge stash_depth: "Future-slot messages currently stashed (bounded).",
     Gauge writer_queue_depth_peak: "High-water mark of any per-peer writer queue, in messages.",

@@ -2,7 +2,7 @@
 //! every exported instrument holding a value of its own, pinned byte for
 //! byte.
 //!
-//! Each counter reads its position in the exposition (1–33 at p1, 101–133
+//! Each counter reads its position in the exposition (1–34 at p1, 101–134
 //! at p2), each gauge 41–45 (141–145), and each histogram holds four
 //! samples scaled by its position, so a family rendered out of order, under
 //! another's name, from another seat or not at all changes a line below.
@@ -49,6 +49,7 @@ fn fill(m: &Metrics, base: u64) {
         &m.send_drop_total,
         &m.slot_empty_total,
         &m.signatures_made_total,
+        &m.pending_compared_total,
     ];
     for (k, counter) in (1..).zip(counters) {
         counter.add(base + k);
@@ -234,6 +235,10 @@ fastbft_slot_empty_total{replica="p2"} 132
 # TYPE fastbft_signatures_made_total counter
 fastbft_signatures_made_total{replica="p1"} 33
 fastbft_signatures_made_total{replica="p2"} 133
+# HELP fastbft_pending_compared_total Pending-queue entries compared while applying commands: the whole queue on a miss, up to the match on a hit.
+# TYPE fastbft_pending_compared_total counter
+fastbft_pending_compared_total{replica="p1"} 34
+fastbft_pending_compared_total{replica="p2"} 134
 # HELP fastbft_leader_suspected Seats this node currently suspects as dead leaders.
 # TYPE fastbft_leader_suspected gauge
 fastbft_leader_suspected{replica="p1"} 41
@@ -318,7 +323,7 @@ const JSON: &str = concat!(
     r#""fault_delay_injected_total":25,"fault_drop_injected_total":26,"#,
     r#""fault_partition_drop_total":27,"ingress_shed_bytes_total":28,"#,
     r#""bytes_out_total":29,"bytes_in_total":30,"send_drop_total":31,"#,
-    r#""slot_empty_total":32,"signatures_made_total":33},"#,
+    r#""slot_empty_total":32,"signatures_made_total":33,"pending_compared_total":34},"#,
     r#""gauges":{"leader_suspected":41,"stash_depth":42,"writer_queue_depth_peak":43,"#,
     r#""peer_links_down":44,"fault_links_shaped":45},"histograms":{"batch_size":{"count":4,"#,
     r#""sum":6543,"max":6000,"p50":41,"p99":6143,"p999":6143},"commit_latency_fast_us":{"count":4,"#,
@@ -338,7 +343,8 @@ const JSON: &str = concat!(
     r#""send_drop_unreachable_total":124,"fault_delay_injected_total":125,"#,
     r#""fault_drop_injected_total":126,"fault_partition_drop_total":127,"#,
     r#""ingress_shed_bytes_total":128,"bytes_out_total":129,"bytes_in_total":130,"#,
-    r#""send_drop_total":131,"slot_empty_total":132,"signatures_made_total":133},"#,
+    r#""send_drop_total":131,"slot_empty_total":132,"signatures_made_total":133,"#,
+    r#""pending_compared_total":134},"#,
     r#""gauges":{"leader_suspected":141,"stash_depth":142,"#,
     r#""writer_queue_depth_peak":143,"peer_links_down":144,"fault_links_shaped":145},"#,
     r#""histograms":{"batch_size":{"count":4,"sum":6943,"max":6100,"#,

@@ -427,6 +427,15 @@ impl<M: SimMessage> Simulation<M> {
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
+
+    /// Client submissions scheduled and not handed over yet.
+    pub fn submissions_pending(&self) -> usize {
+        let clients = self
+            .queue
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Client(_)));
+        clients.count()
+    }
 }
 
 #[cfg(test)]

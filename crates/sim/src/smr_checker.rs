@@ -12,6 +12,11 @@
 //! installed, or applied before it restarted) are vacuously consistent;
 //! the install verified them.
 //!
+//! One row is checked only where the caller says the run has settled
+//! ([`SmrChecker::settled`]): liveness, which no prefix of a run can
+//! violate. The checker sees commands, not slots, and an empty slot logs
+//! nothing, so it compares the seats' logs, not their applied slots.
+//!
 //! [`Simulation::drain_applied`]: crate::Simulation::drain_applied
 
 use std::collections::BTreeMap;
@@ -41,6 +46,16 @@ pub enum SmrViolation {
         /// The index it was first applied at, then the repeat.
         indexes: [u64; 2],
     },
+    /// In a settled run, a command some seats named correct applied and
+    /// the others did not.
+    NotEverywhere {
+        /// The lowest such log index.
+        index: u64,
+        /// The seats that applied it (or a later index).
+        applied: Vec<ProcessId>,
+        /// The seats that did not.
+        missing: Vec<ProcessId>,
+    },
     /// Two seats that applied the same number of slots hold different
     /// states.
     StatesDiffer {
@@ -66,6 +81,18 @@ impl fmt::Display for SmrViolation {
                 command,
                 indexes: [i, j],
             } => write!(f, "{process} applied {command} at log indexes {i} and {j}"),
+            SmrViolation::NotEverywhere {
+                index,
+                applied,
+                missing,
+            } => {
+                let seats = |ps: &[ProcessId]| {
+                    let names: Vec<String> = ps.iter().map(ToString::to_string).collect();
+                    names.join(", ")
+                };
+                let (yes, no) = (seats(applied), seats(missing));
+                write!(f, "log index {index}: applied by {yes} but not by {no}")
+            }
             SmrViolation::StatesDiffer { applied, a, b } => {
                 let (p, x, q, y) = (a.0, short(&a.1), b.0, short(&b.1));
                 write!(
@@ -146,6 +173,26 @@ impl SmrChecker {
         }
     }
 
+    /// The liveness row, for a run the caller says has settled (no client
+    /// command for long enough that every correct seat should have caught
+    /// up): among the seats in `correct`, every command one of them applied
+    /// has been applied by all of them. A seat that reported a later index
+    /// counts as having applied every index below it (a snapshot install
+    /// leaves its log sparse, and verified the gap). The lowest index some
+    /// seat lacks, if any seat applied it.
+    pub fn settled(&self, correct: &[ProcessId]) -> Option<SmrViolation> {
+        let top = |p: &ProcessId| self.logs[p.index()].last_key_value().map(|(i, _)| *i);
+        let index = correct.iter().map(|p| top(p).map_or(0, |i| i + 1)).min()?;
+        let (applied, missing): (Vec<ProcessId>, Vec<ProcessId>) = correct
+            .iter()
+            .partition(|p| top(p).is_some_and(|i| i >= index));
+        (!applied.is_empty()).then_some(SmrViolation::NotEverywhere {
+            index,
+            applied,
+            missing,
+        })
+    }
+
     /// Every seat's log so far, by seat index, keyed by log index.
     pub fn logs(&self) -> &[BTreeMap<u64, Value>] {
         &self.logs
@@ -168,8 +215,10 @@ mod tests {
 
     /// Each property on a hand-made run of three seats. A row is `case |
     /// feed | what the checker finds`; the feed runs in order, `p1:4=7` is
-    /// p1 applying command 7 at log index 4 and `p1/5=ab` is p1 holding a
-    /// state with digest `[0xab; 32]` after 5 slots.
+    /// p1 applying command 7 at log index 4, `p1/5=ab` is p1 holding a
+    /// state with digest `[0xab; 32]` after 5 slots, and `settled=13` is
+    /// the caller saying the run has settled with p1 and p3 correct (the
+    /// liveness row, which nothing else checks).
     #[test]
     fn the_checker_flags_what_it_names() {
         let rows = [
@@ -187,6 +236,24 @@ mod tests {
             "unequal digests at unequal applied | p1/5=ab p2/6=01 | ",
             "an unequal digest re-reported | p1/5=ab p3/5=01 p3/5=01 | \
              after 5 slots p1 holds abababab… but p3 holds 01010101…",
+            "settled, every seat at one index | p1:0=7 p1:1=8 p2:0=7 p2:1=8 p3:0=7 p3:1=8 \
+             settled=123 | ",
+            "settled, two seats behind | p1:0=7 p1:1=8 p1:2=9 p2:0=7 p3:0=7 settled=123 | \
+             log index 1: applied by p1 but not by p2, p3",
+            "settled, one seat behind | p3:0=7 p3:1=8 p1:0=7 p1:1=8 p2:0=7 settled=123 | \
+             log index 1: applied by p1, p3 but not by p2",
+            "settled, a seat that applied nothing | p1:0=7 settled=12 | \
+             log index 0: applied by p1 but not by p2",
+            "settled, nothing applied anywhere | settled=123 | ",
+            "settled, a seat behind left out | p1:0=7 p1:1=8 p2:0=7 p3:0=7 p3:1=8 settled=13 | ",
+            "settled, below a seat's highest index is covered | p1:0=7 p1:1=8 p1:2=9 p2:2=9 \
+             settled=12 | ",
+            "settled twice, caught up in between | p1:0=7 p1:1=8 p2:0=7 settled=12 p2:1=8 \
+             settled=12 | log index 1: applied by p1 but not by p2",
+            "a seat behind, not settled | p1:0=7 p1:1=8 p2:0=7 | ",
+            "settled, beside a divergence | p1:0=7 p2:0=8 p2:1=9 settled=12 | \
+             log index 0: p1 applied Value(7) but p2 applied Value(8); \
+             log index 1: applied by p2 but not by p1",
         ];
         for row in rows {
             let cols: Vec<&str> = row.split(" | ").collect();
@@ -194,7 +261,16 @@ mod tests {
                 panic!("{row}: not `case | feed | found`")
             };
             let mut checker = SmrChecker::new(3);
+            let mut found_settled = Vec::new();
             for event in feed.split_whitespace() {
+                if let Some(seats) = event.strip_prefix("settled=") {
+                    let seats: Vec<ProcessId> = seats
+                        .chars()
+                        .map(|c| ProcessId(c as u32 - '0' as u32))
+                        .collect();
+                    found_settled.extend(checker.settled(&seats));
+                    continue;
+                }
                 let (p, rest) = event[1..].split_once([':', '/']).expect(event);
                 let (at, what) = rest.split_once('=').expect(event);
                 let (p, at) = (ProcessId(p.parse().unwrap()), at.parse().unwrap());
@@ -204,8 +280,8 @@ mod tests {
                     checker.observe_state(p, at, [u8::from_str_radix(what, 16).unwrap(); 32]);
                 }
             }
-            let violations: Vec<String> =
-                checker.violations().iter().map(|v| v.to_string()).collect();
+            let violations = checker.violations().iter().chain(&found_settled);
+            let violations: Vec<String> = violations.map(|v| v.to_string()).collect();
             assert_eq!(violations.join("; "), found, "{case}");
         }
     }

@@ -1,6 +1,7 @@
 //! Simulated SMR clusters: wiring, execution, and one [`SmrChecker`] fed
 //! every applied event of the run, checked at every return of
-//! [`SmrSimCluster::run_until`].
+//! [`SmrSimCluster::run_until`] — and for liveness only where a test says
+//! the run has settled ([`SmrSimCluster::settle`]).
 //!
 //! The logs it keeps hold commands only, one per index: a slot with nothing
 //! to commit decides the empty batch and adds nothing, so a log index is a
@@ -204,6 +205,30 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
             }
         }
         self.checker.violations()
+    }
+
+    /// Says the run has settled — the one way to check the checker's
+    /// liveness row ([`SmrChecker::settled`]): runs `bound` Δ further with
+    /// no client command handed to any seat, then returns the lowest log
+    /// index some node seat applied and another did not, if there is one.
+    /// A seat that holds no node (silent, Byzantine) is left out, as it is
+    /// from [`logs`](Self::logs). Neither [`run_until`](Self::run_until)
+    /// nor [`violations`](Self::violations) checks the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a client submission is still scheduled.
+    pub fn settle(&mut self, bound: u64) -> Option<SmrViolation> {
+        let scheduled = self.sim.submissions_pending();
+        assert_eq!(
+            scheduled, 0,
+            "a run with client commands ahead has not settled"
+        );
+        let until = SimTime(self.sim.now().0 + bound * self.sim.delta().0);
+        self.sim.run_until(until);
+        self.feed();
+        let correct: Vec<ProcessId> = self.nodes().map(|(p, _)| p).collect();
+        self.checker.settled(&correct)
     }
 
     /// The counters for the current state, over the node seats.

@@ -535,10 +535,14 @@ impl<S: StateMachine> SmrNode<S> {
             self.opts.metrics.dedup_dropped_total.inc();
             return; // already executed in an earlier slot
         }
-        if let Some(pos) = self.pending.iter().position(|p| *p == cmd) {
-            if let Some(removed) = self.pending.remove(pos) {
-                self.pending_bytes -= removed.as_bytes().len();
-            }
+        let found = self.pending.iter().position(|p| *p == cmd);
+        let compared = found.map_or(self.pending.len(), |pos| pos + 1);
+        self.opts
+            .metrics
+            .pending_compared_total
+            .add(compared as u64);
+        if let Some(removed) = found.and_then(|pos| self.pending.remove(pos)) {
+            self.pending_bytes -= removed.as_bytes().len();
         }
         self.machine.apply(&cmd);
         fx.record_applied(self.log_len, &cmd);

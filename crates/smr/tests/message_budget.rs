@@ -274,7 +274,7 @@ enum Column {
 
 /// The ledger's columns, by label, in row order.
 #[rustfmt::skip]
-const COLUMNS: [(&str, Column); 21] = [
+const COLUMNS: [(&str, Column); 22] = [
     ("slots", Column::Node(SmrNode::applied)),
     ("parked", Column::Node(|node| node.open_slots() as u64)),
     ("empty", Column::Each(counter!(slot_empty_total))),
@@ -299,6 +299,7 @@ const COLUMNS: [(&str, Column); 21] = [
     ("backfilled", Column::Sum(&[counter!(backfill_slots_total)])),
     ("shed", Column::Sum(&[counter!(ingress_shed_total)])),
     ("signed", Column::Sum(&[counter!(signatures_made_total)])),
+    ("compared", Column::Sum(&[counter!(pending_compared_total)])),
 ];
 
 /// A ledger row: one cell per column of [`COLUMNS`].
@@ -387,14 +388,14 @@ fn the_work_ledger() {
     let (four, seven) = (Config::new(4, 1, 1).unwrap(), Config::new(7, 2, 1).unwrap());
     #[rustfmt::skip]
     let rows: [(Config, &[u32], Load, Row); 7] = [
-        //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed  signed
-        (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12]),
-        (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96]),
-        (four,  &[],     Open(1_000), [  587,     0,     2,  1_856,   3_248, 11_882,    845_708,   2_348,  9_392,      0,       36,  2_396,    599,      0, 2_348,     0,     0,       0,          0,    0, 603]),
-        (seven, &[],     Open(1_000), [  573,     0,     3,  3_067,   6_524, 60_463, 10_372_088,   4_011, 28_077, 28_077,       42, 70_679, 10_097,  8_036, 4_011,     0,     0,       0,          0,    0, 4_612]),
-        (four,  &[4],    Open(1_000), [  465,     2,   110,    863,   1_737,  9_396,    713_298,   1_868,  5_604,      0,        0,  3_307,  1_063,    354, 1_401,     0,   354,       0,          0,    0, 1_184]),
-        (seven, &[7],    Open(1_000), [  529,     2,    76,  2_080,   4_830, 52_619,  8_562_926,   3_717, 22_302, 22_302,       65, 63_943, 10_593,  7_950, 3_186,     0,   462,       0,          0,    0, 4_665]),
-        (seven, &[6, 7], Open(1_000), [  465,     4,   127,  1_354,   3_625, 42_171,  6_699_166,   3_283, 16_415, 16_415,        0, 78_603, 15_639, 12_405,     0, 2_345,   695,       0,          0,    0, 4_204]),
+        //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed  signed  compared
+        (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12, 264]),
+        (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96, 462]),
+        (four,  &[],     Open(1_000), [  587,     0,     2,  1_856,   3_248, 11_882,    845_708,   2_348,  9_392,      0,       36,  2_396,    599,      0, 2_348,     0,     0,       0,          0,    0, 603, 7_219]),
+        (seven, &[],     Open(1_000), [  573,     0,     3,  3_067,   6_524, 60_463, 10_372_088,   4_011, 28_077, 28_077,       42, 70_679, 10_097,  8_036, 4_011,     0,     0,       0,          0,    0, 4_612, 12_526]),
+        (four,  &[4],    Open(1_000), [  465,     2,   110,    863,   1_737,  9_396,    713_298,   1_868,  5_604,      0,        0,  3_307,  1_063,    354, 1_401,     0,   354,       0,          0,    0, 1_184, 10_737]),
+        (seven, &[7],    Open(1_000), [  529,     2,    76,  2_080,   4_830, 52_619,  8_562_926,   3_717, 22_302, 22_302,       65, 63_943, 10_593,  7_950, 3_186,     0,   462,       0,          0,    0, 4_665, 18_670]),
+        (seven, &[6, 7], Open(1_000), [  465,     4,   127,  1_354,   3_625, 42_171,  6_699_166,   3_283, 16_415, 16_415,        0, 78_603, 15_639, 12_405,     0, 2_345,   695,       0,          0,    0, 4_204, 16_237]),
     ];
     for (cfg, silent, load, row) in rows {
         let silent: Vec<ProcessId> = silent.iter().copied().map(ProcessId).collect();

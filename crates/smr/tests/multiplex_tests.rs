@@ -219,7 +219,9 @@ fn slot_messages_roundtrip_on_the_wire() {
 
 /// A Byzantine peer spraying messages for arbitrarily distant slots must
 /// not grow the stash without bound (pre-fix, every sprayed message was
-/// buffered forever).
+/// buffered forever). Each frame still feeds the recovery trigger: one
+/// peer ahead asks nothing, and once f + 1 = 2 distinct peers have sent a
+/// frame beyond the window the node asks every other seat for state, once.
 #[test]
 fn stash_is_bounded_against_slot_spray() {
     let cfg = Config::new(4, 1, 1).unwrap();
@@ -253,6 +255,15 @@ fn stash_is_bounded_against_slot_spray() {
     // the nearest slots are what unblocks a lagging pipeline.
     node.on_message(ProcessId(2), spray(70), &mut fx);
     assert!(node.stashed_messages() <= 4096);
+    let requests = |fx: &Effects<SlotMessage>| -> Vec<ProcessId> {
+        let sent = fx.sent().into_iter();
+        let asks = sent.filter(|(_, msg)| matches!(msg, SlotMessage::SnapshotRequest { .. }));
+        asks.map(|(to, _)| to).collect()
+    };
+    assert_eq!(requests(&fx), [], "one peer ahead may be Byzantine fiction");
+    node.on_message(ProcessId(3), spray(70), &mut fx);
+    node.on_message(ProcessId(4), spray(71), &mut fx);
+    assert_eq!(requests(&fx), [ProcessId(2), ProcessId(3), ProcessId(4)]);
 }
 
 /// A fresh allocation per frame, as a TCP decode produces, every value

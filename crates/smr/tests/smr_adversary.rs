@@ -75,7 +75,10 @@ fn batch(commands: &[u64]) -> Value {
 ///
 /// Every seed does the same. A stalled cluster never goes quiet: the stuck
 /// seats keep wishing and asking for snapshots. The frames of each kind
-/// sent between 1 000Δ and 2 000Δ are pinned for seed 1.
+/// sent between 1 000Δ and 2 000Δ are pinned for seed 1. The run settles
+/// at 2 000Δ (its commands were all queued at the start), and the SMR
+/// checker's liveness row names the first command p1 applied and the
+/// others did not; it finds nothing where the cluster converged.
 ///
 /// This asserts today's stalls: ROADMAP item 2(d)'s fix flips them.
 #[test]
@@ -86,14 +89,15 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
     let view_two = vec![Move::SilentInViewChange { view: View(2) }];
     let every_view = [Kind::Wish, Kind::Vote, Kind::CertRequest, Kind::CertAck].map(Move::Withhold);
     // (cfg, S, the Byzantine seats, the view changes they sit out, what p1
-    // and the other correct seats applied, the frames sent between 1 000Δ
-    // and 2 000Δ at seed 1)
+    // and the other correct seats applied, what the liveness row finds at
+    // 2 000Δ, the frames sent between 1 000Δ and 2 000Δ at seed 1)
     type Case<'a> = (
         Config,
         u64,
         Vec<ProcessId>,
         Vec<Move>,
         Vec<u64>,
+        Option<&'a str>,
         Vec<(&'a str, usize)>,
     );
     let cases: [Case; 3] = [
@@ -103,6 +107,7 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
             vec![P4],
             view_two.clone(),
             vec![6 + SLOT_WINDOW, 6, 6],
+            Some("log index 6: applied by p1 but not by p2, p3"),
             vec![
                 ("backfill", 3),
                 ("snap-request", 1125),
@@ -110,17 +115,18 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
                 ("wish", 6009),
             ],
         ),
-        (seven, 5, vec![P6, P7], view_two, vec![265; 5], vec![]),
+        (seven, 5, vec![P6, P7], view_two, vec![265; 5], None, vec![]),
         (
             seven,
             5,
             vec![P6, P7],
             every_view.to_vec(),
             vec![5 + SLOT_WINDOW, 5, 5, 5, 5],
+            Some("log index 5: applied by p1 but not by p2, p3, p4, p5"),
             vec![("backfill", 500), ("snap-request", 4500), ("wish", 15000)],
         ),
     ];
-    for (cfg, s, byzantine, sit_out, applied, frames) in cases {
+    for (cfg, s, byzantine, sit_out, applied, behind, frames) in cases {
         let leader = cfg.with_instance(s).leader(View::FIRST);
         assert_eq!(byzantine.last(), Some(&leader));
         let correct: Vec<ProcessId> = cfg.processes().filter(|p| !byzantine.contains(p)).collect();
@@ -162,7 +168,8 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
             cluster.sim_mut().run_until(SimTime(100 * DELTA.0));
             let fast = ("commit-fast", format!("p1 decided slot {s} in view 1"));
             assert_eq!(story(&cluster, P1, s), [fast], "{case}");
-            cluster.sim_mut().run_until(SimTime(2_000 * DELTA.0));
+            let lagging = cluster.settle(1_900).map(|v| v.to_string());
+            assert_eq!(lagging.as_deref(), behind, "{case}");
             assert_eq!(cluster.violations(), [], "{case}");
             let now: Vec<u64> = correct.iter().map(|p| cluster.node(*p).applied()).collect();
             assert_eq!(now, applied, "{case}");
