@@ -2,8 +2,9 @@
 //!
 //! `the_work_ledger` is one literal table: a row per (configuration, seats
 //! silenced, load), a column per count, every cell read from the nodes,
-//! the registry's `Metrics` or the trace. To add a row or a column, add it
-//! with zeros and paste what the failing assertion prints.
+//! the registry's `Metrics`, the trace or the applied events as the run
+//! stepped. To add a row or a column, add it with zeros and paste what the
+//! failing assertion prints.
 //!
 //! A node answers consensus traffic for a slot it has settled with the
 //! committed value, so a replica that missed the slot can close the hole.
@@ -15,6 +16,8 @@
 //!
 //! Everything runs on the deterministic simulator: one message delay is
 //! exactly Δ, and the view-1 timeout is the default 8Δ.
+
+use std::collections::BTreeMap;
 
 use fastbft_core::message::{AckMsg, CommitMsg, Message, ProposeMsg, WishMsg};
 use fastbft_core::{CommitCert, ProgressCert};
@@ -36,6 +39,11 @@ type Cluster = SmrSimCluster<CountingMachine>;
 /// The `i`-th client command.
 fn command(i: u64) -> Value {
     Value::from_u64(1000 + i)
+}
+
+/// The `i` of [`command`]`(i)`.
+fn index(cmd: &Value) -> u64 {
+    cmd.as_u64().expect("a command") - 1000
 }
 
 /// Honest nodes on every seat, each holding the same `queued` commands (the
@@ -211,7 +219,7 @@ impl Rng {
     }
 }
 
-/// One open-loop run to the end of its events: nodes as shipped but for
+/// One open-loop cluster, loaded and not yet run: nodes as shipped but for
 /// the `silent` seats, every seat hearing of each of `commands` commands,
 /// one every Δ/5, at its own time — jittered in [0, Δ] per seat — as
 /// clients that broadcast to every replica are heard.
@@ -234,16 +242,43 @@ fn open_loop(cfg: Config, silent: &[ProcessId], commands: u64) -> Cluster {
             cluster.sim_mut().submit_client(p, command(i), at);
         }
     }
-    while cluster.sim_mut().step() {}
     cluster
+}
+
+/// Steps `cluster` to the end of its events and returns, sorted, every
+/// command's delay in ticks: from the time `due` gives for its index to
+/// its `(f + 1)`-th apply, when a client that waits for `f + 1` matching
+/// replies has its answer.
+fn delays(cluster: &mut Cluster, f: usize, due: impl Fn(u64) -> SimTime) -> Vec<u64> {
+    let mut next = vec![0u64; cluster.sim().n()];
+    let mut applies: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut delays = Vec::new();
+    while cluster.sim_mut().step() {
+        let now = cluster.sim().now();
+        for (log, next) in cluster.logs().iter().zip(&mut next) {
+            for (log_index, cmd) in log.range(*next..) {
+                *next = log_index + 1;
+                let i = index(cmd);
+                let seats = applies.entry(i).or_default();
+                *seats += 1;
+                if *seats == f + 1 {
+                    delays.push(now.since(due(i)).0);
+                }
+            }
+        }
+    }
+    delays.sort_unstable();
+    delays
 }
 
 /// What a ledger row loads the cluster with.
 #[derive(Clone, Copy, Debug)]
 enum Load {
-    /// [`settled`]: this many commands queued at every seat, one a slot.
+    /// This many commands queued at every seat from the start, one a slot
+    /// at depth 1, as [`settled`] runs them; every one due at 0.
     Queued(u64),
-    /// [`open_loop`]: this many commands, one every Δ/5.
+    /// [`open_loop`]: this many commands, one every Δ/5, command `i` due
+    /// at `i·Δ/5`.
     Open(u64),
 }
 
@@ -270,11 +305,13 @@ enum Column {
     Sent(Option<&'static str>),
     /// Encoded bytes sent.
     Bytes,
+    /// This percentile of the commands' [`delays`].
+    Delays(usize),
 }
 
 /// The ledger's columns, by label, in row order.
 #[rustfmt::skip]
-const COLUMNS: [(&str, Column); 22] = [
+const COLUMNS: [(&str, Column); 24] = [
     ("slots", Column::Node(SmrNode::applied)),
     ("parked", Column::Node(|node| node.open_slots() as u64)),
     ("empty", Column::Each(counter!(slot_empty_total))),
@@ -300,6 +337,8 @@ const COLUMNS: [(&str, Column); 22] = [
     ("shed", Column::Sum(&[counter!(ingress_shed_total)])),
     ("signed", Column::Sum(&[counter!(signatures_made_total)])),
     ("compared", Column::Sum(&[counter!(pending_compared_total)])),
+    ("delays_p50", Column::Delays(50)),
+    ("delays_p90", Column::Delays(90)),
 ];
 
 /// A ledger row: one cell per column of [`COLUMNS`].
@@ -317,9 +356,11 @@ impl Column {
 }
 
 /// A run's row, once every live seat is checked to have applied all
-/// `commands` with no checker violation and no instance still running.
-fn ledger(cluster: &mut Cluster, silent: &[ProcessId], commands: u64) -> Row {
+/// `commands` with no checker violation and no instance still running;
+/// `delays` is what [`delays`] returned for it.
+fn ledger(cluster: &mut Cluster, silent: &[ProcessId], commands: u64, delays: &[u64]) -> Row {
     assert_eq!(cluster.violations(), []);
+    assert_eq!(delays.len() as u64, commands);
     let registry = cluster.registry();
     let seats = registry.len();
     let live: Vec<ProcessId> = ProcessId::all(seats)
@@ -344,6 +385,7 @@ fn ledger(cluster: &mut Cluster, silent: &[ProcessId], commands: u64) -> Row {
         Column::Sent(None) => stats.messages as u64,
         Column::Sent(Some(kind)) => stats.by_kind.get(kind).map_or(0, |(msgs, _)| *msgs) as u64,
         Column::Bytes => stats.bytes as u64,
+        Column::Delays(q) => delays[delays.len() * q / 100],
     })
 }
 
@@ -382,28 +424,42 @@ fn exported(registry: &MetricsRegistry) {
 /// seat ends holding the dead-led slots it revoked ahead, decided empty and
 /// parked behind the next live-led slot: nothing is pending, so no seat
 /// opens that one. With `f` seats silent every commit is slow.
+///
+/// `delays_p50` and `delays_p90` are [`delays`]' percentiles, in ticks.
+/// Queued, command `s` rides slot `s` alone and lands `(s + 1)` fast paths
+/// after 0, so the cells read the backlog's wait in 2Δ steps. In the open
+/// loop they read what batching and reordered arrivals add to the 2Δ or
+/// 3Δ of a commit.
 #[test]
 fn the_work_ledger() {
     use Load::{Open, Queued};
     let (four, seven) = (Config::new(4, 1, 1).unwrap(), Config::new(7, 2, 1).unwrap());
     #[rustfmt::skip]
     let rows: [(Config, &[u32], Load, Row); 7] = [
-        //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed  signed  compared
-        (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12, 264]),
-        (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96, 462]),
-        (four,  &[],     Open(1_000), [  587,     0,     2,  1_856,   3_248, 11_882,    845_708,   2_348,  9_392,      0,       36,  2_396,    599,      0, 2_348,     0,     0,       0,          0,    0, 603, 7_219]),
-        (seven, &[],     Open(1_000), [  573,     0,     3,  3_067,   6_524, 60_463, 10_372_088,   4_011, 28_077, 28_077,       42, 70_679, 10_097,  8_036, 4_011,     0,     0,       0,          0,    0, 4_612, 12_526]),
-        (four,  &[4],    Open(1_000), [  465,     2,   110,    863,   1_737,  9_396,    713_298,   1_868,  5_604,      0,        0,  3_307,  1_063,    354, 1_401,     0,   354,       0,          0,    0, 1_184, 10_737]),
-        (seven, &[7],    Open(1_000), [  529,     2,    76,  2_080,   4_830, 52_619,  8_562_926,   3_717, 22_302, 22_302,       65, 63_943, 10_593,  7_950, 3_186,     0,   462,       0,          0,    0, 4_665, 18_670]),
-        (seven, &[6, 7], Open(1_000), [  465,     4,   127,  1_354,   3_625, 42_171,  6_699_166,   3_283, 16_415, 16_415,        0, 78_603, 15_639, 12_405,     0, 2_345,   695,       0,          0,    0, 4_204, 16_237]),
+        //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed  signed  compared  delays_p50  delays_p90
+        (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12, 264,      1_400,      2_200]),
+        (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96, 462,      1_400,      2_200]),
+        (four,  &[],     Open(1_000), [  587,     0,     2,  1_856,   3_248, 11_882,    845_708,   2_348,  9_392,      0,       36,  2_396,    599,      0, 2_348,     0,     0,       0,          0,    0, 603, 7_219,        302,        458]),
+        (seven, &[],     Open(1_000), [  573,     0,     3,  3_067,   6_524, 60_463, 10_372_088,   4_011, 28_077, 28_077,       42, 70_679, 10_097,  8_036, 4_011,     0,     0,       0,          0,    0, 4_612, 12_526,        305,        518]),
+        (four,  &[4],    Open(1_000), [  465,     2,   110,    863,   1_737,  9_396,    713_298,   1_868,  5_604,      0,        0,  3_307,  1_063,    354, 1_401,     0,   354,       0,          0,    0, 1_184, 10_737,        431,        867]),
+        (seven, &[7],    Open(1_000), [  529,     2,    76,  2_080,   4_830, 52_619,  8_562_926,   3_717, 22_302, 22_302,       65, 63_943, 10_593,  7_950, 3_186,     0,   462,       0,          0,    0, 4_665, 18_670,        334,        821]),
+        (seven, &[6, 7], Open(1_000), [  465,     4,   127,  1_354,   3_625, 42_171,  6_699_166,   3_283, 16_415, 16_415,        0, 78_603, 15_639, 12_405,     0, 2_345,   695,       0,          0,    0, 4_204, 16_237,        447,        902]),
     ];
     for (cfg, silent, load, row) in rows {
         let silent: Vec<ProcessId> = silent.iter().copied().map(ProcessId).collect();
-        let (mut cluster, commands) = match load {
-            Queued(slots) => (settled(cfg, slots), slots),
-            Open(commands) => (open_loop(cfg, &silent, commands), commands),
+        let (mut cluster, commands, delays) = match load {
+            Queued(slots) => {
+                let mut cluster = cluster(cfg, 5, Network::synchronous(DELTA), slots, Some(1));
+                let delays = delays(&mut cluster, cfg.f(), |_| SimTime::ZERO);
+                (cluster, slots, delays)
+            }
+            Open(commands) => {
+                let mut cluster = open_loop(cfg, &silent, commands);
+                let delays = delays(&mut cluster, cfg.f(), |i| SimTime(i * DELTA.0 / 5));
+                (cluster, commands, delays)
+            }
         };
-        let read = ledger(&mut cluster, &silent, commands);
+        let read = ledger(&mut cluster, &silent, commands, &delays);
         let named: Vec<_> = COLUMNS.iter().map(|(label, _)| *label).zip(read).collect();
         assert_eq!(read, row, "{cfg:?}, {silent:?} silent, {load:?}: {named:?}");
         exported(cluster.registry());
