@@ -1,15 +1,16 @@
 //! The proposal batcher: how many queued commands the next slot takes.
 //!
 //! One policy. The number of commands drained into a proposal is a
-//! feedback-tuned *target*, not a constant: it starts at 1, doubles while
-//! a drain leaves a backlog behind, halves when drains run far under it or
-//! commit latency climbs well above its observed floor, and stays within
-//! the caps of [`AdaptiveBatch`]. A batch held below target while the
-//! pipeline is busy ships the moment the node is quiescent or the
-//! flush-age backstop fires — a lone command on an idle cluster never
-//! waits. With a command cap of 1 ([`SmrNode::with_batch_size`]`(1)`) the
-//! target cannot leave 1, nothing is ever held and no backstop is armed:
-//! one command per slot, the degenerate setting of the same path.
+//! feedback-tuned *target*, not a constant: it starts at 1, doubles when
+//! a drain leaves a backlog behind, halves when a drain empties the queue
+//! — at most once per smoothed commit latency since the last backlog or
+//! halving — and stays within the caps of [`AdaptiveBatch`]. A batch held
+//! below target while the pipeline is busy ships the moment the node is
+//! quiescent or the flush-age backstop fires — a lone command on an idle
+//! cluster never waits. With a command cap of 1
+//! ([`SmrNode::with_batch_size`]`(1)`) the target cannot leave 1, nothing
+//! is ever held and no backstop is armed: one command per slot, the
+//! degenerate setting of the same path.
 //!
 //! `Batcher::plan` is pure; four transitions write the state, each
 //! called by [`SmrNode`] at the moment the thing happened. Whether the
@@ -17,21 +18,16 @@
 //! business and reaches the batcher as one `bool`. Time is the actor's own
 //! clock — the `now` of the [`Effects`](fastbft_sim::Effects) a callback
 //! was handed — so a virtual-time run takes the decisions its schedule
-//! implies however fast the host steps it, and sees the congestion guard
-//! act exactly as the threaded runtime does.
+//! implies however fast the host steps it, and halves the target exactly
+//! as the threaded runtime does.
 //!
 //! [`SmrNode`]: crate::SmrNode
 //! [`SmrNode::with_batch_size`]: crate::SmrNode::with_batch_size
 
 use std::collections::VecDeque;
 
-use fastbft_sim::SimDuration;
+use fastbft_sim::{SimDuration, SimTime};
 use fastbft_types::Value;
-
-/// The congestion guard's absolute threshold: a smoothed commit latency
-/// under a fifth of Δ is never "congested", whatever the floor — 1 ms at
-/// the 50 µs tick every wall-clock harness runs.
-const CONGESTION_MIN: SimDuration = SimDuration(SimDuration::DELTA.0 / 5);
 
 /// Bounds of the self-adjusting proposal batcher (see the [module
 /// docs](self)). The *target* batch size is not configured — it moves with
@@ -102,10 +98,11 @@ pub(crate) struct Batcher {
     /// Set when the backstop fired with commands still queued: the next
     /// drain flushes regardless of the target.
     flush_due: bool,
-    /// Lowest and smoothed (EWMA) commit latency observed, in ticks of the
-    /// actor's clock; `None` until a slot commits. The floor is the
-    /// congestion reference the EWMA is compared against.
-    commit_ticks: Option<(f64, f64)>,
+    /// Smoothed (EWMA) commit latency, in ticks of the actor's clock;
+    /// `None` until a slot commits. The window between two halvings.
+    commit_ticks: Option<f64>,
+    /// When a drain last left a backlog or halved the target.
+    backlog_at: SimTime,
 }
 
 impl Batcher {
@@ -124,6 +121,7 @@ impl Batcher {
             flush_armed: false,
             flush_due: false,
             commit_ticks: None,
+            backlog_at: SimTime::ZERO,
         }
     }
 
@@ -169,43 +167,31 @@ impl Batcher {
         Some((take, reason))
     }
 
-    /// A planned drain happened: `take` commands left the queue for a
-    /// proposal, `left` stayed behind. Nudges the target.
-    pub(crate) fn drained(&mut self, take: usize, left: usize) {
+    /// A planned drain happened at `now`, leaving `left` commands queued.
+    /// A backlog doubles the target: with a queue building, bigger batches
+    /// mean *fewer* slots in flight for the same commands. An empty queue
+    /// halves it, once per smoothed commit latency since the last backlog
+    /// or halving — the time a smaller batch takes to show whether it keeps
+    /// up.
+    pub(crate) fn drained(&mut self, left: usize, now: SimTime) {
         self.flush_due = false;
-        let mut target = self.target;
+        let window = self.commit_ticks.unwrap_or(0.0);
         if left > 0 {
-            // The drain left backlog behind: underbatching — grow. This
-            // branch overrides the latency guard below: with a queue
-            // building, bigger batches mean *fewer* slots in flight for
-            // the same commands, so growing is what relieves slot
-            // pressure — shrinking here would open more slots and feed
-            // the very congestion the guard reacts to.
-            target = (target * 2).min(self.bounds.max_batch_cmds);
-        } else {
-            if take * 4 <= target {
-                // Drains run far under target: shrink back toward latency.
-                target = (target / 2).max(1);
-            }
-            // Congestion guard: commit latency far above its observed
-            // floor with no backlog queued means the batches (or the
-            // pipeline) outgrew the cluster.
-            if let Some((floor, ewma)) = self.commit_ticks {
-                if ewma > 4.0 * floor && ewma > CONGESTION_MIN.0 as f64 {
-                    target = (target / 2).max(1);
-                }
-            }
+            self.target = (self.target * 2).min(self.bounds.max_batch_cmds);
+            self.backlog_at = now;
+        } else if self.target > 1 && now.since(self.backlog_at).0 as f64 >= window {
+            self.target /= 2;
+            self.backlog_at = now;
         }
-        self.target = target;
     }
 
     /// A slot with a local instance decided `latency` after the instance
-    /// was started: feeds the congestion signal (floor + EWMA).
+    /// was started: feeds the commit EWMA, the halving window.
     pub(crate) fn slot_committed(&mut self, latency: SimDuration) {
         let ticks = latency.0 as f64;
         self.commit_ticks = Some(match self.commit_ticks {
-            None => (ticks, ticks),
-            Some((floor, ewma)) => (floor.min(ticks), 0.8 * ewma + 0.2 * ticks),
+            None => ticks,
+            Some(ewma) => 0.8 * ewma + 0.2 * ticks,
         });
     }
 
@@ -248,7 +234,7 @@ mod tests {
     fn grown_to(target: usize, max_batch_cmds: usize) -> Batcher {
         let mut b = batcher(max_batch_cmds, 1 << 20);
         while b.target() < target {
-            b.drained(b.target(), 1);
+            b.drained(1, SimTime::ZERO);
         }
         assert_eq!(b.target(), target);
         b
@@ -304,7 +290,7 @@ mod tests {
         // the due flag.
         b.flush_timer_fired(true);
         assert_eq!(b.plan(&held, false), Some((3, FlushReason::Timeout)));
-        b.drained(3, 0);
+        b.drained(0, SimTime::ZERO);
         assert_eq!(b.plan(&held, false), None);
     }
 
@@ -320,53 +306,59 @@ mod tests {
     }
 
     #[test]
-    fn backlog_doubles_the_target_up_to_the_cap_and_overrides_the_guard() {
+    fn backlog_doubles_the_target_up_to_the_cap_however_slow_the_commits() {
         let mut b = batcher(12, 1 << 20);
-        // Congested by any measure: 200 ticks floor, then far above 4×.
         b.slot_committed(SimDuration(200));
         for _ in 0..20 {
             b.slot_committed(SimDuration(5_000));
         }
         let mut targets = Vec::new();
         for _ in 0..5 {
-            b.drained(b.target(), 1);
+            b.drained(1, SimTime::ZERO);
             targets.push(b.target());
         }
         assert_eq!(targets, [2, 4, 8, 12, 12]);
     }
 
     #[test]
-    fn far_under_target_and_the_guard_halve_only_with_an_empty_queue() {
-        // Far under target: take × 4 ≤ target.
-        let mut b = grown_to(16, 256);
-        b.drained(5, 0);
-        assert_eq!(b.target(), 16, "5 × 4 > 16");
-        b.drained(4, 0);
-        assert_eq!(b.target(), 8);
-        b.drained(2, 1);
-        assert_eq!(b.target(), 16, "a backlog grows it, however small the take");
-
-        // The guard: EWMA above 4 × floor and above Δ / 5.
+    fn an_empty_queue_halves_once_per_commit_latency_since_the_last_move() {
+        // (time of the drain, commands left) → target after it, from a
+        // target of 16 a backlog reached at t = 0 and a commit EWMA of 200.
+        let rows = [
+            // Inside the window: held at 16.
+            (199, 0, 16),
+            // One halving per window, the window counted from the last.
+            (200, 0, 8),
+            (300, 0, 8),
+            (399, 0, 8),
+            (400, 0, 4),
+            // A backlog doubles and re-arms the window.
+            (450, 1, 8),
+            (600, 0, 8),
+            (650, 0, 4),
+            (850, 0, 2),
+            (1_050, 0, 1),
+            // Never below 1.
+            (1_250, 0, 1),
+            (5_000, 0, 1),
+        ];
         let mut b = grown_to(16, 256);
         b.slot_committed(SimDuration(200));
-        b.drained(16, 0);
-        assert_eq!(b.target(), 16, "at the floor");
-        for _ in 0..20 {
-            b.slot_committed(SimDuration(900));
+        for (at, left, target) in rows {
+            b.drained(left, SimTime(at));
+            assert_eq!(b.target(), target, "drain at {at}, {left} left");
         }
-        b.drained(16, 0);
-        assert_eq!(b.target(), 8, "EWMA ≈ 900 > 4 × 200");
-        b.drained(1, 0);
-        assert_eq!(b.target(), 2, "both rules at once halve twice");
 
-        // Relative excess under the absolute threshold is not congestion.
+        // Before any commit the window is 0: every drain that empties
+        // the queue halves.
         let mut b = grown_to(16, 256);
-        b.slot_committed(SimDuration(2));
-        for _ in 0..20 {
-            b.slot_committed(SimDuration(CONGESTION_MIN.0 - 1));
-        }
-        b.drained(16, 0);
-        assert_eq!(b.target(), 16);
+        let targets: Vec<usize> = (0..5)
+            .map(|_| {
+                b.drained(0, SimTime::ZERO);
+                b.target()
+            })
+            .collect();
+        assert_eq!(targets, [8, 4, 2, 1, 1]);
     }
 
     #[test]
@@ -375,7 +367,7 @@ mod tests {
         b.slot_committed(SimDuration(1));
         for left in [5, 0, 3, 0] {
             b.slot_committed(SimDuration(10_000));
-            b.drained(1, left);
+            b.drained(left, SimTime::ZERO);
             assert_eq!(b.target(), 1);
             // Never a hold, so the node never calls `hold_began`.
             assert!(b.plan(&queue(&[16]), false).is_some());

@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use fastbft_core::replica::Replica;
-use fastbft_sim::{Actor, Effects};
+use fastbft_sim::{Actor, Effects, SimTime};
 use fastbft_types::wire::to_bytes;
 use fastbft_types::{Config, ProcessId, Value};
 
@@ -56,7 +56,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// Drained commands live in the slot's record so a pipelined slot can
     /// never re-propose them; they are re-queued at apply time if the slot
     /// decides something else.
-    fn drain_for_slot(&mut self, slot: u64) -> Vec<Value> {
+    fn drain_for_slot(&mut self, slot: u64, now: SimTime) -> Vec<Value> {
         // The cursor advances only on a real drain: an empty proposal for an
         // out-of-order (e.g. adversarially sprayed in-window) slot must not
         // bar nearer slots from proposing queued commands.
@@ -77,7 +77,7 @@ impl<S: StateMachine> SmrNode<S> {
             FlushReason::Quiescence => m.batch_flush_quiescence_total.inc(),
             FlushReason::Timeout => m.batch_flush_timeout_total.inc(),
         }
-        self.batcher.drained(take, self.pending.len());
+        self.batcher.drained(self.pending.len(), now);
         cmds
     }
 
@@ -186,7 +186,7 @@ impl<S: StateMachine> SmrNode<S> {
                 );
                 Vec::new()
             }
-            None => self.drain_for_slot(slot),
+            None => self.drain_for_slot(slot, fx.now()),
         };
         // A slot with nothing to commit proposes the empty batch, which
         // applies nothing.

@@ -212,14 +212,13 @@ fn backlog_is_amortized_into_fewer_slots() {
 /// same trace, the same batch in every proposal and the same batch target
 /// after every event, on every seat.
 ///
-/// The run also shows the congestion guard at work in virtual time. The
-/// burst fills the 16-slot window; the four slots the silent seat leads
-/// each wait out the view-1 timeout and commit together, 14Δ after they
-/// opened against the fast path's 2Δ floor, and the smoothed latency ends
-/// above 4× the floor. The drains that follow in the same callback grow the
-/// target while they leave a backlog (which overrides the guard); the one
-/// that empties the queue takes more than a quarter of the target — so it
-/// is not "far under target" — and still halves it.
+/// The run also shows the halving at work in virtual time. The drains of
+/// the burst double the target to 128 while they leave a backlog. The
+/// trickle after it is held below that target and shipped by the backstop
+/// a few commands at a time; every drain empties the queue, and one in
+/// every smoothed commit latency halves the target, down to 2 by the last
+/// command. The halving is the window's, not the drain's: drains that take
+/// more than a quarter of the target halve it too.
 #[test]
 fn adaptive_run_is_reproducible() {
     const TRICKLE: u64 = 60;
@@ -261,7 +260,7 @@ fn adaptive_run_is_reproducible() {
 
     // One drain between two snapshots of a seat, so the commands it took
     // are the difference of the sums.
-    let guard_halvings = history
+    let halvings = history
         .windows(2)
         .flat_map(|w| w[0].iter().zip(&w[1]))
         .filter(
@@ -271,22 +270,25 @@ fn adaptive_run_is_reproducible() {
             },
         )
         .count();
-    assert!(guard_halvings >= 1, "the congestion guard never acted");
+    assert!(
+        halvings >= 1,
+        "no drain over a quarter of the target halved it"
+    );
 }
 
-/// Known gap: the target's only way back to 1 is the congestion guard
-/// (ARCHITECTURE, "Propose pipeline & apply stage"). `n = 4`, pipeline depth
-/// 2, one command per Δ handed to every seat: the target stays 1 for the
-/// whole run, as it does at depths 1, 3 and 16, and every command ships
-/// alone. One tick that delivers two commands leaves a backlog behind a
-/// drain, which doubles the target to 2 on every seat; no later drain is
-/// "far under" a target of 2 and commit latency never nears the guard, so
-/// it stays 2 through the last of 300 commands. The 109 commands before the
-/// burst took a slot each; the 192 from it on take 97, each but the last
-/// held a Δ for the next. This asserts today's behaviour: a fix for the gap
-/// flips it.
+/// A backlog raises the target for one smoothed commit latency, no longer
+/// (ARCHITECTURE, "Propose pipeline & apply stage"). `n = 4`, pipeline
+/// depth 2, one command per Δ handed to every seat: the target stays 1 for
+/// the whole run, as it does at depths 1, 3 and 16, and every command
+/// ships alone. One tick that delivers two commands (110Δ) leaves a
+/// backlog behind a drain, which doubles the target to 2 on every seat.
+/// The drain a Δ later ships two and empties the queue inside the 2Δ
+/// window (the fast path's commit latency), so the target stays 2; the
+/// next command is held a Δ for the one after, and that drain, 3Δ after
+/// the backlog, ships two and halves the target back to 1. So 301
+/// commands take 299 slots: two pairs, and every other command alone.
 #[test]
-fn known_gap_the_targets_only_way_back_to_1() {
+fn one_backlog_in_a_trickle_raises_the_target_for_one_commit_latency() {
     const COMMANDS: u64 = 300;
     const BURST_AT: SimTime = SimTime(110 * DELTA);
     // Every seat's `(time, seat, target)` whenever its target moved, and
@@ -334,9 +336,10 @@ fn known_gap_the_targets_only_way_back_to_1() {
     }
     assert_eq!(run(2, false).1, [COMMANDS; 4]);
     let (moves, drains) = run(2, true);
-    let stuck: Vec<_> = ProcessId::all(4).map(|p| (BURST_AT, p, 2)).collect();
-    assert_eq!(moves, stuck);
-    assert_eq!(drains, [109 + 97; 4]);
+    let up = ProcessId::all(4).map(|p| (BURST_AT, p, 2));
+    let down = ProcessId::all(4).map(|p| (SimTime(BURST_AT.0 + 3 * DELTA), p, 1));
+    assert_eq!(moves, up.chain(down).collect::<Vec<_>>());
+    assert_eq!(drains, [109 + 3 + 187; 4]);
 }
 
 proptest! {

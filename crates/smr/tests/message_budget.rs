@@ -439,11 +439,11 @@ fn the_work_ledger() {
         //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed  signed  compared  delays_p50  delays_p90
         (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12, 264,      1_400,      2_200]),
         (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96, 462,      1_400,      2_200]),
-        (four,  &[],     Open(1_000), [  587,     0,     2,  1_856,   3_248, 11_882,    845_708,   2_348,  9_392,      0,       36,  2_396,    599,      0, 2_348,     0,     0,       0,          0,    0, 603, 7_219,        302,        458]),
-        (seven, &[],     Open(1_000), [  573,     0,     3,  3_067,   6_524, 60_463, 10_372_088,   4_011, 28_077, 28_077,       42, 70_679, 10_097,  8_036, 4_011,     0,     0,       0,          0,    0, 4_612, 12_526,        305,        518]),
-        (four,  &[4],    Open(1_000), [  465,     2,   110,    863,   1_737,  9_396,    713_298,   1_868,  5_604,      0,        0,  3_307,  1_063,    354, 1_401,     0,   354,       0,          0,    0, 1_184, 10_737,        431,        867]),
-        (seven, &[7],    Open(1_000), [  529,     2,    76,  2_080,   4_830, 52_619,  8_562_926,   3_717, 22_302, 22_302,       65, 63_943, 10_593,  7_950, 3_186,     0,   462,       0,          0,    0, 4_665, 18_670,        334,        821]),
-        (seven, &[6, 7], Open(1_000), [  465,     4,   127,  1_354,   3_625, 42_171,  6_699_166,   3_283, 16_415, 16_415,        0, 78_603, 15_639, 12_405,     0, 2_345,   695,       0,          0,    0, 4_204, 16_237,        447,        902]),
+        (four,  &[],     Open(1_000), [  745,     0,     2,  2_415,   3_140, 14_983,    944_194,   2_980, 11_920,      0,        0,  3_040,    760,      0, 2_980,     0,     0,       0,          0,    0, 765, 5_298,        299,        477]),
+        (seven, &[],     Open(1_000), [  656,     0,     8,  3_582,   6_328, 69_191, 11_483_695,   4_592, 32_144, 32_144,        6, 71_561, 10_223,  7_350, 4_592,     0,     0,       0,          0,    0, 5_283, 11_314,        301,        561]),
+        (four,  &[4],    Open(1_000), [  473,     3,   114,    931,   1_659,  9_591,    716_925,   1_904,  5_712,      0,        0,  3_382,  1_087,    363, 1_428,     0,   363,       0,          0,    0, 1_211,  9_616,        433,        952]),
+        (seven, &[7],    Open(1_000), [  552,     1,    77,  2_289,   4_944, 54_583,  8_846_851,   3_871, 23_226, 23_226,        0, 58_726,  9_721,  6_708, 3_318,     0,   480,       0,          0,    0, 4_855, 14_628,        328,        807]),
+        (seven, &[6, 7], Open(1_000), [  449,     4,   123,  1_357,   3_065, 40_767,  6_423_810,   3_171, 15_855, 15_855,        0, 75_951, 15_111, 11_985,     0, 2_265,   675,       0,          0,    0, 4_068, 16_130,        434,        981]),
     ];
     for (cfg, silent, load, row) in rows {
         let silent: Vec<ProcessId> = silent.iter().copied().map(ProcessId).collect();
