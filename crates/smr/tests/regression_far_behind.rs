@@ -33,6 +33,17 @@ fn put(i: usize) -> Value {
     .to_value()
 }
 
+/// Cuts `VICTIM` off: anything to or from it is lost, its sends to itself
+/// too.
+fn cut_off(plan: &FaultPlan) {
+    let cut = LinkProfile::cut();
+    plan.set_rules(LinkRules {
+        pairs: [((VICTIM, VICTIM), cut)].into(),
+        by_src: [(VICTIM, cut)].into(),
+        by_dst: [(VICTIM, cut)].into(),
+    });
+}
+
 /// n = 4, seat `queues[i]` on p`i + 1`, each configured by `configure`,
 /// with `VICTIM` cut off (anything to or from it lost) until the live trio
 /// has committed one full stash horizon *plus* a window beyond it — the
@@ -43,12 +54,7 @@ fn cut_off_past_the_horizon(
 ) -> (SmrSimCluster<KvStore>, FaultPlan) {
     let cfg = Config::new(4, 1, 1).unwrap();
     let plan = FaultPlan::new();
-    let cut = LinkProfile::cut();
-    plan.set_rules(LinkRules {
-        pairs: [((VICTIM, VICTIM), cut)].into(),
-        by_src: [(VICTIM, cut)].into(),
-        by_dst: [(VICTIM, cut)].into(),
-    });
+    cut_off(&plan);
     let network = plan.network(SimDuration::DELTA, 11);
     let mut cluster = SmrSimCluster::new(cfg, 11, KvStore::new(), queues, network, configure);
     cluster.run_until(SimTime(2_000_000_000), |c| {
@@ -169,4 +175,62 @@ fn an_install_drops_the_queued_commands_the_snapshot_executed() {
         let dropped = dropped.dedup_dropped_total.get();
         assert_eq!(dropped, 0, "{p} dropped a duplicate in dedup");
     }
+}
+
+/// A replica cut off while its peers run past it and prune what they
+/// decided must still rejoin once the link heals, however little the
+/// cluster has left to do. n = 4, one command per slot, a snapshot every
+/// 8 slots, the same 40 tagged puts queued at every seat; p4 is cut off
+/// until the trio has applied all 40, then healed, and the run settles.
+/// Two rows, each on seeds 1–3:
+///
+/// * cut after p4 has applied 10 slots: p4 holds open instances for the
+///   slots it was working on, and keeps asking about them after the heal;
+///   its peers have pruned those slots below their latest snapshot, so no
+///   `Backfill` can answer them;
+/// * cut from the start: the trio is more than `RECOVERY_GAP` slots ahead,
+///   but the cluster is idle after the heal, so no frame of theirs reaches
+///   p4 to pull its recovery trigger. Only p4's own wishes flow.
+///
+/// Either way p4 must end level with its peers: the SMR checker's liveness
+/// row finds nothing.
+#[test]
+fn a_replica_stranded_on_a_pruned_slot_rejoins() {
+    const STRANDED: usize = 40;
+    let cfg = Config::new(4, 1, 1).unwrap();
+    let queue: Vec<Value> = (0..STRANDED)
+        .map(|i| tag_command(0, i as u64 + 1, put(i).as_bytes()))
+        .collect();
+    let (mut found, mut expected) = (Vec::new(), Vec::new());
+    for cut_after in [10, 0] {
+        for seed in 1..=3 {
+            let plan = FaultPlan::new();
+            let network = plan.network(SimDuration::DELTA, seed);
+            let mut cluster = SmrSimCluster::new(
+                cfg,
+                seed,
+                KvStore::new(),
+                vec![queue.clone(); 4],
+                network,
+                |_, node| Box::new(node.with_batch_size(1).with_snapshot_interval(8)),
+            );
+            let horizon = SimTime(2_000_000_000);
+            cluster.run_until(horizon, |c| c.node(VICTIM).applied() >= cut_after);
+            cut_off(&plan);
+            cluster.run_until(horizon, |c| {
+                LIVE.iter()
+                    .all(|p| c.node(*p).commands_applied() >= STRANDED as u64)
+            });
+            plan.heal();
+            let lagging = cluster.settle(4_000).map(|v| v.to_string());
+            assert_eq!(
+                cluster.violations(),
+                [],
+                "cut after {cut_after}, seed {seed}"
+            );
+            found.push((cut_after, seed, lagging));
+            expected.push((cut_after, seed, None));
+        }
+    }
+    assert_eq!(found, expected);
 }
