@@ -38,8 +38,9 @@ impl Counter {
     }
 }
 
-/// A gauge: an instantaneous value that can move both ways (queue depth,
-/// stash size), or — via [`set_max`](Gauge::set_max) — a high-water mark.
+/// A gauge: an instantaneous value that can move both ways (suspected
+/// seats, links down), or — via [`set_max`](Gauge::set_max) — a high-water
+/// mark.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 

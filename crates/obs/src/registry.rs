@@ -130,7 +130,6 @@ metrics! {
         "Pending-queue entries compared while applying commands: the whole queue on a miss, up \
         to the match on a hit.",
     Gauge leader_suspected: "Seats this node currently suspects as dead leaders.",
-    Gauge stash_depth: "Future-slot messages currently stashed (bounded).",
     Gauge writer_queue_depth_peak: "High-water mark of any per-peer writer queue, in messages.",
     Gauge peer_links_down: "Peer links currently unreachable (writer dialing or cooling down).",
     Gauge fault_links_shaped:
@@ -155,6 +154,11 @@ metrics! {
     /// `benchmark/src/loadgen.rs` reads it for `smr.apply_queue_peak`,
     /// which therefore reads 0.
     apply_queue_depth: Gauge,
+    /// Vestige: never set and not exported. The frozen
+    /// `benchmark/src/loadgen.rs` reads it for `smr.stash_peak`, which
+    /// therefore reads 0: consensus frames beyond the slot window are
+    /// dropped.
+    stash_depth: Gauge,
 }
 
 /// One exported instrument of a seat's block: `(name, help, instrument)`.

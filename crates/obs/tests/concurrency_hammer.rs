@@ -23,7 +23,7 @@ fn counters_never_lose_increments() {
                 for j in 0..PER_THREAD {
                     m.commit_fast_total.inc();
                     m.bytes_out_total.add(3);
-                    m.stash_depth.set_max(i as u64 * PER_THREAD + j);
+                    m.writer_queue_depth_peak.set_max(i as u64 * PER_THREAD + j);
                 }
             })
         })
@@ -34,7 +34,11 @@ fn counters_never_lose_increments() {
     let expected = THREADS as u64 * PER_THREAD;
     assert_eq!(m.commit_fast_total.get(), expected);
     assert_eq!(m.bytes_out_total.get(), expected * 3);
-    assert_eq!(m.stash_depth.get(), expected - 1, "high-water is the max");
+    assert_eq!(
+        m.writer_queue_depth_peak.get(),
+        expected - 1,
+        "high-water is the max"
+    );
 }
 
 #[test]

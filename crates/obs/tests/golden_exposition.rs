@@ -3,7 +3,7 @@
 //! byte.
 //!
 //! Each counter reads its position in the exposition (1–34 at p1, 101–134
-//! at p2), each gauge 41–45 (141–145), and each histogram holds four
+//! at p2), each gauge 41–44 (141–144), and each histogram holds four
 //! samples scaled by its position, so a family rendered out of order, under
 //! another's name, from another seat or not at all changes a line below.
 //! One flight-recorder event per seat carries a quote, so the JSON dump's
@@ -56,7 +56,6 @@ fn fill(m: &Metrics, base: u64) {
     }
     let gauges = [
         &m.leader_suspected,
-        &m.stash_depth,
         &m.writer_queue_depth_peak,
         &m.peer_links_down,
         &m.fault_links_shaped,
@@ -243,22 +242,18 @@ fastbft_pending_compared_total{replica="p2"} 134
 # TYPE fastbft_leader_suspected gauge
 fastbft_leader_suspected{replica="p1"} 41
 fastbft_leader_suspected{replica="p2"} 141
-# HELP fastbft_stash_depth Future-slot messages currently stashed (bounded).
-# TYPE fastbft_stash_depth gauge
-fastbft_stash_depth{replica="p1"} 42
-fastbft_stash_depth{replica="p2"} 142
 # HELP fastbft_writer_queue_depth_peak High-water mark of any per-peer writer queue, in messages.
 # TYPE fastbft_writer_queue_depth_peak gauge
-fastbft_writer_queue_depth_peak{replica="p1"} 43
-fastbft_writer_queue_depth_peak{replica="p2"} 143
+fastbft_writer_queue_depth_peak{replica="p1"} 42
+fastbft_writer_queue_depth_peak{replica="p2"} 142
 # HELP fastbft_peer_links_down Peer links currently unreachable (writer dialing or cooling down).
 # TYPE fastbft_peer_links_down gauge
-fastbft_peer_links_down{replica="p1"} 44
-fastbft_peer_links_down{replica="p2"} 144
+fastbft_peer_links_down{replica="p1"} 43
+fastbft_peer_links_down{replica="p2"} 143
 # HELP fastbft_fault_links_shaped Fault-plan rules active in this node's snapshot (pairs + wildcards).
 # TYPE fastbft_fault_links_shaped gauge
-fastbft_fault_links_shaped{replica="p1"} 45
-fastbft_fault_links_shaped{replica="p2"} 145
+fastbft_fault_links_shaped{replica="p1"} 44
+fastbft_fault_links_shaped{replica="p2"} 144
 # HELP fastbft_batch_size Client commands per proposed slot batch.
 # TYPE fastbft_batch_size summary
 fastbft_batch_size{replica="p1",quantile="0.5"} 41
@@ -324,8 +319,8 @@ const JSON: &str = concat!(
     r#""fault_partition_drop_total":27,"ingress_shed_bytes_total":28,"#,
     r#""bytes_out_total":29,"bytes_in_total":30,"send_drop_total":31,"#,
     r#""slot_empty_total":32,"signatures_made_total":33,"pending_compared_total":34},"#,
-    r#""gauges":{"leader_suspected":41,"stash_depth":42,"writer_queue_depth_peak":43,"#,
-    r#""peer_links_down":44,"fault_links_shaped":45},"histograms":{"batch_size":{"count":4,"#,
+    r#""gauges":{"leader_suspected":41,"writer_queue_depth_peak":42,"#,
+    r#""peer_links_down":43,"fault_links_shaped":44},"histograms":{"batch_size":{"count":4,"#,
     r#""sum":6543,"max":6000,"p50":41,"p99":6143,"p999":6143},"commit_latency_fast_us":{"count":4,"#,
     r#""sum":13086,"max":12000,"p50":83,"p99":12287,"p999":12287},"commit_latency_slow_us":{"count":4,"#,
     r#""sum":19629,"max":18000,"p50":123,"p99":18431,"p999":18431},"#,
@@ -345,8 +340,8 @@ const JSON: &str = concat!(
     r#""ingress_shed_bytes_total":128,"bytes_out_total":129,"bytes_in_total":130,"#,
     r#""send_drop_total":131,"slot_empty_total":132,"signatures_made_total":133,"#,
     r#""pending_compared_total":134},"#,
-    r#""gauges":{"leader_suspected":141,"stash_depth":142,"#,
-    r#""writer_queue_depth_peak":143,"peer_links_down":144,"fault_links_shaped":145},"#,
+    r#""gauges":{"leader_suspected":141,"writer_queue_depth_peak":142,"#,
+    r#""peer_links_down":143,"fault_links_shaped":144},"#,
     r#""histograms":{"batch_size":{"count":4,"sum":6943,"max":6100,"#,
     r#""p50":143,"p99":6143,"p999":6143},"commit_latency_fast_us":{"count":4,"#,
     r#""sum":13486,"max":12100,"p50":183,"p99":12287,"p999":12287},"#,

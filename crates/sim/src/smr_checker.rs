@@ -116,6 +116,8 @@ pub struct SmrChecker {
     first_at: Vec<BTreeMap<Value, u64>>,
     /// Per applied-slot count, the first seat reported there and its state.
     states: BTreeMap<u64, (ProcessId, [u8; 32])>,
+    /// Per seat, the applied-slot count and state it was last reported in.
+    latest: Vec<Option<(u64, [u8; 32])>>,
     violations: Vec<SmrViolation>,
 }
 
@@ -126,6 +128,7 @@ impl SmrChecker {
             logs: vec![BTreeMap::new(); n],
             first_at: vec![BTreeMap::new(); n],
             states: BTreeMap::new(),
+            latest: vec![None; n],
             violations: Vec::new(),
         }
     }
@@ -163,6 +166,7 @@ impl SmrChecker {
     /// Records that seat `p`, having applied `applied` slots, holds a state
     /// whose digest is `digest`. Reporting a state again changes nothing.
     pub fn observe_state(&mut self, p: ProcessId, applied: u64, digest: [u8; 32]) {
+        self.latest[p.index()] = Some((applied, digest));
         let (q, first) = *self.states.entry(applied).or_insert((p, digest));
         if first != digest {
             let (a, b) = ((q, first), (p, digest));
@@ -178,10 +182,18 @@ impl SmrChecker {
     /// up): among the seats in `correct`, every command one of them applied
     /// has been applied by all of them. A seat that reported a later index
     /// counts as having applied every index below it (a snapshot install
-    /// leaves its log sparse, and verified the gap). The lowest index some
+    /// leaves its log sparse, and verified the gap), and so does a seat last
+    /// reported in the state another was — as many slots applied, the same
+    /// digest — up to that seat's highest index (an install past the last
+    /// command leaves it no later index of its own). The lowest index some
     /// seat lacks, if any seat applied it.
     pub fn settled(&self, correct: &[ProcessId]) -> Option<SmrViolation> {
-        let top = |p: &ProcessId| self.logs[p.index()].last_key_value().map(|(i, _)| *i);
+        let own = |p: &ProcessId| self.logs[p.index()].last_key_value().map(|(i, _)| *i);
+        let level = |p: &ProcessId, q: &ProcessId| {
+            let latest = |p: &ProcessId| self.latest[p.index()];
+            p == q || latest(p).is_some() && latest(p) == latest(q)
+        };
+        let top = |p: &ProcessId| correct.iter().filter(|q| level(p, q)).filter_map(own).max();
         let index = correct.iter().map(|p| top(p).map_or(0, |i| i + 1)).min()?;
         let (applied, missing): (Vec<ProcessId>, Vec<ProcessId>) = correct
             .iter()
@@ -248,6 +260,13 @@ mod tests {
             "settled, a seat behind left out | p1:0=7 p1:1=8 p2:0=7 p3:0=7 p3:1=8 settled=13 | ",
             "settled, below a seat's highest index is covered | p1:0=7 p1:1=8 p1:2=9 p2:2=9 \
              settled=12 | ",
+            "settled, a seat in another's state is level with it | p1:0=7 p1:1=8 p1/2=ab \
+             p2/2=ab settled=12 | ",
+            "settled, as many slots in another state | p1:0=7 p1:1=8 p1/2=ab p2/2=01 \
+             settled=12 | after 2 slots p1 holds abababab… but p2 holds 01010101…; \
+             log index 0: applied by p1 but not by p2",
+            "settled, level only with the state last reported | p1:0=7 p1/1=ab p2/1=ab \
+             p1:1=8 p1/2=cd settled=12 | log index 0: applied by p1 but not by p2",
             "settled twice, caught up in between | p1:0=7 p1:1=8 p2:0=7 settled=12 p2:1=8 \
              settled=12 | log index 1: applied by p1 but not by p2",
             "a seat behind, not settled | p1:0=7 p1:1=8 p2:0=7 | ",

@@ -1,185 +1,126 @@
-//! The ahead-of-window buffer: what peers say about slots this node has not
-//! opened.
+//! The backfill-vote buffer: each peer's claim of what a slot this node
+//! has not settled decided.
 //!
-//! Two things arrive for such slots and one type holds both: consensus
-//! messages beyond the instantiation window, replayed when the window
-//! reaches their slot (the *stash*), and [`Backfill`] votes for slots not
-//! yet settled, one per sender, counted until `f + 1` agree. Either is
-//! bounded in three dimensions whatever a peer sends:
+//! A [`Backfill`] vote counts until `f + 1` senders agree on a value, and a
+//! sender's newer vote for a slot replaces its earlier one. Whatever peers
+//! send, the buffer is bounded three ways:
 //!
-//! * **horizon** — nothing at or past `applied + `[`MAX_STASH_AHEAD`] is
-//!   kept: no correct peer's pipeline runs that far ahead of a node it
-//!   shares quorums with, so such traffic is hostile, or the node is
-//!   hopelessly behind, which state transfer fixes and buffering could not;
-//! * **entries** and **bytes** — when either cap is reached the *farthest*
-//!   slot's newest entry is evicted to make room, and a newcomer that is
+//! * **horizon** — nothing at or past `applied + `[`BACKFILL_HORIZON`] is
+//!   kept: a recovering node is owed at most one snapshot interval of tail
+//!   past the snapshot it installs;
+//! * **votes** and **bytes** — when either cap is reached the *farthest*
+//!   slot's newest vote is evicted to make room, and a newcomer that is
 //!   itself the farthest is dropped: the nearest slots are the ones that
-//!   unblock the pipeline.
+//!   unblock the apply point.
 //!
-//! Both buffers are best-effort by design: a dropped frame costs its sender
-//! a `Wish` round trip or the recovery timer a retry, never liveness.
+//! A dropped vote costs its sender's peer a `Wish` round trip or the
+//! recovery timer a retry, never liveness.
 //!
 //! [`Backfill`]: crate::SlotMessage::Backfill
 
 use std::collections::BTreeMap;
 
-use fastbft_core::message::Message;
-use fastbft_sim::SimMessage;
 use fastbft_types::{ProcessId, Value};
 
-use crate::multiplex::MAX_STASH_AHEAD;
+use crate::multiplex::BACKFILL_HORIZON;
 
-/// Entries either buffer may hold across all slots. The stash reaches it
-/// under spray; backfill votes — one per sender per slot of the horizon —
-/// cannot below `n = 17`.
-pub(crate) const MAX_STASHED_MESSAGES: usize = 4096;
+/// Votes held across all slots: one per sender per slot of the horizon
+/// reaches it only from `n = 17` on.
+pub(crate) const MAX_VOTES: usize = 4096;
 
-/// Total encoded bytes the stash may hold. A correct peer's frame for a
-/// slot beyond the window is a proposal or an ack of one: at most
-/// `max_batch_bytes` (1 MiB by default) plus one oversized command, and a
-/// few KiB in every workload this repo runs. 32 MiB keeps the nearest 32
-/// maximal proposals, or a full 4096-message stash at 8 KiB a message;
-/// without it one Byzantine seat could pin 4096 × `MAX_FIELD_LEN` = 64 GiB.
-/// The bound holds to within one frame: an entry that alone exceeds the cap
-/// is kept while it is the nearest.
-pub(crate) const MAX_STASHED_BYTES: usize = 32 << 20;
-
-/// Total value bytes the backfill votes may hold. A recovering node is owed
-/// at most one snapshot interval of tail by each peer, nearest slot first,
-/// and a slot's votes are freed the moment `f + 1` of them match — so what
+/// Total value bytes the votes may hold. A recovering node is owed at most
+/// one snapshot interval of tail by each peer, nearest slot first, and a
+/// slot's votes are freed the moment `f + 1` of them match — so what
 /// correct peers send drains from the near end while the cap evicts from
 /// the far one, and the next `SnapshotRequest` or `Wish` brings back what
 /// was evicted. Without it one Byzantine seat could hold a value per slot
-/// of the horizon: 256 × `MAX_FIELD_LEN` = 4 GiB.
+/// of the horizon: 256 × `MAX_FIELD_LEN` = 4 GiB. A value that alone
+/// exceeds the cap is kept while it is the nearest.
 pub(crate) const MAX_BACKFILL_BYTES: usize = 32 << 20;
 
-/// One buffered item, who sent it, and the bytes it is accounted at.
-#[derive(Debug, PartialEq)]
-pub(crate) struct Held<T> {
-    pub(crate) from: ProcessId,
-    pub(crate) item: T,
-    size: usize,
-}
-
-/// Entries of type `T` by slot and sender, bounded. See the [module
-/// docs](self).
-pub(crate) struct AheadBuffer<T> {
-    by_slot: BTreeMap<u64, Vec<Held<T>>>,
+/// Backfill votes by slot, `(sender, value)` oldest first, bounded. See
+/// the [module docs](self).
+pub(crate) struct AheadBuffer {
+    by_slot: BTreeMap<u64, Vec<(ProcessId, Value)>>,
     len: usize,
     bytes: usize,
     max_bytes: usize,
-    size_of: fn(&T) -> usize,
-    /// Whether a sender's entry for a slot replaces its earlier one (votes)
-    /// or queues behind it (messages).
-    one_per_sender: bool,
 }
 
-impl AheadBuffer<Message> {
-    /// The stash: every message kept, in arrival order per slot.
-    pub(crate) fn stash() -> Self {
-        let size_of = |msg: &Message| msg.wire_size();
-        AheadBuffer::new(MAX_STASHED_BYTES, size_of, false)
-    }
-}
-
-impl AheadBuffer<Value> {
-    /// Backfill votes: one claimed value per sender per slot.
+impl AheadBuffer {
+    /// An empty buffer under the [`MAX_BACKFILL_BYTES`] cap.
     pub(crate) fn backfill_votes() -> Self {
-        let size_of = |value: &Value| value.as_bytes().len();
-        AheadBuffer::new(MAX_BACKFILL_BYTES, size_of, true)
-    }
-}
-
-impl<T> AheadBuffer<T> {
-    fn new(max_bytes: usize, size_of: fn(&T) -> usize, one_per_sender: bool) -> Self {
         AheadBuffer {
             by_slot: BTreeMap::new(),
             len: 0,
             bytes: 0,
-            max_bytes,
-            size_of,
-            one_per_sender,
+            max_bytes: MAX_BACKFILL_BYTES,
         }
     }
 
-    /// Entries held across all slots.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Bytes held across all slots.
+    /// Value bytes held across all slots.
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
-    /// What is held for `slot`, oldest first.
-    pub(crate) fn at(&self, slot: u64) -> &[Held<T>] {
+    /// The votes held for `slot`, oldest first.
+    pub(crate) fn at(&self, slot: u64) -> &[(ProcessId, Value)] {
         self.by_slot.get(&slot).map_or(&[], Vec::as_slice)
     }
 
-    /// The slots below `limit` that hold anything, ascending.
-    pub(crate) fn slots_below(&self, limit: u64) -> Vec<u64> {
-        self.by_slot.range(..limit).map(|(slot, _)| *slot).collect()
-    }
-
-    /// Buffers `item` from `from` for `slot`, as seen by a node whose next
-    /// unapplied slot is `applied` — or drops it: past the horizon, or the
-    /// farthest entry of a full buffer.
-    pub(crate) fn insert(&mut self, applied: u64, slot: u64, from: ProcessId, item: T) {
-        if slot >= applied + MAX_STASH_AHEAD {
+    /// Counts `from`'s vote for `value` in `slot`, replacing its earlier
+    /// one, as seen by a node whose next unapplied slot is `applied` — or
+    /// drops it: past the horizon, or the farthest vote of a full buffer.
+    pub(crate) fn insert(&mut self, applied: u64, slot: u64, from: ProcessId, value: Value) {
+        if slot >= applied + BACKFILL_HORIZON {
             return;
         }
-        if self.one_per_sender {
-            self.remove_where(slot, |held| held.from == from);
-        }
-        let size = (self.size_of)(&item);
-        while self.len >= MAX_STASHED_MESSAGES || self.bytes + size > self.max_bytes {
+        self.remove_where(slot, |(sender, _)| *sender == from);
+        let size = value.as_bytes().len();
+        while self.len >= MAX_VOTES || self.bytes + size > self.max_bytes {
             match self.by_slot.last_key_value() {
-                Some((&farthest, _)) if farthest > slot => {
-                    self.remove_where(farthest, |_| true);
-                }
+                Some((&farthest, _)) if farthest > slot => self.remove_where(farthest, |_| true),
                 // The newcomer is the farthest: it is the one to go.
                 Some(_) => return,
                 None => break,
             }
         }
-        let held = Held { from, item, size };
-        self.by_slot.entry(slot).or_default().push(held);
+        self.by_slot.entry(slot).or_default().push((from, value));
         self.len += 1;
         self.bytes += size;
     }
 
-    /// Removes the newest entry of `slot` that `matches`, if any.
-    fn remove_where(&mut self, slot: u64, matches: impl Fn(&Held<T>) -> bool) {
-        let Some(bucket) = self.by_slot.get_mut(&slot) else {
+    /// Removes the newest vote of `slot` that `matches`, if any.
+    fn remove_where(&mut self, slot: u64, matches: impl Fn(&(ProcessId, Value)) -> bool) {
+        let Some(votes) = self.by_slot.get_mut(&slot) else {
             return;
         };
-        if let Some(at) = bucket.iter().rposition(matches) {
+        if let Some(at) = votes.iter().rposition(matches) {
             self.len -= 1;
-            self.bytes -= bucket.remove(at).size;
-            if bucket.is_empty() {
+            self.bytes -= votes.remove(at).1.as_bytes().len();
+            if votes.is_empty() {
                 self.by_slot.remove(&slot);
             }
         }
     }
 
-    /// Removes and returns everything held for `slot`, oldest first.
-    pub(crate) fn take(&mut self, slot: u64) -> Vec<Held<T>> {
-        let bucket = self.by_slot.remove(&slot).unwrap_or_default();
-        self.len -= bucket.len();
-        self.bytes -= bucket.iter().map(|held| held.size).sum::<usize>();
-        bucket
+    /// Forgets every vote held for `slot`.
+    pub(crate) fn remove(&mut self, slot: u64) {
+        for (_, value) in self.by_slot.remove(&slot).unwrap_or_default() {
+            self.len -= 1;
+            self.bytes -= value.as_bytes().len();
+        }
     }
 
-    /// Drops everything held for slots below `applied`: they are settled,
-    /// the entries can never be used, and being the *nearest* they are what
+    /// Forgets every vote held for slots below `applied`: they are settled,
+    /// the votes can never be used, and being the *nearest* they are what
     /// farthest-first eviction would never reclaim.
     pub(crate) fn purge_below(&mut self, applied: u64) {
         while let Some((&stale, _)) = self.by_slot.first_key_value() {
             if stale >= applied {
                 break;
             }
-            self.take(stale);
+            self.remove(stale);
         }
     }
 }
@@ -191,116 +132,110 @@ mod tests {
     const P2: ProcessId = ProcessId(2);
     const P3: ProcessId = ProcessId(3);
 
-    /// A buffer of byte strings sized by their length.
-    fn buffer(max_bytes: usize, one_per_sender: bool) -> AheadBuffer<Vec<u8>> {
-        AheadBuffer::new(max_bytes, Vec::len, one_per_sender)
+    fn value(byte: u8, len: usize) -> Value {
+        Value::new(vec![byte; len])
     }
 
-    fn slots(buffer: &AheadBuffer<Vec<u8>>) -> Vec<u64> {
-        buffer.slots_below(u64::MAX)
+    /// An empty buffer holding at most `max_bytes` of values.
+    fn buffer(max_bytes: usize) -> AheadBuffer {
+        AheadBuffer {
+            max_bytes,
+            ..AheadBuffer::backfill_votes()
+        }
     }
 
-    fn held(from: ProcessId, item: Vec<u8>) -> Held<Vec<u8>> {
-        let size = item.len();
-        Held { from, item, size }
+    fn slots(b: &AheadBuffer) -> Vec<u64> {
+        b.by_slot.keys().copied().collect()
     }
 
     #[test]
     fn eviction_is_farthest_first_and_a_farthest_newcomer_is_dropped() {
-        let mut b = buffer(40, false);
-        for slot in [70, 90, 80, 90] {
-            b.insert(0, slot, P2, vec![slot as u8; 10]);
+        let mut b = buffer(40);
+        for (slot, from) in [(70, P2), (90, P2), (80, P2), (90, P3)] {
+            b.insert(0, slot, from, value(slot as u8, 10));
         }
-        assert_eq!((b.len(), b.bytes()), (4, 40));
+        assert_eq!((b.len, b.bytes()), (4, 40));
         // Full. Farther than everything held, or level with it: dropped.
-        b.insert(0, 95, P2, vec![1; 10]);
-        b.insert(0, 90, P2, vec![2; 10]);
+        b.insert(0, 95, P2, value(1, 10));
+        b.insert(0, 90, ProcessId(4), value(2, 10));
         assert_eq!(slots(&b), [70, 80, 90]);
         assert_eq!(b.at(90).len(), 2, "neither newcomer displaced anything");
-        // Nearer: the farthest slot's newest entry goes, one at a time.
-        b.insert(0, 75, P3, vec![3; 10]);
-        assert_eq!(b.at(90), [held(P2, vec![90; 10])]);
-        b.insert(0, 65, P3, vec![4; 10]);
+        // Nearer: the farthest slot's newest vote goes, one at a time.
+        b.insert(0, 75, P3, value(3, 10));
+        assert_eq!(b.at(90), [(P2, value(90, 10))]);
+        b.insert(0, 65, P3, value(4, 10));
         assert_eq!(slots(&b), [65, 70, 75, 80]);
-        assert_eq!((b.len(), b.bytes()), (4, 40));
+        assert_eq!((b.len, b.bytes()), (4, 40));
         // A large newcomer evicts as many as it needs; one that alone
         // exceeds the cap is kept while it is the nearest.
-        b.insert(0, 60, P2, vec![0; 25]);
+        b.insert(0, 60, P2, value(0, 25));
         assert_eq!((slots(&b), b.bytes()), (vec![60, 65], 35));
-        b.insert(0, 50, P2, vec![0; 64]);
+        b.insert(0, 50, P2, value(0, 64));
         assert_eq!((slots(&b), b.bytes()), (vec![50], 64));
-        b.insert(0, 55, P2, vec![0; 1]);
+        b.insert(0, 55, P2, value(0, 1));
         assert_eq!(slots(&b), [50], "behind the oversized one: dropped");
-        b.insert(0, 45, P2, vec![0; 1]);
+        b.insert(0, 45, P2, value(0, 1));
         assert_eq!((slots(&b), b.bytes()), (vec![45], 1));
     }
 
     #[test]
-    fn the_entry_cap_binds_the_same_way() {
-        let mut b = buffer(usize::MAX, false);
-        let per_slot = MAX_STASHED_MESSAGES as u64 / MAX_STASH_AHEAD;
-        for i in 0..MAX_STASHED_MESSAGES as u64 {
-            b.insert(0, i / per_slot, P2, vec![0; 1]);
+    fn the_vote_cap_binds_the_same_way() {
+        let mut b = buffer(usize::MAX);
+        let per_slot = MAX_VOTES as u64 / BACKFILL_HORIZON;
+        for i in 0..MAX_VOTES as u64 {
+            let from = ProcessId((i % per_slot) as u32 + 1);
+            b.insert(0, i / per_slot, from, value(0, 1));
         }
-        assert_eq!(b.len(), MAX_STASHED_MESSAGES);
-        let farthest = MAX_STASH_AHEAD - 1;
-        b.insert(0, farthest, P3, vec![0; 1]);
+        assert_eq!(b.len, MAX_VOTES);
+        let farthest = BACKFILL_HORIZON - 1;
+        b.insert(0, farthest, ProcessId(100), value(0, 1));
         assert_eq!(b.at(farthest).len() as u64, per_slot, "dropped");
-        b.insert(0, 3, P3, vec![0; 1]);
+        b.insert(0, 3, ProcessId(100), value(0, 1));
         assert_eq!(b.at(3).len() as u64, per_slot + 1);
         assert_eq!(b.at(farthest).len() as u64, per_slot - 1, "evicted");
-        assert_eq!(
-            (b.len(), b.bytes()),
-            (MAX_STASHED_MESSAGES, MAX_STASHED_MESSAGES)
-        );
+        assert_eq!((b.len, b.bytes()), (MAX_VOTES, MAX_VOTES));
     }
 
     #[test]
     fn the_horizon_moves_with_the_apply_point() {
-        let mut b = buffer(800, false);
-        b.insert(0, MAX_STASH_AHEAD, P2, vec![0; 1]);
-        b.insert(0, u64::MAX - 1, P2, vec![0; 1]);
-        assert_eq!(b.len(), 0, "at or past the horizon: nothing kept");
-        b.insert(0, MAX_STASH_AHEAD - 1, P2, vec![0; 1]);
-        b.insert(10, MAX_STASH_AHEAD + 9, P2, vec![0; 1]);
-        assert_eq!(slots(&b), [MAX_STASH_AHEAD - 1, MAX_STASH_AHEAD + 9]);
+        let mut b = buffer(800);
+        b.insert(0, BACKFILL_HORIZON, P2, value(0, 1));
+        b.insert(0, u64::MAX - 1, P2, value(0, 1));
+        assert_eq!(b.len, 0, "at or past the horizon: nothing kept");
+        b.insert(0, BACKFILL_HORIZON - 1, P2, value(0, 1));
+        b.insert(10, BACKFILL_HORIZON + 9, P2, value(0, 1));
+        assert_eq!(slots(&b), [BACKFILL_HORIZON - 1, BACKFILL_HORIZON + 9]);
     }
 
     #[test]
-    fn a_vote_replaces_its_senders_earlier_one_and_a_message_does_not() {
-        let mut votes = buffer(800, true);
-        votes.insert(0, 5, P2, vec![1; 100]);
-        votes.insert(0, 5, P3, vec![1; 100]);
-        votes.insert(0, 5, P2, vec![2; 30]);
-        assert_eq!(votes.at(5), [held(P3, vec![1; 100]), held(P2, vec![2; 30])]);
-        assert_eq!((votes.len(), votes.bytes()), (2, 130));
-        votes.insert(0, 6, P2, vec![3; 1]);
-        assert_eq!(votes.len(), 3, "another slot is another vote");
-
-        let mut stash = buffer(800, false);
-        stash.insert(0, 5, P2, vec![1; 100]);
-        stash.insert(0, 5, P2, vec![2; 30]);
-        assert_eq!((stash.len(), stash.bytes()), (2, 130));
+    fn a_vote_replaces_its_senders_earlier_one() {
+        let mut b = buffer(800);
+        b.insert(0, 5, P2, value(1, 100));
+        b.insert(0, 5, P3, value(1, 100));
+        b.insert(0, 5, P2, value(2, 30));
+        assert_eq!(b.at(5), [(P3, value(1, 100)), (P2, value(2, 30))]);
+        assert_eq!((b.len, b.bytes()), (2, 130));
+        b.insert(0, 6, P2, value(3, 1));
+        assert_eq!(b.len, 3, "another slot is another vote");
     }
 
     #[test]
-    fn take_and_purge_below_give_back_what_they_remove() {
-        let mut b = buffer(1_000, false);
+    fn remove_and_purge_below_keep_the_books() {
+        let mut b = buffer(1_000);
         for (slot, from) in [(3, P2), (3, P3), (4, P2), (9, P2), (12, P3)] {
-            b.insert(0, slot, from, vec![slot as u8; slot as usize]);
+            b.insert(0, slot, from, value(slot as u8, slot as usize));
         }
-        assert_eq!((b.len(), b.bytes()), (5, 31));
-        assert_eq!(b.slots_below(9), [3, 4]);
-        // Arrival order, and the books follow.
-        assert_eq!(b.take(3), [held(P2, vec![3; 3]), held(P3, vec![3; 3])]);
-        assert!(b.take(3).is_empty());
-        assert_eq!((b.len(), b.bytes()), (3, 25));
+        assert_eq!((b.len, b.bytes()), (5, 31));
+        b.remove(3);
+        assert!(b.at(3).is_empty());
+        b.remove(3);
+        assert_eq!((b.len, b.bytes()), (3, 25));
         b.purge_below(9);
-        assert_eq!((slots(&b), b.len(), b.bytes()), (vec![9, 12], 2, 21));
+        assert_eq!((slots(&b), b.len, b.bytes()), (vec![9, 12], 2, 21));
         b.purge_below(9);
-        assert_eq!(b.len(), 2, "the slot at the apply point stays");
+        assert_eq!(b.len, 2, "the slot at the apply point stays");
         b.purge_below(u64::MAX);
-        assert_eq!((b.len(), b.bytes()), (0, 0));
+        assert_eq!((b.len, b.bytes()), (0, 0));
         assert!(b.at(9).is_empty());
     }
 }

@@ -37,8 +37,8 @@ use crate::slot_message::SlotMessage;
 
 /// A node requests state transfer once f+1 distinct peers claim tips at
 /// least this many slots ahead of it — far enough that normal pipelining
-/// (depth ≤ `SLOT_WINDOW`) never trips it, near enough to recover long
-/// before the stash horizon drops everything.
+/// (depth ≤ `SLOT_WINDOW`) never trips it, near enough to ask before its
+/// peers' frames run past its window, where it drops them.
 pub(crate) const RECOVERY_GAP: u64 = SLOT_WINDOW / 2;
 
 /// Domain-separation prefix for checkpoint attestations (keeps snapshot

@@ -209,7 +209,8 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
 
     /// Says the run has settled — the one way to check the checker's
     /// liveness row ([`SmrChecker::settled`]): runs `bound` Δ further with
-    /// no client command handed to any seat, then returns the lowest log
+    /// no client command handed to any seat, checks the run as
+    /// [`violations`](Self::violations) does, then returns the lowest log
     /// index some node seat applied and another did not, if there is one.
     /// A seat that holds no node (silent, Byzantine) is left out, as it is
     /// from [`logs`](Self::logs). Neither [`run_until`](Self::run_until)
@@ -226,7 +227,7 @@ impl<S: StateMachine + Clone + 'static> SmrSimCluster<S> {
         );
         let until = SimTime(self.sim.now().0 + bound * self.sim.delta().0);
         self.sim.run_until(until);
-        self.feed();
+        self.violations();
         let correct: Vec<ProcessId> = self.nodes().map(|(p, _)| p).collect();
         self.checker.settled(&correct)
     }

@@ -63,8 +63,8 @@ pub use harness::{SmrReport, SmrSimCluster};
 pub use kv::{KvCommand, KvOutput, KvStore};
 pub use machine::{CountingMachine, StateMachine};
 pub use multiplex::{
-    checkpoint_signature, snapshot_response_valid, SlotMessage, SmrNode, DEFAULT_SNAPSHOT_INTERVAL,
-    MAX_STASH_AHEAD, SLOT_WINDOW,
+    checkpoint_signature, snapshot_response_valid, SlotMessage, SmrNode, BACKFILL_HORIZON,
+    DEFAULT_SNAPSHOT_INTERVAL, SLOT_WINDOW,
 };
 pub use runtime::{as_smr_node, smr_actors_configured, SmrClusterHandle};
 pub use tag::{command_body, parse_client_tag, tag_command};

@@ -24,13 +24,14 @@
 //!    Tagged commands
 //!    ([`tag_command`](crate::tag::tag_command)) are exact over any
 //!    horizon, untagged ones over the last two snapshot intervals.
-//! 2. **Bounded buffering** — `ahead`. What peers say about slots this node
-//!    has not opened (messages beyond the instantiation window, backfill
-//!    votes) is bounded by slot horizon, entry count and bytes, farthest
-//!    slot evicted first: a Byzantine peer spraying frames for distant
-//!    slots cannot exhaust memory. What a peer can make an *open* instance
-//!    hold is `core`'s to bound; ARCHITECTURE's bounds table names the row
-//!    still open there.
+//! 2. **Bounded buffering** — `ahead`, and the window here. A consensus
+//!    frame for a slot at or beyond `applied + SLOT_WINDOW` is dropped (it
+//!    still counts towards the recovery trigger); what peers say a slot
+//!    this node has not settled decided (backfill votes) is bounded by slot
+//!    horizon, entry count and bytes, farthest slot evicted first: a
+//!    Byzantine peer spraying frames for distant slots cannot exhaust
+//!    memory. What a peer can make an *open* instance hold is `core`'s to
+//!    bound; ARCHITECTURE's bounds table names the row still open there.
 //! 3. **Idle quiescence** — `multiplex::pipeline` (`quiescent`, the fill
 //!    loop). Slots open only while there is work (pending or in-flight
 //!    commands, or a peer demonstrably ahead); an idle cluster stops
@@ -61,7 +62,9 @@
 //!    peers a recovery gap ahead asks for state, installs the first
 //!    snapshot carrying f+1 matching attestations, absorbs the committed
 //!    suffix through quorum-matched [`SlotMessage::Backfill`] frames and
-//!    resumes voting, instead of stalling behind the stash horizon forever.
+//!    resumes voting. A consensus frame about a slot this node has pruned
+//!    below its snapshot is answered the same way, as a request from its
+//!    sender: the one way back for a replica stuck on such a slot.
 //!
 //! ARCHITECTURE, "The runtime SMR layer", draws the life of a slot through
 //! these owners and tabulates every bound with the test at its edge.
@@ -95,15 +98,15 @@ mod pipeline;
 const DEFAULT_PIPELINE_DEPTH: u64 = 16;
 
 /// How many slots ahead of the lowest unapplied slot a node will
-/// instantiate replicas for. Messages beyond the window are buffered.
+/// instantiate replicas for. Consensus frames beyond the window are
+/// dropped: a node that far behind catches up by state transfer.
 pub const SLOT_WINDOW: u64 = 64;
 
-/// Messages for slots at or beyond `applied + MAX_STASH_AHEAD` are dropped
-/// rather than stashed: no correct peer's pipeline runs this far ahead of a
-/// node it shares quorums with, so such traffic is hostile — or the node
-/// itself has fallen hopelessly behind, which the recovery path (not the
-/// stash) is responsible for fixing.
-pub const MAX_STASH_AHEAD: u64 = 4 * SLOT_WINDOW;
+/// Backfill votes for slots at or beyond `applied + BACKFILL_HORIZON` are
+/// dropped, and a snapshot interval is at most half of it
+/// ([`SmrNode::with_snapshot_interval`]): the committed tail a recovering
+/// node absorbs past the snapshot it installs always fits.
+pub const BACKFILL_HORIZON: u64 = 4 * SLOT_WINDOW;
 
 /// Default [`SmrNode::with_snapshot_interval`]: a snapshot every this many
 /// applied slots. Two windows keeps checkpoint overhead negligible while
@@ -154,7 +157,7 @@ struct Slot {
 /// A slot's running consensus instance and when it was started.
 struct Instance {
     replica: Replica,
-    /// On this actor's clock (the batcher's congestion signal).
+    /// On this actor's clock (the batcher's commit-latency EWMA).
     started: SimTime,
     /// On the wall clock, for the commit/apply latency histograms alone:
     /// nothing the node decides reads it, so a simulated run still repeats
@@ -204,12 +207,9 @@ pub struct SmrNode<S: StateMachine> {
     propose_cursor: u64,
     /// Which client commands have been executed (the at-most-once guard).
     dedup: Dedup,
-    /// Messages for slots beyond the window, replayed as the window reaches
-    /// them.
-    stash: AheadBuffer<Message>,
     /// Backfill votes: per unsettled slot, each sender's claimed committed
     /// value. A value is applied once f+1 distinct senders agree on it.
-    backfill: AheadBuffer<Value>,
+    backfill: AheadBuffer,
     /// Commands applied so far: the log index the next applied command
     /// takes.
     log_len: u64,
@@ -253,7 +253,6 @@ impl<S: StateMachine> SmrNode<S> {
             applied: 0,
             propose_cursor: 0,
             dedup: Dedup::default(),
-            stash: AheadBuffer::stash(),
             backfill: AheadBuffer::backfill_votes(),
             log_len: 0,
             checkpoints: Checkpoints::new(DEFAULT_SNAPSHOT_INTERVAL),
@@ -331,16 +330,16 @@ impl<S: StateMachine> SmrNode<S> {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 <= interval <= MAX_STASH_AHEAD / 2` — the committed
-    /// tail a recovering peer must absorb spans at most one interval past
-    /// the snapshot point, and it has to fit inside the stash/backfill
-    /// horizon or catch-up could never complete.
+    /// Panics unless `1 <= interval <= BACKFILL_HORIZON / 2` — the
+    /// committed tail a recovering peer must absorb spans at most one
+    /// interval past the snapshot point, and it has to fit inside the
+    /// backfill horizon or catch-up could never complete.
     #[must_use]
     pub fn with_snapshot_interval(mut self, interval: u64) -> Self {
         assert!(
-            (1..=MAX_STASH_AHEAD / 2).contains(&interval),
+            (1..=BACKFILL_HORIZON / 2).contains(&interval),
             "snapshot interval must be in 1..={}",
-            MAX_STASH_AHEAD / 2
+            BACKFILL_HORIZON / 2
         );
         self.checkpoints = Checkpoints::new(interval);
         self
@@ -404,17 +403,11 @@ impl<S: StateMachine> SmrNode<S> {
         self.pending.len() + in_flight
     }
 
-    /// Messages currently stashed for beyond-window slots (bounded; for
-    /// hostile-peer tests and monitoring).
-    pub fn stashed_messages(&self) -> usize {
-        self.stash.len()
-    }
-
-    /// Bytes held for slots this node has not opened: `(stashed messages,
-    /// backfill votes)` (test accessor for the two byte bounds).
+    /// Value bytes the backfill votes hold for slots this node has not
+    /// settled (test accessor for their byte bound).
     #[doc(hidden)]
-    pub fn buffered_bytes(&self) -> (usize, usize) {
-        (self.stash.bytes(), self.backfill.bytes())
+    pub fn buffered_bytes(&self) -> usize {
+        self.backfill.bytes()
     }
 
     /// Bytes the open instances hold against `core`'s
@@ -572,8 +565,8 @@ impl<S: StateMachine> SmrNode<S> {
             return;
         }
         // Backfill-settled slots have no local replica (and took neither
-        // path here), so they feed neither the batcher's congestion signal
-        // nor the commit latency histograms, which split by the path the
+        // path here), so they feed neither the batcher's commit-latency
+        // EWMA nor the commit latency histograms, which split by the path the
         // slot's own replica took.
         if let Some(instance) = &record.instance {
             self.batcher
@@ -590,7 +583,7 @@ impl<S: StateMachine> SmrNode<S> {
     }
 
     /// Applies every now-contiguous decided slot in order, snapshots at
-    /// interval boundaries, and keeps the pipeline and stash moving.
+    /// interval boundaries, and keeps the pipeline moving.
     fn advance(&mut self, fx: &mut Effects<SlotMessage>) {
         // Apply contiguous decided slots, one command at a time (a slot
         // carries a batch). No record is below `applied`, so the next slot
@@ -630,24 +623,7 @@ impl<S: StateMachine> SmrNode<S> {
         self.fill_pipeline(fx);
         self.revoke_ahead(fx);
         self.arm_flush_timer(fx);
-        self.purge_settled();
-        // The window may have moved: drain newly eligible stashes.
-        for slot in self.stash.slots_below(self.applied + SLOT_WINDOW) {
-            self.open_slot(slot, fx);
-        }
-    }
-
-    /// Drops what is buffered for slots the apply point has overtaken.
-    fn purge_settled(&mut self) {
-        self.stash.purge_below(self.applied);
         self.backfill.purge_below(self.applied);
-        self.note_stash_depth();
-    }
-
-    /// Mirrors the stash size into the metrics gauge. Called after every
-    /// change to the stash.
-    fn note_stash_depth(&self) {
-        self.opts.metrics.stash_depth.set(self.stash.len() as u64);
     }
 
     /// Checkpoints at the current (interval-aligned) apply point: truncates
@@ -752,7 +728,6 @@ impl<S: StateMachine> SmrNode<S> {
         }
         self.committed_tail = self.committed_tail.split_off(&upto);
         self.propose_cursor = self.propose_cursor.max(upto);
-        self.purge_settled();
         self.checkpoints.adopt(
             &self.keys,
             &self.opts.metrics,
@@ -791,8 +766,8 @@ impl<S: StateMachine> SmrNode<S> {
         self.backfill
             .insert(self.applied, slot, from, value.clone());
         let votes = self.backfill.at(slot);
-        if votes.iter().filter(|vote| vote.item == value).count() > self.cfg.f() {
-            self.backfill.take(slot);
+        if votes.iter().filter(|(_, vote)| *vote == value).count() > self.cfg.f() {
+            self.backfill.remove(slot);
             self.opts.metrics.backfill_slots_total.inc();
             self.on_slot_decided(slot, value, fx);
         }
@@ -830,42 +805,43 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                     // The sender is still running consensus on a slot we
                     // settled — typically a replica healing from a
                     // partition whose hole is too small to trip the
-                    // far-behind trigger (`RECOVERY_GAP`). Answer with the
-                    // committed value; once f + 1 peers do, the hole
-                    // closes ([`Self::on_backfill`]). One reply per
-                    // inbound frame, so a spamming peer gains no
-                    // amplification. Acks and Commits get none: they are
-                    // the protocol's own stragglers (the last ack and every
-                    // Commit of a slot the fast path decided one delay
-                    // earlier), and a sender that is really stuck follows
-                    // them with a Wish, Vote or Propose.
-                    if !matches!(inner, Message::Ack(_) | Message::Commit(_)) {
-                        if let Some(value) = self.committed_tail.get(&slot) {
-                            fx.send(
-                                from,
-                                SlotMessage::Backfill {
-                                    slot,
-                                    value: value.clone(),
-                                },
-                            );
-                        }
+                    // far-behind trigger (`RECOVERY_GAP`). Acks and
+                    // Commits get no answer: they are the protocol's own
+                    // stragglers (the last ack and every Commit of a slot
+                    // the fast path decided one delay earlier), and a
+                    // sender that is really stuck follows them with a
+                    // Wish, Vote or Propose.
+                    if matches!(inner, Message::Ack(_) | Message::Commit(_)) {
+                        return;
+                    }
+                    match self.committed_tail.get(&slot) {
+                        // Once f + 1 peers answer with the committed value,
+                        // the hole closes ([`Self::on_backfill`]). One
+                        // reply per inbound frame, so a spamming peer
+                        // gains no amplification.
+                        Some(value) => fx.send(
+                            from,
+                            SlotMessage::Backfill {
+                                slot,
+                                value: value.clone(),
+                            },
+                        ),
+                        // Pruned below our snapshot: the frame is a request
+                        // for state from `slot` on, answered once per state
+                        // of ours like any `SnapshotRequest`.
+                        None => self.on_snapshot_request(from, slot, fx),
                     }
                     return;
                 }
                 if self.unopened(slot) {
-                    if slot < self.applied + SLOT_WINDOW {
-                        self.open_slot(slot, fx);
-                    } else {
-                        // Beyond the window: buffered, within the stash's
-                        // bounds. Past its horizon the frame is hostile —
-                        // or this node is hopelessly behind, which the
-                        // recovery path (triggered by `note_peer_tip` on
-                        // this same frame) fixes via state transfer;
-                        // stashing could not.
-                        self.stash.insert(self.applied, slot, from, inner);
-                        self.note_stash_depth();
+                    // Beyond the window the frame is dropped: this node is
+                    // far behind (the recovery trigger, pulled by
+                    // `note_peer_tip` on this same frame, fixes that by
+                    // state transfer), or the sender is hostile.
+                    if slot >= self.applied + SLOT_WINDOW {
                         return;
                     }
+                    self.open_slot(slot, fx);
                 }
                 self.deliver(slot, from, inner, fx);
             }

@@ -215,14 +215,6 @@ impl<S: StateMachine> SmrNode<S> {
         };
         self.slots.insert(slot, record);
         self.relay_inner(slot, inner, fx);
-        // Replay anything that arrived before the slot opened.
-        let stashed = self.stash.take(slot);
-        if !stashed.is_empty() {
-            self.note_stash_depth();
-        }
-        for held in stashed {
-            self.deliver(slot, held.from, held.item, fx);
-        }
     }
 
     /// Arms the flush-age backstop if the batcher is holding commands, so

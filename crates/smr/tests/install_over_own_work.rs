@@ -13,8 +13,8 @@
 //! * what it did not (the commands only this seat holds) goes back to the
 //!   queue and commits — every command exactly once, on every seat;
 //! * nothing of the slots below the boundary survives: no instance, no
-//!   in-flight batch, no queued byte, no stashed frame, no tail entry, no
-//!   dedup entry its peers do not hold too.
+//!   in-flight batch, no queued byte, no tail entry, no dedup entry its
+//!   peers do not hold too.
 //!
 //! n = 4, one command per slot, pipeline depth 4, a snapshot every 16 slots.
 
@@ -188,33 +188,27 @@ fn a_snapshot_installed_over_open_slots_requeues_what_it_did_not_execute() {
     assert_eq!(installs(&run.cluster), 0);
 
     // Heal, with a little paced load so there is something to hear: frames
-    // beyond the victim's window, which it stashes while it sees f + 1
-    // peers past the recovery gap, asks, and installs.
+    // beyond the victim's window, which it drops while it sees f + 1 peers
+    // past the recovery gap, asks, and installs.
     plan.heal();
     let healed_at = run.cluster.sim().now();
     for i in 0..8 {
         run.submit_shared(&live, SimTime(healed_at.0 + i * DELTA));
     }
-    let mut stashed = 0;
     run.cluster
-        .run_until(SimTime(healed_at.0 + 100 * DELTA), |c| {
-            stashed = stashed.max(c.node(victim).stashed_messages());
-            installs(c) > 0
-        });
-    assert!(stashed > 0, "nothing was ever stashed");
+        .run_until(SimTime(healed_at.0 + 100 * DELTA), |c| installs(c) > 0);
     // The instant of the install. The machine holds what the snapshot
     // executed — `a` and `b`, nothing only the victim knew of — and the
     // node's books start at the boundary: an empty tail, one interval of
-    // untagged dedup entries (`a` is a watermark, not an entry), the stash
-    // drained into the new window. The checker holds the victim's entries
-    // from before the cut and none since: the install applied nothing.
+    // untagged dedup entries (`a` is a watermark, not an entry). The
+    // checker holds the victim's entries from before the cut and none
+    // since: the install applied nothing.
     let victim_log = &run.cluster.logs()[victim.index()];
     assert!(victim_log.keys().copied().eq(0..logged), "{victim_log:?}");
     let v = run.cluster.node(victim);
     assert_eq!(v.snapshot_upto(), Some(boundary));
     assert_eq!((v.applied(), v.tail_len()), (boundary, 0));
     assert_eq!(v.dedup_entries() as u64, INTERVAL - 1);
-    assert_eq!(v.stashed_messages(), 0);
     for (key, executed) in [("a", true), ("b", true), ("c", false), ("f", false)] {
         assert_eq!(has(&run.cluster, victim, key), executed, "{key}");
     }
@@ -243,7 +237,6 @@ fn a_snapshot_installed_over_open_slots_requeues_what_it_did_not_execute() {
         // Nothing left over from below any boundary, the victim's included.
         assert_eq!((node.open_slots(), node.running_slots()), (0, 0), "{p}");
         assert_eq!((node.pending(), node.pending_bytes()), (0, 0), "{p}");
-        assert_eq!(node.stashed_messages(), 0, "{p}");
         let upto = node.snapshot_upto().expect("snapshots were taken");
         assert_eq!(node.tail_len() as u64, node.applied() - upto, "{p}");
         assert_eq!(node.dedup_entries(), reference.dedup_entries(), "{p}");

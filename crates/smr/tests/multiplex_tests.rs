@@ -1,4 +1,4 @@
-//! Unit-level tests for the slot multiplexer: window stashing, timer
+//! Unit-level tests for the slot multiplexer: the window, timer
 //! namespacing, rotation and pipelining behavior.
 
 use fastbft_core::message::{AckMsg, Message, WishMsg};
@@ -217,13 +217,14 @@ fn slot_messages_roundtrip_on_the_wire() {
     });
 }
 
-/// A Byzantine peer spraying messages for arbitrarily distant slots must
-/// not grow the stash without bound (pre-fix, every sprayed message was
-/// buffered forever). Each frame still feeds the recovery trigger: one
-/// peer ahead asks nothing, and once f + 1 = 2 distinct peers have sent a
-/// frame beyond the window the node asks every other seat for state, once.
+/// A consensus frame for a slot at or beyond the window is dropped: a
+/// Byzantine peer spraying frames for distant slots makes the node open,
+/// hold and answer nothing. Each frame still feeds the recovery trigger:
+/// one peer ahead asks nothing, and once f + 1 = 2 distinct peers have sent
+/// a frame beyond the window the node asks every other seat for state,
+/// once.
 #[test]
-fn stash_is_bounded_against_slot_spray() {
+fn frames_beyond_the_window_are_dropped_and_pull_the_recovery_trigger() {
     let cfg = Config::new(4, 1, 1).unwrap();
     let (pairs, dir) = KeyDirectory::generate(4, 21);
     let mut node = SmrNode::new(
@@ -234,27 +235,21 @@ fn stash_is_bounded_against_slot_spray() {
         Vec::new(),
         Value::default(),
     );
+    node.on_start(&mut Effects::new(ProcessId(1), 4, SimTime::ZERO));
     let mut fx = Effects::new(ProcessId(1), 4, SimTime::ZERO);
-    node.on_start(&mut fx);
     let spray = |slot: u64| SlotMessage::Consensus {
         slot,
         inner: Message::Wish(WishMsg { view: View::FIRST }),
     };
-    // Absurdly distant slots: dropped outright, no memory consumed.
+    // Absurdly distant slots, and slots just beyond the window [0, 64).
     for i in 0..10_000u64 {
         node.on_message(ProcessId(2), spray(1_000_000 + i), &mut fx);
     }
-    assert_eq!(node.stashed_messages(), 0, "hopeless slots must be dropped");
-    // Just-beyond-window slots: buffered, but only up to the cap.
     for i in 0..50_000u64 {
-        node.on_message(ProcessId(2), spray(100 + (i % 150)), &mut fx);
+        node.on_message(ProcessId(2), spray(64 + (i % 150)), &mut fx);
     }
-    let cap = node.stashed_messages();
-    assert!(cap <= 4096, "stash exceeded its bound: {cap}");
-    // A full stash still admits *nearer* slots by evicting farther ones —
-    // the nearest slots are what unblocks a lagging pipeline.
-    node.on_message(ProcessId(2), spray(70), &mut fx);
-    assert!(node.stashed_messages() <= 4096);
+    assert_eq!(node.open_slots(), 1, "slot 0 alone is open");
+    assert_eq!(fx.sent(), [], "nothing answers a frame beyond the window");
     let requests = |fx: &Effects<SlotMessage>| -> Vec<ProcessId> {
         let sent = fx.sent().into_iter();
         let asks = sent.filter(|(_, msg)| matches!(msg, SlotMessage::SnapshotRequest { .. }));
@@ -286,18 +281,15 @@ fn idle_cluster(seed: u64) -> SmrSimCluster<CountingMachine> {
     )
 }
 
-/// The same two buffers are bounded in *bytes*: the message cap alone let
-/// one seat pin 4096 frames of any size, and the backfill votes — one value
-/// per slot of the horizon per sender — had no cap at all. p4 sprays a live
-/// cluster with distinct 256 KiB values as `Ack`s over every stashable slot
-/// and 1 MiB `Backfill`s over every slot of the horizon. What a correct
-/// seat holds plateaus at 32 MiB for each (`MAX_STASHED_BYTES`,
-/// `MAX_BACKFILL_BYTES`), a nearer slot still evicts a farther one when
-/// full, and the correct seats go on to commit their commands.
+/// The backfill votes are bounded in *bytes*: one value per slot of the
+/// horizon per sender had no cap at all. p4 sprays a live cluster with
+/// distinct 1 MiB `Backfill`s over every slot of the horizon. What a
+/// correct seat holds plateaus at 32 MiB (`MAX_BACKFILL_BYTES`), a nearer
+/// slot evicts a farther one when full, and the correct seats go on to
+/// commit their commands.
 #[test]
-fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
-    use fastbft_sim::SimMessage;
-    use fastbft_smr::{MAX_STASH_AHEAD, SLOT_WINDOW};
+fn backfill_votes_plateau_at_their_byte_cap_under_a_large_frame_spray() {
+    use fastbft_smr::BACKFILL_HORIZON;
 
     const CAP: usize = 32 << 20;
     const BACKFILL: usize = 1 << 20;
@@ -306,52 +298,11 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
     let mut cluster = idle_cluster(33);
     let value = sprayed_value;
     let correct = [ProcessId(1), ProcessId(2), ProcessId(3)];
-    let ack = |value: Value| {
-        Message::Ack(AckMsg {
-            value,
-            view: View::FIRST,
-            share: None,
-        })
-    };
-
-    // The stash, while the cluster is busy with slot 0: an ack for every
-    // slot from the window's edge to the horizon, nearest first — 48 MiB
-    // to each correct seat. It is full when the next frame no longer fits,
-    // and what arrives for farther slots after that is dropped.
-    let big = ack(value(0, 256 << 10)).wire_size();
-    let sim = cluster.sim_mut();
-    for slot in SLOT_WINDOW..MAX_STASH_AHEAD {
-        let inner = ack(value(slot, 256 << 10));
-        for p in correct {
-            let frame = SlotMessage::Consensus {
-                slot,
-                inner: inner.clone(),
-            };
-            sim.inject_message(ProcessId(4), p, frame, SimTime::ZERO);
-        }
-    }
-    // p2 alone then gets one more, a little larger, for a near slot: it is
-    // admitted, and the frame of the farthest slot held makes room for it.
-    let larger = ack(value(1, 300 << 10));
-    let near = SlotMessage::Consensus {
-        slot: SLOT_WINDOW + 5,
-        inner: larger.clone(),
-    };
-    sim.inject_message(ProcessId(4), ProcessId(2), near, SimTime::ZERO);
-    sim.run_until(SimTime(DELTA));
-    let (stashed, _) = cluster.node(ProcessId(1)).buffered_bytes();
-    assert!(stashed <= CAP && stashed + big > CAP, "stash: {stashed}");
-    assert_eq!(cluster.node(ProcessId(1)).stashed_messages(), stashed / big);
-    assert_eq!(cluster.node(ProcessId(2)).stashed_messages(), stashed / big);
-    assert_eq!(
-        cluster.node(ProcessId(2)).buffered_bytes().0,
-        stashed - big + larger.wire_size()
-    );
 
     // The votes, 32 MiB a wave (one Δ apart, to keep the test's own memory
     // small), farthest slot first so every wave evicts the one before.
     let mut peak = 0;
-    for wave in (0..MAX_STASH_AHEAD).rev().collect::<Vec<_>>().chunks(32) {
+    for wave in (0..BACKFILL_HORIZON).rev().collect::<Vec<_>>().chunks(32) {
         let sim = cluster.sim_mut();
         let now = sim.now();
         for &slot in wave {
@@ -364,8 +315,8 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
         }
         sim.run_until(SimTime(now.0 + DELTA));
         for p in correct {
-            let (stashed, votes) = cluster.node(p).buffered_bytes();
-            assert!(stashed <= CAP && votes <= CAP, "{p}: {stashed}, {votes}");
+            let votes = cluster.node(p).buffered_bytes();
+            assert!(votes <= CAP, "{p}: {votes}");
             peak = peak.max(votes);
         }
     }
@@ -383,8 +334,8 @@ fn buffered_bytes_plateau_at_their_caps_under_a_large_frame_spray() {
     assert_eq!(cluster.violations(), []);
     for p in ProcessId::all(4) {
         assert_eq!(cluster.node(p).commands_applied(), 18, "{p}");
-        let (stashed, votes) = cluster.node(p).buffered_bytes();
-        assert!(stashed <= CAP && votes <= CAP, "{p}: {stashed}, {votes}");
+        let votes = cluster.node(p).buffered_bytes();
+        assert!(votes <= CAP, "{p}: {votes}");
     }
 }
 

@@ -1,23 +1,24 @@
-//! Regression: a replica partitioned past the stash horizon must still
+//! Regression: a replica cut off while its peers run past it must still
 //! rejoin and converge.
 //!
-//! The failure mode (pre state-transfer): consensus messages for slots at
-//! or beyond `applied + MAX_STASH_AHEAD` are dropped as hopeless, so once
-//! the rest of the cluster commits `MAX_STASH_AHEAD + SLOT_WINDOW` slots
-//! while a replica is cut off, every message the victim receives after the
-//! partition heals is either for a slot it has long decided (ignored) or
-//! beyond its stash horizon (dropped) — it could never catch up, and its
-//! peers' dedup/log state grew without bound waiting for it. With snapshot
-//! recovery the victim instead notices f+1 peers far ahead, fetches an
-//! attested snapshot plus the committed suffix, installs it, and resumes
-//! voting; snapshot truncation keeps everyone's memory bounded by the
-//! snapshot interval throughout.
+//! The failure mode (pre state-transfer): consensus frames for slots at or
+//! beyond the victim's window are dropped, so once the rest of the cluster
+//! commits far past it while it is cut off, every frame the victim receives
+//! after the partition heals is either for a slot it has long decided or
+//! beyond its window — it could never catch up, and its peers' dedup/log
+//! state grew without bound waiting for it. With snapshot recovery the
+//! victim instead notices f+1 peers far ahead, fetches an attested snapshot
+//! plus the committed suffix, installs it, and resumes voting; snapshot
+//! truncation keeps everyone's memory bounded by the snapshot interval
+//! throughout. A peer that is asked about a slot it has already pruned
+//! below its snapshot answers with state transfer too
+//! ([`a_replica_stranded_on_a_pruned_slot_rejoins`]).
 
 use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{Actor, SimDuration, SimTime};
 use fastbft_smr::{
-    tag_command, KvCommand, KvStore, SlotMessage, SmrNode, SmrSimCluster,
-    DEFAULT_SNAPSHOT_INTERVAL, MAX_STASH_AHEAD, SLOT_WINDOW,
+    tag_command, KvCommand, KvStore, SlotMessage, SmrNode, SmrSimCluster, BACKFILL_HORIZON,
+    DEFAULT_SNAPSHOT_INTERVAL, SLOT_WINDOW,
 };
 use fastbft_types::{Config, ProcessId, Value};
 
@@ -46,8 +47,9 @@ fn cut_off(plan: &FaultPlan) {
 
 /// n = 4, seat `queues[i]` on p`i + 1`, each configured by `configure`,
 /// with `VICTIM` cut off (anything to or from it lost) until the live trio
-/// has committed one full stash horizon *plus* a window beyond it — the
-/// pre-fix point of no return. Returns the cluster and the plan to heal.
+/// has committed one full backfill horizon *plus* a window beyond it: past
+/// anything the victim could reach by backfill votes or by frames for its
+/// window. Returns the cluster and the plan to heal.
 fn cut_off_past_the_horizon(
     queues: Vec<Vec<Value>>,
     configure: impl FnMut(ProcessId, SmrNode<KvStore>) -> Box<dyn Actor<SlotMessage>>,
@@ -59,7 +61,7 @@ fn cut_off_past_the_horizon(
     let mut cluster = SmrSimCluster::new(cfg, 11, KvStore::new(), queues, network, configure);
     cluster.run_until(SimTime(2_000_000_000), |c| {
         LIVE.iter()
-            .all(|p| c.node(*p).applied() >= MAX_STASH_AHEAD + SLOT_WINDOW)
+            .all(|p| c.node(*p).applied() >= BACKFILL_HORIZON + SLOT_WINDOW)
     });
     let victim = cluster.node(VICTIM).applied();
     assert_eq!(victim, 0, "victim advanced while partitioned");
@@ -67,11 +69,11 @@ fn cut_off_past_the_horizon(
 }
 
 #[test]
-fn replica_partitioned_past_stash_horizon_recovers() {
+fn replica_partitioned_past_the_backfill_horizon_recovers() {
     let cfg = Config::new(4, 1, 1).unwrap();
     // The client broadcasts 500 distinct puts to the live trio (the victim
     // is unreachable, so it holds no client state of its own) — enough
-    // traffic to drive the live side far past the victim's stash horizon.
+    // traffic to drive the live side far past the victim's window.
     let queue: Vec<Value> = (0..COMMANDS).map(put).collect();
     let commands = vec![queue.clone(), queue.clone(), queue, Vec::new()];
     let (mut cluster, plan) = cut_off_past_the_horizon(commands, |_, node| {
@@ -79,7 +81,7 @@ fn replica_partitioned_past_stash_horizon_recovers() {
         Box::new(node.with_snapshot_interval(DEFAULT_SNAPSHOT_INTERVAL))
     });
 
-    // Heal. The victim must recover — not via the stash (those slots are
+    // Heal. The victim must recover — not slot by slot (those slots are
     // gone from every live window) but by installing an attested snapshot —
     // and then converge on all 500 commands with everyone else.
     plan.heal();
@@ -193,7 +195,10 @@ fn an_install_drops_the_queued_commands_the_snapshot_executed() {
 ///   p4 to pull its recovery trigger. Only p4's own wishes flow.
 ///
 /// Either way p4 must end level with its peers: the SMR checker's liveness
-/// row finds nothing.
+/// row finds nothing. Their answer to a frame about a pruned slot is state
+/// transfer, so in the first row p4 ends by installing the snapshot at
+/// slot 40, past the last command, and is level with them by state, not by
+/// a log index of its own.
 #[test]
 fn a_replica_stranded_on_a_pruned_slot_rejoins() {
     const STRANDED: usize = 40;

@@ -115,7 +115,7 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
                 ("wish", 6009),
             ],
         ),
-        (seven, 5, vec![P6, P7], view_two, vec![265; 5], None, vec![]),
+        (seven, 5, vec![P6, P7], view_two, vec![266; 5], None, vec![]),
         (
             seven,
             5,
