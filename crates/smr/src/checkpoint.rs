@@ -464,12 +464,58 @@ mod tests {
             "the same request, unchanged state"
         );
         assert!(books.first_ask(P2, 0, 20), "another requester");
-        assert!(books.first_ask(P3, 4, 20), "its `have` moved");
+        assert!(
+            books.first_ask(P3, 16, 20),
+            "its `have` reached the boundary"
+        );
         assert!(books.first_ask(P3, 4, 21), "the local apply point moved");
         books.seal(&pairs[0], &Metrics::new(), 32, payload(32));
         assert!(books.first_ask(P3, 4, 21), "the local snapshot moved");
         assert!(!books.first_ask(P3, 4, 21));
         assert_eq!(books.served.len(), 2);
+    }
+
+    /// A request answered before the snapshot had f + 1 attestations left
+    /// the snapshot out; once they are in, the same request is a new
+    /// answer.
+    #[test]
+    fn a_re_ask_after_the_quorum_forms_is_a_new_answer() {
+        let (pairs, dir) = keys();
+        let mut books = Checkpoints::new(16);
+        books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
+        assert!(books.first_ask(P3, 0, 16));
+        assert!(books.response(0, F).is_none());
+        let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
+        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
+        assert!(books.response(0, F).is_some());
+        assert!(
+            books.first_ask(P3, 0, 16),
+            "a re-ask after the quorum formed is a new answer"
+        );
+        assert!(!books.first_ask(P3, 0, 16));
+    }
+
+    /// The memo is keyed on what the answer carries: `have`s below the
+    /// boundary draw the same snapshot and the same tail, one answer.
+    #[test]
+    fn requests_below_the_boundary_draw_one_answer() {
+        let (pairs, dir) = keys();
+        let mut books = Checkpoints::new(16);
+        books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
+        let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
+        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
+        assert!(books.first_ask(P3, 0, 20));
+        assert!(
+            !books.first_ask(P3, 4, 20),
+            "another `have` below the boundary is the same answer"
+        );
+        assert!(!books.first_ask(P3, 15, 20));
+        // At or past the boundary the snapshot stays out, and the tail
+        // starts at `have`.
+        assert!(books.first_ask(P3, 16, 20));
+        assert!(books.first_ask(P3, 17, 20));
+        assert!(books.first_ask(P3, 20, 20), "nothing left to send");
+        assert!(!books.first_ask(P3, 25, 20), "still nothing to send");
     }
 
     #[test]
