@@ -16,8 +16,8 @@
 //! * **The books** ([`Checkpoints`]): the latest snapshot taken or
 //!   installed with the attestations gathered for it; attestations that
 //!   arrived for boundaries not reached yet, two per signer (a Byzantine
-//!   signer can only evict its own); what each requester was last served,
-//!   so an identical request against unchanged state is answered once; and
+//!   signer can only evict its own); what each requester's last answer
+//!   carried, so a request that would draw the same answer draws none; and
 //!   the recovery trigger — the highest slot each peer has demonstrably
 //!   worked on, and whether a request is outstanding. All four are keyed
 //!   by transport-authenticated sender: `n` entries each, whatever is sent.
@@ -163,9 +163,10 @@ pub(crate) struct Checkpoints {
     /// Attestations for boundaries not reached yet: per signer, the last two
     /// `(upto, digest, sig)` triples.
     parked: HashMap<ProcessId, VecDeque<(u64, Digest, Signature)>>,
-    /// Per requester, the `(have, snapshot upto, applied)` it was last
-    /// served at.
-    served: HashMap<ProcessId, (u64, u64, u64)>,
+    /// Per requester, what its last answer carried: the snapshot boundary
+    /// sent (if any), the first tail slot sent (`applied` when none) and
+    /// `applied`.
+    served: HashMap<ProcessId, (Option<u64>, u64, u64)>,
     /// Highest slot each peer has demonstrably worked on.
     peer_tips: HashMap<ProcessId, u64>,
     /// Whether a snapshot request is outstanding (cleared when the retry
@@ -278,20 +279,33 @@ impl Checkpoints {
         }
     }
 
-    /// Whether `from`'s request is new: `false` for an identical re-request
-    /// against unchanged local state (the amplification bound).
-    pub(crate) fn first_ask(&mut self, from: ProcessId, have: u64, applied: u64) -> bool {
-        let state = (have, self.upto().unwrap_or(0), applied);
-        self.served.insert(from, state) != Some(state)
+    /// Whether the answer to `from`'s request at `have` differs from the
+    /// last one it was sent: `false` when it would carry the same snapshot
+    /// (or none), the committed tail from the same slot and the same
+    /// `applied` (the amplification bound). The tail runs from the latest
+    /// boundary to `applied`, so every `have` below the boundary is one
+    /// answer.
+    pub(crate) fn first_ask(&mut self, from: ProcessId, have: u64, applied: u64, f: usize) -> bool {
+        let snapshot = self.served_snapshot(have, f).map(|snap| snap.upto);
+        let tail_from = have.max(self.upto().unwrap_or(0)).min(applied);
+        let answer = (snapshot, tail_from, applied);
+        self.served.insert(from, answer) != Some(answer)
     }
 
-    /// The response for a requester at `have`: the latest snapshot, if it
-    /// covers anything the requester lacks and has f+1 attestations —
-    /// without them the requester would reject it, and its retry timer will
-    /// re-ask once more checkpoints have arrived here.
-    pub(crate) fn response(&self, have: u64, f: usize) -> Option<SlotMessage> {
+    /// The latest snapshot, if it covers anything a requester at `have`
+    /// lacks and has f+1 attestations — without them the requester would
+    /// reject it, and its retry timer will re-ask once more checkpoints
+    /// have arrived here.
+    fn served_snapshot(&self, have: u64, f: usize) -> Option<&Attested> {
         let snap = self.latest.as_ref()?;
-        (snap.upto > have && snap.sigs.len() > f).then(|| SlotMessage::SnapshotResponse {
+        (snap.upto > have && snap.sigs.len() > f).then_some(snap)
+    }
+
+    /// The snapshot response for a requester at `have`, if the latest
+    /// snapshot is served to it.
+    pub(crate) fn response(&self, have: u64, f: usize) -> Option<SlotMessage> {
+        let snap = self.served_snapshot(have, f)?;
+        Some(SlotMessage::SnapshotResponse {
             upto: snap.upto,
             payload: snap.payload.clone(),
             sigs: snap.sigs.values().cloned().collect(),
@@ -432,7 +446,7 @@ mod tests {
         let (pairs, dir) = keys();
         let mut books = Checkpoints::new(16);
         assert!(
-            books.first_ask(P3, 0, 5),
+            books.first_ask(P3, 0, 5, F),
             "no snapshot yet, still a request"
         );
         assert!(books.response(0, F).is_none());
@@ -457,21 +471,21 @@ mod tests {
             "nothing the requester lacks"
         );
 
-        // The memo: per requester, keyed by its `have` and the local state.
-        assert!(books.first_ask(P3, 0, 20));
+        // The memo: per requester, keyed by what its answer carries.
+        assert!(books.first_ask(P3, 0, 20, F));
         assert!(
-            !books.first_ask(P3, 0, 20),
+            !books.first_ask(P3, 0, 20, F),
             "the same request, unchanged state"
         );
-        assert!(books.first_ask(P2, 0, 20), "another requester");
+        assert!(books.first_ask(P2, 0, 20, F), "another requester");
         assert!(
-            books.first_ask(P3, 16, 20),
+            books.first_ask(P3, 16, 20, F),
             "its `have` reached the boundary"
         );
-        assert!(books.first_ask(P3, 4, 21), "the local apply point moved");
+        assert!(books.first_ask(P3, 4, 21, F), "the local apply point moved");
         books.seal(&pairs[0], &Metrics::new(), 32, payload(32));
-        assert!(books.first_ask(P3, 4, 21), "the local snapshot moved");
-        assert!(!books.first_ask(P3, 4, 21));
+        assert!(books.first_ask(P3, 4, 21, F), "the local snapshot moved");
+        assert!(!books.first_ask(P3, 4, 21, F));
         assert_eq!(books.served.len(), 2);
     }
 
@@ -483,16 +497,16 @@ mod tests {
         let (pairs, dir) = keys();
         let mut books = Checkpoints::new(16);
         books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
-        assert!(books.first_ask(P3, 0, 16));
+        assert!(books.first_ask(P3, 0, 16, F));
         assert!(books.response(0, F).is_none());
         let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
         books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
         assert!(books.response(0, F).is_some());
         assert!(
-            books.first_ask(P3, 0, 16),
+            books.first_ask(P3, 0, 16, F),
             "a re-ask after the quorum formed is a new answer"
         );
-        assert!(!books.first_ask(P3, 0, 16));
+        assert!(!books.first_ask(P3, 0, 16, F));
     }
 
     /// The memo is keyed on what the answer carries: `have`s below the
@@ -504,18 +518,18 @@ mod tests {
         books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
         let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
         books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
-        assert!(books.first_ask(P3, 0, 20));
+        assert!(books.first_ask(P3, 0, 20, F));
         assert!(
-            !books.first_ask(P3, 4, 20),
+            !books.first_ask(P3, 4, 20, F),
             "another `have` below the boundary is the same answer"
         );
-        assert!(!books.first_ask(P3, 15, 20));
+        assert!(!books.first_ask(P3, 15, 20, F));
         // At or past the boundary the snapshot stays out, and the tail
         // starts at `have`.
-        assert!(books.first_ask(P3, 16, 20));
-        assert!(books.first_ask(P3, 17, 20));
-        assert!(books.first_ask(P3, 20, 20), "nothing left to send");
-        assert!(!books.first_ask(P3, 25, 20), "still nothing to send");
+        assert!(books.first_ask(P3, 16, 20, F));
+        assert!(books.first_ask(P3, 17, 20, F));
+        assert!(books.first_ask(P3, 20, 20, F), "nothing left to send");
+        assert!(!books.first_ask(P3, 25, 20, F), "still nothing to send");
     }
 
     #[test]

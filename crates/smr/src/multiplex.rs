@@ -659,10 +659,14 @@ impl<S: StateMachine> SmrNode<S> {
 
     /// Serves a recovering peer: the latest attested snapshot (if it covers
     /// anything the requester lacks) plus the committed suffix, slot by
-    /// slot. Identical re-requests against unchanged local state are
-    /// dropped (amplification bound).
+    /// slot. A request that would draw the answer its requester last drew
+    /// is dropped (amplification bound).
     fn on_snapshot_request(&mut self, from: ProcessId, have: u64, fx: &mut Effects<SlotMessage>) {
-        if from == fx.id() || !self.checkpoints.first_ask(from, have, self.applied) {
+        if from == fx.id()
+            || !self
+                .checkpoints
+                .first_ask(from, have, self.applied, self.cfg.f())
+        {
             return;
         }
         if let Some(response) = self.checkpoints.response(have, self.cfg.f()) {
@@ -827,8 +831,8 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                             },
                         ),
                         // Pruned below our snapshot: the frame is a request
-                        // for state from `slot` on, answered once per state
-                        // of ours like any `SnapshotRequest`.
+                        // for state from `slot` on, answered like any
+                        // `SnapshotRequest`: once per answer it draws.
                         None => self.on_snapshot_request(from, slot, fx),
                     }
                     return;
