@@ -26,9 +26,12 @@
 //!
 //! Failure handling: a frame that is truncated, oversized, malformed,
 //! mis-sequenced or MAC-invalid causes the *connection* to be dropped —
-//! never a panic, and never an unauthenticated delivery. A failed write
-//! triggers one immediate redial (fresh session); if that also fails the
-//! batch is dropped and the peer enters a redial cooldown.
+//! never a panic, and never an unauthenticated delivery. A dial is one
+//! connect and one handshake; when it fails the batch is dropped and the
+//! peer enters a redial cooldown, after which the next drain dials again —
+//! the cooldown is the retry policy. A write that fails on an established
+//! link triggers one immediate redial (fresh session) first, which is
+//! what reconnects a restarted peer without waiting out a cooldown.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
@@ -43,7 +46,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use fastbft_crypto::session::{derive_nonce, mix_session, SessionMac, SessionVerifier};
 use fastbft_crypto::{KeyDirectory, KeyPair};
 use fastbft_obs::Metrics;
-use fastbft_runtime::transport::{poll_queue, poll_queue_batch, Inbound, Polled, Transport};
+use fastbft_runtime::transport::{poll_queue, Inbound, Polled, Transport};
 use fastbft_sim::SimMessage;
 use fastbft_types::wire::{encode_into, Decode, Encode, MAX_FRAME_LEN};
 use fastbft_types::ProcessId;
@@ -67,19 +70,13 @@ pub struct TcpOptions {
     /// dialers, and bounds how long a writer thread courts a peer that
     /// accepts but never answers).
     pub handshake_timeout: Duration,
-    /// Dial attempts per (re)connect before giving up on a peer for the
-    /// current drain. Listeners are bound before any replica thread starts,
-    /// so retries only matter for mid-run reconnects, not startup.
-    pub connect_retries: u32,
-    /// Pause between dial attempts.
-    pub connect_backoff: Duration,
-    /// Per-attempt TCP connect timeout. Bounds how long a drain toward a
+    /// TCP connect timeout of a dial. Bounds how long a drain toward a
     /// blackholed peer (SYNs silently dropped) can stall *that peer's
     /// writer thread* — the event loop is never on this path.
     pub connect_timeout: Duration,
-    /// After a (re)connect gives up, the minimum time frames to that peer
-    /// are dropped immediately instead of redialing, so a dead peer costs
-    /// one dial budget per cooldown rather than one per frame.
+    /// After a (re)connect fails, the minimum time frames to that peer are
+    /// dropped immediately instead of redialing, so a dead peer costs one
+    /// dial per cooldown rather than one per frame.
     pub redial_cooldown: Duration,
     /// Capacity, in frames, of each peer's outbound queue. When a peer's
     /// queue is full (it is dead, slow, or blackholed), new frames to it
@@ -92,8 +89,6 @@ impl Default for TcpOptions {
     fn default() -> Self {
         TcpOptions {
             handshake_timeout: Duration::from_secs(5),
-            connect_retries: 3,
-            connect_backoff: Duration::from_millis(20),
             connect_timeout: Duration::from_secs(1),
             redial_cooldown: Duration::from_millis(250),
             outbound_queue_frames: 1024,
@@ -435,10 +430,6 @@ impl<M: SimMessage + Encode + Decode> Transport<M> for TcpTransport<M> {
     fn recv(&mut self, timeout: Option<Duration>) -> Polled<M> {
         poll_queue(&self.inbound_rx, timeout)
     }
-
-    fn recv_batch(&mut self, max: usize, timeout: Option<Duration>) -> Vec<Polled<M>> {
-        poll_queue_batch(&self.inbound_rx, max, timeout)
-    }
 }
 
 impl<M> Drop for TcpTransport<M> {
@@ -454,8 +445,9 @@ impl<M> Drop for TcpTransport<M> {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Closing the queues lets each writer finish its current drain and
-        // exit; a writer parked mid-dial observes the shutdown flag between
-        // attempts (its connect itself is bounded by `connect_timeout`).
+        // exit; a writer parked mid-dial finishes that one attempt (its
+        // connect is bounded by `connect_timeout`) and checks the shutdown
+        // flag before any other.
         let handles: Vec<PeerHandle> = self.peers.iter_mut().filter_map(Option::take).collect();
         let writers: Vec<JoinHandle<()>> = handles
             .into_iter()
@@ -554,8 +546,8 @@ fn peer_writer(seat: WriterSeat, rx: Receiver<Bytes>) {
         }
         drop_link(&seat, link.take());
         // Retry once on a fresh connection only if an *established* link
-        // broke mid-write; a failed fresh dial already burned the whole
-        // dial budget.
+        // broke mid-write; a fresh dial that just failed is not retried
+        // before the cooldown.
         if had_link {
             if let Ok(mut out) = dial(&seat) {
                 seat.metrics.reconnect_total.inc();
@@ -672,47 +664,32 @@ fn write_batch(
     Ok(())
 }
 
-/// Dials the seat's peer, performs the mutual handshake, and returns the
-/// authenticated outbound link. Aborts between attempts on shutdown.
+/// Dials the seat's peer once, performs the mutual handshake, and returns
+/// the authenticated outbound link. A failure is retried by the writer,
+/// after its redial cooldown.
 fn dial(seat: &WriterSeat) -> Result<Outbound, io::Error> {
+    if seat.shared.stopping() {
+        return Err(io::Error::other("shutting down"));
+    }
     // Session ids are unique per (process, connection) within a run: the
     // MAC key is per-process, so a counter suffices to keep frames from
     // one connection unreplayable on any other.
     let session = (u64::from(seat.me.0) << 32)
         | (seat.session_counter.fetch_add(1, Ordering::SeqCst) & 0xFFFF_FFFF);
-    let mut last_err = io::Error::other("no dial attempts made");
-    for attempt in 0..seat.opts.connect_retries.max(1) {
-        if seat.shared.stopping() {
-            return Err(io::Error::other("shutting down"));
-        }
-        if attempt > 0 {
-            std::thread::sleep(seat.opts.connect_backoff);
-        }
-        let stream = match TcpStream::connect_timeout(&seat.addr, seat.opts.connect_timeout) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = e;
-                continue;
+    let stream = TcpStream::connect_timeout(&seat.addr, seat.opts.connect_timeout)?;
+    let _ = stream.set_nodelay(true);
+    // Register before the handshake so Drop can unblock a writer parked
+    // waiting for a HelloAck that never comes.
+    let stream_id = seat.shared.register_stream(&stream);
+    match handshake_as_dialer(seat, stream, session) {
+        Ok(out) => Ok(Outbound { stream_id, ..out }),
+        Err(e) => {
+            if let Some(id) = stream_id {
+                seat.shared.unregister_stream(id);
             }
-        };
-        let _ = stream.set_nodelay(true);
-        // Register before the handshake so Drop can unblock a writer
-        // parked waiting for a HelloAck that never comes.
-        let stream_id = seat.shared.register_stream(&stream);
-        match handshake_as_dialer(seat, stream, session) {
-            Ok(mut out) => {
-                out.stream_id = stream_id;
-                return Ok(out);
-            }
-            Err(e) => {
-                if let Some(id) = stream_id {
-                    seat.shared.unregister_stream(id);
-                }
-                last_err = e;
-            }
+            Err(e)
         }
     }
-    Err(last_err)
 }
 
 fn handshake_as_dialer(

@@ -67,8 +67,6 @@ impl Decode for Probe {
 fn fast_opts() -> TcpOptions {
     TcpOptions {
         handshake_timeout: Duration::from_millis(200),
-        connect_retries: 2,
-        connect_backoff: Duration::from_millis(10),
         connect_timeout: Duration::from_millis(200),
         redial_cooldown: Duration::from_millis(50),
         ..TcpOptions::default()

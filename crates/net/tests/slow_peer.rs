@@ -23,8 +23,6 @@ const COMMANDS: u64 = 64;
 fn hostile_opts() -> TcpOptions {
     TcpOptions {
         handshake_timeout: Duration::from_millis(300),
-        connect_retries: 2,
-        connect_backoff: Duration::from_millis(10),
         connect_timeout: Duration::from_millis(300),
         redial_cooldown: Duration::from_millis(100),
         // The queue bound stays at its (ample) default: correct links must

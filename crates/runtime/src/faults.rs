@@ -793,6 +793,41 @@ mod tests {
     /// a lossy, jittered link lose the same deliveries and draw the same
     /// delays, to the tick, through a `FaultTransport` and through
     /// `FaultPlan::network`; another seed draws other fates.
+    /// The drain every wrapped seat takes: deliveries that come due
+    /// together leave in one `recv_batch`, in send order, and a shutdown
+    /// queued behind them ends it.
+    #[test]
+    fn delayed_deliveries_due_together_drain_in_one_batch() {
+        let plan = FaultPlan::new();
+        let delay = Duration::from_millis(30);
+        plan.set_rules(from_p2(LinkProfile::delayed(delay, Duration::ZERO)));
+        let (mut t1, mut t2, control) = pair(&plan, 7);
+        for i in 0..5 {
+            t2.send(ProcessId(1), Ping(i));
+        }
+        // Admitted into the delay line, none due yet.
+        let batch = t1.recv_batch(16, Some(Duration::from_millis(5)));
+        assert!(matches!(batch[..], [Polled::TimedOut]));
+        control.send(Inbound::Shutdown).unwrap();
+        t2.send(ProcessId(1), Ping(9));
+        std::thread::sleep(delay);
+        let batch = t1.recv_batch(16, Some(Duration::from_secs(1)));
+        let got: Vec<Option<u32>> = batch
+            .iter()
+            .map(|polled| match polled {
+                Polled::Delivered(ProcessId(2), Ping(i)) => Some(*i),
+                Polled::Shutdown => None,
+                other => panic!("unexpected poll result: {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [Some(0), Some(1), Some(2), Some(3), Some(4), None],
+            "due together, in send order, ended by the shutdown"
+        );
+        assert_eq!(counted(&t1, |m| &m.fault_delay_injected_total), 5);
+    }
+
     #[test]
     fn loss_is_deterministic_per_link_sequence() {
         let plan = FaultPlan::new();

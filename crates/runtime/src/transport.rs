@@ -92,17 +92,18 @@ pub trait Transport<M: SimMessage>: Send + 'static {
     fn recv(&mut self, timeout: Option<Duration>) -> Polled<M>;
 
     /// Waits for the next inbound event like [`recv`](Transport::recv),
-    /// then opportunistically drains up to `max - 1` more *already queued*
-    /// events without blocking — the event loop processes the whole batch
-    /// per wakeup instead of paying one wakeup per message.
+    /// then drains up to `max - 1` more *already due* events by polling
+    /// `recv` with a zero timeout — the event loop processes the whole
+    /// batch per wakeup instead of paying one wakeup per message. Every
+    /// transport drains this way; none overrides it.
     ///
     /// The returned batch is never empty; only its trailing element may be
     /// a control outcome ([`Polled::TimedOut`], [`Polled::Shutdown`],
     /// [`Polled::Closed`]) — draining stops as soon as one is seen, so no
-    /// delivery is ever sequenced after a shutdown.
-    ///
-    /// The default drains by polling `recv` with a zero timeout;
-    /// queue-backed transports override it with [`poll_queue_batch`].
+    /// delivery is ever sequenced after a shutdown. A close seen while
+    /// draining ends the batch without joining it: everything queued
+    /// before the last feeder went is delivered, and the next call reports
+    /// [`Polled::Closed`].
     fn recv_batch(&mut self, max: usize, timeout: Option<Duration>) -> Vec<Polled<M>> {
         let mut out = Vec::with_capacity(max.clamp(1, 64));
         let first = self.recv(timeout);
@@ -113,7 +114,7 @@ pub trait Transport<M: SimMessage>: Send + 'static {
         out.push(first);
         while draining && out.len() < max.max(1) {
             match self.recv(Some(Duration::ZERO)) {
-                Polled::TimedOut => break,
+                Polled::TimedOut | Polled::Closed => break,
                 event => {
                     let stop = !matches!(
                         event,
@@ -130,8 +131,9 @@ pub trait Transport<M: SimMessage>: Send + 'static {
     }
 }
 
-/// Maps a drained [`Inbound`] queue entry to a [`Polled`] outcome — shared
-/// by every queue-fed transport implementation.
+/// Waits on an [`Inbound`] queue for at most `timeout` (`None` = forever)
+/// and maps what it yields to a [`Polled`] outcome — the `recv` of every
+/// queue-fed transport.
 pub fn poll_queue<M>(rx: &Receiver<Inbound<M>>, timeout: Option<Duration>) -> Polled<M> {
     let event = match timeout {
         Some(wait) => match rx.recv_timeout(wait) {
@@ -144,47 +146,12 @@ pub fn poll_queue<M>(rx: &Receiver<Inbound<M>>, timeout: Option<Duration>) -> Po
             Err(_) => return Polled::Closed,
         },
     };
-    polled_from(event)
-}
-
-fn polled_from<M>(event: Inbound<M>) -> Polled<M> {
     match event {
         Inbound::Peer(from, msg) => Polled::Delivered(from, msg),
         Inbound::PeerBatch(from, msgs) => Polled::DeliveredBatch(from, msgs),
         Inbound::Client(command) => Polled::Client(command),
         Inbound::Shutdown => Polled::Shutdown,
     }
-}
-
-/// [`Transport::recv_batch`] for queue-fed transports: one (possibly
-/// blocking) [`poll_queue`], then a non-blocking `try_recv` drain of
-/// whatever is already queued, up to `max` events total. Stops at the
-/// first control outcome so nothing is sequenced after a shutdown.
-pub fn poll_queue_batch<M>(
-    rx: &Receiver<Inbound<M>>,
-    max: usize,
-    timeout: Option<Duration>,
-) -> Vec<Polled<M>> {
-    let mut out = Vec::with_capacity(max.clamp(1, 64));
-    let first = poll_queue(rx, timeout);
-    let draining = matches!(
-        first,
-        Polled::Delivered(..) | Polled::DeliveredBatch(..) | Polled::Client(_)
-    );
-    out.push(first);
-    while draining && out.len() < max.max(1) {
-        let Some(event) = rx.try_recv() else { break };
-        let polled = polled_from(event);
-        let stop = !matches!(
-            polled,
-            Polled::Delivered(..) | Polled::DeliveredBatch(..) | Polled::Client(_)
-        );
-        out.push(polled);
-        if stop {
-            break;
-        }
-    }
-    out
 }
 
 /// The in-process transport: one `std::sync::mpsc` channel per node (through
@@ -243,10 +210,6 @@ impl<M: SimMessage> Transport<M> for ChannelTransport<M> {
 
     fn recv(&mut self, timeout: Option<Duration>) -> Polled<M> {
         poll_queue(&self.rx, timeout)
-    }
-
-    fn recv_batch(&mut self, max: usize, timeout: Option<Duration>) -> Vec<Polled<M>> {
-        poll_queue_batch(&self.rx, max, timeout)
     }
 }
 
