@@ -33,10 +33,7 @@ fn tagged_put(i: usize) -> Value {
 
 /// The batcher capped at one command per slot.
 fn one_per_slot() -> Batching {
-    Batching::Adaptive(AdaptiveBatch {
-        max_batch_cmds: 1,
-        ..AdaptiveBatch::default()
-    })
+    Batching::Adaptive(AdaptiveBatch { max_batch_cmds: 1 })
 }
 
 /// Spawns an SMR-over-TCP cluster, one command per slot; seat `i` is

@@ -4,9 +4,10 @@
 //! feedback-tuned *target*, not a constant: it starts at 1, doubles when
 //! a drain leaves a backlog behind, halves when a drain empties the queue
 //! — at most once per smoothed commit latency since the last backlog or
-//! halving — and stays within the caps of [`AdaptiveBatch`]. A batch held
-//! below target while the pipeline is busy ships the moment the node is
-//! quiescent or the flush-age backstop fires — a lone command on an idle
+//! halving — and stays within the command cap of [`AdaptiveBatch`] and a
+//! byte cap of 1 MiB. A batch held below target while the pipeline is busy
+//! ships the moment the node is quiescent or the flush-age backstop (Δ)
+//! fires — a lone command on an idle
 //! cluster never waits. With a command cap of 1
 //! ([`SmrNode::with_batch_size`]`(1)`) the target cannot leave 1, nothing
 //! is ever held and no backstop is armed: one command per slot, the
@@ -29,7 +30,17 @@ use std::collections::VecDeque;
 use fastbft_sim::{SimDuration, SimTime};
 use fastbft_types::Value;
 
-/// Bounds of the self-adjusting proposal batcher (see the [module
+/// Hard cap on the summed command bytes per proposal. A single oversized
+/// command still ships alone — the cap bounds *batching*, it cannot wedge
+/// the queue.
+const MAX_BATCH_BYTES: usize = 1 << 20;
+
+/// How long a held batch may wait before the backstop timer forces a flush
+/// (virtual time, like every protocol timer). Only reached when the
+/// pipeline stays busy without ever quiescing.
+const FLUSH_AGE: SimDuration = SimDuration::DELTA;
+
+/// The bound of the self-adjusting proposal batcher (see the [module
 /// docs](self)). The *target* batch size is not configured — it moves with
 /// feedback and always stays within `1..=max_batch_cmds`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,22 +48,12 @@ pub struct AdaptiveBatch {
     /// Hard cap on commands per proposal (and the ceiling the adaptive
     /// target grows toward). Default 256.
     pub max_batch_cmds: usize,
-    /// Hard cap on the summed command bytes per proposal, default 1 MiB. A
-    /// single oversized command still ships alone — the cap bounds
-    /// *batching*, it cannot wedge the queue.
-    pub max_batch_bytes: usize,
-    /// How long a held batch may wait before the backstop timer forces a
-    /// flush (virtual time, like every protocol timer). Only reached
-    /// when the pipeline stays busy without ever quiescing.
-    pub flush_age: SimDuration,
 }
 
 impl Default for AdaptiveBatch {
     fn default() -> Self {
         AdaptiveBatch {
             max_batch_cmds: 256,
-            max_batch_bytes: 1 << 20,
-            flush_age: SimDuration::DELTA,
         }
     }
 }
@@ -65,7 +66,7 @@ impl Default for AdaptiveBatch {
 // `AdaptiveBatch` in the next benchmark-only PR.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Batching {
-    /// Feedback-tuned batch sizes within the bounds of [`AdaptiveBatch`].
+    /// Feedback-tuned batch sizes within the bound of [`AdaptiveBatch`].
     Adaptive(AdaptiveBatch),
 }
 
@@ -106,15 +107,14 @@ pub(crate) struct Batcher {
 }
 
 impl Batcher {
-    /// A batcher at target 1 within `batching`'s bounds.
+    /// A batcher at target 1 within `batching`'s bound.
     ///
     /// # Panics
     ///
-    /// Panics if either cap is 0.
+    /// Panics if the command cap is 0.
     pub(crate) fn new(batching: Batching) -> Self {
         let Batching::Adaptive(bounds) = batching;
         assert!(bounds.max_batch_cmds >= 1, "command cap must be at least 1");
-        assert!(bounds.max_batch_bytes >= 1, "byte cap must be at least 1");
         Batcher {
             bounds,
             target: 1,
@@ -157,7 +157,7 @@ impl Batcher {
         for cmd in queue.iter().take(cap.min(len)) {
             let size = cmd.as_bytes().len();
             // The first command always ships, however large.
-            if take > 0 && bytes + size > self.bounds.max_batch_bytes {
+            if take > 0 && bytes + size > MAX_BATCH_BYTES {
                 reason = FlushReason::Bytes;
                 break;
             }
@@ -203,7 +203,7 @@ impl Batcher {
             return None;
         }
         self.flush_armed = true;
-        Some(self.bounds.flush_age)
+        Some(FLUSH_AGE)
     }
 
     /// The backstop fired; with commands still `held`, the next
@@ -222,17 +222,13 @@ mod tests {
         sizes.iter().map(|n| Value::new(vec![7; *n])).collect()
     }
 
-    fn batcher(max_batch_cmds: usize, max_batch_bytes: usize) -> Batcher {
-        Batcher::new(Batching::Adaptive(AdaptiveBatch {
-            max_batch_cmds,
-            max_batch_bytes,
-            ..AdaptiveBatch::default()
-        }))
+    fn batcher(max_batch_cmds: usize) -> Batcher {
+        Batcher::new(Batching::Adaptive(AdaptiveBatch { max_batch_cmds }))
     }
 
     /// A batcher whose target a backlog has grown to `target`.
     fn grown_to(target: usize, max_batch_cmds: usize) -> Batcher {
-        let mut b = batcher(max_batch_cmds, 1 << 20);
+        let mut b = batcher(max_batch_cmds);
         while b.target() < target {
             b.drained(1, SimTime::ZERO);
         }
@@ -279,13 +275,12 @@ mod tests {
         let mut b = grown_to(8, 256);
         let held = queue(&[16; 3]);
         assert_eq!(b.plan(&held, false), None);
-        let flush_age = AdaptiveBatch::default().flush_age;
-        assert_eq!(b.hold_began(), Some(flush_age));
+        assert_eq!(b.hold_began(), Some(FLUSH_AGE));
         assert_eq!(b.hold_began(), None, "one timer per hold");
         // Fired with nothing left to flush: disarmed, nothing due.
         b.flush_timer_fired(false);
         assert_eq!(b.plan(&held, false), None);
-        assert_eq!(b.hold_began(), Some(flush_age));
+        assert_eq!(b.hold_began(), Some(FLUSH_AGE));
         // Fired with the batch still held: it ships, and the drain clears
         // the due flag.
         b.flush_timer_fired(true);
@@ -296,18 +291,23 @@ mod tests {
 
     #[test]
     fn the_byte_cap_stops_a_drain_but_the_first_command_always_ships() {
-        let b = batcher(256, 100);
+        let b = batcher(256);
         let plan = |sizes: &[usize]| b.plan(&queue(sizes), true);
-        assert_eq!(plan(&[40, 40, 40]), Some((2, FlushReason::Bytes)));
-        assert_eq!(plan(&[40, 60, 1]), Some((2, FlushReason::Bytes)));
-        assert_eq!(plan(&[50, 50]), Some((2, FlushReason::Quiescence)));
-        assert_eq!(plan(&[500, 1]), Some((1, FlushReason::Bytes)));
-        assert_eq!(plan(&[500]), Some((1, FlushReason::Quiescence)));
+        let (cap, two_fifths) = (MAX_BATCH_BYTES, MAX_BATCH_BYTES * 2 / 5);
+        let three_fifths = cap - two_fifths;
+        let over = [two_fifths; 3];
+        assert_eq!(plan(&over), Some((2, FlushReason::Bytes)));
+        let full_then_one = [two_fifths, three_fifths, 1];
+        assert_eq!(plan(&full_then_one), Some((2, FlushReason::Bytes)));
+        let full = [cap / 2, cap / 2];
+        assert_eq!(plan(&full), Some((2, FlushReason::Quiescence)));
+        assert_eq!(plan(&[cap + 1, 1]), Some((1, FlushReason::Bytes)));
+        assert_eq!(plan(&[cap + 1]), Some((1, FlushReason::Quiescence)));
     }
 
     #[test]
     fn backlog_doubles_the_target_up_to_the_cap_however_slow_the_commits() {
-        let mut b = batcher(12, 1 << 20);
+        let mut b = batcher(12);
         b.slot_committed(SimDuration(200));
         for _ in 0..20 {
             b.slot_committed(SimDuration(5_000));
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn a_cap_of_one_never_leaves_target_one() {
-        let mut b = batcher(1, 1 << 20);
+        let mut b = batcher(1);
         b.slot_committed(SimDuration(1));
         for left in [5, 0, 3, 0] {
             b.slot_committed(SimDuration(10_000));

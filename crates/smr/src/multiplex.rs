@@ -50,7 +50,7 @@
 //!    slots parked above the next free slot.
 //! 5. **Adaptive proposal batching** — `batcher`. How many queued commands
 //!    a proposal drains is a feedback-tuned target within the
-//!    [`AdaptiveBatch`] bounds; the node tells the batcher what happened (a
+//!    [`AdaptiveBatch`] cap; the node tells the batcher what happened (a
 //!    drain, a commit, a hold, the backstop) and whether it is quiescent.
 //! 6. **Ingress backpressure** — here ([`Actor::on_client`]). A bounded
 //!    pending-command budget, count and bytes; submissions past it are shed
@@ -260,9 +260,9 @@ impl<S: StateMachine> SmrNode<S> {
         }
     }
 
-    /// Caps each slot's proposal at `batch_size` commands, every other
-    /// bound of the batching policy at its default. At 1 the batch target
-    /// cannot leave 1 and nothing is ever held: one command per slot.
+    /// Caps each slot's proposal at `batch_size` commands. At 1 the batch
+    /// target cannot leave 1 and nothing is ever held: one command per
+    /// slot.
     ///
     /// # Panics
     ///
@@ -271,16 +271,15 @@ impl<S: StateMachine> SmrNode<S> {
     pub fn with_batch_size(self, batch_size: usize) -> Self {
         self.with_batching(Batching::Adaptive(AdaptiveBatch {
             max_batch_cmds: batch_size,
-            ..AdaptiveBatch::default()
         }))
     }
 
-    /// Sets the bounds within which queued commands are grouped into
+    /// Sets the bound within which queued commands are grouped into
     /// proposals. Default `Batching::Adaptive(AdaptiveBatch::default())`.
     ///
     /// # Panics
     ///
-    /// Panics if a cap is 0.
+    /// Panics if the command cap is 0.
     #[must_use]
     pub fn with_batching(mut self, batching: Batching) -> Self {
         self.batcher = Batcher::new(batching);

@@ -5,7 +5,7 @@
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
 use fastbft_sim::{Actor, Effects, Network, ScriptedActor, SimDuration, SimTime};
-use fastbft_smr::{AdaptiveBatch, CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
+use fastbft_smr::{CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value};
 use proptest::prelude::*;
 
@@ -180,11 +180,11 @@ fn requeued_commands_the_batcher_holds_get_the_backstop_armed() {
     assert_eq!(node.batch_target(), 4);
     assert_eq!((node.pending(), node.open_slots()), (3, 0), "held");
 
-    let flush_age = AdaptiveBatch::default().flush_age;
+    // The flush-age backstop is Δ.
     let armed = fx
         .timers_set()
         .iter()
-        .find(|(delay, _)| *delay == flush_age);
+        .find(|(delay, _)| *delay == SimDuration::DELTA);
     let (_, backstop) = *armed.expect("a hold with no backstop armed");
     node.on_timer(backstop, &mut Effects::new(ProcessId(1), 4, SimTime::ZERO));
     assert_eq!((node.pending(), node.open_slots()), (3, 1), "shipped");
