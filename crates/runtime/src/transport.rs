@@ -94,8 +94,7 @@ pub trait Transport<M: SimMessage>: Send + 'static {
     /// Waits for the next inbound event like [`recv`](Transport::recv),
     /// then drains up to `max - 1` more *already due* events by polling
     /// `recv` with a zero timeout — the event loop processes the whole
-    /// batch per wakeup instead of paying one wakeup per message. Every
-    /// transport drains this way; none overrides it.
+    /// batch per wakeup instead of paying one wakeup per message.
     ///
     /// The returned batch is never empty; only its trailing element may be
     /// a control outcome ([`Polled::TimedOut`], [`Polled::Shutdown`],
