@@ -7,11 +7,10 @@
 //! halving — and stays within the command cap of [`AdaptiveBatch`] and a
 //! byte cap of 1 MiB. A batch held below target while the pipeline is busy
 //! ships the moment the node is quiescent or the flush-age backstop (Δ)
-//! fires — a lone command on an idle
-//! cluster never waits. With a command cap of 1
-//! ([`SmrNode::with_batch_size`]`(1)`) the target cannot leave 1, nothing
-//! is ever held and no backstop is armed: one command per slot, the
-//! degenerate setting of the same path.
+//! fires — a lone command on an idle cluster never waits. With a command
+//! cap of 1 ([`SmrNode::with_batch_size`]`(1)`) the target cannot leave 1,
+//! nothing is ever held and no backstop is armed: one command per slot,
+//! the degenerate setting of the same path.
 //!
 //! `Batcher::plan` is pure; four transitions write the state, each
 //! called by [`SmrNode`] at the moment the thing happened. Whether the
@@ -91,7 +90,8 @@ pub(crate) enum FlushReason {
 
 /// The batching policy and its feedback state. See the [module docs](self).
 pub(crate) struct Batcher {
-    bounds: AdaptiveBatch,
+    /// Commands per proposal at most (`AdaptiveBatch::max_batch_cmds`).
+    max_cmds: usize,
     /// Commands the next proposal should carry while the pipeline is busy.
     target: usize,
     /// Whether a backstop timer is outstanding for held commands.
@@ -113,10 +113,10 @@ impl Batcher {
     ///
     /// Panics if the command cap is 0.
     pub(crate) fn new(batching: Batching) -> Self {
-        let Batching::Adaptive(bounds) = batching;
-        assert!(bounds.max_batch_cmds >= 1, "command cap must be at least 1");
+        let Batching::Adaptive(AdaptiveBatch { max_batch_cmds }) = batching;
+        assert!(max_batch_cmds >= 1, "command cap must be at least 1");
         Batcher {
-            bounds,
+            max_cmds: max_batch_cmds,
             target: 1,
             flush_armed: false,
             flush_due: false,
@@ -144,11 +144,11 @@ impl Batcher {
             return None;
         }
         let (cap, mut reason) = if quiescent {
-            (self.bounds.max_batch_cmds, FlushReason::Quiescence)
+            (self.max_cmds, FlushReason::Quiescence)
         } else if len >= self.target {
             (self.target, FlushReason::Size)
         } else if self.flush_due {
-            (self.bounds.max_batch_cmds, FlushReason::Timeout)
+            (self.max_cmds, FlushReason::Timeout)
         } else {
             return None;
         };
@@ -177,7 +177,7 @@ impl Batcher {
         self.flush_due = false;
         let window = self.commit_ticks.unwrap_or(0.0);
         if left > 0 {
-            self.target = (self.target * 2).min(self.bounds.max_batch_cmds);
+            self.target = (self.target * 2).min(self.max_cmds);
             self.backlog_at = now;
         } else if self.target > 1 && now.since(self.backlog_at).0 as f64 >= window {
             self.target /= 2;
