@@ -194,6 +194,12 @@ fn an_install_drops_the_queued_commands_the_snapshot_executed() {
 ///   but the cluster is idle after the heal, so no frame of theirs reaches
 ///   p4 to pull its recovery trigger. Only p4's own wishes flow.
 ///
+/// Each row runs once more with the answers lost: for 200Δ before the heal
+/// only the frames *to* p4 are cut, so its asks arrive and what its peers
+/// send back does not. The idle trio's state stands still meanwhile, so
+/// every ask after the heal is one they already answered; a lost answer
+/// must still go again.
+///
 /// Either way p4 must end level with its peers: the SMR checker's liveness
 /// row finds nothing. Their answer to a frame about a pruned slot is state
 /// transfer, so in the first row p4 ends by installing the snapshot at
@@ -207,7 +213,7 @@ fn a_replica_stranded_on_a_pruned_slot_rejoins() {
         .map(|i| tag_command(0, i as u64 + 1, put(i).as_bytes()))
         .collect();
     let (mut found, mut expected) = (Vec::new(), Vec::new());
-    for cut_after in [10, 0] {
+    for (cut_after, lost) in [(10, 0), (0, 0), (10, 200), (0, 200)] {
         for seed in 1..=3 {
             let plan = FaultPlan::new();
             let network = plan.network(SimDuration::DELTA, seed);
@@ -226,15 +232,20 @@ fn a_replica_stranded_on_a_pruned_slot_rejoins() {
                 LIVE.iter()
                     .all(|p| c.node(*p).commands_applied() >= STRANDED as u64)
             });
+            if lost > 0 {
+                plan.set_rules(LinkRules {
+                    by_dst: [(VICTIM, LinkProfile::cut())].into(),
+                    ..LinkRules::default()
+                });
+                let sim = cluster.sim_mut();
+                sim.run_until(SimTime(sim.now().0 + lost * sim.delta().0));
+            }
             plan.heal();
             let lagging = cluster.settle(4_000).map(|v| v.to_string());
-            assert_eq!(
-                cluster.violations(),
-                [],
-                "cut after {cut_after}, seed {seed}"
-            );
-            found.push((cut_after, seed, lagging));
-            expected.push((cut_after, seed, None));
+            let row = format!("cut after {cut_after}, answers lost for {lost}Δ, seed {seed}");
+            assert_eq!(cluster.violations(), [], "{row}");
+            found.push((row.clone(), lagging));
+            expected.push((row, None));
         }
     }
     assert_eq!(found, expected);
