@@ -97,7 +97,7 @@ metrics! {
     Counter dedup_dropped_total: "Committed commands skipped by identity dedup (at-most-once).",
     Counter batch_flush_size_total:
         "Proposal batches flushed because the adaptive target was reached.",
-    Counter batch_flush_bytes_total: "Proposal batches flushed at the max_batch_bytes cap.",
+    Counter batch_flush_bytes_total: "Proposal batches flushed at the batcher's byte cap.",
     Counter batch_flush_quiescence_total: "Proposal batches flushed because the pipeline was idle.",
     Counter batch_flush_timeout_total: "Proposal batches flushed by the flush-age backstop.",
     Counter ingress_shed_total: "Client commands shed at ingress by the pending-queue budget.",

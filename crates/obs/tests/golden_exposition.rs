@@ -150,7 +150,7 @@ fastbft_dedup_dropped_total{replica="p2"} 111
 # TYPE fastbft_batch_flush_size_total counter
 fastbft_batch_flush_size_total{replica="p1"} 12
 fastbft_batch_flush_size_total{replica="p2"} 112
-# HELP fastbft_batch_flush_bytes_total Proposal batches flushed at the max_batch_bytes cap.
+# HELP fastbft_batch_flush_bytes_total Proposal batches flushed at the batcher's byte cap.
 # TYPE fastbft_batch_flush_bytes_total counter
 fastbft_batch_flush_bytes_total{replica="p1"} 13
 fastbft_batch_flush_bytes_total{replica="p2"} 113

@@ -14,22 +14,30 @@
 //!   (serving, installing, [`snapshot_response_valid`]) asks that one
 //!   function, once.
 //! * **The books** ([`Checkpoints`]): the latest snapshot taken or
-//!   installed with the attestations gathered for it; attestations that
-//!   arrived for boundaries not reached yet, two per signer (a Byzantine
-//!   signer can only evict its own); what each requester's last answer
-//!   carried, so a request that would draw the same answer draws none; and
-//!   the recovery trigger — the highest slot each peer has demonstrably
-//!   worked on, and whether a request is outstanding. All four are keyed
-//!   by transport-authenticated sender: `n` entries each, whatever is sent.
+//!   installed with the attestations gathered for it, and the committed
+//!   tail from its boundary on; attestations that arrived for boundaries
+//!   not reached yet, two per signer (a Byzantine signer can only evict its
+//!   own); what each requester was sent and when; and the recovery trigger
+//!   — the highest slot each peer has demonstrably worked on, and whether a
+//!   request is outstanding. Everything kept per peer is keyed by
+//!   transport-authenticated sender: `n` entries, whatever is sent.
+//! * **The answer** ([`Checkpoints::answer`]) to "what do I lack from slot
+//!   `have` on?", asked by a `SnapshotRequest` or a frame about a settled
+//!   slot. One requester draws from one responder at most one full answer
+//!   per base timeout, each newly sealed snapshot once and each newly
+//!   applied slot once; a requester repeating one ask backs off
+//!   geometrically, and a lost answer still goes again.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use fastbft_core::certs::sign_counted;
+use fastbft_core::sync::ViewTimer;
 use fastbft_crypto::{Digest, KeyDirectory, KeyPair, Signature};
 use fastbft_obs::Metrics;
+use fastbft_sim::{SimDuration, SimTime};
 use fastbft_types::wire::from_bytes;
-use fastbft_types::ProcessId;
+use fastbft_types::{ProcessId, Value, View};
 
 use crate::dedup::Dedup;
 use crate::multiplex::SLOT_WINDOW;
@@ -152,6 +160,18 @@ struct Attested {
     sigs: BTreeMap<ProcessId, Signature>,
 }
 
+/// What [`Checkpoints::answer`] sent one requester since its last full
+/// answer: the snapshot boundary, the tail below `through`; when that full
+/// answer went; `k`, the view whose timeout the next one waits (full
+/// answers since `have` last moved); the `have` of the last ask.
+struct Sent {
+    boundary: Option<u64>,
+    through: u64,
+    full_at: SimTime,
+    k: u64,
+    have: u64,
+}
+
 /// One node's checkpoint and state-transfer books. See the [module
 /// docs](self).
 #[derive(Default)]
@@ -160,13 +180,14 @@ pub(crate) struct Checkpoints {
     interval: u64,
     /// Latest snapshot taken or installed.
     latest: Option<Attested>,
+    /// Committed values for slots from the latest boundary on, the suffix
+    /// a requester is sent after the snapshot: at most one interval.
+    tail: BTreeMap<u64, Value>,
     /// Attestations for boundaries not reached yet: per signer, the last two
     /// `(upto, digest, sig)` triples.
     parked: HashMap<ProcessId, VecDeque<(u64, Digest, Signature)>>,
-    /// Per requester, what its last answer carried: the snapshot boundary
-    /// sent (if any), the first tail slot sent (`applied` when none) and
-    /// `applied`.
-    served: HashMap<ProcessId, (Option<u64>, u64, u64)>,
+    /// Per requester, what it was sent and when.
+    sent: HashMap<ProcessId, Sent>,
     /// Highest slot each peer has demonstrably worked on.
     peer_tips: HashMap<ProcessId, u64>,
     /// Whether a snapshot request is outstanding (cleared when the retry
@@ -188,9 +209,16 @@ impl Checkpoints {
         self.latest.as_ref().map(|s| s.upto)
     }
 
-    /// Whether a node that has applied `applied` slots is at a boundary.
-    pub(crate) fn due(&self, applied: u64) -> bool {
-        applied.is_multiple_of(self.interval)
+    /// The committed tail, by slot (for the node's test accessors).
+    pub(crate) fn tail(&self) -> &BTreeMap<u64, Value> {
+        &self.tail
+    }
+
+    /// `slot` applied `value`: it joins the committed tail. `true` if the
+    /// node is then at a boundary, due for a snapshot.
+    pub(crate) fn commit(&mut self, slot: u64, value: Value) -> bool {
+        self.tail.insert(slot, value);
+        (slot + 1).is_multiple_of(self.interval)
     }
 
     /// Records the local snapshot `payload` taken at `upto`: merges the
@@ -220,8 +248,8 @@ impl Checkpoints {
 
     /// Makes `payload` at `upto` this node's latest snapshot, with the valid
     /// attestations `sigs` gathered for it plus this node's own, which is
-    /// returned (it now vouches for the state, and can serve it onward).
-    /// `metrics` count the signature made.
+    /// returned (it now vouches for the state, and can serve it onward),
+    /// and truncates the tail below it. `metrics` count the signature made.
     pub(crate) fn adopt(
         &mut self,
         keys: &KeyPair,
@@ -233,6 +261,7 @@ impl Checkpoints {
     ) -> Signature {
         let own = checkpoint_signature(keys, metrics, upto, &digest);
         sigs.insert(keys.id(), own.clone());
+        self.tail = self.tail.split_off(&upto);
         self.latest = Some(Attested {
             upto,
             digest,
@@ -279,37 +308,51 @@ impl Checkpoints {
         }
     }
 
-    /// Whether the answer to `from`'s request at `have` differs from the
-    /// last one it was sent: `false` when it would carry the same snapshot
-    /// (or none), the committed tail from the same slot and the same
-    /// `applied` (the amplification bound). The tail runs from the latest
-    /// boundary to `applied`, so every `have` below the boundary is one
-    /// answer.
-    pub(crate) fn first_ask(&mut self, from: ProcessId, have: u64, applied: u64, f: usize) -> bool {
-        let snapshot = self.served_snapshot(have, f).map(|snap| snap.upto);
-        let tail_from = have.max(self.upto().unwrap_or(0)).min(applied);
-        let answer = (snapshot, tail_from, applied);
-        self.served.insert(from, answer) != Some(answer)
-    }
-
-    /// The latest snapshot, if it covers anything a requester at `have`
-    /// lacks and has f+1 attestations — without them the requester would
-    /// reject it, and its retry timer will re-ask once more checkpoints
-    /// have arrived here.
-    fn served_snapshot(&self, have: u64, f: usize) -> Option<&Attested> {
-        let snap = self.latest.as_ref()?;
-        (snap.upto > have && snap.sigs.len() > f).then_some(snap)
-    }
-
-    /// The snapshot response for a requester at `have`, if the latest
-    /// snapshot is served to it.
-    pub(crate) fn response(&self, have: u64, f: usize) -> Option<SlotMessage> {
-        let snap = self.served_snapshot(have, f)?;
-        Some(SlotMessage::SnapshotResponse {
-            upto: snap.upto,
-            payload: snap.payload.clone(),
-            sigs: snap.sigs.values().cloned().collect(),
-        })
+    /// What `from`, at `have`, lacks and was not sent before: the latest
+    /// snapshot, if its boundary is past `have` and it holds f + 1
+    /// attestations (without them the requester would reject it), then the
+    /// committed tail from `have` on. Once the last full answer is
+    /// `timeout_for(View(k))` old on a view timer from `base`, everything
+    /// it lacks goes again and `k` rises; `k` returns to 1 when `have`
+    /// differs from the last ask's.
+    pub(crate) fn answer(
+        &mut self,
+        from: ProcessId,
+        have: u64,
+        now: SimTime,
+        f: usize,
+        base: SimDuration,
+    ) -> Vec<SlotMessage> {
+        let sent = self.sent.entry(from).or_insert(Sent {
+            boundary: None,
+            through: 0,
+            full_at: now,
+            k: 1,
+            have,
+        });
+        if sent.have != have {
+            (sent.k, sent.have) = (1, have);
+        }
+        if now.since(sent.full_at) >= ViewTimer::new(base).timeout_for(View(sent.k)) {
+            (sent.boundary, sent.through, sent.full_at) = (None, 0, now);
+            sent.k += 1;
+        }
+        let mut answer = Vec::new();
+        let lacked = self.latest.as_ref().filter(|snap| snap.upto > have);
+        if let Some(snap) = lacked.filter(|s| s.sigs.len() > f && sent.boundary != Some(s.upto)) {
+            sent.boundary = Some(snap.upto);
+            answer.push(SlotMessage::SnapshotResponse {
+                upto: snap.upto,
+                payload: snap.payload.clone(),
+                sigs: snap.sigs.values().cloned().collect(),
+            });
+        }
+        for (&slot, value) in self.tail.range(have.max(sent.through)..) {
+            let value = value.clone();
+            answer.push(SlotMessage::Backfill { slot, value });
+            sent.through = slot + 1;
+        }
+        answer
     }
 
     /// Tracks the highest slot `from` has demonstrably worked on. `true` if
@@ -441,95 +484,155 @@ mod tests {
         assert_eq!(books.parked.len(), 2);
     }
 
+    const BASE: SimDuration = fastbft_core::sync::BASE_TIMEOUT;
+
+    /// `t` Δ into the run.
+    fn at(t: u64) -> SimTime {
+        SimTime(t * SimDuration::DELTA.0)
+    }
+
+    /// What an answer carried: the snapshot boundary, if any, and the tail
+    /// slots, in order.
+    fn carried(answer: Vec<SlotMessage>) -> (Option<u64>, Vec<u64>) {
+        let mut carried = (None, Vec::new());
+        for msg in answer {
+            match msg {
+                SlotMessage::SnapshotResponse { upto, .. } => carried.0 = Some(upto),
+                SlotMessage::Backfill { slot, .. } => carried.1.push(slot),
+                other => panic!("{other:?} in an answer"),
+            }
+        }
+        carried
+    }
+
+    /// Applies the slots `books` has not applied below `to`, sealing at
+    /// each boundary; with `quorum`, p2 attests each seal (f + 1 with p1's
+    /// own). Returns how many it sealed.
+    fn apply_to(books: &mut Checkpoints, to: u64, quorum: bool) -> usize {
+        let (pairs, dir) = keys();
+        let from = books
+            .tail()
+            .keys()
+            .last()
+            .map_or(books.upto().unwrap_or(0), |s| s + 1);
+        let mut sealed = 0;
+        for slot in from..to {
+            if books.commit(slot, Value::from_u64(slot)) {
+                books.seal(&pairs[0], &Metrics::new(), slot + 1, payload(slot + 1));
+                if quorum {
+                    let (upto, digest, sig) = attestation(&pairs[1], slot + 1, &payload(slot + 1));
+                    books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
+                }
+                sealed += 1;
+            }
+        }
+        sealed
+    }
+
     #[test]
-    fn f_signers_do_not_serve_and_f_plus_one_do_each_request_once() {
+    fn answer_table() {
+        // (at Δ, requester, have, applied) → what the answer carries; a
+        // snapshot every 16 slots, each with f + 1 attestations.
+        let rows = [
+            // The first ask: the snapshot past `have`, the tail from it.
+            (0, P3, 0, 20, (Some(16), vec![16, 17, 18, 19])),
+            // A repeat within the wait draws nothing; so does another
+            // `have` below the boundary, the same answer.
+            (1, P3, 0, 20, (None, vec![])),
+            (2, P3, 4, 20, (None, vec![])),
+            (3, P3, 15, 20, (None, vec![])),
+            // Another requester has a memo of its own.
+            (3, P2, 0, 20, (Some(16), vec![16, 17, 18, 19])),
+            // New tail slots and a new boundary go at once, and only they.
+            (4, P3, 15, 22, (None, vec![20, 21])),
+            (5, P3, 15, 34, (Some(32), vec![32, 33])),
+            (6, P3, 15, 34, (None, vec![])),
+            // The full answer goes again once the last is 8Δ old (`have`
+            // moved at 2Δ and 3Δ: k is 1), then 16Δ, then 32Δ.
+            (7, P3, 15, 34, (None, vec![])),
+            (8, P3, 15, 34, (Some(32), vec![32, 33])),
+            (23, P3, 15, 34, (None, vec![])),
+            (24, P3, 15, 34, (Some(32), vec![32, 33])),
+            (55, P3, 15, 34, (None, vec![])),
+            (56, P3, 15, 34, (Some(32), vec![32, 33])),
+            // `have` moves: k returns to 1, 8Δ after the last full answer.
+            (57, P3, 33, 34, (None, vec![])),
+            (63, P3, 33, 34, (None, vec![])),
+            (64, P3, 33, 34, (None, vec![33])),
+            // Nothing lacked at or past the apply point.
+            (80, P3, 34, 34, (None, vec![])),
+        ];
+        let mut books = Checkpoints::new(16);
+        for (t, from, have, applied, expected) in rows {
+            apply_to(&mut books, applied, true);
+            let answer = books.answer(from, have, at(t), F, BASE);
+            assert_eq!(carried(answer), expected, "{from} at {t}Δ, have {have}");
+        }
+        assert_eq!(books.sent.len(), 2);
+    }
+
+    /// A snapshot with f attestations is not served; once the quorum
+    /// forms, a re-ask within the wait draws it, and only it.
+    #[test]
+    fn f_signers_do_not_serve_and_a_re_ask_after_the_quorum_draws_the_snapshot() {
         let (pairs, dir) = keys();
         let mut books = Checkpoints::new(16);
-        assert!(
-            books.first_ask(P3, 0, 5, F),
-            "no snapshot yet, still a request"
-        );
-        assert!(books.response(0, F).is_none());
-        books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
-        assert!(books.response(0, F).is_none(), "f signers");
+        apply_to(&mut books, 18, false);
+        let ask = |books: &mut Checkpoints, t| books.answer(P3, 0, at(t), F, BASE);
+        assert_eq!(carried(ask(&mut books, 0)), (None, vec![16, 17]));
         let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
-        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig.clone());
-        let Some(SlotMessage::SnapshotResponse {
+        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
+        let answer = ask(&mut books, 1);
+        let [SlotMessage::SnapshotResponse {
             upto,
             payload: bytes,
             sigs,
-        }) = books.response(0, F)
+        }] = &answer[..]
         else {
-            panic!("f + 1 signers serve");
+            panic!("the snapshot alone, got {answer:?}");
         };
-        assert_eq!((upto, bytes), (16, payload(16)));
-        assert_eq!(sigs.len(), 2);
-        let valid = snapshot_response_valid(&dir, &Metrics::new(), F, 16, &payload(16), &sigs);
-        assert!(valid);
-        assert!(
-            books.response(16, F).is_none(),
-            "nothing the requester lacks"
-        );
-
-        // The memo: per requester, keyed by what its answer carries.
-        assert!(books.first_ask(P3, 0, 20, F));
-        assert!(
-            !books.first_ask(P3, 0, 20, F),
-            "the same request, unchanged state"
-        );
-        assert!(books.first_ask(P2, 0, 20, F), "another requester");
-        assert!(
-            books.first_ask(P3, 16, 20, F),
-            "its `have` reached the boundary"
-        );
-        assert!(books.first_ask(P3, 4, 21, F), "the local apply point moved");
-        books.seal(&pairs[0], &Metrics::new(), 32, payload(32));
-        assert!(books.first_ask(P3, 4, 21, F), "the local snapshot moved");
-        assert!(!books.first_ask(P3, 4, 21, F));
-        assert_eq!(books.served.len(), 2);
+        assert_eq!((*upto, bytes), (16, &payload(16)));
+        assert!(snapshot_response_valid(
+            &dir,
+            &Metrics::new(),
+            F,
+            16,
+            bytes,
+            sigs
+        ));
+        assert_eq!(carried(ask(&mut books, 2)), (None, vec![]));
     }
 
-    /// A request answered before the snapshot had f + 1 attestations left
-    /// the snapshot out; once they are in, the same request is a new
-    /// answer.
+    /// The stated bound at its edge. The requester asks every Δ and moves
+    /// its `have` every ask, so k never rises; the responder applies a slot
+    /// every Δ and seals every 16. Every 8Δ (the base timeout) it draws a
+    /// full answer, the snapshot and the whole tail; in between only each
+    /// newly sealed snapshot and each newly applied slot, once.
     #[test]
-    fn a_re_ask_after_the_quorum_forms_is_a_new_answer() {
-        let (pairs, dir) = keys();
+    fn a_hostile_requester_draws_no_more_than_the_stated_bound() {
+        const SPAN: u64 = 128;
         let mut books = Checkpoints::new(16);
-        books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
-        assert!(books.first_ask(P3, 0, 16, F));
-        assert!(books.response(0, F).is_none());
-        let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
-        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
-        assert!(books.response(0, F).is_some());
-        assert!(
-            books.first_ask(P3, 0, 16, F),
-            "a re-ask after the quorum formed is a new answer"
-        );
-        assert!(!books.first_ask(P3, 0, 16, F));
-    }
-
-    /// The memo is keyed on what the answer carries: `have`s below the
-    /// boundary draw the same snapshot and the same tail, one answer.
-    #[test]
-    fn requests_below_the_boundary_draw_one_answer() {
-        let (pairs, dir) = keys();
-        let mut books = Checkpoints::new(16);
-        books.seal(&pairs[0], &Metrics::new(), 16, payload(16));
-        let (upto, digest, sig) = attestation(&pairs[1], 16, &payload(16));
-        books.attest(&dir, &Metrics::new(), P2, upto, digest, sig);
-        assert!(books.first_ask(P3, 0, 20, F));
-        assert!(
-            !books.first_ask(P3, 4, 20, F),
-            "another `have` below the boundary is the same answer"
-        );
-        assert!(!books.first_ask(P3, 15, 20, F));
-        // At or past the boundary the snapshot stays out, and the tail
-        // starts at `have`.
-        assert!(books.first_ask(P3, 16, 20, F));
-        assert!(books.first_ask(P3, 17, 20, F));
-        assert!(books.first_ask(P3, 20, 20, F), "nothing left to send");
-        assert!(!books.first_ask(P3, 25, 20, F), "still nothing to send");
+        apply_to(&mut books, 16, true);
+        let (mut fulls, mut seals, mut snapshots, mut backfills) = (0, 0, 0, 0);
+        for t in 0..SPAN {
+            let sealed = apply_to(&mut books, 17 + t, true) > 0;
+            let answer = carried(books.answer(P3, t % 2, at(t), F, BASE));
+            let tail = |from| books.tail().range(from..).map(|(s, _)| *s).collect();
+            let full = at(t).0.is_multiple_of(BASE.0);
+            let expected = if full {
+                (books.upto(), tail(0))
+            } else {
+                (books.upto().filter(|_| sealed), tail(16 + t))
+            };
+            assert_eq!(answer, expected, "at {t}Δ");
+            fulls += usize::from(full);
+            seals += usize::from(sealed);
+            snapshots += usize::from(answer.0.is_some());
+            backfills += answer.1.len();
+        }
+        assert_eq!((fulls, seals), (16, 8));
+        assert_eq!(snapshots, fulls + seals);
+        assert!(backfills <= SPAN as usize + fulls * 16, "{backfills}");
     }
 
     #[test]

@@ -55,16 +55,16 @@
 //! 6. **Ingress backpressure** — here ([`Actor::on_client`]). A bounded
 //!    pending-command budget, count and bytes; submissions past it are shed
 //!    and counted. Re-queued work is exempt.
-//! 7. **Catch-up** — `checkpoint`, and the committed tail here. Every
-//!    snapshot interval a node takes a digest-attested snapshot of machine
-//!    and dedup state, truncates tail and dedup generations below it and
-//!    broadcasts a signed [`SlotMessage::Checkpoint`]. A node that sees f+1
-//!    peers a recovery gap ahead asks for state, installs the first
-//!    snapshot carrying f+1 matching attestations, absorbs the committed
-//!    suffix through quorum-matched [`SlotMessage::Backfill`] frames and
-//!    resumes voting. A consensus frame about a slot this node has pruned
-//!    below its snapshot is answered the same way, as a request from its
-//!    sender: the one way back for a replica stuck on such a slot.
+//! 7. **Catch-up** — `checkpoint`. Every snapshot interval a node takes a
+//!    digest-attested snapshot of machine and dedup state, truncates tail
+//!    and dedup generations below it and broadcasts a signed
+//!    [`SlotMessage::Checkpoint`]. A node that sees f+1 peers a recovery
+//!    gap ahead asks for state, installs the first snapshot carrying f+1
+//!    matching attestations, absorbs the committed suffix through
+//!    quorum-matched [`SlotMessage::Backfill`] frames and resumes voting.
+//!    A consensus frame about a settled slot, but an `Ack` or a `Commit`,
+//!    asks what a [`SlotMessage::SnapshotRequest`] asks: what its sender
+//!    lacks from that slot on. Both get one answer, `Checkpoints::answer`.
 //!
 //! ARCHITECTURE, "The runtime SMR layer", draws the life of a slot through
 //! these owners and tabulates every bound with the test at its edge.
@@ -213,13 +213,10 @@ pub struct SmrNode<S: StateMachine> {
     /// Commands applied so far: the log index the next applied command
     /// takes.
     log_len: u64,
-    /// Snapshot cadence, the latest snapshot with its attestations, and the
-    /// state-transfer bookkeeping (see [`crate::checkpoint`]).
+    /// Snapshot cadence, the latest snapshot with its attestations, the
+    /// committed tail and the state-transfer bookkeeping (see
+    /// [`crate::checkpoint`]).
     checkpoints: Checkpoints,
-    /// Committed values for slots `>= snapshot.upto` — the suffix served to
-    /// recovering peers as backfill. Pruned at each snapshot, so it holds
-    /// at most one interval of values.
-    committed_tail: BTreeMap<u64, Value>,
 }
 
 impl<S: StateMachine> SmrNode<S> {
@@ -256,7 +253,6 @@ impl<S: StateMachine> SmrNode<S> {
             backfill: AheadBuffer::backfill_votes(),
             log_len: 0,
             checkpoints: Checkpoints::new(DEFAULT_SNAPSHOT_INTERVAL),
-            committed_tail: BTreeMap::new(),
         }
     }
 
@@ -376,7 +372,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// Committed-suffix entries currently retained for serving backfill
     /// (bounded by the snapshot interval).
     pub fn tail_len(&self) -> usize {
-        self.committed_tail.len()
+        self.checkpoints.tail().len()
     }
 
     /// The state machine (for assertions).
@@ -434,7 +430,7 @@ impl<S: StateMachine> SmrNode<S> {
     /// Test accessor: the log holds commands, not slots.
     #[doc(hidden)]
     pub fn decided_batch(&self, slot: u64) -> Option<Vec<Value>> {
-        self.committed_tail.get(&slot).map(Self::decode_batch)
+        self.checkpoints.tail().get(&slot).map(Self::decode_batch)
     }
 
     /// The view each open instance is in, by slot: how the Byzantine seat
@@ -600,14 +596,14 @@ impl<S: StateMachine> SmrNode<S> {
             for cmd in batch {
                 self.apply_command(cmd, fx);
             }
-            self.committed_tail.insert(self.applied, value);
+            let due = self.checkpoints.commit(self.applied, value);
             self.requeue_unapplied(record.drained);
             if let Some(instance) = record.instance {
                 let latency = elapsed_us(instance.started_wall);
                 self.opts.metrics.apply_latency_us.record(latency);
             }
             self.applied += 1;
-            if self.checkpoints.due(self.applied) {
+            if due {
                 self.take_snapshot(fx);
             }
         }
@@ -631,8 +627,6 @@ impl<S: StateMachine> SmrNode<S> {
     /// attestation of its own.
     fn take_snapshot(&mut self, fx: &mut Effects<SlotMessage>) {
         let upto = self.applied;
-        // Truncate everything the snapshot now covers.
-        self.committed_tail = self.committed_tail.split_off(&upto);
         // Replicas rotate at identical boundaries, so the reachable dedup
         // set stays identical cluster-wide (determinism).
         self.dedup.rotate();
@@ -656,31 +650,15 @@ impl<S: StateMachine> SmrNode<S> {
         fx.broadcast(attestation);
     }
 
-    /// Serves a recovering peer: the latest attested snapshot (if it covers
-    /// anything the requester lacks) plus the committed suffix, slot by
-    /// slot. A request that would draw the answer its requester last drew
-    /// is dropped (amplification bound).
-    fn on_snapshot_request(&mut self, from: ProcessId, have: u64, fx: &mut Effects<SlotMessage>) {
-        if from == fx.id()
-            || !self
-                .checkpoints
-                .first_ask(from, have, self.applied, self.cfg.f())
-        {
+    /// Sends `from` what it lacks from slot `have` on and was not sent
+    /// before ([`Checkpoints::answer`]).
+    fn answer(&mut self, from: ProcessId, have: u64, fx: &mut Effects<SlotMessage>) {
+        if from == fx.id() {
             return;
         }
-        if let Some(response) = self.checkpoints.response(have, self.cfg.f()) {
-            fx.send(from, response);
-        }
-        // The committed suffix the requester is missing (at most one
-        // snapshot interval of values).
-        for (&slot, value) in self.committed_tail.range(have..) {
-            fx.send(
-                from,
-                SlotMessage::Backfill {
-                    slot,
-                    value: value.clone(),
-                },
-            );
+        let (f, base) = (self.cfg.f(), self.opts.base_timeout);
+        for msg in self.checkpoints.answer(from, have, fx.now(), f, base) {
+            fx.send(from, msg);
         }
     }
 
@@ -729,7 +707,6 @@ impl<S: StateMachine> SmrNode<S> {
         for (_, record) in mem::replace(&mut self.slots, keep) {
             self.requeue_unapplied(record.drained);
         }
-        self.committed_tail = self.committed_tail.split_off(&upto);
         self.propose_cursor = self.propose_cursor.max(upto);
         self.checkpoints.adopt(
             &self.keys,
@@ -811,28 +788,10 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                     // far-behind trigger (`RECOVERY_GAP`). Acks and
                     // Commits get no answer: they are the protocol's own
                     // stragglers (the last ack and every Commit of a slot
-                    // the fast path decided one delay earlier), and a
-                    // sender that is really stuck follows them with a
-                    // Wish, Vote or Propose.
-                    if matches!(inner, Message::Ack(_) | Message::Commit(_)) {
-                        return;
-                    }
-                    match self.committed_tail.get(&slot) {
-                        // Once f + 1 peers answer with the committed value,
-                        // the hole closes ([`Self::on_backfill`]). One
-                        // reply per inbound frame, so a spamming peer
-                        // gains no amplification.
-                        Some(value) => fx.send(
-                            from,
-                            SlotMessage::Backfill {
-                                slot,
-                                value: value.clone(),
-                            },
-                        ),
-                        // Pruned below our snapshot: the frame is a request
-                        // for state from `slot` on, answered like any
-                        // `SnapshotRequest`: once per answer it draws.
-                        None => self.on_snapshot_request(from, slot, fx),
+                    // the fast path decided one delay earlier); a Wish,
+                    // Vote or Propose asks for what the sender lacks.
+                    if !matches!(inner, Message::Ack(_) | Message::Commit(_)) {
+                        self.answer(from, slot, fx);
                     }
                     return;
                 }
@@ -855,9 +814,7 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                     self.checkpoints.attest(dir, m, from, upto, digest, sig);
                 }
             }
-            SlotMessage::SnapshotRequest { have } => {
-                self.on_snapshot_request(from, have, fx);
-            }
+            SlotMessage::SnapshotRequest { have } => self.answer(from, have, fx),
             SlotMessage::SnapshotResponse {
                 upto,
                 payload,
@@ -873,8 +830,8 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
 
     fn on_timer(&mut self, timer: TimerId, fx: &mut Effects<SlotMessage>) {
         if timer == RECOVERY_TIMER {
-            // Still behind? Ask again (responders re-serve because our
-            // `have` or their state will have moved).
+            // Still behind? Ask again (a responder sends what it has not
+            // sent, and everything again once its wait has passed).
             self.checkpoints.disarm_recovery();
             self.maybe_recover(fx);
             return;

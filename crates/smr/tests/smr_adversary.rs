@@ -109,7 +109,7 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
             vec![6 + SLOT_WINDOW, 6, 6],
             Some("log index 6: applied by p1 but not by p2, p3"),
             vec![
-                ("backfill", 3),
+                ("backfill", 192),
                 ("snap-request", 1125),
                 ("vote", 2),
                 ("wish", 6009),
@@ -123,7 +123,7 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
             every_view.to_vec(),
             vec![5 + SLOT_WINDOW, 5, 5, 5, 5],
             Some("log index 5: applied by p1 but not by p2, p3, p4, p5"),
-            vec![("backfill", 500), ("snap-request", 4500), ("wish", 15000)],
+            vec![("backfill", 384), ("snap-request", 4500), ("wish", 15000)],
         ),
     ];
     for (cfg, s, byzantine, sit_out, applied, behind, frames) in cases {
