@@ -23,13 +23,16 @@
 //!   transport-authenticated sender: `n` entries, whatever is sent.
 //! * **The answer** ([`Checkpoints::answer`]) to "what do I lack from slot
 //!   `have` on?", asked by a `SnapshotRequest` or a frame about a settled
-//!   slot. One requester draws from one responder at most one full answer
-//!   per base timeout, each newly sealed snapshot once and each newly
-//!   applied slot once; a requester repeating one ask backs off
-//!   geometrically, and a lost answer still goes again.
+//!   slot: the latest snapshot if its boundary is past `have` and it holds
+//!   f + 1 attestations, then the committed tail from `have`, minus what
+//!   that requester was sent; everything again once the last full answer
+//!   is a view timeout old (view `k`: full answers since `have` last
+//!   moved), since a link may lose it. So one requester draws from one
+//!   responder at most one full answer per base timeout, each newly sealed
+//!   snapshot once and each newly applied slot once.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use fastbft_core::certs::sign_counted;
 use fastbft_core::sync::ViewTimer;
@@ -161,12 +164,11 @@ struct Attested {
 }
 
 /// What [`Checkpoints::answer`] sent one requester since its last full
-/// answer: the snapshot boundary, the tail below `through`; when that full
-/// answer went; `k`, the view whose timeout the next one waits (full
-/// answers since `have` last moved); the `have` of the last ask.
+/// answer (the boundary, the tail slots still held), when that went, `k`
+/// and the last ask's `have`.
 struct Sent {
     boundary: Option<u64>,
-    through: u64,
+    slots: BTreeSet<u64>,
     full_at: SimTime,
     k: u64,
     have: u64,
@@ -180,8 +182,7 @@ pub(crate) struct Checkpoints {
     interval: u64,
     /// Latest snapshot taken or installed.
     latest: Option<Attested>,
-    /// Committed values for slots from the latest boundary on, the suffix
-    /// a requester is sent after the snapshot: at most one interval.
+    /// Committed values from the latest boundary on: at most one interval.
     tail: BTreeMap<u64, Value>,
     /// Attestations for boundaries not reached yet: per signer, the last two
     /// `(upto, digest, sig)` triples.
@@ -248,8 +249,8 @@ impl Checkpoints {
 
     /// Makes `payload` at `upto` this node's latest snapshot, with the valid
     /// attestations `sigs` gathered for it plus this node's own, which is
-    /// returned (it now vouches for the state, and can serve it onward),
-    /// and truncates the tail below it. `metrics` count the signature made.
+    /// returned (it now vouches for the state, and can serve it onward);
+    /// drops the tail below it. `metrics` count the signature made.
     pub(crate) fn adopt(
         &mut self,
         keys: &KeyPair,
@@ -262,6 +263,9 @@ impl Checkpoints {
         let own = checkpoint_signature(keys, metrics, upto, &digest);
         sigs.insert(keys.id(), own.clone());
         self.tail = self.tail.split_off(&upto);
+        for sent in self.sent.values_mut() {
+            sent.slots = sent.slots.split_off(&upto);
+        }
         self.latest = Some(Attested {
             upto,
             digest,
@@ -308,13 +312,8 @@ impl Checkpoints {
         }
     }
 
-    /// What `from`, at `have`, lacks and was not sent before: the latest
-    /// snapshot, if its boundary is past `have` and it holds f + 1
-    /// attestations (without them the requester would reject it), then the
-    /// committed tail from `have` on. Once the last full answer is
-    /// `timeout_for(View(k))` old on a view timer from `base`, everything
-    /// it lacks goes again and `k` rises; `k` returns to 1 when `have`
-    /// differs from the last ask's.
+    /// The answer to `from`'s ask at `have` ([module docs](self)); the wait
+    /// is `timeout_for(View(k))` on a view timer from `base`.
     pub(crate) fn answer(
         &mut self,
         from: ProcessId,
@@ -325,7 +324,7 @@ impl Checkpoints {
     ) -> Vec<SlotMessage> {
         let sent = self.sent.entry(from).or_insert(Sent {
             boundary: None,
-            through: 0,
+            slots: BTreeSet::new(),
             full_at: now,
             k: 1,
             have,
@@ -334,12 +333,12 @@ impl Checkpoints {
             (sent.k, sent.have) = (1, have);
         }
         if now.since(sent.full_at) >= ViewTimer::new(base).timeout_for(View(sent.k)) {
-            (sent.boundary, sent.through, sent.full_at) = (None, 0, now);
+            (sent.boundary, sent.slots, sent.full_at) = (None, BTreeSet::new(), now);
             sent.k += 1;
         }
         let mut answer = Vec::new();
-        let lacked = self.latest.as_ref().filter(|snap| snap.upto > have);
-        if let Some(snap) = lacked.filter(|s| s.sigs.len() > f && sent.boundary != Some(s.upto)) {
+        let past = self.latest.as_ref().filter(|snap| snap.upto > have);
+        if let Some(snap) = past.filter(|s| s.sigs.len() > f && sent.boundary != Some(s.upto)) {
             sent.boundary = Some(snap.upto);
             answer.push(SlotMessage::SnapshotResponse {
                 upto: snap.upto,
@@ -347,10 +346,11 @@ impl Checkpoints {
                 sigs: snap.sigs.values().cloned().collect(),
             });
         }
-        for (&slot, value) in self.tail.range(have.max(sent.through)..) {
-            let value = value.clone();
-            answer.push(SlotMessage::Backfill { slot, value });
-            sent.through = slot + 1;
+        for (&slot, value) in self.tail.range(have..) {
+            if sent.slots.insert(slot) {
+                let value = value.clone();
+                answer.push(SlotMessage::Backfill { slot, value });
+            }
         }
         answer
     }
@@ -402,6 +402,7 @@ mod tests {
     const P1: ProcessId = ProcessId(1);
     const P2: ProcessId = ProcessId(2);
     const P3: ProcessId = ProcessId(3);
+    const P4: ProcessId = ProcessId(4);
 
     fn keys() -> (Vec<KeyPair>, KeyDirectory) {
         KeyDirectory::generate(4, 5)
@@ -543,6 +544,12 @@ mod tests {
             (3, P3, 15, 20, (None, vec![])),
             // Another requester has a memo of its own.
             (3, P2, 0, 20, (Some(16), vec![16, 17, 18, 19])),
+            // An ask below an earlier one draws what lies between, once:
+            // a seat whose view timers fire in another order than its
+            // holes still gets every hole.
+            (3, P4, 18, 20, (None, vec![18, 19])),
+            (3, P4, 17, 20, (None, vec![17])),
+            (3, P4, 0, 20, (Some(16), vec![16])),
             // New tail slots and a new boundary go at once, and only they.
             (4, P3, 15, 22, (None, vec![20, 21])),
             (5, P3, 15, 34, (Some(32), vec![32, 33])),
@@ -568,7 +575,7 @@ mod tests {
             let answer = books.answer(from, have, at(t), F, BASE);
             assert_eq!(carried(answer), expected, "{from} at {t}Δ, have {have}");
         }
-        assert_eq!(books.sent.len(), 2);
+        assert_eq!(books.sent.len(), 3);
     }
 
     /// A snapshot with f attestations is not served; once the quorum

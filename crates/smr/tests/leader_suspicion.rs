@@ -538,12 +538,13 @@ fn byzantine_wishes_and_flapping_leaders_gain_nothing() {
     // Slots 11 and 25 are silent twice over (p6, then p7), but p7 is already
     // suspected when they open: p6's timeout moves straight on to view 3,
     // and the doubled view-2 timeout the parent paid is never waited out.
-    // Slot 25 pays one wish hop more: a proposal in p7's noise reached p2
-    // after slot 19 and cleared p2's suspicion of it, so p2 wishes only for
-    // view 2 at the timeout, and view 3's wish quorum forms a Δ later.
-    let twice = [11, 25].map(|s| latency(&applied_at, s));
-    let straight_on = BASE_TIMEOUT + VIEW_CHANGE_SLOT;
-    assert_eq!(twice, [straight_on, straight_on + DELTA.0]);
+    for s in [11, 25] {
+        assert_eq!(
+            latency(&applied_at, s),
+            BASE_TIMEOUT + VIEW_CHANGE_SLOT,
+            "slot {s}"
+        );
+    }
     for p in &correct {
         assert_eq!(cluster.node(*p).commands_applied(), SLOTS);
     }
