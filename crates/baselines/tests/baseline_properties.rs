@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use fastbft_baselines::fab::{fab_select, FabSelection, FabSignedVote, FabVoteData};
 use fastbft_baselines::pbft::{PreparedCert, SignedViewChange, ViewChangeBody};
 use fastbft_crypto::{KeyDirectory, Signature, SignatureSet};
+use fastbft_sim::check;
 use fastbft_types::{ProcessId, ProtocolKind, Value, View};
-use proptest::prelude::*;
 
 /// Raw (unvalidated) FaB vote for rule-level testing.
 fn raw_fab_vote(p: u32, vote: Option<(u64, u64)>) -> (ProcessId, FabSignedVote) {
@@ -27,66 +27,62 @@ fn raw_fab_vote(p: u32, vote: Option<(u64, u64)>) -> (ProcessId, FabSignedVote) 
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// FaB's rule is total, deterministic, and never returns a value that
-    /// appears in no vote.
-    #[test]
-    fn fab_select_total_and_grounded(
-        votes_spec in proptest::collection::vec(
-            proptest::option::of((0u64..3, 1u64..=3)), 6),
-    ) {
+/// FaB's rule is total, deterministic, and never returns a value that
+/// appears in no vote.
+#[test]
+fn fab_select_total_and_grounded() {
+    check("fab_select_total_and_grounded", 256, |c| {
         let cfg = ProtocolKind::FabPaxos.config(6, 1, 1).unwrap();
-        let votes: BTreeMap<ProcessId, FabSignedVote> = votes_spec
-            .iter()
-            .enumerate()
-            .map(|(i, v)| raw_fab_vote(i as u32 + 1, *v))
+        let votes: BTreeMap<ProcessId, FabSignedVote> = (1..=6)
+            .map(|p| raw_fab_vote(p, c.option(|c| (c.int(0..3u64), c.int(1..=3u64)))))
             .collect();
         let a = fab_select(&cfg, &votes);
         let b = fab_select(&cfg, &votes);
-        prop_assert_eq!(a.clone(), b);
+        assert_eq!(a.clone(), b);
         if let FabSelection::Constrained(x) = a {
             let grounded = votes
                 .values()
                 .any(|sv| sv.vote.as_ref().is_some_and(|vd| vd.value == x));
-            prop_assert!(grounded);
+            assert!(grounded);
         }
-    }
+    });
+}
 
-    /// FaB's threshold is exact: f + t + 1 identical-value votes constrain,
-    /// f + t do not (this is precisely the 2-process gap to KTZ21, which
-    /// constrains at f + t after excluding a proven equivocator).
-    #[test]
-    fn fab_threshold_exact(extra_nil in 0usize..2) {
+/// FaB's threshold is exact: f + t + 1 identical-value votes constrain,
+/// f + t do not (this is precisely the 2-process gap to KTZ21, which
+/// constrains at f + t after excluding a proven equivocator).
+#[test]
+fn fab_threshold_exact() {
+    check("fab_threshold_exact", 256, |c| {
+        let extra_nil = c.int(0..2u32);
         let cfg = ProtocolKind::FabPaxos.config(6, 1, 1).unwrap(); // f = t = 1 ⇒ threshold 3
         let mut votes: BTreeMap<ProcessId, FabSignedVote> = BTreeMap::new();
         for p in 1..=2u32 {
             let (k, v) = raw_fab_vote(p, Some((7, 1)));
             votes.insert(k, v);
         }
-        for p in 3..=(5 + extra_nil as u32) {
+        for p in 3..=(5 + extra_nil) {
             let (k, v) = raw_fab_vote(p, None);
             votes.insert(k, v);
         }
         // 2 votes for 7 < 3 ⇒ Free.
-        prop_assert_eq!(fab_select(&cfg, &votes), FabSelection::Free);
+        assert_eq!(fab_select(&cfg, &votes), FabSelection::Free);
         let (k, v) = raw_fab_vote(6, Some((7, 1)));
         votes.insert(k, v);
         // 3 votes for 7 ⇒ Constrained.
-        prop_assert_eq!(
+        assert_eq!(
             fab_select(&cfg, &votes),
             FabSelection::Constrained(Value::from_u64(7))
         );
-    }
+    });
+}
 
-    /// PBFT prepared certificates: verification requires 2f + 1 distinct
-    /// valid prepare signatures over exactly (value, view).
-    #[test]
-    fn pbft_prepared_cert_threshold(
-        signers in 1usize..=4,
-        seed in any::<u64>(),
-    ) {
+/// PBFT prepared certificates: verification requires 2f + 1 distinct
+/// valid prepare signatures over exactly (value, view).
+#[test]
+fn pbft_prepared_cert_threshold() {
+    check("pbft_prepared_cert_threshold", 256, |c| {
+        let (signers, seed) = (c.int(1..=4usize), c.int::<u64>(..));
         let cfg = ProtocolKind::Pbft.config(4, 1, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(4, seed);
         let x = Value::from_u64(1);
@@ -107,9 +103,13 @@ proptest! {
             buf
         };
         let sigs: SignatureSet = pairs[..signers].iter().map(|p| p.sign(&payload)).collect();
-        let cert = PreparedCert { value: x, view: v, sigs };
-        prop_assert_eq!(cert.verify(&cfg, &dir), signers >= 3);
-    }
+        let cert = PreparedCert {
+            value: x,
+            view: v,
+            sigs,
+        };
+        assert_eq!(cert.verify(&cfg, &dir), signers >= 3);
+    });
 }
 
 /// A signed view-change message binds its body: altering the prepared

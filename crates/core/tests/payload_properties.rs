@@ -9,26 +9,23 @@
 use fastbft_core::payload::{
     ack_payload, certack_payload, propose_payload, vote_payload, STATEMENT_LEN,
 };
+use fastbft_sim::{check, Choices};
 use fastbft_types::wire::Encode;
 use fastbft_types::{Value, View};
-use proptest::prelude::*;
 
-/// Strategy: arbitrary value bytes across the interesting size range
-/// (empty, shorter and longer than a digest, around the SHA-256 block
-/// boundary).
-fn value_bytes() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(any::<u8>(), 0..96)
+/// Arbitrary value bytes across the interesting size range (empty,
+/// shorter and longer than a digest, around the SHA-256 block boundary).
+fn value_bytes(c: &mut Choices) -> Vec<u8> {
+    c.bytes(0..96)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The four statement kinds never collide for the same `(value, view)`
-    /// — a signature over one can never replay as another.
-    #[test]
-    fn statements_are_domain_separated(bytes in value_bytes(), view in 1u64..=1_000_000) {
-        let x = Value::new(bytes);
-        let v = View(view);
+/// The four statement kinds never collide for the same `(value, view)`
+/// — a signature over one can never replay as another.
+#[test]
+fn statements_are_domain_separated() {
+    check("statements_are_domain_separated", 256, |c| {
+        let x = Value::new(value_bytes(c));
+        let v = View(c.int(1..=1_000_000u64));
         let payloads = [
             propose_payload(&x, v, 0),
             certack_payload(&x, v, 0),
@@ -36,52 +33,66 @@ proptest! {
             vote_payload(&x.as_bytes().to_vec().to_wire_bytes(), v, 0),
         ];
         for i in 0..payloads.len() {
-            prop_assert_eq!(payloads[i].len(), STATEMENT_LEN);
+            assert_eq!(payloads[i].len(), STATEMENT_LEN);
             for j in i + 1..payloads.len() {
-                prop_assert_ne!(payloads[i], payloads[j], "kinds {} and {} collide", i, j);
+                assert_ne!(payloads[i], payloads[j], "kinds {i} and {j} collide");
             }
         }
-    }
+    });
+}
 
-    /// The old `payloads_bind_value_and_view` invariants over the new
-    /// format: different value ⇒ different statement, different view ⇒
-    /// different statement, for every statement kind.
-    #[test]
-    fn statements_bind_value_and_view(
-        a in value_bytes(),
-        b in value_bytes(),
-        v1 in 1u64..=1_000_000,
-        v2 in 1u64..=1_000_000,
-    ) {
+/// The old `payloads_bind_value_and_view` invariants over the new
+/// format: different value ⇒ different statement, different view ⇒
+/// different statement, for every statement kind.
+#[test]
+fn statements_bind_value_and_view() {
+    check("statements_bind_value_and_view", 256, |c| {
+        let (a, b) = (value_bytes(c), value_bytes(c));
+        let (v1, v2) = (c.int(1..=1_000_000u64), c.int(1..=1_000_000u64));
         let x = Value::new(a.clone());
         let y = Value::new(b.clone());
         if a != b {
-            prop_assert_ne!(propose_payload(&x, View(v1), 0), propose_payload(&y, View(v1), 0));
-            prop_assert_ne!(certack_payload(&x, View(v1), 0), certack_payload(&y, View(v1), 0));
-            prop_assert_ne!(ack_payload(&x, View(v1), 0), ack_payload(&y, View(v1), 0));
+            assert_ne!(
+                propose_payload(&x, View(v1), 0),
+                propose_payload(&y, View(v1), 0)
+            );
+            assert_ne!(
+                certack_payload(&x, View(v1), 0),
+                certack_payload(&y, View(v1), 0)
+            );
+            assert_ne!(ack_payload(&x, View(v1), 0), ack_payload(&y, View(v1), 0));
         }
         if v1 != v2 {
-            prop_assert_ne!(propose_payload(&x, View(v1), 0), propose_payload(&x, View(v2), 0));
-            prop_assert_ne!(certack_payload(&x, View(v1), 0), certack_payload(&x, View(v2), 0));
-            prop_assert_ne!(ack_payload(&x, View(v1), 0), ack_payload(&x, View(v2), 0));
-            prop_assert_ne!(
+            assert_ne!(
+                propose_payload(&x, View(v1), 0),
+                propose_payload(&x, View(v2), 0)
+            );
+            assert_ne!(
+                certack_payload(&x, View(v1), 0),
+                certack_payload(&x, View(v2), 0)
+            );
+            assert_ne!(ack_payload(&x, View(v1), 0), ack_payload(&x, View(v2), 0));
+            assert_ne!(
                 vote_payload(x.as_bytes(), View(v1), 0),
                 vote_payload(x.as_bytes(), View(v2), 0)
             );
         }
-    }
+    });
+}
 
-    /// The statement is deterministic in the value *bytes*: a clone, a
-    /// re-decoded copy and a cold-cache reconstruction all produce the
-    /// identical statement (the memoized digest is pure metadata).
-    #[test]
-    fn statements_are_stable_across_copies(bytes in value_bytes(), view in 1u64..=1_000_000) {
+/// The statement is deterministic in the value *bytes*: a clone, a
+/// re-decoded copy and a cold-cache reconstruction all produce the
+/// identical statement (the memoized digest is pure metadata).
+#[test]
+fn statements_are_stable_across_copies() {
+    check("statements_are_stable_across_copies", 256, |c| {
+        let bytes = value_bytes(c);
         let x = Value::new(bytes.clone());
-        let v = View(view);
+        let v = View(c.int(1..=1_000_000u64));
         let first = propose_payload(&x, v, 0);
-        prop_assert_eq!(propose_payload(&x.clone(), v, 0), first);
-        prop_assert_eq!(propose_payload(&Value::new(bytes), v, 0), first);
-    }
+        assert_eq!(propose_payload(&x.clone(), v, 0), first);
+        assert_eq!(propose_payload(&Value::new(bytes), v, 0), first);
+    });
 }
 
 /// Regression: two distinct `Value`s must never alias a statement. The

@@ -14,9 +14,8 @@ use fastbft_core::message::{AckMsg, Message};
 use fastbft_core::payload::ack_payload;
 use fastbft_core::replica::Replica;
 use fastbft_crypto::{KeyDirectory, Signature};
-use fastbft_sim::{Actor, Effects, SimTime};
+use fastbft_sim::{check, Actor, Choices, Effects, SimTime};
 use fastbft_types::{Config, ProcessId, Value, View};
-use proptest::prelude::*;
 
 /// One `Ack` on the wire: sender, view, value, and its share — 0 none,
 /// 1 the sender's own, 2 another process's relabelled as the sender's.
@@ -86,50 +85,61 @@ fn replica(cfg: &Config, stream: &[Ack]) -> (Vec<Announced>, Option<u64>) {
     (announced, replica.decided().and_then(Value::as_u64))
 }
 
-/// Strategy: a configuration and up to 80 acks for it — three in four for
-/// value 0, five in eight for view 1, two in three with a valid share, so
-/// quorums do form; one view in four beyond the horizon.
-fn streams() -> impl Strategy<Value = (Config, Vec<Ack>)> {
-    let raw = (0u32..9, 0u64..8, 0u64..8, 0u8..6);
-    (0usize..3, proptest::collection::vec(raw, 0..80)).prop_map(|(which, raw)| {
-        let (n, f, t) = CONFIGS[which];
-        let cfg = Config::new(n, f, t).unwrap();
-        let ack = |(sender, view, value, share): Ack| {
-            let view = [1, 1, 1, 1, 2, 3, n as u64 + 2, n as u64 + 3][view as usize];
-            let share = [0, 2, 1, 1, 1, 1][share as usize];
-            (1 + sender % n as u32, view, value.saturating_sub(5), share)
-        };
-        (cfg, raw.into_iter().map(ack).collect())
-    })
+/// A configuration and up to 80 acks for it — three in four for value 0,
+/// five in eight for view 1, two in three with a valid share, so quorums
+/// do form; one view in four beyond the horizon.
+fn stream(c: &mut Choices) -> (Config, Vec<Ack>) {
+    let (n, f, t) = *c.pick(&CONFIGS);
+    let cfg = Config::new(n, f, t).unwrap();
+    let ack = |c: &mut Choices| {
+        let (sender, view) = (c.int(0..9u32), c.int(0..8usize));
+        let (value, share) = (c.int(0..8u64), c.int(0..6usize));
+        let view = [1, 1, 1, 1, 2, 3, n as u64 + 2, n as u64 + 3][view];
+        let share = [0, 2, 1, 1, 1, 1][share];
+        (1 + sender % n as u32, view, value.saturating_sub(5), share)
+    };
+    (cfg, c.vec(0..80, ack))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+/// Whatever arrives, from however many equivocating senders: the
+/// replica announces what the model announces, when it does.
+#[test]
+fn the_replica_decides_and_certifies_exactly_when_the_model_does() {
+    check(
+        "the_replica_decides_and_certifies_exactly_when_the_model_does",
+        512,
+        |c| {
+            let (cfg, stream) = stream(c);
+            let expected = model(&cfg, &stream);
+            let (announced, decided) = replica(&cfg, &stream);
+            assert_eq!(&announced, &expected);
+            assert_eq!(decided, expected.iter().find_map(|(decision, _)| *decision));
+        },
+    );
+}
 
-    /// Whatever arrives, from however many equivocating senders: the
-    /// replica announces what the model announces, when it does.
-    #[test]
-    fn the_replica_decides_and_certifies_exactly_when_the_model_does((cfg, stream) in streams()) {
-        let expected = model(&cfg, &stream);
-        let (announced, decided) = replica(&cfg, &stream);
-        prop_assert_eq!(&announced, &expected);
-        prop_assert_eq!(decided, expected.iter().find_map(|(decision, _)| *decision));
-    }
-
-    /// With at most `f` equivocating senders — p1 … pf send what they like,
-    /// everyone else acknowledges value 0 and nothing else — no second
-    /// value is ever decided, and none certified beside it in a view.
-    #[test]
-    fn f_equivocators_never_get_a_second_value_decided((cfg, stream) in streams()) {
-        let honest = |(sender, view, value, share): Ack| {
-            let value = if sender as usize > cfg.f() { 0 } else { value };
-            (sender, view, value, share)
-        };
-        let stream: Vec<Ack> = stream.into_iter().map(honest).collect();
-        let (announced, decided) = replica(&cfg, &stream);
-        prop_assert_eq!(&announced, &model(&cfg, &stream));
-        let decisions: Vec<u64> = announced.iter().filter_map(|(d, _)| *d).collect();
-        prop_assert!(decisions.len() <= 1 && decisions.first().copied() == decided);
-        prop_assert!(announced.iter().all(|(d, c)| d.unwrap_or(0) == 0 && c.unwrap_or(0) == 0));
-    }
+/// With at most `f` equivocating senders — p1 … pf send what they like,
+/// everyone else acknowledges value 0 and nothing else — no second
+/// value is ever decided, and none certified beside it in a view.
+#[test]
+fn f_equivocators_never_get_a_second_value_decided() {
+    check(
+        "f_equivocators_never_get_a_second_value_decided",
+        512,
+        |c| {
+            let (cfg, stream) = stream(c);
+            let honest = |(sender, view, value, share): Ack| {
+                let value = if sender as usize > cfg.f() { 0 } else { value };
+                (sender, view, value, share)
+            };
+            let stream: Vec<Ack> = stream.into_iter().map(honest).collect();
+            let (announced, decided) = replica(&cfg, &stream);
+            assert_eq!(&announced, &model(&cfg, &stream));
+            let decisions: Vec<u64> = announced.iter().filter_map(|(d, _)| *d).collect();
+            assert!(decisions.len() <= 1 && decisions.first().copied() == decided);
+            assert!(announced
+                .iter()
+                .all(|(d, c)| d.unwrap_or(0) == 0 && c.unwrap_or(0) == 0));
+        },
+    );
 }

@@ -6,8 +6,8 @@
 //! unit buckets. A bucket's width is therefore at most 1/16 of its lower
 //! bound, which gives the estimator its guarantee: reporting the **upper
 //! bound of the bucket containing the q-th sample** yields an estimate
-//! `e` with `true_quantile ≤ e < true_quantile · 17/16 + 1`. The proptest
-//! suite (`tests/histogram_quantiles.rs`) checks exactly that envelope
+//! `e` with `true_quantile ≤ e < true_quantile · 17/16 + 1`. The property
+//! tests (`tests/histogram_quantiles.rs`) check exactly that envelope
 //! against exact quantiles of random workloads.
 //!
 //! Recording is three relaxed atomic RMWs (bucket, sum, max) — no locks,

@@ -7,7 +7,7 @@
 //! than one sub-bucket of overshoot.
 
 use fastbft_obs::Histogram;
-use proptest::prelude::*;
+use fastbft_sim::{check, Choices};
 
 /// The exact `q`-quantile under the same rank convention the histogram
 /// uses: the `⌈q·n⌉`-th smallest sample (1-based, clamped into range).
@@ -19,57 +19,54 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
 
 /// Workloads spanning the interesting ranges: sub-16 exact buckets,
 /// microsecond-scale latencies, and huge outliers.
-fn workload() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(
-        prop_oneof![
-            0u64..16,
-            16u64..4096,
-            4096u64..10_000_000,
-            1_000_000_000u64..u64::MAX / 2,
-        ],
-        1..400,
-    )
+fn workload(c: &mut Choices) -> Vec<u64> {
+    c.vec(1..400, |c| match c.int(0..4u8) {
+        0 => c.int(0..16u64),
+        1 => c.int(16..4096u64),
+        2 => c.int(4096..10_000_000u64),
+        _ => c.int(1_000_000_000..u64::MAX / 2),
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// For every tracked quantile, the estimate brackets the true value:
-    /// `true ≤ estimate ≤ true + true/16 + 1`.
-    #[test]
-    fn quantile_estimates_bound_true_quantiles(samples in workload()) {
+/// For every tracked quantile, the estimate brackets the true value:
+/// `true ≤ estimate ≤ true + true/16 + 1`.
+#[test]
+fn quantile_estimates_bound_true_quantiles() {
+    check("quantile_estimates_bound_true_quantiles", 128, |c| {
+        let samples = workload(c);
         let h = Histogram::new();
         for &v in &samples {
             h.record(v);
         }
         let mut sorted = samples.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(h.count(), samples.len() as u64);
+        assert_eq!(h.count(), samples.len() as u64);
         for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
             let truth = exact_quantile(&sorted, q);
             let estimate = h.quantile(q);
-            prop_assert!(
+            assert!(
                 estimate >= truth,
-                "q={} underestimated: {} < true {}",
-                q, estimate, truth
+                "q={q} underestimated: {estimate} < true {truth}"
             );
             let slack = truth / 16 + 1;
-            prop_assert!(
+            assert!(
                 estimate <= truth.saturating_add(slack),
-                "q={} overshot the 1/16 band: {} > true {} + {}",
-                q, estimate, truth, slack
+                "q={q} overshot the 1/16 band: {estimate} > true {truth} + {slack}"
             );
         }
-    }
+    });
+}
 
-    /// Sum and max are exact regardless of bucketing.
-    #[test]
-    fn sum_and_max_are_exact(samples in proptest::collection::vec(0u64..1_000_000, 1..200)) {
+/// Sum and max are exact regardless of bucketing.
+#[test]
+fn sum_and_max_are_exact() {
+    check("sum_and_max_are_exact", 128, |c| {
+        let samples = c.vec(1..200, |c| c.int(0..1_000_000u64));
         let h = Histogram::new();
         for &v in &samples {
             h.record(v);
         }
-        prop_assert_eq!(h.sum(), samples.iter().sum::<u64>());
-        prop_assert_eq!(h.max(), *samples.iter().max().unwrap());
-    }
+        assert_eq!(h.sum(), samples.iter().sum::<u64>());
+        assert_eq!(h.max(), *samples.iter().max().unwrap());
+    });
 }

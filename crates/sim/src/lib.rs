@@ -29,6 +29,7 @@
 
 mod actor;
 mod checker;
+mod choices;
 mod network;
 mod runner;
 mod script;
@@ -38,6 +39,7 @@ mod trace;
 
 pub use actor::{Actor, Effects, Outgoing, SimMessage, TimerId};
 pub use checker::{ConsensusChecker, Violation};
+pub use choices::{check, replay, Choices, SHRINK_RUNS};
 pub use network::{DelayPolicy, Network, SendInfo};
 pub use runner::Simulation;
 pub use script::ScriptedActor;

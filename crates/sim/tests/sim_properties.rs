@@ -2,11 +2,10 @@
 //! admissibility, determinism and crash semantics.
 
 use fastbft_sim::{
-    Actor, Effects, Network, ScriptedActor, SimDuration, SimMessage, SimTime, Simulation, TimerId,
-    TraceEvent,
+    check, Actor, Effects, Network, ScriptedActor, SimDuration, SimMessage, SimTime, Simulation,
+    TimerId, TraceEvent,
 };
 use fastbft_types::ProcessId;
-use proptest::prelude::*;
 
 #[derive(Clone, Debug, PartialEq)]
 struct Ping(u64);
@@ -30,19 +29,13 @@ impl Actor<Ping> for Gossip {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Partial synchrony is enforced: every message is delivered by
-    /// `max(send_time, GST) + Δ`, never before its send.
-    #[test]
-    fn delivery_times_admissible(
-        seed in any::<u64>(),
-        gst in 0u64..2000,
-        chaos in 100u64..3000,
-        n in 2usize..6,
-        ttl in 1u64..4,
-    ) {
+/// Partial synchrony is enforced: every message is delivered by
+/// `max(send_time, GST) + Δ`, never before its send.
+#[test]
+fn delivery_times_admissible() {
+    check("delivery_times_admissible", 48, |c| {
+        let (seed, gst, chaos) = (c.int::<u64>(..), c.int(0..2000u64), c.int(100..3000u64));
+        let (n, ttl) = (c.int(2..6usize), c.int(1..4u64));
         let delta = SimDuration(100);
         let mut sim = Simulation::new(
             Network::partially_synchronous(delta, SimTime(gst), SimDuration(chaos)),
@@ -59,31 +52,26 @@ proptest! {
         for rec in sim.trace().records() {
             if let TraceEvent::Send { deliver_at, .. } = rec.event {
                 let sent_at = rec.at;
-                prop_assert!(deliver_at >= sent_at, "delivered before send");
+                assert!(deliver_at >= sent_at, "delivered before send");
                 let deadline = sent_at.max(SimTime(gst)) + delta;
-                prop_assert!(
+                assert!(
                     deliver_at <= deadline,
                     "sent {sent_at}, delivered {deliver_at}, deadline {deadline}"
                 );
             }
         }
-    }
+    });
+}
 
-    /// Bit-for-bit determinism: identical seeds give identical traces, for
-    /// any network parameters.
-    #[test]
-    fn traces_deterministic(
-        seed in any::<u64>(),
-        gst in 0u64..1000,
-        chaos in 100u64..2000,
-    ) {
+/// Bit-for-bit determinism: identical seeds give identical traces, for
+/// any network parameters.
+#[test]
+fn traces_deterministic() {
+    check("traces_deterministic", 48, |c| {
+        let (seed, gst, chaos) = (c.int::<u64>(..), c.int(0..1000u64), c.int(100..2000u64));
         let run = || {
             let mut sim = Simulation::new(
-                Network::partially_synchronous(
-                    SimDuration(100),
-                    SimTime(gst),
-                    SimDuration(chaos),
-                ),
+                Network::partially_synchronous(SimDuration(100), SimTime(gst), SimDuration(chaos)),
                 seed,
             );
             for _ in 0..4 {
@@ -94,14 +82,17 @@ proptest! {
             sim.run_to_quiescence();
             format!("{}", sim.trace())
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
+}
 
-    /// Every delivery in the trace corresponds to exactly one send with a
-    /// matching schedule (reliable channels: no loss, no duplication, no
-    /// creation) — for crash-free runs.
-    #[test]
-    fn sends_and_delivers_one_to_one(seed in any::<u64>(), ttl in 1u64..4) {
+/// Every delivery in the trace corresponds to exactly one send with a
+/// matching schedule (reliable channels: no loss, no duplication, no
+/// creation) — for crash-free runs.
+#[test]
+fn sends_and_delivers_one_to_one() {
+    check("sends_and_delivers_one_to_one", 48, |c| {
+        let (seed, ttl) = (c.int::<u64>(..), c.int(1..4u64));
         let mut sim = Simulation::new(
             Network::partially_synchronous(SimDuration(100), SimTime(500), SimDuration(700)),
             seed,
@@ -124,13 +115,16 @@ proptest! {
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::Deliver { .. }))
             .count();
-        prop_assert_eq!(sends, delivers);
-    }
+        assert_eq!(sends, delivers);
+    });
+}
 
-    /// Crashed processes take no further steps: no sends, no deliveries, no
-    /// timer firings after the crash instant.
-    #[test]
-    fn crash_semantics(seed in any::<u64>(), crash_at in 50u64..400) {
+/// Crashed processes take no further steps: no sends, no deliveries, no
+/// timer firings after the crash instant.
+#[test]
+fn crash_semantics() {
+    check("crash_semantics", 48, |c| {
+        let (seed, crash_at) = (c.int::<u64>(..), c.int(50..400u64));
         let mut sim = Simulation::new(Network::synchronous(SimDuration(100)), seed);
         for _ in 0..4 {
             sim.add_actor(Box::new(Gossip));
@@ -145,17 +139,17 @@ proptest! {
             if rec.at >= SimTime(crash_at) {
                 match rec.event {
                     TraceEvent::Send { from, .. } => {
-                        prop_assert_ne!(from, victim, "crashed process sent at {}", rec.at);
+                        assert_ne!(from, victim, "crashed process sent at {}", rec.at);
                     }
                     TraceEvent::Deliver { to, .. } => {
-                        prop_assert_ne!(to, victim, "crashed process received at {}", rec.at);
+                        assert_ne!(to, victim, "crashed process received at {}", rec.at);
                     }
                     _ => {}
                 }
             }
         }
-        prop_assert!(sim.is_crashed(victim));
-    }
+        assert!(sim.is_crashed(victim));
+    });
 }
 
 /// Timers fire exactly once, in order, at the requested offsets.

@@ -185,8 +185,8 @@ impl Decode for Dedup {
 mod tests {
     use super::*;
     use crate::tag::tag_command;
+    use fastbft_sim::{check, Choices};
     use fastbft_types::wire::{from_bytes, to_bytes};
-    use proptest::prelude::*;
 
     fn untagged(i: u16) -> CommandId {
         CommandId::of(&Value::new(i.to_be_bytes().to_vec()))
@@ -206,40 +206,41 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    fn step(c: &mut Choices) -> (u8, u8, u8) {
+        (c.int(..), c.int(..), c.int(..))
+    }
 
-        /// A snapshot's dedup bytes decode to the state that wrote them and
-        /// re-encode to themselves, wherever in a history of commands and
-        /// rotations the snapshot falls.
-        #[test]
-        fn decode_inverts_encode_at_every_rotation(
-            history in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..96),
-        ) {
+    /// A snapshot's dedup bytes decode to the state that wrote them and
+    /// re-encode to themselves, wherever in a history of commands and
+    /// rotations the snapshot falls.
+    #[test]
+    fn decode_inverts_encode_at_every_rotation() {
+        check("decode_inverts_encode_at_every_rotation", 64, |c| {
             let mut dedup = Dedup::default();
-            for step in history {
+            for step in c.vec(0..96, step) {
                 if step.0 % 8 == 7 {
                     dedup.rotate();
                     let bytes = to_bytes(&dedup);
                     let decoded: Dedup = from_bytes(&bytes).expect("canonical bytes decode");
-                    prop_assert_eq!(&decoded, &dedup);
-                    prop_assert_eq!(to_bytes(&decoded), bytes);
+                    assert_eq!(&decoded, &dedup);
+                    assert_eq!(to_bytes(&decoded), bytes);
                 } else {
                     let id = command(step);
                     let fresh = !dedup.contains(&id);
-                    prop_assert_eq!(dedup.insert(id), fresh);
-                    prop_assert!(dedup.contains(&id) && !dedup.insert(id));
+                    assert_eq!(dedup.insert(id), fresh);
+                    assert!(dedup.contains(&id) && !dedup.insert(id));
                 }
             }
-        }
+        });
+    }
 
-        /// The bytes are a function of the set of commands applied, not of
-        /// the order they were applied in.
-        #[test]
-        fn encoding_ignores_insertion_order(
-            cmds in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..64),
-            rotation in any::<usize>(),
-        ) {
+    /// The bytes are a function of the set of commands applied, not of
+    /// the order they were applied in.
+    #[test]
+    fn encoding_ignores_insertion_order() {
+        check("encoding_ignores_insertion_order", 64, |c| {
+            let cmds = c.vec(0..64, step);
+            let rotation: usize = c.int(..);
             let mut forward = Dedup::default();
             let mut shuffled = Dedup::default();
             for step in &cmds {
@@ -249,9 +250,9 @@ mod tests {
             for step in cmds[at..].iter().chain(&cmds[..at]).rev() {
                 shuffled.insert(command(*step));
             }
-            prop_assert_eq!(to_bytes(&forward), to_bytes(&shuffled));
-            prop_assert_eq!(forward.entries(), shuffled.entries());
-        }
+            assert_eq!(to_bytes(&forward), to_bytes(&shuffled));
+            assert_eq!(forward.entries(), shuffled.entries());
+        });
     }
 
     #[test]

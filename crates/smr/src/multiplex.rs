@@ -33,10 +33,14 @@
 //!    memory. What a peer can make an *open* instance hold is `core`'s to
 //!    bound; ARCHITECTURE's bounds table names the row still open there.
 //! 3. **Idle quiescence** — `multiplex::pipeline` (`quiescent`, the fill
-//!    loop). Slots open only while there is work (pending or in-flight
-//!    commands, or a peer demonstrably ahead); an idle cluster stops
-//!    opening slots, and a client command ([`Actor::on_client`]) restarts
-//!    it. A slot opened with nothing to commit proposes the empty batch,
+//!    loop). A node opens slots itself only while it has work (pending or
+//!    in-flight commands); an idle cluster stops opening slots, and a
+//!    client command ([`Actor::on_client`]) restarts it. A peer's
+//!    consensus frame for an unopened slot inside the window opens that
+//!    one slot, nothing more. So an idle laggard with no open slot hears
+//!    no frame and opens nothing: it waits for the recovery trigger (f + 1
+//!    peers `RECOVERY_GAP` slots ahead), ROADMAP item 2(d)'s open case.
+//!    A slot opened with nothing to commit proposes the empty batch,
 //!    which applies and logs nothing: the log holds exactly the commands
 //!    clients submitted, so a log index is a command index.
 //! 4. **Revoked slots** — `multiplex::pipeline` (`open_slot`,

@@ -4,10 +4,9 @@
 
 use fastbft_core::replica::ReplicaOptions;
 use fastbft_crypto::KeyDirectory;
-use fastbft_sim::{Actor, Effects, Network, ScriptedActor, SimDuration, SimTime};
+use fastbft_sim::{check, Actor, Effects, Network, ScriptedActor, SimDuration, SimTime};
 use fastbft_smr::{CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value};
-use proptest::prelude::*;
 
 type Cluster = SmrSimCluster<CountingMachine>;
 
@@ -342,28 +341,28 @@ fn one_backlog_in_a_trickle_raises_the_target_for_one_commit_latency() {
     assert_eq!(drains, [109 + 3 + 187; 4]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// With adaptive batches in flight through a chaotic pre-GST window —
-    /// delays past the base timeout, so early slots go through view
-    /// changes and re-proposals — no client command is ever lost or
-    /// applied twice once the network stabilizes.
-    #[test]
-    fn view_changes_never_lose_or_duplicate_batched_commands(
-        seed in 0u64..1024,
-        n in 1u64..=16,
-    ) {
-        let queue: Vec<Value> = (0..n).map(|i| Value::from_u64(5000 + i)).collect();
-        // Pre-GST delays reach ~2× the base timeout (8Δ = 800): slots
-        // opened in that window time out, rotate leaders, and re-propose
-        // their batches; the run then stabilizes.
-        let network = Network::partially_synchronous(
-            SimDuration::DELTA,
-            SimTime(4_000),
-            SimDuration(1_600),
-        );
-        let mut cluster = adaptive_cluster(seed, vec![queue; 4], network);
-        cluster.run_until(SimTime(2_000_000), |c| c.report().commands_everywhere >= n);
-    }
+/// With adaptive batches in flight through a chaotic pre-GST window —
+/// delays past the base timeout, so early slots go through view
+/// changes and re-proposals — no client command is ever lost or
+/// applied twice once the network stabilizes.
+#[test]
+fn view_changes_never_lose_or_duplicate_batched_commands() {
+    check(
+        "view_changes_never_lose_or_duplicate_batched_commands",
+        16,
+        |c| {
+            let (seed, n) = (c.int(0..1024u64), c.int(1..=16u64));
+            let queue: Vec<Value> = (0..n).map(|i| Value::from_u64(5000 + i)).collect();
+            // Pre-GST delays reach ~2× the base timeout (8Δ = 800): slots
+            // opened in that window time out, rotate leaders, and re-propose
+            // their batches; the run then stabilizes.
+            let network = Network::partially_synchronous(
+                SimDuration::DELTA,
+                SimTime(4_000),
+                SimDuration(1_600),
+            );
+            let mut cluster = adaptive_cluster(seed, vec![queue; 4], network);
+            cluster.run_until(SimTime(2_000_000), |c| c.report().commands_everywhere >= n);
+        },
+    );
 }

@@ -26,11 +26,10 @@ use fastbft_core::ProgressCert;
 use fastbft_crypto::KeyDirectory;
 use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{
-    Actor, Effects, Network, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
+    check, Actor, Effects, Network, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
 };
 use fastbft_smr::{byzantine_seat, CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
 use fastbft_types::{Config, ProcessId, Value, View};
-use proptest::prelude::*;
 
 const DELTA: SimDuration = SimDuration::DELTA;
 /// The default view-1 timeout (`ReplicaOptions::default().base_timeout`).
@@ -572,102 +571,138 @@ impl Actor<Message> for StartsWishing {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// (d) Safety is independent of wishes: single-shot replicas that each
-    /// start wishing for an arbitrary view `≤ f + 1`, with up to `f` seats
-    /// playing seeded draws from the move alphabet and pre-GST chaos, never
-    /// disagree — and still all decide once the network stabilizes.
-    #[test]
-    fn arbitrary_starting_wishes_keep_consensus_safe_and_live(
-        seed in 0u64..10_000,
-        wishes in proptest::collection::vec(1u64..=3, 7),
-        fuzzers in proptest::collection::vec(0usize..7, 0..=2),
-        gst in 0u64..20,
-    ) {
-        let cfg = generalized_seven();
-        let network = if gst == 0 {
-            Network::synchronous(DELTA)
-        } else {
-            Network::partially_synchronous(DELTA, SimTime(gst * DELTA.0), SimDuration(10 * DELTA.0))
-        };
-        let inputs = cfg.processes().map(|p| Value::from_u64(u64::from(p.0)));
-        let faulty = cfg.processes().filter(|p| fuzzers.contains(&p.index()));
-        let mut cluster = SimCluster::new(cfg.n(), seed, network, inputs, faulty, |p, keys, dir, input| {
-            if fuzzers.contains(&p.index()) {
-                let seed = seed ^ u64::from(p.0);
-                let moves = random_moves(&cfg, p, seed);
-                let replica = Replica::new(cfg, keys.clone(), dir.clone(), input);
-                Box::new(Seat::new(replica, keys, moves).with_noise(seed))
+/// (d) Safety is independent of wishes: single-shot replicas that each
+/// start wishing for an arbitrary view `≤ f + 1`, with up to `f` seats
+/// playing seeded draws from the move alphabet and pre-GST chaos, never
+/// disagree — and still all decide once the network stabilizes.
+#[test]
+fn arbitrary_starting_wishes_keep_consensus_safe_and_live() {
+    check(
+        "arbitrary_starting_wishes_keep_consensus_safe_and_live",
+        48,
+        |c| {
+            let (seed, wishes) = (c.int(0..10_000u64), c.vec(7..=7, |c| c.int(1..=3u64)));
+            let (fuzzers, gst) = (c.vec(0..=2, |c| c.int(0..7usize)), c.int(0..20u64));
+            let cfg = generalized_seven();
+            let network = if gst == 0 {
+                Network::synchronous(DELTA)
             } else {
-                Box::new(StartsWishing {
-                    replica: Replica::new(cfg, keys, dir.clone(), input),
-                    wish: View(wishes[p.index()]),
+                Network::partially_synchronous(
+                    DELTA,
+                    SimTime(gst * DELTA.0),
+                    SimDuration(10 * DELTA.0),
+                )
+            };
+            let inputs = cfg.processes().map(|p| Value::from_u64(u64::from(p.0)));
+            let faulty = cfg.processes().filter(|p| fuzzers.contains(&p.index()));
+            let mut cluster = SimCluster::new(
+                cfg.n(),
+                seed,
+                network,
+                inputs,
+                faulty,
+                |p, keys, dir, input| {
+                    if fuzzers.contains(&p.index()) {
+                        let seed = seed ^ u64::from(p.0);
+                        let moves = random_moves(&cfg, p, seed);
+                        let replica = Replica::new(cfg, keys.clone(), dir.clone(), input);
+                        Box::new(Seat::new(replica, keys, moves).with_noise(seed))
+                    } else {
+                        Box::new(StartsWishing {
+                            replica: Replica::new(cfg, keys, dir.clone(), input),
+                            wish: View(wishes[p.index()]),
+                        })
+                    }
+                },
+            );
+            let report = cluster.run_until_all_decide();
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            let deadline = SimTime((gst + 2_000) * DELTA.0);
+            assert!(
+                report.all_decided && report.final_time <= deadline,
+                "undecided by {deadline}"
+            );
+        },
+    );
+}
+
+/// (d′) The same weather over the whole stack, so that revocation runs
+/// in it: paced load on a pipelined cluster with p7 silent (someone to
+/// suspect), up to one more seat playing a fresh draw from the move
+/// alphabet in every slot, and noise,
+/// and pre-GST delays past the view timeout (false suspicions, tables
+/// that differ between nodes, revoked slots racing their leaders). Every
+/// command is applied exactly once at every correct node and the logs
+/// agree.
+#[test]
+fn revocation_under_fuzzers_and_chaos_keeps_at_most_once_and_agreement() {
+    check(
+        "revocation_under_fuzzers_and_chaos_keeps_at_most_once_and_agreement",
+        48,
+        |c| {
+            let (seed, fuzzer, gst) = (c.int(0..10_000u64), c.int(1..=6u32), c.int(0..20u64));
+            let cfg = generalized_seven();
+            // p1 stays honest (the harness watches it): 1 means no fuzzer.
+            let fuzzer = if fuzzer == 1 { 0 } else { fuzzer };
+            let network = if gst == 0 {
+                Network::synchronous(DELTA)
+            } else {
+                Network::partially_synchronous(
+                    DELTA,
+                    SimTime(gst * DELTA.0),
+                    SimDuration(10 * DELTA.0),
+                )
+            };
+            let mut cluster = pipelined(cfg, seed, network, |p, node| {
+                if p.0 == 7 {
+                    Box::new(ScriptedActor::silent())
+                } else if p.0 == fuzzer {
+                    let seed = seed ^ 0xf5;
+                    let moves = move |slot| random_moves(&cfg.with_instance(slot), p, seed ^ slot);
+                    Box::new(byzantine_seat(node, moves).with_noise(seed))
+                } else {
+                    Box::new(node)
+                }
+            });
+            let correct: Vec<ProcessId> = cfg
+                .processes()
+                .filter(|p| p.0 != 7 && p.0 != fuzzer)
+                .collect();
+            const COMMANDS: u64 = 30;
+            for i in 0..COMMANDS {
+                submit(&mut cluster, command(i), SimTime((i + 1) * DELTA.0));
+            }
+            // (A fuzzer-led slot may commit one of its palette values, which
+            // counts as a command too: look for ours.)
+            let ours = |c: &mut Cluster, p: ProcessId| {
+                c.logs()[p.index()]
+                    .values()
+                    .filter(|v| v.as_u64() >= Some(1000))
+                    .count() as u64
+            };
+            let deadline = SimTime((gst + 3_000) * DELTA.0);
+            cluster.run_until(deadline, |c| {
+                correct.iter().all(|p| ours(c, *p) >= COMMANDS)
+            });
+            for p in &correct {
+                assert!(
+                    cluster.node(*p).snapshot_upto().is_none(),
+                    "one snapshot interval holds the run"
+                );
+            }
+            let revoked: u64 = correct
+                .iter()
+                .map(|p| {
+                    cluster
+                        .registry()
+                        .metrics(p.index())
+                        .slot_revoked_total
+                        .get()
                 })
-            }
-        });
-        let report = cluster.run_until_all_decide();
-        prop_assert!(report.violations.is_empty(), "{:?}", report.violations);
-        let deadline = SimTime((gst + 2_000) * DELTA.0);
-        prop_assert!(report.all_decided && report.final_time <= deadline, "undecided by {deadline}");
-    }
-
-    /// (d′) The same weather over the whole stack, so that revocation runs
-    /// in it: paced load on a pipelined cluster with p7 silent (someone to
-    /// suspect), up to one more seat playing a fresh draw from the move
-    /// alphabet in every slot, and noise,
-    /// and pre-GST delays past the view timeout (false suspicions, tables
-    /// that differ between nodes, revoked slots racing their leaders). Every
-    /// command is applied exactly once at every correct node and the logs
-    /// agree.
-    #[test]
-    fn revocation_under_fuzzers_and_chaos_keeps_at_most_once_and_agreement(
-        seed in 0u64..10_000,
-        fuzzer in 1u32..=6,
-        gst in 0u64..20,
-    ) {
-        let cfg = generalized_seven();
-        // p1 stays honest (the harness watches it): 1 means no fuzzer.
-        let fuzzer = if fuzzer == 1 { 0 } else { fuzzer };
-        let network = if gst == 0 {
-            Network::synchronous(DELTA)
-        } else {
-            Network::partially_synchronous(DELTA, SimTime(gst * DELTA.0), SimDuration(10 * DELTA.0))
-        };
-        let mut cluster = pipelined(cfg, seed, network, |p, node| {
-            if p.0 == 7 {
-                Box::new(ScriptedActor::silent())
-            } else if p.0 == fuzzer {
-                let seed = seed ^ 0xf5;
-                let moves = move |slot| random_moves(&cfg.with_instance(slot), p, seed ^ slot);
-                Box::new(byzantine_seat(node, moves).with_noise(seed))
-            } else {
-                Box::new(node)
-            }
-        });
-        let correct: Vec<ProcessId> =
-            cfg.processes().filter(|p| p.0 != 7 && p.0 != fuzzer).collect();
-        const COMMANDS: u64 = 30;
-        for i in 0..COMMANDS {
-            submit(&mut cluster, command(i), SimTime((i + 1) * DELTA.0));
-        }
-        // (A fuzzer-led slot may commit one of its palette values, which
-        // counts as a command too: look for ours.)
-        let ours = |c: &mut Cluster, p: ProcessId| {
-            c.logs()[p.index()].values().filter(|v| v.as_u64() >= Some(1000)).count() as u64
-        };
-        let deadline = SimTime((gst + 3_000) * DELTA.0);
-        cluster.run_until(deadline, |c| correct.iter().all(|p| ours(c, *p) >= COMMANDS));
-        for p in &correct {
-            prop_assert!(cluster.node(*p).snapshot_upto().is_none(), "one snapshot interval holds the run");
-        }
-        let revoked: u64 = correct
-            .iter()
-            .map(|p| cluster.registry().metrics(p.index()).slot_revoked_total.get())
-            .sum();
-        prop_assert!(revoked > 0, "the case never revoked a slot");
-    }
+                .sum();
+            assert!(revoked > 0, "the case never revoked a slot");
+        },
+    );
 }
 
 /// One node (p1) driven by hand, each call into a fresh effect buffer.

@@ -282,6 +282,9 @@ enum Load {
     /// [`open_loop`]: this many commands, one every Δ/5, command `i` due
     /// at `i·Δ/5`.
     Open(u64),
+    /// This many commands queued at every seat from the start, batched by
+    /// nodes as shipped (adaptive: a slot carries many); every one due at 0.
+    Backlog(u64),
 }
 
 /// A counter, by its exposition name.
@@ -427,6 +430,11 @@ fn exported(registry: &MetricsRegistry) {
 /// parked behind the next live-led slot: nothing is pending, so no seat
 /// opens that one. With `f` seats silent every commit is slow.
 ///
+/// Backlogged, nodes as shipped carry the same 1 000 queued commands in
+/// 10 slots, and `compared` reads the queue scan at about 179 entries per
+/// applied command per seat (716 976 over 4 × 1 000, 1 254 708 over
+/// 7 × 1 000): the baseline for applying without scanning the queue.
+///
 /// `delays_p50` and `delays_p90` are [`delays`]' percentiles, in ticks.
 /// Queued, command `s` rides slot `s` alone and lands `(s + 1)` fast paths
 /// after 0, so the cells read the backlog's wait in 2Δ steps. In the open
@@ -434,10 +442,10 @@ fn exported(registry: &MetricsRegistry) {
 /// 3Δ of a commit.
 #[test]
 fn the_work_ledger() {
-    use Load::{Open, Queued};
+    use Load::{Backlog, Open, Queued};
     let (four, seven) = (Config::new(4, 1, 1).unwrap(), Config::new(7, 2, 1).unwrap());
     #[rustfmt::skip]
-    let rows: [(Config, &[u32], Load, Row); 7] = [
+    let rows: [(Config, &[u32], Load, Row); 9] = [
         //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed  signed  compared  delays_p50  delays_p90
         (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12, 264,      1_400,      2_200]),
         (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96, 462,      1_400,      2_200]),
@@ -446,6 +454,8 @@ fn the_work_ledger() {
         (four,  &[4],    Open(1_000), [  473,     3,   114,    931,   1_659,  9_591,    716_925,   1_904,  5_712,      0,        0,  3_382,  1_087,    363, 1_428,     0,   363,       0,          0,    0, 1_211,  9_616,        433,        952]),
         (seven, &[7],    Open(1_000), [  552,     1,    77,  2_289,   4_944, 54_583,  8_846_851,   3_871, 23_226, 23_226,        0, 58_726,  9_721,  6_708, 3_318,     0,   480,       0,          0,    0, 4_855, 14_628,        328,        807]),
         (seven, &[6, 7], Open(1_000), [  449,     4,   123,  1_357,   3_065, 40_767,  6_423_810,   3_171, 15_855, 15_855,        0, 75_951, 15_111, 11_985,     0, 2_265,   675,       0,          0,    0, 4_068, 16_130,        434,        981]),
+        (four,  &[],     Backlog(1_000), [   10,     0,     0,     40,       0,    200,    246_840,      40,    160,      0,        0,     40,     10,      0,    40,     0,     0,       0,          0,    0, 10, 716_976,        200,        400]),
+        (seven, &[],     Backlog(1_000), [   10,     0,     0,     70,       0,  1_050,  1_398_180,      70,    490,    490,        0,    511,     73,      0,    70,     0,     0,       0,          0,    0, 80, 1_254_708,        200,        400]),
     ];
     for (cfg, silent, load, row) in rows {
         let silent: Vec<ProcessId> = silent.iter().copied().map(ProcessId).collect();
@@ -454,6 +464,19 @@ fn the_work_ledger() {
                 let mut cluster = cluster(cfg, 5, Network::synchronous(DELTA), slots, Some(1));
                 let delays = delays(&mut cluster, cfg.f(), |_| SimTime::ZERO);
                 (cluster, slots, delays)
+            }
+            Backlog(commands) => {
+                let queue: Vec<Value> = (0..commands).map(command).collect();
+                let mut cluster = SmrSimCluster::new(
+                    cfg,
+                    5,
+                    CountingMachine::new(),
+                    vec![queue; cfg.n()],
+                    Network::synchronous(DELTA),
+                    |_, node| Box::new(node),
+                );
+                let delays = delays(&mut cluster, cfg.f(), |_| SimTime::ZERO);
+                (cluster, commands, delays)
             }
             Open(commands) => {
                 let mut cluster = open_loop(cfg, &silent, commands);

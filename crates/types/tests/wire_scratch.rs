@@ -3,9 +3,9 @@
 //! `to_wire_bytes` encoding, and decode back to the same value — the
 //! invariant the transport's zero-allocation hot path rests on.
 
+use fastbft_sim::check;
 use fastbft_types::wire::{encode_into, from_bytes, to_bytes, Encode};
 use fastbft_types::{ProcessId, Value, View};
-use proptest::prelude::*;
 
 /// Encodes twice into the same scratch (leaving it dirty in between) and
 /// checks canonical bytes + round-trip.
@@ -25,47 +25,51 @@ where
     assert_eq!(bytes, canonical, "reused scratch changed the encoding");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+#[test]
+fn values_encode_identically_through_reused_scratch() {
+    check(
+        "values_encode_identically_through_reused_scratch",
+        128,
+        |c| {
+            let payload = c.bytes(0..256);
+            let mut scratch = c.bytes(0..64); // start dirty
+            check_scratch_reuse(&Value::new(payload), &mut scratch);
+        },
+    );
+}
 
-    #[test]
-    fn values_encode_identically_through_reused_scratch(
-        payload in proptest::collection::vec(any::<u8>(), 0..256),
-        garbage in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let mut scratch = garbage; // start dirty
-        check_scratch_reuse(&Value::new(payload), &mut scratch);
-    }
+#[test]
+fn primitive_and_composite_types_roundtrip_through_scratch() {
+    check(
+        "primitive_and_composite_types_roundtrip_through_scratch",
+        128,
+        |c| {
+            let (a, b) = (c.int::<u64>(..), c.int::<u32>(..));
+            let list = c.vec(0..32, |c| c.int::<u64>(..));
+            let opt = c.bool();
+            let mut scratch = vec![0xAA; 17];
+            check_scratch_reuse(&a, &mut scratch);
+            check_scratch_reuse(&ProcessId(b), &mut scratch);
+            check_scratch_reuse(&View(a), &mut scratch);
+            check_scratch_reuse(&list, &mut scratch);
+            check_scratch_reuse(&if opt { Some(a) } else { None }, &mut scratch);
+        },
+    );
+}
 
-    #[test]
-    fn primitive_and_composite_types_roundtrip_through_scratch(
-        a in any::<u64>(),
-        b in any::<u32>(),
-        c in proptest::collection::vec(any::<u64>(), 0..32),
-        opt in any::<bool>(),
-    ) {
-        let mut scratch = vec![0xAA; 17];
-        check_scratch_reuse(&a, &mut scratch);
-        check_scratch_reuse(&ProcessId(b), &mut scratch);
-        check_scratch_reuse(&View(a), &mut scratch);
-        check_scratch_reuse(&c, &mut scratch);
-        check_scratch_reuse(&if opt { Some(a) } else { None }, &mut scratch);
-    }
-
-    /// Back-to-back encodings of *different* values through one scratch
-    /// never contaminate each other.
-    #[test]
-    fn sequential_messages_share_one_scratch(
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..64), 1..16),
-    ) {
+/// Back-to-back encodings of *different* values through one scratch
+/// never contaminate each other.
+#[test]
+fn sequential_messages_share_one_scratch() {
+    check("sequential_messages_share_one_scratch", 128, |c| {
+        let payloads = c.vec(1..16, |c| c.bytes(0..64));
         let mut scratch = Vec::new();
         for p in &payloads {
             let v = Value::new(p.clone());
             let bytes = encode_into(&v, &mut scratch).to_vec();
-            prop_assert_eq!(&bytes, &to_bytes(&v));
+            assert_eq!(&bytes, &to_bytes(&v));
             let back: Value = from_bytes(&bytes).unwrap();
-            prop_assert_eq!(back, v);
+            assert_eq!(back, v);
         }
-    }
+    });
 }

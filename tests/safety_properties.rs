@@ -11,57 +11,46 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
-
 use fastbft::core::cluster::{Behavior, Report, SimCluster};
 use fastbft::runtime::{FaultPlan, LinkProfile, LinkRules};
-use fastbft::sim::{Network, SimDuration, SimTime, TraceEvent, Violation};
+use fastbft::sim::{check, Choices, Network, SimDuration, SimTime, TraceEvent, Violation};
 use fastbft::types::{Config, ProcessId, Value, View};
 
-/// The configurations under test (kept small: each proptest case runs a
-/// full simulation).
-fn configs() -> impl Strategy<Value = Config> {
-    prop_oneof![
-        Just(Config::new(4, 1, 1).unwrap()),
-        Just(Config::new(5, 1, 1).unwrap()),
-        Just(Config::new(8, 2, 1).unwrap()),
-        Just(Config::new(9, 2, 2).unwrap()),
-    ]
+/// The configurations under test (kept small: each case runs a full
+/// simulation).
+fn config(c: &mut Choices) -> Config {
+    let (n, f, t) = *c.pick(&[(4, 1, 1), (5, 1, 1), (8, 2, 1), (9, 2, 2)]);
+    Config::new(n, f, t).unwrap()
 }
 
-/// A Byzantine behavior chosen by the fuzzer.
-fn behaviors(seed: u64) -> impl Strategy<Value = Behavior> {
-    prop_oneof![
-        Just(Behavior::Silent),
-        Just(Behavior::CrashAt(SimTime(100))),
-        Just(Behavior::CrashAt(SimTime(150))),
-        Just(Behavior::Random { seed }),
-        (1u64..=4, 1u64..=4).prop_map(|(a, b)| Behavior::EquivocateView1 {
-            a: Value::from_u64(a),
-            b: Value::from_u64(b + 100),
+/// A Byzantine behavior chosen by the fuzzer: the first `kinds` of
+/// `Silent`, two crashes, `Random` from `seed` and `EquivocateView1`.
+fn behavior(c: &mut Choices, kinds: u8, seed: u64) -> Behavior {
+    match c.int(0..kinds) {
+        0 => Behavior::Silent,
+        1 => Behavior::CrashAt(SimTime(100)),
+        2 => Behavior::CrashAt(SimTime(150)),
+        3 => Behavior::Random { seed },
+        _ => Behavior::EquivocateView1 {
+            a: Value::from_u64(c.int(1..=4u64)),
+            b: Value::from_u64(c.int(1..=4u64) + 100),
             recipients_a: vec![ProcessId(1), ProcessId(3)],
-        }),
-    ]
+        },
+    }
 }
 
 /// The two Byzantine seats the weather runs against, each with the
 /// behaviors that mean something there: the view-1 leader of (4, 1, 1)
-/// draws any of [`behaviors`], and p8 of (8, 2, 1), which leads no view
-/// before the seventh, every one but `EquivocateView1` — a non-leader's
-/// view-1 proposals are dropped, which is `Silent` again.
-fn weathered_liars() -> impl Strategy<Value = (Config, ProcessId, Behavior)> {
+/// draws any of [`behavior`]'s five, and p8 of (8, 2, 1), which leads no
+/// view before the seventh, every one but `EquivocateView1` — a
+/// non-leader's view-1 proposals are dropped, which is `Silent` again.
+fn weathered_liar(c: &mut Choices) -> (Config, ProcessId, Behavior) {
     let (small, large) = (Config::new(4, 1, 1).unwrap(), Config::new(8, 2, 1).unwrap());
-    let fuzzers = prop_oneof![
-        Just(Behavior::Silent),
-        Just(Behavior::CrashAt(SimTime(100))),
-        Just(Behavior::CrashAt(SimTime(150))),
-        Just(Behavior::Random { seed: 99 }),
-    ];
-    prop_oneof![
-        behaviors(99).prop_map(move |b| (small, small.leader(View::FIRST), b)),
-        fuzzers.prop_map(move |b| (large, ProcessId(8), b)),
-    ]
+    if c.bool() {
+        (large, ProcessId(8), behavior(c, 4, 99))
+    } else {
+        (small, small.leader(View::FIRST), behavior(c, 5, 99))
+    }
 }
 
 /// When a healed run's plan heals: 400 ms of 50 µs ticks.
@@ -125,19 +114,15 @@ fn stranded(cluster: &SimCluster, report: &Report) -> bool {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Up to f random Byzantine processes + random seeds on a synchronous
-    /// network: safety always holds, and liveness holds for these
-    /// fault patterns.
-    #[test]
-    fn no_adversary_breaks_agreement_synchronous(
-        cfg in configs(),
-        seed in 0u64..1000,
-        byz_positions in proptest::collection::vec(0usize..16, 0..=2),
-        behavior in behaviors(12345),
-    ) {
+/// Up to f random Byzantine processes + random seeds on a synchronous
+/// network: safety always holds, and liveness holds for these
+/// fault patterns.
+#[test]
+fn no_adversary_breaks_agreement_synchronous() {
+    check("no_adversary_breaks_agreement_synchronous", 24, |c| {
+        let (cfg, seed) = (config(c), c.int(0..1000u64));
+        let byz_positions = c.vec(0..=2, |c| c.int(0..16usize));
+        let behavior = behavior(c, 5, 12345);
         let mut builder = SimCluster::builder(cfg)
             .inputs_u64((1..=cfg.n() as u64).collect::<Vec<_>>())
             .seed(seed);
@@ -157,20 +142,19 @@ proptest! {
             .iter()
             .filter(|v| !matches!(v, Violation::Undecided { .. }))
             .collect();
-        prop_assert!(safety.is_empty(), "safety violations: {safety:?}");
+        assert!(safety.is_empty(), "safety violations: {safety:?}");
         // Liveness: these adversaries cannot stall a synchronous system.
-        prop_assert!(report.all_decided, "undecided: {:?}", report.violations);
-    }
+        assert!(report.all_decided, "undecided: {:?}", report.violations);
+    });
+}
 
-    /// Random GST and pre-GST chaos with a crashing or silent process:
-    /// safety must hold throughout; liveness once GST passes.
-    #[test]
-    fn no_schedule_breaks_agreement_partial_synchrony(
-        seed in 0u64..1000,
-        gst in 0u64..30u64,
-        chaos in 2u64..30u64,
-        byz in 0u32..4u32,
-    ) {
+/// Random GST and pre-GST chaos with a crashing or silent process:
+/// safety must hold throughout; liveness once GST passes.
+#[test]
+fn no_schedule_breaks_agreement_partial_synchrony() {
+    check("no_schedule_breaks_agreement_partial_synchrony", 24, |c| {
+        let (seed, gst) = (c.int(0..1000u64), c.int(0..30u64));
+        let (chaos, byz) = (c.int(2..30u64), c.int(0..4u32));
         let cfg = Config::new(4, 1, 1).unwrap();
         let p = ProcessId(byz % 4 + 1);
         let mut cluster = SimCluster::builder(cfg)
@@ -181,7 +165,14 @@ proptest! {
                 SimDuration(chaos * 100),
             ))
             .seed(seed)
-            .behavior(p, if seed % 2 == 0 { Behavior::Silent } else { Behavior::CrashAt(SimTime(100)) })
+            .behavior(
+                p,
+                if seed % 2 == 0 {
+                    Behavior::Silent
+                } else {
+                    Behavior::CrashAt(SimTime(100))
+                },
+            )
             .build();
         let report = cluster.run_until_all_decide();
         let safety: Vec<&Violation> = report
@@ -189,37 +180,41 @@ proptest! {
             .iter()
             .filter(|v| !matches!(v, Violation::Undecided { .. }))
             .collect();
-        prop_assert!(safety.is_empty(), "safety violations: {safety:?}");
-        prop_assert!(report.all_decided, "undecided after GST: {:?}", report.violations);
+        assert!(safety.is_empty(), "safety violations: {safety:?}");
+        assert!(
+            report.all_decided,
+            "undecided after GST: {:?}",
+            report.violations
+        );
         // Validity-ish: the decision is one of the inputs (all non-Byzantine
         // inputs are 1..=4; Byzantine could have had any input, but our
         // Byzantine actors never propose, so the decided value must be an
         // honest input or the Byzantine process's own recorded input).
         let decided = report.unanimous_decision().unwrap().as_u64().unwrap();
-        prop_assert!((1..=4).contains(&decided), "invented value {decided}");
-    }
+        assert!((1..=4).contains(&decided), "invented value {decided}");
+    });
+}
 
-    /// All-correct randomized inputs: weak validity (unanimity wins) and
-    /// extended validity (decision is someone's input).
-    #[test]
-    fn validity_under_random_inputs(
-        seed in 0u64..1000,
-        inputs in proptest::collection::vec(0u64..5, 4),
-    ) {
+/// All-correct randomized inputs: weak validity (unanimity wins) and
+/// extended validity (decision is someone's input).
+#[test]
+fn validity_under_random_inputs() {
+    check("validity_under_random_inputs", 24, |c| {
+        let (seed, inputs) = (c.int(0..1000u64), c.vec(4..=4, |c| c.int(0..5u64)));
         let cfg = Config::new(4, 1, 1).unwrap();
         let mut cluster = SimCluster::builder(cfg)
             .inputs_u64(inputs.clone())
             .seed(seed)
             .build();
         let report = cluster.run_until_all_decide();
-        prop_assert!(report.all_decided);
-        prop_assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert!(report.all_decided);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
         let decided = report.unanimous_decision().unwrap().as_u64().unwrap();
-        prop_assert!(inputs.contains(&decided));
+        assert!(inputs.contains(&decided));
         if inputs.iter().all(|i| *i == inputs[0]) {
-            prop_assert_eq!(decided, inputs[0], "unanimous input must be decided");
+            assert_eq!(decided, inputs[0], "unanimous input must be decided");
         }
-    }
+    });
 }
 
 /// One run of [`weathered`], checked: the correct processes agree, and
@@ -237,7 +232,7 @@ fn check_weathered(
     behavior: &Behavior,
     seed: u64,
     heal: Option<SimTime>,
-) -> Result<(), TestCaseError> {
+) {
     let healed = heal.map_or("never healed".to_string(), |at| format!("healed at {at}"));
     let run = format!("{cfg}, {byz} {behavior:?}, seed {seed}, {healed}");
     let (cluster, report) = weathered(cfg, byz, behavior.clone(), seed, heal);
@@ -246,7 +241,7 @@ fn check_weathered(
         .iter()
         .filter(|v| !matches!(v, Violation::Undecided { .. }))
         .collect();
-    prop_assert!(safety.is_empty(), "{run}: {safety:?}");
+    assert!(safety.is_empty(), "{run}: {safety:?}");
     let leads = byz == cfg.leader(View::FIRST);
     let lies = matches!(
         behavior,
@@ -258,13 +253,13 @@ fn check_weathered(
             .iter()
             .filter(|d| d.2 != Value::from_u64(7))
             .collect();
-        prop_assert!(
+        assert!(
             forged.is_empty(),
             "{run}: decided a value no correct process proposed: {forged:?}"
         );
     }
     let crashed_leader = leads && matches!(behavior, Behavior::CrashAt(_));
-    prop_assert!(
+    assert!(
         report.all_decided || (crashed_leader && stranded(&cluster, &report)),
         "{run}: undecided: {:?}",
         report.violations
@@ -287,27 +282,26 @@ fn check_weathered(
             }
         }
     }
-    prop_assert!(delayed > 0, "{run}: no delay fired");
+    assert!(delayed > 0, "{run}: no delay fired");
     let unlost = format!("{run}: {lossy} sends on lossy links, none lost");
-    prop_assert!(dropped > 0 || lossy < 32, "{unlost}");
-    Ok(())
+    assert!(dropped > 0 || lossy < 32, "{unlost}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(WEATHERED_CASES))]
-
-    /// A Byzantine seat under the weather, in virtual time through
-    /// `FaultPlan::network`, each seed run with the plan healed after
-    /// 400 ms and never healed (see [`check_weathered`]).
-    #[test]
-    fn no_byzantine_seat_breaks_agreement_under_a_fault_plan(
-        (cfg, byz, behavior) in weathered_liars(),
-        seed in 0u64..1000,
-    ) {
-        for heal in [Some(HEALED_AT), None] {
-            check_weathered(cfg, byz, &behavior, seed, heal)?;
-        }
-    }
+/// A Byzantine seat under the weather, in virtual time through
+/// `FaultPlan::network`, each seed run with the plan healed after
+/// 400 ms and never healed (see [`check_weathered`]).
+#[test]
+fn no_byzantine_seat_breaks_agreement_under_a_fault_plan() {
+    check(
+        "no_byzantine_seat_breaks_agreement_under_a_fault_plan",
+        WEATHERED_CASES,
+        |c| {
+            let ((cfg, byz, behavior), seed) = (weathered_liar(c), c.int(0..1000u64));
+            for heal in [Some(HEALED_AT), None] {
+                check_weathered(cfg, byz, &behavior, seed, heal);
+            }
+        },
+    );
 }
 
 /// The single-shot gap, as the fault-plan property meets it: the view-1

@@ -3,10 +3,9 @@
 
 use std::collections::BTreeSet;
 
-use fastbft::sim::{Network, SimDuration, SimTime};
+use fastbft::sim::{check, Network, SimDuration, SimTime};
 use fastbft::smr::{CountingMachine, KvCommand, KvStore, SmrSimCluster};
 use fastbft::types::{Config, Value};
-use proptest::prelude::*;
 
 #[test]
 fn logs_identical_across_replicas() {
@@ -47,22 +46,22 @@ fn generalized_config_smr() {
     cluster.run_until(SimTime(10_000_000), |c| c.report().commands_everywhere >= 8);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Random KV workloads replicate identically on every node.
-    #[test]
-    fn random_kv_workloads_replicate(
-        seed in 0u64..100,
-        ops in proptest::collection::vec((0u8..3, 0u8..4, 0u64..100), 1..12),
-    ) {
+/// Random KV workloads replicate identically on every node.
+#[test]
+fn random_kv_workloads_replicate() {
+    check("random_kv_workloads_replicate", 8, |c| {
+        let seed = c.int(0..100u64);
+        let ops = c.vec(1..12, |c| (c.int(0..3u8), c.int(0..4u8), c.int(0..100u64)));
         let cfg = Config::new(4, 1, 1).unwrap();
         let workload: Vec<Value> = ops
             .iter()
             .map(|(op, key, val)| {
                 let key = format!("k{key}");
                 match op {
-                    0 => KvCommand::Put { key, value: val.to_string() },
+                    0 => KvCommand::Put {
+                        key,
+                        value: val.to_string(),
+                    },
                     1 => KvCommand::Get { key },
                     _ => KvCommand::Delete { key },
                 }
@@ -82,6 +81,8 @@ proptest! {
             Network::synchronous(SimDuration::DELTA),
             |_, node| Box::new(node),
         );
-        cluster.run_until(SimTime(10_000_000), |c| c.report().commands_everywhere >= distinct);
-    }
+        cluster.run_until(SimTime(10_000_000), |c| {
+            c.report().commands_everywhere >= distinct
+        });
+    });
 }

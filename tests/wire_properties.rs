@@ -13,58 +13,55 @@ use fastbft::core::message::{
 use fastbft::core::payload::propose_payload;
 use fastbft::crypto::{KeyDirectory, SignatureSet};
 use fastbft::obs::Metrics;
-use fastbft::sim::SimMessage;
+use fastbft::sim::{check, SimMessage};
 use fastbft::smr::{KvCommand, SlotMessage};
 use fastbft::types::wire::{from_bytes, to_bytes, Decode, Encode, WireError, MAX_FRAME_LEN};
 use fastbft::types::{Config, ProcessId, Value, View};
-use proptest::prelude::*;
-
-fn arb_value() -> impl Strategy<Value = Value> {
-    proptest::collection::vec(any::<u8>(), 0..64).prop_map(Value::new)
-}
 
 /// Decodes `bytes` as a `T`; whatever decodes must re-encode to `bytes`.
-fn canonical<T: Encode + Decode>(bytes: &[u8]) -> Result<(), TestCaseError> {
+fn canonical<T: Encode + Decode>(bytes: &[u8]) {
     if let Ok(value) = from_bytes::<T>(bytes) {
-        prop_assert_eq!(to_bytes(&value), bytes);
+        assert_eq!(to_bytes(&value), bytes);
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// decode(encode(x)) == x and encode is canonical, for random values.
-    #[test]
-    fn value_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let v = Value::new(bytes);
+/// decode(encode(x)) == x and encode is canonical, for random values.
+#[test]
+fn value_roundtrip() {
+    check("value_roundtrip", 128, |c| {
+        let v = Value::new(c.bytes(0..64));
         let encoded = to_bytes(&v);
         let decoded: Value = from_bytes(&encoded).unwrap();
-        prop_assert_eq!(&decoded, &v);
-        prop_assert_eq!(to_bytes(&decoded), encoded);
-    }
+        assert_eq!(&decoded, &v);
+        assert_eq!(to_bytes(&decoded), encoded);
+    });
+}
 
-    /// The decoder never panics on arbitrary bytes, for every message type,
-    /// and whatever it accepts re-encodes to exactly the bytes it read.
-    #[test]
-    fn decoder_total_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        canonical::<Message>(&bytes)?;
-        canonical::<SignedVote>(&bytes)?;
-        canonical::<ProgressCert>(&bytes)?;
-        canonical::<CommitCert>(&bytes)?;
-        canonical::<Value>(&bytes)?;
-        canonical::<View>(&bytes)?;
-        canonical::<SlotMessage>(&bytes)?;
-        canonical::<FabMessage>(&bytes)?;
-        canonical::<PbftMessage>(&bytes)?;
-        canonical::<KvCommand>(&bytes)?;
-    }
+/// The decoder never panics on arbitrary bytes, for every message type,
+/// and whatever it accepts re-encodes to exactly the bytes it read.
+#[test]
+fn decoder_total_on_garbage() {
+    check("decoder_total_on_garbage", 128, |c| {
+        let bytes = c.bytes(0..256);
+        canonical::<Message>(&bytes);
+        canonical::<SignedVote>(&bytes);
+        canonical::<ProgressCert>(&bytes);
+        canonical::<CommitCert>(&bytes);
+        canonical::<Value>(&bytes);
+        canonical::<View>(&bytes);
+        canonical::<SlotMessage>(&bytes);
+        canonical::<FabMessage>(&bytes);
+        canonical::<PbftMessage>(&bytes);
+        canonical::<KvCommand>(&bytes);
+    });
+}
 
-    /// Messages round-trip for random payload values and views.
-    #[test]
-    fn message_roundtrip(value in arb_value(), view in 1u64..1000) {
+/// Messages round-trip for random payload values and views.
+#[test]
+fn message_roundtrip() {
+    check("message_roundtrip", 128, |c| {
+        let (value, view) = (Value::new(c.bytes(0..64)), View(c.int(1..1000u64)));
         let (pairs, _) = KeyDirectory::generate(2, 1);
-        let view = View(view);
         let msgs = [
             Message::Ack(AckMsg {
                 value: value.clone(),
@@ -98,19 +95,19 @@ proptest! {
         for msg in &msgs {
             let bytes = to_bytes(msg);
             let decoded: Message = from_bytes(&bytes).unwrap();
-            prop_assert_eq!(&decoded, msg);
-            prop_assert_eq!(to_bytes(&decoded), bytes);
+            assert_eq!(&decoded, msg);
+            assert_eq!(to_bytes(&decoded), bytes);
         }
-    }
+    });
+}
 
-    /// Tampering with any single byte of a signed vote invalidates it
-    /// (or at minimum never turns an invalid vote valid in a different
-    /// view) — signatures bind the full canonical encoding.
-    #[test]
-    fn bit_flips_break_vote_signatures(
-        flip_at in 0usize..200,
-        input in 0u64..1000,
-    ) {
+/// Tampering with any single byte of a signed vote invalidates it
+/// (or at minimum never turns an invalid vote valid in a different
+/// view) — signatures bind the full canonical encoding.
+#[test]
+fn bit_flips_break_vote_signatures() {
+    check("bit_flips_break_vote_signatures", 128, |c| {
+        let (flip_at, input) = (c.int(0..200usize), c.int(0..1000u64));
         let cfg = Config::new(4, 1, 1).unwrap();
         let (pairs, dir) = KeyDirectory::generate(4, 5);
         let x = Value::from_u64(input);
@@ -118,13 +115,16 @@ proptest! {
             value: x.clone(),
             view: View::FIRST,
             progress_cert: ProgressCert::Genesis,
-            leader_sig: pairs[cfg.leader(View::FIRST).index()]
-                .sign(&propose_payload(&x, View::FIRST, 0)),
+            leader_sig: pairs[cfg.leader(View::FIRST).index()].sign(&propose_payload(
+                &x,
+                View::FIRST,
+                0,
+            )),
             commit_cert: None,
         };
         let sv = SignedVote::sign(&pairs[0], Some(vd), View(2), 0);
         let metrics = Metrics::new();
-        prop_assert!(sv.is_valid(&cfg, &dir, View(2), &metrics));
+        assert!(sv.is_valid(&cfg, &dir, View(2), &metrics));
 
         let mut bytes = to_bytes(&sv);
         let idx = flip_at % bytes.len();
@@ -132,13 +132,13 @@ proptest! {
         // Either it no longer decodes, or it decodes to an invalid vote.
         if let Ok(tampered) = from_bytes::<SignedVote>(&bytes) {
             if tampered != sv {
-                prop_assert!(
+                assert!(
                     !tampered.is_valid(&cfg, &dir, View(2), &metrics),
                     "tampered vote accepted (flipped byte {idx})"
                 );
             }
         }
-    }
+    });
 }
 
 /// `levels` copies of the 22 bytes that opened one level of the
