@@ -32,7 +32,7 @@ pub fn sign_counted(keys: &KeyPair, metrics: &Metrics, parts: &[&[u8]]) -> Signa
 /// One signature checked through the directory and counted:
 /// `sig_memo_miss_total` is every signature check that ran, inside a
 /// certificate or outside one.
-pub(crate) fn verify_counted(
+pub fn verify_counted(
     dir: &KeyDirectory,
     metrics: &Metrics,
     statement: &[u8],

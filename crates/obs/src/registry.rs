@@ -81,9 +81,6 @@ metrics! {
     Counter view_skip_total:
         "Wishes raised past a suspected leader instead of waiting for it (at slot open or \
         mid-slot).",
-    Counter slot_revoked_total:
-        "Slots a suspected seat leads first that this node gave the empty batch, most of them \
-        started ahead of the pipeline.",
     Counter leader_suspect_total:
         "Seats newly suspected: own view timer expired with no valid proposal from them.",
     Counter leader_clear_total:

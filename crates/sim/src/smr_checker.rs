@@ -37,6 +37,9 @@ pub enum SmrViolation {
         /// The conflicting entry.
         b: (ProcessId, Value),
     },
+    /// A seat applied a log index before any seat had applied the one
+    /// below it (an install copies a state some seat applied).
+    Skipped(ProcessId, u64),
     /// A seat applied a command at two log indexes.
     AppliedTwice {
         /// The offending seat.
@@ -76,6 +79,13 @@ impl fmt::Display for SmrViolation {
                 let (p, x, q, y) = (a.0, &a.1, b.0, &b.1);
                 write!(f, "log index {index}: {p} applied {x} but {q} applied {y}")
             }
+            SmrViolation::Skipped(p, i) => {
+                let below = i - 1;
+                write!(
+                    f,
+                    "{p} applied log index {i} before any seat applied {below}"
+                )
+            }
             SmrViolation::AppliedTwice {
                 process,
                 command,
@@ -106,8 +116,8 @@ impl fmt::Display for SmrViolation {
 
 /// Checks one run of `n` seats, as it is fed, for per-index agreement, at
 /// most once per seat (every command, no exemption: a log holds exactly
-/// the commands clients submitted) and convergence (seats that applied as
-/// many slots hold equal states).
+/// the commands clients submitted), no index skipped by every seat, and
+/// convergence (seats that applied as many slots hold equal states).
 #[derive(Clone, Debug)]
 pub struct SmrChecker {
     /// Per seat, the command at every log index it reported.
@@ -147,6 +157,9 @@ impl SmrChecker {
         }
         if self.logs[p.index()].contains_key(&index) {
             return;
+        }
+        if index > 0 && self.logs.iter().all(|log| !log.contains_key(&(index - 1))) {
+            self.violations.push(SmrViolation::Skipped(p, index));
         }
         let first = *self.first_at[p.index()]
             .entry(command.clone())
@@ -234,15 +247,17 @@ mod tests {
     #[test]
     fn the_checker_flags_what_it_names() {
         let rows = [
-            "an index re-emitted with its command | p1:4=7 p1:4=7 | ",
-            "an index re-emitted with another command | p1:4=7 p2:4=7 p1:4=8 | \
-             log index 4: p1 applied Value(7) but p1 applied Value(8)",
+            "an index re-emitted with its command | p1:0=7 p1:0=7 | ",
+            "an index re-emitted with another command | p1:0=7 p2:0=7 p1:0=8 | \
+             log index 0: p1 applied Value(7) but p1 applied Value(8)",
             "a command at two indexes of one seat | p1:0=1 p1:1=2 p1:2=1 | \
              p1 applied Value(1) at log indexes 0 and 2",
             "overlapping offsets that agree | p1:0=7 p1:1=8 p1:2=9 p2:2=9 p2:3=10 | ",
-            "overlapping offsets that disagree | p3:2=9 p3:3=10 p2:0=7 p2:1=8 p2:2=1 | \
-             log index 2: p3 applied Value(9) but p2 applied Value(1)",
-            "disjoint offsets | p1:0=7 p1:1=8 p2:5=1 p2:6=2 | ",
+            "overlapping offsets that disagree | p2:0=7 p2:1=8 p2:2=1 p3:2=9 p3:3=10 | \
+             log index 2: p2 applied Value(1) but p3 applied Value(9)",
+            "disjoint offsets | p1:0=7 p1:1=8 p2:2=1 p2:3=2 | ",
+            "an index no seat applied the one below | p1:0=7 p1:1=8 p2:0=7 p2:3=9 | \
+             p2 applied log index 3 before any seat applied 2",
             "unequal digests at equal applied | p1/5=ab p2/3=01 p3/5=01 | \
              after 5 slots p1 holds abababab… but p3 holds 01010101…",
             "unequal digests at unequal applied | p1/5=ab p2/6=01 | ",

@@ -14,8 +14,8 @@
 //!
 //! `Batcher::plan` is pure; four transitions write the state, each
 //! called by [`SmrNode`] at the moment the thing happened. Whether the
-//! node is *quiescent*, and everything about revoked slots, is the node's
-//! business and reaches the batcher as one `bool`. Time is the actor's own
+//! node is *quiescent* is the node's business and reaches the batcher as
+//! one `bool`. Time is the actor's own
 //! clock — the `now` of the [`Effects`](fastbft_sim::Effects) a callback
 //! was handed — so a virtual-time run takes the decisions its schedule
 //! implies however fast the host steps it, and halves the target exactly

@@ -44,6 +44,7 @@ use fastbft_types::{ProcessId, Value, View};
 
 use crate::dedup::Dedup;
 use crate::multiplex::SLOT_WINDOW;
+use crate::schedule::Schedule;
 use crate::slot_message::SlotMessage;
 
 /// A node requests state transfer once f+1 distinct peers claim tips at
@@ -124,13 +125,16 @@ pub(crate) struct SnapshotPayload {
     pub(crate) machine: Vec<u8>,
     /// The at-most-once state, in its canonical form.
     pub(crate) dedup: Dedup,
+    /// The leader schedule from `upto` on.
+    pub(crate) schedule: Schedule,
 }
 
 fastbft_types::impl_wire_struct!(SnapshotPayload {
     upto,
     log_offset,
     machine,
-    dedup
+    dedup,
+    schedule
 });
 
 /// Opens a [`SlotMessage::SnapshotResponse`]: if `sigs` holds f+1 valid

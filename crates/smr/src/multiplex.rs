@@ -8,10 +8,10 @@
 //! The node keeps **one record per slot** (`Slot`, in one ordered table)
 //! from the moment it opens the slot, or is told its outcome, until it
 //! applies it: the instance, what this node drained into its proposal,
-//! whether it revoked it, the decided value. Everything else it holds has
-//! one owner — a private module of this crate that hides a format or
-//! enforces a bound — and this file is what is left: the table, the routing
-//! ([`Actor`]), the apply loop and the catch-up handlers.
+//! the decided value. Everything else it holds has one owner — a private
+//! module of this crate that hides a format or enforces a bound — and this
+//! file is what is left: the table, the routing ([`Actor`]), the apply loop
+//! and the catch-up handlers.
 //!
 //! Seven invariants beyond plain slot routing, each with its owner:
 //!
@@ -26,13 +26,13 @@
 //!    horizon, untagged ones over the last two snapshot intervals.
 //! 2. **Bounded buffering** — `ahead`, and the window here. A consensus
 //!    frame for a slot at or beyond `applied + SLOT_WINDOW` is dropped (it
-//!    still counts towards the recovery trigger); what peers say a slot
-//!    this node has not settled decided (backfill votes) is bounded by slot
-//!    horizon, entry count and bytes, farthest slot evicted first: a
+//!    still pulls the recovery trigger; a proposal clears its signer); what
+//!    peers say an unsettled slot decided (backfill votes) is bounded by
+//!    slot horizon, entry count and bytes, farthest slot evicted first: a
 //!    Byzantine peer spraying frames for distant slots cannot exhaust
 //!    memory. What a peer can make an *open* instance hold is `core`'s to
 //!    bound; ARCHITECTURE's bounds table names the row still open there.
-//! 3. **Idle quiescence** — `multiplex::pipeline` (`quiescent`, the fill
+//! 3. **Idle quiescence** — `multiplex::pipeline` (`plan_drain`, the fill
 //!    loop). A node opens slots itself only while it has work (pending or
 //!    in-flight commands); an idle cluster stops opening slots, and a
 //!    client command ([`Actor::on_client`]) restarts it. A peer's
@@ -43,15 +43,9 @@
 //!    A slot opened with nothing to commit proposes the empty batch,
 //!    which applies and logs nothing: the log holds exactly the commands
 //!    clients submitted, so a log index is a command index.
-//! 4. **Revoked slots** — `multiplex::pipeline` (`open_slot`,
-//!    `revoke_ahead`), fed by `suspicion`. While a node's pipeline overlaps
-//!    (two or more of its proposals running at once in live-led slots) a
-//!    slot whose first leader it suspects gets the empty batch from it,
-//!    never its commands, whoever asks for the slot, and is started as it
-//!    enters the window: its view change decides the empty batch before
-//!    the log position is wanted. Never without that much in-flight work,
-//!    so an idle node has nothing running, at most a few decided empty
-//!    slots parked above the next free slot.
+//! 4. **Agreed first leaders** — `schedule`. Slot `s`'s view-1 leader is a
+//!    pure function of the batches decided up to slot `s − SLOT_WINDOW`;
+//!    `suspicion` is each node's own, faster memory on top.
 //! 5. **Adaptive proposal batching** — `batcher`. How many queued commands
 //!    a proposal drains is a feedback-tuned target within the
 //!    [`AdaptiveBatch`] cap; the node tells the batcher what happened (a
@@ -89,6 +83,7 @@ use crate::batcher::{AdaptiveBatch, Batcher, Batching};
 use crate::checkpoint::{self, Checkpoints, SnapshotPayload};
 use crate::dedup::{CommandId, Dedup};
 use crate::machine::StateMachine;
+use crate::schedule::Schedule;
 use crate::suspicion::SuspicionTable;
 
 pub use crate::checkpoint::{checkpoint_signature, snapshot_response_valid};
@@ -151,11 +146,22 @@ struct Slot {
     /// slot: in flight until the slot is applied, then re-queued if it
     /// decided something else.
     drained: Vec<Value>,
-    /// Whether this node started the slot with the empty batch because it
-    /// suspected its first leader (see [`SmrNode::open_slot`]).
-    revoked: bool,
     /// The decided value, until the apply point reaches the slot.
     decided: Option<Value>,
+}
+
+/// What a slot decides: a proposal's commands and who proposed them.
+struct Batch {
+    proposer: ProcessId,
+    commands: Vec<Value>,
+}
+
+fastbft_types::impl_wire_struct!(Batch { proposer, commands });
+
+/// The value `proposer` proposes for a slot to commit `commands`.
+#[doc(hidden)]
+pub fn encode_batch(proposer: ProcessId, commands: Vec<Value>) -> Value {
+    Value::new(to_bytes(&Batch { proposer, commands }))
 }
 
 /// A slot's running consensus instance and when it was started.
@@ -203,6 +209,8 @@ pub struct SmrNode<S: StateMachine> {
     /// Seats watched failing as leaders, consulted after every callback
     /// into a slot's instance (see [`crate::suspicion`]).
     suspicion: SuspicionTable,
+    /// Who leads view 1 of each slot of the window ([`crate::schedule`]).
+    schedule: Schedule,
     /// Next slot to apply.
     applied: u64,
     /// Slots `< propose_cursor` may no longer drain `pending` (keeps
@@ -240,6 +248,7 @@ impl<S: StateMachine> SmrNode<S> {
         SmrNode {
             cfg,
             suspicion: SuspicionTable::default(),
+            schedule: Schedule::default(),
             keys,
             dir,
             opts: ReplicaOptions::default(),
@@ -434,7 +443,15 @@ impl<S: StateMachine> SmrNode<S> {
     /// Test accessor: the log holds commands, not slots.
     #[doc(hidden)]
     pub fn decided_batch(&self, slot: u64) -> Option<Vec<Value>> {
-        self.checkpoints.tail().get(&slot).map(Self::decode_batch)
+        Some(Self::decode_batch(self.checkpoints.tail().get(&slot)?).1)
+    }
+
+    /// The seat leading view 1 of `slot`, in this node's window (test
+    /// accessor).
+    #[doc(hidden)]
+    pub fn first_leader(&self, slot: u64) -> Option<ProcessId> {
+        let in_window = (self.applied..self.applied + SLOT_WINDOW).contains(&slot);
+        in_window.then(|| self.schedule.config(&self.cfg, slot).leader(View::FIRST))
     }
 
     /// The view each open instance is in, by slot: how the Byzantine seat
@@ -457,13 +474,15 @@ impl<S: StateMachine> SmrNode<S> {
         self.suspicion.suspects().collect()
     }
 
-    /// Decodes a decided slot value into its command batch. Values that are
-    /// not well-formed batches (possible when a Byzantine leader proposes
-    /// raw bytes) are applied as a single opaque command — deterministically
-    /// on every replica.
-    fn decode_batch(value: &Value) -> Vec<Value> {
-        fastbft_types::wire::from_bytes::<Vec<Value>>(value.as_bytes())
-            .unwrap_or_else(|_| vec![value.clone()])
+    /// Decodes a decided slot value into its proposer and commands. Values
+    /// that are not well-formed batches (possible when a Byzantine leader
+    /// proposes raw bytes) name no one and are applied as a single opaque
+    /// command — deterministically on every replica.
+    fn decode_batch(value: &Value) -> (Option<ProcessId>, Vec<Value>) {
+        match fastbft_types::wire::from_bytes::<Batch>(value.as_bytes()) {
+            Ok(batch) => (Some(batch.proposer), batch.commands),
+            Err(_) => (None, vec![value.clone()]),
+        }
     }
 
     /// Runs one callback into `slot`'s instance, if it has one, and relays
@@ -482,12 +501,6 @@ impl<S: StateMachine> SmrNode<S> {
         self.suspicion
             .steer(slot, &mut instance.replica, &mut inner, &self.opts.metrics);
         self.relay_inner(slot, inner, fx);
-    }
-
-    fn deliver(&mut self, slot: u64, from: ProcessId, msg: Message, fx: &mut Effects<SlotMessage>) {
-        self.with_instance(slot, fx, |replica, inner| {
-            replica.on_message(from, msg, inner)
-        });
     }
 
     fn relay_inner(&mut self, slot: u64, inner: Effects<Message>, fx: &mut Effects<SlotMessage>) {
@@ -593,10 +606,11 @@ impl<S: StateMachine> SmrNode<S> {
             }
             let record = first.remove();
             let value = record.decided.expect("checked above");
-            let batch = Self::decode_batch(&value);
+            let (proposer, batch) = Self::decode_batch(&value);
             if batch.is_empty() {
                 self.opts.metrics.slot_empty_total.inc();
             }
+            self.schedule.applied(&self.cfg, self.applied, proposer);
             for cmd in batch {
                 self.apply_command(cmd, fx);
             }
@@ -620,7 +634,6 @@ impl<S: StateMachine> SmrNode<S> {
             self.open_slot(self.applied, fx);
         }
         self.fill_pipeline(fx);
-        self.revoke_ahead(fx);
         self.arm_flush_timer(fx);
         self.backfill.purge_below(self.applied);
     }
@@ -639,6 +652,7 @@ impl<S: StateMachine> SmrNode<S> {
             log_offset: self.log_len,
             machine: self.machine.snapshot(),
             dedup: mem::take(&mut self.dedup),
+            schedule: self.schedule.clone(),
         };
         let bytes = to_bytes(&payload);
         self.dedup = payload.dedup;
@@ -698,6 +712,7 @@ impl<S: StateMachine> SmrNode<S> {
         self.applied = upto;
         self.log_len = parsed.log_offset;
         self.dedup = parsed.dedup;
+        self.schedule = parsed.schedule;
         // What the snapshot executed is not this node's to propose again:
         // past the untagged dedup window it would execute twice.
         let dedup = &self.dedup;
@@ -803,13 +818,16 @@ impl<S: StateMachine + 'static> Actor<SlotMessage> for SmrNode<S> {
                     // Beyond the window the frame is dropped: this node is
                     // far behind (the recovery trigger, pulled by
                     // `note_peer_tip` on this same frame, fixes that by
-                    // state transfer), or the sender is hostile.
+                    // state transfer), or the sender is hostile. A proposal
+                    // its leader signed still shows the leader alive.
                     if slot >= self.applied + SLOT_WINDOW {
+                        let (dir, m) = (&self.dir, &self.opts.metrics);
+                        self.suspicion.heard_from(dir, m, slot, &inner);
                         return;
                     }
                     self.open_slot(slot, fx);
                 }
-                self.deliver(slot, from, inner, fx);
+                self.with_instance(slot, fx, |r, fx| r.on_message(from, inner, fx));
             }
             SlotMessage::Checkpoint { upto, digest, sig } => {
                 if from != fx.id() {

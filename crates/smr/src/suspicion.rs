@@ -2,18 +2,18 @@
 //! as leaders, so it never waits on them again — the next slot they would
 //! lead first starts out wishing for the first view with a live leader.
 //!
-//! Every slot is a fresh [`Replica`] with a rotating first leader and no
-//! memory, so a seat that is down costs a full view timeout in every slot
-//! it leads first — `f` dead seats cost `f` of every `n` slots a timeout,
-//! and in-order apply spreads that over every command. The table is the
-//! memory: a small set of seats, fed by the two [`LeaderSignal`]s and
-//! consulted after every callback into an instance ([`steer`]).
+//! The agreed schedule (`crate::schedule`) skips a dead seat's view 1 only
+//! a window after its miss was decided, and no later view. The table is the
+//! node's own, faster memory: a small set of seats, fed by the two
+//! [`LeaderSignal`]s and consulted after every callback into an instance
+//! ([`steer`]).
 //!
 //! * **Suspect** a seat only when *this node's own* view timer expired in a
 //!   view that seat led with no valid proposal from it. Nothing a peer says
 //!   can put a seat in the table.
 //! * **Clear** it on any verified proposal from that seat for a view it
-//!   leads, in any open slot, current or stale.
+//!   leads, in any open slot, current or stale, or that it signed for a
+//!   slot beyond the window, whose leaders are not known yet ([`heard_from`]).
 //! * **Skip**: whenever an instance sits in, or wishes for, a view whose
 //!   leader is suspected, raise its wish to the next view whose leader is
 //!   not — at slot open (a suspected first leader is never waited for) and
@@ -22,43 +22,32 @@
 //!   while more than `f` seats are suspected — at most `f` seats are
 //!   faulty, so a longer list means *this node* is the one cut off.
 //!
-//! * **Revoke**: a skipped first leader still costs its slot a wish-driven
-//!   view change — 7 delays against the slow path's 3 — and in-order apply
-//!   parks every later slot behind it. So a node whose pipeline overlaps
-//!   (two or more of its proposals running in live-led slots) proposes the
-//!   empty batch in such a slot, keeping its commands for live-led ones,
-//!   and starts those slots as soon as they enter its window
-//!   ([`skipped_first_leader`] is the test, `SmrNode::open_slot` the
-//!   decision, `SmrNode::revoke_ahead` the loop): by the time the log
-//!   reaches them they have decided the empty batch.
-//!
-//! A view change needs `f + 1` timers to fire before the rest adopt the
-//! wish, so one timeout teaches at least `f + 1` correct nodes — not all of
-//! them. Skipping on every wish is what makes that enough: the nodes that
-//! know a seat wish past it, the rest adopt, and anyone whose adopted wish
-//! lands on a seat *it* knows raises again, so no view led by a seat that
-//! `f + 1` correct nodes suspect is ever waited out.
+//! One timeout teaches at least the `f + 1` correct nodes whose timers
+//! fired, not all; skipping on every wish adds their knowledge up, so no
+//! view led by a seat `f + 1` correct nodes suspect is ever waited out.
 //!
 //! Safety never depends on the table: all it produces is a `Wish`, exactly
 //! what an early timer would have sent, and the view synchronizer is
-//! liveness-only; a revoked slot is an ordinary instance started early
-//! with the input any idle node proposes. It is local soft state — not
-//! in snapshots, empty after a restart or a snapshot install (one timeout
-//! per dead seat to re-learn).
+//! liveness-only. It is local soft state — not in snapshots, empty after
+//! a restart or a snapshot install (one timeout per dead seat to
+//! re-learn).
 //!
 //! [`steer`]: SuspicionTable::steer
-//! [`skipped_first_leader`]: SuspicionTable::skipped_first_leader
+//! [`heard_from`]: SuspicionTable::heard_from
 
 use std::collections::BTreeSet;
 
+use fastbft_core::certs::verify_counted;
 use fastbft_core::message::Message;
+use fastbft_core::payload::propose_payload;
 use fastbft_core::replica::{LeaderSignal, Replica};
+use fastbft_crypto::KeyDirectory;
 use fastbft_obs::Metrics;
 use fastbft_sim::Effects;
 use fastbft_types::{Config, ProcessId, View};
 
-/// Flight-recorder kind of the `suspect pX (slot s, view v)` / `clear pX` /
-/// `revoke slot s (leader pX)` events.
+/// Flight-recorder kind of the `suspect pX (slot s, view v)` / `clear pX`
+/// events.
 pub(crate) const EVENT_KIND: &str = "leader-suspicion";
 
 /// The seats one node currently suspects. See the module docs for the rule.
@@ -73,15 +62,14 @@ impl SuspicionTable {
         self.suspected.iter().copied()
     }
 
-    /// Whether no seat is suspected (the healthy cluster's one check).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.suspected.is_empty()
-    }
-
-    /// The first leader under `cfg` (a slot's rotated leader map), if an
-    /// instance opened now would start out wishing past it.
-    pub(crate) fn skipped_first_leader(&self, cfg: &Config) -> Option<ProcessId> {
-        (self.first_live_view(cfg, View::FIRST) > View::FIRST).then(|| cfg.leader(View::FIRST))
+    /// Clears the seat that signed `msg`, if it is a proposal for `slot`,
+    /// beyond this node's window (whose leaders are not known yet).
+    pub(crate) fn heard_from(&mut self, dir: &KeyDirectory, m: &Metrics, slot: u64, msg: &Message) {
+        let Message::Propose(p) = msg else { return };
+        let (leader, statement) = (p.sig.signer, propose_payload(&p.value, p.view, slot));
+        if self.suspected.contains(&leader) && verify_counted(dir, m, &statement, &p.sig) {
+            self.observe(slot, Some(LeaderSignal::Proposed { leader }), m);
+        }
     }
 
     /// Call after every callback into `replica`, the instance of `slot`:

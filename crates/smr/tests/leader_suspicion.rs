@@ -12,10 +12,10 @@
 //! exactly Δ, the view-1 timeout is the default 8Δ and every cluster uses
 //! batch 1. The tests of the table itself pin pipeline depth 1, so slot `s`
 //! opens the instant slot `s − 1` applies and a slot's latency is the gap
-//! between two applies. The tests of *revoking ahead* — a node with two or
-//! more proposals running at once starts the slots of suspected first
-//! leaders early, with the empty batch — run the default depth under paced
-//! client submissions (one per Δ against a 3Δ commit: always overlapping).
+//! between two applies. The test of the agreed leader schedule on top
+//! (`crates/smr/src/schedule.rs`: a seat that missed its slot stops
+//! leading view 1 a window later) runs the default depth under paced client
+//! submissions, one per Δ against a 3Δ commit.
 
 use fastbft_core::byzantine::{random_moves, Move, Seat};
 use fastbft_core::cluster::SimCluster;
@@ -28,7 +28,9 @@ use fastbft_runtime::{FaultPlan, LinkProfile, LinkRules};
 use fastbft_sim::{
     check, Actor, Effects, Network, ScriptedActor, SimDuration, SimTime, TimerId, TraceEvent,
 };
-use fastbft_smr::{byzantine_seat, CountingMachine, SlotMessage, SmrNode, SmrSimCluster};
+use fastbft_smr::{
+    byzantine_seat, CountingMachine, SlotMessage, SmrNode, SmrSimCluster, SLOT_WINDOW,
+};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 const DELTA: SimDuration = SimDuration::DELTA;
@@ -163,27 +165,6 @@ fn wishes_sent_since(cluster: &Cluster, from: SimTime) -> usize {
         .filter(|r| r.at >= from)
         .filter(|r| matches!(r.event, TraceEvent::Send { kind: "wish", .. }))
         .count()
-}
-
-/// The `(slot, leader seat)` of every `revoke slot s (leader pX)` event in
-/// `p`'s flight recorder, oldest first.
-fn revoked(cluster: &Cluster, p: ProcessId) -> Vec<(u64, u32)> {
-    cluster
-        .registry()
-        .metrics(p.index())
-        .recorder
-        .snapshot()
-        .into_iter()
-        .filter(|e| e.kind == "leader-suspicion")
-        .filter_map(|e| {
-            let (slot, leader) = e
-                .detail
-                .strip_prefix("revoke slot ")?
-                .strip_suffix(')')?
-                .split_once(" (leader p")?;
-            Some((slot.parse().ok()?, leader.parse().ok()?))
-        })
-        .collect()
 }
 
 /// The batch every slot `p` applied decided, by slot (at batch 1 one
@@ -626,14 +607,13 @@ fn arbitrary_starting_wishes_keep_consensus_safe_and_live() {
     );
 }
 
-/// (d′) The same weather over the whole stack, so that revocation runs
-/// in it: paced load on a pipelined cluster with p7 silent (someone to
-/// suspect), up to one more seat playing a fresh draw from the move
-/// alphabet in every slot, and noise,
+/// (d′) The same weather over the whole stack (the name is from the
+/// revoking ahead the agreed schedule replaced): paced load on a pipelined
+/// cluster with p7 silent (someone to suspect), up to one more seat
+/// playing a fresh draw from the move alphabet in every slot, and noise,
 /// and pre-GST delays past the view timeout (false suspicions, tables
-/// that differ between nodes, revoked slots racing their leaders). Every
-/// command is applied exactly once at every correct node and the logs
-/// agree.
+/// that differ between nodes). Every command is applied exactly once at
+/// every correct node and the logs agree.
 #[test]
 fn revocation_under_fuzzers_and_chaos_keeps_at_most_once_and_agreement() {
     check(
@@ -690,17 +670,6 @@ fn revocation_under_fuzzers_and_chaos_keeps_at_most_once_and_agreement() {
                     "one snapshot interval holds the run"
                 );
             }
-            let revoked: u64 = correct
-                .iter()
-                .map(|p| {
-                    cluster
-                        .registry()
-                        .metrics(p.index())
-                        .slot_revoked_total
-                        .get()
-                })
-                .sum();
-            assert!(revoked > 0, "the case never revoked a slot");
         },
     );
 }
@@ -902,6 +871,50 @@ fn a_wish_that_lands_on_a_suspect_moves_on_at_once() {
     assert_eq!(wishes_for(&fx, 11), [vec![2; 6], vec![3; 6]].concat());
 }
 
+/// A proposal beyond the window still clears its signer. p1 suspects p2
+/// (slot 0 timed out on it); p2's proposal for slot 100, past p1's window
+/// of 64, is dropped unopened, but its signature shows p2 alive. The same
+/// frame with another seat's signature in it clears nobody.
+#[test]
+fn a_proposal_beyond_the_window_clears_its_signer() {
+    let cfg = generalized_seven();
+    let (pairs, dir) = KeyDirectory::generate(7, 5);
+    let node = SmrNode::new(
+        cfg,
+        pairs[0].clone(),
+        dir,
+        CountingMachine::new(),
+        Vec::new(),
+        Value::default(),
+    );
+    let mut driven = Driven { node, n: 7 };
+    let fx = driven.call(|node, fx| node.on_start(fx));
+    driven.time_out_slot_zero_in(1, fx.timers_set()[0].1);
+    assert_eq!(driven.node.suspected_leaders(), vec![ProcessId(2)]);
+    let x = Value::from_u64(9);
+    let propose = |signer: usize| {
+        Message::Propose(ProposeMsg {
+            value: x.clone(),
+            view: View::FIRST,
+            cert: ProgressCert::Genesis,
+            sig: pairs[signer].sign(&propose_payload(&x, View::FIRST, 100)),
+        })
+    };
+    let mut forged = propose(2);
+    if let Message::Propose(p) = &mut forged {
+        p.sig.signer = ProcessId(2);
+    }
+    driven.deliver(2, 100, forged);
+    assert_eq!(driven.node.suspected_leaders(), vec![ProcessId(2)]);
+    let fx = driven.deliver(2, 100, propose(1));
+    assert!(driven.node.suspected_leaders().is_empty());
+    assert!(
+        fx.sent().is_empty() && fx.timers_set().is_empty(),
+        "opens nothing"
+    );
+    assert_eq!(driven.node.open_slots(), 1, "slot 0 only");
+}
+
 /// (e) Snapshot install empties the table. A replica cut off from the start
 /// suspects the one leader it timed out on; while it is far behind nothing
 /// it receives can clear that (its peers' slots are beyond its window), and
@@ -966,22 +979,22 @@ fn window_bound(who: &[ProcessId]) -> impl Fn(&Cluster) + '_ {
     }
 }
 
-/// (f) Revoking ahead. Paced open-loop load — one command per Δ, the
-/// pipeline at its default depth — with seats 6–7 silent. Once the first
-/// rotation has taught everyone, every dead-led slot is started ahead of
-/// the pipeline with the empty batch, so client commands land only in
-/// live-led slots and commit at the slow path's 3Δ whoever's turn it is to
-/// lead (7Δ for 2 of every 7 before). Then silence: the cluster goes quiet
-/// with nothing running, and a stray frame does not start it revoking.
+/// (f) The agreed schedule. Paced open-loop load — one command per Δ, the
+/// pipeline at its default depth — with seats 6–7 silent. Their misses in
+/// slots 4 and 5 take them out of view 1 from slot 69 on, a window later,
+/// on every node alike, so from then on client commands commit at the slow
+/// path's 3Δ whoever's turn it is to lead (7Δ for 2 of every 7 before).
+/// Then silence: the cluster goes quiet with nothing running, and a stray
+/// frame opens that one slot and nothing more.
 #[test]
 fn paced_load_commits_at_three_delays_whoever_leads() {
     let cfg = generalized_seven();
     let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
     let mut cluster = pipelined(cfg, 17, Network::synchronous(DELTA), two_silent_seats);
-    // Batch 1: a slot decides one command or the empty batch. 80 commands
-    // stay inside one snapshot interval, so every slot's batch is there to
-    // read at the end.
-    const COMMANDS: u64 = 80;
+    // Batch 1: a slot decides one command or the empty batch. 110 commands
+    // run past the schedule's lag and stay inside one snapshot interval,
+    // so every slot's batch is there to read at the end.
+    const COMMANDS: u64 = 110;
     let submitted_at = |i: u64| SimTime((i + 1) * DELTA.0);
     for i in 0..COMMANDS {
         submit(&mut cluster, command(i), submitted_at(i));
@@ -995,9 +1008,8 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
         window_bound(&live),
     );
 
-    // Quiet: the queue ran dry with every command applied everywhere, no
-    // instance running, and what is parked is revoked slots above the hole
-    // the next command will fill.
+    // Quiet: the queue ran dry with every command applied everywhere and
+    // no instance running.
     let slots = cluster.node(ProcessId(1)).applied();
     for p in &live {
         let node = cluster.node(*p);
@@ -1008,13 +1020,15 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
         assert_eq!(suspects(&cluster, *p), vec![6, 7], "at {p}");
     }
 
-    // The first rotation pays slot 4's two timeouts; one view change later
-    // the revoked slots are ahead of the load for good.
-    let settled = SimTime(committed_at[6].0 + VIEW_CHANGE_SLOT);
+    // Slot 68 is the last one a dead seat leads first; once it committed,
+    // every later command commits in 3Δ.
+    let last_dead_led = SLOT_WINDOW + 4;
+    let settled = committed_at[last_dead_led as usize];
     let decided = decided(&mut cluster, ProcessId(1));
     let mut seen = 0;
     let mut steady = None;
     for (slot, batch) in decided.iter().enumerate() {
+        let leader = cluster.node(ProcessId(1)).first_leader(slot as u64);
         let [entry] = batch.as_slice() else {
             assert_eq!(*batch, empty_batch(), "slot {slot}");
             continue;
@@ -1027,66 +1041,31 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
             let took = committed_at[slot].since(submitted_at(i)).0;
             assert!(
                 took <= 3 * DELTA.0 + DELTA.0,
-                "command {i} (slot {slot}) took {took}"
+                "command {i} (slot {slot}, {leader:?}) took {took}"
             );
         }
     }
     assert_eq!(seen, COMMANDS);
-    let steady = steady.expect("learning took too long");
-    assert!(steady <= 7 * 7, "steady state began at slot {steady}");
-
-    // What was revoked: slots a dead seat leads first, once each, and each
-    // decided the empty batch. In the steady state that is every such slot
-    // — two per rotation — so no client command sits in a dead-led slot.
-    let at_p1 = revoked(&cluster, ProcessId(1));
-    assert!(at_p1.windows(2).all(|w| w[0].0 < w[1].0), "{at_p1:?}");
-    for (slot, leader) in &at_p1 {
-        assert_eq!(slot_leader(&cfg, *slot, 1).0, *leader);
-        assert!(*leader >= 6, "slot {slot} revoked from live p{leader}");
-        if *slot < slots {
-            assert_eq!(
-                decided[*slot as usize],
-                empty_batch(),
-                "revoked slot {slot}"
-            );
+    let steady = steady.expect("the schedule never caught up");
+    assert!(
+        steady <= last_dead_led + 8,
+        "steady state began at slot {steady}"
+    );
+    assert!(slots >= steady + 30, "{slots} slots, steady from {steady}");
+    // Who leads view 1 next, by the schedule every live node computes
+    // alike: no dead seat (their next probes are in slots 515 and 516).
+    for slot in slots..slots + SLOT_WINDOW {
+        let leader = cluster.node(ProcessId(1)).first_leader(slot).unwrap();
+        assert!(leader.0 < 6, "slot {slot} led by {leader:?}");
+        for p in &live {
+            assert_eq!(cluster.node(*p).first_leader(slot), Some(leader), "at {p}");
         }
     }
-    for rotation in steady.div_ceil(7)..slots / 7 {
-        let in_rotation: Vec<u64> = at_p1
-            .iter()
-            .map(|(s, _)| *s)
-            .filter(|s| s / 7 == rotation)
-            .collect();
-        assert_eq!(in_rotation, vec![7 * rotation + 4, 7 * rotation + 5]);
-    }
-    // Revoking stopped with the load, inside the last window.
-    let horizon = slots + PIPELINE_DEPTH as u64;
-    assert!(at_p1.last().unwrap().0 < horizon);
-    for p in &live {
-        assert_eq!(revoked(&cluster, *p), at_p1, "at {p}");
-        let m = cluster.registry().metrics(p.index());
-        assert_eq!(m.slot_revoked_total.get(), at_p1.len() as u64, "at {p}");
-    }
-    let text = cluster.registry().render_text();
-    assert!(text.contains(&format!(
-        "fastbft_slot_revoked_total{{replica=\"p3\"}} {}",
-        at_p1.len()
-    )));
-    let json = cluster.registry().render_json();
-    assert!(json.contains(&format!(
-        "\"detail\":\"revoke slot {} (leader p{})\"",
-        at_p1[0].0, at_p1[0].1
-    )));
 
-    // Revoking needs this node's own proposals running. A stray frame for
-    // a far dead-led slot opens that one slot reactively everywhere (it
-    // decides the empty batch through a view change, as any such slot
-    // would); no node revokes anything on it, and the cluster goes quiet
-    // again.
+    // A stray frame for a slot ahead opens that one slot reactively
+    // everywhere, and the cluster goes quiet again.
     let open: Vec<usize> = live.iter().map(|p| cluster.node(*p).open_slots()).collect();
-    let stray = (horizon..)
-        .find(|s| slot_leader(&cfg, *s, 1).0 >= 6)
-        .expect("two of every seven");
+    let stray = slots + PIPELINE_DEPTH as u64;
     let now = cluster.sim().now();
     cluster.sim_mut().inject_message(
         ProcessId(2),
@@ -1103,232 +1082,5 @@ fn paced_load_commits_at_three_delays_whoever_leads() {
         assert_eq!(node.applied(), slots, "at {p}");
         assert_eq!(node.running_slots(), 0, "at {p}");
         assert_eq!(node.open_slots(), open + 1, "the stray slot, at {p}");
-        assert_eq!(revoked(&cluster, *p), at_p1, "at {p}");
     }
-}
-
-/// (f′) The same under backlog, where the window is always full: every
-/// command is queued at once, so each advance brings exactly one new tail
-/// slot into the window and the fill loop is there to take it. A dead-led
-/// tail slot gets the empty batch all the same — the decision sits where a
-/// slot's proposal is chosen, not in who asks for the slot — so once the
-/// seats are known no command is decided in a slot they lead.
-#[test]
-fn a_backlog_puts_no_command_in_a_dead_led_slot() {
-    let cfg = generalized_seven();
-    let live: Vec<ProcessId> = (1..=5).map(ProcessId).collect();
-    let mut cluster = pipelined(cfg, 19, Network::synchronous(DELTA), two_silent_seats);
-    const COMMANDS: u64 = 70;
-    for i in 0..COMMANDS {
-        submit(&mut cluster, command(i), SimTime(DELTA.0));
-    }
-    run_dry(
-        &mut cluster,
-        &live,
-        cfg.f(),
-        &mut Vec::new(),
-        window_bound(&live),
-    );
-
-    let decided = decided(&mut cluster, ProcessId(1));
-    let at_p1 = revoked(&cluster, ProcessId(1));
-    // (The first window, and what follows it until slot 4 has timed out,
-    // opens before anyone knows.)
-    let learned = at_p1.first().expect("nothing was ever revoked").0;
-    assert!(learned <= 4 * 7, "learning took until slot {learned}");
-    let dead_led: Vec<u64> = (learned..decided.len() as u64)
-        .filter(|s| slot_leader(&cfg, *s, 1).0 >= 6)
-        .collect();
-    assert!(dead_led.len() >= 16, "{dead_led:?}");
-    for slot in &dead_led {
-        assert_eq!(
-            decided[*slot as usize],
-            empty_batch(),
-            "dead-led slot {slot}"
-        );
-    }
-    for p in &live {
-        let node = cluster.node(*p);
-        assert_eq!(node.commands_applied(), COMMANDS, "at {p}");
-        assert_eq!(node.running_slots(), 0, "at {p}");
-        let at_p: Vec<u64> = revoked(&cluster, *p).iter().map(|(s, _)| *s).collect();
-        assert!(dead_led.iter().all(|s| at_p.contains(s)), "at {p}");
-    }
-}
-
-/// (g) Revoking a *live* leader's slot loses nothing. p3's outbound traffic
-/// is cut past one timeout, so everyone else suspects it and revokes the
-/// slots it leads first. After the heal the next revoked slot reaches p3 as
-/// wishes for a slot it has not opened: it opens it, proposes as its first
-/// leader, and that proposal clears it everywhere — from then on its slots
-/// carry commands again.
-#[test]
-fn a_live_leaders_revoked_slot_is_proposed_by_it_and_clears_it() {
-    let cfg = generalized_seven();
-    let victim = ProcessId(3);
-    let all: Vec<ProcessId> = cfg.processes().collect();
-    let others: Vec<ProcessId> = all.iter().copied().filter(|p| *p != victim).collect();
-    let plan = FaultPlan::new();
-    plan.set_rules(muted(victim));
-    let mut cluster = pipelined(cfg, 23, plan.network(DELTA, 23), |_, node| Box::new(node));
-    let mut applied_at = Vec::new();
-    const COMMANDS: u64 = 60;
-    for i in 0..COMMANDS {
-        submit(&mut cluster, command(i), SimTime((i + 1) * DELTA.0));
-    }
-
-    // p3 leads slots 1, 8, 15, … Slot 1 times out at everyone else (slot 8
-    // is open by then, its proposal lost too), who then revoke.
-    assert_eq!(slot_leader(&cfg, 1, 1), victim);
-    run_until_applied(&mut cluster, &mut applied_at, &others, 2, |_| {});
-    for p in &others {
-        assert_eq!(suspects(&cluster, *p), vec![3], "at {p}");
-        assert_eq!(revoked(&cluster, *p).first(), Some(&(15, 3)), "at {p}");
-    }
-    assert!(suspects(&cluster, victim).is_empty(), "p3 heard everyone");
-
-    // Heal. Every slot p3 leads first from here on is revoked until it is
-    // cleared, so the proposal that clears it is one for a revoked slot.
-    plan.heal();
-    run_dry(
-        &mut cluster,
-        &all,
-        cfg.f(),
-        &mut Vec::new(),
-        window_bound(&all),
-    );
-
-    let at_p1 = revoked(&cluster, ProcessId(1));
-    let decided = decided(&mut cluster, ProcessId(1));
-    // Revoked: slots p3 leads first, in a row, by everyone but p3 — which
-    // proposed its own queue there, so what such a slot decided is the
-    // empty batch or a command, as the view change found it.
-    assert!(at_p1.len() >= 2, "{at_p1:?}");
-    for (k, (slot, leader)) in at_p1.iter().enumerate() {
-        assert_eq!((*slot, *leader), (15 + 7 * k as u64, 3));
-    }
-    assert!(revoked(&cluster, victim).is_empty());
-    for p in &all {
-        assert!(suspects(&cluster, *p).is_empty(), "at {p}");
-        assert_eq!(cluster.node(*p).open_slots(), 0, "at {p}");
-    }
-    for p in &others {
-        let cleared = cluster
-            .registry()
-            .metrics(p.index())
-            .leader_clear_total
-            .get();
-        assert_eq!(cleared, 1, "p3, once, at {p}");
-    }
-    // Nothing lost; `run_dry` checked the rest. (A slot commits its
-    // leader's queue head and p3's queue is not in step with the others'
-    // after the outage, so order across slots is not asserted.)
-    let mut committed: Vec<u64> = decided
-        .iter()
-        .flatten()
-        .map(|v| v.as_u64().unwrap() - 1000)
-        .collect();
-    committed.sort_unstable();
-    assert_eq!(committed, (0..COMMANDS).collect::<Vec<_>>());
-    // Cleared, p3 is an ordinary leader again: its later slots are not
-    // revoked and carry commands.
-    let last_revoked = at_p1.last().unwrap().0;
-    let later: Vec<u64> = (last_revoked + 1..decided.len() as u64)
-        .filter(|s| slot_leader(&cfg, *s, 1) == victim)
-        .collect();
-    assert!(later.len() >= 2, "{later:?}");
-    for slot in later {
-        assert_ne!(decided[slot as usize], empty_batch(), "slot {slot}");
-    }
-}
-
-/// (h) Fewer than `f + 1` suspecting nodes revoke alone and move nobody.
-/// p4 and p5 are cut off while slot 0 runs, so they — and only they — time
-/// out on its leader p2, which then really crashes. Under load the two
-/// revoke the slots p2 leads first; their two wishes stay below the `f + 1`
-/// adoption threshold, so everyone else opens those slots reactively and
-/// waits out the view-1 timeout exactly as today (only started earlier).
-/// No command is lost or duplicated on the way.
-#[test]
-fn a_minority_that_revokes_alone_changes_nothing_for_the_rest() {
-    let cfg = generalized_seven();
-    let crashed = ProcessId(2);
-    let knowing = [ProcessId(4), ProcessId(5)];
-    let unknowing = [ProcessId(1), ProcessId(3), ProcessId(6), ProcessId(7)];
-    let live: Vec<ProcessId> = cfg.processes().filter(|p| *p != crashed).collect();
-    let healed_at = SimTime(9 * DELTA.0);
-    let plan = FaultPlan::new();
-    plan.set_rules(LinkRules {
-        pairs: knowing.map(|p| ((p, p), LinkProfile::cut())).into(),
-        by_dst: knowing.map(|p| (p, LinkProfile::cut())).into(),
-        ..LinkRules::default()
-    });
-    let mut cluster = pipelined(cfg, 29, plan.network(DELTA, 29), |_, node| Box::new(node));
-    assert_eq!(slot_leader(&cfg, 0, 1), crashed);
-    assert_eq!(slot_leader(&cfg, 7, 1), crashed);
-    cluster.sim_mut().schedule_crash(crashed, healed_at);
-    const COMMANDS: u64 = 40;
-    let first_command_at = SimTime(12 * DELTA.0);
-    for i in 0..COMMANDS {
-        submit(
-            &mut cluster,
-            command(i),
-            SimTime(first_command_at.0 + i * DELTA.0),
-        );
-    }
-
-    // Idle start: slot 0 decides without the two, who time out on p2 and
-    // catch up by backfill after the heal — from the first send at
-    // `healed_at` on.
-    cluster.sim_mut().run_until(SimTime(healed_at.0 - 1));
-    plan.heal();
-    cluster.sim_mut().run_until(SimTime(first_command_at.0 - 1));
-    for p in &live {
-        assert_eq!(cluster.node(*p).applied(), 1, "at {p}");
-        let expected = if knowing.contains(p) { vec![2] } else { vec![] };
-        assert_eq!(suspects(&cluster, *p), expected, "at {p}");
-    }
-
-    // The two revoke slot 7 once their first commands overlap; the rest
-    // open it on their wishes one delay later and sit in view 1 until their
-    // own timers expire.
-    let mut committed_at = vec![SimTime::ZERO];
-    let timeout_at = SimTime(first_command_at.0 + DELTA.0 + BASE_TIMEOUT);
-    run_dry(&mut cluster, &live, cfg.f(), &mut committed_at, |c| {
-        if c.sim().now() < timeout_at {
-            for p in unknowing {
-                assert!(suspects(c, p).is_empty(), "at {p}");
-                assert!(revoked(c, p).is_empty(), "at {p}");
-            }
-            assert!(c.node(ProcessId(1)).applied() <= 7);
-        }
-    });
-    // (Slot 21 enters the two's window while slot 7 holds everything up.)
-    for p in knowing {
-        assert_eq!(
-            revoked(&cluster, p)[..3],
-            [(7, 2), (14, 2), (21, 2)],
-            "at {p}"
-        );
-    }
-    assert!(
-        committed_at[7] >= SimTime(timeout_at.0 + 6 * DELTA.0),
-        "slot 7 committed at {:?}",
-        committed_at[7]
-    );
-    // The timeout taught the rest; from the next rotation on all revoke.
-    for p in &live {
-        assert_eq!(suspects(&cluster, *p), vec![2], "at {p}");
-        assert!(revoked(&cluster, *p).contains(&(28, 2)), "at {p}");
-        assert_eq!(cluster.node(*p).running_slots(), 0, "at {p}");
-    }
-    let decided = decided(&mut cluster, ProcessId(1));
-    assert_eq!(decided[7], empty_batch());
-    assert_eq!(decided[14], empty_batch());
-    let committed: Vec<u64> = decided
-        .iter()
-        .flatten()
-        .map(|v| v.as_u64().unwrap() - 1000)
-        .collect();
-    assert_eq!(committed, (0..COMMANDS).collect::<Vec<_>>());
 }

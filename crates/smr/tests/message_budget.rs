@@ -425,10 +425,12 @@ fn exported(registry: &MetricsRegistry) {
 /// walk no certificate. In the open loop seats drain one command into
 /// different slots, so every copy decided after the first is dropped at
 /// apply. The checks there include the `n − 1` checkpoint attestations
-/// each seat checks per snapshot boundary. With seats silent, each live
-/// seat ends holding the dead-led slots it revoked ahead, decided empty and
-/// parked behind the next live-led slot: nothing is pending, so no seat
-/// opens that one. With `f` seats silent every commit is slow.
+/// each seat checks per snapshot boundary. With seats silent, a dead seat
+/// leads view 1 of the slots it is the rotation's first leader of until
+/// the agreed schedule skips it, one window after its first miss was
+/// decided, and then only its probe slot once a period: each such slot
+/// costs every live seat one view change. With `f` seats silent every
+/// commit is slow.
 ///
 /// Backlogged, nodes as shipped carry the same 1 000 queued commands in
 /// 10 slots, and `compared` reads the queue scan at about 179 entries per
@@ -447,15 +449,15 @@ fn the_work_ledger() {
     #[rustfmt::skip]
     let rows: [(Config, &[u32], Load, Row); 9] = [
         //                             slots parked  empty  drains  dropped    msgs       bytes  Propose     Ack  Commit  Backfill    sigs  fewest   certs   fast   slow  views  refused  backfilled  shed  signed  compared  delays_p50  delays_p90
-        (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     11_088,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12, 264,      1_400,      2_200]),
-        (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    180_936,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96, 462,      1_400,      2_200]),
-        (four,  &[],     Open(1_000), [  745,     0,     2,  2_415,   3_140, 14_983,    944_194,   2_980, 11_920,      0,        0,  3_040,    760,      0, 2_980,     0,     0,       0,          0,    0, 765, 5_298,        299,        477]),
-        (seven, &[],     Open(1_000), [  656,     0,     8,  3_582,   6_328, 69_197, 11_483_797,   4_592, 32_144, 32_144,       12, 71_561, 10_223,  7_350, 4_592,     0,     0,       0,          0,    0, 5_283, 11_314,        301,        561]),
-        (four,  &[4],    Open(1_000), [  473,     3,   114,    931,   1_659,  9_591,    716_925,   1_904,  5_712,      0,        0,  3_382,  1_087,    363, 1_428,     0,   363,       0,          0,    0, 1_211,  9_616,        433,        952]),
-        (seven, &[7],    Open(1_000), [  552,     1,    77,  2_289,   4_944, 54_583,  8_846_851,   3_871, 23_226, 23_226,        0, 58_726,  9_721,  6_708, 3_318,     0,   480,       0,          0,    0, 4_855, 14_628,        328,        807]),
-        (seven, &[6, 7], Open(1_000), [  449,     4,   123,  1_357,   3_065, 40_767,  6_423_810,   3_171, 15_855, 15_855,        0, 75_951, 15_111, 11_985,     0, 2_265,   675,       0,          0,    0, 4_068, 16_130,        434,        981]),
-        (four,  &[],     Backlog(1_000), [   10,     0,     0,     40,       0,    200,    246_840,      40,    160,      0,        0,     40,     10,      0,    40,     0,     0,       0,          0,    0, 10, 716_976,        200,        400]),
-        (seven, &[],     Backlog(1_000), [   10,     0,     0,     70,       0,  1_050,  1_398_180,      70,    490,    490,        0,    511,     73,      0,    70,     0,     0,       0,          0,    0, 80, 1_254_708,        200,        400]),
+        (four,  &[],     Queued(12),  [   12,     0,     0,     48,       0,    240,     12_048,      48,    192,      0,        0,     48,     12,      0,    48,     0,     0,       0,          0,    0, 12, 264,      1_400,      2_200]),
+        (seven, &[],     Queued(12),  [   12,     0,     0,     84,       0,  1_260,    185_976,      84,    588,    588,        0,    588,     84,      0,    84,     0,     0,       0,          0,    0, 96, 462,      1_400,      2_200]),
+        (four,  &[],     Open(1_000), [  745,     0,     2,  2_415,   3_140, 14_983,  1_003_794,   2_980, 11_920,      0,        0,  3_040,    760,      0, 2_980,     0,     0,       0,          0,    0, 765, 5_298,        299,        477]),
+        (seven, &[],     Open(1_000), [  656,     0,     8,  3_582,   6_328, 69_197, 11_759_365,   4_592, 32_144, 32_144,       12, 71_561, 10_223,  7_350, 4_592,     0,     0,       0,          0,    0, 5_283, 11_314,        301,        561]),
+        (four,  &[4],    Open(1_000), [  598,     0,     2,  1_452,   1_719,  9_888,    713_171,   2_392,  7_176,      0,        0,  2_090,    691,     51, 1_794,     0,    51,       0,          0,    0,   712,  6_759,        322,        876]),
+        (seven, &[7],    Open(1_000), [  556,     0,     5,  2_655,   4_518, 51_355,  8_794_240,   3_892, 23_352, 23_352,        0, 52_135,  8_680,  5_682, 3_336,     0,    66,       0,          0,    0, 4_048, 15_508,        329,        889]),
+        (seven, &[6, 7], Open(1_000), [  429,     0,     5,  1_695,   2_915, 34_301,  5_968_466,   3_003, 15_015, 15_015,       84, 67_415, 13_471, 10_825,     0, 2_145,   115,       0,          0,    0, 2_804, 15_233,        433,        915]),
+        (four,  &[],     Backlog(1_000), [   10,     0,     0,     40,       0,    200,    247_640,      40,    160,      0,        0,     40,     10,      0,    40,     0,     0,       0,          0,    0, 10, 716_976,        200,        400]),
+        (seven, &[],     Backlog(1_000), [   10,     0,     0,     70,       0,  1_050,  1_402_380,      70,    490,    490,        0,    511,     73,      0,    70,     0,     0,       0,          0,    0, 80, 1_254_708,        200,        400]),
     ];
     for (cfg, silent, load, row) in rows {
         let silent: Vec<ProcessId> = silent.iter().copied().map(ProcessId).collect();

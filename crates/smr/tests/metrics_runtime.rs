@@ -74,12 +74,7 @@ fn scrape_reflects_commits_on_a_running_cluster() {
     // The leader-suspicion family is exposed on every replica (what it
     // counts is pinned in virtual time by `leader_suspicion.rs`).
     assert!(text.contains("# TYPE fastbft_leader_suspected gauge"));
-    for family in [
-        "view_skip",
-        "slot_revoked",
-        "leader_suspect",
-        "leader_clear",
-    ] {
+    for family in ["view_skip", "leader_suspect", "leader_clear"] {
         assert!(text.contains(&format!("# TYPE fastbft_{family}_total counter")));
         assert!(text.contains(&format!("fastbft_{family}_total{{replica=\"p4\"}}")));
     }

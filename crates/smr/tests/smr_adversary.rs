@@ -14,8 +14,9 @@ use fastbft_core::byzantine::{Move, Seat};
 use fastbft_core::message::Kind;
 use fastbft_core::ProgressCert;
 use fastbft_sim::{Network, SimDuration, SimTime};
-use fastbft_smr::{byzantine_seat, CountingMachine, SmrNode, SmrSimCluster, SLOT_WINDOW};
-use fastbft_types::wire::to_bytes;
+use fastbft_smr::{
+    byzantine_seat, encode_batch, CountingMachine, SmrNode, SmrSimCluster, SLOT_WINDOW,
+};
 use fastbft_types::{Config, ProcessId, Value, View};
 
 const DELTA: SimDuration = SimDuration::DELTA;
@@ -43,10 +44,10 @@ fn story(
         .collect()
 }
 
-/// A slot's value as a node proposes it: the encoded batch.
-fn batch(commands: &[u64]) -> Value {
+/// A slot's value as `proposer` proposes it: the encoded batch.
+fn batch(proposer: ProcessId, commands: &[u64]) -> Value {
     let commands: Vec<Value> = commands.iter().map(|c| Value::from_u64(*c)).collect();
-    Value::new(to_bytes(&commands))
+    encode_batch(proposer, commands)
 }
 
 /// Known gap: a slot only one correct replica decided (ARCHITECTURE; ROADMAP
@@ -68,7 +69,11 @@ fn batch(commands: &[u64]) -> Value {
 /// * n = 7 (f = 2, t = 1), p6 and p7 sitting out view 2 only: they vote in
 ///   view 3, and its leader p2, with p7 excluded, still holds `n − f` = 5
 ///   votes, `f + t` = 3 of them for A at view 1 — a progress certificate
-///   for A. Six acks decide it fast and every correct seat converges;
+///   for A. Six acks decide it fast and every correct seat converges. Its
+///   47 view changes: `S`'s two at each seat but p1, and one at every seat
+///   in each of p1's slots 69, 76, …, 97. p1 ran a window ahead while the
+///   others sat in `S`, and its proposals for 69, 76 and 83 reached them
+///   beyond their windows, which ended at 69, and were dropped;
 /// * n = 7, p6 and p7 sitting out every view change of `S`: four correct
 ///   wishers are one short of the `2f + 1` that enter view 2. Stalled as at
 ///   n = 4.
@@ -83,14 +88,14 @@ fn batch(commands: &[u64]) -> Value {
 /// This asserts today's stalls: ROADMAP item 2(d)'s fix flips them.
 #[test]
 fn known_gap_a_slot_only_one_correct_replica_decided() {
-    let (a, b) = (batch(&[1]), batch(&[2]));
     let four = Config::new(4, 1, 1).unwrap();
     let seven = Config::new(7, 2, 1).unwrap();
     let view_two = vec![Move::SilentInViewChange { view: View(2) }];
     let every_view = [Kind::Wish, Kind::Vote, Kind::CertRequest, Kind::CertAck].map(Move::Withhold);
     // (cfg, S, the Byzantine seats, the view changes they sit out, what p1
     // and the other correct seats applied, what the liveness row finds at
-    // 2 000Δ, the frames sent between 1 000Δ and 2 000Δ at seed 1)
+    // 2 000Δ, the frames sent between 1 000Δ and 2 000Δ at seed 1, the view
+    // changes entered over every seat)
     type Case<'a> = (
         Config,
         u64,
@@ -99,6 +104,7 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
         Vec<u64>,
         Option<&'a str>,
         Vec<(&'a str, usize)>,
+        u64,
     );
     let cases: [Case; 3] = [
         (
@@ -114,8 +120,18 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
                 ("vote", 2),
                 ("wish", 6009),
             ],
+            21,
         ),
-        (seven, 5, vec![P6, P7], view_two, vec![266; 5], None, vec![]),
+        (
+            seven,
+            5,
+            vec![P6, P7],
+            view_two,
+            vec![263; 5],
+            None,
+            vec![],
+            47,
+        ),
         (
             seven,
             5,
@@ -124,11 +140,13 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
             vec![5 + SLOT_WINDOW, 5, 5, 5, 5],
             Some("log index 5: applied by p1 but not by p2, p3, p4, p5"),
             vec![("backfill", 384), ("snap-request", 4500), ("wish", 15000)],
+            2,
         ),
     ];
-    for (cfg, s, byzantine, sit_out, applied, behind, frames) in cases {
+    for (cfg, s, byzantine, sit_out, applied, behind, frames, view_changes_pinned) in cases {
         let leader = cfg.with_instance(s).leader(View::FIRST);
         assert_eq!(byzantine.last(), Some(&leader));
+        let (a, b) = (batch(leader, &[1]), batch(leader, &[2]));
         let correct: Vec<ProcessId> = cfg.processes().filter(|p| !byzantine.contains(p)).collect();
         let to_b = *correct.last().unwrap();
         let split: Vec<_> = cfg
@@ -173,6 +191,8 @@ fn known_gap_a_slot_only_one_correct_replica_decided() {
             assert_eq!(cluster.violations(), [], "{case}");
             let now: Vec<u64> = correct.iter().map(|p| cluster.node(*p).applied()).collect();
             assert_eq!(now, applied, "{case}");
+            let views = cluster.registry().total(|m| &m.view_change_total);
+            assert_eq!(views, view_changes_pinned, "{case}");
             // Whoever got past `S` applied A's command, and B's nowhere.
             let logs = cluster.logs();
             for (p, _) in correct.iter().zip(&now).filter(|(_, a)| **a > s) {

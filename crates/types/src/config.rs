@@ -82,6 +82,9 @@ pub struct Config {
     /// every signed statement; see [`Config::with_instance`].
     #[serde(default)]
     instance: u64,
+    /// See [`Config::with_first_leader_offset`].
+    #[serde(default)]
+    leader_offset: u64,
 }
 
 impl Config {
@@ -114,12 +117,7 @@ impl Config {
         if n < required {
             return Err(ConfigError::TooFewProcesses { n, required });
         }
-        Ok(Config {
-            n,
-            f,
-            t,
-            instance: 0,
-        })
+        Ok(Config::new_unchecked(n, f, t))
     }
 
     /// Creates a configuration for the vanilla protocol (`t = f`,
@@ -154,6 +152,7 @@ impl Config {
             f,
             t,
             instance: 0,
+            leader_offset: 0,
         }
     }
 
@@ -173,6 +172,14 @@ impl Config {
     #[must_use]
     pub fn with_instance(mut self, instance: u64) -> Self {
         self.instance = instance;
+        self
+    }
+
+    /// Returns a copy whose leader map starts `offset` seats further on
+    /// (default 0): the SMR layer's agreed leader schedule, set per slot.
+    #[must_use]
+    pub fn with_first_leader_offset(mut self, offset: u64) -> Self {
+        self.leader_offset = offset;
         self
     }
 
@@ -246,7 +253,9 @@ impl Config {
 
     // -- leader map -----------------------------------------------------------
 
-    /// The paper's round-robin leader map: `leader(v) = p_{(v mod n) + 1}`.
+    /// The paper's round-robin leader map, `leader(v) = p_{(v mod n) + 1}` —
+    /// so `leader(1) = p_2`, which every experiment reads through this call
+    /// — shifted by the instance and the first-leader offset.
     ///
     /// ```
     /// use fastbft_types::{Config, View, ProcessId};
@@ -254,12 +263,9 @@ impl Config {
     /// assert_eq!(cfg.leader(View(1)), ProcessId(2));
     /// assert_eq!(cfg.leader(View(4)), ProcessId(1));
     /// ```
-    ///
-    /// Note `leader(1) = p_2` under the paper's formula. Experiments that
-    /// narrate "the first leader" use [`Config::leader`] everywhere, so the
-    /// identity of `leader(1)` is consistent across the workspace.
     pub fn leader(&self, view: View) -> ProcessId {
-        ProcessId(((view.0.wrapping_add(self.instance)) % self.n as u64) as u32 + 1)
+        let shift = self.instance.wrapping_add(self.leader_offset);
+        ProcessId((view.0.wrapping_add(shift) % self.n as u64) as u32 + 1)
     }
 
     /// Iterator over all process ids `p1 ..= pn`.
